@@ -83,11 +83,16 @@ pub enum Counter {
     BreakerTrips,
     /// Events dropped because the event log hit its retention cap.
     EventsDropped,
+    /// Aggregation demotions from typed `i64`/`f64` lanes to boxed
+    /// `Value`s: one per term whose `⊛` contributions left the lanes
+    /// (mixed/sentinel column, poisoned row, overflow, multiplicity
+    /// beyond `i64`) or whose sum fold overflowed in some group.
+    AggTermsBoxed,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 20] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::ShardsDispatched,
@@ -107,6 +112,7 @@ impl Counter {
         Counter::Retries,
         Counter::BreakerTrips,
         Counter::EventsDropped,
+        Counter::AggTermsBoxed,
     ];
 
     /// Stable serialized name.
@@ -131,6 +137,7 @@ impl Counter {
             Counter::Retries => "retries",
             Counter::BreakerTrips => "breaker_trips",
             Counter::EventsDropped => "events_dropped",
+            Counter::AggTermsBoxed => "agg_terms_boxed",
         }
     }
 }
@@ -146,12 +153,26 @@ pub enum Site {
     ReduceMergeSort,
     /// Sharded-reduce phase 3: sequential k-way merge.
     ReduceKway,
+    /// Aggregation membership: grouping index, possible-member source
+    /// (compression), group-box sweep and CSR build.
+    AggIndex,
+    /// Aggregation phase 1: input evaluation over lanes + per-row `⊛`.
+    AggContrib,
+    /// Aggregation phase 2: the per-group bound folds (driver time).
+    AggFold,
 }
 
 impl Site {
     /// Every site, in serialization order.
-    pub const ALL: [Site; 4] =
-        [Site::Driver, Site::ReduceScatter, Site::ReduceMergeSort, Site::ReduceKway];
+    pub const ALL: [Site; 7] = [
+        Site::Driver,
+        Site::ReduceScatter,
+        Site::ReduceMergeSort,
+        Site::ReduceKway,
+        Site::AggIndex,
+        Site::AggContrib,
+        Site::AggFold,
+    ];
 
     /// Stable serialized name.
     pub fn name(self) -> &'static str {
@@ -160,6 +181,9 @@ impl Site {
             Site::ReduceScatter => "reduce_scatter",
             Site::ReduceMergeSort => "reduce_merge_sort",
             Site::ReduceKway => "reduce_kway",
+            Site::AggIndex => "agg_index",
+            Site::AggContrib => "agg_contrib",
+            Site::AggFold => "agg_fold",
         }
     }
 }

@@ -93,11 +93,22 @@ impl RangeValue {
     /// Minimum bounding box of two ranges keeping `self`'s selected guess
     /// (used by the SG-combiner `Ψ`, Definition 21).
     pub fn merge_keep_sg(&self, other: &RangeValue) -> RangeValue {
-        RangeValue::new_unchecked(
-            Value::min_of(self.lb.clone(), other.lb.clone()),
-            self.sg.clone(),
-            Value::max_of(self.ub.clone(), other.ub.clone()),
-        )
+        let mut merged = self.clone();
+        merged.extend_keep_sg(other);
+        merged
+    }
+
+    /// In-place [`RangeValue::merge_keep_sg`]: widen `self` to also cover
+    /// `other`. A bound is replaced only when `other`'s is *strictly*
+    /// outside it — on ties `self`'s stays, as with `min_of`/`max_of` —
+    /// and nothing is cloned unless it is replaced.
+    pub fn extend_keep_sg(&mut self, other: &RangeValue) {
+        if self.lb.total_cmp(&other.lb) == Ordering::Greater {
+            self.lb = other.lb.clone();
+        }
+        if self.ub.total_cmp(&other.ub) == Ordering::Less {
+            self.ub = other.ub.clone();
+        }
     }
 
     /// Interval width as a float, for tightness metrics. Sentinel bounds
@@ -191,6 +202,18 @@ mod tests {
         let b = RangeValue::range(0i64, 3i64, 7i64);
         let m = a.merge_keep_sg(&b);
         assert_eq!(m, RangeValue::range(0i64, 2i64, 7i64));
+        let mut c = a.clone();
+        c.extend_keep_sg(&b);
+        assert_eq!(c, m);
+        // cross-type ties keep the left operand, as `min_of`/`max_of`
+        // do: `Int 0` sorts before `Float 0.0`, so the lower bound
+        // stays and the upper bound moves
+        let z = RangeValue::certain(Value::Int(0));
+        let merged = z.merge_keep_sg(&RangeValue::certain(Value::float(0.0)));
+        assert_eq!(
+            (merged.lb, merged.sg, merged.ub),
+            (Value::Int(0), Value::Int(0), Value::float(0.0))
+        );
     }
 
     #[test]

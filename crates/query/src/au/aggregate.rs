@@ -13,12 +13,22 @@
 //! box over assigned tuples (Definition 25); aggregate bounds range over
 //! the tuples that may fall into the output's box (Definition 26).
 //!
-//! Execution runs on the [`SgGroupIndex`] grouping index: possible
-//! membership of uncertain-group rows comes from an interval sweep
-//! between group bounding boxes and row ranges (instead of testing
-//! every group against every uncertain row), and the per-group bound
-//! computation is partitioned across the [`Executor`]'s workers with a
-//! deterministic ordered merge (see `docs/exec-runtime.md`).
+//! Execution has exactly two paths. The **row-once kernel**
+//! ([`aggregate_au_exec`], production) evaluates every distinct
+//! aggregate input once per row over column lanes (compiled, verified
+//! [`Program`]s), applies `⊛_M` per row into typed `i64`/`f64`
+//! contribution lanes, and then folds those lanes per group: membership
+//! is one flat CSR filled from an interval sweep between the
+//! [`SgGroupIndex`] group boxes and the (optionally compressed)
+//! uncertain rows, and groups are partitioned across the [`Executor`]'s
+//! workers with a deterministic ordered merge (`docs/exec-runtime.md`).
+//! A term that leaves the typed lattice (mixed/sentinel column, poisoned
+//! row, overflow, multiplicity beyond `i64`) is *demoted* to boxed
+//! `Value` contributions computed by [`boxtimes`] — the rule the lane
+//! kernels follow — so results are bit-identical either way. The
+//! **oracle** ([`aggregate_au_scan`], tests and benches only) is the
+//! literal Definition 26 evaluator: all-pairs membership and an
+//! interpreted `eval_range` + `⊛_M` per (group, member, term).
 //!
 //! ### Deviations from the paper's literal Definition 26 (soundness fixes)
 //!
@@ -41,9 +51,17 @@
 //!    to their own output (they justify it), so they never constrain
 //!    this output. This tightens bounds and matches Figure 7's values.
 
-use audb_core::{AuAnnot, EvalError, Expr, RangeValue, Value};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
+
+use audb_core::obs::{Counter, Site};
+use audb_core::{
+    AuAnnot, EvalError, Expr, LaneBatch, LaneSlice, Program, RangeValue, Value, ValueLane, F64,
+};
 use audb_exec::Executor;
-use audb_storage::{AuRelation, IntervalIndex, RangeTuple, Schema, SgGroupIndex, Tuple};
+use audb_storage::{AuRelation, IntervalIndex, RangeTuple, Schema, SgGroupIndex};
 
 use crate::algebra::{AggFunc, AggSpec};
 use crate::opt;
@@ -169,12 +187,10 @@ pub fn aggregate_au(
     aggregate_au_exec(rel, group_by, aggs, compress, &Executor::default())
 }
 
-/// [`aggregate_au`] on an explicit executor: groups are partitioned
-/// into morsels and their bounds computed on the scoped pool; morsel
-/// outputs merge in group order, so the result is identical for every
-/// worker count. Membership of uncertain-group rows comes from an
-/// interval sweep between the group bounding boxes and the uncertain
-/// rows ([`SgGroupIndex`]), not from the old groups × tuples scan.
+/// [`aggregate_au`] on an explicit executor — the row-once kernel (see
+/// the module docs). Group folds are partitioned into morsels on the
+/// scoped pool and merge in group order, so the result is identical for
+/// every worker count.
 pub fn aggregate_au_exec(
     rel: &AuRelation,
     group_by: &[usize],
@@ -182,101 +198,82 @@ pub fn aggregate_au_exec(
     compress: Option<usize>,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
-    aggregate_impl(rel, group_by, aggs, compress, exec, true)
+    aggregate_au_stats(rel, group_by, aggs, compress, exec).map(|(out, _)| out)
 }
 
-/// The pre-index membership computation: every output group tests every
-/// uncertain-group row for overlap. Retained (sequential) as the
-/// differential-testing oracle and the bench baseline the indexed
-/// grouping is measured against; produces exactly the same result as
-/// [`aggregate_au_exec`].
-pub fn aggregate_au_scan(
-    rel: &AuRelation,
-    group_by: &[usize],
-    aggs: &[AggSpec],
-    compress: Option<usize>,
-) -> Result<AuRelation, EvalError> {
-    aggregate_impl(rel, group_by, aggs, compress, &Executor::sequential(), false)
+/// What one kernel run did — the `aggregate` span's attributes
+/// (`docs/observability.md`): output `groups`; possible-member `sources`
+/// swept against the group boxes; candidate (group, source) `pairs` of
+/// the sweep; (group, member) contributions each term folds; distinct
+/// `(monoid, input)` `terms`; and the terms folded over boxed `Value`s
+/// (demoted at `⊛` time or by a fold that left the type) — the
+/// `agg_terms_boxed` counter ticks by the same number.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AggStats {
+    pub groups: usize,
+    pub sources: usize,
+    pub pairs: usize,
+    pub members: usize,
+    pub terms: usize,
+    pub terms_boxed: usize,
 }
 
-fn aggregate_impl(
-    rel: &AuRelation,
-    group_by: &[usize],
-    aggs: &[AggSpec],
-    compress: Option<usize>,
-    exec: &Executor,
-    sweep_membership: bool,
-) -> Result<AuRelation, EvalError> {
-    let mut names: Vec<String> =
-        group_by.iter().map(|c| rel.schema.column_name(*c).to_string()).collect();
-    names.extend(aggs.iter().map(|a| a.name.clone()));
-    let schema = Schema::new(names);
+/// The aggregate list as distinct monoid folds: `Avg` is `Sum` +
+/// `Count`, `Count` is `Sum` over the constant 1, and equal
+/// `(monoid, input)` pairs share one term.
+struct Terms {
+    inputs: Vec<Expr>,
+    /// `(monoid, index into inputs)`, in first-use order.
+    terms: Vec<(Monoid, usize)>,
+    /// Per spec: its term and, for `Avg`, the count term.
+    of_spec: Vec<(usize, Option<usize>)>,
+}
 
-    // ---- empty input ----------------------------------------------------
-    if rel.is_empty() {
-        if !group_by.is_empty() {
-            return Ok(AuRelation::empty(schema));
-        }
-        // Aggregation without group-by over an empty relation yields the
-        // deterministic neutral row with certainty.
-        let mut vals = Vec::with_capacity(aggs.len());
+impl Terms {
+    fn new(aggs: &[AggSpec]) -> Terms {
+        let mut t = Terms { inputs: Vec::new(), terms: Vec::new(), of_spec: Vec::new() };
+        let one = audb_core::lit(1i64);
         for spec in aggs {
-            let v = match spec.func {
-                AggFunc::Sum | AggFunc::Count => RangeValue::certain(Value::Int(0)),
-                AggFunc::Min | AggFunc::Max | AggFunc::Avg => RangeValue::certain(Value::Null),
+            let of = match spec.func {
+                AggFunc::Sum => (t.term(Monoid::Sum, &spec.input), None),
+                AggFunc::Count => (t.term(Monoid::Sum, &one), None),
+                AggFunc::Min => (t.term(Monoid::Min, &spec.input), None),
+                AggFunc::Max => (t.term(Monoid::Max, &spec.input), None),
+                AggFunc::Avg => (t.term(Monoid::Sum, &spec.input), Some(t.term(Monoid::Sum, &one))),
             };
-            vals.push(v);
+            t.of_spec.push(of);
         }
-        return Ok(AuRelation::from_rows(
-            schema,
-            vec![(RangeTuple::new(vals), AuAnnot::certain_one())],
-        ));
+        t
     }
 
-    // ---- default grouping strategy (Definition 24) on the SG-hash
-    // grouping index: one pass assigns every row to its SG group (α),
-    // accumulates the per-group bounding boxes (Definition 25), and
-    // splits membership into certain-group rows (which belong only to
-    // their own group) and the uncertain possible side.
-    let gindex = SgGroupIndex::from_au(rel.rows(), group_by);
-
-    // The uncertain possible-member source (the aggregation analog of
-    // the join's split, Section 10.5); with `compress = Some(ct)` it is
-    // compacted into at most `ct` bounding-box buckets first.
-    let uncertain_source: Vec<(RangeTuple, AuAnnot)> = {
-        let raw: Vec<(RangeTuple, AuAnnot)> = if group_by.is_empty() {
-            Vec::new()
-        } else {
-            gindex.uncertain().iter().map(|&i| rel.rows()[i as usize].clone()).collect()
-        };
-        match compress {
-            Some(ct) if !group_by.is_empty() => opt::compress_rows(&raw, group_by[0], ct),
-            _ => raw,
-        }
-    };
-
-    // Membership candidates per group: an endpoint sweep between the
-    // group boxes and the uncertain source on the first group-by
-    // attribute — `O((G + U) log(G + U) + pairs)` instead of the old
-    // `O(G · U)` scan. Candidates are sorted back into source order so
-    // the (order-sensitive) bound folds match the scan exactly; the
-    // precise multi-attribute overlap check happens per candidate below.
-    let mut cand: Vec<Vec<u32>> = vec![Vec::new(); gindex.len()];
-    if !group_by.is_empty() && !uncertain_source.is_empty() {
-        if sweep_membership {
-            let gi = gindex.bbox_interval_index(0);
-            let si = IntervalIndex::from_au(&uncertain_source, group_by[0]);
-            IntervalIndex::sweep_overlapping(&gi, &si, |g, s| cand[g as usize].push(s));
-            for c in &mut cand {
-                c.sort_unstable();
-            }
-        } else {
-            for c in &mut cand {
-                c.extend(0..uncertain_source.len() as u32);
-            }
-        }
+    fn term(&mut self, monoid: Monoid, input: &Expr) -> usize {
+        let i = self.inputs.iter().position(|e| e == input).unwrap_or_else(|| {
+            self.inputs.push(input.clone());
+            self.inputs.len() - 1
+        });
+        self.terms.iter().position(|t| *t == (monoid, i)).unwrap_or_else(|| {
+            self.terms.push((monoid, i));
+            self.terms.len() - 1
+        })
     }
+}
 
+/// What both evaluators share: per output group (partitioned over
+/// `exec`) the `(lb, sg, ub)` accumulators `bounds(g, term)` of every
+/// term, closed into a range — in first-use order,
+/// which is spec order, so the first error is the same whoever computes
+/// them (the `avg`/possible-empty steps cannot fail on `Sum` bounds) —
+/// assembled next to the group-by box and the row annotation. The
+/// caller normalizes.
+fn aggregate_with(
+    rel: &AuRelation,
+    group_by: &[usize],
+    aggs: &[AggSpec],
+    plan: &Terms,
+    gindex: &SgGroupIndex,
+    exec: &Executor,
+    bounds: impl Fn(usize, usize) -> Result<(Value, Value, Value), EvalError> + Sync,
+) -> Result<AuRelation, EvalError> {
     // For aggregation without group-by, the single output row exists in
     // *every* world — including worlds where the input is empty, where
     // the deterministic MIN/MAX/AVG is Null. Track whether the input may
@@ -285,174 +282,95 @@ fn aggregate_impl(
     let possibly_empty = group_by.is_empty() && rel.rows().iter().all(|(_, k)| k.lb == 0);
     let sg_world_empty = group_by.is_empty() && rel.rows().iter().all(|(_, k)| k.sg == 0);
 
-    // ---- per-group bounds, group partitions in parallel -----------------
     // One work item here is a whole *group* (a bound fold over all its
-    // members, per aggregate spec) — far heavier than a row, so the
-    // adaptive parallelism floor is lowered accordingly (never raised:
-    // a caller-forced zero floor stays zero).
+    // members, per term) — far heavier than a row, so the adaptive
+    // parallelism floor is lowered accordingly (never raised: a
+    // caller-forced zero floor stays zero).
     let gexec =
         exec.clone().with_min_rows_per_worker(exec.partitioner().min_rows_per_worker.min(32));
-    let one = audb_core::lit(1i64);
     let rows = gexec.run(gindex.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
-        let mut members: Vec<&(RangeTuple, AuAnnot)> = Vec::new();
         for g in morsel {
-            let key = gindex.key(g);
-            let bbox = gindex.bbox(g);
-            let alpha = gindex.alpha(g);
-            let bbox_certain = bbox.is_certain();
-
-            // ð(g): possible members — this group's own certain rows plus
-            // every uncertain-group source whose group-by ranges overlap
-            // the output's box. (Tuples pinned to another certain group
-            // are excluded by construction — deviation 2 in the module
-            // docs.)
-            members.clear();
-            if group_by.is_empty() {
-                members.extend(rel.rows().iter());
-            } else {
-                members.extend(gindex.certain(g).iter().map(|&i| &rel.rows()[i as usize]));
-                // column-wise overlap against the box — equivalent to
-                // `t.project(group_by).overlaps(bbox)` minus the
-                // projection's per-candidate allocation
-                members.extend(cand[g].iter().map(|&s| &uncertain_source[s as usize]).filter(
-                    |(t, _)| group_by.iter().zip(&bbox.0).all(|(c, b)| t.0[*c].overlaps(b)),
-                ));
-            }
-
-            // ---- aggregate value bounds ----------------------------------
-            let mut agg_vals = Vec::with_capacity(aggs.len());
-            for spec in aggs {
-                let v = match spec.func {
-                    AggFunc::Sum => agg_bounds(
-                        rel,
-                        alpha,
-                        key,
-                        group_by,
-                        &members,
-                        Monoid::Sum,
-                        &spec.input,
-                        bbox_certain,
-                    )?,
-                    AggFunc::Count => agg_bounds(
-                        rel,
-                        alpha,
-                        key,
-                        group_by,
-                        &members,
-                        Monoid::Sum,
-                        &one,
-                        bbox_certain,
-                    )?,
-                    AggFunc::Min => agg_bounds(
-                        rel,
-                        alpha,
-                        key,
-                        group_by,
-                        &members,
-                        Monoid::Min,
-                        &spec.input,
-                        bbox_certain,
-                    )?,
-                    AggFunc::Max => agg_bounds(
-                        rel,
-                        alpha,
-                        key,
-                        group_by,
-                        &members,
-                        Monoid::Max,
-                        &spec.input,
-                        bbox_certain,
-                    )?,
-                    AggFunc::Avg => {
-                        let sum = agg_bounds(
-                            rel,
-                            alpha,
-                            key,
-                            group_by,
-                            &members,
-                            Monoid::Sum,
-                            &spec.input,
-                            bbox_certain,
-                        )?;
-                        let cnt = agg_bounds(
-                            rel,
-                            alpha,
-                            key,
-                            group_by,
-                            &members,
-                            Monoid::Sum,
-                            &one,
-                            bbox_certain,
-                        )?;
-                        avg_range(&sum, &cnt)?
-                    }
+            let terms = (0..plan.terms.len()).map(|t| {
+                let (lb, sg, ub) = bounds(g, t)?;
+                let sg = clamp(sg, &lb, &ub);
+                RangeValue::new(lb, sg, ub)
+            });
+            let terms = terms.collect::<Result<Vec<RangeValue>, EvalError>>()?;
+            let mut tvals = gindex.bbox(g).0.clone();
+            for (spec, (t, cnt)) in aggs.iter().zip(&plan.of_spec) {
+                let v = match cnt {
+                    Some(c) => avg_range(&terms[*t], &terms[*c])?,
+                    None => terms[*t].clone(),
                 };
-                let v = if group_by.is_empty() {
+                tvals.push(if group_by.is_empty() {
                     adjust_for_possible_empty(v, spec.func, possibly_empty, sg_world_empty)?
                 } else {
                     v
-                };
-                agg_vals.push(v);
+                });
             }
-
-            // ---- row annotation (Definition 28 + the Section 9.6
-            // improved group-count bound: α-assigned tuples with
-            // *certain* group-by values can only ever form the single
-            // group `g`, so they contribute one possible group in total;
-            // each uncertain tuple may spawn up to `ub` distinct groups
-            // of its own) --------------------------------------------------
-            let mut lb_any_certain = false;
-            let mut sg_any = false;
-            let mut any_certain_group = false;
-            let mut uncertain_ub_sum = 0u64;
-            // `certain(g)` is the certain-group-by subset of `alpha`,
-            // both sorted by row id — walk them in lockstep instead of
-            // re-projecting every row.
-            let mut certain_iter = gindex.certain(g).iter().peekable();
-            for &i in alpha {
-                let (_, k) = &rel.rows()[i as usize];
-                let certain_g = certain_iter.peek() == Some(&&i);
-                if certain_g {
-                    certain_iter.next();
-                }
-                if certain_g {
-                    any_certain_group = true;
-                    if k.lb > 0 {
-                        lb_any_certain = true;
-                    }
-                } else {
-                    // Saturating, not wrapping: adversarial `ub`
-                    // multiplicities (u64::MAX-adjacent) must clamp the
-                    // possible-group-count bound at the domain top, the
-                    // same hardening as `dec_relation`'s checked
-                    // product. (u64::MAX stays a sound upper bound.)
-                    uncertain_ub_sum = uncertain_ub_sum.saturating_add(k.ub);
-                }
-                sg_any |= k.sg > 0;
-            }
-            // Without group-by the single output row exists in every
-            // world (Definition 27); with group-by, Definition 28 + the
-            // improved group-count bound apply.
-            let annot = if group_by.is_empty() {
-                AuAnnot::certain_one()
-            } else {
-                AuAnnot::triple(
-                    lb_any_certain as u64,
-                    sg_any as u64,
-                    (any_certain_group as u64).saturating_add(uncertain_ub_sum).max(sg_any as u64),
-                )
-            };
-
-            let mut tvals = bbox.0.clone();
-            tvals.extend(agg_vals);
-            rows.push((RangeTuple::new(tvals), annot));
+            rows.push((RangeTuple::new(tvals), group_annot(rel, gindex, g, group_by.is_empty())));
         }
         Ok::<(), EvalError>(())
     })?;
 
-    let mut out = AuRelation::empty(schema);
+    let mut out = AuRelation::empty(out_schema(rel, group_by, aggs));
     out.append_rows(rows);
-    Ok(out.into_normalized_with(exec)?)
+    Ok(out)
+}
+
+fn out_schema(rel: &AuRelation, group_by: &[usize], aggs: &[AggSpec]) -> Schema {
+    let mut names: Vec<String> =
+        group_by.iter().map(|c| rel.schema.column_name(*c).to_string()).collect();
+    names.extend(aggs.iter().map(|a| a.name.clone()));
+    Schema::new(names)
+}
+
+/// Aggregation over an empty input: no rows with group-by, the
+/// deterministic neutral row (with certainty) without.
+fn aggregate_empty(rel: &AuRelation, group_by: &[usize], aggs: &[AggSpec]) -> AuRelation {
+    let schema = out_schema(rel, group_by, aggs);
+    if !group_by.is_empty() {
+        return AuRelation::empty(schema);
+    }
+    let vals = aggs.iter().map(|spec| match spec.func {
+        AggFunc::Sum | AggFunc::Count => RangeValue::certain(Value::Int(0)),
+        AggFunc::Min | AggFunc::Max | AggFunc::Avg => RangeValue::certain(Value::Null),
+    });
+    AuRelation::from_rows(schema, vec![(RangeTuple::new(vals.collect()), AuAnnot::certain_one())])
+}
+
+/// Row annotation of output group `g` (Definition 28 + the Section 9.6
+/// improved group-count bound: α-assigned tuples with *certain*
+/// group-by values can only ever form the single group `g`, so they
+/// contribute one possible group in total; each uncertain tuple may
+/// spawn up to `ub` distinct groups of its own). Without group-by the
+/// single output row exists in every world (Definition 27).
+fn group_annot(rel: &AuRelation, gindex: &SgGroupIndex, g: usize, ungrouped: bool) -> AuAnnot {
+    if ungrouped {
+        return AuAnnot::certain_one();
+    }
+    let (mut lb_any_certain, mut sg_any, mut uncertain_ub_sum) = (false, false, 0u64);
+    // `certain(g)` is the certain-group-by subset of `alpha`, both
+    // sorted by row id — walk them in lockstep.
+    let mut certain = gindex.certain(g).iter().peekable();
+    for i in gindex.alpha(g) {
+        let k = &rel.rows()[*i as usize].1;
+        if certain.next_if_eq(&i).is_some() {
+            lb_any_certain |= k.lb > 0;
+        } else {
+            // Saturating, not wrapping: adversarial `ub` multiplicities
+            // (u64::MAX-adjacent) must clamp the possible-group-count
+            // bound at the domain top (u64::MAX stays a sound bound).
+            uncertain_ub_sum = uncertain_ub_sum.saturating_add(k.ub);
+        }
+        sg_any |= k.sg > 0;
+    }
+    let any_certain_group = !gindex.certain(g).is_empty();
+    AuAnnot::triple(
+        lb_any_certain as u64,
+        sg_any as u64,
+        (any_certain_group as u64).saturating_add(uncertain_ub_sum).max(sg_any as u64),
+    )
 }
 
 /// Widen a no-group-by aggregate for worlds with an empty input:
@@ -477,56 +395,470 @@ fn adjust_for_possible_empty(
     }
 }
 
-/// Compute the `[lb / sg / ub]` of one monoid aggregate for one output
-/// group (Definition 26, with the rewrite-consistent `ug` predicate —
-/// see module docs).
-#[allow(clippy::too_many_arguments)]
-fn agg_bounds(
-    rel: &AuRelation,
-    alpha: &[u32],
-    gkey: &Tuple,
-    group_by: &[usize],
-    members: &[&(RangeTuple, AuAnnot)],
-    monoid: Monoid,
-    input: &Expr,
-    bbox_certain: bool,
-) -> Result<RangeValue, EvalError> {
-    let neutral = monoid.neutral();
-    let mut lb_acc = neutral.clone();
-    let mut ub_acc = neutral.clone();
+// ---------------------------------------------------------------------------
+// The row-once kernel
+// ---------------------------------------------------------------------------
 
-    for (t, k) in members {
-        let m = input.eval_range(t.values())?;
-        let (lo, _, hi) = boxtimes(monoid, k, &m)?;
-        // column-wise `gproj.is_certain() && gproj.sg() == *gkey`
-        // without materializing the projection per member
-        let non_ug = k.lb > 0
-            && bbox_certain
-            && group_by
-                .iter()
-                .zip(&gkey.0)
-                .all(|(c, kv)| t.0[*c].is_certain() && t.0[*c].sg == *kv);
-        let (lbc, ubc) = if non_ug {
+/// [`aggregate_au_exec`] plus what the run did. Its three phases also
+/// report to the `agg_index` / `agg_contrib` / `agg_fold` duration
+/// sites of the executor's metrics sink.
+pub fn aggregate_au_stats(
+    rel: &AuRelation,
+    group_by: &[usize],
+    aggs: &[AggSpec],
+    compress: Option<usize>,
+    exec: &Executor,
+) -> Result<(AuRelation, AggStats), EvalError> {
+    if rel.is_empty() {
+        return Ok((aggregate_empty(rel, group_by, aggs), AggStats::default()));
+    }
+    let metrics = exec.metrics();
+    let mut clock = metrics.is_enabled().then(Instant::now);
+    let mut lap = |site: Site| {
+        if let Some(t) = clock.as_mut() {
+            metrics.record_ns(site, t.elapsed().as_nanos() as u64);
+            *t = Instant::now();
+        }
+    };
+    let (rows, arity) = (rel.rows(), rel.schema.arity());
+    let plan = Terms::new(aggs);
+
+    // ---- membership ------------------------------------------------------
+    // Default grouping strategy (Definition 24): one pass assigns every
+    // row to its SG group (α), accumulates the group boxes (Definition
+    // 25) and splits certain-group rows (members of their own group
+    // only) from the uncertain possible side.
+    let gindex = SgGroupIndex::from_au(rows, group_by);
+    // The possible-member sources (the aggregation analog of the join's
+    // split, Section 10.5): the uncertain rows themselves — a source's
+    // contribution is then its row's — or, with `compress = Some(ct)`,
+    // at most `ct` bounding-box buckets over just the columns `read`,
+    // which follow the rows in every per-row array. Without terms (δ)
+    // nothing is folded, so no membership is built.
+    let refd: BTreeSet<usize> =
+        plan.inputs.iter().flat_map(Expr::columns).filter(|c| *c < arity).collect();
+    let read: Vec<usize> =
+        refd.iter().chain(group_by).copied().collect::<BTreeSet<_>>().into_iter().collect();
+    // a column's slot in a bucket; an unread one is a bug, not slot 0
+    let at = |c: usize| read.binary_search(&c).unwrap_or(usize::MAX);
+    let uncertain =
+        if plan.terms.is_empty() || group_by.is_empty() { &[] } else { gindex.uncertain() };
+    let buckets = compress
+        .filter(|_| !uncertain.is_empty())
+        .map(|ct| opt::compress_rows(rows, uncertain, &read, group_by[0], ct));
+    let nsrc = buckets.as_ref().map_or(uncertain.len(), Vec::len);
+    let gcell = |s: u32, k: usize| match &buckets {
+        Some(b) => &b[s as usize].0 .0[at(group_by[k])],
+        None => &rows[uncertain[s as usize] as usize].0 .0[group_by[k]],
+    };
+    // Candidates come from an endpoint sweep between the group boxes
+    // and the sources on the first group-by attribute —
+    // `O((G + U) log(G + U) + pairs)`; the precise multi-attribute
+    // overlap is tested once per candidate, and the survivors land in
+    // one flat CSR, per group in source order (folds are order-sensitive).
+    let mut stats = AggStats {
+        groups: gindex.len(),
+        sources: nsrc,
+        terms: plan.terms.len(),
+        ..AggStats::default()
+    };
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    if nsrc > 0 {
+        let gi = gindex.bbox_interval_index(0);
+        let si = IntervalIndex::from_entries((0..nsrc as u32).map(|s| (s, gcell(s, 0))));
+        IntervalIndex::sweep_overlapping(&gi, &si, |g, s| {
+            stats.pairs += 1;
+            let bbox = &gindex.bbox(g as usize).0;
+            if bbox.iter().enumerate().all(|(k, b)| gcell(s, k).overlaps(b)) {
+                pairs.push((g, s));
+            }
+        });
+    }
+    let (offsets, sources) = csr_by_group(gindex.len(), nsrc, pairs, |s| match &buckets {
+        Some(_) => rows.len() as u32 + s,
+        None => uncertain[s as usize],
+    });
+    stats.members =
+        (0..gindex.len()).map(|g| gindex.certain(g).len()).sum::<usize>() + sources.len();
+    lap(Site::AggIndex);
+
+    // ---- phase 1: each input once per row, `⊛_M` into lanes --------------
+    let bucket_rows = buckets.as_deref().unwrap_or_default();
+    let ks: Vec<AuAnnot> = rows.iter().chain(bucket_rows).map(|(_, k)| *k).collect();
+    let mut lanes: Vec<Option<ValueLane>> = vec![None; arity];
+    for &c in &refd {
+        let (own, src) = (rows.iter().map(move |(t, _)| &t.0[c]), at(c));
+        let cells = own.chain(bucket_rows.iter().map(move |(t, _)| &t.0[src]));
+        lanes[c] = Some(ValueLane::from_cells(cells));
+    }
+    // Unread columns alias a read one (right length, never touched); no
+    // read column at all means no lane, and any reference is unknown.
+    let cols: Vec<LaneSlice<'_>> = match lanes.iter().flatten().next() {
+        Some(any) => lanes.iter().map(|l| l.as_ref().unwrap_or(any).as_slice()).collect(),
+        None => Vec::new(),
+    };
+    // One program for all inputs. A poisoned row does not say which
+    // input poisoned it, so then (rare) every term takes the oracle's
+    // per-row closure — interpreted `eval_range` + `boxtimes` — which
+    // keeps every row's own first error in place.
+    let (prog, mut batch) = (Program::compile_range_many(&plan.inputs), LaneBatch::default());
+    prog.eval_range_lanes(&cols, ks.len(), &mut batch, exec.cancel_token())?;
+    let poisoned = (0..ks.len()).any(|i| batch.row_error(i).is_some());
+    let row = |i: usize| cols.iter().map(|c| c.get(i)).collect::<Vec<RangeValue>>();
+    let contribs: Vec<Contrib<'_>> = (plan.terms.iter())
+        .map(|&(m, i)| {
+            if !poisoned {
+                return Contrib::of(m, batch.output_lane(&prog, i, &cols), &ks);
+            }
+            let one = |r| boxtimes(m, &ks[r], &plan.inputs[i].eval_range(&row(r))?);
+            Contrib::Boxed((0..ks.len()).map(one).collect())
+        })
+        .collect();
+    lap(Site::AggContrib);
+
+    // ---- phase 2: per-group folds over the lanes -------------------------
+    // A term counts as boxed (once) when any of its folds ran on boxed
+    // values: demoted at `⊛` time, or a typed `Sum` fold left its type.
+    let boxed: Vec<AtomicBool> = plan.terms.iter().map(|_| AtomicBool::new(false)).collect();
+    let out = aggregate_with(rel, group_by, aggs, &plan, &gindex, exec, |g, t| {
+        let grp = Group {
+            certain: gindex.certain(g),
+            sources: &sources[offsets[g]..offsets[g + 1]],
+            alpha: gindex.alpha(g),
+            exact: gindex.bbox(g).is_certain(),
+        };
+        let monoid = plan.terms[t].0;
+        let typed = match &contribs[t] {
+            Contrib::Int(l) => l.fold(monoid, &ks, &grp),
+            Contrib::Float(l) => l.fold(monoid, &ks, &grp),
+            Contrib::Boxed(_) => None,
+        };
+        typed.map_or_else(
+            || {
+                boxed[t].store(true, Ordering::Relaxed);
+                let alpha = grp.alpha.iter().map(|&i| i as usize);
+                agg_bounds(monoid, grp.members(&ks), alpha, |i| contribs[t].boxed(i))
+            },
+            Ok,
+        )
+    });
+    stats.terms_boxed = boxed.iter().filter(|p| p.load(Ordering::Relaxed)).count();
+    if stats.terms_boxed > 0 {
+        metrics.add(Counter::AggTermsBoxed, stats.terms_boxed as u64);
+    }
+    let out = out?;
+    lap(Site::AggFold);
+    Ok((out.into_normalized_with(exec)?, stats))
+}
+
+/// Flat CSR of the `(group, source)` pairs: `ids[offsets[g]..offsets[g + 1]]`
+/// are group `g`'s sources in ascending source order, mapped through
+/// `id_of` — two stable counting passes, no per-group lists or sorts.
+fn csr_by_group(
+    ngroups: usize,
+    nsrc: usize,
+    pairs: Vec<(u32, u32)>,
+    id_of: impl Fn(u32) -> u32,
+) -> (Vec<usize>, Vec<u32>) {
+    let offsets_by = |n: usize, key: fn(&(u32, u32)) -> u32| {
+        let mut off = vec![0usize; n + 1];
+        pairs.iter().for_each(|p| off[key(p) as usize + 1] += 1);
+        (0..n).for_each(|i| off[i + 1] += off[i]);
+        off
+    };
+    let (by_src, offsets) = (offsets_by(nsrc, |p| p.1), offsets_by(ngroups, |p| p.0));
+    let (mut groups, mut next) = (vec![0u32; pairs.len()], by_src.clone());
+    for (g, s) in pairs {
+        groups[next[s as usize]] = g;
+        next[s as usize] += 1;
+    }
+    let (mut ids, mut next) = (vec![0u32; groups.len()], offsets.clone());
+    for s in 0..nsrc {
+        for &g in &groups[by_src[s]..by_src[s + 1]] {
+            ids[next[g as usize]] = id_of(s as u32);
+            next[g as usize] += 1;
+        }
+    }
+    (offsets, ids)
+}
+
+/// One term's per-row `⊛_M` results `(lo, sg, hi)`, indexed by row
+/// (compressed sources follow the rows).
+enum Contrib<'a> {
+    Int(Lanes<'a, i64>),
+    Float(Lanes<'a, f64>),
+    Boxed(Vec<Result<(Value, Value, Value), EvalError>>),
+}
+
+impl<'a> Contrib<'a> {
+    /// `⊛_M` of every row's annotation with its value in `lane`: typed
+    /// when the lane is homogeneous `Int`/`Float` and nothing overflows,
+    /// boxed [`boxtimes`] results otherwise.
+    fn of(monoid: Monoid, lane: LaneSlice<'a>, ks: &[AuAnnot]) -> Contrib<'a> {
+        let typed = match lane {
+            LaneSlice::Int { lb, sg, ub } => Lanes::of(monoid, lb, sg, ub, ks).map(Contrib::Int),
+            LaneSlice::Float { lb, sg, ub } => {
+                Lanes::of(monoid, lb, sg, ub, ks).map(Contrib::Float)
+            }
+            _ => None,
+        };
+        typed.unwrap_or_else(|| {
+            Contrib::Boxed((0..ks.len()).map(|i| boxtimes(monoid, &ks[i], &lane.get(i))).collect())
+        })
+    }
+
+    /// Row `i`'s contribution as boxed values. Typed lanes get here
+    /// only when a `Sum` fold left the type, so they hold products.
+    fn boxed(&self, i: usize) -> Result<(Value, Value, Value), EvalError> {
+        match self {
+            Contrib::Int(l) => Ok((l.lo[i].value(), l.sg[i].value(), l.hi[i].value())),
+            Contrib::Float(l) => Ok((l.lo[i].value(), l.sg[i].value(), l.hi[i].value())),
+            Contrib::Boxed(v) => v[i].clone(),
+        }
+    }
+}
+
+/// Typed contribution lanes: `Sum` owns its `⊛` products; for `Min`/
+/// `Max` `⊛` is the identity up to the `k = 0` sentinel, which the fold
+/// reads off the annotation, so they borrow the input lane.
+struct Lanes<'a, T: Num> {
+    lo: Cow<'a, [T]>,
+    sg: Cow<'a, [T]>,
+    hi: Cow<'a, [T]>,
+}
+
+/// Element of a typed lane. `None` means the result left the type —
+/// `i64` overflow (where `Value` arithmetic promotes to float) or NaN
+/// (where it errors) — and the caller redoes the work on boxed
+/// `Value`s, which define the result.
+trait Num: Copy + PartialOrd + 'static {
+    const ZERO: Self;
+    fn times(self, k: i64) -> Option<Self>;
+    fn plus(self, other: Self) -> Option<Self>;
+    fn value(self) -> Value;
+}
+
+impl Num for i64 {
+    const ZERO: i64 = 0;
+    fn times(self, k: i64) -> Option<i64> {
+        self.checked_mul(k)
+    }
+    fn plus(self, other: i64) -> Option<i64> {
+        self.checked_add(other)
+    }
+    fn value(self) -> Value {
+        Value::Int(self)
+    }
+}
+
+impl Num for f64 {
+    const ZERO: f64 = 0.0;
+    fn times(self, k: i64) -> Option<f64> {
+        F64::try_new(self * k as f64).ok().map(F64::get)
+    }
+    fn plus(self, other: f64) -> Option<f64> {
+        F64::try_new(self + other).ok().map(F64::get)
+    }
+    fn value(self) -> Value {
+        Value::float(self)
+    }
+}
+
+/// Minimum (`min`) or maximum of two, keeping the left on ties — the
+/// rule of `Value::min_of`/`max_of`.
+fn pick<T: PartialOrd>(min: bool, a: T, b: T) -> T {
+    if if min { b < a } else { b > a } {
+        b
+    } else {
+        a
+    }
+}
+
+/// One output group's fold inputs, as contribution indices: its own
+/// certain-group rows (row order), the sources overlapping its box
+/// (source order), its α-assigned rows (the SG fold), and whether its
+/// box is one certain group (the rewrite's `θ_c`).
+struct Group<'a> {
+    certain: &'a [u32],
+    sources: &'a [u32],
+    alpha: &'a [u32],
+    exact: bool,
+}
+
+impl Group<'_> {
+    /// `(contribution, unguarded)` in fold order. Only a certainly
+    /// existing row of an exact group contributes unguarded (deviation
+    /// 1); sources have uncertain group-by values or `lb = 0`.
+    fn members<'k>(&'k self, ks: &'k [AuAnnot]) -> impl Iterator<Item = (usize, bool)> + 'k {
+        let own =
+            self.certain.iter().map(move |&i| (i as usize, self.exact && ks[i as usize].lb > 0));
+        own.chain(self.sources.iter().map(|&i| (i as usize, false)))
+    }
+}
+
+impl<'a, T: Num> Lanes<'a, T> {
+    /// The contribution lanes of `monoid` over one input lane; for
+    /// `Sum`, `⊛` per row: the four `bound × multiplicity` corners,
+    /// their min/max, and `sg × k.sg`.
+    fn of(monoid: Monoid, lb: &'a [T], sg: &'a [T], ub: &'a [T], ks: &[AuAnnot]) -> Option<Self> {
+        if monoid != Monoid::Sum {
+            return Some(Lanes { lo: lb.into(), sg: sg.into(), hi: ub.into() });
+        }
+        let mut out = [(); 3].map(|()| Vec::with_capacity(ks.len()));
+        for (i, k) in ks.iter().enumerate() {
+            let [kl, kg, ku] = [k.lb, k.sg, k.ub].map(|m| i64::try_from(m).ok());
+            let (kl, ku) = (kl?, ku?);
+            let c = [lb[i].times(kl)?, ub[i].times(kl)?, lb[i].times(ku)?, ub[i].times(ku)?];
+            out[0].push(pick(true, pick(true, c[0], c[1]), pick(true, c[2], c[3])));
+            out[1].push(sg[i].times(kg?)?);
+            out[2].push(pick(false, pick(false, c[0], c[1]), pick(false, c[2], c[3])));
+        }
+        let [lo, sg, hi] = out.map(Cow::from);
+        Some(Lanes { lo, sg, hi })
+    }
+
+    /// The `(lb, sg, ub)` accumulators of one group, exactly as
+    /// [`agg_bounds`] would leave them — or `None` when a `Sum` leaves
+    /// the type (`Min`/`Max` cannot).
+    fn fold(
+        &self,
+        monoid: Monoid,
+        ks: &[AuAnnot],
+        grp: &Group<'_>,
+    ) -> Option<(Value, Value, Value)> {
+        let (lo, sg, hi) = (&*self.lo, &*self.sg, &*self.hi);
+        if monoid == Monoid::Sum {
+            // The guard is `min(0_M, lo)` / `max(0_M, hi)` on the fly.
+            // `0_M` is `Int(0)` and the `Value` order keeps the left
+            // operand on ties, so a guarded `hi = 0.0` is a (float)
+            // summand but a guarded `lo = 0.0` is not — and a bound no
+            // summand reached stays `Int(0)`, whatever the lane's type.
+            let (mut lb, mut s, mut ub) = (T::ZERO, T::ZERO, T::ZERO);
+            let (mut lb_hit, mut ub_hit) = (false, false);
+            for (i, unguarded) in grp.members(ks) {
+                if unguarded || lo[i] < T::ZERO {
+                    (lb, lb_hit) = (lb.plus(lo[i])?, true);
+                }
+                if unguarded || hi[i] >= T::ZERO {
+                    (ub, ub_hit) = (ub.plus(hi[i])?, true);
+                }
+            }
+            for &i in grp.alpha {
+                s = s.plus(sg[i as usize])?;
+            }
+            let total = |hit: bool, v: T| if hit { v.value() } else { Value::Int(0) };
+            return Some((total(lb_hit, lb), total(!grp.alpha.is_empty(), s), total(ub_hit, ub)));
+        }
+        // Min/Max: a possible member (`k.ub > 0`) contributes its near
+        // bound, the guard replaces the far bound by the neutral
+        // sentinel, and `k.sg = 0` drops the row from the SG fold.
+        let min = monoid == Monoid::Min;
+        let fold = |acc: Option<T>, v: T| Some(acc.map_or(v, |a| pick(min, a, v)));
+        let (mut lb, mut s, mut ub) = (None, None, None);
+        for (i, unguarded) in grp.members(ks) {
+            let possible = ks[i].ub > 0;
+            if if min { possible } else { unguarded } {
+                lb = fold(lb, lo[i]);
+            }
+            if if min { unguarded } else { possible } {
+                ub = fold(ub, hi[i]);
+            }
+        }
+        for &i in grp.alpha.iter().filter(|i| ks[**i as usize].sg > 0) {
+            s = fold(s, sg[i as usize]);
+        }
+        let total = |v: Option<T>| v.map_or_else(|| monoid.neutral(), Num::value);
+        Some((total(lb), total(s), total(ub)))
+    }
+}
+
+/// The `(lb, sg, ub)` accumulators of one monoid aggregate for one
+/// output group — the per-member fold of Definition 26 (with the
+/// rewrite-consistent `ug` predicate, see module docs) over boxed `⊛_M`
+/// contributions: `members` in fold order, each flagged unguarded or
+/// not, then the `alpha`-assigned rows of the SG component
+/// (deterministic aggregation over the SG world, the rewrite's `θ_sg`
+/// guard). The first error in that order is the error returned.
+fn agg_bounds<M>(
+    monoid: Monoid,
+    members: impl Iterator<Item = (M, bool)>,
+    alpha: impl Iterator<Item = M>,
+    contrib: impl Fn(M) -> Result<(Value, Value, Value), EvalError>,
+) -> Result<(Value, Value, Value), EvalError> {
+    let neutral = monoid.neutral();
+    let (mut lb, mut sg, mut ub) = (neutral.clone(), neutral.clone(), neutral.clone());
+    for (m, unguarded) in members {
+        let (lo, _, hi) = contrib(m)?;
+        let (lo, hi) = if unguarded {
             (lo, hi)
         } else {
             (Value::min_of(neutral.clone(), lo), Value::max_of(neutral.clone(), hi))
         };
-        lb_acc = monoid.combine(&lb_acc, &lbc)?;
-        ub_acc = monoid.combine(&ub_acc, &ubc)?;
+        lb = monoid.combine(&lb, &lo)?;
+        ub = monoid.combine(&ub, &hi)?;
     }
-
-    // SG component: deterministic aggregation over the SG world —
-    // α-assigned original tuples only (the rewrite's `θ_sg` guard).
-    let mut sg_acc = neutral;
-    for &i in alpha {
-        let (t, k) = &rel.rows()[i as usize];
-        let m = input.eval_range(t.values())?;
-        let (_, sgv, _) = boxtimes(monoid, k, &m)?;
-        sg_acc = monoid.combine(&sg_acc, &sgv)?;
+    for m in alpha {
+        sg = monoid.combine(&sg, &contrib(m)?.1)?;
     }
+    Ok((lb, sg, ub))
+}
 
-    let sg = clamp(sg_acc, &lb_acc, &ub_acc);
-    RangeValue::new(lb_acc, sg, ub_acc)
+// ---------------------------------------------------------------------------
+// The oracle
+// ---------------------------------------------------------------------------
+
+/// The literal Definition 26 evaluator — **oracle only**: called by
+/// nothing outside `tests/` and `benches/agg_engine.rs`. Sequentially,
+/// every output group tests every source for overlap and every (group,
+/// member, term) re-evaluates the interpreted input and `⊛_M` inside
+/// [`agg_bounds`]; with the kernel it shares the grouping index and
+/// [`aggregate_with`]'s assembly, and it must produce exactly the
+/// kernel's result (or error).
+pub fn aggregate_au_scan(
+    rel: &AuRelation,
+    group_by: &[usize],
+    aggs: &[AggSpec],
+    compress: Option<usize>,
+) -> Result<AuRelation, EvalError> {
+    if rel.is_empty() {
+        return Ok(aggregate_empty(rel, group_by, aggs));
+    }
+    type Row = (RangeTuple, AuAnnot);
+    let plan = Terms::new(aggs);
+    let gindex = SgGroupIndex::from_au(rel.rows(), group_by);
+    let all: Vec<usize> = (0..rel.schema.arity()).collect();
+    let sources: Vec<Row> = match compress {
+        _ if group_by.is_empty() => Vec::new(),
+        Some(ct) => opt::compress_rows(rel.rows(), gindex.uncertain(), &all, group_by[0], ct),
+        None => gindex.uncertain().iter().map(|&i| rel.rows()[i as usize].clone()).collect(),
+    };
+    let exec = Executor::sequential();
+    let out = aggregate_with(rel, group_by, aggs, &plan, &gindex, &exec, |g, t| {
+        let (monoid, input) = (plan.terms[t].0, &plan.inputs[plan.terms[t].1]);
+        let (key, bbox) = (gindex.key(g), gindex.bbox(g));
+        // ð(g): possible members — this group's own certain rows plus
+        // every source whose group-by ranges overlap the output's box.
+        // (Tuples pinned to another certain group are excluded by
+        // construction — deviation 2 in the module docs.)
+        let overlaps =
+            |(t, _): &&Row| group_by.iter().zip(&bbox.0).all(|(c, b)| t.0[*c].overlaps(b));
+        let members: Vec<&Row> = if group_by.is_empty() {
+            rel.rows().iter().collect()
+        } else {
+            let own = gindex.certain(g).iter().map(|&i| &rel.rows()[i as usize]);
+            own.chain(sources.iter().filter(overlaps)).collect()
+        };
+        // `gproj.is_certain() && gproj.sg() == key`, column-wise
+        let non_ug = |(t, k): &Row| {
+            let pinned = |(c, kv): (&usize, &Value)| t.0[*c].is_certain() && t.0[*c].sg == *kv;
+            k.lb > 0 && bbox.is_certain() && group_by.iter().zip(&key.0).all(pinned)
+        };
+        let alpha = gindex.alpha(g).iter().map(|&i| &rel.rows()[i as usize]);
+        agg_bounds(monoid, members.iter().map(|m| (*m, non_ug(m))), alpha, |(t, k)| {
+            boxtimes(monoid, k, &input.eval_range(t.values())?)
+        })
+    })?;
+    Ok(out.into_normalized())
 }
 
 #[cfg(test)]
@@ -943,6 +1275,43 @@ mod tests {
         assert!(avg.bounds(&Value::float(30.0)), "world average 30 escapes {avg}");
         assert_eq!(avg.sg, Value::Null, "empty SG world averages to Null");
         assert!(avg.lb <= avg.sg && avg.sg <= avg.ub);
+    }
+
+    /// `Sum`'s neutral element is `Int(0)` and `Value::min_of`/`max_of`
+    /// keep the left operand on cross-type ties, so over a Float column
+    /// a bound that only guarded-to-neutral contributions reach is
+    /// `Int(0)` — not `Float(0.0)` — while a guarded `hi = 0.0` *is* a
+    /// float summand. The typed `f64` fold must reproduce both, i.e.
+    /// agree with the oracle.
+    #[test]
+    fn float_sum_neutral_bound_is_int_zero() {
+        let f = |lb: f64, sg: f64, ub: f64| RangeValue::range(lb, sg, ub);
+        let rel = AuRelation::from_rows(
+            Schema::named(&["g", "v"]),
+            vec![
+                // uncertain group box: every contribution is guarded
+                au_row(vec![r2(1, 1, 2), f(1.5, 2.0, 2.5)], 1, 1, 1),
+                au_row(vec![r2(1, 1, 2), f(0.0, 0.0, 3.0)], 1, 1, 2),
+                // all-negative values: the upper bound stays neutral
+                au_row(vec![r2(5, 5, 6), f(-2.5, -2.0, -1.5)], 1, 1, 1),
+                // a guarded `hi = 0.0` enters the sum as a float
+                au_row(vec![r2(8, 8, 9), f(-1.0, 0.0, 0.0)], 1, 1, 1),
+            ],
+        );
+        let aggs = [AggSpec::new(AggFunc::Sum, col(1), "s")];
+        let (out, stats) =
+            aggregate_au_stats(&rel, &[0], &aggs, None, &Executor::sequential()).unwrap();
+        assert_eq!(stats.terms_boxed, 0, "a homogeneous Float column rides the typed lanes");
+        assert_eq!(out, aggregate_au_scan(&rel, &[0], &aggs, None).unwrap());
+        let sum_of = |g: i64| {
+            let row = out.rows().iter().find(|(t, _)| t.0[0].sg == Value::Int(g)).unwrap();
+            row.0 .0[1].clone()
+        };
+        assert_eq!(sum_of(1).lb, Value::Int(0));
+        assert_eq!(sum_of(1).ub, Value::float(8.5));
+        assert_eq!(sum_of(5).lb, Value::float(-2.5));
+        assert_eq!(sum_of(5).ub, Value::Int(0));
+        assert_eq!(sum_of(8).ub, Value::float(0.0));
     }
 
     /// Tuples pinned to a different certain group do not pollute this

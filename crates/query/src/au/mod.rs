@@ -25,7 +25,7 @@ use audb_core::{AuAnnot, Budget, BudgetSpec, CancelToken, EvalError, Expr, Semir
 use audb_exec::{Executor, WorkerGate};
 use audb_storage::{AuDatabase, AuRelation, Schema};
 
-use crate::algebra::Query;
+use crate::algebra::{AggSpec, Query};
 use crate::opt;
 use crate::planner;
 
@@ -535,7 +535,7 @@ fn eval_inner<'a>(
             let all: Vec<usize> = (0..rel.schema.arity()).collect();
             let compress = effective_agg_compress(cfg, &rel, &all);
             tr.attr(h, "compress", || opt_usize_attr(compress));
-            let out = aggregate::aggregate_au_exec(&rel, &all, &[], compress, exec)?;
+            let out = aggregate_in_span(tr, h, &rel, &all, &[], compress, exec)?;
             close_rel(tr, h, &out);
             Cow::Owned(out)
         }
@@ -544,11 +544,38 @@ fn eval_inner<'a>(
             tr.rows_in(h, rel.len() as u64);
             let compress = effective_agg_compress(cfg, &rel, group_by);
             tr.attr(h, "compress", || opt_usize_attr(compress));
-            let out = aggregate::aggregate_au_exec(&rel, group_by, aggs, compress, exec)?;
+            let out = aggregate_in_span(tr, h, &rel, group_by, aggs, compress, exec)?;
             close_rel(tr, h, &out);
             Cow::Owned(out)
         }
     })
+}
+
+/// Run the aggregation kernel under the open operator span `h`,
+/// recording what it did (group/member/term counts, boxed demotions) as
+/// span attributes.
+pub(crate) fn aggregate_in_span(
+    tr: &TraceBuilder,
+    h: usize,
+    rel: &AuRelation,
+    group_by: &[usize],
+    aggs: &[AggSpec],
+    compress: Option<usize>,
+    exec: &Executor,
+) -> Result<AuRelation, EvalError> {
+    let (out, st) = aggregate::aggregate_au_stats(rel, group_by, aggs, compress, exec)?;
+    let attrs = [
+        ("groups", st.groups),
+        ("sources", st.sources),
+        ("pairs", st.pairs),
+        ("members", st.members),
+        ("terms", st.terms),
+        ("terms_boxed", st.terms_boxed),
+    ];
+    for (key, v) in attrs {
+        tr.attr(h, key, || v.to_string());
+    }
+    Ok(out)
 }
 
 /// Trace-attribute rendering of an optional compression knob.

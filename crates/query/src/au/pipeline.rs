@@ -76,7 +76,7 @@ use audb_storage::{
 };
 
 use super::{
-    aggregate, close_rel, difference, effective_agg_compress, open_op_span, opt_usize_attr,
+    aggregate_in_span, close_rel, difference, effective_agg_compress, open_op_span, opt_usize_attr,
     select_au_exec, union_cow, AuConfig,
 };
 use crate::algebra::Query;
@@ -1110,7 +1110,7 @@ fn eval_pl<'a>(
             let all: Vec<usize> = (0..rel.schema.arity()).collect();
             let compress = effective_agg_compress(cfg, &rel, &all);
             tr.attr(h, "compress", || opt_usize_attr(compress));
-            let out = aggregate::aggregate_au_exec(&rel, &all, &[], compress, exec)?;
+            let out = aggregate_in_span(tr, h, &rel, &all, &[], compress, exec)?;
             close_rel(tr, h, &out);
             Cow::Owned(out)
         }
@@ -1120,7 +1120,7 @@ fn eval_pl<'a>(
             tr.rows_in(h, rel.len() as u64);
             let compress = effective_agg_compress(cfg, &rel, group_by);
             tr.attr(h, "compress", || opt_usize_attr(compress));
-            let out = aggregate::aggregate_au_exec(&rel, group_by, aggs, compress, exec)?;
+            let out = aggregate_in_span(tr, h, &rel, group_by, aggs, compress, exec)?;
             close_rel(tr, h, &out);
             Cow::Owned(out)
         }

@@ -46,33 +46,40 @@ pub fn split_up(rel: &AuRelation) -> AuRelation {
     out.normalized()
 }
 
-/// `Cpr_{A,n}` (Section 10.4) over raw rows: partition into at most `n`
-/// buckets by the selected-guess value of attribute `attr` (equi-depth),
-/// merging each bucket into a single tuple with the bucket's bounding
-/// box and the sum of upper-bound multiplicities.
+/// `Cpr_{A,n}` (Section 10.4) over the rows named by `ids`, projected
+/// onto `cols`: partition into at most `n` buckets by the selected-guess
+/// value of attribute `attr` (equi-depth), merging each bucket into a
+/// single tuple with the bucket's bounding box and the sum of
+/// upper-bound multiplicities. Only the `cols` cells are ever cloned —
+/// callers pass the columns they will read (aggregation: group-by plus
+/// aggregate inputs), and each bucket's box widens in place.
 pub fn compress_rows(
     rows: &[(RangeTuple, AuAnnot)],
+    ids: &[u32],
+    cols: &[usize],
     attr: usize,
     n: usize,
 ) -> Vec<(RangeTuple, AuAnnot)> {
+    let row = |i: u32| &rows[i as usize];
     let n = n.max(1);
-    if rows.len() <= n {
-        return rows.iter().map(|(t, k)| (t.clone(), AuAnnot::triple(0, 0, k.ub))).collect();
+    if ids.len() <= n {
+        return ids
+            .iter()
+            .map(|&i| (row(i).0.project(cols), AuAnnot::triple(0, 0, row(i).1.ub)))
+            .collect();
     }
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|a, b| rows[*a].0 .0[attr].sg.cmp(&rows[*b].0 .0[attr].sg));
+    let mut order = ids.to_vec();
+    order.sort_by(|a, b| row(*a).0 .0[attr].sg.cmp(&row(*b).0 .0[attr].sg));
 
     let mut out = Vec::with_capacity(n);
-    let chunk = rows.len().div_ceil(n);
-    for bucket in order.chunks(chunk) {
-        let mut it = bucket.iter();
-        #[allow(clippy::unwrap_used)] // chunks() never yields an empty slice
-        let first = *it.next().unwrap();
-        let mut bbox = rows[first].0.clone();
-        let mut ub = rows[first].1.ub;
-        for &i in it {
-            bbox = bbox.merge_keep_sg(&rows[i].0);
-            ub = ub.saturating_add(rows[i].1.ub);
+    for bucket in order.chunks(ids.len().div_ceil(n)) {
+        let mut bbox = row(bucket[0]).0.project(cols);
+        let mut ub = 0u64;
+        for &i in bucket {
+            for (b, c) in bbox.0.iter_mut().zip(cols) {
+                b.extend_keep_sg(&row(i).0 .0[*c]);
+            }
+            ub = ub.saturating_add(row(i).1.ub);
         }
         out.push((bbox, AuAnnot::triple(0, 0, ub)));
     }
@@ -81,7 +88,9 @@ pub fn compress_rows(
 
 /// `Cpr_{A,n}` as a relation-level operator.
 pub fn compress(rel: &AuRelation, attr: usize, n: usize) -> AuRelation {
-    AuRelation::from_rows(rel.schema.clone(), compress_rows(rel.rows(), attr, n))
+    let ids: Vec<u32> = (0..rel.len() as u32).collect();
+    let cols: Vec<usize> = (0..rel.schema.arity()).collect();
+    AuRelation::from_rows(rel.schema.clone(), compress_rows(rel.rows(), &ids, &cols, attr, n))
 }
 
 /// The optimized join `opt(Q1 ⋈_θ Q2)` (Section 10.4):

@@ -27,6 +27,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use audb_core::{AuAnnot, RangeValue, Value};
 
@@ -43,15 +44,20 @@ pub struct IntervalIndex {
 }
 
 impl IntervalIndex {
-    /// Build from `(row_id, range)` pairs.
-    pub fn from_entries<'a>(entries: impl Iterator<Item = (u32, &'a RangeValue)>) -> Self {
-        let mut by_lb: Vec<(Value, Value, u32)> =
-            entries.map(|(id, r)| (r.lb.clone(), r.ub.clone(), id)).collect();
+    /// Build from `(lb, ub, row_id)` triples: sort by `lb`, then order
+    /// the positions by `ub`.
+    fn from_bounds(bounds: impl Iterator<Item = (Value, Value, u32)>) -> Self {
+        let mut by_lb: Vec<(Value, Value, u32)> = bounds.collect();
         by_lb.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
         let mut ub_order: Vec<u32> = (0..by_lb.len() as u32).collect();
         ub_order
             .sort_by(|&a, &b| by_lb[a as usize].1.total_cmp(&by_lb[b as usize].1).then(a.cmp(&b)));
         IntervalIndex { by_lb, ub_order }
+    }
+
+    /// Build from `(row_id, range)` pairs.
+    pub fn from_entries<'a>(entries: impl Iterator<Item = (u32, &'a RangeValue)>) -> Self {
+        Self::from_bounds(entries.map(|(id, r)| (r.lb.clone(), r.ub.clone(), id)))
     }
 
     /// Index attribute `col` of all AU rows.
@@ -64,17 +70,10 @@ impl IntervalIndex {
     /// and `ub_order` identical to [`IntervalIndex::from_entries`] over
     /// the materialized rows, without touching row tuples.
     pub fn from_lane(lane: audb_core::LaneSlice<'_>) -> Self {
-        let mut by_lb: Vec<(Value, Value, u32)> = (0..lane.len())
-            .map(|i| {
-                let rv = lane.get(i);
-                (rv.lb, rv.ub, i as u32)
-            })
-            .collect();
-        by_lb.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        let mut ub_order: Vec<u32> = (0..by_lb.len() as u32).collect();
-        ub_order
-            .sort_by(|&a, &b| by_lb[a as usize].1.total_cmp(&by_lb[b as usize].1).then(a.cmp(&b)));
-        IntervalIndex { by_lb, ub_order }
+        Self::from_bounds((0..lane.len()).map(|i| {
+            let rv = lane.get(i);
+            (rv.lb, rv.ub, i as u32)
+        }))
     }
 
     /// Index attribute `col` of the AU rows with the given ids.
@@ -244,9 +243,12 @@ pub struct SgGroupIndex {
 }
 
 impl SgGroupIndex {
-    /// Build from AU rows and the group-by column set.
+    /// Build from AU rows and the group-by column set. One pass, no
+    /// per-row allocation: the SG key is hashed in place (buckets hold
+    /// the group ids sharing a hash, keys compare column-wise against
+    /// the row) and group boxes widen in place.
     pub fn from_au(rows: &[(RangeTuple, AuAnnot)], group_by: &[usize]) -> Self {
-        let mut by_key: HashMap<Tuple, u32> = HashMap::new();
+        let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
         let mut idx = SgGroupIndex {
             keys: Vec::new(),
             bboxes: Vec::new(),
@@ -255,26 +257,33 @@ impl SgGroupIndex {
             uncertain: Vec::new(),
         };
         for (i, (t, _)) in rows.iter().enumerate() {
-            let gproj = t.project(group_by);
-            let key = gproj.sg();
-            let g = match by_key.get(&key) {
+            let mut h = DefaultHasher::new();
+            for c in group_by {
+                t.0[*c].sg.hash(&mut h);
+            }
+            let bucket = by_hash.entry(h.finish()).or_default();
+            let same_key = |g: &&u32| {
+                group_by.iter().zip(&idx.keys[**g as usize].0).all(|(c, k)| t.0[*c].sg == *k)
+            };
+            let g = match bucket.iter().find(same_key) {
                 Some(&g) => {
-                    let g = g as usize;
-                    idx.bboxes[g] = idx.bboxes[g].merge_keep_sg(&gproj);
-                    g
+                    for (b, c) in idx.bboxes[g as usize].0.iter_mut().zip(group_by) {
+                        b.extend_keep_sg(&t.0[*c]);
+                    }
+                    g as usize
                 }
                 None => {
                     let g = idx.keys.len();
-                    by_key.insert(key.clone(), g as u32);
-                    idx.keys.push(key);
-                    idx.bboxes.push(gproj.clone());
+                    bucket.push(g as u32);
+                    idx.keys.push(Tuple(group_by.iter().map(|c| t.0[*c].sg.clone()).collect()));
+                    idx.bboxes.push(t.project(group_by));
                     idx.alpha.push(Vec::new());
                     idx.certain.push(Vec::new());
                     g
                 }
             };
             idx.alpha[g].push(i as u32);
-            if gproj.is_certain() {
+            if group_by.iter().all(|c| t.0[*c].is_certain()) {
                 idx.certain[g].push(i as u32);
             } else {
                 idx.uncertain.push(i as u32);

@@ -148,6 +148,80 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// aggregation ground truth on the default path: Float column, + × inputs
+// ---------------------------------------------------------------------------
+
+/// x-tuples over `(g: Int, v: Float, w: Int)`. `v` takes multiples of
+/// 0.25, so every sum and product below is exact in `f64` and the
+/// world-by-world results do not depend on summation order — any value
+/// outside the AU bounds is a soundness bug, not rounding.
+fn float_xtuple_strategy() -> impl Strategy<Value = XTuple> {
+    let alt = (0i64..3, -8i64..9, -2i64..4).prop_map(|(g, v, w)| {
+        Tuple::new(vec![Value::Int(g), Value::float(v as f64 * 0.25), Value::Int(w)])
+    });
+    (proptest::collection::vec(alt, 1..3), prop_oneof![Just(1.0f64), Just(0.5f64)]).prop_map(
+        |(alts, total)| {
+            let p = total / alts.len() as f64;
+            let mut weighted: Vec<(Tuple, f64)> = alts.into_iter().map(|t| (t, p)).collect();
+            weighted[0].1 += 1e-9;
+            let norm: f64 = weighted.iter().map(|(_, q)| q).sum::<f64>() / total;
+            for w in weighted.iter_mut() {
+                w.1 /= norm;
+            }
+            XTuple::new(weighted)
+        },
+    )
+}
+
+/// Every database holds one certain tuple, so the SG world is never
+/// empty: over an empty SG world the ungrouped Float `sum` has the SG
+/// component `Float(0.0)` (`0.0 × 0` copies) where deterministic
+/// evaluation says `Int(0)` — numerically equal, a different domain
+/// value. That mismatch predates the typed kernel (which reproduces the
+/// boxed fold bit for bit); it is recorded in ROADMAP item 5.
+fn float_xdb_strategy() -> impl Strategy<Value = XDb> {
+    proptest::collection::vec(float_xtuple_strategy(), 0..5).prop_map(|mut r| {
+        let anchor = vec![Value::Int(0), Value::float(0.25), Value::Int(1)];
+        r.push(XTuple::certain(Tuple::new(anchor)));
+        let mut db = XDb::default();
+        db.insert("r", XRelation::new(Schema::named(&["g", "v", "w"]), r));
+        db
+    })
+}
+
+/// All five aggregate functions, over the Float column and over
+/// arithmetic (`+`, `×`) inputs mixing Float and Int columns.
+fn float_aggs() -> Vec<AggSpec> {
+    vec![
+        AggSpec::new(AggFunc::Sum, col(1), "s"),
+        AggSpec::count("c"),
+        AggSpec::new(AggFunc::Min, col(1), "lo"),
+        AggSpec::new(AggFunc::Max, col(1).mul(col(2)).add(lit(1i64)), "hi"),
+        AggSpec::new(AggFunc::Avg, col(1).add(col(2)), "a"),
+        AggSpec::new(AggFunc::Sum, col(1).mul(lit(2i64)).add(col(2)), "p"),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// World enumeration through `eval_au` on the default (typed-lane)
+    /// aggregation path, grouped and ungrouped, under the precise, the
+    /// adaptive-compressed and the forced-compressed configurations
+    /// (tiny inputs never reach the adaptive threshold, so the last one
+    /// is what actually compresses the possible side).
+    #[test]
+    fn float_arith_aggregates_preserve_bounds(db in float_xdb_strategy(), grouped in 0u8..2) {
+        let group_by = if grouped == 1 { vec![0] } else { vec![] };
+        let q = table("r").aggregate(group_by, float_aggs());
+        let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
+        for cfg in [AuConfig::default(), AuConfig::compressed(2), forced] {
+            check_bounds(&db, &q, &cfg)?;
+        }
+    }
+}
+
 /// Deterministic regression of the classic difference pitfall
 /// (Section 8.2): pointwise monus would under-report; ours must bound.
 #[test]

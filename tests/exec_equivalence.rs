@@ -4,8 +4,8 @@
 //! (same row list, not just equal after normalization) for every worker
 //! count, including pools far wider than the machine, and for
 //! adversarial partition shapes (empty inputs, single rows, one giant
-//! all-same-key bucket). The indexed aggregation is additionally
-//! checked against the retained groups × tuples membership scan.
+//! all-same-key bucket). The aggregation kernel is additionally checked
+//! against the literal Definition 26 oracle (`aggregate_au_scan`).
 
 use proptest::prelude::*;
 
@@ -108,9 +108,9 @@ proptest! {
         ];
         for group_by in [vec![0usize], vec![0, 1], vec![]] {
             let seq = aggregate_au_exec(&rel, &group_by, &aggs, compress, &exec(1)).unwrap();
-            // the sweep-indexed membership equals the groups × tuples scan
+            // the row-once kernel equals the literal oracle
             let scan = aggregate_au_scan(&rel, &group_by, &aggs, compress).unwrap();
-            prop_assert_eq!(&scan, &seq, "scan vs indexed, group_by = {:?}", &group_by);
+            prop_assert_eq!(&scan, &seq, "oracle vs kernel, group_by = {:?}", &group_by);
             for w in WORKERS {
                 let par = aggregate_au_exec(&rel, &group_by, &aggs, compress, &exec(w)).unwrap();
                 prop_assert_eq!(&par, &seq, "workers = {}, group_by = {:?}", w, &group_by);
@@ -218,6 +218,181 @@ proptest! {
         for w in WORKERS {
             let par = difference_au_exec(&l, &r, &exec(w)).unwrap();
             prop_assert_eq!(&par, &seq, "workers = {}", w);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// aggregation kernel vs the literal oracle, beyond the Int-only corpus
+// ---------------------------------------------------------------------------
+
+/// What a generated column holds. Homogeneous kinds ride the typed
+/// `i64`/`f64` lanes; `HugeInt` sits within 2 of `i64::MAX`/`MIN`, where
+/// `⊛` and the sum folds overflow into the boxed demotion; `Mixed`
+/// (Int/Float/Null/Str cells) forces the boxed lane and type errors.
+#[derive(Debug, Clone, Copy)]
+enum ColKind {
+    SmallInt,
+    HugeInt,
+    Float,
+    Mixed,
+}
+
+const KINDS: [ColKind; 4] = [ColKind::SmallInt, ColKind::HugeInt, ColKind::Float, ColKind::Mixed];
+
+fn value_of(kind: ColKind) -> BoxedStrategy<Value> {
+    let small = || (-4i64..5).prop_map(Value::Int);
+    let float = || (-16i64..17).prop_map(|q| Value::float(q as f64 * 0.3));
+    match kind {
+        ColKind::SmallInt => small().boxed(),
+        ColKind::HugeInt => prop_oneof![
+            (0i64..3).prop_map(|d| Value::Int(i64::MAX - d)),
+            (0i64..3).prop_map(|d| Value::Int(i64::MIN + d)),
+            (-2i64..3).prop_map(Value::Int),
+        ]
+        .boxed(),
+        ColKind::Float => float().boxed(),
+        ColKind::Mixed => prop_oneof![
+            small(),
+            small(),
+            float(),
+            float(),
+            Just(Value::Null),
+            Just(Value::str("s")),
+            Just(Value::MinVal),
+            Just(Value::MaxVal),
+        ]
+        .boxed(),
+    }
+}
+
+/// A range cell of one kind: three values in domain order.
+fn cell_of(kind: ColKind) -> impl Strategy<Value = RangeValue> {
+    (value_of(kind), value_of(kind), value_of(kind), 0u8..3).prop_map(|(a, b, c, certain)| {
+        let mut v = [a, b, c];
+        v.sort();
+        let [lb, sg, ub] = v;
+        if certain == 0 {
+            RangeValue::certain(sg)
+        } else {
+            RangeValue::new(lb, sg, ub).expect("sorted triple")
+        }
+    })
+}
+
+/// One candidate cell per kind; the relation picks a kind per column.
+fn cell_per_kind() -> impl Strategy<Value = [RangeValue; 4]> {
+    (cell_of(KINDS[0]), cell_of(KINDS[1]), cell_of(KINDS[2]), cell_of(KINDS[3]))
+        .prop_map(|(a, b, c, d)| [a, b, c, d])
+}
+
+/// One candidate multiplicity per mode; the relation picks one mode:
+/// small counts with zero lower/SG components; at most one copy (so
+/// `⊛` stays typed and the *fold* is what overflows on huge values);
+/// or a mix with upper bounds within 2 of `u64::MAX` (beyond `i64`: the
+/// typed `⊛` demotes).
+fn annot_per_mode() -> impl Strategy<Value = [AuAnnot; 3]> {
+    let small =
+        || (0u64..2, 0u64..3, 0u64..3).prop_map(|(a, b, c)| AuAnnot::triple(a, a + b, a + b + c));
+    let unit = (0u64..2, 0u64..2).prop_map(|(a, b)| AuAnnot::triple(a * b, b, 1));
+    let mixed = prop_oneof![
+        small(),
+        small(),
+        (0u64..3, 0u64..3).prop_map(|(a, d)| AuAnnot::triple(a, a, u64::MAX - d)),
+        (0u64..3).prop_map(|d| AuAnnot::triple(u64::MAX - 2, u64::MAX - 2, u64::MAX - d)),
+    ];
+    (small(), unit, mixed).prop_map(|(a, b, c)| [a, b, c])
+}
+
+/// `(g, a, b)` rows: the group column is small ints (or, one time in
+/// four, mixed); `a`, `b` and the multiplicities each draw one kind for
+/// the whole relation.
+fn wide_relation_strategy() -> impl Strategy<Value = AuRelation> {
+    let row = (cell_per_kind(), cell_per_kind(), cell_per_kind(), annot_per_mode());
+    let kinds = (0usize..4, 0usize..4, 0usize..4, 0usize..3);
+    (proptest::collection::vec(row, 0..14), kinds).prop_map(|(rows, (gk, ak, bk, km))| {
+        let gk = if gk == 3 { 3 } else { 0 };
+        let rows = rows.into_iter().map(|(g, a, b, k)| {
+            (RangeTuple::new(vec![g[gk].clone(), a[ak].clone(), b[bk].clone()]), k[km])
+        });
+        AuRelation::from_rows(Schema::named(&["g", "a", "b"]), rows.collect())
+    })
+}
+
+/// Same result, or an error of the same class.
+fn same_outcome(
+    kernel: &Result<AuRelation, EvalError>,
+    oracle: &Result<AuRelation, EvalError>,
+) -> bool {
+    match (kernel, oracle) {
+        (Ok(k), Ok(o)) => k == o,
+        (Err(k), Err(o)) => std::mem::discriminant(k) == std::mem::discriminant(o),
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The row-once kernel is byte-identical to the literal Definition
+    /// 26 oracle — same relation or same error class — on Float and
+    /// mixed-type columns, arithmetic inputs, the typed → boxed
+    /// demotion boundaries (values at the `i64` edges, multiplicities
+    /// at the `u64` edge), zero multiplicities, every grouping shape,
+    /// compressed sources, and every worker count.
+    #[test]
+    fn aggregate_kernel_matches_oracle_on_wide_corpus(
+        rel in wide_relation_strategy(),
+        compress in prop_oneof![Just(None), Just(Some(1usize)), Just(Some(4usize))],
+    ) {
+        let aggs = [
+            AggSpec::new(AggFunc::Sum, col(1), "s"),
+            AggSpec::count("c"),
+            AggSpec::new(AggFunc::Min, col(2), "lo"),
+            AggSpec::new(AggFunc::Max, col(2), "hi"),
+            AggSpec::new(AggFunc::Avg, col(1), "a"),
+            AggSpec::new(AggFunc::Sum, col(1).mul(col(2)).add(lit(3i64)), "p"),
+            AggSpec::new(AggFunc::Max, col(1).sub(lit(0.5f64)), "m"),
+        ];
+        for group_by in [vec![], vec![0usize], vec![0, 1]] {
+            let oracle = aggregate_au_scan(&rel, &group_by, &aggs, compress);
+            for w in WORKERS {
+                let kernel = aggregate_au_exec(&rel, &group_by, &aggs, compress, &exec(w));
+                prop_assert!(
+                    same_outcome(&kernel, &oracle),
+                    "workers = {}, group_by = {:?}, compress = {:?}\nkernel: {:?}\noracle: {:?}",
+                    w, &group_by, compress, &kernel, &oracle
+                );
+            }
+        }
+    }
+
+    /// A column reference past the arity is the oracle's
+    /// `UnknownColumn`, not a panic: a bare column alone (no lane is
+    /// read at all), behind `count` (whose lane is a constant), next to
+    /// terms that do read lanes, and inside an arithmetic input.
+    #[test]
+    fn aggregate_kernel_reports_unknown_columns_like_the_oracle(
+        rel in wide_relation_strategy(),
+        compress in prop_oneof![Just(None), Just(Some(2usize))],
+    ) {
+        let lists = [
+            vec![AggSpec::new(AggFunc::Sum, col(9), "s")],
+            vec![AggSpec::count("c"), AggSpec::new(AggFunc::Min, col(9), "lo")],
+            vec![AggSpec::new(AggFunc::Sum, col(1), "s"), AggSpec::new(AggFunc::Max, col(3), "hi")],
+            vec![AggSpec::new(AggFunc::Avg, col(2).add(col(7)), "a"), AggSpec::count("c")],
+        ];
+        for (aggs, group_by) in lists.iter().zip([vec![], vec![0usize], vec![0, 1], vec![0]]) {
+            let oracle = aggregate_au_scan(&rel, &group_by, aggs, compress);
+            // (a mixed-type column may fail first in the later lists)
+            prop_assert!(rel.is_empty() || oracle.is_err(), "{:?}", &oracle);
+            if !rel.is_empty() && group_by.is_empty() {
+                prop_assert_eq!(&oracle, &Err(EvalError::UnknownColumn(9)));
+            }
+            for w in [1, 4] {
+                let kernel = aggregate_au_exec(&rel, &group_by, aggs, compress, &exec(w));
+                prop_assert_eq!(&kernel, &oracle, "workers = {}, aggs = {:?}", w, aggs);
+            }
         }
     }
 }

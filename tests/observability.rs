@@ -172,10 +172,96 @@ fn explain_reports_aggregate_breakdown() {
     assert_eq!(agg.attr("compress"), Some("25"));
     assert_eq!(agg.rows_in, Some(200));
     assert!(agg.rows_out.is_some() && agg.bytes_out.is_some());
+    // what the row-once kernel did: 8 certain groups, so no possible-
+    // member sources to sweep; every row is a member of its own group;
+    // one typed (Sum, col 1) term
+    for (key, want) in [
+        ("groups", "8"),
+        ("sources", "0"),
+        ("pairs", "0"),
+        ("members", "200"),
+        ("terms", "1"),
+        ("terms_boxed", "0"),
+    ] {
+        assert_eq!(agg.attr(key), Some(want), "aggregate attr {key}");
+    }
+    // phase timings are sites, not child spans: the only child is the input
+    assert_eq!(agg.children.iter().map(|c| c.op.as_str()).collect::<Vec<_>>(), ["scan"]);
+    let m = &ex.trace.metrics;
+    assert_eq!(m.counter("agg_terms_boxed"), Some(0));
+    for site in ["agg_index", "agg_contrib", "agg_fold"] {
+        let s = m.sites.iter().find(|s| s.site == site).expect("aggregation site");
+        assert_eq!(s.entries, 1, "one aggregate → one {site} entry");
+    }
     // the text renderer mentions the operator and the engine echo
     let text = ex.to_string();
     assert!(text.contains("aggregate"), "text:\n{text}");
     assert!(text.contains("engine:"), "text:\n{text}");
+}
+
+/// No silent demotion: a column the typed lanes cannot hold (here a
+/// `null`-style `[MinVal / sg / MaxVal]` cell) sends its terms down the
+/// boxed path, and both the span and the counter say so; uncertain
+/// group-by values show up as swept sources and candidate pairs.
+#[test]
+fn explain_reports_boxed_aggregation_terms() {
+    let rows = (0..40i64).map(|i| {
+        let g = match i % 4 {
+            0 => RangeValue::range(i % 5, i % 5, i % 5 + 1),
+            _ => RangeValue::certain(Value::Int(i % 5)),
+        };
+        let v = match i {
+            7 => RangeValue::unknown(Value::Int(7)),
+            _ => RangeValue::certain(Value::Int(i)),
+        };
+        (RangeTuple::new(vec![g, v, RangeValue::certain(Value::Int(i))]), AuAnnot::triple(1, 1, 1))
+    });
+    let mut db = AuDatabase::new();
+    db.insert("t", AuRelation::from_rows(Schema::named(&["g", "v", "w"]), rows.collect()));
+    let aggs = vec![
+        AggSpec::new(AggFunc::Sum, col(1), "s"),
+        AggSpec::new(AggFunc::Min, col(1), "lo"),
+        AggSpec::new(AggFunc::Avg, col(2), "a"),
+    ];
+    let q = table("t").aggregate(vec![0], aggs);
+    let (out, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
+    assert_eq!(out, eval_au(&db, &q, &AuConfig::default()).unwrap());
+    let agg = trace.root.find("aggregate").expect("aggregate span");
+    // terms: (Sum, v), (Min, v), (Sum, w), (Sum, 1) — the two over `v` box
+    assert_eq!(agg.attr("terms"), Some("4"));
+    assert_eq!(agg.attr("terms_boxed"), Some("2"));
+    assert_eq!(trace.metrics.counter("agg_terms_boxed"), Some(2));
+    assert_eq!(agg.attr("sources"), Some("10"));
+    let pairs: usize = agg.attr("pairs").unwrap().parse().unwrap();
+    let members: usize = agg.attr("members").unwrap().parse().unwrap();
+    assert!(pairs >= 10, "every uncertain row overlaps at least its own group: {pairs}");
+    assert!((30 + 10..=30 + pairs).contains(&members), "members = {members}, pairs = {pairs}");
+}
+
+/// A typed `sum` whose *fold* overflows `i64` (the `⊛` products still
+/// fit) is redone boxed in every group it overflows in, but it is one
+/// demoted term: counter and span attribute agree on 1, not on the
+/// number of groups.
+#[test]
+fn fold_promoted_term_counts_once() {
+    let rows = (0..6i64).map(|i| {
+        let cells = [Value::Int(i % 3), Value::Int(i64::MAX - 1), Value::Int(i)];
+        (RangeTuple::new(cells.map(RangeValue::certain).to_vec()), AuAnnot::triple(1, 1, 1))
+    });
+    let mut db = AuDatabase::new();
+    db.insert("t", AuRelation::from_rows(Schema::named(&["g", "v", "w"]), rows.collect()));
+    let aggs =
+        vec![AggSpec::new(AggFunc::Sum, col(1), "s"), AggSpec::new(AggFunc::Sum, col(2), "t")];
+    let q = table("t").aggregate(vec![0], aggs);
+    let (out, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
+    // three groups, each summing two values next to `i64::MAX`: the
+    // result left the integers (`Value` arithmetic promotes to float)
+    assert_eq!(out.len(), 3);
+    assert!(out.rows().iter().all(|(t, _)| t.0[1].sg > Value::Int(i64::MAX)));
+    let agg = trace.root.find("aggregate").expect("aggregate span");
+    assert_eq!(agg.attr("terms"), Some("2"));
+    assert_eq!(agg.attr("terms_boxed"), Some("1"));
+    assert_eq!(trace.metrics.counter("agg_terms_boxed"), Some(1));
 }
 
 /// fig14-shaped joins: the planner strategy lands on the join span —
