@@ -281,6 +281,20 @@ impl<'a> LaneSlice<'a> {
         }
     }
 
+    /// Is cell `i` certain (`lb = sg = ub`)? Component compares on a
+    /// typed lane (float bits, like `F64`'s `Eq`), the cell's own test
+    /// on a boxed one.
+    pub fn is_certain(&self, i: usize) -> bool {
+        match self {
+            LaneSlice::Int { lb, sg, ub } => lb[i] == sg[i] && sg[i] == ub[i],
+            LaneSlice::Float { lb, sg, ub } => {
+                lb[i].to_bits() == sg[i].to_bits() && sg[i].to_bits() == ub[i].to_bits()
+            }
+            LaneSlice::Bool { lb, sg, ub } => lb[i] == sg[i] && sg[i] == ub[i],
+            LaneSlice::Boxed(v) => v[i].is_certain(),
+        }
+    }
+
     /// Boolean-triple view of cell `i` — free on a `Bool` lane, exact
     /// scalar error classification elsewhere.
     pub fn bool3(&self, i: usize) -> Result<(bool, bool, bool), EvalError> {

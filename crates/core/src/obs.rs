@@ -88,11 +88,15 @@ pub enum Counter {
     /// (mixed/sentinel column, poisoned row, overflow, multiplicity
     /// beyond `i64`) or whose sum fold overflowed in some group.
     AggTermsBoxed,
+    /// Fused-chain lane stages (one per stage per chunk or pair batch)
+    /// in which some typed kernel demoted to the boxed per-row
+    /// combinators (string/mixed operands, `i64` overflow, NaN, `/`).
+    ChainStagesBoxed,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 21] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::ShardsDispatched,
@@ -113,6 +117,7 @@ impl Counter {
         Counter::BreakerTrips,
         Counter::EventsDropped,
         Counter::AggTermsBoxed,
+        Counter::ChainStagesBoxed,
     ];
 
     /// Stable serialized name.
@@ -138,6 +143,7 @@ impl Counter {
             Counter::BreakerTrips => "breaker_trips",
             Counter::EventsDropped => "events_dropped",
             Counter::AggTermsBoxed => "agg_terms_boxed",
+            Counter::ChainStagesBoxed => "chain_stages_boxed",
         }
     }
 }
@@ -160,11 +166,17 @@ pub enum Site {
     AggContrib,
     /// Aggregation phase 2: the per-group bound folds (driver time).
     AggFold,
+    /// Fused-chain probe build: key-certainty partition, hash buckets,
+    /// interval sweeps, candidate CSR.
+    ChainBuild,
+    /// Fused-chain pair batches: one entry per flush — gather, lane
+    /// stages, and the materialization of the surviving pairs.
+    ChainProbe,
 }
 
 impl Site {
     /// Every site, in serialization order.
-    pub const ALL: [Site; 7] = [
+    pub const ALL: [Site; 9] = [
         Site::Driver,
         Site::ReduceScatter,
         Site::ReduceMergeSort,
@@ -172,6 +184,8 @@ impl Site {
         Site::AggIndex,
         Site::AggContrib,
         Site::AggFold,
+        Site::ChainBuild,
+        Site::ChainProbe,
     ];
 
     /// Stable serialized name.
@@ -184,6 +198,8 @@ impl Site {
             Site::AggIndex => "agg_index",
             Site::AggContrib => "agg_contrib",
             Site::AggFold => "agg_fold",
+            Site::ChainBuild => "chain_build",
+            Site::ChainProbe => "chain_probe",
         }
     }
 }

@@ -861,7 +861,7 @@ impl Program {
         assert_eq!(self.mode, Mode::Range, "lane evaluation requires a range program");
         debug_assert!(cols.iter().all(|c| c.len() == nrows));
         batch.reset(self, nrows);
-        let LaneBatch { regs, consts, errs } = batch;
+        let LaneBatch { regs, consts, errs, demoted } = batch;
 
         // A column reference past the arity poisons every row at its
         // `CheckCol` probe (the lowerer emits one before any read), but
@@ -898,7 +898,10 @@ impl Program {
                     let x = lsrc!($a);
                     match $kernel(&x) {
                         Some(l) => l,
-                        None => lane_generic1(&x, nrows, errs, $generic),
+                        None => {
+                            *demoted += 1;
+                            lane_generic1(&x, nrows, errs, $generic)
+                        }
                     }
                 };
                 regs[*$dst as usize] = out;
@@ -910,7 +913,10 @@ impl Program {
                     let (x, y) = (lsrc!($a), lsrc!($b));
                     match $kernel(&x, &y) {
                         Some(l) => l,
-                        None => lane_generic2(&x, &y, nrows, errs, $generic),
+                        None => {
+                            *demoted += 1;
+                            lane_generic2(&x, &y, nrows, errs, $generic)
+                        }
                     }
                 };
                 regs[*$dst as usize] = out;
@@ -1087,6 +1093,7 @@ pub struct LaneBatch {
     regs: Vec<ValueLane>,
     consts: Vec<ValueLane>,
     errs: Vec<Option<EvalError>>,
+    demoted: usize,
 }
 
 impl LaneBatch {
@@ -1097,6 +1104,14 @@ impl LaneBatch {
         self.consts.extend(prog.consts_range.iter().map(|c| ValueLane::splat(c, nrows)));
         self.errs.clear();
         self.errs.resize(nrows, None);
+        self.demoted = 0;
+    }
+
+    /// Ops of the last lane evaluation whose typed kernel demoted to
+    /// the generic per-row combinator (boxed operands, `i64` overflow,
+    /// NaN, division) — the silent cost a caller may want to count.
+    pub fn demotions(&self) -> usize {
+        self.demoted
     }
 
     /// The `out`-th output as a borrowed lane (the input lanes are

@@ -7,12 +7,14 @@
 //! decomposes it into the same morsel/ordered-merge shape as
 //! [`Executor::run`]:
 //!
-//! 1. **scatter** (parallel, one job per input morsel): route each row
-//!    to one of `S` shards by key hash — equal keys always land in the
-//!    same shard, and within a shard rows keep their original relative
-//!    order (morsels are contiguous and collected in morsel order);
-//! 2. **reduce** (parallel, one job per shard): hash-merge each shard's
-//!    rows and sort the survivors by key;
+//! 1. **scatter** (parallel, one job per input morsel): hash each row
+//!    once and route it to one of `S` shards — equal keys always land in
+//!    the same shard, and within a shard rows keep their original
+//!    relative order (morsels are contiguous and collected in morsel
+//!    order); the hash travels with the row;
+//! 2. **reduce** (parallel, one job per shard): dedupe the shard's rows
+//!    on the carried hash, then key and sort only the distinct survivors
+//!    (`merge_sort_run`);
 //! 3. **merge** (sequential, `O(n · S)` with `S ≤ workers`): k-way-merge
 //!    the sorted shards into one globally sorted list.
 //!
@@ -44,9 +46,7 @@
 //! a contained panic in one job cannot cascade into lock panics in
 //! siblings.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, RandomState};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -60,14 +60,66 @@ use crate::pool::Executor;
 /// the scatter phase and the bucket lists of the reduce phase.
 type Claim<V> = Mutex<Option<V>>;
 
+/// A row with its per-call keyed hash, computed once (by the scatter, or
+/// on the way into the sequential dedupe).
+type Hashed<T, K> = (u64, T, K);
+
 /// One row bucket per shard, as produced by a scatter job.
-type Buckets<T, K> = Vec<Vec<(T, K)>>;
+type Buckets<T, K> = Vec<Vec<Hashed<T, K>>>;
 
 /// Take a claimed work unit out of its slot, recovering from a poisoned
 /// lock (the panic that poisoned it was already contained and converted
 /// to a structured error by the pool).
 fn claim<V>(slot: &Claim<V>) -> Option<V> {
     slot.lock().unwrap_or_else(PoisonError::into_inner).take()
+}
+
+/// The per-call keyed row hash: a folded-multiply hasher (one 64×64→128
+/// multiply per word, ~5× cheaper than SipHash over a tuple's derived
+/// `Hash`) whose state starts from a seed drawn from [`RandomState`]
+/// once per normalization — never a fixed seed, normalized tuples carry
+/// attacker-influenced literals.
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+        self.write_u64(bytes.len() as u64);
+    }
+    fn write_u8(&mut self, w: u8) {
+        self.write_u64(u64::from(w));
+    }
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(u64::from(w));
+    }
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+    fn write_u64(&mut self, w: u64) {
+        let p = u128::from(self.0 ^ w) * 0x5851_F42D_4C95_7F2D_u128;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A fresh seed for one call: `RandomState` keys differ per process and
+/// per construction.
+fn call_seed() -> u64 {
+    RandomState::new().hash_one(0u8)
+}
+
+fn keyed_hash<T: Hash>(seed: u64, t: &T) -> u64 {
+    let mut h = FoldHasher(seed);
+    t.hash(&mut h);
+    // one more round spreads the last word over the low (slot) bits
+    h.write_u64(seed);
+    h.finish()
 }
 
 impl Executor {
@@ -93,30 +145,35 @@ impl Executor {
         T: Hash + Eq + Ord + Send,
         K: Send,
     {
-        // The trivial sort key compares nothing, so every comparison
+        // A zero-width packed key compares nothing, so every comparison
         // falls through to the full key order.
-        self.hash_merge_sorted_by_key(rows, keep, combine, |_| ())
+        self.hash_merge_sorted_by_key(rows, keep, combine, 0, |_, _| ())
     }
 
     /// [`Executor::hash_merge_sorted`] with an order-refining sort
-    /// accelerator: `sort_key(t)` must be *monotone* in `T`'s order
-    /// (`sort_key(a) < sort_key(b)` ⇒ `a < b`), and both the per-shard
-    /// sorts and the k-way merge then compare `(sort_key, row)` — a
-    /// cheap (typically memcmp) fast path in front of the exact
-    /// comparator, producing the identical canonical order. The
-    /// columnar layout keys relation normalization on packed column
-    /// bytes through this entry point.
-    pub fn hash_merge_sorted_by_key<T, K, B>(
+    /// accelerator: `write_key(t, buf)` fills `buf` (`width` bytes) with
+    /// a packed key that is *monotone* in `T`'s order (`key(a) < key(b)`
+    /// ⇒ `a < b`), and the sorts and the k-way merge compare
+    /// `(packed key, row)` — a memcmp fast path in front of the exact
+    /// comparator, producing the identical canonical order.
+    ///
+    /// Dedupe comes first: every row is hashed **once**, with a cheap
+    /// hash keyed per call, and folded into an open-addressing table
+    /// over the distinct rows; only those survivors get a packed key,
+    /// written into one contiguous arena (no per-row allocation), and a
+    /// `u32` permutation is sorted over it. Duplicate-heavy inputs never
+    /// pay for keys or comparisons of rows that merge away.
+    pub fn hash_merge_sorted_by_key<T, K>(
         &self,
         rows: Vec<(T, K)>,
         keep: impl Fn(&K) -> bool + Sync,
         combine: impl Fn(&mut K, K) + Sync,
-        sort_key: impl Fn(&T) -> B + Sync,
+        width: usize,
+        write_key: impl Fn(&T, &mut [u8]) + Sync,
     ) -> Result<Vec<(T, K)>, ExecError>
     where
         T: Hash + Eq + Ord + Send,
         K: Send,
-        B: Ord + Send,
     {
         self.charge(
             "sharded-reduce",
@@ -126,18 +183,33 @@ impl Executor {
         let metrics = self.metrics().clone();
         metrics.add(Counter::NormalizeRuns, 1);
         metrics.add(Counter::NormalizeRowsIn, rows.len() as u64);
+        let timed = |site: Site, started: Option<Instant>| {
+            if let Some(t) = started {
+                metrics.record_ns(site, t.elapsed().as_nanos() as u64);
+            }
+        };
+        // One seed keys the whole call, so every occurrence of a key
+        // agrees on its hash — and hence on its shard and table slot.
+        let seed = call_seed();
 
         let morsels = self.partitioner().morsels(rows.len(), self.workers());
         if self.workers() <= 1 || morsels.len() <= 1 {
             // Run the sequential algorithm as a single pool morsel so it
             // shares the containment/cancellation path of the parallel
             // shape.
+            let phase_started = metrics.is_enabled().then(Instant::now);
             let slot: Claim<Vec<(T, K)>> = Mutex::new(Some(rows));
             let out: Vec<(T, K)> = self.run(1, |_, out| {
                 let rows = claim(&slot).unwrap_or_default();
-                out.append(&mut hash_merge_sorted_seq(rows, &keep, &combine, &sort_key));
+                let cap = rows.len();
+                let hashed = (rows.into_iter())
+                    .filter(|(_, k)| keep(k))
+                    .map(|(t, k)| (keyed_hash(seed, &t), t, k));
+                // `out` is this morsel's fresh, empty list
+                *out = merge_sort_run(hashed, cap, &combine, width, &write_key);
                 Ok::<(), ExecError>(())
             })?;
+            timed(Site::ReduceMergeSort, phase_started);
             metrics.add(Counter::NormalizeRowsOut, out.len() as u64);
             return Ok(out);
         }
@@ -163,28 +235,25 @@ impl Executor {
             chunks.reverse();
         }
 
-        // Phase 1: scatter each chunk into per-shard buckets. One
-        // hasher instance keys the whole call so every occurrence of a
-        // key agrees on its shard.
+        // Phase 1: hash each row and scatter it into its shard's bucket.
+        // The shard comes from the hash's high half: the dedupe table
+        // slots on the low bits, so rows of one shard still spread.
         let phase_started = metrics.is_enabled().then(Instant::now);
-        let hasher = RandomState::new();
         let tables: Vec<Buckets<T, K>> = meta.run(chunks.len(), |range, out| {
             for ci in range {
                 let chunk = claim(&chunks[ci]).unwrap_or_default();
                 let mut buckets: Buckets<T, K> = (0..shards).map(|_| Vec::new()).collect();
                 for (t, k) in chunk {
                     if keep(&k) {
-                        let s = (hasher.hash_one(&t) % shards as u64) as usize;
-                        buckets[s].push((t, k));
+                        let h = keyed_hash(seed, &t);
+                        buckets[(((h >> 32) * shards as u64) >> 32) as usize].push((h, t, k));
                     }
                 }
                 out.push(buckets);
             }
             Ok::<(), ExecError>(())
         })?;
-        if let Some(t) = phase_started {
-            metrics.record_ns(Site::ReduceScatter, t.elapsed().as_nanos() as u64);
-        }
+        timed(Site::ReduceScatter, phase_started);
 
         // Gather: shard `s` receives its buckets in morsel order, so a
         // key's occurrences stay in original input order.
@@ -198,102 +267,116 @@ impl Executor {
             }
         }
 
-        // Phase 2: hash-merge + sort each shard independently. Rows are
-        // decorated with their sort key for the shard sort AND the
-        // k-way merge, then stripped at the end.
+        // Phase 2: dedupe + sort each shard independently.
         let phase_started = metrics.is_enabled().then(Instant::now);
         let shard_slots: Vec<Claim<Buckets<T, K>>> =
             shard_parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-        let sorted: Vec<Vec<(B, (T, K))>> = meta.run(shards, |range, out| {
+        let sorted: Vec<Vec<(T, K)>> = meta.run(shards, |range, out| {
             for s in range {
                 let parts = claim(&shard_slots[s]).unwrap_or_default();
-                let cap: usize = parts.iter().map(Vec::len).sum();
-                let mut map: HashMap<T, K> = HashMap::with_capacity(cap);
-                for part in parts {
-                    for (t, k) in part {
-                        match map.entry(t) {
-                            Entry::Occupied(mut e) => combine(e.get_mut(), k),
-                            Entry::Vacant(e) => {
-                                e.insert(k);
-                            }
-                        }
-                    }
-                }
-                let mut rows: Vec<(B, (T, K))> =
-                    map.into_iter().map(|(t, k)| (sort_key(&t), (t, k))).collect();
-                rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1 .0.cmp(&b.1 .0)));
-                out.push(rows);
+                let cap = parts.iter().map(Vec::len).sum();
+                let rows = parts.into_iter().flatten();
+                out.push(merge_sort_run(rows, cap, &combine, width, &write_key));
             }
             Ok::<(), ExecError>(())
         })?;
-        if let Some(t) = phase_started {
-            metrics.record_ns(Site::ReduceMergeSort, t.elapsed().as_nanos() as u64);
-        }
+        timed(Site::ReduceMergeSort, phase_started);
 
         // Phase 3: k-way merge of disjoint sorted runs.
         let phase_started = metrics.is_enabled().then(Instant::now);
         let out = kway_merge(sorted);
-        if let Some(t) = phase_started {
-            metrics.record_ns(Site::ReduceKway, t.elapsed().as_nanos() as u64);
-        }
+        timed(Site::ReduceKway, phase_started);
         metrics.add(Counter::NormalizeRowsOut, out.len() as u64);
         Ok(out)
     }
 }
 
-/// The sequential algorithm — exactly the pre-runtime normalize, with
-/// the same sort-key decoration as the parallel shards.
-fn hash_merge_sorted_seq<T, K, B>(
-    rows: Vec<(T, K)>,
-    keep: impl Fn(&K) -> bool,
+/// Dedupe one run of at most `cap` hashed rows and sort the survivors —
+/// the whole sequential algorithm, and each shard's reduce job.
+///
+/// The table is open addressing over `u32` positions into the dense
+/// list of distinct rows (first-occurrence order), probed from the low
+/// bits of the carried hash and sized for `cap` distinct rows up front
+/// (load ≤ 1/2, it never grows); `combine` folds a key's occurrences in
+/// input order. The survivors' packed keys fill one `width`-strided
+/// arena, a permutation is sorted by `(arena bytes, row)`, and the rows
+/// are permuted in place — the dense list is the output, nothing is
+/// copied out of it.
+fn merge_sort_run<T: Eq + Ord, K>(
+    rows: impl Iterator<Item = Hashed<T, K>>,
+    cap: usize,
     combine: impl Fn(&mut K, K),
-    sort_key: impl Fn(&T) -> B,
-) -> Vec<(T, K)>
-where
-    T: Hash + Eq + Ord,
-    B: Ord,
-{
-    let mut map: HashMap<T, K> = HashMap::with_capacity(rows.len());
-    for (t, k) in rows {
-        if keep(&k) {
-            match map.entry(t) {
-                Entry::Occupied(mut e) => combine(e.get_mut(), k),
-                Entry::Vacant(e) => {
-                    e.insert(k);
-                }
-            }
+    width: usize,
+    write_key: impl Fn(&T, &mut [u8]),
+) -> Vec<(T, K)> {
+    const EMPTY: u32 = u32::MAX;
+    let mut slots: Vec<u32> = vec![EMPTY; (2 * cap).next_power_of_two().max(2)];
+    let mut distinct: Vec<(T, K)> = Vec::with_capacity(cap);
+    for (h, t, k) in rows {
+        let mut i = h as usize & (slots.len() - 1);
+        while slots[i] != EMPTY && distinct[slots[i] as usize].0 != t {
+            i = (i + 1) & (slots.len() - 1);
+        }
+        if slots[i] == EMPTY {
+            slots[i] = distinct.len() as u32;
+            distinct.push((t, k));
+        } else {
+            combine(&mut distinct[slots[i] as usize].1, k);
         }
     }
-    let mut out: Vec<(B, (T, K))> = map.into_iter().map(|(t, k)| (sort_key(&t), (t, k))).collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1 .0.cmp(&b.1 .0)));
-    out.into_iter().map(|(_, row)| row).collect()
+    drop(slots);
+    distinct.shrink_to_fit();
+    if width == 0 {
+        // no packed key: nothing to gain over sorting the rows themselves
+        distinct.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        return distinct;
+    }
+
+    let mut arena = vec![0u8; distinct.len() * width];
+    for (i, (t, _)) in distinct.iter().enumerate() {
+        write_key(t, &mut arena[i * width..(i + 1) * width]);
+    }
+    let key = |i: u32| &arena[i as usize * width..(i as usize + 1) * width];
+    // The key's first word rides in the sort record: most comparisons
+    // resolve on it without touching the arena.
+    let word = |i: u32| key(i).first_chunk().map_or(0, |w| u64::from_be_bytes(*w));
+    let mut perm: Vec<(u64, u32)> = (0..distinct.len() as u32).map(|i| (word(i), i)).collect();
+    perm.sort_unstable_by(|&(wa, a), &(wb, b)| {
+        (wa.cmp(&wb))
+            .then_with(|| key(a).cmp(key(b)))
+            .then_with(|| distinct[a as usize].0.cmp(&distinct[b as usize].0))
+    });
+    // rows[i] ← rows[perm[i]], one swap per row along each cycle
+    for i in 0..perm.len() {
+        let mut j = i;
+        loop {
+            let from = std::mem::replace(&mut perm[j].1, j as u32) as usize;
+            if from == i {
+                break;
+            }
+            distinct.swap(j, from);
+            j = from;
+        }
+    }
+    distinct
 }
 
-/// Merge key-decorated sorted runs with pairwise-distinct keys into one
-/// sorted list, stripping the decoration.
-fn kway_merge<T: Ord, K, B: Ord>(sorted: Vec<Vec<(B, (T, K))>>) -> Vec<(T, K)> {
-    let total: usize = sorted.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<(B, (T, K))>> =
-        sorted.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<(B, (T, K))>> = iters.iter_mut().map(Iterator::next).collect();
+/// Merge sorted runs with pairwise-distinct rows into one sorted list
+/// (`O(n · runs)` row comparisons — no keys: between runs almost every
+/// comparison resolves on the first attribute).
+fn kway_merge<T: Ord, K>(runs: Vec<Vec<(T, K)>>) -> Vec<(T, K)> {
+    let total: usize = runs.iter().map(Vec::len).sum();
+    let mut iters: Vec<std::vec::IntoIter<(T, K)>> = runs.into_iter().map(Vec::into_iter).collect();
+    let mut heads: Vec<Option<(T, K)>> = iters.iter_mut().map(Iterator::next).collect();
     let mut out = Vec::with_capacity(total);
     loop {
-        // index of the smallest live head (stable towards later runs,
-        // irrelevant for correctness: keys are pairwise distinct)
-        let mut best: Option<usize> = None;
-        for (i, h) in heads.iter().enumerate() {
-            let Some((kb, (t, _))) = h else { continue };
-            best = match best {
-                Some(b) if matches!(&heads[b], Some((bk, (bt, _))) if (bk, bt) < (kb, t)) => {
-                    Some(b)
-                }
-                _ => Some(i),
-            };
-        }
+        // index of the smallest live head (runs hold disjoint rows, so
+        // ties cannot happen)
+        let head = |r: usize| heads[r].as_ref().map(|(t, _)| t);
+        let best =
+            (0..heads.len()).filter(|&r| heads[r].is_some()).min_by(|&a, &b| head(a).cmp(&head(b)));
         let Some(b) = best else { break };
-        if let Some((_, row)) = heads[b].take() {
-            out.push(row);
-        }
+        out.extend(heads[b].take());
         heads[b] = iters[b].next();
     }
     out
@@ -378,11 +461,81 @@ mod tests {
                     rows(5_000),
                     |k| *k > 0,
                     |acc, k| *acc += k,
-                    |t| t.to_be_bytes(),
+                    8,
+                    |t, buf| buf.copy_from_slice(&t.to_be_bytes()),
                 )
                 .unwrap();
             assert_eq!(out, seq);
         }
+    }
+
+    /// The driver against a `BTreeMap` fold (occurrences combined in
+    /// input order, by a fold that is not commutative): heavy
+    /// duplication and all-distinct inputs, keys sharing a prefix longer
+    /// than their packed key, with and without the packed key, at every
+    /// worker count.
+    #[test]
+    fn matches_btreemap_fold_reference() {
+        use std::collections::BTreeMap;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let forced = |w| {
+            Executor::new(w).with_partitioner(Partitioner {
+                min_morsel: 1,
+                morsels_per_worker: 3,
+                min_rows_per_worker: 0,
+            })
+        };
+        let keep = |k: &u64| !k.is_multiple_of(5);
+        let fold = |acc: &mut u64, k: u64| *acc = acc.wrapping_mul(31).wrapping_add(k);
+        // the first 8 bytes, zero-padded: monotone, equal on the shared prefix
+        let prefix = |t: &String, buf: &mut [u8]| {
+            buf.fill(0);
+            let n = t.len().min(8);
+            buf[..n].copy_from_slice(&t.as_bytes()[..n]);
+        };
+        for (n, distinct) in [(0, 1), (1, 1), (40, 3), (3000, 7), (3000, 100), (2000, 2000)] {
+            let rows: Vec<(String, u64)> = (0..n)
+                .map(|_| {
+                    let id = next() % distinct;
+                    let key =
+                        if id % 2 == 0 { format!("shared-prefix-{id}") } else { format!("{id}") };
+                    (key, next() % 97)
+                })
+                .collect();
+            let mut reference: BTreeMap<String, u64> = BTreeMap::new();
+            for (t, k) in rows.iter().filter(|(_, k)| keep(k)) {
+                match reference.get_mut(t) {
+                    Some(acc) => fold(acc, *k),
+                    None => drop(reference.insert(t.clone(), *k)),
+                }
+            }
+            let reference: Vec<(String, u64)> = reference.into_iter().collect();
+            for exec in [Executor::sequential(), forced(2), forced(4), forced(7)] {
+                let plain = exec.hash_merge_sorted(rows.clone(), keep, fold).unwrap();
+                assert_eq!(plain, reference, "n = {n}, distinct = {distinct}");
+                let keyed =
+                    exec.hash_merge_sorted_by_key(rows.clone(), keep, fold, 8, prefix).unwrap();
+                assert_eq!(keyed, reference, "keyed: n = {n}, distinct = {distinct}");
+            }
+        }
+    }
+
+    /// Two normalizations in one process hash under different seeds: a
+    /// key set crafted to collide under one call's hash does not collide
+    /// under the next.
+    #[test]
+    fn calls_do_not_share_a_hash_seed() {
+        let (a, b) = (call_seed(), call_seed());
+        assert_ne!(a, b);
+        let key = ("some tuple", 7u64);
+        assert_ne!(keyed_hash(a, &key), keyed_hash(b, &key));
+        assert_eq!(keyed_hash(a, &key), keyed_hash(a, &key));
     }
 
     /// A panic in `combine` is contained as a structured error and the

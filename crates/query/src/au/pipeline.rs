@@ -12,9 +12,10 @@
 //! AU-annotations: the annotation algebra is row-local, so the
 //! operators are too). This module fuses maximal chains of them and
 //! drives the fused chain shard-by-shard on
-//! [`Executor::run_shards`]: per shard, every source row flows through
-//! the entire chain before the next row is touched; nothing between
-//! the base table and the breaker is ever materialized.
+//! [`Executor::run_shards`]: per shard, a chunk of source rows flows
+//! through the entire chain (one lane stage at a time, a probe's matches
+//! as batches of row ids — see [`LanePlan`]) before the next is touched;
+//! no relation between the base table and the breaker is materialized.
 //!
 //! ## Fusion rules
 //!
@@ -25,8 +26,8 @@
 //! * a precise `Join` fuses as a **probe**: its right side is evaluated
 //!   and indexed up front (hash buckets for certain equi-keys, interval
 //!   sweeps for the uncertain bands — the exact structures the
-//!   operator-at-a-time planner uses), and left rows stream through the
-//!   probe. Only selections may sit between the source and the probe
+//!   operator-at-a-time planner uses), and left rows enumerate their
+//!   matches through the probe. Only selections may sit between the source and the probe
 //!   (they do not change tuples, so the sweep candidates precomputed on
 //!   source row ids stay valid); a left subtree that already contains a
 //!   probe or a projection is materialized first and becomes the new
@@ -64,8 +65,12 @@
 //! the produced row list equals the sequential single-shard list.
 
 use std::borrow::Cow;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
-use audb_core::obs::TraceBuilder;
+use audb_core::obs::{Counter, Site, TraceBuilder};
 use audb_core::{
     AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, Program, RangeBatch,
     RangeValue, Semiring, Value, ValueLane,
@@ -180,6 +185,16 @@ fn select_only(q: &Query) -> bool {
 // The fused chain
 // ---------------------------------------------------------------------------
 
+/// A compiled chain stage as the batch runners see it: the program,
+/// the columns it reads (a pair batch gathers only those), and whether
+/// it rewrites tuples (projection) or filters them (selection).
+#[derive(Clone, Copy)]
+struct Stage<'p> {
+    prog: &'p Program,
+    reads: &'p [usize],
+    project: bool,
+}
+
 /// A chain predicate: compiled to a flat register program (the
 /// default) or kept as the interpreted `Expr` tree (the oracle,
 /// `AuConfig::compiled = false`). Compilation happens once per chain —
@@ -187,13 +202,14 @@ fn select_only(q: &Query) -> bool {
 /// register file in its [`Buf`].
 enum RangePred {
     Interp(Expr),
-    Compiled(Program),
+    /// The program and the columns it reads.
+    Compiled(Program, Vec<usize>),
 }
 
 impl RangePred {
     fn new(e: &Expr, vet: Vet<'_>) -> RangePred {
         match vet.range(e) {
-            Some(p) => RangePred::Compiled(p),
+            Some(p) => RangePred::Compiled(p, e.columns().into_iter().collect()),
             None => RangePred::Interp(e.clone()),
         }
     }
@@ -205,13 +221,13 @@ impl RangePred {
     ) -> Result<(bool, bool, bool), EvalError> {
         match self {
             RangePred::Interp(e) => e.eval_range_bool3(vals),
-            RangePred::Compiled(p) => p.eval_range_bool3(vals, regs),
+            RangePred::Compiled(p, _) => p.eval_range_bool3(vals, regs),
         }
     }
 
-    fn compiled(&self) -> Option<&Program> {
+    fn compiled(&self) -> Option<Stage<'_>> {
         match self {
-            RangePred::Compiled(p) => Some(p),
+            RangePred::Compiled(prog, reads) => Some(Stage { prog, reads, project: false }),
             RangePred::Interp(_) => None,
         }
     }
@@ -220,14 +236,18 @@ impl RangePred {
 /// A chain projection list, compiled into one multi-output program.
 enum RangeProj {
     Interp(Vec<Expr>),
-    Compiled(Program),
+    /// The program and the columns it reads.
+    Compiled(Program, Vec<usize>),
 }
 
 impl RangeProj {
     fn new(exprs: &[(Expr, String)], vet: Vet<'_>) -> RangeProj {
         let es: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
         match vet.range_many(&es) {
-            Some(p) => RangeProj::Compiled(p),
+            Some(p) => {
+                let reads: BTreeSet<usize> = es.iter().flat_map(Expr::columns).collect();
+                RangeProj::Compiled(p, reads.into_iter().collect())
+            }
             None => RangeProj::Interp(es),
         }
     }
@@ -248,7 +268,7 @@ impl RangeProj {
                 }
                 Ok(())
             }
-            RangeProj::Compiled(p) => {
+            RangeProj::Compiled(p, _) => {
                 p.prepare_range_regs(regs);
                 p.eval_range_into(vals, regs)?;
                 for i in 0..p.arity() {
@@ -259,9 +279,9 @@ impl RangeProj {
         }
     }
 
-    fn compiled(&self) -> Option<&Program> {
+    fn compiled(&self) -> Option<Stage<'_>> {
         match self {
-            RangeProj::Compiled(p) => Some(p),
+            RangeProj::Compiled(prog, reads) => Some(Stage { prog, reads, project: true }),
             RangeProj::Interp(_) => None,
         }
     }
@@ -276,7 +296,7 @@ enum PipeOp<'a> {
 enum ProbePlan {
     /// Conjunctive equality: hash probes for certain keys, precomputed
     /// sweep candidates for the uncertain bands.
-    HashEqui { pairs: Vec<(usize, usize)>, lcols: Vec<usize>, index: HashKeyIndex },
+    HashEqui { lcols: Vec<usize>, index: HashKeyIndex },
     /// Order comparison: all candidates precomputed by the endpoint
     /// sweep, re-checked per pair.
     Comparison,
@@ -290,24 +310,26 @@ struct ProbeOp<'a> {
     right: Cow<'a, AuRelation>,
     predicate: Option<RangePred>,
     plan: ProbePlan,
-    /// Per *source* row id: right-row candidates from the interval
-    /// sweeps (uncertain-key bands for equi plans, all candidates for
-    /// comparison plans; unused for nested loops).
-    cand: Vec<Vec<u32>>,
+    /// Per *source* row id, as a flat CSR ([`planner::csr_by_left`]):
+    /// right-row candidates from the interval sweeps (uncertain-key
+    /// bands for equi plans, all candidates for comparison plans; empty
+    /// for nested loops).
+    cand_offsets: Vec<usize>,
+    cand_ids: Vec<u32>,
 }
 
 impl<'a> ProbeOp<'a> {
     /// Build the probe for `source ⋈ right`, mirroring the
     /// operator-at-a-time planner's strategy choice and index shapes.
-    /// `cand` is computed over *all* source rows — selections between
-    /// the source and the probe only drop rows, never change them, so
-    /// candidates of dropped rows are simply never probed. The
+    /// Candidates are computed over *all* source rows — selections
+    /// between the source and the probe only drop rows, never change
+    /// them, so candidates of dropped rows are simply never probed. The
     /// re-check predicate compiles once here, like the chain stages.
     ///
-    /// With `columnar`, the full-relation interval indexes build
-    /// straight from the relations' column lanes
-    /// ([`IntervalIndex::from_lane`]) — identical index contents,
-    /// no row-tuple walk; `false` keeps the row-major oracle everywhere.
+    /// With `columnar`, key certainty and the full-relation interval
+    /// indexes are read straight off the relations' column lanes
+    /// ([`IntervalIndex::from_lane`]) — identical contents, no
+    /// row-tuple walk; `false` keeps the row-major oracle everywhere.
     fn build(
         source: &AuRelation,
         right: Cow<'a, AuRelation>,
@@ -322,13 +344,21 @@ impl<'a> ProbeOp<'a> {
                 IntervalIndex::from_au(rel.rows(), c)
             }
         };
-        let mut cand: Vec<Vec<u32>> = vec![Vec::new(); source.len()];
+        let partition = |rel: &AuRelation, cols: &[usize]| {
+            if columnar {
+                planner::partition_lanes_by_key_certainty(&rel.columns(), cols)
+            } else {
+                planner::partition_by_key_certainty(rel.rows(), cols)
+            }
+        };
+        // sweep pairs in emission order; the CSR keeps each row's order
+        let mut cand: Vec<(u32, u32)> = Vec::new();
         let plan = match planner::classify(predicate, source.schema.arity()) {
             planner::JoinStrategy::HashEqui(pairs) => {
                 let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
                 let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-                let (lc, lu) = planner::partition_by_key_certainty(source.rows(), &lcols);
-                let (rc, ru) = planner::partition_by_key_certainty(right.rows(), &rcols);
+                let (lc, lu) = partition(source, &lcols);
+                let (rc, ru) = partition(right.as_ref(), &rcols);
                 // no certain probe can ever hit the bucket index when
                 // either certain side is empty — mirror the planner's
                 // guard and skip the build
@@ -341,37 +371,39 @@ impl<'a> ProbeOp<'a> {
                 if !lu.is_empty() {
                     let li = IntervalIndex::from_au_subset(source.rows(), c0l, &lu);
                     let ri = full_index(right.as_ref(), c0r);
-                    IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand[a as usize].push(b));
+                    IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand.push((a, b)));
                 }
                 if !ru.is_empty() && !lc.is_empty() {
                     let li = IntervalIndex::from_au_subset(source.rows(), c0l, &lc);
                     let ri = IntervalIndex::from_au_subset(right.rows(), c0r, &ru);
-                    IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand[a as usize].push(b));
+                    IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand.push((a, b)));
                 }
-                ProbePlan::HashEqui { pairs, lcols, index }
+                ProbePlan::HashEqui { lcols, index }
             }
             planner::JoinStrategy::IntervalComparison { lo, hi } => {
-                let pairs = planner::comparison_candidates(
+                cand = planner::comparison_candidates(
                     lo,
                     hi,
                     |c| full_index(source, c),
                     |c| full_index(right.as_ref(), c),
                 );
-                for (a, b) in pairs {
-                    cand[a as usize].push(b);
-                }
                 ProbePlan::Comparison
             }
             planner::JoinStrategy::NestedLoop => ProbePlan::NestedLoop,
         };
+        let (cand_offsets, cand_ids) = planner::csr_by_left(source.len(), &cand);
         let predicate = predicate.map(|p| RangePred::new(p, vet));
-        ProbeOp { right, predicate, plan, cand }
+        ProbeOp { right, predicate, plan, cand_offsets, cand_ids }
+    }
+
+    /// Sweep candidates of source row `src`.
+    fn cand(&self, src: usize) -> &[u32] {
+        &self.cand_ids[self.cand_offsets[src]..self.cand_offsets[src + 1]]
     }
 
     /// Stream one in-flight left row through the probe, emitting each
-    /// joined row into the rest of the chain. The annotation math is
-    /// exactly the planner's `emit_equi_pair` / candidate-evaluation
-    /// logic, so the emitted multiset equals the operator path's.
+    /// joined row into the rest of the chain — the row-at-a-time oracle
+    /// of [`PairSink`]'s enumeration (same matches, same order).
     #[allow(clippy::too_many_arguments)]
     fn probe(
         &self,
@@ -384,78 +416,27 @@ impl<'a> ProbeOp<'a> {
         out: &mut Vec<(RangeTuple, AuAnnot)>,
     ) -> Result<(), EvalError> {
         let Buf { vals: concat, key, regs } = buf;
+        let mut emit = |ri: u32| self.emit(rest, rest_bufs, concat, regs, vals, k, ri, out);
         match &self.plan {
-            ProbePlan::HashEqui { pairs, lcols, index } => {
+            ProbePlan::HashEqui { lcols, index } => {
                 if lcols.iter().all(|c| vals[*c].is_certain()) {
                     key.clear();
                     key.extend(lcols.iter().map(|c| vals[*c].sg.join_key()));
-                    // take the bucket out of the borrow of `key`
-                    let hits = index.get(key);
-                    for &ri in hits {
-                        self.emit_equi(rest, rest_bufs, concat, regs, vals, k, ri, pairs, out)?;
-                    }
+                    index.get(key).iter().try_for_each(|&ri| emit(ri))?;
                 }
-                for &ri in &self.cand[src] {
-                    self.emit_equi(rest, rest_bufs, concat, regs, vals, k, ri, pairs, out)?;
-                }
-                Ok(())
+                self.cand(src).iter().try_for_each(|&ri| emit(ri))
             }
-            ProbePlan::Comparison => {
-                for &ri in &self.cand[src] {
-                    self.emit_pred(rest, rest_bufs, concat, regs, vals, k, ri, out)?;
-                }
-                Ok(())
-            }
-            ProbePlan::NestedLoop => {
-                for ri in 0..self.right.len() as u32 {
-                    self.emit_pred(rest, rest_bufs, concat, regs, vals, k, ri, out)?;
-                }
-                Ok(())
-            }
+            ProbePlan::Comparison => self.cand(src).iter().try_for_each(|&ri| emit(ri)),
+            ProbePlan::NestedLoop => (0..self.right.len() as u32).try_for_each(emit),
         }
     }
 
-    /// Equi-plan pair emission: short-circuit to `⊗` alone when the key
-    /// attributes are structurally equal and certain (the predicate
-    /// triple is (T, T, T) by construction), else re-check precisely.
+    /// Pair emission: precise predicate check per candidate (cross
+    /// product when there is no predicate). An equi-plan pair whose key
+    /// attributes are structurally equal and certain needs no fast
+    /// path: its predicate triple is (T, T, T), which multiplies as one.
     #[allow(clippy::too_many_arguments)]
-    fn emit_equi(
-        &self,
-        rest: &[PipeOp<'_>],
-        rest_bufs: &mut [Buf],
-        concat: &mut Vec<RangeValue>,
-        regs: &mut Vec<RangeValue>,
-        vals: &[RangeValue],
-        k: AuAnnot,
-        ri: u32,
-        pairs: &[(usize, usize)],
-        out: &mut Vec<(RangeTuple, AuAnnot)>,
-    ) -> Result<(), EvalError> {
-        let (tr, kr) = &self.right.rows()[ri as usize];
-        let fast = pairs.iter().all(|(a, b)| {
-            let (x, y) = (&vals[*a], &tr.0[*b]);
-            x.is_certain() && x == y
-        });
-        concat.clear();
-        concat.extend_from_slice(vals);
-        concat.extend_from_slice(&tr.0);
-        let mut k2 = k.times(kr);
-        if !fast {
-            #[allow(clippy::expect_used)] // planner only builds HashEqui from a predicate
-            let p = self.predicate.as_ref().expect("equi plan implies predicate");
-            let (plb, psg, pub_) = p.eval_bool3(concat, regs)?;
-            if !pub_ {
-                return Ok(());
-            }
-            k2 = k2.times(&AuAnnot::from_bool3(plb, psg, pub_));
-        }
-        apply(rest, rest_bufs, usize::MAX, concat, k2, out)
-    }
-
-    /// Comparison / nested-loop pair emission: precise predicate check
-    /// per candidate (cross product when there is no predicate).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_pred(
+    fn emit(
         &self,
         rest: &[PipeOp<'_>],
         rest_bufs: &mut [Buf],
@@ -535,37 +516,35 @@ fn apply(
     }
 }
 
-/// Run a probe-less compiled chain over one shard **one op at a time**:
-/// every select/project program evaluates over a whole chunk of the
-/// shard's rows via [`Program::eval_range_batch_lenient`] before the
-/// next op runs — the flat-columnar execution shape.
+/// Run a compiled chain over one shard **one op at a time**: every
+/// stage evaluates over a whole batch of rows before the next stage
+/// runs — lane kernels over the column set with a [`LanePlan`], the
+/// row-major batch oracle ([`Program::eval_range_batch_lenient`],
+/// probe-less chains only) without.
 ///
 /// The shard is processed in [`GOVERN_ROWS`]-row chunks so cancellation
-/// is observed and produced rows are charged to the budget
-/// (`"pipeline-chain"`) with bounded overshoot; chunking cannot change
-/// results because every op is row-local and chunks run in source
-/// order.
+/// is observed and produced rows are charged to the budget (`operator`)
+/// with bounded overshoot; chunking cannot change results because every
+/// op is row-local and chunks run in source order.
 fn run_shard_batched(
     ops: &[PipeOp<'_>],
     source: &AuRelation,
-    columns: Option<&ColumnSet>,
+    lanes: Option<&LanePlan<'_>>,
     range: std::ops::Range<usize>,
     out: &mut Vec<(RangeTuple, AuAnnot)>,
     exec: &Executor,
+    operator: &'static str,
 ) -> Result<(), EvalError> {
-    let cancel = exec.cancel_token();
     let mut watermark = out.len();
     let mut start = range.start;
     while start < range.end {
         let end = range.end.min(start + GOVERN_ROWS);
-        if let Some(token) = cancel {
-            token.check()?;
+        exec.check_cancel()?;
+        match lanes {
+            Some(plan) => plan.run_chunk(start..end, out, &mut watermark, exec)?,
+            None => run_chunk_batched(ops, source, start..end, out, exec.cancel_token())?,
         }
-        match columns {
-            Some(cs) => run_chunk_columnar(ops, cs, start..end, out, cancel)?,
-            None => run_chunk_batched(ops, source, start..end, out, cancel)?,
-        }
-        charge_out(exec, "pipeline-chain", out, &mut watermark)?;
+        charge_out(exec, operator, out, &mut watermark)?;
         start = end;
     }
     Ok(())
@@ -613,18 +592,20 @@ fn run_chunk_batched(
                 PipeOp::Select(p) => p
                     .compiled()
                     .expect("batched chains are compiled")
+                    .prog
                     .eval_range_batch_lenient(&refs, &mut batch, cancel)?,
                 PipeOp::Project(p) => p
                     .compiled()
                     .expect("batched chains are compiled")
+                    .prog
                     .eval_range_batch_lenient(&refs, &mut batch, cancel)?,
-                PipeOp::Probe(_) => unreachable!("probe chains stream row-at-a-time"),
+                PipeOp::Probe(_) => unreachable!("row-major batches are probe-less"),
             }
         }
         match op {
             PipeOp::Select(p) => {
                 #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-                let prog = p.compiled().expect("compiled");
+                let prog = p.compiled().expect("compiled").prog;
                 // Decide per clean row: poison, drop, or keep with the
                 // multiplied annotation — then compact the drops.
                 let mut drop_flags = vec![false; live.len()];
@@ -651,7 +632,7 @@ fn run_chunk_batched(
             }
             PipeOp::Project(p) => {
                 #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-                let prog = p.compiled().expect("compiled");
+                let prog = p.compiled().expect("compiled").prog;
                 for (j, &i) in clean_idx.iter().enumerate() {
                     let projected = match batch.row_error(j) {
                         Some(e) => Err(e.clone()),
@@ -665,7 +646,7 @@ fn run_chunk_batched(
                     }
                 }
             }
-            PipeOp::Probe(_) => unreachable!("probe chains stream row-at-a-time"),
+            PipeOp::Probe(_) => unreachable!("row-major batches are probe-less"),
         }
     }
 
@@ -678,151 +659,354 @@ fn run_chunk_batched(
     Ok(())
 }
 
-/// One chunk of [`run_shard_batched`] on the columnar path: ops
-/// evaluate as typed vector kernels over the source's column lanes
-/// ([`Program::eval_range_lanes`]); row tuples materialize only at the
-/// chunk boundary.
-///
-/// Byte-identity with [`run_chunk_batched`] (and hence with the
-/// row-streaming path) holds because the kernels are exact refinements
-/// of the scalar combinators — an op whose kernel cannot reproduce a
-/// row bit-identically (Int overflow, NaN) demotes wholesale to the
-/// generic per-row evaluation inside [`Program::eval_range_lanes`] —
-/// and the row protocol is the same: erroring rows are poisoned (never
-/// dropped), surviving rows keep source order, and after the chain the
-/// earliest poisoned source row reports its error.
-fn run_chunk_columnar(
-    ops: &[PipeOp<'_>],
-    cs: &ColumnSet,
-    range: std::ops::Range<usize>,
-    out: &mut Vec<(RangeTuple, AuAnnot)>,
-    cancel: Option<&CancelToken>,
-) -> Result<(), EvalError> {
-    enum RowState {
-        Clean(AuAnnot),
-        Poisoned(EvalError),
-        Dropped,
+/// Pairs per lane batch of a probe chain — a constant picked by
+/// measurement, not a knob: at 2 048 the id vectors, the gathered lanes
+/// and the kernels' registers of one batch stay cache-resident (512 and
+/// 16 384 both ran the 10k × 10k spine 5–10% slower). It also bounds how
+/// far an expanding probe overshoots its budget: a nested-loop plan
+/// flushes in the middle of a source row.
+const PAIR_BATCH: usize = 2048;
+
+/// The rows in flight between two lane stages.
+enum Lanes<'a> {
+    /// A source chunk: slices borrowed straight from the relation's
+    /// [`ColumnSet`], until the first op that rewrites or compacts them.
+    Borrowed(Vec<LaneSlice<'a>>),
+    /// A pair batch before its first projection: row ids into the two
+    /// sides' column sets. A stage gathers the columns it reads; a
+    /// selection compacts the ids, not lanes.
+    Pairs {
+        right: &'a ColumnSet,
+        lids: Vec<u32>,
+        rids: Vec<u32>,
+    },
+    Owned(Vec<ValueLane>),
+}
+
+/// A batch between stages: lanes hold exactly the still-clean rows,
+/// `live[j]` is lane row `j`'s position in its chunk or pair batch
+/// (ascending) and `annots[j]` its annotation. Erroring rows are
+/// *poisoned*: they stop flowing, and only the earliest position's
+/// error is kept — the one row-at-a-time streaming would have hit first.
+struct InFlight<'a> {
+    lanes: Lanes<'a>,
+    live: Vec<u32>,
+    annots: Vec<AuAnnot>,
+    poison: Option<(u32, EvalError)>,
+}
+
+/// The row at position `pos` failed with `error()`: keep it if it is
+/// the earliest poisoned position.
+fn poison_at(slot: &mut Option<(u32, EvalError)>, pos: u32, error: impl FnOnce() -> EvalError) {
+    if slot.as_ref().is_none_or(|(p, _)| pos < *p) {
+        *slot = Some((pos, error()));
     }
-    /// The rows in flight: lane slices borrowed straight from the
-    /// relation's [`ColumnSet`] until the first op that rewrites or
-    /// compacts them, owned lanes after.
-    enum ChunkLanes<'a> {
-        Borrowed(Vec<LaneSlice<'a>>),
-        Owned(Vec<ValueLane>),
+}
+
+/// What a chain did on the lanes, summed over shards for its span.
+#[derive(Default)]
+struct ChainStats {
+    pairs: AtomicU64,
+    pair_batches: AtomicU64,
+    stages_boxed: AtomicU64,
+}
+
+/// A fully compiled chain laid out for lane execution: the stages
+/// before the probe run over borrowed source lanes, the probe
+/// enumerates matches as row ids, and the stages after it — the join's
+/// re-check predicate first — run over pair batches. A probe-less chain
+/// is all `pre`.
+struct LanePlan<'p> {
+    left: Arc<ColumnSet>,
+    pre: Vec<Stage<'p>>,
+    probe: Option<(&'p ProbeOp<'p>, Arc<ColumnSet>)>,
+    post: Vec<Stage<'p>>,
+    stats: ChainStats,
+}
+
+impl<'p> LanePlan<'p> {
+    /// `None` when some stage is interpreted (`compiled = false`, or a
+    /// Tier B rejection): that chain streams row by row.
+    fn of(ops: &'p [PipeOp<'p>], source: &AuRelation) -> Option<LanePlan<'p>> {
+        let (mut pre, mut post, mut probe) = (Vec::new(), Vec::new(), None);
+        for op in ops {
+            let stage = match op {
+                PipeOp::Select(p) => p.compiled()?,
+                PipeOp::Project(p) => p.compiled()?,
+                PipeOp::Probe(p) => {
+                    probe = Some((&**p, p.right.columns()));
+                    match &p.predicate {
+                        Some(pred) => pred.compiled()?,
+                        None => continue,
+                    }
+                }
+            };
+            if probe.is_some() { &mut post } else { &mut pre }.push(stage);
+        }
+        Some(LanePlan { left: source.columns(), pre, probe, post, stats: ChainStats::default() })
     }
-    impl ChunkLanes<'_> {
-        fn slices(&self) -> Vec<LaneSlice<'_>> {
-            match self {
-                ChunkLanes::Borrowed(s) => s.clone(),
-                ChunkLanes::Owned(v) => v.iter().map(ValueLane::as_slice).collect(),
+
+    /// The one lane-stage loop: run `stages` over the batch in flight,
+    /// each as typed vector kernels ([`Program::eval_range_lanes`]) over
+    /// the lanes it reads; multiply a selection's bool3 into the
+    /// annotations and compact, replace the lanes by a projection's
+    /// outputs.
+    ///
+    /// Byte-identity with the row paths holds because the kernels are
+    /// exact refinements of the scalar combinators — an op whose kernel
+    /// cannot reproduce a row bit-identically (Int overflow, NaN)
+    /// demotes wholesale to the generic per-row evaluation — and the row
+    /// protocol is the same: surviving rows keep their order, erroring
+    /// rows are poisoned, never dropped.
+    fn run_stages(
+        &self,
+        stages: &[Stage<'_>],
+        fl: &mut InFlight<'_>,
+        batch: &mut LaneBatch,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), ExecError> {
+        for st in stages {
+            let nrows = fl.live.len();
+            if nrows == 0 {
+                break;
             }
-        }
-    }
-
-    let n = range.len();
-    // States are indexed by chunk position (original row order); lanes
-    // hold exactly the still-clean rows and `live[j]` maps lane row `j`
-    // back to its chunk position.
-    let mut states: Vec<RowState> =
-        range.clone().map(|i| RowState::Clean(cs.annots().get(i))).collect();
-    let mut lanes =
-        ChunkLanes::Borrowed((0..cs.arity()).map(|c| cs.lane(c).slice(range.clone())).collect());
-    let mut live: Vec<u32> = (0..n as u32).collect();
-    let mut batch = LaneBatch::default();
-
-    for op in ops {
-        if live.is_empty() {
-            break;
-        }
-        let nrows = live.len();
-        let slices = lanes.slices();
-        #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-        let prog = match op {
-            PipeOp::Select(p) => p.compiled().expect("batched chains are compiled"),
-            PipeOp::Project(p) => p.compiled().expect("batched chains are compiled"),
-            PipeOp::Probe(_) => unreachable!("probe chains stream row-at-a-time"),
-        };
-        prog.eval_range_lanes(&slices, nrows, &mut batch, cancel)?;
-        // Reading an output lane is only safe when some row survived:
-        // with every row poisoned (e.g. an out-of-arity column probe)
-        // the output source may reference a column that does not exist.
-        let any_clean = (0..nrows).any(|j| batch.row_error(j).is_none());
-        let mut keep: Vec<u32> = Vec::with_capacity(nrows);
-        let compacted: Option<Vec<ValueLane>> = match op {
-            PipeOp::Select(_) => {
-                if any_clean {
-                    let out_lane = batch.output_lane(prog, 0, &slices);
-                    for (j, &lj) in live.iter().enumerate().take(nrows) {
-                        let pos = lj as usize;
-                        if let Some(e) = batch.row_error(j) {
-                            states[pos] = RowState::Poisoned(e.clone());
-                            continue;
-                        }
-                        match out_lane.bool3(j) {
-                            Err(e) => states[pos] = RowState::Poisoned(e),
-                            Ok((_, _, false)) => states[pos] = RowState::Dropped,
+            let (next, keep) = {
+                let gathered: Vec<ValueLane>;
+                let slices: Vec<LaneSlice<'_>> = match &fl.lanes {
+                    Lanes::Pairs { right, lids, rids } => {
+                        let (la, arity) = (self.left.arity(), self.left.arity() + right.arity());
+                        let reads = &st.reads[..st.reads.partition_point(|&c| c < arity)];
+                        let gather = |&c: &usize| match c.checked_sub(la) {
+                            None => self.left.lane(c).as_slice().gather(lids),
+                            Some(rc) => right.lane(rc).as_slice().gather(rids),
+                        };
+                        gathered = reads.iter().map(gather).collect();
+                        // Unread columns alias a read one (right length,
+                        // never touched); nothing read means no lanes.
+                        let mut cols = match gathered.first() {
+                            Some(any) => vec![any.as_slice(); arity],
+                            None => Vec::new(),
+                        };
+                        reads.iter().zip(&gathered).for_each(|(&c, g)| cols[c] = g.as_slice());
+                        cols
+                    }
+                    Lanes::Owned(v) => v.iter().map(ValueLane::as_slice).collect(),
+                    Lanes::Borrowed(s) => s.clone(),
+                };
+                st.prog.eval_range_lanes(&slices, nrows, batch, cancel)?;
+                if batch.demotions() > 0 {
+                    self.stats.stages_boxed.fetch_add(1, Ordering::Relaxed);
+                }
+                // Reading an output lane is only safe when some row
+                // survived: with every row poisoned (e.g. an out-of-arity
+                // column probe) the output source may reference a column
+                // that does not exist.
+                let any_clean = (0..nrows).any(|j| batch.row_error(j).is_none());
+                let filter =
+                    (!st.project && any_clean).then(|| batch.output_lane(st.prog, 0, &slices));
+                let mut keep: Vec<u32> = Vec::with_capacity(nrows);
+                for j in 0..nrows {
+                    match (batch.row_error(j), &filter) {
+                        (Some(e), _) => poison_at(&mut fl.poison, fl.live[j], || e.clone()),
+                        (None, None) => keep.push(j as u32),
+                        (None, Some(lane)) => match lane.bool3(j) {
+                            Err(e) => poison_at(&mut fl.poison, fl.live[j], || e),
+                            Ok((_, _, false)) => {} // false in all worlds
                             Ok((lb, sg, ub)) => {
-                                let RowState::Clean(k) = &mut states[pos] else { unreachable!() };
-                                *k = k.times(&AuAnnot::from_bool3(lb, sg, ub));
+                                fl.annots[j] = fl.annots[j].times(&AuAnnot::from_bool3(lb, sg, ub));
                                 keep.push(j as u32);
                             }
-                        }
-                    }
-                } else {
-                    for j in 0..nrows {
-                        if let Some(e) = batch.row_error(j) {
-                            states[live[j] as usize] = RowState::Poisoned(e.clone());
-                        }
+                        },
                     }
                 }
-                if keep.len() < nrows {
-                    Some(slices.iter().map(|s| s.gather(&keep)).collect())
-                } else {
+                let all = keep.len() == nrows;
+                let pick = |ids: &[u32]| keep.iter().map(|&j| ids[j as usize]).collect();
+                let next = if st.project {
+                    let outs = (0..st.prog.arity()).map(|o| batch.output_lane(st.prog, o, &slices));
+                    Some(Lanes::Owned(match (any_clean, all) {
+                        (false, _) => Vec::new(),
+                        (true, true) => outs.map(|s| s.to_lane()).collect(),
+                        (true, false) => outs.map(|s| s.gather(&keep)).collect(),
+                    }))
+                } else if all {
                     None
-                }
-            }
-            PipeOp::Project(_) => {
-                for j in 0..nrows {
-                    if let Some(e) = batch.row_error(j) {
-                        states[live[j] as usize] = RowState::Poisoned(e.clone());
-                    } else {
-                        keep.push(j as u32);
-                    }
-                }
-                if any_clean {
-                    let outs: Vec<LaneSlice<'_>> =
-                        (0..prog.arity()).map(|oi| batch.output_lane(prog, oi, &slices)).collect();
-                    if keep.len() < nrows {
-                        Some(outs.iter().map(|s| s.gather(&keep)).collect())
-                    } else {
-                        Some(outs.iter().map(LaneSlice::to_lane).collect())
-                    }
+                } else if let Lanes::Pairs { right, lids, rids } = &fl.lanes {
+                    Some(Lanes::Pairs { right, lids: pick(lids), rids: pick(rids) })
                 } else {
-                    Some(Vec::new())
-                }
+                    Some(Lanes::Owned(slices.iter().map(|s| s.gather(&keep)).collect()))
+                };
+                (next, (!all).then_some(keep))
+            };
+            if let Some(lanes) = next {
+                fl.lanes = lanes;
             }
-            PipeOp::Probe(_) => unreachable!("probe chains stream row-at-a-time"),
+            if let Some(keep) = keep {
+                fl.live = keep.iter().map(|&j| fl.live[j as usize]).collect();
+                fl.annots = keep.iter().map(|&j| fl.annots[j as usize]).collect();
+            }
+        }
+        Ok(())
+    }
+
+    /// Build the row tuples of the batch in flight — once, for the rows
+    /// that survived every stage.
+    fn materialize(&self, fl: InFlight<'_>, out: &mut Vec<(RangeTuple, AuAnnot)>) {
+        let owned;
+        let slices: &[LaneSlice<'_>] = match &fl.lanes {
+            Lanes::Pairs { right, lids, rids } => {
+                for ((&l, &r), k) in lids.iter().zip(rids).zip(&fl.annots) {
+                    let cells = (self.left.lanes().iter().map(|c| c.get(l as usize)))
+                        .chain(right.lanes().iter().map(|c| c.get(r as usize)));
+                    out.push((RangeTuple::new(cells.collect()), *k));
+                }
+                return;
+            }
+            Lanes::Borrowed(s) => s,
+            Lanes::Owned(v) => {
+                owned = v.iter().map(ValueLane::as_slice).collect::<Vec<_>>();
+                &owned
+            }
         };
-        if let Some(nl) = compacted {
-            lanes = ChunkLanes::Owned(nl);
-            live = keep.iter().map(|&j| live[j as usize]).collect();
+        for (j, k) in fl.annots.iter().enumerate() {
+            out.push((RangeTuple::new(slices.iter().map(|s| s.get(j)).collect()), *k));
         }
     }
 
-    // The earliest poisoned source row wins the error report, exactly
-    // like the row-major paths.
-    for st in &states {
-        if let RowState::Poisoned(e) = st {
-            return Err(e.clone());
+    /// One source chunk of [`run_shard_batched`]: the pre-probe stages
+    /// over the borrowed source lanes, then — on a probe chain — the
+    /// surviving rows' matches, enumerated as `(left id, right id,
+    /// k_l ⊗ k_r)` in the streaming order (hash bucket, then sweep
+    /// candidates) into [`PAIR_BATCH`]-sized batches that run the
+    /// remaining stages.
+    ///
+    /// Errors surface in the streaming order: the earliest erroring
+    /// source row wins, a row that passed the pre-probe stages errs at
+    /// its earliest erroring pair, and rows past the first poisoned
+    /// source row are never probed.
+    fn run_chunk(
+        &self,
+        range: std::ops::Range<usize>,
+        out: &mut Vec<(RangeTuple, AuAnnot)>,
+        watermark: &mut usize,
+        exec: &Executor,
+    ) -> Result<(), EvalError> {
+        let mut batch = LaneBatch::default();
+        let mut fl = InFlight {
+            lanes: Lanes::Borrowed(
+                self.left.lanes().iter().map(|l| l.slice(range.clone())).collect(),
+            ),
+            live: (0..range.len() as u32).collect(),
+            annots: range.clone().map(|i| self.left.annots().get(i)).collect(),
+            poison: None,
+        };
+        self.run_stages(&self.pre, &mut fl, &mut batch, exec.cancel_token())?;
+        let poison = fl.poison.take();
+        let Some((probe, right)) = &self.probe else {
+            return match poison {
+                Some((_, e)) => Err(e),
+                None => {
+                    self.materialize(fl, out);
+                    Ok(())
+                }
+            };
+        };
+        let limit = poison.as_ref().map_or(u32::MAX, |(p, _)| *p);
+        let (lids, rids, annots) = (Vec::new(), Vec::new(), Vec::new());
+        let mut sink = PairSink {
+            plan: self,
+            right,
+            lids,
+            rids,
+            annots,
+            batch: &mut batch,
+            out,
+            watermark,
+            exec,
+        };
+        let mut key: Vec<Value> = Vec::new();
+        for (&pos, &k) in fl.live.iter().zip(&fl.annots).take_while(|(&p, _)| p < limit) {
+            let src = range.start + pos as usize;
+            match &probe.plan {
+                ProbePlan::HashEqui { lcols, index } => {
+                    let cells = lcols.iter().map(|&c| self.left.lane(c).as_slice());
+                    if cells.clone().all(|l| l.is_certain(src)) {
+                        key.clear();
+                        key.extend(cells.map(|l| l.get(src).sg.join_key()));
+                        sink.feed(src, k, index.get(&key).iter().copied())?;
+                    }
+                    sink.feed(src, k, probe.cand(src).iter().copied())?;
+                }
+                ProbePlan::Comparison => sink.feed(src, k, probe.cand(src).iter().copied())?,
+                ProbePlan::NestedLoop => sink.feed(src, k, 0..right.nrows() as u32)?,
+            }
         }
+        sink.flush()?;
+        poison.map_or(Ok(()), |(_, e)| Err(e))
     }
-    let slices = lanes.slices();
-    for (j, &pos) in live.iter().enumerate() {
-        let RowState::Clean(k) = states[pos as usize] else { unreachable!() };
-        let t = RangeTuple::new(slices.iter().map(|s| s.get(j)).collect());
-        out.push((t, k));
+}
+
+/// The pair batch a probe chain's enumeration fills and flushes.
+struct PairSink<'r, 'p> {
+    plan: &'r LanePlan<'p>,
+    right: &'r ColumnSet,
+    lids: Vec<u32>,
+    rids: Vec<u32>,
+    annots: Vec<AuAnnot>,
+    batch: &'r mut LaneBatch,
+    out: &'r mut Vec<(RangeTuple, AuAnnot)>,
+    watermark: &'r mut usize,
+    exec: &'r Executor,
+}
+
+impl<'r, 'p> PairSink<'r, 'p> {
+    /// Append source row `src`'s matches `rids`, flushing full batches.
+    fn feed(
+        &mut self,
+        src: usize,
+        k: AuAnnot,
+        rids: impl Iterator<Item = u32>,
+    ) -> Result<(), EvalError> {
+        for ri in rids {
+            self.lids.push(src as u32);
+            self.rids.push(ri);
+            self.annots.push(k.times(&self.right.annots().get(ri as usize)));
+            if self.lids.len() == PAIR_BATCH {
+                self.flush()?;
+            }
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// Run the post-probe stages over the pending pairs and materialize
+    /// the survivors; charge them (`"join-probe"`) and observe
+    /// cancellation before the next batch is enumerated.
+    fn flush(&mut self) -> Result<(), EvalError> {
+        let n = self.lids.len();
+        if n == 0 {
+            return Ok(());
+        }
+        let (plan, metrics) = (self.plan, self.exec.metrics());
+        let started = metrics.is_enabled().then(Instant::now);
+        let (lids, rids) = (std::mem::take(&mut self.lids), std::mem::take(&mut self.rids));
+        let mut fl = InFlight {
+            lanes: Lanes::Pairs { right: self.right, lids, rids },
+            live: (0..n as u32).collect(),
+            annots: std::mem::take(&mut self.annots),
+            poison: None,
+        };
+        plan.run_stages(&plan.post, &mut fl, self.batch, self.exec.cancel_token())?;
+        if let Some((_, e)) = fl.poison.take() {
+            return Err(e);
+        }
+        plan.materialize(fl, self.out);
+        if let Some(t) = started {
+            metrics.record_ns(Site::ChainProbe, t.elapsed().as_nanos() as u64);
+        }
+        plan.stats.pairs.fetch_add(n as u64, Ordering::Relaxed);
+        plan.stats.pair_batches.fetch_add(1, Ordering::Relaxed);
+        self.exec.check_cancel()?;
+        Ok(charge_out(self.exec, "join-probe", self.out, self.watermark)?)
+    }
 }
 
 /// A fused chain ready to run: the source relation, the op list, and
@@ -839,10 +1023,12 @@ impl<'a> AuPipeline<'a> {
     /// rewrote tuples, the exact source-order row list for select-only
     /// chains (mirroring [`select_au_exec`]'s normal-form preservation).
     ///
-    /// Compiled probe-less chains evaluate one op over a whole shard of
-    /// rows at a time ([`run_shard_batched`]); chains with a probe
-    /// stream each row through the compiled ops with a per-worker
-    /// register file.
+    /// A fully compiled chain runs on the lanes ([`LanePlan`]): every
+    /// stage evaluates over a whole source chunk or pair batch at a
+    /// time. Without `columnar`, probe-less compiled chains take the
+    /// row-major batch oracle; everything else — an interpreted stage,
+    /// a probe without lanes — streams each row through the ops with a
+    /// per-worker register file.
     ///
     /// `h` is the open `fused-chain` span: the chain records its op
     /// summary, execution shape, and shard count there, and closes it
@@ -866,11 +1052,19 @@ impl<'a> AuPipeline<'a> {
         };
         let ops = &self.ops;
         let source = self.source.as_ref();
-        let batchable = ops.iter().all(|op| match op {
-            PipeOp::Select(p) => p.compiled().is_some(),
-            PipeOp::Project(p) => p.compiled().is_some(),
-            PipeOp::Probe(_) => false,
-        });
+        // Probe chains can expand (join output): their production is
+        // charged as "join-probe", plain chains' as "pipeline-chain".
+        let has_probe = ops.iter().any(|op| matches!(op, PipeOp::Probe(_)));
+        let operator = if has_probe { "join-probe" } else { "pipeline-chain" };
+        // Built (or fetched from the relations' caches) once, shared by
+        // every shard.
+        let lanes = if cfg.columnar { LanePlan::of(ops, source) } else { None };
+        let batchable = lanes.is_some()
+            || ops.iter().all(|op| match op {
+                PipeOp::Select(p) => p.compiled().is_some(),
+                PipeOp::Project(p) => p.compiled().is_some(),
+                PipeOp::Probe(_) => false,
+            });
         tr.attr(h, "ops", || {
             let names: Vec<&'static str> = ops
                 .iter()
@@ -888,27 +1082,15 @@ impl<'a> AuPipeline<'a> {
         });
         tr.attr(h, "exprs", || (if cfg.compiled { "compiled" } else { "interpreted" }).to_string());
         tr.attr(h, "batched", || batchable.to_string());
-        let columnar = cfg.columnar && batchable;
-        tr.attr(h, "columnar", || columnar.to_string());
+        tr.attr(h, "columnar", || lanes.is_some().to_string());
         tr.attr(h, "shards", || sharding.slices(n).len().to_string());
-        // Built (or fetched from the relation's cache) once, shared by
-        // every shard; `None` keeps the row-major batch oracle.
-        let columns = if columnar { Some(source.columns()) } else { None };
         let rows = if batchable {
-            let columns = columns.as_deref();
             exec.run_shards(n, &sharding, |range, out| {
-                run_shard_batched(ops, source, columns, range, out, exec)
+                run_shard_batched(ops, source, lanes.as_ref(), range, out, exec, operator)
             })?
         } else {
-            // Probe chains can expand (join output); charge their
-            // production as "join-probe", plain streamed chains as
-            // "pipeline-chain", re-checking cancellation every
-            // GOVERN_ROWS source rows.
-            let operator = if ops.iter().any(|op| matches!(op, PipeOp::Probe(_))) {
-                "join-probe"
-            } else {
-                "pipeline-chain"
-            };
+            // Streamed row by row, re-checking cancellation and charging
+            // the produced rows every GOVERN_ROWS source rows.
             exec.run_shards(n, &sharding, |range, out| {
                 let mut bufs: Vec<Buf> = Vec::new();
                 bufs.resize_with(ops.len(), Buf::default);
@@ -925,6 +1107,15 @@ impl<'a> AuPipeline<'a> {
                 Ok::<(), EvalError>(())
             })?
         };
+        if let Some(plan) = &lanes {
+            let stat = |a: &AtomicU64| a.load(Ordering::Relaxed);
+            tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
+            tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
+            tr.attr(h, "stages_boxed", || stat(&plan.stats.stages_boxed).to_string());
+            if stat(&plan.stats.stages_boxed) > 0 {
+                exec.metrics().add(Counter::ChainStagesBoxed, stat(&plan.stats.stages_boxed));
+            }
+        }
         let select_only = self.ops.iter().all(|op| matches!(op, PipeOp::Select(_)));
         let out = if !select_only {
             // the one pipeline-breaker normalization (sharded-reduce)
@@ -989,8 +1180,12 @@ fn build_chain<'a>(
             let r = eval_pl(db, right, cfg, exec, Delivery::Canonical, tr)?;
             chain.schema = chain.schema.concat(&r.schema);
             let vet = Vet::new(cfg.compiled, cfg.verify, exec, tr);
+            let started = exec.metrics().is_enabled().then(Instant::now);
             let probe =
                 ProbeOp::build(chain.source.as_ref(), r, predicate.as_ref(), vet, cfg.columnar);
+            if let Some(t) = started {
+                exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
+            }
             chain.ops.push(PipeOp::Probe(Box::new(probe)));
             Ok(chain)
         }

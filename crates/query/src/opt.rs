@@ -33,7 +33,7 @@ pub fn split_sg(rel: &AuRelation) -> AuRelation {
         let lb = if t.is_certain() { k.lb } else { 0 };
         out.push(RangeTuple::certain(&t.sg()), AuAnnot::triple(lb.min(k.sg), k.sg, k.sg));
     }
-    out.normalized()
+    out.into_normalized()
 }
 
 /// `split↑(R)` (Section 10.4): the possible over-approximation —
@@ -43,7 +43,7 @@ pub fn split_up(rel: &AuRelation) -> AuRelation {
     for (t, k) in rel.rows() {
         out.push(t.clone(), AuAnnot::triple(0, 0, k.ub));
     }
-    out.normalized()
+    out.into_normalized()
 }
 
 /// `Cpr_{A,n}` (Section 10.4) over the rows named by `ids`, projected
@@ -133,9 +133,7 @@ pub fn optimized_join_exec(
     let lup = compress(&split_up(l), la, ct);
     let rup = compress(&split_up(r), ra, ct);
     let pos = join_au_planned_exec(&lup, &rup, predicate, exec)?;
-    for (t, k) in pos.rows() {
-        out.push(t.clone(), *k);
-    }
+    out.append_rows(pos.into_rows());
 
     Ok(out.into_normalized_with(exec)?)
 }

@@ -35,7 +35,9 @@
 
 use audb_core::{AuAnnot, EvalError, ExecError, Expr, Semiring, Value};
 use audb_exec::Executor;
-use audb_storage::{AuRelation, HashKeyIndex, IntervalIndex, RangeTuple, Relation, Tuple};
+use audb_storage::{
+    AuRelation, ColumnSet, HashKeyIndex, IntervalIndex, RangeTuple, Relation, Tuple,
+};
 
 use crate::au::nested_loop_join_au_exec;
 
@@ -181,6 +183,32 @@ pub(crate) fn partition_by_key_certainty(
         }
     }
     (certain, uncertain)
+}
+
+/// [`partition_by_key_certainty`] read off the key *lanes*: component
+/// compares on typed lanes, no row-tuple walk. Same two id lists.
+pub(crate) fn partition_lanes_by_key_certainty(
+    cs: &ColumnSet,
+    cols: &[usize],
+) -> (Vec<u32>, Vec<u32>) {
+    let lanes: Vec<_> = cols.iter().map(|&c| cs.lane(c).as_slice()).collect();
+    (0..cs.nrows() as u32).partition(|&i| lanes.iter().all(|l| l.is_certain(i as usize)))
+}
+
+/// Flat CSR of candidate `(left_row, right_row)` pairs by left row:
+/// `ids[offsets[l]..offsets[l + 1]]` are row `l`'s candidates in the
+/// order the pairs list them (one stable counting pass) — what a
+/// `Vec<Vec<u32>>` of per-row pushes would hold, without the vectors.
+pub(crate) fn csr_by_left(nleft: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
+    let mut offsets = vec![0usize; nleft + 1];
+    pairs.iter().for_each(|&(l, _)| offsets[l as usize + 1] += 1);
+    (0..nleft).for_each(|l| offsets[l + 1] += offsets[l]);
+    let (mut ids, mut next) = (vec![0u32; pairs.len()], offsets.clone());
+    for &(l, r) in pairs {
+        ids[next[l as usize]] = r;
+        next[l as usize] += 1;
+    }
+    (offsets, ids)
 }
 
 /// Multiply annotations with the precise range-annotated predicate

@@ -9,7 +9,7 @@ use std::sync::{Arc, OnceLock};
 use audb_core::{AuAnnot, EvalError, ExecError, RangeValue, Semiring, Value};
 use audb_exec::Executor;
 
-use crate::column::{packed_range_key, ColumnSet};
+use crate::column::{packed_range_key, ColumnSet, VALUE_KEY_BYTES};
 use crate::relation::{Database, Relation};
 use crate::schema::Schema;
 use crate::tuple::RangeTuple;
@@ -80,6 +80,11 @@ impl AuRelation {
 
     pub fn rows(&self) -> &[(RangeTuple, AuAnnot)] {
         &self.rows
+    }
+
+    /// Give up the row list (to move rows into another relation).
+    pub fn into_rows(self) -> Vec<(RangeTuple, AuAnnot)> {
+        self.rows
     }
 
     pub fn push(&mut self, t: RangeTuple, k: AuAnnot) {
@@ -188,6 +193,7 @@ impl AuRelation {
             rows,
             |k: &AuAnnot| !k.is_zero(),
             |acc: &mut AuAnnot, k| *acc = acc.plus(&k),
+            self.schema.arity() * 3 * VALUE_KEY_BYTES,
             packed_range_key,
         )?;
         self.normalized = true;
@@ -413,6 +419,84 @@ mod tests {
             vec![certain_row(&[1], 0, 1, 4), certain_row(&[2], 1, 1, 2)],
         );
         assert_eq!(r.possible_size(), 6);
+    }
+
+    /// Normalization against a `BTreeMap` fold over the tuple order: heavy
+    /// duplication, strings sharing a prefix longer than the packed key
+    /// and integers beyond 2^53 (the key's two deliberate coarsenings —
+    /// only the full-comparison tie-break orders them), numerically equal
+    /// `Int`/`Float` cells, zero and saturating annotations; identical
+    /// for every worker count.
+    #[test]
+    fn normalize_matches_btreemap_fold_reference() {
+        use audb_exec::Partitioner;
+        let long = |tail: &str| Value::str(format!("a shared prefix of 25 bytes{tail}"));
+        let big = 1i64 << 53;
+        let pool = [
+            Value::Int(2),
+            Value::float(2.0),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::float(big as f64),
+            long(""),
+            long("!"),
+            long("?"),
+            Value::Null,
+            Value::Int(-7),
+        ];
+        let annots = [
+            AuAnnot::triple(0, 0, 0),
+            AuAnnot::triple(0, 1, 2),
+            AuAnnot::triple(1, 1, 1),
+            AuAnnot::triple(0, u64::MAX - 1, u64::MAX),
+            AuAnnot::triple(u64::MAX, u64::MAX, u64::MAX),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let schema = Schema::named(&["A", "B"]);
+        for (n, spread) in [(0, 1), (1, 1), (600, 2), (600, 10), (2500, 10)] {
+            let rows: Vec<(RangeTuple, AuAnnot)> = (0..n)
+                .map(|_| {
+                    let mut cell = || {
+                        let mut v =
+                            [next(spread), next(spread), next(spread)].map(|i| pool[i].clone());
+                        v.sort();
+                        let [lb, sg, ub] = v;
+                        RangeValue::new(lb, sg, ub).unwrap()
+                    };
+                    (RangeTuple::new(vec![cell(), cell()]), annots[next(annots.len())])
+                })
+                .collect();
+            let mut reference: BTreeMap<RangeTuple, AuAnnot> = BTreeMap::new();
+            for (t, k) in rows.iter().filter(|(_, k)| !k.is_zero()) {
+                let acc = reference.entry(t.clone()).or_insert_with(AuAnnot::zero);
+                *acc = acc.plus(k);
+            }
+            let reference: Vec<(RangeTuple, AuAnnot)> = reference.into_iter().collect();
+            for w in [1usize, 2, 4, 7] {
+                let exec = Executor::new(w).with_partitioner(Partitioner {
+                    min_morsel: 1,
+                    morsels_per_worker: 3,
+                    min_rows_per_worker: 0,
+                });
+                let mut r = AuRelation {
+                    schema: schema.clone(),
+                    rows: rows.clone(),
+                    normalized: false,
+                    columns: OnceLock::new(),
+                };
+                r.normalize_with(&exec).unwrap();
+                assert_eq!(r.len(), reference.len(), "n = {n}, spread = {spread}, workers = {w}");
+                for (got, want) in r.rows().iter().zip(&reference) {
+                    assert_eq!(got, want, "n = {n}, spread = {spread}, workers = {w}");
+                }
+            }
+        }
     }
 
     /// `estimated_bytes` is the exact columnar footprint, hand-counted:

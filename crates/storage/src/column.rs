@@ -21,11 +21,13 @@
 //!
 //! [`packed_range_key`] flattens a [`RangeTuple`] into a byte string
 //! whose lexicographic order *refines* the tuple order: if
-//! `key(a) < key(b)` then `a < b`, and key equality only happens on a
-//! bounded set of deliberate coarsenings (long strings sharing a
-//! prefix, numeric cast collisions) that a full-comparison tie-break
-//! resolves. Sharded-reduce normalization sorts on
-//! `(packed key, tuple)` — a memcmp fast path in front of the exact
+//! `key(a) < key(b)` then `a < b`, and key equality only happens on
+//! one deliberate coarsening (long strings sharing a prefix — the key
+//! says nothing past the first such value) that a full-comparison
+//! tie-break resolves. Sharded-reduce normalization writes the keys of the
+//! *distinct* tuples into one contiguous arena (fixed width per arity,
+//! no allocation per row) and sorts a permutation on
+//! `(arena bytes, tuple)` — a memcmp fast path in front of the exact
 //! comparator — and stays byte-identical to sorting on the tuples
 //! alone.
 //!
@@ -37,8 +39,11 @@
 //!   like [`Value::total_cmp`]), a tie byte (`Int` before `Float` on
 //!   numeric ties, the total order's rule), then for `Int` the exact
 //!   sign-flipped `i64` (cast collisions beyond 2^53 stay ordered);
-//! * `Str`: the first 17 bytes, zero-padded (never *inverts* the string
-//!   order; equal prefixes fall back to the full comparison);
+//! * `Str`: the first 16 bytes, zero-padded, then `min(len, 17)` — the
+//!   length orders strings that differ in trailing NULs, and 17 marks a
+//!   truncated string: two of those with one prefix are equal here, so
+//!   the rest of the tuple's key is zeroed and the pair falls back to
+//!   the full comparison instead of being ordered by a later column;
 //! * `Bool`: one `0`/`1` byte; `MinVal`/`Null`/`MaxVal`: rank only.
 
 use audb_core::{AuAnnot, LaneSlice, RangeValue, Value, ValueLane};
@@ -209,47 +214,52 @@ fn f64_key(v: f64) -> [u8; 8] {
     u.to_be_bytes()
 }
 
-/// Append the 18-byte packed key of one [`Value`].
-pub fn packed_value_key(v: &Value, out: &mut Vec<u8>) {
-    out.push(v.order_rank());
+/// Write the packed key of one [`Value`] into `out` (fully overwritten).
+/// `false` when the key does not pin the value down (a string longer
+/// than its prefix): keys equal here may hide either order.
+pub fn packed_value_key(v: &Value, out: &mut [u8; VALUE_KEY_BYTES]) -> bool {
+    let mut key = [0u8; VALUE_KEY_BYTES];
+    key[0] = v.order_rank();
     match v {
-        Value::MinVal | Value::Null | Value::MaxVal => {
-            out.extend_from_slice(&[0u8; VALUE_KEY_BYTES - 1]);
-        }
-        Value::Bool(b) => {
-            out.push(u8::from(*b));
-            out.extend_from_slice(&[0u8; VALUE_KEY_BYTES - 2]);
-        }
+        Value::MinVal | Value::Null | Value::MaxVal => {}
+        Value::Bool(b) => key[1] = u8::from(*b),
         Value::Int(i) => {
-            out.extend_from_slice(&f64_key(*i as f64));
-            out.push(0); // numeric tie: Int sorts before Float
-            out.extend_from_slice(&i64_key(*i));
+            key[1..9].copy_from_slice(&f64_key(*i as f64));
+            // key[9] = 0 — numeric tie: Int sorts before Float
+            key[10..].copy_from_slice(&i64_key(*i));
         }
         Value::Float(f) => {
-            out.extend_from_slice(&f64_key(f.get()));
-            out.push(1);
-            out.extend_from_slice(&[0u8; 8]);
+            key[1..9].copy_from_slice(&f64_key(f.get()));
+            key[9] = 1;
         }
         Value::Str(s) => {
-            let prefix = s.as_bytes();
-            let take = prefix.len().min(VALUE_KEY_BYTES - 1);
-            out.extend_from_slice(&prefix[..take]);
-            out.resize(out.len() + (VALUE_KEY_BYTES - 1 - take), 0);
+            let take = s.len().min(VALUE_KEY_BYTES - 2);
+            key[1..1 + take].copy_from_slice(&s.as_bytes()[..take]);
+            key[VALUE_KEY_BYTES - 1] = s.len().min(VALUE_KEY_BYTES - 1) as u8;
         }
     }
+    *out = key;
+    !matches!(v, Value::Str(s) if s.len() > VALUE_KEY_BYTES - 2)
 }
 
-/// The packed sort key of a whole range tuple: the fixed-width value
-/// keys of every attribute's `(lb, sg, ub)` in tuple order, so the
-/// byte-lexicographic order refines the tuple's derived `Ord`.
-pub fn packed_range_key(t: &RangeTuple) -> Vec<u8> {
-    let mut out = Vec::with_capacity(t.0.len() * 3 * VALUE_KEY_BYTES);
-    for rv in &t.0 {
-        packed_value_key(&rv.lb, &mut out);
-        packed_value_key(&rv.sg, &mut out);
-        packed_value_key(&rv.ub, &mut out);
+/// The packed sort key of a whole range tuple, written into `out` (one
+/// row of the normalization key arena, `arity × 3 ×`
+/// [`VALUE_KEY_BYTES`] wide): the fixed-width value keys of every
+/// attribute's `(lb, sg, ub)` in tuple order, so the byte-lexicographic
+/// order refines the tuple's derived `Ord`. The key ends (zeros from
+/// there on) after the first value it does not pin down; a tuple
+/// narrower than `out` is zero-padded and a wider one truncated — all
+/// of which only coarsen the key, which the full-comparison tie-break
+/// resolves.
+pub fn packed_range_key(t: &RangeTuple, out: &mut [u8]) {
+    let mut cells = t.0.iter().flat_map(|rv| [&rv.lb, &rv.sg, &rv.ub]);
+    let mut exact = true;
+    for chunk in out.chunks_mut(VALUE_KEY_BYTES) {
+        match (cells.next(), <&mut [u8; VALUE_KEY_BYTES]>::try_from(&mut *chunk)) {
+            (Some(v), Ok(key)) if exact => exact = packed_value_key(v, key),
+            _ => chunk.fill(0),
+        }
     }
-    out
 }
 
 #[cfg(test)]
@@ -353,10 +363,9 @@ mod tests {
         let keys: Vec<Vec<u8>> = vals
             .iter()
             .map(|v| {
-                let mut k = Vec::new();
+                let mut k = [0xAAu8; VALUE_KEY_BYTES];
                 packed_value_key(v, &mut k);
-                assert_eq!(k.len(), VALUE_KEY_BYTES);
-                k
+                k.to_vec()
             })
             .collect();
         for (i, a) in vals.iter().enumerate() {
@@ -385,9 +394,20 @@ mod tests {
                 RangeValue::certain(Value::Null),
             ]),
             rt(vec![iv(1, 1, 1), RangeValue::unknown(Value::Int(0))]),
+            // a truncated string must not hand the order to the next
+            // column: the longer string sorts last whatever follows it
+            rt(vec![RangeValue::certain(Value::str("one prefix, 17+ bytes, tail b")), iv(0, 0, 0)]),
+            rt(vec![RangeValue::certain(Value::str("one prefix, 17+ bytes, tail a")), iv(9, 9, 9)]),
+            rt(vec![RangeValue::certain(Value::str("nul\0")), iv(0, 0, 0)]),
+            rt(vec![RangeValue::certain(Value::str("nul")), iv(9, 9, 9)]),
         ];
+        let key = |t: &RangeTuple| {
+            let mut k = vec![0xAAu8; 2 * 3 * VALUE_KEY_BYTES];
+            packed_range_key(t, &mut k);
+            k
+        };
         let mut by_key: Vec<(Vec<u8>, RangeTuple)> =
-            tuples.iter().map(|t| (packed_range_key(t), t.clone())).collect();
+            tuples.iter().map(|t| (key(t), t.clone())).collect();
         by_key.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         tuples.sort();
         assert_eq!(by_key.into_iter().map(|(_, t)| t).collect::<Vec<_>>(), tuples);

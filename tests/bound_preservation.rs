@@ -222,6 +222,55 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// join ground truth on the default path: σ → ⋈ → σ → π over a Float column
+// ---------------------------------------------------------------------------
+
+/// Two relations of `(g: Int, v: Float, w: Int)` x-tuples, each with a
+/// certain anchor tuple (see [`float_xdb_strategy`]); few enough
+/// x-tuples that the worlds stay enumerable.
+fn float_join_xdb_strategy() -> impl Strategy<Value = XDb> {
+    let side = || proptest::collection::vec(float_xtuple_strategy(), 0..3);
+    (side(), side()).prop_map(|(mut r, mut s)| {
+        r.push(XTuple::certain(Tuple::new(vec![Value::Int(0), Value::float(0.25), Value::Int(1)])));
+        s.push(XTuple::certain(Tuple::new(vec![Value::Int(0), Value::float(-0.5), Value::Int(2)])));
+        let mut db = XDb::default();
+        db.insert("r", XRelation::new(Schema::named(&["g", "v", "w"]), r));
+        db.insert("s", XRelation::new(Schema::named(&["g", "v", "w"]), s));
+        db
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// World enumeration through `eval_au` on the default config — the
+    /// fused chain's pair batches over the lanes: a pre-probe selection,
+    /// a hash-equi (Int key) or interval-comparison (Float key) probe,
+    /// an arithmetic post-selection over Float columns of both sides and
+    /// an arithmetic projection. Multiples of 0.25 keep every sum and
+    /// product exact, so a world outside the bounds is a soundness bug.
+    #[test]
+    fn float_join_spine_preserves_bounds(
+        db in float_join_xdb_strategy(),
+        comparison in 0u8..2,
+        pre in -2i64..3,
+        post in -8i64..9,
+    ) {
+        let on = if comparison == 1 { col(1).leq(col(4)) } else { col(0).eq(col(3)) };
+        let q = table("r")
+            .select(col(2).geq(lit(pre)))
+            .join_on(table("s"), on)
+            .select(col(1).add(col(4)).lt(lit(post as f64 * 0.25)))
+            .project(vec![
+                (col(0), "g"),
+                (col(1).mul(col(5)).add(col(4)), "p"),
+                (col(2).sub(col(5)), "d"),
+            ]);
+        check_bounds(&db, &q, &AuConfig::default())?;
+    }
+}
+
 /// Deterministic regression of the classic difference pitfall
 /// (Section 8.2): pointwise monus would under-report; ours must bound.
 #[test]

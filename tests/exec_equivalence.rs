@@ -600,6 +600,207 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// probe chains on the lanes vs streaming vs interpreted vs operator-at-a-time
+// ---------------------------------------------------------------------------
+
+/// The three fused executions of one chain: pair batches over the lanes
+/// (the default), row-at-a-time streaming over compiled programs, and
+/// streaming over the interpreted `Expr` trees.
+fn fused_cfgs(workers: usize, shards: usize) -> [(&'static str, AuConfig); 3] {
+    let lanes = cfg_pipeline(workers, shards);
+    [
+        ("lanes", lanes),
+        ("streaming", AuConfig { columnar: false, ..lanes }),
+        ("interpreted", AuConfig { compiled: false, ..lanes }),
+    ]
+}
+
+/// Every fused execution returns **exactly** the same outcome — relation
+/// or error, the error being the one the streaming order meets first —
+/// for every workers × shards shape, and agrees with operator-at-a-time
+/// evaluation on the relation (an operator-at-a-time run meets errors in
+/// its own phase order, so there only success/failure is compared).
+fn assert_probe_paths_agree(db: &AuDatabase, q: &Query, ctx: &str) {
+    let operator = eval_au(db, q, &cfg_operator());
+    let reference = eval_au(db, q, &fused_cfgs(1, 1)[1].1);
+    match (&reference, &operator) {
+        (Ok(r), Ok(o)) => assert_eq!(r, o, "streaming vs operator-at-a-time: {ctx}, q = {q}"),
+        (Err(_), Err(_)) => {}
+        (r, o) => panic!("streaming {r:?} vs operator-at-a-time {o:?}: {ctx}, q = {q}"),
+    }
+    for w in WORKERS {
+        for s in SHARDS {
+            for (name, cfg) in fused_cfgs(w, s) {
+                let got = eval_au(db, q, &cfg);
+                assert_eq!(got, reference, "{name}: {ctx}, workers = {w}, shards = {s}, q = {q}");
+            }
+        }
+    }
+}
+
+/// σ → ⋈ → σ → π spines over `(g, a, b) ⋈ (g, a, b)`, one per probe plan:
+/// hash-equi on one and on two key pairs, interval comparison, and the
+/// nested loop (cross product, and a predicate no index serves). Over
+/// mixed columns the arithmetic stages raise type errors on some pairs.
+fn probe_spines() -> Vec<Query> {
+    use audb::query::table;
+    let tail = |q: Query| {
+        q.select(col(1).add(col(4)).lt(lit(3i64))).project(vec![
+            (col(0), "k"),
+            (col(1).add(col(4)), "v"),
+            (col(5), "w"),
+        ])
+    };
+    let left = || table("t1").select(col(2).geq(lit(-3i64)));
+    vec![
+        tail(left().join_on(table("t2"), col(0).eq(col(3)))),
+        tail(left().join_on(table("t2"), col(0).eq(col(3)).and(col(1).eq(col(4))))),
+        tail(left().join_on(table("t2"), col(0).leq(col(3)))),
+        tail(left().cross(table("t2"))),
+        tail(left().join_on(table("t2"), col(0).add(col(3)).gt(lit(0i64)))),
+        // no projection: the pair batch materializes from both sides' lanes
+        left().join_on(table("t2"), col(0).eq(col(3))).select(col(2).leq(col(5))),
+        // a stage that reads past the arity poisons every pair
+        left().join_on(table("t2"), col(0).eq(col(3))).project(vec![(col(9), "x")]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The pair-batch runner on the wide corpus: Int, huge Int
+    /// (overflow demotions), Float, and mixed Int/Float/Str/Null/
+    /// sentinel key and payload columns, all probe plans.
+    #[test]
+    fn probe_chain_paths_agree_on_wide_corpus(
+        t1 in wide_relation_strategy(),
+        t2 in wide_relation_strategy(),
+    ) {
+        let mut db = AuDatabase::new();
+        db.insert("t1", t1);
+        db.insert("t2", t2);
+        for q in probe_spines() {
+            assert_probe_paths_agree(&db, &q, "wide corpus");
+        }
+    }
+}
+
+fn cells(vals: &[Value]) -> RangeTuple {
+    RangeTuple::new(vals.iter().cloned().map(RangeValue::certain).collect())
+}
+
+/// `Int(1)` joins `Float(1.0)` (database equality), strings and nulls
+/// join themselves, and an uncertain key band reaches all of them.
+#[test]
+fn probe_chain_paths_agree_on_mixed_keys() {
+    use audb::query::table;
+    let keys = [
+        Value::Int(1),
+        Value::float(1.0),
+        Value::Int(2),
+        Value::float(2.5),
+        Value::str("k"),
+        Value::str("a key that is longer than the packed prefix"),
+        Value::Null,
+    ];
+    let rel = |payload: fn(usize) -> Value| {
+        let mut rows: Vec<_> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (cells(&[k.clone(), payload(i)]), AuAnnot::triple(1, 1, 2)))
+            .collect();
+        rows.push(au_row(
+            vec![RangeValue::range(0i64, 1i64, 3i64), RangeValue::certain(payload(0))],
+            0,
+            1,
+            1,
+        ));
+        AuRelation::from_rows(Schema::named(&["k", "v"]), rows)
+    };
+    let mut db = AuDatabase::new();
+    db.insert("t1", rel(|i| Value::Int(i as i64)));
+    db.insert("t2", rel(|i| Value::float(i as f64 * 0.5)));
+    let on = [col(0).eq(col(2)), col(0).eq(col(2)).and(col(1).leq(col(3))), col(0).leq(col(2))];
+    for on in on {
+        let q = table("t1")
+            .join_on(table("t2"), on)
+            .select(col(1).add(col(3)).lt(lit(8i64)))
+            .project(vec![(col(0), "k"), (col(1).mul(col(3)), "p"), (col(2), "rk")]);
+        assert_probe_paths_agree(&db, &q, "mixed keys");
+        let got = eval_au(&db, &q, &cfg_pipeline(1, 1)).unwrap();
+        assert!(!got.is_empty(), "q = {q}");
+    }
+}
+
+/// Error order. Source row 2 passes the pre-probe selection and has a
+/// pair whose post-probe stage fails; source row 5 fails the pre-probe
+/// selection itself. Row-at-a-time streaming meets row 2's pair first —
+/// and so must the lanes, which run the selection over the whole chunk
+/// before the first pair is enumerated.
+#[test]
+fn probe_chain_reports_the_streaming_order_error() {
+    use audb::query::table;
+    let left: Vec<_> = (0..8i64)
+        .map(|i| {
+            let payload = if i == 5 { Value::str("late") } else { Value::Int(i) };
+            (cells(&[Value::Int(i), payload]), AuAnnot::triple(1, 1, 1))
+        })
+        .collect();
+    let right: Vec<_> = (0..8i64)
+        .map(|i| {
+            let payload = if i == 2 { Value::str("pair") } else { Value::Int(10 * i) };
+            (cells(&[Value::Int(i), payload]), AuAnnot::triple(1, 1, 1))
+        })
+        .collect();
+    let mut db = AuDatabase::new();
+    db.insert("t1", AuRelation::from_rows(Schema::named(&["k", "v"]), left));
+    db.insert("t2", AuRelation::from_rows(Schema::named(&["k", "v"]), right));
+    let q = table("t1")
+        .select(col(1).add(lit(1i64)).geq(lit(0i64)))
+        .join_on(table("t2"), col(0).eq(col(2)))
+        .select(col(1).add(col(3)).geq(lit(0i64)));
+    assert_probe_paths_agree(&db, &q, "error order");
+    match eval_au(&db, &q, &cfg_pipeline(1, 1)).unwrap_err() {
+        EvalError::BinOpTypeError { right, .. } => assert!(right.contains("pair"), "{right}"),
+        other => panic!("expected the pair's type error, got {other:?}"),
+    }
+}
+
+/// Batch and chunk seams: a source of 1 030 rows crosses the 1 024-row
+/// chunk boundary, and its row with key 7 meets 2 100 right rows — more
+/// than one pair batch, so that one source row spans flushes; the cross
+/// product of a few rows with the same right side flushes mid-row on
+/// the nested-loop plan.
+#[test]
+fn probe_chain_paths_agree_across_batch_and_chunk_seams() {
+    use audb::query::table;
+    let left: Vec<_> = (0..1030i64)
+        .map(|i| {
+            let key = if i % 97 == 0 {
+                RangeValue::range(i - 1, i, i + 1)
+            } else {
+                RangeValue::certain(Value::Int(i))
+            };
+            au_row(vec![key, RangeValue::certain(Value::Int(i % 13))], 1, 1, 1 + (i as u64 % 2))
+        })
+        .collect();
+    let mut db = AuDatabase::new();
+    db.insert("t1", AuRelation::from_rows(Schema::named(&["k", "v"]), left));
+    db.insert("t2", all_same_key(2100));
+    db.insert("few", all_same_key(3));
+    let tail = |q: Query| {
+        q.select(col(1).add(col(3)).lt(lit(1500i64)))
+            .project(vec![(col(0), "k"), (col(1).add(col(3)), "s")])
+    };
+    let spine = tail(table("t1").join_on(table("t2"), col(0).eq(col(2))));
+    let cross = tail(table("few").cross(table("t2")));
+    for q in [spine, cross] {
+        assert_probe_paths_agree(&db, &q, "seams");
+        assert!(eval_au(&db, &q, &cfg_pipeline(1, 1)).unwrap().len() > 1000, "q = {q}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // adversarial partition shapes
 // ---------------------------------------------------------------------------
 
@@ -898,6 +1099,39 @@ mod fault_matrix {
         let got = with_plan(plan.clone(), || eval_au(&db, &q, &cfg_pipeline(4, 3))).unwrap();
         assert_eq!(got, reference);
         assert_eq!(plan.fired(), 0);
+    }
+
+    /// A probe whose one source row meets more matches than a pair batch
+    /// holds: the budget trips at a flush in the middle of that row
+    /// (`"join-probe"`), and a cancellation injected at the chain's
+    /// shard checkpoint stops it before the first batch — on the lanes
+    /// and on the streaming path alike.
+    #[test]
+    fn pair_batches_observe_budget_and_cancellation() {
+        use audb::query::table;
+        let mut db = AuDatabase::new();
+        db.insert("t1", all_same_key(2));
+        db.insert("t2", all_same_key(5000));
+        let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
+        for (name, cfg) in fused_cfgs(1, 1) {
+            let budgeted = cfg.with_budget(BudgetSpec::rows(3000));
+            match eval_au(&db, &q, &budgeted).unwrap_err() {
+                EvalError::Exec(ExecError::BudgetExceeded { operator, attempted, .. }) => {
+                    assert_eq!(operator, "join-probe", "{name}");
+                    // the lanes charge per flush: the overshoot is
+                    // bounded by one pair batch, not by a source row
+                    if name == "lanes" {
+                        assert!(attempted <= 3000 + 2048, "{name}: attempted {attempted}");
+                    }
+                }
+                other => panic!("{name}: expected BudgetExceeded, got {other:?}"),
+            }
+            let cancellable = cfg.with_timeout(Duration::from_secs(3600));
+            let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Cancel)]);
+            let err = with_plan(plan.clone(), || eval_au(&db, &q, &cancellable)).unwrap_err();
+            assert_eq!(err, EvalError::Exec(ExecError::Cancelled), "{name}");
+            assert!(plan.fired() >= 1, "{name}");
+        }
     }
 
     proptest! {

@@ -328,6 +328,68 @@ fn explain_reports_multi_join_and_fusion() {
     }
 }
 
+/// A probe chain on the lanes says what it did: the candidate pairs it
+/// enumerated, the batches it ran them in, the lane stages that fell
+/// back to boxed evaluation — and its build, its pair batches and the
+/// (one-worker) breaker normalization land in duration sites.
+#[test]
+fn probe_chain_span_reports_pairs_batches_and_demotions() {
+    let db = corpus_db();
+    let cfg = AuConfig { workers: Some(1), ..AuConfig::default() };
+    // t1 has 120 rows over 10 certain keys, t2 holds 9 rows per key
+    let spine = table("t1")
+        .select(col(1).geq(lit(0i64)))
+        .join_on(table("t2"), col(0).eq(col(2)))
+        .select(col(1).add(col(3)).lt(lit(150i64)))
+        .project(vec![(col(0), "k"), (col(1).add(col(3)), "s")]);
+    let (rel, trace) = eval_au_traced(&db, &spine, &cfg).unwrap();
+    assert_eq!(rel, eval_au(&db, &spine, &cfg).unwrap(), "traced != untraced");
+    let fused = trace.root.find("fused-chain").expect("fused chain span");
+    assert_eq!(fused.attr("columnar"), Some("true"));
+    assert_eq!(fused.attr("batched"), Some("true"));
+    assert_eq!(fused.attr("pairs"), Some("1080"));
+    assert_eq!(fused.attr("pair_batches"), Some("1"));
+    assert_eq!(fused.attr("stages_boxed"), Some("0"));
+    assert_eq!(trace.metrics.counter("chain_stages_boxed"), Some(0));
+    let site = |name: &str| {
+        let s = trace.metrics.sites.iter().find(|s| s.site == name);
+        s.unwrap_or_else(|| panic!("site {name}")).entries
+    };
+    assert_eq!(site("chain_build"), 1);
+    assert_eq!(site("chain_probe"), 1);
+    assert!(site("reduce_merge_sort") >= 1, "sequential normalization is timed");
+
+    // string keys ride boxed lanes: the re-check stage demotes, visibly
+    let names = |n: usize| {
+        let rows = (0..n).map(|i| {
+            let key = RangeValue::certain(Value::str(format!("k{}", i % 4)));
+            (
+                RangeTuple::new(vec![key, RangeValue::certain(Value::Int(i as i64))]),
+                AuAnnot::certain_one(),
+            )
+        });
+        AuRelation::from_rows(Schema::named(&["k", "v"]), rows.collect())
+    };
+    let mut sdb = AuDatabase::new();
+    sdb.insert("l", names(12));
+    sdb.insert("r", names(8));
+    let q = table("l").join_on(table("r"), col(0).eq(col(2)));
+    let (rel, trace) = eval_au_traced(&sdb, &q, &cfg).unwrap();
+    assert_eq!(rel, eval_au(&sdb, &q, &cfg).unwrap(), "traced != untraced");
+    let fused = trace.root.find("fused-chain").expect("fused chain span");
+    assert_eq!(fused.attr("pairs"), Some("24"));
+    assert_eq!(fused.attr("stages_boxed"), Some("1"));
+    assert_eq!(trace.metrics.counter("chain_stages_boxed"), Some(1));
+
+    // an interpreted chain streams: no lanes, no pair accounting
+    let interp = AuConfig { compiled: false, ..cfg };
+    let (_, trace) = eval_au_traced(&db, &spine, &interp).unwrap();
+    let fused = trace.root.find("fused-chain").expect("fused chain span");
+    assert_eq!(fused.attr("columnar"), Some("false"));
+    assert_eq!(fused.attr("batched"), Some("false"));
+    assert_eq!(fused.attr("pairs"), None);
+}
+
 /// A fusable shape consumed under a Faithful delivery contract falls
 /// back operator-at-a-time and records the blocking reason.
 #[test]
