@@ -69,7 +69,7 @@ fn bench(c: &mut Criterion) {
     let cfg = MicroConfig::new(1000, 3).uncertainty(0.03).range_frac(0.02).seed(41);
     let (audb, _) = micro_join_db(&cfg);
     let q = table("t1").join_on(table("t2"), col(0).eq(col(3)));
-    let traced_cfg = AuConfig { pipeline: false, workers: Some(1), ..AuConfig::default() };
+    let traced_cfg = AuConfig { oracle: true, workers: Some(1), ..AuConfig::default() };
     let (_, trace) = eval_au_traced(&audb, &q, &traced_cfg).unwrap();
     print_trace_breakdown("planned_1k", &trace);
     println!("engine fingerprint: {}", config_fingerprint(&traced_cfg));

@@ -1,17 +1,11 @@
-//! Sharded pipeline execution vs the operator-at-a-time path: the
-//! acceptance benchmark for the pipeline driver. The fused
-//! select→join→project spine over 10k rows must beat the
-//! operator-at-a-time evaluation by >= 1.5x at **one worker** — the win
-//! is algorithmic (intermediate materializations and per-operator merge
-//! barriers eliminated), not core count. The w4 variants additionally
-//! feed the multi-core CI readback (w4/w1 wall-clock scaling on the
-//! same fused pass).
-//!
-//! The `pipeline_10k_interp_*` variants run the same fused chain with
-//! `AuConfig::compiled = false` (per-row `Expr`-tree interpretation
-//! instead of the compiled register programs): the compiled backend
-//! must be >= 1.2x over interpreted at one worker (criterion_6,
-//! core-count-free like criterion_4).
+//! Sharded lane pipelines vs the operator-at-a-time oracle
+//! (`AuConfig::oracle`): the acceptance benchmark for the pipeline
+//! driver. The fused select→join→project spine over 10k rows must beat
+//! the oracle by >= 1.5x at **one worker** (criterion_4) — the win is
+//! algorithmic (intermediate materializations, per-operator merge
+//! barriers and per-row `Expr`-tree interpretation eliminated), not
+//! core count. The w4 variants additionally feed the multi-core CI
+//! readback (w4/w1 wall-clock scaling on the same fused pass).
 //!
 //! The `pipeline_10k_guarded_w1` variant runs the same fused chain with
 //! the full governance apparatus armed but never tripping — a far-away
@@ -36,15 +30,12 @@
 //! stage per query — never per row — so the ratio must stay <= 1.03
 //! (criterion_9, intra-run like criterion_7/8).
 //!
-//! The `pipeline_10k_columnar_w1` / `pipeline_10k_rowmajor_w1` pair
-//! runs an arithmetic-heavy **batchable** chain (select/project only —
-//! probe stages break batchability, so the join spine above never
-//! routes columnar) over the same homogeneous-Int 10k table, differing
-//! only in `AuConfig::columnar`. Columnar must be >= 1.3x over the
-//! row-major batch path at one worker (criterion_11, intra-run and
-//! core-count-free): the win is op-at-a-time vector kernels over
-//! contiguous typed lanes instead of per-row register slots of boxed
-//! `RangeValue`s. Byte-identity of the two paths is property-tested in
+//! The `pipeline_10k_columnar_w1` / `operator_10k_batchable_w1` pair
+//! runs an arithmetic-heavy probe-free chain (select/project only) over
+//! the same homogeneous-Int 10k table on the lanes and on the oracle:
+//! op-at-a-time vector kernels over contiguous typed lanes against
+//! per-row interpretation of boxed `RangeValue`s (informational,
+//! intra-run). Byte-identity of the two is property-tested in
 //! tests/columnar_props.rs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -72,8 +63,7 @@ fn spine() -> Query {
 
 fn batchable_chain() -> Query {
     // select → project → select → project with no probe stage: the
-    // whole chain compiles and fuses, so the columnar driver runs
-    // vector kernels over the t1 lanes end to end. Arithmetic-heavy on
+    // whole chain runs vector kernels over the borrowed t1 lanes. Arithmetic-heavy on
     // purpose — every op is a typed i64 kernel (checked adds/muls that
     // never overflow on this domain, comparison kernels for the
     // selections).
@@ -105,13 +95,9 @@ fn bench(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_millis(1500));
 
     for w in [1usize, 4] {
-        let operator = AuConfig { pipeline: false, workers: Some(w), ..AuConfig::default() };
+        let operator = AuConfig { oracle: true, workers: Some(w), ..AuConfig::default() };
         g.bench_function(format!("operator_10k_w{w}"), |b| {
             b.iter(|| black_box(eval_au(&audb, &q, &operator).unwrap()))
-        });
-        let interp = AuConfig { compiled: false, workers: Some(w), ..AuConfig::default() };
-        g.bench_function(format!("pipeline_10k_interp_w{w}"), |b| {
-            b.iter(|| black_box(eval_au(&audb, &q, &interp).unwrap()))
         });
         let pipeline = AuConfig { workers: Some(w), ..AuConfig::default() };
         g.bench_function(format!("pipeline_10k_w{w}"), |b| {
@@ -142,14 +128,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(eval_au_traced(&audb, &q, &traced_cfg).unwrap()))
     });
 
-    // columnar vs row-major batch execution on a fully batchable
-    // arithmetic chain (criterion_11, intra-run ratio): same compiled
-    // programs, same shard driver — only the evaluation substrate
-    // differs (typed lane kernels vs per-row register slots)
+    // lanes vs oracle on a probe-free arithmetic chain (intra-run
+    // ratio): typed lane kernels vs per-row interpretation
     let bq = batchable_chain();
-    let rowmajor = AuConfig { columnar: false, workers: Some(1), ..AuConfig::default() };
-    g.bench_function("pipeline_10k_rowmajor_w1", |b| {
-        b.iter(|| black_box(eval_au(&audb, &bq, &rowmajor).unwrap()))
+    let oracle = AuConfig { oracle: true, workers: Some(1), ..AuConfig::default() };
+    g.bench_function("operator_10k_batchable_w1", |b| {
+        b.iter(|| black_box(eval_au(&audb, &bq, &oracle).unwrap()))
     });
     let columnar = AuConfig { workers: Some(1), ..AuConfig::default() };
     g.bench_function("pipeline_10k_columnar_w1", |b| {

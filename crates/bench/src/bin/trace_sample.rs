@@ -6,8 +6,7 @@
 //! artifact — so every commit ships a machine-readable example of what
 //! the engine's EXPLAIN ANALYZE actually produced at that revision.
 //!
-//! Usage: `trace_sample [pipeline|operator|compressed]` (default:
-//! `pipeline`).
+//! Usage: `trace_sample [lanes|oracle|compressed]` (default: `lanes`).
 
 use audb_core::{col, lit};
 use audb_query::au::AuConfig;
@@ -15,10 +14,10 @@ use audb_query::{eval_au_traced, table};
 use audb_workloads::{micro_join_db, MicroConfig};
 
 fn main() {
-    let flavor = std::env::args().nth(1).unwrap_or_else(|| "pipeline".to_string());
+    let flavor = std::env::args().nth(1).unwrap_or_else(|| "lanes".to_string());
     let cfg = match flavor.as_str() {
-        "pipeline" => AuConfig { workers: Some(2), shards: Some(4), ..AuConfig::default() },
-        "operator" => AuConfig { pipeline: false, workers: Some(2), ..AuConfig::default() },
+        "lanes" => AuConfig { workers: Some(2), shards: Some(4), ..AuConfig::default() },
+        "oracle" => AuConfig { oracle: true, workers: Some(2), ..AuConfig::default() },
         "compressed" => AuConfig {
             join_compress: Some(64),
             agg_compress: Some(25),
@@ -26,7 +25,7 @@ fn main() {
             ..AuConfig::default()
         },
         other => {
-            eprintln!("unknown flavor {other:?}; use pipeline|operator|compressed");
+            eprintln!("unknown flavor {other:?}; use lanes|oracle|compressed");
             std::process::exit(2);
         }
     };

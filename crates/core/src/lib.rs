@@ -48,7 +48,7 @@ pub use obs::{
     Counter, ExecEvent, ExecEventKind, Metrics, MetricsSnapshot, QueryTrace, Site, SiteStats,
     TraceBuilder, TraceSpan, TRACE_SCHEMA_VERSION,
 };
-pub use program::{LaneBatch, Program, RangeBatch};
+pub use program::{LaneBatch, Program};
 pub use range::RangeValue;
 pub use semiring::{
     delta, LSemiring, MonusSemiring, Nat, NaturallyOrdered, PolyNX, Prod, Semiring,

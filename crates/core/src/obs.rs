@@ -33,7 +33,7 @@ use crate::govern::ExecError;
 
 /// Version stamped into every serialized trace; bump when the JSON
 /// shape changes incompatibly.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Counters and timed sites
@@ -62,7 +62,7 @@ pub enum Counter {
     WorkerPanics,
     /// Test-harness faults injected (feature `faults`).
     InjectedFaults,
-    /// Compiled → interpreted degradations taken.
+    /// Lanes → oracle degradation retries taken.
     Degradations,
     /// Sharded-reduce (normalization) invocations.
     NormalizeRuns,
@@ -70,8 +70,8 @@ pub enum Counter {
     NormalizeRowsIn,
     /// Rows surviving normalization (in − out = merges + zero-drops).
     NormalizeRowsOut,
-    /// Compiled programs rejected by the static verifier (Tier B) and
-    /// degraded per-site to the interpreted operator.
+    /// Compiled programs rejected by the static verifier (Tier B); the
+    /// rejected program's chain ran on the oracle instead.
     VerifyRejects,
     /// Queries admitted by the serving layer (granted an execution slot).
     Admitted,
@@ -79,7 +79,7 @@ pub enum Counter {
     Shed,
     /// Serving-layer retry attempts taken after a transient fault.
     Retries,
-    /// Circuit-breaker trips (prepared plan routed to the interpreter).
+    /// Circuit-breaker trips (prepared plan routed to the oracle).
     BreakerTrips,
     /// Events dropped because the event log hit its retention cap.
     EventsDropped,
@@ -251,11 +251,11 @@ pub enum ExecEventKind {
     DeadlineExceeded,
     /// A resource budget was exhausted.
     BudgetExceeded,
-    /// The compiled path failed and evaluation degraded to the
-    /// interpreter for one retry.
+    /// A lane attempt failed and evaluation degraded to the oracle for
+    /// one retry.
     Degraded,
-    /// The static verifier rejected a freshly compiled program and the
-    /// compile site fell back to the interpreted operator.
+    /// The static verifier rejected a freshly compiled program and its
+    /// chain fell back to the oracle.
     VerifierRejected,
     /// The serving layer granted a query an execution slot.
     Admitted,
@@ -506,7 +506,7 @@ pub struct TraceSpan {
     /// Operator-specific description (predicate, table name, …).
     pub detail: String,
     /// Key/value annotations: planner strategy, fuse/fallback reasons,
-    /// compiled-vs-interpreted, shard/worker counts, …
+    /// lanes-vs-oracle, shard/worker counts, …
     pub attrs: Vec<(&'static str, String)>,
     pub rows_in: Option<u64>,
     pub rows_out: Option<u64>,
@@ -1118,7 +1118,7 @@ mod tests {
             total_ns: 12345,
         };
         let json = trace.to_json();
-        assert!(json.starts_with("{\"version\":1,"), "{json}");
+        assert!(json.starts_with("{\"version\":2,"), "{json}");
         assert!(json.contains("\"engine\":{\"workers\":\"4\"}"), "{json}");
         assert!(json.contains("\"op\":\"select\""), "{json}");
         assert!(json.contains("\"compiled\":\"true\""), "{json}");

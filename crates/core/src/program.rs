@@ -9,8 +9,10 @@
 //! those costs dominate per-row work (the U-relations observation: keep
 //! the uncertain-data hot loop flat), so the query engines compile each
 //! select/project/predicate stage once per chain and run the program
-//! per row — or, for select/project-only chains, one op at a time over
-//! a whole shard of rows ([`Program::eval_range_batch`]).
+//! one op at a time over typed column lanes
+//! ([`Program::eval_range_lanes`]); the per-row entry points
+//! ([`Program::eval_range_into`]) are the scalar reference the lane
+//! kernels are tested against.
 //!
 //! Ops address their operands *directly* ([`Src`]): a register for
 //! compound sub-results, a tuple column, or a pooled constant — leaf
@@ -651,206 +653,34 @@ impl Program {
         self.det_output(0, tuple, regs).as_bool()
     }
 
-    // ---- batch range evaluation -----------------------------------------
-
-    /// Evaluate the program over a whole batch of rows (a shard), **one
-    /// op at a time over every row** — register *columns* instead of a
-    /// register file, the flat-columnar execution shape.
-    ///
-    /// Error semantics are row-major, identical to evaluating the rows
-    /// one after another: a row that errors is poisoned (its later ops
-    /// are skipped) and after the sweep the error of the *earliest* row
-    /// is returned. On `Ok`, every output is fully populated
-    /// ([`RangeBatch::output`]).
-    pub fn eval_range_batch(
-        &self,
-        rows: &[&[RangeValue]],
-        batch: &mut RangeBatch,
-    ) -> Result<(), EvalError> {
-        self.eval_range_batch_lenient(rows, batch, None)?;
-        if let Some(e) = batch.errs.iter().flatten().next() {
-            return Err(e.clone());
-        }
-        Ok(())
-    }
-
-    /// [`Program::eval_range_batch`] without the final error check:
-    /// erroring rows are left poisoned in the batch
-    /// ([`RangeBatch::row_error`]) and every clean row's outputs are
-    /// populated. Chain-level batching uses this to carry poison across
-    /// several program runs and report the earliest *source* row's
-    /// error only once the whole chain has been applied.
-    ///
-    /// Range mode only: det programs short-circuit via jumps, which is
-    /// per-row control flow (and skipping is semantically load-bearing —
-    /// the skipped operand may error).
-    ///
-    /// `cancel` is the cooperative cancellation token of the running
-    /// query (if any): it is checked between op sweeps, so a cancelled
-    /// long batch stops within one op's row loop instead of finishing
-    /// the whole program. A cancellation verdict poisons nothing — the
-    /// batch is simply abandoned.
-    pub fn eval_range_batch_lenient(
-        &self,
-        rows: &[&[RangeValue]],
-        batch: &mut RangeBatch,
-        cancel: Option<&crate::govern::CancelToken>,
-    ) -> Result<(), crate::govern::ExecError> {
-        assert_eq!(self.mode, Mode::Range, "batch evaluation requires a range program");
-        let n = rows.len();
-        batch.reset(self.nregs, n);
-        let cols = &mut batch.cols;
-        let errs = &mut batch.errs;
-
-        // Resolve an operand for row `i` against the register columns.
-        macro_rules! src {
-            ($s:expr, $i:expr, $cols:expr) => {
-                match $s {
-                    Src::Reg(r) => &$cols[*r as usize][$i],
-                    Src::Col(c) => &rows[$i][*c as usize],
-                    Src::Const(k) => &self.consts_range[*k as usize],
-                }
-            };
-        }
-        // `dst` is always distinct from the operand registers (the
-        // lowerer never reuses registers), so take the destination
-        // column out, fill it, and put it back — no aliasing.
-        macro_rules! unary {
-            ($a:expr, $dst:expr, |$x:ident| $body:expr) => {{
-                let mut d = std::mem::take(&mut cols[*$dst as usize]);
-                for i in 0..n {
-                    if errs[i].is_some() {
-                        continue;
-                    }
-                    let $x = src!($a, i, cols);
-                    match $body {
-                        Ok(v) => d[i] = v,
-                        Err(e) => errs[i] = Some(e),
-                    }
-                }
-                cols[*$dst as usize] = d;
-            }};
-        }
-        macro_rules! binary {
-            ($a:expr, $b:expr, $dst:expr, |$x:ident, $y:ident| $body:expr) => {{
-                let mut d = std::mem::take(&mut cols[*$dst as usize]);
-                for i in 0..n {
-                    if errs[i].is_some() {
-                        continue;
-                    }
-                    let ($x, $y) = (src!($a, i, cols), src!($b, i, cols));
-                    match $body {
-                        Ok(v) => d[i] = v,
-                        Err(e) => errs[i] = Some(e),
-                    }
-                }
-                cols[*$dst as usize] = d;
-            }};
-        }
-
-        for op in &self.ops {
-            if let Some(token) = cancel {
-                token.check()?;
-            }
-            match op {
-                Op::CheckCol { col } => {
-                    let c = *col as usize;
-                    for i in 0..n {
-                        if errs[i].is_none() && c >= rows[i].len() {
-                            errs[i] = Some(EvalError::UnknownColumn(c));
-                        }
-                    }
-                }
-                Op::RangeAnd { a, b, dst } => binary!(a, b, dst, |x, y| range_and(x, y)),
-                Op::RangeOr { a, b, dst } => binary!(a, b, dst, |x, y| range_or(x, y)),
-                Op::RangeNot { a, dst } => unary!(a, dst, |x| range_not(x)),
-                Op::RangeEq { a, b, dst } => {
-                    binary!(a, b, dst, |x, y| Ok::<_, EvalError>(range_eq(x, y)))
-                }
-                Op::RangeLeq { a, b, dst } => {
-                    binary!(a, b, dst, |x, y| Ok::<_, EvalError>(range_leq(x, y)))
-                }
-                Op::RangeLt { a, b, dst } => {
-                    binary!(a, b, dst, |x, y| Ok::<_, EvalError>(range_lt(x, y)))
-                }
-                Op::RangeAdd { a, b, dst } => binary!(a, b, dst, |x, y| range_add(x, y)),
-                Op::RangeSub { a, b, dst } => binary!(a, b, dst, |x, y| range_sub(x, y)),
-                Op::RangeMul { a, b, dst } => binary!(a, b, dst, |x, y| range_mul(x, y)),
-                Op::RangeDiv { a, b, dst } => binary!(a, b, dst, |x, y| range_div(x, y)),
-                Op::RangeNeg { a, dst } => unary!(a, dst, |x| range_neg(x)),
-                Op::RangeCheckBool3 { src } => {
-                    for i in 0..n {
-                        if errs[i].is_some() {
-                            continue;
-                        }
-                        if let Err(e) = src!(src, i, cols).as_bool3() {
-                            errs[i] = Some(e);
-                        }
-                    }
-                }
-                Op::RangeIfMerge { c, t, e, dst } => {
-                    let mut d = std::mem::take(&mut cols[*dst as usize]);
-                    for i in 0..n {
-                        if errs[i].is_some() {
-                            continue;
-                        }
-                        let null = RangeValue::certain(Value::Null);
-                        let tv = match t {
-                            Src::Reg(r) => {
-                                std::mem::replace(&mut cols[*r as usize][i], null.clone())
-                            }
-                            _ => src!(t, i, cols).clone(),
-                        };
-                        let ev = match e {
-                            Src::Reg(r) => std::mem::replace(&mut cols[*r as usize][i], null),
-                            _ => src!(e, i, cols).clone(),
-                        };
-                        match range_if_merge(src!(c, i, cols), tv, ev) {
-                            Ok(v) => d[i] = v,
-                            Err(e2) => errs[i] = Some(e2),
-                        }
-                    }
-                    cols[*dst as usize] = d;
-                }
-                Op::RangeUncertain { l, s, u, dst } => {
-                    let mut d = std::mem::take(&mut cols[*dst as usize]);
-                    for i in 0..n {
-                        if errs[i].is_some() {
-                            continue;
-                        }
-                        match range_uncertain(src!(l, i, cols), src!(s, i, cols), src!(u, i, cols))
-                        {
-                            Ok(v) => d[i] = v,
-                            Err(e2) => errs[i] = Some(e2),
-                        }
-                    }
-                    cols[*dst as usize] = d;
-                }
-                _ => unreachable!("det op in a range program"),
-            }
-        }
-        Ok(())
-    }
-
     // ---- columnar (lane) range evaluation -------------------------------
 
-    /// [`Program::eval_range_batch_lenient`] over typed value lanes:
-    /// the true column-at-a-time execution shape. Each op first tries
-    /// its typed vector kernel ([`crate::lane`]) — a tight loop over
+    /// Evaluate the program over a whole batch of rows held as typed
+    /// value lanes, **one op at a time over every row** — register
+    /// *lanes* instead of a register file. Each op first tries its
+    /// typed vector kernel ([`crate::lane`]) — a tight loop over
     /// contiguous `i64`/`f64`/`bool` component arrays with no per-cell
     /// enum dispatch — and **demotes** to the shared `range_*`
     /// combinators (into a boxed lane) whenever operand shapes or a
     /// produced value leave the homogeneous type lattice. Kernels are
-    /// exact refinements of the combinators, so results, error
-    /// classification, and error *positions* are identical to the
-    /// row-major batch path by construction.
+    /// exact refinements of the combinators, so every row's result —
+    /// value or error — is what [`Program::eval_range_into`] returns
+    /// for that row alone.
     ///
-    /// `cols` are the input attribute lanes (each of length `nrows`);
-    /// poisoned rows keep their error in the batch and are skipped by
-    /// later generic sweeps (typed kernels may compute them — typed
-    /// lanes always hold genuine domain values, so the extra work is
-    /// harmless). Outputs are read back via [`LaneBatch::output_lane`]
-    /// / [`LaneBatch::take_output`].
+    /// Range mode only: det programs short-circuit via jumps, which is
+    /// per-row control flow. `cols` are the input attribute lanes (each
+    /// of length `nrows`). A row that errors is *poisoned*: its error
+    /// stays in the batch ([`LaneBatch::row_error`]) and later generic
+    /// sweeps skip it (typed kernels may compute it — typed lanes
+    /// always hold genuine domain values, so the extra work is
+    /// harmless); callers carry poison across several program runs and
+    /// report the earliest row's error. Outputs are read back via
+    /// [`LaneBatch::output_lane`] / [`LaneBatch::take_output`] and are
+    /// valid at non-poisoned rows.
+    ///
+    /// `cancel` is checked between op sweeps, so a cancelled long batch
+    /// stops within one op's row loop; a cancellation verdict poisons
+    /// nothing — the batch is simply abandoned.
     pub fn eval_range_lanes(
         &self,
         cols: &[LaneSlice<'_>],
@@ -934,8 +764,8 @@ impl Program {
             }
             match op {
                 Op::CheckCol { col } => {
-                    // Columnar rows share one arity, so the row batch's
-                    // per-row bounds probe collapses to a single test.
+                    // Lane rows share one arity, so the per-row bounds
+                    // probe collapses to a single test.
                     let c = *col as usize;
                     if c >= cols.len() {
                         for e in errs.iter_mut() {
@@ -1142,51 +972,6 @@ impl LaneBatch {
     }
 
     /// The poison slot of row `i` after a lane evaluation.
-    pub fn row_error(&self, i: usize) -> Option<&EvalError> {
-        self.errs[i].as_ref()
-    }
-}
-
-/// Reusable scratch for [`Program::eval_range_batch`]: one register
-/// *column* per register plus the per-row poison slots.
-#[derive(Default)]
-pub struct RangeBatch {
-    cols: Vec<Vec<RangeValue>>,
-    errs: Vec<Option<EvalError>>,
-}
-
-impl RangeBatch {
-    fn reset(&mut self, nregs: usize, nrows: usize) {
-        let null = RangeValue::certain(Value::Null);
-        if self.cols.len() < nregs {
-            self.cols.resize_with(nregs, Vec::new);
-        }
-        for c in &mut self.cols[..nregs] {
-            c.resize(nrows, null.clone());
-        }
-        self.errs.clear();
-        self.errs.resize(nrows, None);
-    }
-
-    /// The `out`-th output of batch row `i` (its own tuple is needed
-    /// because outputs may address input columns in place); valid after
-    /// an `Ok` batch evaluation (or, after a lenient one, at
-    /// non-poisoned rows).
-    pub fn output<'r>(
-        &'r self,
-        prog: &'r Program,
-        out: usize,
-        i: usize,
-        row: &'r [RangeValue],
-    ) -> &'r RangeValue {
-        match prog.outputs[out] {
-            Src::Reg(r) => &self.cols[r as usize][i],
-            Src::Col(c) => &row[c as usize],
-            Src::Const(k) => &prog.consts_range[k as usize],
-        }
-    }
-
-    /// The poison slot of row `i` after a lenient batch evaluation.
     pub fn row_error(&self, i: usize) -> Option<&EvalError> {
         self.errs[i].as_ref()
     }
@@ -1651,39 +1436,59 @@ mod tests {
         }
     }
 
-    /// The batch entry point equals row-at-a-time evaluation, including
-    /// row-major error selection (earliest erroring row wins even when a
-    /// later row errors at an earlier op).
-    #[test]
-    fn batch_matches_rows_and_error_order() {
-        let e = col(0).add(col(1)).div(col(1));
-        let p = Program::compile_range(&e);
-        let rows: Vec<Vec<RangeValue>> =
-            vec![vec![rv(1, 2, 3), rv(1, 1, 2)], vec![rv(0, 1, 2), rv(2, 2, 4)]];
-        let refs: Vec<&[RangeValue]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut batch = RangeBatch::default();
-        p.eval_range_batch(&refs, &mut batch).unwrap();
+    /// Evaluate `p` over `rows` on the lanes and assert every row's
+    /// outcome — output value or error, at that row's position — equals
+    /// the scalar program's and the interpreter's for that row alone.
+    fn assert_lanes_match_rows(e: &Expr, rows: &[Vec<RangeValue>], lb: &mut LaneBatch) {
+        let p = Program::compile_range(e);
+        let lanes: Vec<ValueLane> =
+            (0..rows[0].len()).map(|c| ValueLane::from_cells(rows.iter().map(|r| &r[c]))).collect();
+        let slices: Vec<LaneSlice<'_>> = lanes.iter().map(|l| l.as_slice()).collect();
+        p.eval_range_lanes(&slices, rows.len(), lb, None).unwrap();
+        let mut regs = Vec::new();
+        p.prepare_range_regs(&mut regs);
         for (i, r) in rows.iter().enumerate() {
-            assert_eq!(*batch.output(&p, 0, i, r), e.eval_range(r).unwrap());
+            let scalar = p.eval_range_into(r, &mut regs).map(|()| p.range_output(0, r, &regs));
+            let lane = match lb.row_error(i) {
+                Some(err) => Err(err.clone()),
+                None => Ok(lb.output_lane(&p, 0, &slices).get(i)),
+            };
+            assert_eq!(lane, scalar.cloned(), "lanes vs scalar: {e} on row {i} of {rows:?}");
+            assert_eq!(lane, e.eval_range(r), "lanes vs interpreter: {e} on row {i} of {rows:?}");
         }
-
-        // row 0 errors at the Div (late op), row 1 at the column probe
-        // (early op): row-major semantics report row 0's error.
-        let p2 = Program::compile_range(&col(1).div(col(0)));
-        let rows: Vec<Vec<RangeValue>> = vec![
-            vec![rv(-1, 0, 1), rv(1, 1, 1)], // div spans zero
-            vec![rv(2, 2, 2)],               // missing column 1
-        ];
-        let refs: Vec<&[RangeValue]> = rows.iter().map(|r| r.as_slice()).collect();
-        let err = p2.eval_range_batch(&refs, &mut batch).unwrap_err();
-        assert_eq!(err, EvalError::RangeDivisionSpansZero);
     }
 
-    /// The lane (columnar) entry point equals the row batch cell for
-    /// cell — outputs, error classification, and error positions — on
-    /// homogeneous Int, homogeneous Float, and mixed/boxed corpora,
-    /// including rows that poison (spans-zero division, type errors)
-    /// and rows that force kernel demotion (i64 overflow).
+    /// A lane batch equals row-at-a-time evaluation position for
+    /// position: a row that errors at a late op and a later row that
+    /// errors at an earlier op each keep their own error, so a caller
+    /// reporting the earliest poisoned row reports what streaming the
+    /// rows one by one would have met first.
+    #[test]
+    fn batch_matches_rows_and_error_order() {
+        let mut lb = LaneBatch::default();
+        let clean = vec![vec![rv(1, 2, 3), rv(1, 1, 2)], vec![rv(0, 1, 2), rv(2, 2, 4)]];
+        assert_lanes_match_rows(&col(0).add(col(1)).div(col(1)), &clean, &mut lb);
+        assert!((0..2).all(|i| lb.row_error(i).is_none()));
+
+        // row 0 errors at the Div (last op), row 1 at the Add (first op)
+        let e = col(1).add(lit(1i64)).div(col(0));
+        let rows = vec![
+            vec![rv(-1, 0, 1), rv(1, 1, 1)], // divisor spans zero
+            vec![rv(2, 2, 2), RangeValue::certain(Value::str("x"))], // type error
+            vec![rv(2, 2, 2), rv(3, 3, 3)],
+        ];
+        assert_lanes_match_rows(&e, &rows, &mut lb);
+        assert_eq!(lb.row_error(0), Some(&EvalError::RangeDivisionSpansZero));
+        assert!(matches!(lb.row_error(1), Some(EvalError::BinOpTypeError { .. })));
+        assert_eq!(lb.row_error(2), None);
+    }
+
+    /// The lane entry point equals a batch of rows evaluated one by one,
+    /// cell for cell — outputs, error classification, and error
+    /// positions — on homogeneous Int, homogeneous Float, and
+    /// mixed/boxed corpora, including rows that poison (spans-zero
+    /// division, type errors) and rows that force kernel demotion (i64
+    /// overflow).
     #[test]
     fn lanes_match_row_batch() {
         let corpora: Vec<Vec<Vec<RangeValue>>> = vec![
@@ -1724,34 +1529,10 @@ mod tests {
         let mut exprs_all = exprs();
         exprs_all.push(col(7).add(lit(1i64))); // unknown column, uniform arity
         exprs_all.push(col(0).and(lit(true))); // non-boolean And operand
-        let mut rb = RangeBatch::default();
         let mut lb = LaneBatch::default();
         for rows in &corpora {
-            let n = rows.len();
-            let arity = rows[0].len();
-            let lanes: Vec<ValueLane> =
-                (0..arity).map(|c| ValueLane::from_cells(rows.iter().map(|r| &r[c]))).collect();
-            let slices: Vec<LaneSlice<'_>> = lanes.iter().map(|l| l.as_slice()).collect();
-            let refs: Vec<&[RangeValue]> = rows.iter().map(|r| r.as_slice()).collect();
             for e in &exprs_all {
-                let p = Program::compile_range(e);
-                p.eval_range_batch_lenient(&refs, &mut rb, None).unwrap();
-                p.eval_range_lanes(&slices, n, &mut lb, None).unwrap();
-                for i in 0..n {
-                    assert_eq!(
-                        rb.row_error(i),
-                        lb.row_error(i),
-                        "error mismatch for {e} on row {i} of {rows:?}"
-                    );
-                    if rb.row_error(i).is_none() {
-                        let lane_out = lb.output_lane(&p, 0, &slices);
-                        assert_eq!(
-                            *rb.output(&p, 0, i, &rows[i]),
-                            lane_out.get(i),
-                            "output mismatch for {e} on row {i} of {rows:?}"
-                        );
-                    }
-                }
+                assert_lanes_match_rows(e, rows, &mut lb);
             }
         }
     }

@@ -50,15 +50,16 @@ pub struct AuConfig {
     /// exact sequential behavior. Any value produces identical results
     /// (`tests/exec_equivalence.rs`).
     pub workers: Option<usize>,
-    /// Shard-at-a-time pipeline execution (on by default): fuse maximal
-    /// chains of row-local operators and run each chain shard-by-shard
-    /// with a single normalization at the pipeline breaker
-    /// ([`pipeline`]). `false` forces the operator-at-a-time path
-    /// (one materialization + merge barrier per operator). Results are
-    /// byte-identical either way. Compressed configurations
-    /// (`join_compress`/`agg_compress` set) always use the
-    /// operator-at-a-time path.
-    pub pipeline: bool,
+    /// Run every operator on the differential oracle: the
+    /// operator-at-a-time `Expr`-tree interpreter (one materialization
+    /// and merge barrier per operator), instead of fusing maximal chains
+    /// of row-local operators into compiled lane pipelines
+    /// ([`pipeline`]). Off by default; results are byte-identical
+    /// either way (`tests/exec_equivalence.rs`). Compressed
+    /// configurations (`join_compress`/`agg_compress` set) always run
+    /// operator-at-a-time, and the degradation retry and the serving
+    /// breaker switch this on to route around a faulting lane path.
+    pub oracle: bool,
     /// Number of contiguous shards a fused chain slices its base input
     /// into: `None` sizes automatically from the worker count and input
     /// size, `Some(s)` forces exactly `s` (the determinism tests force
@@ -73,34 +74,14 @@ pub struct AuConfig {
     /// items (aggregation's groups, difference's left tuples) only ever
     /// *lower* the floor further. Any value produces identical results.
     pub min_rows_per_worker: Option<usize>,
-    /// Compile fused-chain expressions to flat register programs
-    /// ([`audb_core::Program`], on by default): every select / project /
-    /// probe-predicate stage of a fused chain is lowered once per chain
-    /// and evaluated with no recursion and no per-row allocation;
-    /// select/project-only chains additionally run one op over a whole
-    /// shard of rows at a time. `false` keeps the `Expr`-tree
-    /// interpreter (`eval_range`), the differential-testing oracle.
-    /// Results are byte-identical either way
-    /// (`tests/compiled_exprs_props.rs`).
-    pub compiled: bool,
-    /// Vectorized columnar execution of compiled probe-less chains (on
-    /// by default): batched select/project stages evaluate as typed
-    /// vector kernels over the source relation's column lanes
-    /// ([`audb_storage::ColumnSet`], [`audb_core::Program::eval_range_lanes`])
-    /// instead of row-major batch sweeps. Kernels are exact refinements
-    /// of the scalar range combinators — any row a kernel cannot
-    /// reproduce bit-identically (overflow out of the Int lattice, NaN)
-    /// demotes its whole op to the generic per-row path — so results
-    /// are byte-identical either way (`tests/columnar_props.rs`).
-    /// `false` keeps the row-major batch path, the differential oracle.
-    pub columnar: bool,
     /// Tier B static verification of compiled chain programs
     /// ([`audb_core::verify`], on by default): after lowering, every
     /// chain stage is abstractly interpreted over the type × interval
-    /// lattice, and a rejected program degrades that stage to the
-    /// interpreted `Expr`-tree oracle instead of executing — observable
-    /// as a `verify_rejects` counter tick, a `verifier_rejected` event,
-    /// and a `verify` trace span. Tier A (the structural dataflow
+    /// lattice, and a rejected program degrades its chain to the
+    /// operator-at-a-time oracle instead of executing — observable as a
+    /// `verify_rejects` counter tick, a `verifier_rejected` event, a
+    /// `verify` trace span and `fallback = "verifier-rejected"` on the
+    /// chain's span. Tier A (the structural dataflow
     /// verifier) is not optional: it runs inside `Program` construction
     /// regardless of this knob. `false` skips the Tier B pass (the
     /// compile-overhead bench baseline).
@@ -127,11 +108,9 @@ impl Default for AuConfig {
             agg_compress: None,
             adaptive: false,
             workers: None,
-            pipeline: true,
+            oracle: false,
             shards: None,
             min_rows_per_worker: None,
-            compiled: true,
-            columnar: true,
             verify: true,
             timeout: None,
             budget: None,
@@ -165,12 +144,12 @@ impl AuConfig {
         self
     }
 
-    /// Toggle columnar (vectorized) evaluation of batched chains;
-    /// `false` is the row-major differential oracle.
-    #[must_use = "builder methods return the modified config; dropping it leaves the original unchanged"]
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
-        self
+    /// Does this configuration run fused chains on the lanes? `false`
+    /// means every operator runs on the operator-at-a-time oracle:
+    /// asked for ([`AuConfig::oracle`]), or implied by a compression
+    /// knob.
+    pub fn fuses_chains(&self) -> bool {
+        !self.oracle && self.join_compress.is_none() && self.agg_compress.is_none()
     }
 
     /// Set a wall-clock deadline for the query.
@@ -190,20 +169,21 @@ impl AuConfig {
 
 /// Evaluate a query over an AU-database.
 ///
-/// With `cfg.pipeline` (the default) maximal chains of row-local
-/// operators run shard-at-a-time through [`pipeline`], paying one
-/// normalization per pipeline breaker instead of one per operator;
-/// otherwise every operator runs operator-at-a-time. The result is
-/// byte-identical either way, for any worker and shard count.
+/// By default maximal chains of row-local operators run shard-at-a-time
+/// through [`pipeline`], paying one normalization per pipeline breaker
+/// instead of one per operator; with [`AuConfig::oracle`] (or a
+/// compression knob) every operator runs operator-at-a-time. The result
+/// is byte-identical either way, for any worker and shard count.
 ///
 /// Governance: [`AuConfig::timeout`] arms a [`CancelToken`] with a
 /// wall-clock deadline and [`AuConfig::budget`] attaches a fresh
 /// per-query [`Budget`]; faults surface as
-/// [`EvalError::Exec`]. When the compiled-chain path fails with a
+/// [`EvalError::Exec`]. When an attempt that fuses chains fails with a
 /// *non-resource* fault (a worker panic or injected error — not
 /// cancellation, deadline, or budget exhaustion), evaluation degrades
-/// gracefully: it retries once on the interpreted `Expr`-tree oracle
-/// (`compiled: false`) with a fresh budget before giving up.
+/// gracefully: it retries once on the oracle (`oracle: true`) with a
+/// fresh budget before giving up. An attempt that already ran on the
+/// oracle has nothing to degrade to, and its fault surfaces.
 pub fn eval_au(db: &AuDatabase, q: &Query, cfg: &AuConfig) -> Result<AuRelation, EvalError> {
     let token = cfg.timeout.map(CancelToken::with_deadline_in);
     eval_au_governed(db, q, cfg, token.as_ref(), &Metrics::disabled(), &TraceBuilder::disabled())
@@ -226,9 +206,9 @@ pub fn eval_au_cancellable(
 /// an externally owned [`CancelToken`], a shared [`WorkerGate`]
 /// (engine-wide worker-thread budget), and a shared [`Metrics`] sink.
 ///
-/// Unlike [`eval_au`], this never degrades internally: a compiled-path
-/// fault surfaces to the caller, who owns the retry / interpreted-
-/// fallback policy (the serving engine's backoff loop and per-plan
+/// Unlike [`eval_au`], this never degrades internally: a lane-path
+/// fault surfaces to the caller, who owns the retry / oracle-fallback
+/// policy (the serving engine's backoff loop and per-plan
 /// circuit breaker need to *see* each fault to count it). The token is
 /// used as-is; [`AuConfig::timeout`] is ignored — arm deadlines on the
 /// token.
@@ -342,9 +322,7 @@ fn engine_config(cfg: &AuConfig) -> Vec<(&'static str, String)> {
                 .map_or_else(|| Executor::default().workers().to_string(), |w| w.to_string()),
         ),
         ("shards", cfg.shards.map_or_else(|| "auto".to_string(), |s| s.to_string())),
-        ("pipeline", cfg.pipeline.to_string()),
-        ("compiled", cfg.compiled.to_string()),
-        ("columnar", cfg.columnar.to_string()),
+        ("oracle", cfg.oracle.to_string()),
         ("verify", cfg.verify.to_string()),
         ("adaptive", cfg.adaptive.to_string()),
         ("join_compress", opt(cfg.join_compress)),
@@ -364,13 +342,15 @@ fn eval_au_governed(
 ) -> Result<AuRelation, EvalError> {
     let depth = tr.depth();
     match eval_au_attempt(db, q, cfg, cancel, None, metrics, tr) {
-        Err(EvalError::Exec(e)) if cfg.compiled && !e.is_resource_limit() => {
-            // Graceful degradation: one retry on the interpreted oracle.
-            // Resource-limit faults (cancelled / deadline / budget) are
-            // not retried — the second attempt would only burn more of
-            // the exhausted resource. The budget is re-created fresh
-            // inside the attempt; the cancel token is shared, so an
-            // expired deadline still cuts the retry short.
+        Err(EvalError::Exec(e)) if cfg.fuses_chains() && !e.is_resource_limit() => {
+            // Graceful degradation: one retry on the oracle — only when
+            // the failed attempt could run a fused chain, else the retry
+            // would re-run the identical path. Resource-limit faults
+            // (cancelled / deadline / budget) are not retried — the
+            // second attempt would only burn more of the exhausted
+            // resource. The budget is re-created fresh inside the
+            // attempt; the cancel token is shared, so an expired
+            // deadline still cuts the retry short.
             metrics.add(Counter::Degradations, 1);
             metrics.record_event(ExecEvent {
                 kind: ExecEventKind::Degraded,
@@ -379,7 +359,7 @@ fn eval_au_governed(
                 detail: e.to_string(),
             });
             tr.unwind(depth, &e.to_string());
-            let fallback = AuConfig { compiled: false, ..*cfg };
+            let fallback = AuConfig { oracle: true, ..*cfg };
             eval_au_attempt(db, q, &fallback, cancel, None, metrics, tr)
         }
         other => other,
@@ -413,14 +393,10 @@ fn eval_au_attempt(
     if metrics.is_enabled() {
         exec = exec.with_metrics(metrics.clone());
     }
-    let use_pipeline = cfg.pipeline && cfg.join_compress.is_none() && cfg.agg_compress.is_none();
     let h = tr.open("attempt", String::new);
-    tr.attr(h, "mode", || {
-        (if use_pipeline { "pipeline" } else { "operator-at-a-time" }).to_string()
-    });
-    tr.attr(h, "exprs", || (if cfg.compiled { "compiled" } else { "interpreted" }).to_string());
+    tr.attr(h, "mode", || (if cfg.fuses_chains() { "lanes" } else { "oracle" }).to_string());
     tr.attr(h, "workers", || exec.workers().to_string());
-    let rel = if use_pipeline {
+    let rel = if cfg.fuses_chains() {
         pipeline::eval_pipelined(db, q, cfg, &exec, tr)?
     } else {
         eval_inner(db, q, cfg, &exec, tr)?
@@ -461,9 +437,11 @@ pub(crate) fn open_op_span(tr: &TraceBuilder, q: &Query) -> usize {
     }
 }
 
-/// Copy-free evaluation core: base tables are *borrowed* from the
-/// database and only operator outputs are owned, so no whole-table
-/// clone happens anywhere in a plan.
+/// The operator-at-a-time evaluator — the one differential oracle, and
+/// the production path of every compressed configuration. Copy-free:
+/// base tables are *borrowed* from the database and only operator
+/// outputs are owned, so no whole-table clone happens anywhere in a
+/// plan.
 fn eval_inner<'a>(
     db: &'a AuDatabase,
     q: &Query,

@@ -2,20 +2,29 @@
 //! operators per base-table shard, with **one** normalization at the
 //! pipeline breaker instead of one per operator.
 //!
-//! The operator-at-a-time evaluator ([`super::eval_inner`])
-//! materializes a full intermediate relation between every pair of
-//! operators, and most operator tails pay a hash-merge + sort over that
-//! whole intermediate. But `RA+`'s row-local operators — selection,
-//! generalized projection, and the probe side of a planned join against
-//! a shared build-side index — compose into purely tuple-local
-//! functions (the U-relations observation of Antova et al., applied to
-//! AU-annotations: the annotation algebra is row-local, so the
-//! operators are too). This module fuses maximal chains of them and
-//! drives the fused chain shard-by-shard on
-//! [`Executor::run_shards`]: per shard, a chunk of source rows flows
-//! through the entire chain (one lane stage at a time, a probe's matches
-//! as batches of row ids — see [`LanePlan`]) before the next is touched;
-//! no relation between the base table and the breaker is materialized.
+//! The AU engine runs a query one of two ways. The operator-at-a-time
+//! evaluator ([`super::eval_inner`]: interpreted `Expr` trees — the
+//! differential oracle, [`AuConfig::oracle`], and the path of every
+//! compressed configuration) materializes a full intermediate relation
+//! between every pair of operators, and most operator tails pay a
+//! hash-merge + sort over that whole intermediate. But `RA+`'s
+//! row-local operators — selection, generalized projection, and the
+//! probe side of a planned join against a shared build-side index —
+//! compose into purely tuple-local functions (the U-relations
+//! observation of Antova et al., applied to AU-annotations: the
+//! annotation algebra is row-local, so the operators are too). This
+//! module fuses maximal chains of them and drives the fused chain
+//! shard-by-shard on [`Executor::run_shards`]: per shard, a chunk of
+//! source rows flows through the entire chain (one lane stage at a
+//! time, a probe's matches as batches of row ids — see [`LanePlan`])
+//! before the next is touched; no relation between the base table and
+//! the breaker is materialized.
+//!
+//! This is the production path, and the only fused one: every stage of a
+//! chain is a compiled register program ([`Program`]) evaluated as typed
+//! vector kernels over column lanes. A chain one of whose programs the
+//! Tier B verifier rejects ([`crate::vcheck`]) does not run fused at
+//! all — it runs on the oracle (`fallback = "verifier-rejected"`).
 //!
 //! ## Fusion rules
 //!
@@ -27,21 +36,21 @@
 //!   and indexed up front (hash buckets for certain equi-keys, interval
 //!   sweeps for the uncertain bands — the exact structures the
 //!   operator-at-a-time planner uses), and left rows enumerate their
-//!   matches through the probe. Only selections may sit between the source and the probe
-//!   (they do not change tuples, so the sweep candidates precomputed on
-//!   source row ids stay valid); a left subtree that already contains a
-//!   probe or a projection is materialized first and becomes the new
-//!   chain source;
+//!   matches through the probe. Only selections may sit between the
+//!   source and the probe (they do not change tuples, so the sweep
+//!   candidates precomputed on source row ids stay valid); a left
+//!   subtree that already contains a probe or a projection is
+//!   materialized first and becomes the new chain source;
 //! * everything else — aggregation, distinct, union, difference,
 //!   compressed joins — is a **pipeline breaker**: the chain ends, the
 //!   breaker runs operator-at-a-time, and its inputs recurse through
 //!   the pipeline extractor.
 //!
-//! ## Determinism (byte-identical to operator-at-a-time)
+//! ## Determinism (byte-identical to the oracle)
 //!
 //! The final result of [`eval_pipelined`] is byte-identical to the
-//! operator-at-a-time sequential path for any (workers × shards)
-//! combination. Two delivery contracts make this compositional:
+//! sequential oracle's for any (workers × shards) combination. Two
+//! delivery contracts make this compositional:
 //!
 //! * **Canonical** — the consumer only depends on the *multiset* of
 //!   rows (it normalizes, or folds commutatively, before anything
@@ -72,8 +81,8 @@ use std::time::Instant;
 
 use audb_core::obs::{Counter, Site, TraceBuilder};
 use audb_core::{
-    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, Program, RangeBatch,
-    RangeValue, Semiring, Value, ValueLane,
+    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, Program, Semiring,
+    Value, ValueLane,
 };
 use audb_exec::{Executor, ShardSource};
 use audb_storage::{
@@ -128,10 +137,10 @@ pub(crate) enum Delivery {
     Faithful,
 }
 
-/// Evaluate a query with shard-at-a-time pipelining (the
-/// `cfg.pipeline` path of [`super::eval_au`]). The returned relation is
-/// the unnormalized-evaluation analog of [`super::eval_inner`]'s
-/// result: the caller applies the final normalization.
+/// Evaluate a query with shard-at-a-time pipelining (the default path
+/// of [`super::eval_au`]). The returned relation is the
+/// unnormalized-evaluation analog of [`super::eval_inner`]'s result:
+/// the caller applies the final normalization.
 pub(crate) fn eval_pipelined<'a>(
     db: &'a AuDatabase,
     q: &Query,
@@ -185,112 +194,50 @@ fn select_only(q: &Query) -> bool {
 // The fused chain
 // ---------------------------------------------------------------------------
 
-/// A compiled chain stage as the batch runners see it: the program,
-/// the columns it reads (a pair batch gathers only those), and whether
-/// it rewrites tuples (projection) or filters them (selection).
-#[derive(Clone, Copy)]
-struct Stage<'p> {
-    prog: &'p Program,
-    reads: &'p [usize],
+/// A compiled chain stage: the register program, the columns it reads
+/// (a pair batch gathers only those), and whether it rewrites tuples
+/// (projection) or filters them (selection). Compiled once per chain
+/// and shared by every worker and shard.
+struct Stage {
+    prog: Program,
+    reads: Vec<usize>,
     project: bool,
 }
 
-/// A chain predicate: compiled to a flat register program (the
-/// default) or kept as the interpreted `Expr` tree (the oracle,
-/// `AuConfig::compiled = false`). Compilation happens once per chain —
-/// the program is shared by every worker and shard, each with its own
-/// register file in its [`Buf`].
-enum RangePred {
-    Interp(Expr),
-    /// The program and the columns it reads.
-    Compiled(Program, Vec<usize>),
-}
-
-impl RangePred {
-    fn new(e: &Expr, vet: Vet<'_>) -> RangePred {
-        match vet.range(e) {
-            Some(p) => RangePred::Compiled(p, e.columns().into_iter().collect()),
-            None => RangePred::Interp(e.clone()),
-        }
+impl Stage {
+    /// `None` when Tier B rejected the program ([`Vet`]).
+    fn filter(predicate: &Expr, vet: Vet<'_>) -> Option<Stage> {
+        let reads = predicate.columns().into_iter().collect();
+        Some(Stage { prog: vet.range(predicate)?, reads, project: false })
     }
 
-    fn eval_bool3(
-        &self,
-        vals: &[RangeValue],
-        regs: &mut Vec<RangeValue>,
-    ) -> Result<(bool, bool, bool), EvalError> {
-        match self {
-            RangePred::Interp(e) => e.eval_range_bool3(vals),
-            RangePred::Compiled(p, _) => p.eval_range_bool3(vals, regs),
-        }
-    }
-
-    fn compiled(&self) -> Option<Stage<'_>> {
-        match self {
-            RangePred::Compiled(prog, reads) => Some(Stage { prog, reads, project: false }),
-            RangePred::Interp(_) => None,
-        }
-    }
-}
-
-/// A chain projection list, compiled into one multi-output program.
-enum RangeProj {
-    Interp(Vec<Expr>),
-    /// The program and the columns it reads.
-    Compiled(Program, Vec<usize>),
-}
-
-impl RangeProj {
-    fn new(exprs: &[(Expr, String)], vet: Vet<'_>) -> RangeProj {
+    /// The whole projection list as one multi-output program.
+    fn project(exprs: &[(Expr, String)], vet: Vet<'_>) -> Option<Stage> {
         let es: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
-        match vet.range_many(&es) {
-            Some(p) => {
-                let reads: BTreeSet<usize> = es.iter().flat_map(Expr::columns).collect();
-                RangeProj::Compiled(p, reads.into_iter().collect())
-            }
-            None => RangeProj::Interp(es),
-        }
-    }
-
-    /// Evaluate every projection expression over `vals`, appending the
-    /// results to `out` (expressions run in list order; first error
-    /// wins, like per-expression interpretation).
-    fn eval_into(
-        &self,
-        vals: &[RangeValue],
-        regs: &mut Vec<RangeValue>,
-        out: &mut Vec<RangeValue>,
-    ) -> Result<(), EvalError> {
-        match self {
-            RangeProj::Interp(es) => {
-                for e in es {
-                    out.push(e.eval_range(vals)?);
-                }
-                Ok(())
-            }
-            RangeProj::Compiled(p, _) => {
-                p.prepare_range_regs(regs);
-                p.eval_range_into(vals, regs)?;
-                for i in 0..p.arity() {
-                    out.push(p.range_output(i, vals, regs).clone());
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn compiled(&self) -> Option<Stage<'_>> {
-        match self {
-            RangeProj::Compiled(prog, reads) => Some(Stage { prog, reads, project: true }),
-            RangeProj::Interp(_) => None,
-        }
+        let reads: BTreeSet<usize> = es.iter().flat_map(Expr::columns).collect();
+        Some(Stage {
+            prog: vet.range_many(&es)?,
+            reads: reads.into_iter().collect(),
+            project: true,
+        })
     }
 }
 
-enum PipeOp<'a> {
-    Select(RangePred),
-    Project(RangeProj),
-    Probe(Box<ProbeOp<'a>>),
+/// A chain as [`plan_chain`] lays it out: every stage compiled, no
+/// input evaluated yet.
+struct ChainPlan<'q> {
+    /// The sub-query whose result the chain runs over: a base table, or
+    /// what a join materializes as its left side.
+    source: &'q Query,
+    /// Stages over the source rows; all selections when a probe follows.
+    pre: Vec<Stage>,
+    /// The join: its right sub-query and its predicate, with the
+    /// compiled re-check.
+    probe: Option<(&'q Query, Option<(&'q Expr, Stage)>)>,
+    /// Stages over the probe's pairs.
+    post: Vec<Stage>,
+    /// Output column names of the outermost projection, if any.
+    names: Option<Schema>,
 }
 
 enum ProbePlan {
@@ -308,7 +255,8 @@ enum ProbePlan {
 /// indexes, and per-source-row sweep candidates.
 struct ProbeOp<'a> {
     right: Cow<'a, AuRelation>,
-    predicate: Option<RangePred>,
+    /// The join's re-check predicate: the first post-probe stage.
+    predicate: Option<Stage>,
     plan: ProbePlan,
     /// Per *source* row id, as a flat CSR ([`planner::csr_by_left`]):
     /// right-row candidates from the interval sweeps (uncertain-key
@@ -323,42 +271,27 @@ impl<'a> ProbeOp<'a> {
     /// operator-at-a-time planner's strategy choice and index shapes.
     /// Candidates are computed over *all* source rows — selections
     /// between the source and the probe only drop rows, never change
-    /// them, so candidates of dropped rows are simply never probed. The
-    /// re-check predicate compiles once here, like the chain stages.
+    /// them, so candidates of dropped rows are simply never probed.
     ///
-    /// With `columnar`, key certainty and the full-relation interval
-    /// indexes are read straight off the relations' column lanes
-    /// ([`IntervalIndex::from_lane`]) — identical contents, no
-    /// row-tuple walk; `false` keeps the row-major oracle everywhere.
+    /// Key certainty and the full-relation interval indexes are read
+    /// straight off the relations' column lanes
+    /// ([`IntervalIndex::from_lane`]) — no row-tuple walk.
     fn build(
         source: &AuRelation,
         right: Cow<'a, AuRelation>,
-        predicate: Option<&Expr>,
-        vet: Vet<'_>,
-        columnar: bool,
+        predicate: Option<(&Expr, Stage)>,
     ) -> ProbeOp<'a> {
-        let full_index = |rel: &AuRelation, c: usize| {
-            if columnar {
-                IntervalIndex::from_lane(rel.columns().lane(c).as_slice())
-            } else {
-                IntervalIndex::from_au(rel.rows(), c)
-            }
-        };
-        let partition = |rel: &AuRelation, cols: &[usize]| {
-            if columnar {
-                planner::partition_lanes_by_key_certainty(&rel.columns(), cols)
-            } else {
-                planner::partition_by_key_certainty(rel.rows(), cols)
-            }
-        };
+        let full_index =
+            |rel: &AuRelation, c: usize| IntervalIndex::from_lane(rel.columns().lane(c).as_slice());
         // sweep pairs in emission order; the CSR keeps each row's order
         let mut cand: Vec<(u32, u32)> = Vec::new();
-        let plan = match planner::classify(predicate, source.schema.arity()) {
+        let on = predicate.as_ref().map(|(e, _)| *e);
+        let plan = match planner::classify(on, source.schema.arity()) {
             planner::JoinStrategy::HashEqui(pairs) => {
                 let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
                 let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-                let (lc, lu) = partition(source, &lcols);
-                let (rc, ru) = partition(right.as_ref(), &rcols);
+                let (lc, lu) = planner::partition_lanes_by_key_certainty(&source.columns(), &lcols);
+                let (rc, ru) = planner::partition_lanes_by_key_certainty(&right.columns(), &rcols);
                 // no certain probe can ever hit the bucket index when
                 // either certain side is empty — mirror the planner's
                 // guard and skip the build
@@ -392,271 +325,13 @@ impl<'a> ProbeOp<'a> {
             planner::JoinStrategy::NestedLoop => ProbePlan::NestedLoop,
         };
         let (cand_offsets, cand_ids) = planner::csr_by_left(source.len(), &cand);
-        let predicate = predicate.map(|p| RangePred::new(p, vet));
-        ProbeOp { right, predicate, plan, cand_offsets, cand_ids }
+        ProbeOp { right, predicate: predicate.map(|(_, st)| st), plan, cand_offsets, cand_ids }
     }
 
     /// Sweep candidates of source row `src`.
     fn cand(&self, src: usize) -> &[u32] {
         &self.cand_ids[self.cand_offsets[src]..self.cand_offsets[src + 1]]
     }
-
-    /// Stream one in-flight left row through the probe, emitting each
-    /// joined row into the rest of the chain — the row-at-a-time oracle
-    /// of [`PairSink`]'s enumeration (same matches, same order).
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
-        &self,
-        rest: &[PipeOp<'_>],
-        rest_bufs: &mut [Buf],
-        buf: &mut Buf,
-        src: usize,
-        vals: &[RangeValue],
-        k: AuAnnot,
-        out: &mut Vec<(RangeTuple, AuAnnot)>,
-    ) -> Result<(), EvalError> {
-        let Buf { vals: concat, key, regs } = buf;
-        let mut emit = |ri: u32| self.emit(rest, rest_bufs, concat, regs, vals, k, ri, out);
-        match &self.plan {
-            ProbePlan::HashEqui { lcols, index } => {
-                if lcols.iter().all(|c| vals[*c].is_certain()) {
-                    key.clear();
-                    key.extend(lcols.iter().map(|c| vals[*c].sg.join_key()));
-                    index.get(key).iter().try_for_each(|&ri| emit(ri))?;
-                }
-                self.cand(src).iter().try_for_each(|&ri| emit(ri))
-            }
-            ProbePlan::Comparison => self.cand(src).iter().try_for_each(|&ri| emit(ri)),
-            ProbePlan::NestedLoop => (0..self.right.len() as u32).try_for_each(emit),
-        }
-    }
-
-    /// Pair emission: precise predicate check per candidate (cross
-    /// product when there is no predicate). An equi-plan pair whose key
-    /// attributes are structurally equal and certain needs no fast
-    /// path: its predicate triple is (T, T, T), which multiplies as one.
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &self,
-        rest: &[PipeOp<'_>],
-        rest_bufs: &mut [Buf],
-        concat: &mut Vec<RangeValue>,
-        regs: &mut Vec<RangeValue>,
-        vals: &[RangeValue],
-        k: AuAnnot,
-        ri: u32,
-        out: &mut Vec<(RangeTuple, AuAnnot)>,
-    ) -> Result<(), EvalError> {
-        let (tr, kr) = &self.right.rows()[ri as usize];
-        concat.clear();
-        concat.extend_from_slice(vals);
-        concat.extend_from_slice(&tr.0);
-        let mut k2 = k.times(kr);
-        if let Some(p) = &self.predicate {
-            let (plb, psg, pub_) = p.eval_bool3(concat, regs)?;
-            if !pub_ {
-                return Ok(());
-            }
-            k2 = k2.times(&AuAnnot::from_bool3(plb, psg, pub_));
-        }
-        apply(rest, rest_bufs, usize::MAX, concat, k2, out)
-    }
-}
-
-/// Per-op scratch reused across a shard's rows: the concatenation /
-/// projection value buffer, the equi-probe key buffer, and the
-/// compiled-program register file.
-#[derive(Default)]
-struct Buf {
-    vals: Vec<RangeValue>,
-    key: Vec<Value>,
-    regs: Vec<RangeValue>,
-}
-
-/// One in-flight row through the remaining ops. `src` is the source row
-/// id (valid until the first probe/projection rewrites the tuple; only
-/// the single probe, which sits before any projection, consumes it).
-fn apply(
-    ops: &[PipeOp<'_>],
-    bufs: &mut [Buf],
-    src: usize,
-    vals: &[RangeValue],
-    k: AuAnnot,
-    out: &mut Vec<(RangeTuple, AuAnnot)>,
-) -> Result<(), EvalError> {
-    let Some((op, rest)) = ops.split_first() else {
-        out.push((RangeTuple::new(vals.to_vec()), k));
-        return Ok(());
-    };
-    #[allow(clippy::expect_used)] // bufs was sized to ops.len() by the caller
-    let (buf, rest_bufs) = bufs.split_first_mut().expect("one buffer per op");
-    match op {
-        PipeOp::Select(p) => {
-            let (lb, sg, ub) = p.eval_bool3(vals, &mut buf.regs)?;
-            if !ub {
-                return Ok(()); // certainly false in all worlds
-            }
-            apply(rest, rest_bufs, src, vals, k.times(&AuAnnot::from_bool3(lb, sg, ub)), out)
-        }
-        PipeOp::Project(proj) => {
-            if rest.is_empty() {
-                // terminal projection: evaluate straight into the output
-                let mut vs = Vec::new();
-                proj.eval_into(vals, &mut buf.regs, &mut vs)?;
-                out.push((RangeTuple::new(vs), k));
-                Ok(())
-            } else {
-                let Buf { vals: pvals, regs, .. } = buf;
-                pvals.clear();
-                proj.eval_into(vals, regs, pvals)?;
-                apply(rest, rest_bufs, usize::MAX, pvals, k, out)
-            }
-        }
-        PipeOp::Probe(probe) => probe.probe(rest, rest_bufs, buf, src, vals, k, out),
-    }
-}
-
-/// Run a compiled chain over one shard **one op at a time**: every
-/// stage evaluates over a whole batch of rows before the next stage
-/// runs — lane kernels over the column set with a [`LanePlan`], the
-/// row-major batch oracle ([`Program::eval_range_batch_lenient`],
-/// probe-less chains only) without.
-///
-/// The shard is processed in [`GOVERN_ROWS`]-row chunks so cancellation
-/// is observed and produced rows are charged to the budget (`operator`)
-/// with bounded overshoot; chunking cannot change results because every
-/// op is row-local and chunks run in source order.
-fn run_shard_batched(
-    ops: &[PipeOp<'_>],
-    source: &AuRelation,
-    lanes: Option<&LanePlan<'_>>,
-    range: std::ops::Range<usize>,
-    out: &mut Vec<(RangeTuple, AuAnnot)>,
-    exec: &Executor,
-    operator: &'static str,
-) -> Result<(), EvalError> {
-    let mut watermark = out.len();
-    let mut start = range.start;
-    while start < range.end {
-        let end = range.end.min(start + GOVERN_ROWS);
-        exec.check_cancel()?;
-        match lanes {
-            Some(plan) => plan.run_chunk(start..end, out, &mut watermark, exec)?,
-            None => run_chunk_batched(ops, source, start..end, out, exec.cancel_token())?,
-        }
-        charge_out(exec, operator, out, &mut watermark)?;
-        start = end;
-    }
-    Ok(())
-}
-
-/// One chunk of [`run_shard_batched`].
-///
-/// Byte-identity with the row-streaming path: the per-row math is the
-/// same combinators in the same order, rows keep their source order
-/// (no probe means one output per surviving input), and errors are
-/// row-major — an erroring row is *poisoned* (it stops flowing but is
-/// never dropped) and after the chain the earliest poisoned source row
-/// reports its error, exactly what streaming row-by-row would have
-/// surfaced first.
-fn run_chunk_batched(
-    ops: &[PipeOp<'_>],
-    source: &AuRelation,
-    range: std::ops::Range<usize>,
-    out: &mut Vec<(RangeTuple, AuAnnot)>,
-    cancel: Option<&CancelToken>,
-) -> Result<(), EvalError> {
-    enum RowState {
-        Clean(AuAnnot),
-        Poisoned(EvalError),
-    }
-    let mut live: Vec<(Cow<'_, RangeTuple>, RowState)> =
-        source.rows()[range].iter().map(|(t, k)| (Cow::Borrowed(t), RowState::Clean(*k))).collect();
-    let mut batch = RangeBatch::default();
-
-    for op in ops {
-        // The rows still flowing: everything not yet poisoned.
-        let clean_idx: Vec<usize> = live
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, st))| matches!(st, RowState::Clean(_)))
-            .map(|(i, _)| i)
-            .collect();
-        if clean_idx.is_empty() {
-            break;
-        }
-        {
-            let refs: Vec<&[RangeValue]> = clean_idx.iter().map(|&i| live[i].0.values()).collect();
-            #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-            match op {
-                PipeOp::Select(p) => p
-                    .compiled()
-                    .expect("batched chains are compiled")
-                    .prog
-                    .eval_range_batch_lenient(&refs, &mut batch, cancel)?,
-                PipeOp::Project(p) => p
-                    .compiled()
-                    .expect("batched chains are compiled")
-                    .prog
-                    .eval_range_batch_lenient(&refs, &mut batch, cancel)?,
-                PipeOp::Probe(_) => unreachable!("row-major batches are probe-less"),
-            }
-        }
-        match op {
-            PipeOp::Select(p) => {
-                #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-                let prog = p.compiled().expect("compiled").prog;
-                // Decide per clean row: poison, drop, or keep with the
-                // multiplied annotation — then compact the drops.
-                let mut drop_flags = vec![false; live.len()];
-                for (j, &i) in clean_idx.iter().enumerate() {
-                    let decision = match batch.row_error(j) {
-                        Some(e) => Err(e.clone()),
-                        None => batch.output(prog, 0, j, live[i].0.values()).as_bool3(),
-                    };
-                    match decision {
-                        Err(e) => live[i].1 = RowState::Poisoned(e),
-                        Ok((_, _, false)) => drop_flags[i] = true,
-                        Ok((lb, sg, ub)) => {
-                            let RowState::Clean(k) = &mut live[i].1 else { unreachable!() };
-                            *k = k.times(&AuAnnot::from_bool3(lb, sg, ub));
-                        }
-                    }
-                }
-                let mut i = 0;
-                live.retain(|_| {
-                    let keep = !drop_flags[i];
-                    i += 1;
-                    keep
-                });
-            }
-            PipeOp::Project(p) => {
-                #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-                let prog = p.compiled().expect("compiled").prog;
-                for (j, &i) in clean_idx.iter().enumerate() {
-                    let projected = match batch.row_error(j) {
-                        Some(e) => Err(e.clone()),
-                        None => Ok((0..prog.arity())
-                            .map(|oi| batch.output(prog, oi, j, live[i].0.values()).clone())
-                            .collect::<Vec<RangeValue>>()),
-                    };
-                    match projected {
-                        Err(e) => live[i].1 = RowState::Poisoned(e),
-                        Ok(vals) => live[i].0 = Cow::Owned(RangeTuple::new(vals)),
-                    }
-                }
-            }
-            PipeOp::Probe(_) => unreachable!("row-major batches are probe-less"),
-        }
-    }
-
-    for (t, st) in live {
-        match st {
-            RowState::Poisoned(e) => return Err(e),
-            RowState::Clean(k) => out.push((t.into_owned(), k)),
-        }
-    }
-    Ok(())
 }
 
 /// Pairs per lane batch of a probe chain — a constant picked by
@@ -687,7 +362,8 @@ enum Lanes<'a> {
 /// `live[j]` is lane row `j`'s position in its chunk or pair batch
 /// (ascending) and `annots[j]` its annotation. Erroring rows are
 /// *poisoned*: they stop flowing, and only the earliest position's
-/// error is kept — the one row-at-a-time streaming would have hit first.
+/// error is kept — the one running the rows one at a time would hit
+/// first.
 struct InFlight<'a> {
     lanes: Lanes<'a>,
     live: Vec<u32>,
@@ -711,39 +387,31 @@ struct ChainStats {
     stages_boxed: AtomicU64,
 }
 
-/// A fully compiled chain laid out for lane execution: the stages
+/// A chain laid out for lane execution: the stages
 /// before the probe run over borrowed source lanes, the probe
 /// enumerates matches as row ids, and the stages after it — the join's
 /// re-check predicate first — run over pair batches. A probe-less chain
 /// is all `pre`.
 struct LanePlan<'p> {
     left: Arc<ColumnSet>,
-    pre: Vec<Stage<'p>>,
+    pre: Vec<&'p Stage>,
     probe: Option<(&'p ProbeOp<'p>, Arc<ColumnSet>)>,
-    post: Vec<Stage<'p>>,
+    post: Vec<&'p Stage>,
     stats: ChainStats,
 }
 
 impl<'p> LanePlan<'p> {
-    /// `None` when some stage is interpreted (`compiled = false`, or a
-    /// Tier B rejection): that chain streams row by row.
-    fn of(ops: &'p [PipeOp<'p>], source: &AuRelation) -> Option<LanePlan<'p>> {
-        let (mut pre, mut post, mut probe) = (Vec::new(), Vec::new(), None);
-        for op in ops {
-            let stage = match op {
-                PipeOp::Select(p) => p.compiled()?,
-                PipeOp::Project(p) => p.compiled()?,
-                PipeOp::Probe(p) => {
-                    probe = Some((&**p, p.right.columns()));
-                    match &p.predicate {
-                        Some(pred) => pred.compiled()?,
-                        None => continue,
-                    }
-                }
-            };
-            if probe.is_some() { &mut post } else { &mut pre }.push(stage);
+    /// The column sets are built (or fetched from the relations' caches)
+    /// once here and shared by every shard.
+    fn of(chain: &'p AuPipeline<'p>) -> LanePlan<'p> {
+        let probe = chain.probe.as_ref();
+        LanePlan {
+            left: chain.source.columns(),
+            pre: chain.pre.iter().collect(),
+            probe: probe.map(|p| (p, p.right.columns())),
+            post: probe.iter().flat_map(|p| &p.predicate).chain(&chain.post).collect(),
+            stats: ChainStats::default(),
         }
-        Some(LanePlan { left: source.columns(), pre, probe, post, stats: ChainStats::default() })
     }
 
     /// The one lane-stage loop: run `stages` over the batch in flight,
@@ -752,15 +420,15 @@ impl<'p> LanePlan<'p> {
     /// annotations and compact, replace the lanes by a projection's
     /// outputs.
     ///
-    /// Byte-identity with the row paths holds because the kernels are
-    /// exact refinements of the scalar combinators — an op whose kernel
-    /// cannot reproduce a row bit-identically (Int overflow, NaN)
-    /// demotes wholesale to the generic per-row evaluation — and the row
-    /// protocol is the same: surviving rows keep their order, erroring
-    /// rows are poisoned, never dropped.
+    /// Byte-identity with the operator-at-a-time oracle holds because
+    /// the kernels are exact refinements of the scalar combinators — an
+    /// op whose kernel cannot reproduce a row bit-identically (Int
+    /// overflow, NaN) demotes wholesale to the generic per-row
+    /// evaluation — and surviving rows keep their order; erroring rows
+    /// are poisoned, never dropped.
     fn run_stages(
         &self,
-        stages: &[Stage<'_>],
+        stages: &[&Stage],
         fl: &mut InFlight<'_>,
         batch: &mut LaneBatch,
         cancel: Option<&CancelToken>,
@@ -803,7 +471,7 @@ impl<'p> LanePlan<'p> {
                 // that does not exist.
                 let any_clean = (0..nrows).any(|j| batch.row_error(j).is_none());
                 let filter =
-                    (!st.project && any_clean).then(|| batch.output_lane(st.prog, 0, &slices));
+                    (!st.project && any_clean).then(|| batch.output_lane(&st.prog, 0, &slices));
                 let mut keep: Vec<u32> = Vec::with_capacity(nrows);
                 for j in 0..nrows {
                     match (batch.row_error(j), &filter) {
@@ -822,7 +490,8 @@ impl<'p> LanePlan<'p> {
                 let all = keep.len() == nrows;
                 let pick = |ids: &[u32]| keep.iter().map(|&j| ids[j as usize]).collect();
                 let next = if st.project {
-                    let outs = (0..st.prog.arity()).map(|o| batch.output_lane(st.prog, o, &slices));
+                    let outs =
+                        (0..st.prog.arity()).map(|o| batch.output_lane(&st.prog, o, &slices));
                     Some(Lanes::Owned(match (any_clean, all) {
                         (false, _) => Vec::new(),
                         (true, true) => outs.map(|s| s.to_lane()).collect(),
@@ -872,17 +541,41 @@ impl<'p> LanePlan<'p> {
         }
     }
 
-    /// One source chunk of [`run_shard_batched`]: the pre-probe stages
+    /// Run the chain over one shard in [`GOVERN_ROWS`]-row chunks, so
+    /// cancellation is observed and produced rows are charged to the
+    /// budget (`operator`) with bounded overshoot; chunking cannot
+    /// change results because every op is row-local and chunks run in
+    /// source order.
+    fn run_shard(
+        &self,
+        range: std::ops::Range<usize>,
+        out: &mut Vec<(RangeTuple, AuAnnot)>,
+        exec: &Executor,
+        operator: &'static str,
+    ) -> Result<(), EvalError> {
+        let mut watermark = out.len();
+        let mut start = range.start;
+        while start < range.end {
+            let end = range.end.min(start + GOVERN_ROWS);
+            exec.check_cancel()?;
+            self.run_chunk(start..end, out, &mut watermark, exec)?;
+            charge_out(exec, operator, out, &mut watermark)?;
+            start = end;
+        }
+        Ok(())
+    }
+
+    /// One source chunk of [`LanePlan::run_shard`]: the pre-probe stages
     /// over the borrowed source lanes, then — on a probe chain — the
     /// surviving rows' matches, enumerated as `(left id, right id,
-    /// k_l ⊗ k_r)` in the streaming order (hash bucket, then sweep
-    /// candidates) into [`PAIR_BATCH`]-sized batches that run the
-    /// remaining stages.
+    /// k_l ⊗ k_r)` row by row (hash bucket, then sweep candidates) into
+    /// [`PAIR_BATCH`]-sized batches that run the remaining stages.
     ///
-    /// Errors surface in the streaming order: the earliest erroring
-    /// source row wins, a row that passed the pre-probe stages errs at
-    /// its earliest erroring pair, and rows past the first poisoned
-    /// source row are never probed.
+    /// Errors surface in row-at-a-time order, as if each source row ran
+    /// the whole chain before the next was touched: the earliest
+    /// erroring source row wins, a row that passed the pre-probe stages
+    /// errs at its earliest erroring pair, and rows past the first
+    /// poisoned source row are never probed.
     fn run_chunk(
         &self,
         range: std::ops::Range<usize>,
@@ -1009,29 +702,25 @@ impl<'r, 'p> PairSink<'r, 'p> {
     }
 }
 
-/// A fused chain ready to run: the source relation, the op list, and
-/// the output schema.
+/// A fused chain ready to run: [`ChainPlan`] with its inputs evaluated.
 struct AuPipeline<'a> {
     source: Cow<'a, AuRelation>,
-    ops: Vec<PipeOp<'a>>,
+    pre: Vec<Stage>,
+    probe: Option<ProbeOp<'a>>,
+    post: Vec<Stage>,
     schema: Schema,
 }
 
 impl<'a> AuPipeline<'a> {
-    /// Run the whole chain shard-by-shard and deliver per the chain's
-    /// shape: a single breaker normalization when anything merged or
-    /// rewrote tuples, the exact source-order row list for select-only
-    /// chains (mirroring [`select_au_exec`]'s normal-form preservation).
-    ///
-    /// A fully compiled chain runs on the lanes ([`LanePlan`]): every
-    /// stage evaluates over a whole source chunk or pair batch at a
-    /// time. Without `columnar`, probe-less compiled chains take the
-    /// row-major batch oracle; everything else — an interpreted stage,
-    /// a probe without lanes — streams each row through the ops with a
-    /// per-worker register file.
+    /// Run the whole chain shard-by-shard on the lanes ([`LanePlan`]:
+    /// every stage evaluates over a whole source chunk or pair batch at
+    /// a time) and deliver per the chain's shape: a single breaker
+    /// normalization when anything merged or rewrote tuples, the exact
+    /// source-order row list for select-only chains (mirroring
+    /// [`select_au_exec`]'s normal-form preservation).
     ///
     /// `h` is the open `fused-chain` span: the chain records its op
-    /// summary, execution shape, and shard count there, and closes it
+    /// summary, shard count and pair accounting there, and closes it
     /// with the delivered relation's actual sizes.
     fn run(
         self,
@@ -1041,7 +730,7 @@ impl<'a> AuPipeline<'a> {
         h: usize,
     ) -> Result<Cow<'a, AuRelation>, EvalError> {
         tr.rows_in(h, self.source.len() as u64);
-        if self.ops.is_empty() {
+        if self.pre.is_empty() && self.probe.is_none() {
             close_rel(tr, h, &self.source);
             return Ok(self.source);
         }
@@ -1050,73 +739,31 @@ impl<'a> AuPipeline<'a> {
             Some(s) => ShardSource::new(s),
             None => ShardSource::auto(exec.workers(), n, MIN_ROWS_PER_SHARD),
         };
-        let ops = &self.ops;
-        let source = self.source.as_ref();
+        let plan = LanePlan::of(&self);
         // Probe chains can expand (join output): their production is
         // charged as "join-probe", plain chains' as "pipeline-chain".
-        let has_probe = ops.iter().any(|op| matches!(op, PipeOp::Probe(_)));
-        let operator = if has_probe { "join-probe" } else { "pipeline-chain" };
-        // Built (or fetched from the relations' caches) once, shared by
-        // every shard.
-        let lanes = if cfg.columnar { LanePlan::of(ops, source) } else { None };
-        let batchable = lanes.is_some()
-            || ops.iter().all(|op| match op {
-                PipeOp::Select(p) => p.compiled().is_some(),
-                PipeOp::Project(p) => p.compiled().is_some(),
-                PipeOp::Probe(_) => false,
-            });
+        let operator = if self.probe.is_some() { "join-probe" } else { "pipeline-chain" };
         tr.attr(h, "ops", || {
-            let names: Vec<&'static str> = ops
-                .iter()
-                .map(|op| match op {
-                    PipeOp::Select(_) => "σ",
-                    PipeOp::Project(_) => "π",
-                    PipeOp::Probe(p) => match p.plan {
-                        ProbePlan::HashEqui { .. } => "⋈(hash-equi)",
-                        ProbePlan::Comparison => "⋈(interval-comparison)",
-                        ProbePlan::NestedLoop => "⋈(nested-loop)",
-                    },
-                })
-                .collect();
-            names.join("·")
+            let stage = |st: &Stage| if st.project { "π" } else { "σ" };
+            let probe = self.probe.iter().map(|p| match p.plan {
+                ProbePlan::HashEqui { .. } => "⋈(hash-equi)",
+                ProbePlan::Comparison => "⋈(interval-comparison)",
+                ProbePlan::NestedLoop => "⋈(nested-loop)",
+            });
+            let pre = self.pre.iter().map(stage);
+            pre.chain(probe).chain(self.post.iter().map(stage)).collect::<Vec<_>>().join("·")
         });
-        tr.attr(h, "exprs", || (if cfg.compiled { "compiled" } else { "interpreted" }).to_string());
-        tr.attr(h, "batched", || batchable.to_string());
-        tr.attr(h, "columnar", || lanes.is_some().to_string());
         tr.attr(h, "shards", || sharding.slices(n).len().to_string());
-        let rows = if batchable {
-            exec.run_shards(n, &sharding, |range, out| {
-                run_shard_batched(ops, source, lanes.as_ref(), range, out, exec, operator)
-            })?
-        } else {
-            // Streamed row by row, re-checking cancellation and charging
-            // the produced rows every GOVERN_ROWS source rows.
-            exec.run_shards(n, &sharding, |range, out| {
-                let mut bufs: Vec<Buf> = Vec::new();
-                bufs.resize_with(ops.len(), Buf::default);
-                let mut watermark = out.len();
-                for (off, i) in range.enumerate() {
-                    if off % GOVERN_ROWS == 0 {
-                        exec.check_cancel()?;
-                        charge_out(exec, operator, out, &mut watermark)?;
-                    }
-                    let (t, k) = &source.rows()[i];
-                    apply(ops, &mut bufs, i, t.values(), *k, out)?;
-                }
-                charge_out(exec, operator, out, &mut watermark)?;
-                Ok::<(), EvalError>(())
-            })?
-        };
-        if let Some(plan) = &lanes {
-            let stat = |a: &AtomicU64| a.load(Ordering::Relaxed);
-            tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
-            tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
-            tr.attr(h, "stages_boxed", || stat(&plan.stats.stages_boxed).to_string());
-            if stat(&plan.stats.stages_boxed) > 0 {
-                exec.metrics().add(Counter::ChainStagesBoxed, stat(&plan.stats.stages_boxed));
-            }
+        let rows =
+            exec.run_shards(n, &sharding, |range, out| plan.run_shard(range, out, exec, operator))?;
+        let stat = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
+        tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
+        tr.attr(h, "stages_boxed", || stat(&plan.stats.stages_boxed).to_string());
+        if stat(&plan.stats.stages_boxed) > 0 {
+            exec.metrics().add(Counter::ChainStagesBoxed, stat(&plan.stats.stages_boxed));
         }
-        let select_only = self.ops.iter().all(|op| matches!(op, PipeOp::Select(_)));
+        let select_only = self.probe.is_none() && self.pre.iter().all(|st| !st.project);
         let out = if !select_only {
             // the one pipeline-breaker normalization (sharded-reduce)
             let mut out = AuRelation::empty(self.schema);
@@ -1136,61 +783,73 @@ impl<'a> AuPipeline<'a> {
     }
 }
 
-/// Build the fused chain for a query `fusable()` said is in chain form.
-fn build_chain<'a>(
-    db: &'a AuDatabase,
-    q: &Query,
-    cfg: &AuConfig,
-    exec: &Executor,
-    tr: &TraceBuilder,
-) -> Result<AuPipeline<'a>, EvalError> {
-    match q {
-        Query::Table(name) => {
-            let rel = db.get(name)?;
-            Ok(AuPipeline {
-                source: Cow::Borrowed(rel),
-                ops: Vec::new(),
-                schema: rel.schema.clone(),
-            })
-        }
+/// Lay out the chain rooted at `q` (which [`fusable`] said is in chain
+/// form) and compile **every** stage of it — before any input is
+/// evaluated, so a rejection costs no evaluation. `None` when Tier B
+/// rejected a stage.
+fn plan_chain<'q>(q: &'q Query, cfg: &AuConfig, vet: Vet<'_>) -> Option<ChainPlan<'q>> {
+    let anchor = |source| ChainPlan { source, pre: vec![], probe: None, post: vec![], names: None };
+    let (mut plan, stage) = match q {
+        Query::Table(_) => return Some(anchor(q)),
         Query::Select { input, predicate } => {
-            let mut c = build_chain(db, input, cfg, exec, tr)?;
-            let vet = Vet::new(cfg.compiled, cfg.verify, exec, tr);
-            c.ops.push(PipeOp::Select(RangePred::new(predicate, vet)));
-            Ok(c)
+            (plan_chain(input, cfg, vet)?, Stage::filter(predicate, vet)?)
         }
         Query::Project { input, exprs } => {
-            let mut c = build_chain(db, input, cfg, exec, tr)?;
-            c.schema = Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect());
-            let vet = Vet::new(cfg.compiled, cfg.verify, exec, tr);
-            c.ops.push(PipeOp::Project(RangeProj::new(exprs, vet)));
-            Ok(c)
+            let mut plan = plan_chain(input, cfg, vet)?;
+            plan.names = Some(Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect()));
+            (plan, Stage::project(exprs, vet)?)
         }
         Query::Join { left, right, predicate } => {
             // Left side: continue a select-only chain in place (source
             // row ids stay valid for the sweep candidates); anything
             // else is materialized and becomes the new chain source.
-            let mut chain = if fusable(left, cfg) && select_only(left) {
-                build_chain(db, left, cfg, exec, tr)?
+            let mut plan = if fusable(left, cfg) && select_only(left) {
+                plan_chain(left, cfg, vet)?
             } else {
-                let rel = eval_pl(db, left, cfg, exec, Delivery::Canonical, tr)?;
-                let schema = rel.schema.clone();
-                AuPipeline { source: rel, ops: Vec::new(), schema }
+                anchor(left)
             };
+            let recheck = match predicate {
+                Some(p) => Some((p, Stage::filter(p, vet)?)),
+                None => None,
+            };
+            plan.probe = Some((right, recheck));
+            return Some(plan);
+        }
+        _ => unreachable!("plan_chain called on a non-chain query"),
+    };
+    if plan.probe.is_some() { &mut plan.post } else { &mut plan.pre }.push(stage);
+    Some(plan)
+}
+
+/// Evaluate a planned chain's inputs — its source and a probe's build
+/// side, each exactly once — and assemble the runnable pipeline.
+fn build_chain<'a>(
+    db: &'a AuDatabase,
+    plan: ChainPlan<'_>,
+    cfg: &AuConfig,
+    exec: &Executor,
+    tr: &TraceBuilder,
+) -> Result<AuPipeline<'a>, EvalError> {
+    let source = match plan.source {
+        Query::Table(name) => Cow::Borrowed(db.get(name)?),
+        materialized => eval_pl(db, materialized, cfg, exec, Delivery::Canonical, tr)?,
+    };
+    let mut schema = source.schema.clone();
+    let probe = match plan.probe {
+        Some((right, recheck)) => {
             let r = eval_pl(db, right, cfg, exec, Delivery::Canonical, tr)?;
-            chain.schema = chain.schema.concat(&r.schema);
-            let vet = Vet::new(cfg.compiled, cfg.verify, exec, tr);
+            schema = schema.concat(&r.schema);
             let started = exec.metrics().is_enabled().then(Instant::now);
-            let probe =
-                ProbeOp::build(chain.source.as_ref(), r, predicate.as_ref(), vet, cfg.columnar);
+            let probe = ProbeOp::build(source.as_ref(), r, recheck);
             if let Some(t) = started {
                 exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
             }
-            chain.ops.push(PipeOp::Probe(Box::new(probe)));
-            Ok(chain)
+            Some(probe)
         }
-        _ => unreachable!("build_chain called on a non-chain query"),
-    }
+        None => None,
+    };
+    let schema = plan.names.unwrap_or(schema);
+    Ok(AuPipeline { source, pre: plan.pre, probe, post: plan.post, schema })
 }
 
 // ---------------------------------------------------------------------------
@@ -1215,7 +874,18 @@ fn eval_pl<'a>(
             })
             .to_string()
         });
-        return build_chain(db, q, cfg, exec, tr)?.run(cfg, exec, tr, h);
+        return match plan_chain(q, cfg, Vet::new(true, cfg.verify, exec, tr)) {
+            Some(plan) => build_chain(db, plan, cfg, exec, tr)?.run(cfg, exec, tr, h),
+            None => {
+                // Tier B rejected a stage: the whole chain — its inputs
+                // included — runs on the oracle, which reproduces either
+                // delivery exactly.
+                tr.attr(h, "fallback", || "verifier-rejected".to_string());
+                let rel = super::eval_inner(db, q, cfg, exec, tr)?;
+                close_rel(tr, h, &rel);
+                Ok(rel)
+            }
+        };
     }
     // Why this operator did not fuse — the delivery contract that
     // blocked it, or the breaker kind. Recorded on the operator's span.

@@ -8,9 +8,10 @@
 //! ([`crate::au::pipeline`], [`crate::det`], the rewrite middleware):
 //! with [`AuConfig::verify`](crate::au::AuConfig) on (the default),
 //! each compiled stage is abstractly interpreted before it is accepted,
-//! and a rejection degrades that stage to the interpreted `Expr`-tree
-//! oracle instead of executing a suspect program — the per-site analog
-//! of the whole-query compiled→interpreted degradation retry.
+//! and a rejection keeps the suspect program from executing: the AU
+//! engine runs the whole chain on its operator-at-a-time oracle
+//! instead (the per-chain analog of the whole-query lanes→oracle
+//! degradation retry), the det / rewrite mirrors interpret that stage.
 //!
 //! Rejections are observable: the [`Counter::VerifyRejects`] metric,
 //! a [`ExecEventKind::VerifierRejected`] event carrying the diagnostic,
@@ -100,8 +101,8 @@ impl<'a> Vet<'a> {
         Vet { compiled, verify, metrics: exec.metrics(), tr }
     }
 
-    /// Compile one range predicate, vetted. `None` means "use the
-    /// interpreter": compilation is off, or the program was rejected.
+    /// Compile one range predicate, vetted. `None` means "do not run a
+    /// program here": compilation is off, or the program was rejected.
     pub(crate) fn range(&self, e: &Expr) -> Option<Program> {
         self.vet(|| format!("range1|{e}"), || Program::compile_range(e))
     }

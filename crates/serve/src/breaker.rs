@@ -1,21 +1,22 @@
 //! Per-prepared-plan circuit breaker over the compiled execution path.
 //!
-//! The compiled register programs and the interpreted `Expr`-tree
-//! oracle compute identical results, so a plan whose compiled path
-//! keeps faulting can be served from the interpreter instead of
-//! retrying its way through the same fault on every call. The breaker
-//! is the classic three-state machine, scoped to one prepared plan:
+//! The compiled lane pipelines and the operator-at-a-time `Expr`-tree
+//! oracle (`AuConfig::oracle`) compute identical results, so a plan
+//! whose compiled path keeps faulting can be served from the oracle
+//! instead of retrying its way through the same fault on every call.
+//! The breaker is the classic three-state machine, scoped to one
+//! prepared plan:
 //!
 //! * **Closed** — compiled execution allowed; consecutive transient
 //!   faults on the compiled path are counted, a success resets the
 //!   count, and the K-th fault trips the breaker;
-//! * **Open** — every call runs interpreted until the cooldown passes;
+//! * **Open** — every call runs on the oracle until the cooldown passes;
 //! * **Half-open** — after the cooldown, exactly one call probes the
 //!   compiled path again: success closes the breaker, a fault re-opens
 //!   it for another cooldown. Calls arriving during the probe stay on
-//!   the interpreter, and a probe that ends without a verdict (a
-//!   resource limit tripped mid-flight) re-arms the probe instead of
-//!   wedging the breaker.
+//!   the oracle, and a probe that ends without a verdict (a resource
+//!   limit tripped mid-flight) re-arms the probe instead of wedging
+//!   the breaker.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -25,7 +26,7 @@ use std::time::{Duration, Instant};
 pub struct BreakerPolicy {
     /// Consecutive compiled-path faults that trip the breaker.
     pub trip_after: usize,
-    /// How long a tripped breaker routes to the interpreter before
+    /// How long a tripped breaker routes to the oracle before
     /// half-opening.
     pub cooldown: Duration,
 }
@@ -113,7 +114,7 @@ impl Breaker {
         }
     }
 
-    /// Is the breaker currently routing to the interpreter?
+    /// Is the breaker currently routing to the oracle?
     pub fn is_open(&self) -> bool {
         matches!(*self.lock(), State::Open { .. } | State::HalfOpen)
     }
@@ -145,7 +146,7 @@ mod tests {
         assert!(!b.record_fault(), "success reset the consecutive count");
         assert!(b.record_fault(), "second consecutive fault trips");
         assert!(b.is_open());
-        assert!(!b.allow_compiled(), "open breaker routes to the interpreter");
+        assert!(!b.allow_compiled(), "open breaker routes to the oracle");
     }
 
     #[test]
@@ -155,7 +156,7 @@ mod tests {
         b.record_fault();
         std::thread::sleep(Duration::from_millis(12));
         assert!(b.allow_compiled(), "expired cooldown grants the probe");
-        assert!(!b.allow_compiled(), "second caller stays interpreted during the probe");
+        assert!(!b.allow_compiled(), "second caller stays on the oracle during the probe");
         b.record_success();
         assert_eq!(b.state_name(), "closed");
         assert!(b.allow_compiled());

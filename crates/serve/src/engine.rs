@@ -24,7 +24,7 @@
 //! ## The robustness loop
 //!
 //! Per query: admission (bounded queue, structured shed) → breaker
-//! consultation (compiled vs interpreted oracle) → one governed
+//! consultation (compiled lanes vs the oracle) → one governed
 //! evaluation attempt → on a *transient* fault, jittered-backoff retry
 //! inside the same admission slot; on a *resource* verdict, a final
 //! structured rejection. Every submission resolves — to a result or a
@@ -71,7 +71,7 @@ impl Snapshot {
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Base evaluation knobs; per-class `timeout`/`budget` and the
-    /// breaker's compiled/interpreted routing are layered on top.
+    /// breaker's lanes/oracle routing (`oracle`) are layered on top.
     pub eval: AuConfig,
     /// Engine-wide worker-thread budget shared by every concurrent
     /// query (the [`WorkerGate`] total). 0 runs everything inline.
@@ -115,8 +115,8 @@ pub struct Response {
     pub attempts: usize,
     /// Whether the prepared-plan table already held this plan.
     pub prepared_hit: bool,
-    /// Whether the final attempt ran on the interpreted oracle because
-    /// the plan's breaker was open.
+    /// Whether the final attempt ran on the operator-at-a-time oracle
+    /// because the plan's breaker was open.
     pub breaker_degraded: bool,
     /// Time spent waiting for admission.
     pub queued: Duration,
@@ -428,10 +428,12 @@ impl Engine {
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            let compiled_wanted = inner.config.eval.compiled;
-            let compiled = compiled_wanted && plan.breaker.allow_compiled();
+            // The breaker models lane-path health: an evaluation that
+            // runs on the oracle anyway never consults it.
+            let lanes_wanted = inner.config.eval.fuses_chains();
+            let lanes = lanes_wanted && plan.breaker.allow_compiled();
             let cfg = AuConfig {
-                compiled,
+                oracle: !lanes,
                 budget: policy.budget.or(inner.config.eval.budget),
                 ..inner.config.eval
             };
@@ -448,23 +450,22 @@ impl Engine {
             });
             match verdict {
                 Ok(relation) => {
-                    if compiled {
+                    if lanes {
                         plan.breaker.record_success();
                     }
-                    return Ok((relation, attempts, compiled_wanted && !compiled));
+                    return Ok((relation, attempts, lanes_wanted && !lanes));
                 }
                 Err(EvalError::Exec(e)) if e.is_resource_limit() => {
-                    if compiled {
+                    if lanes {
                         plan.breaker.record_inconclusive();
                     }
                     return Err(ServeError::Rejected(EvalError::Exec(e)));
                 }
                 Err(EvalError::Exec(e)) => {
                     // Transient producer fault: count it against the
-                    // breaker (compiled attempts only — the breaker
-                    // models compiled-path health), then retry with
+                    // breaker (lane attempts only), then retry with
                     // jittered backoff inside the same admission slot.
-                    if compiled && plan.breaker.record_fault() {
+                    if lanes && plan.breaker.record_fault() {
                         inner.metrics.add(Counter::BreakerTrips, 1);
                         inner.metrics.record_event(ExecEvent {
                             kind: ExecEventKind::BreakerTripped,

@@ -27,8 +27,9 @@
 //!   injected faults) retry with full-jitter exponential backoff;
 //!   resource verdicts are final;
 //! * **circuit breaking** ([`breaker`]) — per-prepared-plan breakers
-//!   route persistently faulting compiled paths to the interpreted
-//!   oracle until a cooldown half-opens them.
+//!   route persistently faulting compiled lane paths to the
+//!   operator-at-a-time oracle (`AuConfig::oracle`) until a cooldown
+//!   half-opens them.
 //!
 //! The load-bearing guarantee, pinned by the stress suite: **every
 //! submission resolves** — to a correct result or a structured

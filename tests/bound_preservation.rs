@@ -5,10 +5,13 @@
 //! tuple-matching checker (Definitions 15–17). The same properties are
 //! asserted for the compressed evaluation paths (Lemmas 10.1, 10.2).
 
+mod common;
+
 use proptest::prelude::*;
 
 use audb::incomplete::relation_bounds_world;
 use audb::prelude::*;
+use common::cfg_oracle;
 
 // ---------------------------------------------------------------------------
 // generators
@@ -208,15 +211,15 @@ proptest! {
 
     /// World enumeration through `eval_au` on the default (typed-lane)
     /// aggregation path, grouped and ungrouped, under the precise, the
-    /// adaptive-compressed and the forced-compressed configurations
-    /// (tiny inputs never reach the adaptive threshold, so the last one
-    /// is what actually compresses the possible side).
+    /// oracle, the adaptive-compressed and the forced-compressed
+    /// configurations (tiny inputs never reach the adaptive threshold,
+    /// so the last one is what actually compresses the possible side).
     #[test]
     fn float_arith_aggregates_preserve_bounds(db in float_xdb_strategy(), grouped in 0u8..2) {
         let group_by = if grouped == 1 { vec![0] } else { vec![] };
         let q = table("r").aggregate(group_by, float_aggs());
         let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
-        for cfg in [AuConfig::default(), AuConfig::compressed(2), forced] {
+        for cfg in [AuConfig::default(), cfg_oracle(), AuConfig::compressed(2), forced] {
             check_bounds(&db, &q, &cfg)?;
         }
     }
@@ -245,7 +248,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
     /// World enumeration through `eval_au` on the default config — the
-    /// fused chain's pair batches over the lanes: a pre-probe selection,
+    /// fused chain's pair batches over the lanes — and on the oracle the
+    /// lanes are differentially tested against: a pre-probe selection,
     /// a hash-equi (Int key) or interval-comparison (Float key) probe,
     /// an arithmetic post-selection over Float columns of both sides and
     /// an arithmetic projection. Multiples of 0.25 keep every sum and
@@ -267,7 +271,9 @@ proptest! {
                 (col(1).mul(col(5)).add(col(4)), "p"),
                 (col(2).sub(col(5)), "d"),
             ]);
-        check_bounds(&db, &q, &AuConfig::default())?;
+        for cfg in [AuConfig::default(), cfg_oracle()] {
+            check_bounds(&db, &q, &cfg)?;
+        }
     }
 }
 

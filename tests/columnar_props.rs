@@ -1,10 +1,11 @@
 //! Differential properties of columnar execution: for every query in
-//! the corpus, evaluation with `AuConfig::columnar` (typed vector
-//! kernels over column lanes) must be **byte-identical** to the
-//! row-major path (`columnar: false`) — same rows, same order, same
-//! annotations — at every worker × shard combination, including the
-//! error case: a query that fails must fail with the identical error
-//! (the earliest poisoned row's) on both paths.
+//! the corpus, evaluation on the lanes (typed vector kernels over
+//! column lanes, the default) must be **byte-identical** at every
+//! worker × shard combination — same rows, same order, same
+//! annotations, and for a query that fails the identical error (the
+//! earliest poisoned row's) — and must return the oracle's relation
+//! (operator-at-a-time interpretation, `AuConfig::oracle`), failing
+//! exactly when the oracle fails.
 //!
 //! Corpus: fig13/fig14/fig16-shaped query spines over proptest-generated
 //! mixed-type relations (strings and floats force the boxed lane,
@@ -14,6 +15,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
 use proptest::prelude::*;
 
 use audb::core::col;
@@ -22,42 +25,13 @@ use audb::query::table;
 use audb::workloads::{
     gen_tpch, inject_uncertainty, micro_join_db, tpch_queries, MicroConfig, TpchConfig,
 };
+use common::assert_lanes_match_oracle;
 
-/// Worker counts the ISSUE pins down; 7 exceeds most CI machines.
-const WORKERS: [usize; 4] = [1, 2, 4, 7];
-/// Forced shard counts for the fused-chain driver.
-const SHARDS: [usize; 3] = [1, 3, 8];
-
-/// Pipelined config with forced worker/shard counts and the columnar
-/// knob explicit. The adaptive parallelism floor is disabled so tiny
-/// proptest inputs really run multi-worker.
-fn cfg(columnar: bool, workers: usize, shards: usize) -> AuConfig {
-    AuConfig {
-        workers: Some(workers),
-        shards: Some(shards),
-        min_rows_per_worker: Some(0),
-        columnar,
-        ..AuConfig::default()
-    }
-}
-
-/// Columnar evaluation is the default.
+/// Columnar evaluation is the default: the oracle is opt-in.
 #[test]
 fn columnar_is_the_default() {
-    assert!(AuConfig::default().columnar);
-}
-
-/// Assert row-major and columnar agree (result or error) for every
-/// workers × shards combination, anchored on the sequential row-major
-/// reference.
-fn assert_differential(db: &AuDatabase, q: &Query, ctx: &str) {
-    let reference = eval_au(db, q, &cfg(false, 1, 1));
-    for w in WORKERS {
-        for s in SHARDS {
-            let got = eval_au(db, q, &cfg(true, w, s));
-            assert_eq!(got, reference, "columnar: {ctx}, workers = {w}, shards = {s}, q = {q}");
-        }
-    }
+    assert!(!AuConfig::default().oracle);
+    assert!(AuConfig::default().fuses_chains());
 }
 
 // ---------------------------------------------------------------------------
@@ -149,8 +123,8 @@ proptest! {
 
     /// Mixed-type columns: strings, floats, and sentinels force the
     /// boxed lane (and mixed Int⊗Float comparisons inside kernels), and
-    /// arithmetic over non-numeric cells poisons rows — results and
-    /// errors must match the row path exactly.
+    /// arithmetic over non-numeric cells poisons rows — results must
+    /// match the oracle, errors every other shard shape.
     #[test]
     fn columnar_identical_on_mixed_type_corpus(
         t1 in relation_strategy(mixed_value_strategy, "A", "B", 14),
@@ -160,7 +134,7 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in fig_queries() {
-            assert_differential(&db, &q, "mixed");
+            assert_lanes_match_oracle(&db, &q, "mixed");
         }
     }
 
@@ -174,15 +148,15 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in fig_queries() {
-            assert_differential(&db, &q, "int");
+            assert_lanes_match_oracle(&db, &q, "int");
         }
     }
 
     /// Kernel demotion boundary: values near `i64::MAX` overflow the
     /// checked Int kernels (which must demote the op and float-promote
     /// exactly like the scalar combinators), and division columns
-    /// spanning zero poison rows — the reported error and its position
-    /// must be identical on both paths.
+    /// spanning zero poison rows — the reported error must be the same
+    /// at every shard shape.
     #[test]
     fn columnar_identical_at_demotion_and_poison_boundaries(
         rows in proptest::collection::vec((-3i64..4, 0u8..4), 1..12),
@@ -211,7 +185,7 @@ proptest! {
             table("t1").project(vec![(col(1).div(col(0)), "q")]),
             table("t1").select(col(0).sub(lit(1i64)).leq(col(1))),
         ] {
-            assert_differential(&db, &q, "boundary");
+            assert_lanes_match_oracle(&db, &q, "boundary");
         }
     }
 }
@@ -239,7 +213,7 @@ fn columnar_identical_on_micro_join_corpus() {
             .project(vec![(col(0), "k"), (col(1).add(col(4)), "v")]),
     ];
     for q in &queries {
-        assert_differential(&db, q, "micro");
+        assert_lanes_match_oracle(&db, q, "micro");
     }
 }
 
@@ -251,6 +225,6 @@ fn columnar_identical_on_tpch_corpus() {
     let xdb = inject_uncertainty(&det, 0.02, 6, 22);
     let db = xdb.to_au();
     for (name, q) in tpch_queries().into_iter().take(2) {
-        assert_differential(&db, &q, name);
+        assert_lanes_match_oracle(&db, &q, name);
     }
 }

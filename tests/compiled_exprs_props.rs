@@ -5,21 +5,26 @@
 //! every level the programs are wired in:
 //!
 //! * direct row evaluation (`eval_range` / `eval`) and the op-at-a-time
-//!   batch entry point (including its row-major error selection);
-//! * the AU fused-chain evaluator (`AuConfig::compiled` on vs off)
-//!   across workers {1, 2, 4} × shards {1, 3, 8}, byte-identical
-//!   relations and identical errors;
+//!   lane entry point, position for position (every row's value or
+//!   error is that row's own);
+//! * the AU fused chains on the lanes vs the operator-at-a-time oracle
+//!   (`AuConfig::oracle`): the oracle's relation, failure exactly when
+//!   the oracle fails, and one outcome — error included — across
+//!   workers {1, 2, 4, 7} × shards {1, 3, 8};
 //! * the deterministic chain mirror and the rewrite middleware's
 //!   `Enc → σ/π/⋈ → Dec` spine.
+
+mod common;
 
 use proptest::prelude::*;
 
 use audb::core::program::Program;
-use audb::core::RangeBatch;
+use audb::core::{LaneBatch, LaneSlice, ValueLane};
 use audb::prelude::*;
 use audb::query::table;
+use common::assert_lanes_match_oracle;
 
-/// Worker × shard grid the ISSUE pins down for the compiled backend.
+/// Worker × shard grid of the det / rewrite mirrors.
 const WORKERS: [usize; 3] = [1, 2, 4];
 const SHARDS: [usize; 3] = [1, 3, 8];
 
@@ -109,19 +114,6 @@ fn pred_strategy() -> BoxedStrategy<Expr> {
     })
 }
 
-/// Interpreted (oracle) and compiled pipeline configurations for one
-/// workers × shards point. The adaptive parallelism floor is disabled
-/// so tiny proptest inputs really shard and really run multi-worker.
-fn cfg(compiled: bool, workers: usize, shards: usize) -> AuConfig {
-    AuConfig {
-        compiled,
-        workers: Some(workers),
-        shards: Some(shards),
-        min_rows_per_worker: Some(0),
-        ..AuConfig::default()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // properties
 // ---------------------------------------------------------------------------
@@ -131,9 +123,10 @@ proptest! {
 
     /// Direct evaluation: the compiled range and det programs agree
     /// with the interpreters on every row — `Ok` values and `Err`
-    /// classifications alike — and the batch entry point returns the
-    /// same columns (or the error of the earliest erroring row, which
-    /// is what row-at-a-time evaluation surfaces first).
+    /// classifications alike — and the lane entry point returns, at
+    /// every row position, that row's value or that row's error (so the
+    /// earliest poisoned row carries what row-at-a-time evaluation
+    /// surfaces first).
     #[test]
     fn compiled_matches_interpreter_rowwise_and_batched(
         e in num_expr_strategy(),
@@ -149,29 +142,21 @@ proptest! {
             prop_assert_eq!(&compiled, &interp, "row mismatch for {} on {:?}", &e, t);
         }
 
-        // batch = row-at-a-time, including the row-major error choice
-        let refs: Vec<&[RangeValue]> = tuples.iter().map(|t| t.as_slice()).collect();
-        let mut batch = RangeBatch::default();
-        let got = prog.eval_range_batch(&refs, &mut batch);
-        let expected_err = tuples.iter().find_map(|t| e.eval_range(t).err());
-        match (got, expected_err) {
-            (Ok(()), None) => {
-                for (i, t) in tuples.iter().enumerate() {
-                    prop_assert_eq!(
-                        batch.output(&prog, 0, i, t),
-                        &e.eval_range(t).unwrap(),
-                        "batch output mismatch for {} at row {}", &e, i
-                    );
-                }
-            }
-            (Err(got), Some(want)) => {
-                prop_assert_eq!(&got, &want, "batch error classification for {}", &e);
-            }
-            (got, want) => {
-                return Err(TestCaseError::fail(format!(
-                    "{e}: batch {got:?} but row-wise {want:?}"
-                )));
-            }
+        // lanes = row-at-a-time, position for position
+        let lanes: Vec<ValueLane> =
+            (0..2).map(|c| ValueLane::from_cells(tuples.iter().map(|t| &t[c]))).collect();
+        let slices: Vec<LaneSlice<'_>> = lanes.iter().map(ValueLane::as_slice).collect();
+        let mut batch = LaneBatch::default();
+        prog.eval_range_lanes(&slices, tuples.len(), &mut batch, None).unwrap();
+        prog.prepare_range_regs(&mut regs);
+        for (i, t) in tuples.iter().enumerate() {
+            let lane = match batch.row_error(i) {
+                Some(err) => Err(err.clone()),
+                None => Ok(batch.output_lane(&prog, 0, &slices).get(i)),
+            };
+            let scalar = prog.eval_range_into(t, &mut regs).map(|()| prog.range_output(0, t, &regs));
+            prop_assert_eq!(&lane, &scalar.cloned(), "lanes vs scalar for {} at row {}", &e, i);
+            prop_assert_eq!(&lane, &e.eval_range(t), "lanes vs interpreter for {} at row {}", &e, i);
         }
 
         // deterministic lowering agrees on the sg world
@@ -189,10 +174,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Fused AU chains: compiled programs produce byte-identical
-    /// relations — and identical `EvalError`s — to the interpreted
-    /// chain for every workers × shards point, across select-only,
-    /// project-only (batched op-at-a-time), and mixed chains.
+    /// Fused AU chains: the compiled lane stages produce the oracle's
+    /// relation (and fail exactly when it fails), with one outcome for
+    /// every workers × shards point, across select-only, project-only,
+    /// and mixed chains.
     #[test]
     fn au_chains_compiled_identical_to_interpreted(
         rel in au_relation_strategy(14),
@@ -210,21 +195,12 @@ proptest! {
                 .select(col(0).leq(lit(100i64))),
         ];
         for q in &queries {
-            for w in WORKERS {
-                for s in SHARDS {
-                    let interp = eval_au(&db, q, &cfg(false, w, s));
-                    let compiled = eval_au(&db, q, &cfg(true, w, s));
-                    prop_assert_eq!(
-                        &compiled, &interp,
-                        "workers = {}, shards = {}, q = {}", w, s, q
-                    );
-                }
-            }
+            assert_lanes_match_oracle(&db, q, "chain");
         }
     }
 
     /// Probe chains: a fused join's compiled re-check predicate and
-    /// post-join compiled stages equal the interpreted chain.
+    /// post-join compiled stages equal the oracle's join and operators.
     #[test]
     fn au_probe_chains_compiled_identical(
         l in au_relation_strategy(10),
@@ -239,13 +215,7 @@ proptest! {
             .join_on(table("t2"), col(0).eq(col(2)))
             .select(col(1).leq(col(3)))
             .project(vec![(proj, "p"), (col(2), "c")]);
-        for w in WORKERS {
-            for s in SHARDS {
-                let interp = eval_au(&db, &q, &cfg(false, w, s));
-                let compiled = eval_au(&db, &q, &cfg(true, w, s));
-                prop_assert_eq!(&compiled, &interp, "workers = {}, shards = {}", w, s);
-            }
-        }
+        assert_lanes_match_oracle(&db, &q, "probe chain");
     }
 
     /// The deterministic chain mirror and the rewrite middleware's

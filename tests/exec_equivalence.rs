@@ -7,6 +7,8 @@
 //! all-same-key bucket). The aggregation kernel is additionally checked
 //! against the literal Definition 26 oracle (`aggregate_au_scan`).
 
+mod common;
+
 use proptest::prelude::*;
 
 use audb::core::{col, Expr};
@@ -16,9 +18,7 @@ use audb::query::au::difference::{difference_au_exec, difference_au_scan};
 use audb::query::au::{project_au_exec, select_au_exec};
 use audb::query::planner::{join_au_planned_exec, join_det_planned_exec};
 use audb::query::rewrite::{dec_relation_exec, enc_relation_exec};
-
-/// Worker counts the ISSUE pins down; 7 exceeds most CI machines.
-const WORKERS: [usize; 4] = [1, 2, 4, 7];
+use common::{assert_lanes_match_oracle, cfg_lanes, cfg_oracle, SHARDS, WORKERS};
 
 /// Force real partitioning even on tiny inputs: without this the
 /// default 128-row morsel floor would keep small proptest cases on the
@@ -398,30 +398,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// shard-at-a-time pipeline vs operator-at-a-time (workers × shards)
+// shard-at-a-time lane pipelines vs the operator-at-a-time oracle (workers × shards)
 // ---------------------------------------------------------------------------
-
-/// Shard counts the ISSUE pins down for the pipeline driver.
-const SHARDS: [usize; 3] = [1, 3, 8];
-
-/// Operator-at-a-time sequential reference configuration.
-fn cfg_operator() -> AuConfig {
-    AuConfig { pipeline: false, workers: Some(1), ..AuConfig::default() }
-}
-
-/// Pipelined configuration with forced worker and shard counts. The
-/// adaptive parallelism floor is disabled so the tiny proptest inputs
-/// really run multi-worker (operator loops, breaker normalizations,
-/// and the sharded chains alike) instead of degrading to the inline
-/// path.
-fn cfg_pipeline(workers: usize, shards: usize) -> AuConfig {
-    AuConfig {
-        workers: Some(workers),
-        shards: Some(shards),
-        min_rows_per_worker: Some(0),
-        ..AuConfig::default()
-    }
-}
 
 /// Queries covering the fusion rules end-to-end: full
 /// select→join→project spines (one fused chain), select/project-only
@@ -491,10 +469,10 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in pipeline_queries() {
-            let reference = eval_au(&db, &q, &cfg_operator()).unwrap();
+            let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
             for w in WORKERS {
                 for s in SHARDS {
-                    let got = eval_au(&db, &q, &cfg_pipeline(w, s)).unwrap();
+                    let got = eval_au(&db, &q, &cfg_lanes(w, s)).unwrap();
                     prop_assert_eq!(&got, &reference, "workers = {}, shards = {}, q = {}", w, s, &q);
                 }
             }
@@ -532,10 +510,10 @@ proptest! {
             .join_on(table("t2"), col(0).eq(col(2)))
             .project(vec![(col(0), "g"), (col(1).add(col(3)), "v")])
             .aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(1), "s")]);
-        let reference = eval_au(&db, &q, &cfg_operator()).unwrap();
+        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
         for w in WORKERS {
             for s in SHARDS {
-                let got = eval_au(&db, &q, &cfg_pipeline(w, s)).unwrap();
+                let got = eval_au(&db, &q, &cfg_lanes(w, s)).unwrap();
                 prop_assert_eq!(&got, &reference, "workers = {}, shards = {}", w, s);
             }
         }
@@ -589,7 +567,7 @@ proptest! {
         let reference = RewriteSession::new(&db).with_workers(Some(1)).eval(&q).unwrap();
         prop_assert_eq!(
             &reference,
-            &eval_au(&db, &q, &cfg_operator()).unwrap(),
+            &eval_au(&db, &q, &cfg_oracle()).unwrap(),
             "rewrite vs native"
         );
         for w in WORKERS {
@@ -600,43 +578,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// probe chains on the lanes vs streaming vs interpreted vs operator-at-a-time
+// probe chains on the lanes vs the oracle
 // ---------------------------------------------------------------------------
-
-/// The three fused executions of one chain: pair batches over the lanes
-/// (the default), row-at-a-time streaming over compiled programs, and
-/// streaming over the interpreted `Expr` trees.
-fn fused_cfgs(workers: usize, shards: usize) -> [(&'static str, AuConfig); 3] {
-    let lanes = cfg_pipeline(workers, shards);
-    [
-        ("lanes", lanes),
-        ("streaming", AuConfig { columnar: false, ..lanes }),
-        ("interpreted", AuConfig { compiled: false, ..lanes }),
-    ]
-}
-
-/// Every fused execution returns **exactly** the same outcome — relation
-/// or error, the error being the one the streaming order meets first —
-/// for every workers × shards shape, and agrees with operator-at-a-time
-/// evaluation on the relation (an operator-at-a-time run meets errors in
-/// its own phase order, so there only success/failure is compared).
-fn assert_probe_paths_agree(db: &AuDatabase, q: &Query, ctx: &str) {
-    let operator = eval_au(db, q, &cfg_operator());
-    let reference = eval_au(db, q, &fused_cfgs(1, 1)[1].1);
-    match (&reference, &operator) {
-        (Ok(r), Ok(o)) => assert_eq!(r, o, "streaming vs operator-at-a-time: {ctx}, q = {q}"),
-        (Err(_), Err(_)) => {}
-        (r, o) => panic!("streaming {r:?} vs operator-at-a-time {o:?}: {ctx}, q = {q}"),
-    }
-    for w in WORKERS {
-        for s in SHARDS {
-            for (name, cfg) in fused_cfgs(w, s) {
-                let got = eval_au(db, q, &cfg);
-                assert_eq!(got, reference, "{name}: {ctx}, workers = {w}, shards = {s}, q = {q}");
-            }
-        }
-    }
-}
 
 /// σ → ⋈ → σ → π spines over `(g, a, b) ⋈ (g, a, b)`, one per probe plan:
 /// hash-equi on one and on two key pairs, interval comparison, and the
@@ -680,7 +623,7 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in probe_spines() {
-            assert_probe_paths_agree(&db, &q, "wide corpus");
+            assert_lanes_match_oracle(&db, &q, "wide corpus");
         }
     }
 }
@@ -726,17 +669,18 @@ fn probe_chain_paths_agree_on_mixed_keys() {
             .join_on(table("t2"), on)
             .select(col(1).add(col(3)).lt(lit(8i64)))
             .project(vec![(col(0), "k"), (col(1).mul(col(3)), "p"), (col(2), "rk")]);
-        assert_probe_paths_agree(&db, &q, "mixed keys");
-        let got = eval_au(&db, &q, &cfg_pipeline(1, 1)).unwrap();
+        assert_lanes_match_oracle(&db, &q, "mixed keys");
+        let got = eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap();
         assert!(!got.is_empty(), "q = {q}");
     }
 }
 
 /// Error order. Source row 2 passes the pre-probe selection and has a
 /// pair whose post-probe stage fails; source row 5 fails the pre-probe
-/// selection itself. Row-at-a-time streaming meets row 2's pair first —
-/// and so must the lanes, which run the selection over the whole chunk
-/// before the first pair is enumerated.
+/// selection itself. Streaming each source row through the whole chain
+/// before the next is touched meets row 2's pair first — and that is
+/// the error the lanes must report, although they run the selection
+/// over the whole chunk before the first pair is enumerated.
 #[test]
 fn probe_chain_reports_the_streaming_order_error() {
     use audb::query::table;
@@ -759,10 +703,36 @@ fn probe_chain_reports_the_streaming_order_error() {
         .select(col(1).add(lit(1i64)).geq(lit(0i64)))
         .join_on(table("t2"), col(0).eq(col(2)))
         .select(col(1).add(col(3)).geq(lit(0i64)));
-    assert_probe_paths_agree(&db, &q, "error order");
-    match eval_au(&db, &q, &cfg_pipeline(1, 1)).unwrap_err() {
+    assert_lanes_match_oracle(&db, &q, "error order");
+    match eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap_err() {
         EvalError::BinOpTypeError { right, .. } => assert!(right.contains("pair"), "{right}"),
         other => panic!("expected the pair's type error, got {other:?}"),
+    }
+}
+
+/// The probe-less twin: row 2 passes the selection and fails the
+/// projection (the late stage), row 5 fails the selection (the early
+/// stage, which the lanes run over the whole chunk first). Row by row,
+/// row 2's projection error comes first.
+#[test]
+fn select_project_chain_reports_the_streaming_order_error() {
+    use audb::query::table;
+    let rows: Vec<_> = (0..8i64)
+        .map(|i| {
+            let a = if i == 5 { Value::str("early") } else { Value::Int(i) };
+            let b = if i == 2 { Value::str("late") } else { Value::Int(10 * i) };
+            (cells(&[a, b]), AuAnnot::triple(1, 1, 1))
+        })
+        .collect();
+    let mut db = AuDatabase::new();
+    db.insert("t", AuRelation::from_rows(Schema::named(&["a", "b"]), rows));
+    let q = table("t")
+        .select(col(0).add(lit(1i64)).geq(lit(0i64)))
+        .project(vec![(col(0), "a"), (col(1).add(lit(1i64)), "s")]);
+    assert_lanes_match_oracle(&db, &q, "error order");
+    match eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap_err() {
+        EvalError::BinOpTypeError { left, .. } => assert!(left.contains("late"), "{left}"),
+        other => panic!("expected row 2's projection error, got {other:?}"),
     }
 }
 
@@ -795,8 +765,8 @@ fn probe_chain_paths_agree_across_batch_and_chunk_seams() {
     let spine = tail(table("t1").join_on(table("t2"), col(0).eq(col(2))));
     let cross = tail(table("few").cross(table("t2")));
     for q in [spine, cross] {
-        assert_probe_paths_agree(&db, &q, "seams");
-        assert!(eval_au(&db, &q, &cfg_pipeline(1, 1)).unwrap().len() > 1000, "q = {q}");
+        assert_lanes_match_oracle(&db, &q, "seams");
+        assert!(eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap().len() > 1000, "q = {q}");
     }
 }
 
@@ -929,12 +899,12 @@ fn expanding_join() -> Query {
 /// Acceptance: `AuConfig::timeout` surfaces `DeadlineExceeded` — the
 /// token is armed before the first driver entry, so an already-expired
 /// deadline trips at the very first morsel boundary, on both the
-/// operator-at-a-time and the pipelined engines.
+/// oracle and the lanes.
 #[test]
 fn zero_timeout_reports_deadline_exceeded() {
     let db = expanding_db(64);
     let q = expanding_join();
-    for cfg in [cfg_operator(), cfg_pipeline(4, 3)] {
+    for cfg in [cfg_oracle(), cfg_lanes(4, 3)] {
         let err = eval_au(&db, &q, &cfg.with_timeout(Duration::ZERO)).unwrap_err();
         assert_eq!(err, EvalError::Exec(ExecError::DeadlineExceeded), "cfg = {cfg:?}");
     }
@@ -946,10 +916,10 @@ fn zero_timeout_reports_deadline_exceeded() {
 fn far_deadline_does_not_perturb_results() {
     let db = expanding_db(24);
     let q = expanding_join();
-    let reference = eval_au(&db, &q, &cfg_operator()).unwrap();
+    let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
     for w in WORKERS {
         for s in SHARDS {
-            let cfg = cfg_pipeline(w, s)
+            let cfg = cfg_lanes(w, s)
                 .with_timeout(Duration::from_secs(3600))
                 .with_budget(BudgetSpec::unlimited());
             let got = eval_au(&db, &q, &cfg).unwrap();
@@ -966,7 +936,7 @@ fn cancelled_token_reports_cancelled() {
     let q = expanding_join();
     let token = CancelToken::new();
     token.cancel();
-    for cfg in [cfg_operator(), cfg_pipeline(4, 3)] {
+    for cfg in [cfg_oracle(), cfg_lanes(4, 3)] {
         let err = eval_au_cancellable(&db, &q, &cfg, &token).unwrap_err();
         assert_eq!(err, EvalError::Exec(ExecError::Cancelled), "cfg = {cfg:?}");
     }
@@ -982,7 +952,7 @@ fn row_budget_trips_naming_join_probe() {
     // 96 × 96 colliding keys → 9216 probe output rows, far past the cap
     let db = expanding_db(96);
     let q = expanding_join();
-    for cfg in [cfg_operator(), cfg_pipeline(4, 3)] {
+    for cfg in [cfg_oracle(), cfg_lanes(4, 3)] {
         let cfg = cfg.with_budget(BudgetSpec::rows(64));
         match eval_au(&db, &q, &cfg).unwrap_err() {
             EvalError::Exec(ExecError::BudgetExceeded { operator, resource, limit, attempted }) => {
@@ -1006,7 +976,7 @@ fn row_budget_trips_naming_join_probe() {
 fn byte_budget_trips() {
     let db = expanding_db(96);
     let q = expanding_join();
-    let cfg = cfg_pipeline(2, 3).with_budget(BudgetSpec::bytes(512));
+    let cfg = cfg_lanes(2, 3).with_budget(BudgetSpec::bytes(512));
     match eval_au(&db, &q, &cfg).unwrap_err() {
         EvalError::Exec(ExecError::BudgetExceeded { resource, .. }) => {
             assert_eq!(resource, "bytes");
@@ -1035,14 +1005,14 @@ mod fault_matrix {
     /// Acceptance: an injected worker panic surfaces as the structured
     /// `WorkerPanic` (payload preserved), and the engine — same config,
     /// same process — runs the next query untouched. The rule is
-    /// persistent so the compiled → interpreted degradation retry hits
+    /// persistent so the lanes → oracle degradation retry hits
     /// it too and cannot silently recover.
     #[test]
     fn injected_panic_surfaces_structured_and_engine_recovers() {
         let db = small_db();
         let q = expanding_join();
-        let cfg = cfg_pipeline(4, 3);
-        let reference = eval_au(&db, &q, &cfg_operator()).unwrap();
+        let cfg = cfg_lanes(4, 3);
+        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
 
         let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]);
         let err = with_plan(plan.clone(), || eval_au(&db, &q, &cfg)).unwrap_err();
@@ -1066,22 +1036,22 @@ mod fault_matrix {
         let db = small_db();
         let q = expanding_join();
         let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Error)]);
-        let err = with_plan(plan, || eval_au(&db, &q, &cfg_pipeline(2, 3))).unwrap_err();
+        let err = with_plan(plan, || eval_au(&db, &q, &cfg_lanes(2, 3))).unwrap_err();
         match err {
             EvalError::Exec(ExecError::Injected { morsel, .. }) => assert_eq!(morsel, 0),
             other => panic!("expected Injected, got {other:?}"),
         }
     }
 
-    /// Graceful degradation: a *one-shot* fault during the compiled run
-    /// is absorbed by the interpreted retry — the query still returns
+    /// Graceful degradation: a *one-shot* fault during the lane attempt
+    /// is absorbed by the oracle retry — the query still returns
     /// the byte-identical result.
     #[test]
     fn one_shot_fault_is_absorbed_by_degradation() {
         let db = small_db();
         let q = expanding_join();
-        let reference = eval_au(&db, &q, &cfg_operator()).unwrap();
-        let cfg = AuConfig { compiled: true, ..cfg_pipeline(4, 3) };
+        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
+        let cfg = cfg_lanes(4, 3);
         let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]);
         let got = with_plan(plan.clone(), || eval_au(&db, &q, &cfg)).unwrap();
         assert_eq!(got, reference, "degraded run must be byte-identical");
@@ -1094,9 +1064,9 @@ mod fault_matrix {
     fn zero_fault_run_is_byte_identical() {
         let db = small_db();
         let q = expanding_join();
-        let reference = eval_au(&db, &q, &cfg_operator()).unwrap();
+        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
         let plan = FaultPlan::new(vec![FaultRule::once(usize::MAX, 0, FaultKind::Panic)]);
-        let got = with_plan(plan.clone(), || eval_au(&db, &q, &cfg_pipeline(4, 3))).unwrap();
+        let got = with_plan(plan.clone(), || eval_au(&db, &q, &cfg_lanes(4, 3))).unwrap();
         assert_eq!(got, reference);
         assert_eq!(plan.fired(), 0);
     }
@@ -1104,8 +1074,7 @@ mod fault_matrix {
     /// A probe whose one source row meets more matches than a pair batch
     /// holds: the budget trips at a flush in the middle of that row
     /// (`"join-probe"`), and a cancellation injected at the chain's
-    /// shard checkpoint stops it before the first batch — on the lanes
-    /// and on the streaming path alike.
+    /// shard checkpoint stops it before the first batch.
     #[test]
     fn pair_batches_observe_budget_and_cancellation() {
         use audb::query::table;
@@ -1113,25 +1082,21 @@ mod fault_matrix {
         db.insert("t1", all_same_key(2));
         db.insert("t2", all_same_key(5000));
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-        for (name, cfg) in fused_cfgs(1, 1) {
-            let budgeted = cfg.with_budget(BudgetSpec::rows(3000));
-            match eval_au(&db, &q, &budgeted).unwrap_err() {
-                EvalError::Exec(ExecError::BudgetExceeded { operator, attempted, .. }) => {
-                    assert_eq!(operator, "join-probe", "{name}");
-                    // the lanes charge per flush: the overshoot is
-                    // bounded by one pair batch, not by a source row
-                    if name == "lanes" {
-                        assert!(attempted <= 3000 + 2048, "{name}: attempted {attempted}");
-                    }
-                }
-                other => panic!("{name}: expected BudgetExceeded, got {other:?}"),
+        let budgeted = cfg_lanes(1, 1).with_budget(BudgetSpec::rows(3000));
+        match eval_au(&db, &q, &budgeted).unwrap_err() {
+            EvalError::Exec(ExecError::BudgetExceeded { operator, attempted, .. }) => {
+                assert_eq!(operator, "join-probe");
+                // charged per flush: the overshoot is bounded by one
+                // pair batch, not by a source row
+                assert!(attempted <= 3000 + 2048, "attempted {attempted}");
             }
-            let cancellable = cfg.with_timeout(Duration::from_secs(3600));
-            let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Cancel)]);
-            let err = with_plan(plan.clone(), || eval_au(&db, &q, &cancellable)).unwrap_err();
-            assert_eq!(err, EvalError::Exec(ExecError::Cancelled), "{name}");
-            assert!(plan.fired() >= 1, "{name}");
+            other => panic!("expected BudgetExceeded, got {other:?}"),
         }
+        let cancellable = cfg_lanes(1, 1).with_timeout(Duration::from_secs(3600));
+        let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Cancel)]);
+        let err = with_plan(plan.clone(), || eval_au(&db, &q, &cancellable)).unwrap_err();
+        assert_eq!(err, EvalError::Exec(ExecError::Cancelled));
+        assert!(plan.fired() >= 1);
     }
 
     proptest! {
@@ -1148,7 +1113,7 @@ mod fault_matrix {
         ///   [`ExecError`] (never a wedge, never a garbled result), or
         ///   the run completes byte-identical — the latter when the
         ///   checkpoint was never reached or the one-shot fault was
-        ///   absorbed by the compiled → interpreted degradation retry;
+        ///   absorbed by the lanes → oracle degradation retry;
         /// * runs whose plan never fires are always byte-identical.
         #[test]
         fn fault_matrix_structured_error_or_identical(
@@ -1172,8 +1137,8 @@ mod fault_matrix {
             db.insert("t1", t1);
             db.insert("t2", t2);
 
-            let reference = eval_au(&db, q, &cfg_operator()).unwrap();
-            let cfg = cfg_pipeline(WORKERS[wi], SHARDS[si]);
+            let reference = eval_au(&db, q, &cfg_oracle()).unwrap();
+            let cfg = cfg_lanes(WORKERS[wi], SHARDS[si]);
             let plan = FaultPlan::new(vec![FaultRule::once(driver, morsel, kind)]);
             let got = with_plan(plan.clone(), || eval_au(&db, q, &cfg));
 

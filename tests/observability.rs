@@ -8,26 +8,14 @@
 //! landing in the event log with the exact driver/morsel coordinates
 //! the fault plan fired at.
 
+mod common;
+
 use proptest::prelude::*;
 
 use audb::core::{col, lit, Expr};
 use audb::prelude::*;
 use audb::query::table;
-
-/// Worker and shard grids the ISSUE pins down.
-const WORKERS: [usize; 4] = [1, 2, 4, 7];
-const SHARDS: [usize; 3] = [1, 3, 8];
-
-/// Forced worker/shard counts with the parallelism floor disabled, so
-/// tiny proptest inputs really exercise multi-worker paths.
-fn cfg_pipeline(workers: usize, shards: usize) -> AuConfig {
-    AuConfig {
-        workers: Some(workers),
-        shards: Some(shards),
-        min_rows_per_worker: Some(0),
-        ..AuConfig::default()
-    }
-}
+use common::{cfg_lanes, cfg_oracle, SHARDS, WORKERS};
 
 // ---------------------------------------------------------------------------
 // generators (mirroring tests/exec_equivalence.rs)
@@ -101,7 +89,7 @@ proptest! {
         for q in trace_queries() {
             for w in WORKERS {
                 for s in SHARDS {
-                    let cfg = cfg_pipeline(w, s);
+                    let cfg = cfg_lanes(w, s);
                     let reference = eval_au(&db, &q, &cfg).unwrap();
                     let (traced, trace) = eval_au_traced(&db, &q, &cfg).unwrap();
                     prop_assert_eq!(
@@ -126,7 +114,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// explain content: strategy, fusion, compiled-vs-interpreted
+// explain content: strategy, fusion, lanes-vs-oracle
 // ---------------------------------------------------------------------------
 
 /// Three tables shaped like the paper's experiment corpus: `t`
@@ -270,9 +258,9 @@ fn fold_promoted_term_counts_once() {
 #[test]
 fn explain_reports_join_strategy() {
     let db = corpus_db();
-    // operator-at-a-time so the join gets its own span (the pipelined
-    // engine fuses a bare join into a chain, covered separately below)
-    let op = AuConfig { pipeline: false, ..AuConfig::default() };
+    // the oracle, so the join gets its own span (the lanes fuse a bare
+    // join into a chain, covered separately below)
+    let op = AuConfig { oracle: true, ..AuConfig::default() };
     let cases: [(Option<Expr>, AuConfig, &str); 3] = [
         (Some(col(0).eq(col(2))), op, "hash-equi"),
         (Some(col(0).leq(col(2))), op, "interval-comparison"),
@@ -291,8 +279,8 @@ fn explain_reports_join_strategy() {
 }
 
 /// A multi-join chain (fig16 shape): every join span carries a
-/// strategy, and the pipelined run reports the fused chain with its
-/// operator summary, shard count, and compiled-vs-interpreted flag.
+/// strategy, and the default run reports the fused chain with its
+/// operator summary and shard count under a `lanes` attempt.
 #[test]
 fn explain_reports_multi_join_and_fusion() {
     let db = corpus_db();
@@ -302,9 +290,9 @@ fn explain_reports_multi_join_and_fusion() {
         .select(col(0).geq(lit(0i64)))
         .project(vec![(col(0), "a"), (col(5), "b")]);
 
-    // operator-at-a-time: two join spans, each classified
-    let op_cfg = AuConfig { pipeline: false, ..AuConfig::default() };
-    let ex = explain(&db, &q, &op_cfg).unwrap();
+    // the oracle: two join spans, each classified
+    let ex = explain(&db, &q, &cfg_oracle()).unwrap();
+    assert_eq!(ex.trace.root.find("attempt").and_then(|a| a.attr("mode")), Some("oracle"));
     let mut joins = 0;
     ex.trace.root.walk(&mut |s| {
         if s.op == "join" {
@@ -314,18 +302,23 @@ fn explain_reports_multi_join_and_fusion() {
     });
     assert_eq!(joins, 2, "both joins must be traced:\n{}", ex.trace.render_text());
 
-    // pipelined: the spine fuses into one chain; attrs name the mode
-    for compiled in [false, true] {
-        let cfg = AuConfig { compiled, ..cfg_pipeline(2, 3) };
-        let ex = explain(&db, &q, &cfg).unwrap();
-        let attempt = ex.trace.root.find("attempt").expect("attempt span");
-        assert_eq!(attempt.attr("mode"), Some("pipeline"));
-        assert_eq!(attempt.attr("exprs"), Some(if compiled { "compiled" } else { "interpreted" }));
-        let fused = ex.trace.root.find("fused-chain").expect("fused chain span");
-        let ops = fused.attr("ops").expect("ops summary");
-        assert!(ops.contains("⋈(hash-equi)") && ops.contains("σ") && ops.contains("π"), "{ops}");
-        assert_eq!(fused.attr("shards"), Some("3"));
+    // the lanes: the spine fuses into one chain; attrs name the mode
+    let ex = explain(&db, &q, &cfg_lanes(2, 3)).unwrap();
+    let attempt = ex.trace.root.find("attempt").expect("attempt span");
+    assert_eq!(attempt.attr("mode"), Some("lanes"));
+    let fused = ex.trace.root.find("fused-chain").expect("fused chain span");
+    let ops = fused.attr("ops").expect("ops summary");
+    assert!(ops.contains("⋈(hash-equi)") && ops.contains("σ") && ops.contains("π"), "{ops}");
+    assert_eq!(fused.attr("shards"), Some("3"));
+    // one path: nothing left to say about how a chain's exprs ran
+    for gone in ["exprs", "batched", "columnar"] {
+        assert_eq!(fused.attr(gone), None, "{gone}");
+        assert_eq!(attempt.attr(gone), None, "{gone}");
     }
+    for (key, _) in &ex.trace.engine {
+        assert!(!["pipeline", "compiled", "columnar"].contains(key), "engine echo has {key}");
+    }
+    assert!(ex.trace.engine.iter().any(|(k, v)| *k == "oracle" && v == "false"));
 }
 
 /// A probe chain on the lanes says what it did: the candidate pairs it
@@ -345,8 +338,6 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     let (rel, trace) = eval_au_traced(&db, &spine, &cfg).unwrap();
     assert_eq!(rel, eval_au(&db, &spine, &cfg).unwrap(), "traced != untraced");
     let fused = trace.root.find("fused-chain").expect("fused chain span");
-    assert_eq!(fused.attr("columnar"), Some("true"));
-    assert_eq!(fused.attr("batched"), Some("true"));
     assert_eq!(fused.attr("pairs"), Some("1080"));
     assert_eq!(fused.attr("pair_batches"), Some("1"));
     assert_eq!(fused.attr("stages_boxed"), Some("0"));
@@ -381,13 +372,10 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     assert_eq!(fused.attr("stages_boxed"), Some("1"));
     assert_eq!(trace.metrics.counter("chain_stages_boxed"), Some(1));
 
-    // an interpreted chain streams: no lanes, no pair accounting
-    let interp = AuConfig { compiled: false, ..cfg };
-    let (_, trace) = eval_au_traced(&db, &spine, &interp).unwrap();
-    let fused = trace.root.find("fused-chain").expect("fused chain span");
-    assert_eq!(fused.attr("columnar"), Some("false"));
-    assert_eq!(fused.attr("batched"), Some("false"));
-    assert_eq!(fused.attr("pairs"), None);
+    // the oracle fuses nothing: no chain span, no pair accounting
+    let (_, trace) = eval_au_traced(&db, &spine, &AuConfig { oracle: true, ..cfg }).unwrap();
+    assert!(trace.root.find("fused-chain").is_none());
+    assert!(trace.root.find("join").is_some());
 }
 
 /// A fusable shape consumed under a Faithful delivery contract falls
@@ -400,7 +388,7 @@ fn explain_reports_fusion_fallback_reason() {
     let q = table("t1")
         .join_on(table("t2"), col(0).eq(col(2)))
         .aggregate(vec![1], vec![AggSpec::new(AggFunc::Sum, col(3), "s")]);
-    let ex = explain(&db, &q, &cfg_pipeline(2, 3)).unwrap();
+    let ex = explain(&db, &q, &cfg_lanes(2, 3)).unwrap();
     let agg = ex.trace.root.find("aggregate").expect("aggregate span");
     assert_eq!(agg.attr("fallback"), Some("pipeline-breaker"));
     let join = ex.trace.root.find("join").expect("join span");
@@ -418,7 +406,7 @@ fn explain_reports_fusion_fallback_reason() {
 fn metrics_counters_reflect_real_work() {
     let db = corpus_db();
     let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-    let (out, trace) = eval_au_traced(&db, &q, &cfg_pipeline(2, 3)).unwrap();
+    let (out, trace) = eval_au_traced(&db, &q, &cfg_lanes(2, 3)).unwrap();
     let m = &trace.metrics;
     assert!(m.counter("drivers_entered").unwrap() >= 1);
     assert!(m.counter("morsels_dispatched").unwrap() >= 1);
@@ -427,11 +415,11 @@ fn metrics_counters_reflect_real_work() {
     assert!(m.counter("normalize_rows_out").unwrap() >= out.len() as u64);
     assert_eq!(m.counter("cancel_checks"), Some(0), "no token armed");
 
-    let cfg = cfg_pipeline(2, 3).with_timeout(std::time::Duration::from_secs(3600));
+    let cfg = cfg_lanes(2, 3).with_timeout(std::time::Duration::from_secs(3600));
     let (_, trace) = eval_au_traced(&db, &q, &cfg).unwrap();
     assert!(trace.metrics.counter("cancel_checks").unwrap() >= 1, "token armed");
 
-    let cfg = cfg_pipeline(2, 3).with_budget(BudgetSpec::rows(1_000_000));
+    let cfg = cfg_lanes(2, 3).with_budget(BudgetSpec::rows(1_000_000));
     let (_, trace) = eval_au_traced(&db, &q, &cfg).unwrap();
     assert!(trace.metrics.counter("budget_charges").unwrap() >= 1);
     assert!(trace.metrics.counter("budget_rows_charged").unwrap() >= 1);
@@ -447,7 +435,7 @@ fn trace_json_is_versioned_and_failure_preserves_trace() {
     let (_, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
     let json = trace.to_json();
     for key in [
-        "\"version\":1",
+        "\"version\":2",
         "\"engine\":",
         "\"root\":",
         "\"events\":",
@@ -479,7 +467,7 @@ mod fault_trace {
     use super::*;
     use audb::exec::faults::{with_plan, FaultKind, FaultPlan, FaultRule};
 
-    /// A one-shot injected *error* during the compiled attempt is
+    /// A one-shot injected *error* during the lane attempt is
     /// absorbed by degradation — and the trace records the injected
     /// fault at exactly the plan's (driver, morsel) coordinates plus
     /// exactly one degradation event.
@@ -487,7 +475,7 @@ mod fault_trace {
     fn injected_error_lands_with_exact_coordinates_and_one_degradation() {
         let db = corpus_db();
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-        let cfg = AuConfig { compiled: true, ..cfg_pipeline(2, 3) };
+        let cfg = cfg_lanes(2, 3);
         let reference = eval_au(&db, &q, &cfg).unwrap();
         let (driver, morsel) = (0usize, 0usize);
         let plan = FaultPlan::new(vec![FaultRule::once(driver, morsel, FaultKind::Error)]);
@@ -515,7 +503,7 @@ mod fault_trace {
     fn injected_panic_lands_in_trace() {
         let db = corpus_db();
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-        let cfg = AuConfig { compiled: true, ..cfg_pipeline(2, 3) };
+        let cfg = cfg_lanes(2, 3);
         let reference = eval_au(&db, &q, &cfg).unwrap();
         let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Panic)]);
         let (out, trace) = with_plan(plan.clone(), || eval_au_traced(&db, &q, &cfg)).unwrap();
@@ -530,6 +518,29 @@ mod fault_trace {
         assert_eq!(trace.metrics.counter("degradations"), Some(1));
     }
 
+    /// An attempt that already runs on the oracle — asked for, or implied
+    /// by a compression knob — has nothing to degrade to: its fault
+    /// surfaces, and no degradation is recorded for a retry that would
+    /// only have re-run the identical path.
+    #[test]
+    fn oracle_attempts_surface_faults_without_a_phantom_degradation() {
+        let db = corpus_db();
+        let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
+        // adaptive: inputs this small join precisely, on the planner's driver
+        for cfg in [cfg_oracle(), AuConfig::compressed(64).with_workers(1)] {
+            let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]);
+            let (result, trace) = with_plan(plan.clone(), || eval_au_traced_full(&db, &q, &cfg));
+            let injected = ExecError::Injected { driver: 0, morsel: 0 };
+            assert_eq!(result.unwrap_err(), EvalError::Exec(injected), "cfg = {cfg:?}");
+            assert_eq!(plan.fired(), 1);
+            assert_eq!(trace.metrics.counter("degradations"), Some(0), "cfg = {cfg:?}");
+            assert!(trace.events.iter().all(|e| e.kind.name() != "degraded_to_interpreter"));
+            let mut attempts = 0;
+            trace.root.walk(&mut |s| attempts += usize::from(s.op == "attempt"));
+            assert_eq!(attempts, 1, "no second attempt:\n{}", trace.render_text());
+        }
+    }
+
     /// An injected cancellation (the fault trips the armed token)
     /// surfaces as a failed query whose trace still carries the
     /// cancelled event — no retry, since cancellation is a resource
@@ -538,8 +549,7 @@ mod fault_trace {
     fn injected_cancel_lands_in_trace() {
         let db = corpus_db();
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-        let cfg = AuConfig { compiled: true, ..cfg_pipeline(2, 3) }
-            .with_timeout(std::time::Duration::from_secs(3600));
+        let cfg = cfg_lanes(2, 3).with_timeout(std::time::Duration::from_secs(3600));
         let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Cancel)]);
         let (result, trace) = with_plan(plan, || eval_au_traced_full(&db, &q, &cfg));
         assert_eq!(result.unwrap_err(), EvalError::Exec(ExecError::Cancelled));

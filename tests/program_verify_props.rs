@@ -13,9 +13,12 @@
 //!   `Missed`);
 //! * **graceful rejection** — a corrupted program injected at the chain
 //!   compile sites (via the `with_tampered_programs` test seam) is
-//!   rejected by the verifier and the stage degrades to the interpreted
-//!   oracle with a byte-identical result, recording the
-//!   `verify_rejects` counter and a `verifier_rejected` event.
+//!   rejected by the verifier and its whole chain degrades to the
+//!   operator-at-a-time oracle with the oracle's exact outcome,
+//!   recording the `verify_rejects` counter, a `verifier_rejected`
+//!   event and `fallback = "verifier-rejected"` on the chain's span.
+
+mod common;
 
 use proptest::prelude::*;
 
@@ -23,6 +26,7 @@ use audb::core::program::Program;
 use audb::core::verify::mutate;
 use audb::prelude::*;
 use audb::query::{table, with_tampered_programs};
+use common::cfg_oracle;
 
 // ---------------------------------------------------------------------------
 // generators (mirroring tests/compiled_exprs_props.rs)
@@ -204,8 +208,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Verifier-rejection degradation: corrupt every rejectable chain
-    /// program at the compile sites — the query must still produce a
-    /// result byte-identical to the fully interpreted oracle.
+    /// program at the compile sites — the chain runs on the oracle, so
+    /// the query must produce exactly the oracle's outcome.
     #[test]
     fn rejected_programs_degrade_byte_identically(
         rel in au_relation_strategy(12),
@@ -217,7 +221,7 @@ proptest! {
         let q = table("t")
             .select(pred)
             .project(vec![(proj, "p"), (col(0), "a")]);
-        let oracle = eval_au(&db, &q, &AuConfig { compiled: false, ..AuConfig::default() });
+        let oracle = eval_au(&db, &q, &cfg_oracle());
         let tampered = with_tampered_programs(corrupt_if_possible, || {
             eval_au(&db, &q, &AuConfig::default())
         });
@@ -262,15 +266,16 @@ fn two_row_db() -> AuDatabase {
     db
 }
 
-/// The rejection is observable: the degraded stage ticks the
+/// The rejection is observable: the degraded chain ticks the
 /// `verify_rejects` counter, logs a `verifier_rejected` event carrying
-/// the diagnostic, closes a rejected `verify` span — and the result
-/// still equals the interpreted oracle.
+/// the diagnostic, closes a rejected `verify` span, says
+/// `fallback = "verifier-rejected"` — and the result still equals the
+/// oracle's.
 #[test]
 fn rejection_ticks_counter_and_event() {
     let db = two_row_db();
     let q = table("t").select(col(0).leq(col(1))).project(vec![(col(0).add(col(1)), "s")]);
-    let oracle = eval_au(&db, &q, &AuConfig { compiled: false, ..AuConfig::default() });
+    let oracle = eval_au(&db, &q, &cfg_oracle());
 
     let (result, trace) = with_tampered_programs(corrupt_if_possible, || {
         eval_au_traced_full(&db, &q, &AuConfig::default())
@@ -291,6 +296,53 @@ fn rejection_ticks_counter_and_event() {
         }
     });
     assert!(saw_rejected_span, "expected a rejected verify span in:\n{}", trace.render_text());
+    let fused = trace.root.find("fused-chain").expect("fused chain span");
+    assert_eq!(fused.attr("fallback"), Some("verifier-rejected"));
+}
+
+/// A σ → ⋈ → σ → π chain whose *post-probe* stage is rejected: every
+/// stage compiles before any input is evaluated, so the whole chain
+/// runs on the oracle and the join's right subtree is evaluated once —
+/// not once for a probe that is then thrown away and again for the
+/// oracle's join.
+#[test]
+fn rejected_post_probe_stage_degrades_the_chain_and_builds_once() {
+    let mut db = two_row_db();
+    db.insert("u", two_row_db().get("t").expect("inserted above").clone());
+    let right = table("u").project(vec![(col(0).add(lit(1i64)), "C"), (col(1), "D")]).distinct();
+    let q = table("t")
+        .select(col(1).geq(lit(0i64)))
+        .join_on(right, col(1).leq(col(3)))
+        .select(col(0).add(col(2)).geq(lit(0i64)))
+        .project(vec![(col(0).add(col(3)), "s")]);
+    let oracle = eval_au(&db, &q, &cfg_oracle());
+    assert!(oracle.as_ref().is_ok_and(|r| !r.is_empty()), "{oracle:?}");
+
+    // Programs reach the hook in compile order: the outer chain's
+    // pre-probe σ, re-check predicate, post-probe σ (the third), π.
+    let mut seen = 0;
+    let reject_third = move |p: Program| {
+        seen += 1;
+        if seen == 3 {
+            corrupt_if_possible(p)
+        } else {
+            p
+        }
+    };
+    let (result, trace) =
+        with_tampered_programs(reject_third, || eval_au_traced_full(&db, &q, &AuConfig::default()));
+    assert_eq!(result, oracle);
+    assert_eq!(trace.metrics.counter("verify_rejects"), Some(1), "{}", trace.render_text());
+    let fused = trace.root.find("fused-chain").expect("fused chain span");
+    assert_eq!(fused.attr("fallback"), Some("verifier-rejected"));
+    assert_eq!(fused.attr("ops"), None, "a rejected chain never ran on the lanes");
+    let (mut distincts, mut joins) = (0, 0);
+    trace.root.walk(&mut |s| {
+        distincts += usize::from(s.op == "distinct");
+        joins += usize::from(s.op == "join");
+    });
+    assert_eq!(distincts, 1, "right subtree evaluated once:\n{}", trace.render_text());
+    assert_eq!(joins, 1, "the oracle's join ran:\n{}", trace.render_text());
 }
 
 /// Untampered compiles are observable too: a traced evaluation with

@@ -184,9 +184,9 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
     assert_eq!(resp.relation, eval_au(snap.db(), &qs[0], &eval_cfg).unwrap());
 }
 
-/// Deterministic breaker walk-through: persistent compiled-path faults
+/// Deterministic breaker walk-through: persistent lane-path faults
 /// trip the plan's breaker; with the fault gone but the breaker open,
-/// the plan serves correctly from the interpreted oracle; the cooldown
+/// the plan serves correctly from the oracle (`oracle: true`); the cooldown
 /// probe closes it again.
 #[test]
 fn breaker_trips_degrades_and_recovers() {
@@ -199,7 +199,7 @@ fn breaker_trips_degrades_and_recovers() {
     let q = queries().remove(0);
     let want = eval_au(&db, &q, &stress_config().eval).unwrap();
 
-    // two consecutive compiled-path faults trip the breaker
+    // two consecutive lane-path faults trip the breaker
     for _ in 0..2 {
         let err =
             with_plan(FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]), || {
@@ -211,9 +211,9 @@ fn breaker_trips_degrades_and_recovers() {
     let stats = engine.stats();
     assert_eq!(stats.metrics.counter("breaker_trips"), Some(1));
 
-    // fault gone, breaker open: served correctly from the interpreter
+    // fault gone, breaker open: served correctly from the oracle
     let resp = engine.execute(&q, Class::Interactive).unwrap();
-    assert!(resp.breaker_degraded, "open breaker routes to the interpreted oracle");
+    assert!(resp.breaker_degraded, "open breaker routes to the oracle");
     assert_eq!(resp.relation, want);
 
     // cooldown passes: the half-open probe succeeds and closes the breaker
