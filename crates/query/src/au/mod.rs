@@ -55,10 +55,10 @@ pub struct AuConfig {
     /// and merge barrier per operator), instead of fusing maximal chains
     /// of row-local operators into compiled lane pipelines
     /// ([`pipeline`]). Off by default; results are byte-identical
-    /// either way (`tests/exec_equivalence.rs`). Compressed
-    /// configurations (`join_compress`/`agg_compress` set) always run
-    /// operator-at-a-time, and the degradation retry and the serving
-    /// breaker switch this on to route around a faulting lane path.
+    /// either way, compressed configurations included
+    /// (`tests/exec_equivalence.rs`). The degradation retry and the
+    /// serving breaker switch this on to route around a faulting lane
+    /// path.
     pub oracle: bool,
     /// Number of contiguous shards a fused chain slices its base input
     /// into: `None` sizes automatically from the worker count and input
@@ -144,12 +144,11 @@ impl AuConfig {
         self
     }
 
-    /// Does this configuration run fused chains on the lanes? `false`
-    /// means every operator runs on the operator-at-a-time oracle:
-    /// asked for ([`AuConfig::oracle`]), or implied by a compression
-    /// knob.
+    /// Does this configuration run fused chains on the lanes? Every
+    /// one does — compression knobs included — unless it asks for the
+    /// operator-at-a-time oracle ([`AuConfig::oracle`]).
     pub fn fuses_chains(&self) -> bool {
-        !self.oracle && self.join_compress.is_none() && self.agg_compress.is_none()
+        !self.oracle
     }
 
     /// Set a wall-clock deadline for the query.
@@ -169,11 +168,13 @@ impl AuConfig {
 
 /// Evaluate a query over an AU-database.
 ///
-/// By default maximal chains of row-local operators run shard-at-a-time
-/// through [`pipeline`], paying one normalization per pipeline breaker
-/// instead of one per operator; with [`AuConfig::oracle`] (or a
-/// compression knob) every operator runs operator-at-a-time. The result
-/// is byte-identical either way, for any worker and shard count.
+/// Maximal chains of row-local operators run shard-at-a-time through
+/// [`pipeline`], paying one normalization per pipeline breaker instead
+/// of one per operator — under every configuration: a join that
+/// compresses ([`AuConfig::join_compress`]) is a breaker inside that
+/// planner, not a reason to leave it. Only [`AuConfig::oracle`] runs
+/// every operator operator-at-a-time. The result is byte-identical
+/// either way, for any worker and shard count.
 ///
 /// Governance: [`AuConfig::timeout`] arms a [`CancelToken`] with a
 /// wall-clock deadline and [`AuConfig::budget`] attaches a fresh
@@ -414,9 +415,14 @@ pub(crate) fn close_rel(tr: &TraceBuilder, h: usize, rel: &AuRelation) {
     }
 }
 
+/// Open a `join` span: detail from the predicate.
+pub(crate) fn open_join_span(tr: &TraceBuilder, predicate: Option<&Expr>) -> usize {
+    tr.open("join", || predicate.map_or_else(|| "cross".to_string(), ToString::to_string))
+}
+
 /// Open the span for one plan operator: span kind from the operator
 /// kind, detail from its predicate / projection list / grouping. Shared
-/// by the operator-at-a-time evaluator and the pipeline fallback path.
+/// by the operator-at-a-time evaluator and the pipeline's breakers.
 pub(crate) fn open_op_span(tr: &TraceBuilder, q: &Query) -> usize {
     match q {
         Query::Table(name) => tr.open("scan", || name.clone()),
@@ -425,9 +431,7 @@ pub(crate) fn open_op_span(tr: &TraceBuilder, q: &Query) -> usize {
             let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e}→{n}")).collect();
             cols.join(", ")
         }),
-        Query::Join { predicate, .. } => tr.open("join", || {
-            predicate.as_ref().map_or_else(|| "cross".to_string(), ToString::to_string)
-        }),
+        Query::Join { predicate, .. } => open_join_span(tr, predicate.as_ref()),
         Query::Union { .. } => tr.open("union", String::new),
         Query::Difference { .. } => tr.open("difference", String::new),
         Query::Distinct { .. } => tr.open("distinct", String::new),
@@ -437,11 +441,10 @@ pub(crate) fn open_op_span(tr: &TraceBuilder, q: &Query) -> usize {
     }
 }
 
-/// The operator-at-a-time evaluator — the one differential oracle, and
-/// the production path of every compressed configuration. Copy-free:
-/// base tables are *borrowed* from the database and only operator
-/// outputs are owned, so no whole-table clone happens anywhere in a
-/// plan.
+/// The operator-at-a-time evaluator — the one differential oracle.
+/// Copy-free: base tables are *borrowed* from the database and only
+/// operator outputs are owned, so no whole-table clone happens anywhere
+/// in a plan.
 fn eval_inner<'a>(
     db: &'a AuDatabase,
     q: &Query,
@@ -474,12 +477,9 @@ fn eval_inner<'a>(
             let l = eval_inner(db, left, cfg, exec, tr)?;
             let r = eval_inner(db, right, cfg, exec, tr)?;
             tr.rows_in(h, (l.len() + r.len()) as u64);
-            let out = match cfg.join_compress {
-                Some(ct) if !cfg.adaptive || opt::join_compression_pays_off(&l, &r) => {
-                    tr.attr(h, "strategy", || "split-compress".to_string());
-                    opt::optimized_join_exec(&l, &r, predicate.as_ref(), ct, exec)?
-                }
-                _ => {
+            let out = match effective_join_compress(cfg, &l, &r) {
+                Some(ct) => compress_join_in_span(tr, h, &l, &r, predicate.as_ref(), ct, exec)?,
+                None => {
                     tr.attr(h, "strategy", || {
                         planner::classify(predicate.as_ref(), l.schema.arity()).name().to_string()
                     });
@@ -556,9 +556,45 @@ pub(crate) fn aggregate_in_span(
     Ok(out)
 }
 
+/// Run the split/compress join under the open `join` span `h`,
+/// recording its strategy and what it did (SG rows, buckets per side,
+/// possible rows) as span attributes.
+pub(crate) fn compress_join_in_span(
+    tr: &TraceBuilder,
+    h: usize,
+    l: &AuRelation,
+    r: &AuRelation,
+    predicate: Option<&Expr>,
+    ct: usize,
+    exec: &Executor,
+) -> Result<AuRelation, EvalError> {
+    tr.attr(h, "strategy", || "split-compress".to_string());
+    let (out, st) = opt::optimized_join_stats(l, r, predicate, ct, exec)?;
+    let attrs = [
+        ("sg_rows", st.sg_rows),
+        ("buckets_l", st.buckets_l),
+        ("buckets_r", st.buckets_r),
+        ("possible_rows", st.possible_rows),
+    ];
+    for (key, v) in attrs {
+        tr.attr(h, key, || v.to_string());
+    }
+    Ok(out)
+}
+
 /// Trace-attribute rendering of an optional compression knob.
 pub(crate) fn opt_usize_attr(v: Option<usize>) -> String {
     v.map_or_else(|| "none".to_string(), |x| x.to_string())
+}
+
+/// The join-compression setting after the adaptive check — taken on the
+/// evaluated inputs, by the oracle and the chain planner alike.
+pub(crate) fn effective_join_compress(
+    cfg: &AuConfig,
+    l: &AuRelation,
+    r: &AuRelation,
+) -> Option<usize> {
+    cfg.join_compress.filter(|_| !cfg.adaptive || opt::join_compression_pays_off(l, r))
 }
 
 /// The aggregation-compression setting after the adaptive check.

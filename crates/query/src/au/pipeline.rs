@@ -4,13 +4,12 @@
 //!
 //! The AU engine runs a query one of two ways. The operator-at-a-time
 //! evaluator ([`super::eval_inner`]: interpreted `Expr` trees — the
-//! differential oracle, [`AuConfig::oracle`], and the path of every
-//! compressed configuration) materializes a full intermediate relation
-//! between every pair of operators, and most operator tails pay a
-//! hash-merge + sort over that whole intermediate. But `RA+`'s
-//! row-local operators — selection, generalized projection, and the
-//! probe side of a planned join against a shared build-side index —
-//! compose into purely tuple-local functions (the U-relations
+//! differential oracle, [`AuConfig::oracle`]) materializes a full
+//! intermediate relation between every pair of operators, and most
+//! operator tails pay a hash-merge + sort over that whole intermediate.
+//! But `RA+`'s row-local operators — selection, generalized projection,
+//! and the probe side of a planned join against a shared build-side
+//! index — compose into purely tuple-local functions (the U-relations
 //! observation of Antova et al., applied to AU-annotations: the
 //! annotation algebra is row-local, so the operators are too). This
 //! module fuses maximal chains of them and drives the fused chain
@@ -20,37 +19,50 @@
 //! before the next is touched; no relation between the base table and
 //! the breaker is materialized.
 //!
-//! This is the production path, and the only fused one: every stage of a
-//! chain is a compiled register program ([`Program`]) evaluated as typed
-//! vector kernels over column lanes. A chain one of whose programs the
-//! Tier B verifier rejects ([`crate::vcheck`]) does not run fused at
-//! all — it runs on the oracle (`fallback = "verifier-rejected"`).
+//! This is the production path of every configuration, compressed ones
+//! included, and the only fused one: every stage of a chain is a
+//! compiled register program ([`Program`]) evaluated as typed vector
+//! kernels over column lanes. A chain one of whose programs the Tier B
+//! verifier rejects ([`crate::vcheck`]) does not run fused at all — it
+//! runs on the oracle (`fallback = "verifier-rejected"`).
 //!
 //! ## Fusion rules
 //!
 //! A *chain* is `σ* [⋈-probe] (σ|π)*` anchored on a base table or on a
-//! materialized sub-result:
+//! materialized sub-result; every `σ/π/⋈` tree decomposes into chains:
 //!
 //! * `Select` and `Project` extend a chain unconditionally;
-//! * a precise `Join` fuses as a **probe**: its right side is evaluated
-//!   and indexed up front (hash buckets for certain equi-keys, interval
-//!   sweeps for the uncertain bands — the exact structures the
-//!   operator-at-a-time planner uses), and left rows enumerate their
-//!   matches through the probe. Only selections may sit between the
-//!   source and the probe (they do not change tuples, so the sweep
-//!   candidates precomputed on source row ids stay valid); a left
-//!   subtree that already contains a probe or a projection is
+//! * a `Join` that does not compress fuses as a **probe**: its right
+//!   side is evaluated and indexed up front (hash buckets for certain
+//!   equi-keys, interval sweeps for the uncertain bands — the exact
+//!   structures the operator-at-a-time planner uses), and left rows
+//!   enumerate their matches through the probe. Only selections may
+//!   sit between the source and the probe (they do not change tuples,
+//!   so the sweep candidates precomputed on source row ids stay valid);
+//!   a left subtree that already contains a probe or a projection is
 //!   materialized first and becomes the new chain source;
-//! * everything else — aggregation, distinct, union, difference,
-//!   compressed joins — is a **pipeline breaker**: the chain ends, the
-//!   breaker runs operator-at-a-time, and its inputs recurse through
-//!   the pipeline extractor.
+//! * a `Join` that **compresses** (Section 10.4: [`AuConfig::join_compress`]
+//!   set and, when adaptive, [`crate::opt::join_compression_pays_off`]
+//!   on the evaluated inputs — the oracle's verdict over the oracle's
+//!   lists, hence the same buckets) is a breaker that becomes the chain
+//!   **source**: split/compress runs once, and the `σ/π` above it run as
+//!   a probe-less chain over its output. Under a join-compression knob
+//!   pre-probe selections are materialized with the left input, so the
+//!   verdict sees `σ(l)` as the oracle does;
+//! * aggregation, distinct, union and difference are **pipeline
+//!   breakers**: the chain ends, the breaker runs its own kernel, and
+//!   its inputs recurse through the pipeline extractor.
 //!
 //! ## Determinism (byte-identical to the oracle)
 //!
 //! The final result of [`eval_pipelined`] is byte-identical to the
-//! sequential oracle's for any (workers × shards) combination. Two
-//! delivery contracts make this compositional:
+//! sequential oracle's for any (workers × shards) combination. A probe
+//! chain enumerates its pairs source row by source row — a row's hash
+//! bucket (or, on a nested-loop plan, every right row), then its sweep
+//! candidates, each carrying its *rank*: its position in the sweeps'
+//! emission order, the list the planner's operator path evaluates. The
+//! two delivery contracts are that one enumeration, normalized or put
+//! in planner order:
 //!
 //! * **Canonical** — the consumer only depends on the *multiset* of
 //!   rows (it normalizes, or folds commutatively, before anything
@@ -62,12 +74,24 @@
 //!   join build sides are Canonical.
 //! * **Faithful** — the consumer's output depends on the exact row
 //!   *list* (aggregation folds bounds in member order, which is not
-//!   associative for floats). A chain is used here only when its
-//!   operator-at-a-time delivery is reproducible exactly: select-only
-//!   chains preserve the source list (and its normal form), and chains
-//!   whose last probe is followed by a projection end normalized in
-//!   both paths. Anything else falls back to operator-at-a-time with
-//!   Faithful inputs.
+//!   associative for floats; the adaptive compression verdicts count
+//!   rows). A chain delivers the very list the operator path builds:
+//!   select-only chains preserve the source list (and its normal form);
+//!   a chain ending `⋈ σ*` delivers, un-normalized, the unranked pairs
+//!   as enumerated (certain-key source rows in row order × bucket order
+//!   — the planner's hash phase; a nested loop's row order) followed by
+//!   the sweep candidates by rank (the planner's emission order: the
+//!   interval indexes sort by `(lb, row id)` and the sweeps prune
+//!   order-preservingly, so restricting it to the rows the pre-probe
+//!   selections kept *is* the emission order over the filtered
+//!   relation), with the surrounding selections applied in place; and a
+//!   chain with a projection ends normalized in both paths. A Faithful
+//!   probe chain takes its own inputs Faithful. When the consumer is an
+//!   aggregate, an un-normalized list carries only the columns the
+//!   aggregate reads (**breaker-narrow** delivery: rows stay one-to-one,
+//!   so member lists and fold order are untouched); Canonical
+//!   intermediates are never narrowed — merging on fewer columns would
+//!   change row counts, verdicts and buckets.
 //!
 //! Within one contract, shard boundaries never matter: shards are
 //! contiguous and merged in shard order ([`Executor::run_shards`]), so
@@ -90,10 +114,10 @@ use audb_storage::{
 };
 
 use super::{
-    aggregate_in_span, close_rel, difference, effective_agg_compress, open_op_span, opt_usize_attr,
-    select_au_exec, union_cow, AuConfig,
+    aggregate_in_span, close_rel, compress_join_in_span, difference, effective_agg_compress,
+    effective_join_compress, open_join_span, open_op_span, opt_usize_attr, union_cow, AuConfig,
 };
-use crate::algebra::Query;
+use crate::algebra::{AggSpec, Query};
 use crate::planner;
 use crate::vcheck::Vet;
 
@@ -133,7 +157,8 @@ fn charge_out(
 pub(crate) enum Delivery {
     /// Multiset-determined consumer: fused chains deliver normalized.
     Canonical,
-    /// List-determined consumer: only exactly-reproducible chains fuse.
+    /// List-determined consumer: fused chains deliver the operator
+    /// path's exact row list.
     Faithful,
 }
 
@@ -154,31 +179,6 @@ pub(crate) fn eval_pipelined<'a>(
 // ---------------------------------------------------------------------------
 // Chain shape analysis (no evaluation)
 // ---------------------------------------------------------------------------
-
-/// Is `q` a fusable chain (`σ/π/⋈` tree in chain form)? Joins anchor a
-/// chain regardless of their subtrees (a non-chainable left side is
-/// materialized into the chain source).
-fn fusable(q: &Query, cfg: &AuConfig) -> bool {
-    match q {
-        Query::Table(_) => true,
-        Query::Select { input, .. } | Query::Project { input, .. } => fusable(input, cfg),
-        // Compressed joins run split/compress — a breaker, not a probe.
-        Query::Join { .. } => cfg.join_compress.is_none(),
-        _ => false,
-    }
-}
-
-/// Is the chain's operator-at-a-time delivery exactly reproducible by
-/// the fused evaluation (see `Delivery::Faithful`)?
-fn faithful_ok(q: &Query) -> bool {
-    match q {
-        Query::Table(_) | Query::Project { .. } => true,
-        Query::Select { input, .. } => faithful_ok(input),
-        // A probe tail delivers unnormalized rows in planner phase
-        // order, which per-row probing does not reproduce.
-        _ => false,
-    }
-}
 
 /// Is the subtree a select-only chain over its anchor (so a probe can
 /// fuse onto it with source row ids intact)?
@@ -226,8 +226,8 @@ impl Stage {
 /// A chain as [`plan_chain`] lays it out: every stage compiled, no
 /// input evaluated yet.
 struct ChainPlan<'q> {
-    /// The sub-query whose result the chain runs over: a base table, or
-    /// what a join materializes as its left side.
+    /// The sub-query whose result the chain runs over: a base table, a
+    /// breaker, or what a join materializes as its left side.
     source: &'q Query,
     /// Stages over the source rows; all selections when a probe follows.
     pre: Vec<Stage>,
@@ -252,26 +252,37 @@ enum ProbePlan {
 }
 
 /// The build side of a fused join: the evaluated right relation, its
-/// indexes, and per-source-row sweep candidates.
+/// indexes, and the sweep candidates.
 struct ProbeOp<'a> {
     right: Cow<'a, AuRelation>,
     /// The join's re-check predicate: the first post-probe stage.
     predicate: Option<Stage>,
     plan: ProbePlan,
     /// Per *source* row id, as a flat CSR ([`planner::csr_by_left`]):
-    /// right-row candidates from the interval sweeps (uncertain-key
-    /// bands for equi plans, all candidates for comparison plans; empty
-    /// for nested loops).
+    /// its `(right row, rank)` candidates from the interval sweeps
+    /// (uncertain-key bands for equi plans, all candidates for
+    /// comparison plans; empty for nested loops). `rank` is the pair's
+    /// position in the sweeps' emission order — the list the
+    /// operator-at-a-time planner evaluates.
     cand_offsets: Vec<usize>,
-    cand_ids: Vec<u32>,
+    cand: Vec<(u32, u32)>,
 }
+
+/// The rank of a pair that is no sweep candidate: a hash-bucket or
+/// nested-loop match, which the planner emits in source-row order before
+/// any candidate.
+const NO_RANK: u32 = u32::MAX;
 
 impl<'a> ProbeOp<'a> {
     /// Build the probe for `source ⋈ right`, mirroring the
     /// operator-at-a-time planner's strategy choice and index shapes.
     /// Candidates are computed over *all* source rows — selections
     /// between the source and the probe only drop rows, never change
-    /// them, so candidates of dropped rows are simply never probed.
+    /// them, so candidates of dropped rows are simply never probed. The
+    /// interval indexes sort by `(lb, row id)` and the sweeps prune
+    /// their active lists order-preservingly, so the emission order
+    /// restricted to the surviving rows — what the ranks preserve — is
+    /// the planner's emission order over the filtered relation.
     ///
     /// Key certainty and the full-relation interval indexes are read
     /// straight off the relations' column lanes
@@ -324,13 +335,13 @@ impl<'a> ProbeOp<'a> {
             }
             planner::JoinStrategy::NestedLoop => ProbePlan::NestedLoop,
         };
-        let (cand_offsets, cand_ids) = planner::csr_by_left(source.len(), &cand);
-        ProbeOp { right, predicate: predicate.map(|(_, st)| st), plan, cand_offsets, cand_ids }
+        let (cand_offsets, cand) = planner::csr_by_left(source.len(), &cand);
+        ProbeOp { right, predicate: predicate.map(|(_, st)| st), plan, cand_offsets, cand }
     }
 
-    /// Sweep candidates of source row `src`.
-    fn cand(&self, src: usize) -> &[u32] {
-        &self.cand_ids[self.cand_offsets[src]..self.cand_offsets[src + 1]]
+    /// Sweep candidates `(right row, rank)` of source row `src`.
+    fn cand(&self, src: usize) -> &[(u32, u32)] {
+        &self.cand[self.cand_offsets[src]..self.cand_offsets[src + 1]]
     }
 }
 
@@ -364,10 +375,16 @@ enum Lanes<'a> {
 /// *poisoned*: they stop flowing, and only the earliest position's
 /// error is kept — the one running the rows one at a time would hit
 /// first.
+///
+/// The exception to "exactly": after the *last* stage of a run filtered
+/// borrowed or owned lanes, nothing but [`LanePlan::materialize`] reads
+/// them again, so they stay uncompacted and `picked[j]` names row `j`'s
+/// lane row.
 struct InFlight<'a> {
     lanes: Lanes<'a>,
     live: Vec<u32>,
     annots: Vec<AuAnnot>,
+    picked: Option<Vec<u32>>,
     poison: Option<(u32, EvalError)>,
 }
 
@@ -377,6 +394,15 @@ fn poison_at(slot: &mut Option<(u32, EvalError)>, pos: u32, error: impl FnOnce()
     if slot.as_ref().is_none_or(|(p, _)| pos < *p) {
         *slot = Some((pos, error()));
     }
+}
+
+/// What one shard of a chain produced: its rows in enumeration order
+/// and — on a [`LanePlan::ranked`] chain — each row's rank, parallel to
+/// them.
+#[derive(Default)]
+struct ChainOut {
+    rows: Vec<(RangeTuple, AuAnnot)>,
+    ranks: Vec<u32>,
 }
 
 /// What a chain did on the lanes, summed over shards for its span.
@@ -397,19 +423,27 @@ struct LanePlan<'p> {
     pre: Vec<&'p Stage>,
     probe: Option<(&'p ProbeOp<'p>, Arc<ColumnSet>)>,
     post: Vec<&'p Stage>,
+    /// The output columns to materialize (breaker-narrow delivery);
+    /// `None` builds whole tuples.
+    keep: Option<&'p [usize]>,
+    /// Record every surviving pair's rank ([`ChainOut::ranks`]): the
+    /// chain delivers its pairs as a list, in the planner's order.
+    ranked: bool,
     stats: ChainStats,
 }
 
 impl<'p> LanePlan<'p> {
     /// The column sets are built (or fetched from the relations' caches)
     /// once here and shared by every shard.
-    fn of(chain: &'p AuPipeline<'p>) -> LanePlan<'p> {
+    fn of(chain: &'p AuPipeline<'p>, keep: Option<&'p [usize]>, ranked: bool) -> LanePlan<'p> {
         let probe = chain.probe.as_ref();
         LanePlan {
             left: chain.source.columns(),
             pre: chain.pre.iter().collect(),
             probe: probe.map(|p| (p, p.right.columns())),
             post: probe.iter().flat_map(|p| &p.predicate).chain(&chain.post).collect(),
+            keep,
+            ranked,
             stats: ChainStats::default(),
         }
     }
@@ -433,11 +467,12 @@ impl<'p> LanePlan<'p> {
         batch: &mut LaneBatch,
         cancel: Option<&CancelToken>,
     ) -> Result<(), ExecError> {
-        for st in stages {
+        for (i, st) in stages.iter().enumerate() {
             let nrows = fl.live.len();
             if nrows == 0 {
                 break;
             }
+            let mut compact = true;
             let (next, keep) = {
                 let gathered: Vec<ValueLane>;
                 let slices: Vec<LaneSlice<'_>> = match &fl.lanes {
@@ -501,6 +536,9 @@ impl<'p> LanePlan<'p> {
                     None
                 } else if let Lanes::Pairs { right, lids, rids } = &fl.lanes {
                     Some(Lanes::Pairs { right, lids: pick(lids), rids: pick(rids) })
+                } else if i + 1 == stages.len() {
+                    compact = false;
+                    None
                 } else {
                     Some(Lanes::Owned(slices.iter().map(|s| s.gather(&keep)).collect()))
                 };
@@ -512,32 +550,48 @@ impl<'p> LanePlan<'p> {
             if let Some(keep) = keep {
                 fl.live = keep.iter().map(|&j| fl.live[j as usize]).collect();
                 fl.annots = keep.iter().map(|&j| fl.annots[j as usize]).collect();
+                fl.picked = (!compact).then_some(keep);
             }
         }
         Ok(())
     }
 
     /// Build the row tuples of the batch in flight — once, for the rows
-    /// that survived every stage.
-    fn materialize(&self, fl: InFlight<'_>, out: &mut Vec<(RangeTuple, AuAnnot)>) {
-        let owned;
-        let slices: &[LaneSlice<'_>] = match &fl.lanes {
+    /// that survived every stage, and only their [`LanePlan::keep`]
+    /// columns. `ranks` are a pair batch's, by batch position.
+    fn materialize(&self, fl: InFlight<'_>, ranks: &[u32], out: &mut ChainOut) {
+        let kept = |arity: usize| match self.keep {
+            Some(keep) => keep.to_vec(),
+            None => (0..arity).collect(),
+        };
+        let slices: Vec<LaneSlice<'_>> = match &fl.lanes {
             Lanes::Pairs { right, lids, rids } => {
+                let la = self.left.arity();
+                // per output column: its lane, and whether the right id indexes it
+                let cols: Vec<(&ValueLane, bool)> = kept(la + right.arity())
+                    .into_iter()
+                    .map(|c| match c.checked_sub(la) {
+                        None => (self.left.lane(c), false),
+                        Some(rc) => (right.lane(rc), true),
+                    })
+                    .collect();
                 for ((&l, &r), k) in lids.iter().zip(rids).zip(&fl.annots) {
-                    let cells = (self.left.lanes().iter().map(|c| c.get(l as usize)))
-                        .chain(right.lanes().iter().map(|c| c.get(r as usize)));
-                    out.push((RangeTuple::new(cells.collect()), *k));
+                    let cell = |&(lane, of_right): &(&ValueLane, bool)| {
+                        lane.get(if of_right { r } else { l } as usize)
+                    };
+                    out.rows.push((RangeTuple::new(cols.iter().map(cell).collect()), *k));
+                }
+                if self.ranked {
+                    out.ranks.extend(fl.live.iter().map(|&pos| ranks[pos as usize]));
                 }
                 return;
             }
-            Lanes::Borrowed(s) => s,
-            Lanes::Owned(v) => {
-                owned = v.iter().map(ValueLane::as_slice).collect::<Vec<_>>();
-                &owned
-            }
+            Lanes::Borrowed(s) => kept(s.len()).into_iter().map(|c| s[c]).collect(),
+            Lanes::Owned(v) => kept(v.len()).into_iter().map(|c| v[c].as_slice()).collect(),
         };
         for (j, k) in fl.annots.iter().enumerate() {
-            out.push((RangeTuple::new(slices.iter().map(|s| s.get(j)).collect()), *k));
+            let row = fl.picked.as_ref().map_or(j, |rows| rows[j] as usize);
+            out.rows.push((RangeTuple::new(slices.iter().map(|s| s.get(row)).collect()), *k));
         }
     }
 
@@ -549,17 +603,19 @@ impl<'p> LanePlan<'p> {
     fn run_shard(
         &self,
         range: std::ops::Range<usize>,
-        out: &mut Vec<(RangeTuple, AuAnnot)>,
+        out: &mut ChainOut,
         exec: &Executor,
         operator: &'static str,
     ) -> Result<(), EvalError> {
-        let mut watermark = out.len();
+        // one scratch batch per shard: its poison slots for a full pair
+        // batch are a large allocation, not to be repeated per chunk
+        let (mut batch, mut watermark) = (LaneBatch::default(), out.rows.len());
         let mut start = range.start;
         while start < range.end {
             let end = range.end.min(start + GOVERN_ROWS);
             exec.check_cancel()?;
-            self.run_chunk(start..end, out, &mut watermark, exec)?;
-            charge_out(exec, operator, out, &mut watermark)?;
+            self.run_chunk(start..end, &mut batch, out, &mut watermark, exec)?;
+            charge_out(exec, operator, &out.rows, &mut watermark)?;
             start = end;
         }
         Ok(())
@@ -568,8 +624,9 @@ impl<'p> LanePlan<'p> {
     /// One source chunk of [`LanePlan::run_shard`]: the pre-probe stages
     /// over the borrowed source lanes, then — on a probe chain — the
     /// surviving rows' matches, enumerated as `(left id, right id,
-    /// k_l ⊗ k_r)` row by row (hash bucket, then sweep candidates) into
-    /// [`PAIR_BATCH`]-sized batches that run the remaining stages.
+    /// k_l ⊗ k_r)` row by row (hash bucket, then sweep candidates with
+    /// their ranks) into [`PAIR_BATCH`]-sized batches that run the
+    /// remaining stages.
     ///
     /// Errors surface in row-at-a-time order, as if each source row ran
     /// the whole chain before the next was touched: the earliest
@@ -579,43 +636,36 @@ impl<'p> LanePlan<'p> {
     fn run_chunk(
         &self,
         range: std::ops::Range<usize>,
-        out: &mut Vec<(RangeTuple, AuAnnot)>,
+        batch: &mut LaneBatch,
+        out: &mut ChainOut,
         watermark: &mut usize,
         exec: &Executor,
     ) -> Result<(), EvalError> {
-        let mut batch = LaneBatch::default();
         let mut fl = InFlight {
             lanes: Lanes::Borrowed(
                 self.left.lanes().iter().map(|l| l.slice(range.clone())).collect(),
             ),
             live: (0..range.len() as u32).collect(),
             annots: range.clone().map(|i| self.left.annots().get(i)).collect(),
+            picked: None,
             poison: None,
         };
-        self.run_stages(&self.pre, &mut fl, &mut batch, exec.cancel_token())?;
+        self.run_stages(&self.pre, &mut fl, batch, exec.cancel_token())?;
         let poison = fl.poison.take();
         let Some((probe, right)) = &self.probe else {
             return match poison {
                 Some((_, e)) => Err(e),
                 None => {
-                    self.materialize(fl, out);
+                    self.materialize(fl, &[], out);
                     Ok(())
                 }
             };
         };
         let limit = poison.as_ref().map_or(u32::MAX, |(p, _)| *p);
-        let (lids, rids, annots) = (Vec::new(), Vec::new(), Vec::new());
-        let mut sink = PairSink {
-            plan: self,
-            right,
-            lids,
-            rids,
-            annots,
-            batch: &mut batch,
-            out,
-            watermark,
-            exec,
-        };
+        let (lids, rids, ranks, annots) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut sink =
+            PairSink { plan: self, right, lids, rids, ranks, annots, batch, out, watermark, exec };
+        let unranked = |ri: &u32| (*ri, NO_RANK);
         let mut key: Vec<Value> = Vec::new();
         for (&pos, &k) in fl.live.iter().zip(&fl.annots).take_while(|(&p, _)| p < limit) {
             let src = range.start + pos as usize;
@@ -625,12 +675,14 @@ impl<'p> LanePlan<'p> {
                     if cells.clone().all(|l| l.is_certain(src)) {
                         key.clear();
                         key.extend(cells.map(|l| l.get(src).sg.join_key()));
-                        sink.feed(src, k, index.get(&key).iter().copied())?;
+                        sink.feed(src, k, index.get(&key).iter().map(unranked))?;
                     }
                     sink.feed(src, k, probe.cand(src).iter().copied())?;
                 }
                 ProbePlan::Comparison => sink.feed(src, k, probe.cand(src).iter().copied())?,
-                ProbePlan::NestedLoop => sink.feed(src, k, 0..right.nrows() as u32)?,
+                ProbePlan::NestedLoop => {
+                    sink.feed(src, k, (0..right.nrows() as u32).map(|ri| (ri, NO_RANK)))?;
+                }
             }
         }
         sink.flush()?;
@@ -644,24 +696,30 @@ struct PairSink<'r, 'p> {
     right: &'r ColumnSet,
     lids: Vec<u32>,
     rids: Vec<u32>,
+    /// Per pending pair its rank — only on a [`LanePlan::ranked`] chain.
+    ranks: Vec<u32>,
     annots: Vec<AuAnnot>,
     batch: &'r mut LaneBatch,
-    out: &'r mut Vec<(RangeTuple, AuAnnot)>,
+    out: &'r mut ChainOut,
     watermark: &'r mut usize,
     exec: &'r Executor,
 }
 
 impl<'r, 'p> PairSink<'r, 'p> {
-    /// Append source row `src`'s matches `rids`, flushing full batches.
+    /// Append source row `src`'s matches — `(right row, rank)` —
+    /// flushing full batches.
     fn feed(
         &mut self,
         src: usize,
         k: AuAnnot,
-        rids: impl Iterator<Item = u32>,
+        matches: impl Iterator<Item = (u32, u32)>,
     ) -> Result<(), EvalError> {
-        for ri in rids {
+        for (ri, rank) in matches {
             self.lids.push(src as u32);
             self.rids.push(ri);
+            if self.plan.ranked {
+                self.ranks.push(rank);
+            }
             self.annots.push(k.times(&self.right.annots().get(ri as usize)));
             if self.lids.len() == PAIR_BATCH {
                 self.flush()?;
@@ -685,20 +743,22 @@ impl<'r, 'p> PairSink<'r, 'p> {
             lanes: Lanes::Pairs { right: self.right, lids, rids },
             live: (0..n as u32).collect(),
             annots: std::mem::take(&mut self.annots),
+            picked: None,
             poison: None,
         };
         plan.run_stages(&plan.post, &mut fl, self.batch, self.exec.cancel_token())?;
         if let Some((_, e)) = fl.poison.take() {
             return Err(e);
         }
-        plan.materialize(fl, self.out);
+        plan.materialize(fl, &self.ranks, self.out);
+        self.ranks.clear();
         if let Some(t) = started {
             metrics.record_ns(Site::ChainProbe, t.elapsed().as_nanos() as u64);
         }
         plan.stats.pairs.fetch_add(n as u64, Ordering::Relaxed);
         plan.stats.pair_batches.fetch_add(1, Ordering::Relaxed);
         self.exec.check_cancel()?;
-        Ok(charge_out(self.exec, "join-probe", self.out, self.watermark)?)
+        Ok(charge_out(self.exec, "join-probe", &self.out.rows, self.watermark)?)
     }
 }
 
@@ -714,10 +774,15 @@ struct AuPipeline<'a> {
 impl<'a> AuPipeline<'a> {
     /// Run the whole chain shard-by-shard on the lanes ([`LanePlan`]:
     /// every stage evaluates over a whole source chunk or pair batch at
-    /// a time) and deliver per the chain's shape: a single breaker
-    /// normalization when anything merged or rewrote tuples, the exact
-    /// source-order row list for select-only chains (mirroring
-    /// [`select_au_exec`]'s normal-form preservation).
+    /// a time) and deliver per the chain's shape and `delivery`: a
+    /// single breaker normalization when a projection rewrote tuples or
+    /// a Canonical consumer takes a probe's pairs, else the enumerated
+    /// list as is (select-only chains: the source-order list, mirroring
+    /// [`super::select_au_exec`]'s normal-form preservation).
+    ///
+    /// `reads` is what an aggregate consumer reads: when the chain
+    /// delivers an un-normalized list it materializes only those columns
+    /// (in `reads` order) and says so in the returned flag.
     ///
     /// `h` is the open `fused-chain` span: the chain records its op
     /// summary, shard count and pair accounting there, and closes it
@@ -726,20 +791,28 @@ impl<'a> AuPipeline<'a> {
         self,
         cfg: &AuConfig,
         exec: &Executor,
+        delivery: Delivery,
+        reads: Option<&[usize]>,
         tr: &TraceBuilder,
         h: usize,
-    ) -> Result<Cow<'a, AuRelation>, EvalError> {
+    ) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
         tr.rows_in(h, self.source.len() as u64);
         if self.pre.is_empty() && self.probe.is_none() {
             close_rel(tr, h, &self.source);
-            return Ok(self.source);
+            return Ok((self.source, false));
         }
         let n = self.source.len();
         let sharding = match cfg.shards {
             Some(s) => ShardSource::new(s),
             None => ShardSource::auto(exec.workers(), n, MIN_ROWS_PER_SHARD),
         };
-        let plan = LanePlan::of(&self);
+        let normalizes = self.pre.iter().chain(&self.post).any(|st| st.project)
+            || (self.probe.is_some() && delivery == Delivery::Canonical);
+        let arity = self.schema.arity();
+        let keep = reads.filter(|r| !normalizes && r.len() < arity && r.iter().all(|&c| c < arity));
+        // a probe's pairs delivered as a list go out in the planner's order
+        let ranked = self.probe.is_some() && !normalizes;
+        let plan = LanePlan::of(&self, keep, ranked);
         // Probe chains can expand (join output): their production is
         // charged as "join-probe", plain chains' as "pipeline-chain".
         let operator = if self.probe.is_some() { "join-probe" } else { "pipeline-chain" };
@@ -754,8 +827,26 @@ impl<'a> AuPipeline<'a> {
             pre.chain(probe).chain(self.post.iter().map(stage)).collect::<Vec<_>>().join("·")
         });
         tr.attr(h, "shards", || sharding.slices(n).len().to_string());
-        let rows =
-            exec.run_shards(n, &sharding, |range, out| plan.run_shard(range, out, exec, operator))?;
+        if let Some(keep) = keep {
+            tr.attr(h, "narrow", || format!("{}/{arity}", keep.len()));
+        }
+        // the shards one pool job runs back to back share one buffer
+        let jobs: Vec<ChainOut> = exec.run_shards(n, &sharding, |range, out| {
+            if out.is_empty() {
+                out.push(ChainOut::default());
+            }
+            plan.run_shard(range, &mut out[0], exec, operator)
+        })?;
+        let mut all = ChainOut::default();
+        for job in jobs {
+            if all.rows.is_empty() {
+                all = job;
+            } else {
+                all.rows.extend(job.rows);
+                all.ranks.extend(job.ranks);
+            }
+        }
+        let rows = if ranked { in_planner_order(all) } else { all.rows };
         let stat = |a: &AtomicU64| a.load(Ordering::Relaxed);
         tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
         tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
@@ -763,34 +854,52 @@ impl<'a> AuPipeline<'a> {
         if stat(&plan.stats.stages_boxed) > 0 {
             exec.metrics().add(Counter::ChainStagesBoxed, stat(&plan.stats.stages_boxed));
         }
-        let select_only = self.probe.is_none() && self.pre.iter().all(|st| !st.project);
-        let out = if !select_only {
-            // the one pipeline-breaker normalization (sharded-reduce)
-            let mut out = AuRelation::empty(self.schema);
-            out.append_rows(rows);
-            out.into_normalized_with(exec)?
-        } else if self.source.is_normalized() {
+        let schema = keep.map_or_else(|| self.schema.clone(), |keep| self.schema.select(keep));
+        let source_list = self.probe.is_none() && !normalizes && keep.is_none();
+        let out = if source_list && self.source.is_normalized() {
             // selection preserves normal form: kept rows stay sorted,
             // distinct, and nonzero-annotated
-            AuRelation::from_normalized_rows(self.schema, rows)
+            AuRelation::from_normalized_rows(schema, rows)
         } else {
-            let mut out = AuRelation::empty(self.schema);
+            let mut out = AuRelation::empty(schema);
             out.append_rows(rows);
-            out
+            if normalizes {
+                // the one pipeline-breaker normalization (sharded-reduce)
+                out.into_normalized_with(exec)?
+            } else {
+                out
+            }
         };
         close_rel(tr, h, &out);
-        Ok(Cow::Owned(out))
+        Ok((Cow::Owned(out), keep.is_some()))
     }
 }
 
-/// Lay out the chain rooted at `q` (which [`fusable`] said is in chain
-/// form) and compile **every** stage of it — before any input is
-/// evaluated, so a rejection costs no evaluation. `None` when Tier B
-/// rejected a stage.
+/// A probe chain's rows — enumerated source row by source row, each
+/// row's hash-bucket (or nested-loop) pairs before its sweep candidates
+/// — in the order the operator-at-a-time planner emits them: the
+/// unranked rows as enumerated, then the sweep candidates by rank.
+fn in_planner_order(chain: ChainOut) -> Vec<(RangeTuple, AuAnnot)> {
+    let mut rows = Vec::with_capacity(chain.rows.len());
+    let mut swept = Vec::new();
+    for (row, rank) in chain.rows.into_iter().zip(chain.ranks) {
+        if rank == NO_RANK {
+            rows.push(row);
+        } else {
+            swept.push((rank, row));
+        }
+    }
+    swept.sort_unstable_by_key(|(rank, _)| *rank);
+    rows.extend(swept.into_iter().map(|(_, row)| row));
+    rows
+}
+
+/// Lay out the chain rooted at `q` (a `σ/π/⋈` tree) and compile
+/// **every** stage of it — before any input is evaluated, so a
+/// rejection costs no evaluation. `None` when Tier B rejected a stage.
 fn plan_chain<'q>(q: &'q Query, cfg: &AuConfig, vet: Vet<'_>) -> Option<ChainPlan<'q>> {
     let anchor = |source| ChainPlan { source, pre: vec![], probe: None, post: vec![], names: None };
     let (mut plan, stage) = match q {
-        Query::Table(_) => return Some(anchor(q)),
         Query::Select { input, predicate } => {
             (plan_chain(input, cfg, vet)?, Stage::filter(predicate, vet)?)
         }
@@ -802,12 +911,11 @@ fn plan_chain<'q>(q: &'q Query, cfg: &AuConfig, vet: Vet<'_>) -> Option<ChainPla
         Query::Join { left, right, predicate } => {
             // Left side: continue a select-only chain in place (source
             // row ids stay valid for the sweep candidates); anything
-            // else is materialized and becomes the new chain source.
-            let mut plan = if fusable(left, cfg) && select_only(left) {
-                plan_chain(left, cfg, vet)?
-            } else {
-                anchor(left)
-            };
+            // else — and, under a join-compression knob, any selection,
+            // so that the verdict sees σ(l) — is materialized and
+            // becomes the new chain source.
+            let in_place = select_only(left) && cfg.join_compress.is_none();
+            let mut plan = if in_place { plan_chain(left, cfg, vet)? } else { anchor(left) };
             let recheck = match predicate {
                 Some(p) => Some((p, Stage::filter(p, vet)?)),
                 None => None,
@@ -815,46 +923,98 @@ fn plan_chain<'q>(q: &'q Query, cfg: &AuConfig, vet: Vet<'_>) -> Option<ChainPla
             plan.probe = Some((right, recheck));
             return Some(plan);
         }
-        _ => unreachable!("plan_chain called on a non-chain query"),
+        // a base table, or a breaker whose output the chain runs over
+        _ => return Some(anchor(q)),
     };
     if plan.probe.is_some() { &mut plan.post } else { &mut plan.pre }.push(stage);
     Some(plan)
 }
 
-/// Evaluate a planned chain's inputs — its source and a probe's build
-/// side, each exactly once — and assemble the runnable pipeline.
+/// Evaluate a planned chain's inputs — its source and a join's right
+/// side, each exactly once — take the join's compression verdict on
+/// them, and assemble the runnable pipeline: a join that compresses runs
+/// here and its output becomes the source of a probe-less chain; one
+/// that does not becomes the chain's probe.
 fn build_chain<'a>(
     db: &'a AuDatabase,
     plan: ChainPlan<'_>,
     cfg: &AuConfig,
     exec: &Executor,
+    delivery: Delivery,
     tr: &TraceBuilder,
 ) -> Result<AuPipeline<'a>, EvalError> {
-    let source = match plan.source {
+    // A join's inputs are lists whenever its own pairs are delivered as
+    // one, and under a join-compression knob (the verdict counts rows).
+    let inputs = if cfg.join_compress.is_some() { Delivery::Faithful } else { delivery };
+    let mut source = match plan.source {
         Query::Table(name) => Cow::Borrowed(db.get(name)?),
-        materialized => eval_pl(db, materialized, cfg, exec, Delivery::Canonical, tr)?,
+        materialized => eval_pl(db, materialized, cfg, exec, inputs, tr)?,
     };
     let mut schema = source.schema.clone();
-    let probe = match plan.probe {
-        Some((right, recheck)) => {
-            let r = eval_pl(db, right, cfg, exec, Delivery::Canonical, tr)?;
-            schema = schema.concat(&r.schema);
+    let (mut pre, mut post, mut probe) = (plan.pre, plan.post, None);
+    if let Some((right, recheck)) = plan.probe {
+        let r = eval_pl(db, right, cfg, exec, inputs, tr)?;
+        schema = schema.concat(&r.schema);
+        if let Some(ct) = effective_join_compress(cfg, &source, &r) {
+            let on = recheck.as_ref().map(|(e, _)| *e);
+            let h = open_join_span(tr, on);
+            tr.rows_in(h, (source.len() + r.len()) as u64);
+            let out = compress_join_in_span(tr, h, &source, &r, on, ct, exec)?;
+            close_rel(tr, h, &out);
+            source = Cow::Owned(out);
+            debug_assert!(pre.is_empty(), "a compressing join anchors its chain");
+            pre = std::mem::take(&mut post);
+        } else {
             let started = exec.metrics().is_enabled().then(Instant::now);
-            let probe = ProbeOp::build(source.as_ref(), r, recheck);
+            probe = Some(ProbeOp::build(source.as_ref(), r, recheck));
             if let Some(t) = started {
                 exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
             }
-            Some(probe)
         }
-        None => None,
-    };
+    }
     let schema = plan.names.unwrap_or(schema);
-    Ok(AuPipeline { source, pre: plan.pre, probe, post: plan.post, schema })
+    Ok(AuPipeline { source, pre, probe, post, schema })
 }
 
 // ---------------------------------------------------------------------------
-// The pipelined evaluator: fused chains + operator-at-a-time fallback
+// The pipelined evaluator: fused chains between pipeline breakers
 // ---------------------------------------------------------------------------
+
+/// Run the `σ/π/⋈` tree rooted at `q` as fused chains. `reads` and the
+/// returned flag are [`AuPipeline::run`]'s: the columns an aggregate
+/// consumer reads, and whether the delivered relation holds just those.
+fn eval_chain<'a>(
+    db: &'a AuDatabase,
+    q: &Query,
+    cfg: &AuConfig,
+    exec: &Executor,
+    delivery: Delivery,
+    reads: Option<&[usize]>,
+    tr: &TraceBuilder,
+) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
+    let h = tr.open("fused-chain", || q.to_string());
+    tr.attr(h, "delivery", || {
+        (match delivery {
+            Delivery::Canonical => "canonical",
+            Delivery::Faithful => "faithful",
+        })
+        .to_string()
+    });
+    match plan_chain(q, cfg, Vet::new(true, cfg.verify, exec, tr)) {
+        Some(plan) => {
+            build_chain(db, plan, cfg, exec, delivery, tr)?.run(cfg, exec, delivery, reads, tr, h)
+        }
+        None => {
+            // Tier B rejected a stage: the whole chain — its inputs
+            // included — runs on the oracle, which reproduces either
+            // delivery exactly.
+            tr.attr(h, "fallback", || "verifier-rejected".to_string());
+            let rel = super::eval_inner(db, q, cfg, exec, tr)?;
+            close_rel(tr, h, &rel);
+            Ok((rel, false))
+        }
+    }
+}
 
 fn eval_pl<'a>(
     db: &'a AuDatabase,
@@ -864,130 +1024,70 @@ fn eval_pl<'a>(
     delivery: Delivery,
     tr: &TraceBuilder,
 ) -> Result<Cow<'a, AuRelation>, EvalError> {
-    // Fused path: maximal row-local chains, one breaker normalization.
-    if fusable(q, cfg) && (delivery == Delivery::Canonical || faithful_ok(q)) {
-        let h = tr.open("fused-chain", || q.to_string());
-        tr.attr(h, "delivery", || {
-            (match delivery {
-                Delivery::Canonical => "canonical",
-                Delivery::Faithful => "faithful",
-            })
-            .to_string()
-        });
-        return match plan_chain(q, cfg, Vet::new(true, cfg.verify, exec, tr)) {
-            Some(plan) => build_chain(db, plan, cfg, exec, tr)?.run(cfg, exec, tr, h),
-            None => {
-                // Tier B rejected a stage: the whole chain — its inputs
-                // included — runs on the oracle, which reproduces either
-                // delivery exactly.
-                tr.attr(h, "fallback", || "verifier-rejected".to_string());
-                let rel = super::eval_inner(db, q, cfg, exec, tr)?;
-                close_rel(tr, h, &rel);
-                Ok(rel)
-            }
-        };
+    if is_chain(q) {
+        return eval_chain(db, q, cfg, exec, delivery, None, tr).map(|(rel, _)| rel);
     }
-    // Why this operator did not fuse — the delivery contract that
-    // blocked it, or the breaker kind. Recorded on the operator's span.
-    let fallback: &'static str = if fusable(q, cfg) {
-        // fusable shape, but the consumer needs the exact operator-path
-        // row list and this chain cannot reproduce it
-        "faithful-delivery-unreproducible"
-    } else {
-        match q {
-            Query::Table(_) | Query::Select { .. } | Query::Project { .. } => "input-not-fusable",
-            Query::Join { .. } => "compressed-join-breaker",
-            Query::Union { .. }
-            | Query::Difference { .. }
-            | Query::Distinct { .. }
-            | Query::Aggregate { .. } => "pipeline-breaker",
-        }
-    };
+    // A pipeline breaker runs its own kernel; its inputs recurse through
+    // the pipeline with the delivery the breaker requires (module docs).
     let h = open_op_span(tr, q);
-    tr.attr(h, "fallback", || fallback.to_string());
-    // Operator-at-a-time fallback; inputs recurse through the pipeline
-    // with the delivery each operator requires (see module docs).
-    Ok(match q {
-        Query::Table(name) => {
-            let rel = db.get(name)?;
-            close_rel(tr, h, rel);
-            Cow::Borrowed(rel)
-        }
-        Query::Select { input, predicate } => {
-            // select preserves its input list one-to-one → propagate
-            let rel = eval_pl(db, input, cfg, exec, delivery, tr)?;
-            tr.rows_in(h, rel.len() as u64);
-            let out = select_au_exec(&rel, predicate, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-        Query::Project { input, exprs } => {
-            // projection normalizes: multiset-determined output
-            let rel = eval_pl(db, input, cfg, exec, Delivery::Canonical, tr)?;
-            tr.rows_in(h, rel.len() as u64);
-            let out = super::project_au_exec(&rel, exprs, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-        Query::Join { left, right, predicate } => {
-            // a compressed (or Faithful-context) join reproduces the
-            // operator path, so its inputs inherit the stricter need
-            let d = if cfg.join_compress.is_some() { Delivery::Faithful } else { delivery };
-            let l = eval_pl(db, left, cfg, exec, d, tr)?;
-            let r = eval_pl(db, right, cfg, exec, d, tr)?;
-            tr.rows_in(h, (l.len() + r.len()) as u64);
-            let out = match cfg.join_compress {
-                Some(ct) if !cfg.adaptive || crate::opt::join_compression_pays_off(&l, &r) => {
-                    tr.attr(h, "strategy", || "split-compress".to_string());
-                    crate::opt::optimized_join_exec(&l, &r, predicate.as_ref(), ct, exec)?
-                }
-                _ => {
-                    tr.attr(h, "strategy", || {
-                        planner::classify(predicate.as_ref(), l.schema.arity()).name().to_string()
-                    });
-                    planner::join_au_planned_exec(&l, &r, predicate.as_ref(), exec)?
-                }
-            };
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
+    tr.attr(h, "fallback", || "pipeline-breaker".to_string());
+    let input = |q: &Query, delivery| eval_pl(db, q, cfg, exec, delivery, tr);
+    let out = match q {
         Query::Union { left, right } => {
-            let l = eval_pl(db, left, cfg, exec, Delivery::Canonical, tr)?;
-            let r = eval_pl(db, right, cfg, exec, Delivery::Canonical, tr)?;
+            let (l, r) = (input(left, Delivery::Canonical)?, input(right, Delivery::Canonical)?);
             tr.rows_in(h, (l.len() + r.len()) as u64);
-            let out = union_cow(l, r, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
+            union_cow(l, r, exec)?
         }
         Query::Difference { left, right } => {
-            let l = eval_pl(db, left, cfg, exec, Delivery::Canonical, tr)?;
-            let r = eval_pl(db, right, cfg, exec, Delivery::Canonical, tr)?;
+            let (l, r) = (input(left, Delivery::Canonical)?, input(right, Delivery::Canonical)?);
             tr.rows_in(h, (l.len() + r.len()) as u64);
-            let out = difference::difference_au_exec(&l, &r, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
+            difference::difference_au_exec(&l, &r, exec)?
         }
-        Query::Distinct { input } => {
+        Query::Distinct { input: of } => {
             // grouping on all columns, no aggregates: bounding boxes and
             // annotation sums are commutative folds → multiset-determined
-            let rel = eval_pl(db, input, cfg, exec, Delivery::Canonical, tr)?;
+            let rel = input(of, Delivery::Canonical)?;
             tr.rows_in(h, rel.len() as u64);
             let all: Vec<usize> = (0..rel.schema.arity()).collect();
             let compress = effective_agg_compress(cfg, &rel, &all);
             tr.attr(h, "compress", || opt_usize_attr(compress));
-            let out = aggregate_in_span(tr, h, &rel, &all, &[], compress, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
+            aggregate_in_span(tr, h, &rel, &all, &[], compress, exec)?
         }
-        Query::Aggregate { input, group_by, aggs } => {
-            // bound folds run in member order (floats!) → exact list
-            let rel = eval_pl(db, input, cfg, exec, Delivery::Faithful, tr)?;
+        Query::Aggregate { input: of, group_by, aggs } => {
+            // bound folds run in member order (floats!) → exact list, of
+            // which only the columns `reads` are ever looked at
+            let reads: Vec<usize> = (group_by.iter().copied())
+                .chain(aggs.iter().flat_map(|a| a.input.columns()))
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let (rel, narrowed) = if is_chain(of) {
+                eval_chain(db, of, cfg, exec, Delivery::Faithful, Some(&reads), tr)?
+            } else {
+                (input(of, Delivery::Faithful)?, false)
+            };
             tr.rows_in(h, rel.len() as u64);
-            let compress = effective_agg_compress(cfg, &rel, group_by);
+            let (group_by, aggs) = if narrowed {
+                // `reads` is sorted: a read column's slot is its rank
+                let slot = |c: usize| reads.partition_point(|&r| r < c);
+                let respec = |a: &AggSpec| {
+                    AggSpec::new(a.func, a.input.remap_columns(&slot), a.name.clone())
+                };
+                (group_by.iter().map(|&c| slot(c)).collect(), aggs.iter().map(respec).collect())
+            } else {
+                (Cow::Borrowed(&group_by[..]), Cow::Borrowed(&aggs[..]))
+            };
+            let compress = effective_agg_compress(cfg, &rel, &group_by);
             tr.attr(h, "compress", || opt_usize_attr(compress));
-            let out = aggregate_in_span(tr, h, &rel, group_by, aggs, compress, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
+            aggregate_in_span(tr, h, &rel, &group_by, &aggs, compress, exec)?
         }
-    })
+        _ => unreachable!("σ/π/⋈ trees run as chains"),
+    };
+    close_rel(tr, h, &out);
+    Ok(Cow::Owned(out))
+}
+
+/// Does `q` root a `σ/π/⋈` tree — the shapes [`eval_chain`] runs?
+fn is_chain(q: &Query) -> bool {
+    matches!(q, Query::Table(_) | Query::Select { .. } | Query::Project { .. } | Query::Join { .. })
 }

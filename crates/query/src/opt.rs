@@ -14,17 +14,27 @@
 //! `split_sg(R) ∪ split↑(R)` bounds everything `R` bounds (Lemma 6);
 //! `Cpr` preserves bounds (Lemma 7); hence the optimized join preserves
 //! bounds with precision traded for performance (Lemma 10.1).
+//!
+//! [`optimized_join_exec`] runs the copy-free form: neither split is
+//! materialized in normal form on the way. The SG side joins the
+//! un-normalized certain tuples (`⊗` distributes over `⊕` in `N_AU`, so
+//! merging duplicates before or after the join sums to the same
+//! annotation, and the result is normalized once at the end); `split↑`
+//! keeps every tuple, so `Cpr` buckets straight over the input's row ids
+//! in normal-form order and takes `(0, 0, ub)` at bucket time — no tuple
+//! is cloned before its bucket's box.
 
-use audb_core::{AuAnnot, EvalError, Expr};
+use audb_core::{AuAnnot, EvalError, Expr, Semiring};
 use audb_exec::Executor;
 use audb_storage::{AuRelation, RangeTuple};
 
 use crate::planner::join_au_planned_exec;
 
-/// `split_sg(R)` (Section 10.4): one certain-attribute tuple per SGW
-/// tuple. The lower bound survives only for tuples without attribute
-/// uncertainty; the upper bound collapses to the SG multiplicity.
-pub fn split_sg(rel: &AuRelation) -> AuRelation {
+/// The rows of `split_sg(R)` before any merge: one certain-attribute
+/// tuple per SGW tuple. The lower bound survives only for tuples without
+/// attribute uncertainty; the upper bound collapses to the SG
+/// multiplicity.
+fn sg_side(rel: &AuRelation) -> AuRelation {
     let mut out = AuRelation::empty(rel.schema.clone());
     for (t, k) in rel.rows() {
         if k.sg == 0 {
@@ -33,7 +43,12 @@ pub fn split_sg(rel: &AuRelation) -> AuRelation {
         let lb = if t.is_certain() { k.lb } else { 0 };
         out.push(RangeTuple::certain(&t.sg()), AuAnnot::triple(lb.min(k.sg), k.sg, k.sg));
     }
-    out.into_normalized()
+    out
+}
+
+/// `split_sg(R)` (Section 10.4), in normal form.
+pub fn split_sg(rel: &AuRelation) -> AuRelation {
+    sg_side(rel).into_normalized()
 }
 
 /// `split↑(R)` (Section 10.4): the possible over-approximation —
@@ -60,26 +75,41 @@ pub fn compress_rows(
     attr: usize,
     n: usize,
 ) -> Vec<(RangeTuple, AuAnnot)> {
-    let row = |i: u32| &rows[i as usize];
+    let srcs = ids.iter().map(|&i| (i, rows[i as usize].1.ub)).collect();
+    compress_weighted(rows, srcs, cols, attr, n)
+}
+
+/// [`compress_rows`] over `(row id, upper-bound multiplicity)` sources —
+/// the multiplicity is read here, at bucket time, so a caller that
+/// merged duplicate tuples passes their sum without building the merged
+/// rows.
+fn compress_weighted(
+    rows: &[(RangeTuple, AuAnnot)],
+    mut srcs: Vec<(u32, u64)>,
+    cols: &[usize],
+    attr: usize,
+    n: usize,
+) -> Vec<(RangeTuple, AuAnnot)> {
+    let tuple = |i: u32| &rows[i as usize].0;
     let n = n.max(1);
-    if ids.len() <= n {
-        return ids
+    if srcs.len() <= n {
+        return srcs
             .iter()
-            .map(|&i| (row(i).0.project(cols), AuAnnot::triple(0, 0, row(i).1.ub)))
+            .map(|&(i, ub)| (tuple(i).project(cols), AuAnnot::triple(0, 0, ub)))
             .collect();
     }
-    let mut order = ids.to_vec();
-    order.sort_by(|a, b| row(*a).0 .0[attr].sg.cmp(&row(*b).0 .0[attr].sg));
+    let depth = srcs.len().div_ceil(n);
+    srcs.sort_by(|a, b| tuple(a.0).0[attr].sg.cmp(&tuple(b.0).0[attr].sg));
 
     let mut out = Vec::with_capacity(n);
-    for bucket in order.chunks(ids.len().div_ceil(n)) {
-        let mut bbox = row(bucket[0]).0.project(cols);
+    for bucket in srcs.chunks(depth) {
+        let mut bbox = tuple(bucket[0].0).project(cols);
         let mut ub = 0u64;
-        for &i in bucket {
+        for &(i, k) in bucket {
             for (b, c) in bbox.0.iter_mut().zip(cols) {
-                b.extend_keep_sg(&row(i).0 .0[*c]);
+                b.extend_keep_sg(&tuple(i).0[*c]);
             }
-            ub = ub.saturating_add(row(i).1.ub);
+            ub = ub.saturating_add(k);
         }
         out.push((bbox, AuAnnot::triple(0, 0, ub)));
     }
@@ -91,6 +121,30 @@ pub fn compress(rel: &AuRelation, attr: usize, n: usize) -> AuRelation {
     let ids: Vec<u32> = (0..rel.len() as u32).collect();
     let cols: Vec<usize> = (0..rel.schema.arity()).collect();
     AuRelation::from_rows(rel.schema.clone(), compress_rows(rel.rows(), &ids, &cols, attr, n))
+}
+
+/// The rows of `Cpr_{attr,n}(split↑(R))` without materializing
+/// `split↑(R)`: its normal form is `R`'s own tuples in tuple order with
+/// duplicates merged — the identity on a normalized `R`, one id
+/// permutation otherwise — so the buckets form over row ids.
+fn compress_up(rel: &AuRelation, attr: usize, n: usize) -> AuRelation {
+    let rows = rel.rows();
+    let tuple = |s: &(u32, u64)| &rows[s.0 as usize].0;
+    let mut srcs: Vec<(u32, u64)> = (0u32..).zip(rows.iter().map(|(_, k)| k.ub)).collect();
+    if !rel.is_normalized() {
+        srcs.sort_by(|a, b| tuple(a).cmp(tuple(b)));
+        srcs.dedup_by(|dup, first| {
+            let same = tuple(dup) == tuple(first);
+            if same {
+                first.1 = first.1.plus(&dup.1);
+            }
+            same
+        });
+    }
+    let cols: Vec<usize> = (0..rel.schema.arity()).collect();
+    let mut out = AuRelation::empty(rel.schema.clone());
+    out.append_rows(compress_weighted(rows, srcs, &cols, attr, n));
+    out
 }
 
 /// The optimized join `opt(Q1 ⋈_θ Q2)` (Section 10.4):
@@ -110,7 +164,8 @@ pub fn optimized_join(
 }
 
 /// [`optimized_join`] on an explicit executor (both planned sub-joins
-/// run their probe/candidate loops on its workers).
+/// run their probe/candidate loops on its workers, and the one
+/// normalization — of the union — is governed by it).
 pub fn optimized_join_exec(
     l: &AuRelation,
     r: &AuRelation,
@@ -118,24 +173,51 @@ pub fn optimized_join_exec(
     ct: usize,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
+    optimized_join_stats(l, r, predicate, ct, exec).map(|(out, _)| out)
+}
+
+/// What one split/compress join did — the `join` span's attributes
+/// under `strategy = split-compress` (`docs/observability.md`): rows of
+/// the SG⋈SG part, buckets each possible side compressed to, and rows of
+/// the possible⋈possible part (all before the final merge).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SplitJoinStats {
+    pub(crate) sg_rows: usize,
+    pub(crate) buckets_l: usize,
+    pub(crate) buckets_r: usize,
+    pub(crate) possible_rows: usize,
+}
+
+/// [`optimized_join_exec`] plus what the run did.
+pub(crate) fn optimized_join_stats(
+    l: &AuRelation,
+    r: &AuRelation,
+    predicate: Option<&Expr>,
+    ct: usize,
+    exec: &Executor,
+) -> Result<(AuRelation, SplitJoinStats), EvalError> {
     let split = l.schema.arity();
 
     // ---- SG part: certain tuples, planner-selected strategy -------------
-    let lsg = split_sg(l);
-    let rsg = split_sg(r);
-    let mut out = join_au_planned_exec(&lsg, &rsg, predicate, exec)?;
+    let mut out = join_au_planned_exec(&sg_side(l), &sg_side(r), predicate, exec)?;
+    let sg_rows = out.len();
 
     // ---- possible part: compressed overlap join --------------------------
     let (la, ra) = predicate
         .and_then(|p| p.equi_join_columns(split))
         .and_then(|pairs| pairs.first().copied())
         .unwrap_or((0, 0));
-    let lup = compress(&split_up(l), la, ct);
-    let rup = compress(&split_up(r), ra, ct);
+    let (lup, rup) = (compress_up(l, la, ct), compress_up(r, ra, ct));
     let pos = join_au_planned_exec(&lup, &rup, predicate, exec)?;
+    let stats = SplitJoinStats {
+        sg_rows,
+        buckets_l: lup.len(),
+        buckets_r: rup.len(),
+        possible_rows: pos.len(),
+    };
     out.append_rows(pos.into_rows());
 
-    Ok(out.into_normalized_with(exec)?)
+    Ok((out.into_normalized_with(exec)?, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -284,6 +366,42 @@ mod tests {
         let pos: Vec<_> = opt.rows().iter().filter(|(_, k)| k.lb == 0 && k.sg == 0).collect();
         assert_eq!(pos.len(), 1);
         assert_eq!(pos[0].1.ub, 5 * 3);
+    }
+
+    /// The copy-free form equals the literal Section 10.4 formula over
+    /// the materialized, normalized splits — on un-normalized inputs with
+    /// duplicate tuples, more rows than `ct` (real buckets) and fewer,
+    /// for equality, comparison and cross joins.
+    #[test]
+    fn optimized_join_equals_the_literal_formula() {
+        let rel = |n: i64, name: &str| {
+            let mut out = AuRelation::empty(Schema::named(&[name, "p"]));
+            for i in (0..n).rev().chain(0..n / 3) {
+                let key = if i % 4 == 0 { r2(i - 1, i, i + 2) } else { r2(i % 7, i % 7, i % 7) };
+                let row =
+                    au_row(vec![key, r2(i % 3, i % 3, i % 3 + i % 2)], 0, 1 + i as u64 % 2, 2);
+                out.push(row.0, row.1);
+            }
+            assert!(!out.is_normalized());
+            out
+        };
+        let (l, r) = (rel(40, "A"), rel(23, "B"));
+        let preds = [Some(col(0).eq(col(2))), Some(col(0).leq(col(2))), None];
+        for pred in &preds {
+            for ct in [1usize, 5, 64] {
+                let split = l.schema.arity();
+                let (la, ra) = pred
+                    .as_ref()
+                    .and_then(|p| p.equi_join_columns(split))
+                    .map_or((0, 0), |pairs| pairs[0]);
+                let mut want = join_au(&split_sg(&l), &split_sg(&r), pred.as_ref()).unwrap();
+                let lup = compress(&split_up(&l), la, ct);
+                let rup = compress(&split_up(&r), ra, ct);
+                want.append_rows(join_au(&lup, &rup, pred.as_ref()).unwrap().into_rows());
+                let got = optimized_join(&l, &r, pred.as_ref(), ct).unwrap();
+                assert_eq!(got, want.into_normalized(), "pred = {pred:?}, ct = {ct}");
+            }
+        }
     }
 
     #[test]

@@ -196,19 +196,20 @@ pub(crate) fn partition_lanes_by_key_certainty(
 }
 
 /// Flat CSR of candidate `(left_row, right_row)` pairs by left row:
-/// `ids[offsets[l]..offsets[l + 1]]` are row `l`'s candidates in the
-/// order the pairs list them (one stable counting pass) — what a
-/// `Vec<Vec<u32>>` of per-row pushes would hold, without the vectors.
-pub(crate) fn csr_by_left(nleft: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
+/// `entries[offsets[l]..offsets[l + 1]]` are row `l`'s candidates as
+/// `(right_row, rank)` in the order the pairs list them, `rank` being the
+/// pair's position in `pairs` (one stable counting pass) — what a
+/// `Vec<Vec<_>>` of per-row pushes would hold, without the vectors.
+pub(crate) fn csr_by_left(nleft: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<(u32, u32)>) {
     let mut offsets = vec![0usize; nleft + 1];
     pairs.iter().for_each(|&(l, _)| offsets[l as usize + 1] += 1);
     (0..nleft).for_each(|l| offsets[l + 1] += offsets[l]);
-    let (mut ids, mut next) = (vec![0u32; pairs.len()], offsets.clone());
-    for &(l, r) in pairs {
-        ids[next[l as usize]] = r;
+    let (mut entries, mut next) = (vec![(0u32, 0u32); pairs.len()], offsets.clone());
+    for (rank, &(l, r)) in pairs.iter().enumerate() {
+        entries[next[l as usize]] = (r, rank as u32);
         next[l as usize] += 1;
     }
-    (offsets, ids)
+    (offsets, entries)
 }
 
 /// Multiply annotations with the precise range-annotated predicate

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use audb::incomplete::relation_bounds_world;
 use audb::prelude::*;
-use common::cfg_oracle;
+use common::{cfg_oracle, oracle_of};
 
 // ---------------------------------------------------------------------------
 // generators
@@ -134,10 +134,15 @@ proptest! {
         check_bounds(&db, &q, &AuConfig::precise())?;
     }
 
-    /// Lemmas 10.1 / 10.2: the compressed paths still preserve bounds.
+    /// Lemmas 10.1 / 10.2: the compressed paths still preserve bounds —
+    /// on the lanes, where compressed configurations run, and on the
+    /// oracle they are differentially tested against.
     #[test]
     fn ra_agg_preserves_bounds_compressed(db in xdb_strategy(), q in query_strategy()) {
-        check_bounds(&db, &q, &AuConfig::compressed(2))?;
+        let compressed = AuConfig::compressed(2);
+        for cfg in [compressed, oracle_of(&compressed)] {
+            check_bounds(&db, &q, &cfg)?;
+        }
     }
 
     /// The translations bound their inputs (Theorem 10) even before any
@@ -211,16 +216,19 @@ proptest! {
 
     /// World enumeration through `eval_au` on the default (typed-lane)
     /// aggregation path, grouped and ungrouped, under the precise, the
-    /// oracle, the adaptive-compressed and the forced-compressed
-    /// configurations (tiny inputs never reach the adaptive threshold,
-    /// so the last one is what actually compresses the possible side).
+    /// adaptive-compressed and the forced-compressed configurations
+    /// (tiny inputs never reach the adaptive threshold, so the last one
+    /// is what actually compresses the possible side) — each on the
+    /// lanes and on the oracle.
     #[test]
     fn float_arith_aggregates_preserve_bounds(db in float_xdb_strategy(), grouped in 0u8..2) {
         let group_by = if grouped == 1 { vec![0] } else { vec![] };
         let q = table("r").aggregate(group_by, float_aggs());
         let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
-        for cfg in [AuConfig::default(), cfg_oracle(), AuConfig::compressed(2), forced] {
-            check_bounds(&db, &q, &cfg)?;
+        for base in [AuConfig::default(), AuConfig::compressed(2), forced] {
+            for cfg in [base, oracle_of(&base)] {
+                check_bounds(&db, &q, &cfg)?;
+            }
         }
     }
 }
@@ -272,6 +280,43 @@ proptest! {
                 (col(2).sub(col(5)), "d"),
             ]);
         for cfg in [AuConfig::default(), cfg_oracle()] {
+            check_bounds(&db, &q, &cfg)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// γ directly over ⋈: the aggregate folds the probe chain's own row
+    /// list — order-faithful delivery, only the read columns built —
+    /// and, under forced compression, the split/compress join's output.
+    /// A Float measure over both sides' columns; an Int or a Float join
+    /// key; grouped by an Int column of either side or by the Float key.
+    /// (Grouped only: an ungrouped Float `sum` over an empty SG world has
+    /// the SG component `Float(0.0)` where deterministic evaluation says
+    /// `Int(0)` — see [`float_xdb_strategy`].)
+    #[test]
+    fn float_join_aggregate_preserves_bounds(
+        db in float_join_xdb_strategy(),
+        float_key in 0u8..2,
+        group in 0usize..3,
+        post in -8i64..9,
+    ) {
+        let on = if float_key == 1 { col(1).eq(col(4)) } else { col(0).eq(col(3)) };
+        let q = table("r")
+            .join_on(table("s"), on)
+            .select(col(1).add(col(4)).lt(lit(post as f64 * 0.25)))
+            .aggregate(
+                vec![[0, 5, 4][group]],
+                vec![
+                    AggSpec::new(AggFunc::Sum, col(1).mul(col(5)).add(col(4)), "s"),
+                    AggSpec::count("c"),
+                    AggSpec::new(AggFunc::Min, col(4), "lo"),
+                ],
+            );
+        let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
+        for cfg in [AuConfig::default(), cfg_oracle(), AuConfig::compressed(2), forced] {
             check_bounds(&db, &q, &cfg)?;
         }
     }

@@ -134,7 +134,7 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in fig_queries() {
-            assert_lanes_match_oracle(&db, &q, "mixed");
+            assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "mixed");
         }
     }
 
@@ -148,7 +148,7 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in fig_queries() {
-            assert_lanes_match_oracle(&db, &q, "int");
+            assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "int");
         }
     }
 
@@ -185,7 +185,7 @@ proptest! {
             table("t1").project(vec![(col(1).div(col(0)), "q")]),
             table("t1").select(col(0).sub(lit(1i64)).leq(col(1))),
         ] {
-            assert_lanes_match_oracle(&db, &q, "boundary");
+            assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "boundary");
         }
     }
 }
@@ -213,7 +213,7 @@ fn columnar_identical_on_micro_join_corpus() {
             .project(vec![(col(0), "k"), (col(1).add(col(4)), "v")]),
     ];
     for q in &queries {
-        assert_lanes_match_oracle(&db, q, "micro");
+        assert_lanes_match_oracle(&AuConfig::default(), &db, q, "micro");
     }
 }
 
@@ -225,6 +225,6 @@ fn columnar_identical_on_tpch_corpus() {
     let xdb = inject_uncertainty(&det, 0.02, 6, 22);
     let db = xdb.to_au();
     for (name, q) in tpch_queries().into_iter().take(2) {
-        assert_lanes_match_oracle(&db, &q, name);
+        assert_lanes_match_oracle(&AuConfig::default(), &db, &q, name);
     }
 }

@@ -13,7 +13,12 @@ pub const SHARDS: [usize; 3] = [1, 3, 8];
 /// The one differential oracle: sequential operator-at-a-time
 /// evaluation over the interpreted `Expr` trees.
 pub fn cfg_oracle() -> AuConfig {
-    AuConfig { oracle: true, workers: Some(1), ..AuConfig::default() }
+    oracle_of(&AuConfig::default())
+}
+
+/// The oracle under `base`'s compression knobs.
+pub fn oracle_of(base: &AuConfig) -> AuConfig {
+    AuConfig { oracle: true, workers: Some(1), ..*base }
 }
 
 /// The production path — fused chains on the lanes — with forced worker
@@ -22,30 +27,55 @@ pub fn cfg_oracle() -> AuConfig {
 /// normalizations, and the sharded chains alike) instead of degrading
 /// to the inline path.
 pub fn cfg_lanes(workers: usize, shards: usize) -> AuConfig {
-    AuConfig {
-        workers: Some(workers),
-        shards: Some(shards),
-        min_rows_per_worker: Some(0),
-        ..AuConfig::default()
-    }
+    lanes_of(&AuConfig::default(), workers, shards)
 }
 
-/// The lanes return **exactly** the same outcome — relation or error,
-/// the error being the one row-at-a-time order meets first — for every
-/// workers × shards shape, and agree with the oracle on the relation
-/// (the oracle meets errors in its own operator order, so there only
-/// success/failure is compared).
-pub fn assert_lanes_match_oracle(db: &AuDatabase, q: &Query, ctx: &str) {
-    let reference = eval_au(db, q, &cfg_lanes(1, 1));
-    match (&reference, eval_au(db, q, &cfg_oracle())) {
-        (Ok(r), Ok(o)) => assert_eq!(*r, o, "lanes vs oracle: {ctx}, q = {q}"),
+/// [`cfg_lanes`] under `base`'s compression knobs.
+pub fn lanes_of(base: &AuConfig, workers: usize, shards: usize) -> AuConfig {
+    AuConfig { workers: Some(workers), shards: Some(shards), min_rows_per_worker: Some(0), ..*base }
+}
+
+/// The base configurations of the differential matrix: precise, the
+/// paper's adaptive `compressed(ct)` (tiny inputs: every verdict says
+/// no), forced compression of joins and aggregates (`ct = 2`: real
+/// buckets on any input of three rows), and each knob alone.
+pub fn base_configs() -> [(&'static str, AuConfig); 5] {
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
+    [
+        ("default", AuConfig::default()),
+        ("compressed(2)", AuConfig::compressed(2)),
+        ("forced compressed(2)", forced),
+        ("join-only", AuConfig { agg_compress: None, ..forced }),
+        ("agg-only", AuConfig { join_compress: None, ..forced }),
+    ]
+}
+
+/// Under `base`, the lanes return **exactly** the same outcome —
+/// relation or error, the error being the one the chain's enumeration
+/// order meets first — for every workers × shards shape, and agree with
+/// the oracle on the relation (the oracle meets errors in its own
+/// operator order, so there only success/failure is compared).
+pub fn assert_lanes_match_oracle(base: &AuConfig, db: &AuDatabase, q: &Query, ctx: &str) {
+    let reference = eval_au(db, q, &lanes_of(base, 1, 1));
+    match (&reference, eval_au(db, q, &oracle_of(base))) {
+        (Ok(r), Ok(o)) => assert_eq!(*r, o, "lanes vs oracle: {ctx}, base = {base:?}, q = {q}"),
         (Err(_), Err(_)) => {}
-        (r, o) => panic!("lanes {r:?} vs oracle {o:?}: {ctx}, q = {q}"),
+        (r, o) => panic!("lanes {r:?} vs oracle {o:?}: {ctx}, base = {base:?}, q = {q}"),
     }
     for w in WORKERS {
         for s in SHARDS {
-            let got = eval_au(db, q, &cfg_lanes(w, s));
-            assert_eq!(got, reference, "lanes: {ctx}, workers = {w}, shards = {s}, q = {q}");
+            let got = eval_au(db, q, &lanes_of(base, w, s));
+            assert_eq!(
+                got, reference,
+                "lanes: {ctx}, base = {base:?}, workers = {w}, shards = {s}, q = {q}"
+            );
         }
+    }
+}
+
+/// [`assert_lanes_match_oracle`] under every [`base_configs`] entry.
+pub fn assert_lanes_match_oracle_all(db: &AuDatabase, q: &Query, ctx: &str) {
+    for (name, base) in base_configs() {
+        assert_lanes_match_oracle(&base, db, q, &format!("{ctx}, {name}"));
     }
 }

@@ -195,7 +195,7 @@ proptest! {
                 .select(col(0).leq(lit(100i64))),
         ];
         for q in &queries {
-            assert_lanes_match_oracle(&db, q, "chain");
+            assert_lanes_match_oracle(&AuConfig::default(), &db, q, "chain");
         }
     }
 
@@ -215,7 +215,7 @@ proptest! {
             .join_on(table("t2"), col(0).eq(col(2)))
             .select(col(1).leq(col(3)))
             .project(vec![(proj, "p"), (col(2), "c")]);
-        assert_lanes_match_oracle(&db, &q, "probe chain");
+        assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "probe chain");
     }
 
     /// The deterministic chain mirror and the rewrite middleware's

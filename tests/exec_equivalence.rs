@@ -18,7 +18,10 @@ use audb::query::au::difference::{difference_au_exec, difference_au_scan};
 use audb::query::au::{project_au_exec, select_au_exec};
 use audb::query::planner::{join_au_planned_exec, join_det_planned_exec};
 use audb::query::rewrite::{dec_relation_exec, enc_relation_exec};
-use common::{assert_lanes_match_oracle, cfg_lanes, cfg_oracle, SHARDS, WORKERS};
+use common::{
+    assert_lanes_match_oracle, assert_lanes_match_oracle_all, cfg_lanes, cfg_oracle, SHARDS,
+    WORKERS,
+};
 
 /// Force real partitioning even on tiny inputs: without this the
 /// default 128-row morsel floor would keep small proptest cases on the
@@ -404,9 +407,9 @@ proptest! {
 /// Queries covering the fusion rules end-to-end: full
 /// select→join→project spines (one fused chain), select/project-only
 /// chains, pipeline breakers mid-query (aggregate — both with a
-/// projection tail that keeps the input chain fusable and directly over
-/// a join, which exercises the order-faithful fallback seam), and the
-/// set operators around fused chains.
+/// projection tail, which ends the input chain normalized, and directly
+/// over a join, which the chain delivers as the planner's exact row
+/// list), and the set operators around fused chains.
 fn pipeline_queries() -> Vec<Query> {
     use audb::query::table;
     let spine = table("t1")
@@ -440,8 +443,8 @@ fn pipeline_queries() -> Vec<Query> {
                 ],
             )
             .select(col(1).geq(lit(-50i64))),
-        // aggregate directly over a join: the probe chain is not
-        // order-faithful, so the whole subtree must fall back
+        // aggregate directly over a join: an order-faithful probe chain
+        // (see `aggregate_over_join_is_a_faithful_chain`)
         table("t1")
             .join_on(table("t2"), col(0).eq(col(2)))
             .aggregate(vec![1], vec![AggSpec::new(AggFunc::Sum, col(3), "s"), AggSpec::count("c")]),
@@ -459,7 +462,9 @@ proptest! {
 
     /// The tentpole guarantee: the sharded pipeline's final result is
     /// byte-identical to the operator-at-a-time sequential path for
-    /// every (workers × shards) combination.
+    /// every (workers × shards) combination — under every base
+    /// configuration, the compressed ones included (`ct = 2`: a forced
+    /// join or aggregate of three rows already forms real buckets).
     #[test]
     fn pipeline_identical_to_operator_at_a_time(
         t1 in au_relation_strategy("A", "B", 14),
@@ -469,13 +474,8 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in pipeline_queries() {
-            let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
-            for w in WORKERS {
-                for s in SHARDS {
-                    let got = eval_au(&db, &q, &cfg_lanes(w, s)).unwrap();
-                    prop_assert_eq!(&got, &reference, "workers = {}, shards = {}, q = {}", w, s, &q);
-                }
-            }
+            prop_assert!(eval_au(&db, &q, &cfg_oracle()).is_ok(), "q = {}", &q);
+            assert_lanes_match_oracle_all(&db, &q, "pipeline queries");
         }
     }
 
@@ -510,12 +510,15 @@ proptest! {
             .join_on(table("t2"), col(0).eq(col(2)))
             .project(vec![(col(0), "g"), (col(1).add(col(3)), "v")])
             .aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(1), "s")]);
-        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
-        for w in WORKERS {
-            for s in SHARDS {
-                let got = eval_au(&db, &q, &cfg_lanes(w, s)).unwrap();
-                prop_assert_eq!(&got, &reference, "workers = {}, shards = {}", w, s);
-            }
+        // the same fold without the projection tail: the probe chain
+        // itself delivers the member order, four columns narrowed to three
+        let direct = table("t1")
+            .select(col(1).geq(lit(-100i64)))
+            .join_on(table("t2"), col(0).eq(col(2)))
+            .aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(1).add(col(3)), "s")]);
+        for q in [q, direct] {
+            prop_assert!(eval_au(&db, &q, &cfg_oracle()).is_ok());
+            assert_lanes_match_oracle_all(&db, &q, "float folds");
         }
     }
 
@@ -623,7 +626,7 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in probe_spines() {
-            assert_lanes_match_oracle(&db, &q, "wide corpus");
+            assert_lanes_match_oracle_all(&db, &q, "wide corpus");
         }
     }
 }
@@ -669,7 +672,7 @@ fn probe_chain_paths_agree_on_mixed_keys() {
             .join_on(table("t2"), on)
             .select(col(1).add(col(3)).lt(lit(8i64)))
             .project(vec![(col(0), "k"), (col(1).mul(col(3)), "p"), (col(2), "rk")]);
-        assert_lanes_match_oracle(&db, &q, "mixed keys");
+        assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "mixed keys");
         let got = eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap();
         assert!(!got.is_empty(), "q = {q}");
     }
@@ -703,10 +706,60 @@ fn probe_chain_reports_the_streaming_order_error() {
         .select(col(1).add(lit(1i64)).geq(lit(0i64)))
         .join_on(table("t2"), col(0).eq(col(2)))
         .select(col(1).add(col(3)).geq(lit(0i64)));
-    assert_lanes_match_oracle(&db, &q, "error order");
+    assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "error order");
     match eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap_err() {
         EvalError::BinOpTypeError { right, .. } => assert!(right.contains("pair"), "{right}"),
         other => panic!("expected the pair's type error, got {other:?}"),
+    }
+}
+
+/// Error order when the culprit is a *sweep* candidate. Source row 1 has
+/// an uncertain key, so its pairs are sweep candidates, and `(1, 1)`
+/// fails the post-probe stage; so does the hash-bucket pair `(6, 6)` of a
+/// later row. The planner's operator path would meet `(6, 6)` first (all
+/// hash-phase pairs precede the sweeps), but a probe chain *enumerates*
+/// source row by source row — hash bucket, then that row's candidates —
+/// and only the delivered list is put in planner order: streaming order
+/// meets row 1's candidate first. Identical for every workers × shards
+/// shape.
+#[test]
+fn probe_chain_reports_a_sweep_candidates_error_in_streaming_order() {
+    use audb::query::table;
+    let left: Vec<_> = (0..8i64)
+        .map(|i| {
+            let key = if i == 1 {
+                RangeValue::range(1i64, 1i64, 2i64)
+            } else {
+                RangeValue::certain(Value::Int(i))
+            };
+            au_row(vec![key, RangeValue::certain(Value::Int(i))], 1, 1, 1)
+        })
+        .collect();
+    let right: Vec<_> = (0..8i64)
+        .map(|i| {
+            let payload = match i {
+                1 => Value::str("sweep"),
+                6 => Value::str("hash"),
+                _ => Value::Int(10 * i),
+            };
+            (cells(&[Value::Int(i), payload]), AuAnnot::triple(1, 1, 1))
+        })
+        .collect();
+    let mut db = AuDatabase::new();
+    db.insert("t1", AuRelation::from_rows(Schema::named(&["k", "v"]), left));
+    db.insert("t2", AuRelation::from_rows(Schema::named(&["k", "v"]), right));
+    let q = table("t1")
+        .join_on(table("t2"), col(0).eq(col(2)))
+        .select(col(1).add(col(3)).geq(lit(0i64)));
+    // under an aggregate the same chain delivers a planner-ordered list:
+    // the error is still the enumeration's
+    let under_sum = q.clone().aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(3), "s")]);
+    for q in [q, under_sum] {
+        assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "sweep error order");
+        match eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap_err() {
+            EvalError::BinOpTypeError { right, .. } => assert!(right.contains("sweep"), "{right}"),
+            other => panic!("expected the sweep pair's type error, got {other:?}"),
+        }
     }
 }
 
@@ -729,7 +782,7 @@ fn select_project_chain_reports_the_streaming_order_error() {
     let q = table("t")
         .select(col(0).add(lit(1i64)).geq(lit(0i64)))
         .project(vec![(col(0), "a"), (col(1).add(lit(1i64)), "s")]);
-    assert_lanes_match_oracle(&db, &q, "error order");
+    assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "error order");
     match eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap_err() {
         EvalError::BinOpTypeError { left, .. } => assert!(left.contains("late"), "{left}"),
         other => panic!("expected row 2's projection error, got {other:?}"),
@@ -765,9 +818,98 @@ fn probe_chain_paths_agree_across_batch_and_chunk_seams() {
     let spine = tail(table("t1").join_on(table("t2"), col(0).eq(col(2))));
     let cross = tail(table("few").cross(table("t2")));
     for q in [spine, cross] {
-        assert_lanes_match_oracle(&db, &q, "seams");
+        assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "seams");
         assert!(eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap().len() > 1000, "q = {q}");
     }
+}
+
+/// The aggregate-directly-over-a-join entry of [`pipeline_queries`] used
+/// to fall back operator-at-a-time; it is a fused chain now, delivering
+/// the planner's exact row list.
+#[test]
+fn aggregate_over_join_is_a_faithful_chain() {
+    let q = pipeline_queries().remove(5);
+    assert!(matches!(&q, Query::Aggregate { input, .. } if matches!(**input, Query::Join { .. })));
+    let mut db = AuDatabase::new();
+    db.insert("t1", all_same_key(6));
+    db.insert("t2", all_same_key(5));
+    for (name, base) in common::base_configs() {
+        let (_, trace) = eval_au_traced(&db, &q, &common::lanes_of(&base, 2, 3)).unwrap();
+        let chain = trace.root.find("fused-chain").expect("fused chain span");
+        assert_eq!(chain.attr("delivery"), Some("faithful"), "{name}");
+        assert_eq!(chain.attr("fallback"), None, "{name}");
+    }
+}
+
+/// The Q7 shape — `((a ⋈ b) ⋈ c) σ(≠, range) γ[sum(Float · (1 − Float))]`
+/// — where every seam shows: join keys mix certain and uncertain cells
+/// on **both** sides of both joins (hash-phase pairs and both sweeps emit
+/// and interleave), the measure is non-dyadic Floats (the fold order is
+/// visible in the sum), `a` is un-normalized with a duplicate tuple,
+/// every input exceeds `ct = 2` (forced compression forms real buckets)
+/// and the adaptive verdict splits — `a ⋈ b` joins precisely, `⋈ c`
+/// clears `JOIN_COMPRESS_MIN_WORK` — the second chain's source crosses
+/// the 1 024-row chunk, and `a`'s key-2 rows each meet 2 100 rows of `b`,
+/// more than one pair batch.
+#[test]
+fn q7_shaped_plan_identical_across_configs() {
+    use audb::query::table;
+    let int = |v: i64| RangeValue::certain(Value::Int(v));
+    let around = |v: i64| RangeValue::range(v - 1, v, v + 1);
+    let float = |v: f64| RangeValue::certain(Value::float(v));
+    let mut a = AuRelation::empty(Schema::named(&["ak", "an", "af"]));
+    for i in (0..13i64).chain([3, 3]) {
+        let key = if i % 4 == 0 { around(i % 5) } else { int(i % 5) };
+        a.push(
+            RangeTuple::new(vec![key, int(i % 3), float(i as f64 * 0.1)]),
+            AuAnnot::triple(1, 1, 2),
+        );
+    }
+    assert!(!a.is_normalized());
+    let b: Vec<_> = (0..2150i64)
+        .map(|j| {
+            let key = match j {
+                0..2100 => int(2),
+                _ if j % 3 == 0 => around(j % 5),
+                _ => int(j % 5),
+            };
+            let cust = if j % 97 == 0 { around(j % 260) } else { int(j % 260) };
+            let price = Value::float(j as f64 * 0.1);
+            let price = RangeValue::range(price.clone(), price, Value::float(j as f64 * 0.1 + 0.3));
+            au_row(vec![key, cust, price, float((j % 10) as f64 * 0.01)], j as u64 % 2, 1, 1)
+        })
+        .collect();
+    let c: Vec<_> = (0..260i64)
+        .map(|j| au_row(vec![if j % 50 == 0 { around(j) } else { int(j) }, int(j % 4)], 1, 1, 1))
+        .collect();
+    let mut db = AuDatabase::new();
+    db.insert("a", a);
+    db.insert("b", AuRelation::from_rows(Schema::named(&["bk", "bc", "price", "disc"]), b));
+    db.insert("c", AuRelation::from_rows(Schema::named(&["ck", "cn"]), c));
+    let revenue = col(5).mul(lit(1.0).sub(col(6)));
+    let q = table("a")
+        .join_on(table("b"), col(0).eq(col(3)))
+        .join_on(table("c"), col(4).eq(col(7)))
+        .select(col(1).neq(col(8)).and(col(5).geq(lit(0.5))).and(col(5).leq(lit(190.0))))
+        .aggregate(vec![1, 8], vec![AggSpec::new(AggFunc::Sum, revenue, "revenue")]);
+    assert_lanes_match_oracle_all(&db, &q, "q7 shape");
+
+    // what the plan looked like: under the adaptive config only `⋈ c`
+    // compresses and the σ rides its output; precisely, the tail is one
+    // order-faithful chain building 4 of 9 columns
+    let strategies = |cfg: &AuConfig| {
+        let (out, trace) = eval_au_traced(&db, &q, cfg).unwrap();
+        assert!(out.len() > 4, "a real grouping");
+        let (mut joins, mut narrow) = (Vec::new(), Vec::new());
+        trace.root.walk(&mut |s| {
+            joins.extend((s.op == "join").then(|| s.attr("strategy").map(str::to_string)));
+            narrow.extend(s.attr("narrow").map(str::to_string));
+        });
+        (joins, narrow)
+    };
+    let split = Some("split-compress".to_string());
+    assert_eq!(strategies(&AuConfig::compressed(2)), (vec![split], vec!["4/9".to_string()]));
+    assert_eq!(strategies(&AuConfig::default()), (vec![], vec!["4/9".to_string()]));
 }
 
 // ---------------------------------------------------------------------------
@@ -1069,6 +1211,36 @@ mod fault_matrix {
         let got = with_plan(plan.clone(), || eval_au(&db, &q, &cfg_lanes(4, 3))).unwrap();
         assert_eq!(got, reference);
         assert_eq!(plan.fired(), 0);
+    }
+
+    /// Regression: the split/compress join's first driver is governed.
+    /// Its split normalizations used to run on an ungoverned sequential
+    /// executor documented as infallible — which the fault harness
+    /// reaches all the same, so a plan addressing driver 0 of a forced
+    /// compression join panicked the query thread instead of failing the
+    /// query.
+    #[test]
+    fn forced_compression_join_reports_a_driver_0_fault() {
+        use audb::query::opt::optimized_join_exec;
+        let (l, r) = (all_same_key(40), all_same_key(30));
+        let pred = col(0).eq(col(2));
+        let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]);
+        let got = with_plan(plan, || optimized_join_exec(&l, &r, Some(&pred), 2, &exec(1)));
+        let injected = ExecError::Injected { driver: 0, morsel: 0 };
+        assert_eq!(got.unwrap_err(), EvalError::Exec(injected));
+
+        // end to end, on the lanes and on the oracle, with the rule
+        // persistent so the degradation retry cannot absorb it
+        let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
+        let (db, q) = (small_db(), expanding_join());
+        for cfg in [common::lanes_of(&forced, 2, 3), common::oracle_of(&forced)] {
+            let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]);
+            let err = with_plan(plan, || eval_au(&db, &q, &cfg));
+            assert!(
+                matches!(err, Err(EvalError::Exec(ExecError::WorkerPanic { .. }))),
+                "cfg = {cfg:?}: {err:?}"
+            );
+        }
     }
 
     /// A probe whose one source row meets more matches than a pair batch

@@ -173,8 +173,9 @@ fn explain_reports_aggregate_breakdown() {
     ] {
         assert_eq!(agg.attr(key), Some(want), "aggregate attr {key}");
     }
-    // phase timings are sites, not child spans: the only child is the input
-    assert_eq!(agg.children.iter().map(|c| c.op.as_str()).collect::<Vec<_>>(), ["scan"]);
+    // phase timings are sites, not child spans: the only child is the
+    // input — a (stage-less) chain, since compressed configs fuse too
+    assert_eq!(agg.children.iter().map(|c| c.op.as_str()).collect::<Vec<_>>(), ["fused-chain"]);
     let m = &ex.trace.metrics;
     assert_eq!(m.counter("agg_terms_boxed"), Some(0));
     for site in ["agg_index", "agg_contrib", "agg_fold"] {
@@ -378,21 +379,81 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     assert!(trace.root.find("join").is_some());
 }
 
-/// A fusable shape consumed under a Faithful delivery contract falls
-/// back operator-at-a-time and records the blocking reason.
+/// The only fallback left on a `σ/π/⋈/γ` plan is the breaker's own: a
+/// join consumed under the Faithful delivery contract is a fused chain
+/// (it used to fall back operator-at-a-time), and it says which
+/// delivery it ran under and how many columns it built for the
+/// aggregate.
 #[test]
 fn explain_reports_fusion_fallback_reason() {
     let db = corpus_db();
-    // aggregate directly over a join: the probe chain cannot reproduce
-    // the operator path's row order, so the join subtree must fall back
     let q = table("t1")
         .join_on(table("t2"), col(0).eq(col(2)))
         .aggregate(vec![1], vec![AggSpec::new(AggFunc::Sum, col(3), "s")]);
-    let ex = explain(&db, &q, &cfg_lanes(2, 3)).unwrap();
-    let agg = ex.trace.root.find("aggregate").expect("aggregate span");
-    assert_eq!(agg.attr("fallback"), Some("pipeline-breaker"));
-    let join = ex.trace.root.find("join").expect("join span");
-    assert_eq!(join.attr("fallback"), Some("faithful-delivery-unreproducible"));
+    for cfg in [cfg_lanes(2, 3), AuConfig { shards: Some(3), ..AuConfig::compressed(2) }] {
+        let ex = explain(&db, &q, &cfg).unwrap();
+        assert_eq!(ex.trace.root.find("attempt").unwrap().attr("mode"), Some("lanes"));
+        let agg = ex.trace.root.find("aggregate").expect("aggregate span");
+        assert_eq!(agg.attr("fallback"), Some("pipeline-breaker"));
+        let chain = agg.find("fused-chain").expect("the join fuses under the aggregate");
+        assert_eq!(chain.attr("delivery"), Some("faithful"));
+        assert_eq!(chain.attr("narrow"), Some("2/4"));
+        assert_eq!(chain.attr("ops"), Some("⋈(hash-equi)"));
+        let mut fallbacks = Vec::new();
+        ex.trace.root.walk(&mut |s| fallbacks.extend(s.attr("fallback").map(str::to_string)));
+        assert_eq!(fallbacks, ["pipeline-breaker"], "{ex}");
+        assert!(ex.trace.root.find("join").is_none(), "{ex}");
+    }
+}
+
+fn join_count(q: &Query) -> usize {
+    match q {
+        Query::Table(_) => 0,
+        Query::Select { input, .. }
+        | Query::Project { input, .. }
+        | Query::Distinct { input }
+        | Query::Aggregate { input, .. } => join_count(input),
+        Query::Join { left, right, .. } => 1 + join_count(left) + join_count(right),
+        Query::Union { left, right } | Query::Difference { left, right } => {
+            join_count(left) + join_count(right)
+        }
+    }
+}
+
+/// One path, no knob: on the TPC-H corpus — every query a join tree
+/// under an aggregate — no configuration leaves the chain planner. A
+/// `lanes` attempt has no `select`/`project` span, its only `join` spans
+/// are compressing joins (the chain sources), and its result is the
+/// oracle's under the same knobs.
+#[test]
+fn tpch_plans_run_as_chains_under_every_config() {
+    use audb::workloads::{gen_tpch, inject_uncertainty, tpch_queries, TpchConfig};
+    let db = inject_uncertainty(&gen_tpch(TpchConfig::new(0.1, 21)), 0.02, 6, 22).to_au();
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(64) };
+    for base in [AuConfig::default(), AuConfig::compressed(64), forced] {
+        for (name, q) in tpch_queries() {
+            let (out, trace) = eval_au_traced(&db, &q, &base.with_workers(1)).unwrap();
+            assert_eq!(out, eval_au(&db, &q, &common::oracle_of(&base)).unwrap(), "{name}");
+            assert_eq!(trace.root.find("attempt").unwrap().attr("mode"), Some("lanes"));
+            let mut joins = 0;
+            trace.root.walk(&mut |s| {
+                assert!(s.op != "select" && s.op != "project", "{name}: {} span", s.op);
+                if s.op == "join" {
+                    assert_eq!(s.attr("strategy"), Some("split-compress"), "{name}");
+                    joins += 1;
+                }
+                let fallback = s.attr("fallback");
+                assert!(fallback.is_none_or(|f| f == "pipeline-breaker"), "{name}: {fallback:?}");
+            });
+            // precise: no join has a span; forced: every one compresses
+            // (adaptive: whichever the verdict picked)
+            match (base.join_compress, base.adaptive) {
+                (None, _) => assert_eq!(joins, 0, "{name}"),
+                (Some(_), false) => assert_eq!(joins, join_count(&q), "{name}"),
+                (Some(_), true) => {}
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -518,16 +579,18 @@ mod fault_trace {
         assert_eq!(trace.metrics.counter("degradations"), Some(1));
     }
 
-    /// An attempt that already runs on the oracle — asked for, or implied
-    /// by a compression knob — has nothing to degrade to: its fault
-    /// surfaces, and no degradation is recorded for a retry that would
-    /// only have re-run the identical path.
+    /// An attempt that already runs on the oracle has nothing to degrade
+    /// to: its fault surfaces, and no degradation is recorded for a retry
+    /// that would only have re-run the identical path. Driver 0 of the
+    /// forced-compression oracle is the split/compress join's SG probe —
+    /// a governed driver that reports the fault (the ungoverned split
+    /// normalization it used to be panicked on it).
     #[test]
     fn oracle_attempts_surface_faults_without_a_phantom_degradation() {
         let db = corpus_db();
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-        // adaptive: inputs this small join precisely, on the planner's driver
-        for cfg in [cfg_oracle(), AuConfig::compressed(64).with_workers(1)] {
+        let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
+        for cfg in [cfg_oracle(), common::oracle_of(&forced)] {
             let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]);
             let (result, trace) = with_plan(plan.clone(), || eval_au_traced_full(&db, &q, &cfg));
             let injected = ExecError::Injected { driver: 0, morsel: 0 };
@@ -538,6 +601,33 @@ mod fault_trace {
             let mut attempts = 0;
             trace.root.walk(&mut |s| attempts += usize::from(s.op == "attempt"));
             assert_eq!(attempts, 1, "no second attempt:\n{}", trace.render_text());
+        }
+    }
+
+    /// A compressed attempt fuses chains like any other, so it degrades
+    /// like any other: one retry on the oracle under the same knobs — two
+    /// `attempt` spans, one degradation, and the fault-free result.
+    #[test]
+    fn compressed_attempts_degrade_to_the_oracle_once() {
+        let db = corpus_db();
+        let q = table("t1")
+            .join_on(table("t2"), col(0).eq(col(2)))
+            .aggregate(vec![1], vec![AggSpec::new(AggFunc::Sum, col(3), "s")]);
+        let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
+        for base in [AuConfig::compressed(2), forced] {
+            let cfg = common::lanes_of(&base, 2, 3);
+            let reference = eval_au(&db, &q, &cfg).unwrap();
+            let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]);
+            let (out, trace) = with_plan(plan.clone(), || eval_au_traced(&db, &q, &cfg)).unwrap();
+            assert_eq!(out, reference, "degraded run must be byte-identical");
+            assert_eq!(plan.fired(), 1);
+            assert_eq!(trace.metrics.counter("degradations"), Some(1), "base = {base:?}");
+            let mut modes = Vec::new();
+            trace.root.walk(&mut |s| {
+                modes.extend((s.op == "attempt").then(|| s.attr("mode").map(str::to_string)));
+            });
+            let modes: Vec<_> = modes.iter().flatten().map(String::as_str).collect();
+            assert_eq!(modes, ["lanes", "oracle"], "{}", trace.render_text());
         }
     }
 

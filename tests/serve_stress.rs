@@ -187,17 +187,25 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
 /// Deterministic breaker walk-through: persistent lane-path faults
 /// trip the plan's breaker; with the fault gone but the breaker open,
 /// the plan serves correctly from the oracle (`oracle: true`); the cooldown
-/// probe closes it again.
+/// probe closes it again. A compressed `EngineConfig::eval` runs on the
+/// lanes like any other, so its plans consult the breaker the same way.
 #[test]
 fn breaker_trips_degrades_and_recovers() {
+    let forced = AuConfig { adaptive: false, workers: Some(2), ..AuConfig::compressed(2) };
+    for eval in [stress_config().eval, forced] {
+        breaker_walk_through(eval);
+    }
+}
+
+fn breaker_walk_through(eval: AuConfig) {
     let db = micro(80, 77);
-    let mut config = stress_config();
+    let mut config = EngineConfig { eval, ..stress_config() };
     config.retry =
         RetryPolicy { max_retries: 0, base_backoff: Duration::ZERO, max_backoff: Duration::ZERO };
     config.breaker = BreakerPolicy { trip_after: 2, cooldown: Duration::from_millis(20) };
     let engine = Engine::new(db.clone(), config);
     let q = queries().remove(0);
-    let want = eval_au(&db, &q, &stress_config().eval).unwrap();
+    let want = eval_au(&db, &q, &eval).unwrap();
 
     // two consecutive lane-path faults trip the breaker
     for _ in 0..2 {
