@@ -40,6 +40,8 @@
 //! comparisons use exact `i64` compares — beyond 2^53 the cast is
 //! lossy, the integers are not.
 
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use crate::error::EvalError;
@@ -216,6 +218,45 @@ impl ValueLane {
         }
     }
 
+    /// Append `src`'s cells — all of them, or those at `rows`, in that
+    /// order. The lane stays typed while the tags agree (an empty lane
+    /// takes the incoming tag) and demotes itself to `Boxed` when they
+    /// do not: concatenating an `Int` batch and one an `i64` overflow
+    /// promoted to `Float` yields the boxed column of the same cells.
+    pub fn append(&mut self, src: &LaneSlice<'_>, rows: Option<&[u32]>) {
+        fn ext<T: Copy>(dst: [&mut Vec<T>; 3], src: [&[T]; 3], rows: Option<&[u32]>) {
+            for (dst, src) in dst.into_iter().zip(src) {
+                match rows {
+                    None => dst.extend_from_slice(src),
+                    Some(rows) => dst.extend(rows.iter().map(|&i| src[i as usize])),
+                }
+            }
+        }
+        if self.is_empty() {
+            *self = rows.map_or_else(|| src.to_lane(), |rows| src.gather(rows));
+            return;
+        }
+        match (&mut *self, src) {
+            (ValueLane::Int { lb, sg, ub }, LaneSlice::Int { lb: l, sg: s, ub: u }) => {
+                ext([lb, sg, ub], [l, s, u], rows);
+            }
+            (ValueLane::Float { lb, sg, ub }, LaneSlice::Float { lb: l, sg: s, ub: u }) => {
+                ext([lb, sg, ub], [l, s, u], rows);
+            }
+            (ValueLane::Bool { lb, sg, ub }, LaneSlice::Bool { lb: l, sg: s, ub: u }) => {
+                ext([lb, sg, ub], [l, s, u], rows);
+            }
+            (ValueLane::Boxed(cells), src) => match rows {
+                None => cells.extend((0..src.len()).map(|i| src.get(i))),
+                Some(rows) => cells.extend(rows.iter().map(|&i| src.get(i as usize))),
+            },
+            (typed, src) => {
+                *typed = ValueLane::Boxed((0..typed.len()).map(|i| typed.get(i)).collect());
+                typed.append(src, rows);
+            }
+        }
+    }
+
     /// Exact heap footprint of this lane's component storage in bytes
     /// (element payloads plus, for boxed cells, their string heap).
     pub fn lane_bytes(&self) -> u64 {
@@ -292,6 +333,61 @@ impl<'a> LaneSlice<'a> {
             }
             LaneSlice::Bool { lb, sg, ub } => lb[i] == sg[i] && sg[i] == ub[i],
             LaneSlice::Boxed(v) => v[i].is_certain(),
+        }
+    }
+
+    /// Are cells `a` and `b` equal — as [`RangeValue`]'s derived `Eq`
+    /// has it for the materialized cells (floats by bits)?
+    pub fn cells_eq(&self, a: usize, b: usize) -> bool {
+        fn eq3<T: Copy>(c: [&[T]; 3], a: usize, b: usize, eq: impl Fn(T, T) -> bool) -> bool {
+            c.iter().all(|c| eq(c[a], c[b]))
+        }
+        match self {
+            LaneSlice::Int { lb, sg, ub } => eq3([lb, sg, ub], a, b, |x, y| x == y),
+            LaneSlice::Float { lb, sg, ub } => {
+                eq3([lb, sg, ub], a, b, |x, y| x.to_bits() == y.to_bits())
+            }
+            LaneSlice::Bool { lb, sg, ub } => eq3([lb, sg, ub], a, b, |x, y| x == y),
+            LaneSlice::Boxed(v) => v[a] == v[b],
+        }
+    }
+
+    /// The order of cells `a` and `b` — [`RangeValue`]'s derived `Ord`
+    /// over the materialized cells (`lb`, then `sg`, then `ub`; floats
+    /// by `total_cmp`).
+    pub fn cells_cmp(&self, a: usize, b: usize) -> Ordering {
+        fn cmp3<T: Copy>(
+            c: [&[T]; 3],
+            a: usize,
+            b: usize,
+            cmp: impl Fn(&T, &T) -> Ordering,
+        ) -> Ordering {
+            c.iter().map(|c| cmp(&c[a], &c[b])).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        }
+        match self {
+            LaneSlice::Int { lb, sg, ub } => cmp3([lb, sg, ub], a, b, i64::cmp),
+            LaneSlice::Float { lb, sg, ub } => cmp3([lb, sg, ub], a, b, f64::total_cmp),
+            LaneSlice::Bool { lb, sg, ub } => cmp3([lb, sg, ub], a, b, bool::cmp),
+            LaneSlice::Boxed(v) => v[a].cmp(&v[b]),
+        }
+    }
+
+    /// Feed cell `i` to a hasher, consistently with
+    /// [`LaneSlice::cells_eq`].
+    pub fn hash_cell<H: Hasher>(&self, i: usize, state: &mut H) {
+        match self {
+            // one word per component: an array's `Hash` would add a
+            // length prefix and go through the byte-slice path
+            LaneSlice::Int { lb, sg, ub } => {
+                [lb[i], sg[i], ub[i]].into_iter().for_each(|v| state.write_i64(v));
+            }
+            LaneSlice::Float { lb, sg, ub } => {
+                [lb[i], sg[i], ub[i]].into_iter().for_each(|v| state.write_u64(v.to_bits()));
+            }
+            LaneSlice::Bool { lb, sg, ub } => {
+                state.write_u8(u8::from(lb[i]) | u8::from(sg[i]) << 1 | u8::from(ub[i]) << 2);
+            }
+            LaneSlice::Boxed(v) => v[i].hash(state),
         }
     }
 
@@ -832,6 +928,79 @@ mod tests {
         assert_eq!(s.len(), 3);
         let s = ValueLane::splat(&RangeValue::certain(Value::Int(5)), 2);
         assert_eq!(s.tag(), LaneTag::Int);
+    }
+
+    /// Appending keeps a lane typed while the tags agree — an empty lane
+    /// takes the incoming one — and demotes it to the boxed column of
+    /// the same cells when they do not.
+    #[test]
+    fn append_stays_typed_until_tags_disagree() {
+        let (ints, floats) = (int_cells(), float_cells());
+        let (il, fl) = (lane_of(&ints), lane_of(&floats));
+        let mut lane = ValueLane::default();
+        lane.append(&il.as_slice(), Some(&[2, 0]));
+        assert_eq!(lane.tag(), LaneTag::Int);
+        lane.append(&il.as_slice(), None);
+        assert_eq!(lane.tag(), LaneTag::Int);
+        let mut want = vec![ints[2].clone(), ints[0].clone()];
+        want.extend(ints.iter().cloned());
+        assert_eq!((0..lane.len()).map(|i| lane.get(i)).collect::<Vec<_>>(), want);
+
+        lane.append(&fl.as_slice(), Some(&[1]));
+        assert_eq!(lane.tag(), LaneTag::Boxed);
+        lane.append(&il.as_slice(), Some(&[3]));
+        want.extend([floats[1].clone(), ints[3].clone()]);
+        assert_eq!((0..lane.len()).map(|i| lane.get(i)).collect::<Vec<_>>(), want);
+    }
+
+    /// `cells_eq` / `cells_cmp` / `hash_cell` are the materialized
+    /// cells' derived `Eq` / `Ord` / a hash consistent with them, on
+    /// every lane tag: ties on `lb`, float ties by bits, boxed mixes.
+    #[test]
+    fn cell_equality_order_and_hash_are_the_range_values() {
+        use std::hash::DefaultHasher;
+        let bools = vec![
+            RangeValue::range(false, false, true),
+            RangeValue::range(false, true, true),
+            RangeValue::range(false, false, true),
+        ];
+        let mut ints = int_cells();
+        ints.extend([RangeValue::range(1i64, 2i64, 4i64), RangeValue::range(1i64, 2i64, 3i64)]);
+        let mut floats = float_cells();
+        floats.extend([floats[0].clone(), RangeValue::range(1.5f64, 1.5f64, 3.25f64)]);
+        let mixed = vec![
+            RangeValue::certain(Value::Int(2)),
+            RangeValue::certain(Value::float(2.0)),
+            RangeValue::certain(Value::str("s")),
+            RangeValue::unknown(Value::Int(2)),
+            RangeValue::certain(Value::Int(2)),
+        ];
+        let hash_of = |f: &dyn Fn(&mut DefaultHasher)| {
+            let mut h = DefaultHasher::new();
+            f(&mut h);
+            h.finish()
+        };
+        for (cells, tag) in [
+            (&ints, LaneTag::Int),
+            (&floats, LaneTag::Float),
+            (&bools, LaneTag::Bool),
+            (&mixed, LaneTag::Boxed),
+        ] {
+            let lane = lane_of(cells);
+            assert_eq!(lane.tag(), tag);
+            let s = lane.as_slice();
+            for (a, ca) in cells.iter().enumerate() {
+                for (b, cb) in cells.iter().enumerate() {
+                    assert_eq!(s.cells_eq(a, b), ca == cb, "{ca} == {cb}");
+                    assert_eq!(s.cells_cmp(a, b), ca.cmp(cb), "{ca} vs {cb}");
+                    if ca == cb {
+                        let (ha, hb) =
+                            (hash_of(&|h| s.hash_cell(a, h)), hash_of(&|h| s.hash_cell(b, h)));
+                        assert_eq!(ha, hb, "hash of {ca}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`annot`] — tuple annotations `K_UA = K²` and `K_AU ⊂ K³`
 //!   (Definitions 2 and 11);
 //! * [`krelation`] — minimal generic K-relations validating the framework;
+//! * [`hash`] — the per-call-seeded row hash normalization and the join
+//!   hash index share;
 //! * [`lane`] — columnar value lanes and the typed vector kernels the
 //!   compiled backend runs over them;
 //! * [`obs`] — query-engine observability: metrics sink, execution
@@ -30,6 +32,7 @@ pub mod annot;
 pub mod error;
 pub mod expr;
 pub mod govern;
+pub mod hash;
 pub mod krelation;
 pub mod lane;
 pub mod obs;

@@ -92,11 +92,15 @@ pub enum Counter {
     /// in which some typed kernel demoted to the boxed per-row
     /// combinators (string/mixed operands, `i64` overflow, NaN, `/`).
     ChainStagesBoxed,
+    /// Fused probes whose key columns were not one typed (`Int` or
+    /// `Float`) lane pair each, so that the build's hash and interval
+    /// indexes read boxed values.
+    ProbeKeysBoxed,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 22] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::ShardsDispatched,
@@ -118,6 +122,7 @@ impl Counter {
         Counter::EventsDropped,
         Counter::AggTermsBoxed,
         Counter::ChainStagesBoxed,
+        Counter::ProbeKeysBoxed,
     ];
 
     /// Stable serialized name.
@@ -144,6 +149,7 @@ impl Counter {
             Counter::EventsDropped => "events_dropped",
             Counter::AggTermsBoxed => "agg_terms_boxed",
             Counter::ChainStagesBoxed => "chain_stages_boxed",
+            Counter::ProbeKeysBoxed => "probe_keys_boxed",
         }
     }
 }
@@ -170,13 +176,16 @@ pub enum Site {
     /// interval sweeps, candidate CSR.
     ChainBuild,
     /// Fused-chain pair batches: one entry per flush — gather, lane
-    /// stages, and the materialization of the surviving pairs.
+    /// stages, and the delivery of the surviving pairs' row ids or lanes.
     ChainProbe,
+    /// Fused-chain tuple building: one entry per chain, the single pass
+    /// that builds the delivered rows in their final order.
+    ChainMaterialize,
 }
 
 impl Site {
     /// Every site, in serialization order.
-    pub const ALL: [Site; 9] = [
+    pub const ALL: [Site; 10] = [
         Site::Driver,
         Site::ReduceScatter,
         Site::ReduceMergeSort,
@@ -186,6 +195,7 @@ impl Site {
         Site::AggFold,
         Site::ChainBuild,
         Site::ChainProbe,
+        Site::ChainMaterialize,
     ];
 
     /// Stable serialized name.
@@ -200,6 +210,7 @@ impl Site {
             Site::AggFold => "agg_fold",
             Site::ChainBuild => "chain_build",
             Site::ChainProbe => "chain_probe",
+            Site::ChainMaterialize => "chain_materialize",
         }
     }
 }

@@ -691,7 +691,11 @@ impl Program {
         assert_eq!(self.mode, Mode::Range, "lane evaluation requires a range program");
         debug_assert!(cols.iter().all(|c| c.len() == nrows));
         batch.reset(self, nrows);
-        let LaneBatch { regs, consts, errs, demoted } = batch;
+        let LaneBatch { regs, consts, errs, demoted, poisoned } = batch;
+        // Only the generic per-row sweeps write poison slots; typed
+        // kernels never do. Counted so that an evaluation that ran none
+        // reports `poisoned = 0` without scanning the slots.
+        let mut generic_sweeps = 0usize;
 
         // A column reference past the arity poisons every row at its
         // `CheckCol` probe (the lowerer emits one before any read), but
@@ -768,6 +772,7 @@ impl Program {
                     // probe collapses to a single test.
                     let c = *col as usize;
                     if c >= cols.len() {
+                        generic_sweeps += 1;
                         for e in errs.iter_mut() {
                             if e.is_none() {
                                 *e = Some(EvalError::UnknownColumn(c));
@@ -798,6 +803,7 @@ impl Program {
                     // the check that follows every `If` condition is
                     // free on the typed hot path.
                     if s.tag() != LaneTag::Bool {
+                        generic_sweeps += 1;
                         for (i, e) in errs.iter_mut().enumerate() {
                             if e.is_none() {
                                 if let Err(err) = s.bool3(i) {
@@ -808,6 +814,7 @@ impl Program {
                     }
                 }
                 Op::RangeIfMerge { c, t, e, dst } => {
+                    generic_sweeps += 1;
                     let out = {
                         let (cc, tt, ee) = (lsrc!(c), lsrc!(t), lsrc!(e));
                         let null = RangeValue::certain(Value::Null);
@@ -831,6 +838,7 @@ impl Program {
                     regs[*dst as usize] = out;
                 }
                 Op::RangeUncertain { l, s, u, dst } => {
+                    generic_sweeps += 1;
                     let out = {
                         let (ll, ss, uu) = (lsrc!(l), lsrc!(s), lsrc!(u));
                         let null = RangeValue::certain(Value::Null);
@@ -856,6 +864,10 @@ impl Program {
                 _ => unreachable!("det op in a range program"),
             }
         }
+        *poisoned = match generic_sweeps + *demoted {
+            0 => 0,
+            _ => errs.iter().filter(|e| e.is_some()).count(),
+        };
         Ok(())
     }
 }
@@ -924,6 +936,7 @@ pub struct LaneBatch {
     consts: Vec<ValueLane>,
     errs: Vec<Option<EvalError>>,
     demoted: usize,
+    poisoned: usize,
 }
 
 impl LaneBatch {
@@ -935,6 +948,7 @@ impl LaneBatch {
         self.errs.clear();
         self.errs.resize(nrows, None);
         self.demoted = 0;
+        self.poisoned = 0;
     }
 
     /// Ops of the last lane evaluation whose typed kernel demoted to
@@ -942,6 +956,13 @@ impl LaneBatch {
     /// NaN, division) — the silent cost a caller may want to count.
     pub fn demotions(&self) -> usize {
         self.demoted
+    }
+
+    /// Rows the last lane evaluation poisoned ([`LaneBatch::row_error`]
+    /// is `Some`). 0 — almost always — lets a caller skip the per-row
+    /// poison checks.
+    pub fn poisoned(&self) -> usize {
+        self.poisoned
     }
 
     /// The `out`-th output as a borrowed lane (the input lanes are
@@ -1456,6 +1477,8 @@ mod tests {
             assert_eq!(lane, scalar.cloned(), "lanes vs scalar: {e} on row {i} of {rows:?}");
             assert_eq!(lane, e.eval_range(r), "lanes vs interpreter: {e} on row {i} of {rows:?}");
         }
+        let poisoned = (0..rows.len()).filter(|&i| lb.row_error(i).is_some()).count();
+        assert_eq!(lb.poisoned(), poisoned, "poison count: {e} on {rows:?}");
     }
 
     /// A lane batch equals row-at-a-time evaluation position for
@@ -1469,6 +1492,7 @@ mod tests {
         let clean = vec![vec![rv(1, 2, 3), rv(1, 1, 2)], vec![rv(0, 1, 2), rv(2, 2, 4)]];
         assert_lanes_match_rows(&col(0).add(col(1)).div(col(1)), &clean, &mut lb);
         assert!((0..2).all(|i| lb.row_error(i).is_none()));
+        assert_eq!(lb.poisoned(), 0);
 
         // row 0 errors at the Div (last op), row 1 at the Add (first op)
         let e = col(1).add(lit(1i64)).div(col(0));
@@ -1481,6 +1505,7 @@ mod tests {
         assert_eq!(lb.row_error(0), Some(&EvalError::RangeDivisionSpansZero));
         assert!(matches!(lb.row_error(1), Some(EvalError::BinOpTypeError { .. })));
         assert_eq!(lb.row_error(2), None);
+        assert_eq!(lb.poisoned(), 2);
     }
 
     /// The lane entry point equals a batch of rows evaluated one by one,

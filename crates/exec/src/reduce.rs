@@ -46,10 +46,11 @@
 //! a contained panic in one job cannot cascade into lock panics in
 //! siblings.
 
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::hash::Hash;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
+use audb_core::hash::{call_seed, keyed_hash};
 use audb_core::obs::{Counter, Site};
 use audb_core::ExecError;
 
@@ -72,54 +73,6 @@ type Buckets<T, K> = Vec<Vec<Hashed<T, K>>>;
 /// to a structured error by the pool).
 fn claim<V>(slot: &Claim<V>) -> Option<V> {
     slot.lock().unwrap_or_else(PoisonError::into_inner).take()
-}
-
-/// The per-call keyed row hash: a folded-multiply hasher (one 64×64→128
-/// multiply per word, ~5× cheaper than SipHash over a tuple's derived
-/// `Hash`) whose state starts from a seed drawn from [`RandomState`]
-/// once per normalization — never a fixed seed, normalized tuples carry
-/// attacker-influenced literals.
-struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-        self.write_u64(bytes.len() as u64);
-    }
-    fn write_u8(&mut self, w: u8) {
-        self.write_u64(u64::from(w));
-    }
-    fn write_u32(&mut self, w: u32) {
-        self.write_u64(u64::from(w));
-    }
-    fn write_usize(&mut self, w: usize) {
-        self.write_u64(w as u64);
-    }
-    fn write_u64(&mut self, w: u64) {
-        let p = u128::from(self.0 ^ w) * 0x5851_F42D_4C95_7F2D_u128;
-        self.0 = (p as u64) ^ ((p >> 64) as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A fresh seed for one call: `RandomState` keys differ per process and
-/// per construction.
-fn call_seed() -> u64 {
-    RandomState::new().hash_one(0u8)
-}
-
-fn keyed_hash<T: Hash>(seed: u64, t: &T) -> u64 {
-    let mut h = FoldHasher(seed);
-    t.hash(&mut h);
-    // one more round spreads the last word over the low (slot) bits
-    h.write_u64(seed);
-    h.finish()
 }
 
 impl Executor {

@@ -96,6 +96,17 @@
 //! Within one contract, shard boundaries never matter: shards are
 //! contiguous and merged in shard order ([`Executor::run_shards`]), so
 //! the produced row list equals the sequential single-shard list.
+//!
+//! No row tuple exists while the chain runs. A batch's survivors are
+//! appended as what they already are ([`ChainOut`]): `(left id, right id)`
+//! pairs, source row ids, or — after a projection — typed output lanes.
+//! At the end the deliveries differ only in an **order of row ids** over
+//! one [`GatherView`] of that output: as enumerated, unranked-then-by-rank
+//! ([`in_planner_order`]), or the normal form
+//! ([`AuRelation::normalized_view_rows`]: the sharded-reduce driver over
+//! 16-byte row handles that compare, hash and key lane cells exactly as
+//! the tuples would). Then [`GatherView::tuples`] builds the delivered
+//! rows, once, in final order — only survivors, only kept columns.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -105,12 +116,13 @@ use std::time::Instant;
 
 use audb_core::obs::{Counter, Site, TraceBuilder};
 use audb_core::{
-    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, Program, Semiring,
-    Value, ValueLane,
+    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, LaneTag, Program,
+    Semiring, ValueLane,
 };
 use audb_exec::{Executor, ShardSource};
 use audb_storage::{
-    AuDatabase, AuRelation, ColumnSet, HashKeyIndex, IntervalIndex, RangeTuple, Schema,
+    lane_key, AuDatabase, AuRelation, ColumnSet, GatherView, HashKeyIndex, IntervalIndex,
+    RangeTuple, Schema,
 };
 
 use super::{
@@ -134,19 +146,20 @@ pub(crate) const MIN_ROWS_PER_SHARD: usize = 1024;
 /// expanding probe can overshoot its budget.
 const GOVERN_ROWS: usize = 1024;
 
-/// Charge output-buffer growth since `last` to the executor's budget
-/// under `operator`, advancing the watermark.
+/// Charge the growth of a chain's output (`rows` so far) since `last` to
+/// the executor's budget under `operator`, advancing the watermark. A
+/// survivor is charged as the row it will be built into.
 fn charge_out(
     exec: &Executor,
     operator: &'static str,
-    out: &[(RangeTuple, AuAnnot)],
+    rows: usize,
     last: &mut usize,
 ) -> Result<(), ExecError> {
-    let added = out.len().saturating_sub(*last);
+    let added = rows.saturating_sub(*last);
     if added > 0 {
         let bytes = added * std::mem::size_of::<(RangeTuple, AuAnnot)>();
         exec.charge(operator, added as u64, bytes as u64)?;
-        *last = out.len();
+        *last = rows;
     }
     Ok(())
 }
@@ -243,7 +256,7 @@ struct ChainPlan<'q> {
 enum ProbePlan {
     /// Conjunctive equality: hash probes for certain keys, precomputed
     /// sweep candidates for the uncertain bands.
-    HashEqui { lcols: Vec<usize>, index: HashKeyIndex },
+    HashEqui { lcols: Vec<usize>, rcols: Vec<usize>, index: HashKeyIndex },
     /// Order comparison: all candidates precomputed by the endpoint
     /// sweep, re-checked per pair.
     Comparison,
@@ -258,6 +271,10 @@ struct ProbeOp<'a> {
     /// The join's re-check predicate: the first post-probe stage.
     predicate: Option<Stage>,
     plan: ProbePlan,
+    /// Did the indexes run on typed cells — every key column pair read
+    /// off two `Int` or two `Float` lanes — or fall back to boxed
+    /// values? `None`: a nested loop reads no key.
+    keys_typed: Option<bool>,
     /// Per *source* row id, as a flat CSR ([`planner::csr_by_left`]):
     /// its `(right row, rank)` candidates from the interval sweeps
     /// (uncertain-key bands for equi plans, all candidates for
@@ -284,65 +301,80 @@ impl<'a> ProbeOp<'a> {
     /// restricted to the surviving rows — what the ranks preserve — is
     /// the planner's emission order over the filtered relation.
     ///
-    /// Key certainty and the full-relation interval indexes are read
-    /// straight off the relations' column lanes
-    /// ([`IntervalIndex::from_lane`]) — no row-tuple walk.
+    /// Key certainty, the hash index and the interval indexes are all
+    /// read straight off the relations' column lanes ([`lane_key`],
+    /// [`IntervalIndex::from_lane`]) — no row-tuple walk, and on typed
+    /// key lanes no boxed value.
     fn build(
         source: &AuRelation,
         right: Cow<'a, AuRelation>,
         predicate: Option<(&Expr, Stage)>,
     ) -> ProbeOp<'a> {
-        let full_index =
-            |rel: &AuRelation, c: usize| IntervalIndex::from_lane(rel.columns().lane(c).as_slice());
+        let (lcs, rcs) = (source.columns(), right.columns());
+        let full_index = |cs: &ColumnSet, c: usize| IntervalIndex::from_lane(cs.lane(c).as_slice());
+        let typed = |&(l, r): &(usize, usize)| {
+            let (l, r) = (lcs.lane(l).tag(), rcs.lane(r).tag());
+            l == r && matches!(l, LaneTag::Int | LaneTag::Float)
+        };
+        let mut keys_typed = None;
         // sweep pairs in emission order; the CSR keeps each row's order
         let mut cand: Vec<(u32, u32)> = Vec::new();
         let on = predicate.as_ref().map(|(e, _)| *e);
         let plan = match planner::classify(on, source.schema.arity()) {
             planner::JoinStrategy::HashEqui(pairs) => {
+                keys_typed = Some(pairs.iter().all(typed));
                 let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
                 let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-                let (lc, lu) = planner::partition_lanes_by_key_certainty(&source.columns(), &lcols);
-                let (rc, ru) = planner::partition_lanes_by_key_certainty(&right.columns(), &rcols);
+                let (lkeys, rkeys) = (key_lanes(&lcs, &lcols), key_lanes(&rcs, &rcols));
+                let (lc, lu) = planner::partition_lanes_by_key_certainty(&lkeys, lcs.nrows());
+                let (rc, ru) = planner::partition_lanes_by_key_certainty(&rkeys, rcs.nrows());
                 // no certain probe can ever hit the bucket index when
-                // either certain side is empty — mirror the planner's
-                // guard and skip the build
-                let index = if !lc.is_empty() && !rc.is_empty() {
-                    HashKeyIndex::from_au_sg(right.rows(), &rcols, rc.iter().copied())
-                } else {
-                    HashKeyIndex::default()
-                };
-                let (c0l, c0r) = pairs[0];
+                // the certain left side is empty — mirror the planner's
+                // guard and index nothing
+                let built = if lc.is_empty() { &[][..] } else { &rc[..] };
+                let index = HashKeyIndex::build(built.iter().copied(), |ri| lane_key(&rkeys, ri));
+                let (ll, rl) = (lkeys[0], rkeys[0]);
                 if !lu.is_empty() {
-                    let li = IntervalIndex::from_au_subset(source.rows(), c0l, &lu);
-                    let ri = full_index(right.as_ref(), c0r);
+                    let li = IntervalIndex::from_lane_subset(ll, &lu);
+                    let ri = IntervalIndex::from_lane(rl);
                     IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand.push((a, b)));
                 }
                 if !ru.is_empty() && !lc.is_empty() {
-                    let li = IntervalIndex::from_au_subset(source.rows(), c0l, &lc);
-                    let ri = IntervalIndex::from_au_subset(right.rows(), c0r, &ru);
+                    let li = IntervalIndex::from_lane_subset(ll, &lc);
+                    let ri = IntervalIndex::from_lane_subset(rl, &ru);
                     IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand.push((a, b)));
                 }
-                ProbePlan::HashEqui { lcols, index }
+                ProbePlan::HashEqui { lcols, rcols, index }
             }
             planner::JoinStrategy::IntervalComparison { lo, hi } => {
+                keys_typed = Some(typed(&match lo.0 {
+                    planner::Side::Left => (lo.1, hi.1),
+                    planner::Side::Right => (hi.1, lo.1),
+                }));
                 cand = planner::comparison_candidates(
                     lo,
                     hi,
-                    |c| full_index(source, c),
-                    |c| full_index(right.as_ref(), c),
+                    |c| full_index(&lcs, c),
+                    |c| full_index(&rcs, c),
                 );
                 ProbePlan::Comparison
             }
             planner::JoinStrategy::NestedLoop => ProbePlan::NestedLoop,
         };
         let (cand_offsets, cand) = planner::csr_by_left(source.len(), &cand);
-        ProbeOp { right, predicate: predicate.map(|(_, st)| st), plan, cand_offsets, cand }
+        let predicate = predicate.map(|(_, st)| st);
+        ProbeOp { right, predicate, plan, keys_typed, cand_offsets, cand }
     }
 
     /// Sweep candidates `(right row, rank)` of source row `src`.
     fn cand(&self, src: usize) -> &[(u32, u32)] {
         &self.cand[self.cand_offsets[src]..self.cand_offsets[src + 1]]
     }
+}
+
+/// The lanes of the key columns `cols`, in key order.
+fn key_lanes<'c>(cs: &'c ColumnSet, cols: &[usize]) -> Vec<LaneSlice<'c>> {
+    cols.iter().map(|&c| cs.lane(c).as_slice()).collect()
 }
 
 /// Pairs per lane batch of a probe chain — a constant picked by
@@ -377,9 +409,9 @@ enum Lanes<'a> {
 /// first.
 ///
 /// The exception to "exactly": after the *last* stage of a run filtered
-/// borrowed or owned lanes, nothing but [`LanePlan::materialize`] reads
-/// them again, so they stay uncompacted and `picked[j]` names row `j`'s
-/// lane row.
+/// borrowed or owned lanes, nothing but [`LanePlan::deliver`] reads them
+/// again, so they stay uncompacted and `picked[j]` names row `j`'s lane
+/// row.
 struct InFlight<'a> {
     lanes: Lanes<'a>,
     live: Vec<u32>,
@@ -396,13 +428,37 @@ fn poison_at(slot: &mut Option<(u32, EvalError)>, pos: u32, error: impl FnOnce()
     }
 }
 
-/// What one shard of a chain produced: its rows in enumeration order
-/// and — on a [`LanePlan::ranked`] chain — each row's rank, parallel to
-/// them.
+/// What the shards of one pool job produced, in enumeration order — not
+/// rows yet, but what the survivors already are. Which it is follows
+/// from the chain's shape: before any projection, a probe chain's `(left
+/// id, right id)` pairs or a probe-less chain's source row ids (`lids`
+/// alone); after one ([`LanePlan::projects`]), the output `lanes`.
+/// [`LanePlan::view`] reads either as one row list.
 #[derive(Default)]
 struct ChainOut {
-    rows: Vec<(RangeTuple, AuAnnot)>,
+    lids: Vec<u32>,
+    rids: Vec<u32>,
+    lanes: Vec<ValueLane>,
+    annots: Vec<AuAnnot>,
+    /// On a [`LanePlan::ranked`] chain: each row's rank.
     ranks: Vec<u32>,
+}
+
+impl ChainOut {
+    /// Append the job that ran after this one.
+    fn extend(&mut self, next: ChainOut) {
+        if self.annots.is_empty() {
+            *self = next;
+            return;
+        }
+        self.lids.extend(next.lids);
+        self.rids.extend(next.rids);
+        for (lane, more) in self.lanes.iter_mut().zip(&next.lanes) {
+            lane.append(&more.as_slice(), None);
+        }
+        self.annots.extend(next.annots);
+        self.ranks.extend(next.ranks);
+    }
 }
 
 /// What a chain did on the lanes, summed over shards for its span.
@@ -423,6 +479,9 @@ struct LanePlan<'p> {
     pre: Vec<&'p Stage>,
     probe: Option<(&'p ProbeOp<'p>, Arc<ColumnSet>)>,
     post: Vec<&'p Stage>,
+    /// Some stage rewrites tuples: the chain delivers output lanes, not
+    /// row ids.
+    projects: bool,
     /// The output columns to materialize (breaker-narrow delivery);
     /// `None` builds whole tuples.
     keep: Option<&'p [usize]>,
@@ -442,6 +501,7 @@ impl<'p> LanePlan<'p> {
             pre: chain.pre.iter().collect(),
             probe: probe.map(|p| (p, p.right.columns())),
             post: probe.iter().flat_map(|p| &p.predicate).chain(&chain.post).collect(),
+            projects: chain.pre.iter().chain(&chain.post).any(|st| st.project),
             keep,
             ranked,
             stats: ChainStats::default(),
@@ -504,22 +564,36 @@ impl<'p> LanePlan<'p> {
                 // survived: with every row poisoned (e.g. an out-of-arity
                 // column probe) the output source may reference a column
                 // that does not exist.
-                let any_clean = (0..nrows).any(|j| batch.row_error(j).is_none());
+                let any_clean = batch.poisoned() < nrows;
                 let filter =
                     (!st.project && any_clean).then(|| batch.output_lane(&st.prog, 0, &slices));
                 let mut keep: Vec<u32> = Vec::with_capacity(nrows);
-                for j in 0..nrows {
-                    match (batch.row_error(j), &filter) {
-                        (Some(e), _) => poison_at(&mut fl.poison, fl.live[j], || e.clone()),
-                        (None, None) => keep.push(j as u32),
-                        (None, Some(lane)) => match lane.bool3(j) {
-                            Err(e) => poison_at(&mut fl.poison, fl.live[j], || e),
-                            Ok((_, _, false)) => {} // false in all worlds
-                            Ok((lb, sg, ub)) => {
-                                fl.annots[j] = fl.annots[j].times(&AuAnnot::from_bool3(lb, sg, ub));
-                                keep.push(j as u32);
+                let annots = &mut fl.annots;
+                let mut pass = |keep: &mut Vec<u32>, j: usize, (lb, sg, ub): (bool, bool, bool)| {
+                    // `ub` false: false in all worlds
+                    if ub {
+                        annots[j] = annots[j].times(&AuAnnot::from_bool3(lb, sg, ub));
+                        keep.push(j as u32);
+                    }
+                };
+                match (batch.poisoned(), &filter) {
+                    // almost every batch: nothing poisoned, and a typed
+                    // predicate — no per-row error checks
+                    (0, None) => keep.extend(0..nrows as u32),
+                    (0, Some(LaneSlice::Bool { lb, sg, ub })) => {
+                        (0..nrows).for_each(|j| pass(&mut keep, j, (lb[j], sg[j], ub[j])));
+                    }
+                    _ => {
+                        for j in 0..nrows {
+                            match (batch.row_error(j), &filter) {
+                                (Some(e), _) => poison_at(&mut fl.poison, fl.live[j], || e.clone()),
+                                (None, None) => keep.push(j as u32),
+                                (None, Some(lane)) => match lane.bool3(j) {
+                                    Err(e) => poison_at(&mut fl.poison, fl.live[j], || e),
+                                    Ok(triple) => pass(&mut keep, j, triple),
+                                },
                             }
-                        },
+                        }
                     }
                 }
                 let all = keep.len() == nrows;
@@ -556,43 +630,51 @@ impl<'p> LanePlan<'p> {
         Ok(())
     }
 
-    /// Build the row tuples of the batch in flight — once, for the rows
-    /// that survived every stage, and only their [`LanePlan::keep`]
-    /// columns. `ranks` are a pair batch's, by batch position.
-    fn materialize(&self, fl: InFlight<'_>, ranks: &[u32], out: &mut ChainOut) {
-        let kept = |arity: usize| match self.keep {
-            Some(keep) => keep.to_vec(),
-            None => (0..arity).collect(),
-        };
-        let slices: Vec<LaneSlice<'_>> = match &fl.lanes {
-            Lanes::Pairs { right, lids, rids } => {
-                let la = self.left.arity();
-                // per output column: its lane, and whether the right id indexes it
-                let cols: Vec<(&ValueLane, bool)> = kept(la + right.arity())
-                    .into_iter()
-                    .map(|c| match c.checked_sub(la) {
-                        None => (self.left.lane(c), false),
-                        Some(rc) => (right.lane(rc), true),
-                    })
-                    .collect();
-                for ((&l, &r), k) in lids.iter().zip(rids).zip(&fl.annots) {
-                    let cell = |&(lane, of_right): &(&ValueLane, bool)| {
-                        lane.get(if of_right { r } else { l } as usize)
-                    };
-                    out.rows.push((RangeTuple::new(cols.iter().map(cell).collect()), *k));
-                }
+    /// Append the batch in flight to the shard's output as what its
+    /// survivors already are (see [`ChainOut`]) — no tuple is built here.
+    /// `base` is the source row of chunk position 0; `ranks` are a pair
+    /// batch's, by batch position.
+    fn deliver(&self, fl: InFlight<'_>, base: usize, ranks: &[u32], out: &mut ChainOut) {
+        if fl.annots.is_empty() {
+            return;
+        }
+        match &fl.lanes {
+            Lanes::Pairs { lids, rids, .. } => {
+                out.lids.extend_from_slice(lids);
+                out.rids.extend_from_slice(rids);
                 if self.ranked {
                     out.ranks.extend(fl.live.iter().map(|&pos| ranks[pos as usize]));
                 }
-                return;
             }
-            Lanes::Borrowed(s) => kept(s.len()).into_iter().map(|c| s[c]).collect(),
-            Lanes::Owned(v) => kept(v.len()).into_iter().map(|c| v[c].as_slice()).collect(),
-        };
-        for (j, k) in fl.annots.iter().enumerate() {
-            let row = fl.picked.as_ref().map_or(j, |rows| rows[j] as usize);
-            out.rows.push((RangeTuple::new(slices.iter().map(|s| s.get(row)).collect()), *k));
+            Lanes::Owned(lanes) if self.projects => {
+                out.lanes.resize_with(lanes.len(), ValueLane::default);
+                for (all, lane) in out.lanes.iter_mut().zip(lanes) {
+                    all.append(&lane.as_slice(), fl.picked.as_deref());
+                }
+            }
+            // a select-only run: chunk positions are source rows
+            _ => out.lids.extend(fl.live.iter().map(|&pos| (base + pos as usize) as u32)),
         }
+        out.annots.extend(fl.annots);
+    }
+
+    /// The chain's whole output as one row list over lanes: the
+    /// [`LanePlan::keep`] columns of the two sides' column sets gathered
+    /// by row id, or the projection's output lanes.
+    fn view<'v>(&'v self, out: &'v ChainOut) -> GatherView<'v> {
+        if self.projects {
+            return GatherView::new(out.lanes.iter().map(|l| (l.as_slice(), None)).collect());
+        }
+        let la = self.left.arity();
+        let arity = la + self.probe.as_ref().map_or(0, |(_, right)| right.arity());
+        let col = |c: usize| match (c.checked_sub(la), &self.probe) {
+            (Some(rc), Some((_, right))) => (right.lane(rc).as_slice(), Some(&out.rids[..])),
+            _ => (self.left.lane(c).as_slice(), Some(&out.lids[..])),
+        };
+        GatherView::new(match self.keep {
+            Some(keep) => keep.iter().map(|&c| col(c)).collect(),
+            None => (0..arity).map(col).collect(),
+        })
     }
 
     /// Run the chain over one shard in [`GOVERN_ROWS`]-row chunks, so
@@ -609,13 +691,13 @@ impl<'p> LanePlan<'p> {
     ) -> Result<(), EvalError> {
         // one scratch batch per shard: its poison slots for a full pair
         // batch are a large allocation, not to be repeated per chunk
-        let (mut batch, mut watermark) = (LaneBatch::default(), out.rows.len());
+        let (mut batch, mut watermark) = (LaneBatch::default(), out.annots.len());
         let mut start = range.start;
         while start < range.end {
             let end = range.end.min(start + GOVERN_ROWS);
             exec.check_cancel()?;
             self.run_chunk(start..end, &mut batch, out, &mut watermark, exec)?;
-            charge_out(exec, operator, &out.rows, &mut watermark)?;
+            charge_out(exec, operator, out.annots.len(), &mut watermark)?;
             start = end;
         }
         Ok(())
@@ -656,7 +738,7 @@ impl<'p> LanePlan<'p> {
             return match poison {
                 Some((_, e)) => Err(e),
                 None => {
-                    self.materialize(fl, &[], out);
+                    self.deliver(fl, range.start, &[], out);
                     Ok(())
                 }
             };
@@ -665,23 +747,27 @@ impl<'p> LanePlan<'p> {
         let (lids, rids, ranks, annots) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut sink =
             PairSink { plan: self, right, lids, rids, ranks, annots, batch, out, watermark, exec };
-        let unranked = |ri: &u32| (*ri, NO_RANK);
-        let mut key: Vec<Value> = Vec::new();
+        let unranked = |ri: u32| (ri, NO_RANK);
+        let (lkeys, rkeys) = match &probe.plan {
+            ProbePlan::HashEqui { lcols, rcols, .. } => {
+                (key_lanes(&self.left, lcols), key_lanes(right, rcols))
+            }
+            _ => (Vec::new(), Vec::new()),
+        };
         for (&pos, &k) in fl.live.iter().zip(&fl.annots).take_while(|(&p, _)| p < limit) {
             let src = range.start + pos as usize;
             match &probe.plan {
-                ProbePlan::HashEqui { lcols, index } => {
-                    let cells = lcols.iter().map(|&c| self.left.lane(c).as_slice());
-                    if cells.clone().all(|l| l.is_certain(src)) {
-                        key.clear();
-                        key.extend(cells.map(|l| l.get(src).sg.join_key()));
-                        sink.feed(src, k, index.get(&key).iter().map(unranked))?;
+                ProbePlan::HashEqui { index, .. } => {
+                    if lkeys.iter().all(|l| l.is_certain(src)) {
+                        let hits =
+                            index.matches(lane_key(&lkeys, src as u32), |ri| lane_key(&rkeys, ri));
+                        sink.feed(src, k, hits.map(unranked))?;
                     }
                     sink.feed(src, k, probe.cand(src).iter().copied())?;
                 }
                 ProbePlan::Comparison => sink.feed(src, k, probe.cand(src).iter().copied())?,
                 ProbePlan::NestedLoop => {
-                    sink.feed(src, k, (0..right.nrows() as u32).map(|ri| (ri, NO_RANK)))?;
+                    sink.feed(src, k, (0..right.nrows() as u32).map(unranked))?;
                 }
             }
         }
@@ -728,9 +814,9 @@ impl<'r, 'p> PairSink<'r, 'p> {
         Ok(())
     }
 
-    /// Run the post-probe stages over the pending pairs and materialize
-    /// the survivors; charge them (`"join-probe"`) and observe
-    /// cancellation before the next batch is enumerated.
+    /// Run the post-probe stages over the pending pairs and deliver the
+    /// survivors; charge them (`"join-probe"`) and observe cancellation
+    /// before the next batch is enumerated.
     fn flush(&mut self) -> Result<(), EvalError> {
         let n = self.lids.len();
         if n == 0 {
@@ -750,7 +836,7 @@ impl<'r, 'p> PairSink<'r, 'p> {
         if let Some((_, e)) = fl.poison.take() {
             return Err(e);
         }
-        plan.materialize(fl, &self.ranks, self.out);
+        plan.deliver(fl, 0, &self.ranks, self.out);
         self.ranks.clear();
         if let Some(t) = started {
             metrics.record_ns(Site::ChainProbe, t.elapsed().as_nanos() as u64);
@@ -758,7 +844,7 @@ impl<'r, 'p> PairSink<'r, 'p> {
         plan.stats.pairs.fetch_add(n as u64, Ordering::Relaxed);
         plan.stats.pair_batches.fetch_add(1, Ordering::Relaxed);
         self.exec.check_cancel()?;
-        Ok(charge_out(self.exec, "join-probe", &self.out.rows, self.watermark)?)
+        Ok(charge_out(self.exec, "join-probe", self.out.annots.len(), self.watermark)?)
     }
 }
 
@@ -827,6 +913,12 @@ impl<'a> AuPipeline<'a> {
             pre.chain(probe).chain(self.post.iter().map(stage)).collect::<Vec<_>>().join("·")
         });
         tr.attr(h, "shards", || sharding.slices(n).len().to_string());
+        if let Some(typed) = self.probe.as_ref().and_then(|p| p.keys_typed) {
+            tr.attr(h, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
+            if !typed {
+                exec.metrics().add(Counter::ProbeKeysBoxed, 1);
+            }
+        }
         if let Some(keep) = keep {
             tr.attr(h, "narrow", || format!("{}/{arity}", keep.len()));
         }
@@ -838,15 +930,7 @@ impl<'a> AuPipeline<'a> {
             plan.run_shard(range, &mut out[0], exec, operator)
         })?;
         let mut all = ChainOut::default();
-        for job in jobs {
-            if all.rows.is_empty() {
-                all = job;
-            } else {
-                all.rows.extend(job.rows);
-                all.ranks.extend(job.ranks);
-            }
-        }
-        let rows = if ranked { in_planner_order(all) } else { all.rows };
+        jobs.into_iter().for_each(|job| all.extend(job));
         let stat = |a: &AtomicU64| a.load(Ordering::Relaxed);
         tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
         tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
@@ -854,44 +938,62 @@ impl<'a> AuPipeline<'a> {
         if stat(&plan.stats.stages_boxed) > 0 {
             exec.metrics().add(Counter::ChainStagesBoxed, stat(&plan.stats.stages_boxed));
         }
+
+        // The three deliveries are three orders of row ids over one view
+        // of the output; tuples are built once, in the final order.
+        let view = plan.view(&all);
+        let listed = |i: u32| (i, all.annots[i as usize]);
+        let order: Box<dyn Iterator<Item = (u32, AuAnnot)> + '_> = if normalizes {
+            // the one pipeline-breaker normalization (sharded-reduce)
+            tr.attr(h, "keyed", || {
+                let (typed, arity) = view.typed_cols();
+                format!("{typed}/{arity}")
+            });
+            Box::new(AuRelation::normalized_view_rows(&view, &all.annots, exec)?.into_iter())
+        } else if ranked {
+            Box::new(in_planner_order(&all.ranks).into_iter().map(listed))
+        } else {
+            Box::new((0..all.annots.len() as u32).map(listed))
+        };
+        let started = exec.metrics().is_enabled().then(Instant::now);
+        let rows = view.tuples(order);
+        if let Some(t) = started {
+            exec.metrics().record_ns(Site::ChainMaterialize, t.elapsed().as_nanos() as u64);
+        }
+
         let schema = keep.map_or_else(|| self.schema.clone(), |keep| self.schema.select(keep));
         let source_list = self.probe.is_none() && !normalizes && keep.is_none();
-        let out = if source_list && self.source.is_normalized() {
-            // selection preserves normal form: kept rows stay sorted,
-            // distinct, and nonzero-annotated
+        let out = if normalizes || (source_list && self.source.is_normalized()) {
+            // just normalized — or a selection, which preserves normal
+            // form: kept rows stay sorted, distinct, nonzero-annotated
             AuRelation::from_normalized_rows(schema, rows)
         } else {
             let mut out = AuRelation::empty(schema);
             out.append_rows(rows);
-            if normalizes {
-                // the one pipeline-breaker normalization (sharded-reduce)
-                out.into_normalized_with(exec)?
-            } else {
-                out
-            }
+            out
         };
+        let narrowed = keep.is_some();
+        // freeing the probe's indexes and the chain's output buffers is
+        // this chain's time: do it inside its span
+        drop(view);
+        drop((plan, all));
+        drop(self);
         close_rel(tr, h, &out);
-        Ok((Cow::Owned(out), keep.is_some()))
+        Ok((Cow::Owned(out), narrowed))
     }
 }
 
-/// A probe chain's rows — enumerated source row by source row, each
-/// row's hash-bucket (or nested-loop) pairs before its sweep candidates
-/// — in the order the operator-at-a-time planner emits them: the
-/// unranked rows as enumerated, then the sweep candidates by rank.
-fn in_planner_order(chain: ChainOut) -> Vec<(RangeTuple, AuAnnot)> {
-    let mut rows = Vec::with_capacity(chain.rows.len());
-    let mut swept = Vec::new();
-    for (row, rank) in chain.rows.into_iter().zip(chain.ranks) {
-        if rank == NO_RANK {
-            rows.push(row);
-        } else {
-            swept.push((rank, row));
-        }
-    }
-    swept.sort_unstable_by_key(|(rank, _)| *rank);
-    rows.extend(swept.into_iter().map(|(_, row)| row));
-    rows
+/// The positions of a probe chain's rows — enumerated source row by
+/// source row, each row's hash-bucket (or nested-loop) pairs before its
+/// sweep candidates — in the order the operator-at-a-time planner emits
+/// them: the unranked rows as enumerated, then the sweep candidates by
+/// rank.
+fn in_planner_order(ranks: &[u32]) -> Vec<u32> {
+    let (mut order, mut swept): (Vec<u32>, Vec<u32>) =
+        (0..ranks.len() as u32).partition(|&i| ranks[i as usize] == NO_RANK);
+    swept.sort_unstable_by_key(|&i| ranks[i as usize]);
+    order.extend(swept);
+    order
 }
 
 /// Lay out the chain rooted at `q` (a `σ/π/⋈` tree) and compile

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use audb_core::obs::TraceBuilder;
 use audb_core::{EvalError, Expr, Program, Value};
 use audb_exec::{Executor, ShardSource};
-use audb_storage::{Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
+use audb_storage::{det_key, Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
 
 use crate::algebra::{AggFunc, AggSpec, Query};
 use crate::planner;
@@ -276,7 +276,7 @@ enum DetProbePlan {
     /// Conjunctive equality on canonical keys — no predicate re-check
     /// needed (the key match *is* the predicate), exactly like the
     /// operator-at-a-time det hash join.
-    HashEqui { lcols: Vec<usize>, index: HashKeyIndex },
+    HashEqui { lcols: Vec<usize>, rcols: Vec<usize>, index: HashKeyIndex },
     /// Order comparison: endpoint-sweep candidates, re-checked per pair.
     Comparison,
     /// Cross products and unindexable predicates.
@@ -303,8 +303,10 @@ impl DetProbeOp {
             planner::JoinStrategy::HashEqui(pairs) => {
                 let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
                 let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-                let index = HashKeyIndex::from_det(right.rows(), &rcols);
-                DetProbePlan::HashEqui { lcols, index }
+                let index = HashKeyIndex::build(0..right.len() as u32, |ri| {
+                    det_key(right.rows()[ri as usize].0.values(), &rcols)
+                });
+                DetProbePlan::HashEqui { lcols, rcols, index }
             }
             planner::JoinStrategy::IntervalComparison { lo, hi } => {
                 cand = vec![Vec::new(); source.len()];
@@ -360,12 +362,11 @@ impl DetProbeOp {
             }
             apply_det(rest, rest_bufs, usize::MAX, concat, k * kr, out, terminal)
         };
-        let DetBuf { vals: concat, key, regs } = buf;
+        let DetBuf { vals: concat, regs } = buf;
         match &self.plan {
-            DetProbePlan::HashEqui { lcols, index } => {
-                key.clear();
-                key.extend(lcols.iter().map(|c| vals[*c].join_key()));
-                for &ri in index.get(key) {
+            DetProbePlan::HashEqui { lcols, rcols, index } => {
+                let rkey = |ri: u32| det_key(self.right.rows()[ri as usize].0.values(), rcols);
+                for ri in index.matches(det_key(vals, lcols), rkey) {
                     emit(concat, regs, rest_bufs, ri, false, out)?;
                 }
                 Ok(())
@@ -386,12 +387,11 @@ impl DetProbeOp {
     }
 }
 
-/// Per-op scratch reused across a shard's rows: value/key buffers plus
+/// Per-op scratch reused across a shard's rows: the value buffer plus
 /// the compiled-program register file.
 #[derive(Default)]
 struct DetBuf {
     vals: Vec<Value>,
-    key: Vec<Value>,
     regs: Vec<Value>,
 }
 

@@ -33,10 +33,10 @@
 //! construction and the sweeps themselves stay sequential: they are
 //! `O(n log n)` and cheap relative to candidate evaluation.
 
-use audb_core::{AuAnnot, EvalError, ExecError, Expr, Semiring, Value};
+use audb_core::{AuAnnot, EvalError, ExecError, Expr, LaneSlice, Semiring};
 use audb_exec::Executor;
 use audb_storage::{
-    AuRelation, ColumnSet, HashKeyIndex, IntervalIndex, RangeTuple, Relation, Tuple,
+    au_sg_key, det_key, AuRelation, HashKeyIndex, IntervalIndex, RangeTuple, Relation, Tuple,
 };
 
 use crate::au::nested_loop_join_au_exec;
@@ -185,14 +185,14 @@ pub(crate) fn partition_by_key_certainty(
     (certain, uncertain)
 }
 
-/// [`partition_by_key_certainty`] read off the key *lanes*: component
-/// compares on typed lanes, no row-tuple walk. Same two id lists.
+/// [`partition_by_key_certainty`] read off the key *lanes* (one per key
+/// column, `nrows` rows each): component compares on typed lanes, no
+/// row-tuple walk. Same two id lists.
 pub(crate) fn partition_lanes_by_key_certainty(
-    cs: &ColumnSet,
-    cols: &[usize],
+    keys: &[LaneSlice<'_>],
+    nrows: usize,
 ) -> (Vec<u32>, Vec<u32>) {
-    let lanes: Vec<_> = cols.iter().map(|&c| cs.lane(c).as_slice()).collect();
-    (0..cs.nrows() as u32).partition(|&i| lanes.iter().all(|l| l.is_certain(i as usize)))
+    (0..nrows as u32).partition(|&i| keys.iter().all(|l| l.is_certain(i as usize)))
 }
 
 /// Flat CSR of candidate `(left_row, right_row)` pairs by left row:
@@ -259,18 +259,16 @@ fn hash_equi_join_au(
     // is partitioned into morsels and probed in parallel against the
     // shared (read-only) bucket index
     if !lc.is_empty() && !rc.is_empty() {
-        let index = HashKeyIndex::from_au_sg(r.rows(), &rcols, rc.iter().copied());
+        let rkey = |ri| au_sg_key(r.rows(), &rcols, ri);
+        let index = HashKeyIndex::build(rc.iter().copied(), rkey);
         let rows = exec.run(lc.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
-            let mut key: Vec<Value> = Vec::with_capacity(pairs.len());
             let mut watermark = 0usize;
             for &li in &lc[morsel] {
                 if rows.len() - watermark >= GOVERN_ROWS {
                     charge_probe(exec, rows, &mut watermark)?;
                 }
                 let row_l = &l.rows()[li as usize];
-                key.clear();
-                key.extend(lcols.iter().map(|c| row_l.0 .0[*c].sg.join_key()));
-                for &ri in index.get(&key) {
+                for ri in index.matches(au_sg_key(l.rows(), &lcols, li), rkey) {
                     emit_equi_pair(rows, row_l, &r.rows()[ri as usize], predicate, pairs)?;
                 }
             }
@@ -405,17 +403,15 @@ pub fn join_det_planned_exec(
             // the predicate itself — no re-evaluation needed.
             let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
             let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-            let index = HashKeyIndex::from_det(r.rows(), &rcols);
+            let rkey = |ri: u32| det_key(r.rows()[ri as usize].0.values(), &rcols);
+            let index = HashKeyIndex::build(0..r.rows().len() as u32, rkey);
             let rows = exec.run(l.rows().len(), |morsel, rows: &mut Vec<(Tuple, u64)>| {
-                let mut key: Vec<Value> = Vec::with_capacity(pairs.len());
                 let mut watermark = 0usize;
                 for (tl, kl) in &l.rows()[morsel] {
                     if rows.len() - watermark >= GOVERN_ROWS {
                         charge_probe(exec, rows, &mut watermark)?;
                     }
-                    key.clear();
-                    key.extend(lcols.iter().map(|c| tl.0[*c].join_key()));
-                    for &ri in index.get(&key) {
+                    for ri in index.matches(det_key(tl.values(), &lcols), rkey) {
                         let (tr, kr) = &r.rows()[ri as usize];
                         rows.push((tl.concat(tr), kl * kr));
                     }

@@ -4,12 +4,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 use audb_core::{AuAnnot, EvalError, ExecError, RangeValue, Semiring, Value};
 use audb_exec::Executor;
 
-use crate::column::{packed_range_key, ColumnSet, VALUE_KEY_BYTES};
+use crate::column::{packed_range_key, packed_row_key, ColumnSet, GatherView, VALUE_KEY_BYTES};
 use crate::relation::{Database, Relation};
 use crate::schema::Schema;
 use crate::tuple::RangeTuple;
@@ -96,10 +97,18 @@ impl AuRelation {
     }
 
     /// Append a batch of produced rows, dropping zero annotations — the
-    /// ordered-merge sink of the parallel operator drivers.
-    pub fn append_rows(&mut self, rows: Vec<(RangeTuple, AuAnnot)>) {
-        for (t, k) in rows {
-            self.push(t, k);
+    /// ordered-merge sink of the parallel operator drivers. An empty
+    /// relation adopts the batch's vector instead of copying it.
+    pub fn append_rows(&mut self, mut rows: Vec<(RangeTuple, AuAnnot)>) {
+        if !self.rows.is_empty() {
+            rows.into_iter().for_each(|(t, k)| self.push(t, k));
+            return;
+        }
+        rows.retain(|(_, k)| !k.is_zero());
+        if !rows.is_empty() {
+            self.rows = rows;
+            self.normalized = false;
+            self.columns.take();
         }
     }
 
@@ -189,15 +198,33 @@ impl AuRelation {
         // Sorting is keyed on packed column bytes (a memcmp fast path
         // that refines the tuple order; see `crate::column`) — the
         // output is byte-identical to sorting on the tuples alone.
-        self.rows = exec.hash_merge_sorted_by_key(
-            rows,
-            |k: &AuAnnot| !k.is_zero(),
-            |acc: &mut AuAnnot, k| *acc = acc.plus(&k),
-            self.schema.arity() * 3 * VALUE_KEY_BYTES,
-            packed_range_key,
-        )?;
+        let width = self.schema.arity() * 3 * VALUE_KEY_BYTES;
+        self.rows = merge_sorted(exec, rows, width, packed_range_key)?;
         self.normalized = true;
         Ok(())
+    }
+
+    /// [`Self::normalize_with`] of a row list that is still a
+    /// [`GatherView`] (row `i` annotated `annots[i]`), before any tuple
+    /// is built: the view rows that survive the merge, in canonical
+    /// order, with their summed annotations — same driver, same
+    /// governance, over 16-byte row handles that compare, hash and key
+    /// the lane cells as the tuples would; [`GatherView::tuples`] over
+    /// the result is what normalizing the materialized list returns.
+    /// Zero annotations never enter a relation ([`Self::append_rows`])
+    /// and an empty list is in normal form, so neither reaches the
+    /// driver.
+    pub fn normalized_view_rows(
+        view: &GatherView<'_>,
+        annots: &[AuAnnot],
+        exec: &Executor,
+    ) -> Result<Vec<(u32, AuAnnot)>, ExecError> {
+        let nonzero = annots.iter().enumerate().filter(|(_, k)| !k.is_zero());
+        let mut rows: Vec<_> = nonzero.map(|(i, k)| (view.row(i as u32), *k)).collect();
+        if !rows.is_empty() {
+            rows = merge_sorted(exec, rows, view.key_width(), packed_row_key)?;
+        }
+        Ok(rows.into_iter().map(|(row, k)| (row.row, k)).collect())
     }
 
     pub fn normalized(&self) -> AuRelation {
@@ -273,6 +300,23 @@ impl fmt::Display for AuRelation {
         }
         Ok(())
     }
+}
+
+/// Normalization on the sharded-reduce driver: merge equal rows with
+/// `+_{N_AU}`, drop zeros, sort — by `(packed key, row)`.
+fn merge_sorted<T: Hash + Eq + Ord + Send>(
+    exec: &Executor,
+    rows: Vec<(T, AuAnnot)>,
+    width: usize,
+    write_key: impl Fn(&T, &mut [u8]) + Sync,
+) -> Result<Vec<(T, AuAnnot)>, ExecError> {
+    exec.hash_merge_sorted_by_key(
+        rows,
+        |k: &AuAnnot| !k.is_zero(),
+        |acc: &mut AuAnnot, k| *acc = acc.plus(&k),
+        width,
+        write_key,
+    )
 }
 
 /// An AU-database: a catalog of named AU-relations.
@@ -546,6 +590,95 @@ mod tests {
         let before = r.estimated_bytes();
         r.warm_columns();
         assert_eq!(r.estimated_bytes(), before);
+    }
+
+    /// `append_rows` into an empty relation adopts the batch: zeros
+    /// dropped, order kept, not normalized, column cache invalidated —
+    /// and appending to a non-empty relation still copies behind it.
+    #[test]
+    fn append_rows_adopts_into_an_empty_relation() {
+        let mut r = AuRelation::empty(Schema::named(&["A"]));
+        assert_eq!(r.columns().nrows(), 0);
+        let batch = vec![
+            certain_row(&[3], 1, 1, 1),
+            certain_row(&[9], 0, 0, 0),
+            certain_row(&[1], 0, 1, 2),
+            certain_row(&[3], 1, 1, 1),
+        ];
+        let kept = [batch[0].clone(), batch[2].clone(), batch[3].clone()];
+        r.append_rows(batch);
+        assert_eq!(r.rows(), &kept[..]);
+        assert!(!r.is_normalized());
+        assert_eq!(r.columns().nrows(), 3);
+        r.append_rows(vec![certain_row(&[0], 0, 0, 0), certain_row(&[2], 1, 1, 1)]);
+        assert_eq!(r.len(), 4);
+        assert_eq!(r.rows()[3], certain_row(&[2], 1, 1, 1));
+        assert_eq!(r.columns().nrows(), 4);
+
+        // nothing but zeros leaves an empty relation as it was: normalized
+        let mut r = AuRelation::empty(Schema::named(&["A"]));
+        r.append_rows(vec![certain_row(&[9], 0, 0, 0)]);
+        assert!(r.is_empty() && r.is_normalized());
+    }
+
+    /// Normalizing a row list while it is still a gather view over
+    /// lanes, then building the survivors, is normalizing the
+    /// materialized list: mixed lane tags, an index on some columns,
+    /// > 90 % duplicates, zero annotations, every worker count.
+    #[test]
+    fn normalized_view_rows_match_normalizing_the_materialized_list() {
+        use audb_core::ValueLane;
+        use audb_exec::Partitioner;
+        let long = |tail: &str| Value::str(format!("a shared prefix of 25 bytes{tail}"));
+        // row i repeats row g(i): at most 53 distinct tuples of 900
+        let (n, g) = (900usize, |i: usize| i * 7 % 53);
+        let ints: Vec<RangeValue> = (0..n)
+            .map(|i| RangeValue::range(0i64, (g(i) % 3) as i64, (2 + g(i) % 2) as i64))
+            .collect();
+        let floats: Vec<RangeValue> =
+            (0..7).map(|i| RangeValue::range(-0.5 * i as f64, 0.0, 0.25 * i as f64)).collect();
+        let boxed: Vec<RangeValue> =
+            [Value::Int(2), Value::float(2.0), long("!"), long("?"), Value::Null]
+                .into_iter()
+                .map(RangeValue::certain)
+                .collect();
+        let bools: Vec<RangeValue> =
+            (0..n).map(|i| RangeValue::range(false, g(i) % 2 == 0, true)).collect();
+        let lanes = [&ints, &floats, &boxed, &bools].map(|c| ValueLane::from_cells(c.iter()));
+        let fidx: Vec<u32> = (0..n).map(|i| (g(i) % 7) as u32).collect();
+        let bidx: Vec<u32> = (0..n).map(|i| (g(i) % 5) as u32).collect();
+        let view = GatherView::new(vec![
+            (lanes[0].as_slice(), None),
+            (lanes[1].as_slice(), Some(&fidx)),
+            (lanes[2].as_slice(), Some(&bidx)),
+            (lanes[3].as_slice(), None),
+        ]);
+        assert_eq!(view.typed_cols(), (3, 4));
+        let annots: Vec<AuAnnot> =
+            (0..n as u64).map(|i| AuAnnot::triple(0, i % 4 / 2, i % 4)).collect();
+        let listed = view.tuples((0..n as u32).map(|i| (i, annots[i as usize])));
+        let schema = Schema::named(&["i", "f", "b", "t"]);
+        let want = AuRelation::from_rows(schema.clone(), listed);
+        assert!(want.len() * 10 < n, "{} distinct of {n}", want.len());
+        for w in [1usize, 2, 4, 7] {
+            let exec = Executor::new(w).with_partitioner(Partitioner {
+                min_morsel: 1,
+                morsels_per_worker: 3,
+                min_rows_per_worker: 0,
+            });
+            let rows = AuRelation::normalized_view_rows(&view, &annots, &exec).unwrap();
+            let built = view.tuples(rows.into_iter());
+            assert_eq!(
+                AuRelation::from_normalized_rows(schema.clone(), built),
+                want,
+                "workers = {w}"
+            );
+        }
+        // all zeros (or nothing) never reaches the driver
+        let zeros = vec![AuAnnot::zero(); n];
+        assert!(AuRelation::normalized_view_rows(&view, &zeros, &Executor::sequential())
+            .unwrap()
+            .is_empty());
     }
 
     /// The column cache is invalidated by mutation and shared by clone.

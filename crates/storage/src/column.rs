@@ -46,6 +46,9 @@
 //!   the full comparison instead of being ordered by a later column;
 //! * `Bool`: one `0`/`1` byte; `MinVal`/`Null`/`MaxVal`: rank only.
 
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+
 use audb_core::{AuAnnot, LaneSlice, RangeValue, Value, ValueLane};
 
 use crate::tuple::RangeTuple;
@@ -153,40 +156,40 @@ impl ColumnSet {
     /// what [`crate::AuRelation::estimated_bytes`] charges when the
     /// columnar cache hasn't been built.
     pub fn byte_size_of_rows(arity: usize, rows: &[(RangeTuple, AuAnnot)]) -> u64 {
-        let n = rows.len();
-        let mut total = (3 * n * std::mem::size_of::<u64>()) as u64; // annots
-        for c in 0..arity {
-            let (mut all_int, mut all_float, mut all_bool) = (true, true, true);
-            let mut boxed = 0u64;
-            for (t, _) in rows {
-                let cell = &t.0[c];
-                all_int &= matches!(
-                    (&cell.lb, &cell.sg, &cell.ub),
-                    (Value::Int(_), Value::Int(_), Value::Int(_))
-                );
-                all_float &= matches!(
-                    (&cell.lb, &cell.sg, &cell.ub),
-                    (Value::Float(_), Value::Float(_), Value::Float(_))
-                );
-                all_bool &= matches!(
-                    (&cell.lb, &cell.sg, &cell.ub),
-                    (Value::Bool(_), Value::Bool(_), Value::Bool(_))
-                );
+        const INT: u8 = 1;
+        const FLOAT: u8 = 2;
+        const BOOL: u8 = 4;
+        // per column: the lane tags every component so far fits (a bit
+        // each), and its string heap — one pass over the rows, one match
+        // per component
+        let mut cols = vec![(INT | FLOAT | BOOL, 0u64); arity];
+        for (t, _) in rows {
+            for (cell, (tags, heap)) in t.0[..arity].iter().zip(&mut cols) {
                 for v in [&cell.lb, &cell.sg, &cell.ub] {
-                    if let Value::Str(s) = v {
-                        boxed += s.len() as u64;
-                    }
+                    *tags &= match v {
+                        Value::Int(_) => INT,
+                        Value::Float(_) => FLOAT,
+                        Value::Bool(_) => BOOL,
+                        Value::Str(s) => {
+                            *heap += s.len() as u64;
+                            0
+                        }
+                        _ => 0,
+                    };
                 }
             }
-            total += if all_int || all_float {
+        }
+        let n = rows.len();
+        let lane = |&(tags, heap): &(u8, u64)| {
+            if tags & (INT | FLOAT) != 0 {
                 (3 * n * 8) as u64
-            } else if all_bool {
+            } else if tags & BOOL != 0 {
                 (3 * n) as u64
             } else {
-                (n * std::mem::size_of::<RangeValue>()) as u64 + boxed
-            };
-        }
-        total
+                (n * std::mem::size_of::<RangeValue>()) as u64 + heap
+            }
+        };
+        (3 * n * std::mem::size_of::<u64>()) as u64 + cols.iter().map(lane).sum::<u64>()
     }
 }
 
@@ -252,12 +255,158 @@ pub fn packed_value_key(v: &Value, out: &mut [u8; VALUE_KEY_BYTES]) -> bool {
 /// of which only coarsen the key, which the full-comparison tie-break
 /// resolves.
 pub fn packed_range_key(t: &RangeTuple, out: &mut [u8]) {
-    let mut cells = t.0.iter().flat_map(|rv| [&rv.lb, &rv.sg, &rv.ub]);
+    packed_value_keys(t.0.iter().flat_map(|rv| [&rv.lb, &rv.sg, &rv.ub]), out);
+}
+
+/// Fill `out`'s [`VALUE_KEY_BYTES`] units with the keys of `vals`, in
+/// order: zeros from the first value a key does not pin down, and past
+/// the last value. `false` when some value was not pinned down.
+fn packed_value_keys<'v>(mut vals: impl Iterator<Item = &'v Value>, out: &mut [u8]) -> bool {
     let mut exact = true;
     for chunk in out.chunks_mut(VALUE_KEY_BYTES) {
-        match (cells.next(), <&mut [u8; VALUE_KEY_BYTES]>::try_from(&mut *chunk)) {
+        match (vals.next(), <&mut [u8; VALUE_KEY_BYTES]>::try_from(&mut *chunk)) {
             (Some(v), Ok(key)) if exact => exact = packed_value_key(v, key),
             _ => chunk.fill(0),
+        }
+    }
+    exact
+}
+
+// ---------------------------------------------------------------------------
+// Row lists as gathers over lanes
+// ---------------------------------------------------------------------------
+
+/// A row list that is not materialized: attribute `c` of row `i` is cell
+/// `index[i]` (cell `i` without an index) of lane `c`. What a fused chain
+/// delivers — pair ids into the two sides' column sets, source row ids,
+/// or its projection's output lanes — and what normalization dedupes and
+/// sorts ([`crate::AuRelation::normalized_view_rows`]) before
+/// [`GatherView::tuples`] builds the surviving rows, once.
+pub struct GatherView<'a> {
+    cols: Vec<(LaneSlice<'a>, Option<&'a [u32]>)>,
+}
+
+impl<'a> GatherView<'a> {
+    /// One `(lane, row index)` per attribute.
+    pub fn new(cols: Vec<(LaneSlice<'a>, Option<&'a [u32]>)>) -> Self {
+        GatherView { cols }
+    }
+
+    /// `(typed, arity)`: the attributes read off a typed (`Int`/`Float`/
+    /// `Bool`) lane, of all attributes.
+    pub fn typed_cols(&self) -> (usize, usize) {
+        let typed = |(l, _): &&(LaneSlice<'a>, _)| !matches!(l, LaneSlice::Boxed(_));
+        (self.cols.iter().filter(typed).count(), self.cols.len())
+    }
+
+    /// A handle on row `row`: its `Hash`/`Eq`/`Ord` are the materialized
+    /// [`RangeTuple`]'s, read off the lane cells.
+    pub(crate) fn row(&self, row: u32) -> RowRef<'_> {
+        RowRef { view: self, row }
+    }
+
+    /// Per attribute of row `i`: its lane and its cell.
+    fn cells(&self, i: u32) -> impl Iterator<Item = (&LaneSlice<'a>, usize)> {
+        self.cols.iter().map(move |(l, ix)| (l, ix.map_or(i, |ix| ix[i as usize]) as usize))
+    }
+
+    /// Build the rows `order` names, in that order, with their
+    /// annotations.
+    pub fn tuples(
+        &self,
+        order: impl Iterator<Item = (u32, AuAnnot)>,
+    ) -> Vec<(RangeTuple, AuAnnot)> {
+        let tuple = |i| RangeTuple(self.cells(i).map(|(l, cell)| l.get(cell)).collect());
+        order.map(|(i, k)| (tuple(i), k)).collect()
+    }
+
+    /// Bytes of a row's packed sort key ([`packed_row_key`]).
+    pub(crate) fn key_width(&self) -> usize {
+        self.cols.iter().map(|(l, _)| cell_key_bytes(l)).sum()
+    }
+}
+
+/// One row of a [`GatherView`], 16 bytes. Rows of *one* view compare.
+#[derive(Clone, Copy)]
+pub(crate) struct RowRef<'v> {
+    view: &'v GatherView<'v>,
+    pub(crate) row: u32,
+}
+
+impl RowRef<'_> {
+    /// Per attribute: its lane, and this row's and `other`'s cell.
+    fn zip(&self, other: &Self) -> impl Iterator<Item = (&LaneSlice<'_>, usize, usize)> {
+        debug_assert!(std::ptr::eq(self.view, other.view), "rows of two views");
+        self.view.cells(self.row).zip(self.view.cells(other.row)).map(|((l, a), (_, b))| (l, a, b))
+    }
+}
+
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.zip(other).all(|(l, a, b)| l.cells_eq(a, b))
+    }
+}
+
+impl Eq for RowRef<'_> {}
+
+impl Hash for RowRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view.cells(self.row).for_each(|(l, cell)| l.hash_cell(cell, state));
+    }
+}
+
+impl PartialOrd for RowRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RowRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let by_cell = self.zip(other).map(|(l, a, b)| l.cells_cmp(a, b));
+        by_cell.into_iter().find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    }
+}
+
+/// Key bytes of one cell of a lane: 8 per `Int`/`Float` component, 1 per
+/// `Bool` component, [`VALUE_KEY_BYTES`] per boxed component.
+fn cell_key_bytes(lane: &LaneSlice<'_>) -> usize {
+    3 * match lane {
+        LaneSlice::Int { .. } | LaneSlice::Float { .. } => 8,
+        LaneSlice::Bool { .. } => 1,
+        LaneSlice::Boxed(_) => VALUE_KEY_BYTES,
+    }
+}
+
+/// [`packed_range_key`] of a view row, written per lane tag: within one
+/// lane every cell has one type, so a typed component needs no rank
+/// byte, tie byte or cast — its order-preserving transform alone orders
+/// it exactly. Boxed cells keep [`packed_value_key`] and its
+/// truncated-string rule: the key ends (zeros) after the first value it
+/// does not pin down. `out` is [`GatherView::key_width`] bytes.
+pub(crate) fn packed_row_key(row: &RowRef<'_>, out: &mut [u8]) {
+    let (mut at, mut exact) = (0, true);
+    for (lane, i) in row.view.cells(row.row) {
+        let key = &mut out[at..at + cell_key_bytes(lane)];
+        at += key.len();
+        if !exact {
+            key.fill(0);
+            continue;
+        }
+        match lane {
+            LaneSlice::Int { lb, sg, ub } => {
+                key.copy_from_slice([lb[i], sg[i], ub[i]].map(i64_key).as_flattened());
+            }
+            LaneSlice::Float { lb, sg, ub } => {
+                key.copy_from_slice([lb[i], sg[i], ub[i]].map(f64_key).as_flattened());
+            }
+            LaneSlice::Bool { lb, sg, ub } => {
+                key.copy_from_slice(&[lb[i], sg[i], ub[i]].map(u8::from));
+            }
+            LaneSlice::Boxed(cells) => {
+                let cell = &cells[i];
+                exact = packed_value_keys([&cell.lb, &cell.sg, &cell.ub].into_iter(), key);
+            }
         }
     }
 }
@@ -379,6 +528,137 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One-column view over `cells`' lane, its rows in cell order.
+    fn with_view<R>(cells: &[RangeValue], f: impl FnOnce(&GatherView<'_>) -> R) -> R {
+        let lane = ValueLane::from_cells(cells.iter());
+        f(&GatherView::new(vec![(lane.as_slice(), None)]))
+    }
+
+    fn row_key(view: &GatherView<'_>, i: u32) -> Vec<u8> {
+        let mut k = vec![0xAAu8; view.key_width()];
+        packed_row_key(&view.row(i), &mut k);
+        k
+    }
+
+    /// The lane-written key, per lane tag: its byte order refines the
+    /// cells' order, exactly on typed lanes (no coarsening at all) and up
+    /// to the truncated-string rule on boxed ones; widths are per tag.
+    #[test]
+    fn packed_row_key_order_refines_cell_order_per_lane_tag() {
+        use std::cmp::Ordering;
+        let triples = |vals: &[Value]| -> Vec<RangeValue> {
+            let mut cells = Vec::new();
+            for (i, a) in vals.iter().enumerate() {
+                for b in &vals[i..] {
+                    cells.push(RangeValue::new(a.clone(), a.clone(), b.clone()).unwrap());
+                    cells.push(RangeValue::new(a.clone(), b.clone(), b.clone()).unwrap());
+                }
+            }
+            cells
+        };
+        let ints = [i64::MIN, -1, 0, 2, 1 << 53, (1 << 53) + 1, i64::MAX].map(Value::Int);
+        let floats = [f64::NEG_INFINITY, -0.5, 0.0, 2.0, 2.5, (1u64 << 53) as f64, f64::INFINITY]
+            .map(Value::float);
+        let bools = [false, true].map(Value::Bool);
+        let boxed = [
+            Value::MinVal,
+            Value::Null,
+            Value::Int(2),
+            Value::float(2.0),
+            Value::str("a"),
+            Value::str("a very long string that exceeds the prefix width"),
+            Value::str("a very long string that exceeds the prefix width!"),
+            Value::MaxVal,
+        ];
+        for (vals, tag, width) in [
+            (&ints[..], LaneTag::Int, 24),
+            (&floats[..], LaneTag::Float, 24),
+            (&bools[..], LaneTag::Bool, 3),
+            (&boxed[..], LaneTag::Boxed, 3 * VALUE_KEY_BYTES),
+        ] {
+            let cells = triples(vals);
+            with_view(&cells, |view| {
+                assert_eq!(view.typed_cols(), (usize::from(tag != LaneTag::Boxed), 1));
+                assert_eq!(view.key_width(), width, "{tag:?}");
+                let keys: Vec<Vec<u8>> =
+                    (0..cells.len() as u32).map(|i| row_key(view, i)).collect();
+                for (i, a) in cells.iter().enumerate() {
+                    for (j, b) in cells.iter().enumerate() {
+                        match keys[i].cmp(&keys[j]) {
+                            Ordering::Equal if tag != LaneTag::Boxed => assert_eq!(a, b),
+                            Ordering::Equal => {} // coarsening; tie-break handles
+                            by_key => assert_eq!(by_key, a.cmp(b), "{a} vs {b}"),
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    /// A view row is its tuple: `Eq`, `Ord` and a consistent `Hash` read
+    /// off the lanes, the key of a row after a truncated string zeroed,
+    /// and sorting rows by `(lane-written key, row)` is the tuple order.
+    #[test]
+    fn view_rows_compare_key_and_build_like_their_tuples() {
+        use std::hash::DefaultHasher;
+        let long = "one prefix, 17+ bytes, tail ";
+        let rows: Vec<Vec<RangeValue>> = vec![
+            vec![iv(3, 3, 3), RangeValue::certain(Value::str("zz")), iv(0, 0, 0)],
+            vec![iv(1, 2, 3), RangeValue::certain(Value::str("a")), iv(0, 0, 0)],
+            vec![iv(1, 2, 3), RangeValue::certain(Value::str("a")), iv(0, 0, 0)],
+            vec![iv(1, 2, 3), RangeValue::certain(Value::float(0.5)), iv(-1, 0, 0)],
+            vec![iv(1, 1, 3), RangeValue::unknown(Value::Int(0)), iv(5, 5, 5)],
+            // a truncated string must not hand the order to the next column
+            vec![iv(1, 2, 3), RangeValue::certain(Value::str(format!("{long}b"))), iv(0, 0, 0)],
+            vec![iv(1, 2, 3), RangeValue::certain(Value::str(format!("{long}a"))), iv(9, 9, 9)],
+        ];
+        let lanes: Vec<ValueLane> =
+            (0..3).map(|c| ValueLane::from_cells(rows.iter().map(|r| &r[c]))).collect();
+        // the middle column through an index, reversed
+        let n = rows.len() as u32;
+        let back: Vec<u32> = (0..n).rev().collect();
+        let view = GatherView::new(vec![
+            (lanes[0].as_slice(), None),
+            (lanes[1].as_slice(), Some(&back)),
+            (lanes[2].as_slice(), None),
+        ]);
+        assert_eq!(view.typed_cols(), (2, 3));
+        assert_eq!(view.key_width(), 24 + 3 * VALUE_KEY_BYTES + 24);
+        let built = view.tuples((0..n).map(|i| (i, AuAnnot::triple(1, 1, 1))));
+        let tuples: Vec<RangeTuple> = built.into_iter().map(|(t, _)| t).collect();
+        for (i, t) in tuples.iter().enumerate() {
+            let want =
+                vec![rows[i][0].clone(), rows[n as usize - 1 - i][1].clone(), rows[i][2].clone()];
+            assert_eq!(t.0, want);
+        }
+        let hash_of = |i: u32| {
+            let mut h = DefaultHasher::new();
+            view.row(i).hash(&mut h);
+            h.finish()
+        };
+        for a in 0..n {
+            for b in 0..n {
+                let (ta, tb) = (&tuples[a as usize], &tuples[b as usize]);
+                assert_eq!(view.row(a) == view.row(b), ta == tb);
+                assert_eq!(view.row(a).cmp(&view.row(b)), ta.cmp(tb));
+                assert!(ta != tb || hash_of(a) == hash_of(b));
+            }
+        }
+        // past the truncated string the key says nothing
+        let truncated =
+            (0..n).find(|&i| tuples[i as usize].0[1].sg == Value::str(format!("{long}a")));
+        let key = row_key(&view, truncated.unwrap());
+        assert!(key[24 + VALUE_KEY_BYTES..].iter().all(|&b| b == 0), "{key:?}");
+
+        let mut by_key: Vec<u32> = (0..n).collect();
+        by_key.sort_by(|&a, &b| {
+            row_key(&view, a).cmp(&row_key(&view, b)).then_with(|| view.row(a).cmp(&view.row(b)))
+        });
+        let mut sorted = tuples.clone();
+        sorted.sort();
+        assert_eq!(by_key.iter().map(|&i| tuples[i as usize].clone()).collect::<Vec<_>>(), sorted);
     }
 
     /// Sorting tuples by `(packed key, tuple)` is the tuple order.

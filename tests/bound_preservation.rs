@@ -258,18 +258,20 @@ proptest! {
     /// World enumeration through `eval_au` on the default config — the
     /// fused chain's pair batches over the lanes — and on the oracle the
     /// lanes are differentially tested against: a pre-probe selection,
-    /// a hash-equi (Int key) or interval-comparison (Float key) probe,
-    /// an arithmetic post-selection over Float columns of both sides and
-    /// an arithmetic projection. Multiples of 0.25 keep every sum and
-    /// product exact, so a world outside the bounds is a soundness bug.
+    /// a hash-equi (Int key; or an Int key against a Float one — typed
+    /// indexes of two endpoint types) or interval-comparison (Float key)
+    /// probe, an arithmetic post-selection over Float columns of both
+    /// sides and an arithmetic projection. Multiples of 0.25 keep every
+    /// sum and product exact, so a world outside the bounds is a
+    /// soundness bug.
     #[test]
     fn float_join_spine_preserves_bounds(
         db in float_join_xdb_strategy(),
-        comparison in 0u8..2,
+        probe in 0usize..3,
         pre in -2i64..3,
         post in -8i64..9,
     ) {
-        let on = if comparison == 1 { col(1).leq(col(4)) } else { col(0).eq(col(3)) };
+        let on = [col(0).eq(col(3)), col(1).leq(col(4)), col(2).eq(col(4))][probe].clone();
         let q = table("r")
             .select(col(2).geq(lit(pre)))
             .join_on(table("s"), on)

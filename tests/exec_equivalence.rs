@@ -912,6 +912,177 @@ fn q7_shaped_plan_identical_across_configs() {
     assert_eq!(strategies(&AuConfig::default()), (vec![], vec!["4/9".to_string()]));
 }
 
+/// The corpora of the typed build side and the gather-view delivery —
+/// every case under all five base configurations and every workers ×
+/// shards shape:
+///
+/// * join keys whose lanes differ by side — `Int` ⋈ `Float` (two typed
+///   indexes of different endpoint types), `Int` ⋈ a mixed `Int`/`Float`
+///   column (typed × boxed), as equality and as comparison — `Str` keys,
+///   certain and uncertain, and a two-column key with one uncertain
+///   column: hash buckets and both sweeps emit, and `keys` says which
+///   probes read boxed cells;
+/// * a projection whose output column is `Int` in most batches and holds
+///   an `i64`-overflow-promoted `Float` in one — at the first, a middle
+///   and the last source row, so the typed lane meets the boxed one in
+///   either order: the concatenation demotes, the result does not move;
+/// * an output of > 90 % duplicates, one whose rows are only possibly
+///   there (`(0, 0, ub)` annotations), and one no row survives into (the
+///   breaker normalization is never entered);
+/// * a ranked Faithful chain under γ — hash pairs, both sweeps, one
+///   source row's matches across a 2 048-pair batch.
+#[test]
+fn typed_indexes_and_gather_views_match_the_oracle() {
+    use audb::query::table;
+    let int = |v: i64| RangeValue::certain(Value::Int(v));
+    let float = |v: f64| RangeValue::certain(Value::float(v));
+    let around = |v: i64| RangeValue::range(v - 1, v, v + 1);
+    let text = |v: &str| RangeValue::certain(Value::str(v));
+    let rel = |names: &[&str], rows: Vec<Vec<RangeValue>>| {
+        let rows = rows.into_iter().enumerate();
+        let annotated = rows.map(|(i, r)| au_row(r, i as u64 % 2, 1, 1 + i as u64 % 3));
+        AuRelation::from_rows(Schema::named(names), annotated.collect())
+    };
+    let keys = |db: &AuDatabase, q: &Query| {
+        let (_, trace) = eval_au_traced(db, q, &cfg_lanes(1, 1)).unwrap();
+        let chain = trace.root.find("fused-chain").expect("fused chain span");
+        (chain.attr("keys").map(str::to_string), trace.metrics.counter("probe_keys_boxed"))
+    };
+    let (typed, boxed) =
+        ((Some("typed".to_string()), Some(0)), (Some("boxed".to_string()), Some(1)));
+    let spine = |l: &str, r: &str, on: Expr| {
+        table(l)
+            .select(col(1).geq(lit(-1i64)))
+            .join_on(table(r), on)
+            .select(col(1).add(col(3)).lt(lit(40i64)))
+            .project(vec![(col(0), "k"), (col(1).add(col(3)), "s"), (col(2), "rk")])
+    };
+
+    // ---- key lanes that differ by side ---------------------------------
+    let mut db = AuDatabase::new();
+    let ints =
+        (0..40i64).map(|i| vec![if i % 6 == 0 { around(i % 7) } else { int(i % 7) }, int(i)]);
+    db.insert("ints", rel(&["k", "v"], ints.collect()));
+    let floats = (0..30i64).map(|i| {
+        let k = (i % 14) as f64 * 0.5;
+        let key = if i % 5 == 0 {
+            RangeValue::range(Value::float(k - 0.5), Value::float(k), Value::float(k + 1.0))
+        } else {
+            float(k)
+        };
+        vec![key, int(i % 4)]
+    });
+    db.insert("floats", rel(&["k", "v"], floats.collect()));
+    let mixed = (0..30i64).map(|i| {
+        let k = i % 7;
+        vec![if i % 2 == 0 { int(k) } else { float(k as f64) }, int(i % 4)]
+    });
+    db.insert("mixed", rel(&["k", "v"], mixed.collect()));
+    for (right, lane) in [("ints", "Int"), ("floats", "Float"), ("mixed", "mixed")] {
+        for on in [col(0).eq(col(2)), col(0).leq(col(2)), col(2).lt(col(0))] {
+            let q = spine("ints", right, on);
+            assert_lanes_match_oracle_all(&db, &q, &format!("Int ⋈ {lane}"));
+            assert!(!eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap().is_empty(), "q = {q}");
+            assert_eq!(keys(&db, &q), if right == "ints" { typed.clone() } else { boxed.clone() });
+        }
+    }
+
+    // ---- Str keys; a two-column key with one uncertain column -----------
+    let names = ["ann", "bob", "a name longer than the packed prefix", "cy", "dee"];
+    let strs = |n: usize, step: usize| {
+        (0..n).map(move |i| {
+            let name = names[i * step % names.len()];
+            let key = if i % 7 == 3 {
+                let guess = if ("b"..="d").contains(&name) { name } else { "c" };
+                RangeValue::range(Value::str("b"), Value::str(guess), Value::str("d"))
+            } else {
+                text(name)
+            };
+            vec![key, int(i as i64 % 5)]
+        })
+    };
+    db.insert("s1", rel(&["k", "v"], strs(25, 1).collect()));
+    db.insert("s2", rel(&["k", "v"], strs(20, 3).collect()));
+    let q = spine("s1", "s2", col(0).eq(col(2)));
+    assert_lanes_match_oracle_all(&db, &q, "Str keys");
+    assert!(eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap().len() > 5);
+    assert_eq!(keys(&db, &q), boxed);
+
+    let two = |n: i64, m: i64| {
+        (0..n).map(move |i| {
+            vec![int(i % 3), if i % m == 0 { around(i % 4) } else { int(i % 4) }, int(i)]
+        })
+    };
+    db.insert("p1", rel(&["a", "b", "v"], two(30, 4).collect()));
+    db.insert("p2", rel(&["a", "b", "v"], two(24, 5).collect()));
+    let q = table("p1")
+        .join_on(table("p2"), col(0).eq(col(3)).and(col(1).eq(col(4))))
+        .select(col(2).add(col(5)).lt(lit(45i64)))
+        .project(vec![(col(0), "a"), (col(1), "b"), (col(2).add(col(5)), "s")]);
+    assert_lanes_match_oracle_all(&db, &q, "two-column key");
+    assert!(eval_au(&db, &q, &cfg_lanes(1, 1)).unwrap().len() > 20);
+    assert_eq!(keys(&db, &q), typed);
+
+    // ---- a batch whose output column leaves the Int lane -----------------
+    for at in [0usize, 17, 39] {
+        let rows = (0..40usize)
+            .map(|i| vec![int(if i == at { i64::MAX } else { i as i64 % 9 }), int(i as i64 % 2)]);
+        db.insert("big", rel(&["a", "b"], rows.collect()));
+        let q = table("big")
+            .select(col(1).geq(lit(0i64)))
+            .project(vec![(col(0).add(lit(1i64)), "a1"), (col(1), "b")]);
+        assert_lanes_match_oracle_all(&db, &q, &format!("overflow at row {at}"));
+        let out = eval_au(&db, &q, &cfg_lanes(2, 8)).unwrap();
+        let promoted = |t: &RangeTuple| matches!(t.0[0].sg, Value::Float(_));
+        assert_eq!(out.rows().iter().filter(|(t, _)| promoted(t)).count(), 1);
+        let (_, trace) = eval_au_traced(&db, &q, &cfg_lanes(1, 8)).unwrap();
+        let chain = trace.root.find("fused-chain").expect("fused chain span");
+        assert_eq!(chain.attr("keyed"), Some("1/2"), "the concatenated column is boxed");
+    }
+
+    // ---- duplicates, possible-only rows, nothing at all ------------------
+    let dup = spine("ints", "ints", col(0).eq(col(2))).project(vec![(col(0), "k")]);
+    assert_lanes_match_oracle_all(&db, &dup, "duplicates");
+    let (out, trace) = eval_au_traced(&db, &dup, &cfg_lanes(1, 1)).unwrap();
+    let rows_in = trace.metrics.counter("normalize_rows_in").unwrap();
+    assert!(out.len() as u64 * 10 < rows_in, "{} rows of {rows_in}", out.len());
+    // `k = 3` is possible but not the guess of `around(2)` and `around(4)`
+    let possible = table("ints")
+        .select(col(0).eq(lit(3i64)).and(col(1).lt(lit(35i64))))
+        .project(vec![(col(0), "k"), (lit(1i64), "one")]);
+    assert_lanes_match_oracle_all(&db, &possible, "possible-only rows");
+    let out = eval_au(&db, &possible, &cfg_lanes(1, 1)).unwrap();
+    assert!(out.rows().iter().any(|(_, k)| (k.lb, k.sg) == (0, 0) && k.ub > 0), "{out}");
+    let none = spine("ints", "floats", col(0).eq(col(2))).select(col(1).gt(lit(1000i64)));
+    assert_lanes_match_oracle_all(&db, &none, "no survivor");
+    let (out, trace) = eval_au_traced(&db, &none, &cfg_lanes(2, 3)).unwrap();
+    assert!(out.is_empty() && out.is_normalized());
+    assert_eq!(trace.metrics.counter("normalize_runs"), Some(0));
+
+    // ---- a ranked list under γ, across a pair batch ------------------------
+    let left = (0..60i64).map(|i| {
+        vec![if i % 9 == 0 { around(7) } else { int(if i % 2 == 0 { 7 } else { i }) }, int(i % 5)]
+    });
+    db.insert("l", rel(&["k", "v"], left.collect()));
+    let mut wide = all_same_key(2100);
+    wide.push(RangeTuple::new(vec![around(7), int(-1)]), AuAnnot::triple(0, 1, 1));
+    db.insert("wide", wide);
+    let q = table("l")
+        .join_on(table("wide"), col(0).eq(col(2)))
+        .select(col(1).add(col(3)).lt(lit(2000i64)))
+        .aggregate(
+            vec![1],
+            vec![AggSpec::new(AggFunc::Sum, col(3), "s"), AggSpec::new(AggFunc::Max, col(2), "k")],
+        );
+    assert_lanes_match_oracle_all(&db, &q, "ranked list under γ");
+    let (_, trace) = eval_au_traced(&db, &q, &cfg_lanes(1, 1)).unwrap();
+    let chain = trace.root.find("fused-chain").expect("fused chain span");
+    assert_eq!(chain.attr("delivery"), Some("faithful"));
+    assert_eq!(chain.attr("keyed"), None, "a list delivery is not keyed");
+    let attr = |k: &str| chain.attr(k).and_then(|v| v.parse::<u64>().ok()).unwrap();
+    assert!(attr("pairs") > 20_000 && attr("pair_batches") > 10, "{:?}", chain.attrs);
+}
+
 // ---------------------------------------------------------------------------
 // adversarial partition shapes
 // ---------------------------------------------------------------------------

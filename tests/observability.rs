@@ -324,8 +324,10 @@ fn explain_reports_multi_join_and_fusion() {
 
 /// A probe chain on the lanes says what it did: the candidate pairs it
 /// enumerated, the batches it ran them in, the lane stages that fell
-/// back to boxed evaluation — and its build, its pair batches and the
-/// (one-worker) breaker normalization land in duration sites.
+/// back to boxed evaluation, whether its indexes read typed key cells
+/// and how many output columns its normalization keyed typed — and its
+/// build, its pair batches, the (one-worker) breaker normalization and
+/// the one tuple-building pass land in duration sites.
 #[test]
 fn probe_chain_span_reports_pairs_batches_and_demotions() {
     let db = corpus_db();
@@ -343,12 +345,16 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     assert_eq!(fused.attr("pair_batches"), Some("1"));
     assert_eq!(fused.attr("stages_boxed"), Some("0"));
     assert_eq!(trace.metrics.counter("chain_stages_boxed"), Some(0));
+    assert_eq!(fused.attr("keys"), Some("typed"));
+    assert_eq!(fused.attr("keyed"), Some("2/2"));
+    assert_eq!(trace.metrics.counter("probe_keys_boxed"), Some(0));
     let site = |name: &str| {
         let s = trace.metrics.sites.iter().find(|s| s.site == name);
         s.unwrap_or_else(|| panic!("site {name}")).entries
     };
     assert_eq!(site("chain_build"), 1);
     assert_eq!(site("chain_probe"), 1);
+    assert_eq!(site("chain_materialize"), 1);
     assert!(site("reduce_merge_sort") >= 1, "sequential normalization is timed");
 
     // string keys ride boxed lanes: the re-check stage demotes, visibly
@@ -372,6 +378,10 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     assert_eq!(fused.attr("pairs"), Some("24"));
     assert_eq!(fused.attr("stages_boxed"), Some("1"));
     assert_eq!(trace.metrics.counter("chain_stages_boxed"), Some(1));
+    // ... and so does the build: its hash index confirmed boxed cells
+    assert_eq!(fused.attr("keys"), Some("boxed"));
+    assert_eq!(trace.metrics.counter("probe_keys_boxed"), Some(1));
+    assert_eq!(fused.attr("keyed"), Some("2/4"), "k, v, k, v: the Int payloads key typed");
 
     // the oracle fuses nothing: no chain span, no pair accounting
     let (_, trace) = eval_au_traced(&db, &spine, &AuConfig { oracle: true, ..cfg }).unwrap();
