@@ -128,7 +128,7 @@ impl Semiring for UaAnnot {
         UaAnnot { certain: 1, sg: 1 }
     }
     fn plus(&self, other: &Self) -> Self {
-        UaAnnot { certain: self.certain + other.certain, sg: self.sg + other.sg }
+        UaAnnot { certain: self.certain.plus(&other.certain), sg: self.sg.plus(&other.sg) }
     }
     fn times(&self, other: &Self) -> Self {
         UaAnnot {

@@ -3,8 +3,8 @@
 //! [`Executor::run`] parallelizes *one* operator at a time: every
 //! operator materializes its full output and (usually) pays a
 //! hash-merge + sort barrier before the next operator starts. For
-//! chains of *row-local* operators (selection, projection, `Enc`/`Dec`,
-//! the probe side of a planned join) none of those barriers is needed:
+//! chains of *row-local* operators (selection, projection, the probe
+//! side of a planned join) none of those barriers is needed:
 //! the chain composes into a single function from input rows to output
 //! rows, so the whole chain can run shard-by-shard over the base table
 //! and pay **one** merge at the pipeline breaker.

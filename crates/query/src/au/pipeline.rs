@@ -135,8 +135,8 @@ use crate::vcheck::Vet;
 
 /// Minimum source rows per shard when the shard count is not forced
 /// ([`AuConfig::shards`] = `None`): below this, extra shards only add
-/// per-shard setup cost. Shared with the deterministic mirror in
-/// [`crate::det`].
+/// per-shard setup cost. Shared with the deterministic engine's chains
+/// ([`crate::det`]).
 pub(crate) const MIN_ROWS_PER_SHARD: usize = 1024;
 
 /// Governance stride inside a shard: every `GOVERN_ROWS` source rows
@@ -1102,7 +1102,7 @@ fn eval_chain<'a>(
         })
         .to_string()
     });
-    match plan_chain(q, cfg, Vet::new(true, cfg.verify, exec, tr)) {
+    match plan_chain(q, cfg, Vet::new(cfg.verify, exec, tr)) {
         Some(plan) => {
             build_chain(db, plan, cfg, exec, delivery, tr)?.run(cfg, exec, delivery, reads, tr, h)
         }

@@ -3,24 +3,34 @@
 //! here, and the rewrite middleware of Section 10 executes its rewritten
 //! plans on this engine).
 //!
-//! Since the exec-runtime rework this engine rides the same
-//! partition-parallel [`Executor`] and the same shard-at-a-time
-//! pipeline driver as the AU evaluator: row-local operator chains
-//! (select / project / the probe side of a planned join) fuse into a
-//! single pass per base-table shard ([`DetPipeline`]), and the
-//! remaining operator-at-a-time tails run their loops on the pool.
-//! Output is byte-identical to the serial pre-runtime evaluation for
-//! any worker and shard count.
+//! The engine rides the same partition-parallel [`Executor`] as the AU
+//! evaluator and runs a query exactly two ways:
+//!
+//! * **production** ([`eval_det`] / [`eval_det_exec`]): row-local
+//!   operator chains (select / project / the probe side of a planned
+//!   join) fuse into a single pass per base-table shard
+//!   ([`DetPipeline`]) over compiled det [`Program`]s; everything else
+//!   runs operator-at-a-time on the pool. A chain one of whose stages
+//!   Tier B rejects is not fused at all — its subtree runs on the
+//!   operator functions (the AU engine's "degrade the chain, not the
+//!   stage" rule).
+//! * **oracle** ([`eval_det_oracle`]): never fuses, evaluates every
+//!   expression on the `Expr`-tree interpreter — the differential
+//!   reference of `tests/exec_equivalence.rs`.
+//!
+//! Both are one tree walk ([`eval_walk`]) and return the same relation,
+//! byte for byte, for any worker count.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
 use audb_core::obs::TraceBuilder;
-use audb_core::{EvalError, Expr, Program, Value};
+use audb_core::{EvalError, Expr, Program, Semiring, Value};
 use audb_exec::{Executor, ShardSource};
 use audb_storage::{det_key, Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
 
 use crate::algebra::{AggFunc, AggSpec, Query};
+use crate::au::pipeline::{Delivery, MIN_ROWS_PER_SHARD};
 use crate::planner;
 use crate::vcheck::Vet;
 
@@ -35,82 +45,19 @@ pub fn eval_det(db: &Database, q: &Query) -> Result<Relation, EvalError> {
 /// reproduces the serial behavior exactly; any worker count produces a
 /// byte-identical result.
 pub fn eval_det_exec(db: &Database, q: &Query, exec: &Executor) -> Result<Relation, EvalError> {
-    eval_det_opts(db, q, exec, true, None, true)
-}
-
-/// [`eval_det_exec`] with explicit pipeline knobs — `pipeline = false`
-/// forces the operator-at-a-time path, `shards` forces the fused
-/// chains' shard count (`None` sizes automatically), and
-/// `compiled = false` keeps fused-chain expressions on the `Expr`-tree
-/// interpreter instead of the compiled register programs. All
-/// combinations produce byte-identical results
-/// (`tests/exec_equivalence.rs`, `tests/compiled_exprs_props.rs`).
-pub fn eval_det_opts(
-    db: &Database,
-    q: &Query,
-    exec: &Executor,
-    pipeline: bool,
-    shards: Option<usize>,
-    compiled: bool,
-) -> Result<Relation, EvalError> {
     let tr = TraceBuilder::disabled();
-    let vet = Vet::new(compiled, true, exec, &tr);
-    let rel = if pipeline {
-        eval_pl(db, q, exec, shards, Delivery::Canonical, vet)?
-    } else {
-        eval_inner(db, q, exec)?
-    };
+    let rel = eval_walk(db, q, exec, Delivery::Canonical, Some(Vet::new(true, exec, &tr)))?;
     Ok(rel.into_owned().into_normalized_with(exec)?)
 }
 
-/// Copy-free evaluation core: base tables are borrowed from the
-/// database, only operator outputs are owned. Normal form is produced
-/// only where an operator actually requires it (difference's and
-/// distinct's left-side merges, on the sharded-reduce driver); the
-/// row-local operators run on [`Executor::run`], and selection
-/// *preserves* normal form like its AU counterpart.
-fn eval_inner<'a>(
-    db: &'a Database,
-    q: &Query,
-    exec: &Executor,
-) -> Result<Cow<'a, Relation>, EvalError> {
-    Ok(match q {
-        Query::Table(name) => Cow::Borrowed(db.get(name)?),
-        Query::Select { input, predicate } => {
-            let rel = eval_inner(db, input, exec)?;
-            Cow::Owned(select_det_exec(&rel, predicate, exec)?)
-        }
-        Query::Project { input, exprs } => {
-            let rel = eval_inner(db, input, exec)?;
-            Cow::Owned(project_det_exec(&rel, exprs, exec)?)
-        }
-        Query::Join { left, right, predicate } => {
-            let l = eval_inner(db, left, exec)?;
-            let r = eval_inner(db, right, exec)?;
-            Cow::Owned(planner::join_det_planned_exec(&l, &r, predicate.as_ref(), exec)?)
-        }
-        Query::Union { left, right } => {
-            let l = eval_inner(db, left, exec)?;
-            let r = eval_inner(db, right, exec)?;
-            l.schema.check_union_compatible(&r.schema)?;
-            let mut out = l.into_owned();
-            out.extend_from(&r);
-            Cow::Owned(out)
-        }
-        Query::Difference { left, right } => {
-            let l = eval_inner(db, left, exec)?;
-            let r = eval_inner(db, right, exec)?;
-            Cow::Owned(difference_det(l, &r, exec)?)
-        }
-        Query::Distinct { input } => {
-            let rel = eval_inner(db, input, exec)?;
-            Cow::Owned(distinct_det(rel, exec)?)
-        }
-        Query::Aggregate { input, group_by, aggs } => {
-            let rel = eval_inner(db, input, exec)?;
-            Cow::Owned(aggregate_det(&rel, group_by, aggs)?)
-        }
-    })
+/// The differential oracle: operator-at-a-time evaluation that never
+/// fuses a chain and never compiles an expression. Returns
+/// [`eval_det_exec`]'s relation byte for byte
+/// (`tests/exec_equivalence.rs`); where several rows fail, a fused chain
+/// meets their errors row by row, the oracle operator by operator.
+pub fn eval_det_oracle(db: &Database, q: &Query, exec: &Executor) -> Result<Relation, EvalError> {
+    let rel = eval_walk(db, q, exec, Delivery::Canonical, None)?;
+    Ok(rel.into_owned().into_normalized_with(exec)?)
 }
 
 /// Partition-parallel selection. Like the AU evaluator's selection it
@@ -172,7 +119,8 @@ fn difference_det(
     l.schema.check_union_compatible(&r.schema)?;
     let mut rmap: HashMap<&Tuple, u64> = HashMap::new();
     for (t, k) in r.rows() {
-        *rmap.entry(t).or_insert(0) += k;
+        let sum = rmap.entry(t).or_insert(0);
+        *sum = sum.plus(k);
     }
     let l = l.into_owned().into_normalized_with(exec)?;
     let mut out = Relation::empty(l.schema.clone());
@@ -195,80 +143,16 @@ fn distinct_det(rel: Cow<'_, Relation>, exec: &Executor) -> Result<Relation, Eva
 }
 
 // ---------------------------------------------------------------------------
-// Shard-at-a-time pipelining (the deterministic mirror of
+// Shard-at-a-time pipelining (the deterministic counterpart of
 // `crate::au::pipeline`; see that module for the delivery contracts)
 // ---------------------------------------------------------------------------
 
-use crate::au::pipeline::{Delivery, MIN_ROWS_PER_SHARD};
-
-/// A deterministic chain predicate: compiled to a flat register
-/// program (the default — det lowering keeps `And`/`Or`/`If`
-/// short-circuit via jump ops) or interpreted (the oracle).
-enum DetPred {
-    Interp(Expr),
-    Compiled(Program),
-}
-
-impl DetPred {
-    fn new(e: &Expr, vet: Vet<'_>) -> DetPred {
-        match vet.det(e) {
-            Some(p) => DetPred::Compiled(p),
-            None => DetPred::Interp(e.clone()),
-        }
-    }
-
-    fn eval_bool(&self, vals: &[Value], regs: &mut Vec<Value>) -> Result<bool, EvalError> {
-        match self {
-            DetPred::Interp(e) => e.eval_bool(vals),
-            DetPred::Compiled(p) => p.eval_det_bool(vals, regs),
-        }
-    }
-}
-
-/// A deterministic chain projection, compiled into one multi-output
-/// program.
-enum DetProj {
-    Interp(Vec<Expr>),
-    Compiled(Program),
-}
-
-impl DetProj {
-    fn new(exprs: &[(Expr, String)], vet: Vet<'_>) -> DetProj {
-        let es: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
-        match vet.det_many(&es) {
-            Some(p) => DetProj::Compiled(p),
-            None => DetProj::Interp(es),
-        }
-    }
-
-    fn eval_into(
-        &self,
-        vals: &[Value],
-        regs: &mut Vec<Value>,
-        out: &mut Vec<Value>,
-    ) -> Result<(), EvalError> {
-        match self {
-            DetProj::Interp(es) => {
-                for e in es {
-                    out.push(e.eval(vals)?);
-                }
-                Ok(())
-            }
-            DetProj::Compiled(p) => {
-                p.prepare_det_regs(regs);
-                p.eval_det_into(vals, regs)?;
-                for i in 0..p.arity() {
-                    out.push(p.det_output(i, vals, regs).clone());
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
+/// A chain stage is its compiled det [`Program`] (det lowering keeps
+/// `And`/`Or`/`If` short-circuit via jump ops): a predicate, or a whole
+/// projection list as one multi-output program.
 enum DetPipeOp {
-    Select(DetPred),
-    Project(DetProj),
+    Select(Program),
+    Project(Program),
     Probe(Box<DetProbeOp>),
 }
 
@@ -285,7 +169,7 @@ enum DetProbePlan {
 
 struct DetProbeOp {
     right: Relation,
-    predicate: Option<DetPred>,
+    predicate: Option<Program>,
     plan: DetProbePlan,
     /// Per source row id: sweep candidates (comparison plans only).
     cand: Vec<Vec<u32>>,
@@ -295,11 +179,11 @@ impl DetProbeOp {
     fn build(
         source: &Relation,
         right: Relation,
-        predicate: Option<&Expr>,
-        vet: Vet<'_>,
+        predicate: Option<(&Expr, Program)>,
     ) -> DetProbeOp {
         let mut cand: Vec<Vec<u32>> = Vec::new();
-        let plan = match planner::classify(predicate, source.schema.arity()) {
+        let on = predicate.as_ref().map(|(e, _)| *e);
+        let plan = match planner::classify(on, source.schema.arity()) {
             planner::JoinStrategy::HashEqui(pairs) => {
                 let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
                 let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
@@ -323,12 +207,11 @@ impl DetProbeOp {
             }
             planner::JoinStrategy::NestedLoop => DetProbePlan::NestedLoop,
         };
-        let predicate = predicate.map(|p| DetPred::new(p, vet));
-        DetProbeOp { right, predicate, plan, cand }
+        DetProbeOp { right, predicate: predicate.map(|(_, p)| p), plan, cand }
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn probe<T, F>(
+    fn probe(
         &self,
         rest: &[DetPipeOp],
         rest_bufs: &mut [DetBuf],
@@ -336,54 +219,42 @@ impl DetProbeOp {
         src: usize,
         vals: &[Value],
         k: u64,
-        out: &mut Vec<T>,
-        terminal: &F,
-    ) -> Result<(), EvalError>
-    where
-        F: Fn(&[Value], u64, &mut Vec<T>) -> Result<(), EvalError>,
-    {
-        let emit = |concat: &mut Vec<Value>,
-                    regs: &mut Vec<Value>,
-                    rest_bufs: &mut [DetBuf],
-                    ri: u32,
-                    check: bool,
-                    out: &mut Vec<T>|
-         -> Result<(), EvalError> {
+        out: &mut Vec<(Tuple, u64)>,
+    ) -> Result<(), EvalError> {
+        let DetBuf { vals: concat, regs } = buf;
+        let mut emit = |ri: u32, check: bool| -> Result<(), EvalError> {
             let (tr, kr) = &self.right.rows()[ri as usize];
             concat.clear();
             concat.extend_from_slice(vals);
             concat.extend_from_slice(&tr.0);
             if check {
                 if let Some(p) = &self.predicate {
-                    if !p.eval_bool(concat, regs)? {
+                    if !p.eval_det_bool(concat, regs)? {
                         return Ok(());
                     }
                 }
             }
-            apply_det(rest, rest_bufs, usize::MAX, concat, k * kr, out, terminal)
+            apply_det(rest, rest_bufs, usize::MAX, concat, k.times(kr), out)
         };
-        let DetBuf { vals: concat, regs } = buf;
         match &self.plan {
             DetProbePlan::HashEqui { lcols, rcols, index } => {
                 let rkey = |ri: u32| det_key(self.right.rows()[ri as usize].0.values(), rcols);
                 for ri in index.matches(det_key(vals, lcols), rkey) {
-                    emit(concat, regs, rest_bufs, ri, false, out)?;
+                    emit(ri, false)?;
                 }
-                Ok(())
             }
             DetProbePlan::Comparison => {
                 for &ri in &self.cand[src] {
-                    emit(concat, regs, rest_bufs, ri, true, out)?;
+                    emit(ri, true)?;
                 }
-                Ok(())
             }
             DetProbePlan::NestedLoop => {
                 for ri in 0..self.right.len() as u32 {
-                    emit(concat, regs, rest_bufs, ri, true, out)?;
+                    emit(ri, true)?;
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 }
 
@@ -395,96 +266,70 @@ struct DetBuf {
     regs: Vec<Value>,
 }
 
-fn apply_det<T, F>(
+fn apply_det(
     ops: &[DetPipeOp],
     bufs: &mut [DetBuf],
     src: usize,
     vals: &[Value],
     k: u64,
-    out: &mut Vec<T>,
-    terminal: &F,
-) -> Result<(), EvalError>
-where
-    F: Fn(&[Value], u64, &mut Vec<T>) -> Result<(), EvalError>,
-{
+    out: &mut Vec<(Tuple, u64)>,
+) -> Result<(), EvalError> {
     let Some((op, rest)) = ops.split_first() else {
-        return terminal(vals, k, out);
+        out.push((Tuple::new(vals.to_vec()), k));
+        return Ok(());
     };
     #[allow(clippy::expect_used)] // bufs was sized to ops.len() by the caller
     let (buf, rest_bufs) = bufs.split_first_mut().expect("one buffer per op");
     match op {
         DetPipeOp::Select(p) => {
-            if !p.eval_bool(vals, &mut buf.regs)? {
+            if !p.eval_det_bool(vals, &mut buf.regs)? {
                 return Ok(());
             }
-            apply_det(rest, rest_bufs, src, vals, k, out, terminal)
+            apply_det(rest, rest_bufs, src, vals, k, out)
         }
-        DetPipeOp::Project(proj) => {
-            let DetBuf { vals: pvals, regs, .. } = buf;
+        DetPipeOp::Project(p) => {
+            let DetBuf { vals: pvals, regs } = buf;
             pvals.clear();
-            proj.eval_into(vals, regs, pvals)?;
-            apply_det(rest, rest_bufs, usize::MAX, pvals, k, out, terminal)
+            p.prepare_det_regs(regs);
+            p.eval_det_into(vals, regs)?;
+            for i in 0..p.arity() {
+                pvals.push(p.det_output(i, vals, regs).clone());
+            }
+            apply_det(rest, rest_bufs, usize::MAX, pvals, k, out)
         }
-        DetPipeOp::Probe(probe) => probe.probe(rest, rest_bufs, buf, src, vals, k, out, terminal),
+        DetPipeOp::Probe(probe) => probe.probe(rest, rest_bufs, buf, src, vals, k, out),
     }
 }
 
 /// A fused deterministic chain ready to run.
-pub(crate) struct DetPipeline<'a> {
+struct DetPipeline<'a> {
     source: Cow<'a, Relation>,
     ops: Vec<DetPipeOp>,
     schema: Schema,
 }
 
 impl<'a> DetPipeline<'a> {
-    /// Output schema of the fused chain.
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Run the chain shard-by-shard, mapping every emitted row through
-    /// `terminal` (the rewrite middleware plugs `Dec` in here, fusing
-    /// the decode into the same pass). Row order is the sequential
-    /// chain-emission order for any worker × shard combination.
-    pub(crate) fn run_map<T, F>(
-        &self,
-        exec: &Executor,
-        shards: Option<usize>,
-        terminal: F,
-    ) -> Result<Vec<T>, EvalError>
-    where
-        T: Send,
-        F: Fn(&[Value], u64, &mut Vec<T>) -> Result<(), EvalError> + Sync,
-    {
+    /// Run the chain shard-by-shard into a relation, with the delivery
+    /// its shape admits: probe chains pay the single breaker
+    /// normalization; select/project chains reproduce the serial row
+    /// list exactly (selection preserving normal form). Row order is
+    /// the sequential chain-emission order for any worker count.
+    fn run(self, exec: &Executor) -> Result<Cow<'a, Relation>, EvalError> {
+        if self.ops.is_empty() {
+            return Ok(self.source);
+        }
         let n = self.source.len();
-        let sharding = match shards {
-            Some(s) => ShardSource::new(s),
-            None => ShardSource::auto(exec.workers(), n, MIN_ROWS_PER_SHARD),
-        };
+        let sharding = ShardSource::auto(exec.workers(), n, MIN_ROWS_PER_SHARD);
         let ops = &self.ops;
         let source = self.source.as_ref();
-        exec.run_shards(n, &sharding, |range, out| {
+        let rows = exec.run_shards(n, &sharding, |range, out| {
             let mut bufs: Vec<DetBuf> = Vec::new();
             bufs.resize_with(ops.len(), DetBuf::default);
             for i in range {
                 let (t, k) = &source.rows()[i];
-                apply_det(ops, &mut bufs, i, t.values(), *k, out, &terminal)?;
+                apply_det(ops, &mut bufs, i, t.values(), *k, out)?;
             }
-            Ok(())
-        })
-    }
-
-    /// Run the chain into a relation, with the delivery its shape
-    /// admits: probe chains pay the single breaker normalization;
-    /// select/project chains reproduce the serial row list exactly
-    /// (selection preserving normal form).
-    fn run(self, exec: &Executor, shards: Option<usize>) -> Result<Cow<'a, Relation>, EvalError> {
-        if self.ops.is_empty() {
-            return Ok(self.source);
-        }
-        let rows = self.run_map(exec, shards, |vals, k, out| {
-            out.push((Tuple::new(vals.to_vec()), k));
-            Ok(())
+            Ok::<(), EvalError>(())
         })?;
         let has_probe = self.ops.iter().any(|op| matches!(op, DetPipeOp::Probe(_)));
         let select_only = self.ops.iter().all(|op| matches!(op, DetPipeOp::Select(_)));
@@ -503,26 +348,13 @@ impl<'a> DetPipeline<'a> {
     }
 }
 
-/// Is `q` a fusable chain? (Select/Project towers; joins anchor a chain
-/// regardless of their subtrees.)
-fn fusable(q: &Query) -> bool {
+/// The anchor of the select/project tower `q`, if a chain can fuse onto
+/// it: a base table, or a join (regardless of its subtrees).
+fn chain_anchor(q: &Query) -> Option<&Query> {
     match q {
-        Query::Table(_) => true,
-        Query::Select { input, .. } | Query::Project { input, .. } => fusable(input),
-        Query::Join { .. } => true,
-        _ => false,
-    }
-}
-
-/// Does the chain contain a join probe? (Det select/project chains
-/// reproduce the serial list exactly — projection does not normalize on
-/// this engine — so only probes restrict a chain to Canonical
-/// delivery.)
-fn has_probe(q: &Query) -> bool {
-    match q {
-        Query::Select { input, .. } | Query::Project { input, .. } => has_probe(input),
-        Query::Join { .. } => true,
-        _ => false,
+        Query::Table(_) | Query::Join { .. } => Some(q),
+        Query::Select { input, .. } | Query::Project { input, .. } => chain_anchor(input),
+        _ => None,
     }
 }
 
@@ -536,123 +368,130 @@ fn select_only_chain(q: &Query) -> bool {
     }
 }
 
-/// Build the fused pipeline for the whole plan if it is one fusable
-/// chain — the rewrite middleware uses this to run its
-/// `Enc → select/project/join → Dec` spine in a single pass per shard.
-pub(crate) fn build_det_pipeline<'a>(
-    db: &'a Database,
-    q: &Query,
-    exec: &Executor,
-    compiled: bool,
-    verify: bool,
-) -> Result<Option<DetPipeline<'a>>, EvalError> {
-    if !fusable(q) {
-        return Ok(None);
-    }
-    let tr = TraceBuilder::disabled();
-    let vet = Vet::new(compiled, verify, exec, &tr);
-    Ok(Some(build_chain(db, q, exec, vet)?))
-}
-
+/// Build the fused chain rooted at `q` (a tower over a
+/// [`chain_anchor`]), or `None` when Tier B rejected one of its programs
+/// ([`Vet`] has counted it). Every stage compiles before the input below
+/// it is touched, so declining a chain costs no evaluation.
 fn build_chain<'a>(
     db: &'a Database,
     q: &Query,
     exec: &Executor,
     vet: Vet<'_>,
-) -> Result<DetPipeline<'a>, EvalError> {
-    match q {
-        Query::Table(name) => {
-            let rel = db.get(name)?;
-            Ok(DetPipeline {
-                source: Cow::Borrowed(rel),
-                ops: Vec::new(),
-                schema: rel.schema.clone(),
-            })
-        }
+) -> Result<Option<DetPipeline<'a>>, EvalError> {
+    let anchor = |source: Cow<'a, Relation>| {
+        let schema = source.schema.clone();
+        DetPipeline { source, ops: Vec::new(), schema }
+    };
+    Ok(Some(match q {
+        Query::Table(name) => anchor(Cow::Borrowed(db.get(name)?)),
         Query::Select { input, predicate } => {
-            let mut c = build_chain(db, input, exec, vet)?;
-            c.ops.push(DetPipeOp::Select(DetPred::new(predicate, vet)));
-            Ok(c)
+            let Some(p) = vet.det(predicate) else { return Ok(None) };
+            let Some(mut c) = build_chain(db, input, exec, vet)? else { return Ok(None) };
+            c.ops.push(DetPipeOp::Select(p));
+            c
         }
         Query::Project { input, exprs } => {
-            let mut c = build_chain(db, input, exec, vet)?;
+            let es: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
+            let Some(p) = vet.det_many(&es) else { return Ok(None) };
+            let Some(mut c) = build_chain(db, input, exec, vet)? else { return Ok(None) };
             c.schema = Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect());
-            c.ops.push(DetPipeOp::Project(DetProj::new(exprs, vet)));
-            Ok(c)
+            c.ops.push(DetPipeOp::Project(p));
+            c
         }
         Query::Join { left, right, predicate } => {
-            let mut chain = if fusable(left) && select_only_chain(left) {
-                build_chain(db, left, exec, vet)?
-            } else {
-                let rel = eval_pl(db, left, exec, None, Delivery::Canonical, vet)?;
-                let schema = rel.schema.clone();
-                DetPipeline { source: rel, ops: Vec::new(), schema }
+            let recheck = match predicate {
+                Some(e) => match vet.det(e) {
+                    Some(p) => Some((e, p)),
+                    None => return Ok(None),
+                },
+                None => None,
             };
-            let r = eval_pl(db, right, exec, None, Delivery::Canonical, vet)?.into_owned();
+            let input = |q: &Query| eval_walk(db, q, exec, Delivery::Canonical, Some(vet));
+            let mut chain = if select_only_chain(left) {
+                let Some(c) = build_chain(db, left, exec, vet)? else { return Ok(None) };
+                c
+            } else {
+                anchor(input(left)?)
+            };
+            let r = input(right)?.into_owned();
             chain.schema = chain.schema.concat(&r.schema);
-            let probe = DetProbeOp::build(chain.source.as_ref(), r, predicate.as_ref(), vet);
+            let probe = DetProbeOp::build(chain.source.as_ref(), r, recheck);
             chain.ops.push(DetPipeOp::Probe(Box::new(probe)));
-            Ok(chain)
+            chain
         }
         _ => unreachable!("build_chain called on a non-chain query"),
-    }
+    }))
 }
 
-fn eval_pl<'a>(
+/// The one tree walk. With `fuse` (production) a fusable chain whose
+/// every stage vets runs as a [`DetPipeline`]; everything else — a
+/// breaker, a chain Tier B declined, and every operator of the oracle
+/// (`fuse = None`) — runs on the operator functions over interpreted
+/// `Expr` trees. Base tables are borrowed from the database, only
+/// operator outputs are owned, and normal form is produced only where
+/// an operator requires it (difference's and distinct's left-side
+/// merges, on the sharded-reduce driver).
+fn eval_walk<'a>(
     db: &'a Database,
     q: &Query,
     exec: &Executor,
-    shards: Option<usize>,
     delivery: Delivery,
-    vet: Vet<'_>,
+    fuse: Option<Vet<'_>>,
 ) -> Result<Cow<'a, Relation>, EvalError> {
-    if fusable(q) && (delivery == Delivery::Canonical || !has_probe(q)) {
-        return build_chain(db, q, exec, vet)?.run(exec, shards);
-    }
-    Ok(match q {
-        Query::Table(name) => Cow::Borrowed(db.get(name)?),
-        Query::Select { input, predicate } => {
-            let rel = eval_pl(db, input, exec, shards, delivery, vet)?;
-            Cow::Owned(select_det_exec(&rel, predicate, exec)?)
+    // Det select/project chains reproduce the serial list exactly —
+    // projection does not normalize on this engine — so only a probe
+    // restricts a chain to Canonical delivery.
+    let fits =
+        |anchor: &Query| delivery == Delivery::Canonical || matches!(anchor, Query::Table(_));
+    if let Some(vet) = fuse {
+        if chain_anchor(q).is_some_and(fits) {
+            return match build_chain(db, q, exec, vet)? {
+                Some(chain) => chain.run(exec),
+                // degrade the chain, not the stage: inputs included
+                None => eval_walk(db, q, exec, delivery, None),
+            };
         }
-        Query::Project { input, exprs } => {
-            let rel = eval_pl(db, input, exec, shards, delivery, vet)?;
-            Cow::Owned(project_det_exec(&rel, exprs, exec)?)
+    }
+    let input = |q: &Query, delivery| eval_walk(db, q, exec, delivery, fuse);
+    Ok(Cow::Owned(match q {
+        Query::Table(name) => return Ok(Cow::Borrowed(db.get(name)?)),
+        Query::Select { input: of, predicate } => {
+            let rel = input(of, delivery)?;
+            select_det_exec(&rel, predicate, exec)?
+        }
+        Query::Project { input: of, exprs } => {
+            let rel = input(of, delivery)?;
+            project_det_exec(&rel, exprs, exec)?
         }
         Query::Join { left, right, predicate } => {
             // multiset-determined: the strictness of the context carries
-            let l = eval_pl(db, left, exec, shards, delivery, vet)?;
-            let r = eval_pl(db, right, exec, shards, delivery, vet)?;
-            Cow::Owned(planner::join_det_planned_exec(&l, &r, predicate.as_ref(), exec)?)
+            let (l, r) = (input(left, delivery)?, input(right, delivery)?);
+            planner::join_det_planned_exec(&l, &r, predicate.as_ref(), exec)?
         }
         Query::Union { left, right } => {
             // the union list is left ++ right: the context's strictness
             // carries to both sides
-            let l = eval_pl(db, left, exec, shards, delivery, vet)?;
-            let r = eval_pl(db, right, exec, shards, delivery, vet)?;
+            let (l, r) = (input(left, delivery)?, input(right, delivery)?);
             l.schema.check_union_compatible(&r.schema)?;
             let mut out = l.into_owned();
             out.extend_from(&r);
-            Cow::Owned(out)
+            out
         }
         Query::Difference { left, right } => {
             // left is normalized internally, the right feeds commutative
             // sums: multiset-determined on both sides
-            let l = eval_pl(db, left, exec, shards, Delivery::Canonical, vet)?;
-            let r = eval_pl(db, right, exec, shards, Delivery::Canonical, vet)?;
-            Cow::Owned(difference_det(l, &r, exec)?)
+            let l = input(left, Delivery::Canonical)?;
+            let r = input(right, Delivery::Canonical)?;
+            difference_det(l, &r, exec)?
         }
-        Query::Distinct { input } => {
-            let rel = eval_pl(db, input, exec, shards, Delivery::Canonical, vet)?;
-            Cow::Owned(distinct_det(rel, exec)?)
-        }
-        Query::Aggregate { input, group_by, aggs } => {
+        Query::Distinct { input: of } => distinct_det(input(of, Delivery::Canonical)?, exec)?,
+        Query::Aggregate { input: of, group_by, aggs } => {
             // group first-appearance order and float folds depend on the
             // exact input list
-            let rel = eval_pl(db, input, exec, shards, Delivery::Faithful, vet)?;
-            Cow::Owned(aggregate_det(&rel, group_by, aggs)?)
+            let rel = input(of, Delivery::Faithful)?;
+            aggregate_det(&rel, group_by, aggs)?
         }
-    })
+    }))
 }
 
 /// Shared scalar `avg` from sum and count (Section 10.2 derivation).
@@ -680,7 +519,7 @@ impl AggAcc {
             return Ok(());
         }
         self.sum = self.sum.add(&v.mul_count(mult)?)?;
-        self.count += mult;
+        self.count = self.count.plus(&mult);
         self.min = Some(match self.min.take() {
             None => v.clone(),
             Some(m) => Value::min_of(m, v.clone()),

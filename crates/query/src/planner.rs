@@ -377,16 +377,6 @@ fn comparison_join_au(
     Ok(out)
 }
 
-/// Theta-join over deterministic relations through the planner, on the
-/// default executor.
-pub fn join_det_planned(
-    l: &Relation,
-    r: &Relation,
-    predicate: Option<&Expr>,
-) -> Result<Relation, EvalError> {
-    join_det_planned_exec(l, r, predicate, &Executor::default())
-}
-
 /// Theta-join over deterministic relations through the planner on an
 /// explicit executor.
 pub fn join_det_planned_exec(
@@ -413,7 +403,7 @@ pub fn join_det_planned_exec(
                     }
                     for ri in index.matches(det_key(tl.values(), &lcols), rkey) {
                         let (tr, kr) = &r.rows()[ri as usize];
-                        rows.push((tl.concat(tr), kl * kr));
+                        rows.push((tl.concat(tr), kl.times(kr)));
                     }
                 }
                 charge_probe(exec, rows, &mut watermark)?;
@@ -440,7 +430,7 @@ pub fn join_det_planned_exec(
                     let (tr, kr) = &r.rows()[b as usize];
                     let t = tl.concat(tr);
                     if p.eval_bool(t.values())? {
-                        rows.push((t, kl * kr));
+                        rows.push((t, kl.times(kr)));
                     }
                 }
                 charge_probe(exec, rows, &mut watermark)?;
@@ -461,7 +451,7 @@ pub fn join_det_planned_exec(
                         None => true,
                     };
                     if keep {
-                        out.push(t, kl * kr);
+                        out.push(t, kl.times(kr));
                     }
                 }
             }

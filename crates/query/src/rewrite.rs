@@ -22,7 +22,6 @@
 //! rewrite and the native evaluator to agree on boundary comparisons.
 
 use audb_core::{col, lit, AuAnnot, EvalError, Expr, RangeValue, Value};
-use audb_exec::Executor;
 use audb_storage::{AuDatabase, AuRelation, Database, RangeTuple, Relation, Schema, Tuple};
 
 use crate::algebra::{AggFunc, AggSpec, Catalog, Query};
@@ -76,34 +75,18 @@ pub fn enc_schema(schema: &Schema) -> Schema {
 }
 
 /// `Enc` (Definition 29): one multiplicity-1 tuple per AU-DB row.
-/// Infallible: runs on the ungoverned sequential executor.
-#[allow(clippy::expect_used)] // documented infallible: ungoverned sequential executor
 pub fn enc_relation(rel: &AuRelation) -> Relation {
-    enc_relation_exec(rel, &Executor::sequential())
-        .expect("ungoverned sequential encode cannot fault")
-}
-
-/// Partition-parallel `Enc`: rows encode independently on the pool and
-/// the encoded relation normalizes on the sharded-reduce driver. Only
-/// the executor's governance (cancellation, deadline, budget) can make
-/// it fail — row encoding itself is total.
-pub fn enc_relation_exec(rel: &AuRelation, exec: &Executor) -> Result<Relation, EvalError> {
-    let rows = exec.run(rel.len(), |morsel, out| {
-        for i in morsel {
-            let (t, k) = &rel.rows()[i];
-            let mut vals: Vec<Value> = t.values().iter().map(|r| r.sg.clone()).collect();
-            vals.extend(t.values().iter().map(|r| r.lb.clone()));
-            vals.extend(t.values().iter().map(|r| r.ub.clone()));
-            vals.push(Value::Int(k.lb as i64));
-            vals.push(Value::Int(k.sg as i64));
-            vals.push(Value::Int(k.ub as i64));
-            out.push((Tuple::new(vals), 1));
-        }
-        Ok::<(), EvalError>(())
-    })?;
     let mut out = Relation::empty(enc_schema(&rel.schema));
-    out.append_rows(rows);
-    Ok(out.into_normalized_with(exec)?)
+    for (t, k) in rel.rows() {
+        let mut vals: Vec<Value> = t.values().iter().map(|r| r.sg.clone()).collect();
+        vals.extend(t.values().iter().map(|r| r.lb.clone()));
+        vals.extend(t.values().iter().map(|r| r.ub.clone()));
+        vals.push(Value::Int(k.lb as i64));
+        vals.push(Value::Int(k.sg as i64));
+        vals.push(Value::Int(k.ub as i64));
+        out.push(Tuple::new(vals), 1);
+    }
+    out.into_normalized()
 }
 
 /// Decode one encoded row-annotation component: a non-negative `Int`,
@@ -122,44 +105,11 @@ fn dec_multiplicity(v: &Value, mult: u64, which: &str) -> Result<u64, EvalError>
     })
 }
 
-/// Decode one encoded row (its value slice plus its bag multiplicity)
-/// into an AU row — the single decode used by [`dec_relation_exec`] and
-/// by the rewrite session's fused `Enc → spine → Dec` pass, so the two
-/// paths cannot drift.
-fn dec_row(lay: EncLayout, v: &[Value], mult: u64) -> Result<(RangeTuple, AuAnnot), EvalError> {
-    let mut ranges = Vec::with_capacity(lay.n);
-    for i in 0..lay.n {
-        ranges.push(RangeValue::new(
-            v[lay.lb(i)].clone(),
-            v[lay.sg(i)].clone(),
-            v[lay.ub(i)].clone(),
-        )?);
-    }
-    let annot = AuAnnot::new(
-        dec_multiplicity(&v[lay.row_lb()], mult, "lower-bound")?,
-        dec_multiplicity(&v[lay.row_sg()], mult, "selected-guess")?,
-        dec_multiplicity(&v[lay.row_ub()], mult, "upper-bound")?,
-    )?;
-    Ok((RangeTuple::new(ranges), annot))
-}
-
 /// `Dec`: invert the encoding. Multiplicities > 1 scale the annotation
-/// (Definition 29's `rowdec(t) · (R(t), R(t), R(t))`).
+/// (Definition 29's `rowdec(t) · (R(t), R(t), R(t))`). The earliest
+/// offending row's error wins.
 pub fn dec_relation(rel: &Relation, orig_schema: &Schema) -> Result<AuRelation, EvalError> {
-    dec_relation_exec(rel, orig_schema, &Executor::sequential())
-}
-
-/// Partition-parallel `Dec`: rows decode independently on the pool and
-/// the result normalizes on the sharded-reduce driver. Errors are
-/// deterministic (earliest offending row wins, as in the sequential
-/// loop).
-pub fn dec_relation_exec(
-    rel: &Relation,
-    orig_schema: &Schema,
-    exec: &Executor,
-) -> Result<AuRelation, EvalError> {
-    let n = orig_schema.arity();
-    let lay = EncLayout::new(n);
+    let lay = EncLayout::new(orig_schema.arity());
     if rel.schema.arity() != lay.width() {
         return Err(EvalError::SchemaMismatch(format!(
             "expected encoded arity {}, found {}",
@@ -167,16 +117,22 @@ pub fn dec_relation_exec(
             rel.schema.arity()
         )));
     }
-    let rows = exec.run(rel.len(), |morsel, out| {
-        for i in morsel {
-            let (t, mult) = &rel.rows()[i];
-            out.push(dec_row(lay, t.values(), *mult)?);
-        }
-        Ok::<(), EvalError>(())
-    })?;
     let mut out = AuRelation::empty(orig_schema.clone());
-    out.append_rows(rows);
-    Ok(out.into_normalized_with(exec)?)
+    for (t, mult) in rel.rows() {
+        let v = t.values();
+        let ranges = (0..lay.n)
+            .map(|i| {
+                RangeValue::new(v[lay.lb(i)].clone(), v[lay.sg(i)].clone(), v[lay.ub(i)].clone())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let annot = AuAnnot::new(
+            dec_multiplicity(&v[lay.row_lb()], *mult, "lower-bound")?,
+            dec_multiplicity(&v[lay.row_sg()], *mult, "selected-guess")?,
+            dec_multiplicity(&v[lay.row_ub()], *mult, "upper-bound")?,
+        )?;
+        out.push(RangeTuple::new(ranges), annot);
+    }
+    Ok(out.into_normalized())
 }
 
 /// Encode a whole AU-database (tables keep their names).
@@ -367,109 +323,16 @@ pub fn rewrite(q: &Query, catalog: &dyn Catalog) -> Result<Query, EvalError> {
     Ok(rewr(q, catalog)?.0)
 }
 
-/// A reusable rewrite-evaluation session over one AU-database, plugged
-/// into the deterministic engine's Cow pipeline: base tables are
-/// encoded *lazily* — only the tables a query actually references, each
-/// at most once for the lifetime of the session — and the deterministic
-/// evaluator then borrows them copy-free. This replaces the old
-/// per-call `enc_database` round trip, which re-encoded every relation
-/// of the database on every evaluation.
-pub struct RewriteSession<'a> {
-    src: &'a AuDatabase,
-    enc: Database,
-    exec: Executor,
-    compiled: bool,
-    verify: bool,
-}
-
-impl<'a> RewriteSession<'a> {
-    pub fn new(src: &'a AuDatabase) -> Self {
-        RewriteSession {
-            src,
-            enc: Database::new(),
-            exec: Executor::default(),
-            compiled: true,
-            verify: true,
-        }
-    }
-
-    /// Set the worker count for the session's `Enc`/`Dec` drivers:
-    /// `None` uses all hardware threads (the default), `Some(1)` the
-    /// exact sequential path. Any value produces identical results.
-    pub fn with_workers(mut self, workers: Option<usize>) -> Self {
-        self.exec = Executor::from_option(workers);
-        self
-    }
-
-    /// Keep the fused spine's rewritten expressions on the `Expr`-tree
-    /// interpreter instead of compiling them to register programs (the
-    /// differential-testing oracle; results are byte-identical).
-    pub fn with_compiled(mut self, compiled: bool) -> Self {
-        self.compiled = compiled;
-        self
-    }
-
-    /// Skip Tier B static verification of the fused spine's compiled
-    /// programs (`audb_core::verify`; on by default — a rejected
-    /// program falls back to the interpreter for that stage).
-    pub fn with_verify(mut self, verify: bool) -> Self {
-        self.verify = verify;
-        self
-    }
-
-    /// `Dec(rewr(Q)(Enc(D)))`, encoding referenced base tables on first
-    /// use.
-    ///
-    /// When the rewritten plan is a single fusable chain of row-local
-    /// operators (every select/project/join spine is — aggregation and
-    /// set operations are not), the whole
-    /// `Enc → select/project/join → Dec` round trip runs as **one pass
-    /// per base-table shard** on the deterministic engine's pipeline
-    /// driver: encoded base rows stream through the rewritten operator
-    /// chain and decode straight back into AU rows, with a single
-    /// normalization at the end — no materialized encoded intermediate,
-    /// no extra hash-merge of wide encoded tuples. Results are
-    /// byte-identical to the unfused path (`Dec` distributes over the
-    /// bag sum the skipped normalization would have computed).
-    pub fn eval(&mut self, q: &Query) -> Result<AuRelation, EvalError> {
-        let (plan, schema) = rewr(q, self.src)?;
-        for name in q.table_refs() {
-            if self.enc.get(name).is_err() {
-                self.enc
-                    .insert(name.to_string(), enc_relation_exec(self.src.get(name)?, &self.exec)?);
-            }
-        }
-        if let Some(pipe) = crate::det::build_det_pipeline(
-            &self.enc,
-            &plan,
-            &self.exec,
-            self.compiled,
-            self.verify,
-        )? {
-            let lay = EncLayout::new(schema.arity());
-            if pipe.schema().arity() != lay.width() {
-                return Err(EvalError::SchemaMismatch(format!(
-                    "expected encoded arity {}, found {}",
-                    lay.width(),
-                    pipe.schema().arity()
-                )));
-            }
-            let rows = pipe.run_map(&self.exec, None, |v, mult, out| {
-                out.push(dec_row(lay, v, mult)?);
-                Ok(())
-            })?;
-            let mut out = AuRelation::empty(schema);
-            out.append_rows(rows);
-            return Ok(out.into_normalized_with(&self.exec)?);
-        }
-        let out = crate::det::eval_det_exec(&self.enc, &plan, &self.exec)?;
-        dec_relation_exec(&out, &schema, &self.exec)
-    }
-}
-
-/// Full round trip: `Dec(rewr(Q)(Enc(D)))` in a one-shot session.
+/// Full round trip `Dec(rewr(Q)(Enc(D)))` — the executable statement
+/// of Theorem 8: encode the base tables `q` names, evaluate the
+/// rewritten plan on the plain deterministic engine, decode.
 pub fn eval_via_rewrite(db: &AuDatabase, q: &Query) -> Result<AuRelation, EvalError> {
-    RewriteSession::new(db).eval(q)
+    let (plan, schema) = rewr(q, db)?;
+    let mut enc = Database::new();
+    for name in q.table_refs() {
+        enc.insert(name.to_string(), enc_relation(db.get(name)?));
+    }
+    dec_relation(&crate::det::eval_det(&enc, &plan)?, &schema)
 }
 
 fn rewr(q: &Query, catalog: &dyn Catalog) -> Result<(Query, Schema), EvalError> {
@@ -1267,23 +1130,6 @@ mod tests {
         let native = eval_au(&db, &q, &AuConfig::precise()).unwrap();
         let via = eval_via_rewrite(&db, &q).unwrap();
         assert_eq!(native, via);
-    }
-
-    #[test]
-    fn session_encodes_lazily_and_reuses() {
-        let db = sample_db();
-        let mut sess = RewriteSession::new(&db);
-        let q = table("s").select(col(0).geq(lit(1i64)));
-        let out = sess.eval(&q).unwrap();
-        assert_eq!(out, eval_au(&db, &q, &AuConfig::precise()).unwrap());
-        // only the referenced table was encoded
-        assert!(sess.enc.get("s").is_ok());
-        assert!(sess.enc.get("r").is_err());
-        // a second query extends the cache instead of re-encoding
-        let q2 = table("r").project(vec![(col(0), "a")]);
-        let out2 = sess.eval(&q2).unwrap();
-        assert_eq!(out2, eval_au(&db, &q2, &AuConfig::precise()).unwrap());
-        assert!(sess.enc.get("r").is_ok());
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! unconditionally inside `Program` construction — a freshly lowered
 //! program that fails it is a lowerer bug and panics there. This module
 //! adds the *Tier B* gate at every chain compile site
-//! ([`crate::au::pipeline`], [`crate::det`], the rewrite middleware):
-//! with [`AuConfig::verify`](crate::au::AuConfig) on (the default),
-//! each compiled stage is abstractly interpreted before it is accepted,
-//! and a rejection keeps the suspect program from executing: the AU
+//! ([`crate::au::pipeline`], [`crate::det`]): with
+//! [`AuConfig::verify`](crate::au::AuConfig) on (the default), each
+//! compiled stage is abstractly interpreted before it is accepted,
+//! and a rejection keeps the suspect program from executing: either
 //! engine runs the whole chain on its operator-at-a-time oracle
 //! instead (the per-chain analog of the whole-query lanes→oracle
-//! degradation retry), the det / rewrite mirrors interpret that stage.
+//! degradation retry).
 //!
 //! Rejections are observable: the [`Counter::VerifyRejects`] metric,
 //! a [`ExecEventKind::VerifierRejected`] event carrying the diagnostic,
@@ -81,28 +81,22 @@ fn tamper(p: Program) -> Program {
 }
 
 /// The compile-site context a fused chain threads to every stage it
-/// lowers: whether to compile at all, whether to vet with Tier B, and
-/// where rejections are recorded.
+/// lowers: whether to vet with Tier B, and where rejections are
+/// recorded.
 #[derive(Clone, Copy)]
 pub(crate) struct Vet<'a> {
-    compiled: bool,
     verify: bool,
     metrics: &'a Metrics,
     tr: &'a TraceBuilder,
 }
 
 impl<'a> Vet<'a> {
-    pub(crate) fn new(
-        compiled: bool,
-        verify: bool,
-        exec: &'a Executor,
-        tr: &'a TraceBuilder,
-    ) -> Vet<'a> {
-        Vet { compiled, verify, metrics: exec.metrics(), tr }
+    pub(crate) fn new(verify: bool, exec: &'a Executor, tr: &'a TraceBuilder) -> Vet<'a> {
+        Vet { verify, metrics: exec.metrics(), tr }
     }
 
     /// Compile one range predicate, vetted. `None` means "do not run a
-    /// program here": compilation is off, or the program was rejected.
+    /// program here": Tier B rejected it.
     pub(crate) fn range(&self, e: &Expr) -> Option<Program> {
         self.vet(|| format!("range1|{e}"), || Program::compile_range(e))
     }
@@ -127,9 +121,6 @@ impl<'a> Vet<'a> {
         key: impl FnOnce() -> String,
         compile: impl FnOnce() -> Program,
     ) -> Option<Program> {
-        if !self.compiled {
-            return None;
-        }
         // Prepared-plan reuse: an installed program cache
         // ([`crate::prepare::with_program_cache`]) is consulted before
         // lowering. A hit skips compilation and Tier B, but the cached

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use audb_core::{EvalError, ExecError};
+use audb_core::{EvalError, ExecError, Semiring};
 use audb_exec::Executor;
 
 use crate::schema::Schema;
@@ -114,7 +114,8 @@ impl Relation {
             return Ok(());
         }
         let rows = std::mem::take(&mut self.rows);
-        self.rows = exec.hash_merge_sorted(rows, |k: &u64| *k > 0, |acc: &mut u64, k| *acc += k)?;
+        self.rows =
+            exec.hash_merge_sorted(rows, |k: &u64| *k > 0, |acc: &mut u64, k| *acc = acc.plus(&k))?;
         self.normalized = true;
         Ok(())
     }

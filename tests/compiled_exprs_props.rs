@@ -11,8 +11,9 @@
 //!   (`AuConfig::oracle`): the oracle's relation, failure exactly when
 //!   the oracle fails, and one outcome — error included — across
 //!   workers {1, 2, 4, 7} × shards {1, 3, 8};
-//! * the deterministic chain mirror and the rewrite middleware's
-//!   `Enc → σ/π/⋈ → Dec` spine.
+//! * the deterministic engine's fused chains vs its operator-at-a-time
+//!   oracle, and the rewrite middleware's round trip vs native AU
+//!   evaluation.
 
 mod common;
 
@@ -22,11 +23,10 @@ use audb::core::program::Program;
 use audb::core::{LaneBatch, LaneSlice, ValueLane};
 use audb::prelude::*;
 use audb::query::table;
-use common::assert_lanes_match_oracle;
+use common::{assert_lanes_match_oracle, cfg_oracle};
 
-/// Worker × shard grid of the det / rewrite mirrors.
+/// Worker counts of the det engine.
 const WORKERS: [usize; 3] = [1, 2, 4];
-const SHARDS: [usize; 3] = [1, 3, 8];
 
 // ---------------------------------------------------------------------------
 // generators
@@ -218,16 +218,18 @@ proptest! {
         assert_lanes_match_oracle(&AuConfig::default(), &db, &q, "probe chain");
     }
 
-    /// The deterministic chain mirror and the rewrite middleware's
-    /// fused `Enc → σ/π/⋈ → Dec` spine: compiled equals interpreted on
-    /// both engines, for every worker count.
+    /// The deterministic engine and the rewrite middleware on one
+    /// spine: compiled fused chains equal the interpreted oracle for
+    /// every worker count, and `Dec(rewr(Q)(Enc(D)))` equals native AU
+    /// evaluation (`compiled_matches_interpreter_rowwise_and_batched`
+    /// pins det program ≡ `Expr::eval` row by row, values and error
+    /// classes).
     #[test]
     fn det_and_rewrite_spine_compiled_identical(
         rel1 in au_relation_strategy(10),
         rel2 in au_relation_strategy(10),
     ) {
-        use audb::query::det::eval_det_opts;
-        use audb::query::rewrite::RewriteSession;
+        use audb::query::det::{eval_det_exec, eval_det_oracle};
 
         let q = table("t1")
             .select(col(1).geq(lit(-2i64)))
@@ -238,24 +240,16 @@ proptest! {
         let mut det_db = Database::new();
         det_db.insert("t1", rel1.sg_world());
         det_db.insert("t2", rel2.sg_world());
+        let interp = eval_det_oracle(&det_db, &q, &Executor::sequential());
         for w in WORKERS {
-            for s in SHARDS {
-                let interp = eval_det_opts(&det_db, &q, &Executor::new(w), true, Some(s), false);
-                let compiled = eval_det_opts(&det_db, &q, &Executor::new(w), true, Some(s), true);
-                prop_assert_eq!(&compiled, &interp, "det, workers = {}, shards = {}", w, s);
-            }
+            let compiled = eval_det_exec(&det_db, &q, &Executor::new(w));
+            prop_assert_eq!(&compiled, &interp, "det, workers = {}", w);
         }
 
         // rewrite spine over the AU relations
         let mut db = AuDatabase::new();
         db.insert("t1", rel1);
         db.insert("t2", rel2);
-        let reference =
-            RewriteSession::new(&db).with_workers(Some(1)).with_compiled(false).eval(&q);
-        for w in WORKERS {
-            let compiled =
-                RewriteSession::new(&db).with_workers(Some(w)).with_compiled(true).eval(&q);
-            prop_assert_eq!(&compiled, &reference, "rewrite spine, workers = {}", w);
-        }
+        prop_assert_eq!(eval_via_rewrite(&db, &q), eval_au(&db, &q, &cfg_oracle()), "rewrite spine");
     }
 }

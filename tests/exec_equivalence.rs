@@ -16,8 +16,9 @@ use audb::prelude::*;
 use audb::query::au::aggregate::{aggregate_au_exec, aggregate_au_scan};
 use audb::query::au::difference::{difference_au_exec, difference_au_scan};
 use audb::query::au::{project_au_exec, select_au_exec};
+use audb::query::det::{eval_det_exec, eval_det_oracle};
 use audb::query::planner::{join_au_planned_exec, join_det_planned_exec};
-use audb::query::rewrite::{dec_relation_exec, enc_relation_exec};
+use audb::query::rewrite::{dec_relation, enc_relation};
 use common::{
     assert_lanes_match_oracle, assert_lanes_match_oracle_all, cfg_lanes, cfg_oracle, SHARDS,
     WORKERS,
@@ -159,18 +160,11 @@ proptest! {
     }
 
     #[test]
-    fn enc_dec_identical_across_worker_counts(
+    fn enc_dec_round_trip(
         rel in au_relation_strategy("A", "B", 16),
     ) {
-        let enc_seq = enc_relation_exec(&rel, &exec(1)).unwrap();
-        let dec_seq = dec_relation_exec(&enc_seq, &rel.schema, &exec(1)).unwrap();
-        prop_assert_eq!(&dec_seq, &rel, "Enc/Dec round trip");
-        for w in WORKERS {
-            let enc = enc_relation_exec(&rel, &exec(w)).unwrap();
-            prop_assert_eq!(&enc, &enc_seq, "Enc, workers = {}", w);
-            let dec = dec_relation_exec(&enc, &rel.schema, &exec(w)).unwrap();
-            prop_assert_eq!(&dec, &dec_seq, "Dec, workers = {}", w);
-        }
+        let dec = dec_relation(&enc_relation(&rel), &rel.schema).unwrap();
+        prop_assert_eq!(&dec, &rel, "Enc/Dec round trip");
     }
 
     #[test]
@@ -522,43 +516,34 @@ proptest! {
         }
     }
 
-    /// The executor-threaded deterministic engine: pipelined evaluation
-    /// for any workers × shards equals the operator-at-a-time
-    /// sequential path, on the same query shapes.
+    /// The deterministic engine's two paths: production (fused,
+    /// compiled chains) on any worker count equals the sequential
+    /// oracle (operator-at-a-time, interpreted), on the same query
+    /// shapes.
     #[test]
     fn det_pipeline_identical_to_operator_at_a_time(
         t1 in au_relation_strategy("A", "B", 14),
         t2 in au_relation_strategy("C", "D", 14),
     ) {
-        use audb::query::det::eval_det_opts;
         let mut db = Database::new();
         db.insert("t1", t1.sg_world());
         db.insert("t2", t2.sg_world());
         for q in pipeline_queries() {
-            let reference = eval_det_opts(&db, &q, &exec(1), false, None, false).unwrap();
+            let reference = eval_det_oracle(&db, &q, &exec(1)).unwrap();
             for w in WORKERS {
-                for s in SHARDS {
-                    for compiled in [false, true] {
-                        let got = eval_det_opts(&db, &q, &exec(w), true, Some(s), compiled).unwrap();
-                        prop_assert_eq!(
-                            &got, &reference,
-                            "workers = {}, shards = {}, compiled = {}, q = {}", w, s, compiled, &q
-                        );
-                    }
-                }
+                let got = eval_det_exec(&db, &q, &exec(w)).unwrap();
+                prop_assert_eq!(&got, &reference, "workers = {}, q = {}", w, &q);
             }
         }
     }
 
-    /// The rewrite middleware's fused `Enc → spine → Dec` pass: a
-    /// session on any worker count matches the native AU result and the
-    /// sequential session.
+    /// Theorem 8 on a fused spine: `Dec(rewr(Q)(Enc(D)))` on the plain
+    /// deterministic engine equals native AU evaluation.
     #[test]
-    fn rewrite_session_identical_across_worker_counts(
+    fn rewrite_spine_equals_native_au(
         t1 in au_relation_strategy("A", "B", 10),
         t2 in au_relation_strategy("C", "D", 10),
     ) {
-        use audb::query::rewrite::RewriteSession;
         use audb::query::table;
         let mut db = AuDatabase::new();
         db.insert("t1", t1);
@@ -567,15 +552,66 @@ proptest! {
             .select(col(1).geq(lit(-2i64)))
             .join_on(table("t2"), col(0).eq(col(2)))
             .project(vec![(col(0), "x"), (col(1).add(col(3)), "y")]);
-        let reference = RewriteSession::new(&db).with_workers(Some(1)).eval(&q).unwrap();
         prop_assert_eq!(
-            &reference,
+            &eval_via_rewrite(&db, &q).unwrap(),
             &eval_au(&db, &q, &cfg_oracle()).unwrap(),
             "rewrite vs native"
         );
-        for w in WORKERS {
-            let got = RewriteSession::new(&db).with_workers(Some(w)).eval(&q).unwrap();
-            prop_assert_eq!(&got, &reference, "workers = {}", w);
+    }
+}
+
+/// Shards of a det chain can no longer be forced, so one input is large
+/// enough to be sharded for real: 3 584 source rows, 3 328 of which
+/// survive the selection, are three auto shards at any worker count —
+/// for the chain under a join's projected left side and for the probe
+/// chain over it. Every probe plan, over a select-only left side
+/// continued in place (sweep candidates keyed by source row id across
+/// shard seams) and over a projected one, equals the sequential oracle.
+#[test]
+fn det_sharded_chains_identical_to_oracle() {
+    use audb::query::table;
+    let it = |vs: &[i64]| -> Tuple { vs.iter().copied().collect() };
+    let mut db = Database::new();
+    db.insert(
+        "t1",
+        Relation::from_rows(
+            Schema::named(&["A", "B"]),
+            (0..3584i64).map(|i| (it(&[i % 97, i]), 1 + i as u64 % 3)).collect(),
+        ),
+    );
+    db.insert(
+        "t2",
+        Relation::from_rows(
+            Schema::named(&["C", "D"]),
+            (0..40i64).map(|i| (it(&[i * 3 % 97, i * 100]), 1 + i as u64 % 2)).collect(),
+        ),
+    );
+    let kept = col(1).geq(lit(256i64));
+    let lefts = [
+        table("t1").select(kept.clone()),
+        table("t1").select(kept).project(vec![(col(0).add(lit(1i64)), "A"), (col(1), "B")]),
+    ];
+    let probes = [
+        col(0).eq(col(2)),                  // hash
+        col(1).lt(col(3)),                  // interval comparison
+        col(0).add(col(2)).gt(lit(150i64)), // nested loop
+    ];
+    for left in &lefts {
+        for on in &probes {
+            let q = left
+                .clone()
+                .join_on(table("t2"), on.clone())
+                .select(col(1).neq(col(3)))
+                .project(vec![(col(0).add(col(2)), "x"), (col(1).sub(col(3)), "y")]);
+            let reference = eval_det_oracle(&db, &q, &Executor::sequential()).unwrap();
+            assert!(!reference.is_empty(), "q = {q}");
+            for w in [1, 2, 4] {
+                let exec = Executor::new(w).with_metrics(Metrics::enabled());
+                assert_eq!(eval_det_exec(&db, &q, &exec).unwrap(), reference, "w = {w}, q = {q}");
+                let shards = exec.metrics().snapshot().counter("shards_dispatched");
+                let chains = if matches!(left, Query::Project { .. }) { 2 } else { 1 };
+                assert_eq!(shards, Some(3 * chains), "w = {w}, q = {q}");
+            }
         }
     }
 }
@@ -1146,19 +1182,10 @@ fn adversarial_shapes_identical_across_worker_counts() {
         let proj = [(col(1), "v".to_string()), (col(0).add(col(1)), "s".to_string())];
         let seq_sel = select_au_exec(l, &pred, &exec(1)).unwrap();
         let seq_proj = project_au_exec(l, &proj, &exec(1)).unwrap();
-        let seq_enc = enc_relation_exec(l, &exec(1)).unwrap();
-        let seq_dec = dec_relation_exec(&seq_enc, &l.schema, &exec(1)).unwrap();
-        assert_eq!(&seq_dec, l, "Enc/Dec round trip");
+        assert_eq!(&dec_relation(&enc_relation(l), &l.schema).unwrap(), l, "Enc/Dec round trip");
         for w in WORKERS {
             assert_eq!(select_au_exec(l, &pred, &exec(w)).unwrap(), seq_sel, "select, w = {w}");
             assert_eq!(project_au_exec(l, &proj, &exec(w)).unwrap(), seq_proj, "project, w = {w}");
-            let enc = enc_relation_exec(l, &exec(w)).unwrap();
-            assert_eq!(enc, seq_enc, "enc, w = {w}");
-            assert_eq!(
-                dec_relation_exec(&enc, &l.schema, &exec(w)).unwrap(),
-                seq_dec,
-                "dec, w = {w}"
-            );
         }
     }
 

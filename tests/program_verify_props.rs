@@ -370,19 +370,21 @@ fn accepted_compiles_record_verify_spans() {
     assert!(trace.engine.iter().any(|(k, v)| *k == "verify" && v == "true"));
 }
 
-/// The det mirror degrades identically: tampered deterministic chain
-/// programs fall back to the interpreted stage with equal output.
+/// The det engine degrades the chain: tampered deterministic chain
+/// programs are counted as rejected and the subtree runs on the
+/// operator-at-a-time oracle, with equal output.
 #[test]
 fn det_chain_rejection_degrades_identically() {
-    use audb::query::det::eval_det_opts;
+    use audb::query::det::{eval_det_exec, eval_det_oracle};
 
     let mut det_db = Database::new();
     det_db.insert("t", two_row_db().get("t").expect("inserted above").sg_world());
     let q = table("t").select(col(0).leq(col(1))).project(vec![(col(0).add(col(1)), "s")]);
-    let exec = Executor::sequential();
-    let interp = eval_det_opts(&det_db, &q, &exec, true, None, false);
-    let tampered = with_tampered_programs(corrupt_if_possible, || {
-        eval_det_opts(&det_db, &q, &exec, true, None, true)
-    });
-    assert_eq!(tampered, interp);
+    let oracle = eval_det_oracle(&det_db, &q, &Executor::sequential());
+    let exec = Executor::sequential().with_metrics(Metrics::enabled());
+    let tampered =
+        with_tampered_programs(corrupt_if_possible, || eval_det_exec(&det_db, &q, &exec));
+    assert_eq!(tampered, oracle);
+    let rejects = exec.metrics().snapshot().counter("verify_rejects");
+    assert!(rejects >= Some(1), "rejections counted: {rejects:?}");
 }

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use audb::baselines::{
     eval_libkin, run_maybms, run_symb, trio::eval_trio, xrelation_to_vtable, VDatabase,
 };
+use audb::core::Semiring;
 use audb::incomplete::relation_bounds_world;
 use audb::prelude::*;
 use audb::workloads::{exact_spj, over_grouping_pct};
@@ -265,4 +266,57 @@ proptest! {
             prop_assert_eq!(pct, 0.0);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// SGW preservation at the multiplicity boundary: `N` saturates
+// ---------------------------------------------------------------------------
+
+/// One certain row `1` at multiplicity `k` under each name.
+fn big_db(tables: &[(&str, u64)]) -> AuDatabase {
+    let mut db = AuDatabase::new();
+    for (name, k) in tables {
+        let row = au_row(vec![RangeValue::certain(Value::Int(1))], *k, *k, *k);
+        db.insert(*name, AuRelation::from_rows(Schema::named(&["a"]), vec![row]));
+    }
+    db
+}
+
+/// The AU result's selected-guess world equals SGQP on both det paths,
+/// and its rows carry the multiplicities `expect`.
+fn assert_sgw_preserved(db: &AuDatabase, q: &Query, expect: &[u64]) {
+    use audb::query::det::eval_det_oracle;
+    let sg = eval_au(db, q, &AuConfig::default()).expect("au").sg_world();
+    let sgdb = db.sg_world();
+    assert_eq!(eval_det(&sgdb, q).expect("det"), sg, "production det, q = {q}");
+    let oracle = eval_det_oracle(&sgdb, q, &Executor::sequential()).expect("det oracle");
+    assert_eq!(oracle, sg, "det oracle, q = {q}");
+    let mults: Vec<u64> = sg.rows().iter().map(|(_, k)| *k).collect();
+    assert_eq!(mults, expect, "q = {q}");
+}
+
+/// Regression: det multiplied and summed multiplicities unchecked — a
+/// product of 2^80 wrapped to 0 in release (SGQP answered the empty
+/// relation) and panicked under the `checked` profile — where the AU
+/// engine's `N` saturates.
+#[test]
+fn sgqp_saturates_multiplicities_like_the_au_engine() {
+    let db = big_db(&[("l", 1 << 40), ("r", 1 << 40), ("h", 1 << 63), ("s", 5)]);
+    // products: the chain probe and the oracle's planned join, per plan
+    let hash = col(0).eq(col(1));
+    let comparison = col(0).leq(col(1));
+    let nested_loop = col(0).add(col(1)).eq(lit(2i64));
+    for on in [hash, comparison, nested_loop] {
+        assert_sgw_preserved(&db, &table("l").join_on(table("r"), on), &[u64::MAX]);
+    }
+    // sums: duplicates merged by normalization, on either side of a monus
+    let doubled = table("h").union(table("h"));
+    assert_sgw_preserved(&db, &doubled, &[u64::MAX]);
+    assert_sgw_preserved(&db, &doubled.clone().difference(table("s")), &[u64::MAX - 5]);
+    assert_sgw_preserved(&db, &table("s").difference(doubled.clone()), &[]);
+
+    // a count past `i64::MAX` has no agreed `Value`: only "no panic"
+    let count = doubled.aggregate(vec![], vec![AggSpec::count("c")]);
+    let _ = eval_det(&db.sg_world(), &count);
+    let _ = UaAnnot::new(u64::MAX, u64::MAX).plus(&UaAnnot::new(1, 1));
 }
