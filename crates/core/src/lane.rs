@@ -336,6 +336,33 @@ impl<'a> LaneSlice<'a> {
         }
     }
 
+    /// Do cells `a` and `b` hold the same selected guess — `Value`'s
+    /// structural `==` on the materialized cells (floats by bits)?
+    pub fn sg_eq(&self, a: usize, b: usize) -> bool {
+        match self {
+            LaneSlice::Int { sg, .. } => sg[a] == sg[b],
+            LaneSlice::Float { sg, .. } => sg[a].to_bits() == sg[b].to_bits(),
+            LaneSlice::Bool { sg, .. } => sg[a] == sg[b],
+            LaneSlice::Boxed(v) => v[a].sg == v[b].sg,
+        }
+    }
+
+    /// [`RangeValue::overlaps`] of cell `i` and cell `j` of `other`; no
+    /// cell is materialized when the two lanes are of one type.
+    pub fn overlaps(&self, i: usize, other: &LaneSlice<'_>, j: usize) -> bool {
+        use LaneSlice::{Boxed, Float, Int};
+        match (self, other) {
+            (Int { lb: al, ub: au, .. }, Int { lb: bl, ub: bu, .. }) => {
+                al[i] <= bu[j] && bl[j] <= au[i]
+            }
+            (Float { lb: al, ub: au, .. }, Float { lb: bl, ub: bu, .. }) => {
+                al[i].total_cmp(&bu[j]).is_le() && bl[j].total_cmp(&au[i]).is_le()
+            }
+            (Boxed(a), Boxed(b)) => a[i].overlaps(&b[j]),
+            _ => self.get(i).overlaps(&other.get(j)),
+        }
+    }
+
     /// Are cells `a` and `b` equal — as [`RangeValue`]'s derived `Eq`
     /// has it for the materialized cells (floats by bits)?
     pub fn cells_eq(&self, a: usize, b: usize) -> bool {
@@ -424,6 +451,46 @@ impl<'a> LaneSlice<'a> {
                 ValueLane::Boxed(idx.iter().map(|&i| v[i as usize].clone()).collect())
             }
         }
+    }
+
+    /// The bounding box of every group of cells, as a lane indexed by
+    /// group: `of_row[i]` is cell `i`'s group and `reps[g]` the first
+    /// cell of group `g`. A box starts as that cell and widens in cell
+    /// order by [`RangeValue::extend_keep_sg`]'s rule — a bound moves
+    /// only to one strictly outside it, the selected guess never.
+    pub fn group_boxes(&self, reps: &[u32], of_row: &[u32]) -> ValueLane {
+        fn widen<T: Copy>(
+            acc: &mut [T],
+            cells: &[T],
+            of_row: &[u32],
+            wins: impl Fn(&T, &T) -> bool,
+        ) {
+            for (cell, &g) in cells.iter().zip(of_row) {
+                if wins(cell, &acc[g as usize]) {
+                    acc[g as usize] = *cell;
+                }
+            }
+        }
+        let mut boxes = self.gather(reps);
+        match (&mut boxes, self) {
+            (ValueLane::Int { lb, ub, .. }, LaneSlice::Int { lb: l, ub: u, .. }) => {
+                widen(lb, l, of_row, |c, b| c < b);
+                widen(ub, u, of_row, |c, b| c > b);
+            }
+            (ValueLane::Float { lb, ub, .. }, LaneSlice::Float { lb: l, ub: u, .. }) => {
+                widen(lb, l, of_row, |c, b| c.total_cmp(b).is_lt());
+                widen(ub, u, of_row, |c, b| c.total_cmp(b).is_gt());
+            }
+            (ValueLane::Bool { lb, ub, .. }, LaneSlice::Bool { lb: l, ub: u, .. }) => {
+                widen(lb, l, of_row, |c, b| c < b);
+                widen(ub, u, of_row, |c, b| c > b);
+            }
+            (ValueLane::Boxed(boxes), LaneSlice::Boxed(cells)) => {
+                cells.iter().zip(of_row).for_each(|(c, &g)| boxes[g as usize].extend_keep_sg(c));
+            }
+            _ => unreachable!("`gather` keeps the lane's representation"),
+        }
+        boxes
     }
 
     /// Copy into an owned lane.

@@ -96,11 +96,15 @@ pub enum Counter {
     /// `Float`) lane pair each, so that the build's hash and interval
     /// indexes read boxed values.
     ProbeKeysBoxed,
+    /// Aggregations some group-by column of which is a `Boxed` lane, so
+    /// that grouping confirmed `Value`s and the membership sweep ran on
+    /// boxed endpoints.
+    AggKeysBoxed,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 23] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::ShardsDispatched,
@@ -123,6 +127,7 @@ impl Counter {
         Counter::AggTermsBoxed,
         Counter::ChainStagesBoxed,
         Counter::ProbeKeysBoxed,
+        Counter::AggKeysBoxed,
     ];
 
     /// Stable serialized name.
@@ -150,6 +155,7 @@ impl Counter {
             Counter::AggTermsBoxed => "agg_terms_boxed",
             Counter::ChainStagesBoxed => "chain_stages_boxed",
             Counter::ProbeKeysBoxed => "probe_keys_boxed",
+            Counter::AggKeysBoxed => "agg_keys_boxed",
         }
     }
 }

@@ -17,18 +17,25 @@
 //! ([`aggregate_au_exec`], production) evaluates every distinct
 //! aggregate input once per row over column lanes (compiled, verified
 //! [`Program`]s), applies `⊛_M` per row into typed `i64`/`f64`
-//! contribution lanes, and then folds those lanes per group: membership
-//! is one flat CSR filled from an interval sweep between the
-//! [`SgGroupIndex`] group boxes and the (optionally compressed)
-//! uncertain rows, and groups are partitioned across the [`Executor`]'s
-//! workers with a deterministic ordered merge (`docs/exec-runtime.md`).
+//! contribution lanes, and then folds those lanes per group. Grouping
+//! reads the input's column lanes ([`AuRelation::columns`]) and nothing
+//! else: `SgGroups` assigns every row to its SG group through the one
+//! [`HashKeyIndex`] over [`lane_key`] cells, `α` and its certain subset
+//! are flat CSRs, the group boxes are one lane per group-by column
+//! (`i64`/`f64` min/max on a typed lane), and membership is a third CSR
+//! filled from an interval sweep between those box lanes and the
+//! (optionally compressed) uncertain rows — typed endpoints whenever the
+//! column is. Groups are partitioned across the [`Executor`]'s workers
+//! with a deterministic ordered merge (`docs/exec-runtime.md`).
 //! A term that leaves the typed lattice (mixed/sentinel column, poisoned
 //! row, overflow, multiplicity beyond `i64`) is *demoted* to boxed
 //! `Value` contributions computed by [`boxtimes`] — the rule the lane
 //! kernels follow — so results are bit-identical either way. The
 //! **oracle** ([`aggregate_au_scan`], tests and benches only) is the
-//! literal Definition 26 evaluator: all-pairs membership and an
-//! interpreted `eval_range` + `⊛_M` per (group, member, term).
+//! literal evaluator of Definitions 24–26: its own grouping over SG-key
+//! [`Tuple`]s, all-pairs membership and an interpreted `eval_range` +
+//! `⊛_M` per (group, member, term) — so kernel ≡ oracle checks the
+//! grouping too.
 //!
 //! ### Deviations from the paper's literal Definition 26 (soundness fixes)
 //!
@@ -52,16 +59,19 @@
 //!    this output. This tightens bounds and matches Figure 7's values.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use audb_core::obs::{Counter, Site};
 use audb_core::{
-    AuAnnot, EvalError, Expr, LaneBatch, LaneSlice, Program, RangeValue, Value, ValueLane, F64,
+    AuAnnot, EvalError, Expr, LaneBatch, LaneSlice, LaneTag, Program, RangeValue, Value, ValueLane,
+    F64,
 };
 use audb_exec::Executor;
-use audb_storage::{AuRelation, IntervalIndex, RangeTuple, Schema, SgGroupIndex};
+use audb_storage::{
+    lane_key, AuRelation, HashKeyIndex, IntervalIndex, KeyCell, RangeTuple, Schema, Tuple,
+};
 
 use crate::algebra::{AggFunc, AggSpec};
 use crate::opt;
@@ -205,9 +215,11 @@ pub fn aggregate_au_exec(
 /// (`docs/observability.md`): output `groups`; possible-member `sources`
 /// swept against the group boxes; candidate (group, source) `pairs` of
 /// the sweep; (group, member) contributions each term folds; distinct
-/// `(monoid, input)` `terms`; and the terms folded over boxed `Value`s
+/// `(monoid, input)` `terms`; the terms folded over boxed `Value`s
 /// (demoted at `⊛` time or by a fold that left the type) — the
-/// `agg_terms_boxed` counter ticks by the same number.
+/// `agg_terms_boxed` counter ticks by the same number; and whether some
+/// group-by lane is `Boxed` (`keys = boxed`, one `agg_keys_boxed` tick):
+/// grouping confirmed `Value`s and the sweep ran on boxed endpoints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AggStats {
     pub groups: usize,
@@ -216,6 +228,7 @@ pub struct AggStats {
     pub members: usize,
     pub terms: usize,
     pub terms_boxed: usize,
+    pub keys_boxed: bool,
 }
 
 /// The aggregate list as distinct monoid folds: `Avg` is `Sum` +
@@ -225,8 +238,8 @@ struct Terms {
     inputs: Vec<Expr>,
     /// `(monoid, index into inputs)`, in first-use order.
     terms: Vec<(Monoid, usize)>,
-    /// Per spec: its term and, for `Avg`, the count term.
-    of_spec: Vec<(usize, Option<usize>)>,
+    /// Per spec: its function, its term and, for `Avg`, the count term.
+    of_spec: Vec<(AggFunc, usize, Option<usize>)>,
 }
 
 impl Terms {
@@ -241,7 +254,7 @@ impl Terms {
                 AggFunc::Max => (t.term(Monoid::Max, &spec.input), None),
                 AggFunc::Avg => (t.term(Monoid::Sum, &spec.input), Some(t.term(Monoid::Sum, &one))),
             };
-            t.of_spec.push(of);
+            t.of_spec.push((spec.func, of.0, of.1));
         }
         t
     }
@@ -263,24 +276,26 @@ impl Terms {
 /// term, closed into a range — in first-use order,
 /// which is spec order, so the first error is the same whoever computes
 /// them (the `avg`/possible-empty steps cannot fail on `Sum` bounds) —
-/// assembled next to the group-by box and the row annotation. The
-/// caller normalizes.
+/// assembled behind `head(g)`: the group-by box and the row annotation.
+/// `ks` are the input rows' annotations. The caller normalizes.
 fn aggregate_with(
-    rel: &AuRelation,
-    group_by: &[usize],
-    aggs: &[AggSpec],
+    schema: Schema,
     plan: &Terms,
-    gindex: &SgGroupIndex,
+    ks: &[AuAnnot],
+    ngroups: usize,
     exec: &Executor,
+    head: impl Fn(usize) -> (Vec<RangeValue>, AuAnnot) + Sync,
     bounds: impl Fn(usize, usize) -> Result<(Value, Value, Value), EvalError> + Sync,
 ) -> Result<AuRelation, EvalError> {
-    // For aggregation without group-by, the single output row exists in
-    // *every* world — including worlds where the input is empty, where
-    // the deterministic MIN/MAX/AVG is Null. Track whether the input may
-    // be empty (no certainly-existing row) and whether the SG world is
-    // empty, to extend bounds / set the SG component accordingly.
-    let possibly_empty = group_by.is_empty() && rel.rows().iter().all(|(_, k)| k.lb == 0);
-    let sg_world_empty = group_by.is_empty() && rel.rows().iter().all(|(_, k)| k.sg == 0);
+    // For aggregation without group-by (the output is the aggregates
+    // alone), the single output row exists in *every* world — including
+    // worlds where the input is empty, where the deterministic
+    // MIN/MAX/AVG is Null. Track whether the input may be empty (no
+    // certainly-existing row) and whether the SG world is empty, to
+    // extend bounds / set the SG component accordingly.
+    let ungrouped = schema.arity() == plan.of_spec.len();
+    let possibly_empty = ungrouped && ks.iter().all(|k| k.lb == 0);
+    let sg_world_empty = ungrouped && ks.iter().all(|k| k.sg == 0);
 
     // One work item here is a whole *group* (a bound fold over all its
     // members, per term) — far heavier than a row, so the adaptive
@@ -288,7 +303,7 @@ fn aggregate_with(
     // caller-forced zero floor stays zero).
     let gexec =
         exec.clone().with_min_rows_per_worker(exec.partitioner().min_rows_per_worker.min(32));
-    let rows = gexec.run(gindex.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
+    let rows = gexec.run(ngroups, |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
         for g in morsel {
             let terms = (0..plan.terms.len()).map(|t| {
                 let (lb, sg, ub) = bounds(g, t)?;
@@ -296,24 +311,24 @@ fn aggregate_with(
                 RangeValue::new(lb, sg, ub)
             });
             let terms = terms.collect::<Result<Vec<RangeValue>, EvalError>>()?;
-            let mut tvals = gindex.bbox(g).0.clone();
-            for (spec, (t, cnt)) in aggs.iter().zip(&plan.of_spec) {
+            let (mut tvals, annot) = head(g);
+            for &(func, t, cnt) in &plan.of_spec {
                 let v = match cnt {
-                    Some(c) => avg_range(&terms[*t], &terms[*c])?,
-                    None => terms[*t].clone(),
+                    Some(c) => avg_range(&terms[t], &terms[c])?,
+                    None => terms[t].clone(),
                 };
-                tvals.push(if group_by.is_empty() {
-                    adjust_for_possible_empty(v, spec.func, possibly_empty, sg_world_empty)?
+                tvals.push(if ungrouped {
+                    adjust_for_possible_empty(v, func, possibly_empty, sg_world_empty)?
                 } else {
                     v
                 });
             }
-            rows.push((RangeTuple::new(tvals), group_annot(rel, gindex, g, group_by.is_empty())));
+            rows.push((RangeTuple::new(tvals), annot));
         }
         Ok::<(), EvalError>(())
     })?;
 
-    let mut out = AuRelation::empty(out_schema(rel, group_by, aggs));
+    let mut out = AuRelation::empty(schema);
     out.append_rows(rows);
     Ok(out)
 }
@@ -344,17 +359,20 @@ fn aggregate_empty(rel: &AuRelation, group_by: &[usize], aggs: &[AggSpec]) -> Au
 /// group-by values can only ever form the single group `g`, so they
 /// contribute one possible group in total; each uncertain tuple may
 /// spawn up to `ub` distinct groups of its own). Without group-by the
-/// single output row exists in every world (Definition 27).
-fn group_annot(rel: &AuRelation, gindex: &SgGroupIndex, g: usize, ungrouped: bool) -> AuAnnot {
+/// single output row exists in every world (Definition 27). `alpha` are
+/// the group's assigned rows and `certain` those of them with certain
+/// group-by values, both in row order.
+fn group_annot(ks: &[AuAnnot], alpha: &[u32], certain: &[u32], ungrouped: bool) -> AuAnnot {
     if ungrouped {
         return AuAnnot::certain_one();
     }
+    let any_certain_group = !certain.is_empty();
     let (mut lb_any_certain, mut sg_any, mut uncertain_ub_sum) = (false, false, 0u64);
-    // `certain(g)` is the certain-group-by subset of `alpha`, both
-    // sorted by row id — walk them in lockstep.
-    let mut certain = gindex.certain(g).iter().peekable();
-    for i in gindex.alpha(g) {
-        let k = &rel.rows()[*i as usize].1;
+    // `certain` is a subset of `alpha`, both sorted by row id — walk
+    // them in lockstep.
+    let mut certain = certain.iter().peekable();
+    for i in alpha {
+        let k = &ks[*i as usize];
         if certain.next_if_eq(&i).is_some() {
             lb_any_certain |= k.lb > 0;
         } else {
@@ -365,7 +383,6 @@ fn group_annot(rel: &AuRelation, gindex: &SgGroupIndex, g: usize, ungrouped: boo
         }
         sg_any |= k.sg > 0;
     }
-    let any_certain_group = !gindex.certain(g).is_empty();
     AuAnnot::triple(
         lb_any_certain as u64,
         sg_any as u64,
@@ -420,15 +437,17 @@ pub fn aggregate_au_stats(
             *t = Instant::now();
         }
     };
-    let (rows, arity) = (rel.rows(), rel.schema.arity());
-    let plan = Terms::new(aggs);
+    let (arity, n, ungrouped) = (rel.schema.arity(), rel.len(), group_by.is_empty());
+    let (cset, plan) = (rel.columns(), Terms::new(aggs));
 
     // ---- membership ------------------------------------------------------
-    // Default grouping strategy (Definition 24): one pass assigns every
-    // row to its SG group (α), accumulates the group boxes (Definition
-    // 25) and splits certain-group rows (members of their own group
-    // only) from the uncertain possible side.
-    let gindex = SgGroupIndex::from_au(rows, group_by);
+    // Default grouping strategy (Definition 24) on the group-by lanes:
+    // every row is assigned to its SG group (α), the group boxes
+    // (Definition 25) are accumulated, and certain-group rows (members
+    // of their own group only) are split from the uncertain possible
+    // side.
+    let keys: Vec<LaneSlice<'_>> = group_by.iter().map(|&c| cset.lane(c).as_slice()).collect();
+    let gx = LaneGroups::build(&keys, n);
     // The possible-member sources (the aggregation analog of the join's
     // split, Section 10.5): the uncertain rows themselves — a source's
     // contribution is then its row's — or, with `compress = Some(ct)`,
@@ -441,62 +460,74 @@ pub fn aggregate_au_stats(
         refd.iter().chain(group_by).copied().collect::<BTreeSet<_>>().into_iter().collect();
     // a column's slot in a bucket; an unread one is a bug, not slot 0
     let at = |c: usize| read.binary_search(&c).unwrap_or(usize::MAX);
-    let uncertain =
-        if plan.terms.is_empty() || group_by.is_empty() { &[] } else { gindex.uncertain() };
+    let uncertain: &[u32] = if plan.terms.is_empty() || ungrouped { &[] } else { &gx.uncertain };
     let buckets = compress
         .filter(|_| !uncertain.is_empty())
-        .map(|ct| opt::compress_rows(rows, uncertain, &read, group_by[0], ct));
-    let nsrc = buckets.as_ref().map_or(uncertain.len(), Vec::len);
-    let gcell = |s: u32, k: usize| match &buckets {
-        Some(b) => &b[s as usize].0 .0[at(group_by[k])],
-        None => &rows[uncertain[s as usize] as usize].0 .0[group_by[k]],
+        .map(|ct| opt::compress_rows(rel.rows(), uncertain, &read, group_by[0], ct));
+    let bucket_rows = buckets.as_deref().unwrap_or_default();
+    // Compressed sources follow the rows in every lane read, so a source
+    // is a lane row either way. Unread columns alias a read one (right
+    // length, never touched).
+    let appended = |&c: &usize| {
+        let cells = bucket_rows.iter().map(|(t, _)| &t.0[at(c)]);
+        let mut lane = cset.lane(c).clone();
+        lane.append(&ValueLane::from_cells(cells).as_slice(), None);
+        lane
+    };
+    let lanes: Vec<ValueLane> = buckets.iter().flat_map(|_| read.iter().map(appended)).collect();
+    let cols: Vec<LaneSlice<'_>> = match lanes.first() {
+        Some(any) => (0..arity).map(|c| lanes.get(at(c)).unwrap_or(any).as_slice()).collect(),
+        None => cset.lane_slices(),
+    };
+    let src_ids: Cow<'_, [u32]> = match &buckets {
+        Some(b) => (n as u32..(n + b.len()) as u32).collect(),
+        None => uncertain.into(),
     };
     // Candidates come from an endpoint sweep between the group boxes
     // and the sources on the first group-by attribute —
-    // `O((G + U) log(G + U) + pairs)`; the precise multi-attribute
-    // overlap is tested once per candidate, and the survivors land in
-    // one flat CSR, per group in source order (folds are order-sensitive).
+    // `O((G + U) log(G + U) + pairs)`, on typed endpoints when the lanes
+    // are; the precise multi-attribute overlap is tested once per
+    // candidate on the lane cells, and the survivors land in one flat
+    // CSR, per group in source order (folds are order-sensitive).
     let mut stats = AggStats {
-        groups: gindex.len(),
-        sources: nsrc,
+        groups: gx.alpha.len(),
+        sources: src_ids.len(),
         terms: plan.terms.len(),
+        keys_boxed: keys.iter().any(|l| l.tag() == LaneTag::Boxed),
         ..AggStats::default()
     };
+    if stats.keys_boxed {
+        metrics.add(Counter::AggKeysBoxed, 1);
+    }
     let mut pairs: Vec<(u32, u32)> = Vec::new();
-    if nsrc > 0 {
-        let gi = gindex.bbox_interval_index(0);
-        let si = IntervalIndex::from_entries((0..nsrc as u32).map(|s| (s, gcell(s, 0))));
+    if stats.sources > 0 {
+        let boxes: Vec<LaneSlice<'_>> = gx.boxes.iter().map(ValueLane::as_slice).collect();
+        let src: Vec<LaneSlice<'_>> = group_by.iter().map(|&c| cols[c]).collect();
+        let gi = IntervalIndex::from_lane(boxes[0]);
+        let si = IntervalIndex::from_lane_subset(src[0], &src_ids);
+        // A sweep on typed endpoints emits exactly the pairs overlapping
+        // on the first attribute (`sweep_overlapping`'s contract; only
+        // boxed endpoints make it a superset: `value_eq` ties), which
+        // is then not tested again.
+        let tags = (boxes[0].tag(), src[0].tag());
+        let decided =
+            usize::from(tags.0 == tags.1 && matches!(tags.0, LaneTag::Int | LaneTag::Float));
         IntervalIndex::sweep_overlapping(&gi, &si, |g, s| {
             stats.pairs += 1;
-            let bbox = &gindex.bbox(g as usize).0;
-            if bbox.iter().enumerate().all(|(k, b)| gcell(s, k).overlaps(b)) {
+            let mut cells = boxes[decided..].iter().zip(&src[decided..]);
+            if cells.all(|(b, l)| b.overlaps(g as usize, l, s as usize)) {
                 pairs.push((g, s));
             }
         });
     }
-    let (offsets, sources) = csr_by_group(gindex.len(), nsrc, pairs, |s| match &buckets {
-        Some(_) => rows.len() as u32 + s,
-        None => uncertain[s as usize],
-    });
-    stats.members =
-        (0..gindex.len()).map(|g| gindex.certain(g).len()).sum::<usize>() + sources.len();
+    let sources = Csr::of_pairs(stats.groups, n + bucket_rows.len(), pairs);
+    stats.members = gx.certain.ids.len() + sources.ids.len();
     lap(Site::AggIndex);
 
     // ---- phase 1: each input once per row, `⊛_M` into lanes --------------
-    let bucket_rows = buckets.as_deref().unwrap_or_default();
-    let ks: Vec<AuAnnot> = rows.iter().chain(bucket_rows).map(|(_, k)| *k).collect();
-    let mut lanes: Vec<Option<ValueLane>> = vec![None; arity];
-    for &c in &refd {
-        let (own, src) = (rows.iter().map(move |(t, _)| &t.0[c]), at(c));
-        let cells = own.chain(bucket_rows.iter().map(move |(t, _)| &t.0[src]));
-        lanes[c] = Some(ValueLane::from_cells(cells));
-    }
-    // Unread columns alias a read one (right length, never touched); no
-    // read column at all means no lane, and any reference is unknown.
-    let cols: Vec<LaneSlice<'_>> = match lanes.iter().flatten().next() {
-        Some(any) => lanes.iter().map(|l| l.as_ref().unwrap_or(any).as_slice()).collect(),
-        None => Vec::new(),
-    };
+    let annots = cset.annots();
+    let ks: Vec<AuAnnot> =
+        (0..n).map(|i| annots.get(i)).chain(bucket_rows.iter().map(|(_, k)| *k)).collect();
     // One program for all inputs. A poisoned row does not say which
     // input poisoned it, so then (rare) every term takes the oracle's
     // per-row closure — interpreted `eval_range` + `boxtimes` — which
@@ -520,12 +551,17 @@ pub fn aggregate_au_stats(
     // A term counts as boxed (once) when any of its folds ran on boxed
     // values: demoted at `⊛` time, or a typed `Sum` fold left its type.
     let boxed: Vec<AtomicBool> = plan.terms.iter().map(|_| AtomicBool::new(false)).collect();
-    let out = aggregate_with(rel, group_by, aggs, &plan, &gindex, exec, |g, t| {
+    let schema = out_schema(rel, group_by, aggs);
+    let head = |g: usize| {
+        let annot = group_annot(&ks, gx.alpha.of(g), gx.certain.of(g), ungrouped);
+        (gx.boxes.iter().map(|b| b.get(g)).collect(), annot)
+    };
+    let out = aggregate_with(schema, &plan, &ks[..n], stats.groups, exec, head, |g, t| {
         let grp = Group {
-            certain: gindex.certain(g),
-            sources: &sources[offsets[g]..offsets[g + 1]],
-            alpha: gindex.alpha(g),
-            exact: gindex.bbox(g).is_certain(),
+            certain: gx.certain.of(g),
+            sources: sources.of(g),
+            alpha: gx.alpha.of(g),
+            exact: gx.boxes.iter().all(|b| b.as_slice().is_certain(g)),
         };
         let monoid = plan.terms[t].0;
         let typed = match &contribs[t] {
@@ -551,35 +587,140 @@ pub fn aggregate_au_stats(
     Ok((out.into_normalized_with(exec)?, stats))
 }
 
-/// Flat CSR of the `(group, source)` pairs: `ids[offsets[g]..offsets[g + 1]]`
-/// are group `g`'s sources in ascending source order, mapped through
-/// `id_of` — two stable counting passes, no per-group lists or sorts.
-fn csr_by_group(
-    ngroups: usize,
-    nsrc: usize,
-    pairs: Vec<(u32, u32)>,
-    id_of: impl Fn(u32) -> u32,
-) -> (Vec<usize>, Vec<u32>) {
-    let offsets_by = |n: usize, key: fn(&(u32, u32)) -> u32| {
-        let mut off = vec![0usize; n + 1];
-        pairs.iter().for_each(|p| off[key(p) as usize + 1] += 1);
-        (0..n).for_each(|i| off[i + 1] += off[i]);
-        off
-    };
-    let (by_src, offsets) = (offsets_by(nsrc, |p| p.1), offsets_by(ngroups, |p| p.0));
-    let (mut groups, mut next) = (vec![0u32; pairs.len()], by_src.clone());
-    for (g, s) in pairs {
-        groups[next[s as usize]] = g;
-        next[s as usize] += 1;
+/// Per-group id lists, flat: group `g`'s are
+/// `ids[offsets[g]..offsets[g + 1]]`, ascending.
+struct Csr {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Csr {
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
     }
-    let (mut ids, mut next) = (vec![0u32; groups.len()], offsets.clone());
-    for s in 0..nsrc {
-        for &g in &groups[by_src[s]..by_src[s + 1]] {
-            ids[next[g as usize]] = id_of(s as u32);
+
+    fn of(&self, g: usize) -> &[u32] {
+        &self.ids[self.offsets[g]..self.offsets[g + 1]]
+    }
+
+    /// The rows `keep` holds, each under its group `of_row`, in row order.
+    fn by_group(ngroups: usize, of_row: &[u32], keep: impl Fn(usize) -> bool) -> Csr {
+        let kept = || of_row.iter().enumerate().filter(|(i, _)| keep(*i));
+        let mut offsets = vec![0usize; ngroups + 1];
+        kept().for_each(|(_, &g)| offsets[g as usize + 1] += 1);
+        (0..ngroups).for_each(|g| offsets[g + 1] += offsets[g]);
+        let (mut ids, mut next) = (vec![0u32; offsets[ngroups]], offsets.clone());
+        for (i, &g) in kept() {
+            ids[next[g as usize]] = i as u32;
             next[g as usize] += 1;
         }
+        Csr { offsets, ids }
     }
-    (offsets, ids)
+
+    /// Of `(group, id)` pairs in any order (`id < nids`) — two stable
+    /// counting passes, no per-group lists or sorts.
+    fn of_pairs(ngroups: usize, nids: usize, pairs: Vec<(u32, u32)>) -> Csr {
+        let (mut by_id, mut offsets) = (vec![0usize; nids + 1], vec![0usize; ngroups + 1]);
+        for &(g, id) in &pairs {
+            by_id[id as usize + 1] += 1;
+            offsets[g as usize + 1] += 1;
+        }
+        (0..nids).for_each(|i| by_id[i + 1] += by_id[i]);
+        (0..ngroups).for_each(|g| offsets[g + 1] += offsets[g]);
+        let (mut groups, mut next) = (vec![0u32; pairs.len()], by_id.clone());
+        for (g, id) in pairs {
+            groups[next[id as usize]] = g;
+            next[id as usize] += 1;
+        }
+        let (mut ids, mut next) = (vec![0u32; groups.len()], offsets.clone());
+        for id in 0..nids {
+            for &g in &groups[by_id[id]..by_id[id + 1]] {
+                ids[next[g as usize]] = id as u32;
+                next[g as usize] += 1;
+            }
+        }
+        Csr { offsets, ids }
+    }
+}
+
+/// The default grouping strategy's assignment (Definition 24) of `n`
+/// rows: one group per distinct selected-guess key, numbered in
+/// first-appearance order. The [`HashKeyIndex`] proposes by the hash of
+/// the canonical [`KeyCell`]s (`Int 2` and `Float 2.0` share one) and
+/// `same` confirms *exactly*: SG identity is `Value`'s structural
+/// equality, not `value_eq`.
+pub(super) struct SgGroups {
+    /// Over the groups' first rows.
+    index: HashKeyIndex,
+    /// Per row: its group.
+    pub of_row: Vec<u32>,
+    /// Per group: its first row.
+    pub reps: Vec<u32>,
+}
+
+impl SgGroups {
+    fn assign<'a, K: Iterator<Item = KeyCell<'a>>>(
+        n: usize,
+        key: impl Fn(u32) -> K,
+        same: impl Fn(u32, u32) -> bool,
+    ) -> SgGroups {
+        let (index, of_row) = HashKeyIndex::build_distinct(n, key, same);
+        let mut reps = Vec::new();
+        for (&g, i) in of_row.iter().zip(0..) {
+            if g as usize == reps.len() {
+                reps.push(i);
+            }
+        }
+        SgGroups { index, of_row, reps }
+    }
+
+    /// The grouping of AU rows on all their columns (`Ψ`, `−`).
+    pub fn of_rows(rows: &[(RangeTuple, AuAnnot)]) -> SgGroups {
+        let tuple = |i: u32| &rows[i as usize].0;
+        SgGroups::assign(rows.len(), |i| sg_key(tuple(i)), |a, b| same_sg(tuple(a), tuple(b)))
+    }
+
+    /// The group of the `rows` grouped whose SG tuple is `t`'s.
+    pub fn find(&self, rows: &[(RangeTuple, AuAnnot)], t: &RangeTuple) -> Option<usize> {
+        let tuple = |i: u32| &rows[i as usize].0;
+        let mut found = self.index.matches(sg_key(t), |i| sg_key(tuple(i)));
+        found.find(|&i| same_sg(t, tuple(i))).map(|i| self.of_row[i as usize] as usize)
+    }
+}
+
+fn sg_key(t: &RangeTuple) -> impl Iterator<Item = KeyCell<'_>> + Clone {
+    t.0.iter().map(|cell| KeyCell::of(&cell.sg))
+}
+
+fn same_sg(a: &RangeTuple, b: &RangeTuple) -> bool {
+    a.0.iter().zip(&b.0).all(|(x, y)| x.sg == y.sg)
+}
+
+/// The kernel's grouping index over the group-by lanes.
+struct LaneGroups {
+    /// Per group its `α`-assigned rows, and their certain-group-by subset.
+    alpha: Csr,
+    certain: Csr,
+    /// Rows whose group-by projection is uncertain, in row order.
+    uncertain: Vec<u32>,
+    /// Per group-by column the group boxes (Definition 25), a lane
+    /// indexed by group: `IntervalIndex::from_lane` is the group side of
+    /// the membership sweep.
+    boxes: Vec<ValueLane>,
+}
+
+impl LaneGroups {
+    fn build(keys: &[LaneSlice<'_>], n: usize) -> LaneGroups {
+        let same = |a: u32, b: u32| keys.iter().all(|l| l.sg_eq(a as usize, b as usize));
+        let SgGroups { of_row, reps, .. } = SgGroups::assign(n, |i| lane_key(keys, i), same);
+        let is_certain: Vec<bool> = (0..n).map(|i| keys.iter().all(|l| l.is_certain(i))).collect();
+        LaneGroups {
+            alpha: Csr::by_group(reps.len(), &of_row, |_| true),
+            certain: Csr::by_group(reps.len(), &of_row, |i| is_certain[i]),
+            uncertain: (0..n as u32).filter(|&i| !is_certain[i as usize]).collect(),
+            boxes: keys.iter().map(|l| l.group_boxes(&reps, &of_row)).collect(),
+        }
+    }
 }
 
 /// One term's per-row `⊛_M` results `(lo, sg, hi)`, indexed by row
@@ -807,13 +948,14 @@ fn agg_bounds<M>(
 // The oracle
 // ---------------------------------------------------------------------------
 
-/// The literal Definition 26 evaluator — **oracle only**: called by
-/// nothing outside `tests/` and `benches/agg_engine.rs`. Sequentially,
-/// every output group tests every source for overlap and every (group,
-/// member, term) re-evaluates the interpreted input and `⊛_M` inside
-/// [`agg_bounds`]; with the kernel it shares the grouping index and
-/// [`aggregate_with`]'s assembly, and it must produce exactly the
-/// kernel's result (or error).
+/// The literal evaluator of Definitions 24–26 — **oracle only**: called
+/// by nothing outside `tests/` and `benches/agg_engine.rs`. Sequentially,
+/// every row is grouped by its SG-key tuple ([`ScanGroup`]), every
+/// output group tests every source for overlap and every (group, member,
+/// term) re-evaluates the interpreted input and `⊛_M` inside
+/// [`agg_bounds`]; with the kernel it shares [`aggregate_with`]'s
+/// assembly only, and it must produce exactly the kernel's result (or
+/// error).
 pub fn aggregate_au_scan(
     rel: &AuRelation,
     group_by: &[usize],
@@ -824,18 +966,23 @@ pub fn aggregate_au_scan(
         return Ok(aggregate_empty(rel, group_by, aggs));
     }
     type Row = (RangeTuple, AuAnnot);
-    let plan = Terms::new(aggs);
-    let gindex = SgGroupIndex::from_au(rel.rows(), group_by);
+    let (plan, rows) = (Terms::new(aggs), rel.rows());
+    let (groups, uncertain) = ScanGroup::of_rows(rows, group_by);
     let all: Vec<usize> = (0..rel.schema.arity()).collect();
     let sources: Vec<Row> = match compress {
         _ if group_by.is_empty() => Vec::new(),
-        Some(ct) => opt::compress_rows(rel.rows(), gindex.uncertain(), &all, group_by[0], ct),
-        None => gindex.uncertain().iter().map(|&i| rel.rows()[i as usize].clone()).collect(),
+        Some(ct) => opt::compress_rows(rows, &uncertain, &all, group_by[0], ct),
+        None => uncertain.iter().map(|&i| rows[i as usize].clone()).collect(),
     };
-    let exec = Executor::sequential();
-    let out = aggregate_with(rel, group_by, aggs, &plan, &gindex, &exec, |g, t| {
+    let ks: Vec<AuAnnot> = rows.iter().map(|(_, k)| *k).collect();
+    let (schema, exec) = (out_schema(rel, group_by, aggs), Executor::sequential());
+    let head = |g: usize| {
+        let ScanGroup { bbox, alpha, certain, .. } = &groups[g];
+        (bbox.0.clone(), group_annot(&ks, alpha, certain, group_by.is_empty()))
+    };
+    let out = aggregate_with(schema, &plan, &ks, groups.len(), &exec, head, |g, t| {
         let (monoid, input) = (plan.terms[t].0, &plan.inputs[plan.terms[t].1]);
-        let (key, bbox) = (gindex.key(g), gindex.bbox(g));
+        let ScanGroup { bbox, alpha, certain } = &groups[g];
         // ð(g): possible members — this group's own certain rows plus
         // every source whose group-by ranges overlap the output's box.
         // (Tuples pinned to another certain group are excluded by
@@ -843,22 +990,58 @@ pub fn aggregate_au_scan(
         let overlaps =
             |(t, _): &&Row| group_by.iter().zip(&bbox.0).all(|(c, b)| t.0[*c].overlaps(b));
         let members: Vec<&Row> = if group_by.is_empty() {
-            rel.rows().iter().collect()
+            rows.iter().collect()
         } else {
-            let own = gindex.certain(g).iter().map(|&i| &rel.rows()[i as usize]);
+            let own = certain.iter().map(|&i| &rows[i as usize]);
             own.chain(sources.iter().filter(overlaps)).collect()
         };
-        // `gproj.is_certain() && gproj.sg() == key`, column-wise
+        // `gproj.is_certain() && gproj.sg() == key`, column-wise (a box
+        // keeps its group's SG key)
         let non_ug = |(t, k): &Row| {
-            let pinned = |(c, kv): (&usize, &Value)| t.0[*c].is_certain() && t.0[*c].sg == *kv;
-            k.lb > 0 && bbox.is_certain() && group_by.iter().zip(&key.0).all(pinned)
+            let pinned = |(c, b): (&usize, &RangeValue)| t.0[*c].is_certain() && t.0[*c].sg == b.sg;
+            k.lb > 0 && bbox.is_certain() && group_by.iter().zip(&bbox.0).all(pinned)
         };
-        let alpha = gindex.alpha(g).iter().map(|&i| &rel.rows()[i as usize]);
+        let alpha = alpha.iter().map(|&i| &rows[i as usize]);
         agg_bounds(monoid, members.iter().map(|m| (*m, non_ug(m))), alpha, |(t, k)| {
             boxtimes(monoid, k, &input.eval_range(t.values())?)
         })
     })?;
     Ok(out.into_normalized())
+}
+
+/// One group of the default grouping strategy, as Definitions 24/25
+/// state it: the bounding box of the group-by projections of the
+/// `α`-assigned rows — its selected guesses are the group's SG key — and
+/// those of them with a certain projection.
+struct ScanGroup {
+    bbox: RangeTuple,
+    alpha: Vec<u32>,
+    certain: Vec<u32>,
+}
+
+impl ScanGroup {
+    /// The groups in first-appearance order, and the rows whose group-by
+    /// projection is uncertain.
+    fn of_rows(rows: &[(RangeTuple, AuAnnot)], group_by: &[usize]) -> (Vec<Self>, Vec<u32>) {
+        let (mut groups, mut uncertain) = (Vec::<ScanGroup>::new(), Vec::new());
+        let mut of_key: BTreeMap<Tuple, usize> = BTreeMap::new();
+        for (i, (t, _)) in rows.iter().enumerate() {
+            let proj = t.project(group_by);
+            let g = *of_key.entry(proj.sg()).or_insert(groups.len());
+            if g == groups.len() {
+                groups.push(ScanGroup {
+                    bbox: proj.clone(),
+                    alpha: Vec::new(),
+                    certain: Vec::new(),
+                });
+            }
+            groups[g].bbox = groups[g].bbox.merge_keep_sg(&proj);
+            groups[g].alpha.push(i as u32);
+            let list = if proj.is_certain() { &mut groups[g].certain } else { &mut uncertain };
+            list.push(i as u32);
+        }
+        (groups, uncertain)
+    }
 }
 
 #[cfg(test)]
@@ -1312,6 +1495,66 @@ mod tests {
         assert_eq!(sum_of(5).lb, Value::float(-2.5));
         assert_eq!(sum_of(5).ub, Value::Int(0));
         assert_eq!(sum_of(8).ub, Value::float(0.0));
+    }
+
+    fn lane_groups(rows: &[(RangeTuple, AuAnnot)], group_by: &[usize]) -> LaneGroups {
+        let lanes: Vec<ValueLane> = (group_by.iter())
+            .map(|&c| ValueLane::from_cells(rows.iter().map(move |(t, _)| &t.0[c])))
+            .collect();
+        let keys: Vec<LaneSlice<'_>> = lanes.iter().map(ValueLane::as_slice).collect();
+        LaneGroups::build(&keys, rows.len())
+    }
+
+    /// α partitions the rows by SG key in first-appearance order, the
+    /// certain subset and the uncertain rows split them, and the group
+    /// boxes (one lane per group-by column) feed the membership sweep.
+    #[test]
+    fn lane_groups_partition_membership() {
+        let c = |v: i64| RangeValue::certain(Value::Int(v));
+        let rows = vec![
+            au_row(vec![c(1), r2(0, 0, 9)], 1, 1, 1), // group 1, certain group-by
+            au_row(vec![r2(0, 1, 4), c(7)], 1, 1, 1), // group 1 again, widening the box
+            au_row(vec![c(2), c(5)], 1, 1, 1),        // group 2, certain
+        ];
+        let gx = lane_groups(&rows, &[0]);
+        assert_eq!(gx.alpha.offsets, [0, 2, 3]);
+        assert_eq!((gx.alpha.of(0), gx.alpha.of(1)), (&[0, 1][..], &[2][..]));
+        assert_eq!((gx.certain.of(0), gx.certain.of(1)), (&[0][..], &[2][..]));
+        assert_eq!(gx.uncertain, [1]);
+        // group 1's box merged the uncertain member; the lane stays typed
+        assert_eq!(gx.boxes[0], ValueLane::Int { lb: vec![0, 2], sg: vec![1, 2], ub: vec![4, 2] });
+        // row 1 overlaps both group boxes on attribute 0
+        let key = ValueLane::from_cells(rows.iter().map(|(t, _)| &t.0[0]));
+        let gi = IntervalIndex::from_lane(gx.boxes[0].as_slice());
+        let si = IntervalIndex::from_lane_subset(key.as_slice(), &gx.uncertain);
+        let mut pairs = Vec::new();
+        IntervalIndex::sweep_overlapping(&gi, &si, |g, s| pairs.push((g, s)));
+        pairs.sort_unstable();
+        assert_eq!(pairs, [(0, 1), (1, 1)]);
+    }
+
+    /// SG keys are exact, not canonical: `Int 2` and `Float 2.0` share a
+    /// hash and are two groups (a `Boxed` lane, confirmed on the `sg`
+    /// values), and so are two integers whose `f64` casts collide (an
+    /// `Int` lane, confirmed on the `i64`s).
+    #[test]
+    fn lane_groups_keys_are_exact_not_canonicalized() {
+        let c = |v: Value| au_row(vec![RangeValue::certain(v)], 1, 1, 1);
+        let mixed = [c(Value::Int(2)), c(Value::float(2.0)), c(Value::Int(2))];
+        let gx = lane_groups(&mixed, &[0]);
+        assert_eq!(gx.alpha.offsets, [0, 2, 3], "Int 2 and Float 2.0 are distinct SG groups");
+        assert_eq!(gx.alpha.of(0), [0, 2]);
+        let big = 1i64 << 53;
+        let gx =
+            lane_groups(&[c(Value::Int(big)), c(Value::Int(big + 1)), c(Value::Int(big))], &[0]);
+        assert_eq!((gx.alpha.of(0), gx.alpha.of(1)), (&[0, 2][..], &[1][..]));
+        // and through the whole kernel, against the oracle's own grouping
+        let rel = AuRelation::from_rows(Schema::named(&["g"]), mixed.to_vec());
+        let aggs = [AggSpec::count("c")];
+        let (out, stats) =
+            aggregate_au_stats(&rel, &[0], &aggs, None, &Executor::sequential()).unwrap();
+        assert_eq!((out.len(), stats.groups, stats.keys_boxed), (2, 2, true));
+        assert_eq!(out, aggregate_au_scan(&rel, &[0], &aggs, None).unwrap());
     }
 
     /// Tuples pinned to a different certain group do not pollute this

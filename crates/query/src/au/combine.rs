@@ -6,37 +6,26 @@
 //! set difference and aggregation rely on to avoid over-reduction and
 //! double counting.
 
-use std::collections::HashMap;
-
 use audb_core::{AuAnnot, Semiring};
-use audb_storage::{AuRelation, RangeTuple, Tuple};
+use audb_storage::AuRelation;
 
-/// Apply `Ψ` to a relation.
+use super::aggregate::SgGroups;
+
+/// Apply `Ψ` to a relation: the SG grouping on all columns, each group
+/// merged into its first row in row order — output in first-appearance
+/// order. (No row of a relation carries the zero annotation.)
 pub fn sg_combine(rel: &AuRelation) -> AuRelation {
-    let mut merged: HashMap<Tuple, (RangeTuple, AuAnnot)> = HashMap::new();
-    let mut order: Vec<Tuple> = Vec::new();
-    for (t, k) in rel.rows() {
-        if k.is_zero() {
-            continue;
-        }
-        let key = t.sg();
-        match merged.get_mut(&key) {
-            Some((bbox, annot)) => {
-                *bbox = bbox.merge_keep_sg(t);
-                *annot = annot.plus(k);
-            }
-            None => {
-                order.push(key.clone());
-                merged.insert(key, (t.clone(), *k));
-            }
-        }
+    let rows = rel.rows();
+    let groups = SgGroups::of_rows(rows);
+    let rep = |&r: &u32| (rows[r as usize].0.clone(), AuAnnot::zero());
+    let mut merged: Vec<_> = groups.reps.iter().map(rep).collect();
+    for ((t, k), &g) in rows.iter().zip(&groups.of_row) {
+        let (bbox, annot) = &mut merged[g as usize];
+        bbox.0.iter_mut().zip(&t.0).for_each(|(b, c)| b.extend_keep_sg(c));
+        *annot = annot.plus(k);
     }
     let mut out = AuRelation::empty(rel.schema.clone());
-    for key in order {
-        #[allow(clippy::unwrap_used)] // every key in `order` was inserted into `merged`
-        let (t, k) = merged.remove(&key).unwrap();
-        out.push(t, k);
-    }
+    out.append_rows(merged);
     out
 }
 
@@ -45,7 +34,7 @@ pub fn sg_combine(rel: &AuRelation) -> AuRelation {
 mod tests {
     use super::*;
     use audb_core::RangeValue;
-    use audb_storage::{au_row, Schema};
+    use audb_storage::{au_row, RangeTuple, Schema};
 
     /// The example from Section 8.1: ([1/2/2],[1/3/5]) ↦ (1,2,2) and
     /// ([2/2/4],[3/3/4]) ↦ (3,3,4) combine into ([1/2/4],[1/3/5]) ↦ (4,5,6).

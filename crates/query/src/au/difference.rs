@@ -10,18 +10,18 @@
 //! The right side is indexed instead of scanned per left tuple: the
 //! `≃`-candidates come from an [`IntervalIndex`] endpoint sweep on the
 //! first attribute (precise multi-attribute overlap re-checked per
-//! candidate), while the `t^sg = t'^sg` and `≡` reductions are SG-key
-//! hash lookups — `O((|L| + |R|) log + candidates)` in place of the old
-//! `O(|L| · |R|)` loop. Left tuples are then partitioned across the
+//! candidate), while the `t^sg = t'^sg` and `≡` reductions are one probe
+//! of the right side's SG grouping (`aggregate::SgGroups`) —
+//! `O((|L| + |R|) log + candidates)` in place of the old `O(|L| · |R|)`
+//! loop. Left tuples are then partitioned across the
 //! [`Executor`]'s workers (the reductions are independent per left
 //! tuple) with a deterministic ordered merge.
 
-use std::collections::HashMap;
-
-use audb_core::EvalError;
+use audb_core::{EvalError, Semiring};
 use audb_exec::Executor;
-use audb_storage::{AuRelation, IntervalIndex, Tuple};
+use audb_storage::{AuRelation, IntervalIndex};
 
+use super::aggregate::SgGroups;
 use super::combine::sg_combine;
 
 /// `R1 − R2` (Definition 22) on the default executor. The left input is
@@ -41,15 +41,17 @@ pub fn difference_au_exec(
     let left = sg_combine(l);
     let arity = left.schema.arity();
 
-    // SG-key indexes of the right side: Σ R2(t')^sg per SG tuple, and
-    // Σ R2(t')↓ per *certain* tuple (the `≡` reduction additionally
-    // requires the left tuple to be certain — checked per left tuple).
-    let mut sg_sums: HashMap<Tuple, u64> = HashMap::new();
-    let mut cert_lb_sums: HashMap<Tuple, u64> = HashMap::new();
-    for (t2, k2) in r.rows() {
-        *sg_sums.entry(t2.sg()).or_insert(0) += k2.sg;
+    // The right side grouped by SG tuple, once: per group Σ R2(t')^sg,
+    // and Σ R2(t')↓ over its *certain* tuples (the `≡` reduction
+    // additionally requires the left tuple to be certain — checked per
+    // left tuple). Multiplicity sums saturate, like `N`'s `+`.
+    let groups = SgGroups::of_rows(r.rows());
+    let mut sums = vec![(0u64, 0u64); groups.reps.len()];
+    for ((t2, k2), &g) in r.rows().iter().zip(&groups.of_row) {
+        let (sg, cert_lb) = &mut sums[g as usize];
+        *sg = sg.plus(&k2.sg);
         if t2.is_certain() {
-            *cert_lb_sums.entry(t2.sg()).or_insert(0) += k2.lb;
+            *cert_lb = cert_lb.plus(&k2.lb);
         }
     }
 
@@ -76,17 +78,15 @@ pub fn difference_au_exec(
     let rows = dexec.run(left.len(), |morsel, rows| {
         for i in morsel {
             let (t, k) = &left.rows()[i];
-            let t_sg = t.sg();
             let mut sub_overlap_ub = 0u64; // Σ_{t ≃ t'} R2(t')↑
             for &j in &cand[i] {
                 let (t2, k2) = &r.rows()[j as usize];
                 if t.overlaps(t2) {
-                    sub_overlap_ub += k2.ub;
+                    sub_overlap_ub = sub_overlap_ub.plus(&k2.ub);
                 }
             }
-            let sub_sg = sg_sums.get(&t_sg).copied().unwrap_or(0);
-            let sub_cert_lb =
-                if t.is_certain() { cert_lb_sums.get(&t_sg).copied().unwrap_or(0) } else { 0 };
+            let (sub_sg, cert_lb) = groups.find(r.rows(), t).map_or((0, 0), |g| sums[g]);
+            let sub_cert_lb = if t.is_certain() { cert_lb } else { 0 };
             let annot = k.monus_bounds(sub_overlap_ub, sub_sg, sub_cert_lb);
             rows.push((t.clone(), annot));
         }
@@ -112,13 +112,13 @@ pub fn difference_au_scan(l: &AuRelation, r: &AuRelation) -> Result<AuRelation, 
         let mut sub_cert_lb = 0u64;
         for (t2, k2) in r.rows() {
             if t.overlaps(t2) {
-                sub_overlap_ub += k2.ub;
+                sub_overlap_ub = sub_overlap_ub.plus(&k2.ub);
             }
             if t_sg == t2.sg() {
-                sub_sg += k2.sg;
+                sub_sg = sub_sg.plus(&k2.sg);
             }
             if t.certainly_equal(t2) {
-                sub_cert_lb += k2.lb;
+                sub_cert_lb = sub_cert_lb.plus(&k2.lb);
             }
         }
         out.push(t.clone(), k.monus_bounds(sub_overlap_ub, sub_sg, sub_cert_lb));

@@ -553,6 +553,7 @@ pub(crate) fn aggregate_in_span(
     for (key, v) in attrs {
         tr.attr(h, key, || v.to_string());
     }
+    tr.attr(h, "keys", || if st.keys_boxed { "boxed" } else { "typed" }.to_string());
     Ok(out)
 }
 

@@ -1,7 +1,7 @@
 //! Secondary index structures over relation rows, consulted by the join
 //! planner and the aggregation/difference operators in `audb_query`.
 //!
-//! Three structures cover the paper's operator classes:
+//! Two structures cover the paper's operator classes:
 //!
 //! * [`IntervalIndex`] — per-attribute `[lb, ub]` endpoint lists, sorted
 //!   by both endpoints. Plane sweeps over two indexes enumerate exactly
@@ -19,12 +19,9 @@
 //!   [`KeyCell`]s; a probe proposes by hash and confirms against the
 //!   build side's cells. Three thin key adapters feed it — column lanes
 //!   ([`lane_key`]), AU rows ([`au_sg_key`]), deterministic values
-//!   ([`det_key`]).
-//! * [`SgGroupIndex`] — the grouping index behind aggregation's default
-//!   grouping strategy: exact SG-key buckets assigning every row to its
-//!   selected-guess group, per-group bounding boxes, and the
-//!   certain/uncertain membership split whose interval sweep replaces
-//!   the old all-groups × all-uncertain-tuples membership scan.
+//!   ([`det_key`]). [`HashKeyIndex::build_distinct`] is the same table
+//!   over the *distinct* keys of a row range: the SG grouping behind
+//!   aggregation, `Ψ` and set difference.
 //!
 //! All comparisons use the domain's total order ([`Value::total_cmp`]);
 //! candidate sets are deliberately *supersets* of the
@@ -34,8 +31,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 use audb_core::hash::{call_seed, keyed_hash_with};
 use audb_core::{AuAnnot, LaneSlice, RangeValue, Value};
@@ -124,7 +120,7 @@ impl IntervalIndex {
     }
 
     /// Build from `(row_id, range)` pairs.
-    pub fn from_entries<'a>(entries: impl Iterator<Item = (u32, &'a RangeValue)>) -> Self {
+    fn from_entries<'a>(entries: impl Iterator<Item = (u32, &'a RangeValue)>) -> Self {
         let bounds = entries.map(|(id, r)| (r.lb.clone(), r.ub.clone(), id)).collect();
         Self::from_bounds(bounds, Endpoints::Boxed)
     }
@@ -143,7 +139,7 @@ impl IntervalIndex {
     /// path — see [`crate::ColumnSet::lane_slices`]), without touching
     /// row tuples: an `Int`/`Float` lane keeps its endpoints typed, any
     /// other lane boxes them. Sweeps emit exactly what
-    /// [`IntervalIndex::from_entries`] over the materialized rows emits.
+    /// [`IntervalIndex::from_au`] over the materialized rows emits.
     pub fn from_lane(lane: LaneSlice<'_>) -> Self {
         Self::from_lane_rows(lane, 0..lane.len() as u32)
     }
@@ -196,7 +192,9 @@ impl IntervalIndex {
     ///
     /// Runs on typed endpoints when both indexes hold the same type;
     /// otherwise the typed side is boxed once. The pair sequence is the
-    /// same either way.
+    /// same either way. On typed endpoints the pairs are exactly those
+    /// [`RangeValue::overlaps`] holds for; boxed `Int`/`Float` endpoints
+    /// add the `value_eq` ties the total order separates.
     pub fn sweep_overlapping(left: &Self, right: &Self, on_pair: impl FnMut(u32, u32)) {
         match (&left.by_lb, &right.by_lb) {
             (Endpoints::Int(l), Endpoints::Int(r)) => overlapping(l, r, on_pair),
@@ -386,6 +384,44 @@ impl HashKeyIndex {
         HashKeyIndex { seed, heads, chain }
     }
 
+    /// Index the *distinct* keys of rows `0..n` — grouping, not joining:
+    /// build position `g` holds the first row of the `g`-th distinct key
+    /// in first-appearance order, and the second result maps every row
+    /// to the position of its key. A row proposes the earlier keys of its
+    /// hash and `same(first, row)` alone confirms, so the caller decides
+    /// what "equal" is beyond the canonical cells (SG groups: exact
+    /// `Value`s). [`HashKeyIndex::matches`] then proposes first rows, in
+    /// no particular order.
+    pub fn build_distinct<'a, K: Iterator<Item = KeyCell<'a>>>(
+        n: usize,
+        key: impl Fn(u32) -> K,
+        same: impl Fn(u32, u32) -> bool,
+    ) -> (Self, Vec<u32>) {
+        let seed = call_seed();
+        let mut heads = vec![END; (2 * n).next_power_of_two()];
+        let (mask, mut chain) = (heads.len() - 1, Vec::<(u32, u64, u32)>::new());
+        let mut positions = Vec::with_capacity(n);
+        for id in 0..n as u32 {
+            let h = hash_key(seed, key(id));
+            let head = &mut heads[h as usize & mask];
+            let mut pos = *head;
+            while pos != END {
+                let (next, hash, first) = chain[pos as usize];
+                if hash == h && same(first, id) {
+                    break;
+                }
+                pos = next;
+            }
+            if pos == END {
+                // a new key, in front of its slot's chain
+                pos = chain.len() as u32;
+                chain.push((std::mem::replace(head, pos), h, id));
+            }
+            positions.push(pos);
+        }
+        (HashKeyIndex { seed, heads, chain }, positions)
+    }
+
     /// The build rows whose key equals `key`, in build order; `built(id)`
     /// yields a build row's key cells, as in [`HashKeyIndex::build`].
     pub fn matches<'s, 'p, 'b, P, B>(
@@ -414,131 +450,6 @@ fn hash_key<'a>(seed: u64, key: impl Iterator<Item = KeyCell<'a>>) -> u64 {
             KeyCell::Other(v) => v.hash(h),
         })
     })
-}
-
-/// Grouping index for AU-aggregation (Definition 24's default grouping
-/// strategy): one group per distinct selected-guess value of the
-/// group-by projection, in first-appearance order.
-///
-/// Unlike [`HashKeyIndex`] the SG keys are *exact* tuples (no
-/// `join_key` canonicalization): grouping identity follows SG-world
-/// semantics, where `Int 2` and `Float 2.0` are distinct group values.
-///
-/// Per group the index records the α-assigned row ids, the bounding box
-/// over their group-by attributes (Definition 25), and the subset of
-/// rows whose group-by attributes are certain (which can only ever
-/// belong to their own group). Rows with uncertain group-by attributes
-/// — the *possible members* of every overlapping group — are listed
-/// separately, and [`SgGroupIndex::bbox_interval_index`] exposes the
-/// group boxes as an [`IntervalIndex`] so membership candidates come
-/// from a plane sweep instead of a groups × tuples scan.
-#[derive(Debug, Clone)]
-pub struct SgGroupIndex {
-    /// Distinct SG group keys in first-appearance order.
-    keys: Vec<Tuple>,
-    /// Per group: bounding box over assigned rows' group-by attributes.
-    bboxes: Vec<RangeTuple>,
-    /// Per group: α-assigned row ids, in row order.
-    alpha: Vec<Vec<u32>>,
-    /// Per group: the certain-group-by subset of `alpha`, in row order.
-    certain: Vec<Vec<u32>>,
-    /// Row ids whose group-by projection is uncertain, in row order.
-    uncertain: Vec<u32>,
-}
-
-impl SgGroupIndex {
-    /// Build from AU rows and the group-by column set. One pass, no
-    /// per-row allocation: the SG key is hashed in place (buckets hold
-    /// the group ids sharing a hash, keys compare column-wise against
-    /// the row) and group boxes widen in place.
-    pub fn from_au(rows: &[(RangeTuple, AuAnnot)], group_by: &[usize]) -> Self {
-        let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut idx = SgGroupIndex {
-            keys: Vec::new(),
-            bboxes: Vec::new(),
-            alpha: Vec::new(),
-            certain: Vec::new(),
-            uncertain: Vec::new(),
-        };
-        for (i, (t, _)) in rows.iter().enumerate() {
-            let mut h = DefaultHasher::new();
-            for c in group_by {
-                t.0[*c].sg.hash(&mut h);
-            }
-            let bucket = by_hash.entry(h.finish()).or_default();
-            let same_key = |g: &&u32| {
-                group_by.iter().zip(&idx.keys[**g as usize].0).all(|(c, k)| t.0[*c].sg == *k)
-            };
-            let g = match bucket.iter().find(same_key) {
-                Some(&g) => {
-                    for (b, c) in idx.bboxes[g as usize].0.iter_mut().zip(group_by) {
-                        b.extend_keep_sg(&t.0[*c]);
-                    }
-                    g as usize
-                }
-                None => {
-                    let g = idx.keys.len();
-                    bucket.push(g as u32);
-                    idx.keys.push(Tuple(group_by.iter().map(|c| t.0[*c].sg.clone()).collect()));
-                    idx.bboxes.push(t.project(group_by));
-                    idx.alpha.push(Vec::new());
-                    idx.certain.push(Vec::new());
-                    g
-                }
-            };
-            idx.alpha[g].push(i as u32);
-            if group_by.iter().all(|c| t.0[*c].is_certain()) {
-                idx.certain[g].push(i as u32);
-            } else {
-                idx.uncertain.push(i as u32);
-            }
-        }
-        idx
-    }
-
-    /// Number of distinct SG groups.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// SG key of group `g`.
-    pub fn key(&self, g: usize) -> &Tuple {
-        &self.keys[g]
-    }
-
-    /// Bounding box of group `g` over the group-by attributes.
-    pub fn bbox(&self, g: usize) -> &RangeTuple {
-        &self.bboxes[g]
-    }
-
-    /// α-assigned row ids of group `g`.
-    pub fn alpha(&self, g: usize) -> &[u32] {
-        &self.alpha[g]
-    }
-
-    /// Row ids of group `g` whose group-by attributes are all certain.
-    pub fn certain(&self, g: usize) -> &[u32] {
-        &self.certain[g]
-    }
-
-    /// Row ids whose group-by projection carries attribute uncertainty.
-    pub fn uncertain(&self) -> &[u32] {
-        &self.uncertain
-    }
-
-    /// The group bounding boxes as an interval index on attribute `k`
-    /// *of the group-by projection*; entry ids are group ids. Sweep
-    /// against an index over candidate rows' matching attribute to
-    /// enumerate the (group, row) pairs that may overlap.
-    pub fn bbox_interval_index(&self, k: usize) -> IntervalIndex {
-        IntervalIndex::from_entries(
-            self.bboxes.iter().enumerate().map(|(g, b)| (g as u32, &b.0[k])),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -682,61 +593,25 @@ mod tests {
         assert_eq!(confirmed(1), [1, 4, 5], "rows whose successor holds key 4");
     }
 
+    /// The distinct-key index numbers keys in first-appearance order,
+    /// `same` alone decides what a key is (exact SG values split what
+    /// the canonical cells collapse), and a probe is proposed the first
+    /// rows only.
     #[test]
-    fn sg_group_index_partitions_membership() {
-        let rows = vec![
-            // group 1, certain group-by
-            au_row(
-                vec![RangeValue::certain(Value::Int(1)), RangeValue::range(0i64, 0i64, 9i64)],
-                1,
-                1,
-                1,
-            ),
-            // group 1 again, uncertain group-by value widening the box
-            au_row(
-                vec![RangeValue::range(0i64, 1i64, 4i64), RangeValue::certain(Value::Int(7))],
-                1,
-                1,
-                1,
-            ),
-            // group 2, certain
-            au_row(
-                vec![RangeValue::certain(Value::Int(2)), RangeValue::certain(Value::Int(5))],
-                1,
-                1,
-                1,
-            ),
-        ];
-        let idx = SgGroupIndex::from_au(&rows, &[0]);
-        assert_eq!(idx.len(), 2);
-        assert_eq!(idx.key(0), &Tuple::new(vec![Value::Int(1)]));
-        assert_eq!(idx.alpha(0), &[0, 1]);
-        assert_eq!(idx.certain(0), &[0]);
-        assert_eq!(idx.uncertain(), &[1]);
-        // group 1's box merged the uncertain member: [0, 4]
-        assert_eq!(idx.bbox(0).0[0], RangeValue::range(0i64, 1i64, 4i64));
-        assert_eq!(idx.alpha(1), &[2]);
-
-        // sweep group boxes against the uncertain rows: row 1 overlaps
-        // both group boxes on attribute 0
-        let gi = idx.bbox_interval_index(0);
-        let ri = IntervalIndex::from_entries(
-            idx.uncertain().iter().map(|&i| (i, &rows[i as usize].0 .0[0])),
-        );
-        let mut pairs = Vec::new();
-        IntervalIndex::sweep_overlapping(&gi, &ri, |g, r| pairs.push((g, r)));
-        pairs.sort_unstable();
-        assert_eq!(pairs, vec![(0, 1), (1, 1)]);
-    }
-
-    #[test]
-    fn sg_group_index_keys_are_exact_not_canonicalized() {
-        let rows = vec![
-            au_row(vec![RangeValue::certain(Value::Int(2))], 1, 1, 1),
-            au_row(vec![RangeValue::certain(Value::float(2.0))], 1, 1, 1),
-        ];
-        let idx = SgGroupIndex::from_au(&rows, &[0]);
-        assert_eq!(idx.len(), 2, "Int 2 and Float 2.0 are distinct SG groups");
+    fn build_distinct_numbers_keys_in_first_appearance_order() {
+        let vals = [Value::Int(4), Value::Int(5), Value::Int(4), Value::float(4.0), Value::Int(6)];
+        let rows: Vec<_> =
+            vals.iter().map(|v| au_row(vec![RangeValue::certain(v.clone())], 1, 1, 1)).collect();
+        let key = |i| au_sg_key(&rows, &[0], i);
+        let sg = |i: u32| &rows[i as usize].0 .0[0].sg;
+        let (exact, positions) = HashKeyIndex::build_distinct(5, key, |a, b| sg(a) == sg(b));
+        assert_eq!(positions, [0, 1, 0, 2, 3]);
+        let mut firsts: Vec<u32> = exact.matches(key(2), key).collect();
+        firsts.sort_unstable();
+        assert_eq!(firsts, [0, 3], "`Int 4` and `Float 4.0`: one canonical cell, two keys");
+        let (_, positions) = HashKeyIndex::build_distinct(5, key, |a, b| sg(a).value_eq(sg(b)));
+        assert_eq!(positions, [0, 1, 0, 0, 2]);
+        assert!(HashKeyIndex::build_distinct(0, key, |_, _| true).1.is_empty());
     }
 
     // -----------------------------------------------------------------

@@ -9,9 +9,8 @@ mod common;
 
 use proptest::prelude::*;
 
-use audb::incomplete::relation_bounds_world;
 use audb::prelude::*;
-use common::{cfg_oracle, oracle_of};
+use common::{cfg_oracle, check_bounds, oracle_of, weighted_xtuple};
 
 // ---------------------------------------------------------------------------
 // generators
@@ -22,18 +21,8 @@ use common::{cfg_oracle, oracle_of};
 fn xtuple_strategy() -> impl Strategy<Value = XTuple> {
     let alt = (0i64..4, -3i64..6)
         .prop_map(|(g, v)| [Value::Int(g), Value::Int(v)].into_iter().collect::<Tuple>());
-    (proptest::collection::vec(alt, 1..3), prop_oneof![Just(1.0f64), Just(0.5f64)]).prop_map(
-        |(alts, total)| {
-            let p = total / alts.len() as f64;
-            let mut weighted: Vec<(Tuple, f64)> = alts.into_iter().map(|t| (t, p)).collect();
-            weighted[0].1 += 1e-9;
-            let norm: f64 = weighted.iter().map(|(_, q)| q).sum::<f64>() / total;
-            for w in weighted.iter_mut() {
-                w.1 /= norm;
-            }
-            XTuple::new(weighted)
-        },
-    )
+    (proptest::collection::vec(alt, 1..3), prop_oneof![Just(1.0f64), Just(0.5f64)])
+        .prop_map(|(alts, total)| weighted_xtuple(alts, total))
 }
 
 fn xdb_strategy() -> impl Strategy<Value = XDb> {
@@ -98,32 +87,8 @@ fn query_strategy() -> impl Strategy<Value = Query> {
 }
 
 // ---------------------------------------------------------------------------
-// the property
+// the property (`common::check_bounds`)
 // ---------------------------------------------------------------------------
-
-fn check_bounds(db: &XDb, q: &Query, cfg: &AuConfig) -> Result<(), TestCaseError> {
-    let Some(inc) = db.to_incomplete(512) else {
-        return Ok(()); // too many worlds; skip
-    };
-    let au_in = db.to_au();
-    let out = eval_au(&au_in, q, cfg).expect("AU evaluation");
-    let exact = inc.eval(q).expect("possible-worlds evaluation");
-
-    // Definition 17 condition (5): the result bounds every world
-    for (i, w) in exact.worlds.iter().enumerate() {
-        prop_assert!(
-            relation_bounds_world(&out, w),
-            "world {i} not bounded:\nworld: {w}\nAU result: {out}"
-        );
-    }
-    // Definition 17 condition (6): the SGW is encoded exactly
-    prop_assert_eq!(
-        out.sg_world().normalized(),
-        exact.sg_world().normalized(),
-        "SGW not preserved"
-    );
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
@@ -168,18 +133,8 @@ fn float_xtuple_strategy() -> impl Strategy<Value = XTuple> {
     let alt = (0i64..3, -8i64..9, -2i64..4).prop_map(|(g, v, w)| {
         Tuple::new(vec![Value::Int(g), Value::float(v as f64 * 0.25), Value::Int(w)])
     });
-    (proptest::collection::vec(alt, 1..3), prop_oneof![Just(1.0f64), Just(0.5f64)]).prop_map(
-        |(alts, total)| {
-            let p = total / alts.len() as f64;
-            let mut weighted: Vec<(Tuple, f64)> = alts.into_iter().map(|t| (t, p)).collect();
-            weighted[0].1 += 1e-9;
-            let norm: f64 = weighted.iter().map(|(_, q)| q).sum::<f64>() / total;
-            for w in weighted.iter_mut() {
-                w.1 /= norm;
-            }
-            XTuple::new(weighted)
-        },
-    )
+    (proptest::collection::vec(alt, 1..3), prop_oneof![Just(1.0f64), Just(0.5f64)])
+        .prop_map(|(alts, total)| weighted_xtuple(alts, total))
 }
 
 /// Every database holds one certain tuple, so the SG world is never

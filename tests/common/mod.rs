@@ -3,7 +3,9 @@
 
 #![allow(dead_code)] // every suite uses its own subset
 
+use audb::incomplete::relation_bounds_world;
 use audb::prelude::*;
+use proptest::prelude::*;
 
 /// Worker counts the suites pin down; 7 exceeds most CI machines.
 pub const WORKERS: [usize; 4] = [1, 2, 4, 7];
@@ -78,4 +80,42 @@ pub fn assert_lanes_match_oracle_all(db: &AuDatabase, q: &Query, ctx: &str) {
     for (name, base) in base_configs() {
         assert_lanes_match_oracle(&base, db, q, &format!("{ctx}, {name}"));
     }
+}
+
+/// World enumeration: the AU result of `q` over `db`'s translation
+/// bounds `q`'s result in every possible world of `db` (Definition 17
+/// condition (5), decided by the max-flow tuple matcher) and encodes the
+/// SG world's result exactly (condition (6)). Databases with more than
+/// 512 worlds are skipped.
+pub fn check_bounds(db: &XDb, q: &Query, cfg: &AuConfig) -> Result<(), TestCaseError> {
+    let Some(inc) = db.to_incomplete(512) else {
+        return Ok(()); // too many worlds; skip
+    };
+    let au_in = db.to_au();
+    let out = eval_au(&au_in, q, cfg).expect("AU evaluation");
+    let exact = inc.eval(q).expect("possible-worlds evaluation");
+    for (i, w) in exact.worlds.iter().enumerate() {
+        prop_assert!(
+            relation_bounds_world(&out, w),
+            "world {i} not bounded:\nworld: {w}\nAU result: {out}"
+        );
+    }
+    prop_assert_eq!(
+        out.sg_world().normalized(),
+        exact.sg_world().normalized(),
+        "SGW not preserved"
+    );
+    Ok(())
+}
+
+/// An x-tuple of equally likely alternatives with total probability
+/// `total` (`< 1`: optional), the first one a hair likelier so that the
+/// selected guess is unambiguous.
+pub fn weighted_xtuple(alts: Vec<Tuple>, total: f64) -> XTuple {
+    let p = total / alts.len() as f64;
+    let mut weighted: Vec<(Tuple, f64)> = alts.into_iter().map(|t| (t, p)).collect();
+    weighted[0].1 += 1e-9;
+    let norm: f64 = weighted.iter().map(|(_, q)| q).sum::<f64>() / total;
+    weighted.iter_mut().for_each(|w| w.1 /= norm);
+    XTuple::new(weighted)
 }

@@ -253,6 +253,42 @@ fn fold_promoted_term_counts_once() {
     assert_eq!(trace.metrics.counter("agg_terms_boxed"), Some(1));
 }
 
+/// No silent demotion of the group-by lanes either: every key lane
+/// typed (`Int`/`Float`/`Bool`) reads `keys = typed`; one `Boxed` key
+/// lane (a `Str` column here, next to an `Int` one) reads `keys = boxed`
+/// and ticks `agg_keys_boxed` once for the run — grouping confirmed
+/// `Value`s and the membership sweep ran on boxed endpoints.
+#[test]
+fn aggregate_span_names_the_key_lanes() {
+    let rows = (0..40i64).map(|i| {
+        let g = match i % 4 {
+            0 => RangeValue::range(i % 5, i % 5, i % 5 + 1),
+            _ => RangeValue::certain(Value::Int(i % 5)),
+        };
+        let name = RangeValue::certain(Value::str(["x", "y", "z"][i as usize % 3]));
+        let cells = vec![g, name, RangeValue::certain(Value::Int(i))];
+        (RangeTuple::new(cells), AuAnnot::triple(1, 1, 1))
+    });
+    let mut db = AuDatabase::new();
+    db.insert("t", AuRelation::from_rows(Schema::named(&["g", "name", "v"]), rows.collect()));
+    let aggs = vec![AggSpec::new(AggFunc::Sum, col(2), "s"), AggSpec::count("c")];
+    for (group_by, keys, ticks) in [
+        (vec![0], "typed", 0),
+        (vec![1], "boxed", 1),
+        (vec![0, 1], "boxed", 1),
+        (vec![], "typed", 0),
+    ] {
+        let q = table("t").aggregate(group_by.clone(), aggs.clone());
+        let (out, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
+        assert_eq!(out, eval_au(&db, &q, &AuConfig::default()).unwrap());
+        let agg = trace.root.find("aggregate").expect("aggregate span");
+        assert_eq!(agg.attr("keys"), Some(keys), "group by {group_by:?}");
+        assert_eq!(trace.metrics.counter("agg_keys_boxed"), Some(ticks), "group by {group_by:?}");
+        // the typed measure stays typed whatever the keys are
+        assert_eq!(agg.attr("terms_boxed"), Some("0"));
+    }
+}
+
 /// fig14-shaped joins: the planner strategy lands on the join span —
 /// hash-equi for an equality predicate, interval-comparison for an
 /// inequality, split-compress when the compressed path is forced.

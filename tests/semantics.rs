@@ -2,6 +2,8 @@
 //! and the relationships between AU-DBs and every baseline
 //! (under-approximation, over-approximation, exactness) on shared inputs.
 
+mod common;
+
 use proptest::prelude::*;
 
 use audb::baselines::{
@@ -10,7 +12,9 @@ use audb::baselines::{
 use audb::core::Semiring;
 use audb::incomplete::relation_bounds_world;
 use audb::prelude::*;
+use audb::query::au::difference::{difference_au_exec, difference_au_scan};
 use audb::workloads::{exact_spj, over_grouping_pct};
+use common::{cfg_oracle, weighted_xtuple};
 
 // ---------------------------------------------------------------------------
 // the paper's Figure 1 example, end to end
@@ -75,18 +79,8 @@ fn figure_1_covid_example() {
 fn xtuple_strategy() -> impl Strategy<Value = XTuple> {
     let alt = (0i64..3, 0i64..5)
         .prop_map(|(g, v)| [Value::Int(g), Value::Int(v)].into_iter().collect::<Tuple>());
-    (proptest::collection::vec(alt, 1..3), prop_oneof![Just(1.0f64), Just(0.5f64)]).prop_map(
-        |(alts, total)| {
-            let p = total / alts.len() as f64;
-            let mut weighted: Vec<(Tuple, f64)> = alts.into_iter().map(|t| (t, p)).collect();
-            weighted[0].1 += 1e-9;
-            let norm: f64 = weighted.iter().map(|(_, q)| q).sum::<f64>() / total;
-            for w in weighted.iter_mut() {
-                w.1 /= norm;
-            }
-            XTuple::new(weighted)
-        },
-    )
+    (proptest::collection::vec(alt, 1..3), prop_oneof![Just(1.0f64), Just(0.5f64)])
+        .prop_map(|(alts, total)| weighted_xtuple(alts, total))
 }
 
 fn xdb_strategy() -> impl Strategy<Value = XDb> {
@@ -319,4 +313,49 @@ fn sgqp_saturates_multiplicities_like_the_au_engine() {
     let count = doubled.aggregate(vec![], vec![AggSpec::count("c")]);
     let _ = eval_det(&db.sg_world(), &count);
     let _ = UaAnnot::new(u64::MAX, u64::MAX).plus(&UaAnnot::new(1, 1));
+}
+
+/// Regression (Theorem 4): set difference summed the subtrahend's
+/// multiplicities unchecked. Two tuples that may equal `(1)` with
+/// `ub = 2^63` each made `Σ ub` wrap to 0, and the result claimed that
+/// `(1)` *certainly* survives a subtrahend that may hold 2^64 copies of
+/// it (`lb = 1`; a panic under the `checked` profile). All three sums —
+/// `Σ ub` over the overlapping tuples, `Σ sg` per SG tuple, `Σ lb` over
+/// the certain ones — saturate like `N`'s `+`, in the indexed operator
+/// and in its scan.
+#[test]
+fn difference_saturates_the_subtrahend_sums() {
+    let half = 1u64 << 63;
+    let cell = |lb: i64, sg: i64, ub: i64| RangeTuple::new(vec![RangeValue::range(lb, sg, ub)]);
+    let rel = |rows| AuRelation::from_rows(Schema::named(&["a"]), rows);
+    let l = rel(vec![(cell(1, 1, 1), AuAnnot::certain_one())]);
+    let possible = AuAnnot::triple(0, 0, half);
+    let r = rel(vec![(cell(0, 1, 2), possible), (cell(0, 1, 3), possible)]);
+    let guessed = AuAnnot::triple(0, half, half);
+    let s = rel(vec![(cell(1, 1, 2), guessed), (cell(1, 1, 3), guessed)]);
+    // only an un-normalized subtrahend lists one certain tuple twice
+    let mut c = AuRelation::empty(Schema::named(&["a"]));
+    c.push(cell(1, 1, 1), AuAnnot::triple(half, half, half));
+    c.push(cell(1, 1, 1), AuAnnot::triple(half, half, half));
+
+    let mut db = AuDatabase::new();
+    for (name, rel) in [("l", &l), ("r", &r), ("s", &s)] {
+        db.insert(name, rel.clone());
+    }
+    let annots = |out: AuRelation| out.rows().iter().map(|(_, k)| *k).collect::<Vec<_>>();
+    for (sub, name, expect) in [
+        (&r, "r", vec![AuAnnot::triple(0, 1, 1)]), // Σ ub = 2^64: nothing is certain
+        (&s, "s", vec![AuAnnot::triple(0, 0, 1)]), // Σ sg = 2^64: gone from the SG world
+        (&c, "c", vec![]),                         // Σ lb = 2^64: certainly gone
+    ] {
+        let exec = difference_au_exec(&l, sub, &Executor::sequential()).expect("indexed");
+        assert_eq!(annots(exec), expect, "l − {name}, indexed");
+        assert_eq!(annots(difference_au_scan(&l, sub).expect("scan")), expect, "l − {name}, scan");
+        if name != "c" {
+            let q = table("l").difference(table(name));
+            for cfg in [AuConfig::default(), cfg_oracle()] {
+                assert_eq!(annots(eval_au(&db, &q, &cfg).expect("eval")), expect, "{q}");
+            }
+        }
+    }
 }
