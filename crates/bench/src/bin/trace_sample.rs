@@ -10,6 +10,8 @@
 //! `lanes`). `agg` traces a `group_agg`-shaped γ instead of the spine —
 //! a 10k-row table, a fifth of it with an uncertain group-by value,
 //! ~1000 groups, sum/count/min/max, one worker — for its `agg_*` sites.
+//! `compressed` (and `agg`) warm their tables first, as a serving
+//! snapshot is: CI pins their `lane_builds` and `rows_built` at 0.
 
 use audb_core::{col, lit};
 use audb_query::au::AuConfig;
@@ -35,6 +37,9 @@ fn main() {
         }
     };
     let (audb, q) = if flavor == "agg" { group_agg() } else { spine() };
+    if flavor == "compressed" {
+        audb.warm_columns();
+    }
     match eval_au_traced(&audb, &q, &cfg) {
         Ok((_, trace)) => {
             println!("{}", trace.to_json());

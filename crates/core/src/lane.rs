@@ -347,6 +347,17 @@ impl<'a> LaneSlice<'a> {
         }
     }
 
+    /// The order of the selected guesses of cells `a` and `b` — `Value`'s
+    /// `Ord` on the materialized cells (floats by `total_cmp`).
+    pub fn sg_cmp(&self, a: usize, b: usize) -> Ordering {
+        match self {
+            LaneSlice::Int { sg, .. } => sg[a].cmp(&sg[b]),
+            LaneSlice::Float { sg, .. } => sg[a].total_cmp(&sg[b]),
+            LaneSlice::Bool { sg, .. } => sg[a].cmp(&sg[b]),
+            LaneSlice::Boxed(v) => v[a].sg.cmp(&v[b].sg),
+        }
+    }
+
     /// [`RangeValue::overlaps`] of cell `i` and cell `j` of `other`; no
     /// cell is materialized when the two lanes are of one type.
     pub fn overlaps(&self, i: usize, other: &LaneSlice<'_>, j: usize) -> bool {
@@ -453,40 +464,60 @@ impl<'a> LaneSlice<'a> {
         }
     }
 
+    /// The selected guesses of the cells at `idx` (in order) as certain
+    /// cells (`lb = sg = ub`) — the attribute side of `split_sg`
+    /// (Section 10.4). The lane keeps its representation.
+    pub fn gather_sg(&self, idx: &[u32]) -> ValueLane {
+        match *self {
+            LaneSlice::Int { sg, .. } => LaneSlice::Int { lb: sg, sg, ub: sg }.gather(idx),
+            LaneSlice::Float { sg, .. } => LaneSlice::Float { lb: sg, sg, ub: sg }.gather(idx),
+            LaneSlice::Bool { sg, .. } => LaneSlice::Bool { lb: sg, sg, ub: sg }.gather(idx),
+            LaneSlice::Boxed(v) => {
+                let certain = |&i: &u32| RangeValue::certain(v[i as usize].sg.clone());
+                ValueLane::Boxed(idx.iter().map(certain).collect())
+            }
+        }
+    }
+
     /// The bounding box of every group of cells, as a lane indexed by
-    /// group: `of_row[i]` is cell `i`'s group and `reps[g]` the first
-    /// cell of group `g`. A box starts as that cell and widens in cell
+    /// group: `members` lists `(cell, group)` and `reps[g]` is the first
+    /// cell of group `g`. A box starts as that cell and widens in member
     /// order by [`RangeValue::extend_keep_sg`]'s rule — a bound moves
-    /// only to one strictly outside it, the selected guess never.
-    pub fn group_boxes(&self, reps: &[u32], of_row: &[u32]) -> ValueLane {
+    /// only to one strictly outside it, the selected guess never. No
+    /// boxed cell but a group's first is copied unless it moves a bound.
+    pub fn group_boxes(
+        &self,
+        reps: &[u32],
+        members: impl Iterator<Item = (usize, u32)> + Clone,
+    ) -> ValueLane {
         fn widen<T: Copy>(
             acc: &mut [T],
             cells: &[T],
-            of_row: &[u32],
+            members: impl Iterator<Item = (usize, u32)>,
             wins: impl Fn(&T, &T) -> bool,
         ) {
-            for (cell, &g) in cells.iter().zip(of_row) {
-                if wins(cell, &acc[g as usize]) {
-                    acc[g as usize] = *cell;
+            for (i, g) in members {
+                if wins(&cells[i], &acc[g as usize]) {
+                    acc[g as usize] = cells[i];
                 }
             }
         }
         let mut boxes = self.gather(reps);
         match (&mut boxes, self) {
             (ValueLane::Int { lb, ub, .. }, LaneSlice::Int { lb: l, ub: u, .. }) => {
-                widen(lb, l, of_row, |c, b| c < b);
-                widen(ub, u, of_row, |c, b| c > b);
+                widen(lb, l, members.clone(), |c, b| c < b);
+                widen(ub, u, members, |c, b| c > b);
             }
             (ValueLane::Float { lb, ub, .. }, LaneSlice::Float { lb: l, ub: u, .. }) => {
-                widen(lb, l, of_row, |c, b| c.total_cmp(b).is_lt());
-                widen(ub, u, of_row, |c, b| c.total_cmp(b).is_gt());
+                widen(lb, l, members.clone(), |c, b| c.total_cmp(b).is_lt());
+                widen(ub, u, members, |c, b| c.total_cmp(b).is_gt());
             }
             (ValueLane::Bool { lb, ub, .. }, LaneSlice::Bool { lb: l, ub: u, .. }) => {
-                widen(lb, l, of_row, |c, b| c < b);
-                widen(ub, u, of_row, |c, b| c > b);
+                widen(lb, l, members.clone(), |c, b| c < b);
+                widen(ub, u, members, |c, b| c > b);
             }
             (ValueLane::Boxed(boxes), LaneSlice::Boxed(cells)) => {
-                cells.iter().zip(of_row).for_each(|(c, &g)| boxes[g as usize].extend_keep_sg(c));
+                members.for_each(|(i, g)| boxes[g as usize].extend_keep_sg(&cells[i]));
             }
             _ => unreachable!("`gather` keeps the lane's representation"),
         }

@@ -100,11 +100,17 @@ pub enum Counter {
     /// that grouping confirmed `Value`s and the membership sweep ran on
     /// boxed endpoints.
     AggKeysBoxed,
+    /// Operators that had to build column lanes from tuples: a cold
+    /// base table, a row-born intermediate (a breaker's output under a
+    /// chain, any input on the oracle).
+    LaneBuilds,
+    /// Operators that asked a columnar-born relation for its tuples.
+    RowsBuilt,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 25] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::ShardsDispatched,
@@ -128,6 +134,8 @@ impl Counter {
         Counter::ChainStagesBoxed,
         Counter::ProbeKeysBoxed,
         Counter::AggKeysBoxed,
+        Counter::LaneBuilds,
+        Counter::RowsBuilt,
     ];
 
     /// Stable serialized name.
@@ -156,6 +164,8 @@ impl Counter {
             Counter::ChainStagesBoxed => "chain_stages_boxed",
             Counter::ProbeKeysBoxed => "probe_keys_boxed",
             Counter::AggKeysBoxed => "agg_keys_boxed",
+            Counter::LaneBuilds => "lane_builds",
+            Counter::RowsBuilt => "rows_built",
         }
     }
 }
@@ -185,13 +195,17 @@ pub enum Site {
     /// stages, and the delivery of the surviving pairs' row ids or lanes.
     ChainProbe,
     /// Fused-chain tuple building: one entry per chain, the single pass
-    /// that builds the delivered rows in their final order.
+    /// that builds the delivered rows — tuples for a consumer that reads
+    /// tuples, gathered lanes otherwise — in their final order.
     ChainMaterialize,
+    /// An operator building a relation's column lanes from its tuples
+    /// (one entry per [`Counter::LaneBuilds`] tick).
+    LaneBuild,
 }
 
 impl Site {
     /// Every site, in serialization order.
-    pub const ALL: [Site; 10] = [
+    pub const ALL: [Site; 11] = [
         Site::Driver,
         Site::ReduceScatter,
         Site::ReduceMergeSort,
@@ -202,6 +216,7 @@ impl Site {
         Site::ChainBuild,
         Site::ChainProbe,
         Site::ChainMaterialize,
+        Site::LaneBuild,
     ];
 
     /// Stable serialized name.
@@ -217,6 +232,7 @@ impl Site {
             Site::ChainBuild => "chain_build",
             Site::ChainProbe => "chain_probe",
             Site::ChainMaterialize => "chain_materialize",
+            Site::LaneBuild => "lane_build",
         }
     }
 }

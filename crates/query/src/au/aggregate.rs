@@ -24,8 +24,10 @@
 //! are flat CSRs, the group boxes are one lane per group-by column
 //! (`i64`/`f64` min/max on a typed lane), and membership is a third CSR
 //! filled from an interval sweep between those box lanes and the
-//! (optionally compressed) uncertain rows — typed endpoints whenever the
-//! column is. Groups are partitioned across the [`Executor`]'s workers
+//! (optionally compressed: [`opt::compress_lanes`], buckets as lanes
+//! appended behind the rows') uncertain rows — typed endpoints whenever
+//! the column is. No tuple of the input is read: an input born columnar
+//! (a chain's hand-over) stays columnar. Groups are partitioned across the [`Executor`]'s workers
 //! with a deterministic ordered merge (`docs/exec-runtime.md`).
 //! A term that leaves the typed lattice (mixed/sentinel column, poisoned
 //! row, overflow, multiplicity beyond `i64`) is *demoted* to boxed
@@ -33,9 +35,10 @@
 //! kernels follow — so results are bit-identical either way. The
 //! **oracle** ([`aggregate_au_scan`], tests and benches only) is the
 //! literal evaluator of Definitions 24–26: its own grouping over SG-key
-//! [`Tuple`]s, all-pairs membership and an interpreted `eval_range` +
-//! `⊛_M` per (group, member, term) — so kernel ≡ oracle checks the
-//! grouping too.
+//! [`Tuple`]s, the row-at-a-time `Cpr` ([`opt::compress_rows`]),
+//! all-pairs membership and an interpreted `eval_range` + `⊛_M` per
+//! (group, member, term) — so kernel ≡ oracle checks the grouping and
+//! the buckets too.
 //!
 //! ### Deviations from the paper's literal Definition 26 (soundness fixes)
 //!
@@ -70,9 +73,11 @@ use audb_core::{
 };
 use audb_exec::Executor;
 use audb_storage::{
-    lane_key, AuRelation, HashKeyIndex, IntervalIndex, KeyCell, RangeTuple, Schema, Tuple,
+    lane_key, AuRelation, ColumnSet, HashKeyIndex, IntervalIndex, KeyCell, RangeTuple, Schema,
+    Tuple,
 };
 
+use super::lanes_of;
 use crate::algebra::{AggFunc, AggSpec};
 use crate::opt;
 
@@ -438,7 +443,7 @@ pub fn aggregate_au_stats(
         }
     };
     let (arity, n, ungrouped) = (rel.schema.arity(), rel.len(), group_by.is_empty());
-    let (cset, plan) = (rel.columns(), Terms::new(aggs));
+    let (cset, plan) = (lanes_of(rel, exec), Terms::new(aggs));
 
     // ---- membership ------------------------------------------------------
     // Default grouping strategy (Definition 24) on the group-by lanes:
@@ -463,24 +468,26 @@ pub fn aggregate_au_stats(
     let uncertain: &[u32] = if plan.terms.is_empty() || ungrouped { &[] } else { &gx.uncertain };
     let buckets = compress
         .filter(|_| !uncertain.is_empty())
-        .map(|ct| opt::compress_rows(rel.rows(), uncertain, &read, group_by[0], ct));
-    let bucket_rows = buckets.as_deref().unwrap_or_default();
+        .map(|ct| opt::compress_lanes(&cset, uncertain, &read, group_by[0], ct, false));
+    let nbuckets = buckets.as_ref().map_or(0, ColumnSet::nrows);
     // Compressed sources follow the rows in every lane read, so a source
     // is a lane row either way. Unread columns alias a read one (right
     // length, never touched).
-    let appended = |&c: &usize| {
-        let cells = bucket_rows.iter().map(|(t, _)| &t.0[at(c)]);
-        let mut lane = cset.lane(c).clone();
-        lane.append(&ValueLane::from_cells(cells).as_slice(), None);
-        lane
+    let appended = |b: &ColumnSet| {
+        let with_boxes = |(slot, &c): (usize, &usize)| {
+            let mut lane = cset.lane(c).clone();
+            lane.append(&b.lane(slot).as_slice(), None);
+            lane
+        };
+        read.iter().enumerate().map(with_boxes).collect::<Vec<ValueLane>>()
     };
-    let lanes: Vec<ValueLane> = buckets.iter().flat_map(|_| read.iter().map(appended)).collect();
+    let lanes: Vec<ValueLane> = buckets.as_ref().map(appended).unwrap_or_default();
     let cols: Vec<LaneSlice<'_>> = match lanes.first() {
         Some(any) => (0..arity).map(|c| lanes.get(at(c)).unwrap_or(any).as_slice()).collect(),
         None => cset.lane_slices(),
     };
     let src_ids: Cow<'_, [u32]> = match &buckets {
-        Some(b) => (n as u32..(n + b.len()) as u32).collect(),
+        Some(_) => (n as u32..(n + nbuckets) as u32).collect(),
         None => uncertain.into(),
     };
     // Candidates come from an endpoint sweep between the group boxes
@@ -520,14 +527,14 @@ pub fn aggregate_au_stats(
             }
         });
     }
-    let sources = Csr::of_pairs(stats.groups, n + bucket_rows.len(), pairs);
+    let sources = Csr::of_pairs(stats.groups, n + nbuckets, pairs);
     stats.members = gx.certain.ids.len() + sources.ids.len();
     lap(Site::AggIndex);
 
     // ---- phase 1: each input once per row, `⊛_M` into lanes --------------
     let annots = cset.annots();
-    let ks: Vec<AuAnnot> =
-        (0..n).map(|i| annots.get(i)).chain(bucket_rows.iter().map(|(_, k)| *k)).collect();
+    let bucket_ks = buckets.iter().flat_map(|b| (0..nbuckets).map(|i| b.annots().get(i)));
+    let ks: Vec<AuAnnot> = (0..n).map(|i| annots.get(i)).chain(bucket_ks).collect();
     // One program for all inputs. A poisoned row does not say which
     // input poisoned it, so then (rare) every term takes the oracle's
     // per-row closure — interpreted `eval_range` + `boxtimes` — which
@@ -718,7 +725,10 @@ impl LaneGroups {
             alpha: Csr::by_group(reps.len(), &of_row, |_| true),
             certain: Csr::by_group(reps.len(), &of_row, |i| is_certain[i]),
             uncertain: (0..n as u32).filter(|&i| !is_certain[i as usize]).collect(),
-            boxes: keys.iter().map(|l| l.group_boxes(&reps, &of_row)).collect(),
+            boxes: keys
+                .iter()
+                .map(|l| l.group_boxes(&reps, (0..n).zip(of_row.iter().copied())))
+                .collect(),
         }
     }
 }

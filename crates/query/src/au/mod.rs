@@ -16,14 +16,16 @@ pub(crate) mod pipeline;
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use audb_core::obs::{
-    Counter, ExecEvent, ExecEventKind, Metrics, QueryTrace, TraceBuilder, TRACE_SCHEMA_VERSION,
+    Counter, ExecEvent, ExecEventKind, Metrics, QueryTrace, Site, TraceBuilder,
+    TRACE_SCHEMA_VERSION,
 };
 use audb_core::{AuAnnot, Budget, BudgetSpec, CancelToken, EvalError, Expr, Semiring};
 use audb_exec::{Executor, WorkerGate};
-use audb_storage::{AuDatabase, AuRelation, Schema};
+use audb_storage::{AuDatabase, AuRelation, ColumnSet, RangeTuple, Schema};
 
 use crate::algebra::{AggSpec, Query};
 use crate::opt;
@@ -403,8 +405,37 @@ fn eval_au_attempt(
         eval_inner(db, q, cfg, &exec, tr)?
     };
     let rel = rel.into_owned().into_normalized_with(&exec)?;
+    // the caller reads tuples: build them inside the query's span
+    rows_of(&rel, &exec);
     close_rel(tr, h, &rel);
     Ok(rel)
+}
+
+/// The lanes of `rel` for an operator that reads lanes. A relation that
+/// has none yet — a cold base table, an intermediate born of rows —
+/// builds them from its tuples here: the hand-over the `lane_build` site
+/// times and the `lane_builds` counter counts.
+pub(crate) fn lanes_of(rel: &AuRelation, exec: &Executor) -> Arc<ColumnSet> {
+    if rel.has_columns() {
+        return rel.columns();
+    }
+    let metrics = exec.metrics();
+    let started = metrics.is_enabled().then(Instant::now);
+    let lanes = rel.columns();
+    if let Some(t) = started {
+        metrics.record_ns(Site::LaneBuild, t.elapsed().as_nanos() as u64);
+    }
+    metrics.add(Counter::LaneBuilds, 1);
+    lanes
+}
+
+/// The tuples of `rel` for an operator that reads tuples; a relation
+/// born columnar builds them here, once (counter `rows_built`).
+pub(crate) fn rows_of<'r>(rel: &'r AuRelation, exec: &Executor) -> &'r [(RangeTuple, AuAnnot)] {
+    if !rel.has_rows() {
+        exec.metrics().add(Counter::RowsBuilt, 1);
+    }
+    rel.rows()
 }
 
 /// Close an operator span with the relation's actual cardinality and
@@ -478,7 +509,11 @@ fn eval_inner<'a>(
             let r = eval_inner(db, right, cfg, exec, tr)?;
             tr.rows_in(h, (l.len() + r.len()) as u64);
             let out = match effective_join_compress(cfg, &l, &r) {
-                Some(ct) => compress_join_in_span(tr, h, &l, &r, predicate.as_ref(), ct, exec)?,
+                Some(ct) => {
+                    // Section 10.4 as written, not the lane kernel
+                    tr.attr(h, "strategy", || "split-compress".to_string());
+                    opt::optimized_join_literal(&l, &r, predicate.as_ref(), ct, exec)?
+                }
                 None => {
                     tr.attr(h, "strategy", || {
                         planner::classify(predicate.as_ref(), l.schema.arity()).name().to_string()
@@ -557,20 +592,20 @@ pub(crate) fn aggregate_in_span(
     Ok(out)
 }
 
-/// Run the split/compress join under the open `join` span `h`,
+/// Run the split/compress join kernel under the open `join` span `h`,
 /// recording its strategy and what it did (SG rows, buckets per side,
-/// possible rows) as span attributes.
+/// possible rows, the probes' key cells) as span attributes.
 pub(crate) fn compress_join_in_span(
     tr: &TraceBuilder,
     h: usize,
     l: &AuRelation,
     r: &AuRelation,
-    predicate: Option<&Expr>,
+    recheck: Option<(&Expr, pipeline::Stage)>,
     ct: usize,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     tr.attr(h, "strategy", || "split-compress".to_string());
-    let (out, st) = opt::optimized_join_stats(l, r, predicate, ct, exec)?;
+    let (out, st) = opt::optimized_join_stats(l, r, recheck, ct, exec)?;
     let attrs = [
         ("sg_rows", st.sg_rows),
         ("buckets_l", st.buckets_l),
@@ -579,6 +614,9 @@ pub(crate) fn compress_join_in_span(
     ];
     for (key, v) in attrs {
         tr.attr(h, key, || v.to_string());
+    }
+    if let Some(typed) = st.keys_typed {
+        tr.attr(h, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
     }
     Ok(out)
 }

@@ -105,8 +105,29 @@
 //! ([`in_planner_order`]), or the normal form
 //! ([`AuRelation::normalized_view_rows`]: the sharded-reduce driver over
 //! 16-byte row handles that compare, hash and key lane cells exactly as
-//! the tuples would). Then [`GatherView::tuples`] builds the delivered
-//! rows, once, in final order — only survivors, only kept columns.
+//! the tuples would). Then the delivered rows are built, once, in final
+//! order — only survivors, only kept columns — as what the consumer
+//! reads.
+//!
+//! ## Hand-over: a chain builds what its consumer reads
+//!
+//! Next to the delivery contract every evaluation carries the [`Form`]
+//! its consumer reads the result in. The query root, `∪` and `−` read
+//! tuples: their chains take the one [`GatherView::tuples`] pass. A
+//! chain's source, a join's build side, a compressing join's inputs, γ
+//! and δ read column lanes: their chains gather the same view in the same
+//! order into owned lanes ([`GatherView::lanes`]) and hand over a relation
+//! born columnar ([`AuRelation::from_columns`]) — no tuple is built that
+//! the consumer would only take apart again, and its `columns()` is a
+//! pointer copy. The split/compress join ([`crate::opt`]) is such a
+//! consumer and producer: it reads both inputs' lanes, runs as two probe
+//! chains ([`probe_join_pairs`]) and returns lanes. So between the base
+//! tables and the root no production operator asks an intermediate for
+//! tuples (counter `rows_built` stays 0), and only a relation that has no
+//! lanes yet — a cold base table, a breaker's row-born output under a
+//! chain — is columnarized by its reader (site `lane_build`, counter
+//! `lane_builds`). A relation builds its other side lazily either way,
+//! so the form is about cost only: results never depend on it.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -127,7 +148,8 @@ use audb_storage::{
 
 use super::{
     aggregate_in_span, close_rel, compress_join_in_span, difference, effective_agg_compress,
-    effective_join_compress, open_join_span, open_op_span, opt_usize_attr, union_cow, AuConfig,
+    effective_join_compress, lanes_of, open_join_span, open_op_span, opt_usize_attr, rows_of,
+    union_cow, AuConfig,
 };
 use crate::algebra::{AggSpec, Query};
 use crate::planner;
@@ -175,6 +197,22 @@ pub(crate) enum Delivery {
     Faithful,
 }
 
+/// What the consumer of an evaluation result reads it as — which side
+/// of the relation a fused chain builds (module docs, "Hand-over").
+/// Breakers return what their kernels build whatever is asked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Form<'r> {
+    /// Tuples: the query root, `∪`, `−`.
+    Rows,
+    /// Column lanes: a chain's source, a join's build side, a
+    /// compressing join's inputs, δ and a γ over a breaker.
+    Lanes,
+    /// Column lanes of which an aggregate reads only these columns
+    /// (sorted): a chain that delivers an un-normalized list gathers
+    /// just them, in this order (breaker-narrow delivery).
+    LanesOf(&'r [usize]),
+}
+
 /// Evaluate a query with shard-at-a-time pipelining (the default path
 /// of [`super::eval_au`]). The returned relation is the
 /// unnormalized-evaluation analog of [`super::eval_inner`]'s result:
@@ -186,7 +224,7 @@ pub(crate) fn eval_pipelined<'a>(
     exec: &Executor,
     tr: &TraceBuilder,
 ) -> Result<Cow<'a, AuRelation>, EvalError> {
-    eval_pl(db, q, cfg, exec, Delivery::Canonical, tr)
+    eval_pl(db, q, cfg, exec, Delivery::Canonical, Form::Rows, tr)
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +249,8 @@ fn select_only(q: &Query) -> bool {
 /// (a pair batch gathers only those), and whether it rewrites tuples
 /// (projection) or filters them (selection). Compiled once per chain
 /// and shared by every worker and shard.
-struct Stage {
+#[derive(Clone)]
+pub(crate) struct Stage {
     prog: Program,
     reads: Vec<usize>,
     project: bool,
@@ -219,7 +258,7 @@ struct Stage {
 
 impl Stage {
     /// `None` when Tier B rejected the program ([`Vet`]).
-    fn filter(predicate: &Expr, vet: Vet<'_>) -> Option<Stage> {
+    pub(crate) fn filter(predicate: &Expr, vet: Vet<'_>) -> Option<Stage> {
         let reads = predicate.columns().into_iter().collect();
         Some(Stage { prog: vet.range(predicate)?, reads, project: false })
     }
@@ -309,8 +348,10 @@ impl<'a> ProbeOp<'a> {
         source: &AuRelation,
         right: Cow<'a, AuRelation>,
         predicate: Option<(&Expr, Stage)>,
+        exec: &Executor,
     ) -> ProbeOp<'a> {
-        let (lcs, rcs) = (source.columns(), right.columns());
+        let (lcs, rcs) = (lanes_of(source, exec), lanes_of(&right, exec));
+        let started = exec.metrics().is_enabled().then(Instant::now);
         let full_index = |cs: &ColumnSet, c: usize| IntervalIndex::from_lane(cs.lane(c).as_slice());
         let typed = |&(l, r): &(usize, usize)| {
             let (l, r) = (lcs.lane(l).tag(), rcs.lane(r).tag());
@@ -363,6 +404,9 @@ impl<'a> ProbeOp<'a> {
         };
         let (cand_offsets, cand) = planner::csr_by_left(source.len(), &cand);
         let predicate = predicate.map(|(_, st)| st);
+        if let Some(t) = started {
+            exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
+        }
         ProbeOp { right, predicate, plan, keys_typed, cand_offsets, cand }
     }
 
@@ -435,11 +479,11 @@ fn poison_at(slot: &mut Option<(u32, EvalError)>, pos: u32, error: impl FnOnce()
 /// alone); after one ([`LanePlan::projects`]), the output `lanes`.
 /// [`LanePlan::view`] reads either as one row list.
 #[derive(Default)]
-struct ChainOut {
-    lids: Vec<u32>,
-    rids: Vec<u32>,
+pub(crate) struct ChainOut {
+    pub(crate) lids: Vec<u32>,
+    pub(crate) rids: Vec<u32>,
     lanes: Vec<ValueLane>,
-    annots: Vec<AuAnnot>,
+    pub(crate) annots: Vec<AuAnnot>,
     /// On a [`LanePlan::ranked`] chain: each row's rank.
     ranks: Vec<u32>,
 }
@@ -494,12 +538,17 @@ struct LanePlan<'p> {
 impl<'p> LanePlan<'p> {
     /// The column sets are built (or fetched from the relations' caches)
     /// once here and shared by every shard.
-    fn of(chain: &'p AuPipeline<'p>, keep: Option<&'p [usize]>, ranked: bool) -> LanePlan<'p> {
+    fn of(
+        chain: &'p AuPipeline<'p>,
+        keep: Option<&'p [usize]>,
+        ranked: bool,
+        exec: &Executor,
+    ) -> LanePlan<'p> {
         let probe = chain.probe.as_ref();
         LanePlan {
-            left: chain.source.columns(),
+            left: lanes_of(&chain.source, exec),
             pre: chain.pre.iter().collect(),
-            probe: probe.map(|p| (p, p.right.columns())),
+            probe: probe.map(|p| (p, lanes_of(&p.right, exec))),
             post: probe.iter().flat_map(|p| &p.predicate).chain(&chain.post).collect(),
             projects: chain.pre.iter().chain(&chain.post).any(|st| st.project),
             keep,
@@ -675,6 +724,28 @@ impl<'p> LanePlan<'p> {
             Some(keep) => keep.iter().map(|&c| col(c)).collect(),
             None => (0..arity).map(col).collect(),
         })
+    }
+
+    /// Run the chain over all `n` source rows, shard by shard on the
+    /// executor's workers, and concatenate the shards' outputs in shard
+    /// order: the chain's whole output, as enumerated.
+    fn run_all(
+        &self,
+        n: usize,
+        sharding: &ShardSource,
+        exec: &Executor,
+        operator: &'static str,
+    ) -> Result<ChainOut, EvalError> {
+        // the shards one pool job runs back to back share one buffer
+        let jobs: Vec<ChainOut> = exec.run_shards(n, sharding, |range, out| {
+            if out.is_empty() {
+                out.push(ChainOut::default());
+            }
+            self.run_shard(range, &mut out[0], exec, operator)
+        })?;
+        let mut all = ChainOut::default();
+        jobs.into_iter().for_each(|job| all.extend(job));
+        Ok(all)
     }
 
     /// Run the chain over one shard in [`GOVERN_ROWS`]-row chunks, so
@@ -878,7 +949,7 @@ impl<'a> AuPipeline<'a> {
         cfg: &AuConfig,
         exec: &Executor,
         delivery: Delivery,
-        reads: Option<&[usize]>,
+        form: Form<'_>,
         tr: &TraceBuilder,
         h: usize,
     ) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
@@ -895,10 +966,14 @@ impl<'a> AuPipeline<'a> {
         let normalizes = self.pre.iter().chain(&self.post).any(|st| st.project)
             || (self.probe.is_some() && delivery == Delivery::Canonical);
         let arity = self.schema.arity();
-        let keep = reads.filter(|r| !normalizes && r.len() < arity && r.iter().all(|&c| c < arity));
+        let keep = match form {
+            Form::LanesOf(reads) => Some(reads),
+            _ => None,
+        }
+        .filter(|r| !normalizes && r.len() < arity && r.iter().all(|&c| c < arity));
         // a probe's pairs delivered as a list go out in the planner's order
         let ranked = self.probe.is_some() && !normalizes;
-        let plan = LanePlan::of(&self, keep, ranked);
+        let plan = LanePlan::of(&self, keep, ranked, exec);
         // Probe chains can expand (join output): their production is
         // charged as "join-probe", plain chains' as "pipeline-chain".
         let operator = if self.probe.is_some() { "join-probe" } else { "pipeline-chain" };
@@ -922,15 +997,11 @@ impl<'a> AuPipeline<'a> {
         if let Some(keep) = keep {
             tr.attr(h, "narrow", || format!("{}/{arity}", keep.len()));
         }
-        // the shards one pool job runs back to back share one buffer
-        let jobs: Vec<ChainOut> = exec.run_shards(n, &sharding, |range, out| {
-            if out.is_empty() {
-                out.push(ChainOut::default());
-            }
-            plan.run_shard(range, &mut out[0], exec, operator)
-        })?;
-        let mut all = ChainOut::default();
-        jobs.into_iter().for_each(|job| all.extend(job));
+        let mut all = plan.run_all(n, &sharding, exec, operator)?;
+        if plan.projects {
+            // a projection no row reached delivered no lane
+            all.lanes.resize_with(arity, ValueLane::default);
+        }
         let stat = |a: &AtomicU64| a.load(Ordering::Relaxed);
         tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
         tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
@@ -940,7 +1011,8 @@ impl<'a> AuPipeline<'a> {
         }
 
         // The three deliveries are three orders of row ids over one view
-        // of the output; tuples are built once, in the final order.
+        // of the output; the side the consumer reads is built once, in
+        // the final order.
         let view = plan.view(&all);
         let listed = |i: u32| (i, all.annots[i as usize]);
         let order: Box<dyn Iterator<Item = (u32, AuAnnot)> + '_> = if normalizes {
@@ -955,23 +1027,24 @@ impl<'a> AuPipeline<'a> {
         } else {
             Box::new((0..all.annots.len() as u32).map(listed))
         };
+        let schema = keep.map_or_else(|| self.schema.clone(), |keep| self.schema.select(keep));
+        let source_list = self.probe.is_none() && !normalizes && keep.is_none();
+        // just normalized — or a selection, which preserves normal form:
+        // kept rows stay sorted, distinct, nonzero-annotated
+        let normal = normalizes || (source_list && self.source.is_normalized());
         let started = exec.metrics().is_enabled().then(Instant::now);
-        let rows = view.tuples(order);
+        let out = match form {
+            Form::Rows if normal => AuRelation::from_normalized_rows(schema, view.tuples(order)),
+            Form::Rows => {
+                let mut out = AuRelation::empty(schema);
+                out.append_rows(view.tuples(order));
+                out
+            }
+            _ => AuRelation::from_columns(schema, Arc::new(view.lanes(order)), normal),
+        };
         if let Some(t) = started {
             exec.metrics().record_ns(Site::ChainMaterialize, t.elapsed().as_nanos() as u64);
         }
-
-        let schema = keep.map_or_else(|| self.schema.clone(), |keep| self.schema.select(keep));
-        let source_list = self.probe.is_none() && !normalizes && keep.is_none();
-        let out = if normalizes || (source_list && self.source.is_normalized()) {
-            // just normalized — or a selection, which preserves normal
-            // form: kept rows stay sorted, distinct, nonzero-annotated
-            AuRelation::from_normalized_rows(schema, rows)
-        } else {
-            let mut out = AuRelation::empty(schema);
-            out.append_rows(rows);
-            out
-        };
         let narrowed = keep.is_some();
         // freeing the probe's indexes and the chain's output buffers is
         // this chain's time: do it inside its span
@@ -994,6 +1067,27 @@ fn in_planner_order(ranks: &[u32]) -> Vec<u32> {
     swept.sort_unstable_by_key(|&i| ranks[i as usize]);
     order.extend(swept);
     order
+}
+
+/// `l ⋈_θ r` as one ordinary probe chain with nothing around it — each
+/// half of a split/compress join ([`crate::opt`]): the probe is built on
+/// `r`'s lanes, `l` shards over the executor's workers, and the pairs
+/// that pass the re-check come back as enumerated (`lids`, `rids`,
+/// `annots`), with the probe's `keys_typed`.
+pub(crate) fn probe_join_pairs(
+    l: &AuRelation,
+    r: &AuRelation,
+    recheck: Option<(&Expr, Stage)>,
+    exec: &Executor,
+) -> Result<(ChainOut, Option<bool>), EvalError> {
+    let (n, schema) = (l.len(), l.schema.concat(&r.schema));
+    let probe = ProbeOp::build(l, Cow::Borrowed(r), recheck, exec);
+    let keys_typed = probe.keys_typed;
+    let (source, pre, post) = (Cow::Borrowed(l), vec![], vec![]);
+    let chain = AuPipeline { source, pre, probe: Some(probe), post, schema };
+    let plan = LanePlan::of(&chain, None, false, exec);
+    let sharding = ShardSource::auto(exec.workers(), n, MIN_ROWS_PER_SHARD);
+    Ok((plan.run_all(n, &sharding, exec, "join-probe")?, keys_typed))
 }
 
 /// Lay out the chain rooted at `q` (a `σ/π/⋈` tree) and compile
@@ -1050,28 +1144,23 @@ fn build_chain<'a>(
     let inputs = if cfg.join_compress.is_some() { Delivery::Faithful } else { delivery };
     let mut source = match plan.source {
         Query::Table(name) => Cow::Borrowed(db.get(name)?),
-        materialized => eval_pl(db, materialized, cfg, exec, inputs, tr)?,
+        materialized => eval_pl(db, materialized, cfg, exec, inputs, Form::Lanes, tr)?,
     };
     let mut schema = source.schema.clone();
     let (mut pre, mut post, mut probe) = (plan.pre, plan.post, None);
     if let Some((right, recheck)) = plan.probe {
-        let r = eval_pl(db, right, cfg, exec, inputs, tr)?;
+        let r = eval_pl(db, right, cfg, exec, inputs, Form::Lanes, tr)?;
         schema = schema.concat(&r.schema);
         if let Some(ct) = effective_join_compress(cfg, &source, &r) {
-            let on = recheck.as_ref().map(|(e, _)| *e);
-            let h = open_join_span(tr, on);
+            let h = open_join_span(tr, recheck.as_ref().map(|(e, _)| *e));
             tr.rows_in(h, (source.len() + r.len()) as u64);
-            let out = compress_join_in_span(tr, h, &source, &r, on, ct, exec)?;
+            let out = compress_join_in_span(tr, h, &source, &r, recheck, ct, exec)?;
             close_rel(tr, h, &out);
             source = Cow::Owned(out);
             debug_assert!(pre.is_empty(), "a compressing join anchors its chain");
             pre = std::mem::take(&mut post);
         } else {
-            let started = exec.metrics().is_enabled().then(Instant::now);
-            probe = Some(ProbeOp::build(source.as_ref(), r, recheck));
-            if let Some(t) = started {
-                exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
-            }
+            probe = Some(ProbeOp::build(source.as_ref(), r, recheck, exec));
         }
     }
     let schema = plan.names.unwrap_or(schema);
@@ -1091,7 +1180,7 @@ fn eval_chain<'a>(
     cfg: &AuConfig,
     exec: &Executor,
     delivery: Delivery,
-    reads: Option<&[usize]>,
+    form: Form<'_>,
     tr: &TraceBuilder,
 ) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
     let h = tr.open("fused-chain", || q.to_string());
@@ -1102,9 +1191,11 @@ fn eval_chain<'a>(
         })
         .to_string()
     });
+    tr.attr(h, "form", || (if form == Form::Rows { "rows" } else { "lanes" }).to_string());
     match plan_chain(q, cfg, Vet::new(cfg.verify, exec, tr)) {
         Some(plan) => {
-            build_chain(db, plan, cfg, exec, delivery, tr)?.run(cfg, exec, delivery, reads, tr, h)
+            let chain = build_chain(db, plan, cfg, exec, delivery, tr)?;
+            chain.run(cfg, exec, delivery, form, tr, h)
         }
         None => {
             // Tier B rejected a stage: the whole chain — its inputs
@@ -1124,31 +1215,38 @@ fn eval_pl<'a>(
     cfg: &AuConfig,
     exec: &Executor,
     delivery: Delivery,
+    form: Form<'_>,
     tr: &TraceBuilder,
 ) -> Result<Cow<'a, AuRelation>, EvalError> {
     if is_chain(q) {
-        return eval_chain(db, q, cfg, exec, delivery, None, tr).map(|(rel, _)| rel);
+        return eval_chain(db, q, cfg, exec, delivery, form, tr).map(|(rel, _)| rel);
     }
     // A pipeline breaker runs its own kernel; its inputs recurse through
-    // the pipeline with the delivery the breaker requires (module docs).
+    // the pipeline with the delivery and in the form the breaker requires
+    // (module docs). What it returns is what its kernel builds — tuples.
     let h = open_op_span(tr, q);
     tr.attr(h, "fallback", || "pipeline-breaker".to_string());
-    let input = |q: &Query, delivery| eval_pl(db, q, cfg, exec, delivery, tr);
+    let input = |q: &Query, delivery, form| eval_pl(db, q, cfg, exec, delivery, form, tr);
+    let tuples = |q: &Query| {
+        let rel = input(q, Delivery::Canonical, Form::Rows)?;
+        rows_of(&rel, exec);
+        Ok::<_, EvalError>(rel)
+    };
     let out = match q {
         Query::Union { left, right } => {
-            let (l, r) = (input(left, Delivery::Canonical)?, input(right, Delivery::Canonical)?);
+            let (l, r) = (tuples(left)?, tuples(right)?);
             tr.rows_in(h, (l.len() + r.len()) as u64);
             union_cow(l, r, exec)?
         }
         Query::Difference { left, right } => {
-            let (l, r) = (input(left, Delivery::Canonical)?, input(right, Delivery::Canonical)?);
+            let (l, r) = (tuples(left)?, tuples(right)?);
             tr.rows_in(h, (l.len() + r.len()) as u64);
             difference::difference_au_exec(&l, &r, exec)?
         }
         Query::Distinct { input: of } => {
             // grouping on all columns, no aggregates: bounding boxes and
             // annotation sums are commutative folds → multiset-determined
-            let rel = input(of, Delivery::Canonical)?;
+            let rel = input(of, Delivery::Canonical, Form::Lanes)?;
             tr.rows_in(h, rel.len() as u64);
             let all: Vec<usize> = (0..rel.schema.arity()).collect();
             let compress = effective_agg_compress(cfg, &rel, &all);
@@ -1164,9 +1262,9 @@ fn eval_pl<'a>(
                 .into_iter()
                 .collect();
             let (rel, narrowed) = if is_chain(of) {
-                eval_chain(db, of, cfg, exec, Delivery::Faithful, Some(&reads), tr)?
+                eval_chain(db, of, cfg, exec, Delivery::Faithful, Form::LanesOf(&reads), tr)?
             } else {
-                (input(of, Delivery::Faithful)?, false)
+                (input(of, Delivery::Faithful, Form::Lanes)?, false)
             };
             tr.rows_in(h, rel.len() as u64);
             let (group_by, aggs) = if narrowed {

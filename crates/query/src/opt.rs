@@ -15,59 +15,89 @@
 //! `Cpr` preserves bounds (Lemma 7); hence the optimized join preserves
 //! bounds with precision traded for performance (Lemma 10.1).
 //!
-//! [`optimized_join_exec`] runs the copy-free form: neither split is
-//! materialized in normal form on the way. The SG side joins the
-//! un-normalized certain tuples (`⊗` distributes over `⊕` in `N_AU`, so
-//! merging duplicates before or after the join sums to the same
-//! annotation, and the result is normalized once at the end); `split↑`
-//! keeps every tuple, so `Cpr` buckets straight over the input's row ids
-//! in normal-form order and takes `(0, 0, ub)` at bucket time — no tuple
-//! is cloned before its bucket's box.
+//! The formula exists twice. [`split_sg`], [`split_up`], [`compress`] and
+//! [`optimized_join_literal`] are Section 10.4 as written, over
+//! materialized, normalized row relations — the differential oracle.
+//! [`optimized_join_exec`] is the kernel, and never builds a tuple: both
+//! splits are derived lanes of the inputs' column sets
+//! (`split_sg_lanes`, [`compress_lanes`] — the one `Cpr` aggregation's
+//! possible side compresses with, too), the two joins are two ordinary
+//! fused probe chains (`au::pipeline::probe_join_pairs`) whose pairs are
+//! concatenated as row ids, and the one normalization — of the union —
+//! runs on row handles over those lanes. Neither split is normalized on the
+//! way: `⊗` distributes over `⊕` in `N_AU`, so merging duplicates before
+//! or after the SG join sums to the same annotation, and `Cpr` orders
+//! `split↑`'s rows and merges its duplicates in the one sort that forms
+//! the buckets.
 
-use audb_core::{AuAnnot, EvalError, Expr, Semiring};
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+use audb_core::obs::{Counter, TraceBuilder};
+use audb_core::{AuAnnot, EvalError, Expr, RangeValue, Semiring};
 use audb_exec::Executor;
-use audb_storage::{AuRelation, RangeTuple};
+use audb_storage::{AnnotColumn, AuRelation, ColumnSet, GatherView, RangeTuple};
 
+use crate::au::lanes_of;
+use crate::au::pipeline::{probe_join_pairs, Stage};
 use crate::planner::join_au_planned_exec;
+use crate::vcheck::Vet;
 
-/// The rows of `split_sg(R)` before any merge: one certain-attribute
+/// `split_sg(R)` (Section 10.4), in normal form: one certain-attribute
 /// tuple per SGW tuple. The lower bound survives only for tuples without
 /// attribute uncertainty; the upper bound collapses to the SG
 /// multiplicity.
-fn sg_side(rel: &AuRelation) -> AuRelation {
+pub fn split_sg(rel: &AuRelation) -> AuRelation {
+    sg_rows(rel).into_normalized()
+}
+
+/// The rows of [`split_sg`] before the merge.
+fn sg_rows(rel: &AuRelation) -> AuRelation {
     let mut out = AuRelation::empty(rel.schema.clone());
-    for (t, k) in rel.rows() {
-        if k.sg == 0 {
-            continue;
-        }
+    for (t, k) in rel.rows().iter().filter(|(_, k)| k.sg > 0) {
         let lb = if t.is_certain() { k.lb } else { 0 };
-        out.push(RangeTuple::certain(&t.sg()), AuAnnot::triple(lb.min(k.sg), k.sg, k.sg));
+        let sg = t.0.iter().map(|cell| RangeValue::certain(cell.sg.clone())).collect();
+        out.push(RangeTuple::new(sg), AuAnnot::triple(lb.min(k.sg), k.sg, k.sg));
     }
     out
 }
 
-/// `split_sg(R)` (Section 10.4), in normal form.
-pub fn split_sg(rel: &AuRelation) -> AuRelation {
-    sg_side(rel).into_normalized()
+/// The rows of [`split_sg`] before any merge, on lanes: the rows with
+/// `sg > 0`, every lane collapsed to its selected guess (a typed lane
+/// stays typed), annotated `(lb if the row is certain else 0, sg, sg)`.
+fn split_sg_lanes(cs: &ColumnSet) -> ColumnSet {
+    let (cells, k) = (cs.lane_slices(), cs.annots());
+    let keep: Vec<u32> = (0..cs.nrows() as u32).filter(|&i| k.sg[i as usize] > 0).collect();
+    let collapsed = cells.iter().map(|lane| lane.gather_sg(&keep));
+    let mut annots = AnnotColumn::default();
+    for i in keep.iter().map(|&i| i as usize) {
+        let lb = if cells.iter().all(|lane| lane.is_certain(i)) { k.lb[i] } else { 0 };
+        annots.push(AuAnnot::triple(lb.min(k.sg[i]), k.sg[i], k.sg[i]));
+    }
+    ColumnSet::new(collapsed.collect(), annots)
 }
 
 /// `split↑(R)` (Section 10.4): the possible over-approximation —
 /// original ranges, annotations `(0, 0, ub)`.
 pub fn split_up(rel: &AuRelation) -> AuRelation {
+    up_rows(rel).into_normalized()
+}
+
+/// The rows of [`split_up`] before the merge.
+fn up_rows(rel: &AuRelation) -> AuRelation {
     let mut out = AuRelation::empty(rel.schema.clone());
     for (t, k) in rel.rows() {
         out.push(t.clone(), AuAnnot::triple(0, 0, k.ub));
     }
-    out.into_normalized()
+    out
 }
 
 /// `Cpr_{A,n}` (Section 10.4) over the rows named by `ids`, projected
 /// onto `cols`: partition into at most `n` buckets by the selected-guess
-/// value of attribute `attr` (equi-depth), merging each bucket into a
-/// single tuple with the bucket's bounding box and the sum of
-/// upper-bound multiplicities. Only the `cols` cells are ever cloned —
-/// callers pass the columns they will read (aggregation: group-by plus
-/// aggregate inputs), and each bucket's box widens in place.
+/// value of attribute `attr` (equi-depth; ties keep the order of `ids`),
+/// merging each bucket into a single tuple with the bucket's bounding box
+/// and the sum of upper-bound multiplicities. The row-at-a-time form —
+/// the oracle of [`compress_lanes`].
 pub fn compress_rows(
     rows: &[(RangeTuple, AuAnnot)],
     ids: &[u32],
@@ -75,85 +105,109 @@ pub fn compress_rows(
     attr: usize,
     n: usize,
 ) -> Vec<(RangeTuple, AuAnnot)> {
-    let srcs = ids.iter().map(|&i| (i, rows[i as usize].1.ub)).collect();
-    compress_weighted(rows, srcs, cols, attr, n)
-}
-
-/// [`compress_rows`] over `(row id, upper-bound multiplicity)` sources —
-/// the multiplicity is read here, at bucket time, so a caller that
-/// merged duplicate tuples passes their sum without building the merged
-/// rows.
-fn compress_weighted(
-    rows: &[(RangeTuple, AuAnnot)],
-    mut srcs: Vec<(u32, u64)>,
-    cols: &[usize],
-    attr: usize,
-    n: usize,
-) -> Vec<(RangeTuple, AuAnnot)> {
     let tuple = |i: u32| &rows[i as usize].0;
     let n = n.max(1);
-    if srcs.len() <= n {
-        return srcs
-            .iter()
-            .map(|&(i, ub)| (tuple(i).project(cols), AuAnnot::triple(0, 0, ub)))
-            .collect();
+    let mut ids = ids.to_vec();
+    if ids.len() > n {
+        ids.sort_by(|a, b| tuple(*a).0[attr].sg.cmp(&tuple(*b).0[attr].sg));
     }
-    let depth = srcs.len().div_ceil(n);
-    srcs.sort_by(|a, b| tuple(a.0).0[attr].sg.cmp(&tuple(b.0).0[attr].sg));
-
-    let mut out = Vec::with_capacity(n);
-    for bucket in srcs.chunks(depth) {
-        let mut bbox = tuple(bucket[0].0).project(cols);
+    let bucket = |members: &[u32]| {
+        let mut bbox = tuple(members[0]).project(cols);
         let mut ub = 0u64;
-        for &(i, k) in bucket {
+        for &i in members {
             for (b, c) in bbox.0.iter_mut().zip(cols) {
                 b.extend_keep_sg(&tuple(i).0[*c]);
             }
-            ub = ub.saturating_add(k);
+            ub = ub.plus(&rows[i as usize].1.ub);
         }
-        out.push((bbox, AuAnnot::triple(0, 0, ub)));
-    }
-    out
+        (bbox, AuAnnot::triple(0, 0, ub))
+    };
+    ids.chunks(ids.len().div_ceil(n).max(1)).map(bucket).collect()
 }
 
 /// `Cpr_{A,n}` as a relation-level operator.
 pub fn compress(rel: &AuRelation, attr: usize, n: usize) -> AuRelation {
-    let ids: Vec<u32> = (0..rel.len() as u32).collect();
-    let cols: Vec<usize> = (0..rel.schema.arity()).collect();
-    AuRelation::from_rows(rel.schema.clone(), compress_rows(rel.rows(), &ids, &cols, attr, n))
+    bucket_rows(rel, attr, n).into_normalized()
 }
 
-/// The rows of `Cpr_{attr,n}(split↑(R))` without materializing
-/// `split↑(R)`: its normal form is `R`'s own tuples in tuple order with
-/// duplicates merged — the identity on a normalized `R`, one id
-/// permutation otherwise — so the buckets form over row ids.
-fn compress_up(rel: &AuRelation, attr: usize, n: usize) -> AuRelation {
-    let rows = rel.rows();
-    let tuple = |s: &(u32, u64)| &rows[s.0 as usize].0;
-    let mut srcs: Vec<(u32, u64)> = (0u32..).zip(rows.iter().map(|(_, k)| k.ub)).collect();
-    if !rel.is_normalized() {
-        srcs.sort_by(|a, b| tuple(a).cmp(tuple(b)));
+/// The rows of [`compress`] before the merge.
+fn bucket_rows(rel: &AuRelation, attr: usize, n: usize) -> AuRelation {
+    let ids: Vec<u32> = (0..rel.len() as u32).collect();
+    let cols: Vec<usize> = (0..rel.schema.arity()).collect();
+    let mut out = AuRelation::empty(rel.schema.clone());
+    out.append_rows(compress_rows(rel.rows(), &ids, &cols, attr, n));
+    out
+}
+
+/// `Cpr_{attr,n}` on lanes — the one `Cpr` of ⋈ and γ: rows `ids`
+/// (ascending) of `cs`, projected onto `cols`, as at most `n` bucket rows
+/// annotated `(0, 0, Σ ub)`. The members are ordered by the selected
+/// guess of `attr`, chunked equi-depth, and every bucket's box is taken
+/// per column ([`LaneSlice::group_boxes`]: `extend_keep_sg`'s rule, in
+/// member order) — cell for cell the buckets of [`compress_rows`].
+///
+/// `as_bag` says what `ids` name. `false`: a *list* — ties on the bucket
+/// attribute keep its order, a list of at most `n` rows is left as it is
+/// (aggregation folds in member order; a normalized relation's rows).
+/// `true`: a *bag* in no order, which `Cpr(split↑(R))` normalizes first
+/// — here ties order by the row itself and equal rows merge into one
+/// member (their `ub`s add), all in the one sort: exactly the stable sort
+/// by `attr` of the tuple-sorted, duplicate-merged list.
+///
+/// [`LaneSlice::group_boxes`]: audb_core::LaneSlice::group_boxes
+pub fn compress_lanes(
+    cs: &ColumnSet,
+    ids: &[u32],
+    cols: &[usize],
+    attr: usize,
+    n: usize,
+    as_bag: bool,
+) -> ColumnSet {
+    let (n, key, ub) = (n.max(1), cs.lane(attr).as_slice(), &cs.annots().ub);
+    let by_key = |a: &(u32, u64), b: &(u32, u64)| key.sg_cmp(a.0 as usize, b.0 as usize);
+    let mut srcs: Vec<(u32, u64)> = ids.iter().map(|&i| (i, ub[i as usize])).collect();
+    if as_bag {
+        let cells = cs.lane_slices();
+        let by_row = |a: u32, b: u32| {
+            let by_cell = cells.iter().map(|l| l.cells_cmp(a as usize, b as usize));
+            by_cell.into_iter().find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        };
+        srcs.sort_unstable_by(|a, b| by_key(a, b).then_with(|| by_row(a.0, b.0)));
         srcs.dedup_by(|dup, first| {
-            let same = tuple(dup) == tuple(first);
+            let same = by_row(dup.0, first.0).is_eq();
             if same {
                 first.1 = first.1.plus(&dup.1);
             }
             same
         });
+    } else if srcs.len() > n {
+        srcs.sort_by(by_key);
     }
-    let cols: Vec<usize> = (0..rel.schema.arity()).collect();
-    let mut out = AuRelation::empty(rel.schema.clone());
-    out.append_rows(compress_weighted(rows, srcs, &cols, attr, n));
-    out
+    let depth = srcs.len().div_ceil(n).max(1);
+    let firsts: Vec<u32> = srcs.iter().step_by(depth).map(|s| s.0).collect();
+    let members = srcs.iter().enumerate().map(|(m, s)| (s.0 as usize, (m / depth) as u32));
+    let boxes = cols.iter().map(|&c| cs.lane(c).as_slice().group_boxes(&firsts, members.clone()));
+    let mut annots = AnnotColumn::default();
+    for bucket in srcs.chunks(depth) {
+        annots.push(AuAnnot::triple(0, 0, bucket.iter().fold(0, |ub, s| ub.plus(&s.1))));
+    }
+    ColumnSet::new(boxes.collect(), annots)
+}
+
+/// The bucket attribute of each side: the first equality pair of the
+/// predicate, else the first column.
+fn bucket_attrs(predicate: Option<&Expr>, split: usize) -> (usize, usize) {
+    let pairs = predicate.and_then(|p| p.equi_join_columns(split));
+    pairs.and_then(|pairs| pairs.first().copied()).unwrap_or((0, 0))
 }
 
 /// The optimized join `opt(Q1 ⋈_θ Q2)` (Section 10.4):
 /// `(split_sg(L) ⋈_θsg split_sg(R)) ∪ (Cpr(split↑(L)) ⋈_θ Cpr(split↑(R)))`.
 ///
-/// Both parts go through the join planner: the SG part consists of
-/// fully certain tuples, so an equality predicate takes the hash
-/// equi-join path and a comparison takes the endpoint sweep; the
-/// compressed possible part has at most `ct` tuples per side.
+/// Both parts run as probe chains: the SG part consists of fully certain
+/// tuples, so an equality predicate takes the hash equi-join path and a
+/// comparison takes the endpoint sweep; the compressed possible part has
+/// at most `ct` tuples per side.
 pub fn optimized_join(
     l: &AuRelation,
     r: &AuRelation,
@@ -163,9 +217,11 @@ pub fn optimized_join(
     optimized_join_exec(l, r, predicate, ct, &Executor::default())
 }
 
-/// [`optimized_join`] on an explicit executor (both planned sub-joins
-/// run their probe/candidate loops on its workers, and the one
-/// normalization — of the union — is governed by it).
+/// [`optimized_join`] on an explicit executor (both probes shard over
+/// its workers, and the one normalization — of the union — is governed
+/// by it). The result is born columnar. A predicate program the Tier B
+/// verifier rejects runs nowhere: the join evaluates on
+/// [`optimized_join_literal`].
 pub fn optimized_join_exec(
     l: &AuRelation,
     r: &AuRelation,
@@ -173,51 +229,107 @@ pub fn optimized_join_exec(
     ct: usize,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
-    optimized_join_stats(l, r, predicate, ct, exec).map(|(out, _)| out)
+    let tr = TraceBuilder::disabled();
+    let recheck = match predicate.map(|p| (p, Stage::filter(p, Vet::new(true, exec, &tr)))) {
+        Some((_, None)) => return optimized_join_literal(l, r, predicate, ct, exec),
+        Some((p, Some(stage))) => Some((p, stage)),
+        None => None,
+    };
+    optimized_join_stats(l, r, recheck, ct, exec).map(|(out, _)| out)
+}
+
+/// Section 10.4 as written — [`split_sg`], [`split_up`] and [`compress`]
+/// over materialized relations, each normalized (on `exec`: the oracle's
+/// merges are governed like everything else it runs), and the planned
+/// row join: what [`optimized_join_exec`] must equal, and the
+/// operator-at-a-time oracle's compressing join.
+pub fn optimized_join_literal(
+    l: &AuRelation,
+    r: &AuRelation,
+    predicate: Option<&Expr>,
+    ct: usize,
+    exec: &Executor,
+) -> Result<AuRelation, EvalError> {
+    let normal = |rel: AuRelation| rel.into_normalized_with(exec);
+    let (la, ra) = bucket_attrs(predicate, l.schema.arity());
+    let (sgl, sgr) = (normal(sg_rows(l))?, normal(sg_rows(r))?);
+    let mut out = join_au_planned_exec(&sgl, &sgr, predicate, exec)?;
+    let lup = normal(bucket_rows(&normal(up_rows(l))?, la, ct))?;
+    let rup = normal(bucket_rows(&normal(up_rows(r))?, ra, ct))?;
+    out.append_rows(join_au_planned_exec(&lup, &rup, predicate, exec)?.into_rows());
+    Ok(normal(out)?)
 }
 
 /// What one split/compress join did — the `join` span's attributes
 /// under `strategy = split-compress` (`docs/observability.md`): rows of
-/// the SG⋈SG part, buckets each possible side compressed to, and rows of
-/// the possible⋈possible part (all before the final merge).
+/// the SG⋈SG part, buckets each possible side compressed to, rows of the
+/// possible⋈possible part (all before the final merge), and whether the
+/// probes' indexes ran on typed key cells (`None`: a nested loop).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SplitJoinStats {
     pub(crate) sg_rows: usize,
     pub(crate) buckets_l: usize,
     pub(crate) buckets_r: usize,
     pub(crate) possible_rows: usize,
+    pub(crate) keys_typed: Option<bool>,
 }
 
-/// [`optimized_join_exec`] plus what the run did.
+/// [`optimized_join_exec`] with the predicate's re-check already
+/// compiled, plus what the run did.
 pub(crate) fn optimized_join_stats(
     l: &AuRelation,
     r: &AuRelation,
-    predicate: Option<&Expr>,
+    recheck: Option<(&Expr, Stage)>,
     ct: usize,
     exec: &Executor,
 ) -> Result<(AuRelation, SplitJoinStats), EvalError> {
-    let split = l.schema.arity();
+    let (la, ra) = bucket_attrs(recheck.as_ref().map(|(p, _)| *p), l.schema.arity());
+    // Per side: its two splits, each a relation born of its lanes (what
+    // a probe chain runs over).
+    let split = |rel: &AuRelation, attr: usize| {
+        let cs = lanes_of(rel, exec);
+        let all: (Vec<u32>, Vec<usize>) =
+            ((0..cs.nrows() as u32).collect(), (0..cs.arity()).collect());
+        let up = compress_lanes(&cs, &all.0, &all.1, attr, ct, !rel.is_normalized());
+        [split_sg_lanes(&cs), up]
+            .map(|cs| AuRelation::from_columns(rel.schema.clone(), Arc::new(cs), false))
+    };
+    let ([sgl, lup], [sgr, rup]) = (split(l, la), split(r, ra));
 
-    // ---- SG part: certain tuples, planner-selected strategy -------------
-    let mut out = join_au_planned_exec(&sg_side(l), &sg_side(r), predicate, exec)?;
-    let sg_rows = out.len();
-
-    // ---- possible part: compressed overlap join --------------------------
-    let (la, ra) = predicate
-        .and_then(|p| p.equi_join_columns(split))
-        .and_then(|pairs| pairs.first().copied())
-        .unwrap_or((0, 0));
-    let (lup, rup) = (compress_up(l, la, ct), compress_up(r, ra, ct));
-    let pos = join_au_planned_exec(&lup, &rup, predicate, exec)?;
+    // ---- SG part: certain tuples; possible part: compressed overlap join ---
+    let (mut pairs, keys_typed) = probe_join_pairs(&sgl, &sgr, recheck.clone(), exec)?;
+    let (more, _) = probe_join_pairs(&lup, &rup, recheck, exec)?;
     let stats = SplitJoinStats {
-        sg_rows,
+        sg_rows: pairs.annots.len(),
         buckets_l: lup.len(),
         buckets_r: rup.len(),
-        possible_rows: pos.len(),
+        possible_rows: more.annots.len(),
+        keys_typed,
     };
-    out.append_rows(pos.into_rows());
+    if keys_typed == Some(false) {
+        exec.metrics().add(Counter::ProbeKeysBoxed, 1);
+    }
 
-    Ok((out.into_normalized_with(exec)?, stats))
+    // ---- the union, normalized once on row handles -------------------------
+    // One row list over one pair of column sets: each side's buckets
+    // follow its SG rows, the possible pairs' ids shift accordingly.
+    pairs.lids.extend(more.lids.iter().map(|i| i + sgl.len() as u32));
+    pairs.rids.extend(more.rids.iter().map(|i| i + sgr.len() as u32));
+    pairs.annots.extend(more.annots);
+    let with_buckets = |sg: AuRelation, up: AuRelation| {
+        let lanes = sg.columns();
+        drop(sg);
+        let mut lanes = Arc::unwrap_or_clone(lanes);
+        lanes.append(&up.columns());
+        lanes
+    };
+    let (left, right) = (with_buckets(sgl, lup), with_buckets(sgr, rup));
+    let of_left = left.lanes().iter().map(|lane| (lane.as_slice(), Some(&pairs.lids[..])));
+    let of_right = right.lanes().iter().map(|lane| (lane.as_slice(), Some(&pairs.rids[..])));
+    let view = GatherView::new(of_left.chain(of_right).collect());
+    let merged = AuRelation::normalized_view_rows(&view, &pairs.annots, exec)?;
+    let out = Arc::new(view.lanes(merged.into_iter()));
+    Ok((AuRelation::from_columns(l.schema.concat(&r.schema), out, true), stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -252,24 +364,27 @@ pub const AGG_COMPRESS_MIN_UNCERTAIN: usize = 256;
 /// but *does* discard their lower/SG annotation components, so below
 /// the threshold it is strictly worse.
 pub fn agg_compression_pays_off(rel: &AuRelation, group_by: &[usize], ct: usize) -> bool {
-    if group_by.is_empty() {
-        return false;
-    }
     let threshold = AGG_COMPRESS_MIN_UNCERTAIN.max(ct.saturating_mul(4));
-    let mut uncertain = 0usize;
-    for (t, _) in rel.rows() {
-        if !group_by.iter().all(|c| t.0[*c].is_certain()) {
-            uncertain += 1;
-            if uncertain > threshold {
-                return true;
-            }
-        }
-    }
-    false
+    !group_by.is_empty() && uncertain_rows(rel, group_by, threshold.saturating_add(1)) > threshold
 }
 
 fn uncertain_row_count(rel: &AuRelation) -> usize {
-    rel.rows().iter().filter(|(t, _)| !t.is_certain()).count()
+    let all: Vec<usize> = (0..rel.schema.arity()).collect();
+    uncertain_rows(rel, &all, usize::MAX)
+}
+
+/// How many rows (counting up to `cap`) have an uncertain cell in some
+/// column of `cols` — read off the lanes of a relation that has them (an
+/// intermediate born columnar, a warmed table), off the tuples
+/// otherwise: neither side is built to be counted.
+fn uncertain_rows(rel: &AuRelation, cols: &[usize], cap: usize) -> usize {
+    let cs = rel.has_columns().then(|| rel.columns());
+    let lanes = cs.as_ref().map(|cs| cs.lane_slices());
+    let certain = |i: usize, c: usize| match &lanes {
+        Some(lanes) => lanes[c].is_certain(i),
+        None => rel.rows()[i].0 .0[c].is_certain(),
+    };
+    (0..rel.len()).filter(|&i| !cols.iter().all(|&c| certain(i, c))).take(cap).count()
 }
 
 #[cfg(test)]

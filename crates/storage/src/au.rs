@@ -22,35 +22,44 @@ use crate::tuple::RangeTuple;
 /// zeros dropped, canonically sorted) so that [`AuRelation::normalize`]
 /// is free on already-normalized relations and
 /// [`AuRelation::annotation`] can binary-search.
+///
+/// The list is held as tuples, as column lanes ([`crate::column`]), or
+/// as both: a relation is born with the side its producer built — a
+/// loader's or a row operator's tuples, a fused chain's gathered lanes
+/// ([`AuRelation::from_columns`]) — and builds the other on first use
+/// ([`AuRelation::rows`], [`AuRelation::columns`]). Both sides always
+/// name the same list; every mutation goes through the tuples and drops
+/// the lanes.
 #[derive(Debug, Clone)]
 pub struct AuRelation {
     pub schema: Schema,
-    rows: Vec<(RangeTuple, AuAnnot)>,
+    rows: OnceLock<Vec<(RangeTuple, AuAnnot)>>,
     normalized: bool,
-    /// Lazily built column-major twin of `rows` (see
-    /// [`crate::column`]): per-attribute typed lanes + annotation
-    /// column, shared by `Arc` across pipeline chunks and serving
-    /// snapshots. Invalidated by every row mutation; `Clone` shares the
-    /// already-built columns (the row list is identical).
+    /// Per-attribute typed lanes + annotation column, shared by `Arc`
+    /// across pipeline chunks and serving snapshots; `Clone` shares them.
     columns: OnceLock<Arc<ColumnSet>>,
 }
 
 impl PartialEq for AuRelation {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.rows == other.rows
+        self.schema == other.schema && self.rows() == other.rows()
     }
 }
 impl Eq for AuRelation {}
 
 impl AuRelation {
+    fn of_rows(schema: Schema, rows: Vec<(RangeTuple, AuAnnot)>, normalized: bool) -> Self {
+        AuRelation { schema, rows: OnceLock::from(rows), normalized, columns: OnceLock::new() }
+    }
+
     pub fn empty(schema: Schema) -> Self {
-        AuRelation { schema, rows: Vec::new(), normalized: true, columns: OnceLock::new() }
+        AuRelation::of_rows(schema, Vec::new(), true)
     }
 
     /// Build from rows; merges identical range tuples (summing
     /// annotations in `N_AU`) and drops zero annotations.
     pub fn from_rows(schema: Schema, rows: Vec<(RangeTuple, AuAnnot)>) -> Self {
-        let mut r = AuRelation { schema, rows, normalized: false, columns: OnceLock::new() };
+        let mut r = AuRelation::of_rows(schema, rows, false);
         r.normalize();
         r
     }
@@ -65,7 +74,17 @@ impl AuRelation {
             "rows must be strictly sorted by tuple"
         );
         debug_assert!(rows.iter().all(|(_, k)| !k.is_zero()), "rows must have nonzero annotations");
-        AuRelation { schema, rows, normalized: true, columns: OnceLock::new() }
+        AuRelation::of_rows(schema, rows, true)
+    }
+
+    /// A relation born columnar: the row list `columns` is the twin of,
+    /// with no zero annotation (debug-asserted) and, when `normalized`
+    /// says so, in normal form. No tuple exists until someone asks for
+    /// [`AuRelation::rows`].
+    pub fn from_columns(schema: Schema, columns: Arc<ColumnSet>, normalized: bool) -> Self {
+        debug_assert_eq!(columns.arity(), schema.arity(), "one lane per attribute");
+        debug_assert!(columns.annots().ub.iter().all(|&ub| ub > 0), "nonzero annotations");
+        AuRelation { schema, rows: OnceLock::new(), normalized, columns: OnceLock::from(columns) }
     }
 
     /// Lift a deterministic relation into a fully certain AU-relation
@@ -79,20 +98,41 @@ impl AuRelation {
         AuRelation::from_rows(rel.schema.clone(), rows)
     }
 
+    /// The row list as tuples — built from the lanes on the first call
+    /// to a relation born columnar, and kept.
     pub fn rows(&self) -> &[(RangeTuple, AuAnnot)] {
-        &self.rows
+        self.rows.get_or_init(|| self.columns.get().map_or_else(Vec::new, |cs| cs.rows()))
+    }
+
+    /// Does the row list exist as tuples (or must [`AuRelation::rows`]
+    /// build them)?
+    pub fn has_rows(&self) -> bool {
+        self.rows.get().is_some()
+    }
+
+    /// Does the row list exist as lanes (or must
+    /// [`AuRelation::columns`] build them)?
+    pub fn has_columns(&self) -> bool {
+        self.columns.get().is_some()
+    }
+
+    /// The tuples, for a mutation: built if need be, and the lanes — no
+    /// longer their twin — dropped.
+    fn rows_mut(&mut self) -> &mut Vec<(RangeTuple, AuAnnot)> {
+        self.rows();
+        self.columns.take();
+        self.rows.get_mut().unwrap_or_else(|| unreachable!("`rows` initialized the cell"))
     }
 
     /// Give up the row list (to move rows into another relation).
-    pub fn into_rows(self) -> Vec<(RangeTuple, AuAnnot)> {
-        self.rows
+    pub fn into_rows(mut self) -> Vec<(RangeTuple, AuAnnot)> {
+        std::mem::take(self.rows_mut())
     }
 
     pub fn push(&mut self, t: RangeTuple, k: AuAnnot) {
         if !k.is_zero() {
-            self.rows.push((t, k));
+            self.rows_mut().push((t, k));
             self.normalized = false;
-            self.columns.take();
         }
     }
 
@@ -100,15 +140,14 @@ impl AuRelation {
     /// ordered-merge sink of the parallel operator drivers. An empty
     /// relation adopts the batch's vector instead of copying it.
     pub fn append_rows(&mut self, mut rows: Vec<(RangeTuple, AuAnnot)>) {
-        if !self.rows.is_empty() {
+        if !self.is_empty() {
             rows.into_iter().for_each(|(t, k)| self.push(t, k));
             return;
         }
         rows.retain(|(_, k)| !k.is_zero());
         if !rows.is_empty() {
-            self.rows = rows;
+            *self.rows_mut() = rows;
             self.normalized = false;
-            self.columns.take();
         }
     }
 
@@ -118,9 +157,8 @@ impl AuRelation {
         if other.is_empty() {
             return;
         }
-        self.rows.extend(other.rows.iter().cloned());
+        self.rows_mut().extend(other.rows().iter().cloned());
         self.normalized = false;
-        self.columns.take();
     }
 
     /// Is the row list known to be in normal form?
@@ -129,11 +167,14 @@ impl AuRelation {
     }
 
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match (self.rows.get(), self.columns.get()) {
+            (Some(rows), _) => rows.len(),
+            (None, cs) => cs.map_or(0, |cs| cs.nrows()),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// In-memory footprint of the relation under the columnar layout,
@@ -143,22 +184,22 @@ impl AuRelation {
     /// string heap) plus the annotation column. This is the size the
     /// observability layer reports as `bytes_out` per operator and the
     /// budget layer charges. Deterministic, and identical whether or
-    /// not the column cache has been materialized.
+    /// not a row-born relation's lanes have been built.
     pub fn estimated_bytes(&self) -> u64 {
         match self.columns.get() {
             Some(cs) => cs.estimated_bytes(),
-            None => ColumnSet::byte_size_of_rows(self.schema.arity(), &self.rows),
+            None => ColumnSet::byte_size_of_rows(self.schema.arity(), self.rows()),
         }
     }
 
-    /// The column-major twin of this relation's rows, built on first
-    /// use and shared from then on (cheap `Arc` clone per caller —
-    /// pipeline chunks borrow lanes out of it, serving snapshots
-    /// publish it to every reader).
+    /// The row list as column lanes, built from the tuples on the first
+    /// call to a relation born of rows and shared from then on (cheap
+    /// `Arc` clone per caller — pipeline chunks borrow lanes out of it,
+    /// serving snapshots publish it to every reader).
     pub fn columns(&self) -> Arc<ColumnSet> {
         Arc::clone(
             self.columns
-                .get_or_init(|| Arc::new(ColumnSet::from_rows(self.schema.arity(), &self.rows))),
+                .get_or_init(|| Arc::new(ColumnSet::from_rows(self.schema.arity(), self.rows()))),
         )
     }
 
@@ -193,13 +234,12 @@ impl AuRelation {
         if self.normalized {
             return Ok(());
         }
-        let rows = std::mem::take(&mut self.rows);
-        self.columns.take();
+        let rows = std::mem::take(self.rows_mut());
         // Sorting is keyed on packed column bytes (a memcmp fast path
         // that refines the tuple order; see `crate::column`) — the
         // output is byte-identical to sorting on the tuples alone.
         let width = self.schema.arity() * 3 * VALUE_KEY_BYTES;
-        self.rows = merge_sorted(exec, rows, width, packed_range_key)?;
+        *self.rows_mut() = merge_sorted(exec, rows, width, packed_range_key)?;
         self.normalized = true;
         Ok(())
     }
@@ -252,33 +292,38 @@ impl AuRelation {
     pub fn annotation(&self, t: &RangeTuple) -> AuAnnot {
         if self.normalized {
             // normal form has at most one entry per range tuple
-            return match self.rows.binary_search_by(|(t2, _)| t2.cmp(t)) {
-                Ok(i) => self.rows[i].1,
+            return match self.rows().binary_search_by(|(t2, _)| t2.cmp(t)) {
+                Ok(i) => self.rows()[i].1,
                 Err(_) => AuAnnot::zero(),
             };
         }
-        self.rows.iter().filter(|(t2, _)| t2 == t).fold(AuAnnot::zero(), |acc, (_, k)| acc.plus(k))
+        let same = self.rows().iter().filter(|(t2, _)| t2 == t);
+        same.fold(AuAnnot::zero(), |acc, (_, k)| acc.plus(k))
     }
 
     /// Extract the selected-guess world `R^sg` (Definition 13): group
     /// tuples by their SG values and sum the SG annotations.
     pub fn sg_world(&self) -> Relation {
         let rows =
-            self.rows.iter().filter(|(_, k)| k.sg > 0).map(|(t, k)| (t.sg(), k.sg)).collect();
+            self.rows().iter().filter(|(_, k)| k.sg > 0).map(|(t, k)| (t.sg(), k.sg)).collect();
         Relation::from_rows(self.schema.clone(), rows)
     }
 
     /// Total upper-bound multiplicity — the "possible size" accuracy
-    /// metric of Figure 14b.
+    /// metric of Figure 14b. A sum in `N`: it saturates at `u64::MAX`
+    /// (compressed joins of compressed joins carry saturated `ub`s).
     pub fn possible_size(&self) -> u64 {
-        self.rows.iter().map(|(_, k)| k.ub).sum()
+        match self.columns.get() {
+            Some(cs) => cs.annots().ub.iter().fold(0, |acc, ub| acc.plus(ub)),
+            None => self.rows().iter().fold(0, |acc, (_, k)| acc.plus(&k.ub)),
+        }
     }
 
     /// Mean width of attribute ranges (tightness metric, Figure 13d).
     pub fn mean_range_width(&self, domain_halfwidth: f64) -> f64 {
         let mut n = 0usize;
         let mut total = 0.0;
-        for (t, _) in &self.rows {
+        for (t, _) in self.rows() {
             for r in t.values() {
                 total += r.width(domain_halfwidth);
                 n += 1;
@@ -295,7 +340,7 @@ impl AuRelation {
 impl fmt::Display for AuRelation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
-        for (t, k) in &self.rows {
+        for (t, k) in self.rows() {
             writeln!(f, "  {t} ↦ {k}")?;
         }
         Ok(())
@@ -528,12 +573,7 @@ mod tests {
                     morsels_per_worker: 3,
                     min_rows_per_worker: 0,
                 });
-                let mut r = AuRelation {
-                    schema: schema.clone(),
-                    rows: rows.clone(),
-                    normalized: false,
-                    columns: OnceLock::new(),
-                };
+                let mut r = AuRelation::of_rows(schema.clone(), rows.clone(), false);
                 r.normalize_with(&exec).unwrap();
                 assert_eq!(r.len(), reference.len(), "n = {n}, spread = {spread}, workers = {w}");
                 for (got, want) in r.rows().iter().zip(&reference) {

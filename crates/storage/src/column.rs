@@ -113,6 +113,29 @@ impl ColumnSet {
         ColumnSet { lanes, annots }
     }
 
+    /// A column set of lanes an operator built: `lanes[c]` is attribute
+    /// `c` of every row, `annots[i]` row `i`'s annotation.
+    pub fn new(lanes: Vec<ValueLane>, annots: AnnotColumn) -> ColumnSet {
+        assert!(lanes.iter().all(|l| l.len() == annots.len()), "one cell per row in every lane");
+        ColumnSet { lanes, annots }
+    }
+
+    /// Append `more`'s rows (same arity) behind this set's.
+    pub fn append(&mut self, more: &ColumnSet) {
+        assert_eq!(self.arity(), more.arity(), "one lane per attribute");
+        self.lanes.iter_mut().zip(&more.lanes).for_each(|(l, m)| l.append(&m.as_slice(), None));
+        self.annots.lb.extend_from_slice(&more.annots.lb);
+        self.annots.sg.extend_from_slice(&more.annots.sg);
+        self.annots.ub.extend_from_slice(&more.annots.ub);
+    }
+
+    /// The row list this column set is the twin of, built cell by cell.
+    pub fn rows(&self) -> Vec<(RangeTuple, AuAnnot)> {
+        let lanes = self.lanes.iter().map(|lane| (lane.as_slice(), None));
+        let listed = (0..self.nrows()).map(|i| (i as u32, self.annots.get(i)));
+        GatherView::new(lanes.collect()).tuples(listed)
+    }
+
     pub fn nrows(&self) -> usize {
         self.annots.len()
     }
@@ -318,6 +341,24 @@ impl<'a> GatherView<'a> {
     ) -> Vec<(RangeTuple, AuAnnot)> {
         let tuple = |i| RangeTuple(self.cells(i).map(|(l, cell)| l.get(cell)).collect());
         order.map(|(i, k)| (tuple(i), k)).collect()
+    }
+
+    /// The lane-side sibling of [`GatherView::tuples`]: the rows `order`
+    /// names, in that order, gathered into owned lanes. Cell for cell
+    /// [`ColumnSet::from_rows`] of those tuples; a lane keeps its tag
+    /// where columnarizing the tuples might find a tighter one (a gathered
+    /// `Boxed` lane stays `Boxed`).
+    pub fn lanes(&self, order: impl Iterator<Item = (u32, AuAnnot)>) -> ColumnSet {
+        let (mut rows, mut annots) = (Vec::new(), AnnotColumn::default());
+        for (i, k) in order {
+            rows.push(i);
+            annots.push(k);
+        }
+        let lanes = self.cols.iter().map(|(lane, index)| match index {
+            None => lane.gather(&rows),
+            Some(ix) => lane.gather(&rows.iter().map(|&i| ix[i as usize]).collect::<Vec<_>>()),
+        });
+        ColumnSet { lanes: lanes.collect(), annots }
     }
 
     /// Bytes of a row's packed sort key ([`packed_row_key`]).

@@ -140,9 +140,9 @@ impl Relation {
         self.rows.is_empty()
     }
 
-    /// Total multiplicity (bag cardinality).
+    /// Total multiplicity (bag cardinality): a sum in `N`, saturating.
     pub fn total_count(&self) -> u64 {
-        self.rows.iter().map(|(_, k)| *k).sum()
+        self.rows.iter().fold(0, |acc, (_, k)| acc.plus(k))
     }
 
     /// Canonical (normalized) clone for equality comparisons.

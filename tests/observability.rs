@@ -699,3 +699,58 @@ mod fault_trace {
         assert!(err_attr.contains("cancelled"), "{err_attr}");
     }
 }
+
+/// The hand-over is visible. On warmed tables TPC-H Q7 under
+/// `compressed(64)` builds no lane from tuples and no tuple from lanes
+/// between its base tables and its root: every chain hands lanes to its
+/// consumer (`form = lanes`), the split/compress join reads and returns
+/// them and says how its probes keyed. A table nobody warmed is
+/// columnarized by its first reader — once, timed — and a root chain is
+/// the one that builds tuples.
+#[test]
+fn lane_hand_over_is_counted_and_timed() {
+    use audb::workloads::tpch::{q1, q7};
+    use audb::workloads::{gen_tpch, inject_uncertainty, pdbench_queries, TpchConfig};
+    let cold = || inject_uncertainty(&gen_tpch(TpchConfig::new(0.55, 31)), 0.02, 8, 32).to_au();
+    let cfg = AuConfig::compressed(64).with_workers(1);
+    let site = |trace: &QueryTrace, name: &str| {
+        trace.metrics.sites.iter().find(|s| s.site == name).map_or(0, |s| s.entries)
+    };
+
+    let db = cold();
+    db.warm_columns();
+    let (out, trace) = eval_au_traced(&db, &q7(), &cfg).unwrap();
+    eprintln!("{trace}"); // `-- --nocapture` prints Q7's plan (verify skill)
+    assert_eq!(out, eval_au(&db, &q7(), &common::oracle_of(&cfg)).unwrap());
+    assert_eq!(trace.metrics.counter("lane_builds"), Some(0));
+    assert_eq!(trace.metrics.counter("rows_built"), Some(0));
+    assert_eq!(site(&trace, "lane_build"), 0);
+    let (mut chains, mut compressing) = (0, 0);
+    trace.root.walk(&mut |s| {
+        if s.op == "fused-chain" {
+            assert_eq!(s.attr("form"), Some("lanes"), "{}", s.detail);
+            chains += 1;
+        }
+        if s.op == "join" {
+            assert_eq!(s.attr("strategy"), Some("split-compress"));
+            assert_eq!(s.attr("keys"), Some("typed"));
+            for counted in ["sg_rows", "buckets_l", "buckets_r", "possible_rows"] {
+                assert!(s.attr(counted).is_some_and(|v| v.parse::<u64>().is_ok()), "{counted}");
+            }
+            compressing += 1;
+        }
+    });
+    assert!(chains >= 4 && compressing >= 1, "{chains} chains, {compressing} compressing joins");
+
+    // nobody warmed `lineitem`: Q1's chain builds its lanes
+    let (_, trace) = eval_au_traced(&cold(), &q1(), &cfg).unwrap();
+    assert_eq!(trace.metrics.counter("lane_builds"), Some(1));
+    assert_eq!(site(&trace, "lane_build"), 1);
+    assert_eq!(trace.metrics.counter("rows_built"), Some(0));
+
+    // a chain at the root hands over tuples
+    let (_, trace) = eval_au_traced(&db, &pdbench_queries()[0].1, &cfg).unwrap();
+    let root = trace.root.find("fused-chain").expect("root chain");
+    assert_eq!(root.attr("form"), Some("rows"));
+    assert_eq!(trace.metrics.counter("rows_built"), Some(0));
+}

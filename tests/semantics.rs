@@ -359,3 +359,46 @@ fn difference_saturates_the_subtrahend_sums() {
         }
     }
 }
+
+/// Regression (wrapped at the parent: 0 in release, an overflow panic
+/// under `--profile checked`): `possible_size` and `total_count` are sums
+/// in `N` and saturate — whichever side of the relation they read.
+#[test]
+fn possible_size_and_total_count_saturate() {
+    let half = 1u64 << 63;
+    let cell = |ub: i64| RangeTuple::new(vec![RangeValue::range(0i64, 1i64, ub)]);
+    let rows = vec![(cell(2), AuAnnot::triple(0, 0, half)), (cell(3), AuAnnot::triple(0, 0, half))];
+    let rel = AuRelation::from_rows(Schema::named(&["a"]), rows);
+    assert_eq!(rel.possible_size(), u64::MAX);
+    rel.warm_columns();
+    assert_eq!(rel.possible_size(), u64::MAX, "read off the lanes");
+
+    let det = Relation::from_rows(
+        Schema::named(&["a"]),
+        vec![([1i64].into_iter().collect(), half), ([2i64].into_iter().collect(), half)],
+    );
+    assert_eq!(det.total_count(), u64::MAX);
+}
+
+/// Saturated upper bounds are what joins of joins produce: a two-join
+/// result over `ub = 2^40` inputs carries `ub = u64::MAX` on every row
+/// (precise) or on its one possible row next to the SG rows (compressed),
+/// and its possible size is `u64::MAX` — not the sum's low bits (2, for
+/// the compressed result).
+#[test]
+fn possible_size_of_a_two_join_result_saturates() {
+    let mut db = AuDatabase::new();
+    for name in ["t1", "t2", "t3"] {
+        let rows = (1..=3).map(|k| certain_row(&[k], 1, 1, 1 << 40)).collect();
+        db.insert(name, AuRelation::from_rows(Schema::named(&["k"]), rows));
+    }
+    let q =
+        table("t1").join_on(table("t2"), col(0).eq(col(1))).join_on(table("t3"), col(1).eq(col(2)));
+    for cfg in [AuConfig::compressed(1), AuConfig { adaptive: false, ..AuConfig::compressed(1) }] {
+        let out = eval_au(&db, &q, &cfg).expect("eval");
+        assert!(out.len() >= 2, "{cfg:?}");
+        assert!(out.rows().iter().any(|(_, k)| k.ub == u64::MAX), "{cfg:?}");
+        assert_eq!(out.possible_size(), u64::MAX, "{cfg:?}");
+        assert_eq!(out.sg_world().total_count(), 3, "{cfg:?}");
+    }
+}
