@@ -22,7 +22,7 @@ use audb_workloads::{gen_micro_au, micro_join_db, MicroConfig};
 fn main() {
     let flavor = std::env::args().nth(1).unwrap_or_else(|| "lanes".to_string());
     let cfg = match flavor.as_str() {
-        "lanes" => AuConfig { workers: Some(2), shards: Some(4), ..AuConfig::default() },
+        "lanes" => AuConfig { workers: Some(2), ..AuConfig::default() },
         "oracle" => AuConfig { oracle: true, workers: Some(2), ..AuConfig::default() },
         "compressed" => AuConfig {
             join_compress: Some(64),

@@ -70,15 +70,14 @@ pub fn git_rev() -> String {
 }
 
 /// One-line engine-configuration fingerprint for `BENCH_*.json` stamps:
-/// every knob that changes what a wall-clock number means (worker and
-/// shard counts, lanes vs oracle, compression budgets) plus the git
+/// every knob that changes what a wall-clock number means (worker
+/// count, lanes vs oracle, compression budgets) plus the git
 /// revision the binary was built from.
 pub fn config_fingerprint(cfg: &AuConfig) -> String {
     let opt = |v: Option<usize>| v.map_or_else(|| "auto".to_string(), |n| n.to_string());
     format!(
-        "workers={} shards={} oracle={} adaptive={} join_compress={} agg_compress={} rev={}",
+        "workers={} oracle={} adaptive={} join_compress={} agg_compress={} rev={}",
         opt(cfg.workers),
-        opt(cfg.shards),
         cfg.oracle,
         cfg.adaptive,
         cfg.join_compress.map_or_else(|| "off".to_string(), |n| n.to_string()),
@@ -185,9 +184,10 @@ mod tests {
     fn fingerprint_names_every_knob() {
         let cfg = AuConfig { workers: Some(4), join_compress: Some(64), ..AuConfig::default() };
         let fp = config_fingerprint(&cfg);
-        for part in ["workers=4", "shards=auto", "oracle=false", "join_compress=64", "rev="] {
+        for part in ["workers=4", "oracle=false", "adaptive=false", "join_compress=64", "rev="] {
             assert!(fp.contains(part), "missing {part} in {fp}");
         }
+        assert!(!fp.contains("shards"), "{fp}");
     }
 
     #[test]

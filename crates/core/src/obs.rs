@@ -33,7 +33,7 @@ use crate::govern::ExecError;
 
 /// Version stamped into every serialized trace; bump when the JSON
 /// shape changes incompatibly.
-pub const TRACE_SCHEMA_VERSION: u32 = 2;
+pub const TRACE_SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Counters and timed sites
@@ -44,12 +44,10 @@ pub const TRACE_SCHEMA_VERSION: u32 = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// Executor entries ([`Executor::run`] calls, including the inline
-    /// fast path and the meta-runs of reduce/shard drivers).
+    /// fast path and the meta-runs of the reduce driver).
     DriversEntered,
     /// Morsels produced across all driver entries.
     MorselsDispatched,
-    /// Shards dispatched by `run_shards` (fused pipeline chains).
-    ShardsDispatched,
     /// Cooperative cancellation checkpoints taken (token attached).
     CancelChecks,
     /// Budget charge calls (budget attached).
@@ -110,10 +108,9 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 24] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
-        Counter::ShardsDispatched,
         Counter::CancelChecks,
         Counter::BudgetCharges,
         Counter::BudgetRowsCharged,
@@ -143,7 +140,6 @@ impl Counter {
         match self {
             Counter::DriversEntered => "drivers_entered",
             Counter::MorselsDispatched => "morsels_dispatched",
-            Counter::ShardsDispatched => "shards_dispatched",
             Counter::CancelChecks => "cancel_checks",
             Counter::BudgetCharges => "budget_charges",
             Counter::BudgetRowsCharged => "budget_rows_charged",
@@ -539,7 +535,7 @@ pub struct TraceSpan {
     /// Operator-specific description (predicate, table name, …).
     pub detail: String,
     /// Key/value annotations: planner strategy, fuse/fallback reasons,
-    /// lanes-vs-oracle, shard/worker counts, …
+    /// lanes-vs-oracle, morsel/worker counts, …
     pub attrs: Vec<(&'static str, String)>,
     pub rows_in: Option<u64>,
     pub rows_out: Option<u64>,
@@ -1151,7 +1147,7 @@ mod tests {
             total_ns: 12345,
         };
         let json = trace.to_json();
-        assert!(json.starts_with("{\"version\":2,"), "{json}");
+        assert!(json.starts_with("{\"version\":3,"), "{json}");
         assert!(json.contains("\"engine\":{\"workers\":\"4\"}"), "{json}");
         assert!(json.contains("\"op\":\"select\""), "{json}");
         assert!(json.contains("\"compiled\":\"true\""), "{json}");

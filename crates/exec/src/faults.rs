@@ -8,7 +8,7 @@
 //! passes a checkpoint addressed `(D, N)` before its producer runs.
 //! Driver entries happen sequentially on the query thread, so the
 //! addressing is deterministic for a fixed configuration (workers,
-//! shards, partitioner): re-running the same query under the same plan
+//! partitioner): re-running the same query under the same plan
 //! fires the same faults at the same points.
 //!
 //! Plans are installed **thread-locally** ([`with_plan`]) so parallel

@@ -197,8 +197,8 @@ impl Executor {
         self
     }
 
-    /// Attach a metrics sink. Cloned executors (the reduce and shard
-    /// meta-drivers) share it, so one query's drivers all report into
+    /// Attach a metrics sink. Cloned executors (a driver's own grain, the
+    /// reduce meta-driver) share it, so one query's drivers all report into
     /// the same meters. The default, [`Metrics::disabled`], costs one
     /// branch per instrumentation site.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
@@ -211,7 +211,7 @@ impl Executor {
     /// (non-blocking) and spawns only what it is granted. A query that
     /// gets nothing runs inline — results are worker-count-invariant,
     /// so contention degrades latency, never answers. Cloned executors
-    /// (the reduce and shard meta-drivers) share the gate, so one
+    /// (a driver's own grain, the reduce meta-driver) share the gate, so one
     /// engine's concurrent queries draw from a single pool.
     pub fn with_worker_gate(mut self, gate: WorkerGate) -> Self {
         self.gate = Some(gate);
@@ -276,11 +276,15 @@ impl Executor {
     ///
     /// `produce(range, out)` must append the output rows for the items
     /// in `range` to `out` — exactly what the body of the corresponding
-    /// sequential loop would push, in the same order. Errors are
-    /// reported deterministically: the error of the *earliest* failing
-    /// morsel wins, matching what the sequential loop would have hit
-    /// first (later morsels may still be computed; producers are pure,
-    /// so the extra work is discarded, not observable).
+    /// sequential loop would push, in the same order. Append only: on
+    /// the inline path every morsel is handed the *same* vector (nothing
+    /// is concatenated, and a producer that keeps one buffer in `out[0]`
+    /// fills a single one), on the pool each morsel gets an empty one of
+    /// its own. Errors are reported deterministically: the error of the
+    /// *earliest* failing morsel wins, matching what the sequential loop
+    /// would have hit first (later morsels may still be computed;
+    /// producers are pure, so the extra work is discarded, not
+    /// observable).
     ///
     /// Runtime faults — a caught producer panic, a tripped cancellation
     /// token, an injected test fault — surface through the same error
@@ -316,12 +320,12 @@ impl Executor {
 
         // One morsel, fully contained: cancellation checkpoint at the
         // boundary, then fault checkpoint + producer under catch_unwind.
-        let run_morsel = |index: usize, morsel: Range<usize>| -> Result<Vec<T>, E> {
+        let run_morsel = |index: usize, morsel: Range<usize>, out: &mut Vec<T>| -> Result<(), E> {
             if let Err(e) = self.check_cancel() {
                 self.metrics.record_exec_error(&e, driver, Some(index));
                 return Err(E::from(e));
             }
-            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<T>, E> {
+            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
                 #[cfg(feature = "faults")]
                 if let Some((plan, fault_driver)) = &fault_ctx {
                     if let Err(e) = plan.checkpoint(*fault_driver, index, self.cancel.as_ref()) {
@@ -329,8 +333,7 @@ impl Executor {
                         return Err(E::from(e));
                     }
                 }
-                let mut out = Vec::new();
-                produce(morsel, &mut out).map(|()| out)
+                produce(morsel, out)
             }));
             caught.unwrap_or_else(|payload| {
                 let e = ExecError::WorkerPanic { morsel: index, payload: panic_text(payload) };
@@ -352,14 +355,12 @@ impl Executor {
         let threads = lease.as_ref().map_or(wanted, GateLease::granted);
 
         // Inline fast path: sequential executor, a single morsel, or a
-        // starved gate.
+        // starved gate. The morsels share one output vector.
         if threads <= 1 || morsels.len() <= 1 {
             let mut merged = Vec::new();
             for (i, m) in morsels.into_iter().enumerate() {
-                match run_morsel(i, m) {
-                    Ok(rows) if merged.is_empty() => merged = rows,
-                    Ok(rows) => merged.extend(rows),
-                    Err(e) => return finish(Err(e)),
+                if let Err(e) = run_morsel(i, m, &mut merged) {
+                    return finish(Err(e));
                 }
             }
             return finish(Ok(merged));
@@ -372,7 +373,8 @@ impl Executor {
                 s.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(m) = morsels.get(i) else { break };
-                    slots[i].set(run_morsel(i, m.clone()));
+                    let mut rows = Vec::new();
+                    slots[i].set(run_morsel(i, m.clone(), &mut rows).map(|()| rows));
                 });
             }
         });
@@ -435,6 +437,26 @@ mod tests {
         });
         let seq = Executor::sequential().run(100, produce).unwrap();
         assert_eq!(exec.run(100, produce).unwrap(), seq);
+    }
+
+    /// Inline, every morsel is handed the one output vector (a producer
+    /// that keeps a buffer in `out[0]` fills a single one, nothing is
+    /// concatenated); on the pool each morsel starts from an empty one.
+    #[test]
+    fn inline_morsels_share_the_output_vector() {
+        let fine = Partitioner { min_morsel: 1, morsels_per_worker: 8, min_rows_per_worker: 0 };
+        let seen_at_entry = |r: Range<usize>, out: &mut Vec<usize>| -> Result<(), String> {
+            out.push(out.len());
+            out.extend(r.skip(1));
+            Ok(())
+        };
+        let inline = Executor::sequential().with_partitioner(fine).run(80, seen_at_entry).unwrap();
+        let firsts = |rows: &[usize]| rows.iter().step_by(10).copied().collect::<Vec<_>>();
+        assert_eq!(firsts(&inline), vec![0, 10, 20, 30, 40, 50, 60, 70]);
+        // the same eight morsels of ten on two threads
+        let four = Partitioner { morsels_per_worker: 4, ..fine };
+        let pooled = Executor::new(2).with_partitioner(four).run(80, seen_at_entry).unwrap();
+        assert_eq!(firsts(&pooled), vec![0; 8]);
     }
 
     #[test]

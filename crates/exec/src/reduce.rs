@@ -158,7 +158,7 @@ impl Executor {
                 let hashed = (rows.into_iter())
                     .filter(|(_, k)| keep(k))
                     .map(|(t, k)| (keyed_hash(seed, &t), t, k));
-                // `out` is this morsel's fresh, empty list
+                // the only morsel of this run: `out` is its empty list
                 *out = merge_sort_run(hashed, cap, &combine, width, &write_key);
                 Ok::<(), ExecError>(())
             })?;

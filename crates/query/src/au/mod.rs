@@ -24,7 +24,7 @@ use audb_core::obs::{
     TRACE_SCHEMA_VERSION,
 };
 use audb_core::{AuAnnot, Budget, BudgetSpec, CancelToken, EvalError, Expr, Semiring};
-use audb_exec::{Executor, WorkerGate};
+use audb_exec::Executor;
 use audb_storage::{AuDatabase, AuRelation, ColumnSet, RangeTuple, Schema};
 
 use crate::algebra::{AggSpec, Query};
@@ -34,7 +34,7 @@ use crate::planner;
 /// Evaluation options: `None` disables an optimization, `Some(ct)` bounds
 /// the compressed possible-side of joins/aggregation to `ct` tuples
 /// (the paper's "CT" knob in Figures 13–16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AuConfig {
     /// Apply the split/compress join optimization (Section 10.4).
     pub join_compress: Option<usize>,
@@ -62,35 +62,9 @@ pub struct AuConfig {
     /// serving breaker switch this on to route around a faulting lane
     /// path.
     pub oracle: bool,
-    /// Number of contiguous shards a fused chain slices its base input
-    /// into: `None` sizes automatically from the worker count and input
-    /// size, `Some(s)` forces exactly `s` (the determinism tests force
-    /// {1, 3, 8}). Any value produces identical results.
-    pub shards: Option<usize>,
-    /// Override the adaptive parallelism floor
-    /// ([`audb_exec::Partitioner::min_rows_per_worker`]) of the
-    /// session's executor: `None` keeps the default (1024 rows per
-    /// worker before `workers > 1` leaves the inline path), `Some(0)`
-    /// disables it — the equivalence tests use that to force real
-    /// multi-worker execution on tiny inputs. Drivers with heavier work
-    /// items (aggregation's groups, difference's left tuples) only ever
-    /// *lower* the floor further. Any value produces identical results.
-    pub min_rows_per_worker: Option<usize>,
-    /// Tier B static verification of compiled chain programs
-    /// ([`audb_core::verify`], on by default): after lowering, every
-    /// chain stage is abstractly interpreted over the type × interval
-    /// lattice, and a rejected program degrades its chain to the
-    /// operator-at-a-time oracle instead of executing — observable as a
-    /// `verify_rejects` counter tick, a `verifier_rejected` event, a
-    /// `verify` trace span and `fallback = "verifier-rejected"` on the
-    /// chain's span. Tier A (the structural dataflow
-    /// verifier) is not optional: it runs inside `Program` construction
-    /// regardless of this knob. `false` skips the Tier B pass (the
-    /// compile-overhead bench baseline).
-    pub verify: bool,
-    /// Wall-clock deadline for the whole query: [`eval_au`] arms a
-    /// [`CancelToken`] with this timeout and threads it through every
-    /// operator driver, which checks it at morsel boundaries and inside
+    /// Wall-clock deadline for the whole query: [`AuConfig::executor`]
+    /// arms a [`CancelToken`] with this timeout and every operator
+    /// driver checks it at morsel boundaries and inside
     /// compiled-chain row sweeps. An expired deadline surfaces as
     /// [`audb_core::ExecError::DeadlineExceeded`] within one morsel of
     /// work. `None` (the default) runs ungoverned.
@@ -103,23 +77,6 @@ pub struct AuConfig {
     pub budget: Option<BudgetSpec>,
 }
 
-impl Default for AuConfig {
-    fn default() -> Self {
-        AuConfig {
-            join_compress: None,
-            agg_compress: None,
-            adaptive: false,
-            workers: None,
-            oracle: false,
-            shards: None,
-            min_rows_per_worker: None,
-            verify: true,
-            timeout: None,
-            budget: None,
-        }
-    }
-}
-
 impl AuConfig {
     /// Fully precise evaluation (the formal semantics, no compaction).
     pub fn precise() -> Self {
@@ -128,8 +85,9 @@ impl AuConfig {
 
     /// Compact intermediate results to at most `ct` possible tuples —
     /// adaptively: inputs below the compression thresholds evaluate
-    /// precisely instead (tighter bounds *and* faster at small scale;
-    /// see `BENCH_join_engine.json` for the regression this avoids).
+    /// precisely instead (tighter bounds *and* faster at small scale:
+    /// on TPC-H at 2 % uncertain cells forced compression reads 2–3×
+    /// the adaptive time, ROADMAP item 1).
     pub fn compressed(ct: usize) -> Self {
         AuConfig {
             join_compress: Some(ct),
@@ -166,71 +124,55 @@ impl AuConfig {
         self.budget = Some(budget);
         self
     }
+
+    /// The executor this configuration's three resource knobs ask for —
+    /// [`AuConfig::workers`] threads, a [`CancelToken`] whose deadline
+    /// ([`AuConfig::timeout`]) starts now, a fresh [`Budget`]
+    /// ([`AuConfig::budget`]) — and the one place that builds one.
+    /// Everything else a caller wants on it (a metrics sink, a shared
+    /// [`audb_exec::WorkerGate`], its own token, a test's
+    /// [`audb_exec::Partitioner`]) it adds with the executor's own
+    /// builders before handing it to [`eval_au_attempt`].
+    pub fn executor(&self) -> Executor {
+        let mut exec = Executor::from_option(self.workers);
+        if let Some(timeout) = self.timeout {
+            exec = exec.with_cancel(CancelToken::with_deadline_in(timeout));
+        }
+        if let Some(spec) = self.budget {
+            exec = exec.with_budget(Budget::new(spec));
+        }
+        exec
+    }
 }
 
 /// Evaluate a query over an AU-database.
 ///
-/// Maximal chains of row-local operators run shard-at-a-time through
+/// Maximal chains of row-local operators run morsel-at-a-time through
 /// [`pipeline`], paying one normalization per pipeline breaker instead
 /// of one per operator — under every configuration: a join that
 /// compresses ([`AuConfig::join_compress`]) is a breaker inside that
 /// planner, not a reason to leave it. Only [`AuConfig::oracle`] runs
 /// every operator operator-at-a-time. The result is byte-identical
-/// either way, for any worker and shard count.
+/// either way, for any worker count and any split.
 ///
-/// Governance: [`AuConfig::timeout`] arms a [`CancelToken`] with a
-/// wall-clock deadline and [`AuConfig::budget`] attaches a fresh
-/// per-query [`Budget`]; faults surface as
-/// [`EvalError::Exec`]. When an attempt that fuses chains fails with a
-/// *non-resource* fault (a worker panic or injected error — not
-/// cancellation, deadline, or budget exhaustion), evaluation degrades
-/// gracefully: it retries once on the oracle (`oracle: true`) with a
-/// fresh budget before giving up. An attempt that already ran on the
-/// oracle has nothing to degrade to, and its fault surfaces.
+/// Derive, attempt, degrade once: the executor is
+/// [`AuConfig::executor`] (deadline, fresh budget; faults surface as
+/// [`EvalError::Exec`]), the attempt is [`eval_au_attempt`], and when an
+/// attempt that fuses chains fails with a *non-resource* fault (a
+/// worker panic or injected error — not cancellation, deadline, or
+/// budget exhaustion), evaluation degrades gracefully: it retries once
+/// on the oracle (`oracle: true`) with a fresh budget before giving up.
+/// An attempt that already ran on the oracle has nothing to degrade to,
+/// and its fault surfaces.
 pub fn eval_au(db: &AuDatabase, q: &Query, cfg: &AuConfig) -> Result<AuRelation, EvalError> {
-    let token = cfg.timeout.map(CancelToken::with_deadline_in);
-    eval_au_governed(db, q, cfg, token.as_ref(), &Metrics::disabled(), &TraceBuilder::disabled())
-}
-
-/// [`eval_au`] under an externally owned [`CancelToken`], so a serving
-/// layer can cancel a running query from another thread. The token is
-/// used as-is — arm a deadline with [`CancelToken::with_deadline_in`]
-/// rather than [`AuConfig::timeout`], which this entry point ignores.
-pub fn eval_au_cancellable(
-    db: &AuDatabase,
-    q: &Query,
-    cfg: &AuConfig,
-    token: &CancelToken,
-) -> Result<AuRelation, EvalError> {
-    eval_au_governed(db, q, cfg, Some(token), &Metrics::disabled(), &TraceBuilder::disabled())
-}
-
-/// One evaluation attempt under a serving layer's governance context:
-/// an externally owned [`CancelToken`], a shared [`WorkerGate`]
-/// (engine-wide worker-thread budget), and a shared [`Metrics`] sink.
-///
-/// Unlike [`eval_au`], this never degrades internally: a lane-path
-/// fault surfaces to the caller, who owns the retry / oracle-fallback
-/// policy (the serving engine's backoff loop and per-plan
-/// circuit breaker need to *see* each fault to count it). The token is
-/// used as-is; [`AuConfig::timeout`] is ignored — arm deadlines on the
-/// token.
-pub fn eval_au_once(
-    db: &AuDatabase,
-    q: &Query,
-    cfg: &AuConfig,
-    token: Option<&CancelToken>,
-    gate: Option<&WorkerGate>,
-    metrics: &Metrics,
-) -> Result<AuRelation, EvalError> {
-    eval_au_attempt(db, q, cfg, token, gate, metrics, &TraceBuilder::disabled())
+    eval_au_governed(db, q, cfg, &Metrics::disabled(), &TraceBuilder::disabled())
 }
 
 /// [`eval_au`] with full observability: a fresh [`Metrics`] sink and
 /// span builder are enabled for this query and the result is returned
 /// together with its [`QueryTrace`]. Enabling them never changes the
 /// result — the traced relation is byte-identical to [`eval_au`]'s
-/// (`tests/observability.rs` pins this across worker × shard shapes).
+/// (`tests/observability.rs` pins this across workers × splits).
 pub fn eval_au_traced(
     db: &AuDatabase,
     q: &Query,
@@ -251,12 +193,11 @@ pub fn eval_au_traced_full(
     q: &Query,
     cfg: &AuConfig,
 ) -> (Result<AuRelation, EvalError>, QueryTrace) {
-    let token = cfg.timeout.map(CancelToken::with_deadline_in);
     let metrics = Metrics::enabled();
     let tr = TraceBuilder::enabled();
     let started = Instant::now();
     let root = tr.open("query", || q.to_string());
-    let result = eval_au_governed(db, q, cfg, token.as_ref(), &metrics, &tr);
+    let result = eval_au_governed(db, q, cfg, &metrics, &tr);
     match &result {
         Ok(rel) => tr.close(root, Some(rel.len() as u64), Some(rel.estimated_bytes())),
         Err(e) => {
@@ -324,9 +265,7 @@ fn engine_config(cfg: &AuConfig) -> Vec<(&'static str, String)> {
             cfg.workers
                 .map_or_else(|| Executor::default().workers().to_string(), |w| w.to_string()),
         ),
-        ("shards", cfg.shards.map_or_else(|| "auto".to_string(), |s| s.to_string())),
         ("oracle", cfg.oracle.to_string()),
-        ("verify", cfg.verify.to_string()),
         ("adaptive", cfg.adaptive.to_string()),
         ("join_compress", opt(cfg.join_compress)),
         ("agg_compress", opt(cfg.agg_compress)),
@@ -339,21 +278,21 @@ fn eval_au_governed(
     db: &AuDatabase,
     q: &Query,
     cfg: &AuConfig,
-    cancel: Option<&CancelToken>,
     metrics: &Metrics,
     tr: &TraceBuilder,
 ) -> Result<AuRelation, EvalError> {
+    let exec = cfg.executor().with_metrics(metrics.clone());
     let depth = tr.depth();
-    match eval_au_attempt(db, q, cfg, cancel, None, metrics, tr) {
+    match eval_au_attempt(db, q, cfg, &exec, tr) {
         Err(EvalError::Exec(e)) if cfg.fuses_chains() && !e.is_resource_limit() => {
             // Graceful degradation: one retry on the oracle — only when
             // the failed attempt could run a fused chain, else the retry
             // would re-run the identical path. Resource-limit faults
             // (cancelled / deadline / budget) are not retried — the
             // second attempt would only burn more of the exhausted
-            // resource. The budget is re-created fresh inside the
-            // attempt; the cancel token is shared, so an expired
-            // deadline still cuts the retry short.
+            // resource. The budget is fresh; the cancel token is the
+            // first attempt's, so an expired deadline still cuts the
+            // retry short.
             metrics.add(Counter::Degradations, 1);
             metrics.record_event(ExecEvent {
                 kind: ExecEventKind::Degraded,
@@ -363,50 +302,46 @@ fn eval_au_governed(
             });
             tr.unwind(depth, &e.to_string());
             let fallback = AuConfig { oracle: true, ..*cfg };
-            eval_au_attempt(db, q, &fallback, cancel, None, metrics, tr)
+            let retry = match cfg.budget {
+                Some(spec) => exec.with_budget(Budget::new(spec)),
+                None => exec,
+            };
+            eval_au_attempt(db, q, &fallback, &retry, tr)
         }
         other => other,
     }
 }
 
-/// One evaluation attempt with its own governed executor (fresh
-/// [`Budget`], shared [`CancelToken`], shared [`Metrics`]).
-fn eval_au_attempt(
+/// One evaluation attempt on the caller's executor — single, and never
+/// degrading: a lane-path fault surfaces to the caller, who owns the
+/// retry / oracle-fallback policy ([`eval_au`]'s one retry; the serving
+/// engine's backoff loop and per-plan circuit breaker, which need to
+/// *see* each fault to count it; a differential test, which must not
+/// compare the oracle with itself).
+///
+/// Of `cfg` only the knobs that change results are read (compression,
+/// `adaptive`, `oracle`); workers, deadline, budget and everything else
+/// about *how* the query runs is `exec` — [`AuConfig::executor`], plus
+/// whatever the caller added to it. `tr` is the caller's trace builder
+/// ([`TraceBuilder::disabled`] for none).
+pub fn eval_au_attempt(
     db: &AuDatabase,
     q: &Query,
     cfg: &AuConfig,
-    cancel: Option<&CancelToken>,
-    gate: Option<&WorkerGate>,
-    metrics: &Metrics,
+    exec: &Executor,
     tr: &TraceBuilder,
 ) -> Result<AuRelation, EvalError> {
-    let mut exec = Executor::from_option(cfg.workers);
-    if let Some(floor) = cfg.min_rows_per_worker {
-        exec = exec.with_min_rows_per_worker(floor);
-    }
-    if let Some(gate) = gate {
-        exec = exec.with_worker_gate(gate.clone());
-    }
-    if let Some(token) = cancel {
-        exec = exec.with_cancel(token.clone());
-    }
-    if let Some(spec) = cfg.budget {
-        exec = exec.with_budget(Budget::new(spec));
-    }
-    if metrics.is_enabled() {
-        exec = exec.with_metrics(metrics.clone());
-    }
     let h = tr.open("attempt", String::new);
     tr.attr(h, "mode", || (if cfg.fuses_chains() { "lanes" } else { "oracle" }).to_string());
     tr.attr(h, "workers", || exec.workers().to_string());
     let rel = if cfg.fuses_chains() {
-        pipeline::eval_pipelined(db, q, cfg, &exec, tr)?
+        pipeline::eval_pipelined(db, q, cfg, exec, tr)?
     } else {
-        eval_inner(db, q, cfg, &exec, tr)?
+        eval_inner(db, q, cfg, exec, tr)?
     };
-    let rel = rel.into_owned().into_normalized_with(&exec)?;
+    let rel = rel.into_owned().into_normalized_with(exec)?;
     // the caller reads tuples: build them inside the query's span
-    rows_of(&rel, &exec);
+    rows_of(&rel, exec);
     close_rel(tr, h, &rel);
     Ok(rel)
 }
@@ -797,7 +732,7 @@ pub fn nested_loop_join_au_exec(
     let schema = l.schema.concat(&r.schema);
     let rows =
         exec.run(l.len(), |morsel, out: &mut Vec<(audb_storage::RangeTuple, AuAnnot)>| {
-            let mut watermark = 0usize;
+            let mut watermark = out.len();
             let checkpoint = |out: &[(audb_storage::RangeTuple, AuAnnot)],
                               watermark: &mut usize| {
                 exec.check_cancel()?;

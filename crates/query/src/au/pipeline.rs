@@ -1,6 +1,6 @@
-//! Shard-at-a-time pipeline evaluation: run whole chains of row-local
-//! operators per base-table shard, with **one** normalization at the
-//! pipeline breaker instead of one per operator.
+//! Morsel-at-a-time pipeline evaluation: run whole chains of row-local
+//! operators per morsel of the base table, with **one** normalization
+//! at the pipeline breaker instead of one per operator.
 //!
 //! The AU engine runs a query one of two ways. The operator-at-a-time
 //! evaluator ([`super::eval_inner`]: interpreted `Expr` trees — the
@@ -13,7 +13,8 @@
 //! observation of Antova et al., applied to AU-annotations: the
 //! annotation algebra is row-local, so the operators are too). This
 //! module fuses maximal chains of them and drives the fused chain
-//! shard-by-shard on [`Executor::run_shards`]: per shard, a chunk of
+//! morsel by morsel on [`Executor::run`] at the chain driver's grain
+//! ([`chain_exec`]): per morsel, a chunk of
 //! source rows flows through the entire chain (one lane stage at a
 //! time, a probe's matches as batches of row ids — see [`LanePlan`])
 //! before the next is touched; no relation between the base table and
@@ -56,7 +57,7 @@
 //! ## Determinism (byte-identical to the oracle)
 //!
 //! The final result of [`eval_pipelined`] is byte-identical to the
-//! sequential oracle's for any (workers × shards) combination. A probe
+//! sequential oracle's for any worker count and any split. A probe
 //! chain enumerates its pairs source row by source row — a row's hash
 //! bucket (or, on a nested-loop plan, every right row), then its sweep
 //! candidates, each carrying its *rank*: its position in the sweeps'
@@ -93,9 +94,9 @@
 //!   intermediates are never narrowed — merging on fewer columns would
 //!   change row counts, verdicts and buckets.
 //!
-//! Within one contract, shard boundaries never matter: shards are
-//! contiguous and merged in shard order ([`Executor::run_shards`]), so
-//! the produced row list equals the sequential single-shard list.
+//! Within one contract, morsel boundaries never matter: morsels are
+//! contiguous and merged in morsel order ([`Executor::run`]), so the
+//! produced row list equals the sequential single-morsel list.
 //!
 //! No row tuple exists while the chain runs. A batch's survivors are
 //! appended as what they already are ([`ChainOut`]): `(left id, right id)`
@@ -140,7 +141,7 @@ use audb_core::{
     AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, LaneTag, Program,
     Semiring, ValueLane,
 };
-use audb_exec::{Executor, ShardSource};
+use audb_exec::{Executor, Partitioner};
 use audb_storage::{
     lane_key, AuDatabase, AuRelation, ColumnSet, GatherView, HashKeyIndex, IntervalIndex,
     RangeTuple, Schema,
@@ -155,16 +156,32 @@ use crate::algebra::{AggSpec, Query};
 use crate::planner;
 use crate::vcheck::Vet;
 
-/// Minimum source rows per shard when the shard count is not forced
-/// ([`AuConfig::shards`] = `None`): below this, extra shards only add
-/// per-shard setup cost. Shared with the deterministic engine's chains
-/// ([`crate::det`]).
-pub(crate) const MIN_ROWS_PER_SHARD: usize = 1024;
+/// The chain driver's grain, in source rows per morsel: a morsel sets
+/// up a scratch batch and runs the whole chain over its rows, so below
+/// this more morsels only add setup cost.
+const MIN_ROWS_PER_MORSEL: usize = 1024;
 
-/// Governance stride inside a shard: every `GOVERN_ROWS` source rows
+/// `exec` at the chain driver's grain (the deterministic engine's
+/// chains, [`crate::det`], share it): the executor's per-worker floor,
+/// capped at [`MIN_ROWS_PER_MORSEL`], is read as rows per *morsel* and
+/// the floor itself is dropped — 3 328 source rows are three morsels at
+/// any worker count, one worker included. Stated relative to the
+/// executor's partitioner like γ's and −'s grains, never raising what a
+/// caller lowered: a zeroed floor leaves the caller's `min_morsel`.
+pub(crate) fn chain_exec(exec: &Executor) -> Executor {
+    let p = *exec.partitioner();
+    let grain = p.min_rows_per_worker.min(MIN_ROWS_PER_MORSEL);
+    exec.clone().with_partitioner(Partitioner {
+        min_morsel: p.min_morsel.max(grain),
+        min_rows_per_worker: 0,
+        ..p
+    })
+}
+
+/// Governance stride inside a morsel: every `GOVERN_ROWS` source rows
 /// the chain re-checks the cancel token and charges the rows it
 /// produced since the last checkpoint to the budget. Bounds how much
-/// work a cancelled query can still do inside one shard, and how far an
+/// work a cancelled query can still do inside one morsel, and how far an
 /// expanding probe can overshoot its budget.
 const GOVERN_ROWS: usize = 1024;
 
@@ -213,7 +230,7 @@ pub(crate) enum Form<'r> {
     LanesOf(&'r [usize]),
 }
 
-/// Evaluate a query with shard-at-a-time pipelining (the default path
+/// Evaluate a query with morsel-at-a-time pipelining (the default path
 /// of [`super::eval_au`]). The returned relation is the
 /// unnormalized-evaluation analog of [`super::eval_inner`]'s result:
 /// the caller applies the final normalization.
@@ -248,7 +265,7 @@ fn select_only(q: &Query) -> bool {
 /// A compiled chain stage: the register program, the columns it reads
 /// (a pair batch gathers only those), and whether it rewrites tuples
 /// (projection) or filters them (selection). Compiled once per chain
-/// and shared by every worker and shard.
+/// and shared by every worker and morsel.
 #[derive(Clone)]
 pub(crate) struct Stage {
     prog: Program,
@@ -472,7 +489,7 @@ fn poison_at(slot: &mut Option<(u32, EvalError)>, pos: u32, error: impl FnOnce()
     }
 }
 
-/// What the shards of one pool job produced, in enumeration order — not
+/// What the morsels sharing one buffer produced, in enumeration order — not
 /// rows yet, but what the survivors already are. Which it is follows
 /// from the chain's shape: before any projection, a probe chain's `(left
 /// id, right id)` pairs or a probe-less chain's source row ids (`lids`
@@ -489,7 +506,7 @@ pub(crate) struct ChainOut {
 }
 
 impl ChainOut {
-    /// Append the job that ran after this one.
+    /// Append the buffer that was filled after this one.
     fn extend(&mut self, next: ChainOut) {
         if self.annots.is_empty() {
             *self = next;
@@ -505,7 +522,7 @@ impl ChainOut {
     }
 }
 
-/// What a chain did on the lanes, summed over shards for its span.
+/// What a chain did on the lanes, summed over morsels for its span.
 #[derive(Default)]
 struct ChainStats {
     pairs: AtomicU64,
@@ -537,7 +554,7 @@ struct LanePlan<'p> {
 
 impl<'p> LanePlan<'p> {
     /// The column sets are built (or fetched from the relations' caches)
-    /// once here and shared by every shard.
+    /// once here and shared by every morsel.
     fn of(
         chain: &'p AuPipeline<'p>,
         keep: Option<&'p [usize]>,
@@ -679,7 +696,7 @@ impl<'p> LanePlan<'p> {
         Ok(())
     }
 
-    /// Append the batch in flight to the shard's output as what its
+    /// Append the batch in flight to the morsel's output as what its
     /// survivors already are (see [`ChainOut`]) — no tuple is built here.
     /// `base` is the source row of chunk position 0; `ranks` are a pair
     /// batch's, by batch position.
@@ -726,41 +743,42 @@ impl<'p> LanePlan<'p> {
         })
     }
 
-    /// Run the chain over all `n` source rows, shard by shard on the
-    /// executor's workers, and concatenate the shards' outputs in shard
-    /// order: the chain's whole output, as enumerated.
+    /// Run the chain over all `n` source rows, morsel by morsel on the
+    /// executor's workers at the chain driver's grain ([`chain_exec`]),
+    /// and concatenate the morsels' outputs in morsel order: the chain's
+    /// whole output, as enumerated.
     fn run_all(
         &self,
         n: usize,
-        sharding: &ShardSource,
         exec: &Executor,
         operator: &'static str,
     ) -> Result<ChainOut, EvalError> {
-        // the shards one pool job runs back to back share one buffer
-        let jobs: Vec<ChainOut> = exec.run_shards(n, sharding, |range, out| {
+        // the morsels one thread is handed the same vector for (inline:
+        // all of them) share one buffer
+        let jobs: Vec<ChainOut> = chain_exec(exec).run(n, |range, out| {
             if out.is_empty() {
                 out.push(ChainOut::default());
             }
-            self.run_shard(range, &mut out[0], exec, operator)
+            self.run_morsel(range, &mut out[0], exec, operator)
         })?;
         let mut all = ChainOut::default();
         jobs.into_iter().for_each(|job| all.extend(job));
         Ok(all)
     }
 
-    /// Run the chain over one shard in [`GOVERN_ROWS`]-row chunks, so
+    /// Run the chain over one morsel in [`GOVERN_ROWS`]-row chunks, so
     /// cancellation is observed and produced rows are charged to the
     /// budget (`operator`) with bounded overshoot; chunking cannot
     /// change results because every op is row-local and chunks run in
     /// source order.
-    fn run_shard(
+    fn run_morsel(
         &self,
         range: std::ops::Range<usize>,
         out: &mut ChainOut,
         exec: &Executor,
         operator: &'static str,
     ) -> Result<(), EvalError> {
-        // one scratch batch per shard: its poison slots for a full pair
+        // one scratch batch per morsel: its poison slots for a full pair
         // batch are a large allocation, not to be repeated per chunk
         let (mut batch, mut watermark) = (LaneBatch::default(), out.annots.len());
         let mut start = range.start;
@@ -774,7 +792,7 @@ impl<'p> LanePlan<'p> {
         Ok(())
     }
 
-    /// One source chunk of [`LanePlan::run_shard`]: the pre-probe stages
+    /// One source chunk of [`LanePlan::run_morsel`]: the pre-probe stages
     /// over the borrowed source lanes, then — on a probe chain — the
     /// surviving rows' matches, enumerated as `(left id, right id,
     /// k_l ⊗ k_r)` row by row (hash bucket, then sweep candidates with
@@ -929,7 +947,7 @@ struct AuPipeline<'a> {
 }
 
 impl<'a> AuPipeline<'a> {
-    /// Run the whole chain shard-by-shard on the lanes ([`LanePlan`]:
+    /// Run the whole chain morsel by morsel on the lanes ([`LanePlan`]:
     /// every stage evaluates over a whole source chunk or pair batch at
     /// a time) and deliver per the chain's shape and `delivery`: a
     /// single breaker normalization when a projection rewrote tuples or
@@ -942,11 +960,10 @@ impl<'a> AuPipeline<'a> {
     /// (in `reads` order) and says so in the returned flag.
     ///
     /// `h` is the open `fused-chain` span: the chain records its op
-    /// summary, shard count and pair accounting there, and closes it
+    /// summary, morsel count and pair accounting there, and closes it
     /// with the delivered relation's actual sizes.
     fn run(
         self,
-        cfg: &AuConfig,
         exec: &Executor,
         delivery: Delivery,
         form: Form<'_>,
@@ -959,10 +976,6 @@ impl<'a> AuPipeline<'a> {
             return Ok((self.source, false));
         }
         let n = self.source.len();
-        let sharding = match cfg.shards {
-            Some(s) => ShardSource::new(s),
-            None => ShardSource::auto(exec.workers(), n, MIN_ROWS_PER_SHARD),
-        };
         let normalizes = self.pre.iter().chain(&self.post).any(|st| st.project)
             || (self.probe.is_some() && delivery == Delivery::Canonical);
         let arity = self.schema.arity();
@@ -987,7 +1000,10 @@ impl<'a> AuPipeline<'a> {
             let pre = self.pre.iter().map(stage);
             pre.chain(probe).chain(self.post.iter().map(stage)).collect::<Vec<_>>().join("·")
         });
-        tr.attr(h, "shards", || sharding.slices(n).len().to_string());
+        tr.attr(h, "morsels", || {
+            let cexec = chain_exec(exec);
+            cexec.partitioner().morsels(n, cexec.workers()).len().to_string()
+        });
         if let Some(typed) = self.probe.as_ref().and_then(|p| p.keys_typed) {
             tr.attr(h, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
             if !typed {
@@ -997,7 +1013,7 @@ impl<'a> AuPipeline<'a> {
         if let Some(keep) = keep {
             tr.attr(h, "narrow", || format!("{}/{arity}", keep.len()));
         }
-        let mut all = plan.run_all(n, &sharding, exec, operator)?;
+        let mut all = plan.run_all(n, exec, operator)?;
         if plan.projects {
             // a projection no row reached delivered no lane
             all.lanes.resize_with(arity, ValueLane::default);
@@ -1071,7 +1087,7 @@ fn in_planner_order(ranks: &[u32]) -> Vec<u32> {
 
 /// `l ⋈_θ r` as one ordinary probe chain with nothing around it — each
 /// half of a split/compress join ([`crate::opt`]): the probe is built on
-/// `r`'s lanes, `l` shards over the executor's workers, and the pairs
+/// `r`'s lanes, `l` splits into morsels over the executor's workers, and the pairs
 /// that pass the re-check come back as enumerated (`lids`, `rids`,
 /// `annots`), with the probe's `keys_typed`.
 pub(crate) fn probe_join_pairs(
@@ -1086,8 +1102,7 @@ pub(crate) fn probe_join_pairs(
     let (source, pre, post) = (Cow::Borrowed(l), vec![], vec![]);
     let chain = AuPipeline { source, pre, probe: Some(probe), post, schema };
     let plan = LanePlan::of(&chain, None, false, exec);
-    let sharding = ShardSource::auto(exec.workers(), n, MIN_ROWS_PER_SHARD);
-    Ok((plan.run_all(n, &sharding, exec, "join-probe")?, keys_typed))
+    Ok((plan.run_all(n, exec, "join-probe")?, keys_typed))
 }
 
 /// Lay out the chain rooted at `q` (a `σ/π/⋈` tree) and compile
@@ -1192,10 +1207,10 @@ fn eval_chain<'a>(
         .to_string()
     });
     tr.attr(h, "form", || (if form == Form::Rows { "rows" } else { "lanes" }).to_string());
-    match plan_chain(q, cfg, Vet::new(cfg.verify, exec, tr)) {
+    match plan_chain(q, cfg, Vet::new(exec, tr)) {
         Some(plan) => {
             let chain = build_chain(db, plan, cfg, exec, delivery, tr)?;
-            chain.run(cfg, exec, delivery, form, tr, h)
+            chain.run(exec, delivery, form, tr, h)
         }
         None => {
             // Tier B rejected a stage: the whole chain — its inputs
@@ -1290,4 +1305,26 @@ fn eval_pl<'a>(
 /// Does `q` root a `σ/π/⋈` tree — the shapes [`eval_chain`] runs?
 fn is_chain(q: &Query) -> bool {
     matches!(q, Query::Table(_) | Query::Select { .. } | Query::Project { .. } | Query::Join { .. })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The chain driver's grain, read off the executor: the default
+    /// partitioner becomes the split `audb_exec`'s `pipeline::tests`
+    /// pin slice by slice, at any worker count; a caller's finer split
+    /// stays as fine; a raised floor does not raise the grain.
+    #[test]
+    fn chain_grain_is_relative_to_the_executors_partitioner() {
+        let chain = Partitioner { min_morsel: 1024, morsels_per_worker: 4, min_rows_per_worker: 0 };
+        for w in [1, 2, 4] {
+            assert_eq!(*chain_exec(&Executor::new(w)).partitioner(), chain);
+        }
+        let finest = Partitioner { min_morsel: 1, morsels_per_worker: 64, min_rows_per_worker: 0 };
+        let lowered = Executor::new(2).with_partitioner(finest);
+        assert_eq!(*chain_exec(&lowered).partitioner(), finest);
+        let raised = Executor::new(2).with_min_rows_per_worker(1 << 20);
+        assert_eq!(*chain_exec(&raised).partitioner(), chain);
+    }
 }

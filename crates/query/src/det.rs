@@ -8,7 +8,7 @@
 //!
 //! * **production** ([`eval_det`] / [`eval_det_exec`]): row-local
 //!   operator chains (select / project / the probe side of a planned
-//!   join) fuse into a single pass per base-table shard
+//!   join) fuse into a single pass per base-table morsel
 //!   ([`DetPipeline`]) over compiled det [`Program`]s; everything else
 //!   runs operator-at-a-time on the pool. A chain one of whose stages
 //!   Tier B rejects is not fused at all — its subtree runs on the
@@ -26,11 +26,11 @@ use std::collections::HashMap;
 
 use audb_core::obs::TraceBuilder;
 use audb_core::{EvalError, Expr, Program, Semiring, Value};
-use audb_exec::{Executor, ShardSource};
+use audb_exec::Executor;
 use audb_storage::{det_key, Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
 
 use crate::algebra::{AggFunc, AggSpec, Query};
-use crate::au::pipeline::{Delivery, MIN_ROWS_PER_SHARD};
+use crate::au::pipeline::{chain_exec, Delivery};
 use crate::planner;
 use crate::vcheck::Vet;
 
@@ -40,13 +40,13 @@ pub fn eval_det(db: &Database, q: &Query) -> Result<Relation, EvalError> {
     eval_det_exec(db, q, &Executor::default())
 }
 
-/// [`eval_det`] on an explicit executor, with shard-at-a-time
+/// [`eval_det`] on an explicit executor, with morsel-at-a-time
 /// pipelining of fusable operator chains. `Executor::sequential()`
 /// reproduces the serial behavior exactly; any worker count produces a
 /// byte-identical result.
 pub fn eval_det_exec(db: &Database, q: &Query, exec: &Executor) -> Result<Relation, EvalError> {
     let tr = TraceBuilder::disabled();
-    let rel = eval_walk(db, q, exec, Delivery::Canonical, Some(Vet::new(true, exec, &tr)))?;
+    let rel = eval_walk(db, q, exec, Delivery::Canonical, Some(Vet::new(exec, &tr)))?;
     Ok(rel.into_owned().into_normalized_with(exec)?)
 }
 
@@ -258,7 +258,7 @@ impl DetProbeOp {
     }
 }
 
-/// Per-op scratch reused across a shard's rows: the value buffer plus
+/// Per-op scratch reused across a morsel's rows: the value buffer plus
 /// the compiled-program register file.
 #[derive(Default)]
 struct DetBuf {
@@ -309,7 +309,7 @@ struct DetPipeline<'a> {
 }
 
 impl<'a> DetPipeline<'a> {
-    /// Run the chain shard-by-shard into a relation, with the delivery
+    /// Run the chain morsel by morsel into a relation, with the delivery
     /// its shape admits: probe chains pay the single breaker
     /// normalization; select/project chains reproduce the serial row
     /// list exactly (selection preserving normal form). Row order is
@@ -318,11 +318,9 @@ impl<'a> DetPipeline<'a> {
         if self.ops.is_empty() {
             return Ok(self.source);
         }
-        let n = self.source.len();
-        let sharding = ShardSource::auto(exec.workers(), n, MIN_ROWS_PER_SHARD);
         let ops = &self.ops;
         let source = self.source.as_ref();
-        let rows = exec.run_shards(n, &sharding, |range, out| {
+        let rows = chain_exec(exec).run(source.len(), |range, out| {
             let mut bufs: Vec<DetBuf> = Vec::new();
             bufs.resize_with(ops.len(), DetBuf::default);
             for i in range {

@@ -36,8 +36,7 @@ pub mod vcheck;
 
 pub use algebra::{table, AggFunc, AggSpec, Catalog, Query};
 pub use au::{
-    eval_au, eval_au_cancellable, eval_au_once, eval_au_traced, eval_au_traced_full, explain,
-    AuConfig, Explain,
+    eval_au, eval_au_attempt, eval_au_traced, eval_au_traced_full, explain, AuConfig, Explain,
 };
 pub use audb_exec::{Executor, Partitioner};
 pub use det::eval_det;

@@ -230,7 +230,7 @@ pub fn optimized_join_exec(
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     let tr = TraceBuilder::disabled();
-    let recheck = match predicate.map(|p| (p, Stage::filter(p, Vet::new(true, exec, &tr)))) {
+    let recheck = match predicate.map(|p| (p, Stage::filter(p, Vet::new(exec, &tr)))) {
         Some((_, None)) => return optimized_join_literal(l, r, predicate, ct, exec),
         Some((p, Some(stage))) => Some((p, stage)),
         None => None,

@@ -262,7 +262,7 @@ fn hash_equi_join_au(
         let rkey = |ri| au_sg_key(r.rows(), &rcols, ri);
         let index = HashKeyIndex::build(rc.iter().copied(), rkey);
         let rows = exec.run(lc.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
-            let mut watermark = 0usize;
+            let mut watermark = rows.len();
             for &li in &lc[morsel] {
                 if rows.len() - watermark >= GOVERN_ROWS {
                     charge_probe(exec, rows, &mut watermark)?;
@@ -295,7 +295,7 @@ fn hash_equi_join_au(
         IntervalIndex::sweep_overlapping(&li, &ri, |a, b| candidates.push((a, b)));
     }
     let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
-        let mut watermark = 0usize;
+        let mut watermark = rows.len();
         for &(a, b) in &candidates[morsel] {
             if rows.len() - watermark >= GOVERN_ROWS {
                 charge_probe(exec, rows, &mut watermark)?;
@@ -355,7 +355,7 @@ fn comparison_join_au(
         |c| IntervalIndex::from_au(r.rows(), c),
     );
     let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
-        let mut watermark = 0usize;
+        let mut watermark = rows.len();
         for &(a, b) in &candidates[morsel] {
             if rows.len() - watermark >= GOVERN_ROWS {
                 charge_probe(exec, rows, &mut watermark)?;
@@ -396,7 +396,7 @@ pub fn join_det_planned_exec(
             let rkey = |ri: u32| det_key(r.rows()[ri as usize].0.values(), &rcols);
             let index = HashKeyIndex::build(0..r.rows().len() as u32, rkey);
             let rows = exec.run(l.rows().len(), |morsel, rows: &mut Vec<(Tuple, u64)>| {
-                let mut watermark = 0usize;
+                let mut watermark = rows.len();
                 for (tl, kl) in &l.rows()[morsel] {
                     if rows.len() - watermark >= GOVERN_ROWS {
                         charge_probe(exec, rows, &mut watermark)?;
@@ -421,7 +421,7 @@ pub fn join_det_planned_exec(
                 |c| IntervalIndex::from_det(r.rows(), c),
             );
             let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<(Tuple, u64)>| {
-                let mut watermark = 0usize;
+                let mut watermark = rows.len();
                 for &(a, b) in &candidates[morsel] {
                     if rows.len() - watermark >= GOVERN_ROWS {
                         charge_probe(exec, rows, &mut watermark)?;

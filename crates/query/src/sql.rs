@@ -123,9 +123,21 @@ fn tokenize(sql: &str) -> Result<Vec<Tok>, EvalError> {
 // parser
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting the recursive-descent parser follows — parentheses,
+/// `CASE` / `make_uncertain` / aggregate arguments, `NOT` and unary-minus
+/// chains, and the right-nested `UNION` / `EXCEPT` tail all count. The
+/// parser recurses once per level (and so do the plan's consumers), so
+/// unbounded nesting is a stack overflow: an abort no `catch_unwind`
+/// contains. Sized for a spawned thread's 2 MiB stack in an unoptimized
+/// build, where a level of parentheses costs ~11 KiB (160 levels parse
+/// there, 192 overflow).
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     toks: Vec<Tok>,
     pos: usize,
+    /// Current nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
     catalog: &'a dyn Catalog,
 }
 
@@ -160,7 +172,7 @@ impl Scope {
 /// Parse a SQL statement into a [`Query`] plan against the catalog.
 pub fn parse_sql(sql: &str, catalog: &dyn Catalog) -> Result<Query, EvalError> {
     let toks = tokenize(sql)?;
-    let mut p = Parser { toks, pos: 0, catalog };
+    let mut p = Parser { toks, pos: 0, depth: 0, catalog };
     let q = p.select_stmt()?;
     p.eat_sym(";").ok();
     if p.pos < p.toks.len() {
@@ -224,16 +236,30 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Run `parse` one nesting level down; an error past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, EvalError>,
+    ) -> Result<T, EvalError> {
+        if self.depth == MAX_NESTING {
+            return Err(err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     // ---- statements -----------------------------------------------------
 
     fn select_stmt(&mut self) -> Result<Query, EvalError> {
         let q = self.select_core()?;
         if self.eat_kw("union") {
-            let rhs = self.select_stmt()?;
+            let rhs = self.nested(Self::select_stmt)?;
             return Ok(q.union(rhs));
         }
         if self.eat_kw("except") {
-            let rhs = self.select_stmt()?;
+            let rhs = self.nested(Self::select_stmt)?;
             return Ok(q.difference(rhs));
         }
         Ok(q)
@@ -464,7 +490,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
-        self.or_expr(scope)
+        self.nested(|p| p.or_expr(scope))
     }
 
     fn or_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
@@ -485,7 +511,7 @@ impl<'a> Parser<'a> {
 
     fn not_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
         if self.eat_kw("not") {
-            return Ok(self.not_expr(scope)?.not());
+            return Ok(self.nested(|p| p.not_expr(scope))?.not());
         }
         self.cmp_expr(scope)
     }
@@ -543,7 +569,7 @@ impl<'a> Parser<'a> {
     fn unary_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
         if self.peek_sym("-") {
             self.eat_sym("-")?;
-            return Ok(self.unary_expr(scope)?.neg());
+            return Ok(self.nested(|p| p.unary_expr(scope))?.neg());
         }
         self.primary(scope)
     }
@@ -802,6 +828,34 @@ mod tests {
         assert!(parse_sql("SELECT rate FROM missing", &db).is_err());
         assert!(parse_sql("SELECT rate FROM locales GROUP BY size", &db).is_err());
         assert!(parse_sql("SELECT 'unterminated FROM locales", &db).is_err());
+    }
+
+    /// Nesting is bounded: one level short of [`MAX_NESTING`] parses,
+    /// one past it — and 100 000, which used to overflow the stack and
+    /// abort the process — is an error naming the limit. Parentheses,
+    /// `NOT` / unary-minus chains and `UNION` tails all count.
+    #[test]
+    fn nesting_depth_is_limited() {
+        let db = det_db();
+        let parens = |n: usize| {
+            format!("SELECT size FROM locales WHERE {}rate = 1{}", "(".repeat(n), ")".repeat(n))
+        };
+        let nots =
+            |n: usize| format!("SELECT size FROM locales WHERE {}rate = 1", "not ".repeat(n));
+        let negs = |n: usize| format!("SELECT {}rate AS r FROM locales", "- ".repeat(n));
+        let unions = |n: usize| vec!["SELECT size FROM locales"; n + 1].join(" UNION ");
+        for (what, sql) in [
+            ("parentheses", &parens as &dyn Fn(usize) -> String),
+            ("not chain", &nots),
+            ("unary minus chain", &negs),
+            ("union tail", &unions),
+        ] {
+            assert!(parse_sql(&sql(MAX_NESTING - 1), &db).is_ok(), "{what} below the limit");
+            for n in [MAX_NESTING + 1, 100_000] {
+                let e = parse_sql(&sql(n), &db).unwrap_err().to_string();
+                assert!(e.contains(&format!("deeper than {MAX_NESTING}")), "{what} × {n}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! unconditionally inside `Program` construction — a freshly lowered
 //! program that fails it is a lowerer bug and panics there. This module
 //! adds the *Tier B* gate at every chain compile site
-//! ([`crate::au::pipeline`], [`crate::det`]): with
-//! [`AuConfig::verify`](crate::au::AuConfig) on (the default), each
-//! compiled stage is abstractly interpreted before it is accepted,
-//! and a rejection keeps the suspect program from executing: either
+//! ([`crate::au::pipeline`], [`crate::det`]), unconditionally: each
+//! freshly compiled stage is abstractly interpreted before it is
+//! accepted (a prepared-plan cache hit re-checks Tier A only), and a
+//! rejection keeps the suspect program from executing: either
 //! engine runs the whole chain on its operator-at-a-time oracle
 //! instead (the per-chain analog of the whole-query lanes→oracle
 //! degradation retry).
@@ -81,18 +81,16 @@ fn tamper(p: Program) -> Program {
 }
 
 /// The compile-site context a fused chain threads to every stage it
-/// lowers: whether to vet with Tier B, and where rejections are
-/// recorded.
+/// lowers: where verdicts and rejections are recorded.
 #[derive(Clone, Copy)]
 pub(crate) struct Vet<'a> {
-    verify: bool,
     metrics: &'a Metrics,
     tr: &'a TraceBuilder,
 }
 
 impl<'a> Vet<'a> {
-    pub(crate) fn new(verify: bool, exec: &'a Executor, tr: &'a TraceBuilder) -> Vet<'a> {
-        Vet { verify, metrics: exec.metrics(), tr }
+    pub(crate) fn new(exec: &'a Executor, tr: &'a TraceBuilder) -> Vet<'a> {
+        Vet { metrics: exec.metrics(), tr }
     }
 
     /// Compile one range predicate, vetted. `None` means "do not run a
@@ -141,12 +139,6 @@ impl<'a> Vet<'a> {
             }
         }
         let p = tamper(compile());
-        if !self.verify {
-            if let (Some(cache), Some(k)) = (&cache, cache_key) {
-                cache.insert(k, p.clone());
-            }
-            return Some(p);
-        }
         let h = self.tr.open("verify", || {
             (match p.mode() {
                 Mode::Range => "range",

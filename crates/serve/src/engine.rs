@@ -36,11 +36,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use audb_core::obs::{Counter, ExecEvent, ExecEventKind, Metrics, MetricsSnapshot};
-use audb_core::{CancelToken, EvalError};
+use audb_core::obs::{Counter, ExecEvent, ExecEventKind, Metrics, MetricsSnapshot, TraceBuilder};
+use audb_core::EvalError;
 use audb_exec::WorkerGate;
 use audb_query::au::AuConfig;
-use audb_query::{eval_au_once, parse_sql, with_program_cache, ProgramCache, Query};
+use audb_query::{eval_au_attempt, parse_sql, with_program_cache, ProgramCache, Query};
 use audb_storage::{AuDatabase, AuRelation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -432,21 +432,20 @@ impl Engine {
             // runs on the oracle anyway never consults it.
             let lanes_wanted = inner.config.eval.fuses_chains();
             let lanes = lanes_wanted && plan.breaker.allow_compiled();
+            // the class's governance over the engine's base knobs; the
+            // derived executor then takes the engine's gate and meters
             let cfg = AuConfig {
                 oracle: !lanes,
+                timeout: policy.timeout.or(inner.config.eval.timeout),
                 budget: policy.budget.or(inner.config.eval.budget),
                 ..inner.config.eval
             };
-            let token = policy.timeout.map(CancelToken::with_deadline_in);
+            let exec = cfg
+                .executor()
+                .with_worker_gate(inner.gate.clone())
+                .with_metrics(inner.metrics.clone());
             let verdict = with_program_cache(Arc::clone(&plan.programs), || {
-                eval_au_once(
-                    snap.db(),
-                    &plan.query,
-                    &cfg,
-                    token.as_ref(),
-                    Some(&inner.gate),
-                    &inner.metrics,
-                )
+                eval_au_attempt(snap.db(), &plan.query, &cfg, &exec, &TraceBuilder::disabled())
             });
             match verdict {
                 Ok(relation) => {

@@ -58,7 +58,7 @@ pub use audb_workloads as workloads;
 
 /// Common imports for working with AU-DBs.
 pub mod prelude {
-    pub use audb_core::obs::{Metrics, QueryTrace, TraceSpan, TRACE_SCHEMA_VERSION};
+    pub use audb_core::obs::{Metrics, QueryTrace, TraceBuilder, TraceSpan, TRACE_SCHEMA_VERSION};
     pub use audb_core::{
         col, lit, AuAnnot, Budget, BudgetSpec, CancelToken, EvalError, ExecError, Expr, RangeValue,
         UaAnnot, Value,
@@ -69,9 +69,9 @@ pub mod prelude {
         TiDb, TiRelation, VTable, XDb, XRelation, XTuple,
     };
     pub use audb_query::{
-        eval_au, eval_au_cancellable, eval_au_once, eval_au_traced, eval_au_traced_full, eval_det,
-        eval_ua, explain, parse_sql, rewrite::eval_via_rewrite, table, AggFunc, AggSpec, AuConfig,
-        Explain, ProgramCache, Query,
+        eval_au, eval_au_attempt, eval_au_traced, eval_au_traced_full, eval_det, eval_ua, explain,
+        parse_sql, rewrite::eval_via_rewrite, table, AggFunc, AggSpec, AuConfig, Explain,
+        ProgramCache, Query,
     };
     pub use audb_serve::{Class, ClassPolicy, Engine, EngineConfig, Response, ServeError};
     pub use audb_storage::{

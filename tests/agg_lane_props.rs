@@ -17,7 +17,7 @@ use audb::prelude::*;
 use audb::query::au::aggregate::{aggregate_au_exec, aggregate_au_scan};
 use audb::query::au::combine::sg_combine;
 use audb::query::au::difference::{difference_au_exec, difference_au_scan};
-use common::{cfg_oracle, check_bounds, weighted_xtuple};
+use common::{cfg_oracle, check_bounds, exec, weighted_xtuple};
 
 struct XorShift(u64);
 
@@ -106,14 +106,6 @@ fn aggs() -> Vec<AggSpec> {
         AggSpec::new(AggFunc::Max, col(3).add(col(4)), "hi"),
         AggSpec::new(AggFunc::Avg, col(4), "a"),
     ]
-}
-
-fn exec(workers: usize) -> Executor {
-    Executor::new(workers).with_partitioner(Partitioner {
-        min_morsel: 1,
-        morsels_per_worker: 3,
-        min_rows_per_worker: 0,
-    })
 }
 
 /// Distinct SG keys of `rel` over `group_by` — `Value`'s structural

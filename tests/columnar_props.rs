@@ -1,7 +1,7 @@
 //! Differential properties of columnar execution: for every query in
 //! the corpus, evaluation on the lanes (typed vector kernels over
 //! column lanes, the default) must be **byte-identical** at every
-//! worker × shard combination — same rows, same order, same
+//! worker × split combination — same rows, same order, same
 //! annotations, and for a query that fails the identical error (the
 //! earliest poisoned row's) — and must return the oracle's relation
 //! (operator-at-a-time interpretation, `AuConfig::oracle`), failing
@@ -25,7 +25,7 @@ use audb::query::table;
 use audb::workloads::{
     gen_tpch, inject_uncertainty, micro_join_db, tpch_queries, MicroConfig, TpchConfig,
 };
-use common::assert_lanes_match_oracle;
+use common::{assert_lanes_match_oracle, relation_strategy};
 
 /// Columnar evaluation is the default: the oracle is opt-in.
 #[test]
@@ -59,26 +59,6 @@ fn int_value_strategy() -> impl Strategy<Value = RangeValue> {
         (-4i64..5).prop_map(|v| RangeValue::certain(Value::Int(v))),
         (-4i64..5, 0i64..3, 0i64..3).prop_map(|(a, d1, d2)| RangeValue::range(a - d1, a, a + d2)),
     ]
-}
-
-fn annot_strategy() -> impl Strategy<Value = AuAnnot> {
-    (0u64..2, 0u64..3, 0u64..3).prop_map(|(a, b, c)| AuAnnot::triple(a, a + b, a + b + c))
-}
-
-fn relation_strategy<S: Strategy<Value = RangeValue>>(
-    values: impl Fn() -> S,
-    name0: &'static str,
-    name1: &'static str,
-    max_rows: usize,
-) -> impl Strategy<Value = AuRelation> {
-    proptest::collection::vec((values(), values(), annot_strategy()), 0..max_rows).prop_map(
-        move |rows| {
-            AuRelation::from_rows(
-                Schema::named(&[name0, name1]),
-                rows.into_iter().map(|(a, b, k)| (RangeTuple::new(vec![a, b]), k)).collect(),
-            )
-        },
-    )
 }
 
 /// The fig13/fig14/fig16 query shapes: batchable select/project chains
@@ -124,11 +104,11 @@ proptest! {
     /// Mixed-type columns: strings, floats, and sentinels force the
     /// boxed lane (and mixed Int⊗Float comparisons inside kernels), and
     /// arithmetic over non-numeric cells poisons rows — results must
-    /// match the oracle, errors every other shard shape.
+    /// match the oracle, errors every other split shape.
     #[test]
     fn columnar_identical_on_mixed_type_corpus(
-        t1 in relation_strategy(mixed_value_strategy, "A", "B", 14),
-        t2 in relation_strategy(mixed_value_strategy, "C", "D", 14),
+        t1 in relation_strategy(mixed_value_strategy, ["A", "B"], 14),
+        t2 in relation_strategy(mixed_value_strategy, ["C", "D"], 14),
     ) {
         let mut db = AuDatabase::new();
         db.insert("t1", t1);
@@ -141,8 +121,8 @@ proptest! {
     /// Homogeneous Int columns: the typed kernels carry every op.
     #[test]
     fn columnar_identical_on_int_corpus(
-        t1 in relation_strategy(int_value_strategy, "A", "B", 14),
-        t2 in relation_strategy(int_value_strategy, "C", "D", 14),
+        t1 in relation_strategy(int_value_strategy, ["A", "B"], 14),
+        t2 in relation_strategy(int_value_strategy, ["C", "D"], 14),
     ) {
         let mut db = AuDatabase::new();
         db.insert("t1", t1);
@@ -156,7 +136,7 @@ proptest! {
     /// checked Int kernels (which must demote the op and float-promote
     /// exactly like the scalar combinators), and division columns
     /// spanning zero poison rows — the reported error must be the same
-    /// at every shard shape.
+    /// at every split shape.
     #[test]
     fn columnar_identical_at_demotion_and_poison_boundaries(
         rows in proptest::collection::vec((-3i64..4, 0u8..4), 1..12),

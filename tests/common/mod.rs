@@ -3,14 +3,26 @@
 
 #![allow(dead_code)] // every suite uses its own subset
 
+use audb::core::{col, lit, Expr};
 use audb::incomplete::relation_bounds_world;
 use audb::prelude::*;
 use proptest::prelude::*;
 
 /// Worker counts the suites pin down; 7 exceeds most CI machines.
 pub const WORKERS: [usize; 4] = [1, 2, 4, 7];
-/// Forced shard counts for the fused-chain driver.
-pub const SHARDS: [usize; 3] = [1, 3, 8];
+
+/// The finest split: every driver — operator loops, breaker
+/// normalizations, fused chains — cuts its input into morsels of one
+/// row, so tiny proptest inputs really run multi-worker and
+/// multi-morsel instead of degrading to the inline path.
+pub const FINEST: Partitioner =
+    Partitioner { min_morsel: 1, morsels_per_worker: 1 << 16, min_rows_per_worker: 0 };
+
+/// The two splits of the differential matrix: the one production runs,
+/// and [`FINEST`].
+pub fn splits() -> [Partitioner; 2] {
+    [Partitioner::default(), FINEST]
+}
 
 /// The one differential oracle: sequential operator-at-a-time
 /// evaluation over the interpreted `Expr` trees.
@@ -23,18 +35,42 @@ pub fn oracle_of(base: &AuConfig) -> AuConfig {
     AuConfig { oracle: true, workers: Some(1), ..*base }
 }
 
-/// The production path — fused chains on the lanes — with forced worker
-/// and shard counts. The adaptive parallelism floor is disabled so tiny
-/// proptest inputs really run multi-worker (operator loops, breaker
-/// normalizations, and the sharded chains alike) instead of degrading
-/// to the inline path.
-pub fn cfg_lanes(workers: usize, shards: usize) -> AuConfig {
-    lanes_of(&AuConfig::default(), workers, shards)
+/// The production path — fused chains on the lanes — at a forced worker
+/// count, for the entry points that derive their own executor.
+pub fn cfg_lanes(workers: usize) -> AuConfig {
+    AuConfig::default().with_workers(workers)
 }
 
-/// [`cfg_lanes`] under `base`'s compression knobs.
-pub fn lanes_of(base: &AuConfig, workers: usize, shards: usize) -> AuConfig {
-    AuConfig { workers: Some(workers), shards: Some(shards), min_rows_per_worker: Some(0), ..*base }
+/// The production path under `base`'s knobs at a forced worker count
+/// and split.
+pub fn lanes_exec(base: &AuConfig, workers: usize, split: Partitioner) -> Executor {
+    base.with_workers(workers).executor().with_partitioner(split)
+}
+
+/// One attempt of `q` on the lanes, **never degrading**: a lane fault
+/// surfaces as the structured error instead of being answered by the
+/// oracle, which would compare the oracle with itself.
+pub fn eval_lanes(
+    db: &AuDatabase,
+    q: &Query,
+    base: &AuConfig,
+    exec: &Executor,
+) -> Result<AuRelation, EvalError> {
+    assert!(base.fuses_chains(), "the lanes side must not be the oracle");
+    eval_au_attempt(db, q, base, exec, &TraceBuilder::disabled())
+}
+
+/// [`eval_lanes`] with its trace: the `attempt` span tree, and the
+/// executor's meters when `exec` carries enabled ones.
+pub fn eval_lanes_traced(
+    db: &AuDatabase,
+    q: &Query,
+    base: &AuConfig,
+    exec: &Executor,
+) -> (Result<AuRelation, EvalError>, TraceSpan) {
+    let tr = TraceBuilder::enabled();
+    let out = eval_au_attempt(db, q, base, exec, &tr);
+    (out, tr.finish().expect("an enabled builder has a root span"))
 }
 
 /// The base configurations of the differential matrix: precise, the
@@ -54,22 +90,22 @@ pub fn base_configs() -> [(&'static str, AuConfig); 5] {
 
 /// Under `base`, the lanes return **exactly** the same outcome —
 /// relation or error, the error being the one the chain's enumeration
-/// order meets first — for every workers × shards shape, and agree with
+/// order meets first — for every workers × splits shape, and agree with
 /// the oracle on the relation (the oracle meets errors in its own
 /// operator order, so there only success/failure is compared).
 pub fn assert_lanes_match_oracle(base: &AuConfig, db: &AuDatabase, q: &Query, ctx: &str) {
-    let reference = eval_au(db, q, &lanes_of(base, 1, 1));
+    let reference = eval_lanes(db, q, base, &lanes_exec(base, 1, Partitioner::default()));
     match (&reference, eval_au(db, q, &oracle_of(base))) {
         (Ok(r), Ok(o)) => assert_eq!(*r, o, "lanes vs oracle: {ctx}, base = {base:?}, q = {q}"),
         (Err(_), Err(_)) => {}
         (r, o) => panic!("lanes {r:?} vs oracle {o:?}: {ctx}, base = {base:?}, q = {q}"),
     }
     for w in WORKERS {
-        for s in SHARDS {
-            let got = eval_au(db, q, &lanes_of(base, w, s));
+        for split in splits() {
+            let got = eval_lanes(db, q, base, &lanes_exec(base, w, split));
             assert_eq!(
                 got, reference,
-                "lanes: {ctx}, base = {base:?}, workers = {w}, shards = {s}, q = {q}"
+                "lanes: {ctx}, base = {base:?}, workers = {w}, {split:?}, q = {q}"
             );
         }
     }
@@ -118,4 +154,133 @@ pub fn weighted_xtuple(alts: Vec<Tuple>, total: f64) -> XTuple {
     let norm: f64 = weighted.iter().map(|(_, q)| q).sum::<f64>() / total;
     weighted.iter_mut().for_each(|w| w.1 /= norm);
     XTuple::new(weighted)
+}
+
+// ---------------------------------------------------------------------------
+// generators
+// ---------------------------------------------------------------------------
+
+/// Force real partitioning of the operator drivers even on tiny inputs:
+/// without this the default 128-row morsel floor would keep small
+/// proptest cases on the inline path and test nothing.
+pub fn exec(workers: usize) -> Executor {
+    Executor::new(workers).with_partitioner(Partitioner {
+        min_morsel: 1,
+        morsels_per_worker: 3,
+        min_rows_per_worker: 0,
+    })
+}
+
+pub fn annot_strategy() -> impl Strategy<Value = AuAnnot> {
+    (0u64..2, 0u64..3, 0u64..3).prop_map(|(a, b, c)| AuAnnot::triple(a, a + b, a + b + c))
+}
+
+/// Small `Int` cells: certain, proper ranges, and domain-wide unknowns.
+pub fn range_value_strategy() -> impl Strategy<Value = RangeValue> {
+    prop_oneof![
+        (-4i64..5).prop_map(|v| RangeValue::certain(Value::Int(v))),
+        (-4i64..5, 0i64..3, 0i64..3).prop_map(|(a, d1, d2)| RangeValue::range(a - d1, a, a + d2)),
+        (-4i64..5).prop_map(|v| RangeValue::unknown(Value::Int(v))),
+    ]
+}
+
+/// An arity-2 AU-relation of `cells` with fewer than `max_rows` rows.
+pub fn relation_strategy<S: Strategy<Value = RangeValue>>(
+    cells: fn() -> S,
+    names: [&'static str; 2],
+    max_rows: usize,
+) -> impl Strategy<Value = AuRelation> {
+    proptest::collection::vec((cells(), cells(), annot_strategy()), 0..max_rows).prop_map(
+        move |rows| {
+            AuRelation::from_rows(
+                Schema::named(&names),
+                rows.into_iter().map(|(a, b, k)| (RangeTuple::new(vec![a, b]), k)).collect(),
+            )
+        },
+    )
+}
+
+/// [`relation_strategy`] over [`range_value_strategy`] cells.
+pub fn au_relation_strategy(
+    name0: &'static str,
+    name1: &'static str,
+    max_rows: usize,
+) -> impl Strategy<Value = AuRelation> {
+    relation_strategy(range_value_strategy, [name0, name1], max_rows)
+}
+
+/// Mixed-representation numeric values: `Int` and quarter-step `Float`,
+/// overlapping so cross-type numeric ties (the sg-widening cases) are
+/// common.
+pub fn mixed_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-5i64..6).prop_map(Value::Int),
+        (-20i64..21).prop_map(|q| Value::float(q as f64 / 4.0)),
+    ]
+}
+
+/// Any three mixed values, sorted, make a valid range (sg = median).
+pub fn mixed_range() -> impl Strategy<Value = RangeValue> {
+    (mixed_value(), mixed_value(), mixed_value()).prop_map(|(a, b, c)| {
+        let mut v = [a, b, c];
+        v.sort();
+        let [lb, sg, ub] = v;
+        RangeValue::new(lb, sg, ub).expect("sorted triple is a valid range")
+    })
+}
+
+/// A two-column `(A, B)` AU relation over mixed Int/Float ranges.
+pub fn mixed_relation_strategy(max_rows: usize) -> impl Strategy<Value = AuRelation> {
+    relation_strategy(mixed_range, ["A", "B"], max_rows)
+}
+
+/// Random numeric expression trees over columns 0..2 with Int/Float
+/// literals: arithmetic (including `Div`, whose spans-zero guard
+/// exercises the error paths), `If` over comparisons, and the
+/// `MakeUncertain` lens.
+pub fn num_expr_strategy() -> BoxedStrategy<Expr> {
+    let leaf = prop_oneof![
+        (0usize..2).prop_map(col),
+        (-5i64..6).prop_map(lit),
+        (-12i64..13).prop_map(|q| lit(q as f64 / 4.0)),
+    ]
+    .boxed();
+    recurse_numeric(leaf)
+}
+
+pub fn recurse_numeric(leaf: BoxedStrategy<Expr>) -> BoxedStrategy<Expr> {
+    leaf.prop_recursive(3, 24, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.sub(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.mul(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.div(b)),
+            inner.clone().prop_map(Expr::neg),
+            (inner.clone(), inner.clone(), inner.clone(), inner.clone())
+                .prop_map(|(a, b, t, e)| Expr::if_then_else(a.leq(b), t, e)),
+            (inner.clone(), inner.clone(), inner.clone())
+                .prop_map(|(l, s, u)| Expr::make_uncertain(l, s, u)),
+        ]
+    })
+}
+
+/// Random predicates: every comparison operator over numeric subtrees
+/// drawn from `e`, composed with `And`/`Or`/`Not`.
+pub fn pred_over(e: BoxedStrategy<Expr>) -> BoxedStrategy<Expr> {
+    let cmp = prop_oneof![
+        (e.clone(), e.clone()).prop_map(|(a, b)| a.leq(b)),
+        (e.clone(), e.clone()).prop_map(|(a, b)| a.lt(b)),
+        (e.clone(), e.clone()).prop_map(|(a, b)| a.geq(b)),
+        (e.clone(), e.clone()).prop_map(|(a, b)| a.gt(b)),
+        (e.clone(), e.clone()).prop_map(|(a, b)| a.eq(b)),
+        (e.clone(), e.clone()).prop_map(|(a, b)| a.neq(b)),
+    ]
+    .boxed();
+    cmp.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.clone().prop_map(Expr::not),
+        ]
+    })
 }

@@ -10,7 +10,7 @@
 //! * the AU fused chains on the lanes vs the operator-at-a-time oracle
 //!   (`AuConfig::oracle`): the oracle's relation, failure exactly when
 //!   the oracle fails, and one outcome — error included — across
-//!   workers {1, 2, 4, 7} × shards {1, 3, 8};
+//!   workers {1, 2, 4, 7} × {default split, finest split};
 //! * the deterministic engine's fused chains vs its operator-at-a-time
 //!   oracle, and the rewrite middleware's round trip vs native AU
 //!   evaluation.
@@ -23,96 +23,13 @@ use audb::core::program::Program;
 use audb::core::{LaneBatch, LaneSlice, ValueLane};
 use audb::prelude::*;
 use audb::query::table;
-use common::{assert_lanes_match_oracle, cfg_oracle};
+use common::{
+    assert_lanes_match_oracle, cfg_oracle, mixed_range, mixed_relation_strategy, num_expr_strategy,
+    pred_over,
+};
 
 /// Worker counts of the det engine.
 const WORKERS: [usize; 3] = [1, 2, 4];
-
-// ---------------------------------------------------------------------------
-// generators
-// ---------------------------------------------------------------------------
-
-/// Mixed-representation numeric values: `Int` and quarter-step `Float`,
-/// overlapping so cross-type numeric ties (the sg-widening cases) are
-/// common.
-fn mixed_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        (-5i64..6).prop_map(Value::Int),
-        (-20i64..21).prop_map(|q| Value::float(q as f64 / 4.0)),
-    ]
-}
-
-/// Any three mixed values, sorted, make a valid range (sg = median).
-fn mixed_range() -> impl Strategy<Value = RangeValue> {
-    (mixed_value(), mixed_value(), mixed_value()).prop_map(|(a, b, c)| {
-        let mut v = [a, b, c];
-        v.sort();
-        let [lb, sg, ub] = v;
-        RangeValue::new(lb, sg, ub).expect("sorted triple is a valid range")
-    })
-}
-
-fn annot_strategy() -> impl Strategy<Value = AuAnnot> {
-    (0u64..2, 0u64..3, 0u64..3).prop_map(|(a, b, c)| AuAnnot::triple(a, a + b, a + b + c))
-}
-
-/// A two-column AU relation over mixed Int/Float ranges.
-fn au_relation_strategy(max_rows: usize) -> impl Strategy<Value = AuRelation> {
-    proptest::collection::vec((mixed_range(), mixed_range(), annot_strategy()), 0..max_rows)
-        .prop_map(|rows| {
-            AuRelation::from_rows(
-                Schema::named(&["A", "B"]),
-                rows.into_iter().map(|(a, b, k)| (RangeTuple::new(vec![a, b]), k)).collect(),
-            )
-        })
-}
-
-/// Random numeric expression trees over columns 0..2: arithmetic
-/// (including `Div`, whose spans-zero guard exercises the error paths),
-/// `If` over comparisons, and the `MakeUncertain` lens.
-fn num_expr_strategy() -> BoxedStrategy<Expr> {
-    let leaf = prop_oneof![
-        (0usize..2).prop_map(col),
-        (-5i64..6).prop_map(lit),
-        (-12i64..13).prop_map(|q| lit(q as f64 / 4.0)),
-    ]
-    .boxed();
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.sub(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.mul(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.div(b)),
-            inner.clone().prop_map(Expr::neg),
-            (inner.clone(), inner.clone(), inner.clone(), inner.clone())
-                .prop_map(|(a, b, t, e)| Expr::if_then_else(a.leq(b), t, e)),
-            (inner.clone(), inner.clone(), inner.clone())
-                .prop_map(|(l, s, u)| Expr::make_uncertain(l, s, u)),
-        ]
-    })
-}
-
-/// Random predicates: every comparison operator over random numeric
-/// subtrees, composed with `And`/`Or`/`Not`.
-fn pred_strategy() -> BoxedStrategy<Expr> {
-    let e = num_expr_strategy();
-    let cmp = prop_oneof![
-        (e.clone(), e.clone()).prop_map(|(a, b)| a.leq(b)),
-        (e.clone(), e.clone()).prop_map(|(a, b)| a.lt(b)),
-        (e.clone(), e.clone()).prop_map(|(a, b)| a.geq(b)),
-        (e.clone(), e.clone()).prop_map(|(a, b)| a.gt(b)),
-        (e.clone(), e.clone()).prop_map(|(a, b)| a.eq(b)),
-        (e.clone(), e.clone()).prop_map(|(a, b)| a.neq(b)),
-    ]
-    .boxed();
-    cmp.prop_recursive(2, 8, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.clone().prop_map(Expr::not),
-        ]
-    })
-}
 
 // ---------------------------------------------------------------------------
 // properties
@@ -176,12 +93,12 @@ proptest! {
 
     /// Fused AU chains: the compiled lane stages produce the oracle's
     /// relation (and fail exactly when it fails), with one outcome for
-    /// every workers × shards point, across select-only, project-only,
+    /// every workers × splits point, across select-only, project-only,
     /// and mixed chains.
     #[test]
     fn au_chains_compiled_identical_to_interpreted(
-        rel in au_relation_strategy(14),
-        pred in pred_strategy(),
+        rel in mixed_relation_strategy(14),
+        pred in pred_over(num_expr_strategy()),
         proj in num_expr_strategy(),
     ) {
         let mut db = AuDatabase::new();
@@ -203,8 +120,8 @@ proptest! {
     /// post-join compiled stages equal the oracle's join and operators.
     #[test]
     fn au_probe_chains_compiled_identical(
-        l in au_relation_strategy(10),
-        r in au_relation_strategy(10),
+        l in mixed_relation_strategy(10),
+        r in mixed_relation_strategy(10),
         proj in num_expr_strategy(),
     ) {
         let mut db = AuDatabase::new();
@@ -226,8 +143,8 @@ proptest! {
     /// classes).
     #[test]
     fn det_and_rewrite_spine_compiled_identical(
-        rel1 in au_relation_strategy(10),
-        rel2 in au_relation_strategy(10),
+        rel1 in mixed_relation_strategy(10),
+        rel2 in mixed_relation_strategy(10),
     ) {
         use audb::query::det::{eval_det_exec, eval_det_oracle};
 
@@ -242,7 +159,8 @@ proptest! {
         det_db.insert("t2", rel2.sg_world());
         let interp = eval_det_oracle(&det_db, &q, &Executor::sequential());
         for w in WORKERS {
-            let compiled = eval_det_exec(&det_db, &q, &Executor::new(w));
+            let exec = Executor::new(w).with_partitioner(common::FINEST);
+            let compiled = eval_det_exec(&det_db, &q, &exec);
             prop_assert_eq!(&compiled, &interp, "det, workers = {}", w);
         }
 

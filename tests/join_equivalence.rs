@@ -5,6 +5,8 @@
 //! must produce — after `normalize()` — exactly the same `AuRelation`
 //! as `nested_loop_join_au`.
 
+mod common;
+
 use proptest::prelude::*;
 
 use audb::core::{col, Expr};
@@ -12,6 +14,7 @@ use audb::prelude::*;
 use audb::query::au::join_au;
 use audb::query::au::nested_loop_join_au;
 use audb::query::planner::{classify, JoinStrategy};
+use common::relation_strategy;
 
 // ---------------------------------------------------------------------------
 // generators
@@ -27,27 +30,6 @@ fn range_value_strategy() -> impl Strategy<Value = RangeValue> {
         (-4i64..5).prop_map(|v| RangeValue::unknown(Value::Int(v))),
         (-4i64..5).prop_map(|v| RangeValue::certain(Value::float(v as f64))),
     ]
-}
-
-fn annot_strategy() -> impl Strategy<Value = AuAnnot> {
-    (0u64..2, 0u64..3, 0u64..3).prop_map(|(a, b, c)| AuAnnot::triple(a, a + b, a + b + c))
-}
-
-/// A small arity-2 AU-relation.
-fn au_relation_strategy(
-    name0: &'static str,
-    name1: &'static str,
-) -> impl Strategy<Value = AuRelation> {
-    proptest::collection::vec(
-        (range_value_strategy(), range_value_strategy(), annot_strategy()),
-        0..8,
-    )
-    .prop_map(move |rows| {
-        AuRelation::from_rows(
-            Schema::named(&[name0, name1]),
-            rows.into_iter().map(|(a, b, k)| (RangeTuple::new(vec![a, b]), k)).collect(),
-        )
-    })
 }
 
 /// One predicate from each planner class (and the cross product).
@@ -81,8 +63,8 @@ proptest! {
     /// The planner-selected strategy is undetectable from the result.
     #[test]
     fn planned_join_equals_nested_loop(
-        l in au_relation_strategy("a", "b"),
-        r in au_relation_strategy("c", "d"),
+        l in relation_strategy(range_value_strategy, ["a", "b"], 8),
+        r in relation_strategy(range_value_strategy, ["c", "d"], 8),
         pred in predicate_strategy()
     ) {
         let planned = join_au(&l, &r, pred.as_ref()).expect("planned join");

@@ -1,6 +1,6 @@
 //! The observability layer's core contract: *watching a query must not
-//! change it*. `eval_au_traced` has to return byte-identical results to
-//! `eval_au` for every (workers × shards) combination, while the trace
+//! change it*. A traced evaluation has to return byte-identical results
+//! to an untraced one for every workers × splits combination, while the trace
 //! it produces has to tell the truth — root-span cardinalities equal to
 //! the materialized relation, planner strategies matching what the
 //! planner would classify, fusion/fallback decisions with their
@@ -15,40 +15,10 @@ use proptest::prelude::*;
 use audb::core::{col, lit, Expr};
 use audb::prelude::*;
 use audb::query::table;
-use common::{cfg_lanes, cfg_oracle, SHARDS, WORKERS};
-
-// ---------------------------------------------------------------------------
-// generators (mirroring tests/exec_equivalence.rs)
-// ---------------------------------------------------------------------------
-
-fn range_value_strategy() -> impl Strategy<Value = RangeValue> {
-    prop_oneof![
-        (-4i64..5).prop_map(|v| RangeValue::certain(Value::Int(v))),
-        (-4i64..5, 0i64..3, 0i64..3).prop_map(|(a, d1, d2)| RangeValue::range(a - d1, a, a + d2)),
-        (-4i64..5).prop_map(|v| RangeValue::unknown(Value::Int(v))),
-    ]
-}
-
-fn annot_strategy() -> impl Strategy<Value = AuAnnot> {
-    (0u64..2, 0u64..3, 0u64..3).prop_map(|(a, b, c)| AuAnnot::triple(a, a + b, a + b + c))
-}
-
-fn au_relation_strategy(
-    name0: &'static str,
-    name1: &'static str,
-    max_rows: usize,
-) -> impl Strategy<Value = AuRelation> {
-    proptest::collection::vec(
-        (range_value_strategy(), range_value_strategy(), annot_strategy()),
-        0..max_rows,
-    )
-    .prop_map(move |rows| {
-        AuRelation::from_rows(
-            Schema::named(&[name0, name1]),
-            rows.into_iter().map(|(a, b, k)| (RangeTuple::new(vec![a, b]), k)).collect(),
-        )
-    })
-}
+use common::{
+    au_relation_strategy, cfg_lanes, cfg_oracle, eval_lanes, eval_lanes_traced, lanes_exec, splits,
+    WORKERS,
+};
 
 /// Query shapes covering fused chains, breakers, and set operators.
 fn trace_queries() -> Vec<Query> {
@@ -74,10 +44,11 @@ fn trace_queries() -> Vec<Query> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// `eval_au_traced` returns a byte-identical relation to `eval_au`
-    /// for every workers × shards shape, and the root span's
-    /// rows_out/bytes_out equal the materialized relation's actual
-    /// cardinality and estimated footprint.
+    /// A traced attempt (live span builder, live meters) returns a
+    /// byte-identical relation to an untraced one for every workers ×
+    /// splits shape, and the root span's rows_out/bytes_out equal the
+    /// materialized relation's actual cardinality and estimated
+    /// footprint.
     #[test]
     fn traced_result_identical_and_root_counters_exact(
         t1 in au_relation_strategy("A", "B", 12),
@@ -86,29 +57,49 @@ proptest! {
         let mut db = AuDatabase::new();
         db.insert("t1", t1);
         db.insert("t2", t2);
+        let base = AuConfig::default();
         for q in trace_queries() {
             for w in WORKERS {
-                for s in SHARDS {
-                    let cfg = cfg_lanes(w, s);
-                    let reference = eval_au(&db, &q, &cfg).unwrap();
-                    let (traced, trace) = eval_au_traced(&db, &q, &cfg).unwrap();
+                for split in splits() {
+                    let exec = lanes_exec(&base, w, split);
+                    let reference = eval_lanes(&db, &q, &base, &exec).unwrap();
+                    let metered = exec.with_metrics(Metrics::enabled());
+                    let (traced, root) = eval_lanes_traced(&db, &q, &base, &metered);
                     prop_assert_eq!(
-                        &traced, &reference,
-                        "traced != untraced: workers = {}, shards = {}, q = {}", w, s, &q
-                    );
-                    prop_assert_eq!(trace.version, TRACE_SCHEMA_VERSION);
-                    prop_assert_eq!(
-                        trace.root.rows_out, Some(reference.len() as u64),
-                        "root rows_out, workers = {}, shards = {}, q = {}", w, s, &q
+                        &traced.unwrap(), &reference,
+                        "traced != untraced: workers = {}, {:?}, q = {}", w, split, &q
                     );
                     prop_assert_eq!(
-                        trace.root.bytes_out, Some(reference.estimated_bytes()),
-                        "root bytes_out, workers = {}, shards = {}, q = {}", w, s, &q
+                        (root.rows_out, root.bytes_out),
+                        (Some(reference.len() as u64), Some(reference.estimated_bytes())),
+                        "root rows/bytes out, workers = {}, {:?}, q = {}", w, split, &q
                     );
                     // a clean run records no governance/fault events
-                    prop_assert!(trace.events.is_empty(), "events = {:?}", &trace.events);
+                    let events = metered.metrics().take_events();
+                    prop_assert!(events.is_empty(), "events = {:?}", &events);
                 }
             }
+        }
+    }
+}
+
+/// The same property at real size, through the public entry points on
+/// the default split: `eval_au_traced` ≡ `eval_au` over a 3 584-row
+/// source whose chains run as three morsels and whose breakers leave
+/// the inline path at two and four workers.
+#[test]
+fn traced_result_identical_at_real_size() {
+    let mut db = corpus_db();
+    db.insert("t1", corpus_rel(3584, 61));
+    for q in trace_queries() {
+        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
+        for w in [1, 2, 4] {
+            let (traced, trace) = eval_au_traced(&db, &q, &cfg_lanes(w)).unwrap();
+            assert_eq!(traced, eval_au(&db, &q, &cfg_lanes(w)).unwrap(), "w = {w}, q = {q}");
+            assert_eq!(traced, reference, "lanes vs oracle: w = {w}, q = {q}");
+            assert_eq!(trace.version, TRACE_SCHEMA_VERSION);
+            assert_eq!(trace.root.rows_out, Some(reference.len() as u64), "w = {w}, q = {q}");
+            assert!(trace.events.is_empty(), "events = {:?}", &trace.events);
         }
     }
 }
@@ -120,32 +111,22 @@ proptest! {
 /// Three tables shaped like the paper's experiment corpus: `t`
 /// (fig13-style aggregation input), `t1`/`t2` (fig14-style join pair).
 fn corpus_db() -> AuDatabase {
-    let mk = |n: usize, key_mod: i64| {
-        AuRelation::from_rows(
-            Schema::named(&["k", "v"]),
-            (0..n)
-                .map(|i| {
-                    let v = if i % 5 == 0 {
-                        RangeValue::range(i as i64 - 1, i as i64, i as i64 + 2)
-                    } else {
-                        RangeValue::certain(Value::Int(i as i64))
-                    };
-                    (
-                        RangeTuple::new(vec![
-                            RangeValue::certain(Value::Int(i as i64 % key_mod)),
-                            v,
-                        ]),
-                        AuAnnot::triple(1, 1, 1),
-                    )
-                })
-                .collect(),
-        )
-    };
     let mut db = AuDatabase::new();
-    db.insert("t", mk(200, 8));
-    db.insert("t1", mk(120, 10));
-    db.insert("t2", mk(90, 10));
+    db.insert("t", corpus_rel(200, 8));
+    db.insert("t1", corpus_rel(120, 10));
+    db.insert("t2", corpus_rel(90, 10));
     db
+}
+
+/// `n` rows `(i mod key_mod, i)`, every fifth value a range.
+fn corpus_rel(n: i64, key_mod: i64) -> AuRelation {
+    let value = |i: i64| match i % 5 {
+        0 => RangeValue::range(i - 1, i, i + 2),
+        _ => RangeValue::certain(Value::Int(i)),
+    };
+    let rows = (0..n)
+        .map(|i| au_row(vec![RangeValue::certain(Value::Int(i % key_mod)), value(i)], 1, 1, 1));
+    AuRelation::from_rows(Schema::named(&["k", "v"]), rows.collect())
 }
 
 /// fig13-shaped aggregation: the trace reports the aggregate operator
@@ -317,7 +298,7 @@ fn explain_reports_join_strategy() {
 
 /// A multi-join chain (fig16 shape): every join span carries a
 /// strategy, and the default run reports the fused chain with its
-/// operator summary and shard count under a `lanes` attempt.
+/// operator summary and morsel count under a `lanes` attempt.
 #[test]
 fn explain_reports_multi_join_and_fusion() {
     let db = corpus_db();
@@ -340,20 +321,23 @@ fn explain_reports_multi_join_and_fusion() {
     assert_eq!(joins, 2, "both joins must be traced:\n{}", ex.trace.render_text());
 
     // the lanes: the spine fuses into one chain; attrs name the mode
-    let ex = explain(&db, &q, &cfg_lanes(2, 3)).unwrap();
+    let ex = explain(&db, &q, &cfg_lanes(2)).unwrap();
     let attempt = ex.trace.root.find("attempt").expect("attempt span");
     assert_eq!(attempt.attr("mode"), Some("lanes"));
     let fused = ex.trace.root.find("fused-chain").expect("fused chain span");
     let ops = fused.attr("ops").expect("ops summary");
     assert!(ops.contains("⋈(hash-equi)") && ops.contains("σ") && ops.contains("π"), "{ops}");
-    assert_eq!(fused.attr("shards"), Some("3"));
+    // its source is the materialized `t ⋈ t1`: 2 400 rows, two morsels
+    assert_eq!(fused.attr("morsels"), Some("2"));
+    assert_eq!(fused.attr("shards"), None);
     // one path: nothing left to say about how a chain's exprs ran
     for gone in ["exprs", "batched", "columnar"] {
         assert_eq!(fused.attr(gone), None, "{gone}");
         assert_eq!(attempt.attr(gone), None, "{gone}");
     }
     for (key, _) in &ex.trace.engine {
-        assert!(!["pipeline", "compiled", "columnar"].contains(key), "engine echo has {key}");
+        let gone = ["pipeline", "compiled", "columnar", "shards", "verify"];
+        assert!(!gone.contains(key), "engine echo has {key}");
     }
     assert!(ex.trace.engine.iter().any(|(k, v)| *k == "oracle" && v == "false"));
 }
@@ -436,7 +420,7 @@ fn explain_reports_fusion_fallback_reason() {
     let q = table("t1")
         .join_on(table("t2"), col(0).eq(col(2)))
         .aggregate(vec![1], vec![AggSpec::new(AggFunc::Sum, col(3), "s")]);
-    for cfg in [cfg_lanes(2, 3), AuConfig { shards: Some(3), ..AuConfig::compressed(2) }] {
+    for cfg in [cfg_lanes(2), AuConfig::compressed(2)] {
         let ex = explain(&db, &q, &cfg).unwrap();
         assert_eq!(ex.trace.root.find("attempt").unwrap().attr("mode"), Some("lanes"));
         let agg = ex.trace.root.find("aggregate").expect("aggregate span");
@@ -513,7 +497,7 @@ fn tpch_plans_run_as_chains_under_every_config() {
 fn metrics_counters_reflect_real_work() {
     let db = corpus_db();
     let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-    let (out, trace) = eval_au_traced(&db, &q, &cfg_lanes(2, 3)).unwrap();
+    let (out, trace) = eval_au_traced(&db, &q, &cfg_lanes(2)).unwrap();
     let m = &trace.metrics;
     assert!(m.counter("drivers_entered").unwrap() >= 1);
     assert!(m.counter("morsels_dispatched").unwrap() >= 1);
@@ -522,11 +506,11 @@ fn metrics_counters_reflect_real_work() {
     assert!(m.counter("normalize_rows_out").unwrap() >= out.len() as u64);
     assert_eq!(m.counter("cancel_checks"), Some(0), "no token armed");
 
-    let cfg = cfg_lanes(2, 3).with_timeout(std::time::Duration::from_secs(3600));
+    let cfg = cfg_lanes(2).with_timeout(std::time::Duration::from_secs(3600));
     let (_, trace) = eval_au_traced(&db, &q, &cfg).unwrap();
     assert!(trace.metrics.counter("cancel_checks").unwrap() >= 1, "token armed");
 
-    let cfg = cfg_lanes(2, 3).with_budget(BudgetSpec::rows(1_000_000));
+    let cfg = cfg_lanes(2).with_budget(BudgetSpec::rows(1_000_000));
     let (_, trace) = eval_au_traced(&db, &q, &cfg).unwrap();
     assert!(trace.metrics.counter("budget_charges").unwrap() >= 1);
     assert!(trace.metrics.counter("budget_rows_charged").unwrap() >= 1);
@@ -542,7 +526,7 @@ fn trace_json_is_versioned_and_failure_preserves_trace() {
     let (_, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
     let json = trace.to_json();
     for key in [
-        "\"version\":2",
+        "\"version\":3",
         "\"engine\":",
         "\"root\":",
         "\"events\":",
@@ -582,7 +566,7 @@ mod fault_trace {
     fn injected_error_lands_with_exact_coordinates_and_one_degradation() {
         let db = corpus_db();
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-        let cfg = cfg_lanes(2, 3);
+        let cfg = cfg_lanes(2);
         let reference = eval_au(&db, &q, &cfg).unwrap();
         let (driver, morsel) = (0usize, 0usize);
         let plan = FaultPlan::new(vec![FaultRule::once(driver, morsel, FaultKind::Error)]);
@@ -610,7 +594,7 @@ mod fault_trace {
     fn injected_panic_lands_in_trace() {
         let db = corpus_db();
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-        let cfg = cfg_lanes(2, 3);
+        let cfg = cfg_lanes(2);
         let reference = eval_au(&db, &q, &cfg).unwrap();
         let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Panic)]);
         let (out, trace) = with_plan(plan.clone(), || eval_au_traced(&db, &q, &cfg)).unwrap();
@@ -661,7 +645,7 @@ mod fault_trace {
             .aggregate(vec![1], vec![AggSpec::new(AggFunc::Sum, col(3), "s")]);
         let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
         for base in [AuConfig::compressed(2), forced] {
-            let cfg = common::lanes_of(&base, 2, 3);
+            let cfg = base.with_workers(2);
             let reference = eval_au(&db, &q, &cfg).unwrap();
             let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]);
             let (out, trace) = with_plan(plan.clone(), || eval_au_traced(&db, &q, &cfg)).unwrap();
@@ -685,7 +669,7 @@ mod fault_trace {
     fn injected_cancel_lands_in_trace() {
         let db = corpus_db();
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
-        let cfg = cfg_lanes(2, 3).with_timeout(std::time::Duration::from_secs(3600));
+        let cfg = cfg_lanes(2).with_timeout(std::time::Duration::from_secs(3600));
         let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Cancel)]);
         let (result, trace) = with_plan(plan, || eval_au_traced_full(&db, &q, &cfg));
         assert_eq!(result.unwrap_err(), EvalError::Exec(ExecError::Cancelled));

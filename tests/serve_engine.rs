@@ -202,6 +202,23 @@ fn shutdown_refuses_new_work() {
     ));
 }
 
+/// 200 KB of parentheses used to overflow the parser's stack — an
+/// abort, not a panic, so nothing could contain it and the whole server
+/// went down with the request. It is a query error now, and the engine
+/// serves the next request.
+#[test]
+fn deeply_nested_sql_is_a_query_error_not_an_abort() {
+    let engine = Engine::new(micro(40, 5), small_config());
+    let deep =
+        format!("SELECT a0 FROM t1 WHERE {}a1 = 1{}", "(".repeat(100_000), ")".repeat(100_000));
+    match engine.execute_sql(&deep, Class::Interactive) {
+        Err(ServeError::Query(e)) => assert!(e.to_string().contains("nesting deeper"), "{e}"),
+        other => panic!("expected a query error, got {other:?}"),
+    }
+    let next = engine.execute_sql("SELECT a0 FROM t1 WHERE (a1 >= 1)", Class::Interactive);
+    assert!(next.is_ok(), "{next:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Prepared-cache coherence (satellite): warm ≡ cold, on every epoch
 // ---------------------------------------------------------------------------
