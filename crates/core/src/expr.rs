@@ -163,20 +163,17 @@ impl Expr {
     }
 
     /// The node at preorder index `idx` within this subtree (`0` is the
-    /// root), or `None` past the end.
+    /// root), or `None` past the end — one walk that stops at the node,
+    /// `O(idx)`.
     pub fn preorder_node(&self, idx: usize) -> Option<&Expr> {
-        if idx == 0 {
-            return Some(self);
-        }
-        let mut rest = idx - 1;
-        for c in self.children().iter().flatten() {
-            let n = c.node_count() as usize;
-            if rest < n {
-                return c.preorder_node(rest);
+        fn find<'e>(e: &'e Expr, rest: &mut usize) -> Option<&'e Expr> {
+            if *rest == 0 {
+                return Some(e);
             }
-            rest -= n;
+            *rest -= 1;
+            e.children().into_iter().flatten().find_map(|c| find(c, rest))
         }
-        None
+        find(self, &mut { idx })
     }
 
     /// `vars(e)`: the set of referenced columns.

@@ -33,7 +33,7 @@ use crate::govern::ExecError;
 
 /// Version stamped into every serialized trace; bump when the JSON
 /// shape changes incompatibly.
-pub const TRACE_SCHEMA_VERSION: u32 = 3;
+pub const TRACE_SCHEMA_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // Counters and timed sites
@@ -104,11 +104,20 @@ pub enum Counter {
     LaneBuilds,
     /// Operators that asked a columnar-born relation for its tuples.
     RowsBuilt,
+    /// Serving-layer executions that found their plan in the prepared
+    /// table (same text, same epoch): nothing parsed, planned or compiled.
+    PreparedHits,
+    /// Serving-layer executions that consulted the prepared table and
+    /// had to plan (a new text, or the first one after a publish).
+    PreparedMisses,
+    /// Prepared plans dropped: by a publish, or with the whole table when
+    /// it reached its cap.
+    PreparedEvictions,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 27] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::CancelChecks,
@@ -133,6 +142,9 @@ impl Counter {
         Counter::AggKeysBoxed,
         Counter::LaneBuilds,
         Counter::RowsBuilt,
+        Counter::PreparedHits,
+        Counter::PreparedMisses,
+        Counter::PreparedEvictions,
     ];
 
     /// Stable serialized name.
@@ -162,6 +174,9 @@ impl Counter {
             Counter::AggKeysBoxed => "agg_keys_boxed",
             Counter::LaneBuilds => "lane_builds",
             Counter::RowsBuilt => "rows_built",
+            Counter::PreparedHits => "prepared_hits",
+            Counter::PreparedMisses => "prepared_misses",
+            Counter::PreparedEvictions => "prepared_evictions",
         }
     }
 }
@@ -1147,7 +1162,7 @@ mod tests {
             total_ns: 12345,
         };
         let json = trace.to_json();
-        assert!(json.starts_with("{\"version\":3,"), "{json}");
+        assert!(json.starts_with("{\"version\":4,"), "{json}");
         assert!(json.contains("\"engine\":{\"workers\":\"4\"}"), "{json}");
         assert!(json.contains("\"op\":\"select\""), "{json}");
         assert!(json.contains("\"compiled\":\"true\""), "{json}");

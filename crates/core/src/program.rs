@@ -341,6 +341,11 @@ impl Program {
         self.ops.len()
     }
 
+    /// The expressions this program was lowered from, one per output.
+    pub fn sources(&self) -> &[Expr] {
+        &self.srcs
+    }
+
     // ---- static verification --------------------------------------------
 
     /// Tier A: the structural dataflow verifier ([`crate::verify`]).

@@ -14,6 +14,8 @@ pub mod combine;
 pub mod difference;
 pub(crate) mod pipeline;
 
+pub use pipeline::AuPlan;
+
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -312,17 +314,19 @@ fn eval_au_governed(
     }
 }
 
-/// One evaluation attempt on the caller's executor — single, and never
-/// degrading: a lane-path fault surfaces to the caller, who owns the
-/// retry / oracle-fallback policy ([`eval_au`]'s one retry; the serving
-/// engine's backoff loop and per-plan circuit breaker, which need to
-/// *see* each fault to count it; a differential test, which must not
-/// compare the oracle with itself).
+/// One evaluation attempt on the caller's executor — plan
+/// ([`AuPlan::new`]), then run — single, and never degrading: a
+/// lane-path fault surfaces to the caller, who owns the retry /
+/// oracle-fallback policy ([`eval_au`]'s one retry; the serving engine's
+/// backoff loop and per-plan circuit breaker, which need to *see* each
+/// fault to count it; a differential test, which must not compare the
+/// oracle with itself). A caller that keeps the plan runs it with
+/// [`AuPlan::run`] instead.
 ///
-/// Of `cfg` only the knobs that change results are read (compression,
-/// `adaptive`, `oracle`); workers, deadline, budget and everything else
-/// about *how* the query runs is `exec` — [`AuConfig::executor`], plus
-/// whatever the caller added to it. `tr` is the caller's trace builder
+/// `cfg`'s result knobs (compression, `adaptive`, `oracle`) stop at the
+/// planner; workers, deadline, budget and everything else about *how*
+/// the query runs is `exec` — [`AuConfig::executor`], plus whatever the
+/// caller added to it. `tr` is the caller's trace builder
 /// ([`TraceBuilder::disabled`] for none).
 pub fn eval_au_attempt(
     db: &AuDatabase,
@@ -331,19 +335,7 @@ pub fn eval_au_attempt(
     exec: &Executor,
     tr: &TraceBuilder,
 ) -> Result<AuRelation, EvalError> {
-    let h = tr.open("attempt", String::new);
-    tr.attr(h, "mode", || (if cfg.fuses_chains() { "lanes" } else { "oracle" }).to_string());
-    tr.attr(h, "workers", || exec.workers().to_string());
-    let rel = if cfg.fuses_chains() {
-        pipeline::eval_pipelined(db, q, cfg, exec, tr)?
-    } else {
-        eval_inner(db, q, cfg, exec, tr)?
-    };
-    let rel = rel.into_owned().into_normalized_with(exec)?;
-    // the caller reads tuples: build them inside the query's span
-    rows_of(&rel, exec);
-    close_rel(tr, h, &rel);
-    Ok(rel)
+    AuPlan::new(q, cfg, exec.metrics(), tr).attempt(false, db, exec, tr)
 }
 
 /// The lanes of `rel` for an operator that reads lanes. A relation that
@@ -381,15 +373,14 @@ pub(crate) fn close_rel(tr: &TraceBuilder, h: usize, rel: &AuRelation) {
     }
 }
 
-/// Open a `join` span: detail from the predicate.
-pub(crate) fn open_join_span(tr: &TraceBuilder, predicate: Option<&Expr>) -> usize {
-    tr.open("join", || predicate.map_or_else(|| "cross".to_string(), ToString::to_string))
+/// A `join` span's detail: the predicate.
+pub(crate) fn join_detail(predicate: Option<&Expr>) -> String {
+    predicate.map_or_else(|| "cross".to_string(), ToString::to_string)
 }
 
 /// Open the span for one plan operator: span kind from the operator
-/// kind, detail from its predicate / projection list / grouping. Shared
-/// by the operator-at-a-time evaluator and the pipeline's breakers.
-pub(crate) fn open_op_span(tr: &TraceBuilder, q: &Query) -> usize {
+/// kind, detail from its predicate / projection list / grouping.
+fn open_op_span(tr: &TraceBuilder, q: &Query) -> usize {
     match q {
         Query::Table(name) => tr.open("scan", || name.clone()),
         Query::Select { predicate, .. } => tr.open("select", || predicate.to_string()),
@@ -397,7 +388,7 @@ pub(crate) fn open_op_span(tr: &TraceBuilder, q: &Query) -> usize {
             let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e}→{n}")).collect();
             cols.join(", ")
         }),
-        Query::Join { predicate, .. } => open_join_span(tr, predicate.as_ref()),
+        Query::Join { predicate, .. } => tr.open("join", || join_detail(predicate.as_ref())),
         Query::Union { .. } => tr.open("union", String::new),
         Query::Difference { .. } => tr.open("difference", String::new),
         Query::Distinct { .. } => tr.open("distinct", String::new),
@@ -479,38 +470,37 @@ fn eval_inner<'a>(
             // δ is aggregation grouping on all columns with no aggregates;
             // this inherits the treatment of uncertain "group" membership.
             let rel = eval_inner(db, input, cfg, exec, tr)?;
-            tr.rows_in(h, rel.len() as u64);
             let all: Vec<usize> = (0..rel.schema.arity()).collect();
-            let compress = effective_agg_compress(cfg, &rel, &all);
-            tr.attr(h, "compress", || opt_usize_attr(compress));
-            let out = aggregate_in_span(tr, h, &rel, &all, &[], compress, exec)?;
+            let out = aggregate_in_span(tr, h, cfg, &rel, &all, &[], exec)?;
             close_rel(tr, h, &out);
             Cow::Owned(out)
         }
         Query::Aggregate { input, group_by, aggs } => {
             let rel = eval_inner(db, input, cfg, exec, tr)?;
-            tr.rows_in(h, rel.len() as u64);
-            let compress = effective_agg_compress(cfg, &rel, group_by);
-            tr.attr(h, "compress", || opt_usize_attr(compress));
-            let out = aggregate_in_span(tr, h, &rel, group_by, aggs, compress, exec)?;
+            let out = aggregate_in_span(tr, h, cfg, &rel, group_by, aggs, exec)?;
             close_rel(tr, h, &out);
             Cow::Owned(out)
         }
     })
 }
 
-/// Run the aggregation kernel under the open operator span `h`,
-/// recording what it did (group/member/term counts, boxed demotions) as
-/// span attributes.
+/// Run the aggregation kernel over the evaluated input `rel` under the
+/// open operator span `h` — the oracle's γ/δ and the plan's alike —
+/// taking the compression verdict on `rel` and recording it and what the
+/// kernel did (group/member/term counts, boxed demotions) as span
+/// attributes.
 pub(crate) fn aggregate_in_span(
     tr: &TraceBuilder,
     h: usize,
+    cfg: &AuConfig,
     rel: &AuRelation,
     group_by: &[usize],
     aggs: &[AggSpec],
-    compress: Option<usize>,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
+    tr.rows_in(h, rel.len() as u64);
+    let compress = effective_agg_compress(cfg, rel, group_by);
+    tr.attr(h, "compress", || compress.map_or_else(|| "none".to_string(), |ct| ct.to_string()));
     let (out, st) = aggregate::aggregate_au_stats(rel, group_by, aggs, compress, exec)?;
     let attrs = [
         ("groups", st.groups),
@@ -535,7 +525,7 @@ pub(crate) fn compress_join_in_span(
     h: usize,
     l: &AuRelation,
     r: &AuRelation,
-    recheck: Option<(&Expr, pipeline::Stage)>,
+    recheck: Option<&pipeline::Stage>,
     ct: usize,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
@@ -554,11 +544,6 @@ pub(crate) fn compress_join_in_span(
         tr.attr(h, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
     }
     Ok(out)
-}
-
-/// Trace-attribute rendering of an optional compression knob.
-pub(crate) fn opt_usize_attr(v: Option<usize>) -> String {
-    v.map_or_else(|| "none".to_string(), |x| x.to_string())
 }
 
 /// The join-compression setting after the adaptive check — taken on the

@@ -27,6 +27,25 @@
 //! verifier rejects ([`crate::vcheck`]) does not run fused at all — it
 //! runs on the oracle (`fallback = "verifier-rejected"`).
 //!
+//! ## Plan, then run
+//!
+//! A query is planned once. [`AuPlan::new`] walks it and yields a value:
+//! a tree of chains (every [`Stage`] compiled and vetted — outermost
+//! chain first, then its source's, then its build side's), breakers, and
+//! oracle nodes where `oracle: true` or a Tier B rejection sends a
+//! sub-query to the oracle, each node holding its consumer's
+//! [`Contract`] (below) and γ its read set and re-slotted specs. Nothing
+//! in it depends on data or resources, so the serving engine keeps it as
+//! its prepared plan and a warm execution is lookup → [`AuPlan::run`].
+//! A run (`db`, executor, trace) evaluates inputs, takes the
+//! data-dependent verdicts — [`effective_join_compress`],
+//! `effective_agg_compress`, a probe's strategy, breaker-narrow delivery
+//! — builds probes and drives [`LanePlan`]s over stages *borrowed* from
+//! the plan: no program is compiled, keyed or cloned per execution. A
+//! plan that is run again re-checks Tier A over its own stages, chain by
+//! chain ([`Chain::build`]). `docs/exec-runtime.md` ("Plan → run")
+//! tabulates which decision is taken when.
+//!
 //! ## Fusion rules
 //!
 //! A *chain* is `σ* [⋈-probe] (σ|π)*` anchored on a base table or on a
@@ -56,7 +75,7 @@
 //!
 //! ## Determinism (byte-identical to the oracle)
 //!
-//! The final result of [`eval_pipelined`] is byte-identical to the
+//! The final result of a plan's run is byte-identical to the
 //! sequential oracle's for any worker count and any split. A probe
 //! chain enumerates its pairs source row by source row — a row's hash
 //! bucket (or, on a nested-loop plan, every right row), then its sweep
@@ -112,8 +131,8 @@
 //!
 //! ## Hand-over: a chain builds what its consumer reads
 //!
-//! Next to the delivery contract every evaluation carries the [`Form`]
-//! its consumer reads the result in. The query root, `∪` and `−` read
+//! Next to the delivery contract every node's [`Contract`] carries the
+//! [`Form`] its consumer reads the result in. The query root, `∪` and `−` read
 //! tuples: their chains take the one [`GatherView::tuples`] pass. A
 //! chain's source, a join's build side, a compressing join's inputs, γ
 //! and δ read column lanes: their chains gather the same view in the same
@@ -136,7 +155,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use audb_core::obs::{Counter, Site, TraceBuilder};
+use audb_core::obs::{Counter, Metrics, Site, TraceBuilder};
 use audb_core::{
     AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, LaneTag, Program,
     Semiring, ValueLane,
@@ -148,9 +167,8 @@ use audb_storage::{
 };
 
 use super::{
-    aggregate_in_span, close_rel, compress_join_in_span, difference, effective_agg_compress,
-    effective_join_compress, lanes_of, open_join_span, open_op_span, opt_usize_attr, rows_of,
-    union_cow, AuConfig,
+    aggregate_in_span, close_rel, compress_join_in_span, difference, effective_join_compress,
+    join_detail, lanes_of, rows_of, union_cow, AuConfig,
 };
 use crate::algebra::{AggSpec, Query};
 use crate::planner;
@@ -217,8 +235,8 @@ pub(crate) enum Delivery {
 /// What the consumer of an evaluation result reads it as — which side
 /// of the relation a fused chain builds (module docs, "Hand-over").
 /// Breakers return what their kernels build whatever is asked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Form<'r> {
+#[derive(Debug, PartialEq, Eq)]
+enum Form {
     /// Tuples: the query root, `∪`, `−`.
     Rows,
     /// Column lanes: a chain's source, a join's build side, a
@@ -227,21 +245,16 @@ pub(crate) enum Form<'r> {
     /// Column lanes of which an aggregate reads only these columns
     /// (sorted): a chain that delivers an un-normalized list gathers
     /// just them, in this order (breaker-narrow delivery).
-    LanesOf(&'r [usize]),
+    LanesOf(Vec<usize>),
 }
 
-/// Evaluate a query with morsel-at-a-time pipelining (the default path
-/// of [`super::eval_au`]). The returned relation is the
-/// unnormalized-evaluation analog of [`super::eval_inner`]'s result:
-/// the caller applies the final normalization.
-pub(crate) fn eval_pipelined<'a>(
-    db: &'a AuDatabase,
-    q: &Query,
-    cfg: &AuConfig,
-    exec: &Executor,
-    tr: &TraceBuilder,
-) -> Result<Cow<'a, AuRelation>, EvalError> {
-    eval_pl(db, q, cfg, exec, Delivery::Canonical, Form::Rows, tr)
+/// A node's consumer contract: the planner fixes it when it lays the
+/// node out and the node keeps it — nothing about the consumer is
+/// threaded through a run.
+#[derive(Debug)]
+struct Contract {
+    delivery: Delivery,
+    form: Form,
 }
 
 // ---------------------------------------------------------------------------
@@ -265,8 +278,8 @@ fn select_only(q: &Query) -> bool {
 /// A compiled chain stage: the register program, the columns it reads
 /// (a pair batch gathers only those), and whether it rewrites tuples
 /// (projection) or filters them (selection). Compiled once per chain
-/// and shared by every worker and morsel.
-#[derive(Clone)]
+/// plan and borrowed by every run, worker and morsel.
+#[derive(Debug)]
 pub(crate) struct Stage {
     prog: Program,
     reads: Vec<usize>,
@@ -290,19 +303,27 @@ impl Stage {
             project: true,
         })
     }
+
+    /// The predicate a [`Stage::filter`] was compiled from — what a join
+    /// classifies its strategy and picks its bucket attributes on.
+    pub(crate) fn predicate(&self) -> &Expr {
+        &self.prog.sources()[0]
+    }
 }
 
-/// A chain as [`plan_chain`] lays it out: every stage compiled, no
-/// input evaluated yet.
-struct ChainPlan<'q> {
-    /// The sub-query whose result the chain runs over: a base table, a
-    /// breaker, or what a join materializes as its left side.
-    source: &'q Query,
+/// A chain, every stage compiled and vetted, over inputs `I`: the
+/// sub-queries as [`plan_chain`] lays it out (`&Query`), their plans in
+/// an [`AuPlan`] (`Box<Node>`).
+#[derive(Debug)]
+struct Chain<I> {
+    /// What the chain runs over: a base table, a breaker, or what a join
+    /// materializes as its left side.
+    source: I,
     /// Stages over the source rows; all selections when a probe follows.
     pre: Vec<Stage>,
-    /// The join: its right sub-query and its predicate, with the
-    /// compiled re-check.
-    probe: Option<(&'q Query, Option<(&'q Expr, Stage)>)>,
+    /// The join: its right input and the compiled re-check of its
+    /// predicate (`None`: a cross product).
+    probe: Option<(I, Option<Stage>)>,
     /// Stages over the probe's pairs.
     post: Vec<Stage>,
     /// Output column names of the outermost projection, if any.
@@ -325,7 +346,7 @@ enum ProbePlan {
 struct ProbeOp<'a> {
     right: Cow<'a, AuRelation>,
     /// The join's re-check predicate: the first post-probe stage.
-    predicate: Option<Stage>,
+    predicate: Option<&'a Stage>,
     plan: ProbePlan,
     /// Did the indexes run on typed cells — every key column pair read
     /// off two `Int` or two `Float` lanes — or fall back to boxed
@@ -364,7 +385,7 @@ impl<'a> ProbeOp<'a> {
     fn build(
         source: &AuRelation,
         right: Cow<'a, AuRelation>,
-        predicate: Option<(&Expr, Stage)>,
+        predicate: Option<&'a Stage>,
         exec: &Executor,
     ) -> ProbeOp<'a> {
         let (lcs, rcs) = (lanes_of(source, exec), lanes_of(&right, exec));
@@ -377,7 +398,7 @@ impl<'a> ProbeOp<'a> {
         let mut keys_typed = None;
         // sweep pairs in emission order; the CSR keeps each row's order
         let mut cand: Vec<(u32, u32)> = Vec::new();
-        let on = predicate.as_ref().map(|(e, _)| *e);
+        let on = predicate.map(Stage::predicate);
         let plan = match planner::classify(on, source.schema.arity()) {
             planner::JoinStrategy::HashEqui(pairs) => {
                 keys_typed = Some(pairs.iter().all(typed));
@@ -420,7 +441,6 @@ impl<'a> ProbeOp<'a> {
             planner::JoinStrategy::NestedLoop => ProbePlan::NestedLoop,
         };
         let (cand_offsets, cand) = planner::csr_by_left(source.len(), &cand);
-        let predicate = predicate.map(|(_, st)| st);
         if let Some(t) = started {
             exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
         }
@@ -566,8 +586,8 @@ impl<'p> LanePlan<'p> {
             left: lanes_of(&chain.source, exec),
             pre: chain.pre.iter().collect(),
             probe: probe.map(|p| (p, lanes_of(&p.right, exec))),
-            post: probe.iter().flat_map(|p| &p.predicate).chain(&chain.post).collect(),
-            projects: chain.pre.iter().chain(&chain.post).any(|st| st.project),
+            post: probe.and_then(|p| p.predicate).into_iter().chain(chain.post).collect(),
+            projects: chain.pre.iter().chain(chain.post).any(|st| st.project),
             keep,
             ranked,
             stats: ChainStats::default(),
@@ -937,27 +957,28 @@ impl<'r, 'p> PairSink<'r, 'p> {
     }
 }
 
-/// A fused chain ready to run: [`ChainPlan`] with its inputs evaluated.
+/// A fused chain ready to run: a plan's [`Chain`] with its inputs
+/// evaluated and its join's verdict taken — the stages still the plan's.
 struct AuPipeline<'a> {
     source: Cow<'a, AuRelation>,
-    pre: Vec<Stage>,
+    pre: &'a [Stage],
     probe: Option<ProbeOp<'a>>,
-    post: Vec<Stage>,
+    post: &'a [Stage],
     schema: Schema,
 }
 
 impl<'a> AuPipeline<'a> {
     /// Run the whole chain morsel by morsel on the lanes ([`LanePlan`]:
     /// every stage evaluates over a whole source chunk or pair batch at
-    /// a time) and deliver per the chain's shape and `delivery`: a
+    /// a time) and deliver per the chain's shape and its `consumer`: a
     /// single breaker normalization when a projection rewrote tuples or
     /// a Canonical consumer takes a probe's pairs, else the enumerated
     /// list as is (select-only chains: the source-order list, mirroring
     /// [`super::select_au_exec`]'s normal-form preservation).
     ///
-    /// `reads` is what an aggregate consumer reads: when the chain
-    /// delivers an un-normalized list it materializes only those columns
-    /// (in `reads` order) and says so in the returned flag.
+    /// [`Form::LanesOf`] is what an aggregate consumer reads: when the
+    /// chain delivers an un-normalized list it materializes only those
+    /// columns (in that order) and says so in the returned flag.
     ///
     /// `h` is the open `fused-chain` span: the chain records its op
     /// summary, morsel count and pair accounting there, and closes it
@@ -965,8 +986,7 @@ impl<'a> AuPipeline<'a> {
     fn run(
         self,
         exec: &Executor,
-        delivery: Delivery,
-        form: Form<'_>,
+        consumer: &Contract,
         tr: &TraceBuilder,
         h: usize,
     ) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
@@ -976,11 +996,11 @@ impl<'a> AuPipeline<'a> {
             return Ok((self.source, false));
         }
         let n = self.source.len();
-        let normalizes = self.pre.iter().chain(&self.post).any(|st| st.project)
-            || (self.probe.is_some() && delivery == Delivery::Canonical);
+        let normalizes = self.pre.iter().chain(self.post).any(|st| st.project)
+            || (self.probe.is_some() && consumer.delivery == Delivery::Canonical);
         let arity = self.schema.arity();
-        let keep = match form {
-            Form::LanesOf(reads) => Some(reads),
+        let keep = match &consumer.form {
+            Form::LanesOf(reads) => Some(&reads[..]),
             _ => None,
         }
         .filter(|r| !normalizes && r.len() < arity && r.iter().all(|&c| c < arity));
@@ -1049,7 +1069,7 @@ impl<'a> AuPipeline<'a> {
         // kept rows stay sorted, distinct, nonzero-annotated
         let normal = normalizes || (source_list && self.source.is_normalized());
         let started = exec.metrics().is_enabled().then(Instant::now);
-        let out = match form {
+        let out = match consumer.form {
             Form::Rows if normal => AuRelation::from_normalized_rows(schema, view.tuples(order)),
             Form::Rows => {
                 let mut out = AuRelation::empty(schema);
@@ -1093,31 +1113,32 @@ fn in_planner_order(ranks: &[u32]) -> Vec<u32> {
 pub(crate) fn probe_join_pairs(
     l: &AuRelation,
     r: &AuRelation,
-    recheck: Option<(&Expr, Stage)>,
+    recheck: Option<&Stage>,
     exec: &Executor,
 ) -> Result<(ChainOut, Option<bool>), EvalError> {
     let (n, schema) = (l.len(), l.schema.concat(&r.schema));
     let probe = ProbeOp::build(l, Cow::Borrowed(r), recheck, exec);
     let keys_typed = probe.keys_typed;
-    let (source, pre, post) = (Cow::Borrowed(l), vec![], vec![]);
-    let chain = AuPipeline { source, pre, probe: Some(probe), post, schema };
+    let (source, probe) = (Cow::Borrowed(l), Some(probe));
+    let chain = AuPipeline { source, pre: &[], probe, post: &[], schema };
     let plan = LanePlan::of(&chain, None, false, exec);
     Ok((plan.run_all(n, exec, "join-probe")?, keys_typed))
 }
 
 /// Lay out the chain rooted at `q` (a `σ/π/⋈` tree) and compile
-/// **every** stage of it — before any input is evaluated, so a
-/// rejection costs no evaluation. `None` when Tier B rejected a stage.
-fn plan_chain<'q>(q: &'q Query, cfg: &AuConfig, vet: Vet<'_>) -> Option<ChainPlan<'q>> {
-    let anchor = |source| ChainPlan { source, pre: vec![], probe: None, post: vec![], names: None };
-    let (mut plan, stage) = match q {
+/// **every** stage of it — before any input is planned, so a rejection
+/// costs nothing below it. `None` when Tier B rejected a stage.
+fn plan_chain<'q>(q: &'q Query, cfg: &AuConfig, vet: Vet<'_>) -> Option<Chain<&'q Query>> {
+    let anchor =
+        |source: &'q Query| Chain { source, pre: vec![], probe: None, post: vec![], names: None };
+    let (mut chain, stage) = match q {
         Query::Select { input, predicate } => {
             (plan_chain(input, cfg, vet)?, Stage::filter(predicate, vet)?)
         }
         Query::Project { input, exprs } => {
-            let mut plan = plan_chain(input, cfg, vet)?;
-            plan.names = Some(Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect()));
-            (plan, Stage::project(exprs, vet)?)
+            let mut chain = plan_chain(input, cfg, vet)?;
+            chain.names = Some(Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect()));
+            (chain, Stage::project(exprs, vet)?)
         }
         Query::Join { left, right, predicate } => {
             // Left side: continue a select-only chain in place (source
@@ -1126,183 +1147,323 @@ fn plan_chain<'q>(q: &'q Query, cfg: &AuConfig, vet: Vet<'_>) -> Option<ChainPla
             // so that the verdict sees σ(l) — is materialized and
             // becomes the new chain source.
             let in_place = select_only(left) && cfg.join_compress.is_none();
-            let mut plan = if in_place { plan_chain(left, cfg, vet)? } else { anchor(left) };
+            let mut chain = if in_place { plan_chain(left, cfg, vet)? } else { anchor(left) };
             let recheck = match predicate {
-                Some(p) => Some((p, Stage::filter(p, vet)?)),
+                Some(p) => Some(Stage::filter(p, vet)?),
                 None => None,
             };
-            plan.probe = Some((right, recheck));
-            return Some(plan);
+            chain.probe = Some((right, recheck));
+            return Some(chain);
         }
         // a base table, or a breaker whose output the chain runs over
         _ => return Some(anchor(q)),
     };
-    if plan.probe.is_some() { &mut plan.post } else { &mut plan.pre }.push(stage);
-    Some(plan)
+    if chain.probe.is_some() { &mut chain.post } else { &mut chain.pre }.push(stage);
+    Some(chain)
 }
 
-/// Evaluate a planned chain's inputs — its source and a join's right
-/// side, each exactly once — take the join's compression verdict on
-/// them, and assemble the runnable pipeline: a join that compresses runs
-/// here and its output becomes the source of a probe-less chain; one
-/// that does not becomes the chain's probe.
-fn build_chain<'a>(
+// ---------------------------------------------------------------------------
+// The physical plan: fused chains between pipeline breakers
+// ---------------------------------------------------------------------------
+
+/// A query's physical plan under one configuration's result knobs: a
+/// tree of fused chains (every [`Stage`] compiled and vetted), pipeline
+/// breakers and oracle nodes, each holding its consumer's [`Contract`].
+/// [`AuPlan::new`] takes every decision that depends on the query and
+/// the configuration alone — the chain decomposition, Tier A/B, the
+/// contracts, the columns γ reads — once; a run takes the ones that
+/// depend on the data (the compression verdicts over the evaluated
+/// inputs, a probe's strategy and indexes, breaker-narrow delivery) and
+/// borrows everything else. A plan holds no data and no resources: it
+/// runs any number of times, from any number of threads, against any
+/// database with the tables it names.
+#[derive(Debug)]
+pub struct AuPlan {
+    /// The knobs the plan was laid out under; of them a run reads the
+    /// compression settings, for its verdicts.
+    cfg: AuConfig,
+    root: Node,
+}
+
+#[derive(Debug)]
+enum Node {
+    /// A base table under a chain: borrowed from the database.
+    Table(String),
+    /// A fused chain; `detail` is its span's, kept only by a traced
+    /// planning call.
+    Chain { chain: Box<Chain<Box<Node>>>, consumer: Contract, detail: String },
+    /// A pipeline breaker: its own kernel over its inputs' plans, under
+    /// the span `op`.
+    Breaker { op: &'static str, kind: Breaker },
+    /// The sub-query runs on the operator-at-a-time oracle
+    /// ([`super::eval_inner`]), inputs included — which reproduces either
+    /// delivery exactly: the whole query of an `oracle: true`
+    /// configuration, or (`rejected`) a chain one of whose stages Tier B
+    /// rejected.
+    Oracle { q: Query, rejected: bool },
+}
+
+#[derive(Debug)]
+enum Breaker {
+    Union(Box<Node>, Box<Node>),
+    Difference(Box<Node>, Box<Node>),
+    Distinct(Box<Node>),
+    /// `specs[0]` is `(group_by, aggs)` as written; `specs[1]` the same
+    /// re-slotted onto the sorted columns γ reads, for an input that
+    /// delivered just those.
+    Aggregate {
+        input: Box<Node>,
+        specs: [(Vec<usize>, Vec<AggSpec>); 2],
+    },
+}
+
+/// What a run hands every node: the data, the plan's result knobs, the
+/// resources, the trace — and whether the plan was `kept` from an
+/// earlier execution.
+#[derive(Clone, Copy)]
+struct Run<'a> {
     db: &'a AuDatabase,
-    plan: ChainPlan<'_>,
-    cfg: &AuConfig,
-    exec: &Executor,
-    delivery: Delivery,
-    tr: &TraceBuilder,
-) -> Result<AuPipeline<'a>, EvalError> {
-    // A join's inputs are lists whenever its own pairs are delivered as
-    // one, and under a join-compression knob (the verdict counts rows).
-    let inputs = if cfg.join_compress.is_some() { Delivery::Faithful } else { delivery };
-    let mut source = match plan.source {
-        Query::Table(name) => Cow::Borrowed(db.get(name)?),
-        materialized => eval_pl(db, materialized, cfg, exec, inputs, Form::Lanes, tr)?,
-    };
-    let mut schema = source.schema.clone();
-    let (mut pre, mut post, mut probe) = (plan.pre, plan.post, None);
-    if let Some((right, recheck)) = plan.probe {
-        let r = eval_pl(db, right, cfg, exec, inputs, Form::Lanes, tr)?;
-        schema = schema.concat(&r.schema);
-        if let Some(ct) = effective_join_compress(cfg, &source, &r) {
-            let h = open_join_span(tr, recheck.as_ref().map(|(e, _)| *e));
-            tr.rows_in(h, (source.len() + r.len()) as u64);
-            let out = compress_join_in_span(tr, h, &source, &r, recheck, ct, exec)?;
-            close_rel(tr, h, &out);
-            source = Cow::Owned(out);
-            debug_assert!(pre.is_empty(), "a compressing join anchors its chain");
-            pre = std::mem::take(&mut post);
+    cfg: &'a AuConfig,
+    exec: &'a Executor,
+    tr: &'a TraceBuilder,
+    kept: bool,
+}
+
+impl AuPlan {
+    /// Plan `q` under `cfg`: one walk, compiling and vetting every chain
+    /// stage (rejections tick `metrics`; under a live `tr` the `verify`
+    /// spans sit under one `plan` span, and the plan keeps its chains'
+    /// span details — an untraced call renders none).
+    pub fn new(q: &Query, cfg: &AuConfig, metrics: &Metrics, tr: &TraceBuilder) -> AuPlan {
+        let h = tr.open("plan", String::new);
+        let root = if cfg.oracle {
+            Node::Oracle { q: q.clone(), rejected: false }
         } else {
-            probe = Some(ProbeOp::build(source.as_ref(), r, recheck, exec));
-        }
+            let root = Contract { delivery: Delivery::Canonical, form: Form::Rows };
+            Node::plan(q, cfg, root, Vet::new(metrics, tr))
+        };
+        tr.close(h, None, None);
+        AuPlan { cfg: *cfg, root }
     }
-    let schema = plan.names.unwrap_or(schema);
-    Ok(AuPipeline { source, pre, probe, post, schema })
-}
 
-// ---------------------------------------------------------------------------
-// The pipelined evaluator: fused chains between pipeline breakers
-// ---------------------------------------------------------------------------
-
-/// Run the `σ/π/⋈` tree rooted at `q` as fused chains. `reads` and the
-/// returned flag are [`AuPipeline::run`]'s: the columns an aggregate
-/// consumer reads, and whether the delivered relation holds just those.
-fn eval_chain<'a>(
-    db: &'a AuDatabase,
-    q: &Query,
-    cfg: &AuConfig,
-    exec: &Executor,
-    delivery: Delivery,
-    form: Form<'_>,
-    tr: &TraceBuilder,
-) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
-    let h = tr.open("fused-chain", || q.to_string());
-    tr.attr(h, "delivery", || {
-        (match delivery {
-            Delivery::Canonical => "canonical",
-            Delivery::Faithful => "faithful",
-        })
-        .to_string()
-    });
-    tr.attr(h, "form", || (if form == Form::Rows { "rows" } else { "lanes" }).to_string());
-    match plan_chain(q, cfg, Vet::new(exec, tr)) {
-        Some(plan) => {
-            let chain = build_chain(db, plan, cfg, exec, delivery, tr)?;
-            chain.run(exec, delivery, form, tr, h)
-        }
-        None => {
-            // Tier B rejected a stage: the whole chain — its inputs
-            // included — runs on the oracle, which reproduces either
-            // delivery exactly.
-            tr.attr(h, "fallback", || "verifier-rejected".to_string());
-            let rel = super::eval_inner(db, q, cfg, exec, tr)?;
-            close_rel(tr, h, &rel);
-            Ok((rel, false))
-        }
+    /// One attempt of a plan that was kept, on the caller's executor —
+    /// [`super::eval_au_attempt`] without the planning. A program that
+    /// crosses from one execution to the next passes Tier A again before
+    /// it runs: every chain re-checks its own stages as it is built
+    /// (structural, `O(ops · depth)`; no key, no clone). One that fails
+    /// surfaces as a producer fault, which a caller that retries answers
+    /// from an oracle plan.
+    pub fn run(
+        &self,
+        db: &AuDatabase,
+        exec: &Executor,
+        tr: &TraceBuilder,
+    ) -> Result<AuRelation, EvalError> {
+        self.attempt(true, db, exec, tr)
     }
-}
 
-fn eval_pl<'a>(
-    db: &'a AuDatabase,
-    q: &Query,
-    cfg: &AuConfig,
-    exec: &Executor,
-    delivery: Delivery,
-    form: Form<'_>,
-    tr: &TraceBuilder,
-) -> Result<Cow<'a, AuRelation>, EvalError> {
-    if is_chain(q) {
-        return eval_chain(db, q, cfg, exec, delivery, form, tr).map(|(rel, _)| rel);
-    }
-    // A pipeline breaker runs its own kernel; its inputs recurse through
-    // the pipeline with the delivery and in the form the breaker requires
-    // (module docs). What it returns is what its kernel builds — tuples.
-    let h = open_op_span(tr, q);
-    tr.attr(h, "fallback", || "pipeline-breaker".to_string());
-    let input = |q: &Query, delivery, form| eval_pl(db, q, cfg, exec, delivery, form, tr);
-    let tuples = |q: &Query| {
-        let rel = input(q, Delivery::Canonical, Form::Rows)?;
+    /// Run the plan under an `attempt` span and normalize the result.
+    pub(super) fn attempt(
+        &self,
+        kept: bool,
+        db: &AuDatabase,
+        exec: &Executor,
+        tr: &TraceBuilder,
+    ) -> Result<AuRelation, EvalError> {
+        let h = tr.open("attempt", String::new);
+        let mode = if self.cfg.fuses_chains() { "lanes" } else { "oracle" };
+        tr.attr(h, "mode", || mode.to_string());
+        tr.attr(h, "workers", || exec.workers().to_string());
+        let (rel, _) = self.root.run(Run { db, cfg: &self.cfg, exec, tr, kept })?;
+        let rel = rel.into_owned().into_normalized_with(exec)?;
+        // the caller reads tuples: build them inside the query's span
         rows_of(&rel, exec);
-        Ok::<_, EvalError>(rel)
-    };
-    let out = match q {
-        Query::Union { left, right } => {
-            let (l, r) = (tuples(left)?, tuples(right)?);
-            tr.rows_in(h, (l.len() + r.len()) as u64);
-            union_cow(l, r, exec)?
+        close_rel(tr, h, &rel);
+        Ok(rel)
+    }
+}
+
+impl Node {
+    /// Plan the sub-query `q` for a consumer with contract `consumer`.
+    /// Stages compile chain by chain, outermost chain first, then its
+    /// source's, then its join's right side's — the order a run
+    /// evaluates them in.
+    fn plan(q: &Query, cfg: &AuConfig, consumer: Contract, vet: Vet<'_>) -> Node {
+        let below = |q: &Query, delivery, form| {
+            Box::new(Node::plan(q, cfg, Contract { delivery, form }, vet))
+        };
+        if is_chain(q) {
+            let Some(laid) = plan_chain(q, cfg, vet) else {
+                return Node::Oracle { q: q.clone(), rejected: true };
+            };
+            // A join's inputs are lists whenever its own pairs are
+            // delivered as one, and under a join-compression knob (the
+            // verdict counts rows).
+            let inputs =
+                if cfg.join_compress.is_some() { Delivery::Faithful } else { consumer.delivery };
+            let source = match laid.source {
+                Query::Table(name) => Box::new(Node::Table(name.clone())),
+                materialized => below(materialized, inputs, Form::Lanes),
+            };
+            let probe =
+                laid.probe.map(|(right, recheck)| (below(right, inputs, Form::Lanes), recheck));
+            let chain = Chain { source, probe, pre: laid.pre, post: laid.post, names: laid.names };
+            let detail = vet.detail(|| q.to_string());
+            return Node::Chain { chain: Box::new(chain), consumer, detail };
         }
-        Query::Difference { left, right } => {
-            let (l, r) = (tuples(left)?, tuples(right)?);
-            tr.rows_in(h, (l.len() + r.len()) as u64);
-            difference::difference_au_exec(&l, &r, exec)?
-        }
-        Query::Distinct { input: of } => {
+        // A pipeline breaker runs its own kernel; its inputs are planned
+        // with the delivery and in the form it requires (module docs).
+        // What it returns is what its kernel builds, whatever is asked.
+        let tuples = |q: &Query| below(q, Delivery::Canonical, Form::Rows);
+        let (op, kind) = match q {
+            Query::Union { left, right } => ("union", Breaker::Union(tuples(left), tuples(right))),
+            Query::Difference { left, right } => {
+                ("difference", Breaker::Difference(tuples(left), tuples(right)))
+            }
             // grouping on all columns, no aggregates: bounding boxes and
             // annotation sums are commutative folds → multiset-determined
-            let rel = input(of, Delivery::Canonical, Form::Lanes)?;
-            tr.rows_in(h, rel.len() as u64);
-            let all: Vec<usize> = (0..rel.schema.arity()).collect();
-            let compress = effective_agg_compress(cfg, &rel, &all);
-            tr.attr(h, "compress", || opt_usize_attr(compress));
-            aggregate_in_span(tr, h, &rel, &all, &[], compress, exec)?
-        }
-        Query::Aggregate { input: of, group_by, aggs } => {
-            // bound folds run in member order (floats!) → exact list, of
-            // which only the columns `reads` are ever looked at
-            let reads: Vec<usize> = (group_by.iter().copied())
-                .chain(aggs.iter().flat_map(|a| a.input.columns()))
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            let (rel, narrowed) = if is_chain(of) {
-                eval_chain(db, of, cfg, exec, Delivery::Faithful, Form::LanesOf(&reads), tr)?
-            } else {
-                (input(of, Delivery::Faithful, Form::Lanes)?, false)
-            };
-            tr.rows_in(h, rel.len() as u64);
-            let (group_by, aggs) = if narrowed {
+            Query::Distinct { input } => {
+                ("distinct", Breaker::Distinct(below(input, Delivery::Canonical, Form::Lanes)))
+            }
+            Query::Aggregate { input, group_by, aggs } => {
+                // bound folds run in member order (floats!) → exact list, of
+                // which only the columns `reads` are ever looked at
+                let reads: Vec<usize> = (group_by.iter().copied())
+                    .chain(aggs.iter().flat_map(|a| a.input.columns()))
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
                 // `reads` is sorted: a read column's slot is its rank
                 let slot = |c: usize| reads.partition_point(|&r| r < c);
                 let respec = |a: &AggSpec| {
                     AggSpec::new(a.func, a.input.remap_columns(&slot), a.name.clone())
                 };
-                (group_by.iter().map(|&c| slot(c)).collect(), aggs.iter().map(respec).collect())
-            } else {
-                (Cow::Borrowed(&group_by[..]), Cow::Borrowed(&aggs[..]))
-            };
-            let compress = effective_agg_compress(cfg, &rel, &group_by);
-            tr.attr(h, "compress", || opt_usize_attr(compress));
-            aggregate_in_span(tr, h, &rel, &group_by, &aggs, compress, exec)?
-        }
-        _ => unreachable!("σ/π/⋈ trees run as chains"),
-    };
-    close_rel(tr, h, &out);
-    Ok(Cow::Owned(out))
+                let narrow: Vec<usize> = group_by.iter().map(|&c| slot(c)).collect();
+                let specs =
+                    [(group_by.clone(), aggs.clone()), (narrow, aggs.iter().map(respec).collect())];
+                let form = if is_chain(input) { Form::LanesOf(reads) } else { Form::Lanes };
+                (
+                    "aggregate",
+                    Breaker::Aggregate { input: below(input, Delivery::Faithful, form), specs },
+                )
+            }
+            _ => unreachable!("σ/π/⋈ trees run as chains"),
+        };
+        Node::Breaker { op, kind }
+    }
+
+    /// Evaluate the node: its relation, and whether it holds just the
+    /// columns a [`Form::LanesOf`] consumer reads.
+    fn run<'a>(&'a self, on: Run<'a>) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
+        let Run { db, cfg, exec, tr, .. } = on;
+        let (h, kind) = match self {
+            Node::Table(name) => return Ok((Cow::Borrowed(db.get(name)?), false)),
+            Node::Oracle { q, rejected } => {
+                let h = rejected.then(|| {
+                    let h = tr.open("fused-chain", || q.to_string());
+                    tr.attr(h, "fallback", || "verifier-rejected".to_string());
+                    h
+                });
+                let rel = super::eval_inner(db, q, cfg, exec, tr)?;
+                h.into_iter().for_each(|h| close_rel(tr, h, &rel));
+                return Ok((rel, false));
+            }
+            Node::Chain { chain, consumer, detail } => {
+                let h = tr.open("fused-chain", || detail.clone());
+                let canonical = consumer.delivery == Delivery::Canonical;
+                tr.attr(h, "delivery", || if canonical { "canonical" } else { "faithful" }.into());
+                let rows = consumer.form == Form::Rows;
+                tr.attr(h, "form", || if rows { "rows" } else { "lanes" }.into());
+                return chain.build(on)?.run(exec, consumer, tr, h);
+            }
+            Node::Breaker { op, kind } => {
+                let detail = || match kind {
+                    Breaker::Aggregate { specs: [(group_by, aggs), _], .. } => {
+                        format!("group_by={group_by:?} aggs={}", aggs.len())
+                    }
+                    _ => String::new(),
+                };
+                (tr.open(op, detail), kind)
+            }
+        };
+        tr.attr(h, "fallback", || "pipeline-breaker".to_string());
+        let tuples = |input: &'a Node| {
+            let (rel, _) = input.run(on)?;
+            rows_of(&rel, exec);
+            Ok::<_, EvalError>(rel)
+        };
+        let out = match kind {
+            Breaker::Union(left, right) | Breaker::Difference(left, right) => {
+                let (l, r) = (tuples(left)?, tuples(right)?);
+                tr.rows_in(h, (l.len() + r.len()) as u64);
+                match kind {
+                    Breaker::Union(..) => union_cow(l, r, exec)?,
+                    _ => difference::difference_au_exec(&l, &r, exec)?,
+                }
+            }
+            Breaker::Distinct(input) => {
+                let (rel, _) = input.run(on)?;
+                let all: Vec<usize> = (0..rel.schema.arity()).collect();
+                aggregate_in_span(tr, h, cfg, &rel, &all, &[], exec)?
+            }
+            Breaker::Aggregate { input, specs } => {
+                let (rel, narrowed) = input.run(on)?;
+                let (group_by, aggs) = &specs[usize::from(narrowed)];
+                aggregate_in_span(tr, h, cfg, &rel, group_by, aggs, exec)?
+            }
+        };
+        close_rel(tr, h, &out);
+        Ok((Cow::Owned(out), false))
+    }
 }
 
-/// Does `q` root a `σ/π/⋈` tree — the shapes [`eval_chain`] runs?
+impl Chain<Box<Node>> {
+    /// Evaluate the chain's inputs — its source and a join's right side,
+    /// each exactly once — take the join's compression verdict on them,
+    /// and assemble the runnable pipeline: a join that compresses runs
+    /// here and its output becomes the source of a probe-less chain; one
+    /// that does not becomes the chain's probe. On a kept plan the
+    /// chain's programs pass Tier A first.
+    fn build<'a>(&'a self, on: Run<'a>) -> Result<AuPipeline<'a>, EvalError> {
+        let Run { cfg, exec, tr, kept, .. } = on;
+        let recheck = self.probe.as_ref().and_then(|(_, recheck)| recheck.as_ref());
+        if kept {
+            for st in self.pre.iter().chain(recheck).chain(&self.post) {
+                st.prog.verify().map_err(|e| ExecError::WorkerPanic {
+                    morsel: 0,
+                    payload: format!("kept plan failed Tier A: {e}"),
+                })?;
+            }
+        }
+        let (mut source, _) = self.source.run(on)?;
+        let right = match &self.probe {
+            Some((right, _)) => Some(right.run(on)?.0),
+            None => None,
+        };
+        let schema = match (&self.names, &right) {
+            (Some(names), _) => names.clone(),
+            (None, Some(r)) => source.schema.concat(&r.schema),
+            (None, None) => source.schema.clone(),
+        };
+        let (mut pre, mut post, mut probe) = (&self.pre[..], &self.post[..], None);
+        if let Some(r) = right {
+            if let Some(ct) = effective_join_compress(cfg, &source, &r) {
+                let h = tr.open("join", || join_detail(recheck.map(Stage::predicate)));
+                tr.rows_in(h, (source.len() + r.len()) as u64);
+                let out = compress_join_in_span(tr, h, &source, &r, recheck, ct, exec)?;
+                close_rel(tr, h, &out);
+                source = Cow::Owned(out);
+                debug_assert!(pre.is_empty(), "a compressing join anchors its chain");
+                (pre, post) = (post, &[]);
+            } else {
+                probe = Some(ProbeOp::build(source.as_ref(), r, recheck, exec));
+            }
+        }
+        Ok(AuPipeline { source, pre, probe, post, schema })
+    }
+}
+
+/// Does `q` root a `σ/π/⋈` tree — the shapes that plan as chains?
 fn is_chain(q: &Query) -> bool {
     matches!(q, Query::Table(_) | Query::Select { .. } | Query::Project { .. } | Query::Join { .. })
 }

@@ -46,7 +46,7 @@ pub fn eval_det(db: &Database, q: &Query) -> Result<Relation, EvalError> {
 /// byte-identical result.
 pub fn eval_det_exec(db: &Database, q: &Query, exec: &Executor) -> Result<Relation, EvalError> {
     let tr = TraceBuilder::disabled();
-    let rel = eval_walk(db, q, exec, Delivery::Canonical, Some(Vet::new(exec, &tr)))?;
+    let rel = eval_walk(db, q, exec, Delivery::Canonical, Some(Vet::new(exec.metrics(), &tr)))?;
     Ok(rel.into_owned().into_normalized_with(exec)?)
 }
 

@@ -28,7 +28,6 @@ pub mod au;
 pub mod det;
 pub mod opt;
 pub mod planner;
-pub mod prepare;
 pub mod rewrite;
 pub mod sql;
 pub mod ua;
@@ -36,12 +35,12 @@ pub mod vcheck;
 
 pub use algebra::{table, AggFunc, AggSpec, Catalog, Query};
 pub use au::{
-    eval_au, eval_au_attempt, eval_au_traced, eval_au_traced_full, explain, AuConfig, Explain,
+    eval_au, eval_au_attempt, eval_au_traced, eval_au_traced_full, explain, AuConfig, AuPlan,
+    Explain,
 };
 pub use audb_exec::{Executor, Partitioner};
 pub use det::eval_det;
 pub use planner::{classify, JoinStrategy};
-pub use prepare::{with_program_cache, CacheStats, ProgramCache};
 pub use sql::parse_sql;
 pub use ua::eval_ua;
 pub use vcheck::with_tampered_programs;

@@ -230,12 +230,12 @@ pub fn optimized_join_exec(
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     let tr = TraceBuilder::disabled();
-    let recheck = match predicate.map(|p| (p, Stage::filter(p, Vet::new(exec, &tr)))) {
-        Some((_, None)) => return optimized_join_literal(l, r, predicate, ct, exec),
-        Some((p, Some(stage))) => Some((p, stage)),
+    let recheck = match predicate.map(|p| Stage::filter(p, Vet::new(exec.metrics(), &tr))) {
+        Some(None) => return optimized_join_literal(l, r, predicate, ct, exec),
+        Some(Some(stage)) => Some(stage),
         None => None,
     };
-    optimized_join_stats(l, r, recheck, ct, exec).map(|(out, _)| out)
+    optimized_join_stats(l, r, recheck.as_ref(), ct, exec).map(|(out, _)| out)
 }
 
 /// Section 10.4 as written — [`split_sg`], [`split_up`] and [`compress`]
@@ -279,11 +279,11 @@ pub(crate) struct SplitJoinStats {
 pub(crate) fn optimized_join_stats(
     l: &AuRelation,
     r: &AuRelation,
-    recheck: Option<(&Expr, Stage)>,
+    recheck: Option<&Stage>,
     ct: usize,
     exec: &Executor,
 ) -> Result<(AuRelation, SplitJoinStats), EvalError> {
-    let (la, ra) = bucket_attrs(recheck.as_ref().map(|(p, _)| *p), l.schema.arity());
+    let (la, ra) = bucket_attrs(recheck.map(Stage::predicate), l.schema.arity());
     // Per side: its two splits, each a relation born of its lanes (what
     // a probe chain runs over).
     let split = |rel: &AuRelation, attr: usize| {
@@ -297,7 +297,7 @@ pub(crate) fn optimized_join_stats(
     let ([sgl, lup], [sgr, rup]) = (split(l, la), split(r, ra));
 
     // ---- SG part: certain tuples; possible part: compressed overlap join ---
-    let (mut pairs, keys_typed) = probe_join_pairs(&sgl, &sgr, recheck.clone(), exec)?;
+    let (mut pairs, keys_typed) = probe_join_pairs(&sgl, &sgr, recheck, exec)?;
     let (more, _) = probe_join_pairs(&lup, &rup, recheck, exec)?;
     let stats = SplitJoinStats {
         sg_rows: pairs.annots.len(),

@@ -133,11 +133,25 @@ fn tokenize(sql: &str) -> Result<Vec<Tok>, EvalError> {
 /// there, 192 overflow).
 const MAX_NESTING: usize = 64;
 
+/// Tallest expression tree the parser builds. Nesting is not the only
+/// way down: `a + a + …` is built left-deep by iteration, one level per
+/// operator, and every consumer of the tree — lowering, the verifier,
+/// `Display`, `Drop` — recurses once per level. Sized like
+/// [`MAX_NESTING`]: on a 2 MiB thread in an unoptimized build a chain of
+/// 1 000 terms parses, compiles and runs and one of 1 200 overflows.
+const MAX_EXPR_DEPTH: usize = 400;
+
+/// How a binary operator builds its node.
+type BinOp = fn(Expr, Expr) -> Expr;
+
 struct Parser<'a> {
     toks: Vec<Tok>,
     pos: usize,
     /// Current nesting level, bounded by [`MAX_NESTING`].
     depth: usize,
+    /// Height of the expression the last expression production returned,
+    /// bounded by [`MAX_EXPR_DEPTH`].
+    height: usize,
     catalog: &'a dyn Catalog,
 }
 
@@ -172,7 +186,7 @@ impl Scope {
 /// Parse a SQL statement into a [`Query`] plan against the catalog.
 pub fn parse_sql(sql: &str, catalog: &dyn Catalog) -> Result<Query, EvalError> {
     let toks = tokenize(sql)?;
-    let mut p = Parser { toks, pos: 0, depth: 0, catalog };
+    let mut p = Parser { toks, pos: 0, depth: 0, height: 0, catalog };
     let q = p.select_stmt()?;
     p.eat_sym(";").ok();
     if p.pos < p.toks.len() {
@@ -248,6 +262,17 @@ impl<'a> Parser<'a> {
         let parsed = parse(self);
         self.depth -= 1;
         parsed
+    }
+
+    /// The node just built over the last parsed operand and operands of
+    /// height `others` is one level taller than the tallest of them; an
+    /// error past [`MAX_EXPR_DEPTH`].
+    fn taller(&mut self, others: usize) -> Result<(), EvalError> {
+        self.height = 1 + self.height.max(others);
+        if self.height > MAX_EXPR_DEPTH {
+            return Err(err(format!("expression deeper than {MAX_EXPR_DEPTH} levels")));
+        }
+        Ok(())
     }
 
     // ---- statements -----------------------------------------------------
@@ -493,25 +518,38 @@ impl<'a> Parser<'a> {
         self.nested(|p| p.or_expr(scope))
     }
 
-    fn or_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
-        let mut e = self.and_expr(scope)?;
-        while self.eat_kw("or") {
-            e = e.or(self.and_expr(scope)?);
+    /// `operand (op operand)*` at one precedence level: a left-deep tree
+    /// built by iteration, one level per operator.
+    fn chain(
+        &mut self,
+        scope: &Scope,
+        operand: fn(&mut Self, &Scope) -> Result<Expr, EvalError>,
+        ops: &[(&str, BinOp)],
+    ) -> Result<Expr, EvalError> {
+        let mut e = operand(self, scope)?;
+        while let Some(&(_, build)) = ops
+            .iter()
+            .find(|(op, _)| self.eat_kw(op) || (self.peek_sym(op) && self.eat_sym(op).is_ok()))
+        {
+            let lhs = self.height;
+            e = build(e, operand(self, scope)?);
+            self.taller(lhs)?;
         }
         Ok(e)
     }
 
+    fn or_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
+        self.chain(scope, Self::and_expr, &[("or", Expr::or)])
+    }
+
     fn and_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
-        let mut e = self.not_expr(scope)?;
-        while self.eat_kw("and") {
-            e = e.and(self.not_expr(scope)?);
-        }
-        Ok(e)
+        self.chain(scope, Self::not_expr, &[("and", Expr::and)])
     }
 
     fn not_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
         if self.eat_kw("not") {
-            return Ok(self.nested(|p| p.not_expr(scope))?.not());
+            let e = self.nested(|p| p.not_expr(scope))?.not();
+            return self.taller(0).map(|()| e);
         }
         self.cmp_expr(scope)
     }
@@ -523,7 +561,9 @@ impl<'a> Parser<'a> {
             _ => return Ok(lhs),
         };
         self.pos += 1;
+        let lhs_height = self.height;
         let rhs = self.add_expr(scope)?;
+        self.taller(lhs_height)?;
         Ok(match op {
             "=" => lhs.eq(rhs),
             "!=" => lhs.neq(rhs),
@@ -535,46 +575,24 @@ impl<'a> Parser<'a> {
     }
 
     fn add_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
-        let mut e = self.mul_expr(scope)?;
-        loop {
-            if self.peek_sym("+") {
-                self.eat_sym("+")?;
-                e = e.add(self.mul_expr(scope)?);
-            } else if self.peek_sym("-") {
-                self.eat_sym("-")?;
-                e = e.sub(self.mul_expr(scope)?);
-            } else {
-                break;
-            }
-        }
-        Ok(e)
+        self.chain(scope, Self::mul_expr, &[("+", Expr::add), ("-", Expr::sub)])
     }
 
     fn mul_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
-        let mut e = self.unary_expr(scope)?;
-        loop {
-            if self.peek_sym("*") {
-                self.eat_sym("*")?;
-                e = e.mul(self.unary_expr(scope)?);
-            } else if self.peek_sym("/") {
-                self.eat_sym("/")?;
-                e = e.div(self.unary_expr(scope)?);
-            } else {
-                break;
-            }
-        }
-        Ok(e)
+        self.chain(scope, Self::unary_expr, &[("*", Expr::mul), ("/", Expr::div)])
     }
 
     fn unary_expr(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
         if self.peek_sym("-") {
             self.eat_sym("-")?;
-            return Ok(self.nested(|p| p.unary_expr(scope))?.neg());
+            let e = self.nested(|p| p.unary_expr(scope))?.neg();
+            return self.taller(0).map(|()| e);
         }
         self.primary(scope)
     }
 
     fn primary(&mut self, scope: &Scope) -> Result<Expr, EvalError> {
+        self.height = 1; // a leaf, unless a branch below parses operands
         match self.peek().cloned() {
             Some(Tok::Int(v)) => {
                 self.pos += 1;
@@ -611,11 +629,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     self.eat_sym("(")?;
                     let lb = self.expr(scope)?;
+                    let lb_height = self.height;
                     self.eat_sym(",")?;
                     let sg = self.expr(scope)?;
+                    let below = lb_height.max(self.height);
                     self.eat_sym(",")?;
                     let ub = self.expr(scope)?;
                     self.eat_sym(")")?;
+                    self.taller(below)?;
                     return Ok(Expr::make_uncertain(lb, sg, ub));
                 }
                 if lower == "case" {
@@ -633,11 +654,14 @@ impl<'a> Parser<'a> {
         self.expect_kw("case")?;
         self.expect_kw("when")?;
         let cond = self.expr(scope)?;
+        let cond_height = self.height;
         self.expect_kw("then")?;
         let then = self.expr(scope)?;
+        let below = cond_height.max(self.height);
         self.expect_kw("else")?;
         let els = self.expr(scope)?;
         self.expect_kw("end")?;
+        self.taller(below)?;
         Ok(Expr::if_then_else(cond, then, els))
     }
 }
@@ -833,7 +857,12 @@ mod tests {
     /// Nesting is bounded: one level short of [`MAX_NESTING`] parses,
     /// one past it — and 100 000, which used to overflow the stack and
     /// abort the process — is an error naming the limit. Parentheses,
-    /// `NOT` / unary-minus chains and `UNION` tails all count.
+    /// `NOT` / unary-minus chains and `UNION` tails all count. So is the
+    /// height of the expression tree: a flat `+` / `AND` / `OR` chain is
+    /// built by iteration, one level per operator, and 100 000 terms
+    /// overflowed the stack of whoever walked — or dropped — the tree.
+    /// Run on a spawned thread: 2 MiB is the stack the limits are sized
+    /// for.
     #[test]
     fn nesting_depth_is_limited() {
         let db = det_db();
@@ -844,18 +873,35 @@ mod tests {
             |n: usize| format!("SELECT size FROM locales WHERE {}rate = 1", "not ".repeat(n));
         let negs = |n: usize| format!("SELECT {}rate AS r FROM locales", "- ".repeat(n));
         let unions = |n: usize| vec!["SELECT size FROM locales"; n + 1].join(" UNION ");
-        for (what, sql) in [
-            ("parentheses", &parens as &dyn Fn(usize) -> String),
-            ("not chain", &nots),
-            ("unary minus chain", &negs),
-            ("union tail", &unions),
-        ] {
-            assert!(parse_sql(&sql(MAX_NESTING - 1), &db).is_ok(), "{what} below the limit");
-            for n in [MAX_NESTING + 1, 100_000] {
-                let e = parse_sql(&sql(n), &db).unwrap_err().to_string();
-                assert!(e.contains(&format!("deeper than {MAX_NESTING}")), "{what} × {n}: {e}");
+        let sums = |n: usize| {
+            format!("SELECT size FROM locales WHERE {} > 0", vec!["rate"; n].join(" + "))
+        };
+        let chain = |term: &'static str, op: &'static str| {
+            move |n: usize| format!("SELECT size FROM locales WHERE {}", vec![term; n].join(op))
+        };
+        let (ands, ors) = (chain("rate = 1", " AND "), chain("rate = 1", " OR "));
+        let check = move || {
+            for (what, sql, limit, named) in [
+                ("parentheses", &parens as &dyn Fn(usize) -> String, MAX_NESTING, "nesting"),
+                ("not chain", &nots, MAX_NESTING, "nesting"),
+                ("unary minus chain", &negs, MAX_NESTING, "nesting"),
+                ("union tail", &unions, MAX_NESTING, "nesting"),
+                // `n` terms under one comparison, or of height 2: n + 1 levels
+                ("+ chain", &sums, MAX_EXPR_DEPTH, "expression"),
+                ("AND chain", &ands, MAX_EXPR_DEPTH, "expression"),
+                ("OR chain", &ors, MAX_EXPR_DEPTH, "expression"),
+            ] {
+                assert!(parse_sql(&sql(limit - 1), &db).is_ok(), "{what} below the limit");
+                for n in [limit + 1, 100_000] {
+                    let e = parse_sql(&sql(n), &db).unwrap_err().to_string();
+                    assert!(
+                        e.contains(&format!("{named} deeper than {limit}")),
+                        "{what} × {n}: {e}"
+                    );
+                }
             }
-        }
+        };
+        std::thread::Builder::new().stack_size(2 << 20).spawn(check).unwrap().join().unwrap();
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! Tier A of the static verifier ([`audb_core::verify`]) runs
 //! unconditionally inside `Program` construction — a freshly lowered
 //! program that fails it is a lowerer bug and panics there. This module
-//! adds the *Tier B* gate at every chain compile site
-//! ([`crate::au::pipeline`], [`crate::det`]), unconditionally: each
-//! freshly compiled stage is abstractly interpreted before it is
-//! accepted (a prepared-plan cache hit re-checks Tier A only), and a
-//! rejection keeps the suspect program from executing: either
-//! engine runs the whole chain on its operator-at-a-time oracle
-//! instead (the per-chain analog of the whole-query lanes→oracle
-//! degradation retry).
+//! adds the *Tier B* gate at every chain compile site — the AU planner
+//! ([`crate::au::AuPlan::new`]: once per plan, however often the plan
+//! runs) and [`crate::det`] — unconditionally: each freshly compiled
+//! stage is abstractly interpreted before it is accepted, and a
+//! rejection keeps the suspect program from executing: either engine
+//! runs the whole chain on its operator-at-a-time oracle instead (the
+//! per-chain analog of the whole-query lanes→oracle degradation retry).
+//! A plan that is kept and run again re-checks Tier A over its own
+//! stages ([`crate::au::AuPlan::run`]); nothing is compiled, keyed or
+//! cloned on that path.
 //!
 //! Rejections are observable: the [`Counter::VerifyRejects`] metric,
 //! a [`ExecEventKind::VerifierRejected`] event carrying the diagnostic,
@@ -22,16 +24,15 @@
 //! itself is wrong — the property tests pin zero diagnostics across
 //! random programs. To exercise the rejection path end-to-end anyway,
 //! [`with_tampered_programs`] installs a thread-local corruption hook
-//! between lowering and vetting (compilation happens on the chain-build
+//! between lowering and vetting (compilation happens on the planning
 //! thread, before any worker fan-out, so a thread-local seam sees every
-//! program of the query).
+//! program of the query) — the one thread-local of this crate.
 
 use std::cell::RefCell;
 
 use audb_core::obs::{Counter, ExecEvent, ExecEventKind, Metrics, TraceBuilder};
 use audb_core::program::Mode;
 use audb_core::{Expr, Program};
-use audb_exec::Executor;
 
 /// The installed corruption hook of [`with_tampered_programs`].
 type TamperHook = Box<dyn FnMut(Program) -> Program>;
@@ -62,17 +63,6 @@ pub fn with_tampered_programs<R>(
     f()
 }
 
-/// Cache key for a projection-list compile: mode prefix + every
-/// expression, separated so adjacent lists cannot collide.
-fn many_key(prefix: &str, es: &[Expr]) -> String {
-    use std::fmt::Write as _;
-    let mut key = String::from(prefix);
-    for e in es {
-        let _ = write!(key, "\u{1f}{e}");
-    }
-    key
-}
-
 fn tamper(p: Program) -> Program {
     TAMPER.with(|t| match t.borrow_mut().as_mut() {
         Some(f) => f(p),
@@ -80,8 +70,8 @@ fn tamper(p: Program) -> Program {
     })
 }
 
-/// The compile-site context a fused chain threads to every stage it
-/// lowers: where verdicts and rejections are recorded.
+/// The compile-site context a planner threads to every stage it lowers:
+/// where verdicts and rejections are recorded.
 #[derive(Clone, Copy)]
 pub(crate) struct Vet<'a> {
     metrics: &'a Metrics,
@@ -89,56 +79,40 @@ pub(crate) struct Vet<'a> {
 }
 
 impl<'a> Vet<'a> {
-    pub(crate) fn new(exec: &'a Executor, tr: &'a TraceBuilder) -> Vet<'a> {
-        Vet { metrics: exec.metrics(), tr }
+    pub(crate) fn new(metrics: &'a Metrics, tr: &'a TraceBuilder) -> Vet<'a> {
+        Vet { metrics, tr }
+    }
+
+    /// `render()` when the compile site is traced, else nothing: what a
+    /// plan keeps of a span's detail, so an untraced planning call never
+    /// formats a query.
+    pub(crate) fn detail(&self, render: impl FnOnce() -> String) -> String {
+        self.tr.is_enabled().then(render).unwrap_or_default()
     }
 
     /// Compile one range predicate, vetted. `None` means "do not run a
     /// program here": Tier B rejected it.
     pub(crate) fn range(&self, e: &Expr) -> Option<Program> {
-        self.vet(|| format!("range1|{e}"), || Program::compile_range(e))
+        self.vet(Program::compile_range(e))
     }
 
     /// Compile a range projection list, vetted.
     pub(crate) fn range_many(&self, es: &[Expr]) -> Option<Program> {
-        self.vet(|| many_key("rangeN", es), || Program::compile_range_many(es))
+        self.vet(Program::compile_range_many(es))
     }
 
     /// Compile one deterministic predicate, vetted.
     pub(crate) fn det(&self, e: &Expr) -> Option<Program> {
-        self.vet(|| format!("det1|{e}"), || Program::compile_det(e))
+        self.vet(Program::compile_det(e))
     }
 
     /// Compile a deterministic projection list, vetted.
     pub(crate) fn det_many(&self, es: &[Expr]) -> Option<Program> {
-        self.vet(|| many_key("detN", es), || Program::compile_det_many(es))
+        self.vet(Program::compile_det_many(es))
     }
 
-    fn vet(
-        &self,
-        key: impl FnOnce() -> String,
-        compile: impl FnOnce() -> Program,
-    ) -> Option<Program> {
-        // Prepared-plan reuse: an installed program cache
-        // ([`crate::prepare::with_program_cache`]) is consulted before
-        // lowering. A hit skips compilation and Tier B, but the cached
-        // program still passes the cheap structural Tier A gate before
-        // it executes — a corrupted cache degrades to a recompile, not
-        // a suspect program.
-        let cache = crate::prepare::current();
-        let cache_key = cache.as_ref().map(|_| key());
-        if let (Some(cache), Some(k)) = (&cache, &cache_key) {
-            if let Some(p) = cache.lookup(k) {
-                if p.verify().is_ok() {
-                    let h = self.tr.open("verify", || "cached".to_string());
-                    self.tr.attr(h, "tier", || "A".to_string());
-                    self.tr.attr(h, "verdict", || "accepted".to_string());
-                    self.tr.close(h, None, None);
-                    return Some(p);
-                }
-            }
-        }
-        let p = tamper(compile());
+    fn vet(&self, lowered: Program) -> Option<Program> {
+        let p = tamper(lowered);
         let h = self.tr.open("verify", || {
             (match p.mode() {
                 Mode::Range => "range",
@@ -151,15 +125,11 @@ impl<'a> Vet<'a> {
         // A tampered program may no longer satisfy Tier A either —
         // `verify_full` re-checks structure before abstract
         // interpretation, so both tiers guard this gate.
-        let outcome = p.verify_full();
-        match outcome {
+        match p.verify_full() {
             Ok(lints) => {
                 self.tr.attr(h, "lints", || lints.len().to_string());
                 self.tr.attr(h, "verdict", || "accepted".to_string());
                 self.tr.close(h, None, None);
-                if let (Some(cache), Some(k)) = (&cache, cache_key) {
-                    cache.insert(k, p.clone());
-                }
                 Some(p)
             }
             Err(e) => {

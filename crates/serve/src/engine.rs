@@ -15,11 +15,14 @@
 //!
 //! Parse → plan → compile → verify is paid once per (query text,
 //! epoch): the prepared table maps query text to a [`PreparedPlan`]
-//! holding the parsed plan, a shared
-//! [`ProgramCache`](audb_query::ProgramCache) of its vetted compiled
-//! programs, and the plan's circuit breaker. Publish drops the whole
-//! table — the coherence property test pins that a warm re-execution
-//! against a new epoch is byte-identical to a cold one.
+//! holding the query's physical plan ([`AuPlan`]: every chain stage
+//! compiled and vetted), the oracle plan its circuit breaker routes to,
+//! and the breaker. A hit is lookup → [`AuPlan::run`]: nothing is
+//! parsed, planned, compiled or rendered, and the plan's programs pass
+//! Tier A again before they execute. Publish drops the whole table —
+//! the coherence property test pins that a warm re-execution against a
+//! new epoch is byte-identical to a cold one — and so does reaching
+//! [`PREPARED_CAP`] entries.
 //!
 //! ## The robustness loop
 //!
@@ -30,6 +33,7 @@
 //! structured rejection. Every submission resolves — to a result or a
 //! structured [`ServeError`] — and no outcome can poison the engine.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,7 +44,7 @@ use audb_core::obs::{Counter, ExecEvent, ExecEventKind, Metrics, MetricsSnapshot
 use audb_core::EvalError;
 use audb_exec::WorkerGate;
 use audb_query::au::AuConfig;
-use audb_query::{eval_au_attempt, parse_sql, with_program_cache, ProgramCache, Query};
+use audb_query::{parse_sql, AuPlan, Query};
 use audb_storage::{AuDatabase, AuRelation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,13 +98,24 @@ impl Default for EngineConfig {
     }
 }
 
-/// A parsed, compile-cached plan pinned to one epoch.
+/// Entries the prepared table holds before it is dropped whole — what
+/// [`Engine::publish`] does to it anyway, so no recency bookkeeping. A
+/// constant, not a knob: it only has to bound memory under unbounded
+/// distinct query texts between two publishes (a plan is a few KB), an
+/// order of magnitude above what a workload with a working set reaches
+/// (`serve_mix`: 26 recurring texts + ~50 fresh ones per round, a
+/// publish every round — under 80 entries, 13× below the cap).
+pub const PREPARED_CAP: usize = 1024;
+
+/// A query planned against one epoch's catalog, shared by every
+/// execution of its text on that epoch.
 #[derive(Debug)]
 struct PreparedPlan {
-    query: Query,
     epoch: u64,
-    /// Vetted compiled programs, shared across executions of this plan.
-    programs: Arc<ProgramCache>,
+    /// The plan under the engine's evaluation knobs …
+    plan: AuPlan,
+    /// … and the one an open breaker routes to.
+    oracle: AuPlan,
     breaker: Breaker,
 }
 
@@ -228,8 +243,14 @@ impl Engine {
         let epoch = current.epoch + 1;
         *current = Arc::new(Snapshot { epoch, db });
         drop(current);
-        self.inner.prepared.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.evict(&mut self.inner.prepared.lock().unwrap_or_else(PoisonError::into_inner));
         epoch
+    }
+
+    /// Drop every prepared plan, counting them.
+    fn evict(&self, table: &mut HashMap<String, Arc<PreparedPlan>>) {
+        self.inner.metrics.add(Counter::PreparedEvictions, table.len() as u64);
+        table.clear();
     }
 
     /// Pin the current snapshot (readers hold it as long as they like).
@@ -382,32 +403,37 @@ impl Engine {
         snap: &Snapshot,
         reuse: bool,
     ) -> Result<(Arc<PreparedPlan>, bool), EvalError> {
+        let inner = &self.inner;
         if reuse {
-            let table = self.inner.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(p) = table.get(key) {
-                if p.epoch == snap.epoch {
-                    return Ok((Arc::clone(p), true));
-                }
+            let table = inner.prepared.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(p) = table.get(key).filter(|p| p.epoch == snap.epoch) {
+                inner.metrics.add(Counter::PreparedHits, 1);
+                return Ok((Arc::clone(p), true));
             }
+            inner.metrics.add(Counter::PreparedMisses, 1);
         }
         let query = match plan {
-            Some(q) => q.clone(),
-            None => parse_sql(key, snap.db())?,
+            Some(q) => Cow::Borrowed(q),
+            None => Cow::Owned(parse_sql(key, snap.db())?),
+        };
+        let planned = |oracle| {
+            let cfg = AuConfig { oracle, ..inner.config.eval };
+            AuPlan::new(&query, &cfg, &inner.metrics, &TraceBuilder::disabled())
         };
         let fresh = Arc::new(PreparedPlan {
-            query,
             epoch: snap.epoch,
-            programs: Arc::new(ProgramCache::new()),
-            breaker: Breaker::new(self.inner.config.breaker),
+            plan: planned(inner.config.eval.oracle),
+            oracle: planned(true),
+            breaker: Breaker::new(inner.config.breaker),
         });
         if reuse {
             // Last insert wins on a race; both candidates were built
             // against the same (key, epoch) pair, so either is valid.
-            self.inner
-                .prepared
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(key.to_string(), Arc::clone(&fresh));
+            let mut table = inner.prepared.lock().unwrap_or_else(PoisonError::into_inner);
+            if table.len() >= PREPARED_CAP {
+                self.evict(&mut table);
+            }
+            table.insert(key.to_string(), Arc::clone(&fresh));
         }
         Ok((fresh, false))
     }
@@ -432,22 +458,19 @@ impl Engine {
             // runs on the oracle anyway never consults it.
             let lanes_wanted = inner.config.eval.fuses_chains();
             let lanes = lanes_wanted && plan.breaker.allow_compiled();
-            // the class's governance over the engine's base knobs; the
-            // derived executor then takes the engine's gate and meters
-            let cfg = AuConfig {
-                oracle: !lanes,
+            // the class's governance over the engine's resource knobs;
+            // the derived executor then takes the engine's gate and meters
+            let resources = AuConfig {
                 timeout: policy.timeout.or(inner.config.eval.timeout),
                 budget: policy.budget.or(inner.config.eval.budget),
                 ..inner.config.eval
             };
-            let exec = cfg
+            let exec = resources
                 .executor()
                 .with_worker_gate(inner.gate.clone())
                 .with_metrics(inner.metrics.clone());
-            let verdict = with_program_cache(Arc::clone(&plan.programs), || {
-                eval_au_attempt(snap.db(), &plan.query, &cfg, &exec, &TraceBuilder::disabled())
-            });
-            match verdict {
+            let routed = if lanes { &plan.plan } else { &plan.oracle };
+            match routed.run(snap.db(), &exec, &TraceBuilder::disabled()) {
                 Ok(relation) => {
                     if lanes {
                         plan.breaker.record_success();

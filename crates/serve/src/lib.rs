@@ -12,9 +12,9 @@
 //!   writers publish new epochs without blocking readers
 //!   ([`Engine::publish`]);
 //! * **prepared plans** — parse → plan → compile → Tier-B verify paid
-//!   once per (query text, epoch) through a shared
-//!   [`ProgramCache`](audb_query::ProgramCache), evicted wholesale on
-//!   publish;
+//!   once per (query text, epoch): the table keeps the physical plan
+//!   ([`AuPlan`](audb_query::AuPlan)) and a hit only runs it; evicted
+//!   wholesale on publish and at [`PREPARED_CAP`] entries;
 //! * **admission control** ([`admission`]) — `interactive` / `batch` /
 //!   `besteffort` classes with concurrency caps, bounded wait queues,
 //!   and per-class governance knobs; saturation sheds structurally
@@ -46,6 +46,6 @@ pub mod stats;
 
 pub use admission::{Admission, Class, ClassPolicy};
 pub use breaker::{Breaker, BreakerPolicy};
-pub use engine::{Engine, EngineConfig, EngineStats, Response, ServeError, Snapshot};
+pub use engine::{Engine, EngineConfig, EngineStats, Response, ServeError, Snapshot, PREPARED_CAP};
 pub use retry::RetryPolicy;
 pub use stats::{ClassStats, ClassStatsSnapshot};

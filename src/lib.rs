@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use audb_query::{
         eval_au, eval_au_attempt, eval_au_traced, eval_au_traced_full, eval_det, eval_ua, explain,
-        parse_sql, rewrite::eval_via_rewrite, table, AggFunc, AggSpec, AuConfig, Explain,
-        ProgramCache, Query,
+        parse_sql, rewrite::eval_via_rewrite, table, AggFunc, AggSpec, AuConfig, AuPlan, Explain,
+        Query,
     };
     pub use audb_serve::{Class, ClassPolicy, Engine, EngineConfig, Response, ServeError};
     pub use audb_storage::{

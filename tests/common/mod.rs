@@ -47,17 +47,17 @@ pub fn lanes_exec(base: &AuConfig, workers: usize, split: Partitioner) -> Execut
     base.with_workers(workers).executor().with_partitioner(split)
 }
 
-/// One attempt of `q` on the lanes, **never degrading**: a lane fault
-/// surfaces as the structured error instead of being answered by the
-/// oracle, which would compare the oracle with itself.
+/// One attempt of `q` on the lanes — plan, then run the plan the way a
+/// kept one is run — **never degrading**: a lane fault surfaces as the
+/// structured error instead of being answered by the oracle, which would
+/// compare the oracle with itself.
 pub fn eval_lanes(
     db: &AuDatabase,
     q: &Query,
     base: &AuConfig,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
-    assert!(base.fuses_chains(), "the lanes side must not be the oracle");
-    eval_au_attempt(db, q, base, exec, &TraceBuilder::disabled())
+    plan_and_run(db, q, base, exec, &TraceBuilder::disabled())
 }
 
 /// [`eval_lanes`] with its trace: the `attempt` span tree, and the
@@ -69,8 +69,22 @@ pub fn eval_lanes_traced(
     exec: &Executor,
 ) -> (Result<AuRelation, EvalError>, TraceSpan) {
     let tr = TraceBuilder::enabled();
-    let out = eval_au_attempt(db, q, base, exec, &tr);
+    let out = plan_and_run(db, q, base, exec, &tr);
     (out, tr.finish().expect("an enabled builder has a root span"))
+}
+
+/// The plan is laid out untraced, so `tr` holds the run alone: one
+/// `attempt` root (and no span details — a plan keeps those only when
+/// its planning call was traced).
+fn plan_and_run(
+    db: &AuDatabase,
+    q: &Query,
+    base: &AuConfig,
+    exec: &Executor,
+    tr: &TraceBuilder,
+) -> Result<AuRelation, EvalError> {
+    assert!(base.fuses_chains(), "the lanes side must not be the oracle");
+    AuPlan::new(q, base, exec.metrics(), &TraceBuilder::disabled()).run(db, exec, tr)
 }
 
 /// The base configurations of the differential matrix: precise, the

@@ -11,7 +11,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use audb::core::{col, Expr};
+use audb::core::{col, lit, Expr};
 use audb::prelude::*;
 use audb::query::au::aggregate::{aggregate_au_exec, aggregate_au_scan};
 use audb::query::au::difference::{difference_au_exec, difference_au_scan};
@@ -510,6 +510,61 @@ proptest! {
             &eval_au(&db, &q, &cfg_oracle()).unwrap(),
             "rewrite vs native"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// A plan is a value: one `AuPlan` per query and base configuration
+    /// — run three times over, from four threads at once, and against a
+    /// second database of the same schema — returns each time exactly
+    /// what a fresh `eval_au` returns there, rows or error, at every
+    /// worker count and split. It holds no data, no resources and nothing
+    /// a run writes to.
+    #[test]
+    fn a_kept_plan_runs_like_a_fresh_evaluation(
+        t1 in au_relation_strategy("A", "B", 10),
+        t2 in au_relation_strategy("C", "D", 10),
+        u1 in au_relation_strategy("A", "B", 10),
+        u2 in au_relation_strategy("C", "D", 10),
+    ) {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<AuPlan>();
+        let dbs = [(t1, t2), (u1, u2)].map(|(t1, t2)| {
+            let mut db = AuDatabase::new();
+            db.insert("t1", t1);
+            db.insert("t2", t2);
+            db
+        });
+        let mut queries = pipeline_queries();
+        // errs wherever a range of `A` spans zero
+        queries.push(table("t1").select(lit(8i64).div(col(0)).gt(col(1))));
+        let untraced = TraceBuilder::disabled;
+        for q in &queries {
+            for (name, base) in common::base_configs() {
+                let plan = AuPlan::new(q, &base, &Metrics::disabled(), &untraced());
+                for db in &dbs {
+                    let fresh = eval_au(db, q, &base);
+                    let shapes: Vec<Executor> = [1, 2, 4]
+                        .into_iter()
+                        .flat_map(|w| splits().map(|split| lanes_exec(&base, w, split)))
+                        .collect();
+                    for exec in &shapes {
+                        for _ in 0..3 {
+                            let got = plan.run(db, exec, &untraced());
+                            prop_assert_eq!(&got, &fresh, "{}, {:?}, q = {}", name, exec, q);
+                        }
+                    }
+                    std::thread::scope(|s| {
+                        for exec in &shapes[2..] {
+                            let (plan, fresh) = (&plan, &fresh);
+                            s.spawn(move || assert_eq!(&plan.run(db, exec, &untraced()), fresh));
+                        }
+                    });
+                }
+            }
+        }
     }
 }
 

@@ -526,7 +526,7 @@ fn trace_json_is_versioned_and_failure_preserves_trace() {
     let (_, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
     let json = trace.to_json();
     for key in [
-        "\"version\":3",
+        "\"version\":4",
         "\"engine\":",
         "\"root\":",
         "\"events\":",

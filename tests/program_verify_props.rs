@@ -263,6 +263,36 @@ fn rejected_post_probe_stage_degrades_the_chain_and_builds_once() {
     assert_eq!(joins, 1, "the oracle's join ran:\n{}", trace.render_text());
 }
 
+/// A rejection is a planning-time verdict, and a plan keeps it: built
+/// under the tamper hook, the plan holds an oracle node in the chain's
+/// place — every run of it says `fallback = "verifier-rejected"` and
+/// returns the oracle's relation, compiling nothing — and
+/// `verify_rejects` ticked once, when the plan was made. (While a
+/// prepared plan was a cache of programs the chain was laid out, and the
+/// counter ticked, on every execution.)
+#[test]
+fn a_rejected_chain_stays_on_the_oracle_for_the_plans_life() {
+    let db = two_row_db();
+    let q = table("t").select(col(0).leq(col(1))).project(vec![(col(0).add(col(1)), "s")]);
+    let oracle = eval_au(&db, &q, &cfg_oracle());
+    let (base, metrics) = (AuConfig::default(), Metrics::enabled());
+    let plan = with_tampered_programs(corrupt_if_possible, || {
+        AuPlan::new(&q, &base, &metrics, &TraceBuilder::disabled())
+    });
+    let exec = base.executor().with_metrics(metrics.clone());
+    for run in 0..3 {
+        let tr = TraceBuilder::enabled();
+        // the hook is gone, and would have nothing to corrupt
+        assert_eq!(plan.run(&db, &exec, &tr), oracle, "run {run}");
+        let root = tr.finish().expect("an enabled builder has a root span");
+        let fused = root.find("fused-chain").expect("the chain keeps its span");
+        assert_eq!(fused.attr("fallback"), Some("verifier-rejected"), "run {run}");
+        assert!(fused.find("select").is_some(), "the oracle's operators ran: {fused:?}");
+        assert!(root.find("verify").is_none(), "run {run} compiled something");
+    }
+    assert_eq!(metrics.snapshot().counter("verify_rejects"), Some(1));
+}
+
 /// Untampered compiles are observable too: a traced evaluation
 /// records accepted `verify` spans (tier and op-count
 /// attributes included) and zero rejections.

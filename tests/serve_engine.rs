@@ -83,6 +83,68 @@ fn sql_and_algebra_share_the_prepared_table_keyspace() {
     assert_eq!(engine.stats().prepared_plans, 1);
 }
 
+/// A warm execution is lookup → run: the second execution of a text
+/// compiles nothing (the tamper seam sees every program lowered on the
+/// calling thread — none), consults the table once more and misses
+/// nothing, and returns the first one's bytes.
+#[test]
+fn a_warm_execution_compiles_nothing() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let engine = Engine::new(micro(60, 4), small_config());
+    let sql = "SELECT t1.a0, t1.a1 + t2.a1 AS v FROM t1 JOIN t2 ON t1.a0 = t2.a0 WHERE t1.a1 >= 1";
+    let compiled = std::sync::Arc::new(AtomicUsize::new(0));
+    let execute = || {
+        let seen = std::sync::Arc::clone(&compiled);
+        let counting = move |p| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            p
+        };
+        audb::query::with_tampered_programs(counting, || {
+            engine.execute_sql(sql, Class::Interactive).unwrap()
+        })
+    };
+    let counters = || {
+        let m = engine.stats().metrics;
+        ["prepared_hits", "prepared_misses", "prepared_evictions"].map(|c| m.counter(c).unwrap())
+    };
+    let cold = execute();
+    assert!(!cold.prepared_hit);
+    let planned = compiled.load(Ordering::Relaxed);
+    assert!(planned >= 3, "σ, ⋈ re-check and π compile on the miss: {planned}");
+    assert_eq!(counters(), [0, 1, 0]);
+    let warm = execute();
+    assert!(warm.prepared_hit);
+    assert_eq!(compiled.load(Ordering::Relaxed), planned, "the hit compiled a program");
+    assert_eq!(counters(), [1, 1, 0]);
+    assert_eq!(warm.relation, cold.relation);
+    // the cold path bypasses the table: it plans, and counts as neither
+    assert!(!engine.execute_sql_cold(sql, Class::Interactive).unwrap().prepared_hit);
+    assert_eq!(counters(), [1, 1, 0]);
+    engine.publish(micro(60, 5));
+    assert_eq!(counters(), [1, 1, 1]);
+}
+
+/// Unbounded distinct texts between two publishes do not grow the
+/// prepared table without bound: at `PREPARED_CAP` entries it is dropped
+/// whole, as a publish drops it, and the drop is counted.
+#[test]
+fn prepared_table_is_capped() {
+    use audb::serve::PREPARED_CAP;
+    let engine = Engine::new(micro(8, 2), small_config());
+    for i in 0..PREPARED_CAP + 10 {
+        let sql = format!("SELECT a0 FROM t1 WHERE a1 >= {i}");
+        assert!(!engine.execute_sql(&sql, Class::Batch).unwrap().prepared_hit);
+        assert!(engine.stats().prepared_plans <= PREPARED_CAP, "after {i} texts");
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.prepared_plans, 10);
+    assert_eq!(stats.metrics.counter("prepared_evictions"), Some(PREPARED_CAP as u64));
+    assert_eq!(stats.metrics.counter("prepared_misses"), Some(PREPARED_CAP as u64 + 10));
+    // texts planned since the drop are still warm
+    let sql = format!("SELECT a0 FROM t1 WHERE a1 >= {}", PREPARED_CAP + 9);
+    assert!(engine.execute_sql(&sql, Class::Batch).unwrap().prepared_hit);
+}
+
 #[test]
 fn parse_errors_are_final_query_verdicts() {
     let engine = Engine::new(micro(10, 1), small_config());
@@ -204,19 +266,36 @@ fn shutdown_refuses_new_work() {
 
 /// 200 KB of parentheses used to overflow the parser's stack — an
 /// abort, not a panic, so nothing could contain it and the whole server
-/// went down with the request. It is a query error now, and the engine
-/// serves the next request.
+/// went down with the request. So did a *flat* chain of 100 000 operands:
+/// the parser builds it by iteration, and whoever walks the left-deep
+/// tree next — the lowerer, the verifier, `Drop` — recurses once per
+/// operator. Both are query errors now, on the 2 MiB stack of a spawned
+/// thread, and the engine serves the next request — the tallest
+/// expression the parser admits included, end to end.
 #[test]
 fn deeply_nested_sql_is_a_query_error_not_an_abort() {
-    let engine = Engine::new(micro(40, 5), small_config());
-    let deep =
-        format!("SELECT a0 FROM t1 WHERE {}a1 = 1{}", "(".repeat(100_000), ")".repeat(100_000));
-    match engine.execute_sql(&deep, Class::Interactive) {
-        Err(ServeError::Query(e)) => assert!(e.to_string().contains("nesting deeper"), "{e}"),
-        other => panic!("expected a query error, got {other:?}"),
-    }
-    let next = engine.execute_sql("SELECT a0 FROM t1 WHERE (a1 >= 1)", Class::Interactive);
-    assert!(next.is_ok(), "{next:?}");
+    let serve = || {
+        let engine = Engine::new(micro(40, 5), small_config());
+        let query = |pred: String| format!("SELECT a0 FROM t1 WHERE {pred}");
+        let parens = format!("{}a1 = 1{}", "(".repeat(100_000), ")".repeat(100_000));
+        let sum = |n: usize| format!("{} >= 0", vec!["a1"; n].join(" + "));
+        for (pred, limit) in [
+            (parens, "nesting deeper"),
+            (sum(100_000), "expression deeper"),
+            (vec!["a1 >= 0"; 100_000].join(" AND "), "expression deeper"),
+            (vec!["a1 < 0"; 100_000].join(" OR "), "expression deeper"),
+        ] {
+            match engine.execute_sql(&query(pred), Class::Interactive) {
+                Err(ServeError::Query(e)) => assert!(e.to_string().contains(limit), "{e}"),
+                other => panic!("expected a query error, got {other:?}"),
+            }
+        }
+        for pred in ["(a1 >= 1)".to_string(), sum(399)] {
+            let next = engine.execute_sql(&query(pred), Class::Interactive);
+            assert!(next.is_ok(), "{next:?}");
+        }
+    };
+    std::thread::Builder::new().stack_size(2 << 20).spawn(serve).unwrap().join().unwrap();
 }
 
 // ---------------------------------------------------------------------------
