@@ -11,9 +11,10 @@ use std::hint::black_box;
 
 use audb_bench::{config_fingerprint, print_trace_breakdown};
 use audb_core::col;
+use audb_core::obs::{QueryTrace, TraceBuilder};
 use audb_query::au::{nested_loop_join_au, AuConfig};
 use audb_query::planner::{join_au_planned, join_au_planned_exec};
-use audb_query::{eval_au_traced, table, Executor};
+use audb_query::{table, AuPlan, Executor};
 use audb_workloads::{micro_join_db, MicroConfig};
 
 fn bench(c: &mut Criterion) {
@@ -69,8 +70,10 @@ fn bench(c: &mut Criterion) {
     let cfg = MicroConfig::new(1000, 3).uncertainty(0.03).range_frac(0.02).seed(41);
     let (audb, _) = micro_join_db(&cfg);
     let q = table("t1").join_on(table("t2"), col(0).eq(col(3)));
-    let traced_cfg = AuConfig { oracle: true, workers: Some(1), ..AuConfig::default() };
-    let (_, trace) = eval_au_traced(&audb, &q, &traced_cfg).unwrap();
+    let traced_cfg = AuConfig { workers: Some(1), ..AuConfig::default() };
+    let tr = TraceBuilder::enabled();
+    AuPlan::oracle(&q, &traced_cfg, &tr).run(&audb, &traced_cfg.executor(), &tr).unwrap();
+    let trace = QueryTrace { root: tr.finish().unwrap(), ..QueryTrace::default() };
     print_trace_breakdown("planned_1k", &trace);
     println!("engine fingerprint: {}", config_fingerprint(&traced_cfg));
 }

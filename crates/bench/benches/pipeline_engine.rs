@@ -1,5 +1,5 @@
 //! Sharded lane pipelines vs the operator-at-a-time oracle
-//! (`AuConfig::oracle`): the acceptance benchmark for the pipeline
+//! (`AuPlan::oracle`): the acceptance benchmark for the pipeline
 //! driver. The fused select→join→project spine over 10k rows must beat
 //! the oracle by >= 1.5x at **one worker** (criterion_4) — the win is
 //! algorithmic (intermediate materializations, per-operator merge
@@ -40,9 +40,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use audb_bench::{config_fingerprint, print_trace_breakdown};
+use audb_core::obs::TraceBuilder;
 use audb_core::{col, lit, BudgetSpec};
 use audb_query::au::AuConfig;
-use audb_query::{eval_au, eval_au_traced, table, Query};
+use audb_query::{eval_au, eval_au_traced, table, AuPlan, Query};
 use audb_workloads::{micro_join_db, MicroConfig};
 
 fn spine() -> Query {
@@ -92,10 +93,16 @@ fn bench(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.measurement_time(std::time::Duration::from_millis(1500));
 
+    // the oracle side as `eval_au` runs its side: plan, derive the
+    // executor, run
+    let untraced = TraceBuilder::disabled();
+    let oracle = |q: &Query, cfg: &AuConfig| {
+        AuPlan::oracle(q, cfg, &untraced).run(&audb, &cfg.executor(), &untraced).unwrap()
+    };
     for w in [1usize, 4] {
-        let operator = AuConfig { oracle: true, workers: Some(w), ..AuConfig::default() };
+        let operator = AuConfig { workers: Some(w), ..AuConfig::default() };
         g.bench_function(format!("operator_10k_w{w}"), |b| {
-            b.iter(|| black_box(eval_au(&audb, &q, &operator).unwrap()))
+            b.iter(|| black_box(oracle(&q, &operator)))
         });
         let pipeline = AuConfig { workers: Some(w), ..AuConfig::default() };
         g.bench_function(format!("pipeline_10k_w{w}"), |b| {
@@ -122,11 +129,8 @@ fn bench(c: &mut Criterion) {
     // lanes vs oracle on a probe-free arithmetic chain (intra-run
     // ratio): typed lane kernels vs per-row interpretation
     let bq = batchable_chain();
-    let oracle = AuConfig { oracle: true, workers: Some(1), ..AuConfig::default() };
-    g.bench_function("operator_10k_batchable_w1", |b| {
-        b.iter(|| black_box(eval_au(&audb, &bq, &oracle).unwrap()))
-    });
     let columnar = AuConfig { workers: Some(1), ..AuConfig::default() };
+    g.bench_function("operator_10k_batchable_w1", |b| b.iter(|| black_box(oracle(&bq, &columnar))));
     g.bench_function("pipeline_10k_columnar_w1", |b| {
         b.iter(|| black_box(eval_au(&audb, &bq, &columnar).unwrap()))
     });

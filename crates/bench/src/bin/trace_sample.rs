@@ -6,10 +6,10 @@
 //! artifact — so every commit ships a machine-readable example of what
 //! the engine's EXPLAIN ANALYZE actually produced at that revision.
 //!
-//! Usage: `trace_sample [lanes|oracle|compressed|agg]` (default:
-//! `lanes`). `agg` traces a `group_agg`-shaped γ instead of the spine —
-//! a 10k-row table, a fifth of it with an uncertain group-by value,
-//! ~1000 groups, sum/count/min/max, one worker — for its `agg_*` sites.
+//! Usage: `trace_sample [lanes|compressed|agg]` (default: `lanes`).
+//! `agg` traces a `group_agg`-shaped γ instead of the spine — a 10k-row
+//! table, a fifth of it with an uncertain group-by value, ~1000 groups,
+//! sum/count/min/max, one worker — for its `agg_*` sites.
 //! `compressed` (and `agg`) warm their tables first, as a serving
 //! snapshot is: CI pins their `lane_builds` and `rows_built` at 0.
 
@@ -23,7 +23,6 @@ fn main() {
     let flavor = std::env::args().nth(1).unwrap_or_else(|| "lanes".to_string());
     let cfg = match flavor.as_str() {
         "lanes" => AuConfig { workers: Some(2), ..AuConfig::default() },
-        "oracle" => AuConfig { oracle: true, workers: Some(2), ..AuConfig::default() },
         "compressed" => AuConfig {
             join_compress: Some(64),
             agg_compress: Some(25),
@@ -32,7 +31,7 @@ fn main() {
         },
         "agg" => AuConfig { workers: Some(1), ..AuConfig::default() },
         other => {
-            eprintln!("unknown flavor {other:?}; use lanes|oracle|compressed|agg");
+            eprintln!("unknown flavor {other:?}; use lanes|compressed|agg");
             std::process::exit(2);
         }
     };

@@ -71,14 +71,13 @@ pub fn git_rev() -> String {
 
 /// One-line engine-configuration fingerprint for `BENCH_*.json` stamps:
 /// every knob that changes what a wall-clock number means (worker
-/// count, lanes vs oracle, compression budgets) plus the git
+/// count, compression budgets) plus the git
 /// revision the binary was built from.
 pub fn config_fingerprint(cfg: &AuConfig) -> String {
     let opt = |v: Option<usize>| v.map_or_else(|| "auto".to_string(), |n| n.to_string());
     format!(
-        "workers={} oracle={} adaptive={} join_compress={} agg_compress={} rev={}",
+        "workers={} adaptive={} join_compress={} agg_compress={} rev={}",
         opt(cfg.workers),
-        cfg.oracle,
         cfg.adaptive,
         cfg.join_compress.map_or_else(|| "off".to_string(), |n| n.to_string()),
         cfg.agg_compress.map_or_else(|| "off".to_string(), |n| n.to_string()),
@@ -184,10 +183,10 @@ mod tests {
     fn fingerprint_names_every_knob() {
         let cfg = AuConfig { workers: Some(4), join_compress: Some(64), ..AuConfig::default() };
         let fp = config_fingerprint(&cfg);
-        for part in ["workers=4", "oracle=false", "adaptive=false", "join_compress=64", "rev="] {
+        for part in ["workers=4", "adaptive=false", "join_compress=64", "rev="] {
             assert!(fp.contains(part), "missing {part} in {fp}");
         }
-        assert!(!fp.contains("shards"), "{fp}");
+        assert!(!fp.contains("shards") && !fp.contains("oracle"), "{fp}");
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub(crate) mod pipeline;
 pub use pipeline::AuPlan;
 
 use std::borrow::Cow;
-use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,16 +53,6 @@ pub struct AuConfig {
     /// exact sequential behavior. Any value produces identical results
     /// (`tests/exec_equivalence.rs`).
     pub workers: Option<usize>,
-    /// Run every operator on the differential oracle: the
-    /// operator-at-a-time `Expr`-tree interpreter (one materialization
-    /// and merge barrier per operator), instead of fusing maximal chains
-    /// of row-local operators into compiled lane pipelines
-    /// ([`pipeline`]). Off by default; results are byte-identical
-    /// either way, compressed configurations included
-    /// (`tests/exec_equivalence.rs`). The degradation retry and the
-    /// serving breaker switch this on to route around a faulting lane
-    /// path.
-    pub oracle: bool,
     /// Wall-clock deadline for the whole query: [`AuConfig::executor`]
     /// arms a [`CancelToken`] with this timeout and every operator
     /// driver checks it at morsel boundaries and inside
@@ -106,13 +95,6 @@ impl AuConfig {
         self
     }
 
-    /// Does this configuration run fused chains on the lanes? Every
-    /// one does — compression knobs included — unless it asks for the
-    /// operator-at-a-time oracle ([`AuConfig::oracle`]).
-    pub fn fuses_chains(&self) -> bool {
-        !self.oracle
-    }
-
     /// Set a wall-clock deadline for the query.
     #[must_use = "builder methods return the modified config; dropping it leaves the query ungoverned"]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
@@ -153,19 +135,17 @@ impl AuConfig {
 /// [`pipeline`], paying one normalization per pipeline breaker instead
 /// of one per operator — under every configuration: a join that
 /// compresses ([`AuConfig::join_compress`]) is a breaker inside that
-/// planner, not a reason to leave it. Only [`AuConfig::oracle`] runs
-/// every operator operator-at-a-time. The result is byte-identical
-/// either way, for any worker count and any split.
+/// planner, not a reason to leave it. The result is byte-identical to
+/// the operator-at-a-time oracle's ([`AuPlan::oracle`]), for any worker
+/// count and any split.
 ///
 /// Derive, attempt, degrade once: the executor is
 /// [`AuConfig::executor`] (deadline, fresh budget; faults surface as
-/// [`EvalError::Exec`]), the attempt is [`eval_au_attempt`], and when an
-/// attempt that fuses chains fails with a *non-resource* fault (a
-/// worker panic or injected error — not cancellation, deadline, or
-/// budget exhaustion), evaluation degrades gracefully: it retries once
-/// on the oracle (`oracle: true`) with a fresh budget before giving up.
-/// An attempt that already ran on the oracle has nothing to degrade to,
-/// and its fault surfaces.
+/// [`EvalError::Exec`]), the attempt is [`eval_au_attempt`], and when it
+/// fails with a *non-resource* fault (a worker panic or injected error —
+/// not cancellation, deadline, or budget exhaustion), evaluation
+/// degrades gracefully: it retries once on the oracle plan with a fresh
+/// budget before giving up. A fault of the oracle surfaces.
 pub fn eval_au(db: &AuDatabase, q: &Query, cfg: &AuConfig) -> Result<AuRelation, EvalError> {
     eval_au_governed(db, q, cfg, &Metrics::disabled(), &TraceBuilder::disabled())
 }
@@ -228,33 +208,12 @@ pub fn eval_au_traced_full(
 }
 
 /// EXPLAIN ANALYZE: evaluate the query with full observability and
-/// return the annotated plan (the result relation is discarded). The
-/// [`fmt::Display`] rendering is the human-readable plan tree with
-/// actual rows/bytes/timings; [`Explain::to_json`] is the versioned
-/// machine form.
-pub fn explain(db: &AuDatabase, q: &Query, cfg: &AuConfig) -> Result<Explain, EvalError> {
-    let (_, trace) = eval_au_traced(db, q, cfg)?;
-    Ok(Explain { trace })
-}
-
-/// The result of [`explain`]: a finished [`QueryTrace`] with renderers.
-#[must_use = "an explain plan does nothing unless rendered or inspected"]
-#[derive(Debug, Clone)]
-pub struct Explain {
-    pub trace: QueryTrace,
-}
-
-impl Explain {
-    /// The versioned JSON form (schema in `docs/observability.md`).
-    pub fn to_json(&self) -> String {
-        self.trace.to_json()
-    }
-}
-
-impl fmt::Display for Explain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.trace.render_text())
-    }
+/// return the annotated plan (the result relation is discarded). Its
+/// `Display` rendering is the human-readable plan tree with actual
+/// rows/bytes/timings; [`QueryTrace::to_json`] is the versioned machine
+/// form.
+pub fn explain(db: &AuDatabase, q: &Query, cfg: &AuConfig) -> Result<QueryTrace, EvalError> {
+    Ok(eval_au_traced(db, q, cfg)?.1)
 }
 
 /// The engine-configuration echo embedded in every trace: resolved
@@ -267,7 +226,6 @@ fn engine_config(cfg: &AuConfig) -> Vec<(&'static str, String)> {
             cfg.workers
                 .map_or_else(|| Executor::default().workers().to_string(), |w| w.to_string()),
         ),
-        ("oracle", cfg.oracle.to_string()),
         ("adaptive", cfg.adaptive.to_string()),
         ("join_compress", opt(cfg.join_compress)),
         ("agg_compress", opt(cfg.agg_compress)),
@@ -286,15 +244,13 @@ fn eval_au_governed(
     let exec = cfg.executor().with_metrics(metrics.clone());
     let depth = tr.depth();
     match eval_au_attempt(db, q, cfg, &exec, tr) {
-        Err(EvalError::Exec(e)) if cfg.fuses_chains() && !e.is_resource_limit() => {
-            // Graceful degradation: one retry on the oracle — only when
-            // the failed attempt could run a fused chain, else the retry
-            // would re-run the identical path. Resource-limit faults
-            // (cancelled / deadline / budget) are not retried — the
-            // second attempt would only burn more of the exhausted
-            // resource. The budget is fresh; the cancel token is the
-            // first attempt's, so an expired deadline still cuts the
-            // retry short.
+        Err(EvalError::Exec(e)) if !e.is_resource_limit() => {
+            // Graceful degradation: one retry on the oracle.
+            // Resource-limit faults (cancelled / deadline / budget) are
+            // not retried — the second attempt would only burn more of
+            // the exhausted resource. The budget is fresh; the cancel
+            // token is the first attempt's, so an expired deadline still
+            // cuts the retry short.
             metrics.add(Counter::Degradations, 1);
             metrics.record_event(ExecEvent {
                 kind: ExecEventKind::Degraded,
@@ -303,12 +259,11 @@ fn eval_au_governed(
                 detail: e.to_string(),
             });
             tr.unwind(depth, &e.to_string());
-            let fallback = AuConfig { oracle: true, ..*cfg };
             let retry = match cfg.budget {
                 Some(spec) => exec.with_budget(Budget::new(spec)),
                 None => exec,
             };
-            eval_au_attempt(db, q, &fallback, &retry, tr)
+            AuPlan::oracle(q, cfg, tr).attempt(false, db, &retry, tr)
         }
         other => other,
     }
@@ -323,7 +278,7 @@ fn eval_au_governed(
 /// oracle with itself). A caller that keeps the plan runs it with
 /// [`AuPlan::run`] instead.
 ///
-/// `cfg`'s result knobs (compression, `adaptive`, `oracle`) stop at the
+/// `cfg`'s result knobs (compression, `adaptive`) stop at the
 /// planner; workers, deadline, budget and everything else about *how*
 /// the query runs is `exec` — [`AuConfig::executor`], plus whatever the
 /// caller added to it. `tr` is the caller's trace builder
@@ -378,114 +333,9 @@ pub(crate) fn join_detail(predicate: Option<&Expr>) -> String {
     predicate.map_or_else(|| "cross".to_string(), ToString::to_string)
 }
 
-/// Open the span for one plan operator: span kind from the operator
-/// kind, detail from its predicate / projection list / grouping.
-fn open_op_span(tr: &TraceBuilder, q: &Query) -> usize {
-    match q {
-        Query::Table(name) => tr.open("scan", || name.clone()),
-        Query::Select { predicate, .. } => tr.open("select", || predicate.to_string()),
-        Query::Project { exprs, .. } => tr.open("project", || {
-            let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e}→{n}")).collect();
-            cols.join(", ")
-        }),
-        Query::Join { predicate, .. } => tr.open("join", || join_detail(predicate.as_ref())),
-        Query::Union { .. } => tr.open("union", String::new),
-        Query::Difference { .. } => tr.open("difference", String::new),
-        Query::Distinct { .. } => tr.open("distinct", String::new),
-        Query::Aggregate { group_by, aggs, .. } => {
-            tr.open("aggregate", || format!("group_by={group_by:?} aggs={}", aggs.len()))
-        }
-    }
-}
-
-/// The operator-at-a-time evaluator — the one differential oracle.
-/// Copy-free: base tables are *borrowed* from the database and only
-/// operator outputs are owned, so no whole-table clone happens anywhere
-/// in a plan.
-fn eval_inner<'a>(
-    db: &'a AuDatabase,
-    q: &Query,
-    cfg: &AuConfig,
-    exec: &Executor,
-    tr: &TraceBuilder,
-) -> Result<Cow<'a, AuRelation>, EvalError> {
-    let h = open_op_span(tr, q);
-    Ok(match q {
-        Query::Table(name) => {
-            let rel = db.get(name)?;
-            close_rel(tr, h, rel);
-            Cow::Borrowed(rel)
-        }
-        Query::Select { input, predicate } => {
-            let rel = eval_inner(db, input, cfg, exec, tr)?;
-            tr.rows_in(h, rel.len() as u64);
-            let out = select_au_exec(&rel, predicate, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-        Query::Project { input, exprs } => {
-            let rel = eval_inner(db, input, cfg, exec, tr)?;
-            tr.rows_in(h, rel.len() as u64);
-            let out = project_au_exec(&rel, exprs, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-        Query::Join { left, right, predicate } => {
-            let l = eval_inner(db, left, cfg, exec, tr)?;
-            let r = eval_inner(db, right, cfg, exec, tr)?;
-            tr.rows_in(h, (l.len() + r.len()) as u64);
-            let out = match effective_join_compress(cfg, &l, &r) {
-                Some(ct) => {
-                    // Section 10.4 as written, not the lane kernel
-                    tr.attr(h, "strategy", || "split-compress".to_string());
-                    opt::optimized_join_literal(&l, &r, predicate.as_ref(), ct, exec)?
-                }
-                None => {
-                    tr.attr(h, "strategy", || {
-                        planner::classify(predicate.as_ref(), l.schema.arity()).name().to_string()
-                    });
-                    planner::join_au_planned_exec(&l, &r, predicate.as_ref(), exec)?
-                }
-            };
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-        Query::Union { left, right } => {
-            let l = eval_inner(db, left, cfg, exec, tr)?;
-            let r = eval_inner(db, right, cfg, exec, tr)?;
-            tr.rows_in(h, (l.len() + r.len()) as u64);
-            let out = union_cow(l, r, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-        Query::Difference { left, right } => {
-            let l = eval_inner(db, left, cfg, exec, tr)?;
-            let r = eval_inner(db, right, cfg, exec, tr)?;
-            tr.rows_in(h, (l.len() + r.len()) as u64);
-            let out = difference::difference_au_exec(&l, &r, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-        Query::Distinct { input } => {
-            // δ is aggregation grouping on all columns with no aggregates;
-            // this inherits the treatment of uncertain "group" membership.
-            let rel = eval_inner(db, input, cfg, exec, tr)?;
-            let all: Vec<usize> = (0..rel.schema.arity()).collect();
-            let out = aggregate_in_span(tr, h, cfg, &rel, &all, &[], exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-        Query::Aggregate { input, group_by, aggs } => {
-            let rel = eval_inner(db, input, cfg, exec, tr)?;
-            let out = aggregate_in_span(tr, h, cfg, &rel, group_by, aggs, exec)?;
-            close_rel(tr, h, &out);
-            Cow::Owned(out)
-        }
-    })
-}
-
 /// Run the aggregation kernel over the evaluated input `rel` under the
-/// open operator span `h` — the oracle's γ/δ and the plan's alike —
+/// open operator span `h` — γ, and δ as γ on every column with no
+/// aggregates —
 /// taking the compression verdict on `rel` and recording it and what the
 /// kernel did (group/member/term counts, boxed demotions) as span
 /// attributes.
@@ -679,24 +529,7 @@ pub fn nested_loop_join_au(
     r: &AuRelation,
     predicate: Option<&Expr>,
 ) -> Result<AuRelation, EvalError> {
-    let schema = l.schema.concat(&r.schema);
-    let mut out = AuRelation::empty(schema);
-    let mut buf = Vec::new();
-    for (tl, kl) in l.rows() {
-        for (tr, kr) in r.rows() {
-            tl.concat_into(tr, &mut buf);
-            let mut k = kl.times(kr);
-            if let Some(p) = predicate {
-                let (plb, psg, pub_) = p.eval_range_bool3(&buf)?;
-                if !pub_ {
-                    continue;
-                }
-                k = k.times(&AuAnnot::from_bool3(plb, psg, pub_));
-            }
-            out.push(audb_storage::RangeTuple::new(buf.clone()), k);
-        }
-    }
-    Ok(out)
+    nested_loop_join_au_exec(l, r, predicate, &Executor::sequential())
 }
 
 /// [`nested_loop_join_au`] on the executor runtime: left rows partition
@@ -713,44 +546,35 @@ pub fn nested_loop_join_au_exec(
     predicate: Option<&Expr>,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
-    const GOVERN_ROWS: usize = 1024;
     let schema = l.schema.concat(&r.schema);
-    let rows =
-        exec.run(l.len(), |morsel, out: &mut Vec<(audb_storage::RangeTuple, AuAnnot)>| {
-            let mut watermark = out.len();
-            let checkpoint = |out: &[(audb_storage::RangeTuple, AuAnnot)],
-                              watermark: &mut usize| {
-                exec.check_cancel()?;
-                let added = out.len() - *watermark;
-                if added > 0 {
-                    let bytes = added * std::mem::size_of::<(audb_storage::RangeTuple, AuAnnot)>();
-                    exec.charge("join-probe", added as u64, bytes as u64)?;
-                    *watermark = out.len();
+    let rows = exec.run(l.len(), |morsel, out: &mut Vec<(RangeTuple, AuAnnot)>| {
+        let mut watermark = out.len();
+        let checkpoint = |rows: usize, watermark: &mut usize| {
+            exec.check_cancel()?;
+            pipeline::charge_out(exec, "join-probe", rows, watermark)
+        };
+        let mut buf = Vec::new();
+        for i in morsel {
+            let (tl, kl) = &l.rows()[i];
+            for (tr, kr) in r.rows() {
+                if out.len() - watermark >= pipeline::GOVERN_ROWS {
+                    checkpoint(out.len(), &mut watermark)?;
                 }
-                Ok::<(), audb_core::ExecError>(())
-            };
-            let mut buf = Vec::new();
-            for i in morsel {
-                let (tl, kl) = &l.rows()[i];
-                for (tr, kr) in r.rows() {
-                    if out.len() - watermark >= GOVERN_ROWS {
-                        checkpoint(out, &mut watermark)?;
+                tl.concat_into(tr, &mut buf);
+                let mut k = kl.times(kr);
+                if let Some(p) = predicate {
+                    let (plb, psg, pub_) = p.eval_range_bool3(&buf)?;
+                    if !pub_ {
+                        continue;
                     }
-                    tl.concat_into(tr, &mut buf);
-                    let mut k = kl.times(kr);
-                    if let Some(p) = predicate {
-                        let (plb, psg, pub_) = p.eval_range_bool3(&buf)?;
-                        if !pub_ {
-                            continue;
-                        }
-                        k = k.times(&AuAnnot::from_bool3(plb, psg, pub_));
-                    }
-                    out.push((audb_storage::RangeTuple::new(buf.clone()), k));
+                    k = k.times(&AuAnnot::from_bool3(plb, psg, pub_));
                 }
+                out.push((RangeTuple::new(buf.clone()), k));
             }
-            checkpoint(out, &mut watermark)?;
-            Ok::<(), EvalError>(())
-        })?;
+        }
+        checkpoint(out.len(), &mut watermark)?;
+        Ok::<(), EvalError>(())
+    })?;
     let mut out = AuRelation::empty(schema);
     out.append_rows(rows);
     Ok(out)

@@ -3,10 +3,11 @@
 //! at the pipeline breaker instead of one per operator.
 //!
 //! The AU engine runs a query one of two ways. The operator-at-a-time
-//! evaluator ([`super::eval_inner`]: interpreted `Expr` trees — the
-//! differential oracle, [`AuConfig::oracle`]) materializes a full
-//! intermediate relation between every pair of operators, and most
-//! operator tails pay a hash-merge + sort over that whole intermediate.
+//! oracle ([`AuPlan::oracle`]: the paper's definitions one operator at a
+//! time over interpreted `Expr` trees — the differential reference)
+//! materializes a full intermediate relation between every pair of
+//! operators, and most operator tails pay a hash-merge + sort over that
+//! whole intermediate.
 //! But `RA+`'s row-local operators — selection, generalized projection,
 //! and the probe side of a planned join against a shared build-side
 //! index — compose into purely tuple-local functions (the U-relations
@@ -29,12 +30,14 @@
 //!
 //! ## Plan, then run
 //!
-//! A query is planned once. [`AuPlan::new`] walks it and yields a value:
+//! A query is planned once, by one walk. [`AuPlan::new`] yields a value:
 //! a tree of chains (every [`Stage`] compiled and vetted — outermost
 //! chain first, then its source's, then its build side's), breakers, and
-//! oracle nodes where `oracle: true` or a Tier B rejection sends a
-//! sub-query to the oracle, each node holding its consumer's
-//! [`Contract`] (below) and γ its read set and re-slotted specs. Nothing
+//! oracle nodes where a Tier B rejection sends a sub-query to the oracle,
+//! each node holding its consumer's [`Contract`] (below) and γ its read
+//! set and re-slotted specs. [`AuPlan::oracle`] is the same walk with no
+//! verifier: every σ/π/⋈/scan becomes an operator node, the breakers stay
+//! the same breaker nodes. Nothing
 //! in it depends on data or resources, so the serving engine keeps it as
 //! its prepared plan and a warm execution is lookup → [`AuPlan::run`].
 //! A run (`db`, executor, trace) evaluates inputs, takes the
@@ -168,11 +171,11 @@ use audb_storage::{
 
 use super::{
     aggregate_in_span, close_rel, compress_join_in_span, difference, effective_join_compress,
-    join_detail, lanes_of, rows_of, union_cow, AuConfig,
+    join_detail, lanes_of, project_au_exec, rows_of, select_au_exec, union_cow, AuConfig,
 };
 use crate::algebra::{AggSpec, Query};
-use crate::planner;
 use crate::vcheck::Vet;
+use crate::{opt, planner};
 
 /// The chain driver's grain, in source rows per morsel: a morsel sets
 /// up a scratch batch and runs the whole chain over its rows, so below
@@ -201,12 +204,12 @@ pub(crate) fn chain_exec(exec: &Executor) -> Executor {
 /// produced since the last checkpoint to the budget. Bounds how much
 /// work a cancelled query can still do inside one morsel, and how far an
 /// expanding probe can overshoot its budget.
-const GOVERN_ROWS: usize = 1024;
+pub(crate) const GOVERN_ROWS: usize = 1024;
 
 /// Charge the growth of a chain's output (`rows` so far) since `last` to
 /// the executor's budget under `operator`, advancing the watermark. A
 /// survivor is charged as the row it will be built into.
-fn charge_out(
+pub(crate) fn charge_out(
     exec: &Executor,
     operator: &'static str,
     rows: usize,
@@ -1182,6 +1185,8 @@ pub struct AuPlan {
     /// The knobs the plan was laid out under; of them a run reads the
     /// compression settings, for its verdicts.
     cfg: AuConfig,
+    /// Laid out by [`AuPlan::oracle`].
+    oracle: bool,
     root: Node,
 }
 
@@ -1195,12 +1200,23 @@ enum Node {
     /// A pipeline breaker: its own kernel over its inputs' plans, under
     /// the span `op`.
     Breaker { op: &'static str, kind: Breaker },
-    /// The sub-query runs on the operator-at-a-time oracle
-    /// ([`super::eval_inner`]), inputs included — which reproduces either
-    /// delivery exactly: the whole query of an `oracle: true`
-    /// configuration, or (`rejected`) a chain one of whose stages Tier B
-    /// rejected.
-    Oracle { q: Query, rejected: bool },
+    /// A σ, π, ⋈ or scan of the oracle: the operator's row function over
+    /// its inputs' relations, under a span of its own.
+    Op(Op),
+    /// A chain one of whose stages Tier B rejected, planned for the
+    /// oracle, inputs included — which reproduces either delivery
+    /// exactly; `detail` as a chain's.
+    Rejected { input: Box<Node>, detail: String },
+}
+
+/// The oracle's row-local operators, each as the paper defines it over
+/// interpreted `Expr` trees (one materialization per operator).
+#[derive(Debug)]
+enum Op {
+    Scan(String),
+    Select(Box<Node>, Expr),
+    Project(Box<Node>, Vec<(Expr, String)>),
+    Join(Box<Node>, Box<Node>, Option<Expr>),
 }
 
 #[derive(Debug)]
@@ -1235,15 +1251,24 @@ impl AuPlan {
     /// spans sit under one `plan` span, and the plan keeps its chains'
     /// span details — an untraced call renders none).
     pub fn new(q: &Query, cfg: &AuConfig, metrics: &Metrics, tr: &TraceBuilder) -> AuPlan {
+        AuPlan::lay_out(q, cfg, Some(Vet::new(metrics, tr)), tr)
+    }
+
+    /// The differential reference: `q` planned operator at a time, every
+    /// σ/π/⋈/scan on its row function over interpreted `Expr` trees and
+    /// the breakers on their kernels — nothing compiled. Byte-identical to
+    /// [`AuPlan::new`]'s result under the same `cfg`, for any executor;
+    /// the degradation retry and the serving breaker run it.
+    pub fn oracle(q: &Query, cfg: &AuConfig, tr: &TraceBuilder) -> AuPlan {
+        AuPlan::lay_out(q, cfg, None, tr)
+    }
+
+    fn lay_out(q: &Query, cfg: &AuConfig, vet: Option<Vet<'_>>, tr: &TraceBuilder) -> AuPlan {
         let h = tr.open("plan", String::new);
-        let root = if cfg.oracle {
-            Node::Oracle { q: q.clone(), rejected: false }
-        } else {
-            let root = Contract { delivery: Delivery::Canonical, form: Form::Rows };
-            Node::plan(q, cfg, root, Vet::new(metrics, tr))
-        };
+        let root = Contract { delivery: Delivery::Canonical, form: Form::Rows };
+        let root = Node::plan(q, cfg, root, vet);
         tr.close(h, None, None);
-        AuPlan { cfg: *cfg, root }
+        AuPlan { cfg: *cfg, oracle: vet.is_none(), root }
     }
 
     /// One attempt of a plan that was kept, on the caller's executor —
@@ -1271,7 +1296,7 @@ impl AuPlan {
         tr: &TraceBuilder,
     ) -> Result<AuRelation, EvalError> {
         let h = tr.open("attempt", String::new);
-        let mode = if self.cfg.fuses_chains() { "lanes" } else { "oracle" };
+        let mode = if self.oracle { "oracle" } else { "lanes" };
         tr.attr(h, "mode", || mode.to_string());
         tr.attr(h, "workers", || exec.workers().to_string());
         let (rel, _) = self.root.run(Run { db, cfg: &self.cfg, exec, tr, kept })?;
@@ -1284,17 +1309,33 @@ impl AuPlan {
 }
 
 impl Node {
-    /// Plan the sub-query `q` for a consumer with contract `consumer`.
-    /// Stages compile chain by chain, outermost chain first, then its
-    /// source's, then its join's right side's — the order a run
-    /// evaluates them in.
-    fn plan(q: &Query, cfg: &AuConfig, consumer: Contract, vet: Vet<'_>) -> Node {
+    /// Plan the sub-query `q` for a consumer with contract `consumer`;
+    /// `vet: None` plans it for the oracle. Stages compile chain by chain,
+    /// outermost chain first, then its source's, then its join's right
+    /// side's — the order a run evaluates them in.
+    fn plan(q: &Query, cfg: &AuConfig, consumer: Contract, vet: Option<Vet<'_>>) -> Node {
         let below = |q: &Query, delivery, form| {
             Box::new(Node::plan(q, cfg, Contract { delivery, form }, vet))
         };
+        let tuples = |q: &Query| below(q, Delivery::Canonical, Form::Rows);
         if is_chain(q) {
+            // an oracle operator reads whatever its inputs return
+            let Some(vet) = vet else {
+                return Node::Op(match q {
+                    Query::Table(name) => Op::Scan(name.clone()),
+                    Query::Select { input, predicate } => {
+                        Op::Select(tuples(input), predicate.clone())
+                    }
+                    Query::Project { input, exprs } => Op::Project(tuples(input), exprs.clone()),
+                    Query::Join { left, right, predicate } => {
+                        Op::Join(tuples(left), tuples(right), predicate.clone())
+                    }
+                    _ => unreachable!("is_chain"),
+                });
+            };
             let Some(laid) = plan_chain(q, cfg, vet) else {
-                return Node::Oracle { q: q.clone(), rejected: true };
+                let input = Box::new(Node::plan(q, cfg, consumer, None));
+                return Node::Rejected { input, detail: vet.detail(|| q.to_string()) };
             };
             // A join's inputs are lists whenever its own pairs are
             // delivered as one, and under a join-compression knob (the
@@ -1314,7 +1355,6 @@ impl Node {
         // A pipeline breaker runs its own kernel; its inputs are planned
         // with the delivery and in the form it requires (module docs).
         // What it returns is what its kernel builds, whatever is asked.
-        let tuples = |q: &Query| below(q, Delivery::Canonical, Form::Rows);
         let (op, kind) = match q {
             Query::Union { left, right } => ("union", Breaker::Union(tuples(left), tuples(right))),
             Query::Difference { left, right } => {
@@ -1358,14 +1398,12 @@ impl Node {
         let Run { db, cfg, exec, tr, .. } = on;
         let (h, kind) = match self {
             Node::Table(name) => return Ok((Cow::Borrowed(db.get(name)?), false)),
-            Node::Oracle { q, rejected } => {
-                let h = rejected.then(|| {
-                    let h = tr.open("fused-chain", || q.to_string());
-                    tr.attr(h, "fallback", || "verifier-rejected".to_string());
-                    h
-                });
-                let rel = super::eval_inner(db, q, cfg, exec, tr)?;
-                h.into_iter().for_each(|h| close_rel(tr, h, &rel));
+            Node::Op(op) => return Ok((op.run(on)?, false)),
+            Node::Rejected { input, detail } => {
+                let h = tr.open("fused-chain", || detail.clone());
+                tr.attr(h, "fallback", || "verifier-rejected".to_string());
+                let (rel, _) = input.run(on)?;
+                close_rel(tr, h, &rel);
                 return Ok((rel, false));
             }
             Node::Chain { chain, consumer, detail } => {
@@ -1414,6 +1452,58 @@ impl Node {
         };
         close_rel(tr, h, &out);
         Ok((Cow::Owned(out), false))
+    }
+}
+
+impl Op {
+    /// Evaluate the operator under its span, opened before its inputs
+    /// run so theirs nest under it. A scan borrows its table; every other
+    /// operator owns its output.
+    fn run<'a>(&'a self, on: Run<'a>) -> Result<Cow<'a, AuRelation>, EvalError> {
+        let Run { db, cfg, exec, tr, .. } = on;
+        let h = match self {
+            Op::Scan(name) => tr.open("scan", || name.clone()),
+            Op::Select(_, predicate) => tr.open("select", || predicate.to_string()),
+            Op::Project(_, exprs) => tr.open("project", || {
+                let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e}→{n}")).collect();
+                cols.join(", ")
+            }),
+            Op::Join(_, _, predicate) => tr.open("join", || join_detail(predicate.as_ref())),
+        };
+        let input = |node: &'a Node| {
+            let (rel, _) = node.run(on)?;
+            tr.rows_in(h, rel.len() as u64);
+            Ok::<_, EvalError>(rel)
+        };
+        let out = match self {
+            Op::Scan(name) => {
+                let rel = db.get(name)?;
+                close_rel(tr, h, rel);
+                return Ok(Cow::Borrowed(rel));
+            }
+            Op::Select(of, predicate) => select_au_exec(&*input(of)?, predicate, exec)?,
+            Op::Project(of, exprs) => project_au_exec(&*input(of)?, exprs, exec)?,
+            Op::Join(left, right, predicate) => {
+                let (l, r) = (left.run(on)?.0, right.run(on)?.0);
+                tr.rows_in(h, (l.len() + r.len()) as u64);
+                match effective_join_compress(cfg, &l, &r) {
+                    Some(ct) => {
+                        // Section 10.4 as written, not the lane kernel
+                        tr.attr(h, "strategy", || "split-compress".to_string());
+                        opt::optimized_join_literal(&l, &r, predicate.as_ref(), ct, exec)?
+                    }
+                    None => {
+                        tr.attr(h, "strategy", || {
+                            let arity = l.schema.arity();
+                            planner::classify(predicate.as_ref(), arity).name().to_string()
+                        });
+                        planner::join_au_planned_exec(&l, &r, predicate.as_ref(), exec)?
+                    }
+                }
+            }
+        };
+        close_rel(tr, h, &out);
+        Ok(Cow::Owned(out))
     }
 }
 

@@ -36,7 +36,6 @@ pub mod vcheck;
 pub use algebra::{table, AggFunc, AggSpec, Catalog, Query};
 pub use au::{
     eval_au, eval_au_attempt, eval_au_traced, eval_au_traced_full, explain, AuConfig, AuPlan,
-    Explain,
 };
 pub use audb_exec::{Executor, Partitioner};
 pub use det::eval_det;

@@ -14,7 +14,7 @@ use crate::det;
 
 /// Evaluate a query over a UA-database.
 pub fn eval_ua(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
-    Ok(eval_inner(db, q)?.normalized_rel())
+    Ok(eval_walk(db, q)?.normalized_rel())
 }
 
 trait NormalizedExt {
@@ -27,11 +27,11 @@ impl NormalizedExt for UaRelation {
     }
 }
 
-fn eval_inner(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
+fn eval_walk(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
     match q {
         Query::Table(name) => Ok(db.get(name)?.clone()),
         Query::Select { input, predicate } => {
-            let rel = eval_inner(db, input)?;
+            let rel = eval_walk(db, input)?;
             let mut out = UaRelation::empty(rel.schema.clone());
             for (t, k) in rel.rows() {
                 if predicate.eval_bool(t.values())? {
@@ -41,7 +41,7 @@ fn eval_inner(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
             Ok(out)
         }
         Query::Project { input, exprs } => {
-            let rel = eval_inner(db, input)?;
+            let rel = eval_walk(db, input)?;
             let schema = Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect());
             let mut out = UaRelation::empty(schema);
             for (t, k) in rel.rows() {
@@ -52,13 +52,13 @@ fn eval_inner(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
             Ok(out)
         }
         Query::Join { left, right, predicate } => {
-            let l = eval_inner(db, left)?;
-            let r = eval_inner(db, right)?;
+            let l = eval_walk(db, left)?;
+            let r = eval_walk(db, right)?;
             join_ua(&l, &r, predicate.as_ref())
         }
         Query::Union { left, right } => {
-            let l = eval_inner(db, left)?;
-            let r = eval_inner(db, right)?;
+            let l = eval_walk(db, left)?;
+            let r = eval_walk(db, right)?;
             l.schema.check_union_compatible(&r.schema)?;
             let mut out = l;
             for (t, k) in r.rows() {
@@ -72,7 +72,7 @@ fn eval_inner(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
                 .into(),
         )),
         Query::Distinct { input } => {
-            let rel = eval_inner(db, input)?.normalized_rel();
+            let rel = eval_walk(db, input)?.normalized_rel();
             let mut out = UaRelation::empty(rel.schema.clone());
             for (t, k) in rel.rows() {
                 out.push(
@@ -86,7 +86,7 @@ fn eval_inner(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
             // Aggregates over UA-DBs return no certain answers (paper
             // §12.3): compute the SGW result deterministically and mark
             // every output tuple with certain multiplicity 0.
-            let rel = eval_inner(db, input)?;
+            let rel = eval_walk(db, input)?;
             let sgw = rel.sg_world();
             let agg = det::aggregate_det(&sgw, group_by, aggs)?;
             let mut out = UaRelation::empty(agg.schema.clone());

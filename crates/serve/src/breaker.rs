@@ -1,7 +1,7 @@
 //! Per-prepared-plan circuit breaker over the compiled execution path.
 //!
 //! The compiled lane pipelines and the operator-at-a-time `Expr`-tree
-//! oracle (`AuConfig::oracle`) compute identical results, so a plan
+//! oracle (`AuPlan::oracle`) compute identical results, so a plan
 //! whose compiled path keeps faulting can be served from the oracle
 //! instead of retrying its way through the same fault on every call.
 //! The breaker is the classic three-state machine, scoped to one

@@ -74,8 +74,8 @@ impl Snapshot {
 /// Everything the engine is configured with.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Base evaluation knobs; per-class `timeout`/`budget` and the
-    /// breaker's lanes/oracle routing (`oracle`) are layered on top.
+    /// Base evaluation knobs; per-class `timeout`/`budget` are layered
+    /// on top.
     pub eval: AuConfig,
     /// Engine-wide worker-thread budget shared by every concurrent
     /// query (the [`WorkerGate`] total). 0 runs everything inline.
@@ -416,14 +416,11 @@ impl Engine {
             Some(q) => Cow::Borrowed(q),
             None => Cow::Owned(parse_sql(key, snap.db())?),
         };
-        let planned = |oracle| {
-            let cfg = AuConfig { oracle, ..inner.config.eval };
-            AuPlan::new(&query, &cfg, &inner.metrics, &TraceBuilder::disabled())
-        };
+        let (cfg, untraced) = (&inner.config.eval, TraceBuilder::disabled());
         let fresh = Arc::new(PreparedPlan {
             epoch: snap.epoch,
-            plan: planned(inner.config.eval.oracle),
-            oracle: planned(true),
+            plan: AuPlan::new(&query, cfg, &inner.metrics, &untraced),
+            oracle: AuPlan::oracle(&query, cfg, &untraced),
             breaker: Breaker::new(inner.config.breaker),
         });
         if reuse {
@@ -454,10 +451,8 @@ impl Engine {
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            // The breaker models lane-path health: an evaluation that
-            // runs on the oracle anyway never consults it.
-            let lanes_wanted = inner.config.eval.fuses_chains();
-            let lanes = lanes_wanted && plan.breaker.allow_compiled();
+            // The breaker models lane-path health and alone routes.
+            let lanes = plan.breaker.allow_compiled();
             // the class's governance over the engine's resource knobs;
             // the derived executor then takes the engine's gate and meters
             let resources = AuConfig {
@@ -475,7 +470,7 @@ impl Engine {
                     if lanes {
                         plan.breaker.record_success();
                     }
-                    return Ok((relation, attempts, lanes_wanted && !lanes));
+                    return Ok((relation, attempts, !lanes));
                 }
                 Err(EvalError::Exec(e)) if e.is_resource_limit() => {
                     if lanes {

@@ -28,7 +28,7 @@
 //!   resource verdicts are final;
 //! * **circuit breaking** ([`breaker`]) — per-prepared-plan breakers
 //!   route persistently faulting compiled lane paths to the
-//!   operator-at-a-time oracle (`AuConfig::oracle`) until a cooldown
+//!   operator-at-a-time oracle plan (`AuPlan::oracle`) until a cooldown
 //!   half-opens them.
 //!
 //! The load-bearing guarantee, pinned by the stress suite: **every

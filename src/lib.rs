@@ -70,8 +70,7 @@ pub mod prelude {
     };
     pub use audb_query::{
         eval_au, eval_au_attempt, eval_au_traced, eval_au_traced_full, eval_det, eval_ua, explain,
-        parse_sql, rewrite::eval_via_rewrite, table, AggFunc, AggSpec, AuConfig, AuPlan, Explain,
-        Query,
+        parse_sql, rewrite::eval_via_rewrite, table, AggFunc, AggSpec, AuConfig, AuPlan, Query,
     };
     pub use audb_serve::{Class, ClassPolicy, Engine, EngineConfig, Response, ServeError};
     pub use audb_storage::{

@@ -10,7 +10,7 @@ mod common;
 use proptest::prelude::*;
 
 use audb::prelude::*;
-use common::{cfg_oracle, check_bounds, oracle_of, weighted_xtuple};
+use common::{check_bounds, weighted_xtuple};
 
 // ---------------------------------------------------------------------------
 // generators
@@ -104,10 +104,7 @@ proptest! {
     /// oracle they are differentially tested against.
     #[test]
     fn ra_agg_preserves_bounds_compressed(db in xdb_strategy(), q in query_strategy()) {
-        let compressed = AuConfig::compressed(2);
-        for cfg in [compressed, oracle_of(&compressed)] {
-            check_bounds(&db, &q, &cfg)?;
-        }
+        check_bounds(&db, &q, &AuConfig::compressed(2))?;
     }
 
     /// The translations bound their inputs (Theorem 10) even before any
@@ -180,10 +177,8 @@ proptest! {
         let group_by = if grouped == 1 { vec![0] } else { vec![] };
         let q = table("r").aggregate(group_by, float_aggs());
         let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
-        for base in [AuConfig::default(), AuConfig::compressed(2), forced] {
-            for cfg in [base, oracle_of(&base)] {
-                check_bounds(&db, &q, &cfg)?;
-            }
+        for cfg in [AuConfig::default(), AuConfig::compressed(2), forced] {
+            check_bounds(&db, &q, &cfg)?;
         }
     }
 }
@@ -236,9 +231,7 @@ proptest! {
                 (col(1).mul(col(5)).add(col(4)), "p"),
                 (col(2).sub(col(5)), "d"),
             ]);
-        for cfg in [AuConfig::default(), cfg_oracle()] {
-            check_bounds(&db, &q, &cfg)?;
-        }
+        check_bounds(&db, &q, &AuConfig::default())?;
     }
 }
 
@@ -273,7 +266,7 @@ proptest! {
                 ],
             );
         let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
-        for cfg in [AuConfig::default(), cfg_oracle(), AuConfig::compressed(2), forced] {
+        for cfg in [AuConfig::default(), AuConfig::compressed(2), forced] {
             check_bounds(&db, &q, &cfg)?;
         }
     }

@@ -4,7 +4,7 @@
 //! worker × split combination — same rows, same order, same
 //! annotations, and for a query that fails the identical error (the
 //! earliest poisoned row's) — and must return the oracle's relation
-//! (operator-at-a-time interpretation, `AuConfig::oracle`), failing
+//! (operator-at-a-time interpretation, `AuPlan::oracle`), failing
 //! exactly when the oracle fails.
 //!
 //! Corpus: fig13/fig14/fig16-shaped query spines over proptest-generated
@@ -27,11 +27,14 @@ use audb::workloads::{
 };
 use common::{assert_lanes_match_oracle, relation_strategy};
 
-/// Columnar evaluation is the default: the oracle is opt-in.
+/// Columnar evaluation is the default: the oracle is a plan of its own
+/// (`AuPlan::oracle`), not a setting of any configuration.
 #[test]
 fn columnar_is_the_default() {
-    assert!(!AuConfig::default().oracle);
-    assert!(AuConfig::default().fuses_chains());
+    let (db, _) = micro_join_db(&MicroConfig::new(20, 3));
+    let q = table("t1").select(col(0).geq(lit(0i64)));
+    let (_, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
+    assert_eq!(trace.root.find("attempt").and_then(|a| a.attr("mode")), Some("lanes"));
 }
 
 // ---------------------------------------------------------------------------

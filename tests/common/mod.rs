@@ -24,17 +24,6 @@ pub fn splits() -> [Partitioner; 2] {
     [Partitioner::default(), FINEST]
 }
 
-/// The one differential oracle: sequential operator-at-a-time
-/// evaluation over the interpreted `Expr` trees.
-pub fn cfg_oracle() -> AuConfig {
-    oracle_of(&AuConfig::default())
-}
-
-/// The oracle under `base`'s compression knobs.
-pub fn oracle_of(base: &AuConfig) -> AuConfig {
-    AuConfig { oracle: true, workers: Some(1), ..*base }
-}
-
 /// The production path — fused chains on the lanes — at a forced worker
 /// count, for the entry points that derive their own executor.
 pub fn cfg_lanes(workers: usize) -> AuConfig {
@@ -83,8 +72,36 @@ fn plan_and_run(
     exec: &Executor,
     tr: &TraceBuilder,
 ) -> Result<AuRelation, EvalError> {
-    assert!(base.fuses_chains(), "the lanes side must not be the oracle");
     AuPlan::new(q, base, exec.metrics(), &TraceBuilder::disabled()).run(db, exec, tr)
+}
+
+/// The one differential oracle: `q` under `base`'s result knobs on the
+/// oracle plan — sequential operator-at-a-time evaluation over the
+/// interpreted `Expr` trees — planned and run the way [`eval_lanes`]
+/// plans and runs, at one worker.
+pub fn eval_oracle(db: &AuDatabase, q: &Query, base: &AuConfig) -> Result<AuRelation, EvalError> {
+    oracle_plan_and_run(db, q, base, &TraceBuilder::disabled())
+}
+
+/// [`eval_oracle`] with its trace: the `attempt` span tree.
+pub fn eval_oracle_traced(
+    db: &AuDatabase,
+    q: &Query,
+    base: &AuConfig,
+) -> (Result<AuRelation, EvalError>, TraceSpan) {
+    let tr = TraceBuilder::enabled();
+    let out = oracle_plan_and_run(db, q, base, &tr);
+    (out, tr.finish().expect("an enabled builder has a root span"))
+}
+
+fn oracle_plan_and_run(
+    db: &AuDatabase,
+    q: &Query,
+    base: &AuConfig,
+    tr: &TraceBuilder,
+) -> Result<AuRelation, EvalError> {
+    let cfg = base.with_workers(1);
+    AuPlan::oracle(q, &cfg, &TraceBuilder::disabled()).run(db, &cfg.executor(), tr)
 }
 
 /// The base configurations of the differential matrix: precise, the
@@ -109,7 +126,7 @@ pub fn base_configs() -> [(&'static str, AuConfig); 5] {
 /// operator order, so there only success/failure is compared).
 pub fn assert_lanes_match_oracle(base: &AuConfig, db: &AuDatabase, q: &Query, ctx: &str) {
     let reference = eval_lanes(db, q, base, &lanes_exec(base, 1, Partitioner::default()));
-    match (&reference, eval_au(db, q, &oracle_of(base))) {
+    match (&reference, eval_oracle(db, q, base)) {
         (Ok(r), Ok(o)) => assert_eq!(*r, o, "lanes vs oracle: {ctx}, base = {base:?}, q = {q}"),
         (Err(_), Err(_)) => {}
         (r, o) => panic!("lanes {r:?} vs oracle {o:?}: {ctx}, base = {base:?}, q = {q}"),
@@ -132,29 +149,32 @@ pub fn assert_lanes_match_oracle_all(db: &AuDatabase, q: &Query, ctx: &str) {
     }
 }
 
-/// World enumeration: the AU result of `q` over `db`'s translation
-/// bounds `q`'s result in every possible world of `db` (Definition 17
-/// condition (5), decided by the max-flow tuple matcher) and encodes the
-/// SG world's result exactly (condition (6)). Databases with more than
-/// 512 worlds are skipped.
+/// World enumeration: the AU result of `q` under `cfg` over `db`'s
+/// translation — on the lanes ([`eval_au`]) and on the oracle
+/// ([`eval_oracle`]) — bounds `q`'s result in every possible world of
+/// `db` (Definition 17 condition (5), decided by the max-flow tuple
+/// matcher) and encodes the SG world's result exactly (condition (6)).
+/// Databases with more than 512 worlds are skipped.
 pub fn check_bounds(db: &XDb, q: &Query, cfg: &AuConfig) -> Result<(), TestCaseError> {
     let Some(inc) = db.to_incomplete(512) else {
         return Ok(()); // too many worlds; skip
     };
     let au_in = db.to_au();
-    let out = eval_au(&au_in, q, cfg).expect("AU evaluation");
     let exact = inc.eval(q).expect("possible-worlds evaluation");
-    for (i, w) in exact.worlds.iter().enumerate() {
-        prop_assert!(
-            relation_bounds_world(&out, w),
-            "world {i} not bounded:\nworld: {w}\nAU result: {out}"
+    for eval in [eval_au, eval_oracle] {
+        let out = eval(&au_in, q, cfg).expect("AU evaluation");
+        for (i, w) in exact.worlds.iter().enumerate() {
+            prop_assert!(
+                relation_bounds_world(&out, w),
+                "world {i} not bounded:\nworld: {w}\nAU result: {out}"
+            );
+        }
+        prop_assert_eq!(
+            out.sg_world().normalized(),
+            exact.sg_world().normalized(),
+            "SGW not preserved"
         );
     }
-    prop_assert_eq!(
-        out.sg_world().normalized(),
-        exact.sg_world().normalized(),
-        "SGW not preserved"
-    );
     Ok(())
 }
 

@@ -8,7 +8,7 @@
 //!   lane entry point, position for position (every row's value or
 //!   error is that row's own);
 //! * the AU fused chains on the lanes vs the operator-at-a-time oracle
-//!   (`AuConfig::oracle`): the oracle's relation, failure exactly when
+//!   (`AuPlan::oracle`): the oracle's relation, failure exactly when
 //!   the oracle fails, and one outcome — error included — across
 //!   workers {1, 2, 4, 7} × {default split, finest split};
 //! * the deterministic engine's fused chains vs its operator-at-a-time
@@ -24,8 +24,8 @@ use audb::core::{LaneBatch, LaneSlice, ValueLane};
 use audb::prelude::*;
 use audb::query::table;
 use common::{
-    assert_lanes_match_oracle, cfg_oracle, mixed_range, mixed_relation_strategy, num_expr_strategy,
-    pred_over,
+    assert_lanes_match_oracle, eval_oracle, mixed_range, mixed_relation_strategy,
+    num_expr_strategy, pred_over,
 };
 
 /// Worker counts of the det engine.
@@ -168,6 +168,6 @@ proptest! {
         let mut db = AuDatabase::new();
         db.insert("t1", rel1);
         db.insert("t2", rel2);
-        prop_assert_eq!(eval_via_rewrite(&db, &q), eval_au(&db, &q, &cfg_oracle()), "rewrite spine");
+        prop_assert_eq!(eval_via_rewrite(&db, &q), eval_oracle(&db, &q, &AuConfig::default()), "rewrite spine");
     }
 }

@@ -21,7 +21,7 @@ use audb::query::planner::{join_au_planned_exec, join_det_planned_exec};
 use audb::query::rewrite::{dec_relation, enc_relation};
 use common::{
     assert_lanes_match_oracle, assert_lanes_match_oracle_all, au_relation_strategy, cfg_lanes,
-    cfg_oracle, eval_lanes, exec, lanes_exec, splits, WORKERS,
+    eval_lanes, eval_oracle, exec, lanes_exec, splits, WORKERS,
 };
 
 fn join_predicate_strategy() -> impl Strategy<Value = Option<Expr>> {
@@ -423,7 +423,7 @@ proptest! {
         db.insert("t1", t1);
         db.insert("t2", t2);
         for q in pipeline_queries() {
-            prop_assert!(eval_au(&db, &q, &cfg_oracle()).is_ok(), "q = {}", &q);
+            prop_assert!(eval_oracle(&db, &q, &AuConfig::default()).is_ok(), "q = {}", &q);
             assert_lanes_match_oracle_all(&db, &q, "pipeline queries");
         }
     }
@@ -465,7 +465,7 @@ proptest! {
             .join_on(table("t2"), col(0).eq(col(2)))
             .aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(1).add(col(3)), "s")]);
         for q in [q, direct] {
-            prop_assert!(eval_au(&db, &q, &cfg_oracle()).is_ok());
+            prop_assert!(eval_oracle(&db, &q, &AuConfig::default()).is_ok());
             assert_lanes_match_oracle_all(&db, &q, "float folds");
         }
     }
@@ -507,7 +507,7 @@ proptest! {
             .project(vec![(col(0), "x"), (col(1).add(col(3)), "y")]);
         prop_assert_eq!(
             &eval_via_rewrite(&db, &q).unwrap(),
-            &eval_au(&db, &q, &cfg_oracle()).unwrap(),
+            &eval_oracle(&db, &q, &AuConfig::default()).unwrap(),
             "rewrite vs native"
         );
     }
@@ -516,12 +516,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// A plan is a value: one `AuPlan` per query and base configuration
-    /// — run three times over, from four threads at once, and against a
-    /// second database of the same schema — returns each time exactly
-    /// what a fresh `eval_au` returns there, rows or error, at every
-    /// worker count and split. It holds no data, no resources and nothing
-    /// a run writes to.
+    /// A plan is a value: one `AuPlan` per query and base configuration,
+    /// and its oracle plan — each run three times over, from four threads
+    /// at once, and against a second database of the same schema —
+    /// returns each time exactly what a fresh `eval_au` returns there,
+    /// rows or error, at every worker count and split. It holds no data,
+    /// no resources and nothing a run writes to.
     #[test]
     fn a_kept_plan_runs_like_a_fresh_evaluation(
         t1 in au_relation_strategy("A", "B", 10),
@@ -543,8 +543,11 @@ proptest! {
         let untraced = TraceBuilder::disabled;
         for q in &queries {
             for (name, base) in common::base_configs() {
-                let plan = AuPlan::new(q, &base, &Metrics::disabled(), &untraced());
-                for db in &dbs {
+                let plans = [
+                    AuPlan::new(q, &base, &Metrics::disabled(), &untraced()),
+                    AuPlan::oracle(q, &base, &untraced()),
+                ];
+                for (plan, db) in plans.iter().flat_map(|p| dbs.iter().map(move |db| (p, db))) {
                     let fresh = eval_au(db, q, &base);
                     let shapes: Vec<Executor> = [1, 2, 4]
                         .into_iter()
@@ -558,7 +561,7 @@ proptest! {
                     }
                     std::thread::scope(|s| {
                         for exec in &shapes[2..] {
-                            let (plan, fresh) = (&plan, &fresh);
+                            let fresh = &fresh;
                             s.spawn(move || assert_eq!(&plan.run(db, exec, &untraced()), fresh));
                         }
                     });
@@ -639,7 +642,7 @@ fn au_chains_identical_to_oracle_across_default_split_seams() {
     db.insert("t2", AuRelation::from_rows(Schema::named(&["C", "D"]), t2.collect()));
     let base = AuConfig::default();
     for (q, chains) in seam_spines() {
-        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
+        let reference = eval_oracle(&db, &q, &AuConfig::default()).unwrap();
         assert!(reference.len() > 1000, "q = {q}");
         for w in [1, 2, 4] {
             let exec = lanes_exec(&base, w, Partitioner::default());
@@ -686,7 +689,7 @@ fn one_worker_multi_morsel_chain_fills_one_buffer() {
     let (one, morsels, gathers) = run(whole);
     assert_eq!((morsels.as_deref(), gathers), (Some("1"), Some(1)));
     assert_eq!(four, one);
-    assert_eq!(four, eval_au(&db, &q, &cfg_oracle()).unwrap());
+    assert_eq!(four, eval_oracle(&db, &q, &AuConfig::default()).unwrap());
 }
 
 // ---------------------------------------------------------------------------
@@ -1308,9 +1311,10 @@ fn expanding_join() -> Query {
 fn zero_timeout_reports_deadline_exceeded() {
     let db = expanding_db(64);
     let q = expanding_join();
-    for cfg in [cfg_oracle(), cfg_lanes(4)] {
-        let err = eval_au(&db, &q, &cfg.with_timeout(Duration::ZERO)).unwrap_err();
-        assert_eq!(err, EvalError::Exec(ExecError::DeadlineExceeded), "cfg = {cfg:?}");
+    let cfg = cfg_lanes(4).with_timeout(Duration::ZERO);
+    for eval in [eval_oracle, eval_au] {
+        let err = eval(&db, &q, &cfg).unwrap_err();
+        assert_eq!(err, EvalError::Exec(ExecError::DeadlineExceeded));
     }
 }
 
@@ -1320,7 +1324,7 @@ fn zero_timeout_reports_deadline_exceeded() {
 fn far_deadline_does_not_perturb_results() {
     let db = expanding_db(24);
     let q = expanding_join();
-    let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
+    let reference = eval_oracle(&db, &q, &AuConfig::default()).unwrap();
     for w in WORKERS {
         for split in splits() {
             let cfg = cfg_lanes(w)
@@ -1341,10 +1345,11 @@ fn cancelled_token_reports_cancelled() {
     let q = expanding_join();
     let token = CancelToken::new();
     token.cancel();
-    for cfg in [cfg_oracle(), cfg_lanes(4)] {
-        let exec = cfg.executor().with_cancel(token.clone());
-        let err = eval_au_attempt(&db, &q, &cfg, &exec, &TraceBuilder::disabled()).unwrap_err();
-        assert_eq!(err, EvalError::Exec(ExecError::Cancelled), "cfg = {cfg:?}");
+    let (cfg, tr) = (cfg_lanes(4), TraceBuilder::disabled());
+    let exec = cfg.executor().with_cancel(token);
+    let oracle = AuPlan::oracle(&q, &cfg, &tr).run(&db, &exec, &tr);
+    for out in [oracle, eval_au_attempt(&db, &q, &cfg, &exec, &tr)] {
+        assert_eq!(out.unwrap_err(), EvalError::Exec(ExecError::Cancelled));
     }
 }
 
@@ -1357,21 +1362,21 @@ fn row_budget_trips_naming_join_probe() {
     // 96 × 96 colliding keys → 9216 probe output rows, far past the cap
     let db = expanding_db(96);
     let q = expanding_join();
-    for cfg in [cfg_oracle(), cfg_lanes(4)] {
-        let cfg = cfg.with_budget(BudgetSpec::rows(64));
-        match eval_au(&db, &q, &cfg).unwrap_err() {
+    let cfg = cfg_lanes(4).with_budget(BudgetSpec::rows(64));
+    for eval in [eval_oracle, eval_au] {
+        match eval(&db, &q, &cfg).unwrap_err() {
             EvalError::Exec(ExecError::BudgetExceeded { operator, resource, limit, attempted }) => {
-                assert_eq!(operator, "join-probe", "cfg = {cfg:?}");
+                assert_eq!(operator, "join-probe");
                 assert_eq!(resource, "rows");
                 assert_eq!(limit, 64);
                 assert!(attempted > limit, "attempted {attempted} must exceed limit {limit}");
             }
-            other => panic!("expected BudgetExceeded, got {other:?} (cfg = {cfg:?})"),
+            other => panic!("expected BudgetExceeded, got {other:?}"),
         }
         // fresh meters per query: a non-expanding query under the same
         // budgeted config still runs to completion
         let small = table("t1").select(col(1).geq(lit(10_000i64)));
-        let out = eval_au(&db, &small, &cfg).unwrap();
+        let out = eval(&db, &small, &cfg).unwrap();
         assert!(out.rows().is_empty());
     }
 }
@@ -1417,7 +1422,7 @@ mod fault_matrix {
         let db = small_db();
         let q = expanding_join();
         let cfg = cfg_lanes(4);
-        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
+        let reference = eval_oracle(&db, &q, &AuConfig::default()).unwrap();
 
         let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]);
         let err = with_plan(plan.clone(), || eval_au(&db, &q, &cfg)).unwrap_err();
@@ -1471,7 +1476,7 @@ mod fault_matrix {
     fn one_shot_fault_is_absorbed_by_degradation() {
         let db = small_db();
         let q = expanding_join();
-        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
+        let reference = eval_oracle(&db, &q, &AuConfig::default()).unwrap();
         let cfg = cfg_lanes(4);
         let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]);
         let got = with_plan(plan.clone(), || eval_au(&db, &q, &cfg)).unwrap();
@@ -1485,7 +1490,7 @@ mod fault_matrix {
     fn zero_fault_run_is_byte_identical() {
         let db = small_db();
         let q = expanding_join();
-        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
+        let reference = eval_oracle(&db, &q, &AuConfig::default()).unwrap();
         let plan = FaultPlan::new(vec![FaultRule::once(usize::MAX, 0, FaultKind::Panic)]);
         let got = with_plan(plan.clone(), || eval_au(&db, &q, &cfg_lanes(4))).unwrap();
         assert_eq!(got, reference);
@@ -1512,13 +1517,10 @@ mod fault_matrix {
         // persistent so the degradation retry cannot absorb it
         let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
         let (db, q) = (small_db(), expanding_join());
-        for cfg in [forced.with_workers(2), common::oracle_of(&forced)] {
+        for eval in [eval_au, eval_oracle] {
             let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]);
-            let err = with_plan(plan, || eval_au(&db, &q, &cfg));
-            assert!(
-                matches!(err, Err(EvalError::Exec(ExecError::WorkerPanic { .. }))),
-                "cfg = {cfg:?}: {err:?}"
-            );
+            let err = with_plan(plan, || eval(&db, &q, &forced.with_workers(2)));
+            assert!(matches!(err, Err(EvalError::Exec(ExecError::WorkerPanic { .. }))), "{err:?}");
         }
     }
 
@@ -1585,7 +1587,7 @@ mod fault_matrix {
             db.insert("t1", t1);
             db.insert("t2", t2);
 
-            let reference = eval_au(&db, q, &cfg_oracle()).unwrap();
+            let reference = eval_oracle(&db, q, &AuConfig::default()).unwrap();
             let base = AuConfig::default();
             let exec = lanes_exec(&base, WORKERS[wi], splits()[si]);
             let plan = FaultPlan::new(vec![FaultRule::once(driver, morsel, kind)]);

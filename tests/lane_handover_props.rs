@@ -347,7 +347,6 @@ fn three_join_chain_bounds_every_world_when_compressed() {
     for ct in [2usize, 64] {
         let adaptive = AuConfig::compressed(ct);
         for cfg in [adaptive, AuConfig { adaptive: false, ..adaptive }] {
-            assert!(cfg.fuses_chains());
             check_bounds(&db, &q, &cfg.with_workers(2)).unwrap();
         }
     }

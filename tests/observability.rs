@@ -16,8 +16,8 @@ use audb::core::{col, lit, Expr};
 use audb::prelude::*;
 use audb::query::table;
 use common::{
-    au_relation_strategy, cfg_lanes, cfg_oracle, eval_lanes, eval_lanes_traced, lanes_exec, splits,
-    WORKERS,
+    au_relation_strategy, cfg_lanes, eval_lanes, eval_lanes_traced, eval_oracle,
+    eval_oracle_traced, lanes_exec, splits, WORKERS,
 };
 
 /// Query shapes covering fused chains, breakers, and set operators.
@@ -92,7 +92,7 @@ fn traced_result_identical_at_real_size() {
     let mut db = corpus_db();
     db.insert("t1", corpus_rel(3584, 61));
     for q in trace_queries() {
-        let reference = eval_au(&db, &q, &cfg_oracle()).unwrap();
+        let reference = eval_oracle(&db, &q, &AuConfig::default()).unwrap();
         for w in [1, 2, 4] {
             let (traced, trace) = eval_au_traced(&db, &q, &cfg_lanes(w)).unwrap();
             assert_eq!(traced, eval_au(&db, &q, &cfg_lanes(w)).unwrap(), "w = {w}, q = {q}");
@@ -137,7 +137,7 @@ fn explain_reports_aggregate_breakdown() {
     let q = table("t").aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(1), "s")]);
     let cfg = AuConfig { agg_compress: Some(25), ..AuConfig::default() };
     let ex = explain(&db, &q, &cfg).unwrap();
-    let agg = ex.trace.root.find("aggregate").expect("aggregate span");
+    let agg = ex.root.find("aggregate").expect("aggregate span");
     assert_eq!(agg.attr("compress"), Some("25"));
     assert_eq!(agg.rows_in, Some(200));
     assert!(agg.rows_out.is_some() && agg.bytes_out.is_some());
@@ -157,7 +157,7 @@ fn explain_reports_aggregate_breakdown() {
     // phase timings are sites, not child spans: the only child is the
     // input — a (stage-less) chain, since compressed configs fuse too
     assert_eq!(agg.children.iter().map(|c| c.op.as_str()).collect::<Vec<_>>(), ["fused-chain"]);
-    let m = &ex.trace.metrics;
+    let m = &ex.metrics;
     assert_eq!(m.counter("agg_terms_boxed"), Some(0));
     for site in ["agg_index", "agg_contrib", "agg_fold"] {
         let s = m.sites.iter().find(|s| s.site == site).expect("aggregation site");
@@ -276,21 +276,21 @@ fn aggregate_span_names_the_key_lanes() {
 #[test]
 fn explain_reports_join_strategy() {
     let db = corpus_db();
-    // the oracle, so the join gets its own span (the lanes fuse a bare
-    // join into a chain, covered separately below)
-    let op = AuConfig { oracle: true, ..AuConfig::default() };
+    let base = AuConfig::default();
     let cases: [(Option<Expr>, AuConfig, &str); 3] = [
-        (Some(col(0).eq(col(2))), op, "hash-equi"),
-        (Some(col(0).leq(col(2))), op, "interval-comparison"),
-        (Some(col(0).eq(col(2))), AuConfig { join_compress: Some(32), ..op }, "split-compress"),
+        (Some(col(0).eq(col(2))), base, "hash-equi"),
+        (Some(col(0).leq(col(2))), base, "interval-comparison"),
+        (Some(col(0).eq(col(2))), AuConfig { join_compress: Some(32), ..base }, "split-compress"),
     ];
     for (pred, cfg, want) in cases {
         let q = match &pred {
             Some(p) => table("t1").join_on(table("t2"), p.clone()),
             None => table("t1").cross(table("t2")),
         };
-        let ex = explain(&db, &q, &cfg).unwrap();
-        let join = ex.trace.root.find("join").expect("join span");
+        // the oracle, so the join gets its own span (the lanes fuse a
+        // bare join into a chain, covered separately below)
+        let (_, root) = eval_oracle_traced(&db, &q, &cfg);
+        let join = root.find("join").expect("join span");
         assert_eq!(join.attr("strategy"), Some(want), "pred = {pred:?}");
         assert_eq!(join.rows_in, Some(120 + 90));
     }
@@ -309,22 +309,22 @@ fn explain_reports_multi_join_and_fusion() {
         .project(vec![(col(0), "a"), (col(5), "b")]);
 
     // the oracle: two join spans, each classified
-    let ex = explain(&db, &q, &cfg_oracle()).unwrap();
-    assert_eq!(ex.trace.root.find("attempt").and_then(|a| a.attr("mode")), Some("oracle"));
+    let (_, root) = eval_oracle_traced(&db, &q, &AuConfig::default());
+    assert_eq!(root.find("attempt").and_then(|a| a.attr("mode")), Some("oracle"));
     let mut joins = 0;
-    ex.trace.root.walk(&mut |s| {
+    root.walk(&mut |s| {
         if s.op == "join" {
             joins += 1;
             assert_eq!(s.attr("strategy"), Some("hash-equi"));
         }
     });
-    assert_eq!(joins, 2, "both joins must be traced:\n{}", ex.trace.render_text());
+    assert_eq!(joins, 2, "both joins must be traced:\n{root:?}");
 
     // the lanes: the spine fuses into one chain; attrs name the mode
     let ex = explain(&db, &q, &cfg_lanes(2)).unwrap();
-    let attempt = ex.trace.root.find("attempt").expect("attempt span");
+    let attempt = ex.root.find("attempt").expect("attempt span");
     assert_eq!(attempt.attr("mode"), Some("lanes"));
-    let fused = ex.trace.root.find("fused-chain").expect("fused chain span");
+    let fused = ex.root.find("fused-chain").expect("fused chain span");
     let ops = fused.attr("ops").expect("ops summary");
     assert!(ops.contains("⋈(hash-equi)") && ops.contains("σ") && ops.contains("π"), "{ops}");
     // its source is the materialized `t ⋈ t1`: 2 400 rows, two morsels
@@ -335,11 +335,10 @@ fn explain_reports_multi_join_and_fusion() {
         assert_eq!(fused.attr(gone), None, "{gone}");
         assert_eq!(attempt.attr(gone), None, "{gone}");
     }
-    for (key, _) in &ex.trace.engine {
-        let gone = ["pipeline", "compiled", "columnar", "shards", "verify"];
+    for (key, _) in &ex.engine {
+        let gone = ["pipeline", "compiled", "columnar", "shards", "verify", "oracle"];
         assert!(!gone.contains(key), "engine echo has {key}");
     }
-    assert!(ex.trace.engine.iter().any(|(k, v)| *k == "oracle" && v == "false"));
 }
 
 /// A probe chain on the lanes says what it did: the candidate pairs it
@@ -404,9 +403,9 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     assert_eq!(fused.attr("keyed"), Some("2/4"), "k, v, k, v: the Int payloads key typed");
 
     // the oracle fuses nothing: no chain span, no pair accounting
-    let (_, trace) = eval_au_traced(&db, &spine, &AuConfig { oracle: true, ..cfg }).unwrap();
-    assert!(trace.root.find("fused-chain").is_none());
-    assert!(trace.root.find("join").is_some());
+    let (_, root) = eval_oracle_traced(&db, &spine, &cfg);
+    assert!(root.find("fused-chain").is_none());
+    assert!(root.find("join").is_some());
 }
 
 /// The only fallback left on a `σ/π/⋈/γ` plan is the breaker's own: a
@@ -422,17 +421,17 @@ fn explain_reports_fusion_fallback_reason() {
         .aggregate(vec![1], vec![AggSpec::new(AggFunc::Sum, col(3), "s")]);
     for cfg in [cfg_lanes(2), AuConfig::compressed(2)] {
         let ex = explain(&db, &q, &cfg).unwrap();
-        assert_eq!(ex.trace.root.find("attempt").unwrap().attr("mode"), Some("lanes"));
-        let agg = ex.trace.root.find("aggregate").expect("aggregate span");
+        assert_eq!(ex.root.find("attempt").unwrap().attr("mode"), Some("lanes"));
+        let agg = ex.root.find("aggregate").expect("aggregate span");
         assert_eq!(agg.attr("fallback"), Some("pipeline-breaker"));
         let chain = agg.find("fused-chain").expect("the join fuses under the aggregate");
         assert_eq!(chain.attr("delivery"), Some("faithful"));
         assert_eq!(chain.attr("narrow"), Some("2/4"));
         assert_eq!(chain.attr("ops"), Some("⋈(hash-equi)"));
         let mut fallbacks = Vec::new();
-        ex.trace.root.walk(&mut |s| fallbacks.extend(s.attr("fallback").map(str::to_string)));
+        ex.root.walk(&mut |s| fallbacks.extend(s.attr("fallback").map(str::to_string)));
         assert_eq!(fallbacks, ["pipeline-breaker"], "{ex}");
-        assert!(ex.trace.root.find("join").is_none(), "{ex}");
+        assert!(ex.root.find("join").is_none(), "{ex}");
     }
 }
 
@@ -463,7 +462,7 @@ fn tpch_plans_run_as_chains_under_every_config() {
     for base in [AuConfig::default(), AuConfig::compressed(64), forced] {
         for (name, q) in tpch_queries() {
             let (out, trace) = eval_au_traced(&db, &q, &base.with_workers(1)).unwrap();
-            assert_eq!(out, eval_au(&db, &q, &common::oracle_of(&base)).unwrap(), "{name}");
+            assert_eq!(out, eval_oracle(&db, &q, &base).unwrap(), "{name}");
             assert_eq!(trace.root.find("attempt").unwrap().attr("mode"), Some("lanes"));
             let mut joins = 0;
             trace.root.walk(&mut |s| {
@@ -526,7 +525,7 @@ fn trace_json_is_versioned_and_failure_preserves_trace() {
     let (_, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
     let json = trace.to_json();
     for key in [
-        "\"version\":4",
+        "\"version\":5",
         "\"engine\":",
         "\"root\":",
         "\"events\":",
@@ -620,17 +619,58 @@ mod fault_trace {
         let db = corpus_db();
         let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
         let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
-        for cfg in [cfg_oracle(), common::oracle_of(&forced)] {
+        for cfg in [AuConfig::default(), forced] {
             let plan = FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]);
-            let (result, trace) = with_plan(plan.clone(), || eval_au_traced_full(&db, &q, &cfg));
+            let metrics = Metrics::enabled();
+            let tr = TraceBuilder::enabled();
+            let exec = cfg.executor().with_metrics(metrics.clone());
+            let result = with_plan(plan.clone(), || {
+                let root = tr.open("query", || q.to_string());
+                let out = AuPlan::oracle(&q, &cfg, &tr).run(&db, &exec, &tr);
+                tr.close(root, None, None);
+                out
+            });
             let injected = ExecError::Injected { driver: 0, morsel: 0 };
             assert_eq!(result.unwrap_err(), EvalError::Exec(injected), "cfg = {cfg:?}");
             assert_eq!(plan.fired(), 1);
-            assert_eq!(trace.metrics.counter("degradations"), Some(0), "cfg = {cfg:?}");
-            assert!(trace.events.iter().all(|e| e.kind.name() != "degraded_to_interpreter"));
+            assert_eq!(metrics.snapshot().counter("degradations"), Some(0), "cfg = {cfg:?}");
+            assert!(metrics
+                .take_events()
+                .iter()
+                .all(|e| e.kind.name() != "degraded_to_interpreter"));
+            let root = tr.finish().expect("an enabled builder has a root span");
             let mut attempts = 0;
-            trace.root.walk(&mut |s| attempts += usize::from(s.op == "attempt"));
-            assert_eq!(attempts, 1, "no second attempt:\n{}", trace.render_text());
+            root.walk(&mut |s| attempts += usize::from(s.op == "attempt"));
+            assert_eq!(attempts, 1, "no second attempt:\n{root:?}");
+        }
+    }
+
+    /// When the degradation retry's oracle attempt faults as well, the
+    /// oracle's fault surfaces after exactly one degradation: two
+    /// `attempt` spans (lanes, then oracle), and no third.
+    #[test]
+    fn a_faulting_degradation_retry_surfaces_its_fault_without_a_second_retry() {
+        let db = corpus_db();
+        let q = table("t1").join_on(table("t2"), col(0).eq(col(2)));
+        let forced = AuConfig { adaptive: false, ..AuConfig::compressed(2) };
+        for cfg in [AuConfig::default(), forced] {
+            // every driver's first morsel: the lanes attempt's, then the oracle's
+            let plan = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Error)]);
+            let (result, trace) = with_plan(plan.clone(), || eval_au_traced_full(&db, &q, &cfg));
+            let err = result.unwrap_err();
+            let injected = matches!(err, EvalError::Exec(ExecError::Injected { morsel: 0, .. }));
+            assert!(injected, "cfg = {cfg:?}: {err:?}");
+            assert_eq!(plan.fired(), 2, "cfg = {cfg:?}");
+            assert_eq!(trace.metrics.counter("degradations"), Some(1), "cfg = {cfg:?}");
+            let degraded =
+                trace.events.iter().filter(|e| e.kind.name() == "degraded_to_interpreter");
+            assert_eq!(degraded.count(), 1);
+            let mut modes = Vec::new();
+            trace.root.walk(&mut |s| {
+                modes.extend((s.op == "attempt").then(|| s.attr("mode").map(str::to_string)));
+            });
+            let modes: Vec<_> = modes.iter().flatten().map(String::as_str).collect();
+            assert_eq!(modes, ["lanes", "oracle"], "{}", trace.render_text());
         }
     }
 
@@ -705,7 +745,7 @@ fn lane_hand_over_is_counted_and_timed() {
     db.warm_columns();
     let (out, trace) = eval_au_traced(&db, &q7(), &cfg).unwrap();
     eprintln!("{trace}"); // `-- --nocapture` prints Q7's plan (verify skill)
-    assert_eq!(out, eval_au(&db, &q7(), &common::oracle_of(&cfg)).unwrap());
+    assert_eq!(out, eval_oracle(&db, &q7(), &cfg).unwrap());
     assert_eq!(trace.metrics.counter("lane_builds"), Some(0));
     assert_eq!(trace.metrics.counter("rows_built"), Some(0));
     assert_eq!(site(&trace, "lane_build"), 0);

@@ -26,7 +26,7 @@ use audb::core::program::Program;
 use audb::core::verify::mutate;
 use audb::prelude::*;
 use audb::query::{table, with_tampered_programs};
-use common::{cfg_oracle, mixed_relation_strategy, num_expr_strategy, pred_over, recurse_numeric};
+use common::{eval_oracle, mixed_relation_strategy, num_expr_strategy, pred_over, recurse_numeric};
 
 /// The col-only-leaf variant: no literals anywhere, so Tier B's
 /// abstract interpreter can never decide a condition or divisor
@@ -135,7 +135,7 @@ proptest! {
         let q = table("t")
             .select(pred)
             .project(vec![(proj, "p"), (col(0), "a")]);
-        let oracle = eval_au(&db, &q, &cfg_oracle());
+        let oracle = eval_oracle(&db, &q, &AuConfig::default());
         // one attempt, no retry: the rejection alone must route the
         // chain to the oracle — a corrupt program that *ran* and
         // faulted would otherwise be answered by the degradation retry
@@ -193,7 +193,7 @@ fn two_row_db() -> AuDatabase {
 fn rejection_ticks_counter_and_event() {
     let db = two_row_db();
     let q = table("t").select(col(0).leq(col(1))).project(vec![(col(0).add(col(1)), "s")]);
-    let oracle = eval_au(&db, &q, &cfg_oracle());
+    let oracle = eval_oracle(&db, &q, &AuConfig::default());
 
     let (result, trace) = with_tampered_programs(corrupt_if_possible, || {
         eval_au_traced_full(&db, &q, &AuConfig::default())
@@ -233,7 +233,7 @@ fn rejected_post_probe_stage_degrades_the_chain_and_builds_once() {
         .join_on(right, col(1).leq(col(3)))
         .select(col(0).add(col(2)).geq(lit(0i64)))
         .project(vec![(col(0).add(col(3)), "s")]);
-    let oracle = eval_au(&db, &q, &cfg_oracle());
+    let oracle = eval_oracle(&db, &q, &AuConfig::default());
     assert!(oracle.as_ref().is_ok_and(|r| !r.is_empty()), "{oracle:?}");
 
     // Programs reach the hook in compile order: the outer chain's
@@ -274,7 +274,7 @@ fn rejected_post_probe_stage_degrades_the_chain_and_builds_once() {
 fn a_rejected_chain_stays_on_the_oracle_for_the_plans_life() {
     let db = two_row_db();
     let q = table("t").select(col(0).leq(col(1))).project(vec![(col(0).add(col(1)), "s")]);
-    let oracle = eval_au(&db, &q, &cfg_oracle());
+    let oracle = eval_oracle(&db, &q, &AuConfig::default());
     let (base, metrics) = (AuConfig::default(), Metrics::enabled());
     let plan = with_tampered_programs(corrupt_if_possible, || {
         AuPlan::new(&q, &base, &metrics, &TraceBuilder::disabled())

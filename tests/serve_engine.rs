@@ -269,8 +269,9 @@ fn shutdown_refuses_new_work() {
 /// went down with the request. So did a *flat* chain of 100 000 operands:
 /// the parser builds it by iteration, and whoever walks the left-deep
 /// tree next — the lowerer, the verifier, `Drop` — recurses once per
-/// operator. Both are query errors now, on the 2 MiB stack of a spawned
-/// thread, and the engine serves the next request — the tallest
+/// operator. So did a `FROM` list of 100 000 tables, one join level each,
+/// in the planner. All are query errors now, on the 2 MiB stack of a
+/// spawned thread, and the engine serves the next request — the tallest
 /// expression the parser admits included, end to end.
 #[test]
 fn deeply_nested_sql_is_a_query_error_not_an_abort() {
@@ -279,13 +280,15 @@ fn deeply_nested_sql_is_a_query_error_not_an_abort() {
         let query = |pred: String| format!("SELECT a0 FROM t1 WHERE {pred}");
         let parens = format!("{}a1 = 1{}", "(".repeat(100_000), ")".repeat(100_000));
         let sum = |n: usize| format!("{} >= 0", vec!["a1"; n].join(" + "));
-        for (pred, limit) in [
-            (parens, "nesting deeper"),
-            (sum(100_000), "expression deeper"),
-            (vec!["a1 >= 0"; 100_000].join(" AND "), "expression deeper"),
-            (vec!["a1 < 0"; 100_000].join(" OR "), "expression deeper"),
+        let tables: Vec<String> = (0..100_000).map(|i| format!("t1 x{i}")).collect();
+        for (sql, limit) in [
+            (query(parens), "nesting deeper"),
+            (query(sum(100_000)), "expression deeper"),
+            (query(vec!["a1 >= 0"; 100_000].join(" AND ")), "expression deeper"),
+            (query(vec!["a1 < 0"; 100_000].join(" OR ")), "expression deeper"),
+            (format!("SELECT x0.a0 FROM {}", tables.join(", ")), "FROM list longer"),
         ] {
-            match engine.execute_sql(&query(pred), Class::Interactive) {
+            match engine.execute_sql(&sql, Class::Interactive) {
                 Err(ServeError::Query(e)) => assert!(e.to_string().contains(limit), "{e}"),
                 other => panic!("expected a query error, got {other:?}"),
             }

@@ -186,9 +186,10 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
 
 /// Deterministic breaker walk-through: persistent lane-path faults
 /// trip the plan's breaker; with the fault gone but the breaker open,
-/// the plan serves correctly from the oracle (`oracle: true`); the cooldown
-/// probe closes it again. A compressed `EngineConfig::eval` runs on the
-/// lanes like any other, so its plans consult the breaker the same way.
+/// the plan serves correctly from its oracle plan (`AuPlan::oracle`); the
+/// cooldown probe closes it again. A compressed `EngineConfig::eval` runs
+/// on the lanes like any other, so its plans consult the breaker the same
+/// way.
 #[test]
 fn breaker_trips_degrades_and_recovers() {
     let forced = AuConfig { adaptive: false, workers: Some(2), ..AuConfig::compressed(2) };
