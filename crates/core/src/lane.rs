@@ -148,9 +148,8 @@ impl ValueLane {
     /// `[MinVal / sg / MaxVal]` encoding of `null` — take the fallback
     /// lane and keep exact scalar semantics).
     pub fn from_cells<'a>(cells: impl Iterator<Item = &'a RangeValue> + Clone) -> ValueLane {
-        let (mut all_int, mut all_float, mut all_bool, mut n) = (true, true, true, 0usize);
+        let (mut all_int, mut all_float, mut all_bool) = (true, true, true);
         for c in cells.clone() {
-            n += 1;
             all_int &=
                 matches!((&c.lb, &c.sg, &c.ub), (Value::Int(_), Value::Int(_), Value::Int(_)));
             all_float &= matches!(
@@ -163,7 +162,6 @@ impl ValueLane {
                 break;
             }
         }
-        let _ = n;
         if all_int {
             let (mut lb, mut sg, mut ub) = (Vec::new(), Vec::new(), Vec::new());
             for c in cells {
@@ -257,8 +255,10 @@ impl ValueLane {
         }
     }
 
-    /// Exact heap footprint of this lane's component storage in bytes
-    /// (element payloads plus, for boxed cells, their string heap).
+    /// Heap footprint of this lane's component storage in bytes: element
+    /// payloads plus, for boxed cells, each `Str` cell's text length. The
+    /// text term is an upper bound on the text bytes held: a `Str` shares
+    /// one allocation with every clone of it, yet each cell is charged.
     pub fn lane_bytes(&self) -> u64 {
         match self {
             ValueLane::Int { lb, .. } => (3 * lb.len() * std::mem::size_of::<i64>()) as u64,

@@ -10,6 +10,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::EvalError;
 
@@ -83,7 +84,9 @@ pub enum Value {
     Bool(bool),
     Int(i64),
     Float(F64),
-    Str(String),
+    /// Shared text: cloning a cell bumps a refcount and never copies the
+    /// bytes. `Arc` (not `Rc`) keeps relations and plans `Send + Sync`.
+    Str(Arc<str>),
     /// Greatest element of the domain ("+∞").
     MaxVal,
 }
@@ -93,7 +96,7 @@ impl Value {
         Value::Float(F64::new(v))
     }
 
-    pub fn str(v: impl Into<String>) -> Self {
+    pub fn str(v: impl Into<Arc<str>>) -> Self {
         Value::Str(v.into())
     }
 
@@ -392,12 +395,12 @@ impl From<bool> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 

@@ -617,7 +617,7 @@ impl<'a> Parser<'a> {
             }
             Some(Tok::Str(s)) => {
                 self.pos += 1;
-                Ok(Expr::Const(Value::Str(s)))
+                Ok(Expr::Const(Value::Str(s.into())))
             }
             Some(Tok::Sym("(")) => {
                 self.eat_sym("(")?;

@@ -294,9 +294,10 @@ impl Engine {
     }
 
     /// Serve one algebra plan under `class`, through the prepared-plan
-    /// cache (keyed on the plan's text rendering).
+    /// cache (keyed on the plan's `Debug` rendering: `Display` prints
+    /// `Str("5")`, `Int(5)` and `Float(5.0)` all as `5`).
     pub fn execute(&self, q: &Query, class: Class) -> Result<Response, ServeError> {
-        self.serve_parsed(&q.to_string(), Some(q), class, true)
+        self.serve_parsed(&format!("{q:?}"), Some(q), class, true)
     }
 
     /// The cold path: serve one SQL query bypassing the prepared-plan

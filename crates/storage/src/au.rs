@@ -178,13 +178,15 @@ impl AuRelation {
     }
 
     /// In-memory footprint of the relation under the columnar layout,
-    /// in bytes: the exact size of every attribute lane's component
-    /// arrays (typed lanes are `3 × 8` bytes per row for `Int`/`Float`,
-    /// `3` for `Bool`; boxed lanes charge the full `RangeValue` plus
-    /// string heap) plus the annotation column. This is the size the
-    /// observability layer reports as `bytes_out` per operator and the
-    /// budget layer charges. Deterministic, and identical whether or
-    /// not a row-born relation's lanes have been built.
+    /// in bytes: the size of every attribute lane's component arrays
+    /// (typed lanes are `3 × 8` bytes per row for `Int`/`Float`, `3` for
+    /// `Bool`; boxed lanes charge the full `RangeValue` plus each `Str`
+    /// cell's text length — an upper bound on the text bytes held, since
+    /// clones share one allocation) plus the annotation column. This is
+    /// the size the observability layer reports as `bytes_out` per
+    /// operator and the budget layer charges. Deterministic, and
+    /// identical whether or not a row-born relation's lanes have been
+    /// built.
     pub fn estimated_bytes(&self) -> u64 {
         match self.columns.get() {
             Some(cs) => cs.estimated_bytes(),

@@ -168,16 +168,18 @@ impl ColumnSet {
         RangeTuple(self.lanes.iter().map(|l| l.get(i)).collect())
     }
 
-    /// Exact storage footprint: every lane's component arrays (and
-    /// boxed cells' string heap) plus the annotation column.
+    /// Storage footprint: every lane's component arrays (and boxed
+    /// cells' text lengths, an upper bound on shared text — see
+    /// [`ValueLane::lane_bytes`]) plus the annotation column.
     pub fn estimated_bytes(&self) -> u64 {
         self.lanes.iter().map(ValueLane::lane_bytes).sum::<u64>() + self.annots.bytes()
     }
 
     /// [`ColumnSet::estimated_bytes`] computed straight from rows —
-    /// same classification, same numbers, no lane allocation. This is
-    /// what [`crate::AuRelation::estimated_bytes`] charges when the
-    /// columnar cache hasn't been built.
+    /// same classification, same numbers (every `Str` cell charged its
+    /// text length), no lane allocation. This is what
+    /// [`crate::AuRelation::estimated_bytes`] charges when the columnar
+    /// cache hasn't been built.
     pub fn byte_size_of_rows(arity: usize, rows: &[(RangeTuple, AuAnnot)]) -> u64 {
         const INT: u8 = 1;
         const FLOAT: u8 = 2;

@@ -83,6 +83,34 @@ fn sql_and_algebra_share_the_prepared_table_keyspace() {
     assert_eq!(engine.stats().prepared_plans, 1);
 }
 
+/// Algebra plans that differ only in a constant's type are different
+/// prepared plans: `Str("5")`, `Int(5)` and `Float(5.0)` all *display*
+/// as `5`, so the table must key on an unambiguous rendering.
+#[test]
+fn algebra_constants_of_different_types_are_different_plans() {
+    let db = micro(50, 3);
+    let engine = Engine::new(db.clone(), small_config());
+    let pairs = [
+        (table("t1").select(col(0).eq(lit("5"))), table("t1").select(col(0).eq(lit(5i64)))),
+        (
+            table("t1").project(vec![(lit(5i64), "c")]),
+            table("t1").project(vec![(lit(5.0f64), "c")]),
+        ),
+    ];
+    for (first, second) in &pairs {
+        let served: Vec<AuRelation> = [first, second]
+            .map(|q| {
+                let resp = engine.execute(q, Class::Interactive).unwrap();
+                assert!(!resp.prepared_hit, "{q:?} was served another plan");
+                assert_eq!(resp.relation, eval_au(&db, q, &small_config().eval).unwrap(), "{q:?}");
+                resp.relation
+            })
+            .into();
+        assert_ne!(served[0], served[1], "the pair must tell the plans apart");
+        assert!(engine.execute(second, Class::Interactive).unwrap().prepared_hit);
+    }
+}
+
 /// A warm execution is lookup → run: the second execution of a text
 /// compiles nothing (the tamper seam sees every program lowered on the
 /// calling thread — none), consults the table once more and misses
