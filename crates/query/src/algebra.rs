@@ -72,6 +72,15 @@ pub enum Query {
     Aggregate { input: Box<Query>, group_by: Vec<usize>, aggs: Vec<AggSpec> },
 }
 
+/// `group_by` against its input's `arity`: a column past it is
+/// [`EvalError::UnknownColumn`] — checked before anything reads one.
+pub(crate) fn check_group_by(group_by: &[usize], arity: usize) -> Result<(), EvalError> {
+    match group_by.iter().find(|&&c| c >= arity) {
+        Some(&c) => Err(EvalError::UnknownColumn(c)),
+        None => Ok(()),
+    }
+}
+
 /// Start a plan from a base table.
 pub fn table(name: impl Into<String>) -> Query {
     Query::Table(name.into())
@@ -182,6 +191,7 @@ impl Query {
             }
             Query::Aggregate { input, group_by, aggs } => {
                 let in_schema = input.schema(catalog)?;
+                check_group_by(group_by, in_schema.arity())?;
                 let mut cols: Vec<String> =
                     group_by.iter().map(|c| in_schema.column_name(*c).to_string()).collect();
                 cols.extend(aggs.iter().map(|a| a.name.clone()));

@@ -78,7 +78,7 @@ use audb_storage::{
 };
 
 use super::lanes_of;
-use crate::algebra::{AggFunc, AggSpec};
+use crate::algebra::{check_group_by, AggFunc, AggSpec};
 use crate::opt;
 
 /// Aggregation monoids (Section 9.1).
@@ -431,6 +431,7 @@ pub fn aggregate_au_stats(
     compress: Option<usize>,
     exec: &Executor,
 ) -> Result<(AuRelation, AggStats), EvalError> {
+    check_group_by(group_by, rel.schema.arity())?;
     if rel.is_empty() {
         return Ok((aggregate_empty(rel, group_by, aggs), AggStats::default()));
     }
@@ -972,6 +973,7 @@ pub fn aggregate_au_scan(
     aggs: &[AggSpec],
     compress: Option<usize>,
 ) -> Result<AuRelation, EvalError> {
+    check_group_by(group_by, rel.schema.arity())?;
     if rel.is_empty() {
         return Ok(aggregate_empty(rel, group_by, aggs));
     }

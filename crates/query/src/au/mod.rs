@@ -15,6 +15,7 @@ pub mod difference;
 pub(crate) mod pipeline;
 
 pub use pipeline::AuPlan;
+use pipeline::{checkpoint, AuRow, GOVERN_ROWS};
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -28,7 +29,7 @@ use audb_core::{AuAnnot, Budget, BudgetSpec, CancelToken, EvalError, Expr, Semir
 use audb_exec::Executor;
 use audb_storage::{AuDatabase, AuRelation, ColumnSet, RangeTuple, Schema};
 
-use crate::algebra::{AggSpec, Query};
+use crate::algebra::Query;
 use crate::opt;
 use crate::planner;
 
@@ -333,69 +334,6 @@ pub(crate) fn join_detail(predicate: Option<&Expr>) -> String {
     predicate.map_or_else(|| "cross".to_string(), ToString::to_string)
 }
 
-/// Run the aggregation kernel over the evaluated input `rel` under the
-/// open operator span `h` — γ, and δ as γ on every column with no
-/// aggregates —
-/// taking the compression verdict on `rel` and recording it and what the
-/// kernel did (group/member/term counts, boxed demotions) as span
-/// attributes.
-pub(crate) fn aggregate_in_span(
-    tr: &TraceBuilder,
-    h: usize,
-    cfg: &AuConfig,
-    rel: &AuRelation,
-    group_by: &[usize],
-    aggs: &[AggSpec],
-    exec: &Executor,
-) -> Result<AuRelation, EvalError> {
-    tr.rows_in(h, rel.len() as u64);
-    let compress = effective_agg_compress(cfg, rel, group_by);
-    tr.attr(h, "compress", || compress.map_or_else(|| "none".to_string(), |ct| ct.to_string()));
-    let (out, st) = aggregate::aggregate_au_stats(rel, group_by, aggs, compress, exec)?;
-    let attrs = [
-        ("groups", st.groups),
-        ("sources", st.sources),
-        ("pairs", st.pairs),
-        ("members", st.members),
-        ("terms", st.terms),
-        ("terms_boxed", st.terms_boxed),
-    ];
-    for (key, v) in attrs {
-        tr.attr(h, key, || v.to_string());
-    }
-    tr.attr(h, "keys", || if st.keys_boxed { "boxed" } else { "typed" }.to_string());
-    Ok(out)
-}
-
-/// Run the split/compress join kernel under the open `join` span `h`,
-/// recording its strategy and what it did (SG rows, buckets per side,
-/// possible rows, the probes' key cells) as span attributes.
-pub(crate) fn compress_join_in_span(
-    tr: &TraceBuilder,
-    h: usize,
-    l: &AuRelation,
-    r: &AuRelation,
-    recheck: Option<&pipeline::Stage>,
-    ct: usize,
-    exec: &Executor,
-) -> Result<AuRelation, EvalError> {
-    tr.attr(h, "strategy", || "split-compress".to_string());
-    let (out, st) = opt::optimized_join_stats(l, r, recheck, ct, exec)?;
-    let attrs = [
-        ("sg_rows", st.sg_rows),
-        ("buckets_l", st.buckets_l),
-        ("buckets_r", st.buckets_r),
-        ("possible_rows", st.possible_rows),
-    ];
-    for (key, v) in attrs {
-        tr.attr(h, key, || v.to_string());
-    }
-    if let Some(typed) = st.keys_typed {
-        tr.attr(h, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
-    }
-    Ok(out)
-}
-
 /// The join-compression setting after the adaptive check — taken on the
 /// evaluated inputs, by the oracle and the chain planner alike.
 pub(crate) fn effective_join_compress(
@@ -404,15 +342,6 @@ pub(crate) fn effective_join_compress(
     r: &AuRelation,
 ) -> Option<usize> {
     cfg.join_compress.filter(|_| !cfg.adaptive || opt::join_compression_pays_off(l, r))
-}
-
-/// The aggregation-compression setting after the adaptive check.
-fn effective_agg_compress(cfg: &AuConfig, rel: &AuRelation, group_by: &[usize]) -> Option<usize> {
-    let ct = cfg.agg_compress?;
-    if cfg.adaptive && !opt::agg_compression_pays_off(rel, group_by, ct) {
-        return None;
-    }
-    Some(ct)
 }
 
 /// Union that reuses whichever operand already owns its row buffer;
@@ -547,19 +476,13 @@ pub fn nested_loop_join_au_exec(
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     let schema = l.schema.concat(&r.schema);
-    let rows = exec.run(l.len(), |morsel, out: &mut Vec<(RangeTuple, AuAnnot)>| {
+    let rows = exec.run(l.len(), |morsel, out: &mut Vec<AuRow>| {
         let mut watermark = out.len();
-        let checkpoint = |rows: usize, watermark: &mut usize| {
-            exec.check_cancel()?;
-            pipeline::charge_out(exec, "join-probe", rows, watermark)
-        };
         let mut buf = Vec::new();
         for i in morsel {
             let (tl, kl) = &l.rows()[i];
             for (tr, kr) in r.rows() {
-                if out.len() - watermark >= pipeline::GOVERN_ROWS {
-                    checkpoint(out.len(), &mut watermark)?;
-                }
+                checkpoint::<AuRow>(exec, "join-probe", out.len(), &mut watermark, GOVERN_ROWS)?;
                 tl.concat_into(tr, &mut buf);
                 let mut k = kl.times(kr);
                 if let Some(p) = predicate {
@@ -572,7 +495,7 @@ pub fn nested_loop_join_au_exec(
                 out.push((RangeTuple::new(buf.clone()), k));
             }
         }
-        checkpoint(out.len(), &mut watermark)?;
+        checkpoint::<AuRow>(exec, "join-probe", out.len(), &mut watermark, 0)?;
         Ok::<(), EvalError>(())
     })?;
     let mut out = AuRelation::empty(schema);

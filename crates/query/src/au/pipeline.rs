@@ -30,23 +30,22 @@
 //!
 //! ## Plan, then run
 //!
-//! A query is planned once, by one walk. [`AuPlan::new`] yields a value:
-//! a tree of chains (every [`Stage`] compiled and vetted — outermost
-//! chain first, then its source's, then its build side's), breakers, and
-//! oracle nodes where a Tier B rejection sends a sub-query to the oracle,
-//! each node holding its consumer's [`Contract`] (below) and γ its read
-//! set and re-slotted specs. [`AuPlan::oracle`] is the same walk with no
-//! verifier: every σ/π/⋈/scan becomes an operator node, the breakers stay
-//! the same breaker nodes. Nothing
-//! in it depends on data or resources, so the serving engine keeps it as
-//! its prepared plan and a warm execution is lookup → [`AuPlan::run`].
-//! A run (`db`, executor, trace) evaluates inputs, takes the
-//! data-dependent verdicts — [`effective_join_compress`],
-//! `effective_agg_compress`, a probe's strategy, breaker-narrow delivery
-//! — builds probes and drives [`LanePlan`]s over stages *borrowed* from
-//! the plan: no program is compiled, keyed or cloned per execution. A
-//! plan that is run again re-checks Tier A over its own stages, chain by
-//! chain ([`Chain::build`]). `docs/exec-runtime.md` ("Plan → run")
+//! A query is planned once, by one walk. [`AuPlan::new`] yields a tree
+//! of [`Node`]s, one per operator: chains (every [`Stage`] compiled and
+//! vetted — outermost chain first, then its source's, then its build
+//! side's), breakers, and oracle operators where a Tier B rejection sends
+//! a sub-query to the oracle; a chain holds its consumer's [`Contract`]
+//! (below), γ its read set and re-slotted specs. [`AuPlan::oracle`] is
+//! the same walk with no verifier: σ/π/⋈/scan become operator nodes.
+//! Planning is one `match` ([`Node::plan`]), running one `match` whose
+//! arms open their own spans ([`Node::run`]). Nothing in a plan depends
+//! on data or resources, so the serving engine keeps it as its prepared
+//! plan. A run takes the data-dependent verdicts — compression on the
+//! evaluated inputs, a probe's strategy, breaker-narrow delivery — and a
+//! chain is one function, [`Chain::run`]: Tier A again over a kept plan's
+//! stages, the inputs, the join verdict, the probe and a [`LanePlan`]
+//! over stages *borrowed* from the plan — no program is compiled, keyed
+//! or cloned per execution. `docs/exec-runtime.md` ("Plan → run")
 //! tabulates which decision is taken when.
 //!
 //! ## Fusion rules
@@ -170,10 +169,10 @@ use audb_storage::{
 };
 
 use super::{
-    aggregate_in_span, close_rel, compress_join_in_span, difference, effective_join_compress,
-    join_detail, lanes_of, project_au_exec, rows_of, select_au_exec, union_cow, AuConfig,
+    aggregate, close_rel, difference, effective_join_compress, join_detail, lanes_of,
+    project_au_exec, rows_of, select_au_exec, union_cow, AuConfig,
 };
-use crate::algebra::{AggSpec, Query};
+use crate::algebra::{check_group_by, AggSpec, Query};
 use crate::vcheck::Vet;
 use crate::{opt, planner};
 
@@ -199,25 +198,34 @@ pub(crate) fn chain_exec(exec: &Executor) -> Executor {
     })
 }
 
-/// Governance stride inside a morsel: every `GOVERN_ROWS` source rows
-/// the chain re-checks the cancel token and charges the rows it
-/// produced since the last checkpoint to the budget. Bounds how much
-/// work a cancelled query can still do inside one morsel, and how far an
-/// expanding probe can overshoot its budget.
+/// Governance stride: every `GOVERN_ROWS` rows (a chain's source rows, a
+/// join loop's output rows) a loop passes a [`checkpoint`]. Bounds how
+/// much work a cancelled query can still do inside one morsel, and how
+/// far an expanding join can overshoot its budget.
 pub(crate) const GOVERN_ROWS: usize = 1024;
 
-/// Charge the growth of a chain's output (`rows` so far) since `last` to
-/// the executor's budget under `operator`, advancing the watermark. A
-/// survivor is charged as the row it will be built into.
-pub(crate) fn charge_out(
+/// A row of an AU relation: what a chain's survivor is charged as.
+pub(crate) type AuRow = (RangeTuple, AuAnnot);
+
+/// The governance checkpoint of a loop that appends `T` rows (`rows` so
+/// far): once `stride` rows were appended since the watermark `last`,
+/// observe cancellation and charge them to the budget under `operator`,
+/// each as a `T` (a chain's survivor as the [`AuRow`] it will become).
+/// Loops pass [`GOVERN_ROWS`], the checkpoint that closes one 0.
+pub(crate) fn checkpoint<T>(
     exec: &Executor,
     operator: &'static str,
     rows: usize,
     last: &mut usize,
+    stride: usize,
 ) -> Result<(), ExecError> {
     let added = rows.saturating_sub(*last);
+    if added < stride {
+        return Ok(());
+    }
+    exec.check_cancel()?;
     if added > 0 {
-        let bytes = added * std::mem::size_of::<(RangeTuple, AuAnnot)>();
+        let bytes = added * std::mem::size_of::<T>();
         exec.charge(operator, added as u64, bytes as u64)?;
         *last = rows;
     }
@@ -265,8 +273,9 @@ struct Contract {
 // ---------------------------------------------------------------------------
 
 /// Is the subtree a select-only chain over its anchor (so a probe can
-/// fuse onto it with source row ids intact)?
-fn select_only(q: &Query) -> bool {
+/// fuse onto it with source row ids intact)? The deterministic engine's
+/// chains ([`crate::det`]) ask the same.
+pub(crate) fn select_only(q: &Query) -> bool {
     match q {
         Query::Table(_) => true,
         Query::Select { input, .. } => select_only(input),
@@ -344,10 +353,10 @@ enum ProbePlan {
     NestedLoop,
 }
 
-/// The build side of a fused join: the evaluated right relation, its
-/// indexes, and the sweep candidates.
+/// The build side of a fused join: the evaluated right relation's lanes,
+/// its indexes, and the sweep candidates.
 struct ProbeOp<'a> {
-    right: Cow<'a, AuRelation>,
+    right: Arc<ColumnSet>,
     /// The join's re-check predicate: the first post-probe stage.
     predicate: Option<&'a Stage>,
     plan: ProbePlan,
@@ -387,11 +396,11 @@ impl<'a> ProbeOp<'a> {
     /// key lanes no boxed value.
     fn build(
         source: &AuRelation,
-        right: Cow<'a, AuRelation>,
+        right: &AuRelation,
         predicate: Option<&'a Stage>,
         exec: &Executor,
     ) -> ProbeOp<'a> {
-        let (lcs, rcs) = (lanes_of(source, exec), lanes_of(&right, exec));
+        let (lcs, rcs) = (lanes_of(source, exec), lanes_of(right, exec));
         let started = exec.metrics().is_enabled().then(Instant::now);
         let full_index = |cs: &ColumnSet, c: usize| IntervalIndex::from_lane(cs.lane(c).as_slice());
         let typed = |&(l, r): &(usize, usize)| {
@@ -402,7 +411,7 @@ impl<'a> ProbeOp<'a> {
         // sweep pairs in emission order; the CSR keeps each row's order
         let mut cand: Vec<(u32, u32)> = Vec::new();
         let on = predicate.map(Stage::predicate);
-        let plan = match planner::classify(on, source.schema.arity()) {
+        let plan = match planner::classify_within(on, source.schema.arity(), right.schema.arity()) {
             planner::JoinStrategy::HashEqui(pairs) => {
                 keys_typed = Some(pairs.iter().all(typed));
                 let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
@@ -447,7 +456,7 @@ impl<'a> ProbeOp<'a> {
         if let Some(t) = started {
             exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
         }
-        ProbeOp { right, predicate, plan, keys_typed, cand_offsets, cand }
+        ProbeOp { right: rcs, predicate, plan, keys_typed, cand_offsets, cand }
     }
 
     /// Sweep candidates `(right row, rank)` of source row `src`.
@@ -561,7 +570,7 @@ struct ChainStats {
 struct LanePlan<'p> {
     left: Arc<ColumnSet>,
     pre: Vec<&'p Stage>,
-    probe: Option<(&'p ProbeOp<'p>, Arc<ColumnSet>)>,
+    probe: Option<ProbeOp<'p>>,
     post: Vec<&'p Stage>,
     /// Some stage rewrites tuples: the chain delivers output lanes, not
     /// row ids.
@@ -576,21 +585,25 @@ struct LanePlan<'p> {
 }
 
 impl<'p> LanePlan<'p> {
+    /// `pre`, then `probe` with its re-check, then `post` over `source`.
     /// The column sets are built (or fetched from the relations' caches)
-    /// once here and shared by every morsel.
-    fn of(
-        chain: &'p AuPipeline<'p>,
+    /// once — the source's here, the right side's by the probe — and
+    /// shared by every morsel.
+    fn new(
+        source: &AuRelation,
+        pre: &'p [Stage],
+        probe: Option<ProbeOp<'p>>,
+        post: &'p [Stage],
         keep: Option<&'p [usize]>,
         ranked: bool,
         exec: &Executor,
     ) -> LanePlan<'p> {
-        let probe = chain.probe.as_ref();
         LanePlan {
-            left: lanes_of(&chain.source, exec),
-            pre: chain.pre.iter().collect(),
-            probe: probe.map(|p| (p, lanes_of(&p.right, exec))),
-            post: probe.and_then(|p| p.predicate).into_iter().chain(chain.post).collect(),
-            projects: chain.pre.iter().chain(chain.post).any(|st| st.project),
+            left: lanes_of(source, exec),
+            pre: pre.iter().collect(),
+            post: probe.as_ref().and_then(|p| p.predicate).into_iter().chain(post).collect(),
+            probe,
+            projects: pre.iter().chain(post).any(|st| st.project),
             keep,
             ranked,
             stats: ChainStats::default(),
@@ -755,9 +768,9 @@ impl<'p> LanePlan<'p> {
             return GatherView::new(out.lanes.iter().map(|l| (l.as_slice(), None)).collect());
         }
         let la = self.left.arity();
-        let arity = la + self.probe.as_ref().map_or(0, |(_, right)| right.arity());
+        let arity = la + self.probe.as_ref().map_or(0, |p| p.right.arity());
         let col = |c: usize| match (c.checked_sub(la), &self.probe) {
-            (Some(rc), Some((_, right))) => (right.lane(rc).as_slice(), Some(&out.rids[..])),
+            (Some(rc), Some(p)) => (p.right.lane(rc).as_slice(), Some(&out.rids[..])),
             _ => (self.left.lane(c).as_slice(), Some(&out.lids[..])),
         };
         GatherView::new(match self.keep {
@@ -804,15 +817,12 @@ impl<'p> LanePlan<'p> {
         // one scratch batch per morsel: its poison slots for a full pair
         // batch are a large allocation, not to be repeated per chunk
         let (mut batch, mut watermark) = (LaneBatch::default(), out.annots.len());
-        let mut start = range.start;
-        while start < range.end {
+        for start in range.clone().step_by(GOVERN_ROWS) {
+            checkpoint::<AuRow>(exec, operator, out.annots.len(), &mut watermark, 0)?;
             let end = range.end.min(start + GOVERN_ROWS);
-            exec.check_cancel()?;
             self.run_chunk(start..end, &mut batch, out, &mut watermark, exec)?;
-            charge_out(exec, operator, out.annots.len(), &mut watermark)?;
-            start = end;
         }
-        Ok(())
+        Ok(checkpoint::<AuRow>(exec, operator, out.annots.len(), &mut watermark, 0)?)
     }
 
     /// One source chunk of [`LanePlan::run_morsel`]: the pre-probe stages
@@ -846,7 +856,7 @@ impl<'p> LanePlan<'p> {
         };
         self.run_stages(&self.pre, &mut fl, batch, exec.cancel_token())?;
         let poison = fl.poison.take();
-        let Some((probe, right)) = &self.probe else {
+        let Some(probe) = &self.probe else {
             return match poison {
                 Some((_, e)) => Err(e),
                 None => {
@@ -855,6 +865,7 @@ impl<'p> LanePlan<'p> {
                 }
             };
         };
+        let right = &*probe.right;
         let limit = poison.as_ref().map_or(u32::MAX, |(p, _)| *p);
         let (lids, rids, ranks, annots) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut sink =
@@ -955,143 +966,8 @@ impl<'r, 'p> PairSink<'r, 'p> {
         }
         plan.stats.pairs.fetch_add(n as u64, Ordering::Relaxed);
         plan.stats.pair_batches.fetch_add(1, Ordering::Relaxed);
-        self.exec.check_cancel()?;
-        Ok(charge_out(self.exec, "join-probe", self.out.annots.len(), self.watermark)?)
-    }
-}
-
-/// A fused chain ready to run: a plan's [`Chain`] with its inputs
-/// evaluated and its join's verdict taken — the stages still the plan's.
-struct AuPipeline<'a> {
-    source: Cow<'a, AuRelation>,
-    pre: &'a [Stage],
-    probe: Option<ProbeOp<'a>>,
-    post: &'a [Stage],
-    schema: Schema,
-}
-
-impl<'a> AuPipeline<'a> {
-    /// Run the whole chain morsel by morsel on the lanes ([`LanePlan`]:
-    /// every stage evaluates over a whole source chunk or pair batch at
-    /// a time) and deliver per the chain's shape and its `consumer`: a
-    /// single breaker normalization when a projection rewrote tuples or
-    /// a Canonical consumer takes a probe's pairs, else the enumerated
-    /// list as is (select-only chains: the source-order list, mirroring
-    /// [`super::select_au_exec`]'s normal-form preservation).
-    ///
-    /// [`Form::LanesOf`] is what an aggregate consumer reads: when the
-    /// chain delivers an un-normalized list it materializes only those
-    /// columns (in that order) and says so in the returned flag.
-    ///
-    /// `h` is the open `fused-chain` span: the chain records its op
-    /// summary, morsel count and pair accounting there, and closes it
-    /// with the delivered relation's actual sizes.
-    fn run(
-        self,
-        exec: &Executor,
-        consumer: &Contract,
-        tr: &TraceBuilder,
-        h: usize,
-    ) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
-        tr.rows_in(h, self.source.len() as u64);
-        if self.pre.is_empty() && self.probe.is_none() {
-            close_rel(tr, h, &self.source);
-            return Ok((self.source, false));
-        }
-        let n = self.source.len();
-        let normalizes = self.pre.iter().chain(self.post).any(|st| st.project)
-            || (self.probe.is_some() && consumer.delivery == Delivery::Canonical);
-        let arity = self.schema.arity();
-        let keep = match &consumer.form {
-            Form::LanesOf(reads) => Some(&reads[..]),
-            _ => None,
-        }
-        .filter(|r| !normalizes && r.len() < arity && r.iter().all(|&c| c < arity));
-        // a probe's pairs delivered as a list go out in the planner's order
-        let ranked = self.probe.is_some() && !normalizes;
-        let plan = LanePlan::of(&self, keep, ranked, exec);
-        // Probe chains can expand (join output): their production is
-        // charged as "join-probe", plain chains' as "pipeline-chain".
-        let operator = if self.probe.is_some() { "join-probe" } else { "pipeline-chain" };
-        tr.attr(h, "ops", || {
-            let stage = |st: &Stage| if st.project { "π" } else { "σ" };
-            let probe = self.probe.iter().map(|p| match p.plan {
-                ProbePlan::HashEqui { .. } => "⋈(hash-equi)",
-                ProbePlan::Comparison => "⋈(interval-comparison)",
-                ProbePlan::NestedLoop => "⋈(nested-loop)",
-            });
-            let pre = self.pre.iter().map(stage);
-            pre.chain(probe).chain(self.post.iter().map(stage)).collect::<Vec<_>>().join("·")
-        });
-        tr.attr(h, "morsels", || {
-            let cexec = chain_exec(exec);
-            cexec.partitioner().morsels(n, cexec.workers()).len().to_string()
-        });
-        if let Some(typed) = self.probe.as_ref().and_then(|p| p.keys_typed) {
-            tr.attr(h, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
-            if !typed {
-                exec.metrics().add(Counter::ProbeKeysBoxed, 1);
-            }
-        }
-        if let Some(keep) = keep {
-            tr.attr(h, "narrow", || format!("{}/{arity}", keep.len()));
-        }
-        let mut all = plan.run_all(n, exec, operator)?;
-        if plan.projects {
-            // a projection no row reached delivered no lane
-            all.lanes.resize_with(arity, ValueLane::default);
-        }
-        let stat = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
-        tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
-        tr.attr(h, "stages_boxed", || stat(&plan.stats.stages_boxed).to_string());
-        if stat(&plan.stats.stages_boxed) > 0 {
-            exec.metrics().add(Counter::ChainStagesBoxed, stat(&plan.stats.stages_boxed));
-        }
-
-        // The three deliveries are three orders of row ids over one view
-        // of the output; the side the consumer reads is built once, in
-        // the final order.
-        let view = plan.view(&all);
-        let listed = |i: u32| (i, all.annots[i as usize]);
-        let order: Box<dyn Iterator<Item = (u32, AuAnnot)> + '_> = if normalizes {
-            // the one pipeline-breaker normalization (sharded-reduce)
-            tr.attr(h, "keyed", || {
-                let (typed, arity) = view.typed_cols();
-                format!("{typed}/{arity}")
-            });
-            Box::new(AuRelation::normalized_view_rows(&view, &all.annots, exec)?.into_iter())
-        } else if ranked {
-            Box::new(in_planner_order(&all.ranks).into_iter().map(listed))
-        } else {
-            Box::new((0..all.annots.len() as u32).map(listed))
-        };
-        let schema = keep.map_or_else(|| self.schema.clone(), |keep| self.schema.select(keep));
-        let source_list = self.probe.is_none() && !normalizes && keep.is_none();
-        // just normalized — or a selection, which preserves normal form:
-        // kept rows stay sorted, distinct, nonzero-annotated
-        let normal = normalizes || (source_list && self.source.is_normalized());
-        let started = exec.metrics().is_enabled().then(Instant::now);
-        let out = match consumer.form {
-            Form::Rows if normal => AuRelation::from_normalized_rows(schema, view.tuples(order)),
-            Form::Rows => {
-                let mut out = AuRelation::empty(schema);
-                out.append_rows(view.tuples(order));
-                out
-            }
-            _ => AuRelation::from_columns(schema, Arc::new(view.lanes(order)), normal),
-        };
-        if let Some(t) = started {
-            exec.metrics().record_ns(Site::ChainMaterialize, t.elapsed().as_nanos() as u64);
-        }
-        let narrowed = keep.is_some();
-        // freeing the probe's indexes and the chain's output buffers is
-        // this chain's time: do it inside its span
-        drop(view);
-        drop((plan, all));
-        drop(self);
-        close_rel(tr, h, &out);
-        Ok((Cow::Owned(out), narrowed))
+        let rows = self.out.annots.len();
+        Ok(checkpoint::<AuRow>(self.exec, "join-probe", rows, self.watermark, 0)?)
     }
 }
 
@@ -1119,13 +995,10 @@ pub(crate) fn probe_join_pairs(
     recheck: Option<&Stage>,
     exec: &Executor,
 ) -> Result<(ChainOut, Option<bool>), EvalError> {
-    let (n, schema) = (l.len(), l.schema.concat(&r.schema));
-    let probe = ProbeOp::build(l, Cow::Borrowed(r), recheck, exec);
+    let probe = ProbeOp::build(l, r, recheck, exec);
     let keys_typed = probe.keys_typed;
-    let (source, probe) = (Cow::Borrowed(l), Some(probe));
-    let chain = AuPipeline { source, pre: &[], probe, post: &[], schema };
-    let plan = LanePlan::of(&chain, None, false, exec);
-    Ok((plan.run_all(n, exec, "join-probe")?, keys_typed))
+    let plan = LanePlan::new(l, &[], Some(probe), &[], None, false, exec);
+    Ok((plan.run_all(l.len(), exec, "join-probe")?, keys_typed))
 }
 
 /// Lay out the chain rooted at `q` (a `σ/π/⋈` tree) and compile
@@ -1190,47 +1063,29 @@ pub struct AuPlan {
     root: Node,
 }
 
+/// One operator of a plan, run under a span of its own. `Table` is a
+/// base table under a chain. A `Chain`'s `detail` is its span's, kept
+/// only by a traced planning call. `Rejected` is a chain one of whose
+/// stages Tier B rejected, planned for the oracle, inputs included (which
+/// reproduces either delivery exactly). `Scan`, `Select`, `Project` and
+/// `Join` are the oracle's: the paper's operators over interpreted `Expr`
+/// trees, one materialization each. The breakers run their own kernels
+/// in either plan; δ is γ on every column with no aggregates, and γ's
+/// `specs[1]` is `specs[0]` (as written) re-slotted onto the sorted
+/// columns γ reads, for an input that delivered just those.
 #[derive(Debug)]
 enum Node {
-    /// A base table under a chain: borrowed from the database.
     Table(String),
-    /// A fused chain; `detail` is its span's, kept only by a traced
-    /// planning call.
     Chain { chain: Box<Chain<Box<Node>>>, consumer: Contract, detail: String },
-    /// A pipeline breaker: its own kernel over its inputs' plans, under
-    /// the span `op`.
-    Breaker { op: &'static str, kind: Breaker },
-    /// A σ, π, ⋈ or scan of the oracle: the operator's row function over
-    /// its inputs' relations, under a span of its own.
-    Op(Op),
-    /// A chain one of whose stages Tier B rejected, planned for the
-    /// oracle, inputs included — which reproduces either delivery
-    /// exactly; `detail` as a chain's.
     Rejected { input: Box<Node>, detail: String },
-}
-
-/// The oracle's row-local operators, each as the paper defines it over
-/// interpreted `Expr` trees (one materialization per operator).
-#[derive(Debug)]
-enum Op {
     Scan(String),
     Select(Box<Node>, Expr),
     Project(Box<Node>, Vec<(Expr, String)>),
     Join(Box<Node>, Box<Node>, Option<Expr>),
-}
-
-#[derive(Debug)]
-enum Breaker {
     Union(Box<Node>, Box<Node>),
     Difference(Box<Node>, Box<Node>),
     Distinct(Box<Node>),
-    /// `specs[0]` is `(group_by, aggs)` as written; `specs[1]` the same
-    /// re-slotted onto the sorted columns γ reads, for an input that
-    /// delivered just those.
-    Aggregate {
-        input: Box<Node>,
-        specs: [(Vec<usize>, Vec<AggSpec>); 2],
-    },
+    Aggregate { input: Box<Node>, specs: [(Vec<usize>, Vec<AggSpec>); 2] },
 }
 
 /// What a run hands every node: the data, the plan's result knobs, the
@@ -1318,54 +1173,18 @@ impl Node {
             Box::new(Node::plan(q, cfg, Contract { delivery, form }, vet))
         };
         let tuples = |q: &Query| below(q, Delivery::Canonical, Form::Rows);
-        if is_chain(q) {
-            // an oracle operator reads whatever its inputs return
-            let Some(vet) = vet else {
-                return Node::Op(match q {
-                    Query::Table(name) => Op::Scan(name.clone()),
-                    Query::Select { input, predicate } => {
-                        Op::Select(tuples(input), predicate.clone())
-                    }
-                    Query::Project { input, exprs } => Op::Project(tuples(input), exprs.clone()),
-                    Query::Join { left, right, predicate } => {
-                        Op::Join(tuples(left), tuples(right), predicate.clone())
-                    }
-                    _ => unreachable!("is_chain"),
-                });
-            };
-            let Some(laid) = plan_chain(q, cfg, vet) else {
-                let input = Box::new(Node::plan(q, cfg, consumer, None));
-                return Node::Rejected { input, detail: vet.detail(|| q.to_string()) };
-            };
-            // A join's inputs are lists whenever its own pairs are
-            // delivered as one, and under a join-compression knob (the
-            // verdict counts rows).
-            let inputs =
-                if cfg.join_compress.is_some() { Delivery::Faithful } else { consumer.delivery };
-            let source = match laid.source {
-                Query::Table(name) => Box::new(Node::Table(name.clone())),
-                materialized => below(materialized, inputs, Form::Lanes),
-            };
-            let probe =
-                laid.probe.map(|(right, recheck)| (below(right, inputs, Form::Lanes), recheck));
-            let chain = Chain { source, probe, pre: laid.pre, post: laid.post, names: laid.names };
-            let detail = vet.detail(|| q.to_string());
-            return Node::Chain { chain: Box::new(chain), consumer, detail };
-        }
-        // A pipeline breaker runs its own kernel; its inputs are planned
-        // with the delivery and in the form it requires (module docs).
-        // What it returns is what its kernel builds, whatever is asked.
-        let (op, kind) = match q {
-            Query::Union { left, right } => ("union", Breaker::Union(tuples(left), tuples(right))),
-            Query::Difference { left, right } => {
-                ("difference", Breaker::Difference(tuples(left), tuples(right)))
-            }
+        match (q, vet) {
+            // A pipeline breaker runs its own kernel; its inputs are planned
+            // with the delivery and in the form it requires (module docs).
+            // What it returns is what its kernel builds, whatever is asked.
+            (Query::Union { left, right }, _) => Node::Union(tuples(left), tuples(right)),
+            (Query::Difference { left, right }, _) => Node::Difference(tuples(left), tuples(right)),
             // grouping on all columns, no aggregates: bounding boxes and
             // annotation sums are commutative folds → multiset-determined
-            Query::Distinct { input } => {
-                ("distinct", Breaker::Distinct(below(input, Delivery::Canonical, Form::Lanes)))
+            (Query::Distinct { input }, _) => {
+                Node::Distinct(below(input, Delivery::Canonical, Form::Lanes))
             }
-            Query::Aggregate { input, group_by, aggs } => {
+            (Query::Aggregate { input, group_by, aggs }, _) => {
                 // bound folds run in member order (floats!) → exact list, of
                 // which only the columns `reads` are ever looked at
                 let reads: Vec<usize> = (group_by.iter().copied())
@@ -1382,23 +1201,73 @@ impl Node {
                 let specs =
                     [(group_by.clone(), aggs.clone()), (narrow, aggs.iter().map(respec).collect())];
                 let form = if is_chain(input) { Form::LanesOf(reads) } else { Form::Lanes };
-                (
-                    "aggregate",
-                    Breaker::Aggregate { input: below(input, Delivery::Faithful, form), specs },
-                )
+                Node::Aggregate { input: below(input, Delivery::Faithful, form), specs }
             }
-            _ => unreachable!("σ/π/⋈ trees run as chains"),
-        };
-        Node::Breaker { op, kind }
+            // an oracle operator reads whatever its inputs return
+            (Query::Table(name), None) => Node::Scan(name.clone()),
+            (Query::Select { input, predicate }, None) => {
+                Node::Select(tuples(input), predicate.clone())
+            }
+            (Query::Project { input, exprs }, None) => Node::Project(tuples(input), exprs.clone()),
+            (Query::Join { left, right, predicate }, None) => {
+                Node::Join(tuples(left), tuples(right), predicate.clone())
+            }
+            // a σ/π/⋈ tree of the lane plan: a chain
+            (_, Some(vet)) => {
+                let Some(laid) = plan_chain(q, cfg, vet) else {
+                    let input = Box::new(Node::plan(q, cfg, consumer, None));
+                    return Node::Rejected { input, detail: vet.detail(|| q.to_string()) };
+                };
+                // A join's inputs are lists whenever its own pairs are
+                // delivered as one, and under a join-compression knob (the
+                // verdict counts rows).
+                let faithful = cfg.join_compress.is_some();
+                let inputs = if faithful { Delivery::Faithful } else { consumer.delivery };
+                let source = match laid.source {
+                    Query::Table(name) => Box::new(Node::Table(name.clone())),
+                    materialized => below(materialized, inputs, Form::Lanes),
+                };
+                let probe =
+                    laid.probe.map(|(right, recheck)| (below(right, inputs, Form::Lanes), recheck));
+                let chain =
+                    Chain { source, probe, pre: laid.pre, post: laid.post, names: laid.names };
+                let detail = vet.detail(|| q.to_string());
+                Node::Chain { chain: Box::new(chain), consumer, detail }
+            }
+        }
     }
 
-    /// Evaluate the node: its relation, and whether it holds just the
-    /// columns a [`Form::LanesOf`] consumer reads.
+    /// Evaluate the node under its span, opened before its inputs run so
+    /// theirs nest under it: its relation, and whether it holds just the
+    /// columns a [`Form::LanesOf`] consumer reads. A base table or a scan
+    /// is borrowed; every other node owns its output.
     fn run<'a>(&'a self, on: Run<'a>) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
         let Run { db, cfg, exec, tr, .. } = on;
-        let (h, kind) = match self {
+        let input = |node: &'a Node, h| {
+            let (rel, _) = node.run(on)?;
+            tr.rows_in(h, rel.len() as u64);
+            Ok::<_, EvalError>(rel)
+        };
+        let breaker = |op, detail: &dyn Fn() -> String| {
+            let h = tr.open(op, detail);
+            tr.attr(h, "fallback", || "pipeline-breaker".to_string());
+            h
+        };
+        let tuples = |node: &'a Node| {
+            let (rel, _) = node.run(on)?;
+            rows_of(&rel, exec);
+            Ok::<_, EvalError>(rel)
+        };
+        let (h, out) = match self {
             Node::Table(name) => return Ok((Cow::Borrowed(db.get(name)?), false)),
-            Node::Op(op) => return Ok((op.run(on)?, false)),
+            Node::Chain { chain, consumer, detail } => {
+                let h = tr.open("fused-chain", || detail.clone());
+                let canonical = consumer.delivery == Delivery::Canonical;
+                tr.attr(h, "delivery", || if canonical { "canonical" } else { "faithful" }.into());
+                let rows = consumer.form == Form::Rows;
+                tr.attr(h, "form", || if rows { "rows" } else { "lanes" }.into());
+                return chain.run(on, consumer, h);
+            }
             Node::Rejected { input, detail } => {
                 let h = tr.open("fused-chain", || detail.clone());
                 tr.attr(h, "fallback", || "verifier-rejected".to_string());
@@ -1406,87 +1275,28 @@ impl Node {
                 close_rel(tr, h, &rel);
                 return Ok((rel, false));
             }
-            Node::Chain { chain, consumer, detail } => {
-                let h = tr.open("fused-chain", || detail.clone());
-                let canonical = consumer.delivery == Delivery::Canonical;
-                tr.attr(h, "delivery", || if canonical { "canonical" } else { "faithful" }.into());
-                let rows = consumer.form == Form::Rows;
-                tr.attr(h, "form", || if rows { "rows" } else { "lanes" }.into());
-                return chain.build(on)?.run(exec, consumer, tr, h);
-            }
-            Node::Breaker { op, kind } => {
-                let detail = || match kind {
-                    Breaker::Aggregate { specs: [(group_by, aggs), _], .. } => {
-                        format!("group_by={group_by:?} aggs={}", aggs.len())
-                    }
-                    _ => String::new(),
-                };
-                (tr.open(op, detail), kind)
-            }
-        };
-        tr.attr(h, "fallback", || "pipeline-breaker".to_string());
-        let tuples = |input: &'a Node| {
-            let (rel, _) = input.run(on)?;
-            rows_of(&rel, exec);
-            Ok::<_, EvalError>(rel)
-        };
-        let out = match kind {
-            Breaker::Union(left, right) | Breaker::Difference(left, right) => {
-                let (l, r) = (tuples(left)?, tuples(right)?);
-                tr.rows_in(h, (l.len() + r.len()) as u64);
-                match kind {
-                    Breaker::Union(..) => union_cow(l, r, exec)?,
-                    _ => difference::difference_au_exec(&l, &r, exec)?,
-                }
-            }
-            Breaker::Distinct(input) => {
-                let (rel, _) = input.run(on)?;
-                let all: Vec<usize> = (0..rel.schema.arity()).collect();
-                aggregate_in_span(tr, h, cfg, &rel, &all, &[], exec)?
-            }
-            Breaker::Aggregate { input, specs } => {
-                let (rel, narrowed) = input.run(on)?;
-                let (group_by, aggs) = &specs[usize::from(narrowed)];
-                aggregate_in_span(tr, h, cfg, &rel, group_by, aggs, exec)?
-            }
-        };
-        close_rel(tr, h, &out);
-        Ok((Cow::Owned(out), false))
-    }
-}
-
-impl Op {
-    /// Evaluate the operator under its span, opened before its inputs
-    /// run so theirs nest under it. A scan borrows its table; every other
-    /// operator owns its output.
-    fn run<'a>(&'a self, on: Run<'a>) -> Result<Cow<'a, AuRelation>, EvalError> {
-        let Run { db, cfg, exec, tr, .. } = on;
-        let h = match self {
-            Op::Scan(name) => tr.open("scan", || name.clone()),
-            Op::Select(_, predicate) => tr.open("select", || predicate.to_string()),
-            Op::Project(_, exprs) => tr.open("project", || {
-                let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e}→{n}")).collect();
-                cols.join(", ")
-            }),
-            Op::Join(_, _, predicate) => tr.open("join", || join_detail(predicate.as_ref())),
-        };
-        let input = |node: &'a Node| {
-            let (rel, _) = node.run(on)?;
-            tr.rows_in(h, rel.len() as u64);
-            Ok::<_, EvalError>(rel)
-        };
-        let out = match self {
-            Op::Scan(name) => {
+            Node::Scan(name) => {
+                let h = tr.open("scan", || name.clone());
                 let rel = db.get(name)?;
                 close_rel(tr, h, rel);
-                return Ok(Cow::Borrowed(rel));
+                return Ok((Cow::Borrowed(rel), false));
             }
-            Op::Select(of, predicate) => select_au_exec(&*input(of)?, predicate, exec)?,
-            Op::Project(of, exprs) => project_au_exec(&*input(of)?, exprs, exec)?,
-            Op::Join(left, right, predicate) => {
+            Node::Select(of, predicate) => {
+                let h = tr.open("select", || predicate.to_string());
+                (h, select_au_exec(&*input(of, h)?, predicate, exec)?)
+            }
+            Node::Project(of, exprs) => {
+                let h = tr.open("project", || {
+                    let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e}→{n}")).collect();
+                    cols.join(", ")
+                });
+                (h, project_au_exec(&*input(of, h)?, exprs, exec)?)
+            }
+            Node::Join(left, right, predicate) => {
+                let h = tr.open("join", || join_detail(predicate.as_ref()));
                 let (l, r) = (left.run(on)?.0, right.run(on)?.0);
                 tr.rows_in(h, (l.len() + r.len()) as u64);
-                match effective_join_compress(cfg, &l, &r) {
+                let out = match effective_join_compress(cfg, &l, &r) {
                     Some(ct) => {
                         // Section 10.4 as written, not the lane kernel
                         tr.attr(h, "strategy", || "split-compress".to_string());
@@ -1494,27 +1304,92 @@ impl Op {
                     }
                     None => {
                         tr.attr(h, "strategy", || {
-                            let arity = l.schema.arity();
-                            planner::classify(predicate.as_ref(), arity).name().to_string()
+                            let (la, ra) = (l.schema.arity(), r.schema.arity());
+                            planner::classify_within(predicate.as_ref(), la, ra).name().into()
                         });
                         planner::join_au_planned_exec(&l, &r, predicate.as_ref(), exec)?
                     }
+                };
+                (h, out)
+            }
+            Node::Union(left, right) | Node::Difference(left, right) => {
+                let union = matches!(self, Node::Union(..));
+                let h = breaker(if union { "union" } else { "difference" }, &String::new);
+                let (l, r) = (tuples(left)?, tuples(right)?);
+                tr.rows_in(h, (l.len() + r.len()) as u64);
+                let out = if union {
+                    union_cow(l, r, exec)?
+                } else {
+                    difference::difference_au_exec(&l, &r, exec)?
+                };
+                (h, out)
+            }
+            Node::Distinct(of) | Node::Aggregate { input: of, .. } => {
+                let specs =
+                    if let Node::Aggregate { specs, .. } = self { Some(specs) } else { None };
+                let h = match specs {
+                    Some([(group_by, aggs), _]) => breaker("aggregate", &|| {
+                        format!("group_by={group_by:?} aggs={}", aggs.len())
+                    }),
+                    None => breaker("distinct", &String::new),
+                };
+                let (rel, narrowed) = of.run(on)?;
+                let all: Vec<usize> = (0..rel.schema.arity()).collect();
+                let (group_by, aggs): (&[usize], &[AggSpec]) =
+                    match specs.map(|specs| &specs[usize::from(narrowed)]) {
+                        Some((group_by, aggs)) => (group_by, aggs),
+                        None => (&all, &[]),
+                    };
+                check_group_by(group_by, rel.schema.arity())?;
+                tr.rows_in(h, rel.len() as u64);
+                // the compression verdict, taken on the evaluated input
+                let pays_off = |ct| opt::agg_compression_pays_off(&rel, group_by, ct);
+                let compress = cfg.agg_compress.filter(|&ct| !cfg.adaptive || pays_off(ct));
+                tr.attr(h, "compress", || {
+                    compress.map_or_else(|| "none".into(), |c| c.to_string())
+                });
+                let (out, st) =
+                    aggregate::aggregate_au_stats(&rel, group_by, aggs, compress, exec)?;
+                let attrs = [
+                    ("groups", st.groups),
+                    ("sources", st.sources),
+                    ("pairs", st.pairs),
+                    ("members", st.members),
+                    ("terms", st.terms),
+                    ("terms_boxed", st.terms_boxed),
+                ];
+                for (key, v) in attrs {
+                    tr.attr(h, key, || v.to_string());
                 }
+                tr.attr(h, "keys", || if st.keys_boxed { "boxed" } else { "typed" }.to_string());
+                (h, out)
             }
         };
         close_rel(tr, h, &out);
-        Ok(Cow::Owned(out))
+        Ok((Cow::Owned(out), false))
     }
 }
 
 impl Chain<Box<Node>> {
-    /// Evaluate the chain's inputs — its source and a join's right side,
-    /// each exactly once — take the join's compression verdict on them,
-    /// and assemble the runnable pipeline: a join that compresses runs
-    /// here and its output becomes the source of a probe-less chain; one
-    /// that does not becomes the chain's probe. On a kept plan the
-    /// chain's programs pass Tier A first.
-    fn build<'a>(&'a self, on: Run<'a>) -> Result<AuPipeline<'a>, EvalError> {
+    /// Run the chain under its open `fused-chain` span `h`. A kept plan's
+    /// programs pass Tier A first. The inputs — source, a join's right
+    /// side — are evaluated once each and the join's compression verdict
+    /// taken on them: a join that compresses runs here, under a `join`
+    /// span, as the source of a probe-less chain; else it is the probe.
+    /// The chain then runs morsel by morsel on the lanes ([`LanePlan`])
+    /// and delivers per its shape and `consumer`: one breaker
+    /// normalization when a projection rewrote tuples or a Canonical
+    /// consumer takes a probe's pairs, else the enumerated list (a
+    /// select-only chain's preserves the source's normal form, as
+    /// [`super::select_au_exec`] does). A [`Form::LanesOf`] consumer gets
+    /// just the columns it reads when the list is un-normalized, and the
+    /// returned flag says so.
+    fn run<'a>(
+        &'a self,
+        on: Run<'a>,
+        consumer: &'a Contract,
+        h: usize,
+    ) -> Result<(Cow<'a, AuRelation>, bool), EvalError> {
         let Run { cfg, exec, tr, kept, .. } = on;
         let recheck = self.probe.as_ref().and_then(|(_, recheck)| recheck.as_ref());
         if kept {
@@ -1538,18 +1413,130 @@ impl Chain<Box<Node>> {
         let (mut pre, mut post, mut probe) = (&self.pre[..], &self.post[..], None);
         if let Some(r) = right {
             if let Some(ct) = effective_join_compress(cfg, &source, &r) {
-                let h = tr.open("join", || join_detail(recheck.map(Stage::predicate)));
-                tr.rows_in(h, (source.len() + r.len()) as u64);
-                let out = compress_join_in_span(tr, h, &source, &r, recheck, ct, exec)?;
-                close_rel(tr, h, &out);
+                let j = tr.open("join", || join_detail(recheck.map(Stage::predicate)));
+                tr.rows_in(j, (source.len() + r.len()) as u64);
+                tr.attr(j, "strategy", || "split-compress".to_string());
+                let (out, st) = opt::optimized_join_stats(&source, &r, recheck, ct, exec)?;
+                let attrs = [
+                    ("sg_rows", st.sg_rows),
+                    ("buckets_l", st.buckets_l),
+                    ("buckets_r", st.buckets_r),
+                    ("possible_rows", st.possible_rows),
+                ];
+                for (key, v) in attrs {
+                    tr.attr(j, key, || v.to_string());
+                }
+                if let Some(typed) = st.keys_typed {
+                    tr.attr(j, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
+                }
+                close_rel(tr, j, &out);
                 source = Cow::Owned(out);
                 debug_assert!(pre.is_empty(), "a compressing join anchors its chain");
                 (pre, post) = (post, &[]);
             } else {
-                probe = Some(ProbeOp::build(source.as_ref(), r, recheck, exec));
+                probe = Some(ProbeOp::build(&source, &r, recheck, exec));
             }
         }
-        Ok(AuPipeline { source, pre, probe, post, schema })
+        tr.rows_in(h, source.len() as u64);
+        if pre.is_empty() && probe.is_none() {
+            close_rel(tr, h, &source);
+            return Ok((source, false));
+        }
+        let n = source.len();
+        let normalizes = pre.iter().chain(post).any(|st| st.project)
+            || (probe.is_some() && consumer.delivery == Delivery::Canonical);
+        let arity = schema.arity();
+        let keep = match &consumer.form {
+            Form::LanesOf(reads) => Some(&reads[..]),
+            _ => None,
+        }
+        .filter(|r| !normalizes && r.len() < arity && r.iter().all(|&c| c < arity));
+        // a probe's pairs delivered as a list go out in the planner's order
+        let ranked = probe.is_some() && !normalizes;
+        // Probe chains can expand (join output): their production is
+        // charged as "join-probe", plain chains' as "pipeline-chain".
+        let operator = if probe.is_some() { "join-probe" } else { "pipeline-chain" };
+        let plan = LanePlan::new(&source, pre, probe, post, keep, ranked, exec);
+        tr.attr(h, "ops", || {
+            let stage = |st: &Stage| if st.project { "π" } else { "σ" };
+            let probe = plan.probe.iter().map(|p| match p.plan {
+                ProbePlan::HashEqui { .. } => "⋈(hash-equi)",
+                ProbePlan::Comparison => "⋈(interval-comparison)",
+                ProbePlan::NestedLoop => "⋈(nested-loop)",
+            });
+            let pre = pre.iter().map(stage);
+            pre.chain(probe).chain(post.iter().map(stage)).collect::<Vec<_>>().join("·")
+        });
+        tr.attr(h, "morsels", || {
+            let cexec = chain_exec(exec);
+            cexec.partitioner().morsels(n, cexec.workers()).len().to_string()
+        });
+        if let Some(typed) = plan.probe.as_ref().and_then(|p| p.keys_typed) {
+            tr.attr(h, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
+            if !typed {
+                exec.metrics().add(Counter::ProbeKeysBoxed, 1);
+            }
+        }
+        if let Some(keep) = keep {
+            tr.attr(h, "narrow", || format!("{}/{arity}", keep.len()));
+        }
+        let mut all = plan.run_all(n, exec, operator)?;
+        if plan.projects {
+            // a projection no row reached delivered no lane
+            all.lanes.resize_with(arity, ValueLane::default);
+        }
+        let stat = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
+        tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
+        tr.attr(h, "stages_boxed", || stat(&plan.stats.stages_boxed).to_string());
+        if stat(&plan.stats.stages_boxed) > 0 {
+            exec.metrics().add(Counter::ChainStagesBoxed, stat(&plan.stats.stages_boxed));
+        }
+
+        // The three deliveries are three orders of row ids over one view
+        // of the output; the side the consumer reads is built once, in
+        // the final order.
+        let view = plan.view(&all);
+        let listed = |i: u32| (i, all.annots[i as usize]);
+        let order: Box<dyn Iterator<Item = (u32, AuAnnot)> + '_> = if normalizes {
+            // the one pipeline-breaker normalization (sharded-reduce)
+            tr.attr(h, "keyed", || {
+                let (typed, arity) = view.typed_cols();
+                format!("{typed}/{arity}")
+            });
+            Box::new(AuRelation::normalized_view_rows(&view, &all.annots, exec)?.into_iter())
+        } else if ranked {
+            Box::new(in_planner_order(&all.ranks).into_iter().map(listed))
+        } else {
+            Box::new((0..all.annots.len() as u32).map(listed))
+        };
+        let source_list = plan.probe.is_none() && !normalizes && keep.is_none();
+        // just normalized — or a selection, which preserves normal form:
+        // kept rows stay sorted, distinct, nonzero-annotated
+        let normal = normalizes || (source_list && source.is_normalized());
+        let schema = match keep {
+            Some(keep) => schema.select(keep),
+            None => schema,
+        };
+        let started = exec.metrics().is_enabled().then(Instant::now);
+        let out = match consumer.form {
+            Form::Rows if normal => AuRelation::from_normalized_rows(schema, view.tuples(order)),
+            Form::Rows => {
+                let mut out = AuRelation::empty(schema);
+                out.append_rows(view.tuples(order));
+                out
+            }
+            _ => AuRelation::from_columns(schema, Arc::new(view.lanes(order)), normal),
+        };
+        if let Some(t) = started {
+            exec.metrics().record_ns(Site::ChainMaterialize, t.elapsed().as_nanos() as u64);
+        }
+        // freeing the probe's indexes and the chain's output buffers is
+        // this chain's time: do it inside its span
+        drop(view);
+        drop((plan, all, source));
+        close_rel(tr, h, &out);
+        Ok((Cow::Owned(out), keep.is_some()))
     }
 }
 

@@ -29,8 +29,8 @@ use audb_core::{EvalError, Expr, Program, Semiring, Value};
 use audb_exec::Executor;
 use audb_storage::{det_key, Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
 
-use crate::algebra::{AggFunc, AggSpec, Query};
-use crate::au::pipeline::{chain_exec, Delivery};
+use crate::algebra::{check_group_by, AggFunc, AggSpec, Query};
+use crate::au::pipeline::{chain_exec, select_only, Delivery};
 use crate::planner;
 use crate::vcheck::Vet;
 
@@ -183,7 +183,7 @@ impl DetProbeOp {
     ) -> DetProbeOp {
         let mut cand: Vec<Vec<u32>> = Vec::new();
         let on = predicate.as_ref().map(|(e, _)| *e);
-        let plan = match planner::classify(on, source.schema.arity()) {
+        let plan = match planner::classify_within(on, source.schema.arity(), right.schema.arity()) {
             planner::JoinStrategy::HashEqui(pairs) => {
                 let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
                 let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
@@ -356,16 +356,6 @@ fn chain_anchor(q: &Query) -> Option<&Query> {
     }
 }
 
-/// Select-only chain over its anchor (probe candidates keyed by source
-/// row id stay valid).
-fn select_only_chain(q: &Query) -> bool {
-    match q {
-        Query::Table(_) => true,
-        Query::Select { input, .. } => select_only_chain(input),
-        _ => false,
-    }
-}
-
 /// Build the fused chain rooted at `q` (a tower over a
 /// [`chain_anchor`]), or `None` when Tier B rejected one of its programs
 /// ([`Vet`] has counted it). Every stage compiles before the input below
@@ -405,7 +395,7 @@ fn build_chain<'a>(
                 None => None,
             };
             let input = |q: &Query| eval_walk(db, q, exec, Delivery::Canonical, Some(vet));
-            let mut chain = if select_only_chain(left) {
+            let mut chain = if select_only(left) {
                 let Some(c) = build_chain(db, left, exec, vet)? else { return Ok(None) };
                 c
             } else {
@@ -545,6 +535,7 @@ pub(crate) fn aggregate_det(
     group_by: &[usize],
     aggs: &[AggSpec],
 ) -> Result<Relation, EvalError> {
+    check_group_by(group_by, rel.schema.arity())?;
     let mut names: Vec<String> =
         group_by.iter().map(|c| rel.schema.column_name(*c).to_string()).collect();
     names.extend(aggs.iter().map(|a| a.name.clone()));

@@ -40,7 +40,7 @@ use audb_storage::{AnnotColumn, AuRelation, ColumnSet, GatherView, RangeTuple};
 
 use crate::au::lanes_of;
 use crate::au::pipeline::{probe_join_pairs, Stage};
-use crate::planner::join_au_planned_exec;
+use crate::planner::{classify_within, join_au_planned_exec, JoinStrategy};
 use crate::vcheck::Vet;
 
 /// `split_sg(R)` (Section 10.4), in normal form: one certain-attribute
@@ -195,10 +195,13 @@ pub fn compress_lanes(
 }
 
 /// The bucket attribute of each side: the first equality pair of the
-/// predicate, else the first column.
-fn bucket_attrs(predicate: Option<&Expr>, split: usize) -> (usize, usize) {
-    let pairs = predicate.and_then(|p| p.equi_join_columns(split));
-    pairs.and_then(|pairs| pairs.first().copied()).unwrap_or((0, 0))
+/// predicate, else the first column — else also when a key is past the
+/// right side (the join then re-checks every pair and reports it).
+fn bucket_attrs(predicate: Option<&Expr>, l: &AuRelation, r: &AuRelation) -> (usize, usize) {
+    match classify_within(predicate, l.schema.arity(), r.schema.arity()) {
+        JoinStrategy::HashEqui(pairs) => pairs[0],
+        _ => (0, 0),
+    }
 }
 
 /// The optimized join `opt(Q1 ⋈_θ Q2)` (Section 10.4):
@@ -251,7 +254,7 @@ pub fn optimized_join_literal(
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     let normal = |rel: AuRelation| rel.into_normalized_with(exec);
-    let (la, ra) = bucket_attrs(predicate, l.schema.arity());
+    let (la, ra) = bucket_attrs(predicate, l, r);
     let (sgl, sgr) = (normal(sg_rows(l))?, normal(sg_rows(r))?);
     let mut out = join_au_planned_exec(&sgl, &sgr, predicate, exec)?;
     let lup = normal(bucket_rows(&normal(up_rows(l))?, la, ct))?;
@@ -283,7 +286,7 @@ pub(crate) fn optimized_join_stats(
     ct: usize,
     exec: &Executor,
 ) -> Result<(AuRelation, SplitJoinStats), EvalError> {
-    let (la, ra) = bucket_attrs(recheck.map(Stage::predicate), l.schema.arity());
+    let (la, ra) = bucket_attrs(recheck.map(Stage::predicate), l, r);
     // Per side: its two splits, each a relation born of its lanes (what
     // a probe chain runs over).
     let split = |rel: &AuRelation, attr: usize| {

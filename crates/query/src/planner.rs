@@ -33,32 +33,14 @@
 //! construction and the sweeps themselves stay sequential: they are
 //! `O(n log n)` and cheap relative to candidate evaluation.
 
-use audb_core::{AuAnnot, EvalError, ExecError, Expr, LaneSlice, Semiring};
+use audb_core::{AuAnnot, EvalError, Expr, LaneSlice, Semiring};
 use audb_exec::Executor;
 use audb_storage::{
     au_sg_key, det_key, AuRelation, HashKeyIndex, IntervalIndex, RangeTuple, Relation, Tuple,
 };
 
 use crate::au::nested_loop_join_au_exec;
-
-/// Governance stride for the probe loops: every `GOVERN_ROWS` emitted
-/// rows the worker re-checks the cancel token and charges the growth to
-/// the budget (operator `"join-probe"`), bounding how far an expanding
-/// join can overshoot its limits within one morsel.
-const GOVERN_ROWS: usize = 1024;
-
-/// Cancellation + budget checkpoint for a probe loop: charge the output
-/// rows produced since `watermark` as `"join-probe"`.
-fn charge_probe<T>(exec: &Executor, out: &[T], watermark: &mut usize) -> Result<(), ExecError> {
-    exec.check_cancel()?;
-    let added = out.len().saturating_sub(*watermark);
-    if added > 0 {
-        let bytes = added * std::mem::size_of::<T>();
-        exec.charge("join-probe", added as u64, bytes as u64)?;
-        *watermark = out.len();
-    }
-    Ok(())
-}
+use crate::au::pipeline::{checkpoint, AuRow, GOVERN_ROWS};
 
 /// Which input relation a predicate column belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +113,30 @@ pub fn classify(predicate: Option<&Expr>, split: usize) -> JoinStrategy {
     JoinStrategy::NestedLoop
 }
 
+/// [`classify`] for a join of a `left`-column and a `right`-column
+/// relation — what every engine's join asks. A key past the right side
+/// is no key: such a predicate classifies as
+/// [`JoinStrategy::NestedLoop`], whose re-check reports the unknown
+/// column at the first pair (and an empty side joins to nothing).
+pub fn classify_within(predicate: Option<&Expr>, left: usize, right: usize) -> JoinStrategy {
+    let strategy = classify(predicate, left);
+    let keys_fit = match &strategy {
+        JoinStrategy::HashEqui(pairs) => pairs.iter().all(|&(_, r)| r < right),
+        JoinStrategy::IntervalComparison { lo, hi } => {
+            [lo, hi].iter().all(|&&(side, c)| side == Side::Left || c < right)
+        }
+        JoinStrategy::NestedLoop => true,
+    };
+    if keys_fit {
+        strategy
+    } else {
+        JoinStrategy::NestedLoop
+    }
+}
+
+/// The row a planned deterministic join appends.
+type DetRow = (Tuple, u64);
+
 /// Theta-join over AU-relations through the planner, on the default
 /// executor (all available workers). Produces the same rows as
 /// [`nested_loop_join_au`] (up to order / normalization).
@@ -152,7 +158,7 @@ pub fn join_au_planned_exec(
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     #[allow(clippy::expect_used)] // classify returns keyed strategies only for Some(predicate)
-    match classify(predicate, l.schema.arity()) {
+    match classify_within(predicate, l.schema.arity(), r.schema.arity()) {
         JoinStrategy::HashEqui(pairs) => {
             hash_equi_join_au(l, r, predicate.expect("equi plan implies predicate"), &pairs, exec)
         }
@@ -261,18 +267,16 @@ fn hash_equi_join_au(
     if !lc.is_empty() && !rc.is_empty() {
         let rkey = |ri| au_sg_key(r.rows(), &rcols, ri);
         let index = HashKeyIndex::build(rc.iter().copied(), rkey);
-        let rows = exec.run(lc.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
+        let rows = exec.run(lc.len(), |morsel, rows: &mut Vec<AuRow>| {
             let mut watermark = rows.len();
             for &li in &lc[morsel] {
-                if rows.len() - watermark >= GOVERN_ROWS {
-                    charge_probe(exec, rows, &mut watermark)?;
-                }
+                checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, GOVERN_ROWS)?;
                 let row_l = &l.rows()[li as usize];
                 for ri in index.matches(au_sg_key(l.rows(), &lcols, li), rkey) {
                     emit_equi_pair(rows, row_l, &r.rows()[ri as usize], predicate, pairs)?;
                 }
             }
-            charge_probe(exec, rows, &mut watermark)?;
+            checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
             Ok::<(), EvalError>(())
         })?;
         out.append_rows(rows);
@@ -294,15 +298,13 @@ fn hash_equi_join_au(
         let ri = IntervalIndex::from_au_subset(r.rows(), c0r, &ru);
         IntervalIndex::sweep_overlapping(&li, &ri, |a, b| candidates.push((a, b)));
     }
-    let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
+    let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<AuRow>| {
         let mut watermark = rows.len();
         for &(a, b) in &candidates[morsel] {
-            if rows.len() - watermark >= GOVERN_ROWS {
-                charge_probe(exec, rows, &mut watermark)?;
-            }
+            checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, GOVERN_ROWS)?;
             emit_equi_pair(rows, &l.rows()[a as usize], &r.rows()[b as usize], predicate, pairs)?;
         }
-        charge_probe(exec, rows, &mut watermark)?;
+        checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
         Ok::<(), EvalError>(())
     })?;
     out.append_rows(rows);
@@ -354,12 +356,10 @@ fn comparison_join_au(
         |c| IntervalIndex::from_au(l.rows(), c),
         |c| IntervalIndex::from_au(r.rows(), c),
     );
-    let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<(RangeTuple, AuAnnot)>| {
+    let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<AuRow>| {
         let mut watermark = rows.len();
         for &(a, b) in &candidates[morsel] {
-            if rows.len() - watermark >= GOVERN_ROWS {
-                charge_probe(exec, rows, &mut watermark)?;
-            }
+            checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, GOVERN_ROWS)?;
             let (tl, kl) = &l.rows()[a as usize];
             let (tr, kr) = &r.rows()[b as usize];
             let t = tl.concat(tr);
@@ -370,7 +370,7 @@ fn comparison_join_au(
             let k = kl.times(kr).times(&AuAnnot::from_bool3(plb, psg, pub_));
             rows.push((t, k));
         }
-        charge_probe(exec, rows, &mut watermark)?;
+        checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
         Ok::<(), EvalError>(())
     })?;
     out.append_rows(rows);
@@ -386,7 +386,7 @@ pub fn join_det_planned_exec(
     exec: &Executor,
 ) -> Result<Relation, EvalError> {
     let mut out = Relation::empty(l.schema.concat(&r.schema));
-    match classify(predicate, l.schema.arity()) {
+    match classify_within(predicate, l.schema.arity(), r.schema.arity()) {
         JoinStrategy::HashEqui(pairs) => {
             // canonical keys match exactly when `value_eq` holds on every
             // pair, which for a pure conjunctive equality predicate is
@@ -395,18 +395,22 @@ pub fn join_det_planned_exec(
             let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
             let rkey = |ri: u32| det_key(r.rows()[ri as usize].0.values(), &rcols);
             let index = HashKeyIndex::build(0..r.rows().len() as u32, rkey);
-            let rows = exec.run(l.rows().len(), |morsel, rows: &mut Vec<(Tuple, u64)>| {
+            let rows = exec.run(l.rows().len(), |morsel, rows: &mut Vec<DetRow>| {
                 let mut watermark = rows.len();
                 for (tl, kl) in &l.rows()[morsel] {
-                    if rows.len() - watermark >= GOVERN_ROWS {
-                        charge_probe(exec, rows, &mut watermark)?;
-                    }
+                    checkpoint::<DetRow>(
+                        exec,
+                        "join-probe",
+                        rows.len(),
+                        &mut watermark,
+                        GOVERN_ROWS,
+                    )?;
                     for ri in index.matches(det_key(tl.values(), &lcols), rkey) {
                         let (tr, kr) = &r.rows()[ri as usize];
                         rows.push((tl.concat(tr), kl.times(kr)));
                     }
                 }
-                charge_probe(exec, rows, &mut watermark)?;
+                checkpoint::<DetRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
                 Ok::<(), EvalError>(())
             })?;
             out.append_rows(rows);
@@ -420,12 +424,16 @@ pub fn join_det_planned_exec(
                 |c| IntervalIndex::from_det(l.rows(), c),
                 |c| IntervalIndex::from_det(r.rows(), c),
             );
-            let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<(Tuple, u64)>| {
+            let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<DetRow>| {
                 let mut watermark = rows.len();
                 for &(a, b) in &candidates[morsel] {
-                    if rows.len() - watermark >= GOVERN_ROWS {
-                        charge_probe(exec, rows, &mut watermark)?;
-                    }
+                    checkpoint::<DetRow>(
+                        exec,
+                        "join-probe",
+                        rows.len(),
+                        &mut watermark,
+                        GOVERN_ROWS,
+                    )?;
                     let (tl, kl) = &l.rows()[a as usize];
                     let (tr, kr) = &r.rows()[b as usize];
                     let t = tl.concat(tr);
@@ -433,7 +441,7 @@ pub fn join_det_planned_exec(
                         rows.push((t, kl.times(kr)));
                     }
                 }
-                charge_probe(exec, rows, &mut watermark)?;
+                checkpoint::<DetRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
                 Ok::<(), EvalError>(())
             })?;
             out.append_rows(rows);
@@ -441,9 +449,8 @@ pub fn join_det_planned_exec(
         JoinStrategy::NestedLoop => {
             let mut watermark = 0usize;
             for (tl, kl) in l.rows() {
-                if out.rows().len() - watermark >= GOVERN_ROWS {
-                    charge_probe(exec, out.rows(), &mut watermark)?;
-                }
+                let rows = out.rows().len();
+                checkpoint::<DetRow>(exec, "join-probe", rows, &mut watermark, GOVERN_ROWS)?;
                 for (tr, kr) in r.rows() {
                     let t = tl.concat(tr);
                     let keep = match predicate {
@@ -455,7 +462,7 @@ pub fn join_det_planned_exec(
                     }
                 }
             }
-            charge_probe(exec, out.rows(), &mut watermark)?;
+            checkpoint::<DetRow>(exec, "join-probe", out.rows().len(), &mut watermark, 0)?;
         }
     }
     Ok(out)

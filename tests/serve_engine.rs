@@ -329,6 +329,61 @@ fn deeply_nested_sql_is_a_query_error_not_an_abort() {
     std::thread::Builder::new().stack_size(2 << 20).spawn(serve).unwrap().join().unwrap();
 }
 
+/// A column number past its input's arity used to panic ("index out of
+/// bounds") on every path — γ's `group_by` in the kernels, the
+/// compression verdict and the output schema; a join key past the right
+/// side in the probe's index build — and `Engine::execute` runs a plan on
+/// the caller's thread. Now each is `UnknownColumn`, as it already was
+/// for σ and π: a key past either side makes the join a nested loop,
+/// whose re-check reports it, and γ checks `group_by` before anything
+/// reads it.
+#[test]
+fn out_of_range_columns_are_query_errors_not_panics() {
+    let cfg = MicroConfig { domain: 50, ..MicroConfig::new(50, 3).uncertainty(0.2).seed(3) };
+    let (db, det_db) = micro_join_db(&cfg);
+    let sum = || vec![AggSpec::new(AggFunc::Sum, col(1), "s")];
+    let grouped = [
+        (table("t1").aggregate(vec![7], sum()), 7),
+        (table("t1").select(lit(false)).aggregate(vec![7], sum()), 7),
+        (table("t1").join_on(table("t2"), col(0).eq(col(3))).aggregate(vec![17], sum()), 17),
+    ];
+    let joins = [
+        (table("t1").join_on(table("t2"), col(0).eq(col(40))), 40),
+        (table("t1").join_on(table("t2"), col(0).lt(col(40))), 40),
+    ];
+    let engine = Engine::new(db.clone(), small_config());
+    let untraced = TraceBuilder::disabled();
+    for (q, c) in grouped.iter().chain(&joins) {
+        let unknown = |got: Result<AuRelation, EvalError>, path: &str| {
+            assert!(
+                matches!(got, Err(EvalError::UnknownColumn(u)) if u == *c),
+                "{path}: {got:?}, q = {q}"
+            );
+        };
+        for cfg in [small_config().eval, AuConfig::compressed(4)] {
+            unknown(eval_au(&db, q, &cfg), "eval_au");
+            let oracle = AuPlan::oracle(q, &cfg, &untraced);
+            unknown(oracle.run(&db, &cfg.executor(), &untraced), "oracle");
+        }
+        let det = eval_det(&det_db, q);
+        assert!(
+            matches!(det, Err(EvalError::UnknownColumn(u)) if u == *c),
+            "det: {det:?}, q = {q}"
+        );
+        match engine.execute(q, Class::Interactive) {
+            Err(ServeError::Query(EvalError::UnknownColumn(u))) if u == *c => {}
+            other => panic!("expected a query error, got {other:?}, q = {q}"),
+        }
+    }
+    for (q, c) in &grouped {
+        assert_eq!(q.schema(&db), Err(EvalError::UnknownColumn(*c)), "q = {q}");
+    }
+    // an empty side still joins to nothing: no row reaches the re-check
+    let empty = table("t1").select(lit(false)).join_on(table("t2"), col(0).eq(col(40)));
+    assert!(eval_au(&db, &empty, &small_config().eval).unwrap().is_empty());
+    assert!(eval_det(&det_db, &empty).unwrap().is_empty());
+}
+
 // ---------------------------------------------------------------------------
 // Prepared-cache coherence (satellite): warm ≡ cold, on every epoch
 // ---------------------------------------------------------------------------
