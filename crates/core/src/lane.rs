@@ -4,13 +4,21 @@
 //!
 //! A [`ValueLane`] stores a column of [`RangeValue`]s as three
 //! contiguous component arrays (`lb`/`sg`/`ub`) when every cell of the
-//! column is homogeneously typed — `Int`, `Float`, or `Bool` in all
-//! three components of every row — and falls back to a boxed row of
-//! `RangeValue`s otherwise (mixed numeric columns, strings, sentinels,
-//! `Null`). This is the flat succinct encoding that made U-relations
-//! fast: homogeneous inner loops touch raw `i64`/`f64`/`bool` arrays
-//! with no per-cell enum dispatch, so the compiler can unroll and
-//! auto-vectorize them.
+//! column is homogeneously typed — `Int`, `Float`, `Bool` or `Str` in
+//! all three components of every row — and falls back to a boxed row of
+//! `RangeValue`s otherwise (mixed columns, sentinels, `Null`). This is
+//! the flat succinct encoding that made U-relations fast: homogeneous
+//! inner loops touch raw `i64`/`f64`/`bool`/`u32` arrays with no
+//! per-cell enum dispatch, so the compiler can unroll and auto-vectorize
+//! them.
+//!
+//! A `Str` lane holds `u32` codes into its own [`StrDict`]: the lane's
+//! distinct strings, sorted, so code order *is* `Value`'s order on
+//! strings and equal codes are equal strings. The dictionary holds the
+//! cells' own `Arc<str>`s (materializing a cell bumps a refcount), and
+//! every lane gathered, sliced, boxed or splatted from a `Str` lane keeps
+//! the dictionary's `Arc`; two lanes *share* a dictionary when those
+//! `Arc`s are one ([`LaneSlice::typed_alike`]).
 //!
 //! # Exactness contract
 //!
@@ -39,10 +47,29 @@
 //! `value_eq` to plain `<=`/`</`==` on the casts. `Int ⊗ Int`
 //! comparisons use exact `i64` compares — beyond 2^53 the cast is
 //! lossy, the integers are not.
+//!
+//! `Str ⊗ Str` comparisons never demote. Over one shared dictionary they
+//! compare codes. Over two, they first place the right side's strings in
+//! the left's code space with every code doubled: the left's code `c`
+//! becomes `2c`, a right string present in the left dictionary at rank
+//! `r` becomes `2r`, and an absent one `2p − 1`, where `p` is its
+//! insertion point ([`StrDict::place`]). An absent string then sits
+//! strictly between its two neighbours and equals no left string, so
+//! `<`, `≤` and `=` on the placed codes are exactly those on the strings.
+//! When the right side's dictionary holds more strings than the slice
+//! compared holds cells, each component is instead compared with its
+//! partner string by string (`str_codes`), so a call never costs more
+//! than its slice. A broadcast
+//! literal is the one-entry dictionary of the placement rule. Every
+//! other cell-level operation on a `Str` lane (order, equality, hash,
+//! group boxes, packed keys) reads codes of *one* lane, where code order
+//! is string order by construction.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::error::EvalError;
 use crate::range::RangeValue;
@@ -57,8 +84,70 @@ pub enum LaneTag {
     Float,
     /// Every cell is `[Bool / Bool / Bool]`.
     Bool,
+    /// Every cell is `[Str / Str / Str]`: codes into a [`StrDict`].
+    Str,
     /// Anything else: per-cell `RangeValue`s (the fallback lane).
     Boxed,
+}
+
+/// The dictionary of a `Str` lane: its distinct strings, sorted by
+/// `Value`'s order, so code `c` is `values()[c]` and code order is string
+/// order. Holds the cells' own `Value::Str`s — a refcount each, no text
+/// is copied.
+#[derive(Debug, PartialEq, Eq)]
+pub struct StrDict {
+    values: Vec<Value>,
+}
+
+impl StrDict {
+    /// The dictionary of `strs` — `Value::Str`s in any order, repeats
+    /// allowed. Of equal strings one is kept.
+    fn of<'a>(strs: impl Iterator<Item = &'a Value>) -> StrDict {
+        let mut refs: Vec<&Value> = strs.collect();
+        refs.sort_unstable();
+        refs.dedup();
+        StrDict { values: refs.into_iter().cloned().collect() }
+    }
+
+    /// The strings, in code order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The code of `v`, a string of this dictionary.
+    fn code(&self, v: &Value) -> u32 {
+        let found = self.values.binary_search(v);
+        debug_assert!(found.is_ok(), "{v} is not in the dictionary");
+        found.unwrap_or_else(|i| i) as u32
+    }
+
+    /// Where `v` falls in this dictionary's doubled code space: `2·rank`
+    /// when it is present, `2·insertion_point − 1` when it is not — an
+    /// order-preserving placement that equals a doubled code exactly when
+    /// the strings are equal.
+    pub fn place(&self, v: &Value) -> i64 {
+        match self.values.binary_search(v) {
+            Ok(r) => 2 * r as i64,
+            Err(p) => 2 * p as i64 - 1,
+        }
+    }
+
+    /// Bytes of text the dictionary holds, each string once.
+    fn text_bytes(&self) -> u64 {
+        self.values.iter().map(|v| if let Value::Str(s) = v { s.len() as u64 } else { 0 }).sum()
+    }
+
+    /// The union of two dictionaries, and the code map of each into it
+    /// (`None`: the union is that dictionary, codes unchanged).
+    fn merge(a: &Arc<StrDict>, b: &Arc<StrDict>) -> (Arc<StrDict>, Option<Vec<u32>>, Vec<u32>) {
+        let union = StrDict::of(a.values.iter().chain(&b.values));
+        if union.values.len() == a.values.len() {
+            return (Arc::clone(a), None, b.values.iter().map(|v| a.code(v)).collect());
+        }
+        let into = |d: &StrDict| d.values.iter().map(|v| union.code(v)).collect();
+        let (ma, mb) = (into(a), into(b));
+        (Arc::new(union), Some(ma), mb)
+    }
 }
 
 /// One attribute column of range-annotated values, column-major.
@@ -73,6 +162,7 @@ pub enum ValueLane {
     Int { lb: Vec<i64>, sg: Vec<i64>, ub: Vec<i64> },
     Float { lb: Vec<f64>, sg: Vec<f64>, ub: Vec<f64> },
     Bool { lb: Vec<bool>, sg: Vec<bool>, ub: Vec<bool> },
+    Str { dict: Arc<StrDict>, lb: Vec<u32>, sg: Vec<u32>, ub: Vec<u32> },
     Boxed(Vec<RangeValue>),
 }
 
@@ -89,6 +179,7 @@ pub enum LaneSlice<'a> {
     Int { lb: &'a [i64], sg: &'a [i64], ub: &'a [i64] },
     Float { lb: &'a [f64], sg: &'a [f64], ub: &'a [f64] },
     Bool { lb: &'a [bool], sg: &'a [bool], ub: &'a [bool] },
+    Str { dict: &'a Arc<StrDict>, lb: &'a [u32], sg: &'a [u32], ub: &'a [u32] },
     Boxed(&'a [RangeValue]),
 }
 
@@ -98,6 +189,7 @@ impl ValueLane {
             ValueLane::Int { lb, .. } => lb.len(),
             ValueLane::Float { lb, .. } => lb.len(),
             ValueLane::Bool { lb, .. } => lb.len(),
+            ValueLane::Str { lb, .. } => lb.len(),
             ValueLane::Boxed(v) => v.len(),
         }
     }
@@ -107,12 +199,7 @@ impl ValueLane {
     }
 
     pub fn tag(&self) -> LaneTag {
-        match self {
-            ValueLane::Int { .. } => LaneTag::Int,
-            ValueLane::Float { .. } => LaneTag::Float,
-            ValueLane::Bool { .. } => LaneTag::Bool,
-            ValueLane::Boxed(_) => LaneTag::Boxed,
-        }
+        self.as_slice().tag()
     }
 
     /// Materialize cell `i` as a [`RangeValue`].
@@ -137,68 +224,103 @@ impl ValueLane {
             ValueLane::Bool { lb, sg, ub } => {
                 LaneSlice::Bool { lb: &lb[r.clone()], sg: &sg[r.clone()], ub: &ub[r] }
             }
+            ValueLane::Str { dict, lb, sg, ub } => {
+                LaneSlice::Str { dict, lb: &lb[r.clone()], sg: &sg[r.clone()], ub: &ub[r] }
+            }
             ValueLane::Boxed(v) => LaneSlice::Boxed(&v[r]),
         }
     }
 
     /// Build a lane from a column of cells, choosing the tightest
     /// representation: a typed lane iff *every* cell is homogeneously
-    /// `Int`/`Float`/`Bool` in all three components, boxed otherwise
-    /// (so mixed-type columns and sentinel-carrying cells — e.g. the
-    /// `[MinVal / sg / MaxVal]` encoding of `null` — take the fallback
-    /// lane and keep exact scalar semantics).
+    /// `Int`/`Float`/`Bool`/`Str` in all three components, boxed
+    /// otherwise (so mixed-type columns and sentinel-carrying cells —
+    /// e.g. the `[MinVal / sg / MaxVal]` encoding of `null` — take the
+    /// fallback lane and keep exact scalar semantics).
     pub fn from_cells<'a>(cells: impl Iterator<Item = &'a RangeValue> + Clone) -> ValueLane {
-        let (mut all_int, mut all_float, mut all_bool) = (true, true, true);
-        for c in cells.clone() {
-            all_int &=
-                matches!((&c.lb, &c.sg, &c.ub), (Value::Int(_), Value::Int(_), Value::Int(_)));
-            all_float &= matches!(
-                (&c.lb, &c.sg, &c.ub),
-                (Value::Float(_), Value::Float(_), Value::Float(_))
-            );
-            all_bool &=
-                matches!((&c.lb, &c.sg, &c.ub), (Value::Bool(_), Value::Bool(_), Value::Bool(_)));
-            if !(all_int || all_float || all_bool) {
-                break;
-            }
-        }
-        if all_int {
-            let (mut lb, mut sg, mut ub) = (Vec::new(), Vec::new(), Vec::new());
-            for c in cells {
-                if let (Value::Int(l), Value::Int(s), Value::Int(u)) = (&c.lb, &c.sg, &c.ub) {
-                    lb.push(*l);
-                    sg.push(*s);
-                    ub.push(*u);
+        let tag = |c: &RangeValue| match (&c.lb, &c.sg, &c.ub) {
+            (Value::Int(_), Value::Int(_), Value::Int(_)) => LaneTag::Int,
+            (Value::Float(_), Value::Float(_), Value::Float(_)) => LaneTag::Float,
+            (Value::Bool(_), Value::Bool(_), Value::Bool(_)) => LaneTag::Bool,
+            (Value::Str(_), Value::Str(_), Value::Str(_)) => LaneTag::Str,
+            _ => LaneTag::Boxed,
+        };
+        // every cell's tag, or `Boxed` at the first that differs (an empty
+        // column is an empty `Int` lane)
+        let mut tags = cells.clone().map(tag);
+        let first = tags.next().unwrap_or(LaneTag::Int);
+        let lane = if tags.all(|t| t == first) { first } else { LaneTag::Boxed };
+        match lane {
+            LaneTag::Int => {
+                let (mut lb, mut sg, mut ub) = (Vec::new(), Vec::new(), Vec::new());
+                for c in cells {
+                    if let (Value::Int(l), Value::Int(s), Value::Int(u)) = (&c.lb, &c.sg, &c.ub) {
+                        lb.push(*l);
+                        sg.push(*s);
+                        ub.push(*u);
+                    }
                 }
+                ValueLane::Int { lb, sg, ub }
             }
-            ValueLane::Int { lb, sg, ub }
-        } else if all_float {
-            let (mut lb, mut sg, mut ub) = (Vec::new(), Vec::new(), Vec::new());
-            for c in cells {
-                if let (Value::Float(l), Value::Float(s), Value::Float(u)) = (&c.lb, &c.sg, &c.ub) {
-                    lb.push(l.get());
-                    sg.push(s.get());
-                    ub.push(u.get());
+            LaneTag::Float => {
+                let (mut lb, mut sg, mut ub) = (Vec::new(), Vec::new(), Vec::new());
+                for c in cells {
+                    if let (Value::Float(l), Value::Float(s), Value::Float(u)) =
+                        (&c.lb, &c.sg, &c.ub)
+                    {
+                        lb.push(l.get());
+                        sg.push(s.get());
+                        ub.push(u.get());
+                    }
                 }
+                ValueLane::Float { lb, sg, ub }
             }
-            ValueLane::Float { lb, sg, ub }
-        } else if all_bool {
-            let (mut lb, mut sg, mut ub) = (Vec::new(), Vec::new(), Vec::new());
-            for c in cells {
-                if let (Value::Bool(l), Value::Bool(s), Value::Bool(u)) = (&c.lb, &c.sg, &c.ub) {
-                    lb.push(*l);
-                    sg.push(*s);
-                    ub.push(*u);
+            LaneTag::Bool => {
+                let (mut lb, mut sg, mut ub) = (Vec::new(), Vec::new(), Vec::new());
+                for c in cells {
+                    if let (Value::Bool(l), Value::Bool(s), Value::Bool(u)) = (&c.lb, &c.sg, &c.ub)
+                    {
+                        lb.push(*l);
+                        sg.push(*s);
+                        ub.push(*u);
+                    }
                 }
+                ValueLane::Bool { lb, sg, ub }
             }
-            ValueLane::Bool { lb, sg, ub }
-        } else {
-            ValueLane::Boxed(cells.cloned().collect())
+            LaneTag::Str => {
+                // number the strings as they come (a certain cell is one
+                // lookup, not three), then renumber them in string order
+                let (mut firsts, mut ids) = (Vec::new(), HashMap::new());
+                let mut id = |v: &'a Value| {
+                    *ids.entry(v).or_insert_with(|| {
+                        firsts.push(v);
+                        firsts.len() as u32 - 1
+                    })
+                };
+                let (mut lb, mut sg, mut ub) = (Vec::new(), Vec::new(), Vec::new());
+                for c in cells {
+                    let s = id(&c.sg);
+                    lb.push(if c.lb == c.sg { s } else { id(&c.lb) });
+                    ub.push(if c.ub == c.sg { s } else { id(&c.ub) });
+                    sg.push(s);
+                }
+                let mut by_rank: Vec<u32> = (0..firsts.len() as u32).collect();
+                by_rank.sort_unstable_by_key(|&i| firsts[i as usize]);
+                let mut rank = vec![0; by_rank.len()];
+                by_rank.iter().zip(0..).for_each(|(&i, r)| rank[i as usize] = r);
+                for codes in [&mut lb, &mut sg, &mut ub] {
+                    codes.iter_mut().for_each(|c| *c = rank[*c as usize]);
+                }
+                let values = by_rank.iter().map(|&i| firsts[i as usize].clone()).collect();
+                ValueLane::Str { dict: Arc::new(StrDict { values }), lb, sg, ub }
+            }
+            LaneTag::Boxed => ValueLane::Boxed(cells.cloned().collect()),
         }
     }
 
     /// A lane of `n` copies of one cell (constants broadcast to a
-    /// chunk's length so kernels see uniform operands).
+    /// chunk's length so kernels see uniform operands; a string cell's
+    /// lane has a dictionary of its own).
     pub fn splat(cell: &RangeValue, n: usize) -> ValueLane {
         match (&cell.lb, &cell.sg, &cell.ub) {
             (Value::Int(l), Value::Int(s), Value::Int(u)) => {
@@ -212,6 +334,9 @@ impl ValueLane {
             (Value::Bool(l), Value::Bool(s), Value::Bool(u)) => {
                 ValueLane::Bool { lb: vec![*l; n], sg: vec![*s; n], ub: vec![*u; n] }
             }
+            (Value::Str(_), Value::Str(_), Value::Str(_)) => {
+                ValueLane::from_cells(std::iter::once(cell)).as_slice().gather(&vec![0; n])
+            }
             _ => ValueLane::Boxed(vec![cell.clone(); n]),
         }
     }
@@ -221,6 +346,8 @@ impl ValueLane {
     /// takes the incoming tag) and demotes itself to `Boxed` when they
     /// do not: concatenating an `Int` batch and one an `i64` overflow
     /// promoted to `Float` yields the boxed column of the same cells.
+    /// Two `Str` lanes of different dictionaries stay `Str`, over the
+    /// union of the two, every code remapped.
     pub fn append(&mut self, src: &LaneSlice<'_>, rows: Option<&[u32]>) {
         fn ext<T: Copy>(dst: [&mut Vec<T>; 3], src: [&[T]; 3], rows: Option<&[u32]>) {
             for (dst, src) in dst.into_iter().zip(src) {
@@ -244,6 +371,25 @@ impl ValueLane {
             (ValueLane::Bool { lb, sg, ub }, LaneSlice::Bool { lb: l, sg: s, ub: u }) => {
                 ext([lb, sg, ub], [l, s, u], rows);
             }
+            (
+                ValueLane::Str { dict, lb, sg, ub },
+                LaneSlice::Str { dict: d, lb: l, sg: s, ub: u },
+            ) => {
+                if Arc::ptr_eq(dict, d) {
+                    ext([lb, sg, ub], [l, s, u], rows);
+                    return;
+                }
+                let (union, mine, theirs) = StrDict::merge(dict, d);
+                *dict = union;
+                if let Some(mine) = mine {
+                    for codes in [&mut *lb, &mut *sg, &mut *ub] {
+                        codes.iter_mut().for_each(|c| *c = mine[*c as usize]);
+                    }
+                }
+                let [l, s, u]: [Vec<u32>; 3] =
+                    [l, s, u].map(|c| c.iter().map(|&c| theirs[c as usize]).collect());
+                ext([lb, sg, ub], [&l, &s, &u], rows);
+            }
             (ValueLane::Boxed(cells), src) => match rows {
                 None => cells.extend((0..src.len()).map(|i| src.get(i))),
                 Some(rows) => cells.extend(rows.iter().map(|&i| src.get(i as usize))),
@@ -256,14 +402,18 @@ impl ValueLane {
     }
 
     /// Heap footprint of this lane's component storage in bytes: element
-    /// payloads plus, for boxed cells, each `Str` cell's text length. The
-    /// text term is an upper bound on the text bytes held: a `Str` shares
-    /// one allocation with every clone of it, yet each cell is charged.
+    /// payloads plus the text of its strings — a `Str` lane's dictionary
+    /// once, and each `Str` of a boxed cell its text length. The boxed
+    /// term is an upper bound on the text bytes held: a `Str` shares one
+    /// allocation with every clone of it, yet each cell is charged.
     pub fn lane_bytes(&self) -> u64 {
         match self {
             ValueLane::Int { lb, .. } => (3 * lb.len() * std::mem::size_of::<i64>()) as u64,
             ValueLane::Float { lb, .. } => (3 * lb.len() * std::mem::size_of::<f64>()) as u64,
             ValueLane::Bool { lb, .. } => (3 * lb.len()) as u64,
+            ValueLane::Str { dict, lb, .. } => {
+                (3 * lb.len() * std::mem::size_of::<u32>()) as u64 + dict.text_bytes()
+            }
             ValueLane::Boxed(cells) => {
                 let mut total = (cells.len() * std::mem::size_of::<RangeValue>()) as u64;
                 for c in cells {
@@ -285,6 +435,7 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Int { lb, .. } => lb.len(),
             LaneSlice::Float { lb, .. } => lb.len(),
             LaneSlice::Bool { lb, .. } => lb.len(),
+            LaneSlice::Str { lb, .. } => lb.len(),
             LaneSlice::Boxed(v) => v.len(),
         }
     }
@@ -298,7 +449,21 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Int { .. } => LaneTag::Int,
             LaneSlice::Float { .. } => LaneTag::Float,
             LaneSlice::Bool { .. } => LaneTag::Bool,
+            LaneSlice::Str { .. } => LaneTag::Str,
             LaneSlice::Boxed(_) => LaneTag::Boxed,
+        }
+    }
+
+    /// Do `self` and `other` hold one representation whose cells compare
+    /// as stored — both `Int`, both `Float`, or both `Str` over one shared
+    /// dictionary? Indexes over two such lanes key and sweep on the
+    /// stored components.
+    pub fn typed_alike(&self, other: &LaneSlice<'_>) -> bool {
+        match (self, other) {
+            (LaneSlice::Int { .. }, LaneSlice::Int { .. })
+            | (LaneSlice::Float { .. }, LaneSlice::Float { .. }) => true,
+            (LaneSlice::Str { dict: a, .. }, LaneSlice::Str { dict: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 
@@ -318,6 +483,10 @@ impl<'a> LaneSlice<'a> {
                 sg: Value::Bool(sg[i]),
                 ub: Value::Bool(ub[i]),
             },
+            LaneSlice::Str { dict, lb, sg, ub } => {
+                let v = |c: u32| dict.values[c as usize].clone();
+                RangeValue { lb: v(lb[i]), sg: v(sg[i]), ub: v(ub[i]) }
+            }
             LaneSlice::Boxed(v) => v[i].clone(),
         }
     }
@@ -332,6 +501,7 @@ impl<'a> LaneSlice<'a> {
                 lb[i].to_bits() == sg[i].to_bits() && sg[i].to_bits() == ub[i].to_bits()
             }
             LaneSlice::Bool { lb, sg, ub } => lb[i] == sg[i] && sg[i] == ub[i],
+            LaneSlice::Str { lb, sg, ub, .. } => lb[i] == sg[i] && sg[i] == ub[i],
             LaneSlice::Boxed(v) => v[i].is_certain(),
         }
     }
@@ -343,6 +513,7 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Int { sg, .. } => sg[a] == sg[b],
             LaneSlice::Float { sg, .. } => sg[a].to_bits() == sg[b].to_bits(),
             LaneSlice::Bool { sg, .. } => sg[a] == sg[b],
+            LaneSlice::Str { sg, .. } => sg[a] == sg[b],
             LaneSlice::Boxed(v) => v[a].sg == v[b].sg,
         }
     }
@@ -354,20 +525,26 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Int { sg, .. } => sg[a].cmp(&sg[b]),
             LaneSlice::Float { sg, .. } => sg[a].total_cmp(&sg[b]),
             LaneSlice::Bool { sg, .. } => sg[a].cmp(&sg[b]),
+            LaneSlice::Str { sg, .. } => sg[a].cmp(&sg[b]),
             LaneSlice::Boxed(v) => v[a].sg.cmp(&v[b].sg),
         }
     }
 
     /// [`RangeValue::overlaps`] of cell `i` and cell `j` of `other`; no
-    /// cell is materialized when the two lanes are of one type.
+    /// cell is materialized when the two lanes are [`typed_alike`].
+    ///
+    /// [`typed_alike`]: LaneSlice::typed_alike
     pub fn overlaps(&self, i: usize, other: &LaneSlice<'_>, j: usize) -> bool {
-        use LaneSlice::{Boxed, Float, Int};
+        use LaneSlice::{Boxed, Float, Int, Str};
         match (self, other) {
             (Int { lb: al, ub: au, .. }, Int { lb: bl, ub: bu, .. }) => {
                 al[i] <= bu[j] && bl[j] <= au[i]
             }
             (Float { lb: al, ub: au, .. }, Float { lb: bl, ub: bu, .. }) => {
                 al[i].total_cmp(&bu[j]).is_le() && bl[j].total_cmp(&au[i]).is_le()
+            }
+            (Str { lb: al, ub: au, .. }, Str { lb: bl, ub: bu, .. }) if self.typed_alike(other) => {
+                al[i] <= bu[j] && bl[j] <= au[i]
             }
             (Boxed(a), Boxed(b)) => a[i].overlaps(&b[j]),
             _ => self.get(i).overlaps(&other.get(j)),
@@ -386,6 +563,7 @@ impl<'a> LaneSlice<'a> {
                 eq3([lb, sg, ub], a, b, |x, y| x.to_bits() == y.to_bits())
             }
             LaneSlice::Bool { lb, sg, ub } => eq3([lb, sg, ub], a, b, |x, y| x == y),
+            LaneSlice::Str { lb, sg, ub, .. } => eq3([lb, sg, ub], a, b, |x, y| x == y),
             LaneSlice::Boxed(v) => v[a] == v[b],
         }
     }
@@ -406,6 +584,7 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Int { lb, sg, ub } => cmp3([lb, sg, ub], a, b, i64::cmp),
             LaneSlice::Float { lb, sg, ub } => cmp3([lb, sg, ub], a, b, f64::total_cmp),
             LaneSlice::Bool { lb, sg, ub } => cmp3([lb, sg, ub], a, b, bool::cmp),
+            LaneSlice::Str { lb, sg, ub, .. } => cmp3([lb, sg, ub], a, b, u32::cmp),
             LaneSlice::Boxed(v) => v[a].cmp(&v[b]),
         }
     }
@@ -425,6 +604,9 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Bool { lb, sg, ub } => {
                 state.write_u8(u8::from(lb[i]) | u8::from(sg[i]) << 1 | u8::from(ub[i]) << 2);
             }
+            LaneSlice::Str { lb, sg, ub, .. } => {
+                [lb[i], sg[i], ub[i]].into_iter().for_each(|v| state.write_u32(v));
+            }
             LaneSlice::Boxed(v) => v[i].hash(state),
         }
     }
@@ -442,21 +624,24 @@ impl<'a> LaneSlice<'a> {
     /// Gather the cells at `idx` (in order) into an owned lane of the
     /// same representation — the compaction step after a selection.
     pub fn gather(&self, idx: &[u32]) -> ValueLane {
+        fn pick<T: Copy>(c: &[T], idx: &[u32]) -> Vec<T> {
+            idx.iter().map(|&i| c[i as usize]).collect()
+        }
         match self {
-            LaneSlice::Int { lb, sg, ub } => ValueLane::Int {
-                lb: idx.iter().map(|&i| lb[i as usize]).collect(),
-                sg: idx.iter().map(|&i| sg[i as usize]).collect(),
-                ub: idx.iter().map(|&i| ub[i as usize]).collect(),
-            },
-            LaneSlice::Float { lb, sg, ub } => ValueLane::Float {
-                lb: idx.iter().map(|&i| lb[i as usize]).collect(),
-                sg: idx.iter().map(|&i| sg[i as usize]).collect(),
-                ub: idx.iter().map(|&i| ub[i as usize]).collect(),
-            },
-            LaneSlice::Bool { lb, sg, ub } => ValueLane::Bool {
-                lb: idx.iter().map(|&i| lb[i as usize]).collect(),
-                sg: idx.iter().map(|&i| sg[i as usize]).collect(),
-                ub: idx.iter().map(|&i| ub[i as usize]).collect(),
+            LaneSlice::Int { lb, sg, ub } => {
+                ValueLane::Int { lb: pick(lb, idx), sg: pick(sg, idx), ub: pick(ub, idx) }
+            }
+            LaneSlice::Float { lb, sg, ub } => {
+                ValueLane::Float { lb: pick(lb, idx), sg: pick(sg, idx), ub: pick(ub, idx) }
+            }
+            LaneSlice::Bool { lb, sg, ub } => {
+                ValueLane::Bool { lb: pick(lb, idx), sg: pick(sg, idx), ub: pick(ub, idx) }
+            }
+            LaneSlice::Str { dict, lb, sg, ub } => ValueLane::Str {
+                dict: Arc::clone(dict),
+                lb: pick(lb, idx),
+                sg: pick(sg, idx),
+                ub: pick(ub, idx),
             },
             LaneSlice::Boxed(v) => {
                 ValueLane::Boxed(idx.iter().map(|&i| v[i as usize].clone()).collect())
@@ -472,6 +657,9 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Int { sg, .. } => LaneSlice::Int { lb: sg, sg, ub: sg }.gather(idx),
             LaneSlice::Float { sg, .. } => LaneSlice::Float { lb: sg, sg, ub: sg }.gather(idx),
             LaneSlice::Bool { sg, .. } => LaneSlice::Bool { lb: sg, sg, ub: sg }.gather(idx),
+            LaneSlice::Str { dict, sg, .. } => {
+                LaneSlice::Str { dict, lb: sg, sg, ub: sg }.gather(idx)
+            }
             LaneSlice::Boxed(v) => {
                 let certain = |&i: &u32| RangeValue::certain(v[i as usize].sg.clone());
                 ValueLane::Boxed(idx.iter().map(certain).collect())
@@ -516,6 +704,10 @@ impl<'a> LaneSlice<'a> {
                 widen(lb, l, members.clone(), |c, b| c < b);
                 widen(ub, u, members, |c, b| c > b);
             }
+            (ValueLane::Str { lb, ub, .. }, LaneSlice::Str { lb: l, ub: u, .. }) => {
+                widen(lb, l, members.clone(), |c, b| c < b);
+                widen(ub, u, members, |c, b| c > b);
+            }
             (ValueLane::Boxed(boxes), LaneSlice::Boxed(cells)) => {
                 members.for_each(|(i, g)| boxes[g as usize].extend_keep_sg(&cells[i]));
             }
@@ -536,6 +728,12 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Bool { lb, sg, ub } => {
                 ValueLane::Bool { lb: lb.to_vec(), sg: sg.to_vec(), ub: ub.to_vec() }
             }
+            LaneSlice::Str { dict, lb, sg, ub } => ValueLane::Str {
+                dict: Arc::clone(dict),
+                lb: lb.to_vec(),
+                sg: sg.to_vec(),
+                ub: ub.to_vec(),
+            },
             LaneSlice::Boxed(v) => ValueLane::Boxed(v.to_vec()),
         }
     }
@@ -764,12 +962,60 @@ pub(crate) fn k_lt(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
     cmp_kernel(a, b, |x, y| x < y, |x, y| x < y)
 }
 
+/// Two `Str` lanes' codes as `i64` components of one order-preserving
+/// space: the stored codes over a shared dictionary, else `a`'s doubled
+/// and `b`'s strings placed among `a`'s ([`StrDict::place`]). Only `a`
+/// is ever compared with `b`, and that comparison is exact. `None`
+/// unless both lanes are `Str`.
+///
+/// A slice keeps its whole lane's dictionary, so placing all of `b`'s
+/// dictionary costs `O(|dict b| log |dict a|)` however short the slice
+/// is. Once that dictionary outgrows the slice's cells, the strings are
+/// compared directly instead: the comparison kernels only ever compare
+/// a component with its partner (`a.ub`–`b.lb`, `a.sg`–`b.sg`,
+/// `a.lb`–`b.ub`), so `a`'s component becomes the sign of its order
+/// against the partner and `b`'s becomes 0 — one string comparison per
+/// component, and a call stays `O(slice)`.
+fn str_codes(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<[[Vec<i64>; 3]; 2]> {
+    let (
+        LaneSlice::Str { dict: da, lb: al, sg: asg, ub: au },
+        LaneSlice::Str { dict: db, lb: bl, sg: bsg, ub: bu },
+    ) = (a, b)
+    else {
+        return None;
+    };
+    let map = |c: &[u32], f: &dyn Fn(u32) -> i64| c.iter().map(|&c| f(c)).collect::<Vec<_>>();
+    if Arc::ptr_eq(da, db) {
+        let code = |c| i64::from(c);
+        return Some([[al, asg, au].map(|c| map(c, &code)), [bl, bsg, bu].map(|c| map(c, &code))]);
+    }
+    if db.values.len() > bl.len() {
+        let sign = |x: &[u32], y: &[u32]| -> Vec<i64> {
+            let (x, y) = (x.iter().map(|&c| &da.values[c as usize]), y.iter());
+            x.zip(y).map(|(x, &c)| x.cmp(&db.values[c as usize]) as i64).collect()
+        };
+        let zeros = || vec![0; bl.len()];
+        return Some([[sign(al, bu), sign(asg, bsg), sign(au, bl)], [zeros(), zeros(), zeros()]]);
+    }
+    let placed: Vec<i64> = db.values.iter().map(|v| da.place(v)).collect();
+    let (double, place) = (|c| 2 * i64::from(c), |c: u32| placed[c as usize]);
+    Some([[al, asg, au].map(|c| map(c, &double)), [bl, bsg, bu].map(|c| map(c, &place))])
+}
+
+/// An `Int` view of [`str_codes`]' components.
+fn int_slice([lb, sg, ub]: &[Vec<i64>; 3]) -> LaneSlice<'_> {
+    LaneSlice::Int { lb, sg, ub }
+}
+
 fn cmp_kernel(
     a: &LaneSlice<'_>,
     b: &LaneSlice<'_>,
     fi: impl Fn(i64, i64) -> bool + Copy,
     ff: impl Fn(f64, f64) -> bool + Copy,
 ) -> Option<ValueLane> {
+    if let Some([x, y]) = str_codes(a, b) {
+        return cmp_kernel(&int_slice(&x), &int_slice(&y), fi, ff);
+    }
     match (a, b) {
         (
             LaneSlice::Int { lb: al, sg: asg, ub: au },
@@ -800,6 +1046,9 @@ fn cmp_kernel(
 /// value, possibly-equal iff the ranges overlap (`value_eq`-aware,
 /// which for numeric lanes is exactly the cast equality).
 pub(crate) fn k_eq(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
+    if let Some([x, y]) = str_codes(a, b) {
+        return k_eq(&int_slice(&x), &int_slice(&y));
+    }
     match (a, b) {
         (
             LaneSlice::Int { lb: al, sg: asg, ub: au },
@@ -1022,8 +1271,11 @@ mod tests {
         assert_eq!(g.get(0), lane.get(2));
         assert_eq!(g.get(1), lane.get(0));
         let s = ValueLane::splat(&RangeValue::certain(Value::str("x")), 3);
-        assert_eq!(s.tag(), LaneTag::Boxed);
+        assert_eq!(s.tag(), LaneTag::Str);
         assert_eq!(s.len(), 3);
+        assert_eq!(s.get(2), RangeValue::certain(Value::str("x")));
+        let s = ValueLane::splat(&RangeValue::certain(Value::Null), 2);
+        assert_eq!(s.tag(), LaneTag::Boxed);
         let s = ValueLane::splat(&RangeValue::certain(Value::Int(5)), 2);
         assert_eq!(s.tag(), LaneTag::Int);
     }

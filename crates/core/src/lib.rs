@@ -46,7 +46,7 @@ pub use annot::{AuAnnot, UaAnnot};
 pub use error::EvalError;
 pub use expr::{col, lit, Expr};
 pub use govern::{Budget, BudgetSpec, CancelToken, ExecError};
-pub use lane::{LaneSlice, LaneTag, ValueLane};
+pub use lane::{LaneSlice, LaneTag, StrDict, ValueLane};
 pub use obs::{
     Counter, ExecEvent, ExecEventKind, Metrics, MetricsSnapshot, QueryTrace, Site, SiteStats,
     TraceBuilder, TraceSpan, TRACE_SCHEMA_VERSION,

@@ -339,18 +339,6 @@ impl Value {
             Err(_) => self.mul(&Value::float(k as f64)),
         }
     }
-
-    /// Canonical hash-join key: integers collapse to their float
-    /// representation so that `value_eq`-equal values (`Int 2` and
-    /// `Float 2.0`) produce identical keys. Exact for integers within
-    /// f64's exact-integer range, which join keys are assumed to stay in
-    /// (shared by the deterministic and AU join paths).
-    pub fn join_key(&self) -> Value {
-        match self {
-            Value::Int(i) => Value::float(*i as f64),
-            other => other.clone(),
-        }
-    }
 }
 
 impl PartialOrd for Value {

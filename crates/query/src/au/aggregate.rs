@@ -517,9 +517,7 @@ pub fn aggregate_au_stats(
         // on the first attribute (`sweep_overlapping`'s contract; only
         // boxed endpoints make it a superset: `value_eq` ties), which
         // is then not tested again.
-        let tags = (boxes[0].tag(), src[0].tag());
-        let decided =
-            usize::from(tags.0 == tags.1 && matches!(tags.0, LaneTag::Int | LaneTag::Float));
+        let decided = usize::from(boxes[0].typed_alike(&src[0]));
         IntervalIndex::sweep_overlapping(&gi, &si, |g, s| {
             stats.pairs += 1;
             let mut cells = boxes[decided..].iter().zip(&src[decided..]);
@@ -720,7 +718,7 @@ struct LaneGroups {
 impl LaneGroups {
     fn build(keys: &[LaneSlice<'_>], n: usize) -> LaneGroups {
         let same = |a: u32, b: u32| keys.iter().all(|l| l.sg_eq(a as usize, b as usize));
-        let SgGroups { of_row, reps, .. } = SgGroups::assign(n, |i| lane_key(keys, i), same);
+        let SgGroups { of_row, reps, .. } = SgGroups::assign(n, |i| lane_key(keys, true, i), same);
         let is_certain: Vec<bool> = (0..n).map(|i| keys.iter().all(|l| l.is_certain(i))).collect();
         LaneGroups {
             alpha: Csr::by_group(reps.len(), &of_row, |_| true),

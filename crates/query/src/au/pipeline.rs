@@ -159,13 +159,13 @@ use std::time::Instant;
 
 use audb_core::obs::{Counter, Metrics, Site, TraceBuilder};
 use audb_core::{
-    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, LaneTag, Program,
-    Semiring, ValueLane,
+    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, Program, Semiring,
+    ValueLane,
 };
 use audb_exec::{Executor, Partitioner};
 use audb_storage::{
-    lane_key, AuDatabase, AuRelation, ColumnSet, GatherView, HashKeyIndex, IntervalIndex,
-    RangeTuple, Schema,
+    lane_key, shared_codes, AuDatabase, AuRelation, ColumnSet, GatherView, HashKeyIndex,
+    IntervalIndex, RangeTuple, Schema,
 };
 
 use super::{
@@ -345,7 +345,9 @@ struct Chain<I> {
 enum ProbePlan {
     /// Conjunctive equality: hash probes for certain keys, precomputed
     /// sweep candidates for the uncertain bands.
-    HashEqui { lcols: Vec<usize>, rcols: Vec<usize>, index: HashKeyIndex },
+    /// `codes`: the key lanes share their `Str` dictionaries
+    /// ([`shared_codes`]), so keys carry codes, not strings.
+    HashEqui { lcols: Vec<usize>, rcols: Vec<usize>, index: HashKeyIndex, codes: bool },
     /// Order comparison: all candidates precomputed by the endpoint
     /// sweep, re-checked per pair.
     Comparison,
@@ -361,8 +363,8 @@ struct ProbeOp<'a> {
     predicate: Option<&'a Stage>,
     plan: ProbePlan,
     /// Did the indexes run on typed cells — every key column pair read
-    /// off two `Int` or two `Float` lanes — or fall back to boxed
-    /// values? `None`: a nested loop reads no key.
+    /// off two `Int`, two `Float` or two `Str` lanes of one dictionary —
+    /// or fall back to boxed values? `None`: a nested loop reads no key.
     keys_typed: Option<bool>,
     /// Per *source* row id, as a flat CSR ([`planner::csr_by_left`]):
     /// its `(right row, rank)` candidates from the interval sweeps
@@ -403,10 +405,8 @@ impl<'a> ProbeOp<'a> {
         let (lcs, rcs) = (lanes_of(source, exec), lanes_of(right, exec));
         let started = exec.metrics().is_enabled().then(Instant::now);
         let full_index = |cs: &ColumnSet, c: usize| IntervalIndex::from_lane(cs.lane(c).as_slice());
-        let typed = |&(l, r): &(usize, usize)| {
-            let (l, r) = (lcs.lane(l).tag(), rcs.lane(r).tag());
-            l == r && matches!(l, LaneTag::Int | LaneTag::Float)
-        };
+        let typed =
+            |&(l, r): &(usize, usize)| lcs.lane(l).as_slice().typed_alike(&rcs.lane(r).as_slice());
         let mut keys_typed = None;
         // sweep pairs in emission order; the CSR keeps each row's order
         let mut cand: Vec<(u32, u32)> = Vec::new();
@@ -423,7 +423,9 @@ impl<'a> ProbeOp<'a> {
                 // the certain left side is empty — mirror the planner's
                 // guard and index nothing
                 let built = if lc.is_empty() { &[][..] } else { &rc[..] };
-                let index = HashKeyIndex::build(built.iter().copied(), |ri| lane_key(&rkeys, ri));
+                let codes = shared_codes(&lkeys, &rkeys);
+                let index =
+                    HashKeyIndex::build(built.iter().copied(), |ri| lane_key(&rkeys, codes, ri));
                 let (ll, rl) = (lkeys[0], rkeys[0]);
                 if !lu.is_empty() {
                     let li = IntervalIndex::from_lane_subset(ll, &lu);
@@ -435,7 +437,7 @@ impl<'a> ProbeOp<'a> {
                     let ri = IntervalIndex::from_lane_subset(rl, &ru);
                     IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand.push((a, b)));
                 }
-                ProbePlan::HashEqui { lcols, rcols, index }
+                ProbePlan::HashEqui { lcols, rcols, index, codes }
             }
             planner::JoinStrategy::IntervalComparison { lo, hi } => {
                 keys_typed = Some(typed(&match lo.0 {
@@ -880,10 +882,10 @@ impl<'p> LanePlan<'p> {
         for (&pos, &k) in fl.live.iter().zip(&fl.annots).take_while(|(&p, _)| p < limit) {
             let src = range.start + pos as usize;
             match &probe.plan {
-                ProbePlan::HashEqui { index, .. } => {
+                ProbePlan::HashEqui { index, codes, .. } => {
                     if lkeys.iter().all(|l| l.is_certain(src)) {
-                        let hits =
-                            index.matches(lane_key(&lkeys, src as u32), |ri| lane_key(&rkeys, ri));
+                        let key = |lanes, row| lane_key(lanes, *codes, row);
+                        let hits = index.matches(key(&lkeys, src as u32), |ri| key(&rkeys, ri));
                         sink.feed(src, k, hits.map(unranked))?;
                     }
                     sink.feed(src, k, probe.cand(src).iter().copied())?;

@@ -5,11 +5,12 @@
 //! A [`ColumnSet`] is the columnar twin of an [`crate::AuRelation`]'s
 //! row list: attribute `c` of every row lives in `lanes[c]` (contiguous
 //! `lb`/`sg`/`ub` component arrays when the column is homogeneously
-//! typed, boxed `RangeValue`s otherwise — see [`audb_core::lane`]), and
-//! the `N_AU` row annotations live in three contiguous `u64` arrays
-//! ([`AnnotColumn`]). The row [`RangeTuple`] API stays available as a
-//! materialized view ([`ColumnSet::row`]); fallback operators and
-//! indexes that want rows never notice the layout underneath.
+//! typed — strings as dictionary codes — boxed `RangeValue`s otherwise;
+//! see [`audb_core::lane`]), and the `N_AU` row annotations live in
+//! three contiguous `u64` arrays ([`AnnotColumn`]). The row
+//! [`RangeTuple`] API stays available as a materialized view
+//! ([`ColumnSet::row`]); fallback operators and indexes that want rows
+//! never notice the layout underneath.
 //!
 //! Column sets are immutable once built and shared as `Arc`s: the
 //! relation caches one per row list (invalidated on mutation), the
@@ -47,6 +48,7 @@
 //! * `Bool`: one `0`/`1` byte; `MinVal`/`Null`/`MaxVal`: rank only.
 
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use audb_core::{AuAnnot, LaneSlice, RangeValue, Value, ValueLane};
@@ -168,28 +170,31 @@ impl ColumnSet {
         RangeTuple(self.lanes.iter().map(|l| l.get(i)).collect())
     }
 
-    /// Storage footprint: every lane's component arrays (and boxed
-    /// cells' text lengths, an upper bound on shared text — see
-    /// [`ValueLane::lane_bytes`]) plus the annotation column.
+    /// Storage footprint: every lane's component arrays and text (a `Str`
+    /// lane's dictionary once, boxed cells' text lengths — an upper bound
+    /// on shared text; see [`ValueLane::lane_bytes`]) plus the annotation
+    /// column.
     pub fn estimated_bytes(&self) -> u64 {
         self.lanes.iter().map(ValueLane::lane_bytes).sum::<u64>() + self.annots.bytes()
     }
 
     /// [`ColumnSet::estimated_bytes`] computed straight from rows —
-    /// same classification, same numbers (every `Str` cell charged its
-    /// text length), no lane allocation. This is what
-    /// [`crate::AuRelation::estimated_bytes`] charges when the columnar
-    /// cache hasn't been built.
+    /// same classification, same numbers (a `Str` lane charged its
+    /// distinct texts once, a boxed lane every `Str` cell's text), no
+    /// lane allocation. This is what [`crate::AuRelation::estimated_bytes`]
+    /// charges when the columnar cache hasn't been built.
     pub fn byte_size_of_rows(arity: usize, rows: &[(RangeTuple, AuAnnot)]) -> u64 {
         const INT: u8 = 1;
         const FLOAT: u8 = 2;
         const BOOL: u8 = 4;
+        const STR: u8 = 8;
         // per column: the lane tags every component so far fits (a bit
-        // each), and its string heap — one pass over the rows, one match
-        // per component
-        let mut cols = vec![(INT | FLOAT | BOOL, 0u64); arity];
+        // each), its string heap, and its distinct strings while it may
+        // still be a `Str` lane — one pass over the rows, one match per
+        // component
+        let mut cols = vec![(INT | FLOAT | BOOL | STR, 0u64, HashSet::new()); arity];
         for (t, _) in rows {
-            for (cell, (tags, heap)) in t.0[..arity].iter().zip(&mut cols) {
+            for (cell, (tags, heap, dict)) in t.0[..arity].iter().zip(&mut cols) {
                 for v in [&cell.lb, &cell.sg, &cell.ub] {
                     *tags &= match v {
                         Value::Int(_) => INT,
@@ -197,7 +202,10 @@ impl ColumnSet {
                         Value::Bool(_) => BOOL,
                         Value::Str(s) => {
                             *heap += s.len() as u64;
-                            0
+                            if *tags & STR != 0 {
+                                dict.insert(&**s);
+                            }
+                            STR
                         }
                         _ => 0,
                     };
@@ -205,11 +213,13 @@ impl ColumnSet {
             }
         }
         let n = rows.len();
-        let lane = |&(tags, heap): &(u8, u64)| {
+        let lane = |(tags, heap, dict): &(u8, u64, HashSet<&str>)| {
             if tags & (INT | FLOAT) != 0 {
                 (3 * n * 8) as u64
             } else if tags & BOOL != 0 {
                 (3 * n) as u64
+            } else if tags & STR != 0 {
+                (3 * n * 4) as u64 + dict.iter().map(|s| s.len() as u64).sum::<u64>()
             } else {
                 (n * std::mem::size_of::<RangeValue>()) as u64 + heap
             }
@@ -318,7 +328,7 @@ impl<'a> GatherView<'a> {
     }
 
     /// `(typed, arity)`: the attributes read off a typed (`Int`/`Float`/
-    /// `Bool`) lane, of all attributes.
+    /// `Bool`/`Str`) lane, of all attributes.
     pub fn typed_cols(&self) -> (usize, usize) {
         let typed = |(l, _): &&(LaneSlice<'a>, _)| !matches!(l, LaneSlice::Boxed(_));
         (self.cols.iter().filter(typed).count(), self.cols.len())
@@ -411,11 +421,13 @@ impl Ord for RowRef<'_> {
     }
 }
 
-/// Key bytes of one cell of a lane: 8 per `Int`/`Float` component, 1 per
-/// `Bool` component, [`VALUE_KEY_BYTES`] per boxed component.
+/// Key bytes of one cell of a lane: 8 per `Int`/`Float` component, 4 per
+/// `Str` code, 1 per `Bool` component, [`VALUE_KEY_BYTES`] per boxed
+/// component.
 fn cell_key_bytes(lane: &LaneSlice<'_>) -> usize {
     3 * match lane {
         LaneSlice::Int { .. } | LaneSlice::Float { .. } => 8,
+        LaneSlice::Str { .. } => 4,
         LaneSlice::Bool { .. } => 1,
         LaneSlice::Boxed(_) => VALUE_KEY_BYTES,
     }
@@ -424,9 +436,11 @@ fn cell_key_bytes(lane: &LaneSlice<'_>) -> usize {
 /// [`packed_range_key`] of a view row, written per lane tag: within one
 /// lane every cell has one type, so a typed component needs no rank
 /// byte, tie byte or cast — its order-preserving transform alone orders
-/// it exactly. Boxed cells keep [`packed_value_key`] and its
-/// truncated-string rule: the key ends (zeros) after the first value it
-/// does not pin down. `out` is [`GatherView::key_width`] bytes.
+/// it exactly. A `Str` component is its big-endian code: a view column is
+/// one lane, of one dictionary, whose code order is string order — exact,
+/// however long the strings. Boxed cells keep [`packed_value_key`] and
+/// its truncated-string rule: the key ends (zeros) after the first value
+/// it does not pin down. `out` is [`GatherView::key_width`] bytes.
 pub(crate) fn packed_row_key(row: &RowRef<'_>, out: &mut [u8]) {
     let (mut at, mut exact) = (0, true);
     for (lane, i) in row.view.cells(row.row) {
@@ -445,6 +459,9 @@ pub(crate) fn packed_row_key(row: &RowRef<'_>, out: &mut [u8]) {
             }
             LaneSlice::Bool { lb, sg, ub } => {
                 key.copy_from_slice(&[lb[i], sg[i], ub[i]].map(u8::from));
+            }
+            LaneSlice::Str { lb, sg, ub, .. } => {
+                key.copy_from_slice([lb[i], sg[i], ub[i]].map(u32::to_be_bytes).as_flattened());
             }
             LaneSlice::Boxed(cells) => {
                 let cell = &cells[i];
@@ -502,6 +519,7 @@ mod tests {
                     RangeValue::certain(Value::float(1.5)),
                     RangeValue::certain(Value::str("hello")),
                     RangeValue::certain(Value::Bool(true)),
+                    RangeValue::certain(Value::str("hello")),
                 ]),
                 AuAnnot::triple(1, 1, 1),
             ),
@@ -511,12 +529,16 @@ mod tests {
                     RangeValue::certain(Value::float(-2.0)),
                     RangeValue::certain(Value::Int(9)),
                     RangeValue::range(false, true, true),
+                    RangeValue::range(Value::str("a"), Value::str("hello"), Value::str("hello")),
                 ]),
                 AuAnnot::triple(2, 2, 3),
             ),
         ];
-        let cs = ColumnSet::from_rows(4, &rows);
-        assert_eq!(cs.estimated_bytes(), ColumnSet::byte_size_of_rows(4, &rows));
+        let cs = ColumnSet::from_rows(5, &rows);
+        assert_eq!(cs.lane(4).tag(), LaneTag::Str);
+        // 2 rows × 3 codes × 4 bytes, and "a" + "hello" once
+        assert_eq!(cs.lane(4).lane_bytes(), 2 * 3 * 4 + 1 + 5);
+        assert_eq!(cs.estimated_bytes(), ColumnSet::byte_size_of_rows(5, &rows));
     }
 
     /// Packed keys order exactly like the values: strictly smaller key
@@ -586,8 +608,9 @@ mod tests {
     }
 
     /// The lane-written key, per lane tag: its byte order refines the
-    /// cells' order, exactly on typed lanes (no coarsening at all) and up
-    /// to the truncated-string rule on boxed ones; widths are per tag.
+    /// cells' order, exactly on typed lanes (no coarsening at all — a
+    /// `Str` lane's codes past any shared prefix included) and up to the
+    /// truncated-string rule on boxed ones; widths are per tag.
     #[test]
     fn packed_row_key_order_refines_cell_order_per_lane_tag() {
         use std::cmp::Ordering;
@@ -605,6 +628,13 @@ mod tests {
         let floats = [f64::NEG_INFINITY, -0.5, 0.0, 2.0, 2.5, (1u64 << 53) as f64, f64::INFINITY]
             .map(Value::float);
         let bools = [false, true].map(Value::Bool);
+        let strs = [
+            Value::str(""),
+            Value::str("a"),
+            Value::str("a very long string that exceeds the prefix width"),
+            Value::str("a very long string that exceeds the prefix width!"),
+            Value::str("b"),
+        ];
         let boxed = [
             Value::MinVal,
             Value::Null,
@@ -619,6 +649,7 @@ mod tests {
             (&ints[..], LaneTag::Int, 24),
             (&floats[..], LaneTag::Float, 24),
             (&bools[..], LaneTag::Bool, 3),
+            (&strs[..], LaneTag::Str, 12),
             (&boxed[..], LaneTag::Boxed, 3 * VALUE_KEY_BYTES),
         ] {
             let cells = triples(vals);

@@ -9,10 +9,10 @@
 //!   ([`IntervalIndex::sweep_overlapping`]) or order comparison
 //!   ([`IntervalIndex::sweep_lb_below_ub`]) predicate, replacing the
 //!   quadratic nested-loop candidate generation with
-//!   `O(n log n + candidates)`. Built from an `Int`/`Float` column lane
-//!   the endpoints stay `i64`/`f64`; each sweep is one body, generic
-//!   over the endpoint type, and emits the same pair sequence either
-//!   way.
+//!   `O(n log n + candidates)`. Built from an `Int`/`Float`/`Str`
+//!   column lane the endpoints stay `i64`/`f64`/dictionary codes; each
+//!   sweep is one body, generic over the endpoint type, and emits the
+//!   same pair sequence either way.
 //! * [`HashKeyIndex`] — the one hash table for equi-joins on certain
 //!   attributes (selected-guess values for AU rows, deterministic
 //!   values for bag rows): row ids grouped per hash of their canonical
@@ -32,16 +32,18 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use audb_core::hash::{call_seed, keyed_hash_with};
-use audb_core::{AuAnnot, LaneSlice, RangeValue, Value};
+use audb_core::{AuAnnot, LaneSlice, LaneTag, RangeValue, StrDict, Value};
 
 use crate::tuple::{RangeTuple, Tuple};
 
 /// An interval endpoint the index sorts and sweeps on: the domain's
-/// total order plus database equality. `i64` and `f64` are the cells of
-/// `Int`/`Float` lanes, for which both are the machine comparisons.
-trait Endpoint: Clone + Into<Value> {
+/// total order plus database equality. `i64`, `f64` and `u32` are the
+/// cells of `Int`/`Float`/`Str` lanes (a `u32` a code of one dictionary),
+/// for which both are the machine comparisons.
+trait Endpoint: Clone {
     fn total_cmp(&self, other: &Self) -> Ordering;
     /// Database equality; only `Value`s have any (`Int 2` = `Float 2.0`)
     /// beyond the ties of the total order.
@@ -62,6 +64,12 @@ impl Endpoint for f64 {
     }
 }
 
+impl Endpoint for u32 {
+    fn total_cmp(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+}
+
 impl Endpoint for Value {
     fn total_cmp(&self, other: &Self) -> Ordering {
         Value::total_cmp(self, other)
@@ -75,25 +83,27 @@ impl Endpoint for Value {
 type Bounds<E> = Vec<(E, E, u32)>;
 
 /// The endpoint list, typed when the index was built from an
-/// `Int`/`Float` lane.
+/// `Int`/`Float`/`Str` lane (codes with their dictionary).
 #[derive(Debug, Clone)]
 enum Endpoints {
     Int(Bounds<i64>),
     Float(Bounds<f64>),
+    Str(Bounds<u32>, Arc<StrDict>),
     Boxed(Bounds<Value>),
 }
 
 impl Endpoints {
     /// The list over boxed endpoints, in the same order (boxing
     /// preserves the total order) — what a sweep against an index of
-    /// another endpoint type runs on.
+    /// another endpoint type, or of another dictionary, runs on.
     fn boxed(&self) -> Cow<'_, [(Value, Value, u32)]> {
-        fn lift<E: Endpoint>(b: &Bounds<E>) -> Cow<'_, [(Value, Value, u32)]> {
-            Cow::Owned(b.iter().cloned().map(|(lb, ub, id)| (lb.into(), ub.into(), id)).collect())
+        fn lift<E: Copy>(b: &Bounds<E>, v: impl Fn(E) -> Value) -> Cow<'_, [(Value, Value, u32)]> {
+            Cow::Owned(b.iter().map(|&(lb, ub, id)| (v(lb), v(ub), id)).collect())
         }
         match self {
-            Endpoints::Int(b) => lift(b),
-            Endpoints::Float(b) => lift(b),
+            Endpoints::Int(b) => lift(b, Value::Int),
+            Endpoints::Float(b) => lift(b, Value::float),
+            Endpoints::Str(b, dict) => lift(b, |c| dict.values()[c as usize].clone()),
             Endpoints::Boxed(b) => Cow::Borrowed(b),
         }
     }
@@ -111,7 +121,10 @@ pub struct IntervalIndex {
 impl IntervalIndex {
     /// Build from `(lb, ub, row_id)` triples: sort by `lb`, then order
     /// the positions by `ub`.
-    fn from_bounds<E: Endpoint>(mut by_lb: Bounds<E>, wrap: fn(Bounds<E>) -> Endpoints) -> Self {
+    fn from_bounds<E: Endpoint>(
+        mut by_lb: Bounds<E>,
+        wrap: impl FnOnce(Bounds<E>) -> Endpoints,
+    ) -> Self {
         by_lb.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
         let mut ub_order: Vec<u32> = (0..by_lb.len() as u32).collect();
         ub_order
@@ -137,8 +150,8 @@ impl IntervalIndex {
 
     /// Index one attribute directly from its column lane (the columnar
     /// path — see [`crate::ColumnSet::lane_slices`]), without touching
-    /// row tuples: an `Int`/`Float` lane keeps its endpoints typed, any
-    /// other lane boxes them. Sweeps emit exactly what
+    /// row tuples: an `Int`/`Float`/`Str` lane keeps its endpoints typed,
+    /// any other lane boxes them. Sweeps emit exactly what
     /// [`IntervalIndex::from_au`] over the materialized rows emits.
     pub fn from_lane(lane: LaneSlice<'_>) -> Self {
         Self::from_lane_rows(lane, 0..lane.len() as u32)
@@ -159,6 +172,11 @@ impl IntervalIndex {
                 ids.map(|i| (lb[i as usize], ub[i as usize], i)).collect(),
                 Endpoints::Float,
             ),
+            LaneSlice::Str { dict, lb, ub, .. } => {
+                Self::from_bounds(ids.map(|i| (lb[i as usize], ub[i as usize], i)).collect(), |b| {
+                    Endpoints::Str(b, Arc::clone(dict))
+                })
+            }
             other => {
                 let cell = |i: u32| {
                     let rv = other.get(i as usize);
@@ -190,15 +208,18 @@ impl IntervalIndex {
     /// matching the possibly-equal semantics of `Expr::Eq`. Calls
     /// `on_pair(left_row, right_row)` exactly once per overlapping pair.
     ///
-    /// Runs on typed endpoints when both indexes hold the same type;
-    /// otherwise the typed side is boxed once. The pair sequence is the
-    /// same either way. On typed endpoints the pairs are exactly those
+    /// Runs on typed endpoints when both indexes hold the same type (and,
+    /// for codes, one dictionary); otherwise the typed side is boxed
+    /// once. The pair sequence is the same either way. On typed endpoints the pairs are exactly those
     /// [`RangeValue::overlaps`] holds for; boxed `Int`/`Float` endpoints
     /// add the `value_eq` ties the total order separates.
     pub fn sweep_overlapping(left: &Self, right: &Self, on_pair: impl FnMut(u32, u32)) {
         match (&left.by_lb, &right.by_lb) {
             (Endpoints::Int(l), Endpoints::Int(r)) => overlapping(l, r, on_pair),
             (Endpoints::Float(l), Endpoints::Float(r)) => overlapping(l, r, on_pair),
+            (Endpoints::Str(l, a), Endpoints::Str(r, b)) if Arc::ptr_eq(a, b) => {
+                overlapping(l, r, on_pair)
+            }
             (l, r) => overlapping(&l.boxed(), &r.boxed(), on_pair),
         }
     }
@@ -213,6 +234,9 @@ impl IntervalIndex {
         match (&left.by_lb, &right.by_lb) {
             (Endpoints::Int(l), Endpoints::Int(r)) => lb_below_ub(l, r, order, on_pair),
             (Endpoints::Float(l), Endpoints::Float(r)) => lb_below_ub(l, r, order, on_pair),
+            (Endpoints::Str(l, a), Endpoints::Str(r, b)) if Arc::ptr_eq(a, b) => {
+                lb_below_ub(l, r, order, on_pair)
+            }
             (l, r) => lb_below_ub(&l.boxed(), &r.boxed(), order, on_pair),
         }
     }
@@ -279,25 +303,34 @@ fn lb_below_ub<E: Endpoint>(
     }
 }
 
-/// One cell of a canonical join key. `Int` and `Float` cells collapse to
-/// the bit pattern of their `f64` cast, so `value_eq`-equal numbers
-/// (`Int 2`, `Float 2.0`) are one key — exact for integers within f64's
-/// exact-integer range, which join keys are assumed to stay in (shared
-/// by the deterministic and AU join paths). Anything else is the value
-/// itself.
+/// One cell of a canonical join key. `Int` and `Float` cells hash by the
+/// bit pattern of their `f64` cast, so `value_eq`-equal numbers (`Int 2`,
+/// `Float 2.0`) meet in one bucket, and compare as [`Value::value_eq`]
+/// has it: two `Int`s exactly, an `Int` and a `Float` by the cast — so
+/// integers one cast collapses (beyond 2^53) share a bucket but never
+/// match. A `Code` is a `Str` lane's dictionary code, hashed and compared
+/// as itself: it meets only codes of the same dictionary. Anything else
+/// is the value itself.
 #[derive(Debug, Clone, Copy)]
 pub enum KeyCell<'a> {
-    Num(u64),
+    Int(i64),
+    Float(f64),
     Bool(bool),
+    Code(u32),
     Other(&'a Value),
 }
 
-/// Structural equality — across the two sides' borrows.
+/// `value_eq` — across the two sides' borrows.
 impl<'b> PartialEq<KeyCell<'b>> for KeyCell<'_> {
     fn eq(&self, other: &KeyCell<'b>) -> bool {
         match (self, other) {
-            (KeyCell::Num(a), KeyCell::Num(b)) => a == b,
+            (KeyCell::Int(a), KeyCell::Int(b)) => a == b,
+            (KeyCell::Float(a), KeyCell::Float(b)) => a.to_bits() == b.to_bits(),
+            (KeyCell::Int(i), KeyCell::Float(f)) | (KeyCell::Float(f), KeyCell::Int(i)) => {
+                *i as f64 == *f
+            }
             (KeyCell::Bool(a), KeyCell::Bool(b)) => a == b,
+            (KeyCell::Code(a), KeyCell::Code(b)) => a == b,
             (KeyCell::Other(a), KeyCell::Other(b)) => a == b,
             _ => false,
         }
@@ -307,8 +340,8 @@ impl<'b> PartialEq<KeyCell<'b>> for KeyCell<'_> {
 impl<'a> KeyCell<'a> {
     pub fn of(v: &'a Value) -> Self {
         match v {
-            Value::Int(i) => KeyCell::Num((*i as f64).to_bits()),
-            Value::Float(f) => KeyCell::Num(f.get().to_bits()),
+            Value::Int(i) => KeyCell::Int(*i),
+            Value::Float(f) => KeyCell::Float(f.get()),
             Value::Bool(b) => KeyCell::Bool(*b),
             other => KeyCell::Other(other),
         }
@@ -316,17 +349,33 @@ impl<'a> KeyCell<'a> {
 }
 
 /// The selected-guess join key of lane row `row`, one lane per key
-/// column — no `Value` is built on a typed lane.
+/// column — no `Value` is built on a typed lane. `codes`: a `Str` cell is
+/// its dictionary code ([`KeyCell::Code`]), which is right when every key
+/// matched against this one is read off lanes of the same dictionaries
+/// (one relation's grouping; a join whose key lanes are
+/// [`LaneSlice::typed_alike`]); else it is the dictionary's `&Value`.
 pub fn lane_key<'a>(
     lanes: &'a [LaneSlice<'a>],
+    codes: bool,
     row: u32,
 ) -> impl Iterator<Item = KeyCell<'a>> + Clone {
+    let row = row as usize;
     lanes.iter().map(move |lane| match lane {
-        LaneSlice::Int { sg, .. } => KeyCell::Num((sg[row as usize] as f64).to_bits()),
-        LaneSlice::Float { sg, .. } => KeyCell::Num(sg[row as usize].to_bits()),
-        LaneSlice::Bool { sg, .. } => KeyCell::Bool(sg[row as usize]),
-        LaneSlice::Boxed(cells) => KeyCell::of(&cells[row as usize].sg),
+        LaneSlice::Int { sg, .. } => KeyCell::Int(sg[row]),
+        LaneSlice::Float { sg, .. } => KeyCell::Float(sg[row]),
+        LaneSlice::Bool { sg, .. } => KeyCell::Bool(sg[row]),
+        LaneSlice::Str { sg, .. } if codes => KeyCell::Code(sg[row]),
+        LaneSlice::Str { dict, sg, .. } => KeyCell::Other(&dict.values()[sg[row] as usize]),
+        LaneSlice::Boxed(cells) => KeyCell::of(&cells[row].sg),
     })
+}
+
+/// May keys off the lanes `a` and keys off the lanes `b` (key column by
+/// key column) be matched with `codes` ([`lane_key`])? Only when every
+/// pair that reads a `Str` lane reads two of one dictionary.
+pub fn shared_codes(a: &[LaneSlice<'_>], b: &[LaneSlice<'_>]) -> bool {
+    let no_str = |l: &LaneSlice<'_>| l.tag() != LaneTag::Str;
+    a.iter().zip(b).all(|(x, y)| x.typed_alike(y) || (no_str(x) && no_str(y)))
 }
 
 /// The selected-guess join key of AU row `row` over `cols`.
@@ -445,8 +494,10 @@ impl HashKeyIndex {
 fn hash_key<'a>(seed: u64, key: impl Iterator<Item = KeyCell<'a>>) -> u64 {
     keyed_hash_with(seed, |h| {
         key.for_each(|cell| match cell {
-            KeyCell::Num(bits) => h.write_u64(bits),
+            KeyCell::Int(i) => h.write_u64((i as f64).to_bits()),
+            KeyCell::Float(f) => h.write_u64(f.to_bits()),
             KeyCell::Bool(b) => h.write_u8(u8::from(b)),
+            KeyCell::Code(c) => h.write_u32(c),
             KeyCell::Other(v) => v.hash(h),
         })
     })
@@ -732,19 +783,20 @@ mod tests {
     }
 
     /// The hash index through each key adapter returns, per probe, the
-    /// ids a map from canonical key to row list (the structure it
-    /// replaced) holds, in the same order: `Int 2` ≡ `Float 2.0`,
-    /// integers at 2^53 and 2^53 + 1 share a bucket, multi-column keys,
-    /// `Str` keys, `Null`.
+    /// build ids whose key cells are `value_eq` to the probe's, in build
+    /// order — what the map from canonical key to row list it replaced
+    /// held, except that integers one `f64` cast collapses no longer
+    /// share an entry: `Int 2` ≡ `Float 2.0`, integers at 2^53 and 2^53 + 1 apart
+    /// (one bucket, no match), multi-column keys, `Str` keys — as codes of
+    /// one dictionary and as strings across two — and `Null`.
     #[test]
     fn hash_key_index_matches_the_map_it_replaced_through_every_adapter() {
         use audb_core::ValueLane;
-        use std::collections::BTreeMap;
         let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
         let pools = pools();
         for (name, pool) in &pools {
-            for (other, pool2) in pools.iter().take(3) {
-                // certain key cells: (this pool, one of int/float/mixed)
+            for (other, pool2) in pools.iter().take(4) {
+                // certain key cells: (this pool, one of int/float/mixed/huge)
                 let mut side = |n: usize| -> Vec<(RangeTuple, AuAnnot)> {
                     (0..n)
                         .map(|_| {
@@ -757,22 +809,35 @@ mod tests {
                 let (build, probe) = (side(60), side(40));
                 let cols = [0usize, 1];
                 let ids = subset(build.len(), true);
-                let canonical =
-                    |t: &RangeTuple| cols.iter().map(|c| t.0[*c].sg.join_key()).collect::<Vec<_>>();
-                let mut reference: BTreeMap<Vec<Value>, Vec<u32>> = BTreeMap::new();
-                for &i in &ids {
-                    reference.entry(canonical(&build[i as usize].0)).or_default().push(i);
-                }
+                let matching = |t: &RangeTuple| -> Vec<u32> {
+                    let eq = |i: u32| {
+                        let b = &build[i as usize].0;
+                        cols.iter().all(|&c| b.0[c].sg.value_eq(&t.0[c].sg))
+                    };
+                    ids.iter().copied().filter(|&i| eq(i)).collect()
+                };
 
                 let lanes = |rows: &[(RangeTuple, AuAnnot)]| -> Vec<ValueLane> {
                     cols.iter()
                         .map(|c| ValueLane::from_cells(rows.iter().map(|(t, _)| &t.0[*c])))
                         .collect()
                 };
+                // two dictionaries (one per side), and one lane over both
                 let (blanes, planes) = (lanes(&build), lanes(&probe));
+                let both = lanes(&[build.clone(), probe.clone()].concat());
                 let bslices: Vec<_> = blanes.iter().map(ValueLane::as_slice).collect();
                 let pslices: Vec<_> = planes.iter().map(ValueLane::as_slice).collect();
-                let by_lane = HashKeyIndex::build(ids.iter().copied(), |i| lane_key(&bslices, i));
+                let (nb, np) = (build.len(), probe.len());
+                let bshared: Vec<_> = both.iter().map(|l| l.slice(0..nb)).collect();
+                let pshared: Vec<_> = both.iter().map(|l| l.slice(nb..nb + np)).collect();
+                let str_pool = blanes[0].tag() == LaneTag::Str;
+                assert_eq!(shared_codes(&bslices, &pslices), !str_pool, "{name}");
+                assert!(shared_codes(&bshared, &pshared), "{name}");
+                let across = shared_codes(&bslices, &pslices);
+                let by_lane =
+                    HashKeyIndex::build(ids.iter().copied(), |i| lane_key(&bslices, across, i));
+                let by_code =
+                    HashKeyIndex::build(ids.iter().copied(), |i| lane_key(&bshared, true, i));
                 let by_au =
                     HashKeyIndex::build(ids.iter().copied(), |i| au_sg_key(&build, &cols, i));
                 let det: Vec<Tuple> = build.iter().map(|(t, _)| t.sg()).collect();
@@ -782,12 +847,20 @@ mod tests {
                 assert_ne!(by_lane.seed, by_au.seed, "two builds do not share a hash seed");
 
                 for (p, (t, _)) in probe.iter().enumerate() {
-                    let want = reference.get(&canonical(t)).cloned().unwrap_or_default();
+                    let want = matching(t);
                     let ctx = format!("{name} × {other}, probe {t}");
                     let got: Vec<u32> = by_lane
-                        .matches(lane_key(&pslices, p as u32), |i| lane_key(&bslices, i))
+                        .matches(lane_key(&pslices, across, p as u32), |i| {
+                            lane_key(&bslices, across, i)
+                        })
                         .collect();
                     assert_eq!(got, want, "lanes: {ctx}");
+                    let got: Vec<u32> = by_code
+                        .matches(lane_key(&pshared, true, p as u32), |i| {
+                            lane_key(&bshared, true, i)
+                        })
+                        .collect();
+                    assert_eq!(got, want, "lanes of one dictionary: {ctx}");
                     let got: Vec<u32> = by_au
                         .matches(au_sg_key(&probe, &cols, p as u32), |i| {
                             au_sg_key(&build, &cols, i)

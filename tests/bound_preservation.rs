@@ -9,6 +9,7 @@ mod common;
 
 use proptest::prelude::*;
 
+use audb::core::LaneTag;
 use audb::prelude::*;
 use common::{check_bounds, weighted_xtuple};
 
@@ -296,4 +297,50 @@ fn difference_bounds_regression() {
     );
     let q = table("r").difference(table("s"));
     check_bounds(&db, &q, &AuConfig::precise()).unwrap();
+}
+
+/// Ground truth across the 1 024-row chunk seam on `Str` lanes: 3 000
+/// distinct certain rows `(k, v, s)` plus six x-tuples whose alternatives differ
+/// in a string (two of them optional: 144 worlds), sorted so that the
+/// uncertain rows sit on both sides of row 1 024. A `Str` σ literal —
+/// present in the column, or absent from it — and `Str` γ keys, on the
+/// lanes and on the oracle plan, precise and with aggregation buckets,
+/// bound every world's answer (Theorems 3/4) and encode its SG world.
+#[test]
+fn str_lanes_bound_every_world_across_the_chunk_seam() {
+    let key = |i: i64| Value::str(format!("k{:02}", i % 13));
+    let row = |k: Value, v: i64, s: &str| Tuple::new(vec![k, Value::Int(v), Value::str(s)]);
+    let mut rows: Vec<XTuple> =
+        (0..3000).map(|i| XTuple::certain(row(key(i), i, ["x", "y"][i as usize % 2]))).collect();
+    for (j, (a, b, total)) in
+        [(3, 4, 1.0), (4, 5, 1.0), (5, 4, 0.5), (4, 6, 1.0), (5, 3, 0.5), (4, 4, 1.0)]
+            .into_iter()
+            .enumerate()
+    {
+        let s = if j == 5 { ["x", "z"] } else { ["y", "y"] };
+        let alts = vec![row(key(a), j as i64, s[0]), row(key(b), 10 + j as i64, s[1])];
+        rows.push(weighted_xtuple(alts, total));
+    }
+    let mut db = XDb::default();
+    db.insert("t", XRelation::new(Schema::named(&["k", "v", "s"]), rows));
+    let t = db.to_au().get("t").unwrap().clone();
+    let uncertain: Vec<usize> =
+        (0..t.len()).filter(|&i| !t.rows()[i].0 .0.iter().all(RangeValue::is_certain)).collect();
+    assert!(uncertain.len() == 6 && uncertain[0] < 1024 && uncertain[5] >= 1024, "{uncertain:?}");
+    assert_eq!(t.columns().lane(0).tag(), LaneTag::Str);
+
+    let sums = || vec![AggSpec::new(AggFunc::Sum, col(1), "v"), AggSpec::count("n")];
+    let queries = [
+        table("t").select(col(0).eq(lit("k04"))).aggregate(vec![], sums()),
+        table("t").select(col(0).leq(lit("k04x"))).aggregate(vec![0], sums()),
+        table("t").select(col(2).neq(lit("y"))).aggregate(vec![0, 2], sums()),
+        table("t").aggregate(vec![2, 0], sums()),
+    ];
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(4) };
+    for q in &queries {
+        for cfg in [AuConfig::default(), forced] {
+            check_bounds(&db, q, &cfg.with_workers(1))
+                .unwrap_or_else(|e| panic!("{q}, {cfg:?}: {e}"));
+        }
+    }
 }

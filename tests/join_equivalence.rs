@@ -151,3 +151,39 @@ fn det_planned_paths_match_obfuscated_fallback() {
     let q_slow = table("r").join_on(table("s"), col(0).gt(col(2)).not());
     assert_eq!(eval_det(&db, &q_sweep).unwrap(), eval_det(&db, &q_slow).unwrap());
 }
+
+/// `Int` join keys compare as integers, never as their `f64` casts:
+/// `2^53` and `2^53 + 1` share a cast (and a hash bucket) but no value,
+/// so their equi-join is empty on the deterministic engine, on its
+/// oracle and in the AU engine's SG world — what the `≤ ∧ ≥` form of the
+/// same join, which no hash index serves, returns. `Int 2` still meets
+/// `Float 2.0`.
+#[test]
+fn int_keys_beyond_f64_precision_join_exactly() {
+    use audb::query::det::eval_det_oracle;
+    let big = 1i64 << 53;
+    let one = |name: &str, v: Value| {
+        Relation::from_rows(Schema::named(&[name]), vec![(Tuple::new(vec![v]), 1)])
+    };
+    for (l, r, rows) in [
+        (Value::Int(big), Value::Int(big + 1), 0),
+        (Value::Int(big + 1), Value::Int(big), 0),
+        (Value::Int(big), Value::Int(big), 1),
+        (Value::Int(2), Value::float(2.0), 1),
+    ] {
+        let mut db = Database::new();
+        db.insert("l", one("a", l.clone()));
+        db.insert("r", one("b", r.clone()));
+        let au = AuDatabase::from_certain(&db);
+        let hash = table("l").join_on(table("r"), col(0).eq(col(1)));
+        let slow = table("l").join_on(table("r"), col(0).leq(col(1)).and(col(0).geq(col(1))));
+        let ctx = format!("{l} = {r}");
+        for q in [&hash, &slow] {
+            let det = eval_det(&db, q).unwrap();
+            assert_eq!(det.rows().len(), rows, "eval_det: {ctx}, {q}");
+            assert_eq!(eval_det_oracle(&db, q, &Executor::sequential()).unwrap(), det, "{ctx}");
+            let sg = eval_au(&au, q, &AuConfig::default()).unwrap().sg_world();
+            assert_eq!(sg, det, "eval_au's SG world: {ctx}, {q}");
+        }
+    }
+}

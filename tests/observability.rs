@@ -235,10 +235,11 @@ fn fold_promoted_term_counts_once() {
 }
 
 /// No silent demotion of the group-by lanes either: every key lane
-/// typed (`Int`/`Float`/`Bool`) reads `keys = typed`; one `Boxed` key
-/// lane (a `Str` column here, next to an `Int` one) reads `keys = boxed`
-/// and ticks `agg_keys_boxed` once for the run — grouping confirmed
-/// `Value`s and the membership sweep ran on boxed endpoints.
+/// typed (`Int`/`Float`/`Bool`/`Str`) reads `keys = typed`; one `Boxed`
+/// key lane (a column mixing strings and integers here, next to an
+/// `Int` one) reads `keys = boxed` and ticks `agg_keys_boxed` once for
+/// the run — grouping confirmed `Value`s and the membership sweep ran on
+/// boxed endpoints.
 #[test]
 fn aggregate_span_names_the_key_lanes() {
     let rows = (0..40i64).map(|i| {
@@ -247,16 +248,23 @@ fn aggregate_span_names_the_key_lanes() {
             _ => RangeValue::certain(Value::Int(i % 5)),
         };
         let name = RangeValue::certain(Value::str(["x", "y", "z"][i as usize % 3]));
-        let cells = vec![g, name, RangeValue::certain(Value::Int(i))];
+        let mixed = match i % 3 {
+            0 => RangeValue::certain(Value::Int(i % 2)),
+            _ => name.clone(),
+        };
+        let cells = vec![g, name, RangeValue::certain(Value::Int(i)), mixed];
         (RangeTuple::new(cells), AuAnnot::triple(1, 1, 1))
     });
     let mut db = AuDatabase::new();
-    db.insert("t", AuRelation::from_rows(Schema::named(&["g", "name", "v"]), rows.collect()));
+    let schema = Schema::named(&["g", "name", "v", "mixed"]);
+    db.insert("t", AuRelation::from_rows(schema, rows.collect()));
     let aggs = vec![AggSpec::new(AggFunc::Sum, col(2), "s"), AggSpec::count("c")];
     for (group_by, keys, ticks) in [
         (vec![0], "typed", 0),
-        (vec![1], "boxed", 1),
-        (vec![0, 1], "boxed", 1),
+        (vec![1], "typed", 0),
+        (vec![0, 1], "typed", 0),
+        (vec![3], "boxed", 1),
+        (vec![0, 3], "boxed", 1),
         (vec![], "typed", 0),
     ] {
         let q = table("t").aggregate(group_by.clone(), aggs.clone());
@@ -376,10 +384,17 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     assert_eq!(site("chain_materialize"), 1);
     assert!(site("reduce_merge_sort") >= 1, "sequential normalization is timed");
 
-    // string keys ride boxed lanes: the re-check stage demotes, visibly
-    let names = |n: usize| {
+    // string keys ride `Str` lanes, one dictionary per table: across
+    // two tables the index keys and sweeps on the strings (visibly), and
+    // the re-check stage places one dictionary in the other and stays
+    // typed; a self-join shares one dictionary and keys on its codes
+    // (`m`'s key column mixes in integers)
+    let names = |n: usize, mixed: bool| {
         let rows = (0..n).map(|i| {
-            let key = RangeValue::certain(Value::str(format!("k{}", i % 4)));
+            let key = match i % 3 {
+                0 if mixed => RangeValue::certain(Value::Int((i % 4) as i64)),
+                _ => RangeValue::certain(Value::str(format!("k{}", i % 4))),
+            };
             (
                 RangeTuple::new(vec![key, RangeValue::certain(Value::Int(i as i64))]),
                 AuAnnot::certain_one(),
@@ -388,19 +403,34 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
         AuRelation::from_rows(Schema::named(&["k", "v"]), rows.collect())
     };
     let mut sdb = AuDatabase::new();
-    sdb.insert("l", names(12));
-    sdb.insert("r", names(8));
-    let q = table("l").join_on(table("r"), col(0).eq(col(2)));
+    sdb.insert("l", names(12, false));
+    sdb.insert("r", names(8, false));
+    sdb.insert("m", names(8, true));
+    for (right, pairs, keys, ticks) in [("r", "24", "boxed", 1), ("l", "36", "typed", 0)] {
+        let q = table("l").join_on(table(right), col(0).eq(col(2)));
+        let (rel, trace) = eval_au_traced(&sdb, &q, &cfg).unwrap();
+        assert_eq!(rel, eval_au(&sdb, &q, &cfg).unwrap(), "traced != untraced");
+        let fused = trace.root.find("fused-chain").expect("fused chain span");
+        assert_eq!(fused.attr("pairs"), Some(pairs));
+        assert_eq!(fused.attr("stages_boxed"), Some("0"), "l ⋈ {right}");
+        assert_eq!(trace.metrics.counter("chain_stages_boxed"), Some(0));
+        assert_eq!(fused.attr("keys"), Some(keys), "l ⋈ {right}");
+        assert_eq!(trace.metrics.counter("probe_keys_boxed"), Some(ticks), "l ⋈ {right}");
+        assert_eq!(fused.attr("keyed"), Some("4/4"), "k, v, k, v: every column keys typed");
+    }
+    // a key column mixing strings and integers is a boxed lane: the
+    // re-check stage demotes, visibly, and so does the build — its hash
+    // index confirmed boxed cells
+    let q = table("l").join_on(table("m"), col(0).eq(col(2)));
     let (rel, trace) = eval_au_traced(&sdb, &q, &cfg).unwrap();
     assert_eq!(rel, eval_au(&sdb, &q, &cfg).unwrap(), "traced != untraced");
     let fused = trace.root.find("fused-chain").expect("fused chain span");
-    assert_eq!(fused.attr("pairs"), Some("24"));
+    assert_eq!(fused.attr("pairs"), Some("15"));
     assert_eq!(fused.attr("stages_boxed"), Some("1"));
     assert_eq!(trace.metrics.counter("chain_stages_boxed"), Some(1));
-    // ... and so does the build: its hash index confirmed boxed cells
     assert_eq!(fused.attr("keys"), Some("boxed"));
     assert_eq!(trace.metrics.counter("probe_keys_boxed"), Some(1));
-    assert_eq!(fused.attr("keyed"), Some("2/4"), "k, v, k, v: the Int payloads key typed");
+    assert_eq!(fused.attr("keyed"), Some("3/4"), "k, v, k, v: the mixed key column is boxed");
 
     // the oracle fuses nothing: no chain span, no pair accounting
     let (_, root) = eval_oracle_traced(&db, &spine, &cfg);

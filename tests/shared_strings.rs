@@ -1,5 +1,6 @@
 //! Strings are shared, not copied: a `Value::Str` is an `Arc<str>`, and
-//! every step that moves a cell — columnarizing rows, gathering a lane,
+//! every step that moves a cell — columnarizing rows into a `Str` lane's
+//! dictionary, gathering or appending a lane (one dictionary or two),
 //! handing lanes or tuples over, a whole TPC-H query under
 //! `compressed(64)` — hands on the base table's allocation. A
 //! `Value::str(s.to_string())` slipped into a hot path fails here instead
@@ -8,7 +9,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use audb::core::{LaneTag, ValueLane};
+use audb::core::{LaneTag, StrDict, ValueLane};
 use audb::prelude::*;
 use audb::storage::{ColumnSet, GatherView};
 use audb::workloads::tpch::q7;
@@ -48,9 +49,16 @@ fn values(rows: &[(RangeTuple, AuAnnot)]) -> impl Iterator<Item = &Value> {
     rows.iter().flat_map(|(t, _)| &t.0).flat_map(|rv| [&rv.lb, &rv.sg, &rv.ub])
 }
 
-fn lane_values(lane: &ValueLane) -> impl Iterator<Item = &Value> {
-    let ValueLane::Boxed(cells) = lane else { panic!("a Str lane is boxed") };
-    cells.iter().flat_map(|rv| [&rv.lb, &rv.sg, &rv.ub])
+/// A `Str` lane's dictionary.
+fn dict(lane: &ValueLane) -> &Arc<StrDict> {
+    let ValueLane::Str { dict, .. } = lane else { panic!("a string column is a Str lane") };
+    dict
+}
+
+/// Every cell of a lane, materialized.
+fn materialized(lane: &ValueLane) -> Vec<(RangeTuple, AuAnnot)> {
+    let cell = |i| (RangeTuple(vec![lane.get(i)]), AuAnnot::certain_one());
+    (0..lane.len()).map(cell).collect()
 }
 
 /// The uncertain TPC-H database with every text interned in `pool`.
@@ -83,25 +91,32 @@ fn strings_are_shared_end_to_end() {
     let cells = 3 * lineitem.len();
     assert_eq!(pool.shared(values(lineitem.rows()), "base"), 2 * cells);
 
+    // the dictionary holds each text's pooled allocation, once, and a
+    // materialized cell is that allocation again
     let cs = ColumnSet::from_rows(lineitem.schema.arity(), lineitem.rows());
-    let flags = cs.lane(5);
-    assert_eq!(flags.tag(), LaneTag::Boxed);
-    assert_eq!(pool.shared(lane_values(flags), "ColumnSet::from_rows"), cells);
+    let (flags, status) = (cs.lane(5), cs.lane(6));
+    assert_eq!((flags.tag(), status.tag()), (LaneTag::Str, LaneTag::Str));
+    assert_eq!(pool.shared(dict(flags).values().iter(), "ColumnSet::from_rows"), 3);
+    assert_eq!(pool.shared(values(&materialized(flags)), "ValueLane::get"), cells);
 
-    // a gather into an empty lane, then one behind it
+    // a gather into an empty lane, then one behind it: one dictionary
     let picks: Vec<u32> = (0..lineitem.len() as u32).rev().step_by(3).collect();
     let mut gathered = ValueLane::default();
     gathered.append(&flags.as_slice(), Some(&picks));
     gathered.append(&flags.as_slice(), Some(&picks));
-    assert_eq!(pool.shared(lane_values(&gathered), "ValueLane::append"), 6 * picks.len());
+    assert!(Arc::ptr_eq(dict(&gathered), dict(flags)), "ValueLane::append keeps the dictionary");
+    assert_eq!(pool.shared(values(&materialized(&gathered)), "ValueLane::append"), 6 * picks.len());
+    // ... and one of another dictionary: the union holds both sides' texts
+    gathered.append(&status.as_slice(), Some(&picks));
+    assert_eq!(pool.shared(dict(&gathered).values().iter(), "a merged dictionary"), 3 + 2);
+    assert_eq!(pool.shared(values(&materialized(&gathered)), "ValueLane::append"), 9 * picks.len());
 
-    let view =
-        GatherView::new(vec![(flags.as_slice(), None), (cs.lane(6).as_slice(), Some(&picks))]);
+    let view = GatherView::new(vec![(flags.as_slice(), None), (status.as_slice(), Some(&picks))]);
     let order = || (0..picks.len() as u32).map(|i| (i, AuAnnot::triple(1, 1, 1)));
     let lanes = view.lanes(order());
-    let from_lanes: usize =
-        lanes.lanes().iter().map(|l| pool.shared(lane_values(l), "GatherView::lanes")).sum();
-    assert_eq!(from_lanes, 6 * picks.len());
+    for (lane, from) in lanes.lanes().iter().zip([flags, status]) {
+        assert!(Arc::ptr_eq(dict(lane), dict(from)), "GatherView::lanes keeps the dictionary");
+    }
     assert_eq!(pool.shared(values(&view.tuples(order())), "GatherView::tuples"), 6 * picks.len());
 
     // Q7's join spine under compressed(64) — as configured, and forced so
