@@ -264,11 +264,6 @@ impl Budget {
         self.inner.rows.load(Ordering::Relaxed)
     }
 
-    /// Estimated bytes charged so far.
-    pub fn bytes_used(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
-    }
-
     /// Charge `rows` materialized rows / `bytes` estimated bytes against
     /// the budget on behalf of `operator`. The first charge that pushes
     /// a meter past its limit reports [`ExecError::BudgetExceeded`]

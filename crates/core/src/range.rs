@@ -130,14 +130,6 @@ impl RangeValue {
     pub fn as_bool3(&self) -> Result<(bool, bool, bool), EvalError> {
         Ok((self.lb.as_bool()?, self.sg.as_bool()?, self.ub.as_bool()?))
     }
-
-    /// The certainly-true / possibly-true pair of a boolean range.
-    pub fn certainly_true(&self) -> bool {
-        matches!(self.lb, Value::Bool(true))
-    }
-    pub fn possibly_true(&self) -> bool {
-        matches!(self.ub, Value::Bool(true))
-    }
 }
 
 impl fmt::Display for RangeValue {

@@ -84,14 +84,6 @@ pub fn make_uncertain(
     audb_core::RangeValue::new(lb, sg, ub)
 }
 
-/// Convenience: repair a deterministic relation and return the schema
-/// for downstream use.
-pub fn repair_to_xrelation(rel: &Relation, key_cols: &[&str]) -> XRelation {
-    let key: Vec<usize> =
-        key_cols.iter().map(|c| rel.schema.index_of(c).expect("key column")).collect();
-    key_repair_lens(rel, &key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,11 +26,6 @@ impl FlowNetwork {
         self.graph.len()
     }
 
-    pub fn add_node(&mut self) -> usize {
-        self.graph.push(Vec::new());
-        self.graph.len() - 1
-    }
-
     /// Add a directed edge with the given capacity.
     pub fn add_edge(&mut self, from: usize, to: usize, cap: u64) {
         let rev_from = self.graph[to].len();

@@ -21,11 +21,6 @@ impl TiRelation {
         TiRelation { schema, tuples }
     }
 
-    /// Number of uncertain (optional) tuples.
-    pub fn uncertain_count(&self) -> usize {
-        self.tuples.iter().filter(|(_, p)| *p < 1.0).count()
-    }
-
     /// Enumerate all possible worlds (exponential — test-sized inputs
     /// only; guarded by `max_worlds`).
     pub fn worlds(&self, max_worlds: usize) -> Option<Vec<Relation>> {

@@ -188,24 +188,13 @@ pub fn avg_range(sum: &RangeValue, cnt: &RangeValue) -> Result<RangeValue, EvalE
     RangeValue::new(lo, sg, hi)
 }
 
-/// Aggregate an AU-relation (Definitions 24–28) on the default executor
-/// (all available workers). With `compress = Some(ct)`, possible-side
-/// contributions are drawn from a `ct`-tuple compression of the input
-/// (Section 10.5) instead of the input itself — faster, with looser
-/// (but still sound) bounds.
-pub fn aggregate_au(
-    rel: &AuRelation,
-    group_by: &[usize],
-    aggs: &[AggSpec],
-    compress: Option<usize>,
-) -> Result<AuRelation, EvalError> {
-    aggregate_au_exec(rel, group_by, aggs, compress, &Executor::default())
-}
-
-/// [`aggregate_au`] on an explicit executor — the row-once kernel (see
-/// the module docs). Group folds are partitioned into morsels on the
-/// scoped pool and merge in group order, so the result is identical for
-/// every worker count.
+/// Aggregate an AU-relation (Definitions 24–28) on an explicit executor
+/// — the row-once kernel (see the module docs). With `compress =
+/// Some(ct)`, possible-side contributions are drawn from a `ct`-tuple
+/// compression of the input (Section 10.5) instead of the input itself —
+/// faster, with looser (but still sound) bounds. Group folds are
+/// partitioned into morsels on the scoped pool and merge in group order,
+/// so the result is identical for every worker count.
 pub fn aggregate_au_exec(
     rel: &AuRelation,
     group_by: &[usize],
@@ -1081,8 +1070,14 @@ mod tests {
                 au_row(vec![r2(-4, -3, -3), r2(2, 3, 4)], 1, 2, 2),
             ],
         );
-        let out =
-            aggregate_au(&rel, &[1], &[AggSpec::new(AggFunc::Sum, col(0), "s")], None).unwrap();
+        let out = aggregate_au_exec(
+            &rel,
+            &[1],
+            &[AggSpec::new(AggFunc::Sum, col(0), "s")],
+            None,
+            &Executor::sequential(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         let (t, _) = &out.rows()[0];
         let sum = &t.0[1];
@@ -1104,8 +1099,14 @@ mod tests {
                 au_row(vec![r2(-4, -3, -3), RangeValue::certain(Value::Int(3))], 1, 2, 2),
             ],
         );
-        let out =
-            aggregate_au(&rel, &[1], &[AggSpec::new(AggFunc::Sum, col(0), "s")], None).unwrap();
+        let out = aggregate_au_exec(
+            &rel,
+            &[1],
+            &[AggSpec::new(AggFunc::Sum, col(0), "s")],
+            None,
+            &Executor::sequential(),
+        )
+        .unwrap();
         let sum = &out.rows()[0].0 .0[1];
         // lb: 3·1 + (-4)·2 = -5; sg: 10 − 6 = 4; ub: 10·2 + (-3)·1 = 17
         assert_eq!(sum.lb, Value::Int(-5));
@@ -1130,7 +1131,9 @@ mod tests {
                 au_row(vec![street("Monroe"), r2(3550, 3574, 3585)], 0, 0, 1),
             ],
         );
-        let out = aggregate_au(&rel, &[0], &[AggSpec::count("cnt")], None).unwrap();
+        let out =
+            aggregate_au_exec(&rel, &[0], &[AggSpec::count("cnt")], None, &Executor::sequential())
+                .unwrap();
         let mut by_street = std::collections::HashMap::new();
         for (t, k) in out.rows() {
             by_street.insert(format!("{}", t.0[0].sg), (t.0[1].clone(), *k));
@@ -1170,8 +1173,14 @@ mod tests {
                 au_row(vec![r2(2, 3, 4)], 0, 0, 1),
             ],
         );
-        let out =
-            aggregate_au(&rel, &[], &[AggSpec::new(AggFunc::Sum, col(0), "pop")], None).unwrap();
+        let out = aggregate_au_exec(
+            &rel,
+            &[],
+            &[AggSpec::new(AggFunc::Sum, col(0), "pop")],
+            None,
+            &Executor::sequential(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         let (t, k) = &out.rows()[0];
         // lb: 1 + 1 + 4 + min(0,2·0) = 6; sg: 1 + 2 + 4 + 0 = 7
@@ -1189,11 +1198,12 @@ mod tests {
                 au_row(vec![r2(1, 1, 2), r2(2, 3, 4)], 0, 1, 1),
             ],
         );
-        let out = aggregate_au(
+        let out = aggregate_au_exec(
             &rel,
             &[0],
             &[AggSpec::new(AggFunc::Min, col(1), "lo"), AggSpec::new(AggFunc::Max, col(1), "hi")],
             None,
+            &Executor::sequential(),
         )
         .unwrap();
         assert_eq!(out.len(), 1);
@@ -1219,11 +1229,12 @@ mod tests {
                 au_row(vec![RangeValue::certain(Value::Int(1)), r2(2, 3, 4)], 0, 1, 1),
             ],
         );
-        let out = aggregate_au(
+        let out = aggregate_au_exec(
             &rel,
             &[0],
             &[AggSpec::new(AggFunc::Min, col(1), "lo"), AggSpec::new(AggFunc::Max, col(1), "hi")],
             None,
+            &Executor::sequential(),
         )
         .unwrap();
         let (t, k) = &out.rows()[0];
@@ -1242,8 +1253,14 @@ mod tests {
             Schema::named(&["v"]),
             vec![au_row(vec![r2(10, 10, 10)], 1, 1, 1), au_row(vec![r2(20, 20, 20)], 0, 1, 1)],
         );
-        let out =
-            aggregate_au(&rel, &[], &[AggSpec::new(AggFunc::Avg, col(0), "a")], None).unwrap();
+        let out = aggregate_au_exec(
+            &rel,
+            &[],
+            &[AggSpec::new(AggFunc::Avg, col(0), "a")],
+            None,
+            &Executor::sequential(),
+        )
+        .unwrap();
         let (t, _) = &out.rows()[0];
         let avg = &t.0[0];
         // sum ∈ [10, 30], count ∈ [1, 2] → avg ∈ [5, 30]; SG: 30/2 = 15
@@ -1255,11 +1272,12 @@ mod tests {
     #[test]
     fn empty_input_no_groupby_neutral_row() {
         let rel = AuRelation::empty(Schema::named(&["v"]));
-        let out = aggregate_au(
+        let out = aggregate_au_exec(
             &rel,
             &[],
             &[AggSpec::new(AggFunc::Sum, col(0), "s"), AggSpec::new(AggFunc::Min, col(0), "m")],
             None,
+            &Executor::sequential(),
         )
         .unwrap();
         assert_eq!(out.len(), 1);
@@ -1272,8 +1290,14 @@ mod tests {
     #[test]
     fn empty_input_with_groupby_empty_result() {
         let rel = AuRelation::empty(Schema::named(&["g", "v"]));
-        let out =
-            aggregate_au(&rel, &[0], &[AggSpec::new(AggFunc::Sum, col(1), "s")], None).unwrap();
+        let out = aggregate_au_exec(
+            &rel,
+            &[0],
+            &[AggSpec::new(AggFunc::Sum, col(1), "s")],
+            None,
+            &Executor::sequential(),
+        )
+        .unwrap();
         assert!(out.is_empty());
     }
 
@@ -1289,11 +1313,12 @@ mod tests {
                 au_row(vec![RangeValue::certain(Value::Int(2)), r2(-5, -1, 0)], 1, 1, 1),
             ],
         );
-        let out = aggregate_au(
+        let out = aggregate_au_exec(
             &rel,
             &[0],
             &[AggSpec::new(AggFunc::Sum, col(1), "s"), AggSpec::count("c")],
             None,
+            &Executor::sequential(),
         )
         .unwrap();
         let sgw_agg = out.sg_world();
@@ -1319,8 +1344,9 @@ mod tests {
             ],
         );
         let aggs = [AggSpec::new(AggFunc::Sum, col(1), "s")];
-        let precise = aggregate_au(&rel, &[0], &aggs, None).unwrap();
-        let compressed = aggregate_au(&rel, &[0], &aggs, Some(2)).unwrap();
+        let precise = aggregate_au_exec(&rel, &[0], &aggs, None, &Executor::sequential()).unwrap();
+        let compressed =
+            aggregate_au_exec(&rel, &[0], &aggs, Some(2), &Executor::sequential()).unwrap();
         assert_eq!(precise.sg_world(), compressed.sg_world());
         // every precise tuple's bounds are inside the compressed ones
         for (tp, kp) in precise.rows() {
@@ -1354,7 +1380,9 @@ mod tests {
                 au_row(vec![r2(0, 1, 3), r2(7, 7, 7)], 0, 0, huge),
             ],
         );
-        let out = aggregate_au(&rel, &[0], &[AggSpec::count("c")], None).unwrap();
+        let out =
+            aggregate_au_exec(&rel, &[0], &[AggSpec::count("c")], None, &Executor::sequential())
+                .unwrap();
         assert_eq!(out.len(), 1);
         let (t, k) = &out.rows()[0];
         // saturated at the domain top — still a sound upper bound
@@ -1394,11 +1422,11 @@ mod tests {
         );
         assert!(rel.is_empty(), "zero annotations never enter a relation");
         let aggs = [AggSpec::new(AggFunc::Sum, col(1), "s"), AggSpec::count("c")];
-        let out = aggregate_au(&rel, &[0], &aggs, None).unwrap();
+        let out = aggregate_au_exec(&rel, &[0], &aggs, None, &Executor::sequential()).unwrap();
         assert!(out.is_empty(), "a group of never-existing rows produces no output");
         // without group-by the single output row is the deterministic
         // neutral row, with certainty
-        let out = aggregate_au(&rel, &[], &aggs, None).unwrap();
+        let out = aggregate_au_exec(&rel, &[], &aggs, None, &Executor::sequential()).unwrap();
         assert_eq!(out.len(), 1);
         let (t, k) = &out.rows()[0];
         assert_eq!(t.0[0], RangeValue::certain(Value::Int(0)));
@@ -1441,8 +1469,14 @@ mod tests {
             Schema::named(&["v"]),
             vec![au_row(vec![r2(10, 10, 10)], 1, 1, 1), au_row(vec![r2(40, 40, 40)], 0, 0, 1)],
         );
-        let out =
-            aggregate_au(&rel, &[], &[AggSpec::new(AggFunc::Avg, col(0), "a")], None).unwrap();
+        let out = aggregate_au_exec(
+            &rel,
+            &[],
+            &[AggSpec::new(AggFunc::Avg, col(0), "a")],
+            None,
+            &Executor::sequential(),
+        )
+        .unwrap();
         let avg = &out.rows()[0].0 .0[0];
         // achievable averages: {10} → 10, {10, 40} → 25
         for world in [10.0, 25.0] {
@@ -1462,8 +1496,14 @@ mod tests {
             Schema::named(&["v"]),
             vec![au_row(vec![r2(30, 30, 30)], 0, 0, 2)],
         );
-        let out =
-            aggregate_au(&rel, &[], &[AggSpec::new(AggFunc::Avg, col(0), "a")], None).unwrap();
+        let out = aggregate_au_exec(
+            &rel,
+            &[],
+            &[AggSpec::new(AggFunc::Avg, col(0), "a")],
+            None,
+            &Executor::sequential(),
+        )
+        .unwrap();
         let avg = &out.rows()[0].0 .0[0];
         assert!(avg.bounds(&Value::float(30.0)), "world average 30 escapes {avg}");
         assert_eq!(avg.sg, Value::Null, "empty SG world averages to Null");
@@ -1580,8 +1620,14 @@ mod tests {
                 au_row(vec![RangeValue::certain(Value::Int(5)), r2(100, 100, 100)], 1, 1, 1),
             ],
         );
-        let out =
-            aggregate_au(&rel, &[0], &[AggSpec::new(AggFunc::Sum, col(1), "s")], None).unwrap();
+        let out = aggregate_au_exec(
+            &rel,
+            &[0],
+            &[AggSpec::new(AggFunc::Sum, col(1), "s")],
+            None,
+            &Executor::sequential(),
+        )
+        .unwrap();
         let g1 = out.rows().iter().find(|(t, _)| t.0[0].sg == Value::Int(1)).unwrap();
         let sum = &g1.0 .0[1];
         // without the exclusion the foreign row's +100 would leak in

@@ -24,14 +24,9 @@ use audb_storage::{AuRelation, IntervalIndex};
 use super::aggregate::SgGroups;
 use super::combine::sg_combine;
 
-/// `R1 − R2` (Definition 22) on the default executor. The left input is
-/// first `Ψ`-combined so each SGW tuple is represented once.
-pub fn difference_au(l: &AuRelation, r: &AuRelation) -> Result<AuRelation, EvalError> {
-    difference_au_exec(l, r, &Executor::default())
-}
-
-/// [`difference_au`] on an explicit executor; every worker count
-/// produces an identical result.
+/// `R1 − R2` (Definition 22) on an explicit executor; every worker count
+/// produces an identical result. The left input is first `Ψ`-combined
+/// so each SGW tuple is represented once.
 pub fn difference_au_exec(
     l: &AuRelation,
     r: &AuRelation,
@@ -143,7 +138,7 @@ mod tests {
     fn bounds_cross_when_subtracting() {
         let r = AuRelation::from_rows(schema(), vec![certain_row(&[1], 1, 2, 2)]);
         let s = AuRelation::from_rows(schema(), vec![certain_row(&[1], 0, 0, 3)]);
-        let out = difference_au(&r, &s).unwrap();
+        let out = difference_au_exec(&r, &s, &Executor::sequential()).unwrap();
         assert_eq!(out.rows().len(), 1);
         assert_eq!(out.rows()[0].1, AuAnnot::triple(0, 2, 2));
     }
@@ -163,7 +158,7 @@ mod tests {
             schema(),
             vec![au_row(vec![RangeValue::range(1i64, 1i64, 2i64)], 1, 1, 3)],
         );
-        let out = difference_au(&r, &s).unwrap();
+        let out = difference_au_exec(&r, &s, &Executor::sequential()).unwrap();
         // Ψ(R) = ([1/1/2]) ↦ (2,2,2); subtract: lb: 2 − 3 = 0,
         // sg: 2 − 1 = 1, ub: 2 − 0 = 2 (S tuple is not certain, so no
         // certain reduction of the upper bound).
@@ -175,7 +170,7 @@ mod tests {
     fn certain_equal_reduces_upper_bound() {
         let r = AuRelation::from_rows(schema(), vec![certain_row(&[5], 2, 3, 4)]);
         let s = AuRelation::from_rows(schema(), vec![certain_row(&[5], 1, 1, 1)]);
-        let out = difference_au(&r, &s).unwrap();
+        let out = difference_au_exec(&r, &s, &Executor::sequential()).unwrap();
         assert_eq!(out.rows()[0].1, AuAnnot::triple(1, 2, 3));
     }
 
@@ -183,7 +178,7 @@ mod tests {
     fn non_overlapping_right_is_ignored() {
         let r = AuRelation::from_rows(schema(), vec![certain_row(&[5], 2, 2, 2)]);
         let s = AuRelation::from_rows(schema(), vec![certain_row(&[9], 5, 5, 5)]);
-        let out = difference_au(&r, &s).unwrap();
+        let out = difference_au_exec(&r, &s, &Executor::sequential()).unwrap();
         assert_eq!(out.rows()[0].1, AuAnnot::triple(2, 2, 2));
     }
 
@@ -194,7 +189,7 @@ mod tests {
             schema(),
             vec![au_row(vec![RangeValue::range(4i64, 6i64, 7i64)], 1, 1, 1)],
         );
-        let out = difference_au(&r, &s).unwrap();
+        let out = difference_au_exec(&r, &s, &Executor::sequential()).unwrap();
         // S's tuple may be 5 (overlap) but is not certainly 5 and its SG
         // is 6 ≠ 5: lb 2−1=1, sg 2−0=2, ub 2−0=2.
         assert_eq!(out.rows()[0].1, AuAnnot::triple(1, 2, 2));
@@ -204,7 +199,7 @@ mod tests {
     fn fully_subtracted_tuples_vanish() {
         let r = AuRelation::from_rows(schema(), vec![certain_row(&[5], 1, 1, 1)]);
         let s = AuRelation::from_rows(schema(), vec![certain_row(&[5], 2, 2, 2)]);
-        let out = difference_au(&r, &s).unwrap();
+        let out = difference_au_exec(&r, &s, &Executor::sequential()).unwrap();
         assert!(out.is_empty());
     }
 
@@ -222,7 +217,7 @@ mod tests {
             schema(),
             vec![au_row(vec![RangeValue::range(2i64, 2i64, 9i64)], 0, 1, 2)],
         );
-        let out = difference_au(&r, &s).unwrap();
+        let out = difference_au_exec(&r, &s, &Executor::sequential()).unwrap();
         // SG worlds: R^sg = {2↦2, 7↦1}, S^sg = {2↦1} → {2↦1, 7↦1}
         let sgw = out.sg_world();
         assert_eq!(sgw.multiplicity(&[Value::Int(2)].into_iter().collect()), 1);

@@ -345,7 +345,7 @@ pub(crate) fn effective_join_compress(
 }
 
 /// Union that reuses whichever operand already owns its row buffer;
-/// the left schema wins, matching [`union_au`].
+/// the left schema wins, matching [`union_au_exec`].
 fn union_cow(
     l: Cow<'_, AuRelation>,
     r: Cow<'_, AuRelation>,
@@ -368,15 +368,11 @@ fn union_cow(
     }
 }
 
-/// Selection (Definition 20): multiply each tuple's annotation with
-/// `M_N(⟦θ⟧)` of the range-annotated condition result.
-pub fn select_au(rel: &AuRelation, predicate: &Expr) -> Result<AuRelation, EvalError> {
-    select_au_exec(rel, predicate, &Executor::sequential())
-}
-
-/// Partition-parallel selection. Selection *preserves normal form*:
-/// kept rows keep their tuples and relative order, and the `M_N(⟦θ⟧)`
-/// factor has `ub = 1` whenever a row survives, so annotations stay
+/// Partition-parallel selection (Definition 20): multiply each tuple's
+/// annotation with `M_N(⟦θ⟧)` of the range-annotated condition result.
+/// Selection *preserves normal form*: kept rows keep their tuples and
+/// relative order, and the `M_N(⟦θ⟧)` factor has `ub = 1` whenever a
+/// row survives, so annotations stay
 /// nonzero — a normalized input therefore yields a normalized output
 /// (sorted, distinct, zero-free) and the pipeline's final
 /// normalization is free instead of a full hash-merge + re-sort.
@@ -406,14 +402,9 @@ pub fn select_au_exec(
     }
 }
 
-/// Generalized projection: evaluate each projection expression with the
-/// range-annotated semantics; identical range tuples merge on normalize.
-pub fn project_au(rel: &AuRelation, exprs: &[(Expr, String)]) -> Result<AuRelation, EvalError> {
-    project_au_exec(rel, exprs, &Executor::sequential())
-}
-
-/// Partition-parallel generalized projection; the merge of identical
-/// projected tuples runs on the sharded-reduce driver.
+/// Partition-parallel generalized projection: evaluate each projection
+/// expression with the range-annotated semantics; identical range tuples
+/// merge on the sharded-reduce driver.
 pub fn project_au_exec(
     rel: &AuRelation,
     exprs: &[(Expr, String)],
@@ -503,12 +494,8 @@ pub fn nested_loop_join_au_exec(
     Ok(out)
 }
 
-/// Bag union: annotation addition in `N_AU`.
-pub fn union_au(l: &AuRelation, r: &AuRelation) -> Result<AuRelation, EvalError> {
-    union_au_exec(l, r, &Executor::sequential())
-}
-
-/// [`union_au`] with the annotation merge on the sharded-reduce driver.
+/// Bag union: annotation addition in `N_AU`, the merge on the
+/// sharded-reduce driver.
 pub fn union_au_exec(
     l: &AuRelation,
     r: &AuRelation,
@@ -544,7 +531,7 @@ mod tests {
                 3,
             )],
         );
-        let out = select_au(&rel, &col(0).eq(lit(2i64))).unwrap();
+        let out = select_au_exec(&rel, &col(0).eq(lit(2i64)), &Executor::sequential()).unwrap();
         assert_eq!(out.rows().len(), 1);
         assert_eq!(out.rows()[0].1, AuAnnot::triple(0, 2, 3));
     }
@@ -555,7 +542,7 @@ mod tests {
             schema_a(),
             vec![au_row(vec![RangeValue::range(1i64, 2i64, 3i64)], 1, 1, 1)],
         );
-        let out = select_au(&rel, &col(0).gt(lit(10i64))).unwrap();
+        let out = select_au_exec(&rel, &col(0).gt(lit(10i64)), &Executor::sequential()).unwrap();
         assert!(out.is_empty());
     }
 
@@ -565,7 +552,8 @@ mod tests {
             Schema::named(&["A", "B"]),
             vec![certain_row(&[1, 10], 1, 1, 1), certain_row(&[1, 20], 0, 1, 2)],
         );
-        let out = project_au(&rel, &[(col(0), "A".to_string())]).unwrap();
+        let out =
+            project_au_exec(&rel, &[(col(0), "A".to_string())], &Executor::sequential()).unwrap();
         assert_eq!(out.rows().len(), 1);
         assert_eq!(out.rows()[0].1, AuAnnot::triple(1, 2, 3));
     }
@@ -576,7 +564,12 @@ mod tests {
             schema_a(),
             vec![au_row(vec![RangeValue::range(1i64, 2i64, 3i64)], 1, 1, 1)],
         );
-        let out = project_au(&rel, &[(col(0).add(lit(10i64)), "x".to_string())]).unwrap();
+        let out = project_au_exec(
+            &rel,
+            &[(col(0).add(lit(10i64)), "x".to_string())],
+            &Executor::sequential(),
+        )
+        .unwrap();
         assert_eq!(out.rows()[0].0, RangeTuple::new(vec![RangeValue::range(11i64, 12i64, 13i64)]));
     }
 
@@ -619,7 +612,7 @@ mod tests {
     #[test]
     fn union_adds_annotations() {
         let rel = AuRelation::from_rows(schema_a(), vec![certain_row(&[1], 1, 1, 1)]);
-        let out = union_au(&rel, &rel).unwrap();
+        let out = union_au_exec(&rel, &rel, &Executor::sequential()).unwrap();
         assert_eq!(out.rows()[0].1, AuAnnot::triple(2, 2, 2));
     }
 

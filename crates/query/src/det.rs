@@ -9,7 +9,7 @@
 //! * **production** ([`eval_det`] / [`eval_det_exec`]): row-local
 //!   operator chains (select / project / the probe side of a planned
 //!   join) fuse into a single pass per base-table morsel
-//!   ([`DetPipeline`]) over compiled det [`Program`]s; everything else
+//!   ([`run_chain`]) over compiled det [`Program`]s; everything else
 //!   runs operator-at-a-time on the pool. A chain one of whose stages
 //!   Tier B rejects is not fused at all — its subtree runs on the
 //!   operator functions (the AU engine's "degrade the chain, not the
@@ -20,6 +20,13 @@
 //!
 //! Both are one tree walk ([`eval_walk`]) and return the same relation,
 //! byte for byte, for any worker count.
+//!
+//! A join has one build side on either path, `DetProbe`: the fused
+//! chain's probe and the join operator
+//! ([`planner::join_det_planned_exec`]) read the same hash index or
+//! sweep pairs, and both run on `run_governed`, which charges the rows
+//! a probe emits to the budget as `join-probe` and observes cancellation
+//! inside a morsel.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -30,8 +37,8 @@ use audb_exec::Executor;
 use audb_storage::{det_key, Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
 
 use crate::algebra::{check_group_by, AggFunc, AggSpec, Query};
-use crate::au::pipeline::{chain_exec, select_only, Delivery};
-use crate::planner;
+use crate::au::pipeline::{chain_exec, checkpoint, select_only, Delivery, GOVERN_ROWS};
+use crate::planner::{self, JoinStrategy};
 use crate::vcheck::Vet;
 
 /// Evaluate a query over a deterministic database on the default
@@ -147,115 +154,127 @@ fn distinct_det(rel: Cow<'_, Relation>, exec: &Executor) -> Result<Relation, Eva
 // `crate::au::pipeline`; see that module for the delivery contracts)
 // ---------------------------------------------------------------------------
 
-/// A chain stage is its compiled det [`Program`] (det lowering keeps
-/// `And`/`Or`/`If` short-circuit via jump ops): a predicate, or a whole
-/// projection list as one multi-output program.
-enum DetPipeOp {
-    Select(Program),
-    Project(Program),
-    Probe(Box<DetProbeOp>),
-}
+/// The row a det join or chain appends.
+pub(crate) type DetRow = (Tuple, u64);
 
-enum DetProbePlan {
-    /// Conjunctive equality on canonical keys — no predicate re-check
-    /// needed (the key match *is* the predicate), exactly like the
-    /// operator-at-a-time det hash join.
-    HashEqui { lcols: Vec<usize>, rcols: Vec<usize>, index: HashKeyIndex },
-    /// Order comparison: endpoint-sweep candidates, re-checked per pair.
-    Comparison,
-    /// Cross products and unindexable predicates.
+/// How a det join finds a left row's partners, one arm per
+/// [`JoinStrategy`].
+enum DetMatch {
+    /// Conjunctive equality on canonical keys: the key match *is* the
+    /// predicate, so no pair is re-checked.
+    Hash { lcols: Vec<usize>, rcols: Vec<usize>, index: HashKeyIndex },
+    /// Order comparison: the sweep's candidate `(left, right)` pairs in
+    /// emission order, and the same pairs by left row
+    /// ([`planner::csr_by_left`]); each pair is re-checked.
+    Comparison { pairs: Vec<(u32, u32)>, offsets: Vec<usize>, entries: Vec<(u32, u32)> },
+    /// Cross products and unindexable predicates: every right row,
+    /// re-checked.
     NestedLoop,
 }
 
-struct DetProbeOp {
-    right: Relation,
-    predicate: Option<Program>,
-    plan: DetProbePlan,
-    /// Per source row id: sweep candidates (comparison plans only).
-    cand: Vec<Vec<u32>>,
+/// A det join's build side, and the one place a det join classifies its
+/// predicate, builds its hash index or runs its sweep. The fused
+/// chain's probe and [`planner::join_det_planned_exec`] both read it,
+/// each re-checking [`DetProbe::recheck`] in its own form (compiled or
+/// interpreted). It borrows its right relation.
+pub(crate) struct DetProbe<'r> {
+    right: &'r Relation,
+    on: Option<&'r Expr>,
+    plan: DetMatch,
 }
 
-impl DetProbeOp {
-    fn build(
-        source: &Relation,
-        right: Relation,
-        predicate: Option<(&Expr, Program)>,
-    ) -> DetProbeOp {
-        let mut cand: Vec<Vec<u32>> = Vec::new();
-        let on = predicate.as_ref().map(|(e, _)| *e);
-        let plan = match planner::classify_within(on, source.schema.arity(), right.schema.arity()) {
-            planner::JoinStrategy::HashEqui(pairs) => {
-                let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
-                let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-                let index = HashKeyIndex::build(0..right.len() as u32, |ri| {
-                    det_key(right.rows()[ri as usize].0.values(), &rcols)
-                });
-                DetProbePlan::HashEqui { lcols, rcols, index }
+impl<'r> DetProbe<'r> {
+    pub(crate) fn build(left: &Relation, right: &'r Relation, on: Option<&'r Expr>) -> Self {
+        let plan = match planner::classify_within(on, left.schema.arity(), right.schema.arity()) {
+            JoinStrategy::HashEqui(pairs) => {
+                let (lcols, rcols): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+                let rkey = |ri: u32| det_key(right.rows()[ri as usize].0.values(), &rcols);
+                let index = HashKeyIndex::build(0..right.len() as u32, rkey);
+                DetMatch::Hash { lcols, rcols, index }
             }
-            planner::JoinStrategy::IntervalComparison { lo, hi } => {
-                cand = vec![Vec::new(); source.len()];
+            JoinStrategy::IntervalComparison { lo, hi } => {
                 let pairs = planner::comparison_candidates(
                     lo,
                     hi,
-                    |c| IntervalIndex::from_det(source.rows(), c),
+                    |c| IntervalIndex::from_det(left.rows(), c),
                     |c| IntervalIndex::from_det(right.rows(), c),
                 );
-                for (a, b) in pairs {
-                    cand[a as usize].push(b);
-                }
-                DetProbePlan::Comparison
+                let (offsets, entries) = planner::csr_by_left(left.len(), &pairs);
+                DetMatch::Comparison { pairs, offsets, entries }
             }
-            planner::JoinStrategy::NestedLoop => DetProbePlan::NestedLoop,
+            JoinStrategy::NestedLoop => DetMatch::NestedLoop,
         };
-        DetProbeOp { right, predicate: predicate.map(|(_, p)| p), plan, cand }
+        DetProbe { right, on, plan }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
-        &self,
-        rest: &[DetPipeOp],
-        rest_bufs: &mut [DetBuf],
-        buf: &mut DetBuf,
-        src: usize,
-        vals: &[Value],
-        k: u64,
-        out: &mut Vec<(Tuple, u64)>,
-    ) -> Result<(), EvalError> {
-        let DetBuf { vals: concat, regs } = buf;
-        let mut emit = |ri: u32, check: bool| -> Result<(), EvalError> {
-            let (tr, kr) = &self.right.rows()[ri as usize];
-            concat.clear();
-            concat.extend_from_slice(vals);
-            concat.extend_from_slice(&tr.0);
-            if check {
-                if let Some(p) = &self.predicate {
-                    if !p.eval_det_bool(concat, regs)? {
-                        return Ok(());
-                    }
-                }
-            }
-            apply_det(rest, rest_bufs, usize::MAX, concat, k.times(kr), out)
-        };
-        match &self.plan {
-            DetProbePlan::HashEqui { lcols, rcols, index } => {
-                let rkey = |ri: u32| det_key(self.right.rows()[ri as usize].0.values(), rcols);
-                for ri in index.matches(det_key(vals, lcols), rkey) {
-                    emit(ri, false)?;
-                }
-            }
-            DetProbePlan::Comparison => {
-                for &ri in &self.cand[src] {
-                    emit(ri, true)?;
-                }
-            }
-            DetProbePlan::NestedLoop => {
-                for ri in 0..self.right.len() as u32 {
-                    emit(ri, true)?;
-                }
-            }
-        }
-        Ok(())
+    /// The predicate a candidate pair must still pass: none where the
+    /// key match is the predicate.
+    pub(crate) fn recheck(&self) -> Option<&'r Expr> {
+        self.on.filter(|_| !matches!(self.plan, DetMatch::Hash { .. }))
     }
+
+    /// A comparison plan's candidate pairs, in the planner's emission
+    /// order.
+    pub(crate) fn pairs(&self) -> Option<&[(u32, u32)]> {
+        match &self.plan {
+            DetMatch::Comparison { pairs, .. } => Some(pairs),
+            _ => None,
+        }
+    }
+
+    /// Call `f` on the candidate right rows of left row `li` (values
+    /// `vals`), in order: its hash bucket, its sweep candidates, or every
+    /// right row.
+    pub(crate) fn for_each(
+        &self,
+        li: usize,
+        vals: &[Value],
+        mut f: impl FnMut(&'r DetRow) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let rows = self.right.rows();
+        match &self.plan {
+            DetMatch::Hash { lcols, rcols, index } => {
+                let rkey = |ri: u32| det_key(rows[ri as usize].0.values(), rcols);
+                index.matches(det_key(vals, lcols), rkey).try_for_each(|ri| f(&rows[ri as usize]))
+            }
+            DetMatch::Comparison { offsets, entries, .. } => entries[offsets[li]..offsets[li + 1]]
+                .iter()
+                .try_for_each(|&(ri, _)| f(&rows[ri as usize])),
+            DetMatch::NestedLoop => rows.iter().try_for_each(f),
+        }
+    }
+}
+
+/// [`Executor::run`] over `0..n` with the AU drivers' governance: before
+/// each item and at each morsel's end a [`checkpoint`] observes
+/// cancellation and charges the rows appended since the last one to
+/// `operator`, every [`GOVERN_ROWS`] rows. `scratch` is made once per
+/// morsel.
+pub(crate) fn run_governed<S>(
+    exec: &Executor,
+    operator: &'static str,
+    n: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &mut Vec<DetRow>) -> Result<(), EvalError> + Sync,
+) -> Result<Vec<DetRow>, EvalError> {
+    exec.run(n, |morsel, rows: &mut Vec<DetRow>| {
+        let (mut s, mut watermark) = (scratch(), rows.len());
+        for i in morsel {
+            checkpoint::<DetRow>(exec, operator, rows.len(), &mut watermark, GOVERN_ROWS)?;
+            f(&mut s, i, rows)?;
+        }
+        Ok(checkpoint::<DetRow>(exec, operator, rows.len(), &mut watermark, 0)?)
+    })
+}
+
+/// A fused chain's stage: a compiled det [`Program`] (det lowering keeps
+/// `And`/`Or`/`If` short-circuit via jump ops) — a predicate, or a whole
+/// projection list as one multi-output program — or a join's probe with
+/// its compiled re-check.
+enum DetPipeOp<'r> {
+    Select(Program),
+    Project(Program),
+    Probe(Box<(DetProbe<'r>, Option<Program>)>),
 }
 
 /// Per-op scratch reused across a morsel's rows: the value buffer plus
@@ -267,12 +286,12 @@ struct DetBuf {
 }
 
 fn apply_det(
-    ops: &[DetPipeOp],
+    ops: &[DetPipeOp<'_>],
     bufs: &mut [DetBuf],
     src: usize,
     vals: &[Value],
     k: u64,
-    out: &mut Vec<(Tuple, u64)>,
+    out: &mut Vec<DetRow>,
 ) -> Result<(), EvalError> {
     let Some((op, rest)) = ops.split_first() else {
         out.push((Tuple::new(vals.to_vec()), k));
@@ -297,52 +316,21 @@ fn apply_det(
             }
             apply_det(rest, rest_bufs, usize::MAX, pvals, k, out)
         }
-        DetPipeOp::Probe(probe) => probe.probe(rest, rest_bufs, buf, src, vals, k, out),
-    }
-}
-
-/// A fused deterministic chain ready to run.
-struct DetPipeline<'a> {
-    source: Cow<'a, Relation>,
-    ops: Vec<DetPipeOp>,
-    schema: Schema,
-}
-
-impl<'a> DetPipeline<'a> {
-    /// Run the chain morsel by morsel into a relation, with the delivery
-    /// its shape admits: probe chains pay the single breaker
-    /// normalization; select/project chains reproduce the serial row
-    /// list exactly (selection preserving normal form). Row order is
-    /// the sequential chain-emission order for any worker count.
-    fn run(self, exec: &Executor) -> Result<Cow<'a, Relation>, EvalError> {
-        if self.ops.is_empty() {
-            return Ok(self.source);
+        DetPipeOp::Probe(probe) => {
+            let (probe, recheck) = probe.as_ref();
+            let DetBuf { vals: concat, regs } = buf;
+            probe.for_each(src, vals, |(tr, kr)| {
+                concat.clear();
+                concat.extend_from_slice(vals);
+                concat.extend_from_slice(&tr.0);
+                if let Some(p) = recheck {
+                    if !p.eval_det_bool(concat, regs)? {
+                        return Ok(());
+                    }
+                }
+                apply_det(rest, rest_bufs, usize::MAX, concat, k.times(kr), out)
+            })
         }
-        let ops = &self.ops;
-        let source = self.source.as_ref();
-        let rows = chain_exec(exec).run(source.len(), |range, out| {
-            let mut bufs: Vec<DetBuf> = Vec::new();
-            bufs.resize_with(ops.len(), DetBuf::default);
-            for i in range {
-                let (t, k) = &source.rows()[i];
-                apply_det(ops, &mut bufs, i, t.values(), *k, out)?;
-            }
-            Ok::<(), EvalError>(())
-        })?;
-        let has_probe = self.ops.iter().any(|op| matches!(op, DetPipeOp::Probe(_)));
-        let select_only = self.ops.iter().all(|op| matches!(op, DetPipeOp::Select(_)));
-        let out = if has_probe {
-            let mut out = Relation::empty(self.schema);
-            out.append_rows(rows);
-            out.into_normalized_with(exec)?
-        } else if select_only && self.source.is_normalized() {
-            Relation::from_normalized_rows(self.schema, rows)
-        } else {
-            let mut out = Relation::empty(self.schema);
-            out.append_rows(rows);
-            out
-        };
-        Ok(Cow::Owned(out))
     }
 }
 
@@ -356,63 +344,95 @@ fn chain_anchor(q: &Query) -> Option<&Query> {
     }
 }
 
-/// Build the fused chain rooted at `q` (a tower over a
-/// [`chain_anchor`]), or `None` when Tier B rejected one of its programs
-/// ([`Vet`] has counted it). Every stage compiles before the input below
-/// it is touched, so declining a chain costs no evaluation.
-fn build_chain<'a>(
+/// Run the fused chain rooted at `q` (a tower over a [`chain_anchor`]),
+/// or `None` when Tier B rejected one of its programs ([`Vet`] has
+/// counted it). Every stage compiles before any input is touched, so
+/// declining a chain costs no evaluation. A chain holds at most one
+/// join, at its anchor: the stages below its probe are the select-only
+/// chain over its left side, and the probe borrows the right side the
+/// walk returns.
+///
+/// The chain runs morsel by morsel with the delivery its shape admits:
+/// probe chains pay the single breaker normalization; select/project
+/// chains reproduce the serial row list exactly (selection preserving
+/// normal form). Row order is the sequential chain-emission order for
+/// any worker count.
+fn run_chain<'a>(
     db: &'a Database,
     q: &Query,
     exec: &Executor,
     vet: Vet<'_>,
-) -> Result<Option<DetPipeline<'a>>, EvalError> {
-    let anchor = |source: Cow<'a, Relation>| {
-        let schema = source.schema.clone();
-        DetPipeline { source, ops: Vec::new(), schema }
+) -> Result<Option<Cow<'a, Relation>>, EvalError> {
+    // compiled top-down: the stages above the join, then those below it
+    let (mut above, mut below, mut join, mut names) = (Vec::new(), Vec::new(), None, None);
+    let mut node = q;
+    let anchor = loop {
+        let stages = if join.is_some() { &mut below } else { &mut above };
+        node = match node {
+            Query::Select { input, predicate } => {
+                let Some(p) = vet.det(predicate) else { return Ok(None) };
+                stages.push(DetPipeOp::Select(p));
+                input
+            }
+            Query::Project { input, exprs } => {
+                let es: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
+                let Some(p) = vet.det_many(&es) else { return Ok(None) };
+                names.get_or_insert_with(|| exprs.iter().map(|(_, n)| n.clone()).collect());
+                stages.push(DetPipeOp::Project(p));
+                input
+            }
+            Query::Join { left, right, predicate } if join.is_none() => {
+                let recheck = match predicate.as_ref().map(|e| vet.det(e)) {
+                    Some(None) => return Ok(None),
+                    compiled => compiled.flatten(),
+                };
+                join = Some((right, predicate.as_ref(), recheck));
+                if !select_only(left) {
+                    break &**left;
+                }
+                left
+            }
+            _ => break node,
+        };
     };
-    Ok(Some(match q {
-        Query::Table(name) => anchor(Cow::Borrowed(db.get(name)?)),
-        Query::Select { input, predicate } => {
-            let Some(p) = vet.det(predicate) else { return Ok(None) };
-            let Some(mut c) = build_chain(db, input, exec, vet)? else { return Ok(None) };
-            c.ops.push(DetPipeOp::Select(p));
-            c
-        }
-        Query::Project { input, exprs } => {
-            let es: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
-            let Some(p) = vet.det_many(&es) else { return Ok(None) };
-            let Some(mut c) = build_chain(db, input, exec, vet)? else { return Ok(None) };
-            c.schema = Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect());
-            c.ops.push(DetPipeOp::Project(p));
-            c
-        }
-        Query::Join { left, right, predicate } => {
-            let recheck = match predicate {
-                Some(e) => match vet.det(e) {
-                    Some(p) => Some((e, p)),
-                    None => return Ok(None),
-                },
-                None => None,
-            };
-            let input = |q: &Query| eval_walk(db, q, exec, Delivery::Canonical, Some(vet));
-            let mut chain = if select_only(left) {
-                let Some(c) = build_chain(db, left, exec, vet)? else { return Ok(None) };
-                c
-            } else {
-                anchor(input(left)?)
-            };
-            let r = input(right)?.into_owned();
-            chain.schema = chain.schema.concat(&r.schema);
-            let probe = DetProbeOp::build(chain.source.as_ref(), r, recheck);
-            chain.ops.push(DetPipeOp::Probe(Box::new(probe)));
-            chain
-        }
-        _ => unreachable!("build_chain called on a non-chain query"),
-    }))
+    let input = |q: &Query| eval_walk(db, q, exec, Delivery::Canonical, Some(vet));
+    let source = match anchor {
+        Query::Table(name) => Cow::Borrowed(db.get(name)?),
+        _ => input(anchor)?,
+    };
+    let right = match &join {
+        Some((r, ..)) => Some(input(r)?),
+        None => None,
+    };
+    let mut schema = source.schema.clone();
+    let mut ops: Vec<DetPipeOp<'_>> = below.into_iter().rev().collect();
+    if let (Some((_, on, recheck)), Some(r)) = (join, &right) {
+        let probe = DetProbe::build(&source, r, on);
+        let recheck = recheck.filter(|_| probe.recheck().is_some());
+        schema = schema.concat(&r.schema);
+        ops.push(DetPipeOp::Probe(Box::new((probe, recheck))));
+    }
+    ops.extend(above.into_iter().rev());
+    if ops.is_empty() {
+        return Ok(Some(source));
+    }
+    let schema = names.map_or(schema, Schema::new);
+    let operator = if right.is_some() { "join-probe" } else { "pipeline-chain" };
+    let scratch = || (0..ops.len()).map(|_| DetBuf::default()).collect::<Vec<_>>();
+    let rows = run_governed(&chain_exec(exec), operator, source.len(), scratch, |bufs, i, out| {
+        let (t, k) = &source.rows()[i];
+        apply_det(&ops, bufs, i, t.values(), *k, out)
+    })?;
+    if source.is_normalized() && ops.iter().all(|op| matches!(op, DetPipeOp::Select(_))) {
+        return Ok(Some(Cow::Owned(Relation::from_normalized_rows(schema, rows))));
+    }
+    let mut out = Relation::empty(schema);
+    out.append_rows(rows);
+    Ok(Some(Cow::Owned(if right.is_some() { out.into_normalized_with(exec)? } else { out })))
 }
 
 /// The one tree walk. With `fuse` (production) a fusable chain whose
-/// every stage vets runs as a [`DetPipeline`]; everything else — a
+/// every stage vets runs fused ([`run_chain`]); everything else — a
 /// breaker, a chain Tier B declined, and every operator of the oracle
 /// (`fuse = None`) — runs on the operator functions over interpreted
 /// `Expr` trees. Base tables are borrowed from the database, only
@@ -433,8 +453,8 @@ fn eval_walk<'a>(
         |anchor: &Query| delivery == Delivery::Canonical || matches!(anchor, Query::Table(_));
     if let Some(vet) = fuse {
         if chain_anchor(q).is_some_and(fits) {
-            return match build_chain(db, q, exec, vet)? {
-                Some(chain) => chain.run(exec),
+            return match run_chain(db, q, exec, vet)? {
+                Some(rel) => Ok(rel),
                 // degrade the chain, not the stage: inputs included
                 None => eval_walk(db, q, exec, delivery, None),
             };

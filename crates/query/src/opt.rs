@@ -441,7 +441,8 @@ mod tests {
     #[test]
     fn split_union_preserves_sgw() {
         let (r, _) = figure_9_inputs();
-        let both = crate::au::union_au(&split_sg(&r), &split_up(&r)).unwrap();
+        let both = crate::au::union_au_exec(&split_sg(&r), &split_up(&r), &Executor::sequential())
+            .unwrap();
         assert_eq!(both.sg_world(), r.sg_world());
     }
 

@@ -32,15 +32,23 @@
 //! worker count (`tests/exec_equivalence.rs` pins this down). Index
 //! construction and the sweeps themselves stay sequential: they are
 //! `O(n log n)` and cheap relative to candidate evaluation.
+//!
+//! ### The deterministic join
+//!
+//! [`join_det_planned_exec`] builds nothing of its own: its index or
+//! sweep is `det::DetProbe`, the det engine's one join build side, which
+//! its fused chains probe too. It runs the left rows (hash join, nested
+//! loop) or the sweep's pairs in emission order (comparison join) on the
+//! executor, governed like the AU joins: every `GOVERN_ROWS` output
+//! rows are charged to `join-probe`.
 
 use audb_core::{AuAnnot, EvalError, Expr, LaneSlice, Semiring};
 use audb_exec::Executor;
-use audb_storage::{
-    au_sg_key, det_key, AuRelation, HashKeyIndex, IntervalIndex, RangeTuple, Relation, Tuple,
-};
+use audb_storage::{au_sg_key, AuRelation, HashKeyIndex, IntervalIndex, RangeTuple, Relation};
 
 use crate::au::nested_loop_join_au_exec;
 use crate::au::pipeline::{checkpoint, AuRow, GOVERN_ROWS};
+use crate::det::{run_governed, DetProbe, DetRow};
 
 /// Which input relation a predicate column belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,9 +141,6 @@ pub fn classify_within(predicate: Option<&Expr>, left: usize, right: usize) -> J
         JoinStrategy::NestedLoop
     }
 }
-
-/// The row a planned deterministic join appends.
-type DetRow = (Tuple, u64);
 
 /// Theta-join over AU-relations through the planner, on the default
 /// executor (all available workers). Produces the same rows as
@@ -378,93 +383,43 @@ fn comparison_join_au(
 }
 
 /// Theta-join over deterministic relations through the planner on an
-/// explicit executor.
+/// explicit executor: the operator of the det oracle and of every join
+/// the det engine does not fuse. Its build side is the fused chain's
+/// (`det::DetProbe`), its re-check the interpreted predicate. A hash or
+/// nested-loop join runs over the left rows, a comparison join over the
+/// sweep's pairs in emission order (γ's float folds read that order).
 pub fn join_det_planned_exec(
     l: &Relation,
     r: &Relation,
     predicate: Option<&Expr>,
     exec: &Executor,
 ) -> Result<Relation, EvalError> {
-    let mut out = Relation::empty(l.schema.concat(&r.schema));
-    match classify_within(predicate, l.schema.arity(), r.schema.arity()) {
-        JoinStrategy::HashEqui(pairs) => {
-            // canonical keys match exactly when `value_eq` holds on every
-            // pair, which for a pure conjunctive equality predicate is
-            // the predicate itself — no re-evaluation needed.
-            let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
-            let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-            let rkey = |ri: u32| det_key(r.rows()[ri as usize].0.values(), &rcols);
-            let index = HashKeyIndex::build(0..r.rows().len() as u32, rkey);
-            let rows = exec.run(l.rows().len(), |morsel, rows: &mut Vec<DetRow>| {
-                let mut watermark = rows.len();
-                for (tl, kl) in &l.rows()[morsel] {
-                    checkpoint::<DetRow>(
-                        exec,
-                        "join-probe",
-                        rows.len(),
-                        &mut watermark,
-                        GOVERN_ROWS,
-                    )?;
-                    for ri in index.matches(det_key(tl.values(), &lcols), rkey) {
-                        let (tr, kr) = &r.rows()[ri as usize];
-                        rows.push((tl.concat(tr), kl.times(kr)));
-                    }
-                }
-                checkpoint::<DetRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
-                Ok::<(), EvalError>(())
-            })?;
-            out.append_rows(rows);
+    let probe = DetProbe::build(l, r, predicate);
+    let (recheck, pairs) = (probe.recheck(), probe.pairs());
+    let emit = |rows: &mut Vec<DetRow>, (tl, kl): &DetRow, (tr, kr): &DetRow| {
+        let t = tl.concat(tr);
+        if recheck.map_or(Ok(true), |p| p.eval_bool(t.values()))? {
+            rows.push((t, kl.times(kr)));
         }
-        JoinStrategy::IntervalComparison { lo, hi } => {
-            #[allow(clippy::expect_used)] // classify returns Comparison only for Some(predicate)
-            let p = predicate.expect("comparison plan implies predicate");
-            let candidates = comparison_candidates(
-                lo,
-                hi,
-                |c| IntervalIndex::from_det(l.rows(), c),
-                |c| IntervalIndex::from_det(r.rows(), c),
-            );
-            let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<DetRow>| {
-                let mut watermark = rows.len();
-                for &(a, b) in &candidates[morsel] {
-                    checkpoint::<DetRow>(
-                        exec,
-                        "join-probe",
-                        rows.len(),
-                        &mut watermark,
-                        GOVERN_ROWS,
-                    )?;
-                    let (tl, kl) = &l.rows()[a as usize];
-                    let (tr, kr) = &r.rows()[b as usize];
-                    let t = tl.concat(tr);
-                    if p.eval_bool(t.values())? {
-                        rows.push((t, kl.times(kr)));
-                    }
-                }
-                checkpoint::<DetRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
-                Ok::<(), EvalError>(())
-            })?;
-            out.append_rows(rows);
-        }
-        JoinStrategy::NestedLoop => {
-            let mut watermark = 0usize;
-            for (tl, kl) in l.rows() {
-                let rows = out.rows().len();
-                checkpoint::<DetRow>(exec, "join-probe", rows, &mut watermark, GOVERN_ROWS)?;
-                for (tr, kr) in r.rows() {
-                    let t = tl.concat(tr);
-                    let keep = match predicate {
-                        Some(p) => p.eval_bool(t.values())?,
-                        None => true,
-                    };
-                    if keep {
-                        out.push(t, kl.times(kr));
-                    }
-                }
+        Ok::<(), EvalError>(())
+    };
+    let n = pairs.map_or(l.len(), <[_]>::len);
+    let rows = run_governed(
+        exec,
+        "join-probe",
+        n,
+        || (),
+        |_, i, rows| match pairs {
+            Some(pairs) => {
+                emit(rows, &l.rows()[pairs[i].0 as usize], &r.rows()[pairs[i].1 as usize])
             }
-            checkpoint::<DetRow>(exec, "join-probe", out.rows().len(), &mut watermark, 0)?;
-        }
-    }
+            None => {
+                probe.for_each(i, l.rows()[i].0.values(), |row_r| emit(rows, &l.rows()[i], row_r))
+            }
+        },
+    )?;
+    let mut out = Relation::empty(l.schema.concat(&r.schema));
+    out.append_rows(rows);
     Ok(out)
 }
 

@@ -19,11 +19,6 @@ impl Schema {
         Schema { columns: columns.iter().map(|c| c.to_string()).collect() }
     }
 
-    /// Anonymous schema `c0, c1, ...` of the given arity.
-    pub fn anon(arity: usize) -> Self {
-        Schema { columns: (0..arity).map(|i| format!("c{i}")).collect() }
-    }
-
     pub fn arity(&self) -> usize {
         self.columns.len()
     }

@@ -16,7 +16,7 @@ use audb::prelude::*;
 use audb::query::au::aggregate::{aggregate_au_exec, aggregate_au_scan};
 use audb::query::au::difference::{difference_au_exec, difference_au_scan};
 use audb::query::au::{project_au_exec, select_au_exec};
-use audb::query::det::{eval_det_exec, eval_det_oracle};
+use audb::query::det::{eval_det, eval_det_exec, eval_det_oracle};
 use audb::query::planner::{join_au_planned_exec, join_det_planned_exec};
 use audb::query::rewrite::{dec_relation, enc_relation};
 use common::{
@@ -1284,6 +1284,53 @@ fn det_join_identical_across_worker_counts() {
     }
 }
 
+/// γ's float folds read its input's row list, so a det join under γ
+/// must emit the planner's order: a comparison join its sweep's pair
+/// order, an equi join left row by left row. Non-dyadic sums over
+/// duplicated keys round differently in any other order; the det
+/// engine, its oracle and the AU engine's selected-guess world agree
+/// bit for bit at every worker count.
+#[test]
+fn det_join_under_float_aggregate_keeps_emission_order() {
+    let certain =
+        |vs: Vec<Value>| RangeTuple::new(vs.into_iter().map(RangeValue::certain).collect());
+    let rel = |n: usize, keys: i64, step: f64| {
+        let rows = (0..n)
+            .map(|i| {
+                let x = Value::float(0.1 + step * (i % 17) as f64);
+                (certain(vec![Value::Int(i as i64 % keys), x]), AuAnnot::triple(1, 1, 1))
+            })
+            .collect();
+        AuRelation::from_rows(Schema::named(&["k", "x"]), rows)
+    };
+    let mut au = AuDatabase::new();
+    au.insert("l", rel(1100, 37, 0.3));
+    au.insert("r", rel(60, 23, 0.7));
+    let det = au.sg_world();
+    let aggs = || {
+        vec![
+            AggSpec::new(AggFunc::Sum, col(1), "sl"),
+            AggSpec::new(AggFunc::Min, col(1), "ml"),
+            AggSpec::new(AggFunc::Sum, col(3), "sr"),
+            AggSpec::new(AggFunc::Min, col(3), "mr"),
+        ]
+    };
+    for pred in [col(0).leq(col(2)), col(0).eq(col(2))] {
+        let q = table("l").join_on(table("r"), pred.clone()).aggregate(vec![], aggs());
+        let want = eval_det(&det, &q).unwrap();
+        for w in WORKERS {
+            let cfg = cfg_lanes(w);
+            assert_eq!(
+                eval_det_exec(&det, &q, &cfg.executor()).unwrap(),
+                want,
+                "{pred:?}, w = {w}"
+            );
+            assert_eq!(eval_det_oracle(&det, &q, &exec(w)).unwrap(), want, "{pred:?}, w = {w}");
+            assert_eq!(eval_au(&au, &q, &cfg).unwrap().sg_world(), want, "{pred:?}, w = {w}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // resource governance: deadlines, cancellation, budgets
 // ---------------------------------------------------------------------------
@@ -1392,6 +1439,45 @@ fn byte_budget_trips() {
             assert_eq!(resource, "bytes");
         }
         other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
+}
+
+/// The det engine's two paths govern a join alike: the fused chain's
+/// probe and the oracle's join operator both charge the rows a probe
+/// emits to `join-probe` as it emits them, so the budget trips long
+/// before the 9 216-row expansion is built, and both observe the
+/// deadline and cancellation.
+#[test]
+fn det_join_governance_matches_across_paths() {
+    let db = expanding_db(96).sg_world();
+    let q = expanding_join();
+    for w in [1, 4] {
+        let cfg = cfg_lanes(w);
+        let cancelled = || {
+            let token = CancelToken::new();
+            token.cancel();
+            cfg.executor().with_cancel(token)
+        };
+        for eval in [eval_det_exec, eval_det_oracle] {
+            let fail = |exec: Executor| match eval(&db, &q, &exec).unwrap_err() {
+                EvalError::Exec(e) => e,
+                other => panic!("expected an exec verdict, got {other:?}, workers = {w}"),
+            };
+            match fail(cfg.with_budget(BudgetSpec::rows(64)).executor()) {
+                ExecError::BudgetExceeded { operator, resource, attempted, .. } => {
+                    assert_eq!((operator, resource), ("join-probe", "rows"), "workers = {w}");
+                    assert!(attempted < 96 * 96, "attempted {attempted}, workers = {w}");
+                }
+                other => panic!("expected BudgetExceeded, got {other:?}, workers = {w}"),
+            }
+            match fail(cfg.with_budget(BudgetSpec::bytes(512)).executor()) {
+                ExecError::BudgetExceeded { resource, .. } => assert_eq!(resource, "bytes"),
+                other => panic!("expected BudgetExceeded, got {other:?}, workers = {w}"),
+            }
+            let deadline = fail(cfg.with_timeout(Duration::ZERO).executor());
+            assert_eq!(deadline, ExecError::DeadlineExceeded, "workers = {w}");
+            assert_eq!(fail(cancelled()), ExecError::Cancelled, "workers = {w}");
+        }
     }
 }
 
