@@ -12,8 +12,8 @@ use std::hint::black_box;
 use audb_bench::{config_fingerprint, print_trace_breakdown};
 use audb_core::col;
 use audb_core::obs::{QueryTrace, TraceBuilder};
-use audb_query::au::{nested_loop_join_au, AuConfig};
-use audb_query::planner::{join_au_planned, join_au_planned_exec};
+use audb_query::au::{join_au, nested_loop_join_au, AuConfig};
+use audb_query::planner::join_au_planned_exec;
 use audb_query::{table, AuPlan, Executor};
 use audb_workloads::{micro_join_db, MicroConfig};
 
@@ -31,9 +31,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("nested_loop_1k", |b| {
         b.iter(|| black_box(nested_loop_join_au(l, r, Some(&pred)).unwrap()))
     });
-    g.bench_function("planned_1k", |b| {
-        b.iter(|| black_box(join_au_planned(l, r, Some(&pred)).unwrap()))
-    });
+    g.bench_function("planned_1k", |b| b.iter(|| black_box(join_au(l, r, Some(&pred)).unwrap())));
 
     // worker scaling of the same planned join (probe + candidate loops
     // partitioned into morsels, ordered merge)
@@ -54,9 +52,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("nested_loop_lt_300", |b| {
         b.iter(|| black_box(nested_loop_join_au(l, r, Some(&lt)).unwrap()))
     });
-    g.bench_function("planned_lt_300", |b| {
-        b.iter(|| black_box(join_au_planned(l, r, Some(&lt)).unwrap()))
-    });
+    g.bench_function("planned_lt_300", |b| b.iter(|| black_box(join_au(l, r, Some(&lt)).unwrap())));
     for w in [1usize, 4] {
         let exec = Executor::new(w);
         g.bench_function(format!("planned_lt_300_w{w}"), |b| {

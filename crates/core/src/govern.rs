@@ -166,11 +166,6 @@ impl CancelToken {
         );
     }
 
-    /// Has the token tripped (cancelled or past its deadline)?
-    pub fn is_cancelled(&self) -> bool {
-        self.check().is_err()
-    }
-
     /// The cooperative checkpoint: `Ok(())` while running, the
     /// structured verdict once tripped. Deadline expiry is detected
     /// here and latched, so the verdict is stable across checks.
@@ -259,47 +254,38 @@ impl Budget {
         self.inner.spec
     }
 
-    /// Rows charged so far.
-    pub fn rows_used(&self) -> u64 {
-        self.inner.rows.load(Ordering::Relaxed)
-    }
-
     /// Charge `rows` materialized rows / `bytes` estimated bytes against
     /// the budget on behalf of `operator`. The first charge that pushes
     /// a meter past its limit reports [`ExecError::BudgetExceeded`]
-    /// naming that operator. Meters saturate, so a verdict is stable:
-    /// once exceeded, every later charge fails too.
+    /// naming that operator. The verdict is stable: once exceeded, every
+    /// later charge fails too.
     pub fn charge(&self, operator: &'static str, rows: u64, bytes: u64) -> Result<(), ExecError> {
-        let total_rows = saturating_fetch_add(&self.inner.rows, rows);
-        if total_rows > self.inner.spec.max_rows {
-            return Err(ExecError::BudgetExceeded {
-                operator,
-                resource: "rows",
-                limit: self.inner.spec.max_rows,
-                attempted: total_rows,
-            });
-        }
-        let total_bytes = saturating_fetch_add(&self.inner.bytes, bytes);
-        if total_bytes > self.inner.spec.max_bytes {
-            return Err(ExecError::BudgetExceeded {
-                operator,
-                resource: "bytes",
-                limit: self.inner.spec.max_bytes,
-                attempted: total_bytes,
-            });
-        }
-        Ok(())
+        let spec = self.inner.spec;
+        let exceeded = |resource, limit| {
+            move |attempted| ExecError::BudgetExceeded { operator, resource, limit, attempted }
+        };
+        draw(&self.inner.rows, rows, spec.max_rows).map_err(exceeded("rows", spec.max_rows))?;
+        draw(&self.inner.bytes, bytes, spec.max_bytes).map_err(exceeded("bytes", spec.max_bytes))
     }
 }
 
-/// `fetch_add` that saturates at `u64::MAX` instead of wrapping (a
-/// wrapped meter would silently re-admit an over-budget query).
-fn saturating_fetch_add(meter: &AtomicU64, delta: u64) -> u64 {
+/// Add `delta` to `meter` unless the meter is already past `max`; `Err`
+/// with the total the charge reaches when that is past `max`. The add
+/// saturates at `u64::MAX` instead of wrapping (a wrapped meter would
+/// silently re-admit an over-budget query), and a meter past its limit
+/// stops counting: every later charge fails against the total that
+/// tripped it, so what concurrent morsels report stays within one charge
+/// of that total however many of them run on.
+fn draw(meter: &AtomicU64, delta: u64, max: u64) -> Result<(), u64> {
     let mut current = meter.load(Ordering::Relaxed);
     loop {
         let next = current.saturating_add(delta);
+        if current > max {
+            return Err(next);
+        }
         match meter.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return next,
+            Ok(_) if next > max => return Err(next),
+            Ok(_) => return Ok(()),
             Err(observed) => current = observed,
         }
     }
@@ -334,7 +320,6 @@ mod tests {
     fn far_deadline_does_not_trip() {
         let t = CancelToken::with_deadline_in(Duration::from_secs(3600));
         assert_eq!(t.check(), Ok(()));
-        assert!(!t.is_cancelled());
     }
 
     #[test]
@@ -369,7 +354,29 @@ mod tests {
         let b = Budget::new(BudgetSpec::unlimited());
         assert_eq!(b.charge("x", u64::MAX, u64::MAX), Ok(()));
         assert_eq!(b.charge("x", u64::MAX, 1), Ok(()));
-        assert_eq!(b.rows_used(), u64::MAX);
+        // one below the top, a charge of two saturates (a wrapped meter
+        // would read 0 and admit it)
+        let b = Budget::new(BudgetSpec::rows(u64::MAX - 1));
+        assert_eq!(b.charge("x", u64::MAX - 1, 0), Ok(()));
+        let err = b.charge("x", 2, 0).unwrap_err();
+        assert!(matches!(err, ExecError::BudgetExceeded { attempted: u64::MAX, .. }), "{err}");
+    }
+
+    /// A tripped meter stops counting: every later charge fails against
+    /// the total that tripped it, not against the sum of every refused
+    /// charge before it.
+    #[test]
+    fn tripped_meter_stops_counting() {
+        let b = Budget::new(BudgetSpec::rows(64));
+        let attempted = |charge: Result<(), ExecError>| match charge {
+            Err(ExecError::BudgetExceeded { attempted, .. }) => attempted,
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        };
+        assert_eq!(attempted(b.charge("join-probe", 1024, 0)), 1024);
+        for _ in 0..3 {
+            assert_eq!(attempted(b.charge("join-probe", 1024, 0)), 2048);
+        }
+        assert_eq!(attempted(b.charge("join-probe", 0, 0)), 1024);
     }
 
     #[test]

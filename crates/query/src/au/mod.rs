@@ -14,8 +14,8 @@ pub mod combine;
 pub mod difference;
 pub(crate) mod pipeline;
 
+use pipeline::run_governed;
 pub use pipeline::AuPlan;
-use pipeline::{checkpoint, AuRow, GOVERN_ROWS};
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -436,7 +436,7 @@ pub fn join_au(
     r: &AuRelation,
     predicate: Option<&Expr>,
 ) -> Result<AuRelation, EvalError> {
-    planner::join_au_planned(l, r, predicate)
+    planner::join_au_planned_exec(l, r, predicate, &Executor::default())
 }
 
 /// The unoptimized reference join: cross product with annotation
@@ -458,8 +458,8 @@ pub fn nested_loop_join_au(
 /// cross-product expansion is *governed* — the cancel token is
 /// re-checked and the accumulated output charged to the budget
 /// (operator `"join-probe"`) every 1024 emitted rows, so even a
-/// predicate-less cross join cannot blow past its limits by more than
-/// one right-side scan.
+/// predicate-less cross join overshoots its limits by at most that
+/// many rows per morsel in flight.
 pub fn nested_loop_join_au_exec(
     l: &AuRelation,
     r: &AuRelation,
@@ -467,27 +467,21 @@ pub fn nested_loop_join_au_exec(
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     let schema = l.schema.concat(&r.schema);
-    let rows = exec.run(l.len(), |morsel, out: &mut Vec<AuRow>| {
-        let mut watermark = out.len();
-        let mut buf = Vec::new();
-        for i in morsel {
-            let (tl, kl) = &l.rows()[i];
-            for (tr, kr) in r.rows() {
-                checkpoint::<AuRow>(exec, "join-probe", out.len(), &mut watermark, GOVERN_ROWS)?;
-                tl.concat_into(tr, &mut buf);
-                let mut k = kl.times(kr);
-                if let Some(p) = predicate {
-                    let (plb, psg, pub_) = p.eval_range_bool3(&buf)?;
-                    if !pub_ {
-                        continue;
-                    }
-                    k = k.times(&AuAnnot::from_bool3(plb, psg, pub_));
+    let rows = run_governed(exec, "join-probe", l.len(), Vec::new, |buf, i, out| {
+        let (tl, kl) = &l.rows()[i];
+        for (tr, kr) in r.rows() {
+            tl.concat_into(tr, buf);
+            let mut k = kl.times(kr);
+            if let Some(p) = predicate {
+                let (plb, psg, pub_) = p.eval_range_bool3(buf)?;
+                if !pub_ {
+                    continue;
                 }
-                out.push((RangeTuple::new(buf.clone()), k));
+                k = k.times(&AuAnnot::from_bool3(plb, psg, pub_));
             }
+            out.push((RangeTuple::new(buf.clone()), k))?;
         }
-        checkpoint::<AuRow>(exec, "join-probe", out.len(), &mut watermark, 0)?;
-        Ok::<(), EvalError>(())
+        Ok(())
     })?;
     let mut out = AuRelation::empty(schema);
     out.append_rows(rows);

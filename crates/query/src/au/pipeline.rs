@@ -56,9 +56,10 @@
 //! * `Select` and `Project` extend a chain unconditionally;
 //! * a `Join` that does not compress fuses as a **probe**: its right
 //!   side is evaluated and indexed up front (hash buckets for certain
-//!   equi-keys, interval sweeps for the uncertain bands — the exact
-//!   structures the operator-at-a-time planner uses), and left rows
-//!   enumerate their matches through the probe. Only selections may
+//!   equi-keys, interval sweeps for the uncertain bands — one
+//!   [`ProbeOp`], the same build side the operator-at-a-time planner's
+//!   join walks), and left rows enumerate their matches through the
+//!   probe. Only selections may
 //!   sit between the source and the probe (they do not change tuples,
 //!   so the sweep candidates precomputed on source row ids stay valid);
 //!   a left subtree that already contains a probe or a projection is
@@ -199,9 +200,11 @@ pub(crate) fn chain_exec(exec: &Executor) -> Executor {
 }
 
 /// Governance stride: every `GOVERN_ROWS` rows (a chain's source rows, a
-/// join loop's output rows) a loop passes a [`checkpoint`]. Bounds how
-/// much work a cancelled query can still do inside one morsel, and how
-/// far an expanding join can overshoot its budget.
+/// governed loop's emitted rows — [`Governed::push`], so also inside one
+/// left row's matches) a loop passes a [`checkpoint`]. Bounds how much
+/// work a cancelled query can still do inside one morsel, and how far an
+/// expanding join can overshoot its budget: by one stride per morsel in
+/// flight, however many partners one left row has.
 pub(crate) const GOVERN_ROWS: usize = 1024;
 
 /// A row of an AU relation: what a chain's survivor is charged as.
@@ -230,6 +233,46 @@ pub(crate) fn checkpoint<T>(
         *last = rows;
     }
     Ok(())
+}
+
+/// One morsel's output in a [`run_governed`] loop.
+pub(crate) struct Governed<'m, R> {
+    rows: &'m mut Vec<R>,
+    /// The row count at the last charge.
+    last: usize,
+    exec: &'m Executor,
+    operator: &'static str,
+}
+
+impl<R> Governed<'_, R> {
+    /// Append `row`; every [`GOVERN_ROWS`] rows observe cancellation and
+    /// charge them to the budget.
+    pub(crate) fn push(&mut self, row: R) -> Result<(), ExecError> {
+        self.rows.push(row);
+        checkpoint::<R>(self.exec, self.operator, self.rows.len(), &mut self.last, GOVERN_ROWS)
+    }
+}
+
+/// [`Executor::run`] over `0..n`, every row `f` emits governed: pushed
+/// through [`Governed::push`] and charged to `operator`, the remainder at
+/// each morsel's end. `scratch` is made once per morsel. The loop of both
+/// engines' join operators, the det engine's fused chains and the AU
+/// nested loop.
+pub(crate) fn run_governed<R: Send, S>(
+    exec: &Executor,
+    operator: &'static str,
+    n: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &mut Governed<'_, R>) -> Result<(), EvalError> + Sync,
+) -> Result<Vec<R>, EvalError> {
+    exec.run(n, |morsel, rows: &mut Vec<R>| {
+        let (mut s, last) = (scratch(), rows.len());
+        let mut out = Governed { rows, last, exec, operator };
+        for i in morsel {
+            f(&mut s, i, &mut out)?;
+        }
+        Ok(checkpoint::<R>(exec, operator, out.rows.len(), &mut out.last, 0)?)
+    })
 }
 
 /// What the consumer of an evaluation result depends on — see the
@@ -355,23 +398,25 @@ enum ProbePlan {
     NestedLoop,
 }
 
-/// The build side of a fused join: the evaluated right relation's lanes,
-/// its indexes, and the sweep candidates.
-struct ProbeOp<'a> {
+/// An AU join's build side over the right relation's lanes, and the one
+/// place an AU join classifies its predicate, partitions its keys by
+/// certainty, builds its hash index and runs its interval sweeps. The
+/// fused chain's probe and [`planner::join_au_planned_exec`] both read
+/// it, each re-checking every pair in its own form (the compiled
+/// [`Stage`], the interpreted `Expr`).
+pub(crate) struct ProbeOp {
     right: Arc<ColumnSet>,
-    /// The join's re-check predicate: the first post-probe stage.
-    predicate: Option<&'a Stage>,
     plan: ProbePlan,
     /// Did the indexes run on typed cells — every key column pair read
     /// off two `Int`, two `Float` or two `Str` lanes of one dictionary —
     /// or fall back to boxed values? `None`: a nested loop reads no key.
     keys_typed: Option<bool>,
-    /// Per *source* row id, as a flat CSR ([`planner::csr_by_left`]):
-    /// its `(right row, rank)` candidates from the interval sweeps
-    /// (uncertain-key bands for equi plans, all candidates for
-    /// comparison plans; empty for nested loops). `rank` is the pair's
-    /// position in the sweeps' emission order — the list the
-    /// operator-at-a-time planner evaluates.
+    /// The interval sweeps' pairs (uncertain-key bands for equi plans,
+    /// all candidates for comparison plans; none for nested loops) per
+    /// left row, as a flat CSR ([`planner::csr_by_left`]): its `(right
+    /// row, rank)` candidates, `rank` being the pair's position in the
+    /// sweeps' emission order. Only the CSR is kept: the chain probes it,
+    /// and the ranks give the operator its list back ([`ProbeOp::pairs`]).
     cand_offsets: Vec<usize>,
     cand: Vec<(u32, u32)>,
 }
@@ -381,61 +426,53 @@ struct ProbeOp<'a> {
 /// any candidate.
 const NO_RANK: u32 = u32::MAX;
 
-impl<'a> ProbeOp<'a> {
-    /// Build the probe for `source ⋈ right`, mirroring the
-    /// operator-at-a-time planner's strategy choice and index shapes.
-    /// Candidates are computed over *all* source rows — selections
-    /// between the source and the probe only drop rows, never change
-    /// them, so candidates of dropped rows are simply never probed. The
-    /// interval indexes sort by `(lb, row id)` and the sweeps prune
-    /// their active lists order-preservingly, so the emission order
-    /// restricted to the surviving rows — what the ranks preserve — is
-    /// the planner's emission order over the filtered relation.
+impl ProbeOp {
+    /// Build the probe of `left ⋈_on right` from the two sides' lanes.
+    /// Pairs are computed over *all* left rows — selections between a
+    /// chain's source and its probe only drop rows, never change them, so
+    /// candidates of dropped rows are simply never probed. The interval
+    /// indexes sort by `(lb, row id)` and the sweeps prune their active
+    /// lists order-preservingly, so the emission order restricted to the
+    /// surviving rows — what the ranks preserve — is the emission order
+    /// over the filtered relation.
     ///
     /// Key certainty, the hash index and the interval indexes are all
-    /// read straight off the relations' column lanes ([`lane_key`],
+    /// read straight off the column lanes ([`lane_key`],
     /// [`IntervalIndex::from_lane`]) — no row-tuple walk, and on typed
     /// key lanes no boxed value.
-    fn build(
-        source: &AuRelation,
-        right: &AuRelation,
-        predicate: Option<&'a Stage>,
-        exec: &Executor,
-    ) -> ProbeOp<'a> {
-        let (lcs, rcs) = (lanes_of(source, exec), lanes_of(right, exec));
-        let started = exec.metrics().is_enabled().then(Instant::now);
+    pub(crate) fn build(lcs: &ColumnSet, rcs: Arc<ColumnSet>, on: Option<&Expr>) -> ProbeOp {
         let full_index = |cs: &ColumnSet, c: usize| IntervalIndex::from_lane(cs.lane(c).as_slice());
         let typed =
             |&(l, r): &(usize, usize)| lcs.lane(l).as_slice().typed_alike(&rcs.lane(r).as_slice());
+        let certain = |keys: &[LaneSlice<'_>], n: usize| -> (Vec<u32>, Vec<u32>) {
+            (0..n as u32).partition(|&i| keys.iter().all(|l| l.is_certain(i as usize)))
+        };
         let mut keys_typed = None;
-        // sweep pairs in emission order; the CSR keeps each row's order
-        let mut cand: Vec<(u32, u32)> = Vec::new();
-        let on = predicate.map(Stage::predicate);
-        let plan = match planner::classify_within(on, source.schema.arity(), right.schema.arity()) {
-            planner::JoinStrategy::HashEqui(pairs) => {
-                keys_typed = Some(pairs.iter().all(typed));
-                let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
-                let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-                let (lkeys, rkeys) = (key_lanes(&lcs, &lcols), key_lanes(&rcs, &rcols));
-                let (lc, lu) = planner::partition_lanes_by_key_certainty(&lkeys, lcs.nrows());
-                let (rc, ru) = planner::partition_lanes_by_key_certainty(&rkeys, rcs.nrows());
-                // no certain probe can ever hit the bucket index when
-                // the certain left side is empty — mirror the planner's
-                // guard and index nothing
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let plan = match planner::classify_within(on, lcs.arity(), rcs.arity()) {
+            planner::JoinStrategy::HashEqui(keys) => {
+                keys_typed = Some(keys.iter().all(typed));
+                let (lcols, rcols): (Vec<usize>, Vec<usize>) = keys.into_iter().unzip();
+                let (lkeys, rkeys) = (key_lanes(lcs, &lcols), key_lanes(&rcs, &rcols));
+                let (lc, lu) = certain(&lkeys, lcs.nrows());
+                let (rc, ru) = certain(&rkeys, rcs.nrows());
+                // no certain left key, no bucket to probe: index nothing
                 let built = if lc.is_empty() { &[][..] } else { &rc[..] };
                 let codes = shared_codes(&lkeys, &rkeys);
                 let index =
                     HashKeyIndex::build(built.iter().copied(), |ri| lane_key(&rkeys, codes, ri));
+                // the uncertain bands, on the first key pair: uncertain
+                // left keys × every right row, then certain × uncertain
                 let (ll, rl) = (lkeys[0], rkeys[0]);
                 if !lu.is_empty() {
                     let li = IntervalIndex::from_lane_subset(ll, &lu);
                     let ri = IntervalIndex::from_lane(rl);
-                    IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand.push((a, b)));
+                    IntervalIndex::sweep_overlapping(&li, &ri, |a, b| pairs.push((a, b)));
                 }
                 if !ru.is_empty() && !lc.is_empty() {
                     let li = IntervalIndex::from_lane_subset(ll, &lc);
                     let ri = IntervalIndex::from_lane_subset(rl, &ru);
-                    IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand.push((a, b)));
+                    IntervalIndex::sweep_overlapping(&li, &ri, |a, b| pairs.push((a, b)));
                 }
                 ProbePlan::HashEqui { lcols, rcols, index, codes }
             }
@@ -444,26 +481,70 @@ impl<'a> ProbeOp<'a> {
                     planner::Side::Left => (lo.1, hi.1),
                     planner::Side::Right => (hi.1, lo.1),
                 }));
-                cand = planner::comparison_candidates(
+                pairs = planner::comparison_candidates(
                     lo,
                     hi,
-                    |c| full_index(&lcs, c),
+                    |c| full_index(lcs, c),
                     |c| full_index(&rcs, c),
                 );
                 ProbePlan::Comparison
             }
             planner::JoinStrategy::NestedLoop => ProbePlan::NestedLoop,
         };
-        let (cand_offsets, cand) = planner::csr_by_left(source.len(), &cand);
-        if let Some(t) = started {
-            exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
-        }
-        ProbeOp { right: rcs, predicate, plan, keys_typed, cand_offsets, cand }
+        let (cand_offsets, cand) = planner::csr_by_left(lcs.nrows(), &pairs);
+        ProbeOp { right: rcs, plan, keys_typed, cand_offsets, cand }
     }
 
-    /// Sweep candidates `(right row, rank)` of source row `src`.
-    fn cand(&self, src: usize) -> &[(u32, u32)] {
-        &self.cand[self.cand_offsets[src]..self.cand_offsets[src + 1]]
+    /// The sweep pairs `(left row, right row)` in emission order, put
+    /// back from the CSR by rank; `None` on a nested-loop plan, where
+    /// every pair is one.
+    pub(crate) fn pairs(&self) -> Option<Vec<(u32, u32)>> {
+        let mut pairs = vec![(0, 0); self.cand.len()];
+        for (l, w) in self.cand_offsets.windows(2).enumerate() {
+            for &(r, rank) in &self.cand[w[0]..w[1]] {
+                pairs[rank as usize] = (l as u32, r);
+            }
+        }
+        (!matches!(self.plan, ProbePlan::NestedLoop)).then_some(pairs)
+    }
+
+    /// A hash plan's buckets, keyed off the left lanes `lcs` and the
+    /// right side's; `None` without a hash index.
+    #[inline]
+    pub(crate) fn buckets<'c>(&'c self, lcs: &'c ColumnSet) -> Option<Buckets<'c>> {
+        match &self.plan {
+            ProbePlan::HashEqui { lcols, rcols, index, codes } => Some(Buckets {
+                index,
+                codes: *codes,
+                left: key_lanes(lcs, lcols),
+                right: key_lanes(&self.right, rcols),
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// A hash plan's buckets over the key lanes of both sides.
+pub(crate) struct Buckets<'c> {
+    index: &'c HashKeyIndex,
+    /// Keys carry `Str` codes: the key lanes share their dictionaries
+    /// ([`shared_codes`]).
+    codes: bool,
+    left: Vec<LaneSlice<'c>>,
+    right: Vec<LaneSlice<'c>>,
+}
+
+impl Buckets<'_> {
+    /// Left row `li`'s bucket: the right rows with a certain key equal to
+    /// its own, in build order — `None` when its key is uncertain (its
+    /// partners are sweep pairs). Inlined: the fused probe calls it per
+    /// source row, and without the hint the 10k × 10k join spine ran
+    /// ~2 % slower (one codegen unit, 2-core x86-64 box).
+    #[inline]
+    pub(crate) fn of(&self, li: u32) -> Option<impl Iterator<Item = u32> + '_> {
+        let key = move |lanes, row| lane_key(lanes, self.codes, row);
+        let certain = self.left.iter().all(|l| l.is_certain(li as usize));
+        certain.then(|| self.index.matches(key(&self.left, li), move |ri| key(&self.right, ri)))
     }
 }
 
@@ -572,7 +653,7 @@ struct ChainStats {
 struct LanePlan<'p> {
     left: Arc<ColumnSet>,
     pre: Vec<&'p Stage>,
-    probe: Option<ProbeOp<'p>>,
+    probe: Option<ProbeOp>,
     post: Vec<&'p Stage>,
     /// Some stage rewrites tuples: the chain delivers output lanes, not
     /// row ids.
@@ -587,23 +668,34 @@ struct LanePlan<'p> {
 }
 
 impl<'p> LanePlan<'p> {
-    /// `pre`, then `probe` with its re-check, then `post` over `source`.
-    /// The column sets are built (or fetched from the relations' caches)
-    /// once — the source's here, the right side's by the probe — and
-    /// shared by every morsel.
+    /// `pre`, then a probe of `right` with its compiled re-check, then
+    /// `post` over `source`. The column sets are built (or fetched from
+    /// the relations' caches) once and shared by every morsel; the
+    /// probe's build is the chain's `chain_build` site.
     fn new(
         source: &AuRelation,
         pre: &'p [Stage],
-        probe: Option<ProbeOp<'p>>,
+        right: Option<(&AuRelation, Option<&'p Stage>)>,
         post: &'p [Stage],
         keep: Option<&'p [usize]>,
         ranked: bool,
         exec: &Executor,
     ) -> LanePlan<'p> {
+        let left = lanes_of(source, exec);
+        let (mut probe, mut recheck) = (None, None);
+        if let Some((r, stage)) = right {
+            let rcs = lanes_of(r, exec);
+            let started = exec.metrics().is_enabled().then(Instant::now);
+            (probe, recheck) =
+                (Some(ProbeOp::build(&left, rcs, stage.map(Stage::predicate))), stage);
+            if let Some(t) = started {
+                exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
+            }
+        }
         LanePlan {
-            left: lanes_of(source, exec),
+            left,
             pre: pre.iter().collect(),
-            post: probe.as_ref().and_then(|p| p.predicate).into_iter().chain(post).collect(),
+            post: recheck.into_iter().chain(post).collect(),
             probe,
             projects: pre.iter().chain(post).any(|st| st.project),
             keep,
@@ -873,28 +965,18 @@ impl<'p> LanePlan<'p> {
         let mut sink =
             PairSink { plan: self, right, lids, rids, ranks, annots, batch, out, watermark, exec };
         let unranked = |ri: u32| (ri, NO_RANK);
-        let (lkeys, rkeys) = match &probe.plan {
-            ProbePlan::HashEqui { lcols, rcols, .. } => {
-                (key_lanes(&self.left, lcols), key_lanes(right, rcols))
-            }
-            _ => (Vec::new(), Vec::new()),
-        };
+        let buckets = probe.buckets(&self.left);
         for (&pos, &k) in fl.live.iter().zip(&fl.annots).take_while(|(&p, _)| p < limit) {
             let src = range.start + pos as usize;
-            match &probe.plan {
-                ProbePlan::HashEqui { index, codes, .. } => {
-                    if lkeys.iter().all(|l| l.is_certain(src)) {
-                        let key = |lanes, row| lane_key(lanes, *codes, row);
-                        let hits = index.matches(key(&lkeys, src as u32), |ri| key(&rkeys, ri));
-                        sink.feed(src, k, hits.map(unranked))?;
-                    }
-                    sink.feed(src, k, probe.cand(src).iter().copied())?;
-                }
-                ProbePlan::Comparison => sink.feed(src, k, probe.cand(src).iter().copied())?,
-                ProbePlan::NestedLoop => {
-                    sink.feed(src, k, (0..right.nrows() as u32).map(unranked))?;
-                }
+            if let ProbePlan::NestedLoop = probe.plan {
+                sink.feed(src, k, (0..right.nrows() as u32).map(unranked))?;
+                continue;
             }
+            if let Some(hits) = buckets.as_ref().and_then(|b| b.of(src as u32)) {
+                sink.feed(src, k, hits.map(unranked))?;
+            }
+            let cand = &probe.cand[probe.cand_offsets[src]..probe.cand_offsets[src + 1]];
+            sink.feed(src, k, cand.iter().copied())?;
         }
         sink.flush()?;
         poison.map_or(Ok(()), |(_, e)| Err(e))
@@ -997,9 +1079,8 @@ pub(crate) fn probe_join_pairs(
     recheck: Option<&Stage>,
     exec: &Executor,
 ) -> Result<(ChainOut, Option<bool>), EvalError> {
-    let probe = ProbeOp::build(l, r, recheck, exec);
-    let keys_typed = probe.keys_typed;
-    let plan = LanePlan::new(l, &[], Some(probe), &[], None, false, exec);
+    let plan = LanePlan::new(l, &[], Some((r, recheck)), &[], None, false, exec);
+    let keys_typed = plan.probe.as_ref().and_then(|p| p.keys_typed);
     Ok((plan.run_all(l.len(), exec, "join-probe")?, keys_typed))
 }
 
@@ -1412,6 +1493,7 @@ impl Chain<Box<Node>> {
             (None, Some(r)) => source.schema.concat(&r.schema),
             (None, None) => source.schema.clone(),
         };
+        // the right side a probe is built over, unless its join compresses
         let (mut pre, mut post, mut probe) = (&self.pre[..], &self.post[..], None);
         if let Some(r) = right {
             if let Some(ct) = effective_join_compress(cfg, &source, &r) {
@@ -1436,7 +1518,7 @@ impl Chain<Box<Node>> {
                 debug_assert!(pre.is_empty(), "a compressing join anchors its chain");
                 (pre, post) = (post, &[]);
             } else {
-                probe = Some(ProbeOp::build(&source, &r, recheck, exec));
+                probe = Some(r);
             }
         }
         tr.rows_in(h, source.len() as u64);
@@ -1458,7 +1540,9 @@ impl Chain<Box<Node>> {
         // Probe chains can expand (join output): their production is
         // charged as "join-probe", plain chains' as "pipeline-chain".
         let operator = if probe.is_some() { "join-probe" } else { "pipeline-chain" };
-        let plan = LanePlan::new(&source, pre, probe, post, keep, ranked, exec);
+        let right = probe.as_deref().map(|r| (r, recheck));
+        let plan = LanePlan::new(&source, pre, right, post, keep, ranked, exec);
+        drop(probe);
         tr.attr(h, "ops", || {
             let stage = |st: &Stage| if st.project { "π" } else { "σ" };
             let probe = plan.probe.iter().map(|p| match p.plan {

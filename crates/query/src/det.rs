@@ -25,8 +25,9 @@
 //! chain's probe and the join operator
 //! ([`planner::join_det_planned_exec`]) read the same hash index or
 //! sweep pairs, and both run on `run_governed`, which charges the rows
-//! a probe emits to the budget as `join-probe` and observes cancellation
-//! inside a morsel.
+//! a probe emits to the budget as `join-probe` every `GOVERN_ROWS` —
+//! inside one left row's matches too — and observes cancellation inside
+//! a morsel.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -37,7 +38,7 @@ use audb_exec::Executor;
 use audb_storage::{det_key, Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
 
 use crate::algebra::{check_group_by, AggFunc, AggSpec, Query};
-use crate::au::pipeline::{chain_exec, checkpoint, select_only, Delivery, GOVERN_ROWS};
+use crate::au::pipeline::{chain_exec, run_governed, select_only, Delivery, Governed};
 use crate::planner::{self, JoinStrategy};
 use crate::vcheck::Vet;
 
@@ -245,28 +246,6 @@ impl<'r> DetProbe<'r> {
     }
 }
 
-/// [`Executor::run`] over `0..n` with the AU drivers' governance: before
-/// each item and at each morsel's end a [`checkpoint`] observes
-/// cancellation and charges the rows appended since the last one to
-/// `operator`, every [`GOVERN_ROWS`] rows. `scratch` is made once per
-/// morsel.
-pub(crate) fn run_governed<S>(
-    exec: &Executor,
-    operator: &'static str,
-    n: usize,
-    scratch: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &mut Vec<DetRow>) -> Result<(), EvalError> + Sync,
-) -> Result<Vec<DetRow>, EvalError> {
-    exec.run(n, |morsel, rows: &mut Vec<DetRow>| {
-        let (mut s, mut watermark) = (scratch(), rows.len());
-        for i in morsel {
-            checkpoint::<DetRow>(exec, operator, rows.len(), &mut watermark, GOVERN_ROWS)?;
-            f(&mut s, i, rows)?;
-        }
-        Ok(checkpoint::<DetRow>(exec, operator, rows.len(), &mut watermark, 0)?)
-    })
-}
-
 /// A fused chain's stage: a compiled det [`Program`] (det lowering keeps
 /// `And`/`Or`/`If` short-circuit via jump ops) — a predicate, or a whole
 /// projection list as one multi-output program — or a join's probe with
@@ -291,11 +270,10 @@ fn apply_det(
     src: usize,
     vals: &[Value],
     k: u64,
-    out: &mut Vec<DetRow>,
+    out: &mut Governed<'_, DetRow>,
 ) -> Result<(), EvalError> {
     let Some((op, rest)) = ops.split_first() else {
-        out.push((Tuple::new(vals.to_vec()), k));
-        return Ok(());
+        return Ok(out.push((Tuple::new(vals.to_vec()), k))?);
     };
     #[allow(clippy::expect_used)] // bufs was sized to ops.len() by the caller
     let (buf, rest_bufs) = bufs.split_first_mut().expect("one buffer per op");

@@ -22,33 +22,36 @@
 //! semantics, so each strategy produces (after normalization) exactly
 //! the nested-loop result — see `tests/join_equivalence.rs`.
 //!
+//! ### One build side per engine
+//!
+//! The join operators build nothing of their own. An AU join's build
+//! side is the fused chain's `ProbeOp` (classification, key-certainty
+//! partition, hash index and sweeps, all read off column lanes), a det
+//! join's is `det::DetProbe`; [`join_au_planned_exec`] and
+//! [`join_det_planned_exec`] walk what it built and re-check each pair
+//! with the interpreted predicate where the fused chain runs the
+//! compiled one.
+//!
 //! ### Parallel execution
 //!
-//! The probe and candidate-evaluation loops of both accelerated
-//! strategies run on the [`Executor`] runtime: the certain-key probe
-//! side and the sweep candidate lists are partitioned into morsels,
-//! evaluated on the scoped pool, and merged in morsel order — so the
-//! output row list is byte-identical to the sequential one for every
-//! worker count (`tests/exec_equivalence.rs` pins this down). Index
-//! construction and the sweeps themselves stay sequential: they are
-//! `O(n log n)` and cheap relative to candidate evaluation.
-//!
-//! ### The deterministic join
-//!
-//! [`join_det_planned_exec`] builds nothing of its own: its index or
-//! sweep is `det::DetProbe`, the det engine's one join build side, which
-//! its fused chains probe too. It runs the left rows (hash join, nested
-//! loop) or the sweep's pairs in emission order (comparison join) on the
-//! executor, governed like the AU joins: every `GOVERN_ROWS` output
-//! rows are charged to `join-probe`.
+//! Both operators run one governed loop on the [`Executor`] runtime:
+//! the left rows (hash join, det nested loop) and the sweep pairs in
+//! emission order are partitioned into morsels, evaluated on the scoped
+//! pool, and merged in morsel order — so the output row list is
+//! byte-identical to the sequential one for every worker count
+//! (`tests/exec_equivalence.rs` pins this down). Every `GOVERN_ROWS`
+//! emitted rows, inside one left row's matches too, are charged to
+//! `join-probe`. Index construction and the sweeps themselves stay
+//! sequential: they are `O(n log n)` and cheap relative to candidate
+//! evaluation.
 
-use audb_core::{AuAnnot, EvalError, Expr, LaneSlice, Semiring};
+use audb_core::{AuAnnot, EvalError, Expr, Semiring};
 use audb_exec::Executor;
-use audb_storage::{au_sg_key, AuRelation, HashKeyIndex, IntervalIndex, RangeTuple, Relation};
+use audb_storage::{AuRelation, IntervalIndex, Relation};
 
-use crate::au::nested_loop_join_au_exec;
-use crate::au::pipeline::{checkpoint, AuRow, GOVERN_ROWS};
-use crate::det::{run_governed, DetProbe, DetRow};
+use crate::au::pipeline::{run_governed, AuRow, Governed, ProbeOp};
+use crate::au::{lanes_of, nested_loop_join_au_exec};
+use crate::det::{DetProbe, DetRow};
 
 /// Which input relation a predicate column belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,68 +145,55 @@ pub fn classify_within(predicate: Option<&Expr>, left: usize, right: usize) -> J
     }
 }
 
-/// Theta-join over AU-relations through the planner, on the default
-/// executor (all available workers). Produces the same rows as
-/// [`nested_loop_join_au`] (up to order / normalization).
-pub fn join_au_planned(
-    l: &AuRelation,
-    r: &AuRelation,
-    predicate: Option<&Expr>,
-) -> Result<AuRelation, EvalError> {
-    join_au_planned_exec(l, r, predicate, &Executor::default())
-}
-
 /// Theta-join over AU-relations through the planner on an explicit
-/// executor. `Executor::sequential()` reproduces the single-threaded
-/// behavior exactly; any worker count produces a byte-identical result.
+/// executor: the operator of the AU oracle and of Section 10.4's literal
+/// split/compress join. Its build side is the fused chain's
+/// ([`ProbeOp`]), its re-check the interpreted predicate on every pair. A
+/// hash join walks the certain-key left rows in row order, each through
+/// its bucket, then the sweep pairs in emission order (γ's float folds
+/// read that list); a comparison join walks its sweep pairs; anything
+/// else is [`nested_loop_join_au_exec`]. Any worker count produces a
+/// byte-identical result.
 pub fn join_au_planned_exec(
     l: &AuRelation,
     r: &AuRelation,
     predicate: Option<&Expr>,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
-    #[allow(clippy::expect_used)] // classify returns keyed strategies only for Some(predicate)
-    match classify_within(predicate, l.schema.arity(), r.schema.arity()) {
-        JoinStrategy::HashEqui(pairs) => {
-            hash_equi_join_au(l, r, predicate.expect("equi plan implies predicate"), &pairs, exec)
+    let lcs = lanes_of(l, exec);
+    let probe = ProbeOp::build(&lcs, lanes_of(r, exec), predicate);
+    let Some(pairs) = probe.pairs() else {
+        return nested_loop_join_au_exec(l, r, predicate, exec);
+    };
+    let buckets = probe.buckets(&lcs);
+    let hashed = buckets.as_ref().map_or(0, |_| l.len());
+    let (lrows, rrows) = (l.rows(), r.rows());
+    let emit = |out: &mut Governed<'_, AuRow>, li: u32, ri: u32| {
+        let ((tl, kl), (tr, kr)) = (&lrows[li as usize], &rrows[ri as usize]);
+        let t = tl.concat(tr);
+        let (lb, sg, ub) =
+            predicate.map_or(Ok((true, true, true)), |p| p.eval_range_bool3(t.values()))?;
+        if ub {
+            out.push((t, kl.times(kr).times(&AuAnnot::from_bool3(lb, sg, ub))))?;
         }
-        JoinStrategy::IntervalComparison { lo, hi } => comparison_join_au(
-            l,
-            r,
-            predicate.expect("comparison plan implies predicate"),
-            lo,
-            hi,
-            exec,
-        ),
-        JoinStrategy::NestedLoop => nested_loop_join_au_exec(l, r, predicate, exec),
-    }
-}
-
-/// Row ids whose key attributes are all certain / not all certain.
-pub(crate) fn partition_by_key_certainty(
-    rows: &[(RangeTuple, AuAnnot)],
-    cols: &[usize],
-) -> (Vec<u32>, Vec<u32>) {
-    let mut certain = Vec::with_capacity(rows.len());
-    let mut uncertain = Vec::new();
-    for (i, (t, _)) in rows.iter().enumerate() {
-        if cols.iter().all(|c| t.0[*c].is_certain()) {
-            certain.push(i as u32);
-        } else {
-            uncertain.push(i as u32);
-        }
-    }
-    (certain, uncertain)
-}
-
-/// [`partition_by_key_certainty`] read off the key *lanes* (one per key
-/// column, `nrows` rows each): component compares on typed lanes, no
-/// row-tuple walk. Same two id lists.
-pub(crate) fn partition_lanes_by_key_certainty(
-    keys: &[LaneSlice<'_>],
-    nrows: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    (0..nrows as u32).partition(|&i| keys.iter().all(|l| l.is_certain(i as usize)))
+        Ok::<(), EvalError>(())
+    };
+    let rows = run_governed(
+        exec,
+        "join-probe",
+        hashed + pairs.len(),
+        || (),
+        |_, i, out| match i.checked_sub(hashed) {
+            Some(p) => emit(out, pairs[p].0, pairs[p].1),
+            None => {
+                let hits = buckets.as_ref().and_then(|b| b.of(i as u32));
+                hits.into_iter().flatten().try_for_each(|ri| emit(out, i as u32, ri))
+            }
+        },
+    )?;
+    let mut out = AuRelation::empty(l.schema.concat(&r.schema));
+    out.append_rows(rows);
+    Ok(out)
 }
 
 /// Flat CSR of candidate `(left_row, right_row)` pairs by left row:
@@ -221,99 +211,6 @@ pub(crate) fn csr_by_left(nleft: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Ve
         next[l as usize] += 1;
     }
     (offsets, entries)
-}
-
-/// Multiply annotations with the precise range-annotated predicate
-/// result and append the joined row; short-circuits to `⊗` alone when
-/// the key attributes are structurally equal and certain (predicate
-/// triple is then (T, T, T) by construction).
-fn emit_equi_pair(
-    out: &mut Vec<(RangeTuple, AuAnnot)>,
-    l: &(RangeTuple, AuAnnot),
-    r: &(RangeTuple, AuAnnot),
-    predicate: &Expr,
-    pairs: &[(usize, usize)],
-) -> Result<(), EvalError> {
-    let (tl, kl) = l;
-    let (tr, kr) = r;
-    let fast = pairs.iter().all(|(a, b)| {
-        let (x, y) = (&tl.0[*a], &tr.0[*b]);
-        x.is_certain() && x == y
-    });
-    let t = tl.concat(tr);
-    let mut k = kl.times(kr);
-    if !fast {
-        let (plb, psg, pub_) = predicate.eval_range_bool3(t.values())?;
-        if !pub_ {
-            return Ok(());
-        }
-        k = k.times(&AuAnnot::from_bool3(plb, psg, pub_));
-    }
-    out.push((t, k));
-    Ok(())
-}
-
-fn hash_equi_join_au(
-    l: &AuRelation,
-    r: &AuRelation,
-    predicate: &Expr,
-    pairs: &[(usize, usize)],
-    exec: &Executor,
-) -> Result<AuRelation, EvalError> {
-    let mut out = AuRelation::empty(l.schema.concat(&r.schema));
-    let lcols: Vec<usize> = pairs.iter().map(|(a, _)| *a).collect();
-    let rcols: Vec<usize> = pairs.iter().map(|(_, b)| *b).collect();
-    let (lc, lu) = partition_by_key_certainty(l.rows(), &lcols);
-    let (rc, ru) = partition_by_key_certainty(r.rows(), &rcols);
-
-    // certain × certain: hash join on canonical SG keys; the probe side
-    // is partitioned into morsels and probed in parallel against the
-    // shared (read-only) bucket index
-    if !lc.is_empty() && !rc.is_empty() {
-        let rkey = |ri| au_sg_key(r.rows(), &rcols, ri);
-        let index = HashKeyIndex::build(rc.iter().copied(), rkey);
-        let rows = exec.run(lc.len(), |morsel, rows: &mut Vec<AuRow>| {
-            let mut watermark = rows.len();
-            for &li in &lc[morsel] {
-                checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, GOVERN_ROWS)?;
-                let row_l = &l.rows()[li as usize];
-                for ri in index.matches(au_sg_key(l.rows(), &lcols, li), rkey) {
-                    emit_equi_pair(rows, row_l, &r.rows()[ri as usize], predicate, pairs)?;
-                }
-            }
-            checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
-            Ok::<(), EvalError>(())
-        })?;
-        out.append_rows(rows);
-    }
-
-    // band filtering for uncertain-key rows: plane sweeps on the first
-    // pair's interval indexes cover (uncertain × all) and
-    // (certain × uncertain) without double counting; the candidate
-    // blocks are then evaluated in parallel
-    let (c0l, c0r) = pairs[0];
-    let mut candidates: Vec<(u32, u32)> = Vec::new();
-    if !lu.is_empty() {
-        let li = IntervalIndex::from_au_subset(l.rows(), c0l, &lu);
-        let ri = IntervalIndex::from_au(r.rows(), c0r);
-        IntervalIndex::sweep_overlapping(&li, &ri, |a, b| candidates.push((a, b)));
-    }
-    if !ru.is_empty() && !lc.is_empty() {
-        let li = IntervalIndex::from_au_subset(l.rows(), c0l, &lc);
-        let ri = IntervalIndex::from_au_subset(r.rows(), c0r, &ru);
-        IntervalIndex::sweep_overlapping(&li, &ri, |a, b| candidates.push((a, b)));
-    }
-    let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<AuRow>| {
-        let mut watermark = rows.len();
-        for &(a, b) in &candidates[morsel] {
-            checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, GOVERN_ROWS)?;
-            emit_equi_pair(rows, &l.rows()[a as usize], &r.rows()[b as usize], predicate, pairs)?;
-        }
-        checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
-        Ok::<(), EvalError>(())
-    })?;
-    out.append_rows(rows);
-    Ok(out)
 }
 
 /// Candidate `(left_row, right_row)` pairs of an interval-comparison
@@ -346,42 +243,6 @@ pub(crate) fn comparison_candidates(
     candidates
 }
 
-fn comparison_join_au(
-    l: &AuRelation,
-    r: &AuRelation,
-    predicate: &Expr,
-    lo: (Side, usize),
-    hi: (Side, usize),
-    exec: &Executor,
-) -> Result<AuRelation, EvalError> {
-    let mut out = AuRelation::empty(l.schema.concat(&r.schema));
-    let candidates = comparison_candidates(
-        lo,
-        hi,
-        |c| IntervalIndex::from_au(l.rows(), c),
-        |c| IntervalIndex::from_au(r.rows(), c),
-    );
-    let rows = exec.run(candidates.len(), |morsel, rows: &mut Vec<AuRow>| {
-        let mut watermark = rows.len();
-        for &(a, b) in &candidates[morsel] {
-            checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, GOVERN_ROWS)?;
-            let (tl, kl) = &l.rows()[a as usize];
-            let (tr, kr) = &r.rows()[b as usize];
-            let t = tl.concat(tr);
-            let (plb, psg, pub_) = predicate.eval_range_bool3(t.values())?;
-            if !pub_ {
-                continue;
-            }
-            let k = kl.times(kr).times(&AuAnnot::from_bool3(plb, psg, pub_));
-            rows.push((t, k));
-        }
-        checkpoint::<AuRow>(exec, "join-probe", rows.len(), &mut watermark, 0)?;
-        Ok::<(), EvalError>(())
-    })?;
-    out.append_rows(rows);
-    Ok(out)
-}
-
 /// Theta-join over deterministic relations through the planner on an
 /// explicit executor: the operator of the det oracle and of every join
 /// the det engine does not fuse. Its build side is the fused chain's
@@ -396,10 +257,10 @@ pub fn join_det_planned_exec(
 ) -> Result<Relation, EvalError> {
     let probe = DetProbe::build(l, r, predicate);
     let (recheck, pairs) = (probe.recheck(), probe.pairs());
-    let emit = |rows: &mut Vec<DetRow>, (tl, kl): &DetRow, (tr, kr): &DetRow| {
+    let emit = |rows: &mut Governed<'_, DetRow>, (tl, kl): &DetRow, (tr, kr): &DetRow| {
         let t = tl.concat(tr);
         if recheck.map_or(Ok(true), |p| p.eval_bool(t.values()))? {
-            rows.push((t, kl.times(kr)));
+            rows.push((t, kl.times(kr)))?;
         }
         Ok::<(), EvalError>(())
     };

@@ -17,9 +17,9 @@
 //!   attributes (selected-guess values for AU rows, deterministic
 //!   values for bag rows): row ids grouped per hash of their canonical
 //!   [`KeyCell`]s; a probe proposes by hash and confirms against the
-//!   build side's cells. Three thin key adapters feed it — column lanes
-//!   ([`lane_key`]), AU rows ([`au_sg_key`]), deterministic values
-//!   ([`det_key`]). [`HashKeyIndex::build_distinct`] is the same table
+//!   build side's cells. Two thin key adapters feed it — column lanes
+//!   ([`lane_key`]: AU selected guesses, typed where the lane is) and
+//!   deterministic values ([`det_key`]). [`HashKeyIndex::build_distinct`] is the same table
 //!   over the *distinct* keys of a row range: the SG grouping behind
 //!   aggregation, `Ψ` and set difference.
 //!
@@ -141,11 +141,6 @@ impl IntervalIndex {
     /// Index attribute `col` of all AU rows.
     pub fn from_au(rows: &[(RangeTuple, AuAnnot)], col: usize) -> Self {
         Self::from_entries(rows.iter().enumerate().map(|(i, (t, _))| (i as u32, &t.0[col])))
-    }
-
-    /// Index attribute `col` of the AU rows with the given ids.
-    pub fn from_au_subset(rows: &[(RangeTuple, AuAnnot)], col: usize, ids: &[u32]) -> Self {
-        Self::from_entries(ids.iter().map(|&i| (i, &rows[i as usize].0 .0[col])))
     }
 
     /// Index one attribute directly from its column lane (the columnar
@@ -378,16 +373,6 @@ pub fn shared_codes(a: &[LaneSlice<'_>], b: &[LaneSlice<'_>]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.typed_alike(y) || (no_str(x) && no_str(y)))
 }
 
-/// The selected-guess join key of AU row `row` over `cols`.
-pub fn au_sg_key<'a>(
-    rows: &'a [(RangeTuple, AuAnnot)],
-    cols: &'a [usize],
-    row: u32,
-) -> impl Iterator<Item = KeyCell<'a>> + Clone {
-    let t = &rows[row as usize].0;
-    cols.iter().map(move |c| KeyCell::of(&t.0[*c].sg))
-}
-
 /// The join key of deterministic values over `cols`.
 pub fn det_key<'a>(
     vals: &'a [Value],
@@ -508,6 +493,17 @@ fn hash_key<'a>(seed: u64, key: impl Iterator<Item = KeyCell<'a>>) -> u64 {
 mod tests {
     use super::*;
     use crate::au::au_row;
+
+    /// The selected-guess key of AU row `row` over `cols`, boxed cell by
+    /// cell — the reference the lane keys are checked against.
+    fn au_sg_key<'a>(
+        rows: &'a [(RangeTuple, AuAnnot)],
+        cols: &'a [usize],
+        row: u32,
+    ) -> impl Iterator<Item = KeyCell<'a>> + Clone {
+        let t = &rows[row as usize].0;
+        cols.iter().map(move |c| KeyCell::of(&t.0[*c].sg))
+    }
 
     fn idx(ranges: &[(i64, i64)]) -> IntervalIndex {
         let rvs: Vec<RangeValue> =

@@ -25,7 +25,7 @@ pub mod ua;
 
 pub use au::{au_row, certain_row, AuDatabase, AuRelation};
 pub use column::{packed_range_key, packed_value_key, AnnotColumn, ColumnSet, GatherView};
-pub use index::{au_sg_key, det_key, lane_key, shared_codes, HashKeyIndex, IntervalIndex, KeyCell};
+pub use index::{det_key, lane_key, shared_codes, HashKeyIndex, IntervalIndex, KeyCell};
 pub use relation::{Database, Relation};
 pub use schema::Schema;
 pub use tuple::{RangeTuple, Tuple};

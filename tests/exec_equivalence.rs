@@ -1481,6 +1481,58 @@ fn det_join_governance_matches_across_paths() {
     }
 }
 
+/// One left row's expansion is governed too. `t1`'s one row meets all
+/// 10 000 rows of `t2` — as one hash bucket, or as one row's sweep
+/// candidates — and every entry point of both engines (fused chain,
+/// oracle plan, join operator) trips a 64-row budget at `join-probe`
+/// within one pair batch, not after the row's whole expansion.
+#[test]
+fn one_left_rows_expansion_is_governed_on_every_path() {
+    let mut au = AuDatabase::new();
+    au.insert("t1", all_same_key(1));
+    au.insert("t2", all_same_key(10_000));
+    let det = au.sg_world();
+    let (l, r) = (au.get("t1").unwrap(), au.get("t2").unwrap());
+    let (dl, dr) = (det.get("t1").unwrap(), det.get("t2").unwrap());
+    let tr = TraceBuilder::disabled();
+    for pred in [col(0).eq(col(2)), col(0).leq(col(2))] {
+        let q = table("t1").join_on(table("t2"), pred.clone());
+        for w in [1, 4] {
+            let cfg = cfg_lanes(w).with_budget(BudgetSpec::rows(64));
+            let oracle = AuPlan::oracle(&q, &cfg, &tr);
+            let verdicts = [
+                ("eval_au", eval_au(&au, &q, &cfg).map(drop)),
+                ("AuPlan::oracle", oracle.run(&au, &cfg.executor(), &tr).map(drop)),
+                (
+                    "join_au_planned_exec",
+                    join_au_planned_exec(l, r, Some(&pred), &cfg.executor()).map(drop),
+                ),
+                ("eval_det_exec", eval_det_exec(&det, &q, &cfg.executor()).map(drop)),
+                ("eval_det_oracle", eval_det_oracle(&det, &q, &cfg.executor()).map(drop)),
+                (
+                    "join_det_planned_exec",
+                    join_det_planned_exec(dl, dr, Some(&pred), &cfg.executor()).map(drop),
+                ),
+            ];
+            for (path, verdict) in verdicts {
+                let ctx = format!("{path}, {pred}, workers = {w}");
+                match verdict {
+                    Err(EvalError::Exec(ExecError::BudgetExceeded {
+                        operator,
+                        resource,
+                        attempted,
+                        ..
+                    })) => {
+                        assert_eq!((operator, resource), ("join-probe", "rows"), "{ctx}");
+                        assert!(attempted <= 2048, "attempted {attempted}: {ctx}");
+                    }
+                    other => panic!("expected BudgetExceeded, got {other:?}: {ctx}"),
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // deterministic fault injection (feature `faults`)
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use audb::core::{col, Expr};
+use audb::core::{col, Expr, LaneTag};
 use audb::prelude::*;
 use audb::query::au::join_au;
 use audb::query::au::nested_loop_join_au;
@@ -76,6 +76,121 @@ proptest! {
             classify(pred.as_ref(), 2),
             pred
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// every key path of the one build side
+// ---------------------------------------------------------------------------
+
+/// A column kind whose cells all share one type, so its lane is typed:
+/// `Int` and `Float` lanes, or a `Str` lane of codes into the relation's
+/// own dictionary.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Int,
+    Float,
+    Str,
+}
+
+const WORDS: [&str; 6] = ["ant", "bee", "cat", "dog", "eel", "fox"];
+
+/// A cell of `kind` on rung `i` (0..6) of a small ordered domain, so keys
+/// collide and ranges overlap across kinds alike.
+fn rung(kind: Kind, i: i64) -> Value {
+    match kind {
+        Kind::Int => Value::Int(i - 2),
+        Kind::Float => Value::float((i - 2) as f64 * 0.5),
+        Kind::Str => Value::str(WORDS[i as usize]),
+    }
+}
+
+/// A certain cell of `kind`, or a proper range (`lb < ub`) of it.
+fn typed_cell(kind: Kind, certain: bool) -> BoxedStrategy<RangeValue> {
+    if certain {
+        (0i64..6).prop_map(move |i| RangeValue::certain(rung(kind, i))).boxed()
+    } else {
+        (0i64..3, 0i64..2, 1i64..3)
+            .prop_map(move |(i, d1, d2)| {
+                RangeValue::range(rung(kind, i), rung(kind, i + d1), rung(kind, i + d1 + d2))
+            })
+            .boxed()
+    }
+}
+
+/// Two-column relations of one `kind`, holding at least one row with a
+/// certain first column and one with an uncertain one.
+fn typed_relation(kind: Kind, names: [&'static str; 2]) -> impl Strategy<Value = AuRelation> {
+    let cell = move || prop_oneof![typed_cell(kind, true), typed_cell(kind, false)];
+    let annot =
+        (0u64..2, 0u64..2, 1u64..3).prop_map(|(a, b, c)| AuAnnot::triple(a, a + b, a + b + c));
+    let row = move |key: BoxedStrategy<RangeValue>| (key, cell(), annot.clone());
+    let forced = (row(typed_cell(kind, true)), row(typed_cell(kind, false)));
+    (forced, proptest::collection::vec(row(cell().boxed()), 0..6)).prop_map(
+        move |(forced, more)| {
+            let rows = [forced.0, forced.1].into_iter().chain(more);
+            let rows = rows.map(|(a, b, k)| (RangeTuple::new(vec![a, b]), k)).collect();
+            AuRelation::from_rows(Schema::named(&names), rows)
+        },
+    )
+}
+
+/// The hash and comparison predicates over two two-column relations.
+fn keyed_predicate_strategy() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        Just(col(0).eq(col(2))),
+        Just(col(0).eq(col(2)).and(col(1).eq(col(3)))),
+        Just(col(0).leq(col(2))),
+        Just(col(1).gt(col(2))),
+        Just(col(3).lt(col(0))),
+    ]
+}
+
+/// Two relations of one kind.
+fn typed_pair_strategy() -> impl Strategy<Value = (Kind, AuRelation, AuRelation)> {
+    let pair = |kind| {
+        (typed_relation(kind, ["a", "b"]), typed_relation(kind, ["c", "d"]))
+            .prop_map(move |(l, r)| (kind, l, r))
+            .boxed()
+    };
+    prop_oneof![pair(Kind::Int), pair(Kind::Float), pair(Kind::Str)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The nested loop checks every key path of the one AU build side:
+    /// typed `Int` and `Float` key lanes, `Str` keys across two tables
+    /// (two dictionaries: the index keys and sweeps on strings) and in a
+    /// self-join (one dictionary: on codes), certain and uncertain keys
+    /// on both sides, hash and comparison plans.
+    #[test]
+    fn planned_join_equals_nested_loop_on_typed_and_string_keys(
+        inputs in typed_pair_strategy(),
+        pred in keyed_predicate_strategy()
+    ) {
+        let (kind, l, r) = inputs;
+        let tag = match kind {
+            Kind::Int => LaneTag::Int,
+            Kind::Float => LaneTag::Float,
+            Kind::Str => LaneTag::Str,
+        };
+        for rel in [&l, &r] {
+            let lanes = rel.columns();
+            prop_assert!(lanes.lanes().iter().all(|lane| lane.tag() == tag), "{:?} lanes", kind);
+        }
+        for (left, right) in [(&l, &r), (&l, &l)] {
+            let planned = join_au(left, right, Some(&pred)).expect("planned join");
+            let reference = nested_loop_join_au(left, right, Some(&pred)).expect("nested loop");
+            prop_assert_eq!(
+                planned.normalized(),
+                reference.normalized(),
+                "{:?} keys, strategy {:?}, predicate {}",
+                kind,
+                classify(Some(&pred), 2),
+                pred
+            );
+        }
     }
 }
 
