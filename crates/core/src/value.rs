@@ -239,11 +239,10 @@ impl Value {
                 Some(s) => Value::Int(s),
                 None => Value::float(*a as f64 + *b as f64),
             }),
-            #[allow(clippy::unwrap_used)] // is_numeric guarantees as_f64 succeeds
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                Ok(Value::Float(F64::try_new(a.as_f64().unwrap() + b.as_f64().unwrap())?))
-            }
-            (a, b) => Err(EvalError::binop_type_error("+", a, b)),
+            (a, b) => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) => Ok(Value::Float(F64::try_new(x + y)?)),
+                _ => Err(EvalError::binop_type_error("+", a, b)),
+            },
         }
     }
 
@@ -287,11 +286,10 @@ impl Value {
                 Some(p) => Value::Int(p),
                 None => Value::float(*a as f64 * *b as f64),
             }),
-            #[allow(clippy::unwrap_used)] // is_numeric guarantees as_f64 succeeds
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                Ok(Value::Float(F64::try_new(a.as_f64().unwrap() * b.as_f64().unwrap())?))
-            }
-            (a, b) => Err(EvalError::binop_type_error("*", a, b)),
+            (a, b) => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) => Ok(Value::Float(F64::try_new(x * y)?)),
+                _ => Err(EvalError::binop_type_error("*", a, b)),
+            },
         }
     }
 
@@ -314,11 +312,10 @@ impl Value {
                 a.signum()?; // type check
                 Ok(Value::float(0.0))
             }
-            #[allow(clippy::unwrap_used)] // is_numeric guarantees as_f64 succeeds
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                Ok(Value::Float(F64::try_new(a.as_f64().unwrap() / b.as_f64().unwrap())?))
-            }
-            (a, b) => Err(EvalError::binop_type_error("/", a, b)),
+            (a, b) => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) => Ok(Value::Float(F64::try_new(x / y)?)),
+                _ => Err(EvalError::binop_type_error("/", a, b)),
+            },
         }
     }
 

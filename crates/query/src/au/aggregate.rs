@@ -16,7 +16,7 @@
 //! Execution has exactly two paths. The **row-once kernel**
 //! ([`aggregate_au_exec`], production) evaluates every distinct
 //! aggregate input once per row over column lanes (compiled, verified
-//! [`Program`]s), applies `⊛_M` per row into typed `i64`/`f64`
+//! [`Program`](audb_core::Program)s), applies `⊛_M` per row into typed `i64`/`f64`
 //! contribution lanes, and then folds those lanes per group. Grouping
 //! reads the input's column lanes ([`AuRelation::columns`]) and nothing
 //! else: `SgGroups` assigns every row to its SG group through the one
@@ -66,20 +66,19 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use audb_core::obs::{Counter, Site};
+use audb_core::obs::{Counter, Site, TraceBuilder};
 use audb_core::{
-    AuAnnot, EvalError, Expr, LaneBatch, LaneSlice, LaneTag, Program, RangeValue, Value, ValueLane,
-    F64,
+    AuAnnot, EvalError, Expr, LaneBatch, LaneSlice, LaneTag, RangeValue, Value, ValueLane, F64,
 };
 use audb_exec::Executor;
 use audb_storage::{
-    lane_key, AuRelation, ColumnSet, HashKeyIndex, IntervalIndex, KeyCell, RangeTuple, Schema,
-    Tuple,
+    lane_key, AuRelation, ColumnSet, HashKeyIndex, IntervalIndex, RangeTuple, Schema, Tuple,
 };
 
 use super::lanes_of;
 use crate::algebra::{check_group_by, AggFunc, AggSpec};
 use crate::opt;
+use crate::vcheck::Vet;
 
 /// Aggregation monoids (Section 9.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -523,18 +522,23 @@ pub fn aggregate_au_stats(
     let annots = cset.annots();
     let bucket_ks = buckets.iter().flat_map(|b| (0..nbuckets).map(|i| b.annots().get(i)));
     let ks: Vec<AuAnnot> = (0..n).map(|i| annots.get(i)).chain(bucket_ks).collect();
-    // One program for all inputs. A poisoned row does not say which
-    // input poisoned it, so then (rare) every term takes the oracle's
-    // per-row closure — interpreted `eval_range` + `boxtimes` — which
-    // keeps every row's own first error in place.
-    let (prog, mut batch) = (Program::compile_range_many(&plan.inputs), LaneBatch::default());
-    prog.eval_range_lanes(&cols, ks.len(), &mut batch, exec.cancel_token())?;
-    let poisoned = (0..ks.len()).any(|i| batch.row_error(i).is_some());
+    // One program for all inputs, vetted like every chain stage (Tier
+    // A+B; untraced: γ compiles at run time, outside the `plan` span). A
+    // poisoned row does not say which input poisoned it, so then (rare)
+    // — or when the verifier rejects the program — every term takes the
+    // oracle's per-row closure, interpreted `eval_range` + `boxtimes`,
+    // which keeps every row's own first error in place.
+    let prog = Vet::new(metrics, &TraceBuilder::disabled()).range_many(&plan.inputs);
+    let mut batch = LaneBatch::default();
+    if let Some(prog) = &prog {
+        prog.eval_range_lanes(&cols, ks.len(), &mut batch, exec.cancel_token())?;
+    }
+    let prog = prog.filter(|_| (0..ks.len()).all(|i| batch.row_error(i).is_none()));
     let row = |i: usize| cols.iter().map(|c| c.get(i)).collect::<Vec<RangeValue>>();
     let contribs: Vec<Contrib<'_>> = (plan.terms.iter())
         .map(|&(m, i)| {
-            if !poisoned {
-                return Contrib::of(m, batch.output_lane(&prog, i, &cols), &ks);
+            if let Some(prog) = &prog {
+                return Contrib::of(m, batch.output_lane(prog, i, &cols), &ks);
             }
             let one = |r| boxtimes(m, &ks[r], &plan.inputs[i].eval_range(&row(r))?);
             Contrib::Boxed((0..ks.len()).map(one).collect())
@@ -638,15 +642,14 @@ impl Csr {
     }
 }
 
-/// The default grouping strategy's assignment (Definition 24) of `n`
-/// rows: one group per distinct selected-guess key, numbered in
-/// first-appearance order. The [`HashKeyIndex`] proposes by the hash of
-/// the canonical [`KeyCell`]s (`Int 2` and `Float 2.0` share one) and
-/// `same` confirms *exactly*: SG identity is `Value`'s structural
-/// equality, not `value_eq`.
+/// The default grouping strategy's assignment (Definition 24) of the
+/// rows of `keys`, one lane per grouped column: one group per distinct
+/// selected-guess key, numbered in first-appearance order — the one SG
+/// grouping behind γ, δ, `Ψ` and `−`. The [`HashKeyIndex`] proposes by
+/// the hash of the canonical [`lane_key`] cells (`Int 2` and `Float 2.0`
+/// share one) and [`LaneSlice::sg_eq`] confirms *exactly*: SG identity
+/// is `Value`'s structural equality, not `value_eq`.
 pub(super) struct SgGroups {
-    /// Over the groups' first rows.
-    index: HashKeyIndex,
     /// Per row: its group.
     pub of_row: Vec<u32>,
     /// Per group: its first row.
@@ -654,41 +657,26 @@ pub(super) struct SgGroups {
 }
 
 impl SgGroups {
-    fn assign<'a, K: Iterator<Item = KeyCell<'a>>>(
-        n: usize,
-        key: impl Fn(u32) -> K,
-        same: impl Fn(u32, u32) -> bool,
-    ) -> SgGroups {
-        let (index, of_row) = HashKeyIndex::build_distinct(n, key, same);
+    /// Group the `n` rows of `keys` (`n` names the row count when there
+    /// is no key lane: nullary rows form one group).
+    pub fn assign(keys: &[LaneSlice<'_>], n: usize) -> SgGroups {
+        let same = |a: u32, b: u32| keys.iter().all(|l| l.sg_eq(a as usize, b as usize));
+        let of_row = HashKeyIndex::build_distinct(n, |i| lane_key(keys, true, i), same);
         let mut reps = Vec::new();
         for (&g, i) in of_row.iter().zip(0..) {
             if g as usize == reps.len() {
                 reps.push(i);
             }
         }
-        SgGroups { index, of_row, reps }
+        SgGroups { of_row, reps }
     }
 
-    /// The grouping of AU rows on all their columns (`Ψ`, `−`).
-    pub fn of_rows(rows: &[(RangeTuple, AuAnnot)]) -> SgGroups {
-        let tuple = |i: u32| &rows[i as usize].0;
-        SgGroups::assign(rows.len(), |i| sg_key(tuple(i)), |a, b| same_sg(tuple(a), tuple(b)))
+    /// Per lane of `keys`, every group's bounding box (Definition 25),
+    /// widened in member order by [`LaneSlice::group_boxes`].
+    pub fn boxes(&self, keys: &[LaneSlice<'_>]) -> Vec<ValueLane> {
+        let members = (0..self.of_row.len()).zip(self.of_row.iter().copied());
+        keys.iter().map(|l| l.group_boxes(&self.reps, members.clone())).collect()
     }
-
-    /// The group of the `rows` grouped whose SG tuple is `t`'s.
-    pub fn find(&self, rows: &[(RangeTuple, AuAnnot)], t: &RangeTuple) -> Option<usize> {
-        let tuple = |i: u32| &rows[i as usize].0;
-        let mut found = self.index.matches(sg_key(t), |i| sg_key(tuple(i)));
-        found.find(|&i| same_sg(t, tuple(i))).map(|i| self.of_row[i as usize] as usize)
-    }
-}
-
-fn sg_key(t: &RangeTuple) -> impl Iterator<Item = KeyCell<'_>> + Clone {
-    t.0.iter().map(|cell| KeyCell::of(&cell.sg))
-}
-
-fn same_sg(a: &RangeTuple, b: &RangeTuple) -> bool {
-    a.0.iter().zip(&b.0).all(|(x, y)| x.sg == y.sg)
 }
 
 /// The kernel's grouping index over the group-by lanes.
@@ -706,17 +694,14 @@ struct LaneGroups {
 
 impl LaneGroups {
     fn build(keys: &[LaneSlice<'_>], n: usize) -> LaneGroups {
-        let same = |a: u32, b: u32| keys.iter().all(|l| l.sg_eq(a as usize, b as usize));
-        let SgGroups { of_row, reps, .. } = SgGroups::assign(n, |i| lane_key(keys, true, i), same);
+        let groups = SgGroups::assign(keys, n);
+        let (ngroups, of_row) = (groups.reps.len(), &groups.of_row);
         let is_certain: Vec<bool> = (0..n).map(|i| keys.iter().all(|l| l.is_certain(i))).collect();
         LaneGroups {
-            alpha: Csr::by_group(reps.len(), &of_row, |_| true),
-            certain: Csr::by_group(reps.len(), &of_row, |i| is_certain[i]),
+            alpha: Csr::by_group(ngroups, of_row, |_| true),
+            certain: Csr::by_group(ngroups, of_row, |i| is_certain[i]),
             uncertain: (0..n as u32).filter(|&i| !is_certain[i as usize]).collect(),
-            boxes: keys
-                .iter()
-                .map(|l| l.group_boxes(&reps, (0..n).zip(of_row.iter().copied())))
-                .collect(),
+            boxes: groups.boxes(keys),
         }
     }
 }

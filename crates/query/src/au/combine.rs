@@ -4,29 +4,38 @@
 //!
 //! Ensures every SGW tuple is encoded by exactly one AU-DB tuple, which
 //! set difference and aggregation rely on to avoid over-reduction and
-//! double counting.
+//! double counting. `Ψ` reads and builds column lanes only: the SG
+//! grouping on all columns is γ's ([`SgGroups`]), and each group's box
+//! is [`LaneSlice::group_boxes`](audb_core::LaneSlice::group_boxes)'s.
+
+use std::sync::Arc;
 
 use audb_core::{AuAnnot, Semiring};
-use audb_storage::AuRelation;
+use audb_storage::{AnnotColumn, AuRelation, ColumnSet};
 
 use super::aggregate::SgGroups;
 
 /// Apply `Ψ` to a relation: the SG grouping on all columns, each group
 /// merged into its first row in row order — output in first-appearance
-/// order. (No row of a relation carries the zero annotation.)
+/// order, born columnar. (No row of a relation carries the zero
+/// annotation.)
 pub fn sg_combine(rel: &AuRelation) -> AuRelation {
-    let rows = rel.rows();
-    let groups = SgGroups::of_rows(rows);
-    let rep = |&r: &u32| (rows[r as usize].0.clone(), AuAnnot::zero());
-    let mut merged: Vec<_> = groups.reps.iter().map(rep).collect();
-    for ((t, k), &g) in rows.iter().zip(&groups.of_row) {
-        let (bbox, annot) = &mut merged[g as usize];
-        bbox.0.iter_mut().zip(&t.0).for_each(|(b, c)| b.extend_keep_sg(c));
-        *annot = annot.plus(k);
+    AuRelation::from_columns(rel.schema.clone(), Arc::new(sg_combine_lanes(&rel.columns())), false)
+}
+
+/// [`sg_combine`] of a column set: per group its box, widened in row
+/// order by [`audb_core::RangeValue::extend_keep_sg`]'s rule, and its
+/// annotation sum.
+pub(super) fn sg_combine_lanes(cs: &ColumnSet) -> ColumnSet {
+    let keys = cs.lane_slices();
+    let groups = SgGroups::assign(&keys, cs.nrows());
+    let mut sums = vec![AuAnnot::zero(); groups.reps.len()];
+    for (i, &g) in groups.of_row.iter().enumerate() {
+        sums[g as usize] = sums[g as usize].plus(&cs.annots().get(i));
     }
-    let mut out = AuRelation::empty(rel.schema.clone());
-    out.append_rows(merged);
-    out
+    let mut annots = AnnotColumn::default();
+    sums.into_iter().for_each(|k| annots.push(k));
+    ColumnSet::new(groups.boxes(&keys), annots)
 }
 
 #[cfg(test)]

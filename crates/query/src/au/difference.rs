@@ -7,22 +7,28 @@
 //! attribute ranges overlap), while the upper bound is only reduced by
 //! right tuples that are *certainly* equal (`≡`).
 //!
-//! The right side is indexed instead of scanned per left tuple: the
+//! The operator reads column lanes and builds them. `Ψ(l)`'s rows and
+//! `r`'s are appended into one [`ColumnSet`](audb_storage::ColumnSet) —
+//! one lane, and so one string dictionary, per column — and grouped
+//! once by γ's SG grouping ([`SgGroups`]): `Ψ` leaves one left row per
+//! SG tuple, so a left row's group holds exactly the right rows with its
+//! SG, which the `t^sg = t'^sg` and `≡` reductions sum. The
 //! `≃`-candidates come from an [`IntervalIndex`] endpoint sweep on the
-//! first attribute (precise multi-attribute overlap re-checked per
-//! candidate), while the `t^sg = t'^sg` and `≡` reductions are one probe
-//! of the right side's SG grouping (`aggregate::SgGroups`) —
-//! `O((|L| + |R|) log + candidates)` in place of the old `O(|L| · |R|)`
-//! loop. Left tuples are then partitioned across the
-//! [`Executor`]'s workers (the reductions are independent per left
-//! tuple) with a deterministic ordered merge.
+//! first column (typed endpoints where the lane is), re-checked on every
+//! column with [`LaneSlice::overlaps`](audb_core::LaneSlice::overlaps) —
+//! `O((|L| + |R|) log + candidates)` in place of an `O(|L| · |R|)` scan.
+//! The result is normalized on the lanes
+//! ([`AuRelation::normalized_view_rows`]) and born columnar.
 
-use audb_core::{EvalError, Semiring};
+use std::ops::Range;
+
+use audb_core::{AuAnnot, EvalError, Semiring};
 use audb_exec::Executor;
 use audb_storage::{AuRelation, IntervalIndex};
 
 use super::aggregate::SgGroups;
-use super::combine::sg_combine;
+use super::combine::{sg_combine, sg_combine_lanes};
+use super::{lanes_of, normalized_lanes};
 
 /// `R1 − R2` (Definition 22) on an explicit executor; every worker count
 /// produces an identical result. The left input is first `Ψ`-combined
@@ -33,63 +39,51 @@ pub fn difference_au_exec(
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     l.schema.check_union_compatible(&r.schema)?;
-    let left = sg_combine(l);
-    let arity = left.schema.arity();
+    let mut all = sg_combine_lanes(&lanes_of(l, exec));
+    let nl = all.nrows();
+    all.append(&lanes_of(r, exec));
+    let (n, cols, ks) = (all.nrows(), all.lane_slices(), all.annots());
+    let certain = |i: usize| cols.iter().all(|c| c.is_certain(i));
 
-    // The right side grouped by SG tuple, once: per group Σ R2(t')^sg,
-    // and Σ R2(t')↓ over its *certain* tuples (the `≡` reduction
-    // additionally requires the left tuple to be certain — checked per
-    // left tuple). Multiplicity sums saturate, like `N`'s `+`.
-    let groups = SgGroups::of_rows(r.rows());
-    let mut sums = vec![(0u64, 0u64); groups.reps.len()];
-    for ((t2, k2), &g) in r.rows().iter().zip(&groups.of_row) {
-        let (sg, cert_lb) = &mut sums[g as usize];
-        *sg = sg.plus(&k2.sg);
-        if t2.is_certain() {
-            *cert_lb = cert_lb.plus(&k2.lb);
-        }
-    }
-
-    // `≃`-candidates per left tuple from a first-attribute endpoint
-    // sweep (a superset of the fully-overlapping pairs; the precise
-    // check runs below). Nullary tuples always overlap.
-    let mut cand: Vec<Vec<u32>> = vec![Vec::new(); left.len()];
-    if arity == 0 {
-        for c in &mut cand {
-            c.extend(0..r.len() as u32);
-        }
-    } else if !r.is_empty() {
-        let li = IntervalIndex::from_au(left.rows(), 0);
-        let ri = IntervalIndex::from_au(r.rows(), 0);
-        IntervalIndex::sweep_overlapping(&li, &ri, |a, b| cand[a as usize].push(b));
-    }
-
-    // One work item is a left tuple's full reduction (candidate loop +
-    // hash lookups) — heavier than a plain row op, so the adaptive
-    // parallelism floor is lowered accordingly (never raised: a
-    // caller-forced zero floor stays zero).
-    let dexec =
-        exec.clone().with_min_rows_per_worker(exec.partitioner().min_rows_per_worker.min(256));
-    let rows = dexec.run(left.len(), |morsel, rows| {
-        for i in morsel {
-            let (t, k) = &left.rows()[i];
-            let mut sub_overlap_ub = 0u64; // Σ_{t ≃ t'} R2(t')↑
-            for &j in &cand[i] {
-                let (t2, k2) = &r.rows()[j as usize];
-                if t.overlaps(t2) {
-                    sub_overlap_ub = sub_overlap_ub.plus(&k2.ub);
-                }
+    // Per left row its three reductions: Σ R2(t')↑ over the right rows
+    // it overlaps (`≃`), Σ R2(t')^sg over those with its SG, and Σ R2(t')↓
+    // over the certain ones among them (`≡`, which only a certain left
+    // row takes). Multiplicity sums saturate, like `N`'s `+`. `Ψ` left
+    // one row per SG tuple, so left row `g` is group `g`.
+    let mut subs = vec![[0u64; 3]; nl];
+    let groups = SgGroups::assign(&cols, n);
+    for j in nl..n {
+        if let Some([_, sg, cert_lb]) = subs.get_mut(groups.of_row[j] as usize) {
+            *sg = sg.plus(&ks.sg[j]);
+            if certain(j) {
+                *cert_lb = cert_lb.plus(&ks.lb[j]);
             }
-            let (sub_sg, cert_lb) = groups.find(r.rows(), t).map_or((0, 0), |g| sums[g]);
-            let sub_cert_lb = if t.is_certain() { cert_lb } else { 0 };
-            let annot = k.monus_bounds(sub_overlap_ub, sub_sg, sub_cert_lb);
-            rows.push((t.clone(), annot));
         }
-        Ok::<(), EvalError>(())
-    })?;
-    let mut out = AuRelation::empty(left.schema.clone());
-    out.append_rows(rows);
-    Ok(out.into_normalized_with(exec)?)
+    }
+    let mut overlapping = |a: u32, b: u32| {
+        let (a, b) = (a as usize, b as usize);
+        if cols.iter().all(|c| c.overlaps(a, c, b)) {
+            subs[a][0] = subs[a][0].plus(&ks.ub[b]);
+        }
+    };
+    match cols.first() {
+        // nullary tuples always overlap
+        None => (0..nl as u32).for_each(|a| (nl as u32..n as u32).for_each(|b| overlapping(a, b))),
+        Some(&first) => {
+            let ids = |rows: Range<usize>| rows.map(|i| i as u32).collect::<Vec<_>>();
+            let li = IntervalIndex::from_lane_subset(first, &ids(0..nl));
+            let ri = IntervalIndex::from_lane_subset(first, &ids(nl..n));
+            IntervalIndex::sweep_overlapping(&li, &ri, overlapping);
+        }
+    }
+
+    let annots: Vec<AuAnnot> = (0..nl)
+        .map(|i| {
+            let [ub, sg, cert_lb] = subs[i];
+            ks.get(i).monus_bounds(ub, sg, if certain(i) { cert_lb } else { 0 })
+        })
+        .collect();
+    normalized_lanes(l.schema.clone(), &all, &annots, exec)
 }
 
 /// The pre-index implementation — a full right-side scan per left tuple.

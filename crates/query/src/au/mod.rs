@@ -17,7 +17,6 @@ pub(crate) mod pipeline;
 use pipeline::run_governed;
 pub use pipeline::AuPlan;
 
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,7 +26,7 @@ use audb_core::obs::{
 };
 use audb_core::{AuAnnot, Budget, BudgetSpec, CancelToken, EvalError, Expr, Semiring};
 use audb_exec::Executor;
-use audb_storage::{AuDatabase, AuRelation, ColumnSet, RangeTuple, Schema};
+use audb_storage::{AuDatabase, AuRelation, ColumnSet, GatherView, RangeTuple, Schema};
 
 use crate::algebra::Query;
 use crate::opt;
@@ -312,13 +311,18 @@ pub(crate) fn lanes_of(rel: &AuRelation, exec: &Executor) -> Arc<ColumnSet> {
     lanes
 }
 
-/// The tuples of `rel` for an operator that reads tuples; a relation
-/// born columnar builds them here, once (counter `rows_built`).
-pub(crate) fn rows_of<'r>(rel: &'r AuRelation, exec: &Executor) -> &'r [(RangeTuple, AuAnnot)] {
-    if !rel.has_rows() {
-        exec.metrics().add(Counter::RowsBuilt, 1);
-    }
-    rel.rows()
+/// The first `annots.len()` rows of `cs`, row `i` annotated `annots[i]`,
+/// normalized on the lanes into a relation born columnar — the tail of
+/// `−` and `∪`.
+pub(crate) fn normalized_lanes(
+    schema: Schema,
+    cs: &ColumnSet,
+    annots: &[AuAnnot],
+    exec: &Executor,
+) -> Result<AuRelation, EvalError> {
+    let view = GatherView::new(cs.lane_slices().into_iter().map(|c| (c, None)).collect());
+    let kept = AuRelation::normalized_view_rows(&view, annots, exec)?;
+    Ok(AuRelation::from_columns(schema, Arc::new(view.lanes(kept.into_iter())), true))
 }
 
 /// Close an operator span with the relation's actual cardinality and
@@ -342,30 +346,6 @@ pub(crate) fn effective_join_compress(
     r: &AuRelation,
 ) -> Option<usize> {
     cfg.join_compress.filter(|_| !cfg.adaptive || opt::join_compression_pays_off(l, r))
-}
-
-/// Union that reuses whichever operand already owns its row buffer;
-/// the left schema wins, matching [`union_au_exec`].
-fn union_cow(
-    l: Cow<'_, AuRelation>,
-    r: Cow<'_, AuRelation>,
-    exec: &Executor,
-) -> Result<AuRelation, EvalError> {
-    l.schema.check_union_compatible(&r.schema)?;
-    match (l, r) {
-        (Cow::Owned(mut l), r) => {
-            l.extend_from(&r);
-            l.normalize_with(exec)?;
-            Ok(l)
-        }
-        (Cow::Borrowed(l), Cow::Owned(mut r)) => {
-            r.schema = l.schema.clone();
-            r.extend_from(l);
-            r.normalize_with(exec)?;
-            Ok(r)
-        }
-        (Cow::Borrowed(l), Cow::Borrowed(r)) => union_au_exec(l, r, exec),
-    }
 }
 
 /// Partition-parallel selection (Definition 20): multiply each tuple's
@@ -488,18 +468,19 @@ pub fn nested_loop_join_au_exec(
     Ok(out)
 }
 
-/// Bag union: annotation addition in `N_AU`, the merge on the
-/// sharded-reduce driver.
+/// Bag union: annotation addition in `N_AU`. The two sides' lanes are
+/// appended and the merge runs on the sharded-reduce driver over them;
+/// the result is born columnar, under the left schema.
 pub fn union_au_exec(
     l: &AuRelation,
     r: &AuRelation,
     exec: &Executor,
 ) -> Result<AuRelation, EvalError> {
     l.schema.check_union_compatible(&r.schema)?;
-    let mut out = l.clone();
-    out.extend_from(r);
-    out.normalize_with(exec)?;
-    Ok(out)
+    let mut all = ColumnSet::clone(&lanes_of(l, exec));
+    all.append(&lanes_of(r, exec));
+    let annots: Vec<AuAnnot> = (0..all.nrows()).map(|i| all.annots().get(i)).collect();
+    normalized_lanes(l.schema.clone(), &all, &annots, exec)
 }
 
 #[cfg(test)]

@@ -135,22 +135,25 @@
 //! ## Hand-over: a chain builds what its consumer reads
 //!
 //! Next to the delivery contract every node's [`Contract`] carries the
-//! [`Form`] its consumer reads the result in. The query root, `∪` and `−` read
-//! tuples: their chains take the one [`GatherView::tuples`] pass. A
-//! chain's source, a join's build side, a compressing join's inputs, γ
-//! and δ read column lanes: their chains gather the same view in the same
-//! order into owned lanes ([`GatherView::lanes`]) and hand over a relation
-//! born columnar ([`AuRelation::from_columns`]) — no tuple is built that
-//! the consumer would only take apart again, and its `columns()` is a
-//! pointer copy. The split/compress join ([`crate::opt`]) is such a
-//! consumer and producer: it reads both inputs' lanes, runs as two probe
-//! chains ([`probe_join_pairs`]) and returns lanes. So between the base
+//! [`Form`] its consumer reads the result in. Tuples are read by the
+//! query root and by the oracle's σ/π/⋈: a chain under the root takes
+//! the one [`GatherView::tuples`] pass. Everything else reads column
+//! lanes — a chain's source, a join's build side, a compressing join's
+//! inputs and every breaker (∪, −, δ, γ): their chains gather the same
+//! view in the same order into owned lanes ([`GatherView::lanes`]) and
+//! hand over a relation born columnar ([`AuRelation::from_columns`]) —
+//! no tuple is built that the consumer would only take apart again, and
+//! its `columns()` is a pointer copy. ∪ and − are such consumers and
+//! producers: they append their inputs' lanes, normalize on them and
+//! return lanes; so is the split/compress join ([`crate::opt`]), which
+//! runs as two probe chains ([`probe_join_pairs`]). So between the base
 //! tables and the root no production operator asks an intermediate for
-//! tuples (counter `rows_built` stays 0), and only a relation that has no
-//! lanes yet — a cold base table, a breaker's row-born output under a
-//! chain — is columnarized by its reader (site `lane_build`, counter
-//! `lane_builds`). A relation builds its other side lazily either way,
-//! so the form is about cost only: results never depend on it.
+//! tuples (counter `rows_built` ticks only for a root born columnar), and
+//! only a relation that has no lanes yet — a cold base table, γ's
+//! row-born output under a chain — is columnarized by its reader (site
+//! `lane_build`, counter `lane_builds`). A relation builds its other
+//! side lazily either way, so the form is about cost only: results never
+//! depend on it.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -171,7 +174,7 @@ use audb_storage::{
 
 use super::{
     aggregate, close_rel, difference, effective_join_compress, join_detail, lanes_of,
-    project_au_exec, rows_of, select_au_exec, union_cow, AuConfig,
+    project_au_exec, select_au_exec, union_au_exec, AuConfig,
 };
 use crate::algebra::{check_group_by, AggSpec, Query};
 use crate::vcheck::Vet;
@@ -291,10 +294,10 @@ pub(crate) enum Delivery {
 /// Breakers return what their kernels build whatever is asked.
 #[derive(Debug, PartialEq, Eq)]
 enum Form {
-    /// Tuples: the query root, `∪`, `−`.
+    /// Tuples: read by the query root and the oracle's σ/π/⋈.
     Rows,
     /// Column lanes: a chain's source, a join's build side, a
-    /// compressing join's inputs, δ and a γ over a breaker.
+    /// compressing join's inputs, ∪, −, δ and a γ over a breaker.
     Lanes,
     /// Column lanes of which an aggregate reads only these columns
     /// (sorted): a chain that delivers an un-normalized list gathers
@@ -1239,8 +1242,12 @@ impl AuPlan {
         tr.attr(h, "workers", || exec.workers().to_string());
         let (rel, _) = self.root.run(Run { db, cfg: &self.cfg, exec, tr, kept })?;
         let rel = rel.into_owned().into_normalized_with(exec)?;
-        // the caller reads tuples: build them inside the query's span
-        rows_of(&rel, exec);
+        // the caller reads tuples: a root born columnar builds them here,
+        // inside the query's span (counter `rows_built`)
+        if !rel.has_rows() {
+            exec.metrics().add(Counter::RowsBuilt, 1);
+            rel.rows();
+        }
         close_rel(tr, h, &rel);
         Ok(rel)
     }
@@ -1256,17 +1263,16 @@ impl Node {
             Box::new(Node::plan(q, cfg, Contract { delivery, form }, vet))
         };
         let tuples = |q: &Query| below(q, Delivery::Canonical, Form::Rows);
+        let lanes = |q: &Query| below(q, Delivery::Canonical, Form::Lanes);
         match (q, vet) {
             // A pipeline breaker runs its own kernel; its inputs are planned
             // with the delivery and in the form it requires (module docs).
             // What it returns is what its kernel builds, whatever is asked.
-            (Query::Union { left, right }, _) => Node::Union(tuples(left), tuples(right)),
-            (Query::Difference { left, right }, _) => Node::Difference(tuples(left), tuples(right)),
-            // grouping on all columns, no aggregates: bounding boxes and
-            // annotation sums are commutative folds → multiset-determined
-            (Query::Distinct { input }, _) => {
-                Node::Distinct(below(input, Delivery::Canonical, Form::Lanes))
-            }
+            // ∪, − and δ read multisets (merges, annotation sums and
+            // bounding boxes are commutative folds), as lanes.
+            (Query::Union { left, right }, _) => Node::Union(lanes(left), lanes(right)),
+            (Query::Difference { left, right }, _) => Node::Difference(lanes(left), lanes(right)),
+            (Query::Distinct { input }, _) => Node::Distinct(lanes(input)),
             (Query::Aggregate { input, group_by, aggs }, _) => {
                 // bound folds run in member order (floats!) → exact list, of
                 // which only the columns `reads` are ever looked at
@@ -1336,11 +1342,6 @@ impl Node {
             tr.attr(h, "fallback", || "pipeline-breaker".to_string());
             h
         };
-        let tuples = |node: &'a Node| {
-            let (rel, _) = node.run(on)?;
-            rows_of(&rel, exec);
-            Ok::<_, EvalError>(rel)
-        };
         let (h, out) = match self {
             Node::Table(name) => return Ok((Cow::Borrowed(db.get(name)?), false)),
             Node::Chain { chain, consumer, detail } => {
@@ -1398,14 +1399,10 @@ impl Node {
             Node::Union(left, right) | Node::Difference(left, right) => {
                 let union = matches!(self, Node::Union(..));
                 let h = breaker(if union { "union" } else { "difference" }, &String::new);
-                let (l, r) = (tuples(left)?, tuples(right)?);
+                let (l, r) = (left.run(on)?.0, right.run(on)?.0);
                 tr.rows_in(h, (l.len() + r.len()) as u64);
-                let out = if union {
-                    union_cow(l, r, exec)?
-                } else {
-                    difference::difference_au_exec(&l, &r, exec)?
-                };
-                (h, out)
+                let set_op = if union { union_au_exec } else { difference::difference_au_exec };
+                (h, set_op(&l, &r, exec)?)
             }
             Node::Distinct(of) | Node::Aggregate { input: of, .. } => {
                 let specs =

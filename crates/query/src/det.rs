@@ -272,11 +272,11 @@ fn apply_det(
     k: u64,
     out: &mut Governed<'_, DetRow>,
 ) -> Result<(), EvalError> {
-    let Some((op, rest)) = ops.split_first() else {
+    debug_assert_eq!(bufs.len(), ops.len(), "one buffer per op");
+    let (Some((op, rest)), Some((buf, rest_bufs))) = (ops.split_first(), bufs.split_first_mut())
+    else {
         return Ok(out.push((Tuple::new(vals.to_vec()), k))?);
     };
-    #[allow(clippy::expect_used)] // bufs was sized to ops.len() by the caller
-    let (buf, rest_bufs) = bufs.split_first_mut().expect("one buffer per op");
     match op {
         DetPipeOp::Select(p) => {
             if !p.eval_det_bool(vals, &mut buf.regs)? {

@@ -9,10 +9,12 @@
 //!   ([`IntervalIndex::sweep_overlapping`]) or order comparison
 //!   ([`IntervalIndex::sweep_lb_below_ub`]) predicate, replacing the
 //!   quadratic nested-loop candidate generation with
-//!   `O(n log n + candidates)`. Built from an `Int`/`Float`/`Str`
-//!   column lane the endpoints stay `i64`/`f64`/dictionary codes; each
-//!   sweep is one body, generic over the endpoint type, and emits the
-//!   same pair sequence either way.
+//!   `O(n log n + candidates)`. An AU index is built from a column lane
+//!   ([`IntervalIndex::from_lane`]) — the joins', γ's and set
+//!   difference's alike — and on an `Int`/`Float`/`Str` lane its
+//!   endpoints stay `i64`/`f64`/dictionary codes; each sweep is one
+//!   body, generic over the endpoint type, and emits the same pair
+//!   sequence either way.
 //! * [`HashKeyIndex`] — the one hash table for equi-joins on certain
 //!   attributes (selected-guess values for AU rows, deterministic
 //!   values for bag rows): row ids grouped per hash of their canonical
@@ -35,9 +37,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use audb_core::hash::{call_seed, keyed_hash_with};
-use audb_core::{AuAnnot, LaneSlice, LaneTag, RangeValue, StrDict, Value};
+use audb_core::{LaneSlice, LaneTag, StrDict, Value};
 
-use crate::tuple::{RangeTuple, Tuple};
+use crate::tuple::Tuple;
 
 /// An interval endpoint the index sorts and sweeps on: the domain's
 /// total order plus database equality. `i64`, `f64` and `u32` are the
@@ -132,22 +134,10 @@ impl IntervalIndex {
         IntervalIndex { by_lb: wrap(by_lb), ub_order }
     }
 
-    /// Build from `(row_id, range)` pairs.
-    fn from_entries<'a>(entries: impl Iterator<Item = (u32, &'a RangeValue)>) -> Self {
-        let bounds = entries.map(|(id, r)| (r.lb.clone(), r.ub.clone(), id)).collect();
-        Self::from_bounds(bounds, Endpoints::Boxed)
-    }
-
-    /// Index attribute `col` of all AU rows.
-    pub fn from_au(rows: &[(RangeTuple, AuAnnot)], col: usize) -> Self {
-        Self::from_entries(rows.iter().enumerate().map(|(i, (t, _))| (i as u32, &t.0[col])))
-    }
-
-    /// Index one attribute directly from its column lane (the columnar
-    /// path — see [`crate::ColumnSet::lane_slices`]), without touching
-    /// row tuples: an `Int`/`Float`/`Str` lane keeps its endpoints typed,
-    /// any other lane boxes them. Sweeps emit exactly what
-    /// [`IntervalIndex::from_au`] over the materialized rows emits.
+    /// Index one attribute from its column lane (see
+    /// [`crate::ColumnSet::lane_slices`]): an `Int`/`Float`/`Str` lane
+    /// keeps its endpoints typed, any other lane boxes them. Sweeps emit
+    /// the pairs an index over the lane's boxed cells emits.
     pub fn from_lane(lane: LaneSlice<'_>) -> Self {
         Self::from_lane_rows(lane, 0..lane.len() as u32)
     }
@@ -418,19 +408,17 @@ impl HashKeyIndex {
         HashKeyIndex { seed, heads, chain }
     }
 
-    /// Index the *distinct* keys of rows `0..n` — grouping, not joining:
-    /// build position `g` holds the first row of the `g`-th distinct key
-    /// in first-appearance order, and the second result maps every row
-    /// to the position of its key. A row proposes the earlier keys of its
-    /// hash and `same(first, row)` alone confirms, so the caller decides
-    /// what "equal" is beyond the canonical cells (SG groups: exact
-    /// `Value`s). [`HashKeyIndex::matches`] then proposes first rows, in
-    /// no particular order.
+    /// Group rows `0..n` by their *distinct* keys — grouping, not joining,
+    /// through the table [`HashKeyIndex::build`] builds: per row the rank
+    /// `g` of its key in first-appearance order. A row proposes the
+    /// earlier keys of its hash and `same(first, row)` alone confirms, so
+    /// the caller decides what "equal" is beyond the canonical cells (SG
+    /// groups: exact `Value`s).
     pub fn build_distinct<'a, K: Iterator<Item = KeyCell<'a>>>(
         n: usize,
         key: impl Fn(u32) -> K,
         same: impl Fn(u32, u32) -> bool,
-    ) -> (Self, Vec<u32>) {
+    ) -> Vec<u32> {
         let seed = call_seed();
         let mut heads = vec![END; (2 * n).next_power_of_two()];
         let (mask, mut chain) = (heads.len() - 1, Vec::<(u32, u64, u32)>::new());
@@ -453,7 +441,7 @@ impl HashKeyIndex {
             }
             positions.push(pos);
         }
-        (HashKeyIndex { seed, heads, chain }, positions)
+        positions
     }
 
     /// The build rows whose key equals `key`, in build order; `built(id)`
@@ -493,6 +481,8 @@ fn hash_key<'a>(seed: u64, key: impl Iterator<Item = KeyCell<'a>>) -> u64 {
 mod tests {
     use super::*;
     use crate::au::au_row;
+    use crate::tuple::RangeTuple;
+    use audb_core::{AuAnnot, RangeValue};
 
     /// The selected-guess key of AU row `row` over `cols`, boxed cell by
     /// cell — the reference the lane keys are checked against.
@@ -503,6 +493,15 @@ mod tests {
     ) -> impl Iterator<Item = KeyCell<'a>> + Clone {
         let t = &rows[row as usize].0;
         cols.iter().map(move |c| KeyCell::of(&t.0[*c].sg))
+    }
+
+    impl IntervalIndex {
+        /// Build from `(row_id, range)` pairs: the boxed reference the
+        /// lane-built indexes are checked against.
+        fn from_entries<'a>(entries: impl Iterator<Item = (u32, &'a RangeValue)>) -> Self {
+            let bounds = entries.map(|(id, r)| (r.lb.clone(), r.ub.clone(), id)).collect();
+            Self::from_bounds(bounds, Endpoints::Boxed)
+        }
     }
 
     fn idx(ranges: &[(i64, i64)]) -> IntervalIndex {
@@ -640,10 +639,9 @@ mod tests {
         assert_eq!(confirmed(1), [1, 4, 5], "rows whose successor holds key 4");
     }
 
-    /// The distinct-key index numbers keys in first-appearance order,
+    /// The distinct-key table numbers keys in first-appearance order, and
     /// `same` alone decides what a key is (exact SG values split what
-    /// the canonical cells collapse), and a probe is proposed the first
-    /// rows only.
+    /// the canonical cells collapse).
     #[test]
     fn build_distinct_numbers_keys_in_first_appearance_order() {
         let vals = [Value::Int(4), Value::Int(5), Value::Int(4), Value::float(4.0), Value::Int(6)];
@@ -651,14 +649,11 @@ mod tests {
             vals.iter().map(|v| au_row(vec![RangeValue::certain(v.clone())], 1, 1, 1)).collect();
         let key = |i| au_sg_key(&rows, &[0], i);
         let sg = |i: u32| &rows[i as usize].0 .0[0].sg;
-        let (exact, positions) = HashKeyIndex::build_distinct(5, key, |a, b| sg(a) == sg(b));
-        assert_eq!(positions, [0, 1, 0, 2, 3]);
-        let mut firsts: Vec<u32> = exact.matches(key(2), key).collect();
-        firsts.sort_unstable();
-        assert_eq!(firsts, [0, 3], "`Int 4` and `Float 4.0`: one canonical cell, two keys");
-        let (_, positions) = HashKeyIndex::build_distinct(5, key, |a, b| sg(a).value_eq(sg(b)));
+        let positions = HashKeyIndex::build_distinct(5, key, |a, b| sg(a) == sg(b));
+        assert_eq!(positions, [0, 1, 0, 2, 3], "`Int 4` and `Float 4.0`: one cell, two keys");
+        let positions = HashKeyIndex::build_distinct(5, key, |a, b| sg(a).value_eq(sg(b)));
         assert_eq!(positions, [0, 1, 0, 0, 2]);
-        assert!(HashKeyIndex::build_distinct(0, key, |_, _| true).1.is_empty());
+        assert!(HashKeyIndex::build_distinct(0, key, |_, _| true).is_empty());
     }
 
     // -----------------------------------------------------------------

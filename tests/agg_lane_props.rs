@@ -3,8 +3,9 @@
 //! (`aggregate_au_scan`, which groups by SG-key tuples on its own) —
 //! the same relation, row for row, or the same first error; (ii) world
 //! enumeration of γ over `Str`- and `Bool`-keyed inputs on the default
-//! path; (iii) `Ψ` against a literal Definition 21 and the indexed set
-//! difference against its scan, over the same key kinds.
+//! path; (iii) `Ψ` against a literal Definition 21, the indexed set
+//! difference against its scan and the union against a tuple union, over
+//! the same key kinds, nullary relations and strings of two tables.
 
 mod common;
 
@@ -12,11 +13,13 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use audb::core::LaneTag;
 use audb::core::Semiring;
 use audb::prelude::*;
 use audb::query::au::aggregate::{aggregate_au_exec, aggregate_au_scan};
 use audb::query::au::combine::sg_combine;
 use audb::query::au::difference::{difference_au_exec, difference_au_scan};
+use audb::query::au::union_au_exec;
 use common::{check_bounds, eval_oracle, exec, weighted_xtuple};
 
 struct XorShift(u64);
@@ -302,20 +305,95 @@ fn keys_only(kind: KeyKind, n: usize, seed: u64) -> AuRelation {
     AuRelation::from_rows(Schema::named(&["k0", "k1"]), rows.collect())
 }
 
-#[test]
-fn sg_combine_and_difference_match_their_references_for_every_key_kind() {
+/// `rel`'s rows, every third one twice, in reverse order: un-normalized.
+fn unnormalized(rel: &AuRelation) -> AuRelation {
+    let mut rows = rel.rows().to_vec();
+    rows.extend(rel.rows().iter().step_by(3).cloned());
+    rows.reverse();
+    let mut out = AuRelation::empty(rel.schema.clone());
+    out.append_rows(rows);
+    out
+}
+
+/// `rel` with cell `(0, 0)` replaced by a certain `Int`: a `Str` column
+/// with one `Int` cell is a boxed lane.
+fn one_int_cell(rel: &AuRelation) -> AuRelation {
+    let mut rows = rel.rows().to_vec();
+    if let Some((t, _)) = rows.first_mut() {
+        t.0[0] = RangeValue::certain(Value::Int(2));
+    }
+    let mut out = AuRelation::empty(rel.schema.clone());
+    out.append_rows(rows);
+    out
+}
+
+/// `n` nullary rows.
+fn nullary(n: usize) -> AuRelation {
+    let k = |i: usize| AuAnnot::triple(i as u64 % 2, 1, 2 + i as u64 % 3);
+    let mut out = AuRelation::empty(Schema::new(vec![]));
+    out.append_rows((0..n).map(|i| (RangeTuple::new(vec![]), k(i))).collect());
+    out
+}
+
+/// The `(l, r)` pairs of the Ψ / − / ∪ property: per key kind both
+/// sides empty or not and longer than a 1 024-row chunk, an
+/// un-normalized pair, `Str` columns of two tables (two dictionaries:
+/// `r` holds strings `l` does not) and one with an `Int` cell, and
+/// nullary relations.
+fn set_operator_inputs() -> Vec<(String, AuRelation, AuRelation)> {
+    let mut pairs = Vec::new();
     for (k, kind) in KINDS.into_iter().enumerate() {
-        for (nl, nr) in [(0usize, 5usize), (7, 0), (1, 1), (30, 40), (400, 300)] {
+        for (nl, nr) in [(0usize, 5usize), (7, 0), (1, 1), (30, 40), (400, 300), (1500, 1200)] {
             let seed = 0x9E37_79B9_7F4A + (k * 1_000 + nl) as u64;
             let (l, r) = (keys_only(kind, nl, seed), keys_only(kind, nr, seed ^ 0xFFFF));
-            let ctx = format!("{kind:?}, {nl} − {nr}");
-            for rel in [&l, &r] {
-                assert_eq!(sg_combine(rel).rows(), sg_combine_reference(rel), "Ψ: {ctx}");
+            if nl == 30 {
+                let ctx = format!("{kind:?}, un-normalized {nl} − {nr}");
+                pairs.push((ctx, unnormalized(&l), unnormalized(&r)));
             }
-            let scan = difference_au_scan(&l, &r);
-            for w in [1, 2, 4] {
-                assert_eq!(difference_au_exec(&l, &r, &exec(w)), scan, "−: {ctx}, workers = {w}");
-            }
+            pairs.push((format!("{kind:?}, {nl} − {nr}"), l, r));
+        }
+    }
+    for n in [40, 1300] {
+        let l = keys_only(KeyKind::Str, n, 0x5EED + n as u64);
+        // every other row of `r` is `l`'s with its strings prefixed
+        let prefixed = |v: &Value| match v {
+            Value::Str(s) => Value::str(format!("~{s}")),
+            other => other.clone(),
+        };
+        let rows = l.rows().iter().enumerate().map(|(i, (t, k))| {
+            let cell = |c: &RangeValue| match i % 2 {
+                0 => c.clone(),
+                _ => RangeValue::new(prefixed(&c.lb), prefixed(&c.sg), prefixed(&c.ub))
+                    .expect("one prefix keeps the order"),
+            };
+            (RangeTuple::new(t.0.iter().map(cell).collect()), *k)
+        });
+        let r = AuRelation::from_rows(l.schema.clone(), rows.collect());
+        let boxed = one_int_cell(&r);
+        let tags = [&l, &r, &boxed].map(|rel| rel.columns().lane(0).tag());
+        assert_eq!(tags, [LaneTag::Str, LaneTag::Str, LaneTag::Boxed]);
+        pairs.push((format!("Str of two tables, {n}"), l.clone(), r));
+        pairs.push((format!("Str with an Int cell, {n}"), l, boxed));
+    }
+    for (nl, nr) in [(0, 0), (0, 3), (4, 0), (1, 1), (5, 3)] {
+        pairs.push((format!("nullary {nl} − {nr}"), nullary(nl), nullary(nr)));
+    }
+    pairs
+}
+
+#[test]
+fn sg_combine_and_difference_match_their_references_for_every_key_kind() {
+    for (ctx, l, r) in &set_operator_inputs() {
+        for rel in [l, r] {
+            assert_eq!(sg_combine(rel).rows(), sg_combine_reference(rel), "Ψ: {ctx}");
+        }
+        let scan = difference_au_scan(l, r);
+        let mut both = l.rows().to_vec();
+        both.extend(r.rows().iter().cloned());
+        let union = AuRelation::from_rows(l.schema.clone(), both);
+        for w in [1, 2, 4] {
+            assert_eq!(difference_au_exec(l, r, &exec(w)), scan, "−: {ctx}, workers = {w}");
+            assert_eq!(union_au_exec(l, r, &exec(w)).as_ref(), Ok(&union), "∪: {ctx}, w = {w}");
         }
     }
 }

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use audb::core::LaneTag;
 use audb::prelude::*;
-use common::{check_bounds, weighted_xtuple};
+use common::{check_bounds, check_bounds_under, weighted_xtuple};
 
 // ---------------------------------------------------------------------------
 // generators
@@ -342,5 +342,64 @@ fn str_lanes_bound_every_world_across_the_chunk_seam() {
             check_bounds(&db, q, &cfg.with_workers(1))
                 .unwrap_or_else(|e| panic!("{q}, {cfg:?}: {e}"));
         }
+    }
+}
+
+/// Ground truth for `−`, `∪` and δ across the 1 024-row chunk seam on
+/// typed lanes: two tables of 3 000 certain `(i, f, s)` rows (`Int`,
+/// `Float`, `Str`) that agree but for every hundredth row, whose `r`
+/// string is one `l` does not hold (each table's strings a dictionary of
+/// its own), plus six x-tuples around row 1 024: one optional, six
+/// uncertain cells, 64 worlds. A difference against a `Str` selection, a
+/// grouped count and sum over the union (the checker is quadratic in the
+/// output, so the 6 000-row union is read through γ) and a distinct
+/// projection — on the lanes and on the oracle plan, precise and
+/// `compressed(64)`, at one and four workers — bound every world's
+/// answer (Theorems 4 and 6) and encode its SG world.
+#[test]
+fn set_operators_bound_every_world_across_the_chunk_seam() {
+    let row = |i: i64, f: f64, s: &str| Tuple::new(vec![Value::Int(i), Value::float(f), s.into()]);
+    let xrel = |odd_one: &str, uncertain: Vec<XTuple>| {
+        let s = |i: i64| if i % 100 == 7 { odd_one } else { ["x", "y"][i as usize % 2] };
+        let certain = (0..3000).map(|i| XTuple::certain(row(i, i as f64 * 0.5, s(i))));
+        XRelation::new(Schema::named(&["i", "f", "s"]), certain.chain(uncertain).collect())
+    };
+    let alts = |a: Tuple, b: Tuple| weighted_xtuple(vec![a, b], 1.0);
+    let l = vec![
+        alts(row(1020, 510.0, "x"), row(1022, 510.0, "x")),
+        alts(row(1024, 512.0, "x"), row(1024, 512.0, "q")),
+        weighted_xtuple(vec![row(1026, 513.0, "x")], 0.5),
+        alts(row(1028, 514.0, "y"), row(1030, 515.5, "y")),
+    ];
+    let r = vec![
+        alts(row(1021, 510.5, "y"), row(1021, 511.0, "y")),
+        alts(row(1032, 516.0, "w"), row(1032, 516.0, "x")),
+    ];
+    let mut db = XDb::default();
+    db.insert("l", xrel("y", l));
+    db.insert("r", xrel("w", r));
+    let au = db.to_au();
+    for name in ["l", "r"] {
+        let t = au.get(name).unwrap();
+        let uncertain: Vec<usize> = (0..t.len())
+            .filter(|&i| !t.rows()[i].0 .0.iter().all(RangeValue::is_certain))
+            .collect();
+        assert!(uncertain[0] < 1024 && uncertain[uncertain.len() - 1] >= 1024, "{uncertain:?}");
+        let tags: Vec<LaneTag> = (0..3).map(|c| t.columns().lane(c).tag()).collect();
+        assert_eq!(tags, [LaneTag::Int, LaneTag::Float, LaneTag::Str], "{name}");
+    }
+
+    let sums = || vec![AggSpec::count("n"), AggSpec::new(AggFunc::Sum, col(1), "f")];
+    let queries = [
+        table("l").difference(table("r").select(col(2).neq(lit("w")))),
+        table("l").union(table("r")).aggregate(vec![2], sums()),
+        table("l").project(vec![(col(2), "s"), (col(0).geq(lit(1021i64)), "late")]).distinct(),
+    ];
+    let cfgs: Vec<AuConfig> = [AuConfig::default(), AuConfig::compressed(64)]
+        .into_iter()
+        .flat_map(|cfg| [1, 4].map(|workers| cfg.with_workers(workers)))
+        .collect();
+    for q in &queries {
+        check_bounds_under(&db, q, &cfgs).unwrap_or_else(|e| panic!("{q}: {e}"));
     }
 }

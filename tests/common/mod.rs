@@ -156,24 +156,32 @@ pub fn assert_lanes_match_oracle_all(db: &AuDatabase, q: &Query, ctx: &str) {
 /// matcher) and encodes the SG world's result exactly (condition (6)).
 /// Databases with more than 512 worlds are skipped.
 pub fn check_bounds(db: &XDb, q: &Query, cfg: &AuConfig) -> Result<(), TestCaseError> {
+    check_bounds_under(db, q, &[*cfg])
+}
+
+/// [`check_bounds`] under each of `cfgs`, the worlds enumerated once.
+pub fn check_bounds_under(db: &XDb, q: &Query, cfgs: &[AuConfig]) -> Result<(), TestCaseError> {
     let Some(inc) = db.to_incomplete(512) else {
         return Ok(()); // too many worlds; skip
     };
     let au_in = db.to_au();
     let exact = inc.eval(q).expect("possible-worlds evaluation");
-    for eval in [eval_au, eval_oracle] {
-        let out = eval(&au_in, q, cfg).expect("AU evaluation");
-        for (i, w) in exact.worlds.iter().enumerate() {
-            prop_assert!(
-                relation_bounds_world(&out, w),
-                "world {i} not bounded:\nworld: {w}\nAU result: {out}"
+    for cfg in cfgs {
+        for eval in [eval_au, eval_oracle] {
+            let out = eval(&au_in, q, cfg).expect("AU evaluation");
+            for (i, w) in exact.worlds.iter().enumerate() {
+                prop_assert!(
+                    relation_bounds_world(&out, w),
+                    "world {i} not bounded under {cfg:?}:\nworld: {w}\nAU result: {out}"
+                );
+            }
+            prop_assert_eq!(
+                out.sg_world().normalized(),
+                exact.sg_world().normalized(),
+                "SGW not preserved under {:?}",
+                cfg
             );
         }
-        prop_assert_eq!(
-            out.sg_world().normalized(),
-            exact.sg_world().normalized(),
-            "SGW not preserved"
-        );
     }
     Ok(())
 }

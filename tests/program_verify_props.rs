@@ -16,7 +16,8 @@
 //!   rejected by the verifier and its whole chain degrades to the
 //!   operator-at-a-time oracle with the oracle's exact outcome,
 //!   recording the `verify_rejects` counter, a `verifier_rejected`
-//!   event and `fallback = "verifier-rejected"` on the chain's span.
+//!   event and `fallback = "verifier-rejected"` on the chain's span; γ's
+//!   aggregate-input program, rejected, runs interpreted per row.
 
 mod common;
 
@@ -291,6 +292,29 @@ fn a_rejected_chain_stays_on_the_oracle_for_the_plans_life() {
         assert!(root.find("verify").is_none(), "run {run} compiled something");
     }
     assert_eq!(metrics.snapshot().counter("verify_rejects"), Some(1));
+}
+
+/// γ's aggregate-input program is vetted like a chain stage: corrupted
+/// at its compile site, it is rejected (`verify_rejects` ticks, with no
+/// chain in the plan to count one) and every term takes the interpreted
+/// per-row path — the oracle's relation, exactly.
+#[test]
+fn aggregate_programs_pass_tier_b() {
+    let db = two_row_db();
+    let aggs = vec![
+        AggSpec::new(AggFunc::Sum, col(0).add(col(1)), "s"),
+        AggSpec::new(AggFunc::Max, col(0).mul(lit(2i64)), "m"),
+    ];
+    let q = table("t").aggregate(vec![1], aggs);
+    let base = AuConfig::default();
+    let oracle = eval_oracle(&db, &q, &base);
+    assert!(oracle.as_ref().is_ok_and(|r| !r.is_empty()), "{oracle:?}");
+    let exec = base.executor().with_metrics(Metrics::enabled());
+    let tampered =
+        with_tampered_programs(corrupt_if_possible, || common::eval_lanes(&db, &q, &base, &exec));
+    assert_eq!(tampered, oracle);
+    let rejects = exec.metrics().snapshot().counter("verify_rejects");
+    assert!(rejects >= Some(1), "γ's program was vetted: {rejects:?}");
 }
 
 /// Untampered compiles are observable too: a traced evaluation
