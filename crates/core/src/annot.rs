@@ -5,7 +5,7 @@
 use std::fmt;
 
 use crate::error::EvalError;
-use crate::semiring::{MonusSemiring, NaturallyOrdered, Semiring};
+use crate::semiring::Semiring;
 
 /// An element of `N_AU`: `(lb, sg, ub)` with `lb ≤ sg ≤ ub` (Def. 11).
 ///
@@ -75,20 +75,14 @@ impl Semiring for AuAnnot {
     }
 }
 
-impl NaturallyOrdered for AuAnnot {
-    fn nat_leq(&self, other: &Self) -> bool {
-        self.lb <= other.lb && self.sg <= other.sg && self.ub <= other.ub
-    }
-}
-
 impl AuAnnot {
     /// Bound-preserving monus for set difference (Section 8.2): the lower
     /// bound subtracts the *upper* bound of the subtrahend and vice versa.
     /// (The naive pointwise monus does not preserve bounds.)
     pub fn monus_bounds(&self, sub_ub_for_lb: u64, sub_sg: u64, sub_lb_for_ub: u64) -> AuAnnot {
-        let lb = self.lb.monus(&sub_ub_for_lb);
-        let sg = self.sg.monus(&sub_sg);
-        let ub = self.ub.monus(&sub_lb_for_ub);
+        let lb = self.lb.saturating_sub(sub_ub_for_lb);
+        let sg = self.sg.saturating_sub(sub_sg);
+        let ub = self.ub.saturating_sub(sub_lb_for_ub);
         // Soundness of the triple ordering is argued in the difference
         // operator (the subtracted quantities are themselves ordered).
         debug_assert!(lb <= sg && sg <= ub, "monus broke ordering: {lb},{sg},{ub}");

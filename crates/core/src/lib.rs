@@ -8,11 +8,10 @@
 //! * [`range`] — range-annotated values `[lb/sg/ub]` (`D_I`, Definition 6);
 //! * [`expr`] — scalar expressions with deterministic, incomplete and
 //!   bound-preserving range-annotated semantics (Section 5, Theorem 1);
-//! * [`semiring`] — commutative semirings, natural orders, l-semirings,
-//!   monus, provenance polynomials (Section 3.1);
+//! * [`semiring`] — the annotation-semiring interface and its `N`
+//!   instance (Section 3.1);
 //! * [`annot`] — tuple annotations `K_UA = K²` and `K_AU ⊂ K³`
 //!   (Definitions 2 and 11);
-//! * [`krelation`] — minimal generic K-relations validating the framework;
 //! * [`hash`] — the per-call-seeded row hash normalization and the join
 //!   hash index share;
 //! * [`lane`] — columnar value lanes and the typed vector kernels the
@@ -33,7 +32,6 @@ pub mod error;
 pub mod expr;
 pub mod govern;
 pub mod hash;
-pub mod krelation;
 pub mod lane;
 pub mod obs;
 pub mod program;
@@ -53,8 +51,6 @@ pub use obs::{
 };
 pub use program::{LaneBatch, Program};
 pub use range::RangeValue;
-pub use semiring::{
-    delta, LSemiring, MonusSemiring, Nat, NaturallyOrdered, PolyNX, Prod, Semiring,
-};
+pub use semiring::Semiring;
 pub use value::{Value, F64};
 pub use verify::{LintKind, ProgramLint, VerifyError, VerifyErrorKind};

@@ -739,7 +739,7 @@ impl Program {
                         Some(l) => l,
                         None => {
                             *demoted += 1;
-                            lane_generic1(&x, nrows, errs, $generic)
+                            sweep_rows(errs, |i| $generic(&x.get(i)))
                         }
                     }
                 };
@@ -754,7 +754,7 @@ impl Program {
                         Some(l) => l,
                         None => {
                             *demoted += 1;
-                            lane_generic2(&x, &y, nrows, errs, $generic)
+                            sweep_rows(errs, |i| $generic(&x.get(i), &y.get(i)))
                         }
                     }
                 };
@@ -822,23 +822,7 @@ impl Program {
                     generic_sweeps += 1;
                     let out = {
                         let (cc, tt, ee) = (lsrc!(c), lsrc!(t), lsrc!(e));
-                        let null = RangeValue::certain(Value::Null);
-                        let mut o = Vec::with_capacity(nrows);
-                        for (i, err) in errs.iter_mut().enumerate().take(nrows) {
-                            if err.is_some() {
-                                o.push(null.clone());
-                                continue;
-                            }
-                            let cv = cc.get(i);
-                            match range_if_merge(&cv, tt.get(i), ee.get(i)) {
-                                Ok(v) => o.push(v),
-                                Err(e2) => {
-                                    *err = Some(e2);
-                                    o.push(null.clone());
-                                }
-                            }
-                        }
-                        ValueLane::Boxed(o)
+                        sweep_rows(errs, |i| range_if_merge(&cc.get(i), tt.get(i), ee.get(i)))
                     };
                     regs[*dst as usize] = out;
                 }
@@ -846,23 +830,7 @@ impl Program {
                     generic_sweeps += 1;
                     let out = {
                         let (ll, ss, uu) = (lsrc!(l), lsrc!(s), lsrc!(u));
-                        let null = RangeValue::certain(Value::Null);
-                        let mut o = Vec::with_capacity(nrows);
-                        for (i, err) in errs.iter_mut().enumerate().take(nrows) {
-                            if err.is_some() {
-                                o.push(null.clone());
-                                continue;
-                            }
-                            let (lv, sv, uv) = (ll.get(i), ss.get(i), uu.get(i));
-                            match range_uncertain(&lv, &sv, &uv) {
-                                Ok(v) => o.push(v),
-                                Err(e2) => {
-                                    *err = Some(e2);
-                                    o.push(null.clone());
-                                }
-                            }
-                        }
-                        ValueLane::Boxed(o)
+                        sweep_rows(errs, |i| range_uncertain(&ll.get(i), &ss.get(i), &uu.get(i)))
                     };
                     regs[*dst as usize] = out;
                 }
@@ -877,51 +845,21 @@ impl Program {
     }
 }
 
-/// Run an op generically over a lane pair: the shared scalar combinator
-/// per live row, into a boxed lane (poisoned/erroring rows get a `Null`
-/// placeholder — never read, the poison slot wins).
-fn lane_generic2(
-    a: &LaneSlice<'_>,
-    b: &LaneSlice<'_>,
-    nrows: usize,
+/// One generic sweep over a batch: `f` per live row, into a boxed lane.
+/// A poisoned row, or one `f` fails on (which poisons it), gets a
+/// `Null` placeholder — never read, the poison slot wins.
+fn sweep_rows(
     errs: &mut [Option<EvalError>],
-    f: impl Fn(&RangeValue, &RangeValue) -> Result<RangeValue, EvalError>,
+    f: impl Fn(usize) -> Result<RangeValue, EvalError>,
 ) -> ValueLane {
     let null = RangeValue::certain(Value::Null);
-    let mut out = Vec::with_capacity(nrows);
+    let mut out = Vec::with_capacity(errs.len());
     for (i, e) in errs.iter_mut().enumerate() {
         if e.is_some() {
             out.push(null.clone());
             continue;
         }
-        let (x, y) = (a.get(i), b.get(i));
-        match f(&x, &y) {
-            Ok(v) => out.push(v),
-            Err(err) => {
-                *e = Some(err);
-                out.push(null.clone());
-            }
-        }
-    }
-    ValueLane::Boxed(out)
-}
-
-/// Unary analog of [`lane_generic2`].
-fn lane_generic1(
-    a: &LaneSlice<'_>,
-    nrows: usize,
-    errs: &mut [Option<EvalError>],
-    f: impl Fn(&RangeValue) -> Result<RangeValue, EvalError>,
-) -> ValueLane {
-    let null = RangeValue::certain(Value::Null);
-    let mut out = Vec::with_capacity(nrows);
-    for (i, e) in errs.iter_mut().enumerate() {
-        if e.is_some() {
-            out.push(null.clone());
-            continue;
-        }
-        let x = a.get(i);
-        match f(&x) {
+        match f(i) {
             Ok(v) => out.push(v),
             Err(err) => {
                 *e = Some(err);

@@ -1,9 +1,8 @@
-//! Commutative semirings, natural orders, l-semirings, monus, and
-//! semiring homomorphisms (paper Section 3.1), plus the provenance
-//! polynomial semiring `N[X]` used to exercise the framework's
-//! generality (homomorphisms commute with queries).
+//! The annotation-semiring interface (paper Section 3.1) and its `N`
+//! instance: bag multiplicities, saturating at `u64::MAX`. The engine's
+//! annotations `N_AU` and `N_UA` (in [`crate::annot`]) are pointwise
+//! products of `N`.
 
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// A commutative semiring `⟨K, +, ·, 0, 1⟩`.
@@ -12,50 +11,9 @@ pub trait Semiring: Clone + Eq + Debug {
     fn one() -> Self;
     fn plus(&self, other: &Self) -> Self;
     fn times(&self, other: &Self) -> Self;
-
-    fn is_zero(&self) -> bool {
-        *self == Self::zero()
-    }
-
-    /// `k_1 + ... + k_n` over an iterator.
-    fn sum<I: IntoIterator<Item = Self>>(items: I) -> Self {
-        items.into_iter().fold(Self::zero(), |a, b| a.plus(&b))
-    }
 }
-
-/// Semirings whose natural order `k ⪯ k'` (∃k'': k + k'' = k') is a
-/// partial order (Equation 1).
-pub trait NaturallyOrdered: Semiring {
-    fn nat_leq(&self, other: &Self) -> bool;
-}
-
-/// l-semirings: the natural order forms a lattice (Section 3.2.1);
-/// `glb` = ⊓ and `lub` = ⊔ define certain and possible annotations.
-pub trait LSemiring: NaturallyOrdered {
-    fn glb(&self, other: &Self) -> Self;
-    fn lub(&self, other: &Self) -> Self;
-}
-
-/// m-semirings: semirings with a monus `k1 − k2 = min{k3 | k2 + k3 ⪰ k1}`
-/// supporting set difference (Section 8.2, after Geerts & Poggi).
-pub trait MonusSemiring: Semiring {
-    fn monus(&self, other: &Self) -> Self;
-}
-
-/// Duplicate-elimination operator `δ` (Section 9.6): `δ(0)=0`, else `1`.
-pub fn delta<K: Semiring>(k: &K) -> K {
-    if k.is_zero() {
-        K::zero()
-    } else {
-        K::one()
-    }
-}
-
-// ---- N: bag semantics ----------------------------------------------------
 
 /// The natural-number semiring `N` (bag semantics): tuple multiplicities.
-pub type Nat = u64;
-
 impl Semiring for u64 {
     fn zero() -> Self {
         0
@@ -70,171 +28,12 @@ impl Semiring for u64 {
         self.saturating_mul(*other)
     }
 }
-impl NaturallyOrdered for u64 {
-    fn nat_leq(&self, other: &Self) -> bool {
-        self <= other
-    }
-}
-impl LSemiring for u64 {
-    fn glb(&self, other: &Self) -> Self {
-        *self.min(other)
-    }
-    fn lub(&self, other: &Self) -> Self {
-        *self.max(other)
-    }
-}
-impl MonusSemiring for u64 {
-    fn monus(&self, other: &Self) -> Self {
-        self.saturating_sub(*other)
-    }
-}
-
-// ---- B: set semantics -----------------------------------------------------
-
-impl Semiring for bool {
-    fn zero() -> Self {
-        false
-    }
-    fn one() -> Self {
-        true
-    }
-    fn plus(&self, other: &Self) -> Self {
-        *self || *other
-    }
-    fn times(&self, other: &Self) -> Self {
-        *self && *other
-    }
-}
-impl NaturallyOrdered for bool {
-    fn nat_leq(&self, other: &Self) -> bool {
-        !*self || *other
-    }
-}
-impl LSemiring for bool {
-    fn glb(&self, other: &Self) -> Self {
-        *self && *other
-    }
-    fn lub(&self, other: &Self) -> Self {
-        *self || *other
-    }
-}
-impl MonusSemiring for bool {
-    fn monus(&self, other: &Self) -> Self {
-        *self && !*other
-    }
-}
-
-// ---- Direct products ------------------------------------------------------
-
-/// Direct product semiring `K1 × K2` with pointwise operations — the
-/// construction behind both `K_UA = K²` and `K_AU = K³`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Prod<A, B>(pub A, pub B);
-
-impl<A: Semiring, B: Semiring> Semiring for Prod<A, B> {
-    fn zero() -> Self {
-        Prod(A::zero(), B::zero())
-    }
-    fn one() -> Self {
-        Prod(A::one(), B::one())
-    }
-    fn plus(&self, other: &Self) -> Self {
-        Prod(self.0.plus(&other.0), self.1.plus(&other.1))
-    }
-    fn times(&self, other: &Self) -> Self {
-        Prod(self.0.times(&other.0), self.1.times(&other.1))
-    }
-}
-
-impl<A: NaturallyOrdered, B: NaturallyOrdered> NaturallyOrdered for Prod<A, B> {
-    fn nat_leq(&self, other: &Self) -> bool {
-        self.0.nat_leq(&other.0) && self.1.nat_leq(&other.1)
-    }
-}
-
-// ---- N[X]: provenance polynomials ----------------------------------------
-
-/// A monomial: variable name → exponent.
-pub type Monomial = BTreeMap<String, u32>;
-
-/// The provenance-polynomial semiring `N[X]` (Green et al.): the most
-/// general semiring; homomorphisms into any other semiring commute with
-/// queries. Included to demonstrate the framework generality the paper
-/// inherits from K-relations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct PolyNX {
-    /// monomial → coefficient; no zero coefficients stored.
-    pub terms: BTreeMap<Monomial, u64>,
-}
-
-impl PolyNX {
-    pub fn var(name: impl Into<String>) -> Self {
-        let mut m = Monomial::new();
-        m.insert(name.into(), 1);
-        PolyNX { terms: BTreeMap::from([(m, 1)]) }
-    }
-
-    pub fn constant(c: u64) -> Self {
-        if c == 0 {
-            PolyNX::default()
-        } else {
-            PolyNX { terms: BTreeMap::from([(Monomial::new(), c)]) }
-        }
-    }
-
-    /// Apply the homomorphism induced by a variable assignment
-    /// `X → N`; evaluates the polynomial.
-    pub fn eval_hom(&self, assignment: &BTreeMap<String, u64>) -> u64 {
-        let mut total: u64 = 0;
-        for (mono, coeff) in &self.terms {
-            let mut term = *coeff;
-            for (var, exp) in mono {
-                let v = assignment.get(var).copied().unwrap_or(0);
-                for _ in 0..*exp {
-                    term = term.saturating_mul(v);
-                }
-            }
-            total = total.saturating_add(term);
-        }
-        total
-    }
-}
-
-impl Semiring for PolyNX {
-    fn zero() -> Self {
-        PolyNX::default()
-    }
-    fn one() -> Self {
-        PolyNX::constant(1)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        let mut terms = self.terms.clone();
-        for (m, c) in &other.terms {
-            *terms.entry(m.clone()).or_insert(0) += c;
-        }
-        terms.retain(|_, c| *c != 0);
-        PolyNX { terms }
-    }
-    fn times(&self, other: &Self) -> Self {
-        let mut terms: BTreeMap<Monomial, u64> = BTreeMap::new();
-        for (m1, c1) in &self.terms {
-            for (m2, c2) in &other.terms {
-                let mut m = m1.clone();
-                for (v, e) in m2 {
-                    *m.entry(v.clone()).or_insert(0) += e;
-                }
-                *terms.entry(m).or_insert(0) += c1 * c2;
-            }
-        }
-        terms.retain(|_, c| *c != 0);
-        PolyNX { terms }
-    }
-}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::annot::{AuAnnot, UaAnnot};
 
     fn check_semiring_laws<K: Semiring>(samples: &[K]) {
         for a in samples {
@@ -255,81 +54,32 @@ mod tests {
 
     #[test]
     fn nat_semiring_laws() {
-        check_semiring_laws::<u64>(&[0, 1, 2, 3, 7]);
+        // `u64::MAX - 1` pins saturation: sums and products past it clamp.
+        check_semiring_laws::<u64>(&[0, 1, 2, 3, 7, u64::MAX - 1]);
     }
 
     #[test]
-    fn bool_semiring_laws() {
-        check_semiring_laws::<bool>(&[false, true]);
-    }
-
-    #[test]
-    fn prod_semiring_laws() {
-        let samples: Vec<Prod<u64, bool>> =
-            vec![Prod(0, false), Prod(1, true), Prod(2, false), Prod(3, true)];
-        check_semiring_laws(&samples);
-    }
-
-    #[test]
-    fn poly_semiring_laws() {
-        let x = PolyNX::var("x");
-        let y = PolyNX::var("y");
-        let samples = vec![
-            PolyNX::zero(),
-            PolyNX::one(),
-            x.clone(),
-            y.clone(),
-            x.plus(&y),
-            x.times(&y).plus(&PolyNX::constant(2)),
+    fn au_semiring_laws() {
+        let samples = [
+            AuAnnot::zero(),
+            AuAnnot::one(),
+            AuAnnot::triple(0, 1, 1),
+            AuAnnot::triple(1, 2, 3),
+            AuAnnot::triple(0, 0, 4),
+            AuAnnot::triple(2, 2, u64::MAX - 1),
         ];
         check_semiring_laws(&samples);
     }
 
     #[test]
-    fn nat_monus_truncates() {
-        assert_eq!(5u64.monus(&3), 2);
-        assert_eq!(3u64.monus(&5), 0);
-        // monus law: k2 + (k1 − k2) ⪰ k1
-        for a in 0..6u64 {
-            for b in 0..6u64 {
-                assert!(a.nat_leq(&b.plus(&a.monus(&b))));
-            }
-        }
-    }
-
-    #[test]
-    fn bool_lattice_matches_certain_possible() {
-        // certain = glb = ∧, possible = lub = ∨ (Section 3.2.1)
-        assert!(!true.glb(&false));
-        assert!(true.lub(&false));
-        assert_eq!(u64::glb(&2, &3), 2);
-        assert_eq!(u64::lub(&2, &3), 3);
-    }
-
-    #[test]
-    fn delta_is_dedup() {
-        assert_eq!(delta(&0u64), 0);
-        assert_eq!(delta(&17u64), 1);
-    }
-
-    #[test]
-    fn poly_homomorphism_evaluates() {
-        // 30 ⊗ x1 + 20 ⊗ x2 with h(x1)=2, h(x2)=4 → 2·30-style example of §9.1
-        let p = PolyNX::var("x1")
-            .times(&PolyNX::constant(30))
-            .plus(&PolyNX::var("x2").times(&PolyNX::constant(20)));
-        let h = BTreeMap::from([("x1".to_string(), 2u64), ("x2".to_string(), 4u64)]);
-        assert_eq!(p.eval_hom(&h), 30 * 2 + 20 * 4);
-    }
-
-    #[test]
-    fn poly_hom_is_semiring_hom() {
-        let x = PolyNX::var("x");
-        let y = PolyNX::var("y");
-        let h = BTreeMap::from([("x".to_string(), 3u64), ("y".to_string(), 5u64)]);
-        let a = x.plus(&y.times(&x));
-        let b = y.times(&y).plus(&PolyNX::constant(7));
-        assert_eq!(a.plus(&b).eval_hom(&h), a.eval_hom(&h) + b.eval_hom(&h));
-        assert_eq!(a.times(&b).eval_hom(&h), a.eval_hom(&h) * b.eval_hom(&h));
+    fn ua_semiring_laws() {
+        let samples = [
+            UaAnnot::zero(),
+            UaAnnot::one(),
+            UaAnnot::new(0, 1),
+            UaAnnot::new(2, 3),
+            UaAnnot::new(1, u64::MAX - 1),
+        ];
+        check_semiring_laws(&samples);
     }
 }

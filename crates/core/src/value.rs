@@ -121,10 +121,6 @@ impl Value {
         self.type_rank()
     }
 
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::Int(_) | Value::Float(_))
-    }
-
     /// Numeric view; `None` for non-numeric variants.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

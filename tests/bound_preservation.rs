@@ -403,3 +403,55 @@ fn set_operators_bound_every_world_across_the_chunk_seam() {
         check_bounds_under(&db, q, &cfgs).unwrap_or_else(|e| panic!("{q}: {e}"));
     }
 }
+
+/// Ground truth across the 1 024-row chunk seam for the two projections
+/// that always leave the typed kernels for the per-row sweep: `÷`
+/// (its spans-zero guard is scalar) and `If` (branches merge row by
+/// row). 3 000 certain `(i, a, d)` rows (`Int`, `Int`, `Float`) plus
+/// eight binary x-tuples at rows 1 018–1 032 whose numerator straddles
+/// the `If` threshold and whose denominator stays in {1, 2, 4} in every
+/// world (256 worlds). Quotients are multiples of 0.25, so every sum is
+/// exact in `f64`. The checker is quadratic in the output, so each
+/// projection is read through an ungrouped `sum` / `min` / `max` — on
+/// the lanes and on the oracle plan, precise and `compressed(64)`, at
+/// one and four workers — which must bound every world's answer and
+/// encode its SG world.
+#[test]
+fn division_and_if_bound_every_world_across_the_chunk_seam() {
+    let denom = |j: i64| Value::float([1.0, 2.0, 4.0][j.rem_euclid(3) as usize]);
+    let row = |i: i64, a: i64, d: Value| Tuple::new(vec![Value::Int(i), Value::Int(a), d]);
+    let mut rows: Vec<XTuple> =
+        (0..3000).map(|i| XTuple::certain(row(i, i % 41 - 8, denom(i)))).collect();
+    for j in 0..8 {
+        let i = 1018 + 2 * j;
+        let alts = vec![row(i, 15 + j, denom(j)), row(i, 25 - j, denom(j + 1))];
+        rows.push(weighted_xtuple(alts, 1.0));
+    }
+    let mut db = XDb::default();
+    db.insert("t", XRelation::new(Schema::named(&["i", "a", "d"]), rows));
+    assert!(db.to_incomplete(512).is_some(), "the worlds must be enumerated, not skipped");
+    let t = db.to_au().get("t").unwrap().clone();
+    let uncertain: Vec<usize> =
+        (0..t.len()).filter(|&i| !t.rows()[i].0 .0.iter().all(RangeValue::is_certain)).collect();
+    assert!(uncertain.len() == 8 && uncertain[0] < 1024 && uncertain[7] >= 1024, "{uncertain:?}");
+    let tags: Vec<LaneTag> = (0..3).map(|c| t.columns().lane(c).tag()).collect();
+    assert_eq!(tags, [LaneTag::Int, LaneTag::Int, LaneTag::Float]);
+
+    let read = |e: Expr| {
+        let aggs = [(AggFunc::Sum, "s"), (AggFunc::Min, "lo"), (AggFunc::Max, "hi")];
+        table("t")
+            .project(vec![(e, "x")])
+            .aggregate(vec![], aggs.map(|(f, name)| AggSpec::new(f, col(0), name)).to_vec())
+    };
+    let queries = [
+        read(col(1).div(col(2))),
+        read(Expr::if_then_else(col(1).leq(lit(20i64)), col(1), col(2))),
+    ];
+    let cfgs: Vec<AuConfig> = [AuConfig::default(), AuConfig::compressed(64)]
+        .into_iter()
+        .flat_map(|cfg| [1, 4].map(|workers| cfg.with_workers(workers)))
+        .collect();
+    for q in &queries {
+        check_bounds_under(&db, q, &cfgs).unwrap_or_else(|e| panic!("{q}: {e}"));
+    }
+}
