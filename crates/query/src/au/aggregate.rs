@@ -21,14 +21,40 @@
 //! reads the input's column lanes ([`AuRelation::columns`]) and nothing
 //! else: `SgGroups` assigns every row to its SG group through the one
 //! [`HashKeyIndex`] over [`lane_key`] cells, `α` and its certain subset
-//! are flat CSRs, the group boxes are one lane per group-by column
-//! (`i64`/`f64` min/max on a typed lane), and membership is a third CSR
-//! filled from an interval sweep between those box lanes and the
-//! (optionally compressed: [`opt::compress_lanes`], buckets as lanes
-//! appended behind the rows') uncertain rows — typed endpoints whenever
-//! the column is. No tuple of the input is read: an input born columnar
-//! (a chain's hand-over) stays columnar. Groups are partitioned across the [`Executor`]'s workers
-//! with a deterministic ordered merge (`docs/exec-runtime.md`).
+//! are flat CSRs, and the group boxes are one lane per group-by column
+//! (`i64`/`f64` min/max on a typed lane). The possible-member sources
+//! are the uncertain rows, optionally compressed ([`opt::compress_lanes`],
+//! buckets as lanes appended behind the rows'). No tuple of the input
+//! is read: an input born columnar (a chain's hand-over) stays columnar.
+//! Groups are partitioned across the [`Executor`]'s workers with a
+//! deterministic ordered merge (`docs/exec-runtime.md`).
+//!
+//! Which sources a group folds — the tuples that may fall into its box
+//! (Definition 26) — is found one of two ways, by the input alone:
+//!
+//! * **prefix**: one group-by column whose endpoints compare as stored
+//!   (`Int`, `Float`, `Str` codes of one dictionary), and every term an
+//!   `Int` sum or count or an `Int`/`Float` min or max. One offline
+//!   sweep visits the groups by box `ub` and inserts the sources by key
+//!   `lb` into a Fenwick tree over their ranks by key `ub`; each term
+//!   folds a group's sources' guarded contributions — `Σ min(0, lo)`
+//!   and `Σ max(0, hi)` in `i128`, the min or max of the possible
+//!   sources' near bounds — as one prefix query, in
+//!   `O((G + U) log U)` per term. No (group, source) pair is listed.
+//!   Every guarded source contribution to a sum's `lb` is negative and
+//!   every one to its `ub` non-negative, so after the certain members
+//!   (still folded row by row) the member-order partial sums are
+//!   monotone: a total that fits in `i64` is one no partial sum left,
+//!   and a group whose total does not lists its sources and folds them
+//!   boxed, in member order, as the sweep path would. Min/max ties are
+//!   equal values (`F64` makes −0.0 canonical), so order never shows.
+//! * **sweep**: otherwise — two or more key columns, boxed endpoints,
+//!   a boxed or demoted term, or a `Float` sum, whose rounding depends
+//!   on the order it adds in. An interval sweep between the group boxes
+//!   and the sources on the first group-by column lists the candidate
+//!   pairs, the other columns are tested per candidate, and the
+//!   survivors become a CSR that every fold walks in source order.
+//!
 //! A term that leaves the typed lattice (mixed/sentinel column, poisoned
 //! row, overflow, multiplicity beyond `i64`) is *demoted* to boxed
 //! `Value` contributions computed by [`boxtimes`] — the rule the lane
@@ -37,8 +63,8 @@
 //! literal evaluator of Definitions 24–26: its own grouping over SG-key
 //! [`Tuple`]s, the row-at-a-time `Cpr` ([`opt::compress_rows`]),
 //! all-pairs membership and an interpreted `eval_range` + `⊛_M` per
-//! (group, member, term) — so kernel ≡ oracle checks the grouping and
-//! the buckets too.
+//! (group, member, term) — so kernel ≡ oracle checks the grouping, both
+//! memberships and the buckets too.
 //!
 //! ### Deviations from the paper's literal Definition 26 (soundness fixes)
 //!
@@ -63,6 +89,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Add;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -206,13 +233,17 @@ pub fn aggregate_au_exec(
 
 /// What one kernel run did — the `aggregate` span's attributes
 /// (`docs/observability.md`): output `groups`; possible-member `sources`
-/// swept against the group boxes; candidate (group, source) `pairs` of
-/// the sweep; (group, member) contributions each term folds; distinct
+/// matched against the group boxes; candidate (group, source) `pairs` —
+/// counted on both memberships, enumerated only on the sweep path;
+/// (group, member) contributions each term folds; distinct
 /// `(monoid, input)` `terms`; the terms folded over boxed `Value`s
 /// (demoted at `⊛` time or by a fold that left the type) — the
-/// `agg_terms_boxed` counter ticks by the same number; and whether some
+/// `agg_terms_boxed` counter ticks by the same number; whether some
 /// group-by lane is `Boxed` (`keys = boxed`, one `agg_keys_boxed` tick):
-/// grouping confirmed `Value`s and the sweep ran on boxed endpoints.
+/// grouping confirmed `Value`s and the sweep ran on boxed endpoints; and
+/// whether the possible side folded through one prefix sweep
+/// (`membership = prefix`) rather than the sweep and its CSR
+/// (`membership = sweep`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AggStats {
     pub groups: usize,
@@ -222,6 +253,7 @@ pub struct AggStats {
     pub terms: usize,
     pub terms_boxed: usize,
     pub keys_boxed: bool,
+    pub prefix: bool,
 }
 
 /// The aggregate list as distinct monoid folds: `Avg` is `Sum` +
@@ -409,9 +441,10 @@ fn adjust_for_possible_empty(
 // The row-once kernel
 // ---------------------------------------------------------------------------
 
-/// [`aggregate_au_exec`] plus what the run did. Its three phases also
-/// report to the `agg_index` / `agg_contrib` / `agg_fold` duration
-/// sites of the executor's metrics sink.
+/// [`aggregate_au_exec`] plus what the run did. It also reports to the
+/// duration sites of the executor's metrics sink: grouping and
+/// membership to `agg_index` (one entry), `⊛` to `agg_contrib`, the
+/// folds to `agg_fold`.
 pub fn aggregate_au_stats(
     rel: &AuRelation,
     group_by: &[usize],
@@ -425,16 +458,17 @@ pub fn aggregate_au_stats(
     }
     let metrics = exec.metrics();
     let mut clock = metrics.is_enabled().then(Instant::now);
-    let mut lap = |site: Site| {
-        if let Some(t) = clock.as_mut() {
-            metrics.record_ns(site, t.elapsed().as_nanos() as u64);
+    let mut lap = || {
+        clock.as_mut().map_or(0, |t| {
+            let ns = t.elapsed().as_nanos() as u64;
             *t = Instant::now();
-        }
+            ns
+        })
     };
     let (arity, n, ungrouped) = (rel.schema.arity(), rel.len(), group_by.is_empty());
     let (cset, plan) = (lanes_of(rel, exec), Terms::new(aggs));
 
-    // ---- membership ------------------------------------------------------
+    // ---- grouping --------------------------------------------------------
     // Default grouping strategy (Definition 24) on the group-by lanes:
     // every row is assigned to its SG group (α), the group boxes
     // (Definition 25) are accumulated, and certain-group rows (members
@@ -479,12 +513,6 @@ pub fn aggregate_au_stats(
         Some(_) => (n as u32..(n + nbuckets) as u32).collect(),
         None => uncertain.into(),
     };
-    // Candidates come from an endpoint sweep between the group boxes
-    // and the sources on the first group-by attribute —
-    // `O((G + U) log(G + U) + pairs)`, on typed endpoints when the lanes
-    // are; the precise multi-attribute overlap is tested once per
-    // candidate on the lane cells, and the survivors land in one flat
-    // CSR, per group in source order (folds are order-sensitive).
     let mut stats = AggStats {
         groups: gx.alpha.len(),
         sources: src_ids.len(),
@@ -495,28 +523,7 @@ pub fn aggregate_au_stats(
     if stats.keys_boxed {
         metrics.add(Counter::AggKeysBoxed, 1);
     }
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    if stats.sources > 0 {
-        let boxes: Vec<LaneSlice<'_>> = gx.boxes.iter().map(ValueLane::as_slice).collect();
-        let src: Vec<LaneSlice<'_>> = group_by.iter().map(|&c| cols[c]).collect();
-        let gi = IntervalIndex::from_lane(boxes[0]);
-        let si = IntervalIndex::from_lane_subset(src[0], &src_ids);
-        // A sweep on typed endpoints emits exactly the pairs overlapping
-        // on the first attribute (`sweep_overlapping`'s contract; only
-        // boxed endpoints make it a superset: `value_eq` ties), which
-        // is then not tested again.
-        let decided = usize::from(boxes[0].typed_alike(&src[0]));
-        IntervalIndex::sweep_overlapping(&gi, &si, |g, s| {
-            stats.pairs += 1;
-            let mut cells = boxes[decided..].iter().zip(&src[decided..]);
-            if cells.all(|(b, l)| b.overlaps(g as usize, l, s as usize)) {
-                pairs.push((g, s));
-            }
-        });
-    }
-    let sources = Csr::of_pairs(stats.groups, n + nbuckets, pairs);
-    stats.members = gx.certain.ids.len() + sources.ids.len();
-    lap(Site::AggIndex);
+    let grouping_ns = lap();
 
     // ---- phase 1: each input once per row, `⊛_M` into lanes --------------
     let annots = cset.annots();
@@ -535,7 +542,7 @@ pub fn aggregate_au_stats(
     }
     let prog = prog.filter(|_| (0..ks.len()).all(|i| batch.row_error(i).is_none()));
     let row = |i: usize| cols.iter().map(|c| c.get(i)).collect::<Vec<RangeValue>>();
-    let contribs: Vec<Contrib<'_>> = (plan.terms.iter())
+    let mut contribs: Vec<Contrib<'_>> = (plan.terms.iter())
         .map(|&(m, i)| {
             if let Some(prog) = &prog {
                 return Contrib::of(m, batch.output_lane(prog, i, &cols), &ks);
@@ -544,7 +551,62 @@ pub fn aggregate_au_stats(
             Contrib::Boxed((0..ks.len()).map(one).collect())
         })
         .collect();
-    lap(Site::AggContrib);
+    metrics.record_ns(Site::AggContrib, lap());
+
+    // ---- membership: the sources each group's possible side folds --------
+    // One key column whose sweep is exact, and terms whose folds do not
+    // depend on member order: one prefix sweep folds every group's
+    // sources per term (module docs). Otherwise candidates come from an
+    // endpoint sweep between the group boxes and the sources on the
+    // first group-by attribute — `O((G + U) log(G + U) + pairs)`, on
+    // typed endpoints when the lanes are; the precise multi-attribute
+    // overlap is tested once per candidate on the lane cells, and the
+    // survivors land in one flat CSR, per group in source order (a float
+    // sum is order-sensitive).
+    let boxes: Vec<LaneSlice<'_>> = gx.boxes.iter().map(ValueLane::as_slice).collect();
+    let src: Vec<LaneSlice<'_>> = group_by.iter().map(|&c| cols[c]).collect();
+    let order_free = contribs.iter().zip(&plan.terms).all(|(c, &(m, _))| match c {
+        Contrib::Int(_) => true,
+        Contrib::Float(_) => m != Monoid::Sum,
+        Contrib::Boxed(_) => false,
+    });
+    let prefix = match (&boxes[..], &src[..]) {
+        ([b], [s]) if order_free => PrefixSweep::new(*b, *s, &src_ids),
+        _ => None,
+    };
+    // the CSR of the sweep path; `None` on the prefix path
+    let sources = match prefix {
+        Some(sweep) => {
+            stats.pairs = sweep.fold(stats.groups, 0usize, |_| 1, |a, b| a + b).iter().sum();
+            for (c, &(m, _)) in contribs.iter_mut().zip(&plan.terms) {
+                c.fold_sources(m, &ks, &sweep, stats.groups);
+            }
+            stats.prefix = true;
+            None
+        }
+        None => {
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            if stats.sources > 0 {
+                let gi = IntervalIndex::from_lane(boxes[0]);
+                let si = IntervalIndex::from_lane_subset(src[0], &src_ids);
+                // A sweep on typed endpoints emits exactly the pairs
+                // overlapping on the first attribute (`sweep_overlapping`'s
+                // contract; only boxed endpoints make it a superset:
+                // `value_eq` ties), which is then not tested again.
+                let decided = usize::from(boxes[0].typed_alike(&src[0]));
+                IntervalIndex::sweep_overlapping(&gi, &si, |g, s| {
+                    stats.pairs += 1;
+                    let mut cells = boxes[decided..].iter().zip(&src[decided..]);
+                    if cells.all(|(b, l)| b.overlaps(g as usize, l, s as usize)) {
+                        pairs.push((g, s));
+                    }
+                });
+            }
+            Some(Csr::of_pairs(stats.groups, n + nbuckets, pairs))
+        }
+    };
+    stats.members = gx.certain.ids.len() + sources.as_ref().map_or(stats.pairs, |c| c.ids.len());
+    metrics.record_ns(Site::AggIndex, grouping_ns + lap());
 
     // ---- phase 2: per-group folds over the lanes -------------------------
     // A term counts as boxed (once) when any of its folds ran on boxed
@@ -557,10 +619,11 @@ pub fn aggregate_au_stats(
     };
     let out = aggregate_with(schema, &plan, &ks[..n], stats.groups, exec, head, |g, t| {
         let grp = Group {
+            g,
             certain: gx.certain.of(g),
-            sources: sources.of(g),
+            sources: sources.as_ref().map_or(&[], |c| c.of(g)),
             alpha: gx.alpha.of(g),
-            exact: gx.boxes.iter().all(|b| b.as_slice().is_certain(g)),
+            exact: gx.exact[g],
         };
         let monoid = plan.terms[t].0;
         let typed = match &contribs[t] {
@@ -571,6 +634,17 @@ pub fn aggregate_au_stats(
         typed.map_or_else(
             || {
                 boxed[t].store(true, Ordering::Relaxed);
+                // on the prefix path only a typed sum that left `i64`
+                // gets here: its group lists its sources, as the sweep does
+                let listed: Vec<u32>;
+                let grp = match &sources {
+                    Some(_) => grp,
+                    None => {
+                        let overlaps = |&s: &u32| boxes[0].overlaps(g, &src[0], s as usize);
+                        listed = src_ids.iter().copied().filter(overlaps).collect();
+                        Group { sources: &listed, ..grp }
+                    }
+                };
                 let alpha = grp.alpha.iter().map(|&i| i as usize);
                 agg_bounds(monoid, grp.members(&ks), alpha, |i| contribs[t].boxed(i))
             },
@@ -582,8 +656,112 @@ pub fn aggregate_au_stats(
         metrics.add(Counter::AggTermsBoxed, stats.terms_boxed as u64);
     }
     let out = out?;
-    lap(Site::AggFold);
+    metrics.record_ns(Site::AggFold, lap());
     Ok((out.into_normalized_with(exec)?, stats))
+}
+
+/// The pair-free membership of a one-key grouping whose sweep is exact.
+/// Groups are visited by box `ub`; before each, the sources whose key
+/// `lb ≤` that `ub` are inserted (by key `lb`) into a Fenwick tree over
+/// their ranks by descending key `ub`, so the group's overlapping
+/// sources are the inserted ones of the ranks whose key `ub ≥` its box
+/// `lb` — one prefix. Endpoints compare as [`LaneSlice::overlaps`]
+/// compares them (floats by `total_cmp`).
+struct PrefixSweep {
+    /// Per visit: the group, how many of `by_lb` are inserted, and how
+    /// many ranks have key `ub ≥` the group's box `lb`.
+    visits: Vec<(u32, u32, u32)>,
+    /// The sources by key `lb`, each with its rank.
+    by_lb: Vec<(u32, u32)>,
+}
+
+impl PrefixSweep {
+    /// Over the group boxes and the cells `ids` of `src`, unless the two
+    /// lanes are not [`typed_alike`](LaneSlice::typed_alike).
+    fn new(boxes: LaneSlice<'_>, src: LaneSlice<'_>, ids: &[u32]) -> Option<PrefixSweep> {
+        if !boxes.typed_alike(&src) {
+            return None;
+        }
+        let boxes = ordered_ends(boxes, 0..boxes.len() as u32)?;
+        let ends = ordered_ends(src, ids.iter().copied())?;
+        // (key, position) sorts: ties fall in any order, every fold is
+        // blind to it
+        let keyed = |of: &[(i64, i64)], key: fn(&(i64, i64)) -> i64| {
+            let mut v: Vec<(i64, u32)> = of.iter().zip(0..).map(|(e, j)| (key(e), j)).collect();
+            v.sort_unstable();
+            v
+        };
+        let by_ub = keyed(&ends, |e| !e.1); // `!` reverses the order
+        let mut rank = vec![0u32; ends.len()];
+        by_ub.iter().zip(0..).for_each(|(&(_, j), r)| rank[j as usize] = r);
+        let by_lb = keyed(&ends, |e| e.0);
+        let mut upto = 0usize;
+        let visits = keyed(&boxes, |e| e.1).into_iter().map(|(ub, g)| {
+            while upto < by_lb.len() && by_lb[upto].0 <= ub {
+                upto += 1;
+            }
+            let lb = boxes[g as usize].0;
+            (g, upto as u32, by_ub.partition_point(|&(u, _)| !u >= lb) as u32)
+        });
+        Some(PrefixSweep {
+            visits: visits.collect(),
+            by_lb: by_lb.iter().map(|&(_, j)| (ids[j as usize], rank[j as usize])).collect(),
+        })
+    }
+
+    /// Per group, `merge` over its overlapping sources' `leaf`s (`empty`
+    /// where none overlaps); `merge` must be associative and
+    /// commutative, with `empty` its identity.
+    fn fold<N: Copy>(
+        &self,
+        ngroups: usize,
+        empty: N,
+        leaf: impl Fn(u32) -> N,
+        merge: impl Fn(N, N) -> N,
+    ) -> Vec<N> {
+        let (mut tree, mut out) = (vec![empty; self.by_lb.len()], vec![empty; ngroups]);
+        let mut inserted = 0;
+        for &(g, upto, ranks) in &self.visits {
+            for &(s, rank) in &self.by_lb[inserted..upto as usize] {
+                let (v, mut i) = (leaf(s), rank as usize);
+                while i < tree.len() {
+                    tree[i] = merge(tree[i], v);
+                    i |= i + 1;
+                }
+            }
+            inserted = upto as usize;
+            let (mut acc, mut r) = (empty, ranks as usize);
+            while r > 0 {
+                acc = merge(acc, tree[r - 1]);
+                r &= r - 1;
+            }
+            out[g as usize] = acc;
+        }
+        out
+    }
+}
+
+/// The `[lb, ub]` of the cells `ids` of an `Int`, `Float` or `Str` lane
+/// as `i64`s ordered as the lane's cells compare (floats by
+/// `total_cmp`, codes of one dictionary as numbers); `None` for another
+/// lane.
+fn ordered_ends(lane: LaneSlice<'_>, ids: impl Iterator<Item = u32>) -> Option<Vec<(i64, i64)>> {
+    // `f64::total_cmp`'s key: negative floats' magnitude bits flipped
+    let float = |x: f64| {
+        let b = x.to_bits() as i64;
+        b ^ (((b >> 63) as u64) >> 1) as i64
+    };
+    let ends = match lane {
+        LaneSlice::Int { lb, ub, .. } => ids.map(|i| (lb[i as usize], ub[i as usize])).collect(),
+        LaneSlice::Float { lb, ub, .. } => {
+            ids.map(|i| (float(lb[i as usize]), float(ub[i as usize]))).collect()
+        }
+        LaneSlice::Str { lb, ub, .. } => {
+            ids.map(|i| (i64::from(lb[i as usize]), i64::from(ub[i as usize]))).collect()
+        }
+        _ => return None,
+    };
+    Some(ends)
 }
 
 /// Per-group id lists, flat: group `g`'s are
@@ -690,6 +868,8 @@ struct LaneGroups {
     /// indexed by group: `IntervalIndex::from_lane` is the group side of
     /// the membership sweep.
     boxes: Vec<ValueLane>,
+    /// Per group: is its box one certain group (the rewrite's `θ_c`)?
+    exact: Vec<bool>,
 }
 
 impl LaneGroups {
@@ -697,11 +877,13 @@ impl LaneGroups {
         let groups = SgGroups::assign(keys, n);
         let (ngroups, of_row) = (groups.reps.len(), &groups.of_row);
         let is_certain: Vec<bool> = (0..n).map(|i| keys.iter().all(|l| l.is_certain(i))).collect();
+        let boxes = groups.boxes(keys);
         LaneGroups {
             alpha: Csr::by_group(ngroups, of_row, |_| true),
             certain: Csr::by_group(ngroups, of_row, |i| is_certain[i]),
             uncertain: (0..n as u32).filter(|&i| !is_certain[i as usize]).collect(),
-            boxes: groups.boxes(keys),
+            exact: (0..ngroups).map(|g| boxes.iter().all(|b| b.as_slice().is_certain(g))).collect(),
+            boxes,
         }
     }
 }
@@ -731,6 +913,21 @@ impl<'a> Contrib<'a> {
         })
     }
 
+    /// Fold every group's sources through `sweep` (typed terms only).
+    fn fold_sources(
+        &mut self,
+        monoid: Monoid,
+        ks: &[AuAnnot],
+        sweep: &PrefixSweep,
+        ngroups: usize,
+    ) {
+        match self {
+            Contrib::Int(l) => l.fold_sources(monoid, ks, sweep, ngroups),
+            Contrib::Float(l) => l.fold_sources(monoid, ks, sweep, ngroups),
+            Contrib::Boxed(_) => {}
+        }
+    }
+
     /// Row `i`'s contribution as boxed values. Typed lanes get here
     /// only when a `Sum` fold left the type, so they hold products.
     fn boxed(&self, i: usize) -> Result<(Value, Value, Value), EvalError> {
@@ -744,11 +941,15 @@ impl<'a> Contrib<'a> {
 
 /// Typed contribution lanes: `Sum` owns its `⊛` products; for `Min`/
 /// `Max` `⊛` is the identity up to the `k = 0` sentinel, which the fold
-/// reads off the annotation, so they borrow the input lane.
+/// reads off the annotation, so they borrow the input lane. On the
+/// prefix path `src` holds per group its sources' guarded
+/// contributions to `lb` and to `ub`, folded (`None`: no source
+/// reaches that bound).
 struct Lanes<'a, T: Num> {
     lo: Cow<'a, [T]>,
     sg: Cow<'a, [T]>,
     hi: Cow<'a, [T]>,
+    src: Vec<[Option<T::Wide>; 2]>,
 }
 
 /// Element of a typed lane. `None` means the result left the type —
@@ -756,13 +957,19 @@ struct Lanes<'a, T: Num> {
 /// (where it errors) — and the caller redoes the work on boxed
 /// `Value`s, which define the result.
 trait Num: Copy + PartialOrd + 'static {
+    /// What the prefix sweep folds sources in: `i128` for `i64` (no sum
+    /// of `u32::MAX` of them overflows), `f64` for `f64` (min/max only).
+    type Wide: Copy + PartialOrd + Add<Output = Self::Wide>;
     const ZERO: Self;
     fn times(self, k: i64) -> Option<Self>;
     fn plus(self, other: Self) -> Option<Self>;
     fn value(self) -> Value;
+    fn wide(self) -> Self::Wide;
+    fn narrow(w: Self::Wide) -> Option<Self>;
 }
 
 impl Num for i64 {
+    type Wide = i128;
     const ZERO: i64 = 0;
     fn times(self, k: i64) -> Option<i64> {
         self.checked_mul(k)
@@ -773,9 +980,16 @@ impl Num for i64 {
     fn value(self) -> Value {
         Value::Int(self)
     }
+    fn wide(self) -> i128 {
+        i128::from(self)
+    }
+    fn narrow(w: i128) -> Option<i64> {
+        i64::try_from(w).ok()
+    }
 }
 
 impl Num for f64 {
+    type Wide = f64;
     const ZERO: f64 = 0.0;
     fn times(self, k: i64) -> Option<f64> {
         F64::try_new(self * k as f64).ok().map(F64::get)
@@ -785,6 +999,12 @@ impl Num for f64 {
     }
     fn value(self) -> Value {
         Value::float(self)
+    }
+    fn wide(self) -> f64 {
+        self
+    }
+    fn narrow(w: f64) -> Option<f64> {
+        F64::try_new(w).ok().map(F64::get)
     }
 }
 
@@ -800,9 +1020,11 @@ fn pick<T: PartialOrd>(min: bool, a: T, b: T) -> T {
 
 /// One output group's fold inputs, as contribution indices: its own
 /// certain-group rows (row order), the sources overlapping its box
-/// (source order), its α-assigned rows (the SG fold), and whether its
-/// box is one certain group (the rewrite's `θ_c`).
+/// (source order; none listed on the prefix path), its α-assigned rows
+/// (the SG fold), and whether its box is one certain group (the
+/// rewrite's `θ_c`).
 struct Group<'a> {
+    g: usize,
     certain: &'a [u32],
     sources: &'a [u32],
     alpha: &'a [u32],
@@ -826,7 +1048,7 @@ impl<'a, T: Num> Lanes<'a, T> {
     /// their min/max, and `sg × k.sg`.
     fn of(monoid: Monoid, lb: &'a [T], sg: &'a [T], ub: &'a [T], ks: &[AuAnnot]) -> Option<Self> {
         if monoid != Monoid::Sum {
-            return Some(Lanes { lo: lb.into(), sg: sg.into(), hi: ub.into() });
+            return Some(Lanes { lo: lb.into(), sg: sg.into(), hi: ub.into(), src: Vec::new() });
         }
         let mut out = [(); 3].map(|()| Vec::with_capacity(ks.len()));
         for (i, k) in ks.iter().enumerate() {
@@ -838,7 +1060,49 @@ impl<'a, T: Num> Lanes<'a, T> {
             out[2].push(pick(false, pick(false, c[0], c[1]), pick(false, c[2], c[3])));
         }
         let [lo, sg, hi] = out.map(Cow::from);
-        Some(Lanes { lo, sg, hi })
+        Some(Lanes { lo, sg, hi, src: Vec::new() })
+    }
+
+    /// Fill `src`: per group, its sources' guarded contributions — a
+    /// possible source's near bound for `Min`/`Max` (the far one is the
+    /// neutral sentinel), its negative `lo` and non-negative `hi` for
+    /// `Sum` — folded through one prefix sweep.
+    fn fold_sources(
+        &mut self,
+        monoid: Monoid,
+        ks: &[AuAnnot],
+        sweep: &PrefixSweep,
+        ngroups: usize,
+    ) {
+        let (lo, hi, zero) = (&*self.lo, &*self.hi, T::ZERO.wide());
+        self.src = match monoid {
+            // `min(0, lo)` and `max(0, hi)`; a zero total reads as no
+            // summand, which no `i64` bound can tell apart (a float sum,
+            // whose `0.0` summands would show, keeps member order)
+            Monoid::Sum => {
+                let leaf = |s: u32| {
+                    let s = s as usize;
+                    [pick(true, T::ZERO, lo[s]).wide(), pick(false, T::ZERO, hi[s]).wide()]
+                };
+                let sums = sweep.fold(ngroups, [zero; 2], leaf, |a, b| [a[0] + b[0], a[1] + b[1]]);
+                sums.into_iter().map(|sum| sum.map(|v| (v != zero).then_some(v))).collect()
+            }
+            Monoid::Min | Monoid::Max => {
+                let min = monoid == Monoid::Min;
+                let near = if min { lo } else { hi };
+                let leaf = |s: u32| (ks[s as usize].ub > 0).then(|| near[s as usize]);
+                let merge = |a: Option<T>, b: Option<T>| match (a, b) {
+                    (Some(x), Some(y)) => Some(pick(min, x, y)),
+                    (x, None) => x,
+                    (None, y) => y,
+                };
+                let folded = sweep.fold(ngroups, None, leaf, merge).into_iter();
+                folded
+                    .map(|v| v.map(T::wide))
+                    .map(|v| if min { [v, None] } else { [None, v] })
+                    .collect()
+            }
+        };
     }
 
     /// The `(lb, sg, ub)` accumulators of one group, exactly as
@@ -867,6 +1131,18 @@ impl<'a, T: Num> Lanes<'a, T> {
                     (ub, ub_hit) = (ub.plus(hi[i])?, true);
                 }
             }
+            // Folded sources add only negatives to `lb` and only
+            // non-negatives to `ub`: from here the member-order partial
+            // sums are monotone, so a total that fits is one no partial
+            // sum left (only an `i64` sum takes the prefix path).
+            if let Some(&[l, u]) = self.src.get(grp.g) {
+                if let Some(l) = l {
+                    (lb, lb_hit) = (T::narrow(lb.wide() + l)?, true);
+                }
+                if let Some(u) = u {
+                    (ub, ub_hit) = (T::narrow(ub.wide() + u)?, true);
+                }
+            }
             for &i in grp.alpha {
                 s = s.plus(sg[i as usize])?;
             }
@@ -886,6 +1162,16 @@ impl<'a, T: Num> Lanes<'a, T> {
             }
             if if min { unguarded } else { possible } {
                 ub = fold(ub, hi[i]);
+            }
+        }
+        // Folded sources last: ties are equal values (`F64` makes −0.0
+        // canonical), so the order does not show.
+        if let Some(&[l, u]) = self.src.get(grp.g) {
+            if let Some(v) = l {
+                lb = fold(lb, T::narrow(v)?);
+            }
+            if let Some(v) = u {
+                ub = fold(ub, T::narrow(v)?);
             }
         }
         for &i in grp.alpha.iter().filter(|i| ks[**i as usize].sg > 0) {

@@ -1441,7 +1441,13 @@ impl Node {
                 for (key, v) in attrs {
                     tr.attr(h, key, || v.to_string());
                 }
-                tr.attr(h, "keys", || if st.keys_boxed { "boxed" } else { "typed" }.to_string());
+                let kinds = [
+                    ("keys", if st.keys_boxed { "boxed" } else { "typed" }),
+                    ("membership", if st.prefix { "prefix" } else { "sweep" }),
+                ];
+                for (key, v) in kinds {
+                    tr.attr(h, key, || v.to_string());
+                }
                 (h, out)
             }
         };

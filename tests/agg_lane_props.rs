@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use audb::core::LaneTag;
 use audb::core::Semiring;
 use audb::prelude::*;
-use audb::query::au::aggregate::{aggregate_au_exec, aggregate_au_scan};
+use audb::query::au::aggregate::{aggregate_au_exec, aggregate_au_scan, aggregate_au_stats};
 use audb::query::au::combine::sg_combine;
 use audb::query::au::difference::{difference_au_exec, difference_au_scan};
 use audb::query::au::union_au_exec;
@@ -111,6 +111,69 @@ fn aggs() -> Vec<AggSpec> {
     ]
 }
 
+/// Terms whose folds do not depend on member order — an `Int` sum and
+/// count, `Int` and `Float` min/max, the `Float` ones also over the
+/// −0.0 cells that negating a `0.0` leaves on the lanes (`Value`s hold
+/// 0.0): grouped by one typed column, they take the prefix membership.
+fn order_free() -> Vec<AggSpec> {
+    let negated = col(4).mul(lit(-1.0f64));
+    vec![
+        AggSpec::new(AggFunc::Sum, col(3), "s"),
+        AggSpec::count("c"),
+        AggSpec::new(AggFunc::Min, col(4), "lo"),
+        AggSpec::new(AggFunc::Max, col(3), "hi"),
+        AggSpec::new(AggFunc::Min, negated.clone(), "nlo"),
+        AggSpec::new(AggFunc::Max, negated, "nhi"),
+    ]
+}
+
+/// Key ranges that end exactly on other groups' box bounds: certain
+/// groups at 0, 10, 20 and 30 (`scale`d), and uncertain rows spanning
+/// `[-3, 0]`, `[0, 10]`, `[10, 20]`, `[20, 30]` and `[30, 40]` — each
+/// touches its neighbours' boxes at one endpoint, on either side.
+fn edge_relation(scale: impl Fn(i64) -> Value) -> AuRelation {
+    let key = |lb: i64, sg: i64, ub: i64| {
+        RangeValue::new(scale(lb), scale(sg), scale(ub)).expect("ordered key")
+    };
+    let mut keys: Vec<RangeValue> = [0, 10, 20, 30, 0, 10, 20, 30].map(|k| key(k, k, k)).to_vec();
+    keys.extend(
+        [(-3, -1, 0), (0, 5, 10), (10, 15, 20), (20, 25, 30), (30, 33, 40)]
+            .map(|(lb, sg, ub)| key(lb, sg, ub)),
+    );
+    let rows = keys.into_iter().enumerate().map(|(i, k)| {
+        let i = i as i64;
+        let f = (i % 5 - 2) as f64 * 0.5;
+        let cells = vec![
+            k.clone(),
+            k,
+            RangeValue::certain(Value::Int(0)),
+            RangeValue::range(i - 7, i - 6, i - 5),
+            RangeValue::range(f - 0.5, f, f),
+        ];
+        (RangeTuple::new(cells), AuAnnot::triple(i as u64 % 2, 1, 1 + i as u64 % 3))
+    });
+    AuRelation::from_rows(Schema::named(&["k0", "k1", "k2", "v", "f"]), rows.collect())
+}
+
+/// `rel` with its `Int` measure (column 3) times 2^55: every `⊛`
+/// product still fits in `i64` (|v| < 2^5, multiplicities < 2^3), but
+/// a group over a handful of rows sums past it — `Value` arithmetic
+/// then promotes the bound to `Float`.
+fn wide_sums(rel: &AuRelation) -> AuRelation {
+    let wide = |c: &RangeValue| match (&c.lb, &c.sg, &c.ub) {
+        (Value::Int(l), Value::Int(s), Value::Int(u)) => {
+            RangeValue::range(l << 55, s << 55, u << 55)
+        }
+        _ => c.clone(),
+    };
+    let rows = rel.rows().iter().map(|(t, k)| {
+        let mut cells = t.0.clone();
+        cells[3] = wide(&cells[3]);
+        (RangeTuple::new(cells), *k)
+    });
+    AuRelation::from_rows(rel.schema.clone(), rows.collect())
+}
+
 /// Distinct SG keys of `rel` over `group_by` — `Value`'s structural
 /// equality, as the SG world has it.
 fn sg_keys(rel: &AuRelation, group_by: &[usize]) -> usize {
@@ -120,39 +183,58 @@ fn sg_keys(rel: &AuRelation, group_by: &[usize]) -> usize {
 
 /// (i) on small inputs: every key kind × one to three group-by columns
 /// × `compress` × workers, a key column as an aggregate input included
-/// (`sum` of a `Str` or sentinel column: the first error must agree).
+/// (`sum` of a `Str` or sentinel column: the first error must agree),
+/// and the edges of the prefix membership: key ranges ending exactly on
+/// a box bound (`Int` and `Float` keys), `Int` sums that leave `i64`,
+/// `Float` min/max over ±0.0 cells.
 #[test]
 fn kernel_matches_the_oracle_for_every_key_lane_kind() {
+    let mut inputs = Vec::new();
     for (k, kind) in KINDS.into_iter().enumerate() {
         for n in [1usize, 2, 9, 40] {
             let rel = relation(kind, n, 0x9E37_79B9 + (k * 100 + n) as u64);
-            let mut keyed = aggs();
-            keyed.push(AggSpec::new(AggFunc::Sum, col(1), "k"));
-            for group_by in [vec![0usize], vec![2, 0], vec![0, 1, 2]] {
-                for compress in [None, Some(1), Some(7)] {
-                    for aggs in [&aggs(), &keyed] {
-                        let oracle = aggregate_au_scan(&rel, &group_by, aggs, compress);
-                        for w in [1, 2, 4] {
-                            let kernel =
-                                aggregate_au_exec(&rel, &group_by, aggs, compress, &exec(w));
-                            assert_eq!(
-                                kernel, oracle,
-                                "{kind:?}, n = {n}, group_by = {group_by:?}, \
-                                 compress = {compress:?}, workers = {w}"
-                            );
+            if n == 40 && matches!(kind, KeyKind::Int | KeyKind::Float | KeyKind::Str) {
+                inputs.push((format!("{kind:?}, n = {n}, wide sums"), wide_sums(&rel), false));
+            }
+            inputs.push((format!("{kind:?}, n = {n}"), rel, false));
+        }
+    }
+    let int_edges = edge_relation(Value::Int);
+    inputs.push(("Int edges, wide sums".into(), wide_sums(&int_edges), true));
+    inputs.push(("Int edges".into(), int_edges, true));
+    inputs.push(("Float edges".into(), edge_relation(|k| Value::float(k as f64 * 0.25)), true));
+    let mut keyed = aggs();
+    keyed.push(AggSpec::new(AggFunc::Sum, col(1), "k"));
+    let (mut prefix_runs, mut promoted) = (0, 0);
+    for (ctx, rel, edges) in &inputs {
+        for group_by in [vec![0usize], vec![2, 0], vec![0, 1, 2]] {
+            for compress in [None, Some(1), Some(7)] {
+                for aggs in [&aggs(), &keyed, &order_free()] {
+                    let oracle = aggregate_au_scan(rel, &group_by, aggs, compress);
+                    for w in [1, 2, 4] {
+                        let kernel = aggregate_au_stats(rel, &group_by, aggs, compress, &exec(w));
+                        let ctx = format!(
+                            "{ctx}, group_by = {group_by:?}, compress = {compress:?}, workers = {w}"
+                        );
+                        if let Ok((_, st)) = &kernel {
+                            let one_key = group_by.len() == 1 && *aggs == order_free();
+                            assert!(!st.prefix || one_key, "{ctx}: prefix on a sweep shape");
+                            if *edges && one_key {
+                                assert!(st.prefix, "{ctx}: the edges take the prefix path");
+                            }
+                            prefix_runs += usize::from(st.prefix);
+                            promoted += usize::from(st.prefix && st.terms_boxed > 0);
                         }
-                        if let Ok(out) = &oracle {
-                            assert_eq!(
-                                out.len(),
-                                sg_keys(&rel, &group_by),
-                                "{kind:?}: one row per SG key"
-                            );
-                        }
+                        assert_eq!(kernel.map(|(out, _)| out), oracle, "{ctx}");
+                    }
+                    if let Ok(out) = &oracle {
+                        assert_eq!(out.len(), sg_keys(rel, &group_by), "{ctx}: one row per SG key");
                     }
                 }
             }
         }
     }
+    assert!(prefix_runs > 0 && promoted > 0, "{prefix_runs} prefix runs, {promoted} promoted");
 }
 
 /// (i) across the 1 024-row chunk and the 3 072-row seams: per key kind

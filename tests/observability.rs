@@ -278,6 +278,52 @@ fn aggregate_span_names_the_key_lanes() {
     }
 }
 
+/// Nor which membership ran: a γ grouped by one `Int` column whose
+/// terms fold in any order (`Int` sum and count, `Float` min, `Int` max)
+/// reads `membership = prefix`; the same γ with a `Float` sum, and a
+/// Q1-shaped one (two key columns, a `Float` sum), read `sweep`. Both
+/// memberships count the same pairs and members.
+#[test]
+fn aggregate_span_names_its_membership() {
+    let rows = (0..60i64).map(|i| {
+        let g = match i % 4 {
+            0 => RangeValue::range(i % 7 - 1, i % 7, i % 7 + 1),
+            _ => RangeValue::certain(Value::Int(i % 7)),
+        };
+        let flag = RangeValue::certain(Value::str(["A", "N", "R"][i as usize % 3]));
+        let f = RangeValue::range(i as f64 * 0.5 - 1.0, i as f64 * 0.5, i as f64 * 0.5);
+        let cells = vec![g, flag, RangeValue::range(i - 2, i, i + 1), f];
+        (RangeTuple::new(cells), AuAnnot::triple(i as u64 % 2, 1, 2))
+    });
+    let mut db = AuDatabase::new();
+    let schema = Schema::named(&["g", "flag", "v", "f"]);
+    db.insert("t", AuRelation::from_rows(schema, rows.collect()));
+    let order_free = vec![
+        AggSpec::new(AggFunc::Sum, col(2), "s"),
+        AggSpec::count("c"),
+        AggSpec::new(AggFunc::Min, col(3), "lo"),
+        AggSpec::new(AggFunc::Max, col(2), "hi"),
+    ];
+    let mut float_sum = order_free.clone();
+    float_sum.push(AggSpec::new(AggFunc::Sum, col(3), "fs"));
+    let mut counted = Vec::new();
+    for (group_by, aggs, membership) in [
+        (vec![0], order_free, "prefix"),
+        (vec![0], float_sum.clone(), "sweep"),
+        (vec![1, 0], float_sum, "sweep"),
+    ] {
+        let q = table("t").aggregate(group_by.clone(), aggs);
+        let (out, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
+        assert_eq!(out, eval_oracle(&db, &q, &AuConfig::default()).unwrap());
+        let agg = trace.root.find("aggregate").expect("aggregate span");
+        assert_eq!(agg.attr("membership"), Some(membership), "group by {group_by:?}");
+        assert!(agg.attr("pairs").is_some_and(|p| p != "0"), "group by {group_by:?}");
+        counted
+            .push((agg.attr("pairs").map(str::to_owned), agg.attr("members").map(str::to_owned)));
+    }
+    assert_eq!(counted[0], counted[1], "one key: both memberships count alike");
+}
+
 /// fig14-shaped joins: the planner strategy lands on the join span —
 /// hash-equi for an equality predicate, interval-comparison for an
 /// inequality, split-compress when the compressed path is forced.
