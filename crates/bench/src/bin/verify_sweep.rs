@@ -15,7 +15,8 @@
 //!    and `missed` at zero.
 //!
 //! Output: a JSON report on stdout (programs verified, lint/error
-//! counts, per-verdict mutation tallies, detection rate), uploaded with
+//! counts, per-verdict mutation tallies, a fingerprint of every
+//! mutant's verdict, detection rate), uploaded with
 //! the perf-history artifact. See `docs/static-analysis.md`.
 
 use audb_core::program::Program;
@@ -184,9 +185,18 @@ fn main() {
     let (range_rows, det_rows) = mutate::oracle_rows(width);
     let mut tallies = std::collections::BTreeMap::new();
     let mut missed: Vec<String> = Vec::new();
+    // FNV-1a over (program, class, detail, verdict) of every mutant in
+    // order: equal fingerprints mean the harness drew the same mutants
+    // and the verifier judged each one the same way.
+    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
     for (name, p) in &programs {
         for m in mutate::mutants(p) {
             let v = mutate::classify(p, &m.program, &range_rows, &det_rows);
+            for field in [name.as_str(), m.class, &m.detail, v.name()] {
+                for b in field.bytes().chain([0]) {
+                    fingerprint = (fingerprint ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
             *tallies.entry(v.name()).or_insert(0u64) += 1;
             if v == mutate::Verdict::Missed {
                 missed.push(format!("{name}: {} ({})", m.class, m.detail));
@@ -216,6 +226,7 @@ fn main() {
         tallies.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect::<Vec<_>>().join(", ");
     println!("  \"mutant_verdicts\": {{{verdicts}}},");
     println!("  \"missed\": [{}],", strlist(&missed));
+    println!("  \"mutant_fingerprint\": \"{fingerprint:016x}\",");
     println!("  \"detection_rate\": {detection_rate:.4},");
     let clean = errors.is_empty() && lints.is_empty();
     let detected = missed.is_empty() && detection_rate >= 0.95;

@@ -680,8 +680,7 @@ impl Program {
     /// always hold genuine domain values, so the extra work is
     /// harmless); callers carry poison across several program runs and
     /// report the earliest row's error. Outputs are read back via
-    /// [`LaneBatch::output_lane`] / [`LaneBatch::take_output`] and are
-    /// valid at non-poisoned rows.
+    /// [`LaneBatch::output_lane`] and are valid at non-poisoned rows.
     ///
     /// `cancel` is checked between op sweeps, so a cancelled long batch
     /// stops within one op's row loop; a cancellation verdict poisons
@@ -921,17 +920,6 @@ impl LaneBatch {
             Src::Reg(r) => self.regs[r as usize].as_slice(),
             Src::Col(c) => cols[c as usize],
             Src::Const(k) => self.consts[k as usize].as_slice(),
-        }
-    }
-
-    /// Steal an output's register lane — the zero-copy projection path
-    /// when no row of the chunk is poisoned. `None` when the output
-    /// addresses an input column or constant (the caller gathers or
-    /// copies those).
-    pub fn take_output(&mut self, prog: &Program, out: usize) -> Option<ValueLane> {
-        match prog.outputs[out] {
-            Src::Reg(r) => Some(std::mem::take(&mut self.regs[r as usize])),
-            _ => None,
         }
     }
 

@@ -323,83 +323,69 @@ fn op_mode(op: &Op) -> Option<Mode> {
     }
 }
 
+/// An op's operand layout: the sources it reads (up to three, in
+/// operand order), the register it writes and its jump target. The one
+/// table Tier A's checks, Tier B's interpreter and the mutation harness
+/// read operands through.
+struct Slots<'a> {
+    reads: [Option<&'a mut Src>; 3],
+    dst: Option<&'a mut Reg>,
+    to: Option<&'a mut u32>,
+}
+
+fn slots(op: &mut Op) -> Slots<'_> {
+    let (reads, dst, to) = match op {
+        Op::CheckCol { .. } => ([None, None, None], None, None),
+        Op::LoadCol { dst, .. } | Op::LoadConst { dst, .. } => {
+            ([None, None, None], Some(dst), None)
+        }
+        Op::Jump { to } => ([None, None, None], None, Some(to)),
+        Op::JumpIfFalse { src, to } | Op::JumpIfTrue { src, to } => {
+            ([Some(src), None, None], None, Some(to))
+        }
+        Op::RangeCheckBool3 { src } => ([Some(src), None, None], None, None),
+        Op::RangeNot { a, dst }
+        | Op::RangeNeg { a, dst }
+        | Op::DetNeg { a, dst }
+        | Op::DetNot { a, dst }
+        | Op::DetAsBool { src: a, dst } => ([Some(a), None, None], Some(dst), None),
+        Op::RangeAnd { a, b, dst }
+        | Op::RangeOr { a, b, dst }
+        | Op::RangeEq { a, b, dst }
+        | Op::RangeLeq { a, b, dst }
+        | Op::RangeLt { a, b, dst }
+        | Op::RangeAdd { a, b, dst }
+        | Op::RangeSub { a, b, dst }
+        | Op::RangeMul { a, b, dst }
+        | Op::RangeDiv { a, b, dst }
+        | Op::DetAdd { a, b, dst }
+        | Op::DetSub { a, b, dst }
+        | Op::DetMul { a, b, dst }
+        | Op::DetDiv { a, b, dst }
+        | Op::DetEq { a, b, dst }
+        | Op::DetLeq { a, b, dst }
+        | Op::DetLt { a, b, dst } => ([Some(a), Some(b), None], Some(dst), None),
+        Op::RangeIfMerge { c: a, t: b, e: c, dst }
+        | Op::RangeUncertain { l: a, s: b, u: c, dst } => {
+            ([Some(a), Some(b), Some(c)], Some(dst), None)
+        }
+    };
+    Slots { reads, dst, to }
+}
+
 /// The operands an op reads (up to three).
 fn op_reads(op: &Op) -> [Option<Src>; 3] {
-    match op {
-        Op::CheckCol { .. } | Op::LoadCol { .. } | Op::LoadConst { .. } | Op::Jump { .. } => {
-            [None, None, None]
-        }
-        Op::RangeNot { a, .. }
-        | Op::RangeNeg { a, .. }
-        | Op::DetNeg { a, .. }
-        | Op::DetNot { a, .. } => [Some(*a), None, None],
-        Op::RangeCheckBool3 { src }
-        | Op::DetAsBool { src, .. }
-        | Op::JumpIfFalse { src, .. }
-        | Op::JumpIfTrue { src, .. } => [Some(*src), None, None],
-        Op::RangeAnd { a, b, .. }
-        | Op::RangeOr { a, b, .. }
-        | Op::RangeEq { a, b, .. }
-        | Op::RangeLeq { a, b, .. }
-        | Op::RangeLt { a, b, .. }
-        | Op::RangeAdd { a, b, .. }
-        | Op::RangeSub { a, b, .. }
-        | Op::RangeMul { a, b, .. }
-        | Op::RangeDiv { a, b, .. }
-        | Op::DetAdd { a, b, .. }
-        | Op::DetSub { a, b, .. }
-        | Op::DetMul { a, b, .. }
-        | Op::DetDiv { a, b, .. }
-        | Op::DetEq { a, b, .. }
-        | Op::DetLeq { a, b, .. }
-        | Op::DetLt { a, b, .. } => [Some(*a), Some(*b), None],
-        Op::RangeIfMerge { c, t, e, .. } => [Some(*c), Some(*t), Some(*e)],
-        Op::RangeUncertain { l, s, u, .. } => [Some(*l), Some(*s), Some(*u)],
-    }
+    slots(&mut op.clone()).reads.map(|s| s.copied())
 }
 
 /// The register an op writes, if any.
 fn op_dst(op: &Op) -> Option<Reg> {
-    match op {
-        Op::CheckCol { .. }
-        | Op::RangeCheckBool3 { .. }
-        | Op::Jump { .. }
-        | Op::JumpIfFalse { .. }
-        | Op::JumpIfTrue { .. } => None,
-        Op::RangeAnd { dst, .. }
-        | Op::RangeOr { dst, .. }
-        | Op::RangeNot { dst, .. }
-        | Op::RangeEq { dst, .. }
-        | Op::RangeLeq { dst, .. }
-        | Op::RangeLt { dst, .. }
-        | Op::RangeAdd { dst, .. }
-        | Op::RangeSub { dst, .. }
-        | Op::RangeMul { dst, .. }
-        | Op::RangeDiv { dst, .. }
-        | Op::RangeNeg { dst, .. }
-        | Op::RangeIfMerge { dst, .. }
-        | Op::RangeUncertain { dst, .. }
-        | Op::LoadCol { dst, .. }
-        | Op::LoadConst { dst, .. }
-        | Op::DetAdd { dst, .. }
-        | Op::DetSub { dst, .. }
-        | Op::DetMul { dst, .. }
-        | Op::DetDiv { dst, .. }
-        | Op::DetNeg { dst, .. }
-        | Op::DetEq { dst, .. }
-        | Op::DetLeq { dst, .. }
-        | Op::DetLt { dst, .. }
-        | Op::DetNot { dst, .. }
-        | Op::DetAsBool { dst, .. } => Some(*dst),
-    }
+    slots(&mut op.clone()).dst.copied()
 }
 
 /// A jump op's target, if the op is a jump.
 fn op_jump(op: &Op) -> Option<u32> {
-    match op {
-        Op::Jump { to } | Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } => Some(*to),
-        _ => None,
-    }
+    slots(&mut op.clone()).to.copied()
 }
 
 // ---------------------------------------------------------------------------
@@ -922,15 +908,12 @@ fn literal_condition(p: &Program, i: usize) -> bool {
 }
 
 /// Tier B entry point: translation validation, then abstract
-/// interpretation of the matching mode. Returns the advisory lints
-/// collected along the way (sorted by op index); a hard error means the
-/// program must not execute.
+/// interpretation. Returns the advisory lints collected along the way
+/// (sorted by op index); a hard error means the program must not
+/// execute.
 pub fn check_abstract(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
     check_translation(p)?;
-    let mut lints = match p.mode {
-        Mode::Range => interpret_range(p)?,
-        Mode::Det => interpret_det(p)?,
-    };
+    let mut lints = interpret(p)?;
     lints.sort_by_key(|l| (l.op, l.kind));
     Ok(lints)
 }
@@ -980,11 +963,37 @@ fn check_translation(p: &Program) -> Result<(), VerifyError> {
     Ok(())
 }
 
+/// A constant fold's outcome: the exact triple, or — when the runtime
+/// combinator certainly errors — the lint that error proves, and `Top`.
+fn exact(
+    p: &Program,
+    i: usize,
+    r: Result<RangeValue, EvalError>,
+    lints: &mut Vec<ProgramLint>,
+) -> Abs {
+    r.map(Abs::Exact).unwrap_or_else(|e| {
+        lints.push(lint(p, i, error_lint(&e)));
+        Abs::Top
+    })
+}
+
+/// A det op's combinator: the `Value` operation on the `sg`s of two
+/// certain lifts, lifted back.
+fn lift(
+    f: fn(&Value, &Value) -> Result<Value, EvalError>,
+) -> impl Fn(&RangeValue, &RangeValue) -> Result<RangeValue, EvalError> {
+    move |x, y| f(&x.sg, &y.sg).map(RangeValue::certain)
+}
+
+/// [`lift`] for a det comparison.
+fn lift_cmp(f: fn(&Value, &Value) -> bool) -> impl Fn(&RangeValue, &RangeValue) -> RangeValue {
+    move |x, y| RangeValue::certain(Value::Bool(f(&x.sg, &y.sg)))
+}
+
 /// Shared transfer for the boolean connectives: fold exact operands
 /// through `comb`, certainly-non-boolean operands lint, otherwise apply
 /// the three-valued component function.
-#[allow(clippy::too_many_arguments)]
-fn bool_transfer(
+fn connective(
     p: &Program,
     i: usize,
     a: &Abs,
@@ -994,13 +1003,7 @@ fn bool_transfer(
     lints: &mut Vec<ProgramLint>,
 ) -> Abs {
     if let (Abs::Exact(x), Abs::Exact(y)) = (a, b) {
-        return match comb(x, y) {
-            Ok(v) => Abs::Exact(v),
-            Err(e) => {
-                lints.push(lint(p, i, error_lint(&e)));
-                Abs::Top
-            }
-        };
+        return exact(p, i, comb(x, y), lints);
     }
     match (a.as_bool3(), b.as_bool3()) {
         (Err(()), _) | (_, Err(())) => {
@@ -1032,23 +1035,17 @@ fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
 /// Shared transfer for arithmetic: fold exact operands through `comb`,
 /// certainly-non-numeric operands lint, numeric operands propagate
 /// their band through `band_op`.
-fn arith_transfer(
+fn arith(
     p: &Program,
     i: usize,
     a: &Abs,
     b: &Abs,
     comb: impl Fn(&RangeValue, &RangeValue) -> Result<RangeValue, EvalError>,
-    band_op: impl Fn((f64, f64), (f64, f64)) -> Abs,
+    band_op: fn((f64, f64), (f64, f64)) -> Abs,
     lints: &mut Vec<ProgramLint>,
 ) -> Abs {
     if let (Abs::Exact(x), Abs::Exact(y)) = (a, b) {
-        return match comb(x, y) {
-            Ok(v) => Abs::Exact(v),
-            Err(e) => {
-                lints.push(lint(p, i, error_lint(&e)));
-                Abs::Top
-            }
-        };
+        return exact(p, i, comb(x, y), lints);
     }
     if a.certainly_non_numeric() || b.certainly_non_numeric() {
         lints.push(lint(p, i, LintKind::CertainTypeError));
@@ -1060,380 +1057,224 @@ fn arith_transfer(
     }
 }
 
+/// Shared transfer for negation: [`arith`] of one operand,
+/// whose band mirrors.
+fn negate(
+    p: &Program,
+    i: usize,
+    a: &Abs,
+    comb: impl Fn(&RangeValue) -> Result<RangeValue, EvalError>,
+    lints: &mut Vec<ProgramLint>,
+) -> Abs {
+    if let Abs::Exact(x) = a {
+        return exact(p, i, comb(x), lints);
+    }
+    if a.certainly_non_numeric() {
+        lints.push(lint(p, i, LintKind::CertainTypeError));
+        return Abs::Top;
+    }
+    a.band().map_or(Abs::Top, |(lo, hi)| num_band(-hi, -lo))
+}
+
+/// Shared transfer for comparisons: they are total, so an operand that
+/// is not exact leaves a certainly-boolean result.
+fn compare(a: &Abs, b: &Abs, comb: impl Fn(&RangeValue, &RangeValue) -> RangeValue) -> Abs {
+    match (a, b) {
+        (Abs::Exact(x), Abs::Exact(y)) => Abs::Exact(comb(x, y)),
+        _ => Abs::Bool { lb: None, sg: None, ub: None },
+    }
+}
+
+fn add_band((al, ah): (f64, f64), (bl, bh): (f64, f64)) -> Abs {
+    num_band(al + bl, ah + bh)
+}
+
+fn sub_band((al, ah): (f64, f64), (bl, bh): (f64, f64)) -> Abs {
+    num_band(al - bh, ah - bl)
+}
+
 fn mul_band((al, ah): (f64, f64), (bl, bh): (f64, f64)) -> Abs {
     let corners = [al * bl, al * bh, ah * bl, ah * bh];
+    if corners.iter().any(|c| c.is_nan()) {
+        // `∞ · 0` bounds nothing: the full line, as `num_band` widens
+        // `∞ − ∞` (the NaN-skipping fold below would leave `[∞, −∞]`).
+        return num_band(f64::NEG_INFINITY, f64::INFINITY);
+    }
     let lo = corners.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     num_band(lo, hi)
 }
 
-/// Abstract interpretation of a range program (straight-line, one pass).
-fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
+/// A range quotient's band: a non-exact divisor band spanning zero only
+/// *may* hit the spans-zero guard, so no lint, and integer division
+/// truncates, so corner quotients are not attained bounds — the full
+/// line.
+fn div_band(_: (f64, f64), _: (f64, f64)) -> Abs {
+    num_band(f64::NEG_INFINITY, f64::INFINITY)
+}
+
+/// A det quotient: `Top`.
+fn top_band(_: (f64, f64), _: (f64, f64)) -> Abs {
+    Abs::Top
+}
+
+/// Join `incoming` into the register state at a merge point.
+fn merge(slot: &mut Option<Vec<Abs>>, incoming: Vec<Abs>) {
+    match slot {
+        None => *slot = Some(incoming),
+        Some(prev) => prev.iter_mut().zip(&incoming).for_each(|(a, b)| *a = a.join(b)),
+    }
+}
+
+/// Tier B's abstract interpreter: forward dataflow over the op CFG, a
+/// range program being the jump-free case. Jumps are strictly forward
+/// (Tier A), so one in-order pass reaches the fixpoint: the register
+/// state moves along the fall-through edge, a jump joins a copy into its
+/// target's state, and an op no edge reaches is unreachable. A det op
+/// is the certain lift of its range op, folded through the lifted
+/// `Value` operation.
+fn interpret(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
     let mut lints = Vec::new();
-    let mut regs: Vec<Abs> = vec![Abs::Bot; p.nregs];
-    let src_abs = |regs: &[Abs], s: Src| -> Abs {
-        match s {
-            Src::Reg(r) => regs[r as usize].clone(),
-            Src::Col(_) => Abs::Top,
-            Src::Const(k) => Abs::Exact(p.consts_range[k as usize].clone()),
-        }
+    // Register states that arrive by a jump, per target: a range
+    // program is jump-free and allocates none.
+    let mut jumped: Vec<Option<Vec<Abs>>> = match p.mode {
+        Mode::Range => Vec::new(),
+        Mode::Det => vec![None; p.ops.len() + 1],
     };
+    let mut fall = Some(vec![Abs::Bot; p.nregs]);
     for (i, op) in p.ops.iter().enumerate() {
-        let write = |regs: &mut Vec<Abs>, dst: Reg, a: Abs| -> Result<(), VerifyError> {
-            check_wf(p, i, &a)?;
-            regs[dst as usize] = a;
-            Ok(())
+        let mut state = jumped.get_mut(i).and_then(Option::take);
+        if let Some(regs) = fall.take() {
+            merge(&mut state, regs);
+        }
+        let Some(mut regs) = state else {
+            lints.push(lint(p, i, LintKind::UnreachableOp));
+            continue;
         };
-        match op {
-            Op::CheckCol { .. } => {}
-            Op::RangeAnd { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = bool_transfer(p, i, &x, &y, range_and, and3, &mut lints);
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeOr { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = bool_transfer(p, i, &x, &y, range_or, or3, &mut lints);
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeNot { a, dst } => {
-                let x = src_abs(&regs, *a);
-                let v = if let Abs::Exact(rv) = &x {
-                    match range_not(rv) {
-                        Ok(v) => Abs::Exact(v),
-                        Err(e) => {
-                            lints.push(lint(p, i, error_lint(&e)));
-                            Abs::Top
+        let get = |s: Option<Src>| match s {
+            Some(Src::Reg(r)) => regs[r as usize].clone(),
+            Some(Src::Col(_)) => Abs::Top,
+            Some(Src::Const(k)) => Abs::Exact(p.consts_range[k as usize].clone()),
+            None => Abs::Bot,
+        };
+        // Not `op_reads(op).map(get)`: `[_; 3]::map` moves the three
+        // values through a temporary array, which made a small range
+        // program's check ~1.5× slower.
+        let [a, b, c] = op_reads(op);
+        let (x, y, z) = (get(a), get(b), get(c));
+        // `Bot` for an op that writes no register.
+        let out = match op {
+            Op::CheckCol { .. } | Op::Jump { .. } => Abs::Bot,
+            Op::RangeCheckBool3 { .. } | Op::JumpIfFalse { .. } | Op::JumpIfTrue { .. } => {
+                match x.as_bool3() {
+                    Err(()) => lints.push(lint(p, i, LintKind::CertainTypeError)),
+                    // A range condition is constant when its three
+                    // components agree, a det one when its value is known.
+                    Ok((l, s, u)) => {
+                        let constant = match op {
+                            Op::RangeCheckBool3 { .. } => l.is_some() && l == s && s == u,
+                            _ => s.is_some(),
+                        };
+                        if constant && !literal_condition(p, i) {
+                            lints.push(lint(p, i, LintKind::ConstantCondition));
                         }
-                    }
-                } else {
-                    match x.as_bool3() {
-                        // ¬[l/s/u] = [¬u/¬s/¬l]: bounds swap.
-                        Ok((l, s, u)) => {
-                            Abs::Bool { lb: u.map(|b| !b), sg: s.map(|b| !b), ub: l.map(|b| !b) }
-                        }
-                        Err(()) => {
-                            lints.push(lint(p, i, LintKind::CertainTypeError));
-                            Abs::Top
-                        }
-                    }
-                };
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeEq { a, b, dst } | Op::RangeLeq { a, b, dst } | Op::RangeLt { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = if let (Abs::Exact(xr), Abs::Exact(yr)) = (&x, &y) {
-                    Abs::Exact(match op {
-                        Op::RangeEq { .. } => range_eq(xr, yr),
-                        Op::RangeLeq { .. } => range_leq(xr, yr),
-                        _ => range_lt(xr, yr),
-                    })
-                } else {
-                    // Comparisons are total: certainly boolean.
-                    Abs::Bool { lb: None, sg: None, ub: None }
-                };
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeAdd { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = arith_transfer(
-                    p,
-                    i,
-                    &x,
-                    &y,
-                    range_add,
-                    |(al, ah), (bl, bh)| num_band(al + bl, ah + bh),
-                    &mut lints,
-                );
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeSub { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = arith_transfer(
-                    p,
-                    i,
-                    &x,
-                    &y,
-                    range_sub,
-                    |(al, ah), (bl, bh)| num_band(al - bh, ah - bl),
-                    &mut lints,
-                );
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeMul { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = arith_transfer(p, i, &x, &y, range_mul, mul_band, &mut lints);
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeDiv { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                // A non-exact divisor band spanning zero only *may* hit
-                // the spans-zero guard, so no lint; the quotient band is
-                // conservatively unbounded either way (integer division
-                // truncates, so corner quotients are not attained
-                // bounds).
-                let v = arith_transfer(
-                    p,
-                    i,
-                    &x,
-                    &y,
-                    range_div,
-                    |_, _| num_band(f64::NEG_INFINITY, f64::INFINITY),
-                    &mut lints,
-                );
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeNeg { a, dst } => {
-                let x = src_abs(&regs, *a);
-                let v = if let Abs::Exact(rv) = &x {
-                    match range_neg(rv) {
-                        Ok(v) => Abs::Exact(v),
-                        Err(e) => {
-                            lints.push(lint(p, i, error_lint(&e)));
-                            Abs::Top
-                        }
-                    }
-                } else if x.certainly_non_numeric() {
-                    lints.push(lint(p, i, LintKind::CertainTypeError));
-                    Abs::Top
-                } else if let Some((lo, hi)) = x.band() {
-                    num_band(-hi, -lo)
-                } else {
-                    Abs::Top
-                };
-                write(&mut regs, *dst, v)?;
-            }
-            Op::RangeCheckBool3 { src } => match src_abs(&regs, *src).as_bool3() {
-                Err(()) => lints.push(lint(p, i, LintKind::CertainTypeError)),
-                Ok((Some(l), Some(s), Some(u))) if l == u && s == l => {
-                    if !literal_condition(p, i) {
-                        lints.push(lint(p, i, LintKind::ConstantCondition));
                     }
                 }
-                Ok(_) => {}
+                Abs::Bot
+            }
+            Op::LoadCol { .. } => Abs::Top,
+            Op::LoadConst { idx, .. } => Abs::Exact(p.consts_range[*idx as usize].clone()),
+            Op::RangeAnd { .. } => connective(p, i, &x, &y, range_and, and3, &mut lints),
+            Op::RangeOr { .. } => connective(p, i, &x, &y, range_or, or3, &mut lints),
+            Op::RangeNot { .. } => match (&x, x.as_bool3()) {
+                (Abs::Exact(rv), _) => exact(p, i, range_not(rv), &mut lints),
+                // ¬[l/s/u] = [¬u/¬s/¬l]: bounds swap.
+                (_, Ok((l, s, u))) => {
+                    Abs::Bool { lb: u.map(|b| !b), sg: s.map(|b| !b), ub: l.map(|b| !b) }
+                }
+                (_, Err(())) => {
+                    lints.push(lint(p, i, LintKind::CertainTypeError));
+                    Abs::Top
+                }
             },
-            Op::RangeIfMerge { c, t, e, dst } => {
-                let (cv, tv, ev) = (src_abs(&regs, *c), src_abs(&regs, *t), src_abs(&regs, *e));
-                let v = if let (Abs::Exact(cr), Abs::Exact(tr), Abs::Exact(er)) = (&cv, &tv, &ev) {
-                    match range_if_merge(cr, tr.clone(), er.clone()) {
-                        Ok(v) => Abs::Exact(v),
-                        Err(e2) => {
-                            lints.push(lint(p, i, error_lint(&e2)));
-                            Abs::Top
-                        }
-                    }
-                } else {
-                    match cv.as_bool3() {
-                        Ok((Some(true), Some(true), Some(true))) => tv,
-                        Ok((Some(false), Some(false), Some(false))) => ev,
-                        Ok(_) => tv.join(&ev),
-                        Err(()) => Abs::Top, // CheckBool3 already linted
-                    }
-                };
-                write(&mut regs, *dst, v)?;
+            // A det boolean is its `sg`, which `DetNot` flips.
+            Op::DetNot { .. } | Op::DetAsBool { .. } => match x.as_bool3() {
+                Err(()) => {
+                    lints.push(lint(p, i, LintKind::CertainTypeError));
+                    Abs::Top
+                }
+                Ok((_, s, _)) => match s.map(|b| b != matches!(op, Op::DetNot { .. })) {
+                    Some(b) => Abs::Exact(RangeValue::certain(Value::Bool(b))),
+                    None => Abs::Bool { lb: None, sg: None, ub: None },
+                },
+            },
+            Op::RangeEq { .. } => compare(&x, &y, range_eq),
+            Op::RangeLeq { .. } => compare(&x, &y, range_leq),
+            Op::RangeLt { .. } => compare(&x, &y, range_lt),
+            Op::DetEq { .. } => compare(&x, &y, lift_cmp(Value::value_eq)),
+            Op::DetLeq { .. } => compare(&x, &y, lift_cmp(expr::leq)),
+            Op::DetLt { .. } => compare(&x, &y, lift_cmp(expr::lt)),
+            Op::RangeAdd { .. } => arith(p, i, &x, &y, range_add, add_band, &mut lints),
+            Op::RangeSub { .. } => arith(p, i, &x, &y, range_sub, sub_band, &mut lints),
+            Op::RangeMul { .. } => arith(p, i, &x, &y, range_mul, mul_band, &mut lints),
+            Op::RangeDiv { .. } => arith(p, i, &x, &y, range_div, div_band, &mut lints),
+            Op::DetAdd { .. } => arith(p, i, &x, &y, lift(Value::add), add_band, &mut lints),
+            Op::DetSub { .. } => arith(p, i, &x, &y, lift(Value::sub), sub_band, &mut lints),
+            Op::DetMul { .. } => arith(p, i, &x, &y, lift(Value::mul), mul_band, &mut lints),
+            Op::DetDiv { .. } => arith(p, i, &x, &y, lift(Value::div), top_band, &mut lints),
+            Op::RangeNeg { .. } => negate(p, i, &x, range_neg, &mut lints),
+            Op::DetNeg { .. } => {
+                negate(p, i, &x, |v| v.sg.neg().map(RangeValue::certain), &mut lints)
             }
-            Op::RangeUncertain { l, s, u, dst } => {
-                let (lv, sv, uv) = (src_abs(&regs, *l), src_abs(&regs, *s), src_abs(&regs, *u));
-                let v = if let (Abs::Exact(lr), Abs::Exact(sr), Abs::Exact(ur)) = (&lv, &sv, &uv) {
-                    match range_uncertain(lr, sr, ur) {
-                        Ok(v) => Abs::Exact(v),
-                        Err(e2) => {
-                            lints.push(lint(p, i, error_lint(&e2)));
-                            Abs::Top
-                        }
-                    }
-                } else {
-                    // The widened triple's components are min/maxed from
-                    // the three operands, so the join covers the hull.
-                    lv.join(&sv).join(&uv)
-                };
-                write(&mut regs, *dst, v)?;
+            Op::RangeIfMerge { .. } => match (&x, y, z) {
+                (Abs::Exact(c), Abs::Exact(t), Abs::Exact(e)) => {
+                    exact(p, i, range_if_merge(c, t, e), &mut lints)
+                }
+                (_, t, e) => match x.as_bool3() {
+                    Ok((Some(true), Some(true), Some(true))) => t,
+                    Ok((Some(false), Some(false), Some(false))) => e,
+                    Ok(_) => t.join(&e),
+                    Err(()) => Abs::Top, // CheckBool3 already linted
+                },
+            },
+            Op::RangeUncertain { .. } => match (&x, &y, &z) {
+                (Abs::Exact(l), Abs::Exact(s), Abs::Exact(u)) => {
+                    exact(p, i, range_uncertain(l, s, u), &mut lints)
+                }
+                // The widened triple's components are min/maxed from
+                // the three operands, so the join covers the hull.
+                _ => x.join(&y).join(&z),
+            },
+        };
+        if let Some(d) = op_dst(op) {
+            check_wf(p, i, &out)?;
+            regs[d as usize] = out;
+        }
+        match *op {
+            Op::Jump { to } => merge(&mut jumped[to as usize], regs),
+            Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } => {
+                merge(&mut jumped[to as usize], regs.clone());
+                fall = Some(regs);
             }
-            _ => {} // foreign ops rejected by Tier A
+            _ => fall = Some(regs),
         }
     }
 
     // Dead registers: range programs are single-assignment, so a write
     // nothing ever reads (and no output exposes) is dead code — the
     // lowerer never emits one, a corrupted operand often leaves one.
-    let mut read = vec![false; p.nregs];
-    for op in &p.ops {
-        for s in op_reads(op).into_iter().flatten() {
+    if p.mode == Mode::Range {
+        let mut read = vec![false; p.nregs];
+        let reads = p.ops.iter().flat_map(op_reads).flatten();
+        for s in reads.chain(p.outputs.iter().copied()) {
             if let Src::Reg(r) = s {
                 read[r as usize] = true;
             }
         }
-    }
-    for out in &p.outputs {
-        if let Src::Reg(r) = out {
-            read[*r as usize] = true;
-        }
-    }
-    for (i, op) in p.ops.iter().enumerate() {
-        if let Some(d) = op_dst(op) {
-            if !read[d as usize] {
+        for (i, op) in p.ops.iter().enumerate() {
+            if op_dst(op).is_some_and(|d| !read[d as usize]) {
                 lints.push(lint(p, i, LintKind::DeadRegister));
             }
-        }
-    }
-    Ok(lints)
-}
-
-/// Abstract interpretation of a det program: forward dataflow over the
-/// jump CFG (jumps are strictly forward per Tier A, so one in-order
-/// pass reaches the fixpoint), joining register states at merge points.
-fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
-    let mut lints = Vec::new();
-    let n = p.ops.len();
-    let mut states: Vec<Option<Vec<Abs>>> = vec![None; n + 1];
-    states[0] = Some(vec![Abs::Bot; p.nregs]);
-    let certain = |v: &Value| Abs::Exact(RangeValue::certain(v.clone()));
-    let src_abs = |regs: &[Abs], s: Src| -> Abs {
-        match s {
-            Src::Reg(r) => regs[r as usize].clone(),
-            Src::Col(_) => Abs::Top,
-            Src::Const(k) => Abs::Exact(RangeValue::certain(p.consts[k as usize].clone())),
-        }
-    };
-    let merge = |slot: &mut Option<Vec<Abs>>, incoming: &[Abs]| match slot {
-        None => *slot = Some(incoming.to_vec()),
-        Some(prev) => {
-            for (a, b) in prev.iter_mut().zip(incoming) {
-                *a = a.join(b);
-            }
-        }
-    };
-    // Det-mode constant folding works on the certain lift of a Value:
-    // lift both operands, run the *range* combinator's det analog via
-    // the underlying Value op, and re-wrap.
-    let fold2 =
-        |x: &RangeValue, y: &RangeValue, f: &dyn Fn(&Value, &Value) -> Result<Value, EvalError>| {
-            f(&x.sg, &y.sg).map(RangeValue::certain)
-        };
-    for i in 0..n {
-        let Some(mut regs) = states[i].clone() else {
-            lints.push(lint(p, i, LintKind::UnreachableOp));
-            continue;
-        };
-        let op = &p.ops[i];
-        let mut jump_taken: Option<u32> = None;
-        let mut conditional = false;
-        match op {
-            Op::CheckCol { .. } => {}
-            Op::LoadCol { dst, .. } => regs[*dst as usize] = Abs::Top,
-            Op::LoadConst { idx, dst } => regs[*dst as usize] = certain(&p.consts[*idx as usize]),
-            Op::DetAdd { a, b, dst }
-            | Op::DetSub { a, b, dst }
-            | Op::DetMul { a, b, dst }
-            | Op::DetDiv { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let vf: &dyn Fn(&Value, &Value) -> Result<Value, EvalError> = match op {
-                    Op::DetAdd { .. } => &Value::add,
-                    Op::DetSub { .. } => &Value::sub,
-                    Op::DetMul { .. } => &Value::mul,
-                    _ => &Value::div,
-                };
-                let v = if let (Abs::Exact(xr), Abs::Exact(yr)) = (&x, &y) {
-                    match fold2(xr, yr, vf) {
-                        Ok(v) => Abs::Exact(v),
-                        Err(e) => {
-                            lints.push(lint(p, i, error_lint(&e)));
-                            Abs::Top
-                        }
-                    }
-                } else if x.certainly_non_numeric() || y.certainly_non_numeric() {
-                    lints.push(lint(p, i, LintKind::CertainTypeError));
-                    Abs::Top
-                } else {
-                    match (op, x.band(), y.band()) {
-                        (Op::DetAdd { .. }, Some((al, ah)), Some((bl, bh))) => {
-                            num_band(al + bl, ah + bh)
-                        }
-                        (Op::DetSub { .. }, Some((al, ah)), Some((bl, bh))) => {
-                            num_band(al - bh, ah - bl)
-                        }
-                        (Op::DetMul { .. }, Some(xb), Some(yb)) => mul_band(xb, yb),
-                        _ => Abs::Top,
-                    }
-                };
-                check_wf(p, i, &v)?;
-                regs[*dst as usize] = v;
-            }
-            Op::DetNeg { a, dst } => {
-                let x = src_abs(&regs, *a);
-                let v = if let Abs::Exact(xr) = &x {
-                    match xr.sg.neg() {
-                        Ok(v) => certain(&v),
-                        Err(e) => {
-                            lints.push(lint(p, i, error_lint(&e)));
-                            Abs::Top
-                        }
-                    }
-                } else if x.certainly_non_numeric() {
-                    lints.push(lint(p, i, LintKind::CertainTypeError));
-                    Abs::Top
-                } else if let Some((lo, hi)) = x.band() {
-                    num_band(-hi, -lo)
-                } else {
-                    Abs::Top
-                };
-                check_wf(p, i, &v)?;
-                regs[*dst as usize] = v;
-            }
-            Op::DetEq { a, b, dst } | Op::DetLeq { a, b, dst } | Op::DetLt { a, b, dst } => {
-                let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = if let (Abs::Exact(xr), Abs::Exact(yr)) = (&x, &y) {
-                    let r = match op {
-                        Op::DetEq { .. } => xr.sg.value_eq(&yr.sg),
-                        Op::DetLeq { .. } => expr::leq(&xr.sg, &yr.sg),
-                        _ => expr::lt(&xr.sg, &yr.sg),
-                    };
-                    certain(&Value::Bool(r))
-                } else {
-                    Abs::Bool { lb: None, sg: None, ub: None }
-                };
-                regs[*dst as usize] = v;
-            }
-            Op::DetNot { a, dst } | Op::DetAsBool { src: a, dst } => {
-                let x = src_abs(&regs, *a);
-                let v = match x.as_bool3() {
-                    Err(()) => {
-                        lints.push(lint(p, i, LintKind::CertainTypeError));
-                        Abs::Top
-                    }
-                    Ok((_, s, _)) => {
-                        let s = if matches!(op, Op::DetNot { .. }) { s.map(|b| !b) } else { s };
-                        match s {
-                            Some(b) => certain(&Value::Bool(b)),
-                            None => Abs::Bool { lb: None, sg: None, ub: None },
-                        }
-                    }
-                };
-                regs[*dst as usize] = v;
-            }
-            Op::Jump { to } => jump_taken = Some(*to),
-            Op::JumpIfFalse { src, to } | Op::JumpIfTrue { src, to } => {
-                conditional = true;
-                jump_taken = Some(*to);
-                match src_abs(&regs, *src).as_bool3() {
-                    Err(()) => lints.push(lint(p, i, LintKind::CertainTypeError)),
-                    Ok((_, Some(_), _)) => {
-                        if !literal_condition(p, i) {
-                            lints.push(lint(p, i, LintKind::ConstantCondition));
-                        }
-                    }
-                    Ok(_) => {}
-                }
-            }
-            _ => {} // foreign ops rejected by Tier A
-        }
-        match (jump_taken, conditional) {
-            (Some(to), true) => {
-                merge(&mut states[to as usize], &regs);
-                merge(&mut states[i + 1], &regs);
-            }
-            (Some(to), false) => merge(&mut states[to as usize], &regs),
-            (None, _) => merge(&mut states[i + 1], &regs),
         }
     }
     Ok(lints)
@@ -1524,7 +1365,9 @@ pub mod mutate {
                     ("->end", p.ops.len() as u32),
                 ] {
                     let mut q = p.clone();
-                    set_jump(&mut q.ops[i], nt);
+                    if let Some(t) = slots(&mut q.ops[i]).to {
+                        *t = nt;
+                    }
                     push("retarget_jump", format!("op {i}: jump {to} {delta} => {nt}"), q);
                 }
             }
@@ -1546,7 +1389,9 @@ pub mod mutate {
                 if p.nregs > 1 {
                     let nd = (d + 1) % p.nregs as u32;
                     let mut q = p.clone();
-                    set_dst(&mut q.ops[i], nd);
+                    if let Some(dst) = slots(&mut q.ops[i]).dst {
+                        *dst = nd;
+                    }
                     push("clobber_register", format!("op {i}: dst r{d} => r{nd}"), q);
                 }
             }
@@ -1579,63 +1424,13 @@ pub mod mutate {
         out
     }
 
-    fn set_jump(op: &mut Op, nt: u32) {
-        if let Op::Jump { to } | Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } = op {
-            *to = nt;
-        }
-    }
-
-    fn set_dst(op: &mut Op, nd: Reg) {
-        match op {
-            Op::RangeAnd { dst, .. }
-            | Op::RangeOr { dst, .. }
-            | Op::RangeNot { dst, .. }
-            | Op::RangeEq { dst, .. }
-            | Op::RangeLeq { dst, .. }
-            | Op::RangeLt { dst, .. }
-            | Op::RangeAdd { dst, .. }
-            | Op::RangeSub { dst, .. }
-            | Op::RangeMul { dst, .. }
-            | Op::RangeDiv { dst, .. }
-            | Op::RangeNeg { dst, .. }
-            | Op::RangeIfMerge { dst, .. }
-            | Op::RangeUncertain { dst, .. }
-            | Op::LoadCol { dst, .. }
-            | Op::LoadConst { dst, .. }
-            | Op::DetAdd { dst, .. }
-            | Op::DetSub { dst, .. }
-            | Op::DetMul { dst, .. }
-            | Op::DetDiv { dst, .. }
-            | Op::DetNeg { dst, .. }
-            | Op::DetEq { dst, .. }
-            | Op::DetLeq { dst, .. }
-            | Op::DetLt { dst, .. }
-            | Op::DetNot { dst, .. }
-            | Op::DetAsBool { dst, .. } => *dst = nd,
-            _ => {}
-        }
-    }
-
+    /// Swap a binary op's operands, or an `If` merge's branches (not its
+    /// condition).
     fn swap_operands(op: &Op) -> Option<Op> {
         let mut q = op.clone();
-        match &mut q {
-            Op::RangeAnd { a, b, .. }
-            | Op::RangeOr { a, b, .. }
-            | Op::RangeEq { a, b, .. }
-            | Op::RangeLeq { a, b, .. }
-            | Op::RangeLt { a, b, .. }
-            | Op::RangeAdd { a, b, .. }
-            | Op::RangeSub { a, b, .. }
-            | Op::RangeMul { a, b, .. }
-            | Op::RangeDiv { a, b, .. }
-            | Op::DetAdd { a, b, .. }
-            | Op::DetSub { a, b, .. }
-            | Op::DetMul { a, b, .. }
-            | Op::DetDiv { a, b, .. }
-            | Op::DetEq { a, b, .. }
-            | Op::DetLeq { a, b, .. }
-            | Op::DetLt { a, b, .. } => std::mem::swap(a, b),
-            Op::RangeIfMerge { t, e, .. } => std::mem::swap(t, e),
+        match slots(&mut q).reads {
+            [Some(a), Some(b), None] => std::mem::swap(a, b),
+            [_, Some(t), Some(e)] if matches!(op, Op::RangeIfMerge { .. }) => std::mem::swap(t, e),
             _ => return None,
         }
         Some(q)
@@ -1643,7 +1438,7 @@ pub mod mutate {
 
     fn redirect_first_operand(op: &Op, p: &Program) -> Option<Op> {
         let mut q = op.clone();
-        let s = first_src_mut(&mut q)?;
+        let [Some(s), ..] = slots(&mut q).reads else { return None };
         *s = match *s {
             Src::Reg(r) if p.nregs > 1 => Src::Reg((r + 1) % p.nregs as u32),
             Src::Col(c) => Src::Col(c + 1),
@@ -1651,38 +1446,6 @@ pub mod mutate {
             _ => return None,
         };
         Some(q)
-    }
-
-    fn first_src_mut(op: &mut Op) -> Option<&mut Src> {
-        match op {
-            Op::RangeAnd { a, .. }
-            | Op::RangeOr { a, .. }
-            | Op::RangeNot { a, .. }
-            | Op::RangeEq { a, .. }
-            | Op::RangeLeq { a, .. }
-            | Op::RangeLt { a, .. }
-            | Op::RangeAdd { a, .. }
-            | Op::RangeSub { a, .. }
-            | Op::RangeMul { a, .. }
-            | Op::RangeDiv { a, .. }
-            | Op::RangeNeg { a, .. }
-            | Op::DetAdd { a, .. }
-            | Op::DetSub { a, .. }
-            | Op::DetMul { a, .. }
-            | Op::DetDiv { a, .. }
-            | Op::DetNeg { a, .. }
-            | Op::DetEq { a, .. }
-            | Op::DetLeq { a, .. }
-            | Op::DetLt { a, .. }
-            | Op::DetNot { a, .. } => Some(a),
-            Op::RangeCheckBool3 { src }
-            | Op::DetAsBool { src, .. }
-            | Op::JumpIfFalse { src, .. }
-            | Op::JumpIfTrue { src, .. } => Some(src),
-            Op::RangeIfMerge { c, .. } => Some(c),
-            Op::RangeUncertain { l, .. } => Some(l),
-            _ => None,
-        }
     }
 
     /// Run a mutant through both tiers and, when nothing rejects it,
@@ -1897,6 +1660,31 @@ mod tests {
         assert_eq!(p.verify_full().unwrap(), vec![]);
         let p = Program::compile_range(&Expr::if_then_else(lit(true), col(0), col(1)));
         assert_eq!(p.verify_full().unwrap(), vec![]);
+    }
+
+    /// A product of an infinite band and a zero: every corner is
+    /// `∞ · 0 = NaN`, so the band is the full line — not the empty
+    /// `[∞, −∞]` a NaN-skipping fold left, which Tier B rejected as a
+    /// bound violation. `RangeDiv` of two `If`-joined bands is a range
+    /// program's full line; an overflowing product reaches one in both
+    /// modes.
+    #[test]
+    fn infinite_band_times_zero_verifies() {
+        let cond = || col(0).gt(lit(1i64));
+        let ratio = {
+            let arm = || Expr::if_then_else(cond(), lit(1i64), lit(2i64));
+            arm().div(arm())
+        };
+        let overflow = Expr::if_then_else(cond(), lit(1e308), lit(-1e308)).mul(lit(10.0));
+        for zero in [lit(0i64), lit(0.0)] {
+            for x in [&ratio, &overflow] {
+                for e in [x.clone().mul(zero.clone()), zero.clone().mul(x.clone())] {
+                    for p in [Program::compile_range(&e), Program::compile_det(&e)] {
+                        assert_eq!(p.verify_full(), Ok(vec![]), "`{e}` in {:?} mode", p.mode());
+                    }
+                }
+            }
+        }
     }
 
     /// Tier A is `O(ops · depth)`: a flat 2 000-term predicate — depth

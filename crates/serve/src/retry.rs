@@ -2,9 +2,9 @@
 //!
 //! Only *transient* faults retry — a contained worker panic or an
 //! injected test fault, where a second attempt can genuinely succeed.
-//! Resource verdicts ([`ExecError::Cancelled`],
-//! [`ExecError::DeadlineExceeded`], [`ExecError::BudgetExceeded`]) are
-//! final: retrying one would only re-spend the exhausted resource.
+//! Resource verdicts (`Cancelled`, `DeadlineExceeded`, `BudgetExceeded`:
+//! [`audb_core::ExecError::is_resource_limit`], which the engine asks)
+//! are final: retrying one would only re-spend the exhausted resource.
 //! Deterministic evaluation errors (type errors, unknown tables, …) are
 //! equally final — the same query fails the same way every time.
 //!
@@ -14,7 +14,6 @@
 
 use std::time::Duration;
 
-use audb_core::ExecError;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -40,12 +39,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Is this runtime fault worth a retry? Exactly the non-resource
-    /// faults: `WorkerPanic` and `Injected`.
-    pub fn is_transient(e: &ExecError) -> bool {
-        !e.is_resource_limit()
-    }
-
     /// The jittered sleep before retry number `attempt` (1-based).
     pub fn backoff(&self, attempt: usize, rng: &mut StdRng) -> Duration {
         let exp = attempt.saturating_sub(1).min(16) as u32;
@@ -65,23 +58,6 @@ impl RetryPolicy {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn taxonomy_matches_resource_limits() {
-        assert!(RetryPolicy::is_transient(&ExecError::WorkerPanic {
-            morsel: 0,
-            payload: "x".into()
-        }));
-        assert!(RetryPolicy::is_transient(&ExecError::Injected { driver: 0, morsel: 0 }));
-        assert!(!RetryPolicy::is_transient(&ExecError::Cancelled));
-        assert!(!RetryPolicy::is_transient(&ExecError::DeadlineExceeded));
-        assert!(!RetryPolicy::is_transient(&ExecError::BudgetExceeded {
-            operator: "join-probe",
-            resource: "rows",
-            limit: 1,
-            attempted: 2,
-        }));
-    }
 
     #[test]
     fn backoff_is_bounded_and_grows() {

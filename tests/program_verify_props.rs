@@ -7,6 +7,10 @@
 //!   Tier B with zero `VerifyError`s; programs whose leaves are all
 //!   columns additionally produce zero lints (constant-free trees give
 //!   the abstract interpreter nothing to decide statically);
+//! * **pinned output** — every `verify_full` outcome over 6 000 seeded
+//!   trees × both modes (lints as `kind@op:node`, or the error) folds
+//!   into one FNV-1a digest, so a Tier B refactor that moves one lint,
+//!   op index or verdict fails;
 //! * **mutation detection** — every single-op corruption of those
 //!   programs is caught by Tier A/B, surfaces a new lint, or is
 //!   behavior-preserving under the differential oracle (never
@@ -317,6 +321,25 @@ fn aggregate_programs_pass_tier_b() {
     assert!(rejects >= Some(1), "γ's program was vetted: {rejects:?}");
 }
 
+/// A valid range program whose product has an infinite band —
+/// `RangeDiv` of two `If`-joined bands is the full line, times `0` —
+/// passes Tier B: the projection runs on the lanes, no chain falls back
+/// to the oracle, and the relation is the oracle's.
+#[test]
+fn infinite_band_product_is_not_rejected() {
+    let db = two_row_db();
+    let arm = || Expr::if_then_else(col(0).gt(lit(1i64)), lit(1i64), lit(2i64));
+    let q = table("t").project(vec![(arm().div(arm()).mul(lit(0i64)), "p")]);
+    let oracle = eval_oracle(&db, &q, &AuConfig::default());
+    assert!(oracle.is_ok(), "{oracle:?}");
+    let (result, trace) = eval_au_traced_full(&db, &q, &AuConfig::default());
+    assert_eq!(result, oracle);
+    assert_eq!(trace.metrics.counter("verify_rejects"), Some(0), "{}", trace.render_text());
+    trace.root.walk(&mut |s| {
+        assert_ne!(s.attr("fallback"), Some("verifier-rejected"), "{}", trace.render_text());
+    });
+}
+
 /// Untampered compiles are observable too: a traced evaluation
 /// records accepted `verify` spans (tier and op-count
 /// attributes included) and zero rejections.
@@ -359,4 +382,109 @@ fn det_chain_rejection_degrades_identically() {
     assert_eq!(tampered, oracle);
     let rejects = exec.metrics().snapshot().counter("verify_rejects");
     assert!(rejects >= Some(1), "rejections counted: {rejects:?}");
+}
+
+/// xorshift64: the pin's only random source, so the trees it draws are
+/// the same on every toolchain and every proptest version.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+/// A leaf of `num_expr_strategy` — a column, an Int or a quarter-step
+/// Float literal — or, one time in seven, a `Bool` literal, which
+/// arithmetic certainly rejects.
+fn pin_leaf(r: &mut XorShift) -> Expr {
+    match r.below(7) {
+        0 | 1 => col(r.below(2) as usize),
+        2 | 3 => lit(r.below(11) as i64 - 5),
+        4 | 5 => lit((r.below(25) as i64 - 12) as f64 / 4.0),
+        _ => lit(r.below(2) == 1),
+    }
+}
+
+/// `recurse_numeric`'s shapes, depth-bounded.
+fn pin_num(r: &mut XorShift, depth: u32) -> Expr {
+    if depth == 0 || r.below(4) == 0 {
+        return pin_leaf(r);
+    }
+    let d = depth - 1;
+    match r.below(7) {
+        0 => pin_num(r, d).add(pin_num(r, d)),
+        1 => pin_num(r, d).sub(pin_num(r, d)),
+        2 => pin_num(r, d).mul(pin_num(r, d)),
+        3 => pin_num(r, d).div(pin_num(r, d)),
+        4 => pin_num(r, d).neg(),
+        5 => {
+            let c = pin_num(r, d).leq(pin_num(r, d));
+            Expr::if_then_else(c, pin_num(r, d), pin_num(r, d))
+        }
+        _ => Expr::make_uncertain(pin_num(r, d), pin_num(r, d), pin_num(r, d)),
+    }
+}
+
+/// `pred_over`'s shapes: a comparison of numeric trees, composed with
+/// `And` / `Or` / `Not`.
+fn pin_pred(r: &mut XorShift, depth: u32) -> Expr {
+    if depth == 0 || r.below(3) == 0 {
+        let (a, b) = (pin_num(r, 3), pin_num(r, 3));
+        return match r.below(6) {
+            0 => a.leq(b),
+            1 => a.lt(b),
+            2 => a.geq(b),
+            3 => a.gt(b),
+            4 => a.eq(b),
+            _ => a.neq(b),
+        };
+    }
+    match r.below(3) {
+        0 => pin_pred(r, depth - 1).and(pin_pred(r, depth - 1)),
+        1 => pin_pred(r, depth - 1).or(pin_pred(r, depth - 1)),
+        _ => pin_pred(r, depth - 1).not(),
+    }
+}
+
+/// The abstract interpreter's exact output, pinned: 6 000 seeded trees
+/// (numeric trees and predicates, `Bool` literals included) × both
+/// lowering modes, every `verify_full` outcome rendered — its lints as
+/// `kind@op:node`, or the error — and folded into one FNV-1a digest,
+/// with the clean / linted / rejected split. A refactor of Tier B that
+/// moves one lint, one op index or one verdict changes the digest.
+#[test]
+fn tier_b_outcomes_are_pinned() {
+    let mut r = XorShift(0x9E37_79B9_7F4A_7C15);
+    let (mut digest, mut counts) = (0xcbf2_9ce4_8422_2325u64, [0usize; 3]);
+    for k in 0..6000 {
+        let e = if k % 2 == 0 { pin_num(&mut r, 4) } else { pin_pred(&mut r, 2) };
+        for prog in both_modes(&e) {
+            let rendered = match prog.verify_full() {
+                Ok(lints) => {
+                    counts[usize::from(!lints.is_empty())] += 1;
+                    let ls: Vec<String> = lints
+                        .iter()
+                        .map(|l| format!("{}@{}:{}", l.kind.name(), l.op, l.node))
+                        .collect();
+                    ls.join(",")
+                }
+                Err(err) => {
+                    counts[2] += 1;
+                    format!("error: {err}")
+                }
+            };
+            for b in rendered.bytes().chain([b'\n']) {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(
+        (digest, counts),
+        (0x008b_78c0_8a09_2f41, [3949, 8051, 0]),
+        "(digest, [clean, linted, rejected])"
+    );
 }
