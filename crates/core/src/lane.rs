@@ -30,18 +30,28 @@
 //! into a boxed lane. Demotion triggers exactly where the scalar
 //! semantics leave the homogeneous type lattice:
 //!
-//! * `i64` checked arithmetic returning `None` — the scalar path
-//!   *promotes that component to float* (`Value::add` et al.), so the
-//!   result column is no longer homogeneous `Int`;
+//! * an `i64` operation overflowing — the scalar path *promotes that
+//!   component to float* (`Value::add` et al.), so the result column is
+//!   no longer homogeneous `Int`;
 //! * an `f64` kernel producing NaN — the scalar path raises
 //!   [`EvalError::NotANumber`] for that row, which only the generic
 //!   path can report per-row.
 //!
+//! A numeric kernel detects both in one pass over its rows: it computes
+//! every row with `overflowing_*` arithmetic (or plain `f64` arithmetic)
+//! into preallocated outputs and folds each row's overflow or NaN test
+//! into one flag, with no branch and no early exit in the loop; a set
+//! flag demotes the whole op after the pass. An operand is a lane or a
+//! *broadcast* constant of the program's pool, read as one scalar by
+//! every row and never splatted to a lane (only the `Str` and `Bool`
+//! kernels, which read whole lanes, splat one for the op).
+//!
 //! The `f64` kernels canonicalize `-0.0` to `0.0` after every
 //! operation, mirroring `F64::try_new` (e.g. `-1.0 * 0.0` is `-0.0` in
 //! IEEE arithmetic but `0.0` in the value domain). Mixed `Int`/`Float`
-//! operand pairs may use the `f64` kernels because the scalar mixed
-//! semantics are themselves f64-cast based: `Value::add` computes
+//! operand pairs may use the `f64` kernels, reading the `Int` side as
+//! `f64` inside the loop, because the scalar mixed semantics are
+//! themselves f64-cast based: `Value::add` computes
 //! `a as f64 + b`, and the comparison tie rules (`Int` sorts before
 //! `Float` on numeric ties, `value_eq` casts) reduce `leq`/`lt`/
 //! `value_eq` to plain `<=`/`</`==` on the casts. `Int ⊗ Int`
@@ -88,6 +98,18 @@ pub enum LaneTag {
     Str,
     /// Anything else: per-cell `RangeValue`s (the fallback lane).
     Boxed,
+}
+
+/// The lane a cell alone would take: its type when all three components
+/// share one, `Boxed` otherwise.
+fn cell_tag(c: &RangeValue) -> LaneTag {
+    match (&c.lb, &c.sg, &c.ub) {
+        (Value::Int(_), Value::Int(_), Value::Int(_)) => LaneTag::Int,
+        (Value::Float(_), Value::Float(_), Value::Float(_)) => LaneTag::Float,
+        (Value::Bool(_), Value::Bool(_), Value::Bool(_)) => LaneTag::Bool,
+        (Value::Str(_), Value::Str(_), Value::Str(_)) => LaneTag::Str,
+        _ => LaneTag::Boxed,
+    }
 }
 
 /// The dictionary of a `Str` lane: its distinct strings, sorted by
@@ -238,16 +260,9 @@ impl ValueLane {
     /// e.g. the `[MinVal / sg / MaxVal]` encoding of `null` — take the
     /// fallback lane and keep exact scalar semantics).
     pub fn from_cells<'a>(cells: impl Iterator<Item = &'a RangeValue> + Clone) -> ValueLane {
-        let tag = |c: &RangeValue| match (&c.lb, &c.sg, &c.ub) {
-            (Value::Int(_), Value::Int(_), Value::Int(_)) => LaneTag::Int,
-            (Value::Float(_), Value::Float(_), Value::Float(_)) => LaneTag::Float,
-            (Value::Bool(_), Value::Bool(_), Value::Bool(_)) => LaneTag::Bool,
-            (Value::Str(_), Value::Str(_), Value::Str(_)) => LaneTag::Str,
-            _ => LaneTag::Boxed,
-        };
         // every cell's tag, or `Boxed` at the first that differs (an empty
         // column is an empty `Int` lane)
-        let mut tags = cells.clone().map(tag);
+        let mut tags = cells.clone().map(cell_tag);
         let first = tags.next().unwrap_or(LaneTag::Int);
         let lane = if tags.all(|t| t == first) { first } else { LaneTag::Boxed };
         match lane {
@@ -751,215 +766,424 @@ impl<'a> LaneSlice<'a> {
 // hold genuine domain values, so the extra work is harmless (a demotion
 // triggered by a poisoned row's data costs performance, never
 // correctness).
+//
+// A numeric kernel is one pass over its rows, monomorphized per operand
+// shape ([`Comp`]): it writes each row's three components into
+// preallocated outputs and folds whether the row left the lane's type
+// into one flag, which demotes the whole op after the pass. The loop
+// has no branch and no early exit.
 
-/// Canonicalize an f64 the way `F64::try_new` does (`-0.0` → `0.0`).
-#[inline]
-fn canon(v: f64) -> f64 {
-    if v == 0.0 {
-        0.0
-    } else {
-        v
+/// A kernel operand: a lane, or a cell of the program's constant pool
+/// that every row reads — broadcast, never splatted to a lane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Operand<'a> {
+    Lane(LaneSlice<'a>),
+    Const(&'a RangeValue),
+}
+
+impl<'a> Operand<'a> {
+    pub(crate) fn tag(&self) -> LaneTag {
+        match self {
+            Operand::Lane(s) => s.tag(),
+            Operand::Const(c) => cell_tag(c),
+        }
+    }
+
+    /// Materialize cell `i` as a [`RangeValue`].
+    pub(crate) fn get(&self, i: usize) -> RangeValue {
+        match self {
+            Operand::Lane(s) => s.get(i),
+            Operand::Const(c) => (*c).clone(),
+        }
+    }
+
+    /// The operand as an `n`-long lane: a constant is splatted into
+    /// `held`. For the kernels that read whole lanes (`Str` codes, `Bool`
+    /// logic).
+    fn to_slice<'s>(self, n: usize, held: &'s mut Option<ValueLane>) -> LaneSlice<'s>
+    where
+        'a: 's,
+    {
+        match self {
+            Operand::Lane(s) => s,
+            Operand::Const(c) => held.insert(ValueLane::splat(c, n)).as_slice(),
+        }
+    }
+
+    /// The numeric view the arithmetic and comparison kernels read.
+    fn num(self) -> Option<Num<'a>> {
+        Some(match self {
+            Operand::Lane(LaneSlice::Int { lb, sg, ub }) => Num::Int(Tri { lb, sg, ub }),
+            Operand::Lane(LaneSlice::Float { lb, sg, ub }) => Num::Float(Tri { lb, sg, ub }),
+            Operand::Const(c) => match (&c.lb, &c.sg, &c.ub) {
+                (Value::Int(l), Value::Int(s), Value::Int(u)) => {
+                    Num::IntConst(Tri { lb: Splat(*l), sg: Splat(*s), ub: Splat(*u) })
+                }
+                (Value::Float(l), Value::Float(s), Value::Float(u)) => Num::FloatConst(Tri {
+                    lb: Splat(l.get()),
+                    sg: Splat(s.get()),
+                    ub: Splat(u.get()),
+                }),
+                _ => return None,
+            },
+            Operand::Lane(_) => return None,
+        })
     }
 }
 
-#[inline]
-fn fmin(a: f64, b: f64) -> f64 {
-    // total_cmp order on canonical, NaN-free floats is the usual order;
-    // ties return `a`, matching `Value::min_of`.
-    if b < a {
-        b
-    } else {
-        a
+/// One component of a numeric operand as a kernel reads it at row `i`:
+/// a column, an `Int` column cast to `f64` in the loop, or one value
+/// every row reads.
+trait Comp<T>: Copy {
+    /// The first `n` rows: a column cut to exactly `n`, so that reads at
+    /// `0..n` carry no bounds check.
+    fn cut(self, n: usize) -> Self;
+    fn at(self, i: usize) -> T;
+}
+
+impl<T: Copy> Comp<T> for &[T] {
+    #[inline(always)]
+    fn cut(self, n: usize) -> Self {
+        &self[..n]
+    }
+    #[inline(always)]
+    fn at(self, i: usize) -> T {
+        self[i]
     }
 }
 
-#[inline]
-fn fmax(a: f64, b: f64) -> f64 {
-    if b > a {
-        b
-    } else {
-        a
+/// An `Int` column read as `f64` — exactly the cast of the scalar mixed
+/// semantics.
+#[derive(Clone, Copy)]
+struct Cast<'a>(&'a [i64]);
+
+impl Comp<f64> for Cast<'_> {
+    #[inline(always)]
+    fn cut(self, n: usize) -> Self {
+        Cast(&self.0[..n])
+    }
+    #[inline(always)]
+    fn at(self, i: usize) -> f64 {
+        self.0[i] as f64
     }
 }
 
-/// f64 view of a numeric lane component: `Int` components cast
-/// elementwise (exactly what the scalar mixed-numeric semantics do).
-fn numeric_f64(s: &LaneSlice<'_>) -> Option<[Vec<f64>; 3]> {
-    match s {
-        LaneSlice::Int { lb, sg, ub } => Some([
-            lb.iter().map(|&v| v as f64).collect(),
-            sg.iter().map(|&v| v as f64).collect(),
-            ub.iter().map(|&v| v as f64).collect(),
-        ]),
-        LaneSlice::Float { lb, sg, ub } => Some([lb.to_vec(), sg.to_vec(), ub.to_vec()]),
-        _ => None,
+/// A broadcast constant component.
+#[derive(Clone, Copy)]
+struct Splat<T>(T);
+
+impl<T: Copy> Comp<T> for Splat<T> {
+    #[inline(always)]
+    fn cut(self, _: usize) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn at(self, _: usize) -> T {
+        self.0
     }
 }
 
-fn checked_zip(a: &[i64], b: &[i64], f: impl Fn(i64, i64) -> Option<i64>) -> Option<Vec<i64>> {
-    let mut out = Vec::with_capacity(a.len());
-    for (&x, &y) in a.iter().zip(b) {
-        out.push(f(x, y)?);
+/// The `lb`/`sg`/`ub` components of a numeric operand.
+#[derive(Clone, Copy)]
+struct Tri<C> {
+    lb: C,
+    sg: C,
+    ub: C,
+}
+
+impl<C> Tri<C> {
+    fn map<D>(self, f: impl Fn(C) -> D) -> Tri<D> {
+        Tri { lb: f(self.lb), sg: f(self.sg), ub: f(self.ub) }
     }
-    Some(out)
-}
 
-/// f64 map over two components; `None` when any element is NaN (the
-/// scalar path raises `NotANumber` there — only the generic path can
-/// report it per-row).
-fn f64_zip(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Option<Vec<f64>> {
-    let mut out = Vec::with_capacity(a.len());
-    let mut ok = true;
-    for (&x, &y) in a.iter().zip(b) {
-        let v = canon(f(x, y));
-        ok &= !v.is_nan();
-        out.push(v);
+    #[inline(always)]
+    fn at<T>(&self, i: usize) -> [T; 3]
+    where
+        C: Comp<T>,
+    {
+        [self.lb.at(i), self.sg.at(i), self.ub.at(i)]
     }
-    ok.then_some(out)
 }
 
-/// The scalar `Value::sub` is `add(neg(b))`: `i64::MIN` fails to negate
-/// (and float-promotes) even when `a - b` itself is representable.
-#[inline]
-fn int_sub(a: i64, b: i64) -> Option<i64> {
-    b.checked_neg().and_then(|nb| a.checked_add(nb))
+/// A numeric operand, by representation.
+#[derive(Clone, Copy)]
+enum Num<'a> {
+    Int(Tri<&'a [i64]>),
+    Float(Tri<&'a [f64]>),
+    IntConst(Tri<Splat<i64>>),
+    FloatConst(Tri<Splat<f64>>),
 }
 
-/// `range_add` kernel: componentwise sums. Monotone, so the validating
+/// Bind `$x` to `$num` read as `f64` components and evaluate `$body`
+/// (one instance per representation).
+macro_rules! as_f64 {
+    ($num:expr, $x:ident => $body:expr) => {
+        match $num {
+            Num::Int(t) => {
+                let $x = t.map(Cast);
+                $body
+            }
+            Num::Float($x) => $body,
+            Num::IntConst(t) => {
+                let $x = t.map(|Splat(v)| Splat(v as f64));
+                $body
+            }
+            Num::FloatConst($x) => $body,
+        }
+    };
+}
+
+/// A component type the numeric kernels compute in. Each operation
+/// returns what the scalar path computes and whether that leaves the
+/// lane's type: an `i64` overflow (the scalar path promotes to float) or
+/// a NaN (the scalar path raises [`EvalError::NotANumber`]).
+trait Elem: Copy + PartialOrd {
+    fn add(x: Self, y: Self) -> (Self, bool);
+    fn sub(x: Self, y: Self) -> (Self, bool);
+    fn mul(x: Self, y: Self) -> (Self, bool);
+    fn neg(x: Self) -> (Self, bool);
+    /// The smaller of two results, ties to `x` (`Value::min_of`: on
+    /// canonical, NaN-free floats `total_cmp` is the usual order).
+    #[inline(always)]
+    fn min(x: Self, y: Self) -> Self {
+        if y < x {
+            y
+        } else {
+            x
+        }
+    }
+    /// The larger of two results, ties to `x` (`Value::max_of`).
+    #[inline(always)]
+    fn max(x: Self, y: Self) -> Self {
+        if y > x {
+            y
+        } else {
+            x
+        }
+    }
+}
+
+impl Elem for i64 {
+    #[inline(always)]
+    fn add(x: i64, y: i64) -> (i64, bool) {
+        x.overflowing_add(y)
+    }
+    /// The scalar `Value::sub` is `add(neg(y))`: `i64::MIN` fails to
+    /// negate (and float-promotes) even when `x − y` is representable.
+    #[inline(always)]
+    fn sub(x: i64, y: i64) -> (i64, bool) {
+        let (ny, o) = y.overflowing_neg();
+        let (d, p) = x.overflowing_add(ny);
+        (d, o | p)
+    }
+    #[inline(always)]
+    fn mul(x: i64, y: i64) -> (i64, bool) {
+        x.overflowing_mul(y)
+    }
+    #[inline(always)]
+    fn neg(x: i64) -> (i64, bool) {
+        x.overflowing_neg()
+    }
+}
+
+/// Every result is canonicalized the way `F64::try_new` does (`-0.0` →
+/// `0.0`: `-1.0 · 0.0` is `-0.0` in IEEE arithmetic, `0.0` in the value
+/// domain).
+impl Elem for f64 {
+    #[inline(always)]
+    fn add(x: f64, y: f64) -> (f64, bool) {
+        checked_f64(x + y)
+    }
+    /// IEEE negation is exact and `x + (−y) = x − y`, so the scalar
+    /// `add(neg(y))` chain is plain subtraction.
+    #[inline(always)]
+    fn sub(x: f64, y: f64) -> (f64, bool) {
+        checked_f64(x - y)
+    }
+    #[inline(always)]
+    fn mul(x: f64, y: f64) -> (f64, bool) {
+        checked_f64(x * y)
+    }
+    #[inline(always)]
+    fn neg(x: f64) -> (f64, bool) {
+        checked_f64(-x)
+    }
+}
+
+/// `v` canonicalized (`-0.0` → `0.0`), and whether it is NaN.
+#[inline(always)]
+fn checked_f64(v: f64) -> (f64, bool) {
+    (if v == 0.0 { 0.0 } else { v }, v.is_nan())
+}
+
+/// A component type of a kernel's result lane.
+trait Out: Copy + Default {
+    fn lane(c: [Vec<Self>; 3]) -> ValueLane;
+}
+
+impl Out for i64 {
+    fn lane([lb, sg, ub]: [Vec<i64>; 3]) -> ValueLane {
+        ValueLane::Int { lb, sg, ub }
+    }
+}
+
+impl Out for f64 {
+    fn lane([lb, sg, ub]: [Vec<f64>; 3]) -> ValueLane {
+        ValueLane::Float { lb, sg, ub }
+    }
+}
+
+impl Out for bool {
+    fn lane([lb, sg, ub]: [Vec<bool>; 3]) -> ValueLane {
+        ValueLane::Bool { lb, sg, ub }
+    }
+}
+
+/// One pass over `n` rows of two operands into three preallocated
+/// outputs: `row` maps a row's operand components to its result's and
+/// whether computing them left the lane's type. `None` when any row
+/// did.
+#[inline(always)]
+fn pass<T, O: Out>(
+    a: Tri<impl Comp<T>>,
+    b: Tri<impl Comp<T>>,
+    n: usize,
+    row: impl Fn([T; 3], [T; 3]) -> ([O; 3], bool),
+) -> Option<ValueLane> {
+    let (a, b) = (a.map(|c| c.cut(n)), b.map(|c| c.cut(n)));
+    let mut out = [vec![O::default(); n], vec![O::default(); n], vec![O::default(); n]];
+    let [lb, sg, ub] = &mut out;
+    let (lb, sg, ub) = (&mut lb[..n], &mut sg[..n], &mut ub[..n]);
+    let mut left = false;
+    for i in 0..n {
+        let ([l, s, u], bad) = row(a.at(i), b.at(i));
+        (lb[i], sg[i], ub[i]) = (l, s, u);
+        left |= bad;
+    }
+    (!left).then(|| O::lane(out))
+}
+
+/// Run a kernel's `int` rows when both operands are `Int`, its `float`
+/// rows on their `f64` casts when a `Float` is involved (the scalar
+/// mixed semantics are cast based), and demote on any other operand.
+fn numeric<I: Out, F: Out>(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    n: usize,
+    int: impl Fn([i64; 3], [i64; 3]) -> ([I; 3], bool) + Copy,
+    float: impl Fn([f64; 3], [f64; 3]) -> ([F; 3], bool) + Copy,
+) -> Option<ValueLane> {
+    match (a.num()?, b.num()?) {
+        (Num::Int(x), Num::Int(y)) => pass(x, y, n, int),
+        (Num::Int(x), Num::IntConst(y)) => pass(x, y, n, int),
+        (Num::IntConst(x), Num::Int(y)) => pass(x, y, n, int),
+        (Num::IntConst(x), Num::IntConst(y)) => pass(x, y, n, int),
+        (x, y) => as_f64!(x, x => as_f64!(y, y => pass(x, y, n, float))),
+    }
+}
+
+/// `range_add` rows: componentwise sums. Monotone, so the validating
 /// `RangeValue::new` of the scalar path cannot fail on the homogeneous
-/// inputs this kernel accepts.
-pub(crate) fn k_add(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
-    match (a, b) {
-        (
-            LaneSlice::Int { lb: al, sg: asg, ub: au },
-            LaneSlice::Int { lb: bl, sg: bsg, ub: bu },
-        ) => Some(ValueLane::Int {
-            lb: checked_zip(al, bl, i64::checked_add)?,
-            sg: checked_zip(asg, bsg, i64::checked_add)?,
-            ub: checked_zip(au, bu, i64::checked_add)?,
-        }),
-        _ => {
-            let [al, asg, au] = numeric_f64(a)?;
-            let [bl, bsg, bu] = numeric_f64(b)?;
-            Some(ValueLane::Float {
-                lb: f64_zip(&al, &bl, |x, y| x + y)?,
-                sg: f64_zip(&asg, &bsg, |x, y| x + y)?,
-                ub: f64_zip(&au, &bu, |x, y| x + y)?,
-            })
-        }
-    }
+/// inputs the kernel accepts.
+#[inline(always)]
+fn add<T: Elem>([al, asg, au]: [T; 3], [bl, bsg, bu]: [T; 3]) -> ([T; 3], bool) {
+    let ((l, x), (s, y), (u, z)) = (T::add(al, bl), T::add(asg, bsg), T::add(au, bu));
+    ([l, s, u], x | y | z)
 }
 
-/// `range_sub` kernel: `sg = a.sg − b.sg`, bounds `a.lb − b.ub` and
+/// `range_sub` rows: `sg = a.sg − b.sg`, bounds `a.lb − b.ub` and
 /// `a.ub − b.lb` widened by `sg`.
-pub(crate) fn k_sub(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
-    match (a, b) {
-        (
-            LaneSlice::Int { lb: al, sg: asg, ub: au },
-            LaneSlice::Int { lb: bl, sg: bsg, ub: bu },
-        ) => {
-            let sg = checked_zip(asg, bsg, int_sub)?;
-            let dl = checked_zip(al, bu, int_sub)?;
-            let du = checked_zip(au, bl, int_sub)?;
-            let lb = dl.iter().zip(&sg).map(|(&d, &s)| d.min(s)).collect();
-            let ub = du.iter().zip(&sg).map(|(&d, &s)| d.max(s)).collect();
-            Some(ValueLane::Int { lb, sg, ub })
-        }
-        _ => {
-            let [al, asg, au] = numeric_f64(a)?;
-            let [bl, bsg, bu] = numeric_f64(b)?;
-            // IEEE negation is exact and `x + (-y) == x - y`, so the
-            // scalar `add(neg(b))` chain is plain subtraction here.
-            let sg = f64_zip(&asg, &bsg, |x, y| x - y)?;
-            let dl = f64_zip(&al, &bu, |x, y| x - y)?;
-            let du = f64_zip(&au, &bl, |x, y| x - y)?;
-            let lb = dl.iter().zip(&sg).map(|(&d, &s)| fmin(d, s)).collect();
-            let ub = du.iter().zip(&sg).map(|(&d, &s)| fmax(d, s)).collect();
-            Some(ValueLane::Float { lb, sg, ub })
-        }
+#[inline(always)]
+fn sub<T: Elem>([al, asg, au]: [T; 3], [bl, bsg, bu]: [T; 3]) -> ([T; 3], bool) {
+    let ((s, x), (l, y), (u, z)) = (T::sub(asg, bsg), T::sub(al, bu), T::sub(au, bl));
+    ([T::min(l, s), s, T::max(u, s)], x | y | z)
+}
+
+/// `range_mul` rows: four corner products, their min/max envelope
+/// widened by the sg product.
+#[inline(always)]
+fn mul<T: Elem>([al, asg, au]: [T; 3], [bl, bsg, bu]: [T; 3]) -> ([T; 3], bool) {
+    let ((c0, o0), (c1, o1)) = (T::mul(al, bl), T::mul(al, bu));
+    let ((c2, o2), (c3, o3)) = (T::mul(au, bl), T::mul(au, bu));
+    let (s, o4) = T::mul(asg, bsg);
+    let lo = T::min(T::min(c0, c1), T::min(c2, c3));
+    let hi = T::max(T::max(c0, c1), T::max(c2, c3));
+    ([T::min(lo, s), s, T::max(hi, s)], o0 | o1 | o2 | o3 | o4)
+}
+
+/// `range_neg` rows: `sg = −a.sg`, bounds `−a.ub` / `−a.lb` widened by
+/// `sg`.
+#[inline(always)]
+fn neg<T: Elem>([al, asg, au]: [T; 3], _: [T; 3]) -> ([T; 3], bool) {
+    let ((s, x), (l, y), (u, z)) = (T::neg(asg), T::neg(au), T::neg(al));
+    ([T::min(l, s), s, T::max(u, s)], x | y | z)
+}
+
+/// `range_leq` rows: `(a.ub ≤ b.lb, a.sg ≤ b.sg, a.lb ≤ b.ub)`.
+#[inline(always)]
+fn leq<T: Elem>([al, asg, au]: [T; 3], [bl, bsg, bu]: [T; 3]) -> ([bool; 3], bool) {
+    ([au <= bl, asg <= bsg, al <= bu], false)
+}
+
+/// `range_lt` rows: strict variants of the same components.
+#[inline(always)]
+fn lt<T: Elem>([al, asg, au]: [T; 3], [bl, bsg, bu]: [T; 3]) -> ([bool; 3], bool) {
+    ([au < bl, asg < bsg, al < bu], false)
+}
+
+/// `range_eq` rows: certainly equal iff both endpoints pin the same
+/// value, possibly equal iff the ranges overlap (`value_eq`-aware, which
+/// for numeric lanes is exactly the cast equality).
+#[inline(always)]
+fn eq<T: Elem>([al, asg, au]: [T; 3], [bl, bsg, bu]: [T; 3]) -> ([bool; 3], bool) {
+    ([(au == bl) & (bu == al), asg == bsg, (al <= bu) & (bl <= au)], false)
+}
+
+pub(crate) fn k_add(a: Operand<'_>, b: Operand<'_>, n: usize) -> Option<ValueLane> {
+    numeric(a, b, n, add::<i64>, add::<f64>)
+}
+
+pub(crate) fn k_sub(a: Operand<'_>, b: Operand<'_>, n: usize) -> Option<ValueLane> {
+    numeric(a, b, n, sub::<i64>, sub::<f64>)
+}
+
+pub(crate) fn k_mul(a: Operand<'_>, b: Operand<'_>, n: usize) -> Option<ValueLane> {
+    numeric(a, b, n, mul::<i64>, mul::<f64>)
+}
+
+pub(crate) fn k_neg(a: Operand<'_>, n: usize) -> Option<ValueLane> {
+    numeric(a, a, n, neg::<i64>, neg::<f64>)
+}
+
+pub(crate) fn k_leq(a: Operand<'_>, b: Operand<'_>, n: usize) -> Option<ValueLane> {
+    compare(a, b, n, leq::<i64>, leq::<f64>)
+}
+
+pub(crate) fn k_lt(a: Operand<'_>, b: Operand<'_>, n: usize) -> Option<ValueLane> {
+    compare(a, b, n, lt::<i64>, lt::<f64>)
+}
+
+pub(crate) fn k_eq(a: Operand<'_>, b: Operand<'_>, n: usize) -> Option<ValueLane> {
+    compare(a, b, n, eq::<i64>, eq::<f64>)
+}
+
+/// A comparison: over [`str_codes`] when both operands are strings,
+/// else numeric.
+fn compare(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    n: usize,
+    int: impl Fn([i64; 3], [i64; 3]) -> ([bool; 3], bool) + Copy,
+    float: impl Fn([f64; 3], [f64; 3]) -> ([bool; 3], bool) + Copy,
+) -> Option<ValueLane> {
+    if a.tag() != LaneTag::Str || b.tag() != LaneTag::Str {
+        return numeric(a, b, n, int, float);
     }
-}
-
-/// `range_mul` kernel: four corner products, min/max envelope, widened
-/// by the sg product.
-pub(crate) fn k_mul(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
-    match (a, b) {
-        (
-            LaneSlice::Int { lb: al, sg: asg, ub: au },
-            LaneSlice::Int { lb: bl, sg: bsg, ub: bu },
-        ) => {
-            let c0 = checked_zip(al, bl, i64::checked_mul)?;
-            let c1 = checked_zip(al, bu, i64::checked_mul)?;
-            let c2 = checked_zip(au, bl, i64::checked_mul)?;
-            let c3 = checked_zip(au, bu, i64::checked_mul)?;
-            let sg: Vec<i64> = checked_zip(asg, bsg, i64::checked_mul)?;
-            let n = sg.len();
-            let mut lb = Vec::with_capacity(n);
-            let mut ub = Vec::with_capacity(n);
-            for i in 0..n {
-                let lo = c0[i].min(c1[i]).min(c2[i].min(c3[i]));
-                let hi = c0[i].max(c1[i]).max(c2[i].max(c3[i]));
-                lb.push(lo.min(sg[i]));
-                ub.push(hi.max(sg[i]));
-            }
-            Some(ValueLane::Int { lb, sg, ub })
-        }
-        _ => {
-            let [al, asg, au] = numeric_f64(a)?;
-            let [bl, bsg, bu] = numeric_f64(b)?;
-            let c0 = f64_zip(&al, &bl, |x, y| x * y)?;
-            let c1 = f64_zip(&al, &bu, |x, y| x * y)?;
-            let c2 = f64_zip(&au, &bl, |x, y| x * y)?;
-            let c3 = f64_zip(&au, &bu, |x, y| x * y)?;
-            let sg = f64_zip(&asg, &bsg, |x, y| x * y)?;
-            let n = sg.len();
-            let mut lb = Vec::with_capacity(n);
-            let mut ub = Vec::with_capacity(n);
-            for i in 0..n {
-                let lo = fmin(fmin(c0[i], c1[i]), fmin(c2[i], c3[i]));
-                let hi = fmax(fmax(c0[i], c1[i]), fmax(c2[i], c3[i]));
-                lb.push(fmin(lo, sg[i]));
-                ub.push(fmax(hi, sg[i]));
-            }
-            Some(ValueLane::Float { lb, sg, ub })
-        }
-    }
-}
-
-/// `range_neg` kernel: `sg = −a.sg`, bounds `−a.ub` / `−a.lb` widened
-/// by `sg`.
-pub(crate) fn k_neg(a: &LaneSlice<'_>) -> Option<ValueLane> {
-    match a {
-        LaneSlice::Int { lb: al, sg: asg, ub: au } => {
-            let mut sg = Vec::with_capacity(asg.len());
-            let mut lb = Vec::with_capacity(asg.len());
-            let mut ub = Vec::with_capacity(asg.len());
-            for i in 0..asg.len() {
-                let s = asg[i].checked_neg()?;
-                lb.push(au[i].checked_neg()?.min(s));
-                ub.push(al[i].checked_neg()?.max(s));
-                sg.push(s);
-            }
-            Some(ValueLane::Int { lb, sg, ub })
-        }
-        LaneSlice::Float { lb: al, sg: asg, ub: au } => {
-            let sg: Vec<f64> = asg.iter().map(|&v| canon(-v)).collect();
-            let lb = au.iter().zip(&sg).map(|(&v, &s)| fmin(canon(-v), s)).collect();
-            let ub = al.iter().zip(&sg).map(|(&v, &s)| fmax(canon(-v), s)).collect();
-            Some(ValueLane::Float { lb, sg, ub })
-        }
-        _ => None,
-    }
-}
-
-/// `range_leq` kernel: `(a.ub ≤ b.lb, a.sg ≤ b.sg, a.lb ≤ b.ub)`.
-pub(crate) fn k_leq(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
-    cmp_kernel(a, b, |x, y| x <= y, |x, y| x <= y)
-}
-
-/// `range_lt` kernel: strict variants of the same components.
-pub(crate) fn k_lt(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
-    cmp_kernel(a, b, |x, y| x < y, |x, y| x < y)
+    let (mut ha, mut hb) = (None, None);
+    let [[al, asg, au], [bl, bsg, bu]] =
+        str_codes(&a.to_slice(n, &mut ha), &b.to_slice(n, &mut hb))?;
+    let x = Tri { lb: &al[..], sg: &asg[..], ub: &au[..] };
+    pass(x, Tri { lb: &bl[..], sg: &bsg[..], ub: &bu[..] }, n, int)
 }
 
 /// Two `Str` lanes' codes as `i64` components of one order-preserving
@@ -1002,111 +1226,31 @@ fn str_codes(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<[[Vec<i64>; 3]; 2]>
     Some([[al, asg, au].map(|c| map(c, &double)), [bl, bsg, bu].map(|c| map(c, &place))])
 }
 
-/// An `Int` view of [`str_codes`]' components.
-fn int_slice([lb, sg, ub]: &[Vec<i64>; 3]) -> LaneSlice<'_> {
-    LaneSlice::Int { lb, sg, ub }
-}
-
-fn cmp_kernel(
-    a: &LaneSlice<'_>,
-    b: &LaneSlice<'_>,
-    fi: impl Fn(i64, i64) -> bool + Copy,
-    ff: impl Fn(f64, f64) -> bool + Copy,
-) -> Option<ValueLane> {
-    if let Some([x, y]) = str_codes(a, b) {
-        return cmp_kernel(&int_slice(&x), &int_slice(&y), fi, ff);
-    }
-    match (a, b) {
-        (
-            LaneSlice::Int { lb: al, sg: asg, ub: au },
-            LaneSlice::Int { lb: bl, sg: bsg, ub: bu },
-        ) => Some(ValueLane::Bool {
-            lb: au.iter().zip(bl.iter()).map(|(&x, &y)| fi(x, y)).collect(),
-            sg: asg.iter().zip(bsg.iter()).map(|(&x, &y)| fi(x, y)).collect(),
-            ub: al.iter().zip(bu.iter()).map(|(&x, &y)| fi(x, y)).collect(),
-        }),
-        _ => {
-            // Mixed Int/Float compares reduce to the casts: `leq` is
-            // `a <= b || value_eq`, and both the total order's numeric
-            // tie rule and `value_eq` are f64-cast based, so
-            // `leq ⇔ af <= bf` and `lt ⇔ af < bf` whenever a float is
-            // involved.
-            let [al, asg, au] = numeric_f64(a)?;
-            let [bl, bsg, bu] = numeric_f64(b)?;
-            Some(ValueLane::Bool {
-                lb: au.iter().zip(bl.iter()).map(|(&x, &y)| ff(x, y)).collect(),
-                sg: asg.iter().zip(bsg.iter()).map(|(&x, &y)| ff(x, y)).collect(),
-                ub: al.iter().zip(bu.iter()).map(|(&x, &y)| ff(x, y)).collect(),
-            })
-        }
-    }
-}
-
-/// `range_eq` kernel: certainly-equal iff both endpoints pin the same
-/// value, possibly-equal iff the ranges overlap (`value_eq`-aware,
-/// which for numeric lanes is exactly the cast equality).
-pub(crate) fn k_eq(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
-    if let Some([x, y]) = str_codes(a, b) {
-        return k_eq(&int_slice(&x), &int_slice(&y));
-    }
-    match (a, b) {
-        (
-            LaneSlice::Int { lb: al, sg: asg, ub: au },
-            LaneSlice::Int { lb: bl, sg: bsg, ub: bu },
-        ) => {
-            let n = al.len();
-            let mut lb = Vec::with_capacity(n);
-            let mut sg = Vec::with_capacity(n);
-            let mut ub = Vec::with_capacity(n);
-            for i in 0..n {
-                lb.push(au[i] == bl[i] && bu[i] == al[i]);
-                sg.push(asg[i] == bsg[i]);
-                ub.push(al[i] <= bu[i] && bl[i] <= au[i]);
-            }
-            Some(ValueLane::Bool { lb, sg, ub })
-        }
-        _ => {
-            let [al, asg, au] = numeric_f64(a)?;
-            let [bl, bsg, bu] = numeric_f64(b)?;
-            let n = al.len();
-            let mut lb = Vec::with_capacity(n);
-            let mut sg = Vec::with_capacity(n);
-            let mut ub = Vec::with_capacity(n);
-            for i in 0..n {
-                lb.push(au[i] == bl[i] && bu[i] == al[i]);
-                sg.push(asg[i] == bsg[i]);
-                ub.push(al[i] <= bu[i] && bl[i] <= au[i]);
-            }
-            Some(ValueLane::Bool { lb, sg, ub })
-        }
-    }
-}
-
-/// `range_and` kernel over two boolean lanes (componentwise `&&`).
-pub(crate) fn k_and(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
-    match (a, b) {
-        (
-            LaneSlice::Bool { lb: al, sg: asg, ub: au },
-            LaneSlice::Bool { lb: bl, sg: bsg, ub: bu },
-        ) => Some(ValueLane::Bool {
-            lb: al.iter().zip(bl.iter()).map(|(&x, &y)| x && y).collect(),
-            sg: asg.iter().zip(bsg.iter()).map(|(&x, &y)| x && y).collect(),
-            ub: au.iter().zip(bu.iter()).map(|(&x, &y)| x && y).collect(),
-        }),
-        _ => None,
-    }
+/// `range_and` kernel over two boolean operands (componentwise `&&`).
+pub(crate) fn k_and(a: Operand<'_>, b: Operand<'_>, n: usize) -> Option<ValueLane> {
+    logic(a, b, n, |x, y| x && y)
 }
 
 /// `range_or` kernel (componentwise `||`).
-pub(crate) fn k_or(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
-    match (a, b) {
+pub(crate) fn k_or(a: Operand<'_>, b: Operand<'_>, n: usize) -> Option<ValueLane> {
+    logic(a, b, n, |x, y| x || y)
+}
+
+fn logic(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    n: usize,
+    f: impl Fn(bool, bool) -> bool,
+) -> Option<ValueLane> {
+    let (mut ha, mut hb) = (None, None);
+    match (a.to_slice(n, &mut ha), b.to_slice(n, &mut hb)) {
         (
             LaneSlice::Bool { lb: al, sg: asg, ub: au },
             LaneSlice::Bool { lb: bl, sg: bsg, ub: bu },
         ) => Some(ValueLane::Bool {
-            lb: al.iter().zip(bl.iter()).map(|(&x, &y)| x || y).collect(),
-            sg: asg.iter().zip(bsg.iter()).map(|(&x, &y)| x || y).collect(),
-            ub: au.iter().zip(bu.iter()).map(|(&x, &y)| x || y).collect(),
+            lb: al.iter().zip(bl).map(|(&x, &y)| f(x, y)).collect(),
+            sg: asg.iter().zip(bsg).map(|(&x, &y)| f(x, y)).collect(),
+            ub: au.iter().zip(bu).map(|(&x, &y)| f(x, y)).collect(),
         }),
         _ => None,
     }
@@ -1114,8 +1258,9 @@ pub(crate) fn k_or(a: &LaneSlice<'_>, b: &LaneSlice<'_>) -> Option<ValueLane> {
 
 /// `range_not` kernel: negate and swap the bounds (`¬` is
 /// antimonotone).
-pub(crate) fn k_not(a: &LaneSlice<'_>) -> Option<ValueLane> {
-    match a {
+pub(crate) fn k_not(a: Operand<'_>, n: usize) -> Option<ValueLane> {
+    let mut held = None;
+    match a.to_slice(n, &mut held) {
         LaneSlice::Bool { lb, sg, ub } => Some(ValueLane::Bool {
             lb: ub.iter().map(|&v| !v).collect(),
             sg: sg.iter().map(|&v| !v).collect(),
@@ -1133,6 +1278,10 @@ mod tests {
 
     fn lane_of(cells: &[RangeValue]) -> ValueLane {
         ValueLane::from_cells(cells.iter())
+    }
+
+    fn arg(lane: &ValueLane) -> Operand<'_> {
+        Operand::Lane(lane.as_slice())
     }
 
     fn int_cells() -> Vec<RangeValue> {
@@ -1188,26 +1337,26 @@ mod tests {
         let pairs: Vec<(&ValueLane, &ValueLane)> =
             vec![(&ints, &ints), (&floats, &floats), (&ints, &floats), (&floats, &ints)];
         for (a, b) in pairs {
-            let (sa, sb) = (a.as_slice(), b.as_slice());
-            for i in 0..a.len() {
+            let (sa, sb, n) = (arg(a), arg(b), a.len());
+            for i in 0..n {
                 let (ca, cb) = (a.get(i), b.get(i));
-                if let Some(out) = k_add(&sa, &sb) {
+                if let Some(out) = k_add(sa, sb, n) {
                     assert_eq!(out.get(i), range_add(&ca, &cb).unwrap(), "add {ca} {cb}");
                 }
-                if let Some(out) = k_sub(&sa, &sb) {
+                if let Some(out) = k_sub(sa, sb, n) {
                     assert_eq!(out.get(i), range_sub(&ca, &cb).unwrap(), "sub {ca} {cb}");
                 }
-                if let Some(out) = k_mul(&sa, &sb) {
+                if let Some(out) = k_mul(sa, sb, n) {
                     assert_eq!(out.get(i), range_mul(&ca, &cb).unwrap(), "mul {ca} {cb}");
                 }
-                if let Some(out) = k_neg(&sa) {
+                if let Some(out) = k_neg(sa, n) {
                     assert_eq!(out.get(i), range_neg(&ca).unwrap(), "neg {ca}");
                 }
-                let out = k_leq(&sa, &sb).unwrap();
+                let out = k_leq(sa, sb, n).unwrap();
                 assert_eq!(out.get(i), range_leq(&ca, &cb), "leq {ca} {cb}");
-                let out = k_lt(&sa, &sb).unwrap();
+                let out = k_lt(sa, sb, n).unwrap();
                 assert_eq!(out.get(i), range_lt(&ca, &cb), "lt {ca} {cb}");
-                let out = k_eq(&sa, &sb).unwrap();
+                let out = k_eq(sa, sb, n).unwrap();
                 assert_eq!(out.get(i), range_eq(&ca, &cb), "eq {ca} {cb}");
             }
         }
@@ -1219,12 +1368,12 @@ mod tests {
     fn int_overflow_demotes() {
         let a = lane_of(&[RangeValue::certain(Value::Int(i64::MAX))]);
         let b = lane_of(&[RangeValue::certain(Value::Int(1))]);
-        assert!(k_add(&a.as_slice(), &b.as_slice()).is_none());
+        assert!(k_add(arg(&a), arg(&b), 1).is_none());
         let m = lane_of(&[RangeValue::certain(Value::Int(i64::MIN))]);
-        assert!(k_neg(&m.as_slice()).is_none());
+        assert!(k_neg(arg(&m), 1).is_none());
         // i64::MIN as a *subtrahend* fails neg even when a - b fits
         let a2 = lane_of(&[RangeValue::certain(Value::Int(-1))]);
-        assert!(k_sub(&a2.as_slice(), &m.as_slice()).is_none());
+        assert!(k_sub(arg(&a2), arg(&m), 1).is_none());
     }
 
     /// `-0.0` never escapes a float kernel (mirrors `F64::try_new`).
@@ -1232,10 +1381,204 @@ mod tests {
     fn float_kernels_canonicalize_negative_zero() {
         let a = lane_of(&[RangeValue::range(-1.0f64, 0.0f64, 1.0f64)]);
         let z = lane_of(&[RangeValue::certain(Value::float(0.0))]);
-        let out = k_mul(&a.as_slice(), &z.as_slice()).unwrap();
+        let out = k_mul(arg(&a), arg(&z), 1).unwrap();
         assert_eq!(out.get(0), RangeValue::certain(Value::float(0.0)));
-        let out = k_neg(&z.as_slice()).unwrap();
+        let out = k_neg(arg(&z), 1).unwrap();
         assert_eq!(out.get(0), RangeValue::certain(Value::float(0.0)));
+    }
+
+    /// xorshift64*: a seeded stream for the random lanes below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Clone>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())].clone()
+        }
+    }
+
+    /// A random cell of one lane type. `Int` and `Float` components stay
+    /// within ±2^20, so no sum, difference or product of two overflows or
+    /// is NaN; zeros (negative zeros included) are frequent.
+    fn random_cell(rng: &mut Rng, tag: LaneTag) -> RangeValue {
+        let mut v: [Value; 3] = std::array::from_fn(|_| {
+            let int = match rng.below(4) {
+                0 => 0,
+                _ => rng.below(1 << 21) as i64 - (1 << 20),
+            };
+            match tag {
+                LaneTag::Int => Value::Int(int),
+                LaneTag::Float if int == 0 => Value::float(rng.pick(&[0.0, -0.0])),
+                LaneTag::Float => Value::float(int as f64 / 8.0),
+                LaneTag::Bool => Value::Bool(int > 0),
+                _ => Value::str(rng.pick(&["ant", "bee", "cat", "dog", "eel"])),
+            }
+        });
+        v.sort();
+        let [lb, sg, ub] = v;
+        RangeValue { lb, sg, ub }
+    }
+
+    /// A cell at the edge of its lane type: an `i64` extreme or an
+    /// infinity, which overflows or turns NaN against some partner.
+    fn seam_cell(rng: &mut Rng, tag: LaneTag) -> RangeValue {
+        let (lo, hi) = match tag {
+            LaneTag::Int => (Value::Int(i64::MIN), Value::Int(i64::MAX)),
+            _ => (Value::float(f64::NEG_INFINITY), Value::float(f64::INFINITY)),
+        };
+        let zero = if tag == LaneTag::Int { Value::Int(0) } else { Value::float(0.0) };
+        match rng.below(4) {
+            0 => RangeValue::certain(hi),
+            1 => RangeValue::certain(lo),
+            2 => RangeValue { lb: lo, sg: zero, ub: hi },
+            _ => RangeValue { lb: lo.clone(), sg: lo, ub: zero },
+        }
+    }
+
+    type Binary = fn(Operand<'_>, Operand<'_>, usize) -> Option<ValueLane>;
+    type Combinator2 = fn(&RangeValue, &RangeValue) -> Result<RangeValue, EvalError>;
+    type Unary = fn(Operand<'_>, usize) -> Option<ValueLane>;
+    type Combinator1 = fn(&RangeValue) -> Result<RangeValue, EvalError>;
+
+    /// A kernel's result against its combinator over every row: `Some`
+    /// is each row's combinator result bit for bit, with no `-0.0`; a row
+    /// whose combinator errs or leaves the lane's type makes it `None`.
+    /// Returns whether the kernel kept the op typed.
+    fn agrees(
+        name: &str,
+        got: Option<ValueLane>,
+        n: usize,
+        want: impl Fn(usize) -> Result<RangeValue, EvalError>,
+    ) -> bool {
+        let Some(lane) = got else { return false };
+        assert_eq!(lane.len(), n, "{name}");
+        for i in 0..n {
+            match want(i) {
+                Ok(w) => assert_eq!(lane.get(i), w, "{name} at row {i} of {n}"),
+                Err(e) => panic!("{name} at row {i} of {n}: the combinator errs ({e}), the kernel did not demote"),
+            }
+        }
+        if let ValueLane::Float { lb, sg, ub } = &lane {
+            let neg_zero = (-0.0f64).to_bits();
+            assert!(lb.iter().chain(sg).chain(ub).all(|v| v.to_bits() != neg_zero), "{name}: -0.0");
+        }
+        true
+    }
+
+    /// Every kernel ≡ its combinator on random lanes of 1..=2 100 rows —
+    /// `Int`, `Float`, mixed, `Bool` and `Str` pairs, both operand orders,
+    /// a broadcast constant on either side — with one overflow- or
+    /// NaN-prone cell at the first row, an interior row, row 2 047 or the
+    /// last row. Pins the wholesale demotion of the one-pass loops: a
+    /// flag missed in a remainder lane or reset per chunk keeps an op
+    /// typed that the combinator promotes at that row.
+    #[test]
+    fn random_lanes_match_combinators_at_seams() {
+        use crate::expr::{range_and, range_not, range_or};
+        let binary: [(&str, Binary, Combinator2); 8] = [
+            ("add", k_add, range_add),
+            ("sub", k_sub, range_sub),
+            ("mul", k_mul, range_mul),
+            ("leq", k_leq, |x, y| Ok(range_leq(x, y))),
+            ("lt", k_lt, |x, y| Ok(range_lt(x, y))),
+            ("eq", k_eq, |x, y| Ok(range_eq(x, y))),
+            ("and", k_and, range_and),
+            ("or", k_or, range_or),
+        ];
+        let unary: [(&str, Unary, Combinator1); 2] =
+            [("neg", k_neg, range_neg), ("not", k_not, range_not)];
+        // the op kinds each kernel has a typed loop for
+        let domain = |name: &str, tag: LaneTag| match name {
+            "and" | "or" | "not" => tag == LaneTag::Bool,
+            "leq" | "lt" | "eq" => tag != LaneTag::Bool,
+            _ => matches!(tag, LaneTag::Int | LaneTag::Float),
+        };
+        let lengths =
+            [1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 33, 64, 65, 1023, 1025, 2047, 2048, 2049, 2100];
+        let pairs = [
+            (LaneTag::Int, LaneTag::Int),
+            (LaneTag::Float, LaneTag::Float),
+            (LaneTag::Int, LaneTag::Float),
+            (LaneTag::Float, LaneTag::Int),
+            (LaneTag::Bool, LaneTag::Bool),
+            (LaneTag::Str, LaneTag::Str),
+        ];
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        // (typed, demoted) per seam position: none, first, interior, 2047, last
+        let mut tally = [[0usize; 2]; 5];
+        for trial in 0..96 {
+            let n = if trial % 2 == 0 { rng.pick(&lengths) } else { 1 + rng.below(2100) };
+            let (ta, tb) = pairs[trial % pairs.len()];
+            let mut a: Vec<RangeValue> = (0..n).map(|_| random_cell(&mut rng, ta)).collect();
+            let mut b: Vec<RangeValue> = (0..n).map(|_| random_cell(&mut rng, tb)).collect();
+            let numeric = |t| matches!(t, LaneTag::Int | LaneTag::Float);
+            let seam = match rng.below(5) {
+                _ if !numeric(ta) => 0,
+                3 if n < 2048 => 0,
+                k => k,
+            };
+            if seam > 0 {
+                let row = match seam {
+                    1 => 0,
+                    2 if n > 2 => 1 + rng.below(n - 2),
+                    3 => 2047,
+                    _ => n - 1,
+                };
+                let side = rng.below(3);
+                if side != 1 {
+                    a[row] = seam_cell(&mut rng, ta);
+                }
+                if side != 0 {
+                    b[row] = seam_cell(&mut rng, tb);
+                }
+            }
+            let konst = |rng: &mut Rng, t| {
+                if numeric(t) && rng.below(3) == 0 {
+                    seam_cell(rng, t)
+                } else {
+                    random_cell(rng, t)
+                }
+            };
+            let (ca, cb) = (konst(&mut rng, ta), konst(&mut rng, tb));
+            let (la, lb) = (lane_of(&a), lane_of(&b));
+            assert_eq!((la.tag(), lb.tag()), (ta, tb));
+            let (va, vb) = (vec![ca.clone(); n], vec![cb.clone(); n]);
+            let arrangements = [
+                (arg(&la), arg(&lb), &a, &b),
+                (arg(&lb), arg(&la), &b, &a),
+                (Operand::Const(&ca), arg(&lb), &va, &b),
+                (arg(&la), Operand::Const(&cb), &a, &vb),
+                (Operand::Const(&ca), Operand::Const(&cb), &va, &vb),
+            ];
+            for (x, y, xs, ys) in arrangements {
+                let clean = seam == 0 && [x, y].iter().all(|o| matches!(o, Operand::Lane(_)));
+                for (name, kernel, combinator) in binary {
+                    let typed = agrees(name, kernel(x, y, n), n, |i| combinator(&xs[i], &ys[i]));
+                    let in_domain = domain(name, x.tag()) && domain(name, y.tag());
+                    assert!(typed || !clean || !in_domain, "{name} demoted on {n} clean rows");
+                    tally[seam][usize::from(!typed)] += usize::from(in_domain);
+                }
+                for (name, kernel, combinator) in unary {
+                    let typed = agrees(name, kernel(x, n), n, |i| combinator(&xs[i]));
+                    assert!(
+                        typed || !clean || !domain(name, x.tag()),
+                        "{name} demoted on {n} clean rows"
+                    );
+                }
+            }
+        }
+        // every seam position both kept ops typed and demoted some
+        assert!(tally.iter().all(|[typed, demoted]| *typed > 0 && *demoted > 0), "{tally:?}");
     }
 
     #[test]
@@ -1248,18 +1591,18 @@ mod tests {
             RangeValue::range(true, true, true),
         ];
         let lane = lane_of(&cells);
-        let s = lane.as_slice();
+        let s = arg(&lane);
         for i in 0..cells.len() {
             for j in 0..cells.len() {
                 // pair lane: cell i on the left, cell j on the right
                 let right = lane_of(&vec![cells[j].clone(); 4]);
-                let sr = right.as_slice();
-                let and = k_and(&s, &sr).unwrap();
+                let sr = arg(&right);
+                let and = k_and(s, sr, 4).unwrap();
                 assert_eq!(and.get(i), range_and(&cells[i], &cells[j]).unwrap());
-                let or = k_or(&s, &sr).unwrap();
+                let or = k_or(s, sr, 4).unwrap();
                 assert_eq!(or.get(i), range_or(&cells[i], &cells[j]).unwrap());
             }
-            let not = k_not(&s).unwrap();
+            let not = k_not(s, 4).unwrap();
             assert_eq!(not.get(i), range_not(&cells[i]).unwrap());
         }
     }

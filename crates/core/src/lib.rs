@@ -49,7 +49,7 @@ pub use obs::{
     Counter, ExecEvent, ExecEventKind, Metrics, MetricsSnapshot, QueryTrace, Site, SiteStats,
     TraceBuilder, TraceSpan, TRACE_SCHEMA_VERSION,
 };
-pub use program::{LaneBatch, Program};
+pub use program::{LaneBatch, OpKinds, Program};
 pub use range::RangeValue;
 pub use semiring::Semiring;
 pub use value::{Value, F64};

@@ -48,7 +48,7 @@ use crate::expr::{
     self, range_add, range_and, range_div, range_eq, range_if_merge, range_leq, range_lt,
     range_mul, range_neg, range_not, range_or, range_sub, range_uncertain,
 };
-use crate::lane::{self, LaneSlice, LaneTag, ValueLane};
+use crate::lane::{self, LaneSlice, LaneTag, Operand, ValueLane};
 use crate::range::RangeValue;
 use crate::value::Value;
 use crate::Expr;
@@ -694,36 +694,24 @@ impl Program {
     ) -> Result<(), crate::govern::ExecError> {
         assert_eq!(self.mode, Mode::Range, "lane evaluation requires a range program");
         debug_assert!(cols.iter().all(|c| c.len() == nrows));
-        batch.reset(self, nrows);
-        let LaneBatch { regs, consts, errs, demoted, poisoned } = batch;
-        // Only the generic per-row sweeps write poison slots; typed
-        // kernels never do. Counted so that an evaluation that ran none
-        // reports `poisoned = 0` without scanning the slots.
-        let mut generic_sweeps = 0usize;
+        batch.reset(self);
+        let LaneBatch { regs, consts, errs, demoted, kinds, poisoned } = batch;
 
         // A column reference past the arity poisons every row at its
         // `CheckCol` probe (the lowerer emits one before any read), but
-        // later ops still sweep the batch — give them a stand-in lane
-        // whose values are never read. Only allocated when the program
-        // actually probes past the arity.
-        let oob = self
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::CheckCol { col } if *col as usize >= cols.len()));
-        let missing = if oob {
-            ValueLane::splat(&RangeValue::certain(Value::Null), nrows)
-        } else {
-            ValueLane::default()
-        };
+        // later ops still sweep the batch — they read a stand-in `Null`
+        // whose value is never used.
+        let null = RangeValue::certain(Value::Null);
 
-        // Resolve an operand as a borrowed lane view.
-        macro_rules! lsrc {
+        // Resolve an operand: a lane, or a broadcast constant.
+        macro_rules! arg {
             ($s:expr) => {
-                match $s {
-                    Src::Reg(r) => regs[*r as usize].as_slice(),
-                    Src::Col(c) if (*c as usize) < cols.len() => cols[*c as usize],
-                    Src::Col(_) => missing.as_slice(),
-                    Src::Const(k) => consts[*k as usize].as_slice(),
+                match *$s {
+                    Src::Reg(r) => Operand::Lane(regs[r as usize].as_slice()),
+                    Src::Col(c) => {
+                        cols.get(c as usize).map_or(Operand::Const(&null), |l| Operand::Lane(*l))
+                    }
+                    Src::Const(k) => Operand::Const(&self.consts_range[k as usize]),
                 }
             };
         }
@@ -731,14 +719,15 @@ impl Program {
         // bound *outside* the operand borrows, then stored: the lowerer
         // never reuses registers, so `dst` is distinct from operands.
         macro_rules! unary {
-            ($a:expr, $dst:expr, $kernel:expr, $generic:expr) => {{
+            ($a:expr, $dst:expr, $kind:expr, $kernel:expr, $generic:expr) => {{
                 let out = {
-                    let x = lsrc!($a);
-                    match $kernel(&x) {
+                    let x = arg!($a);
+                    match $kernel(x, nrows) {
                         Some(l) => l,
                         None => {
                             *demoted += 1;
-                            sweep_rows(errs, |i| $generic(&x.get(i)))
+                            *kinds |= kind_bit($kind);
+                            sweep_rows(slots(errs, nrows), |i| $generic(&x.get(i)))
                         }
                     }
                 };
@@ -746,14 +735,15 @@ impl Program {
             }};
         }
         macro_rules! binary {
-            ($a:expr, $b:expr, $dst:expr, $kernel:expr, $generic:expr) => {{
+            ($a:expr, $b:expr, $dst:expr, $kind:expr, $kernel:expr, $generic:expr) => {{
                 let out = {
-                    let (x, y) = (lsrc!($a), lsrc!($b));
-                    match $kernel(&x, &y) {
+                    let (x, y) = (arg!($a), arg!($b));
+                    match $kernel(x, y, nrows) {
                         Some(l) => l,
                         None => {
                             *demoted += 1;
-                            sweep_rows(errs, |i| $generic(&x.get(i), &y.get(i)))
+                            *kinds |= kind_bit($kind);
+                            sweep_rows(slots(errs, nrows), |i| $generic(&x.get(i), &y.get(i)))
                         }
                     }
                 };
@@ -762,7 +752,7 @@ impl Program {
         }
         // A "kernel" that always demotes (division's spans-zero guard
         // stays scalar).
-        fn never2(_a: &LaneSlice<'_>, _b: &LaneSlice<'_>) -> Option<ValueLane> {
+        fn never2(_a: Operand<'_>, _b: Operand<'_>, _n: usize) -> Option<ValueLane> {
             None
         }
 
@@ -776,41 +766,39 @@ impl Program {
                     // probe collapses to a single test.
                     let c = *col as usize;
                     if c >= cols.len() {
-                        generic_sweeps += 1;
-                        for e in errs.iter_mut() {
+                        for e in slots(errs, nrows).iter_mut() {
                             if e.is_none() {
                                 *e = Some(EvalError::UnknownColumn(c));
                             }
                         }
                     }
                 }
-                Op::RangeAnd { a, b, dst } => binary!(a, b, dst, lane::k_and, range_and),
-                Op::RangeOr { a, b, dst } => binary!(a, b, dst, lane::k_or, range_or),
-                Op::RangeNot { a, dst } => unary!(a, dst, lane::k_not, range_not),
+                Op::RangeAnd { a, b, dst } => binary!(a, b, dst, "and", lane::k_and, range_and),
+                Op::RangeOr { a, b, dst } => binary!(a, b, dst, "or", lane::k_or, range_or),
+                Op::RangeNot { a, dst } => unary!(a, dst, "not", lane::k_not, range_not),
                 Op::RangeEq { a, b, dst } => {
-                    binary!(a, b, dst, lane::k_eq, |x, y| Ok(range_eq(x, y)))
+                    binary!(a, b, dst, "eq", lane::k_eq, |x, y| Ok(range_eq(x, y)))
                 }
                 Op::RangeLeq { a, b, dst } => {
-                    binary!(a, b, dst, lane::k_leq, |x, y| Ok(range_leq(x, y)))
+                    binary!(a, b, dst, "leq", lane::k_leq, |x, y| Ok(range_leq(x, y)))
                 }
                 Op::RangeLt { a, b, dst } => {
-                    binary!(a, b, dst, lane::k_lt, |x, y| Ok(range_lt(x, y)))
+                    binary!(a, b, dst, "lt", lane::k_lt, |x, y| Ok(range_lt(x, y)))
                 }
-                Op::RangeAdd { a, b, dst } => binary!(a, b, dst, lane::k_add, range_add),
-                Op::RangeSub { a, b, dst } => binary!(a, b, dst, lane::k_sub, range_sub),
-                Op::RangeMul { a, b, dst } => binary!(a, b, dst, lane::k_mul, range_mul),
-                Op::RangeDiv { a, b, dst } => binary!(a, b, dst, never2, range_div),
-                Op::RangeNeg { a, dst } => unary!(a, dst, lane::k_neg, range_neg),
+                Op::RangeAdd { a, b, dst } => binary!(a, b, dst, "add", lane::k_add, range_add),
+                Op::RangeSub { a, b, dst } => binary!(a, b, dst, "sub", lane::k_sub, range_sub),
+                Op::RangeMul { a, b, dst } => binary!(a, b, dst, "mul", lane::k_mul, range_mul),
+                Op::RangeDiv { a, b, dst } => binary!(a, b, dst, "div", never2, range_div),
+                Op::RangeNeg { a, dst } => unary!(a, dst, "neg", lane::k_neg, range_neg),
                 Op::RangeCheckBool3 { src } => {
-                    let s = lsrc!(src);
+                    let s = arg!(src);
                     // A Bool lane is a boolean triple by construction —
                     // the check that follows every `If` condition is
                     // free on the typed hot path.
                     if s.tag() != LaneTag::Bool {
-                        generic_sweeps += 1;
-                        for (i, e) in errs.iter_mut().enumerate() {
+                        for (i, e) in slots(errs, nrows).iter_mut().enumerate() {
                             if e.is_none() {
-                                if let Err(err) = s.bool3(i) {
+                                if let Err(err) = s.get(i).as_bool3() {
                                     *e = Some(err);
                                 }
                             }
@@ -818,30 +806,44 @@ impl Program {
                     }
                 }
                 Op::RangeIfMerge { c, t, e, dst } => {
-                    generic_sweeps += 1;
                     let out = {
-                        let (cc, tt, ee) = (lsrc!(c), lsrc!(t), lsrc!(e));
-                        sweep_rows(errs, |i| range_if_merge(&cc.get(i), tt.get(i), ee.get(i)))
+                        let (cc, tt, ee) = (arg!(c), arg!(t), arg!(e));
+                        let slots = slots(errs, nrows);
+                        sweep_rows(slots, |i| range_if_merge(&cc.get(i), tt.get(i), ee.get(i)))
                     };
                     regs[*dst as usize] = out;
                 }
                 Op::RangeUncertain { l, s, u, dst } => {
-                    generic_sweeps += 1;
                     let out = {
-                        let (ll, ss, uu) = (lsrc!(l), lsrc!(s), lsrc!(u));
-                        sweep_rows(errs, |i| range_uncertain(&ll.get(i), &ss.get(i), &uu.get(i)))
+                        let (ll, ss, uu) = (arg!(l), arg!(s), arg!(u));
+                        let slots = slots(errs, nrows);
+                        sweep_rows(slots, |i| range_uncertain(&ll.get(i), &ss.get(i), &uu.get(i)))
                     };
                     regs[*dst as usize] = out;
                 }
                 _ => unreachable!("det op in a range program"),
             }
         }
-        *poisoned = match generic_sweeps + *demoted {
-            0 => 0,
-            _ => errs.iter().filter(|e| e.is_some()).count(),
-        };
+        // A constant output is read back as a lane: the one place a
+        // constant is splatted.
+        for out in &self.outputs {
+            if let Src::Const(k) = *out {
+                consts[k as usize] = ValueLane::splat(&self.consts_range[k as usize], nrows);
+            }
+        }
+        *poisoned = errs.iter().filter(|e| e.is_some()).count();
         Ok(())
     }
+}
+
+/// The poison slots of a batch, sized to its `nrows` the first time an
+/// op may poison a row: a typed evaluation never writes them, and never
+/// pays for them.
+fn slots(errs: &mut Vec<Option<EvalError>>, nrows: usize) -> &mut [Option<EvalError>] {
+    if errs.is_empty() {
+        errs.resize(nrows, None);
+    }
+    errs
 }
 
 /// One generic sweep over a batch: `f` per live row, into a boxed lane.
@@ -869,27 +871,73 @@ fn sweep_rows(
     ValueLane::Boxed(out)
 }
 
+/// The kinds of op a lane evaluation runs a typed kernel for, in the
+/// order [`OpKinds`] lists them.
+const KINDS: [&str; 11] =
+    ["and", "or", "not", "eq", "leq", "lt", "add", "sub", "mul", "div", "neg"];
+
+/// The [`OpKinds`] bit of kind `name`.
+fn kind_bit(name: &str) -> u16 {
+    let i = KINDS.iter().position(|k| *k == name);
+    debug_assert!(i.is_some(), "{name} is no op kind");
+    i.map_or(0, |i| 1 << i)
+}
+
+/// A set of op kinds — the ones whose typed kernel demoted
+/// ([`LaneBatch::demoted_kinds`]). `Display` lists their names
+/// (`add,mul`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpKinds(u16);
+
+impl OpKinds {
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The set as bits, for an atomic accumulator.
+    pub fn bits(self) -> u16 {
+        self.0
+    }
+
+    pub fn from_bits(bits: u16) -> OpKinds {
+        OpKinds(bits)
+    }
+}
+
+impl fmt::Display for OpKinds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut names = KINDS.iter().filter(|&&k| self.0 & kind_bit(k) != 0);
+        if let Some(k) = names.next() {
+            f.write_str(k)?;
+        }
+        names.try_for_each(|k| write!(f, ",{k}"))
+    }
+}
+
 /// Reusable scratch for [`Program::eval_range_lanes`]: one typed lane
-/// per register, the constant pool broadcast to the chunk length, and
-/// the per-row poison slots.
+/// per register, the constant outputs splatted to the batch length, and
+/// the per-row poison slots (sized only when an op may poison a row).
 #[derive(Default)]
 pub struct LaneBatch {
     regs: Vec<ValueLane>,
     consts: Vec<ValueLane>,
     errs: Vec<Option<EvalError>>,
     demoted: usize,
+    kinds: u16,
     poisoned: usize,
 }
 
 impl LaneBatch {
-    fn reset(&mut self, prog: &Program, nrows: usize) {
+    /// Ready for an evaluation of `prog`: `O(registers + constants)`,
+    /// whatever the batch length.
+    fn reset(&mut self, prog: &Program) {
         self.regs.clear();
         self.regs.resize_with(prog.nregs, ValueLane::default);
         self.consts.clear();
-        self.consts.extend(prog.consts_range.iter().map(|c| ValueLane::splat(c, nrows)));
+        self.consts.resize_with(prog.consts_range.len(), ValueLane::default);
         self.errs.clear();
-        self.errs.resize(nrows, None);
         self.demoted = 0;
+        self.kinds = 0;
         self.poisoned = 0;
     }
 
@@ -898,6 +946,11 @@ impl LaneBatch {
     /// NaN, division) — the silent cost a caller may want to count.
     pub fn demotions(&self) -> usize {
         self.demoted
+    }
+
+    /// The kinds of the ops [`LaneBatch::demotions`] counts.
+    pub fn demoted_kinds(&self) -> OpKinds {
+        OpKinds(self.kinds)
     }
 
     /// Rows the last lane evaluation poisoned ([`LaneBatch::row_error`]
@@ -923,9 +976,10 @@ impl LaneBatch {
         }
     }
 
-    /// The poison slot of row `i` after a lane evaluation.
+    /// The poison slot of row `i` after a lane evaluation (`None`: the
+    /// row is clean).
     pub fn row_error(&self, i: usize) -> Option<&EvalError> {
-        self.errs[i].as_ref()
+        self.errs.get(i).and_then(Option::as_ref)
     }
 }
 
@@ -1490,6 +1544,53 @@ mod tests {
             for e in &exprs_all {
                 assert_lanes_match_rows(e, rows, &mut lb);
             }
+        }
+    }
+
+    /// A batch reused across evaluations carries no stale poison: its
+    /// slots are sized only by an evaluation that may poison a row, so a
+    /// typed evaluation after a poisoning one — shorter or as long —
+    /// reports every row clean, and a constant output is a lane of the
+    /// current batch's length.
+    #[test]
+    fn reused_batch_carries_no_stale_poison() {
+        let lanes_of = |rows: &[Vec<RangeValue>]| -> Vec<ValueLane> {
+            (0..2).map(|c| ValueLane::from_cells(rows.iter().map(|r| &r[c]))).collect()
+        };
+        // every third divisor spans zero
+        let rows: Vec<Vec<RangeValue>> = (0..2048)
+            .map(|i| {
+                let d = if i % 3 == 0 { rv(-1, 0, 1) } else { rv(1, 2, 3) };
+                vec![rv(i, i, i + 1), d]
+            })
+            .collect();
+        let div = Program::compile_range(&col(0).div(col(1)));
+        let typed = Program::compile_range_many(&[col(0).add(lit(1i64)), lit(7i64)]);
+        let lanes = lanes_of(&rows);
+        let slices: Vec<LaneSlice<'_>> = lanes.iter().map(ValueLane::as_slice).collect();
+        let mut lb = LaneBatch::default();
+
+        div.eval_range_lanes(&slices, 2048, &mut lb, None).unwrap();
+        assert_eq!(lb.poisoned(), 683);
+        for i in 0..2048 {
+            let want = (i % 3 == 0).then_some(&EvalError::RangeDivisionSpansZero);
+            assert_eq!(lb.row_error(i), want, "row {i}");
+        }
+        assert_eq!(lb.demoted_kinds().to_string(), "div");
+
+        for n in [1024, 2048] {
+            let cut: Vec<LaneSlice<'_>> = lanes.iter().map(|l| l.slice(0..n)).collect();
+            typed.eval_range_lanes(&cut, n, &mut lb, None).unwrap();
+            assert_eq!(lb.poisoned(), 0, "{n} rows");
+            assert!((0..2048).all(|i| lb.row_error(i).is_none()), "{n} rows");
+            assert!(lb.demoted_kinds().is_empty());
+            let konst = lb.output_lane(&typed, 1, &cut);
+            assert_eq!(konst.len(), n);
+            assert!((0..n).all(|i| konst.get(i) == rv(7, 7, 7)));
+            assert_eq!(
+                lb.output_lane(&typed, 0, &cut).get(n - 1),
+                rv(n as i64, n as i64, n as i64 + 1)
+            );
         }
     }
 

@@ -157,14 +157,14 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use audb_core::obs::{Counter, Metrics, Site, TraceBuilder};
 use audb_core::{
-    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, Program, Semiring,
-    ValueLane,
+    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, OpKinds, Program,
+    Semiring, ValueLane,
 };
 use audb_exec::{Executor, Partitioner};
 use audb_storage::{
@@ -646,6 +646,8 @@ struct ChainStats {
     pairs: AtomicU64,
     pair_batches: AtomicU64,
     stages_boxed: AtomicU64,
+    /// The kinds of op whose kernel demoted ([`OpKinds`] bits).
+    demoted: AtomicU16,
 }
 
 /// A chain laid out for lane execution: the stages
@@ -758,6 +760,7 @@ impl<'p> LanePlan<'p> {
                 st.prog.eval_range_lanes(&slices, nrows, batch, cancel)?;
                 if batch.demotions() > 0 {
                     self.stats.stages_boxed.fetch_add(1, Ordering::Relaxed);
+                    self.stats.demoted.fetch_or(batch.demoted_kinds().bits(), Ordering::Relaxed);
                 }
                 // Reading an output lane is only safe when some row
                 // survived: with every row poisoned (e.g. an out-of-arity
@@ -1578,6 +1581,10 @@ impl Chain<Box<Node>> {
         tr.attr(h, "pairs", || stat(&plan.stats.pairs).to_string());
         tr.attr(h, "pair_batches", || stat(&plan.stats.pair_batches).to_string());
         tr.attr(h, "stages_boxed", || stat(&plan.stats.stages_boxed).to_string());
+        let demoted = OpKinds::from_bits(plan.stats.demoted.load(Ordering::Relaxed));
+        if !demoted.is_empty() {
+            tr.attr(h, "demoted", || demoted.to_string());
+        }
         if stat(&plan.stats.stages_boxed) > 0 {
             exec.metrics().add(Counter::ChainStagesBoxed, stat(&plan.stats.stages_boxed));
         }

@@ -473,6 +473,7 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     let fused = trace.root.find("fused-chain").expect("fused chain span");
     assert_eq!(fused.attr("pairs"), Some("15"));
     assert_eq!(fused.attr("stages_boxed"), Some("1"));
+    assert_eq!(fused.attr("demoted"), Some("eq"));
     assert_eq!(trace.metrics.counter("chain_stages_boxed"), Some(1));
     assert_eq!(fused.attr("keys"), Some("boxed"));
     assert_eq!(trace.metrics.counter("probe_keys_boxed"), Some(1));
@@ -482,6 +483,29 @@ fn probe_chain_span_reports_pairs_batches_and_demotions() {
     let (_, root) = eval_oracle_traced(&db, &spine, &cfg);
     assert!(root.find("fused-chain").is_none());
     assert!(root.find("join").is_some());
+}
+
+/// A chain whose lane stage demoted names the op kind that did:
+/// `i64::MAX + v` overflows, so the add reruns row by row (promoting to
+/// float). A chain that stayed typed carries no `demoted` attribute.
+#[test]
+fn chain_span_names_the_demoted_op_kind() {
+    let db = corpus_db();
+    let cfg = AuConfig { workers: Some(1), ..AuConfig::default() };
+    let span = |q: &Query| {
+        let (rel, trace) = eval_au_traced(&db, q, &cfg).unwrap();
+        assert_eq!(rel, eval_au(&db, q, &cfg).unwrap(), "traced != untraced");
+        let fused = trace.root.find("fused-chain").expect("fused chain span").clone();
+        (fused, trace.metrics.counter("chain_stages_boxed"))
+    };
+    let (fused, ticks) = span(&table("t").project(vec![(lit(i64::MAX).add(col(1)), "x")]));
+    assert_eq!(fused.attr("demoted"), Some("add"));
+    assert_eq!(fused.attr("stages_boxed"), Some("1"));
+    assert_eq!(ticks, Some(1));
+    let (fused, ticks) = span(&table("t").project(vec![(lit(1i64).add(col(1)), "x")]));
+    assert_eq!(fused.attr("demoted"), None);
+    assert_eq!(fused.attr("stages_boxed"), Some("0"));
+    assert_eq!(ticks, Some(0));
 }
 
 /// The only fallback left on a `σ/π/⋈/γ` plan is the breaker's own: a
