@@ -12,13 +12,13 @@
 //! experiment in roughly a minute on a laptop.
 
 use audb_baselines::{
-    eval_libkin, eval_trio, run_maybms, run_mcdb, run_sgqp, run_symb, trio_aggregate,
-    trio_aggregate_chain, xrelation_to_vtable, VDatabase,
+    eval_libkin, eval_trio, run_maybms, run_mcdb, run_symb, trio_aggregate, trio_aggregate_chain,
+    xrelation_to_vtable, VDatabase,
 };
 use audb_bench::{fmt_ratio, fmt_s, header, print_row, time, time_median, xdb_to_ua};
 use audb_core::{col, Value};
 use audb_incomplete::XDb;
-use audb_query::{eval_au, eval_det, eval_ua, opt, table, AggFunc, AggSpec, AuConfig, Query};
+use audb_query::{eval_au, eval_ua, opt, table, AggFunc, AggSpec, AuConfig, Query};
 use audb_storage::AuDatabase;
 use audb_workloads::{
     exact_group_agg, gen_micro_xdb, gen_tpch, inject_uncertainty, micro_au_db, micro_join_db,
@@ -109,8 +109,14 @@ fn vdb_of(xdb: &XDb) -> VDatabase {
 
 /// One PDBench measurement row: average runtime over the SPJ queries
 /// for each system, reported as a ratio over Det (Figure 10's y-axis).
+///
+/// "Det" is selected-guess query processing on the engine AU-DB runs
+/// on (the paper's AU-DB is a rewriting the same DBMS executes): the AU
+/// engine over the SG world as a certain database, here and in every
+/// figure below. The det engine is the correctness reference, not a
+/// yardstick.
 fn pdbench_ratios(xdb: &XDb, opts: Opts) -> [f64; 6] {
-    let sg = xdb.sg_world();
+    let sg = AuDatabase::from_certain(&xdb.sg_world());
     let audb = xdb.to_au();
     let uadb = xdb_to_ua(xdb);
     let vdb = vdb_of(xdb);
@@ -118,7 +124,7 @@ fn pdbench_ratios(xdb: &XDb, opts: Opts) -> [f64; 6] {
     let queries = pdbench_queries();
     let mut sums = [0.0f64; 6];
     for (_, q) in &queries {
-        let (_, det) = time_median(3, || run_sgqp(&sg, q).unwrap());
+        let (_, det) = time_median(3, || eval_au(&sg, q, &cfg).unwrap());
         let (_, ua) = time_median(3, || eval_ua(&uadb, q).unwrap());
         let (_, au) = time_median(3, || eval_au(&audb, q, &cfg).unwrap());
         let (_, libkin) = time(|| eval_libkin(&vdb, q).unwrap());
@@ -244,13 +250,13 @@ fn fig11(opts: Opts) {
     let hier = 10;
     let xdb = chain_data(rows, hier, uncertain, opts.seed);
     let audb = xdb.to_au();
-    let sg = xdb.sg_world();
+    let sg = AuDatabase::from_certain(&xdb.sg_world());
     let cfg = AuConfig::compressed(32);
     let widths = [8, 10, 10, 10, 10, 10];
     print_row(&["#aggops", "Det", "AUDB", "Trio", "Symb", "MCDB"].map(str::to_string), &widths);
     for k in 1..=opts.pick(5, 10, 10) {
         let q = chain_query(k, hier);
-        let (_, det) = time_median(3, || eval_det(&sg, &q).unwrap());
+        let (_, det) = time_median(3, || eval_au(&sg, &q, &cfg).unwrap());
         let (_, au) = time_median(3, || eval_au(&audb, &q, &cfg).unwrap());
         let x = xdb.get("t").unwrap();
         let (_, trio) = time(|| {
@@ -293,11 +299,11 @@ fn fig12(opts: Opts) {
         let db = gen_tpch(TpchConfig::new(*scale, opts.seed));
         let xdb = inject_uncertainty(&db, *pct, 8, opts.seed + ci as u64);
         let audb = xdb.to_au();
-        let sg = xdb.sg_world();
+        let sg = AuDatabase::from_certain(&xdb.sg_world());
         let cfg = AuConfig::compressed(64);
         for (qi, (_, q)) in queries.iter().enumerate() {
             let (_, au) = time(|| eval_au(&audb, q, &cfg).unwrap());
-            let (_, det) = time(|| eval_det(&sg, q).unwrap());
+            let (_, det) = time(|| eval_au(&sg, q, &cfg).unwrap());
             let mut rng = StdRng::seed_from_u64(opts.seed);
             let (_, mcdb) = time(|| run_mcdb(&xdb, q, 10, &mut rng).unwrap());
             if results.len() <= qi {
@@ -328,6 +334,7 @@ fn fig13a(opts: Opts) {
     let rows = opts.pick(3_000, 20_000, 35_000);
     let cfg = MicroConfig::new(rows, 100).uncertainty(0.05).range_frac(0.05).seed(opts.seed);
     let (audb, db) = micro_au_db(&cfg);
+    let sg = AuDatabase::from_certain(&db);
     let aucfg = AuConfig { join_compress: Some(64), agg_compress: Some(25), ..AuConfig::default() };
     let widths = [10, 10, 10, 8];
     print_row(&["#groupby", "AUDB", "Det", "ratio"].map(str::to_string), &widths);
@@ -335,7 +342,7 @@ fn fig13a(opts: Opts) {
         let q =
             table("t").aggregate((0..g).collect(), vec![AggSpec::new(AggFunc::Sum, col(99), "s")]);
         let (_, au) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
-        let (_, det) = time(|| eval_det(&db, &q).unwrap());
+        let (_, det) = time(|| eval_au(&sg, &q, &aucfg).unwrap());
         print_row(&[g.to_string(), fmt_s(au), fmt_s(det), fmt_ratio(au / det)], &widths);
     }
 }
@@ -346,6 +353,7 @@ fn fig13b(opts: Opts) {
     let rows = opts.pick(3_000, 20_000, 35_000);
     let cfg = MicroConfig::new(rows, 100).uncertainty(0.05).range_frac(0.05).seed(opts.seed);
     let (audb, db) = micro_au_db(&cfg);
+    let sg = AuDatabase::from_certain(&db);
     let aucfg = AuConfig { join_compress: Some(64), agg_compress: Some(25), ..AuConfig::default() };
     let widths = [8, 10, 10, 8];
     print_row(&["#aggs", "AUDB", "Det", "ratio"].map(str::to_string), &widths);
@@ -355,7 +363,7 @@ fn fig13b(opts: Opts) {
             .collect();
         let q = table("t").aggregate(vec![0], aggs);
         let (_, au) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
-        let (_, det) = time(|| eval_det(&db, &q).unwrap());
+        let (_, det) = time(|| eval_au(&sg, &q, &aucfg).unwrap());
         print_row(&[n.to_string(), fmt_s(au), fmt_s(det), fmt_ratio(au / det)], &widths);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! 1. walks every expression of the fig13 / fig14 (pipeline spine) /
 //!    fig16 multi-join / TPC-H / PDBench / real-world query corpus,
-//!    lowers each through **both** modes (plus the multi-output
-//!    projection form), and runs Tier A + Tier B
+//!    lowers each (projection lists in the multi-output form), and runs
+//!    Tier A + Tier B
 //!    (`Program::verify_full`) on every program — the corpus must
 //!    produce **zero diagnostics** (no errors, no lints);
 //! 2. runs the mutation harness over every lowered program: each
@@ -159,11 +159,9 @@ fn main() {
         }
         for (i, e) in singles.iter().enumerate() {
             programs.push((format!("{name}/expr{i}/range"), Program::compile_range(e)));
-            programs.push((format!("{name}/expr{i}/det"), Program::compile_det(e)));
         }
         for (i, es) in lists.iter().enumerate() {
             programs.push((format!("{name}/proj{i}/range"), Program::compile_range_many(es)));
-            programs.push((format!("{name}/proj{i}/det"), Program::compile_det_many(es)));
         }
     }
 
@@ -182,7 +180,7 @@ fn main() {
     }
 
     // --- mutation harness -------------------------------------------------
-    let (range_rows, det_rows) = mutate::oracle_rows(width);
+    let rows = mutate::oracle_rows(width);
     let mut tallies = std::collections::BTreeMap::new();
     let mut missed: Vec<String> = Vec::new();
     // FNV-1a over (program, class, detail, verdict) of every mutant in
@@ -191,7 +189,7 @@ fn main() {
     let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
     for (name, p) in &programs {
         for m in mutate::mutants(p) {
-            let v = mutate::classify(p, &m.program, &range_rows, &det_rows);
+            let v = mutate::classify(p, &m.program, &rows);
             for field in [name.as_str(), m.class, &m.detail, v.name()] {
                 for b in field.bytes().chain([0]) {
                     fingerprint = (fingerprint ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);

@@ -2,13 +2,13 @@
 //! register [`Program`] — a linear op array evaluated over a reusable
 //! register file with no recursion and no per-row allocation.
 //!
-//! The tree-walking interpreters ([`Expr::eval`], [`Expr::eval_range`])
-//! pay per-node dispatch, `Box` pointer chasing, a clone per `Col` /
-//! `Const` leaf, and (for the derived operators `≠ ≥ >`) a per-row
-//! clone-and-rebuild of whole subtrees. Inside a fused operator chain
-//! those costs dominate per-row work (the U-relations observation: keep
-//! the uncertain-data hot loop flat), so the query engines compile each
-//! select/project/predicate stage once per chain and run the program
+//! The tree-walking interpreter ([`Expr::eval_range`]) pays per-node
+//! dispatch, `Box` pointer chasing, a clone per `Col` / `Const` leaf,
+//! and (for the derived operators `≠ ≥ >`) a per-row clone-and-rebuild
+//! of whole subtrees. Inside a fused operator chain those costs dominate
+//! per-row work (the U-relations observation: keep the uncertain-data
+//! hot loop flat), so the AU engine compiles each
+//! select/project/predicate stage once per chain and runs the program
 //! one op at a time over typed column lanes
 //! ([`Program::eval_range_lanes`]); the per-row entry points
 //! ([`Program::eval_range_into`]) are the scalar reference the lane
@@ -22,31 +22,25 @@
 //! reference, so `UnknownColumn` errors keep their exact position in
 //! the error order.
 //!
-//! Both lowerings reuse the *same per-node combinators* as the
-//! interpreters (`expr::range_*`, `Value` arithmetic), so compiled
-//! results — values, sg-widening, the cross-type `Div` spans-zero
-//! guard, and `EvalError` classification — are identical by
-//! construction; the differential property suite
-//! (`tests/compiled_exprs_props.rs`) pins it.
+//! The lowering reuses the *same per-node combinators* as the
+//! interpreter (`expr::range_*`), so compiled results — values,
+//! sg-widening, the cross-type `Div` spans-zero guard, and `EvalError`
+//! classification — are identical by construction; the differential
+//! property suite (`tests/compiled_exprs_props.rs`) pins it.
 //!
-//! Two lowering modes exist because the two semantics differ in control
-//! flow, not just domain:
-//!
-//! * **Range** (Definition 9) is straight-line: every operand of every
-//!   node is evaluated (`If` merges both branches), so the program is a
-//!   pure dataflow op list.
-//! * **Det** (Definition 4) short-circuits: `And`/`Or` skip their right
-//!   operand and `If` evaluates only the taken branch, so the lowering
-//!   emits explicit `Jump`/`JumpIfFalse`/`JumpIfTrue` ops. Skipping is
-//!   semantically load-bearing — the skipped subexpression may error —
-//!   which also rules out op-at-a-time batching for det programs.
+//! There is one lowering mode, range-annotated semantics (Definition
+//! 9), and it is straight-line: every operand of every node is
+//! evaluated (`If` merges both branches), so a program is a pure
+//! dataflow op list. Deterministic semantics (Definition 4)
+//! short-circuits `And`/`Or`/`If`; the deterministic engine interprets
+//! the `Expr` tree instead of compiling it (`audb_query::det`).
 
 use std::fmt;
 
 use crate::error::EvalError;
 use crate::expr::{
-    self, range_add, range_and, range_div, range_eq, range_if_merge, range_leq, range_lt,
-    range_mul, range_neg, range_not, range_or, range_sub, range_uncertain,
+    range_add, range_and, range_div, range_eq, range_if_merge, range_leq, range_lt, range_mul,
+    range_neg, range_not, range_or, range_sub, range_uncertain,
 };
 use crate::lane::{self, LaneSlice, LaneTag, Operand, ValueLane};
 use crate::range::RangeValue;
@@ -55,15 +49,6 @@ use crate::Expr;
 
 /// Register index into a program's register file.
 pub type Reg = u32;
-
-/// Which semantics a program was lowered for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Range-annotated semantics over `RangeValue` registers.
-    Range,
-    /// Deterministic semantics over `Value` registers.
-    Det,
-}
 
 /// An op operand, addressed in place: a register holding a compound
 /// sub-result, an input tuple column, or a pooled constant.
@@ -74,9 +59,8 @@ pub(crate) enum Src {
     Const(u32),
 }
 
-/// One flat instruction. `Range*` ops appear only in `Mode::Range`
-/// programs, `Det*`/load/jump ops only in `Mode::Det` programs;
-/// `CheckCol` is shared.
+/// One flat instruction: a bounds probe, a condition check, or a range
+/// combinator writing a fresh register.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Op {
     /// Bounds-probe a column reference (`UnknownColumn` past the
@@ -85,8 +69,6 @@ pub(crate) enum Op {
     CheckCol {
         col: u32,
     },
-
-    // ---- range mode (straight-line dataflow) ---------------------------
     RangeAnd {
         a: Src,
         b: Src,
@@ -159,84 +141,6 @@ pub(crate) enum Op {
         u: Src,
         dst: Reg,
     },
-
-    // ---- det mode (short-circuit control flow) -------------------------
-    /// `dst ← tuple[col]` (an `If` branch must deposit into the shared
-    /// destination register).
-    LoadCol {
-        col: u32,
-        dst: Reg,
-    },
-    /// `dst ← consts[idx]`.
-    LoadConst {
-        idx: u32,
-        dst: Reg,
-    },
-    DetAdd {
-        a: Src,
-        b: Src,
-        dst: Reg,
-    },
-    DetSub {
-        a: Src,
-        b: Src,
-        dst: Reg,
-    },
-    DetMul {
-        a: Src,
-        b: Src,
-        dst: Reg,
-    },
-    DetDiv {
-        a: Src,
-        b: Src,
-        dst: Reg,
-    },
-    DetNeg {
-        a: Src,
-        dst: Reg,
-    },
-    /// `dst ← Bool(value_eq(a, b))`.
-    DetEq {
-        a: Src,
-        b: Src,
-        dst: Reg,
-    },
-    /// `dst ← Bool(a ≤ b ∨ value_eq(a, b))` — the interpreter's `leq`.
-    DetLeq {
-        a: Src,
-        b: Src,
-        dst: Reg,
-    },
-    /// `dst ← Bool(a < b ∧ ¬value_eq(a, b))` — the interpreter's `lt`.
-    DetLt {
-        a: Src,
-        b: Src,
-        dst: Reg,
-    },
-    /// `dst ← Bool(¬as_bool(a))`.
-    DetNot {
-        a: Src,
-        dst: Reg,
-    },
-    /// `dst ← Bool(as_bool(src))` — materializes an `And`/`Or` operand.
-    DetAsBool {
-        src: Src,
-        dst: Reg,
-    },
-    Jump {
-        to: u32,
-    },
-    /// `as_bool(src)?`; jump when false.
-    JumpIfFalse {
-        src: Src,
-        to: u32,
-    },
-    /// `as_bool(src)?`; jump when true.
-    JumpIfTrue {
-        src: Src,
-        to: u32,
-    },
 }
 
 /// A compiled expression (or expression list): flat ops, a constant
@@ -248,18 +152,14 @@ pub(crate) enum Op {
 /// of the source [`Expr`] node that emitted it, global across the
 /// compiled expression list. The static verifier
 /// ([`crate::verify`]) leans on spans to reconstruct which ops belong
-/// to which subtree (jump targets are uniquely determined by the
-/// emitting node's op interval) and to name the offending source node
-/// in diagnostics.
+/// to which subtree and to name the offending source node in
+/// diagnostics.
 #[must_use = "a compiled program does nothing until evaluated"]
 #[derive(Debug, Clone)]
 pub struct Program {
-    pub(crate) mode: Mode,
     pub(crate) ops: Vec<Op>,
-    /// Constant pool for `Mode::Det` (and the source of `consts_range`).
-    pub(crate) consts: Vec<Value>,
-    /// The same pool pre-lifted to certain ranges for `Mode::Range`.
-    pub(crate) consts_range: Vec<RangeValue>,
+    /// Constant pool: each literal, lifted to a certain range.
+    pub(crate) consts: Vec<RangeValue>,
     pub(crate) nregs: usize,
     pub(crate) outputs: Vec<Src>,
     /// Per-op source node: `spans[i]` is the global preorder id of the
@@ -282,33 +182,20 @@ impl Program {
     /// one output each; expressions evaluate in list order, so the
     /// first error wins exactly as in per-expression interpretation.
     pub fn compile_range_many(exprs: &[Expr]) -> Program {
-        Self::lower_many(Mode::Range, exprs).expect_well_formed()
-    }
-
-    /// Lower one expression for deterministic evaluation.
-    pub fn compile_det(e: &Expr) -> Program {
-        Self::compile_det_many(std::slice::from_ref(e))
-    }
-
-    /// Deterministic analog of [`Program::compile_range_many`].
-    pub fn compile_det_many(exprs: &[Expr]) -> Program {
-        Self::lower_many(Mode::Det, exprs).expect_well_formed()
+        Self::lower_many(exprs).expect_well_formed()
     }
 
     /// Raw lowering without the Tier A gate — the verifier's
     /// translation-validation pass re-lowers a program's sources through
     /// this to compare op-for-op (it must not recurse into
     /// verification).
-    fn lower_many(mode: Mode, exprs: &[Expr]) -> Program {
-        let mut l = Lowerer::new(mode);
+    fn lower_many(exprs: &[Expr]) -> Program {
+        let mut l = Lowerer::default();
         let mut nid = 0u32;
         let outputs = exprs
             .iter()
             .map(|e| {
-                let s = match mode {
-                    Mode::Range => l.lower_range_value(e, nid),
-                    Mode::Det => l.lower_det_value(e, nid),
-                };
+                let s = l.lower_value(e, nid);
                 nid += e.node_count();
                 s
             })
@@ -319,11 +206,7 @@ impl Program {
     /// Re-lower this program's sources from scratch (unverified); used
     /// by [`crate::verify`]'s translation validation.
     pub(crate) fn relower(&self) -> Program {
-        Self::lower_many(self.mode, &self.srcs)
-    }
-
-    pub fn mode(&self) -> Mode {
-        self.mode
+        Self::lower_many(&self.srcs)
     }
 
     /// Number of registers an evaluation needs.
@@ -403,7 +286,7 @@ impl Program {
             Src::Reg(r) => &regs[r as usize],
             // in bounds: a CheckCol precedes every Col operand
             Src::Col(c) => &tuple[c as usize],
-            Src::Const(i) => &self.consts_range[i as usize],
+            Src::Const(i) => &self.consts[i as usize],
         }
     }
 
@@ -416,7 +299,7 @@ impl Program {
                 std::mem::replace(&mut regs[r as usize], RangeValue::certain(Value::Null))
             }
             Src::Col(c) => tuple[c as usize].clone(),
-            Src::Const(i) => self.consts_range[i as usize].clone(),
+            Src::Const(i) => self.consts[i as usize].clone(),
         }
     }
 
@@ -427,7 +310,6 @@ impl Program {
         tuple: &[RangeValue],
         regs: &mut [RangeValue],
     ) -> Result<(), EvalError> {
-        debug_assert_eq!(self.mode, Mode::Range, "range evaluation of a det program");
         for op in &self.ops {
             match op {
                 Op::CheckCol { col } => {
@@ -497,7 +379,6 @@ impl Program {
                     )?;
                     regs[*dst as usize] = v;
                 }
-                _ => unreachable!("det op in a range program"),
             }
         }
         Ok(())
@@ -536,128 +417,6 @@ impl Program {
         self.range_output(0, tuple, regs).as_bool3()
     }
 
-    // ---- per-row det evaluation -----------------------------------------
-
-    /// Grow `regs` to this program's register count.
-    pub fn prepare_det_regs(&self, regs: &mut Vec<Value>) {
-        if regs.len() < self.nregs {
-            regs.resize(self.nregs, Value::Null);
-        }
-    }
-
-    #[inline]
-    fn dsrc<'r>(&'r self, s: Src, tuple: &'r [Value], regs: &'r [Value]) -> &'r Value {
-        match s {
-            Src::Reg(r) => &regs[r as usize],
-            Src::Col(c) => &tuple[c as usize],
-            Src::Const(i) => &self.consts[i as usize],
-        }
-    }
-
-    /// Run the program over one deterministic tuple (with short-circuit
-    /// jumps); `i`-th result readable via [`Program::det_output`].
-    pub fn eval_det_into(&self, tuple: &[Value], regs: &mut [Value]) -> Result<(), EvalError> {
-        debug_assert_eq!(self.mode, Mode::Det, "det evaluation of a range program");
-        let mut pc = 0usize;
-        while pc < self.ops.len() {
-            match &self.ops[pc] {
-                Op::CheckCol { col } => {
-                    let c = *col as usize;
-                    if c >= tuple.len() {
-                        return Err(EvalError::UnknownColumn(c));
-                    }
-                }
-                Op::LoadCol { col, dst } => {
-                    let c = *col as usize;
-                    regs[*dst as usize] =
-                        tuple.get(c).cloned().ok_or(EvalError::UnknownColumn(c))?;
-                }
-                Op::LoadConst { idx, dst } => {
-                    regs[*dst as usize] = self.consts[*idx as usize].clone();
-                }
-                Op::DetAdd { a, b, dst } => {
-                    let v = self.dsrc(*a, tuple, regs).add(self.dsrc(*b, tuple, regs))?;
-                    regs[*dst as usize] = v;
-                }
-                Op::DetSub { a, b, dst } => {
-                    let v = self.dsrc(*a, tuple, regs).sub(self.dsrc(*b, tuple, regs))?;
-                    regs[*dst as usize] = v;
-                }
-                Op::DetMul { a, b, dst } => {
-                    let v = self.dsrc(*a, tuple, regs).mul(self.dsrc(*b, tuple, regs))?;
-                    regs[*dst as usize] = v;
-                }
-                Op::DetDiv { a, b, dst } => {
-                    let v = self.dsrc(*a, tuple, regs).div(self.dsrc(*b, tuple, regs))?;
-                    regs[*dst as usize] = v;
-                }
-                Op::DetNeg { a, dst } => {
-                    let v = self.dsrc(*a, tuple, regs).neg()?;
-                    regs[*dst as usize] = v;
-                }
-                Op::DetEq { a, b, dst } => {
-                    let v = self.dsrc(*a, tuple, regs).value_eq(self.dsrc(*b, tuple, regs));
-                    regs[*dst as usize] = Value::Bool(v);
-                }
-                Op::DetLeq { a, b, dst } => {
-                    let v = expr::leq(self.dsrc(*a, tuple, regs), self.dsrc(*b, tuple, regs));
-                    regs[*dst as usize] = Value::Bool(v);
-                }
-                Op::DetLt { a, b, dst } => {
-                    let v = expr::lt(self.dsrc(*a, tuple, regs), self.dsrc(*b, tuple, regs));
-                    regs[*dst as usize] = Value::Bool(v);
-                }
-                Op::DetNot { a, dst } => {
-                    let v = !self.dsrc(*a, tuple, regs).as_bool()?;
-                    regs[*dst as usize] = Value::Bool(v);
-                }
-                Op::DetAsBool { src, dst } => {
-                    let v = self.dsrc(*src, tuple, regs).as_bool()?;
-                    regs[*dst as usize] = Value::Bool(v);
-                }
-                Op::Jump { to } => {
-                    pc = *to as usize;
-                    continue;
-                }
-                Op::JumpIfFalse { src, to } => {
-                    if !self.dsrc(*src, tuple, regs).as_bool()? {
-                        pc = *to as usize;
-                        continue;
-                    }
-                }
-                Op::JumpIfTrue { src, to } => {
-                    if self.dsrc(*src, tuple, regs).as_bool()? {
-                        pc = *to as usize;
-                        continue;
-                    }
-                }
-                _ => unreachable!("range op in a det program"),
-            }
-            pc += 1;
-        }
-        Ok(())
-    }
-
-    /// Read the `i`-th output after [`Program::eval_det_into`].
-    #[inline]
-    pub fn det_output<'r>(&'r self, i: usize, tuple: &'r [Value], regs: &'r [Value]) -> &'r Value {
-        self.dsrc(self.outputs[i], tuple, regs)
-    }
-
-    /// Single-output deterministic evaluation.
-    pub fn eval_det(&self, tuple: &[Value], regs: &mut Vec<Value>) -> Result<Value, EvalError> {
-        self.prepare_det_regs(regs);
-        self.eval_det_into(tuple, regs)?;
-        Ok(self.det_output(0, tuple, regs).clone())
-    }
-
-    /// Single-output deterministic predicate evaluation.
-    pub fn eval_det_bool(&self, tuple: &[Value], regs: &mut Vec<Value>) -> Result<bool, EvalError> {
-        self.prepare_det_regs(regs);
-        self.eval_det_into(tuple, regs)?;
-        self.det_output(0, tuple, regs).as_bool()
-    }
-
     // ---- columnar (lane) range evaluation -------------------------------
 
     /// Evaluate the program over a whole batch of rows held as typed
@@ -672,9 +431,7 @@ impl Program {
     /// value or error — is what [`Program::eval_range_into`] returns
     /// for that row alone.
     ///
-    /// Range mode only: det programs short-circuit via jumps, which is
-    /// per-row control flow. `cols` are the input attribute lanes (each
-    /// of length `nrows`). A row that errors is *poisoned*: its error
+    /// `cols` are the input attribute lanes (each of length `nrows`). A row that errors is *poisoned*: its error
     /// stays in the batch ([`LaneBatch::row_error`]) and later generic
     /// sweeps skip it (typed kernels may compute it — typed lanes
     /// always hold genuine domain values, so the extra work is
@@ -692,7 +449,6 @@ impl Program {
         batch: &mut LaneBatch,
         cancel: Option<&crate::govern::CancelToken>,
     ) -> Result<(), crate::govern::ExecError> {
-        assert_eq!(self.mode, Mode::Range, "lane evaluation requires a range program");
         debug_assert!(cols.iter().all(|c| c.len() == nrows));
         batch.reset(self);
         let LaneBatch { regs, consts, errs, demoted, kinds, poisoned } = batch;
@@ -711,7 +467,7 @@ impl Program {
                     Src::Col(c) => {
                         cols.get(c as usize).map_or(Operand::Const(&null), |l| Operand::Lane(*l))
                     }
-                    Src::Const(k) => Operand::Const(&self.consts_range[k as usize]),
+                    Src::Const(k) => Operand::Const(&self.consts[k as usize]),
                 }
             };
         }
@@ -821,14 +577,13 @@ impl Program {
                     };
                     regs[*dst as usize] = out;
                 }
-                _ => unreachable!("det op in a range program"),
             }
         }
         // A constant output is read back as a lane: the one place a
         // constant is splatted.
         for out in &self.outputs {
             if let Src::Const(k) = *out {
-                consts[k as usize] = ValueLane::splat(&self.consts_range[k as usize], nrows);
+                consts[k as usize] = ValueLane::splat(&self.consts[k as usize], nrows);
             }
         }
         *poisoned = errs.iter().filter(|e| e.is_some()).count();
@@ -934,7 +689,7 @@ impl LaneBatch {
         self.regs.clear();
         self.regs.resize_with(prog.nregs, ValueLane::default);
         self.consts.clear();
-        self.consts.resize_with(prog.consts_range.len(), ValueLane::default);
+        self.consts.resize_with(prog.consts.len(), ValueLane::default);
         self.errs.clear();
         self.demoted = 0;
         self.kinds = 0;
@@ -987,7 +742,7 @@ impl LaneBatch {
 /// docs and debugging.
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "; {:?} program, {} regs, outputs {:?}", self.mode, self.nregs, self.outputs)?;
+        writeln!(f, "; program, {} regs, outputs {:?}", self.nregs, self.outputs)?;
         for (i, op) in self.ops.iter().enumerate() {
             writeln!(f, "{i:4}: {op:?}")?;
         }
@@ -999,20 +754,20 @@ impl fmt::Display for Program {
 // Lowering
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct Lowerer {
-    mode: Mode,
     ops: Vec<Op>,
     /// One entry per op: the global preorder id of the emitting node.
     spans: Vec<u32>,
-    consts: Vec<Value>,
+    consts: Vec<RangeValue>,
     next: u32,
 }
 
 /// Global preorder ids of a node's children: the first child is the
 /// next preorder slot, each later child starts past its predecessor's
 /// subtree. Works for any child the lowering visits in any order —
-/// ids are *structural*, independent of visit order (det `Uncertain`
-/// skips two subtrees, `Geq`/`Gt` lower right-first).
+/// ids are *structural*, independent of visit order (`Geq`/`Gt` lower
+/// right-first).
 fn child_nids(e: &Expr, nid: u32) -> [u32; 3] {
     let [c0, c1, _] = e.children();
     let n0 = nid + 1;
@@ -1022,10 +777,6 @@ fn child_nids(e: &Expr, nid: u32) -> [u32; 3] {
 }
 
 impl Lowerer {
-    fn new(mode: Mode) -> Self {
-        Lowerer { mode, ops: Vec::new(), spans: Vec::new(), consts: Vec::new(), next: 0 }
-    }
-
     fn reg(&mut self) -> Reg {
         let r = self.next;
         self.next += 1;
@@ -1033,10 +784,10 @@ impl Lowerer {
     }
 
     fn konst(&mut self, v: &Value) -> u32 {
-        match self.consts.iter().position(|c| c == v) {
+        match self.consts.iter().position(|c| c.sg == *v) {
             Some(i) => i as u32,
             None => {
-                self.consts.push(v.clone());
+                self.consts.push(RangeValue::certain(v.clone()));
                 (self.consts.len() - 1) as u32
             }
         }
@@ -1048,24 +799,7 @@ impl Lowerer {
         self.spans.push(nid);
     }
 
-    /// Emit a placeholder jump; returns its op index for patching.
-    fn emit_jump(&mut self, nid: u32, op: Op) -> usize {
-        self.emit(nid, op);
-        self.ops.len() - 1
-    }
-
-    fn patch_jump(&mut self, at: usize) {
-        let to = self.ops.len() as u32;
-        match &mut self.ops[at] {
-            Op::Jump { to: t } | Op::JumpIfFalse { to: t, .. } | Op::JumpIfTrue { to: t, .. } => {
-                *t = to
-            }
-            _ => unreachable!("patching a non-jump"),
-        }
-    }
-
     fn finish(self, outputs: Vec<Src>, srcs: &[Expr]) -> Program {
-        let consts_range = self.consts.iter().map(|v| RangeValue::certain(v.clone())).collect();
         let mut node_offsets = Vec::with_capacity(srcs.len() + 1);
         let mut off = 0u32;
         for e in srcs {
@@ -1075,10 +809,8 @@ impl Lowerer {
         node_offsets.push(off);
         debug_assert_eq!(self.ops.len(), self.spans.len());
         Program {
-            mode: self.mode,
             ops: self.ops,
             consts: self.consts,
-            consts_range,
             nregs: self.next as usize,
             outputs,
             spans: self.spans,
@@ -1087,12 +819,10 @@ impl Lowerer {
         }
     }
 
-    // ---- range lowering (straight-line) ---------------------------------
-
     /// Lower an expression, returning where its value will live. Leaves
     /// are addressed in place (a `CheckCol` keeps the bounds error at
     /// the position the interpreter would have raised it).
-    fn lower_range_value(&mut self, e: &Expr, nid: u32) -> Src {
+    fn lower_value(&mut self, e: &Expr, nid: u32) -> Src {
         let [na, nb, nc] = child_nids(e, nid);
         match e {
             Expr::Col(i) => {
@@ -1107,7 +837,7 @@ impl Lowerer {
                 self.range_bin((a, na), (b, nb), nid, |a, b, dst| Op::RangeOr { a, b, dst })
             }
             Expr::Not(a) => {
-                let ra = self.lower_range_value(a, na);
+                let ra = self.lower_value(a, na);
                 let dst = self.reg();
                 self.emit(nid, Op::RangeNot { a: ra, dst });
                 Src::Reg(dst)
@@ -1153,24 +883,24 @@ impl Lowerer {
                 self.range_bin((a, na), (b, nb), nid, |a, b, dst| Op::RangeDiv { a, b, dst })
             }
             Expr::Neg(a) => {
-                let ra = self.lower_range_value(a, na);
+                let ra = self.lower_value(a, na);
                 let dst = self.reg();
                 self.emit(nid, Op::RangeNeg { a: ra, dst });
                 Src::Reg(dst)
             }
             Expr::If(c, t, e2) => {
-                let rc = self.lower_range_value(c, na);
+                let rc = self.lower_value(c, na);
                 self.emit(nid, Op::RangeCheckBool3 { src: rc });
-                let rt = self.lower_range_value(t, nb);
-                let re = self.lower_range_value(e2, nc);
+                let rt = self.lower_value(t, nb);
+                let re = self.lower_value(e2, nc);
                 let dst = self.reg();
                 self.emit(nid, Op::RangeIfMerge { c: rc, t: rt, e: re, dst });
                 Src::Reg(dst)
             }
             Expr::Uncertain(l, s, u) => {
-                let rl = self.lower_range_value(l, na);
-                let rs = self.lower_range_value(s, nb);
-                let ru = self.lower_range_value(u, nc);
+                let rl = self.lower_value(l, na);
+                let rs = self.lower_value(s, nb);
+                let ru = self.lower_value(u, nc);
                 let dst = self.reg();
                 self.emit(nid, Op::RangeUncertain { l: rl, s: rs, u: ru, dst });
                 Src::Reg(dst)
@@ -1185,128 +915,11 @@ impl Lowerer {
         nid: u32,
         mk: impl Fn(Src, Src, Reg) -> Op,
     ) -> Src {
-        let ra = self.lower_range_value(a.0, a.1);
-        let rb = self.lower_range_value(b.0, b.1);
+        let ra = self.lower_value(a.0, a.1);
+        let rb = self.lower_value(b.0, b.1);
         let dst = self.reg();
         self.emit(nid, mk(ra, rb, dst));
         Src::Reg(dst)
-    }
-
-    // ---- det lowering (short-circuit jumps) -----------------------------
-
-    fn lower_det_value(&mut self, e: &Expr, nid: u32) -> Src {
-        match e {
-            Expr::Col(i) => {
-                self.emit(nid, Op::CheckCol { col: *i as u32 });
-                Src::Col(*i as u32)
-            }
-            Expr::Const(v) => Src::Const(self.konst(v)),
-            _ => {
-                let dst = self.reg();
-                self.lower_det_into(e, nid, dst);
-                Src::Reg(dst)
-            }
-        }
-    }
-
-    fn det_bin(
-        &mut self,
-        a: (&Expr, u32),
-        b: (&Expr, u32),
-        nid: u32,
-        dst: Reg,
-        mk: impl Fn(Src, Src, Reg) -> Op,
-    ) {
-        let ra = self.lower_det_value(a.0, a.1);
-        let rb = self.lower_det_value(b.0, b.1);
-        self.emit(nid, mk(ra, rb, dst));
-    }
-
-    /// Lower an expression so its value lands in `dst` (needed by `If`
-    /// branches, which must deposit into a shared register).
-    fn lower_det_into(&mut self, e: &Expr, nid: u32, dst: Reg) {
-        let [na, nb, nc] = child_nids(e, nid);
-        match e {
-            Expr::Col(i) => self.emit(nid, Op::LoadCol { col: *i as u32, dst }),
-            Expr::Const(v) => {
-                let idx = self.konst(v);
-                self.emit(nid, Op::LoadConst { idx, dst });
-            }
-            Expr::And(a, b) => {
-                // dst ← a; if !dst skip b; dst ← b — Rust's `&&` in the
-                // interpreter, including the skipped operand's skipped
-                // errors.
-                let ra = self.lower_det_value(a, na);
-                self.emit(nid, Op::DetAsBool { src: ra, dst });
-                let j = self.emit_jump(nid, Op::JumpIfFalse { src: Src::Reg(dst), to: u32::MAX });
-                let rb = self.lower_det_value(b, nb);
-                self.emit(nid, Op::DetAsBool { src: rb, dst });
-                self.patch_jump(j);
-            }
-            Expr::Or(a, b) => {
-                let ra = self.lower_det_value(a, na);
-                self.emit(nid, Op::DetAsBool { src: ra, dst });
-                let j = self.emit_jump(nid, Op::JumpIfTrue { src: Src::Reg(dst), to: u32::MAX });
-                let rb = self.lower_det_value(b, nb);
-                self.emit(nid, Op::DetAsBool { src: rb, dst });
-                self.patch_jump(j);
-            }
-            Expr::Not(a) => {
-                let ra = self.lower_det_value(a, na);
-                self.emit(nid, Op::DetNot { a: ra, dst });
-            }
-            Expr::Eq(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetEq { a, b, dst })
-            }
-            Expr::Neq(a, b) => {
-                let ra = self.lower_det_value(a, na);
-                let rb = self.lower_det_value(b, nb);
-                let r = self.reg();
-                self.emit(nid, Op::DetEq { a: ra, b: rb, dst: r });
-                self.emit(nid, Op::DetNot { a: Src::Reg(r), dst });
-            }
-            Expr::Leq(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetLeq { a, b, dst })
-            }
-            Expr::Lt(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetLt { a, b, dst })
-            }
-            // Det `x ≥ y` is `leq(y, x)` — operands still evaluate in
-            // syntactic order (the interpreter evaluates both up front).
-            Expr::Geq(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetLeq { a: b, b: a, dst })
-            }
-            Expr::Gt(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetLt { a: b, b: a, dst })
-            }
-            Expr::Add(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetAdd { a, b, dst })
-            }
-            Expr::Sub(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetSub { a, b, dst })
-            }
-            Expr::Mul(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetMul { a, b, dst })
-            }
-            Expr::Div(a, b) => {
-                self.det_bin((a, na), (b, nb), nid, dst, |a, b, dst| Op::DetDiv { a, b, dst })
-            }
-            Expr::Neg(a) => {
-                let ra = self.lower_det_value(a, na);
-                self.emit(nid, Op::DetNeg { a: ra, dst });
-            }
-            Expr::If(c, t, e2) => {
-                let rc = self.lower_det_value(c, na);
-                let jelse = self.emit_jump(nid, Op::JumpIfFalse { src: rc, to: u32::MAX });
-                self.lower_det_into(t, nb, dst);
-                let jend = self.emit_jump(nid, Op::Jump { to: u32::MAX });
-                self.patch_jump(jelse);
-                self.lower_det_into(e2, nc, dst);
-                self.patch_jump(jend);
-            }
-            // Deterministic engines see only the selected guess.
-            Expr::Uncertain(_, s, _) => self.lower_det_into(s, nb, dst),
-        }
     }
 }
 
@@ -1365,51 +978,6 @@ mod tests {
                 assert_eq!(interp, compiled, "range mismatch for {e} on {t:?}");
             }
         }
-    }
-
-    #[test]
-    fn compiled_det_matches_interpreter() {
-        let tuples = [
-            vec![Value::Int(1), Value::Int(4)],
-            vec![Value::Int(-2), Value::float(1.5)],
-            vec![Value::float(2.0), Value::Int(2)],
-            vec![Value::Int(0), Value::Int(0)],
-        ];
-        let mut regs = Vec::new();
-        for e in exprs() {
-            let p = Program::compile_det(&e);
-            for t in &tuples {
-                let interp = e.eval(t);
-                let compiled = p.eval_det(t, &mut regs);
-                assert_eq!(interp, compiled, "det mismatch for {e} on {t:?}");
-            }
-        }
-    }
-
-    /// Det short-circuit is preserved: the skipped operand's error never
-    /// surfaces, exactly like the interpreter.
-    #[test]
-    fn det_short_circuit_skips_errors() {
-        let mut regs = Vec::new();
-        // false && (1/0): interpreter short-circuits to false
-        let e = lit(false).and(lit(1i64).div(lit(0i64)).gt(lit(0i64)));
-        assert_eq!(e.eval(&[]).unwrap(), Value::Bool(false));
-        assert_eq!(Program::compile_det(&e).eval_det(&[], &mut regs).unwrap(), Value::Bool(false));
-        // true || (1/0)
-        let e = lit(true).or(lit(1i64).div(lit(0i64)).gt(lit(0i64)));
-        assert_eq!(e.eval(&[]).unwrap(), Value::Bool(true));
-        assert_eq!(Program::compile_det(&e).eval_det(&[], &mut regs).unwrap(), Value::Bool(true));
-        // if picks only the taken branch
-        let e = Expr::if_then_else(lit(true), lit(7i64), lit(1i64).div(lit(0i64)));
-        assert_eq!(e.eval(&[]).unwrap(), Value::Int(7));
-        assert_eq!(Program::compile_det(&e).eval_det(&[], &mut regs).unwrap(), Value::Int(7));
-        // ... and errors when the erroring branch IS taken
-        let e = Expr::if_then_else(lit(false), lit(7i64), lit(1i64).div(lit(0i64)));
-        assert_eq!(e.eval(&[]).unwrap_err(), EvalError::DivisionByZero);
-        assert_eq!(
-            Program::compile_det(&e).eval_det(&[], &mut regs).unwrap_err(),
-            EvalError::DivisionByZero
-        );
     }
 
     /// Error classification matches the interpreter op for op —
@@ -1606,14 +1174,6 @@ mod tests {
         p.eval_range_into(&t, &mut regs).unwrap();
         for (i, e) in es.iter().enumerate() {
             assert_eq!(*p.range_output(i, &t, &regs), e.eval_range(&t).unwrap());
-        }
-        let pd = Program::compile_det_many(&es);
-        let td = vec![Value::Int(3), Value::Int(9)];
-        let mut dregs = Vec::new();
-        pd.prepare_det_regs(&mut dregs);
-        pd.eval_det_into(&td, &mut dregs).unwrap();
-        for (i, e) in es.iter().enumerate() {
-            assert_eq!(*pd.det_output(i, &td, &dregs), e.eval(&td).unwrap());
         }
     }
 }

@@ -1,22 +1,19 @@
 //! Static verification of compiled [`Program`]s.
 //!
-//! The compiled expression backend (PR 5) is ~1.2k lines of hand-rolled
-//! lowering with explicit jump targets, direct operand addressing, and a
-//! shared register file; until now its only correctness evidence was
-//! differential testing against the tree-walking interpreters. This
-//! module turns "tested" into "verified by construction" with a two-tier
-//! static analyzer:
+//! The compiled expression backend is hand-rolled lowering with direct
+//! operand addressing and a shared register file; differential testing
+//! against the tree-walking interpreter alone would leave it "tested".
+//! This module makes it "verified by construction" with a two-tier
+//! static analyzer over straight-line programs (the one lowering mode
+//! has no jumps, so there is no control-flow graph to build):
 //!
 //! * **Tier A** ([`check_structure`]): a linear pass plus forward
-//!   dataflow over the op array. Checks span/table consistency, const
-//!   pool integrity, mode separation, register-file and const-pool
-//!   bounds, jump-target validity (forward-only, in-bounds, confined to
-//!   the emitting node's op region — no jump into the middle of a merged
-//!   `If` region), subtree-extent contiguity (ops of one source node
-//!   never interleave with a disjoint subtree's ops), register
-//!   init-before-use on *every* path, single-assignment in range mode,
-//!   `CheckCol`-dominates-every-`Col`-operand coverage, exit
-//!   reachability, and output validity. Runs unconditionally at
+//!   dataflow over the op array. Checks span/table consistency,
+//!   register-file and const-pool bounds, subtree-extent contiguity (ops
+//!   of one source node never interleave with a disjoint subtree's ops),
+//!   register init-before-use, single assignment,
+//!   `CheckCol`-precedes-every-`Col`-operand coverage, and output
+//!   validity. Runs unconditionally at
 //!   lowering time ([`Program::compile_range`] and friends panic on a
 //!   Tier A failure — a freshly lowered program that fails is a lowerer
 //!   bug) and is the gate a cached or deserialized program must pass
@@ -35,17 +32,16 @@
 //!   the runtime uses, so the proof covers the real semantics, not a
 //!   model of them. Statically decidable hazards are reported as
 //!   advisory [`ProgramLint`]s (a certainly-erroring `Div`, a branch
-//!   condition that is abstractly constant, unreachable ops, dead
-//!   registers).
+//!   condition that is abstractly constant, dead registers).
 //!
 //! Both tiers emit structured diagnostics naming the exact op index and
 //! the source [`Expr`] node (via the per-op spans the lowerer records).
 //!
 //! The verifier itself is proven by a mutation harness ([`mutate`]):
-//! random single-op corruptions of corpus-lowered programs (retargeted
-//! jumps, dropped `CheckCol`s, swapped operands, clobbered registers,
-//! …) must be caught by Tier A/B or be behavior-preserving under the
-//! differential oracle.
+//! random single-op corruptions of corpus-lowered programs (dropped
+//! `CheckCol`s, swapped operands, clobbered registers, …) must be
+//! caught by Tier A/B or be behavior-preserving under the differential
+//! oracle.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -53,10 +49,10 @@ use std::fmt;
 
 use crate::error::EvalError;
 use crate::expr::{
-    self, range_add, range_and, range_div, range_eq, range_if_merge, range_leq, range_lt,
-    range_mul, range_neg, range_not, range_or, range_sub, range_uncertain,
+    range_add, range_and, range_div, range_eq, range_if_merge, range_leq, range_lt, range_mul,
+    range_neg, range_not, range_or, range_sub, range_uncertain,
 };
-use crate::program::{Mode, Op, Program, Reg, Src};
+use crate::program::{Op, Program, Reg, Src};
 use crate::range::RangeValue;
 use crate::value::Value;
 use crate::Expr;
@@ -92,38 +88,25 @@ pub enum VerifyErrorKind {
     NodeTableInvalid { detail: String },
     /// An op's span is not a valid global preorder id.
     SpanOutOfBounds { span: u32, nodes: u32 },
-    /// `consts_range[idx]` is not the certain lift of `consts[idx]`.
-    ConstPoolMismatch { idx: usize },
-    /// An op of the other lowering mode.
-    ForeignOp { mode: Mode },
     /// A register operand or destination past the register file.
     RegisterOutOfBounds { reg: Reg, nregs: usize },
     /// A constant operand past the pool.
     ConstOutOfBounds { idx: u32, len: usize },
-    /// A jump target past one-past-the-end.
-    JumpOutOfBounds { to: u32, len: usize },
-    /// A jump that does not move strictly forward (termination).
-    JumpNotForward { to: u32 },
-    /// A jump escaping its emitting node's op region — e.g. into the
-    /// middle of a sibling `If` arm.
-    JumpEscapesRegion { to: u32, region_end: usize },
     /// Ops of one source subtree interleave with a disjoint subtree's.
     SubtreeInterleaved,
-    /// Range mode rewrote a register (range programs are
-    /// single-assignment by construction).
+    /// A register written twice (programs are single-assignment by
+    /// construction).
     RegisterRewritten { reg: Reg },
-    /// A register read on some path before any write.
+    /// A register read before any write.
     UninitRegisterRead { reg: Reg },
-    /// A `Col` operand not dominated by a `CheckCol`/`LoadCol` probe of
-    /// the same column.
+    /// A `Col` operand not preceded by a `CheckCol` probe of the same
+    /// column.
     UncheckedColumnRead { col: u32 },
-    /// Program exit is unreachable.
-    ExitUnreachable,
     /// `outputs` and `srcs` disagree in length.
     OutputArityMismatch { outputs: usize, srcs: usize },
-    /// An output reads a register that may be uninitialized at exit.
+    /// An output reads a register that is uninitialized at exit.
     OutputUninit { output: usize, reg: Reg },
-    /// An output reads a column no path has checked.
+    /// An output reads a column no op has checked.
     OutputUnchecked { output: usize, col: u32 },
     /// An output constant past the pool.
     OutputConstOutOfBounds { output: usize, idx: u32 },
@@ -145,43 +128,30 @@ impl fmt::Display for VerifyErrorKind {
             SpanOutOfBounds { span, nodes } => {
                 write!(f, "span {span} out of bounds ({nodes} source nodes)")
             }
-            ConstPoolMismatch { idx } => {
-                write!(f, "consts_range[{idx}] is not the certain lift of consts[{idx}]")
-            }
-            ForeignOp { mode } => write!(f, "op from the other lowering mode in a {mode:?} program"),
             RegisterOutOfBounds { reg, nregs } => {
                 write!(f, "register r{reg} out of bounds (register file holds {nregs})")
             }
             ConstOutOfBounds { idx, len } => {
                 write!(f, "constant #{idx} out of bounds (pool holds {len})")
             }
-            JumpOutOfBounds { to, len } => {
-                write!(f, "jump target {to} out of bounds ({len} ops)")
-            }
-            JumpNotForward { to } => write!(f, "jump target {to} is not strictly forward"),
-            JumpEscapesRegion { to, region_end } => write!(
-                f,
-                "jump target {to} escapes the emitting node's op region (which ends at {region_end})"
-            ),
             SubtreeInterleaved => write!(f, "ops of disjoint source subtrees interleave"),
             RegisterRewritten { reg } => {
-                write!(f, "register r{reg} written twice in a single-assignment range program")
+                write!(f, "register r{reg} written twice in a single-assignment program")
             }
             UninitRegisterRead { reg } => {
-                write!(f, "register r{reg} may be read before initialization")
+                write!(f, "register r{reg} read before initialization")
             }
             UncheckedColumnRead { col } => {
-                write!(f, "column {col} read without a dominating bounds probe")
+                write!(f, "column {col} read without a preceding bounds probe")
             }
-            ExitUnreachable => write!(f, "program exit is unreachable"),
             OutputArityMismatch { outputs, srcs } => {
                 write!(f, "{outputs} outputs for {srcs} source expressions")
             }
             OutputUninit { output, reg } => {
-                write!(f, "output {output} reads register r{reg}, possibly uninitialized at exit")
+                write!(f, "output {output} reads register r{reg}, uninitialized at exit")
             }
             OutputUnchecked { output, col } => {
-                write!(f, "output {output} reads column {col} without a bounds probe on some path")
+                write!(f, "output {output} reads column {col} without a bounds probe")
             }
             OutputConstOutOfBounds { output, idx } => {
                 write!(f, "output {output} reads constant #{idx} past the pool")
@@ -249,12 +219,10 @@ pub enum LintKind {
     /// An op whose abstract operand types certainly error (e.g.
     /// arithmetic on a boolean, a numeric branch condition).
     CertainTypeError,
-    /// A non-literal branch / `CheckBool3` condition that is abstractly
-    /// constant — the other arm is dead on every row.
+    /// A non-literal `If` condition that is abstractly constant — the
+    /// other arm is dead on every row.
     ConstantCondition,
-    /// A det-mode op no jump path can reach.
-    UnreachableOp,
-    /// A range-mode register written but never read nor output.
+    /// A register written but never read nor output.
     DeadRegister,
 }
 
@@ -265,7 +233,6 @@ impl LintKind {
             LintKind::CertainDivByZero => "certain_div_by_zero",
             LintKind::CertainTypeError => "certain_type_error",
             LintKind::ConstantCondition => "constant_condition",
-            LintKind::UnreachableOp => "unreachable_op",
             LintKind::DeadRegister => "dead_register",
         }
     }
@@ -287,68 +254,20 @@ fn lint(p: &Program, op: usize, kind: LintKind) -> ProgramLint {
 // Op shape helpers
 // ---------------------------------------------------------------------------
 
-/// Which mode an op belongs to (`None`: shared).
-fn op_mode(op: &Op) -> Option<Mode> {
-    match op {
-        Op::CheckCol { .. } => None,
-        Op::RangeAnd { .. }
-        | Op::RangeOr { .. }
-        | Op::RangeNot { .. }
-        | Op::RangeEq { .. }
-        | Op::RangeLeq { .. }
-        | Op::RangeLt { .. }
-        | Op::RangeAdd { .. }
-        | Op::RangeSub { .. }
-        | Op::RangeMul { .. }
-        | Op::RangeDiv { .. }
-        | Op::RangeNeg { .. }
-        | Op::RangeCheckBool3 { .. }
-        | Op::RangeIfMerge { .. }
-        | Op::RangeUncertain { .. } => Some(Mode::Range),
-        Op::LoadCol { .. }
-        | Op::LoadConst { .. }
-        | Op::DetAdd { .. }
-        | Op::DetSub { .. }
-        | Op::DetMul { .. }
-        | Op::DetDiv { .. }
-        | Op::DetNeg { .. }
-        | Op::DetEq { .. }
-        | Op::DetLeq { .. }
-        | Op::DetLt { .. }
-        | Op::DetNot { .. }
-        | Op::DetAsBool { .. }
-        | Op::Jump { .. }
-        | Op::JumpIfFalse { .. }
-        | Op::JumpIfTrue { .. } => Some(Mode::Det),
-    }
-}
-
 /// An op's operand layout: the sources it reads (up to three, in
-/// operand order), the register it writes and its jump target. The one
-/// table Tier A's checks, Tier B's interpreter and the mutation harness
-/// read operands through.
+/// operand order) and the register it writes. The one table Tier A's
+/// checks, Tier B's interpreter and the mutation harness read operands
+/// through.
 struct Slots<'a> {
     reads: [Option<&'a mut Src>; 3],
     dst: Option<&'a mut Reg>,
-    to: Option<&'a mut u32>,
 }
 
 fn slots(op: &mut Op) -> Slots<'_> {
-    let (reads, dst, to) = match op {
-        Op::CheckCol { .. } => ([None, None, None], None, None),
-        Op::LoadCol { dst, .. } | Op::LoadConst { dst, .. } => {
-            ([None, None, None], Some(dst), None)
-        }
-        Op::Jump { to } => ([None, None, None], None, Some(to)),
-        Op::JumpIfFalse { src, to } | Op::JumpIfTrue { src, to } => {
-            ([Some(src), None, None], None, Some(to))
-        }
-        Op::RangeCheckBool3 { src } => ([Some(src), None, None], None, None),
-        Op::RangeNot { a, dst }
-        | Op::RangeNeg { a, dst }
-        | Op::DetNeg { a, dst }
-        | Op::DetNot { a, dst }
-        | Op::DetAsBool { src: a, dst } => ([Some(a), None, None], Some(dst), None),
+    let (reads, dst) = match op {
+        Op::CheckCol { .. } => ([None, None, None], None),
+        Op::RangeCheckBool3 { src } => ([Some(src), None, None], None),
+        Op::RangeNot { a, dst } | Op::RangeNeg { a, dst } => ([Some(a), None, None], Some(dst)),
         Op::RangeAnd { a, b, dst }
         | Op::RangeOr { a, b, dst }
         | Op::RangeEq { a, b, dst }
@@ -357,20 +276,11 @@ fn slots(op: &mut Op) -> Slots<'_> {
         | Op::RangeAdd { a, b, dst }
         | Op::RangeSub { a, b, dst }
         | Op::RangeMul { a, b, dst }
-        | Op::RangeDiv { a, b, dst }
-        | Op::DetAdd { a, b, dst }
-        | Op::DetSub { a, b, dst }
-        | Op::DetMul { a, b, dst }
-        | Op::DetDiv { a, b, dst }
-        | Op::DetEq { a, b, dst }
-        | Op::DetLeq { a, b, dst }
-        | Op::DetLt { a, b, dst } => ([Some(a), Some(b), None], Some(dst), None),
+        | Op::RangeDiv { a, b, dst } => ([Some(a), Some(b), None], Some(dst)),
         Op::RangeIfMerge { c: a, t: b, e: c, dst }
-        | Op::RangeUncertain { l: a, s: b, u: c, dst } => {
-            ([Some(a), Some(b), Some(c)], Some(dst), None)
-        }
+        | Op::RangeUncertain { l: a, s: b, u: c, dst } => ([Some(a), Some(b), Some(c)], Some(dst)),
     };
-    Slots { reads, dst, to }
+    Slots { reads, dst }
 }
 
 /// The operands an op reads (up to three).
@@ -383,18 +293,11 @@ fn op_dst(op: &Op) -> Option<Reg> {
     slots(&mut op.clone()).dst.copied()
 }
 
-/// A jump op's target, if the op is a jump.
-fn op_jump(op: &Op) -> Option<u32> {
-    slots(&mut op.clone()).to.copied()
-}
-
 // ---------------------------------------------------------------------------
 // Tier A: structural dataflow verifier
 // ---------------------------------------------------------------------------
 
 /// Initialized-register / checked-column facts at one program point.
-/// Merges at join points intersect (a fact must hold on *every* path).
-#[derive(Clone, PartialEq)]
 struct Flow {
     regs: Vec<u64>,
     cols: BTreeSet<u32>,
@@ -410,25 +313,12 @@ impl Flow {
     fn set_reg(&mut self, r: Reg) {
         self.regs[r as usize / 64] |= 1 << (r % 64);
     }
-    fn intersect(&mut self, other: &Flow) {
-        for (a, b) in self.regs.iter_mut().zip(&other.regs) {
-            *a &= b;
-        }
-        self.cols.retain(|c| other.cols.contains(c));
-    }
-}
-
-fn merge_flow(slot: &mut Option<Flow>, incoming: &Flow) {
-    match slot {
-        None => *slot = Some(incoming.clone()),
-        Some(prev) => prev.intersect(incoming),
-    }
 }
 
 /// The preorder node table of a program's sources, built once per check:
 /// per global node id, where its subtree's id interval ends and which
 /// node is its parent. Every span question Tier A asks — a node's
-/// ancestors, its extent — is a lookup here, which is what keeps the
+/// ancestors — is a lookup here, which is what keeps the
 /// pass `O(ops · depth)`: recomputing [`Expr::node_count`] per question
 /// made a 1 000-term operator chain cubic.
 struct Nodes {
@@ -511,25 +401,8 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
         }
     }
 
-    // -- constant pool integrity ------------------------------------------
-    if p.consts_range.len() != p.consts.len() {
-        return Err(VerifyError::global(ConstPoolMismatch {
-            idx: p.consts_range.len().min(p.consts.len()),
-        }));
-    }
-    for (i, (v, rv)) in p.consts.iter().zip(&p.consts_range).enumerate() {
-        if *rv != RangeValue::certain(v.clone()) {
-            return Err(VerifyError::global(ConstPoolMismatch { idx: i }));
-        }
-    }
-
-    // -- per-op bounds and mode separation --------------------------------
+    // -- per-op bounds -----------------------------------------------------
     for (i, op) in p.ops.iter().enumerate() {
-        if let Some(m) = op_mode(op) {
-            if m != p.mode {
-                return Err(VerifyError::at(p, i, ForeignOp { mode: p.mode }));
-            }
-        }
         for s in op_reads(op).into_iter().flatten() {
             match s {
                 Src::Reg(r) if (r as usize) >= p.nregs => {
@@ -549,26 +422,9 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
                 _ => {}
             }
         }
-        if let Op::LoadConst { idx, .. } = op {
-            if (*idx as usize) >= p.consts.len() {
-                return Err(VerifyError::at(
-                    p,
-                    i,
-                    ConstOutOfBounds { idx: *idx, len: p.consts.len() },
-                ));
-            }
-        }
         if let Some(d) = op_dst(op) {
             if (d as usize) >= p.nregs {
                 return Err(VerifyError::at(p, i, RegisterOutOfBounds { reg: d, nregs: p.nregs }));
-            }
-        }
-        if let Some(to) = op_jump(op) {
-            if (to as usize) > n {
-                return Err(VerifyError::at(p, i, JumpOutOfBounds { to, len: n }));
-            }
-            if (to as usize) <= i {
-                return Err(VerifyError::at(p, i, JumpNotForward { to }));
             }
         }
     }
@@ -577,8 +433,7 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
     // Walk the ops keeping the stack of currently open source subtrees
     // (as preorder-id intervals). Leaving a subtree closes it; a span
     // landing back inside a closed subtree means ops of disjoint
-    // subtrees interleave — which would also defeat the jump-region
-    // argument below.
+    // subtrees interleave.
     let mut open: Vec<(u32, u32)> = Vec::new();
     let mut closed: BTreeMap<u32, u32> = BTreeMap::new();
     let mut chain: Vec<(u32, u32)> = Vec::new();
@@ -609,43 +464,11 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
         }
     }
 
-    // -- jump confinement -------------------------------------------------
-    // A jump emitted by node `s` may target only ops of `s`'s own
-    // subtree, or the single op just past its extent (the lowerer's
-    // "end" label). Anything else jumps into the middle of some other
-    // node's merged region.
-    // `last[s]`: the last op of node `s`'s subtree — ids descend, so a
-    // node is folded into its parent after all of its own children.
-    let mut last = vec![0usize; nodes as usize];
-    p.spans.iter().enumerate().for_each(|(i, &s)| last[s as usize] = i);
-    for id in (0..nodes as usize).rev() {
-        let sub = last[id];
-        if let Some(up) = last.get_mut(table.parent[id] as usize) {
-            *up = (*up).max(sub);
-        }
-    }
-    for (i, op) in p.ops.iter().enumerate() {
-        if let Some(to) = op_jump(op) {
-            let extent_end = last[p.spans[i] as usize];
-            if (to as usize) > extent_end + 1 {
-                return Err(VerifyError::at(
-                    p,
-                    i,
-                    JumpEscapesRegion { to, region_end: extent_end },
-                ));
-            }
-        }
-    }
-
-    // -- forward dataflow: init-before-use, checked columns, exit ---------
-    // Jumps are strictly forward (checked above), so one in-order pass
-    // reaches the fixpoint: every predecessor of op `i` has index < i.
-    let mut states: Vec<Option<Flow>> = vec![None; n + 1];
-    states[0] = Some(Flow::empty(p.nregs));
+    // -- forward dataflow: init-before-use, checked columns ---------------
+    // A program is straight-line: one in-order pass sees every fact.
+    let mut flow = Flow::empty(p.nregs);
     let mut written = vec![false; p.nregs];
-    for i in 0..n {
-        let Some(flow) = states[i].clone() else { continue };
-        let op = &p.ops[i];
+    for (i, op) in p.ops.iter().enumerate() {
         for s in op_reads(op).into_iter().flatten() {
             match s {
                 Src::Reg(r) if !flow.reg(r) => {
@@ -657,47 +480,25 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
                 _ => {}
             }
         }
-        let mut out = flow;
-        match op {
-            Op::CheckCol { col } => {
-                out.cols.insert(*col);
-            }
-            Op::LoadCol { col, dst } => {
-                // LoadCol bounds-checks the column itself, so it both
-                // initializes `dst` and establishes the column fact.
-                out.cols.insert(*col);
-                out.set_reg(*dst);
-            }
-            _ => {
-                if let Some(d) = op_dst(op) {
-                    if p.mode == Mode::Range && written[d as usize] {
-                        return Err(VerifyError::at(p, i, RegisterRewritten { reg: d }));
-                    }
-                    written[d as usize] = true;
-                    out.set_reg(d);
-                }
-            }
+        if let Op::CheckCol { col } = op {
+            flow.cols.insert(*col);
         }
-        match op {
-            Op::Jump { to } => merge_flow(&mut states[*to as usize], &out),
-            Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } => {
-                merge_flow(&mut states[*to as usize], &out);
-                merge_flow(&mut states[i + 1], &out);
+        if let Some(d) = op_dst(op) {
+            if written[d as usize] {
+                return Err(VerifyError::at(p, i, RegisterRewritten { reg: d }));
             }
-            _ => merge_flow(&mut states[i + 1], &out),
+            written[d as usize] = true;
+            flow.set_reg(d);
         }
     }
-    let Some(exit) = &states[n] else {
-        return Err(VerifyError::global(ExitUnreachable));
-    };
 
     // -- outputs ----------------------------------------------------------
     for (k, out) in p.outputs.iter().enumerate() {
         match *out {
-            Src::Reg(r) if (r as usize) >= p.nregs || !exit.reg(r) => {
+            Src::Reg(r) if (r as usize) >= p.nregs || !flow.reg(r) => {
                 return Err(VerifyError::global(OutputUninit { output: k, reg: r }))
             }
-            Src::Col(c) if !exit.cols.contains(&c) => {
+            Src::Col(c) if !flow.cols.contains(&c) => {
                 return Err(VerifyError::global(OutputUnchecked { output: k, col: c }))
             }
             Src::Const(idx) if (idx as usize) >= p.consts.len() => {
@@ -894,17 +695,12 @@ fn error_lint(e: &EvalError) -> LintKind {
     }
 }
 
-/// Is the condition behind op `i` a literal `Const` in the source? A
-/// constant branch on a literal is idiomatic (`lit(true)` predicates,
-/// `Expr::conj(vec![])`), so [`LintKind::ConstantCondition`] skips it.
+/// Is the `If` condition behind op `i` a literal `Const` in the source?
+/// A constant branch on a literal is idiomatic (`lit(true)` arms), so
+/// [`LintKind::ConstantCondition`] skips it.
 fn literal_condition(p: &Program, i: usize) -> bool {
     let Some(node) = p.spans.get(i) else { return false };
-    match p.node_expr(*node) {
-        Some(Expr::And(a, _)) | Some(Expr::Or(a, _)) | Some(Expr::If(a, _, _)) => {
-            matches!(**a, Expr::Const(_))
-        }
-        _ => false,
-    }
+    matches!(p.node_expr(*node), Some(Expr::If(c, _, _)) if matches!(**c, Expr::Const(_)))
 }
 
 /// Tier B entry point: translation validation, then abstract
@@ -954,9 +750,6 @@ fn check_translation(p: &Program) -> Result<(), VerifyError> {
     if p.consts != q.consts {
         return diverged("constant pool differs".to_string(), None);
     }
-    if p.consts_range != q.consts_range {
-        return diverged("range constant pool differs".to_string(), None);
-    }
     if p.node_offsets != q.node_offsets {
         return diverged("node offset table differs".to_string(), None);
     }
@@ -975,19 +768,6 @@ fn exact(
         lints.push(lint(p, i, error_lint(&e)));
         Abs::Top
     })
-}
-
-/// A det op's combinator: the `Value` operation on the `sg`s of two
-/// certain lifts, lifted back.
-fn lift(
-    f: fn(&Value, &Value) -> Result<Value, EvalError>,
-) -> impl Fn(&RangeValue, &RangeValue) -> Result<RangeValue, EvalError> {
-    move |x, y| f(&x.sg, &y.sg).map(RangeValue::certain)
-}
-
-/// [`lift`] for a det comparison.
-fn lift_cmp(f: fn(&Value, &Value) -> bool) -> impl Fn(&RangeValue, &RangeValue) -> RangeValue {
-    move |x, y| RangeValue::certain(Value::Bool(f(&x.sg, &y.sg)))
 }
 
 /// Shared transfer for the boolean connectives: fold exact operands
@@ -1113,48 +893,16 @@ fn div_band(_: (f64, f64), _: (f64, f64)) -> Abs {
     num_band(f64::NEG_INFINITY, f64::INFINITY)
 }
 
-/// A det quotient: `Top`.
-fn top_band(_: (f64, f64), _: (f64, f64)) -> Abs {
-    Abs::Top
-}
-
-/// Join `incoming` into the register state at a merge point.
-fn merge(slot: &mut Option<Vec<Abs>>, incoming: Vec<Abs>) {
-    match slot {
-        None => *slot = Some(incoming),
-        Some(prev) => prev.iter_mut().zip(&incoming).for_each(|(a, b)| *a = a.join(b)),
-    }
-}
-
-/// Tier B's abstract interpreter: forward dataflow over the op CFG, a
-/// range program being the jump-free case. Jumps are strictly forward
-/// (Tier A), so one in-order pass reaches the fixpoint: the register
-/// state moves along the fall-through edge, a jump joins a copy into its
-/// target's state, and an op no edge reaches is unreachable. A det op
-/// is the certain lift of its range op, folded through the lifted
-/// `Value` operation.
+/// Tier B's abstract interpreter: one in-order pass over the
+/// straight-line op list, carrying one abstract value per register.
 fn interpret(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
     let mut lints = Vec::new();
-    // Register states that arrive by a jump, per target: a range
-    // program is jump-free and allocates none.
-    let mut jumped: Vec<Option<Vec<Abs>>> = match p.mode {
-        Mode::Range => Vec::new(),
-        Mode::Det => vec![None; p.ops.len() + 1],
-    };
-    let mut fall = Some(vec![Abs::Bot; p.nregs]);
+    let mut regs = vec![Abs::Bot; p.nregs];
     for (i, op) in p.ops.iter().enumerate() {
-        let mut state = jumped.get_mut(i).and_then(Option::take);
-        if let Some(regs) = fall.take() {
-            merge(&mut state, regs);
-        }
-        let Some(mut regs) = state else {
-            lints.push(lint(p, i, LintKind::UnreachableOp));
-            continue;
-        };
         let get = |s: Option<Src>| match s {
             Some(Src::Reg(r)) => regs[r as usize].clone(),
             Some(Src::Col(_)) => Abs::Top,
-            Some(Src::Const(k)) => Abs::Exact(p.consts_range[k as usize].clone()),
+            Some(Src::Const(k)) => Abs::Exact(p.consts[k as usize].clone()),
             None => Abs::Bot,
         };
         // Not `op_reads(op).map(get)`: `[_; 3]::map` moves the three
@@ -1164,26 +912,20 @@ fn interpret(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
         let (x, y, z) = (get(a), get(b), get(c));
         // `Bot` for an op that writes no register.
         let out = match op {
-            Op::CheckCol { .. } | Op::Jump { .. } => Abs::Bot,
-            Op::RangeCheckBool3 { .. } | Op::JumpIfFalse { .. } | Op::JumpIfTrue { .. } => {
+            Op::CheckCol { .. } => Abs::Bot,
+            Op::RangeCheckBool3 { .. } => {
                 match x.as_bool3() {
                     Err(()) => lints.push(lint(p, i, LintKind::CertainTypeError)),
-                    // A range condition is constant when its three
-                    // components agree, a det one when its value is known.
+                    // A condition is constant when its three components
+                    // agree.
                     Ok((l, s, u)) => {
-                        let constant = match op {
-                            Op::RangeCheckBool3 { .. } => l.is_some() && l == s && s == u,
-                            _ => s.is_some(),
-                        };
-                        if constant && !literal_condition(p, i) {
+                        if l.is_some() && l == s && s == u && !literal_condition(p, i) {
                             lints.push(lint(p, i, LintKind::ConstantCondition));
                         }
                     }
                 }
                 Abs::Bot
             }
-            Op::LoadCol { .. } => Abs::Top,
-            Op::LoadConst { idx, .. } => Abs::Exact(p.consts_range[*idx as usize].clone()),
             Op::RangeAnd { .. } => connective(p, i, &x, &y, range_and, and3, &mut lints),
             Op::RangeOr { .. } => connective(p, i, &x, &y, range_or, or3, &mut lints),
             Op::RangeNot { .. } => match (&x, x.as_bool3()) {
@@ -1197,35 +939,14 @@ fn interpret(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                     Abs::Top
                 }
             },
-            // A det boolean is its `sg`, which `DetNot` flips.
-            Op::DetNot { .. } | Op::DetAsBool { .. } => match x.as_bool3() {
-                Err(()) => {
-                    lints.push(lint(p, i, LintKind::CertainTypeError));
-                    Abs::Top
-                }
-                Ok((_, s, _)) => match s.map(|b| b != matches!(op, Op::DetNot { .. })) {
-                    Some(b) => Abs::Exact(RangeValue::certain(Value::Bool(b))),
-                    None => Abs::Bool { lb: None, sg: None, ub: None },
-                },
-            },
             Op::RangeEq { .. } => compare(&x, &y, range_eq),
             Op::RangeLeq { .. } => compare(&x, &y, range_leq),
             Op::RangeLt { .. } => compare(&x, &y, range_lt),
-            Op::DetEq { .. } => compare(&x, &y, lift_cmp(Value::value_eq)),
-            Op::DetLeq { .. } => compare(&x, &y, lift_cmp(expr::leq)),
-            Op::DetLt { .. } => compare(&x, &y, lift_cmp(expr::lt)),
             Op::RangeAdd { .. } => arith(p, i, &x, &y, range_add, add_band, &mut lints),
             Op::RangeSub { .. } => arith(p, i, &x, &y, range_sub, sub_band, &mut lints),
             Op::RangeMul { .. } => arith(p, i, &x, &y, range_mul, mul_band, &mut lints),
             Op::RangeDiv { .. } => arith(p, i, &x, &y, range_div, div_band, &mut lints),
-            Op::DetAdd { .. } => arith(p, i, &x, &y, lift(Value::add), add_band, &mut lints),
-            Op::DetSub { .. } => arith(p, i, &x, &y, lift(Value::sub), sub_band, &mut lints),
-            Op::DetMul { .. } => arith(p, i, &x, &y, lift(Value::mul), mul_band, &mut lints),
-            Op::DetDiv { .. } => arith(p, i, &x, &y, lift(Value::div), top_band, &mut lints),
             Op::RangeNeg { .. } => negate(p, i, &x, range_neg, &mut lints),
-            Op::DetNeg { .. } => {
-                negate(p, i, &x, |v| v.sg.neg().map(RangeValue::certain), &mut lints)
-            }
             Op::RangeIfMerge { .. } => match (&x, y, z) {
                 (Abs::Exact(c), Abs::Exact(t), Abs::Exact(e)) => {
                     exact(p, i, range_if_merge(c, t, e), &mut lints)
@@ -1250,31 +971,21 @@ fn interpret(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
             check_wf(p, i, &out)?;
             regs[d as usize] = out;
         }
-        match *op {
-            Op::Jump { to } => merge(&mut jumped[to as usize], regs),
-            Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } => {
-                merge(&mut jumped[to as usize], regs.clone());
-                fall = Some(regs);
-            }
-            _ => fall = Some(regs),
-        }
     }
 
-    // Dead registers: range programs are single-assignment, so a write
-    // nothing ever reads (and no output exposes) is dead code — the
-    // lowerer never emits one, a corrupted operand often leaves one.
-    if p.mode == Mode::Range {
-        let mut read = vec![false; p.nregs];
-        let reads = p.ops.iter().flat_map(op_reads).flatten();
-        for s in reads.chain(p.outputs.iter().copied()) {
-            if let Src::Reg(r) = s {
-                read[r as usize] = true;
-            }
+    // Dead registers: programs are single-assignment, so a write nothing
+    // ever reads (and no output exposes) is dead code — the lowerer
+    // never emits one, a corrupted operand often leaves one.
+    let mut read = vec![false; p.nregs];
+    let reads = p.ops.iter().flat_map(op_reads).flatten();
+    for s in reads.chain(p.outputs.iter().copied()) {
+        if let Src::Reg(r) = s {
+            read[r as usize] = true;
         }
-        for (i, op) in p.ops.iter().enumerate() {
-            if op_dst(op).is_some_and(|d| !read[d as usize]) {
-                lints.push(lint(p, i, LintKind::DeadRegister));
-            }
+    }
+    for (i, op) in p.ops.iter().enumerate() {
+        if op_dst(op).is_some_and(|d| !read[d as usize]) {
+            lints.push(lint(p, i, LintKind::DeadRegister));
         }
     }
     Ok(lints)
@@ -1355,22 +1066,6 @@ pub mod mutate {
             }
         };
         for (i, op) in p.ops.iter().enumerate() {
-            // Retargeted jumps: forward past the region, backward, and
-            // off-by-one.
-            if let Some(to) = op_jump(op) {
-                for (delta, nt) in [
-                    ("+1", to.saturating_add(1)),
-                    ("-1", to.saturating_sub(1)),
-                    ("->0", 0),
-                    ("->end", p.ops.len() as u32),
-                ] {
-                    let mut q = p.clone();
-                    if let Some(t) = slots(&mut q.ops[i]).to {
-                        *t = nt;
-                    }
-                    push("retarget_jump", format!("op {i}: jump {to} {delta} => {nt}"), q);
-                }
-            }
             // Dropped CheckCol probes.
             if matches!(op, Op::CheckCol { .. }) {
                 let mut q = p.clone();
@@ -1451,14 +1146,9 @@ pub mod mutate {
     /// Run a mutant through both tiers and, when nothing rejects it,
     /// the differential oracle against the original on the supplied row
     /// corpus. Oracle evaluation is only ever attempted on mutants that
-    /// pass Tier A, whose guarantees (forward jumps, bounds, checked
-    /// columns) make evaluation safe and terminating.
-    pub fn classify(
-        original: &Program,
-        mutant: &Program,
-        range_rows: &[Vec<RangeValue>],
-        det_rows: &[Vec<Value>],
-    ) -> Verdict {
+    /// pass Tier A, whose guarantees (bounds, initialized registers,
+    /// checked columns) make evaluation safe.
+    pub fn classify(original: &Program, mutant: &Program, rows: &[Vec<RangeValue>]) -> Verdict {
         if mutant.verify().is_err() {
             return Verdict::CaughtTierA;
         }
@@ -1474,39 +1164,25 @@ pub mod mutate {
                 }
             }
         }
-        let same = match original.mode() {
-            Mode::Range => range_rows
-                .iter()
-                .all(|t| range_fingerprint(original, t) == range_fingerprint(mutant, t)),
-            Mode::Det => {
-                det_rows.iter().all(|t| det_fingerprint(original, t) == det_fingerprint(mutant, t))
-            }
-        };
-        if same {
+        if rows.iter().all(|t| fingerprint(original, t) == fingerprint(mutant, t)) {
             Verdict::OracleEquivalent
         } else {
             Verdict::Missed
         }
     }
 
-    fn range_fingerprint(p: &Program, tuple: &[RangeValue]) -> Result<Vec<RangeValue>, EvalError> {
+    fn fingerprint(p: &Program, tuple: &[RangeValue]) -> Result<Vec<RangeValue>, EvalError> {
         let mut regs = Vec::new();
         p.prepare_range_regs(&mut regs);
         p.eval_range_into(tuple, &mut regs)?;
         Ok((0..p.arity()).map(|i| p.range_output(i, tuple, &regs).clone()).collect())
     }
 
-    fn det_fingerprint(p: &Program, tuple: &[Value]) -> Result<Vec<Value>, EvalError> {
-        let mut regs = Vec::new();
-        p.prepare_det_regs(&mut regs);
-        p.eval_det_into(tuple, &mut regs)?;
-        Ok((0..p.arity()).map(|i| p.det_output(i, tuple, &regs).clone()).collect())
-    }
-
     /// A small mixed Int/Float/Bool oracle corpus of the given tuple
     /// width: enough value shapes to distinguish operand swaps, operand
-    /// redirects, and clobbered registers on real programs.
-    pub fn oracle_rows(width: usize) -> (Vec<Vec<RangeValue>>, Vec<Vec<Value>>) {
+    /// redirects, and clobbered registers on real programs. Odd rows
+    /// widen each cell into a genuinely uncertain band.
+    pub fn oracle_rows(width: usize) -> Vec<Vec<RangeValue>> {
         let vals = [
             Value::Int(-3),
             Value::Int(0),
@@ -1515,14 +1191,11 @@ pub mod mutate {
             Value::float(-1.5),
             Value::Bool(true),
         ];
-        let mut range_rows = Vec::new();
-        let mut det_rows = Vec::new();
+        let mut rows = Vec::new();
         for (r, base) in vals.iter().enumerate() {
             let mut rr = Vec::with_capacity(width);
-            let mut dr = Vec::with_capacity(width);
             for c in 0..width {
                 let v = &vals[(r + c) % vals.len()];
-                dr.push(v.clone());
                 if r % 2 == 0 {
                     rr.push(RangeValue::certain(v.clone()));
                 } else {
@@ -1538,10 +1211,9 @@ pub mod mutate {
                     );
                 }
             }
-            range_rows.push(rr);
-            det_rows.push(dr);
+            rows.push(rr);
         }
-        (range_rows, det_rows)
+        rows
     }
 }
 
@@ -1581,17 +1253,12 @@ mod tests {
     #[test]
     fn corpus_verifies_clean() {
         for e in corpus() {
-            for p in [Program::compile_range(&e), Program::compile_det(&e)] {
-                let lints = p.verify_full().unwrap_or_else(|err| {
-                    panic!("verifier rejected a fresh lowering of `{e}`: {err}")
-                });
-                assert!(lints.is_empty(), "lints on fresh lowering of `{e}`: {lints:?}");
-            }
+            let lints = Program::compile_range(&e)
+                .verify_full()
+                .unwrap_or_else(|err| panic!("verifier rejected a fresh lowering of `{e}`: {err}"));
+            assert!(lints.is_empty(), "lints on fresh lowering of `{e}`: {lints:?}");
         }
-        let many = corpus();
-        for p in [Program::compile_range_many(&many), Program::compile_det_many(&many)] {
-            assert_eq!(p.verify_full().unwrap(), vec![]);
-        }
+        assert_eq!(Program::compile_range_many(&corpus()).verify_full().unwrap(), vec![]);
     }
 
     /// Every mutation-harness corruption of every corpus program is
@@ -1599,29 +1266,27 @@ mod tests {
     /// behavior-preserving — and the corpus exercises every class.
     #[test]
     fn mutants_detected_or_equivalent() {
-        let (range_rows, det_rows) = mutate::oracle_rows(2);
+        let rows = mutate::oracle_rows(2);
         let mut by_class: BTreeMap<&'static str, [usize; 2]> = BTreeMap::new();
         for e in corpus() {
-            for p in [Program::compile_range(&e), Program::compile_det(&e)] {
-                for m in mutate::mutants(&p) {
-                    let v = mutate::classify(&p, &m.program, &range_rows, &det_rows);
-                    let slot = by_class.entry(m.class).or_default();
-                    slot[0] += 1;
-                    if v == mutate::Verdict::Missed {
-                        slot[1] += 1;
-                    }
-                    assert_ne!(
-                        v,
-                        mutate::Verdict::Missed,
-                        "undetected behavior-changing mutant of `{e}` ({}: {})",
-                        m.class,
-                        m.detail
-                    );
+            let p = Program::compile_range(&e);
+            for m in mutate::mutants(&p) {
+                let v = mutate::classify(&p, &m.program, &rows);
+                let slot = by_class.entry(m.class).or_default();
+                slot[0] += 1;
+                if v == mutate::Verdict::Missed {
+                    slot[1] += 1;
                 }
+                assert_ne!(
+                    v,
+                    mutate::Verdict::Missed,
+                    "undetected behavior-changing mutant of `{e}` ({}: {})",
+                    m.class,
+                    m.detail
+                );
             }
         }
         for class in [
-            "retarget_jump",
             "drop_checkcol",
             "swap_operands",
             "clobber_register",
@@ -1637,11 +1302,8 @@ mod tests {
     /// conditions stay quiet.
     #[test]
     fn lint_inventory() {
-        // Certain division by zero (range: the spans-zero guard).
+        // Certain division by zero (the spans-zero guard).
         let p = Program::compile_range(&lit(1i64).div(lit(0i64)));
-        let lints = p.verify_full().unwrap();
-        assert!(lints.iter().any(|l| l.kind == LintKind::CertainDivByZero), "{lints:?}");
-        let p = Program::compile_det(&lit(1i64).div(lit(0i64)));
         let lints = p.verify_full().unwrap();
         assert!(lints.iter().any(|l| l.kind == LintKind::CertainDivByZero), "{lints:?}");
 
@@ -1651,13 +1313,11 @@ mod tests {
         assert!(lints.iter().any(|l| l.kind == LintKind::CertainTypeError), "{lints:?}");
 
         // A computed-constant branch condition lints ...
-        let e = lit(1i64).leq(lit(2i64)).and(col(0).gt(lit(0i64)));
-        let p = Program::compile_det(&e);
+        let e = Expr::if_then_else(lit(1i64).leq(lit(2i64)), col(0), col(1));
+        let p = Program::compile_range(&e);
         let lints = p.verify_full().unwrap();
         assert!(lints.iter().any(|l| l.kind == LintKind::ConstantCondition), "{lints:?}");
         // ... a literal one does not.
-        let p = Program::compile_det(&lit(true).and(col(0).gt(lit(0i64))));
-        assert_eq!(p.verify_full().unwrap(), vec![]);
         let p = Program::compile_range(&Expr::if_then_else(lit(true), col(0), col(1)));
         assert_eq!(p.verify_full().unwrap(), vec![]);
     }
@@ -1665,9 +1325,8 @@ mod tests {
     /// A product of an infinite band and a zero: every corner is
     /// `∞ · 0 = NaN`, so the band is the full line — not the empty
     /// `[∞, −∞]` a NaN-skipping fold left, which Tier B rejected as a
-    /// bound violation. `RangeDiv` of two `If`-joined bands is a range
-    /// program's full line; an overflowing product reaches one in both
-    /// modes.
+    /// bound violation. `RangeDiv` of two `If`-joined bands is the full
+    /// line; an overflowing product reaches one too.
     #[test]
     fn infinite_band_times_zero_verifies() {
         let cond = || col(0).gt(lit(1i64));
@@ -1679,9 +1338,7 @@ mod tests {
         for zero in [lit(0i64), lit(0.0)] {
             for x in [&ratio, &overflow] {
                 for e in [x.clone().mul(zero.clone()), zero.clone().mul(x.clone())] {
-                    for p in [Program::compile_range(&e), Program::compile_det(&e)] {
-                        assert_eq!(p.verify_full(), Ok(vec![]), "`{e}` in {:?} mode", p.mode());
-                    }
+                    assert_eq!(Program::compile_range(&e).verify_full(), Ok(vec![]), "`{e}`");
                 }
             }
         }

@@ -9,8 +9,15 @@
 //!
 //! These checkers are the ground-truth oracle for the property-based
 //! bound-preservation tests (Theorems 3–6, Corollary 2).
+//!
+//! [`sample_bounded_world`] draws the other side of such a check at any
+//! scale: a world `W` that an AU-DB `D` bounds. `{SG(D), W}` is then an
+//! incomplete database `D` bounds, so `Q(D)` must bound `Q(W)` — no
+//! world enumeration needed.
 
-use audb_storage::{AuDatabase, AuRelation, Database, Relation};
+use audb_core::{RangeValue, Value};
+use audb_storage::{AuDatabase, AuRelation, Database, Relation, Tuple};
+use rand::Rng;
 
 use crate::maxflow::{feasible_flow, BoundedEdge};
 use crate::worlds::{IncompleteDb, IncompleteRelation};
@@ -66,6 +73,51 @@ pub fn database_bounds_world(au: &AuDatabase, world: &Database) -> bool {
         }
     }
     true
+}
+
+/// Draw a world that `db` bounds (Definition 16): every row becomes
+/// `m ∈ [lb, ub]` copies of one tuple its ranges contain, which is its
+/// own tuple matching. The multiplicity and each cell are the lower
+/// bound, the upper bound, the selected guess or a uniform draw between
+/// the bounds, the bounds twice as likely as the other two — bugs live at
+/// the endpoints. A cell whose bounds are not both `Int` or both `Float`
+/// has no uniform draw and takes one of its three components.
+pub fn sample_bounded_world(db: &AuDatabase, rng: &mut impl Rng) -> Database {
+    let mut world = Database::new();
+    for (name, rel) in db.iter() {
+        let mut rows = Vec::with_capacity(rel.len());
+        for (t, k) in rel.rows() {
+            let m = match rng.gen_range(0..6) {
+                0 | 1 => k.lb,
+                2 | 3 => k.ub,
+                4 => k.sg,
+                _ => rng.gen_range(k.lb..=k.ub),
+            };
+            if m > 0 {
+                rows.push((Tuple::new(t.0.iter().map(|r| sample_cell(r, rng)).collect()), m));
+            }
+        }
+        world.insert(name.clone(), Relation::from_rows(rel.schema.clone(), rows));
+    }
+    world
+}
+
+/// One value of the range `r`, endpoints favoured (see
+/// [`sample_bounded_world`]).
+fn sample_cell(r: &RangeValue, rng: &mut impl Rng) -> Value {
+    match rng.gen_range(0..6) {
+        0 | 1 => r.lb.clone(),
+        2 | 3 => r.ub.clone(),
+        4 => r.sg.clone(),
+        _ => match (&r.lb, &r.ub) {
+            (Value::Int(lo), Value::Int(hi)) => Value::Int(rng.gen_range(*lo..=*hi)),
+            (Value::Float(lo), Value::Float(hi)) => {
+                let (lo, hi) = (lo.get(), hi.get());
+                Value::float((lo + (hi - lo) * rng.gen::<f64>()).clamp(lo, hi))
+            }
+            _ => r.sg.clone(),
+        },
+    }
 }
 
 /// Does an AU-database bound an incomplete database (Definition 17)?

@@ -15,7 +15,8 @@
 //! * [`lens`] — the key-repair cleaning lens (Section 11.4);
 //! * [`maxflow`], [`bounding`] — tuple-matching existence (Definitions
 //!   15–17) decided by max-flow with lower bounds: the ground-truth
-//!   oracle for all bound-preservation property tests.
+//!   oracle for all bound-preservation property tests — and the worlds
+//!   an AU-DB bounds, sampled at any scale.
 
 pub mod bounding;
 pub mod ctable;
@@ -28,7 +29,7 @@ pub mod xdb;
 
 pub use bounding::{
     database_bounds_incomplete, database_bounds_world, relation_bounds_incomplete,
-    relation_bounds_world,
+    relation_bounds_world, sample_bounded_world,
 };
 pub use ctable::{CTable, CVal};
 pub use lens::{key_repair_lens, repair_stats, RepairStats};

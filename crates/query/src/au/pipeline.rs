@@ -259,7 +259,7 @@ impl<R> Governed<'_, R> {
 /// [`Executor::run`] over `0..n`, every row `f` emits governed: pushed
 /// through [`Governed::push`] and charged to `operator`, the remainder at
 /// each morsel's end. `scratch` is made once per morsel. The loop of both
-/// engines' join operators, the det engine's fused chains and the AU
+/// engines' join operators, the det engine's chains and the AU
 /// nested loop.
 pub(crate) fn run_governed<R: Send, S>(
     exec: &Executor,

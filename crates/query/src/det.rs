@@ -3,44 +3,38 @@
 //! here, and the rewrite middleware of Section 10 executes its rewritten
 //! plans on this engine).
 //!
-//! The engine rides the same partition-parallel [`Executor`] as the AU
-//! evaluator and runs a query exactly two ways:
+//! This engine is the reference: world enumeration, the rewrite
+//! middleware, the baselines and the benchmark gate check the AU engine
+//! against it, so it compiles nothing and shares no `Program` with the
+//! AU engine. It is one interpreted tree walk ([`eval_walk`]) on the same
+//! partition-parallel [`Executor`] as the AU evaluator, and it returns
+//! the same relation, byte for byte, for any worker count.
 //!
-//! * **production** ([`eval_det`] / [`eval_det_exec`]): row-local
-//!   operator chains (select / project / the probe side of a planned
-//!   join) fuse into a single pass per base-table morsel
-//!   ([`run_chain`]) over compiled det [`Program`]s; everything else
-//!   runs operator-at-a-time on the pool. A chain one of whose stages
-//!   Tier B rejects is not fused at all — its subtree runs on the
-//!   operator functions (the AU engine's "degrade the chain, not the
-//!   stage" rule).
-//! * **oracle** ([`eval_det_oracle`]): never fuses, evaluates every
-//!   expression on the `Expr`-tree interpreter — the differential
-//!   reference of `tests/exec_equivalence.rs`.
+//! Every select/project tower runs as one streaming chain
+//! ([`run_chain`]) over its anchor's output: each source row passes
+//! through the stages' [`Expr`]s (`eval_bool` / `eval`, so `And`, `Or`
+//! and `If` short-circuit) and only survivors of the whole tower are
+//! materialized. Under a multiset-determined consumer a join at the
+//! anchor fuses as the chain's probe; otherwise it runs as its operator
+//! ([`planner::join_det_planned_exec`]) and the tower runs over its
+//! output. Breakers (∪, −, δ, γ) run operator-at-a-time on the pool.
 //!
-//! Both are one tree walk ([`eval_walk`]) and return the same relation,
-//! byte for byte, for any worker count.
-//!
-//! A join has one build side on either path, `DetProbe`: the fused
-//! chain's probe and the join operator
-//! ([`planner::join_det_planned_exec`]) read the same hash index or
-//! sweep pairs, and both run on `run_governed`, which charges the rows
-//! a probe emits to the budget as `join-probe` every `GOVERN_ROWS` —
-//! inside one left row's matches too — and observes cancellation inside
-//! a morsel.
+//! A join has one build side, `DetProbe`: the chain's probe and the join
+//! operator read the same hash index or sweep pairs, and both run on
+//! `run_governed`, which charges the rows a probe emits to the budget as
+//! `join-probe` every `GOVERN_ROWS` — inside one left row's matches too
+//! — and observes cancellation inside a morsel.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use audb_core::obs::TraceBuilder;
-use audb_core::{EvalError, Expr, Program, Semiring, Value};
+use audb_core::{EvalError, Expr, Semiring, Value};
 use audb_exec::Executor;
 use audb_storage::{det_key, Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
 
 use crate::algebra::{check_group_by, AggFunc, AggSpec, Query};
 use crate::au::pipeline::{chain_exec, run_governed, select_only, Delivery, Governed};
 use crate::planner::{self, JoinStrategy};
-use crate::vcheck::Vet;
 
 /// Evaluate a query over a deterministic database on the default
 /// executor (all available hardware threads).
@@ -49,71 +43,12 @@ pub fn eval_det(db: &Database, q: &Query) -> Result<Relation, EvalError> {
 }
 
 /// [`eval_det`] on an explicit executor, with morsel-at-a-time
-/// pipelining of fusable operator chains. `Executor::sequential()`
+/// streaming of select/project chains. `Executor::sequential()`
 /// reproduces the serial behavior exactly; any worker count produces a
 /// byte-identical result.
 pub fn eval_det_exec(db: &Database, q: &Query, exec: &Executor) -> Result<Relation, EvalError> {
-    let tr = TraceBuilder::disabled();
-    let rel = eval_walk(db, q, exec, Delivery::Canonical, Some(Vet::new(exec.metrics(), &tr)))?;
+    let rel = eval_walk(db, q, exec, Delivery::Canonical)?;
     Ok(rel.into_owned().into_normalized_with(exec)?)
-}
-
-/// The differential oracle: operator-at-a-time evaluation that never
-/// fuses a chain and never compiles an expression. Returns
-/// [`eval_det_exec`]'s relation byte for byte
-/// (`tests/exec_equivalence.rs`); where several rows fail, a fused chain
-/// meets their errors row by row, the oracle operator by operator.
-pub fn eval_det_oracle(db: &Database, q: &Query, exec: &Executor) -> Result<Relation, EvalError> {
-    let rel = eval_walk(db, q, exec, Delivery::Canonical, None)?;
-    Ok(rel.into_owned().into_normalized_with(exec)?)
-}
-
-/// Partition-parallel selection. Like the AU evaluator's selection it
-/// preserves normal form: kept rows keep their tuples, multiplicities,
-/// and relative order, so a normalized input yields a normalized output
-/// and downstream merges are free.
-pub fn select_det_exec(
-    rel: &Relation,
-    predicate: &Expr,
-    exec: &Executor,
-) -> Result<Relation, EvalError> {
-    let rows = exec.run(rel.rows().len(), |morsel, out| {
-        for (t, k) in &rel.rows()[morsel] {
-            if predicate.eval_bool(t.values())? {
-                out.push((t.clone(), *k));
-            }
-        }
-        Ok::<(), EvalError>(())
-    })?;
-    if rel.is_normalized() {
-        Ok(Relation::from_normalized_rows(rel.schema.clone(), rows))
-    } else {
-        let mut out = Relation::empty(rel.schema.clone());
-        out.append_rows(rows);
-        Ok(out)
-    }
-}
-
-/// Partition-parallel generalized projection (output left unnormalized,
-/// exactly like the serial loop — deterministic bag semantics merge
-/// duplicates only where an operator requires it).
-pub fn project_det_exec(
-    rel: &Relation,
-    exprs: &[(Expr, String)],
-    exec: &Executor,
-) -> Result<Relation, EvalError> {
-    let schema = Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect());
-    let rows = exec.run(rel.rows().len(), |morsel, out| {
-        for (t, k) in &rel.rows()[morsel] {
-            let vals: Result<Vec<Value>, EvalError> =
-                exprs.iter().map(|(e, _)| e.eval(t.values())).collect();
-            out.push((Tuple::new(vals?), *k));
-        }
-        Ok::<(), EvalError>(())
-    })?;
-    let mut out = Relation::empty(schema);
-    out.append_rows(rows);
-    Ok(out)
 }
 
 /// Bag difference (monus): the left side needs normal form (one row per
@@ -174,10 +109,10 @@ enum DetMatch {
 }
 
 /// A det join's build side, and the one place a det join classifies its
-/// predicate, builds its hash index or runs its sweep. The fused
-/// chain's probe and [`planner::join_det_planned_exec`] both read it,
-/// each re-checking [`DetProbe::recheck`] in its own form (compiled or
-/// interpreted). It borrows its right relation.
+/// predicate, builds its hash index or runs its sweep. The chain's probe
+/// and [`planner::join_det_planned_exec`] both read it and re-check
+/// [`DetProbe::recheck`] on every candidate pair. It borrows its right
+/// relation.
 pub(crate) struct DetProbe<'r> {
     right: &'r Relation,
     on: Option<&'r Expr>,
@@ -246,27 +181,21 @@ impl<'r> DetProbe<'r> {
     }
 }
 
-/// A fused chain's stage: a compiled det [`Program`] (det lowering keeps
-/// `And`/`Or`/`If` short-circuit via jump ops) — a predicate, or a whole
-/// projection list as one multi-output program — or a join's probe with
-/// its compiled re-check.
-enum DetPipeOp<'r> {
-    Select(Program),
-    Project(Program),
-    Probe(Box<(DetProbe<'r>, Option<Program>)>),
+/// A chain stage, borrowed from the query: a predicate, a projection
+/// list, or a join's probe.
+enum DetPipeOp<'q> {
+    Select(&'q Expr),
+    Project(&'q [(Expr, String)]),
+    Probe(DetProbe<'q>),
 }
 
-/// Per-op scratch reused across a morsel's rows: the value buffer plus
-/// the compiled-program register file.
-#[derive(Default)]
-struct DetBuf {
-    vals: Vec<Value>,
-    regs: Vec<Value>,
-}
-
+/// Run one source row (`vals`, multiplicity `k`, at source position
+/// `src`) through `ops`, appending the tower's survivors to `out`. Each
+/// stage that builds a row (a projection, a probe's concatenation) owns
+/// one buffer of `bufs`, reused across the morsel's rows.
 fn apply_det(
     ops: &[DetPipeOp<'_>],
-    bufs: &mut [DetBuf],
+    bufs: &mut [Vec<Value>],
     src: usize,
     vals: &[Value],
     k: u64,
@@ -279,92 +208,71 @@ fn apply_det(
     };
     match op {
         DetPipeOp::Select(p) => {
-            if !p.eval_det_bool(vals, &mut buf.regs)? {
+            if !p.eval_bool(vals)? {
                 return Ok(());
             }
             apply_det(rest, rest_bufs, src, vals, k, out)
         }
-        DetPipeOp::Project(p) => {
-            let DetBuf { vals: pvals, regs } = buf;
-            pvals.clear();
-            p.prepare_det_regs(regs);
-            p.eval_det_into(vals, regs)?;
-            for i in 0..p.arity() {
-                pvals.push(p.det_output(i, vals, regs).clone());
+        DetPipeOp::Project(exprs) => {
+            buf.clear();
+            for (e, _) in exprs.iter() {
+                buf.push(e.eval(vals)?);
             }
-            apply_det(rest, rest_bufs, usize::MAX, pvals, k, out)
+            apply_det(rest, rest_bufs, usize::MAX, buf, k, out)
         }
-        DetPipeOp::Probe(probe) => {
-            let (probe, recheck) = probe.as_ref();
-            let DetBuf { vals: concat, regs } = buf;
-            probe.for_each(src, vals, |(tr, kr)| {
-                concat.clear();
-                concat.extend_from_slice(vals);
-                concat.extend_from_slice(&tr.0);
-                if let Some(p) = recheck {
-                    if !p.eval_det_bool(concat, regs)? {
-                        return Ok(());
-                    }
+        DetPipeOp::Probe(probe) => probe.for_each(src, vals, |(tr, kr)| {
+            buf.clear();
+            buf.extend_from_slice(vals);
+            buf.extend_from_slice(&tr.0);
+            if let Some(p) = probe.recheck() {
+                if !p.eval_bool(buf)? {
+                    return Ok(());
                 }
-                apply_det(rest, rest_bufs, usize::MAX, concat, k.times(kr), out)
-            })
-        }
+            }
+            apply_det(rest, rest_bufs, usize::MAX, buf, k.times(kr), out)
+        }),
     }
 }
 
-/// The anchor of the select/project tower `q`, if a chain can fuse onto
-/// it: a base table, or a join (regardless of its subtrees).
-fn chain_anchor(q: &Query) -> Option<&Query> {
-    match q {
-        Query::Table(_) | Query::Join { .. } => Some(q),
-        Query::Select { input, .. } | Query::Project { input, .. } => chain_anchor(input),
-        _ => None,
-    }
-}
-
-/// Run the fused chain rooted at `q` (a tower over a [`chain_anchor`]),
-/// or `None` when Tier B rejected one of its programs ([`Vet`] has
-/// counted it). Every stage compiles before any input is touched, so
-/// declining a chain costs no evaluation. A chain holds at most one
-/// join, at its anchor: the stages below its probe are the select-only
-/// chain over its left side, and the probe borrows the right side the
-/// walk returns.
+/// Run the select/project tower rooted at `q` as one chain over its
+/// anchor, the first node below it that is neither a selection nor a
+/// projection. Under a `Canonical` consumer a join at the anchor fuses
+/// as the chain's probe (a bare join is a probe-only chain): the stages
+/// below it are the select-only chain over its left side, and the probe
+/// borrows the right side the walk returns. Any other anchor — a join
+/// under a `Faithful` consumer included — is evaluated by the walk, and
+/// the tower runs over its output.
 ///
-/// The chain runs morsel by morsel with the delivery its shape admits:
-/// probe chains pay the single breaker normalization; select/project
-/// chains reproduce the serial row list exactly (selection preserving
-/// normal form). Row order is the sequential chain-emission order for
-/// any worker count.
+/// The chain runs morsel by morsel: a probe chain pays the single
+/// breaker normalization; a select/project chain reproduces the row
+/// list of its operators exactly (selection preserving normal form), so
+/// its anchor is asked for the chain's own delivery. Row order is the
+/// sequential chain-emission order for any worker count.
 fn run_chain<'a>(
     db: &'a Database,
     q: &Query,
     exec: &Executor,
-    vet: Vet<'_>,
-) -> Result<Option<Cow<'a, Relation>>, EvalError> {
-    // compiled top-down: the stages above the join, then those below it
+    delivery: Delivery,
+) -> Result<Cow<'a, Relation>, EvalError> {
+    // collected top-down: the stages above the join, then those below it
     let (mut above, mut below, mut join, mut names) = (Vec::new(), Vec::new(), None, None);
     let mut node = q;
     let anchor = loop {
         let stages = if join.is_some() { &mut below } else { &mut above };
         node = match node {
             Query::Select { input, predicate } => {
-                let Some(p) = vet.det(predicate) else { return Ok(None) };
-                stages.push(DetPipeOp::Select(p));
+                stages.push(DetPipeOp::Select(predicate));
                 input
             }
             Query::Project { input, exprs } => {
-                let es: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
-                let Some(p) = vet.det_many(&es) else { return Ok(None) };
                 names.get_or_insert_with(|| exprs.iter().map(|(_, n)| n.clone()).collect());
-                stages.push(DetPipeOp::Project(p));
+                stages.push(DetPipeOp::Project(exprs));
                 input
             }
-            Query::Join { left, right, predicate } if join.is_none() => {
-                let recheck = match predicate.as_ref().map(|e| vet.det(e)) {
-                    Some(None) => return Ok(None),
-                    compiled => compiled.flatten(),
-                };
-                join = Some((right, predicate.as_ref(), recheck));
+            Query::Join { left, right, predicate }
+                if join.is_none() && delivery == Delivery::Canonical =>
+            {
+                join = Some((right, predicate.as_ref()));
                 if !select_only(left) {
                     break &**left;
                 }
@@ -373,81 +281,51 @@ fn run_chain<'a>(
             _ => break node,
         };
     };
-    let input = |q: &Query| eval_walk(db, q, exec, Delivery::Canonical, Some(vet));
-    let source = match anchor {
-        Query::Table(name) => Cow::Borrowed(db.get(name)?),
-        _ => input(anchor)?,
-    };
+    let source = eval_walk(db, anchor, exec, delivery)?;
     let right = match &join {
-        Some((r, ..)) => Some(input(r)?),
+        Some((r, _)) => Some(eval_walk(db, r, exec, delivery)?),
         None => None,
     };
     let mut schema = source.schema.clone();
     let mut ops: Vec<DetPipeOp<'_>> = below.into_iter().rev().collect();
-    if let (Some((_, on, recheck)), Some(r)) = (join, &right) {
-        let probe = DetProbe::build(&source, r, on);
-        let recheck = recheck.filter(|_| probe.recheck().is_some());
+    if let (Some((_, on)), Some(r)) = (join, &right) {
         schema = schema.concat(&r.schema);
-        ops.push(DetPipeOp::Probe(Box::new((probe, recheck))));
+        ops.push(DetPipeOp::Probe(DetProbe::build(&source, r, on)));
     }
     ops.extend(above.into_iter().rev());
-    if ops.is_empty() {
-        return Ok(Some(source));
-    }
     let schema = names.map_or(schema, Schema::new);
     let operator = if right.is_some() { "join-probe" } else { "pipeline-chain" };
-    let scratch = || (0..ops.len()).map(|_| DetBuf::default()).collect::<Vec<_>>();
+    let scratch = || vec![Vec::new(); ops.len()];
     let rows = run_governed(&chain_exec(exec), operator, source.len(), scratch, |bufs, i, out| {
         let (t, k) = &source.rows()[i];
         apply_det(&ops, bufs, i, t.values(), *k, out)
     })?;
     if source.is_normalized() && ops.iter().all(|op| matches!(op, DetPipeOp::Select(_))) {
-        return Ok(Some(Cow::Owned(Relation::from_normalized_rows(schema, rows))));
+        return Ok(Cow::Owned(Relation::from_normalized_rows(schema, rows)));
     }
     let mut out = Relation::empty(schema);
     out.append_rows(rows);
-    Ok(Some(Cow::Owned(if right.is_some() { out.into_normalized_with(exec)? } else { out })))
+    Ok(Cow::Owned(if right.is_some() { out.into_normalized_with(exec)? } else { out }))
 }
 
-/// The one tree walk. With `fuse` (production) a fusable chain whose
-/// every stage vets runs fused ([`run_chain`]); everything else — a
-/// breaker, a chain Tier B declined, and every operator of the oracle
-/// (`fuse = None`) — runs on the operator functions over interpreted
-/// `Expr` trees. Base tables are borrowed from the database, only
-/// operator outputs are owned, and normal form is produced only where
-/// an operator requires it (difference's and distinct's left-side
-/// merges, on the sharded-reduce driver).
+/// The one tree walk: a select/project tower, or a join under a
+/// multiset-determined consumer, runs as a chain ([`run_chain`]); every
+/// other node runs its operator. Base tables are borrowed from the
+/// database, only operator outputs are owned, and normal form is
+/// produced only where an operator requires it (difference's and
+/// distinct's left-side merges, on the sharded-reduce driver).
 fn eval_walk<'a>(
     db: &'a Database,
     q: &Query,
     exec: &Executor,
     delivery: Delivery,
-    fuse: Option<Vet<'_>>,
 ) -> Result<Cow<'a, Relation>, EvalError> {
-    // Det select/project chains reproduce the serial list exactly —
-    // projection does not normalize on this engine — so only a probe
-    // restricts a chain to Canonical delivery.
-    let fits =
-        |anchor: &Query| delivery == Delivery::Canonical || matches!(anchor, Query::Table(_));
-    if let Some(vet) = fuse {
-        if chain_anchor(q).is_some_and(fits) {
-            return match run_chain(db, q, exec, vet)? {
-                Some(rel) => Ok(rel),
-                // degrade the chain, not the stage: inputs included
-                None => eval_walk(db, q, exec, delivery, None),
-            };
-        }
-    }
-    let input = |q: &Query, delivery| eval_walk(db, q, exec, delivery, fuse);
+    let input = |q: &Query, delivery| eval_walk(db, q, exec, delivery);
     Ok(Cow::Owned(match q {
         Query::Table(name) => return Ok(Cow::Borrowed(db.get(name)?)),
-        Query::Select { input: of, predicate } => {
-            let rel = input(of, delivery)?;
-            select_det_exec(&rel, predicate, exec)?
-        }
-        Query::Project { input: of, exprs } => {
-            let rel = input(of, delivery)?;
-            project_det_exec(&rel, exprs, exec)?
+        Query::Select { .. } | Query::Project { .. } => return run_chain(db, q, exec, delivery),
+        Query::Join { .. } if delivery == Delivery::Canonical => {
+            return run_chain(db, q, exec, delivery)
         }
         Query::Join { left, right, predicate } => {
             // multiset-determined: the strictness of the context carries
@@ -610,6 +488,24 @@ mod tests {
         let out = eval_det(&db, &q).unwrap();
         assert_eq!(out.total_count(), 4);
         assert_eq!(out.multiplicity(&it(&[3, 20])), 3);
+    }
+
+    /// A chain stage short-circuits like `Expr::eval`: a skipped operand's
+    /// error never surfaces, in a predicate or a projection, and an `If`
+    /// errors only when the erroring branch is taken.
+    #[test]
+    fn chain_short_circuit_skips_errors() {
+        let db = db();
+        let boom = || lit(1i64).div(lit(0i64)).gt(lit(0i64));
+        let q = table("r").select(lit(false).and(boom()));
+        assert!(eval_det(&db, &q).unwrap().is_empty());
+        let q = table("r").select(lit(true).or(boom()));
+        assert_eq!(eval_det(&db, &q).unwrap().total_count(), 6);
+        let pick = |c: bool| Expr::if_then_else(lit(c), col(1), lit(1i64).div(lit(0i64)));
+        let q = table("r").project(vec![(pick(true), "b")]).select(col(0).eq(lit(20i64)));
+        assert_eq!(eval_det(&db, &q).unwrap().multiplicity(&it(&[20])), 4);
+        let q = table("r").project(vec![(pick(false), "b")]);
+        assert_eq!(eval_det(&db, &q).unwrap_err(), EvalError::DivisionByZero);
     }
 
     #[test]

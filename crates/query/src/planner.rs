@@ -244,9 +244,9 @@ pub(crate) fn comparison_candidates(
 }
 
 /// Theta-join over deterministic relations through the planner on an
-/// explicit executor: the operator of the det oracle and of every join
-/// the det engine does not fuse. Its build side is the fused chain's
-/// (`det::DetProbe`), its re-check the interpreted predicate. A hash or
+/// explicit executor: every join the det engine does not fuse into a
+/// chain as its probe. Its build side is the chain's (`det::DetProbe`),
+/// its re-check the interpreted predicate. A hash or
 /// nested-loop join runs over the left rows, a comparison join over the
 /// sweep's pairs in emission order (γ's float folds read that order).
 pub fn join_det_planned_exec(

@@ -4,13 +4,16 @@
 //! Tier A of the static verifier ([`audb_core::verify`]) runs
 //! unconditionally inside `Program` construction — a freshly lowered
 //! program that fails it is a lowerer bug and panics there. This module
-//! adds the *Tier B* gate at every chain compile site — the AU planner
+//! adds the *Tier B* gate at the AU engine's compile sites — the planner
 //! ([`crate::au::AuPlan::new`]: once per plan, however often the plan
-//! runs) and [`crate::det`] — unconditionally: each freshly compiled
-//! stage is abstractly interpreted before it is accepted, and a
-//! rejection keeps the suspect program from executing: either engine
-//! runs the whole chain on its operator-at-a-time oracle instead (the
+//! runs), γ's aggregate-input programs and the compressing join's
+//! re-check — unconditionally: each
+//! freshly compiled stage is abstractly interpreted before it is
+//! accepted, and a rejection keeps the suspect program from executing:
+//! the whole chain runs on the operator-at-a-time oracle instead (the
 //! per-chain analog of the whole-query lanes→oracle degradation retry).
+//! The deterministic engine ([`crate::det`]) compiles nothing, so it has
+//! nothing to gate.
 //! A plan that is kept and run again re-checks Tier A over its own
 //! stages ([`crate::au::AuPlan::run`]); nothing is compiled, keyed or
 //! cloned on that path.
@@ -31,7 +34,6 @@
 use std::cell::RefCell;
 
 use audb_core::obs::{Counter, ExecEvent, ExecEventKind, Metrics, TraceBuilder};
-use audb_core::program::Mode;
 use audb_core::{Expr, Program};
 
 /// The installed corruption hook of [`with_tampered_programs`].
@@ -101,25 +103,9 @@ impl<'a> Vet<'a> {
         self.vet(Program::compile_range_many(es))
     }
 
-    /// Compile one deterministic predicate, vetted.
-    pub(crate) fn det(&self, e: &Expr) -> Option<Program> {
-        self.vet(Program::compile_det(e))
-    }
-
-    /// Compile a deterministic projection list, vetted.
-    pub(crate) fn det_many(&self, es: &[Expr]) -> Option<Program> {
-        self.vet(Program::compile_det_many(es))
-    }
-
     fn vet(&self, lowered: Program) -> Option<Program> {
         let p = tamper(lowered);
-        let h = self.tr.open("verify", || {
-            (match p.mode() {
-                Mode::Range => "range",
-                Mode::Det => "det",
-            })
-            .to_string()
-        });
+        let h = self.tr.open("verify", || "range".to_string());
         self.tr.attr(h, "tier", || "A+B".to_string());
         self.tr.attr(h, "ops", || p.op_count().to_string());
         // A tampered program may no longer satisfy Tier A either —

@@ -1,4 +1,4 @@
-//! Allocation-pressure pins for the retained row-view fallback path.
+//! Allocation-pressure pins for the row-view paths.
 //!
 //! The columnar refactor keeps [`audb_storage::RangeTuple`] as the
 //! row-view API; the nested-loop join and projection fallbacks still
@@ -8,6 +8,12 @@
 //! regression back to the old clone-then-extend shape (two allocations
 //! per concat) fails loudly.
 //!
+//! It also pins that the deterministic engine *streams* a
+//! select/project tower: each source row runs through every stage
+//! before the next is read, so only the tower's survivors are
+//! materialized. Operator-at-a-time evaluation builds every intermediate
+//! relation, which is what raised the benchmark gate's peak memory.
+//!
 //! All assertions live in ONE `#[test]` — the counter is process-global
 //! and concurrent test threads would otherwise race it.
 
@@ -16,8 +22,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use audb_core::{RangeValue, Value};
-use audb_storage::{RangeTuple, Tuple};
+use audb_core::{col, lit, RangeValue, Value};
+use audb_exec::Executor;
+use audb_query::det::eval_det_exec;
+use audb_query::table;
+use audb_storage::{Database, RangeTuple, Relation, Schema, Tuple};
 
 struct CountingAlloc;
 
@@ -112,4 +121,23 @@ fn tuple_ops_allocation_budget() {
     assert_eq!(n, 0, "warm project_into must not allocate");
     assert_eq!(buf, int_tuple(&[1, 3]).0);
     assert_eq!(rbuf, int_range_tuple(&[1, 3]).0);
+
+    // A σ → π → σ → π tower over 20 000 `Int` rows: the first σ keeps
+    // 4/5, the second a quarter of those, so 4 000 rows come out. A
+    // streaming chain allocates one tuple per output row (plus the
+    // output list's growth and the final normalization);
+    // operator-at-a-time evaluation also clones or builds every row of
+    // the three intermediate relations, ~40 000 tuples.
+    let rows = (0..20_000i64).map(|i| (int_tuple(&[i, i % 10]), 1)).collect();
+    let mut db = Database::new();
+    db.insert("t", Relation::from_rows(Schema::named(&["a", "b"]), rows));
+    let q = table("t")
+        .select(col(1).lt(lit(8i64)))
+        .project(vec![(col(0), "a"), (col(1).mul(lit(2i64)), "b2")])
+        .select(col(1).lt(lit(4i64)))
+        .project(vec![(col(0).add(col(1)), "s")]);
+    let exec = Executor::sequential();
+    let (n, out) = allocs_in(|| eval_det_exec(&db, &q, &exec).unwrap());
+    assert_eq!(out.len(), 4_000);
+    assert!(n <= 2 * out.len() + 256, "{n} allocation calls for {} output rows", out.len());
 }

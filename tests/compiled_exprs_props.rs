@@ -1,19 +1,18 @@
 //! Differential property suite for the compiled expression backend
 //! (`audb_core::Program`): random `Expr` trees over mixed `Int`/`Float`
 //! columns must evaluate **identically** to the tree-walking
-//! interpreters — same values, same `EvalError` classification — at
+//! interpreter — same values, same `EvalError` classification — at
 //! every level the programs are wired in:
 //!
-//! * direct row evaluation (`eval_range` / `eval`) and the op-at-a-time
+//! * direct row evaluation (`eval_range`) and the op-at-a-time
 //!   lane entry point, position for position (every row's value or
 //!   error is that row's own);
 //! * the AU fused chains on the lanes vs the operator-at-a-time oracle
 //!   (`AuPlan::oracle`): the oracle's relation, failure exactly when
 //!   the oracle fails, and one outcome — error included — across
 //!   workers {1, 2, 4, 7} × {default split, finest split};
-//! * the deterministic engine's fused chains vs its operator-at-a-time
-//!   oracle, and the rewrite middleware's round trip vs native AU
-//!   evaluation.
+//! * the deterministic engine's chains for every worker count, and the
+//!   rewrite middleware's round trip vs native AU evaluation.
 
 mod common;
 
@@ -38,8 +37,8 @@ const WORKERS: [usize; 3] = [1, 2, 4];
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
-    /// Direct evaluation: the compiled range and det programs agree
-    /// with the interpreters on every row — `Ok` values and `Err`
+    /// Direct evaluation: the compiled program agrees with the
+    /// interpreter on every row — `Ok` values and `Err`
     /// classifications alike — and the lane entry point returns, at
     /// every row position, that row's value or that row's error (so the
     /// earliest poisoned row carries what row-at-a-time evaluation
@@ -74,16 +73,6 @@ proptest! {
             let scalar = prog.eval_range_into(t, &mut regs).map(|()| prog.range_output(0, t, &regs));
             prop_assert_eq!(&lane, &scalar.cloned(), "lanes vs scalar for {} at row {}", &e, i);
             prop_assert_eq!(&lane, &e.eval_range(t), "lanes vs interpreter for {} at row {}", &e, i);
-        }
-
-        // deterministic lowering agrees on the sg world
-        let dprog = Program::compile_det(&e);
-        let mut dregs = Vec::new();
-        for t in &tuples {
-            let sg: Vec<Value> = t.iter().map(|r| r.sg.clone()).collect();
-            let interp = e.eval(&sg);
-            let compiled = dprog.eval_det(&sg, &mut dregs);
-            prop_assert_eq!(&compiled, &interp, "det mismatch for {} on {:?}", &e, &sg);
         }
     }
 }
@@ -136,17 +125,15 @@ proptest! {
     }
 
     /// The deterministic engine and the rewrite middleware on one
-    /// spine: compiled fused chains equal the interpreted oracle for
-    /// every worker count, and `Dec(rewr(Q)(Enc(D)))` equals native AU
-    /// evaluation (`compiled_matches_interpreter_rowwise_and_batched`
-    /// pins det program ≡ `Expr::eval` row by row, values and error
-    /// classes).
+    /// spine: the det chains return one outcome — error included — for
+    /// every worker count at the finest split, and `Dec(rewr(Q)(Enc(D)))`
+    /// equals native AU evaluation.
     #[test]
     fn det_and_rewrite_spine_compiled_identical(
         rel1 in mixed_relation_strategy(10),
         rel2 in mixed_relation_strategy(10),
     ) {
-        use audb::query::det::{eval_det_exec, eval_det_oracle};
+        use audb::query::det::eval_det_exec;
 
         let q = table("t1")
             .select(col(1).geq(lit(-2i64)))
@@ -157,11 +144,11 @@ proptest! {
         let mut det_db = Database::new();
         det_db.insert("t1", rel1.sg_world());
         det_db.insert("t2", rel2.sg_world());
-        let interp = eval_det_oracle(&det_db, &q, &Executor::sequential());
+        let sequential = eval_det_exec(&det_db, &q, &Executor::sequential());
         for w in WORKERS {
             let exec = Executor::new(w).with_partitioner(common::FINEST);
-            let compiled = eval_det_exec(&det_db, &q, &exec);
-            prop_assert_eq!(&compiled, &interp, "det, workers = {}", w);
+            let got = eval_det_exec(&det_db, &q, &exec);
+            prop_assert_eq!(&got, &sequential, "det, workers = {}", w);
         }
 
         // rewrite spine over the AU relations

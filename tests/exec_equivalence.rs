@@ -16,7 +16,7 @@ use audb::prelude::*;
 use audb::query::au::aggregate::{aggregate_au_exec, aggregate_au_scan};
 use audb::query::au::difference::{difference_au_exec, difference_au_scan};
 use audb::query::au::{project_au_exec, select_au_exec};
-use audb::query::det::{eval_det, eval_det_exec, eval_det_oracle};
+use audb::query::det::{eval_det, eval_det_exec};
 use audb::query::planner::{join_au_planned_exec, join_det_planned_exec};
 use audb::query::rewrite::{dec_relation, enc_relation};
 use common::{
@@ -470,9 +470,8 @@ proptest! {
         }
     }
 
-    /// The deterministic engine's two paths: production (fused,
-    /// compiled chains) on any worker count equals the sequential
-    /// oracle (operator-at-a-time, interpreted), on the same query
+    /// The deterministic engine's chains (streaming, interpreted) on
+    /// any worker count equal its sequential run, on the same query
     /// shapes.
     #[test]
     fn det_pipeline_identical_to_operator_at_a_time(
@@ -483,7 +482,7 @@ proptest! {
         db.insert("t1", t1.sg_world());
         db.insert("t2", t2.sg_world());
         for q in pipeline_queries() {
-            let reference = eval_det_oracle(&db, &q, &exec(1)).unwrap();
+            let reference = eval_det_exec(&db, &q, &exec(1)).unwrap();
             for w in WORKERS {
                 let got = eval_det_exec(&db, &q, &exec(w)).unwrap();
                 prop_assert_eq!(&got, &reference, "workers = {}, q = {}", w, &q);
@@ -595,7 +594,7 @@ fn seam_spines() -> Vec<(Query, u64)> {
 }
 
 /// The deterministic engine's chains across the default split's seams:
-/// equal to the sequential oracle, three morsels a chain.
+/// equal to the sequential run, three morsels a chain.
 #[test]
 fn det_sharded_chains_identical_to_oracle() {
     let it = |vs: &[i64]| -> Tuple { vs.iter().copied().collect() };
@@ -605,7 +604,7 @@ fn det_sharded_chains_identical_to_oracle() {
     db.insert("t1", Relation::from_rows(Schema::named(&["A", "B"]), t1.collect()));
     db.insert("t2", Relation::from_rows(Schema::named(&["C", "D"]), t2.collect()));
     for (q, chains) in seam_spines() {
-        let reference = eval_det_oracle(&db, &q, &Executor::sequential()).unwrap();
+        let reference = eval_det_exec(&db, &q, &Executor::sequential()).unwrap();
         assert!(!reference.is_empty(), "q = {q}");
         for w in [1, 2, 4] {
             let exec = Executor::new(w).with_metrics(Metrics::enabled());
@@ -1325,7 +1324,7 @@ fn det_join_under_float_aggregate_keeps_emission_order() {
                 want,
                 "{pred:?}, w = {w}"
             );
-            assert_eq!(eval_det_oracle(&det, &q, &exec(w)).unwrap(), want, "{pred:?}, w = {w}");
+            assert_eq!(eval_det_exec(&det, &q, &exec(w)).unwrap(), want, "{pred:?}, w = {w}");
             assert_eq!(eval_au(&au, &q, &cfg).unwrap().sg_world(), want, "{pred:?}, w = {w}");
         }
     }
@@ -1442,15 +1441,16 @@ fn byte_budget_trips() {
     }
 }
 
-/// The det engine's two paths govern a join alike: the fused chain's
-/// probe and the oracle's join operator both charge the rows a probe
-/// emits to `join-probe` as it emits them, so the budget trips long
-/// before the 9 216-row expansion is built, and both observe the
+/// The det engine's two paths govern a join alike: the chain's probe
+/// (a join under a multiset-determined consumer) and the join operator
+/// (under γ, which reads the exact row list) both charge the rows a
+/// probe emits to `join-probe` as it emits them, so the budget trips
+/// long before the 9 216-row expansion is built, and both observe the
 /// deadline and cancellation.
 #[test]
 fn det_join_governance_matches_across_paths() {
     let db = expanding_db(96).sg_world();
-    let q = expanding_join();
+    let counted = expanding_join().aggregate(vec![], vec![AggSpec::count("n")]);
     for w in [1, 4] {
         let cfg = cfg_lanes(w);
         let cancelled = || {
@@ -1458,8 +1458,8 @@ fn det_join_governance_matches_across_paths() {
             token.cancel();
             cfg.executor().with_cancel(token)
         };
-        for eval in [eval_det_exec, eval_det_oracle] {
-            let fail = |exec: Executor| match eval(&db, &q, &exec).unwrap_err() {
+        for q in [expanding_join(), counted.clone()] {
+            let fail = |exec: Executor| match eval_det_exec(&db, &q, &exec).unwrap_err() {
                 EvalError::Exec(e) => e,
                 other => panic!("expected an exec verdict, got {other:?}, workers = {w}"),
             };
@@ -1508,7 +1508,6 @@ fn one_left_rows_expansion_is_governed_on_every_path() {
                     join_au_planned_exec(l, r, Some(&pred), &cfg.executor()).map(drop),
                 ),
                 ("eval_det_exec", eval_det_exec(&det, &q, &cfg.executor()).map(drop)),
-                ("eval_det_oracle", eval_det_oracle(&det, &q, &cfg.executor()).map(drop)),
                 (
                     "join_det_planned_exec",
                     join_det_planned_exec(dl, dr, Some(&pred), &cfg.executor()).map(drop),

@@ -269,13 +269,12 @@ fn det_planned_paths_match_obfuscated_fallback() {
 
 /// `Int` join keys compare as integers, never as their `f64` casts:
 /// `2^53` and `2^53 + 1` share a cast (and a hash bucket) but no value,
-/// so their equi-join is empty on the deterministic engine, on its
-/// oracle and in the AU engine's SG world — what the `≤ ∧ ≥` form of the
-/// same join, which no hash index serves, returns. `Int 2` still meets
-/// `Float 2.0`.
+/// so their equi-join is empty on the deterministic engine (as the
+/// chain's probe and as the join operator under γ) and in the AU
+/// engine's SG world — what the `≤ ∧ ≥` form of the same join, which no
+/// hash index serves, returns. `Int 2` still meets `Float 2.0`.
 #[test]
 fn int_keys_beyond_f64_precision_join_exactly() {
-    use audb::query::det::eval_det_oracle;
     let big = 1i64 << 53;
     let one = |name: &str, v: Value| {
         Relation::from_rows(Schema::named(&[name]), vec![(Tuple::new(vec![v]), 1)])
@@ -296,7 +295,9 @@ fn int_keys_beyond_f64_precision_join_exactly() {
         for q in [&hash, &slow] {
             let det = eval_det(&db, q).unwrap();
             assert_eq!(det.rows().len(), rows, "eval_det: {ctx}, {q}");
-            assert_eq!(eval_det_oracle(&db, q, &Executor::sequential()).unwrap(), det, "{ctx}");
+            let counted = q.clone().aggregate(vec![], vec![AggSpec::count("n")]);
+            let n = eval_det(&db, &counted).unwrap().rows()[0].0 .0[0].clone();
+            assert_eq!(n, Value::Int(rows as i64), "join operator: {ctx}, {q}");
             let sg = eval_au(&au, q, &AuConfig::default()).unwrap().sg_world();
             assert_eq!(sg, det, "eval_au's SG world: {ctx}, {q}");
         }

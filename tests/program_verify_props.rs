@@ -3,12 +3,12 @@
 //! (`audb_query::vcheck`):
 //!
 //! * **no false positives** — every program lowered from a random mixed
-//!   Int/Float expression tree, in both lowering modes, passes Tier A +
-//!   Tier B with zero `VerifyError`s; programs whose leaves are all
+//!   Int/Float expression tree passes Tier A + Tier B with zero
+//!   `VerifyError`s; programs whose leaves are all
 //!   columns additionally produce zero lints (constant-free trees give
 //!   the abstract interpreter nothing to decide statically);
 //! * **pinned output** — every `verify_full` outcome over 6 000 seeded
-//!   trees × both modes (lints as `kind@op:node`, or the error) folds
+//!   trees (lints as `kind@op:node`, or the error) folds
 //!   into one FNV-1a digest, so a Tier B refactor that moves one lint,
 //!   op index or verdict fails;
 //! * **mutation detection** — every single-op corruption of those
@@ -41,10 +41,6 @@ fn col_expr_strategy() -> BoxedStrategy<Expr> {
     recurse_numeric(leaf)
 }
 
-fn both_modes(e: &Expr) -> [Program; 2] {
-    [Program::compile_range(e), Program::compile_det(e)]
-}
-
 // ---------------------------------------------------------------------------
 // properties
 // ---------------------------------------------------------------------------
@@ -53,8 +49,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
     /// No false positives: Tier A + Tier B accept every program the
-    /// lowerer produces from random mixed trees, in both modes (numeric
-    /// trees and composed predicates alike). Lints are allowed here —
+    /// lowerer produces from random mixed trees (numeric trees and
+    /// composed predicates alike). Lints are allowed here —
     /// random literals legitimately produce statically-certain
     /// conditions and divisors.
     #[test]
@@ -63,10 +59,8 @@ proptest! {
         p in pred_over(num_expr_strategy()),
     ) {
         for expr in [&e, &p] {
-            for prog in both_modes(expr) {
-                let res = prog.verify_full();
-                prop_assert!(res.is_ok(), "verifier rejected {}: {:?}", expr, res.err());
-            }
+            let res = Program::compile_range(expr).verify_full();
+            prop_assert!(res.is_ok(), "verifier rejected {}: {:?}", expr, res.err());
         }
         // multi-output projection lowering verifies too
         let many = Program::compile_range_many(&[e.clone(), p.clone()]);
@@ -82,16 +76,14 @@ proptest! {
         p in pred_over(col_expr_strategy()),
     ) {
         for expr in [&e, &p] {
-            for prog in both_modes(expr) {
-                match prog.verify_full() {
-                    Ok(lints) => prop_assert!(
-                        lints.is_empty(),
-                        "false-positive lints for {}: {:?}", expr, lints
-                    ),
-                    Err(err) => return Err(TestCaseError::fail(format!(
-                        "verifier rejected {expr}: {err}"
-                    ))),
-                }
+            match Program::compile_range(expr).verify_full() {
+                Ok(lints) => prop_assert!(
+                    lints.is_empty(),
+                    "false-positive lints for {}: {:?}", expr, lints
+                ),
+                Err(err) => return Err(TestCaseError::fail(format!(
+                    "verifier rejected {expr}: {err}"
+                ))),
             }
         }
     }
@@ -108,16 +100,15 @@ proptest! {
         e in num_expr_strategy(),
         p in pred_over(num_expr_strategy()),
     ) {
-        let (range_rows, det_rows) = mutate::oracle_rows(2);
+        let rows = mutate::oracle_rows(2);
         for expr in [&e, &p] {
-            for prog in both_modes(expr) {
-                for m in mutate::mutants(&prog) {
-                    let v = mutate::classify(&prog, &m.program, &range_rows, &det_rows);
-                    prop_assert!(
-                        v != mutate::Verdict::Missed,
-                        "missed {} ({}) on {}", m.class, m.detail, expr
-                    );
-                }
+            let prog = Program::compile_range(expr);
+            for m in mutate::mutants(&prog) {
+                let v = mutate::classify(&prog, &m.program, &rows);
+                prop_assert!(
+                    v != mutate::Verdict::Missed,
+                    "missed {} ({}) on {}", m.class, m.detail, expr
+                );
             }
         }
     }
@@ -365,25 +356,6 @@ fn accepted_compiles_record_verify_spans() {
     assert!(trace.engine.iter().all(|(k, _)| *k != "verify"));
 }
 
-/// The det engine degrades the chain: tampered deterministic chain
-/// programs are counted as rejected and the subtree runs on the
-/// operator-at-a-time oracle, with equal output.
-#[test]
-fn det_chain_rejection_degrades_identically() {
-    use audb::query::det::{eval_det_exec, eval_det_oracle};
-
-    let mut det_db = Database::new();
-    det_db.insert("t", two_row_db().get("t").expect("inserted above").sg_world());
-    let q = table("t").select(col(0).leq(col(1))).project(vec![(col(0).add(col(1)), "s")]);
-    let oracle = eval_det_oracle(&det_db, &q, &Executor::sequential());
-    let exec = Executor::sequential().with_metrics(Metrics::enabled());
-    let tampered =
-        with_tampered_programs(corrupt_if_possible, || eval_det_exec(&det_db, &q, &exec));
-    assert_eq!(tampered, oracle);
-    let rejects = exec.metrics().snapshot().counter("verify_rejects");
-    assert!(rejects >= Some(1), "rejections counted: {rejects:?}");
-}
-
 /// xorshift64: the pin's only random source, so the trees it draws are
 /// the same on every toolchain and every proptest version.
 struct XorShift(u64);
@@ -451,40 +423,38 @@ fn pin_pred(r: &mut XorShift, depth: u32) -> Expr {
 }
 
 /// The abstract interpreter's exact output, pinned: 6 000 seeded trees
-/// (numeric trees and predicates, `Bool` literals included) × both
-/// lowering modes, every `verify_full` outcome rendered — its lints as
-/// `kind@op:node`, or the error — and folded into one FNV-1a digest,
-/// with the clean / linted / rejected split. A refactor of Tier B that
-/// moves one lint, one op index or one verdict changes the digest.
+/// (numeric trees and predicates, `Bool` literals included), every
+/// `verify_full` outcome rendered — its lints as `kind@op:node`, or the
+/// error — and folded into one FNV-1a digest, with the clean / linted /
+/// rejected split. A refactor of Tier B that moves one lint, one op
+/// index or one verdict changes the digest.
 #[test]
 fn tier_b_outcomes_are_pinned() {
     let mut r = XorShift(0x9E37_79B9_7F4A_7C15);
     let (mut digest, mut counts) = (0xcbf2_9ce4_8422_2325u64, [0usize; 3]);
     for k in 0..6000 {
         let e = if k % 2 == 0 { pin_num(&mut r, 4) } else { pin_pred(&mut r, 2) };
-        for prog in both_modes(&e) {
-            let rendered = match prog.verify_full() {
-                Ok(lints) => {
-                    counts[usize::from(!lints.is_empty())] += 1;
-                    let ls: Vec<String> = lints
-                        .iter()
-                        .map(|l| format!("{}@{}:{}", l.kind.name(), l.op, l.node))
-                        .collect();
-                    ls.join(",")
-                }
-                Err(err) => {
-                    counts[2] += 1;
-                    format!("error: {err}")
-                }
-            };
-            for b in rendered.bytes().chain([b'\n']) {
-                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        let rendered = match Program::compile_range(&e).verify_full() {
+            Ok(lints) => {
+                counts[usize::from(!lints.is_empty())] += 1;
+                let ls: Vec<String> = lints
+                    .iter()
+                    .map(|l| format!("{}@{}:{}", l.kind.name(), l.op, l.node))
+                    .collect();
+                ls.join(",")
             }
+            Err(err) => {
+                counts[2] += 1;
+                format!("error: {err}")
+            }
+        };
+        for b in rendered.bytes().chain([b'\n']) {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
     }
     assert_eq!(
         (digest, counts),
-        (0x008b_78c0_8a09_2f41, [3949, 8051, 0]),
+        (0x2c32_62c3_f80f_631d, [1819, 4181, 0]),
         "(digest, [clean, linted, rejected])"
     );
 }

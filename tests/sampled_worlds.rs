@@ -1,0 +1,136 @@
+//! Bounds in sampled worlds (Theorems 3/4/6 at scale, without world
+//! enumeration): for an AU input `D` and a world `W` that `D` bounds
+//! (`sample_bounded_world`), `{SG(D), W}` is an incomplete database `D`
+//! bounds, so `Q(D)` must bound `Q(W)` — checked exactly with
+//! `relation_bounds_world` against the deterministic engine's `Q(W)`.
+//!
+//! The inputs are `Int`-valued AU relations of 600–3 000 rows, about
+//! 5 % of them uncertain (a widened cell, a multiplicity range or both),
+//! and the rows around the 1 024-row chunk seam are always uncertain.
+//! Each case runs under `precise`, `compressed(8)` and `compressed(8)`
+//! with `adaptive` off (compression forced at every join and γ —
+//! `AuConfig::default()` is `precise`), against the same fixed-seed
+//! worlds.
+//!
+//! Float `sum`s are left out: the AU engine and the det engine add a
+//! float column up in different orders, and a bound can miss the world's
+//! sum by 1–2 ULP. That waits for a declared float semantics; every
+//! column here is compared exactly.
+
+use audb::incomplete::{relation_bounds_world, sample_bounded_world};
+use audb::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Worlds drawn per case.
+const WORLDS: usize = 12;
+
+/// An `Int` AU relation of `n` rows: `cols(i)` is row `i`'s tuple. Rows
+/// 1 020..1 030, and every other row with probability 1/20, are
+/// uncertain: each cell is widened by up to 2 on either side with
+/// probability 1/2, and the multiplicity becomes a range.
+fn au_table(names: &[&str], n: usize, seed: u64, cols: impl Fn(i64) -> Vec<i64>) -> AuRelation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = (0..n)
+        .map(|i| {
+            let uncertain = (1020..1030).contains(&i) || rng.gen_range(0..20) == 0;
+            let cells = cols(i as i64)
+                .into_iter()
+                .map(|v| match uncertain && rng.gen_bool(0.5) {
+                    true => {
+                        RangeValue::range(v - rng.gen_range(0..3i64), v, v + rng.gen_range(0..3i64))
+                    }
+                    false => RangeValue::certain(Value::Int(v)),
+                })
+                .collect();
+            let (lb, ub) =
+                if uncertain { (rng.gen_range(0..2), rng.gen_range(1..3)) } else { (1, 1) };
+            au_row(cells, lb, 1, ub.max(1))
+        })
+        .collect();
+    AuRelation::from_rows(Schema::named(names), rows)
+}
+
+/// `t1`: 3 000 rows `(k, v) = (i % 300, i)`; `t2`: 600 rows
+/// `(c, w) = (i, 7i % 100)`.
+fn db() -> AuDatabase {
+    let mut db = AuDatabase::new();
+    db.insert("t1", au_table(&["k", "v"], 3000, 11, |i| vec![i % 300, i]));
+    db.insert("t2", au_table(&["c", "w"], 600, 12, |i| vec![i, i * 7 % 100]));
+    db
+}
+
+fn aggs(input: usize) -> Vec<AggSpec> {
+    vec![
+        AggSpec::new(AggFunc::Sum, col(input), "s"),
+        AggSpec::count("n"),
+        AggSpec::new(AggFunc::Min, col(input), "lo"),
+        AggSpec::new(AggFunc::Max, col(input), "hi"),
+    ]
+}
+
+/// The query shapes, each a few hundred rows out at most:
+/// `relation_bounds_world` is quadratic in the result, not the inputs.
+fn cases() -> Vec<(&'static str, Query)> {
+    let kept = || table("t1").select(col(1).lt(lit(300i64)));
+    let spine = || kept().join_on(table("t2"), col(0).eq(col(2)));
+    let keys = |q: Query| q.project(vec![(col(0), "k")]);
+    vec![
+        (
+            "join spine",
+            spine()
+                .select(col(1).add(col(3)).geq(lit(10i64)))
+                .project(vec![(col(0), "k"), (col(1).add(col(3)), "vw")]),
+        ),
+        (
+            "range-join count",
+            table("t1")
+                .join_on(table("t2"), col(1).leq(col(3)))
+                .aggregate(vec![], vec![AggSpec::count("n")]),
+        ),
+        ("one-key γ", table("t1").select(col(0).lt(lit(25i64))).aggregate(vec![0], aggs(1))),
+        ("ungrouped γ", table("t1").aggregate(vec![], aggs(1))),
+        (
+            "difference",
+            keys(table("t1").select(col(0).lt(lit(60i64)))).difference(keys(table("t2"))),
+        ),
+        ("distinct", keys(table("t1").select(col(1).lt(lit(900i64)))).distinct()),
+        (
+            "join + γ",
+            spine().aggregate(
+                vec![0],
+                vec![AggSpec::new(AggFunc::Sum, col(3), "s"), AggSpec::count("n")],
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn results_bound_sampled_worlds() {
+    let db = db();
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(8) };
+    let configs = [
+        ("precise", AuConfig::precise()),
+        ("compressed(8)", AuConfig::compressed(8)),
+        ("forced compressed(8)", forced),
+    ];
+    for (name, q) in cases() {
+        let results: Vec<(&str, AuRelation)> = configs
+            .iter()
+            .map(|(c, cfg)| {
+                (*c, eval_au(&db, &q, cfg).unwrap_or_else(|e| panic!("{name} under {c}: {e}")))
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for w in 0..WORLDS {
+            let world = sample_bounded_world(&db, &mut rng);
+            let want = eval_det(&world, &q).unwrap_or_else(|e| panic!("{name}, world {w}: {e}"));
+            for (c, au) in &results {
+                assert!(
+                    relation_bounds_world(au, &want),
+                    "{name} under {c}: world {w} not bounded\nQ(W) = {want}\nQ(D) = {au}"
+                );
+            }
+        }
+    }
+}

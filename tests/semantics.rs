@@ -13,6 +13,7 @@ use audb::core::Semiring;
 use audb::incomplete::relation_bounds_world;
 use audb::prelude::*;
 use audb::query::au::difference::{difference_au_exec, difference_au_scan};
+use audb::query::planner::join_det_planned_exec;
 use audb::workloads::{exact_spj, over_grouping_pct};
 use common::{eval_oracle, weighted_xtuple};
 
@@ -276,15 +277,12 @@ fn big_db(tables: &[(&str, u64)]) -> AuDatabase {
     db
 }
 
-/// The AU result's selected-guess world equals SGQP on both det paths,
-/// and its rows carry the multiplicities `expect`.
+/// The AU result's selected-guess world equals SGQP, and its rows
+/// carry the multiplicities `expect`.
 fn assert_sgw_preserved(db: &AuDatabase, q: &Query, expect: &[u64]) {
-    use audb::query::det::eval_det_oracle;
     let sg = eval_au(db, q, &AuConfig::default()).expect("au").sg_world();
     let sgdb = db.sg_world();
-    assert_eq!(eval_det(&sgdb, q).expect("det"), sg, "production det, q = {q}");
-    let oracle = eval_det_oracle(&sgdb, q, &Executor::sequential()).expect("det oracle");
-    assert_eq!(oracle, sg, "det oracle, q = {q}");
+    assert_eq!(eval_det(&sgdb, q).expect("det"), sg, "det, q = {q}");
     let mults: Vec<u64> = sg.rows().iter().map(|(_, k)| *k).collect();
     assert_eq!(mults, expect, "q = {q}");
 }
@@ -296,11 +294,16 @@ fn assert_sgw_preserved(db: &AuDatabase, q: &Query, expect: &[u64]) {
 #[test]
 fn sgqp_saturates_multiplicities_like_the_au_engine() {
     let db = big_db(&[("l", 1 << 40), ("r", 1 << 40), ("h", 1 << 63), ("s", 5)]);
-    // products: the chain probe and the oracle's planned join, per plan
+    // products: the chain probe and the join operator, per plan
     let hash = col(0).eq(col(1));
     let comparison = col(0).leq(col(1));
     let nested_loop = col(0).add(col(1)).eq(lit(2i64));
+    let sgdb = db.sg_world();
+    let (l, r) = (sgdb.get("l").expect("l"), sgdb.get("r").expect("r"));
     for on in [hash, comparison, nested_loop] {
+        let joined = join_det_planned_exec(l, r, Some(&on), &Executor::sequential()).expect("join");
+        let mults: Vec<u64> = joined.rows().iter().map(|(_, k)| *k).collect();
+        assert_eq!(mults, [u64::MAX], "join operator, on {on}");
         assert_sgw_preserved(&db, &table("l").join_on(table("r"), on), &[u64::MAX]);
     }
     // sums: duplicates merged by normalization, on either side of a monus
