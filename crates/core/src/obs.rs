@@ -33,7 +33,7 @@ use crate::govern::ExecError;
 
 /// Version stamped into every serialized trace; bump when the JSON
 /// shape changes incompatibly.
-pub const TRACE_SCHEMA_VERSION: u32 = 5;
+pub const TRACE_SCHEMA_VERSION: u32 = 6;
 
 // ---------------------------------------------------------------------------
 // Counters and timed sites
@@ -60,7 +60,9 @@ pub enum Counter {
     WorkerPanics,
     /// Test-harness faults injected (feature `faults`).
     InjectedFaults,
-    /// Lanes → oracle degradation retries taken.
+    /// Lanes → oracle degradations taken: a lane attempt's non-resource
+    /// fault answered from the oracle plan, by `eval_au` or the serving
+    /// engine.
     Degradations,
     /// Sharded-reduce (normalization) invocations.
     NormalizeRuns,
@@ -77,8 +79,6 @@ pub enum Counter {
     Shed,
     /// Serving-layer retry attempts taken after a transient fault.
     Retries,
-    /// Circuit-breaker trips (prepared plan routed to the oracle).
-    BreakerTrips,
     /// Events dropped because the event log hit its retention cap.
     EventsDropped,
     /// Aggregation demotions from typed `i64`/`f64` lanes to boxed
@@ -117,7 +117,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 26] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::CancelChecks,
@@ -134,7 +134,6 @@ impl Counter {
         Counter::Admitted,
         Counter::Shed,
         Counter::Retries,
-        Counter::BreakerTrips,
         Counter::EventsDropped,
         Counter::AggTermsBoxed,
         Counter::ChainStagesBoxed,
@@ -166,7 +165,6 @@ impl Counter {
             Counter::Admitted => "admitted",
             Counter::Shed => "shed",
             Counter::Retries => "retries",
-            Counter::BreakerTrips => "breaker_trips",
             Counter::EventsDropped => "events_dropped",
             Counter::AggTermsBoxed => "agg_terms_boxed",
             Counter::ChainStagesBoxed => "chain_stages_boxed",
@@ -307,8 +305,6 @@ pub enum ExecEventKind {
     Shed,
     /// The serving layer retried a query after a transient fault.
     Retried,
-    /// A prepared plan's circuit breaker tripped open.
-    BreakerTripped,
 }
 
 impl ExecEventKind {
@@ -325,7 +321,6 @@ impl ExecEventKind {
             ExecEventKind::Admitted => "admitted",
             ExecEventKind::Shed => "shed",
             ExecEventKind::Retried => "retried",
-            ExecEventKind::BreakerTripped => "breaker_tripped",
         }
     }
 
@@ -1162,7 +1157,7 @@ mod tests {
             total_ns: 12345,
         };
         let json = trace.to_json();
-        assert!(json.starts_with("{\"version\":5,"), "{json}");
+        assert!(json.starts_with("{\"version\":6,"), "{json}");
         assert!(json.contains("\"engine\":{\"workers\":\"4\"}"), "{json}");
         assert!(json.contains("\"op\":\"select\""), "{json}");
         assert!(json.contains("\"compiled\":\"true\""), "{json}");

@@ -141,11 +141,11 @@ impl AuConfig {
 ///
 /// Derive, attempt, degrade once: the executor is
 /// [`AuConfig::executor`] (deadline, fresh budget; faults surface as
-/// [`EvalError::Exec`]), the attempt is [`eval_au_attempt`], and when it
-/// fails with a *non-resource* fault (a worker panic or injected error —
-/// not cancellation, deadline, or budget exhaustion), evaluation
-/// degrades gracefully: it retries once on the oracle plan with a fresh
-/// budget before giving up. A fault of the oracle surfaces.
+/// [`EvalError::Exec`]), the attempt is [`eval_au_attempt`], and a
+/// *non-resource* fault of it (a worker panic or injected error — not
+/// cancellation, deadline, or budget exhaustion) is answered once from
+/// the oracle plan with a fresh budget ([`degrade_once`], the rule the
+/// serving engine follows too). A fault of the oracle surfaces.
 pub fn eval_au(db: &AuDatabase, q: &Query, cfg: &AuConfig) -> Result<AuRelation, EvalError> {
     eval_au_governed(db, q, cfg, &Metrics::disabled(), &TraceBuilder::disabled())
 }
@@ -242,17 +242,40 @@ fn eval_au_governed(
     tr: &TraceBuilder,
 ) -> Result<AuRelation, EvalError> {
     let exec = cfg.executor().with_metrics(metrics.clone());
+    degrade_once(&|| eval_au_attempt(db, q, cfg, &exec, tr), db, q, cfg, &exec, tr)
+        .map(|(rel, _)| rel)
+}
+
+/// The engine's one lane → oracle fallback, which [`eval_au`] and the
+/// serving engine both take: run the lane attempt `lanes`, and when it
+/// fails with a *non-resource* fault (a contained worker panic, a kept
+/// plan failing its Tier A re-check, an injected fault) tick
+/// [`Counter::Degradations`], record a `Degraded` event and answer from
+/// `q`'s oracle plan ([`AuPlan::oracle`]) — once, on `exec` with a fresh
+/// [`AuConfig::budget`]. Resource verdicts (cancelled / deadline /
+/// budget) are not retried: a second attempt would only burn more of the
+/// exhausted resource, and the cancel token stays the first attempt's, so
+/// an expired deadline cuts the oracle short too. A query error, a
+/// resource verdict and a fault of the oracle surface. The flag says
+/// whether the oracle answered.
+///
+/// `lanes` is a `&dyn Fn`, not a generic: one instance, not one per
+/// caller, keeps `audb_query`'s code layout — a generic version read
+/// `au_rel_p50 @ join_spine` 5 % slower in every pair measured, with no
+/// change on the path that query runs.
+pub fn degrade_once(
+    lanes: &dyn Fn() -> Result<AuRelation, EvalError>,
+    db: &AuDatabase,
+    q: &Query,
+    cfg: &AuConfig,
+    exec: &Executor,
+    tr: &TraceBuilder,
+) -> Result<(AuRelation, bool), EvalError> {
     let depth = tr.depth();
-    match eval_au_attempt(db, q, cfg, &exec, tr) {
+    match lanes() {
         Err(EvalError::Exec(e)) if !e.is_resource_limit() => {
-            // Graceful degradation: one retry on the oracle.
-            // Resource-limit faults (cancelled / deadline / budget) are
-            // not retried — the second attempt would only burn more of
-            // the exhausted resource. The budget is fresh; the cancel
-            // token is the first attempt's, so an expired deadline still
-            // cuts the retry short.
-            metrics.add(Counter::Degradations, 1);
-            metrics.record_event(ExecEvent {
+            exec.metrics().add(Counter::Degradations, 1);
+            exec.metrics().record_event(ExecEvent {
                 kind: ExecEventKind::Degraded,
                 driver: None,
                 morsel: None,
@@ -260,23 +283,22 @@ fn eval_au_governed(
             });
             tr.unwind(depth, &e.to_string());
             let retry = match cfg.budget {
-                Some(spec) => exec.with_budget(Budget::new(spec)),
-                None => exec,
+                Some(spec) => exec.clone().with_budget(Budget::new(spec)),
+                None => exec.clone(),
             };
-            AuPlan::oracle(q, cfg, tr).attempt(false, db, &retry, tr)
+            let rel = AuPlan::oracle(q, cfg, tr).attempt(false, db, &retry, tr)?;
+            Ok((rel, true))
         }
-        other => other,
+        other => other.map(|rel| (rel, false)),
     }
 }
 
 /// One evaluation attempt on the caller's executor — plan
 /// ([`AuPlan::new`]), then run — single, and never degrading: a
-/// lane-path fault surfaces to the caller, who owns the retry /
-/// oracle-fallback policy ([`eval_au`]'s one retry; the serving engine's
-/// backoff loop and per-plan circuit breaker, which need to *see* each
-/// fault to count it; a differential test, which must not compare the
-/// oracle with itself). A caller that keeps the plan runs it with
-/// [`AuPlan::run`] instead.
+/// lane-path fault surfaces to the caller: [`degrade_once`], which
+/// [`eval_au`] and the serving engine wrap around a lane run, or a
+/// differential test, which must not compare the oracle with itself. A
+/// caller that keeps the plan runs it with [`AuPlan::run`] instead.
 ///
 /// `cfg`'s result knobs (compression, `adaptive`) stop at the
 /// planner; workers, deadline, budget and everything else about *how*

@@ -1202,7 +1202,7 @@ impl AuPlan {
     /// σ/π/⋈/scan on its row function over interpreted `Expr` trees and
     /// the breakers on their kernels — nothing compiled. Byte-identical to
     /// [`AuPlan::new`]'s result under the same `cfg`, for any executor;
-    /// the degradation retry and the serving breaker run it.
+    /// a lane fault degrades to it ([`super::degrade_once`]).
     pub fn oracle(q: &Query, cfg: &AuConfig, tr: &TraceBuilder) -> AuPlan {
         AuPlan::lay_out(q, cfg, None, tr)
     }

@@ -16,8 +16,8 @@
 //! Parse → plan → compile → verify is paid once per (query text,
 //! epoch): the prepared table maps query text to a [`PreparedPlan`]
 //! holding the query's physical plan ([`AuPlan`]: every chain stage
-//! compiled and vetted), the oracle plan its circuit breaker routes to,
-//! and the breaker. A hit is lookup → [`AuPlan::run`]: nothing is
+//! compiled and vetted) and the parsed query, from which a lane fault
+//! lays out the oracle plan. A hit is lookup → [`AuPlan::run`]: nothing is
 //! parsed, planned, compiled or rendered, and the plan's programs pass
 //! Tier A again before they execute. Publish drops the whole table —
 //! the coherence property test pins that a warm re-execution against a
@@ -26,14 +26,14 @@
 //!
 //! ## The robustness loop
 //!
-//! Per query: admission (bounded queue, structured shed) → breaker
-//! consultation (compiled lanes vs the oracle) → one governed
-//! evaluation attempt → on a *transient* fault, jittered-backoff retry
-//! inside the same admission slot; on a *resource* verdict, a final
-//! structured rejection. Every submission resolves — to a result or a
-//! structured [`ServeError`] — and no outcome can poison the engine.
+//! Per query: admission (bounded queue, structured shed) → one governed
+//! evaluation attempt, which answers a non-resource lane fault from the
+//! oracle plan the way `eval_au` does ([`degrade_once`]) → if the oracle
+//! faults too, jittered-backoff retry inside the same admission slot; on
+//! a *resource* verdict, a final structured rejection. Every submission
+//! resolves — to a result or a structured [`ServeError`] — and no
+//! outcome can poison the engine.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,13 +44,12 @@ use audb_core::obs::{Counter, ExecEvent, ExecEventKind, Metrics, MetricsSnapshot
 use audb_core::EvalError;
 use audb_exec::WorkerGate;
 use audb_query::au::AuConfig;
-use audb_query::{parse_sql, AuPlan, Query};
+use audb_query::{degrade_once, parse_sql, AuPlan, Query};
 use audb_storage::{AuDatabase, AuRelation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::admission::{Admission, Class, ClassPolicy};
-use crate::breaker::{Breaker, BreakerPolicy};
 use crate::retry::RetryPolicy;
 use crate::stats::{ClassStats, ClassStatsSnapshot};
 
@@ -83,7 +82,6 @@ pub struct EngineConfig {
     /// Admission knobs, indexed by [`Class`] discriminant order.
     pub classes: [ClassPolicy; 3],
     pub retry: RetryPolicy,
-    pub breaker: BreakerPolicy,
 }
 
 impl Default for EngineConfig {
@@ -93,7 +91,6 @@ impl Default for EngineConfig {
             worker_threads: audb_exec::pool::available_workers(),
             classes: Class::ALL.map(ClassPolicy::default_for),
             retry: RetryPolicy::default(),
-            breaker: BreakerPolicy::default(),
         }
     }
 }
@@ -114,9 +111,9 @@ struct PreparedPlan {
     epoch: u64,
     /// The plan under the engine's evaluation knobs …
     plan: AuPlan,
-    /// … and the one an open breaker routes to.
-    oracle: AuPlan,
-    breaker: Breaker,
+    /// … and the query it was laid out from, whose oracle plan a lane
+    /// fault lays out ([`degrade_once`]).
+    query: Query,
 }
 
 /// One successful serve: the result plus how it was produced.
@@ -130,8 +127,11 @@ pub struct Response {
     pub attempts: usize,
     /// Whether the prepared-plan table already held this plan.
     pub prepared_hit: bool,
-    /// Whether the final attempt ran on the operator-at-a-time oracle
-    /// because the plan's breaker was open.
+    /// Whether the oracle plan answered: the final attempt's lane run
+    /// faulted and the engine degraded once ([`degrade_once`]). The
+    /// name dates from a per-plan circuit breaker that no longer exists;
+    /// it stays because the benchmark's serving report reads the field
+    /// by that name.
     pub breaker_degraded: bool,
     /// Time spent waiting for admission.
     pub queued: Duration,
@@ -414,16 +414,12 @@ impl Engine {
             inner.metrics.add(Counter::PreparedMisses, 1);
         }
         let query = match plan {
-            Some(q) => Cow::Borrowed(q),
-            None => Cow::Owned(parse_sql(key, snap.db())?),
+            Some(q) => q.clone(),
+            None => parse_sql(key, snap.db())?,
         };
-        let (cfg, untraced) = (&inner.config.eval, TraceBuilder::disabled());
-        let fresh = Arc::new(PreparedPlan {
-            epoch: snap.epoch,
-            plan: AuPlan::new(&query, cfg, &inner.metrics, &untraced),
-            oracle: AuPlan::oracle(&query, cfg, &untraced),
-            breaker: Breaker::new(inner.config.breaker),
-        });
+        let plan =
+            AuPlan::new(&query, &inner.config.eval, &inner.metrics, &TraceBuilder::disabled());
+        let fresh = Arc::new(PreparedPlan { epoch: snap.epoch, plan, query });
         if reuse {
             // Last insert wins on a race; both candidates were built
             // against the same (key, epoch) pair, so either is valid.
@@ -438,7 +434,7 @@ impl Engine {
 
     /// The bounded-retry attempt loop. Holds the caller's admission
     /// slot throughout; returns the relation, the attempt count, and
-    /// whether the successful attempt ran breaker-degraded.
+    /// whether the oracle plan answered the successful attempt.
     fn attempt_loop(
         &self,
         plan: &PreparedPlan,
@@ -448,12 +444,11 @@ impl Engine {
     ) -> Result<(AuRelation, usize, bool), ServeError> {
         let inner = &self.inner;
         let retry = inner.config.retry;
+        let untraced = TraceBuilder::disabled();
         let mut rng = StdRng::seed_from_u64(inner.seq.fetch_add(1, Ordering::Relaxed));
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            // The breaker models lane-path health and alone routes.
-            let lanes = plan.breaker.allow_compiled();
             // the class's governance over the engine's resource knobs;
             // the derived executor then takes the engine's gate and meters
             let resources = AuConfig {
@@ -465,33 +460,15 @@ impl Engine {
                 .executor()
                 .with_worker_gate(inner.gate.clone())
                 .with_metrics(inner.metrics.clone());
-            let routed = if lanes { &plan.plan } else { &plan.oracle };
-            match routed.run(snap.db(), &exec, &TraceBuilder::disabled()) {
-                Ok(relation) => {
-                    if lanes {
-                        plan.breaker.record_success();
-                    }
-                    return Ok((relation, attempts, !lanes));
-                }
+            let lanes = &|| plan.plan.run(snap.db(), &exec, &untraced);
+            match degrade_once(lanes, snap.db(), &plan.query, &resources, &exec, &untraced) {
+                Ok((relation, degraded)) => return Ok((relation, attempts, degraded)),
                 Err(EvalError::Exec(e)) if e.is_resource_limit() => {
-                    if lanes {
-                        plan.breaker.record_inconclusive();
-                    }
                     return Err(ServeError::Rejected(EvalError::Exec(e)));
                 }
                 Err(EvalError::Exec(e)) => {
-                    // Transient producer fault: count it against the
-                    // breaker (lane attempts only), then retry with
-                    // jittered backoff inside the same admission slot.
-                    if lanes && plan.breaker.record_fault() {
-                        inner.metrics.add(Counter::BreakerTrips, 1);
-                        inner.metrics.record_event(ExecEvent {
-                            kind: ExecEventKind::BreakerTripped,
-                            driver: None,
-                            morsel: None,
-                            detail: format!("plan epoch {}: {e}", plan.epoch),
-                        });
-                    }
+                    // The oracle faulted too: a transient fault, retried
+                    // with jittered backoff inside the same admission slot.
                     if attempts > retry.max_retries {
                         return Err(ServeError::Failed(EvalError::Exec(e)));
                     }

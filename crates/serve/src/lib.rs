@@ -23,13 +23,15 @@
 //!   [`WorkerGate`](audb_exec::WorkerGate) instead of spawning its own
 //!   fleet; starved queries degrade to inline execution with identical
 //!   results;
-//! * **bounded retry** ([`retry`]) — transient faults (worker panics,
-//!   injected faults) retry with full-jitter exponential backoff;
-//!   resource verdicts are final;
-//! * **circuit breaking** ([`breaker`]) — per-prepared-plan breakers
-//!   route persistently faulting compiled lane paths to the
-//!   operator-at-a-time oracle plan (`AuPlan::oracle`) until a cooldown
-//!   half-opens them.
+//! * **one degradation rule** — a non-resource fault of the lane run
+//!   (a worker panic, an injected fault, a kept plan failing its Tier A
+//!   re-check) is answered at once from the operator-at-a-time oracle
+//!   plan (`AuPlan::oracle`), the way `eval_au` answers it
+//!   ([`degrade_once`](audb_query::degrade_once)); nothing carries over
+//!   to the next query;
+//! * **bounded retry** ([`retry`]) — an attempt whose oracle answer
+//!   faults too is transient and retries with full-jitter exponential
+//!   backoff; resource verdicts are final.
 //!
 //! The load-bearing guarantee, pinned by the stress suite: **every
 //! submission resolves** — to a correct result or a structured
@@ -39,13 +41,11 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod admission;
-pub mod breaker;
 pub mod engine;
 pub mod retry;
 pub mod stats;
 
 pub use admission::{Admission, Class, ClassPolicy};
-pub use breaker::{Breaker, BreakerPolicy};
 pub use engine::{Engine, EngineConfig, EngineStats, Response, ServeError, Snapshot, PREPARED_CAP};
 pub use retry::RetryPolicy;
 pub use stats::{ClassStats, ClassStatsSnapshot};

@@ -470,11 +470,12 @@ proptest! {
         }
     }
 
-    /// The deterministic engine's chains (streaming, interpreted) on
-    /// any worker count equal its sequential run, on the same query
-    /// shapes.
+    /// The deterministic engine's chains (streaming, interpreted) are
+    /// worker-invariant: on any worker count they equal the same
+    /// engine's sequential run, on the same query shapes. The det engine
+    /// has no second path to compare with.
     #[test]
-    fn det_pipeline_identical_to_operator_at_a_time(
+    fn det_chains_are_worker_invariant(
         t1 in au_relation_strategy("A", "B", 14),
         t2 in au_relation_strategy("C", "D", 14),
     ) {
@@ -593,10 +594,11 @@ fn seam_spines() -> Vec<(Query, u64)> {
     lefts.iter().flat_map(|l| probes.iter().map(move |on| spine(l, on))).collect()
 }
 
-/// The deterministic engine's chains across the default split's seams:
-/// equal to the sequential run, three morsels a chain.
+/// The deterministic engine's chains across the default split's seams
+/// are worker-invariant: at one, two and four workers they equal the
+/// same engine's sequential run, three morsels a chain.
 #[test]
-fn det_sharded_chains_identical_to_oracle() {
+fn det_seam_chains_are_worker_invariant() {
     let it = |vs: &[i64]| -> Tuple { vs.iter().copied().collect() };
     let t1 = (0..3584i64).map(|i| (it(&[i % 97, i]), 1 + i as u64 % 3));
     let t2 = (0..40i64).map(|i| (it(&[i * 3 % 97, i * 100]), 1 + i as u64 % 2));

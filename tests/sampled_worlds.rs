@@ -10,7 +10,8 @@
 //! Each case runs under `precise`, `compressed(8)` and `compressed(8)`
 //! with `adaptive` off (compression forced at every join and γ —
 //! `AuConfig::default()` is `precise`), against the same fixed-seed
-//! worlds.
+//! worlds. The serving engine is checked the same way: a few cases served
+//! cold, warm and after a mid-run `publish`.
 //!
 //! Float `sum`s are left out: the AU engine and the det engine add a
 //! float column up in different orders, and a bound can miss the world's
@@ -19,6 +20,7 @@
 
 use audb::incomplete::{relation_bounds_world, sample_bounded_world};
 use audb::prelude::*;
+use audb::serve::{Class, Engine, EngineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,9 +56,14 @@ fn au_table(names: &[&str], n: usize, seed: u64, cols: impl Fn(i64) -> Vec<i64>)
 /// `t1`: 3 000 rows `(k, v) = (i % 300, i)`; `t2`: 600 rows
 /// `(c, w) = (i, 7i % 100)`.
 fn db() -> AuDatabase {
+    db_seeded(11)
+}
+
+/// [`db`]'s tables, their uncertainty drawn from `seed` and `seed + 1`.
+fn db_seeded(seed: u64) -> AuDatabase {
     let mut db = AuDatabase::new();
-    db.insert("t1", au_table(&["k", "v"], 3000, 11, |i| vec![i % 300, i]));
-    db.insert("t2", au_table(&["c", "w"], 600, 12, |i| vec![i, i * 7 % 100]));
+    db.insert("t1", au_table(&["k", "v"], 3000, seed, |i| vec![i % 300, i]));
+    db.insert("t2", au_table(&["c", "w"], 600, seed + 1, |i| vec![i, i * 7 % 100]));
     db
 }
 
@@ -131,6 +138,55 @@ fn results_bound_sampled_worlds() {
                     "{name} under {c}: world {w} not bounded\nQ(W) = {want}\nQ(D) = {au}"
                 );
             }
+        }
+    }
+}
+
+/// The serving engine bounds sampled worlds too: the join spine, one-key
+/// γ and − served through `Engine::execute` cold (a prepared-plan miss),
+/// warm (a hit) and once more after a `publish` of a second database,
+/// each response checked against 4 worlds drawn from the database of its
+/// own epoch.
+#[test]
+fn served_results_bound_sampled_worlds() {
+    const SERVED_WORLDS: usize = 4;
+    let dbs = [db(), db_seeded(21)];
+    let mut rng = StdRng::seed_from_u64(0x5e4e);
+    let worlds: Vec<Vec<Database>> = dbs
+        .iter()
+        .map(|db| (0..SERVED_WORLDS).map(|_| sample_bounded_world(db, &mut rng)).collect())
+        .collect();
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(8) };
+    let configs = [("precise", AuConfig::precise()), ("forced compressed(8)", forced)];
+    let served = ["join spine", "one-key γ", "difference"];
+    for (name, q) in cases().into_iter().filter(|(name, _)| served.contains(name)) {
+        let wants: Vec<Vec<Relation>> =
+            worlds.iter().map(|ws| ws.iter().map(|w| eval_det(w, &q).unwrap()).collect()).collect();
+        for (c, cfg) in &configs {
+            let config = EngineConfig { eval: *cfg, worker_threads: 0, ..EngineConfig::default() };
+            let engine = Engine::new(dbs[0].clone(), config);
+            let serve = |step: &str, epoch: u64, hit: bool| {
+                let resp = engine
+                    .execute(&q, Class::Interactive)
+                    .unwrap_or_else(|e| panic!("{name} under {c}, {step}: {e}"));
+                assert_eq!(
+                    (resp.epoch, resp.prepared_hit),
+                    (epoch, hit),
+                    "{name} under {c}, {step}"
+                );
+                for (w, want) in wants[epoch as usize].iter().enumerate() {
+                    assert!(
+                        relation_bounds_world(&resp.relation, want),
+                        "{name} under {c}, {step}: world {w} of epoch {epoch} not bounded\n\
+                         Q(W) = {want}\nQ(D) = {}",
+                        resp.relation
+                    );
+                }
+            };
+            serve("cold", 0, false);
+            serve("warm", 0, true);
+            assert_eq!(engine.publish(dbs[1].clone()), 1);
+            serve("after publish", 1, false);
         }
     }
 }

@@ -13,9 +13,7 @@ use std::time::Duration;
 
 use audb::exec::faults::{with_plan, FaultKind, FaultPlan, FaultRule};
 use audb::prelude::*;
-use audb::serve::{
-    BreakerPolicy, Class, ClassPolicy, Engine, EngineConfig, RetryPolicy, ServeError,
-};
+use audb::serve::{Class, ClassPolicy, Engine, EngineConfig, RetryPolicy, ServeError};
 use audb::workloads::{micro_join_db, MicroConfig};
 
 fn micro(rows: usize, seed: u64) -> AuDatabase {
@@ -69,7 +67,6 @@ fn stress_config() -> EngineConfig {
             base_backoff: Duration::from_micros(100),
             max_backoff: Duration::from_millis(2),
         },
-        breaker: BreakerPolicy::default(),
     }
 }
 
@@ -122,7 +119,7 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
                             FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]),
                             run,
                         ),
-                        // every attempt panics: retries exhaust, breakers trip
+                        // every attempt panics, the oracle too: retries exhaust
                         2 => with_plan(
                             FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]),
                             run,
@@ -184,53 +181,47 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
     assert_eq!(resp.relation, eval_au(snap.db(), &qs[0], &eval_cfg).unwrap());
 }
 
-/// Deterministic breaker walk-through: persistent lane-path faults
-/// trip the plan's breaker; with the fault gone but the breaker open,
-/// the plan serves correctly from its oracle plan (`AuPlan::oracle`); the
-/// cooldown probe closes it again. A compressed `EngineConfig::eval` runs
-/// on the lanes like any other, so its plans consult the breaker the same
-/// way.
+/// Deterministic degradation walk-through: a one-shot lane fault (a
+/// contained panic, then an injected error) is answered at once from the
+/// oracle plan (`AuPlan::oracle`) the way `eval_au` answers it — one
+/// attempt, no retry, one `degradations` tick — and the next query runs
+/// on the lanes again: no state carries over. A compressed
+/// `EngineConfig::eval` runs on the lanes like any other, so its plans
+/// degrade the same way.
 #[test]
-fn breaker_trips_degrades_and_recovers() {
+fn lane_fault_degrades_once_to_the_oracle() {
     let forced = AuConfig { adaptive: false, workers: Some(2), ..AuConfig::compressed(2) };
     for eval in [stress_config().eval, forced] {
-        breaker_walk_through(eval);
+        degradation_walk_through(eval);
     }
 }
 
-fn breaker_walk_through(eval: AuConfig) {
+fn degradation_walk_through(eval: AuConfig) {
     let db = micro(80, 77);
     let mut config = EngineConfig { eval, ..stress_config() };
     config.retry =
         RetryPolicy { max_retries: 0, base_backoff: Duration::ZERO, max_backoff: Duration::ZERO };
-    config.breaker = BreakerPolicy { trip_after: 2, cooldown: Duration::from_millis(20) };
     let engine = Engine::new(db.clone(), config);
     let q = queries().remove(0);
     let want = eval_au(&db, &q, &eval).unwrap();
 
-    // two consecutive lane-path faults trip the breaker
-    for _ in 0..2 {
-        let err =
-            with_plan(FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]), || {
-                engine.execute(&q, Class::Interactive)
-            })
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Failed(_)), "{err}");
+    for kind in [FaultKind::Panic, FaultKind::Error] {
+        let degradations = engine.stats().metrics.counter("degradations").unwrap_or(0);
+        let resp = with_plan(FaultPlan::new(vec![FaultRule::once(0, 0, kind)]), || {
+            engine.execute(&q, Class::Interactive)
+        })
+        .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        assert!(resp.breaker_degraded, "{kind:?}: the oracle answers the lane fault");
+        assert_eq!(resp.attempts, 1, "{kind:?}: degrading is not a retry");
+        assert_eq!(resp.relation, want, "{kind:?}");
+        let stats = engine.stats();
+        assert_eq!(stats.metrics.counter("degradations"), Some(degradations + 1), "{kind:?}");
+
+        // fault gone: the next query runs on the lanes
+        let resp = engine.execute(&q, Class::Interactive).unwrap();
+        assert!(!resp.breaker_degraded, "{kind:?}: no state carries over");
+        assert_eq!(resp.attempts, 1);
+        assert_eq!(resp.relation, want);
+        assert_eq!(engine.stats().metrics.counter("degradations"), Some(degradations + 1));
     }
-    let stats = engine.stats();
-    assert_eq!(stats.metrics.counter("breaker_trips"), Some(1));
-
-    // fault gone, breaker open: served correctly from the oracle
-    let resp = engine.execute(&q, Class::Interactive).unwrap();
-    assert!(resp.breaker_degraded, "open breaker routes to the oracle");
-    assert_eq!(resp.relation, want);
-
-    // cooldown passes: the half-open probe succeeds and closes the breaker
-    std::thread::sleep(Duration::from_millis(25));
-    let resp = engine.execute(&q, Class::Interactive).unwrap();
-    assert!(!resp.breaker_degraded, "successful probe closes the breaker");
-    assert_eq!(resp.relation, want);
-    let resp = engine.execute(&q, Class::Interactive).unwrap();
-    assert!(!resp.breaker_degraded);
-    assert_eq!(resp.relation, want);
 }
