@@ -33,7 +33,7 @@ use crate::govern::ExecError;
 
 /// Version stamped into every serialized trace; bump when the JSON
 /// shape changes incompatibly.
-pub const TRACE_SCHEMA_VERSION: u32 = 6;
+pub const TRACE_SCHEMA_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // Counters and timed sites
@@ -77,8 +77,6 @@ pub enum Counter {
     Admitted,
     /// Queries shed by the serving layer (queue full or wait timed out).
     Shed,
-    /// Serving-layer retry attempts taken after a transient fault.
-    Retries,
     /// Events dropped because the event log hit its retention cap.
     EventsDropped,
     /// Aggregation demotions from typed `i64`/`f64` lanes to boxed
@@ -117,7 +115,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::CancelChecks,
@@ -133,7 +131,6 @@ impl Counter {
         Counter::VerifyRejects,
         Counter::Admitted,
         Counter::Shed,
-        Counter::Retries,
         Counter::EventsDropped,
         Counter::AggTermsBoxed,
         Counter::ChainStagesBoxed,
@@ -164,7 +161,6 @@ impl Counter {
             Counter::VerifyRejects => "verify_rejects",
             Counter::Admitted => "admitted",
             Counter::Shed => "shed",
-            Counter::Retries => "retries",
             Counter::EventsDropped => "events_dropped",
             Counter::AggTermsBoxed => "agg_terms_boxed",
             Counter::ChainStagesBoxed => "chain_stages_boxed",
@@ -293,8 +289,8 @@ pub enum ExecEventKind {
     DeadlineExceeded,
     /// A resource budget was exhausted.
     BudgetExceeded,
-    /// A lane attempt failed and evaluation degraded to the oracle for
-    /// one retry.
+    /// A lane run faulted and evaluation degraded to the oracle plan,
+    /// once.
     Degraded,
     /// The static verifier rejected a freshly compiled program and its
     /// chain fell back to the oracle.
@@ -303,8 +299,6 @@ pub enum ExecEventKind {
     Admitted,
     /// The serving layer shed a query (queue full or wait timed out).
     Shed,
-    /// The serving layer retried a query after a transient fault.
-    Retried,
 }
 
 impl ExecEventKind {
@@ -320,7 +314,6 @@ impl ExecEventKind {
             ExecEventKind::VerifierRejected => "verifier_rejected",
             ExecEventKind::Admitted => "admitted",
             ExecEventKind::Shed => "shed",
-            ExecEventKind::Retried => "retried",
         }
     }
 
@@ -1157,7 +1150,7 @@ mod tests {
             total_ns: 12345,
         };
         let json = trace.to_json();
-        assert!(json.starts_with("{\"version\":6,"), "{json}");
+        assert!(json.starts_with("{\"version\":7,"), "{json}");
         assert!(json.contains("\"engine\":{\"workers\":\"4\"}"), "{json}");
         assert!(json.contains("\"op\":\"select\""), "{json}");
         assert!(json.contains("\"compiled\":\"true\""), "{json}");

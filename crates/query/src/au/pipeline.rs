@@ -25,8 +25,10 @@
 //! included, and the only fused one: every stage of a chain is a
 //! compiled register program ([`Program`]) evaluated as typed vector
 //! kernels over column lanes. A chain one of whose programs the Tier B
-//! verifier rejects ([`crate::vcheck`]) does not run fused at all — it
-//! runs on the oracle (`fallback = "verifier-rejected"`).
+//! verifier rejects ([`crate::vcheck`]) does not run fused at all — the
+//! plan holds the oracle's σ/π/⋈ operators in its place. Their
+//! `select` / `project` spans appear under a `lanes` attempt for no other
+//! reason.
 //!
 //! ## Plan, then run
 //!
@@ -1154,11 +1156,11 @@ pub struct AuPlan {
 
 /// One operator of a plan, run under a span of its own. `Table` is a
 /// base table under a chain. A `Chain`'s `detail` is its span's, kept
-/// only by a traced planning call. `Rejected` is a chain one of whose
-/// stages Tier B rejected, planned for the oracle, inputs included (which
-/// reproduces either delivery exactly). `Scan`, `Select`, `Project` and
+/// only by a traced planning call. `Scan`, `Select`, `Project` and
 /// `Join` are the oracle's: the paper's operators over interpreted `Expr`
-/// trees, one materialization each. The breakers run their own kernels
+/// trees, one materialization each — and a lane plan's in the place of a
+/// chain one of whose stages Tier B rejected, inputs included (which
+/// reproduces either delivery exactly). The breakers run their own kernels
 /// in either plan; δ is γ on every column with no aggregates, and γ's
 /// `specs[1]` is `specs[0]` (as written) re-slotted onto the sorted
 /// columns γ reads, for an input that delivered just those.
@@ -1166,7 +1168,6 @@ pub struct AuPlan {
 enum Node {
     Table(String),
     Chain { chain: Box<Chain<Box<Node>>>, consumer: Contract, detail: String },
-    Rejected { input: Box<Node>, detail: String },
     Scan(String),
     Select(Box<Node>, Expr),
     Project(Box<Node>, Vec<(Expr, String)>),
@@ -1304,11 +1305,11 @@ impl Node {
             (Query::Join { left, right, predicate }, None) => {
                 Node::Join(tuples(left), tuples(right), predicate.clone())
             }
-            // a σ/π/⋈ tree of the lane plan: a chain
+            // a σ/π/⋈ tree of the lane plan: a chain, or — a stage
+            // rejected — the oracle's operators in its place
             (_, Some(vet)) => {
                 let Some(laid) = plan_chain(q, cfg, vet) else {
-                    let input = Box::new(Node::plan(q, cfg, consumer, None));
-                    return Node::Rejected { input, detail: vet.detail(|| q.to_string()) };
+                    return Node::plan(q, cfg, consumer, None);
                 };
                 // A join's inputs are lists whenever its own pairs are
                 // delivered as one, and under a join-compression knob (the
@@ -1354,13 +1355,6 @@ impl Node {
                 let rows = consumer.form == Form::Rows;
                 tr.attr(h, "form", || if rows { "rows" } else { "lanes" }.into());
                 return chain.run(on, consumer, h);
-            }
-            Node::Rejected { input, detail } => {
-                let h = tr.open("fused-chain", || detail.clone());
-                tr.attr(h, "fallback", || "verifier-rejected".to_string());
-                let (rel, _) = input.run(on)?;
-                close_rel(tr, h, &rel);
-                return Ok((rel, false));
             }
             Node::Scan(name) => {
                 let h = tr.open("scan", || name.clone());

@@ -193,9 +193,9 @@ impl Admission {
     }
 }
 
-/// An execution slot. The slot is held for the query's whole attempt
-/// loop (retries included — a retrying query must not re-queue behind
-/// fresh arrivals) and returns to the class on drop.
+/// An execution slot. The slot is held for the query's whole evaluation
+/// (a degradation to the oracle plan included) and returns to the class
+/// on drop.
 #[derive(Debug)]
 pub struct Ticket {
     slot: Arc<ClassSlot>,

@@ -1,11 +1,11 @@
 //! The long-lived serving [`Engine`]: epochs, prepared plans, and the
-//! per-query robustness loop.
+//! per-query verdict.
 //!
 //! ## Epochs
 //!
 //! The engine holds the database as an `Arc`'d immutable [`Snapshot`].
 //! A query pins the current snapshot once, at admission, and evaluates
-//! against it for its whole attempt loop — the `Cow`-based evaluators
+//! against it for its whole evaluation — the `Cow`-based evaluators
 //! never clone the pinned data. [`Engine::publish`] swaps in a new
 //! snapshot under the next epoch number; in-flight queries keep their
 //! pinned epoch alive through the `Arc` and finish against the world
@@ -24,19 +24,19 @@
 //! new epoch is byte-identical to a cold one — and so does reaching
 //! [`PREPARED_CAP`] entries.
 //!
-//! ## The robustness loop
+//! ## One answer per fault
 //!
 //! Per query: admission (bounded queue, structured shed) → one governed
-//! evaluation attempt, which answers a non-resource lane fault from the
-//! oracle plan the way `eval_au` does ([`degrade_once`]) → if the oracle
-//! faults too, jittered-backoff retry inside the same admission slot; on
-//! a *resource* verdict, a final structured rejection. Every submission
-//! resolves — to a result or a structured [`ServeError`] — and no
-//! outcome can poison the engine.
+//! evaluation, which answers a non-resource lane fault from the oracle
+//! plan the way `eval_au` does ([`degrade_once`]). Its outcome is the
+//! verdict, given once: a resource verdict is [`ServeError::Rejected`],
+//! an oracle that faults too is [`ServeError::Failed`], a query error is
+//! [`ServeError::Query`]. Every submission resolves — to a result or a
+//! structured [`ServeError`] — and no outcome can poison the engine.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -46,11 +46,8 @@ use audb_exec::WorkerGate;
 use audb_query::au::AuConfig;
 use audb_query::{degrade_once, parse_sql, AuPlan, Query};
 use audb_storage::{AuDatabase, AuRelation};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::admission::{Admission, Class, ClassPolicy};
-use crate::retry::RetryPolicy;
 use crate::stats::{ClassStats, ClassStatsSnapshot};
 
 /// One immutable published world: the database plus its epoch number.
@@ -81,7 +78,6 @@ pub struct EngineConfig {
     pub worker_threads: usize,
     /// Admission knobs, indexed by [`Class`] discriminant order.
     pub classes: [ClassPolicy; 3],
-    pub retry: RetryPolicy,
 }
 
 impl Default for EngineConfig {
@@ -90,7 +86,6 @@ impl Default for EngineConfig {
             eval: AuConfig::default(),
             worker_threads: audb_exec::pool::available_workers(),
             classes: Class::ALL.map(ClassPolicy::default_for),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -123,19 +118,17 @@ pub struct Response {
     /// The epoch the query was evaluated against.
     pub epoch: u64,
     pub class: Class,
-    /// Evaluation attempts taken (1 = no retries).
-    pub attempts: usize,
     /// Whether the prepared-plan table already held this plan.
     pub prepared_hit: bool,
-    /// Whether the oracle plan answered: the final attempt's lane run
-    /// faulted and the engine degraded once ([`degrade_once`]). The
+    /// Whether the oracle plan answered: the lane run faulted and the
+    /// engine degraded once ([`degrade_once`]). The
     /// name dates from a per-plan circuit breaker that no longer exists;
     /// it stays because the benchmark's serving report reads the field
     /// by that name.
     pub breaker_degraded: bool,
     /// Time spent waiting for admission.
     pub queued: Duration,
-    /// Admission wait + every evaluation attempt + backoff sleeps.
+    /// Admission wait + the evaluation.
     pub total: Duration,
 }
 
@@ -145,13 +138,12 @@ pub struct Response {
 pub enum ServeError {
     /// Load shed: the class queue was full or the queue wait timed out.
     Overloaded { class: Class, queue_depth: usize, retry_after: Duration },
-    /// A final governance verdict (cancelled / deadline / budget) —
-    /// never retried.
+    /// A governance verdict (cancelled / deadline / budget).
     Rejected(EvalError),
-    /// Transient faults exhausted the retry budget.
+    /// The lane run faulted and the oracle plan that answers it faulted
+    /// too.
     Failed(EvalError),
-    /// A deterministic query error (parse, type, unknown table):
-    /// retrying cannot help.
+    /// A deterministic query error (parse, type, unknown table).
     Query(EvalError),
     /// The engine is shutting down.
     ShuttingDown,
@@ -166,7 +158,7 @@ impl fmt::Display for ServeError {
                 class.name()
             ),
             ServeError::Rejected(e) => write!(f, "rejected by governance: {e}"),
-            ServeError::Failed(e) => write!(f, "failed after retries: {e}"),
+            ServeError::Failed(e) => write!(f, "failed: the oracle plan faulted too: {e}"),
             ServeError::Query(e) => write!(f, "query error: {e}"),
             ServeError::ShuttingDown => write!(f, "engine is shutting down"),
         }
@@ -197,7 +189,6 @@ struct EngineInner {
     gate: WorkerGate,
     metrics: Metrics,
     stats: [ClassStats; 3],
-    seq: AtomicU64,
     closed: AtomicBool,
 }
 
@@ -222,7 +213,6 @@ impl Engine {
                 prepared: Mutex::new(HashMap::new()),
                 metrics: Metrics::enabled(),
                 stats: [ClassStats::default(), ClassStats::default(), ClassStats::default()],
-                seq: AtomicU64::new(0),
                 closed: AtomicBool::new(false),
             }),
         }
@@ -311,7 +301,7 @@ impl Engine {
         self.serve_parsed(sql, None, class, reuse)
     }
 
-    /// The full per-query path; see the module docs for the loop.
+    /// The full per-query path; see the module docs for the verdicts.
     /// `key` is the prepared-table key; `plan` short-circuits parsing
     /// when the caller already holds the algebra.
     fn serve_parsed(
@@ -364,19 +354,18 @@ impl Engine {
         let prepared_hit = prepared.1;
         let plan = prepared.0;
 
-        let policy = *inner.admission.policy(class);
-        let result = self.attempt_loop(&plan, &snap, &policy, class);
+        let policy = inner.admission.policy(class);
+        let result = self.evaluate(&plan, &snap, policy);
         drop(ticket);
 
         match result {
-            Ok((relation, attempts, breaker_degraded)) => {
+            Ok((relation, breaker_degraded)) => {
                 let total = started.elapsed();
                 stats.complete(total);
                 Ok(Response {
                     relation,
                     epoch: snap.epoch,
                     class,
-                    attempts,
                     prepared_hit,
                     breaker_degraded,
                     queued,
@@ -432,61 +421,36 @@ impl Engine {
         Ok((fresh, false))
     }
 
-    /// The bounded-retry attempt loop. Holds the caller's admission
-    /// slot throughout; returns the relation, the attempt count, and
-    /// whether the oracle plan answered the successful attempt.
-    fn attempt_loop(
+    /// One governed evaluation under `policy`, inside the caller's
+    /// admission slot: the relation, and whether the oracle plan
+    /// answered it.
+    fn evaluate(
         &self,
         plan: &PreparedPlan,
         snap: &Snapshot,
         policy: &ClassPolicy,
-        class: Class,
-    ) -> Result<(AuRelation, usize, bool), ServeError> {
+    ) -> Result<(AuRelation, bool), ServeError> {
         let inner = &self.inner;
-        let retry = inner.config.retry;
         let untraced = TraceBuilder::disabled();
-        let mut rng = StdRng::seed_from_u64(inner.seq.fetch_add(1, Ordering::Relaxed));
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            // the class's governance over the engine's resource knobs;
-            // the derived executor then takes the engine's gate and meters
-            let resources = AuConfig {
-                timeout: policy.timeout.or(inner.config.eval.timeout),
-                budget: policy.budget.or(inner.config.eval.budget),
-                ..inner.config.eval
-            };
-            let exec = resources
-                .executor()
-                .with_worker_gate(inner.gate.clone())
-                .with_metrics(inner.metrics.clone());
-            let lanes = &|| plan.plan.run(snap.db(), &exec, &untraced);
-            match degrade_once(lanes, snap.db(), &plan.query, &resources, &exec, &untraced) {
-                Ok((relation, degraded)) => return Ok((relation, attempts, degraded)),
-                Err(EvalError::Exec(e)) if e.is_resource_limit() => {
-                    return Err(ServeError::Rejected(EvalError::Exec(e)));
-                }
-                Err(EvalError::Exec(e)) => {
-                    // The oracle faulted too: a transient fault, retried
-                    // with jittered backoff inside the same admission slot.
-                    if attempts > retry.max_retries {
-                        return Err(ServeError::Failed(EvalError::Exec(e)));
-                    }
-                    inner.stats[class as usize].retry();
-                    inner.metrics.add(Counter::Retries, 1);
-                    inner.metrics.record_event(ExecEvent {
-                        kind: ExecEventKind::Retried,
-                        driver: None,
-                        morsel: None,
-                        detail: format!("attempt {attempts}: {e}"),
-                    });
-                    let backoff = retry.backoff(attempts, &mut rng);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                Err(e) => return Err(ServeError::Query(e)),
+        // the class's governance over the engine's resource knobs; the
+        // derived executor then takes the engine's gate and meters
+        let resources = AuConfig {
+            timeout: policy.timeout.or(inner.config.eval.timeout),
+            budget: policy.budget.or(inner.config.eval.budget),
+            ..inner.config.eval
+        };
+        let exec = resources
+            .executor()
+            .with_worker_gate(inner.gate.clone())
+            .with_metrics(inner.metrics.clone());
+        let lanes = &|| plan.plan.run(snap.db(), &exec, &untraced);
+        degrade_once(lanes, snap.db(), &plan.query, &resources, &exec, &untraced).map_err(|e| {
+            match &e {
+                EvalError::Exec(x) if x.is_resource_limit() => ServeError::Rejected(e),
+                // the oracle faulted too
+                EvalError::Exec(_) => ServeError::Failed(e),
+                _ => ServeError::Query(e),
             }
-        }
+        })
     }
 }

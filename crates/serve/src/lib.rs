@@ -29,9 +29,10 @@
 //!   plan (`AuPlan::oracle`), the way `eval_au` answers it
 //!   ([`degrade_once`](audb_query::degrade_once)); nothing carries over
 //!   to the next query;
-//! * **bounded retry** ([`retry`]) — an attempt whose oracle answer
-//!   faults too is transient and retries with full-jitter exponential
-//!   backoff; resource verdicts are final.
+//! * **one answer per fault** — a query is evaluated once: a resource
+//!   verdict is [`ServeError::Rejected`], an oracle plan that faults too
+//!   is [`ServeError::Failed`], a query error is [`ServeError::Query`];
+//!   nothing is retried.
 //!
 //! The load-bearing guarantee, pinned by the stress suite: **every
 //! submission resolves** — to a correct result or a structured
@@ -42,10 +43,8 @@
 
 pub mod admission;
 pub mod engine;
-pub mod retry;
 pub mod stats;
 
 pub use admission::{Admission, Class, ClassPolicy};
 pub use engine::{Engine, EngineConfig, EngineStats, Response, ServeError, Snapshot, PREPARED_CAP};
-pub use retry::RetryPolicy;
 pub use stats::{ClassStats, ClassStatsSnapshot};

@@ -3,7 +3,7 @@
 //! The engine's [`audb_core::obs::Metrics`] sink carries the
 //! engine-wide counters and events; this module adds the per-class
 //! split a load shedder is judged by — how many queries each class
-//! submitted, how many were admitted, shed, retried, and how their
+//! submitted, how many were admitted, shed, failed, and how their
 //! latency distribution looks. Samples are raw nanosecond latencies in
 //! a mutex-guarded vector: a serving engine's lifetime query count is
 //! bounded by admission, so exact quantiles stay affordable and the
@@ -20,7 +20,6 @@ pub struct ClassStats {
     admitted: AtomicU64,
     completed: AtomicU64,
     shed: AtomicU64,
-    retried: AtomicU64,
     failed: AtomicU64,
     rejected: AtomicU64,
     latencies_ns: Mutex<Vec<u64>>,
@@ -37,10 +36,6 @@ impl ClassStats {
 
     pub(crate) fn shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn retry(&self) {
-        self.retried.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn fail(&self) {
@@ -69,7 +64,7 @@ impl ClassStats {
             admitted: self.admitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
+            retried: 0,
             failed: self.failed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             latencies_ns: latencies,
@@ -88,9 +83,12 @@ pub struct ClassStatsSnapshot {
     pub completed: u64,
     /// Queries shed by admission (queue full / wait timeout).
     pub shed: u64,
-    /// Retry attempts taken after transient faults.
+    /// Always 0: a query is evaluated once and nothing retries it. The
+    /// field stays because the benchmark's serving report reads it.
     pub retried: u64,
-    /// Queries whose transient faults exhausted the retry budget.
+    /// Queries that ended in `ServeError::Failed` (the lane run faulted
+    /// and the oracle plan faulted too) or in a query error raised while
+    /// evaluating.
     pub failed: u64,
     /// Queries ended by a final governance verdict.
     pub rejected: u64,

@@ -4,16 +4,19 @@
 //! mid-flight. The load-bearing assertion: **every submission
 //! resolves** — to a result byte-identical to direct evaluation on the
 //! response's pinned epoch, or to a structured verdict — and the
-//! engine serves correctly afterwards (no hang, no poisoned pool).
+//! engine serves correctly afterwards (no hang, no poisoned pool). A
+//! fault has one answer, given once: the oracle plan answers a lane
+//! fault, and an oracle that faults too fails the query.
 
 #![cfg(feature = "faults")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use audb::exec::faults::{with_plan, FaultKind, FaultPlan, FaultRule};
 use audb::prelude::*;
-use audb::serve::{Class, ClassPolicy, Engine, EngineConfig, RetryPolicy, ServeError};
+use audb::serve::{Class, ClassPolicy, Engine, EngineConfig, EngineStats, ServeError};
 use audb::workloads::{micro_join_db, MicroConfig};
 
 fn micro(rows: usize, seed: u64) -> AuDatabase {
@@ -62,11 +65,6 @@ fn stress_config() -> EngineConfig {
                 budget: None,
             },
         ],
-        retry: RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(2),
-        },
     }
 }
 
@@ -109,17 +107,17 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
                     let class = Class::ALL[i % Class::ALL.len()];
                     let run = || engine.execute(q, class);
                     let verdict = match i % 5 {
-                        // one panic, then the retry succeeds
+                        // one panic: the oracle plan answers it
                         0 => with_plan(
                             FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Panic)]),
                             run,
                         ),
-                        // one injected error, then the retry succeeds
+                        // one injected error: the oracle plan answers it
                         1 => with_plan(
                             FaultPlan::new(vec![FaultRule::once(0, 0, FaultKind::Error)]),
                             run,
                         ),
-                        // every attempt panics, the oracle too: retries exhaust
+                        // the lanes panic, the oracle too: `Failed`
                         2 => with_plan(
                             FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]),
                             run,
@@ -147,7 +145,7 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
                         }
                         Err(ServeError::Overloaded { .. }) => {}
                         Err(ServeError::Failed(EvalError::Exec(e))) => {
-                            assert!(!e.is_resource_limit(), "only transient faults exhaust retries")
+                            assert!(!e.is_resource_limit(), "only a faulting oracle fails a query")
                         }
                         Err(other) => panic!("client {client} iter {i}: unexpected {other}"),
                     }
@@ -172,7 +170,8 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
     assert_eq!(total, (CLIENTS * ITERS) as u64, "no submission vanished");
     // the storm really exercised the machinery
     assert!(stats.metrics.counter("worker_panics").unwrap_or(0) > 0);
-    assert!(stats.metrics.counter("retries").unwrap_or(0) > 0);
+    assert!(stats.metrics.counter("degradations").unwrap_or(0) > 0);
+    assert!(stats.classes.iter().any(|c| c.failed > 0), "the persistent fault fails: {stats:?}");
     assert!(stats.metrics.counter("admitted").unwrap_or(0) > 0);
 
     // the engine stays live and correct after the storm
@@ -183,8 +182,8 @@ fn fault_storm_with_mid_flight_publishes_never_loses_a_query() {
 
 /// Deterministic degradation walk-through: a one-shot lane fault (a
 /// contained panic, then an injected error) is answered at once from the
-/// oracle plan (`AuPlan::oracle`) the way `eval_au` answers it — one
-/// attempt, no retry, one `degradations` tick — and the next query runs
+/// oracle plan (`AuPlan::oracle`) the way `eval_au` answers it — the
+/// fault fires once, one `degradations` tick — and the next query runs
 /// on the lanes again: no state carries over. A compressed
 /// `EngineConfig::eval` runs on the lanes like any other, so its plans
 /// degrade the same way.
@@ -198,21 +197,17 @@ fn lane_fault_degrades_once_to_the_oracle() {
 
 fn degradation_walk_through(eval: AuConfig) {
     let db = micro(80, 77);
-    let mut config = EngineConfig { eval, ..stress_config() };
-    config.retry =
-        RetryPolicy { max_retries: 0, base_backoff: Duration::ZERO, max_backoff: Duration::ZERO };
-    let engine = Engine::new(db.clone(), config);
+    let engine = Engine::new(db.clone(), EngineConfig { eval, ..stress_config() });
     let q = queries().remove(0);
     let want = eval_au(&db, &q, &eval).unwrap();
 
     for kind in [FaultKind::Panic, FaultKind::Error] {
         let degradations = engine.stats().metrics.counter("degradations").unwrap_or(0);
-        let resp = with_plan(FaultPlan::new(vec![FaultRule::once(0, 0, kind)]), || {
-            engine.execute(&q, Class::Interactive)
-        })
-        .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        let faults = FaultPlan::new(vec![FaultRule::once(0, 0, kind)]);
+        let resp = with_plan(faults.clone(), || engine.execute(&q, Class::Interactive))
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert!(resp.breaker_degraded, "{kind:?}: the oracle answers the lane fault");
-        assert_eq!(resp.attempts, 1, "{kind:?}: degrading is not a retry");
+        assert_eq!(faults.fired(), 1, "{kind:?}: one lane run faulted, nothing ran it again");
         assert_eq!(resp.relation, want, "{kind:?}");
         let stats = engine.stats();
         assert_eq!(stats.metrics.counter("degradations"), Some(degradations + 1), "{kind:?}");
@@ -220,8 +215,51 @@ fn degradation_walk_through(eval: AuConfig) {
         // fault gone: the next query runs on the lanes
         let resp = engine.execute(&q, Class::Interactive).unwrap();
         assert!(!resp.breaker_degraded, "{kind:?}: no state carries over");
-        assert_eq!(resp.attempts, 1);
         assert_eq!(resp.relation, want);
         assert_eq!(engine.stats().metrics.counter("degradations"), Some(degradations + 1));
     }
+}
+
+/// An oracle that faults too is the query's verdict, given once: the
+/// engine runs no second evaluation. A persistent panic fires in the
+/// lane run and once more in the oracle run that answers it — two fires,
+/// one `degradations` tick, `Failed` — and two one-shot faults, one in
+/// each run, fail the query as well.
+#[test]
+fn a_faulting_oracle_fails_in_one_attempt() {
+    let forced = AuConfig { adaptive: false, workers: Some(2), ..AuConfig::compressed(2) };
+    for eval in [stress_config().eval, forced] {
+        oracle_fault_walk_through(eval);
+    }
+}
+
+fn oracle_fault_walk_through(eval: AuConfig) {
+    let db = micro(80, 77);
+    let engine = Engine::new(db, EngineConfig { eval, ..stress_config() });
+    let qs = queries();
+    let class = Class::Interactive;
+    let failed = |s: &EngineStats| s.classes[class as usize].failed;
+    let degradations = |s: &EngineStats| s.metrics.counter("degradations").unwrap_or(0);
+    let fails = |faults: &Arc<FaultPlan>, q: &Query| {
+        let before = engine.stats();
+        let verdict = with_plan(faults.clone(), || engine.execute(q, class));
+        let Err(e @ ServeError::Failed(_)) = verdict else {
+            panic!("{eval:?} {q}: {verdict:?}");
+        };
+        assert!(e.to_string().contains("the oracle plan faulted too"), "{e}");
+        let after = engine.stats();
+        assert_eq!(failed(&after), failed(&before) + 1, "{eval:?} {q}");
+        assert_eq!(degradations(&after), degradations(&before) + 1, "{eval:?} {q}");
+    };
+
+    let persistent = FaultPlan::new(vec![FaultRule::persistent(0, FaultKind::Panic)]);
+    fails(&persistent, &qs[0]);
+    assert_eq!(persistent.fired(), 2, "{eval:?}: the lane run and the oracle run, once each");
+
+    let twice = FaultPlan::new(vec![
+        FaultRule::once(0, 0, FaultKind::Panic),
+        FaultRule::once(1, 0, FaultKind::Panic),
+    ]);
+    fails(&twice, &qs[2]);
+    assert_eq!(twice.fired(), 2, "{eval:?}");
 }
