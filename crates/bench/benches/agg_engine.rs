@@ -65,8 +65,8 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // parallel normalization: the hash-merge + sort tail, sharded by
-    // tuple hash (40k raw rows with 4x duplication onto 10k tuples).
+    // parallel normalization: the sort-merge tail, one sorted run per
+    // worker (40k raw rows with 4x duplication onto 10k tuples).
     // Each iteration must clone the non-normalized input (normalize
     // consumes it; the criterion shim has no iter_batched), so the
     // clone-only baseline is benched too — subtract it to read the

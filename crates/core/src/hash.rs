@@ -1,13 +1,13 @@
-//! The engine's keyed row hash: a folded-multiply [`Hasher`] seeded per
-//! call — what relation normalization (`audb_exec::reduce`) dedupes on
-//! and the join hash index (`audb_storage::HashKeyIndex`) buckets on.
+//! The engine's keyed key hash: a folded-multiply [`Hasher`] seeded per
+//! call — what the join hash index (`audb_storage::HashKeyIndex`)
+//! buckets on.
 //!
 //! One 64×64→128 multiply per word, ~5× cheaper than SipHash over a
-//! tuple's derived `Hash`. The state starts from a seed drawn from
-//! [`RandomState`] once per normalization or index build — never a fixed
-//! seed: hashed tuples and join keys carry attacker-influenced literals.
+//! key's derived `Hash`. The state starts from a seed drawn from
+//! [`RandomState`] once per index build — never a fixed seed: join keys
+//! carry attacker-influenced literals.
 
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// The folded-multiply hasher; fed through [`keyed_hash_with`].
 pub struct FoldHasher(u64);
@@ -55,7 +55,21 @@ pub fn keyed_hash_with(seed: u64, feed: impl FnOnce(&mut FoldHasher)) -> u64 {
     h.0
 }
 
-/// `t`'s hash under `seed`.
-pub fn keyed_hash<T: Hash + ?Sized>(seed: u64, t: &T) -> u64 {
-    keyed_hash_with(seed, |h| t.hash(h))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::Hash;
+
+    /// Two index builds in one process hash under different seeds: a
+    /// key set crafted to collide under one call's hash does not collide
+    /// under the next.
+    #[test]
+    fn calls_do_not_share_a_hash_seed() {
+        let (a, b) = (call_seed(), call_seed());
+        assert_ne!(a, b);
+        let key = ("some tuple", 7u64);
+        let hash = |seed| keyed_hash_with(seed, |h| key.hash(h));
+        assert_ne!(hash(a), hash(b));
+        assert_eq!(hash(a), hash(a));
+    }
 }

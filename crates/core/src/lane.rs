@@ -77,7 +77,6 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -601,28 +600,6 @@ impl<'a> LaneSlice<'a> {
             LaneSlice::Bool { lb, sg, ub } => cmp3([lb, sg, ub], a, b, bool::cmp),
             LaneSlice::Str { lb, sg, ub, .. } => cmp3([lb, sg, ub], a, b, u32::cmp),
             LaneSlice::Boxed(v) => v[a].cmp(&v[b]),
-        }
-    }
-
-    /// Feed cell `i` to a hasher, consistently with
-    /// [`LaneSlice::cells_eq`].
-    pub fn hash_cell<H: Hasher>(&self, i: usize, state: &mut H) {
-        match self {
-            // one word per component: an array's `Hash` would add a
-            // length prefix and go through the byte-slice path
-            LaneSlice::Int { lb, sg, ub } => {
-                [lb[i], sg[i], ub[i]].into_iter().for_each(|v| state.write_i64(v));
-            }
-            LaneSlice::Float { lb, sg, ub } => {
-                [lb[i], sg[i], ub[i]].into_iter().for_each(|v| state.write_u64(v.to_bits()));
-            }
-            LaneSlice::Bool { lb, sg, ub } => {
-                state.write_u8(u8::from(lb[i]) | u8::from(sg[i]) << 1 | u8::from(ub[i]) << 2);
-            }
-            LaneSlice::Str { lb, sg, ub, .. } => {
-                [lb[i], sg[i], ub[i]].into_iter().for_each(|v| state.write_u32(v));
-            }
-            LaneSlice::Boxed(v) => v[i].hash(state),
         }
     }
 
@@ -1646,12 +1623,11 @@ mod tests {
         assert_eq!((0..lane.len()).map(|i| lane.get(i)).collect::<Vec<_>>(), want);
     }
 
-    /// `cells_eq` / `cells_cmp` / `hash_cell` are the materialized
-    /// cells' derived `Eq` / `Ord` / a hash consistent with them, on
-    /// every lane tag: ties on `lb`, float ties by bits, boxed mixes.
+    /// `cells_eq` / `cells_cmp` are the materialized cells' derived
+    /// `Eq` / `Ord`, on every lane tag: ties on `lb`, float ties by bits,
+    /// boxed mixes.
     #[test]
-    fn cell_equality_order_and_hash_are_the_range_values() {
-        use std::hash::DefaultHasher;
+    fn cell_equality_and_order_are_the_range_values() {
         let bools = vec![
             RangeValue::range(false, false, true),
             RangeValue::range(false, true, true),
@@ -1668,11 +1644,6 @@ mod tests {
             RangeValue::unknown(Value::Int(2)),
             RangeValue::certain(Value::Int(2)),
         ];
-        let hash_of = |f: &dyn Fn(&mut DefaultHasher)| {
-            let mut h = DefaultHasher::new();
-            f(&mut h);
-            h.finish()
-        };
         for (cells, tag) in [
             (&ints, LaneTag::Int),
             (&floats, LaneTag::Float),
@@ -1686,11 +1657,6 @@ mod tests {
                 for (b, cb) in cells.iter().enumerate() {
                     assert_eq!(s.cells_eq(a, b), ca == cb, "{ca} == {cb}");
                     assert_eq!(s.cells_cmp(a, b), ca.cmp(cb), "{ca} vs {cb}");
-                    if ca == cb {
-                        let (ha, hb) =
-                            (hash_of(&|h| s.hash_cell(a, h)), hash_of(&|h| s.hash_cell(b, h)));
-                        assert_eq!(ha, hb, "hash of {ca}");
-                    }
                 }
             }
         }

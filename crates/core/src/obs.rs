@@ -13,7 +13,7 @@
 //! bookkeeping is plain `RefCell` state with no synchronization at all.
 //!
 //! Layering: this module sits in `audb_core` below the execution
-//! runtime so both `audb_exec` (morsel dispatch, sharded reduce,
+//! runtime so both `audb_exec` (morsel dispatch, normalization,
 //! governance checkpoints) and `audb_query` (planner decisions,
 //! operator spans) can report into the same sink without a dependency
 //! cycle. The query layer assembles the final [`QueryTrace`] from a
@@ -33,7 +33,7 @@ use crate::govern::ExecError;
 
 /// Version stamped into every serialized trace; bump when the JSON
 /// shape changes incompatibly.
-pub const TRACE_SCHEMA_VERSION: u32 = 7;
+pub const TRACE_SCHEMA_VERSION: u32 = 8;
 
 // ---------------------------------------------------------------------------
 // Counters and timed sites
@@ -64,7 +64,7 @@ pub enum Counter {
     /// fault answered from the oracle plan, by `eval_au` or the serving
     /// engine.
     Degradations,
-    /// Sharded-reduce (normalization) invocations.
+    /// Normalization (sort-merge driver) invocations.
     NormalizeRuns,
     /// Rows entering normalization.
     NormalizeRowsIn,
@@ -180,11 +180,10 @@ impl Counter {
 pub enum Site {
     /// One executor entry, dispatch to ordered merge.
     Driver,
-    /// Sharded-reduce phase 1: scatter rows into key-hash shards.
-    ReduceScatter,
-    /// Sharded-reduce phase 2: per-shard hash-merge + sort.
+    /// Normalization phase 1: key, sort and merge each morsel's rows (at
+    /// one worker, the whole normalization).
     ReduceMergeSort,
-    /// Sharded-reduce phase 3: sequential k-way merge.
+    /// Normalization phase 2: sequential k-way merge of the morsels' runs.
     ReduceKway,
     /// Aggregation membership: grouping index, possible-member source
     /// (compression), group-box sweep and CSR build.
@@ -210,9 +209,8 @@ pub enum Site {
 
 impl Site {
     /// Every site, in serialization order.
-    pub const ALL: [Site; 11] = [
+    pub const ALL: [Site; 10] = [
         Site::Driver,
-        Site::ReduceScatter,
         Site::ReduceMergeSort,
         Site::ReduceKway,
         Site::AggIndex,
@@ -228,7 +226,6 @@ impl Site {
     pub fn name(self) -> &'static str {
         match self {
             Site::Driver => "driver",
-            Site::ReduceScatter => "reduce_scatter",
             Site::ReduceMergeSort => "reduce_merge_sort",
             Site::ReduceKway => "reduce_kway",
             Site::AggIndex => "agg_index",
@@ -1150,7 +1147,7 @@ mod tests {
             total_ns: 12345,
         };
         let json = trace.to_json();
-        assert!(json.starts_with("{\"version\":7,"), "{json}");
+        assert!(json.starts_with("{\"version\":8,"), "{json}");
         assert!(json.contains("\"engine\":{\"workers\":\"4\"}"), "{json}");
         assert!(json.contains("\"op\":\"select\""), "{json}");
         assert!(json.contains("\"compiled\":\"true\""), "{json}");

@@ -18,11 +18,11 @@
 //!   slots are concatenated in morsel order, so the merged output is
 //!   *byte-identical* to running the same producer sequentially over
 //!   `0..n` — for any worker count and any morsel size;
-//! * the **sharded-reduce driver** [`Executor::hash_merge_sorted`]
-//!   (module [`reduce`]): the parallel backend of relation
-//!   normalization — scatter rows into key-hash shards, hash-merge and
-//!   sort each shard independently, k-way-merge the disjoint sorted
-//!   runs back into the canonical global order.
+//! * the **normalization driver** [`Executor::sort_merge_by_key`]
+//!   (module [`reduce`]): the backend of relation normalization — per
+//!   morsel, key every row, sort once and fold each run of equal rows
+//!   into its first occurrence; k-way-merge the morsels' sorted runs
+//!   into the canonical global order, folding equal heads in run order.
 //!
 //! There is one split rule — [`Partitioner::morsels`] — and every driver
 //! states its *grain* relative to the executor's partitioner: a fused
@@ -50,7 +50,7 @@
 //! * an attached [`audb_core::CancelToken`] is checked at every morsel
 //!   boundary (cancellation and wall-clock deadlines);
 //! * an attached [`audb_core::Budget`] is charged by the expanding
-//!   operators (the sharded-reduce scatter here; join probes and
+//!   operators (normalization's input here; join probes and
 //!   pipeline chains in the query layer).
 //!
 //! The feature-gated [`faults`] module injects deterministic panics,

@@ -190,8 +190,8 @@ impl Executor {
     }
 
     /// Attach a resource budget, charged by the operators that can
-    /// expand an intermediate (join probes, pipeline chains, the
-    /// sharded-reduce scatter).
+    /// expand an intermediate (join probes, pipeline chains,
+    /// normalization's input).
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
         self

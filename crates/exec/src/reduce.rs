@@ -1,72 +1,72 @@
-//! The sharded-reduce driver: parallel hash-merge + sort.
+//! The normalization driver: sort once, then merge neighbours.
 //!
 //! Relation normalization (merge duplicate tuples, drop zeros, sort
-//! canonically) is a hash-merge over the *whole* row list — once the
-//! row-producing operators run on the pool, it is the remaining
-//! single-threaded tail of every query. [`Executor::hash_merge_sorted`]
-//! decomposes it into the same morsel/ordered-merge shape as
-//! [`Executor::run`]:
+//! canonically) is one sort of the whole row list — once the
+//! row-producing operators run on the pool, it is the remaining tail of
+//! every query. [`Executor::sort_merge_by_key`] runs it in the
+//! morsel/ordered-merge shape of [`Executor::run`]:
 //!
-//! 1. **scatter** (parallel, one job per input morsel): hash each row
-//!    once and route it to one of `S` shards — equal keys always land in
-//!    the same shard, and within a shard rows keep their original
-//!    relative order (morsels are contiguous and collected in morsel
-//!    order); the hash travels with the row;
-//! 2. **reduce** (parallel, one job per shard): dedupe the shard's rows
-//!    on the carried hash, then key and sort only the distinct survivors
-//!    (`merge_sort_run`);
-//! 3. **merge** (sequential, `O(n · S)` with `S ≤ workers`): k-way-merge
-//!    the sorted shards into one globally sorted list.
+//! 1. **sort** (one pool job per morsel; one morsel at one worker): drop
+//!    the rows `keep` rejects, have the caller write a packed sort key
+//!    for every row left into one arena (a lane view writes it a column
+//!    at a time), sort a `(first key word, index)` permutation by
+//!    `(word, key bytes, row, index)`, and fold each run of equal rows
+//!    into its first occurrence;
+//! 2. **merge** (sequential, `O(n · runs)` with `runs ≤ workers`):
+//!    k-way-merge the morsels' sorted runs, folding equal heads together.
+//!
+//! The rows' own order is consulted only where two keys tie and one of
+//! them is *inexact* — the writer could not pin its row down (a string
+//! longer than its key prefix, say): equal exact keys are equal rows.
+//! Almost no row merges in a query's normalization, so there is no hash
+//! pass and no table in front of the sort: every row is keyed once and
+//! sorted once.
 //!
 //! ## Determinism
 //!
-//! The output is **byte-identical** to the sequential hash-merge + sort
-//! for any worker count, shard count, and hash function:
+//! The output is **byte-identical** to the sequential fold — one morsel,
+//! every row's occurrences combined in input order — for any worker
+//! count and morsel split, because
 //!
-//! * the *set* of `(key, combined value)` pairs does not depend on the
-//!   sharding — equal keys share a shard, and each key's occurrences
-//!   are combined in their original input order (so `combine` need not
-//!   even be commutative, only identical to the sequential fold);
-//! * the *order* is canonical — shards hold disjoint key sets, so the
-//!   k-way merge of the per-shard sorted runs is the unique globally
-//!   sorted sequence, the same one the sequential path produces.
+//! * `combine` is **associative**: a morsel folds a row's occurrences in
+//!   input order (ties sort by index), and the merge folds the morsels'
+//!   partial results in run order, which is input order — `(a ⊕ b) ⊕
+//!   (c ⊕ d)` is the sequential `((a ⊕ b) ⊕ c) ⊕ d`, so `combine` need
+//!   not be commutative;
+//! * the **first occurrence is kept**: a morsel folds into the earliest
+//!   row of a run, and the merge folds equal heads into the earliest
+//!   run's, so the surviving row is the first in input order;
+//! * the order is **canonical**: the key is monotone in the row order,
+//!   so every run is sorted by the rows, and the merge of sorted runs
+//!   with equal heads folded is the unique sorted sequence of distinct
+//!   rows.
 //!
-//! A worker count of 1 (or an input below the morsel floor) takes the
-//! inline path, which *is* the sequential algorithm (run as a single
-//! pool morsel, so panic containment and cancellation apply there too).
+//! The sequential path is a single pool morsel, so panic containment
+//! and cancellation apply there too.
 //!
 //! ## Governance
 //!
 //! The whole input is charged to the executor's budget up front (site
 //! `"sharded-reduce"`): normalization buffers every row it is handed,
-//! so the scatter is the last place an over-budget intermediate can be
-//! stopped before it is copied shard-wise. Both phases run on
-//! [`Executor::run`], inheriting its cancellation checkpoints and
-//! panic containment; claim mutexes are accessed poison-recovering, so
-//! a contained panic in one job cannot cascade into lock panics in
+//! so this is the last place an over-budget intermediate can be stopped
+//! before it is keyed and sorted. The sort runs on
+//! [`Executor::run`], inheriting its cancellation checkpoints and panic
+//! containment; claim mutexes are accessed poison-recovering, so a
+//! contained panic in one job cannot cascade into lock panics in
 //! siblings.
 
-use std::hash::Hash;
+use std::cmp::Ordering;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use audb_core::hash::{call_seed, keyed_hash};
 use audb_core::obs::{Counter, Site};
 use audb_core::ExecError;
 
 use crate::partition::Partitioner;
 use crate::pool::Executor;
 
-/// A work unit claimed exactly once by a pool job: the morsel chunks of
-/// the scatter phase and the bucket lists of the reduce phase.
+/// A morsel's rows, claimed exactly once by the pool job that sorts them.
 type Claim<V> = Mutex<Option<V>>;
-
-/// A row with its per-call keyed hash, computed once (by the scatter, or
-/// on the way into the sequential dedupe).
-type Hashed<T, K> = (u64, T, K);
-
-/// One row bucket per shard, as produced by a scatter job.
-type Buckets<T, K> = Vec<Vec<Hashed<T, K>>>;
 
 /// Take a claimed work unit out of its slot, recovering from a poisoned
 /// lock (the panic that poisoned it was already contained and converted
@@ -76,56 +76,52 @@ fn claim<V>(slot: &Claim<V>) -> Option<V> {
 }
 
 impl Executor {
-    /// Merge rows with equal keys (combining their values), drop rows
-    /// rejected by `keep` (checked on *input* values, mirroring the
-    /// sequential normalize), and return the survivors sorted by key.
+    /// Merge equal rows (combining their values), drop rows rejected by
+    /// `keep` (checked on *input* values, before any merge), and return
+    /// the survivors sorted.
     ///
-    /// `combine(acc, v)` folds `v` into the accumulated value for a key;
-    /// it is applied in the rows' original order, so any fold that the
-    /// sequential hash-merge supports is safe here.
+    /// `combine(acc, v)` folds `v` into the value of the row's first
+    /// occurrence; it must be associative, and is applied in the rows'
+    /// original order, so it need not be commutative.
     ///
     /// Fallible since the runtime gained fault containment: a panic in
     /// `keep`/`combine` surfaces as [`ExecError::WorkerPanic`], a
     /// tripped token as `Cancelled`/`DeadlineExceeded`, and the up-front
     /// input charge as [`ExecError::BudgetExceeded`].
-    pub fn hash_merge_sorted<T, K>(
+    pub fn sort_merge<T, K>(
         &self,
         rows: Vec<(T, K)>,
         keep: impl Fn(&K) -> bool + Sync,
-        combine: impl Fn(&mut K, K) + Sync,
+        combine: impl Fn(&mut K, &K) + Sync,
     ) -> Result<Vec<(T, K)>, ExecError>
     where
-        T: Hash + Eq + Ord + Send,
+        T: Ord + Send,
         K: Send,
     {
-        // A zero-width packed key compares nothing, so every comparison
-        // falls through to the full key order.
-        self.hash_merge_sorted_by_key(rows, keep, combine, 0, |_, _| ())
+        // A zero-width key is inexact everywhere: every tie falls
+        // through to the rows' own order.
+        self.sort_merge_by_key(rows, keep, combine, |_, _, _| 0)
     }
 
-    /// [`Executor::hash_merge_sorted`] with an order-refining sort
-    /// accelerator: `write_key(t, buf)` fills `buf` (`width` bytes) with
-    /// a packed key that is *monotone* in `T`'s order (`key(a) < key(b)`
-    /// ⇒ `a < b`), and the sorts and the k-way merge compare
-    /// `(packed key, row)` — a memcmp fast path in front of the exact
-    /// comparator, producing the identical canonical order.
-    ///
-    /// Dedupe comes first: every row is hashed **once**, with a cheap
-    /// hash keyed per call, and folded into an open-addressing table
-    /// over the distinct rows; only those survivors get a packed key,
-    /// written into one contiguous arena (no per-row allocation), and a
-    /// `u32` permutation is sorted over it. Duplicate-heavy inputs never
-    /// pay for keys or comparisons of rows that merge away.
-    pub fn hash_merge_sorted_by_key<T, K>(
+    /// [`Executor::sort_merge`] on packed sort keys. `write_keys(rows,
+    /// keys, exact)` fills the empty `keys` with one key per row of a
+    /// morsel, all as wide as the width it returns (row `i`'s at
+    /// `keys[i * width..]`), *monotone* in `T`'s order within the morsel
+    /// (`key(a) < key(b)` ⇒ `a < b`; equal rows have equal keys), and
+    /// sets `exact[i]` (it arrives `false`) where row `i`'s key pins the
+    /// row down: two rows with equal exact keys are equal. The sort
+    /// compares `(key, row)` — a memcmp in front of the exact
+    /// comparator, which only ties between keys not both exact reach —
+    /// so the order is `T`'s.
+    pub fn sort_merge_by_key<T, K>(
         &self,
         rows: Vec<(T, K)>,
         keep: impl Fn(&K) -> bool + Sync,
-        combine: impl Fn(&mut K, K) + Sync,
-        width: usize,
-        write_key: impl Fn(&T, &mut [u8]) + Sync,
+        combine: impl Fn(&mut K, &K) + Sync,
+        write_keys: impl Fn(&[(T, K)], &mut Vec<u8>, &mut [bool]) -> usize + Sync,
     ) -> Result<Vec<(T, K)>, ExecError>
     where
-        T: Hash + Eq + Ord + Send,
+        T: Ord + Send,
         K: Send,
     {
         self.charge(
@@ -141,196 +137,230 @@ impl Executor {
                 metrics.record_ns(site, t.elapsed().as_nanos() as u64);
             }
         };
-        // One seed keys the whole call, so every occurrence of a key
-        // agrees on its hash — and hence on its shard and table slot.
-        let seed = call_seed();
 
+        // One run per worker at most (the merge scans every run's head
+        // per row), each a contiguous stretch of morsels; one run at one
+        // worker or below the partitioner's floor.
         let morsels = self.partitioner().morsels(rows.len(), self.workers());
-        if self.workers() <= 1 || morsels.len() <= 1 {
-            // Run the sequential algorithm as a single pool morsel so it
-            // shares the containment/cancellation path of the parallel
-            // shape.
-            let phase_started = metrics.is_enabled().then(Instant::now);
-            let slot: Claim<Vec<(T, K)>> = Mutex::new(Some(rows));
-            let out: Vec<(T, K)> = self.run(1, |_, out| {
-                let rows = claim(&slot).unwrap_or_default();
-                let cap = rows.len();
-                let hashed = (rows.into_iter())
-                    .filter(|(_, k)| keep(k))
-                    .map(|(t, k)| (keyed_hash(seed, &t), t, k));
-                // the only morsel of this run: `out` is its empty list
-                *out = merge_sort_run(hashed, cap, &combine, width, &write_key);
-                Ok::<(), ExecError>(())
-            })?;
-            timed(Site::ReduceMergeSort, phase_started);
-            metrics.add(Counter::NormalizeRowsOut, out.len() as u64);
-            return Ok(out);
-        }
-
-        // The scatter/reduce jobs are batches themselves (one per morsel
-        // or shard), so the meta-executor partitions them one-to-one
-        // instead of applying the row-level morsel floor again.
-        let meta = self.clone().with_partitioner(Partitioner {
-            min_morsel: 1,
-            morsels_per_worker: 1,
-            min_rows_per_worker: 0,
-        });
-        let shards = self.workers().min(morsels.len());
-
-        // Split the owned row list at the morsel boundaries so scatter
-        // jobs can take ownership of their chunk.
-        let mut chunks: Vec<Claim<Vec<(T, K)>>> = Vec::with_capacity(morsels.len());
+        let runs = if self.workers() <= 1 { 1 } else { self.workers().min(morsels.len()).max(1) };
+        // The sort jobs are batches themselves, so the meta-executor
+        // partitions them one-to-one instead of applying the row-level
+        // morsel floor again.
+        let one_each = Partitioner { min_morsel: 1, morsels_per_worker: 1, min_rows_per_worker: 0 };
+        let mut parts: Vec<Claim<Vec<(T, K)>>> = Vec::with_capacity(runs);
         {
             let mut rest = rows;
-            for m in morsels.iter().rev() {
-                chunks.push(Mutex::new(Some(rest.split_off(m.start))));
+            for m in one_each.morsels(rest.len(), runs).iter().skip(1).rev() {
+                parts.push(Mutex::new(Some(rest.split_off(m.start))));
             }
-            chunks.reverse();
+            parts.push(Mutex::new(Some(rest)));
+            parts.reverse();
         }
 
-        // Phase 1: hash each row and scatter it into its shard's bucket.
-        // The shard comes from the hash's high half: the dedupe table
-        // slots on the low bits, so rows of one shard still spread.
-        let phase_started = metrics.is_enabled().then(Instant::now);
-        let tables: Vec<Buckets<T, K>> = meta.run(chunks.len(), |range, out| {
-            for ci in range {
-                let chunk = claim(&chunks[ci]).unwrap_or_default();
-                let mut buckets: Buckets<T, K> = (0..shards).map(|_| Vec::new()).collect();
-                for (t, k) in chunk {
-                    if keep(&k) {
-                        let h = keyed_hash(seed, &t);
-                        buckets[(((h >> 32) * shards as u64) >> 32) as usize].push((h, t, k));
-                    }
+        let started = metrics.is_enabled().then(Instant::now);
+        let sorted: Vec<Vec<(T, K)>> =
+            self.clone().with_partitioner(one_each).run(parts.len(), |range, out| {
+                for p in range {
+                    let mut rows = claim(&parts[p]).unwrap_or_default();
+                    rows.retain(|(_, k)| keep(k));
+                    out.push(sort_run(rows, &combine, &write_keys));
                 }
-                out.push(buckets);
-            }
-            Ok::<(), ExecError>(())
-        })?;
-        timed(Site::ReduceScatter, phase_started);
+                Ok::<(), ExecError>(())
+            })?;
+        timed(Site::ReduceMergeSort, started);
 
-        // Gather: shard `s` receives its buckets in morsel order, so a
-        // key's occurrences stay in original input order.
-        let mut shard_parts: Vec<Buckets<T, K>> =
-            (0..shards).map(|_| Vec::with_capacity(tables.len())).collect();
-        for table in tables {
-            for (s, bucket) in table.into_iter().enumerate() {
-                if !bucket.is_empty() {
-                    shard_parts[s].push(bucket);
-                }
-            }
-        }
-
-        // Phase 2: dedupe + sort each shard independently.
-        let phase_started = metrics.is_enabled().then(Instant::now);
-        let shard_slots: Vec<Claim<Buckets<T, K>>> =
-            shard_parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-        let sorted: Vec<Vec<(T, K)>> = meta.run(shards, |range, out| {
-            for s in range {
-                let parts = claim(&shard_slots[s]).unwrap_or_default();
-                let cap = parts.iter().map(Vec::len).sum();
-                let rows = parts.into_iter().flatten();
-                out.push(merge_sort_run(rows, cap, &combine, width, &write_key));
-            }
-            Ok::<(), ExecError>(())
-        })?;
-        timed(Site::ReduceMergeSort, phase_started);
-
-        // Phase 3: k-way merge of disjoint sorted runs.
-        let phase_started = metrics.is_enabled().then(Instant::now);
-        let out = kway_merge(sorted);
-        timed(Site::ReduceKway, phase_started);
+        let mut out = if sorted.len() == 1 {
+            sorted.into_iter().next().unwrap_or_default()
+        } else {
+            let started = metrics.is_enabled().then(Instant::now);
+            let out = kway_merge(sorted, &combine);
+            timed(Site::ReduceKway, started);
+            out
+        };
+        // the rows were sorted in the input's buffer: give back what merged
+        out.shrink_to_fit();
         metrics.add(Counter::NormalizeRowsOut, out.len() as u64);
         Ok(out)
     }
 }
 
-/// Dedupe one run of at most `cap` hashed rows and sort the survivors —
-/// the whole sequential algorithm, and each shard's reduce job.
+/// Sort one morsel's rows and fold each run of equal rows into its
+/// first occurrence, in input order — the whole sequential algorithm.
+/// Without a key (width 0) the rows themselves are sorted, stably.
 ///
-/// The table is open addressing over `u32` positions into the dense
-/// list of distinct rows (first-occurrence order), probed from the low
-/// bits of the carried hash and sized for `cap` distinct rows up front
-/// (load ≤ 1/2, it never grows); `combine` folds a key's occurrences in
-/// input order. The survivors' packed keys fill one `width`-strided
-/// arena, a permutation is sorted by `(arena bytes, row)`, and the rows
-/// are permuted in place — the dense list is the output, nothing is
-/// copied out of it.
-fn merge_sort_run<T: Eq + Ord, K>(
-    rows: impl Iterator<Item = Hashed<T, K>>,
-    cap: usize,
-    combine: impl Fn(&mut K, K),
-    width: usize,
-    write_key: impl Fn(&T, &mut [u8]),
+/// Every row's key fills one arena, all keys of one width. A `(first key
+/// word, index)` permutation is sorted by `(word, index)` — no
+/// comparison touches the arena — and each stretch of equal words,
+/// stably, by the rest of the key and, on a tie between keys not both
+/// exact, the rows: together the order `(word, key bytes, row, index)`.
+/// A stretch of duplicates is checked against its first row and left as
+/// it is. Runs of equal rows are folded, the first row of each kept in
+/// input order, and those put in sorted order in place — nothing is
+/// copied out.
+fn sort_run<T: Ord, K>(
+    mut rows: Vec<(T, K)>,
+    combine: &impl Fn(&mut K, &K),
+    write_keys: &impl Fn(&[(T, K)], &mut Vec<u8>, &mut [bool]) -> usize,
 ) -> Vec<(T, K)> {
-    const EMPTY: u32 = u32::MAX;
-    let mut slots: Vec<u32> = vec![EMPTY; (2 * cap).next_power_of_two().max(2)];
-    let mut distinct: Vec<(T, K)> = Vec::with_capacity(cap);
-    for (h, t, k) in rows {
-        let mut i = h as usize & (slots.len() - 1);
-        while slots[i] != EMPTY && distinct[slots[i] as usize].0 != t {
-            i = (i + 1) & (slots.len() - 1);
-        }
-        if slots[i] == EMPTY {
-            slots[i] = distinct.len() as u32;
-            distinct.push((t, k));
-        } else {
-            combine(&mut distinct[slots[i] as usize].1, k);
-        }
-    }
-    drop(slots);
-    distinct.shrink_to_fit();
+    let n = rows.len();
+    let (mut keys, mut exact) = (Vec::new(), vec![false; n]);
+    let width = write_keys(&rows, &mut keys, &mut exact);
+    debug_assert_eq!(keys.len(), n * width, "one key per row");
     if width == 0 {
-        // no packed key: nothing to gain over sorting the rows themselves
-        distinct.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        return distinct;
-    }
-
-    let mut arena = vec![0u8; distinct.len() * width];
-    for (i, (t, _)) in distinct.iter().enumerate() {
-        write_key(t, &mut arena[i * width..(i + 1) * width]);
-    }
-    let key = |i: u32| &arena[i as usize * width..(i as usize + 1) * width];
-    // The key's first word rides in the sort record: most comparisons
-    // resolve on it without touching the arena.
-    let word = |i: u32| key(i).first_chunk().map_or(0, |w| u64::from_be_bytes(*w));
-    let mut perm: Vec<(u64, u32)> = (0..distinct.len() as u32).map(|i| (word(i), i)).collect();
-    perm.sort_unstable_by(|&(wa, a), &(wb, b)| {
-        (wa.cmp(&wb))
-            .then_with(|| key(a).cmp(key(b)))
-            .then_with(|| distinct[a as usize].0.cmp(&distinct[b as usize].0))
-    });
-    // rows[i] ← rows[perm[i]], one swap per row along each cycle
-    for i in 0..perm.len() {
-        let mut j = i;
-        loop {
-            let from = std::mem::replace(&mut perm[j].1, j as u32) as usize;
-            if from == i {
-                break;
+        // No key: sort the rows themselves. The sort is stable, so a run
+        // of equal rows lists them in input order.
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.dedup_by(|later, first| {
+            let same = later.0 == first.0;
+            if same {
+                combine(&mut first.1, &later.1);
             }
-            distinct.swap(j, from);
-            j = from;
+            same
+        });
+        return rows;
+    }
+    let key = |i: u32| &keys[i as usize * width..][..width];
+    let head = width.min(8);
+    let word = |i: u32| {
+        let mut w = [0u8; 8];
+        w[..head].copy_from_slice(&key(i)[..head]);
+        u64::from_be_bytes(w)
+    };
+    // past the first word: the key, then the rows unless both are exact
+    let rest = |a: u32, b: u32| {
+        key(a)[head..].cmp(&key(b)[head..]).then_with(|| {
+            match exact[a as usize] && exact[b as usize] {
+                true => Ordering::Equal,
+                false => rows[a as usize].0.cmp(&rows[b as usize].0),
+            }
+        })
+    };
+    let mut perm: Vec<(u64, u32)> = (0..n as u32).map(|i| (word(i), i)).collect();
+    sort_by_word(&mut perm);
+    // sorted position `j` continues the run of equal rows before it
+    let mut joins = vec![false; n];
+    let mut at = 0;
+    for same_word in perm.chunk_by_mut(|a, b| a.0 == b.0) {
+        let (len, joins) = (same_word.len(), &mut joins[at..at + same_word.len()]);
+        at += len;
+        if len == 1 {
+            continue;
+        }
+        // duplicates: every row equal to the first, which stays cached
+        let first = same_word[0].1;
+        if same_word[1..].iter().all(|&(_, i)| rest(first, i).is_eq()) {
+            joins[1..].fill(true);
+            continue;
+        }
+        same_word.sort_by(|&(_, a), &(_, b)| rest(a, b));
+        for (joined, w) in joins[1..].iter_mut().zip(same_word.windows(2)) {
+            *joined = rest(w[0].1, w[1].1).is_eq();
         }
     }
-    distinct
+    drop(keys);
+
+    // A run lists its rows in input order: fold them into the first, and
+    // rank the first rows in sorted order.
+    const FOLDED: u32 = u32::MAX;
+    let mut rank = vec![FOLDED; n];
+    let (mut first, mut ranked) = (0, 0);
+    for (&(_, i), &joined) in perm.iter().zip(&joins) {
+        let i = i as usize;
+        if joined {
+            let (earlier, later) = rows.split_at_mut(i);
+            combine(&mut earlier[first].1, &later[0].1);
+        } else {
+            (first, rank[i]) = (i, ranked);
+            ranked += 1;
+        }
+    }
+    // keep the first rows, in input order, then move each to its rank
+    let mut ranks = rank.into_iter();
+    let mut dest: Vec<u32> = Vec::with_capacity(ranked as usize);
+    rows.retain(|_| match ranks.next() {
+        Some(FOLDED) | None => false,
+        Some(r) => {
+            dest.push(r);
+            true
+        }
+    });
+    for i in 0..dest.len() {
+        while dest[i] as usize != i {
+            let d = dest[i] as usize;
+            rows.swap(i, d);
+            dest.swap(i, d);
+        }
+    }
+    rows
 }
 
-/// Merge sorted runs with pairwise-distinct rows into one sorted list
+/// Stable sort of `(word, index)` records by word — records that arrive
+/// in index order leave in `(word, index)` order. Least significant byte
+/// first over the words' offsets from the least of them, one counting
+/// pass per byte their range spans (two for integer columns of up to
+/// 65 536 distinct values); a comparison sort where that would take more
+/// than three passes, or for a few hundred records.
+fn sort_by_word(perm: &mut Vec<(u64, u32)>) {
+    let (least, most) = perm.iter().fold((u64::MAX, 0), |(l, m), &(w, _)| (l.min(w), m.max(w)));
+    let passes = (64 - most.saturating_sub(least).leading_zeros()).div_ceil(8);
+    if perm.len() <= 256 || passes > 3 {
+        perm.sort_unstable();
+        return;
+    }
+    let mut moved = vec![(0, 0); perm.len()];
+    for shift in (0..8 * passes).step_by(8) {
+        let digit = |w: u64| ((w - least) >> shift) as usize & 0xFF;
+        let mut count = [0usize; 256];
+        for &(w, _) in perm.iter() {
+            count[digit(w)] += 1;
+        }
+        let mut at = 0;
+        for c in count.iter_mut() {
+            (*c, at) = (at, at + *c);
+        }
+        for &r in perm.iter() {
+            let slot = &mut count[digit(r.0)];
+            moved[*slot] = r;
+            *slot += 1;
+        }
+        std::mem::swap(perm, &mut moved);
+    }
+}
+
+/// Merge sorted runs, each free of equal rows, into one sorted list
 /// (`O(n · runs)` row comparisons — no keys: between runs almost every
-/// comparison resolves on the first attribute).
-fn kway_merge<T: Ord, K>(runs: Vec<Vec<(T, K)>>) -> Vec<(T, K)> {
+/// comparison resolves on the first attribute). Equal heads fold into
+/// the earliest run's, in run order.
+fn kway_merge<T: Ord, K>(runs: Vec<Vec<(T, K)>>, combine: impl Fn(&mut K, &K)) -> Vec<(T, K)> {
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut iters: Vec<std::vec::IntoIter<(T, K)>> = runs.into_iter().map(Vec::into_iter).collect();
     let mut heads: Vec<Option<(T, K)>> = iters.iter_mut().map(Iterator::next).collect();
     let mut out = Vec::with_capacity(total);
+    // the runs whose heads are the smallest live row, in run order
+    let mut least: Vec<usize> = Vec::with_capacity(heads.len());
     loop {
-        // index of the smallest live head (runs hold disjoint rows, so
-        // ties cannot happen)
-        let head = |r: usize| heads[r].as_ref().map(|(t, _)| t);
-        let best =
-            (0..heads.len()).filter(|&r| heads[r].is_some()).min_by(|&a, &b| head(a).cmp(&head(b)));
-        let Some(b) = best else { break };
-        out.extend(heads[b].take());
-        heads[b] = iters[b].next();
+        least.clear();
+        for (r, head) in heads.iter().enumerate() {
+            let Some((t, _)) = head else { continue };
+            match least.first().and_then(|&l| heads[l].as_ref()).map(|(min, _)| t.cmp(min)) {
+                Some(Ordering::Greater) => {}
+                Some(Ordering::Equal) => least.push(r),
+                Some(Ordering::Less) | None => {
+                    least.clear();
+                    least.push(r);
+                }
+            }
+        }
+        let Some((&first, rest)) = least.split_first() else { break };
+        let Some((t, mut k)) = heads[first].take() else { break };
+        for &r in rest {
+            if let Some((_, v)) = &heads[r] {
+                combine(&mut k, v);
+            }
+            heads[r] = iters[r].next();
+        }
+        heads[first] = iters[first].next();
+        out.push((t, k));
     }
     out
 }
@@ -346,7 +376,23 @@ mod tests {
     }
 
     fn merged(exec: &Executor, n: usize) -> Vec<(u64, u64)> {
-        exec.hash_merge_sorted(rows(n), |k| *k > 0, |acc, k| *acc += k).unwrap()
+        exec.sort_merge(rows(n), |k| *k > 0, |acc, k| *acc += k).unwrap()
+    }
+
+    /// `workers` workers, every row a possible morsel seam.
+    fn forced(workers: usize, morsels_per_worker: usize) -> Executor {
+        Executor::new(workers).with_partitioner(Partitioner {
+            min_morsel: 1,
+            morsels_per_worker,
+            min_rows_per_worker: 0,
+        })
+    }
+
+    /// An exact 8-byte key: the big-endian `u64`.
+    fn be_keys(rows: &[(u64, impl Sized)], keys: &mut Vec<u8>, exact: &mut [bool]) -> usize {
+        keys.extend(rows.iter().flat_map(|(t, _)| t.to_be_bytes()));
+        exact.fill(true);
+        8
     }
 
     #[test]
@@ -359,14 +405,9 @@ mod tests {
 
     #[test]
     fn tiny_inputs_and_forced_partitions() {
-        let forced = Executor::new(4).with_partitioner(Partitioner {
-            min_morsel: 1,
-            morsels_per_worker: 5,
-            min_rows_per_worker: 0,
-        });
         for n in [0usize, 1, 2, 7, 130] {
             let seq = merged(&Executor::sequential(), n);
-            assert_eq!(merged(&forced, n), seq, "n = {n}");
+            assert_eq!(merged(&forced(4, 5), n), seq, "n = {n}");
         }
     }
 
@@ -374,27 +415,15 @@ mod tests {
     fn combine_order_is_original_order() {
         // fold that is NOT commutative: keeps (first, last) seen
         let input: Vec<(u64, (u64, u64))> = (0..600u64).map(|i| (i % 7, (i, i))).collect();
-        let fold = |acc: &mut (u64, u64), v: (u64, u64)| acc.1 = v.1;
-        let seq = Executor::sequential().hash_merge_sorted(input.clone(), |_| true, fold).unwrap();
-        let forced = Executor::new(4).with_partitioner(Partitioner {
-            min_morsel: 1,
-            morsels_per_worker: 3,
-            min_rows_per_worker: 0,
-        });
-        assert_eq!(forced.hash_merge_sorted(input, |_| true, fold).unwrap(), seq);
+        let fold = |acc: &mut (u64, u64), v: &(u64, u64)| acc.1 = v.1;
+        let seq = Executor::sequential().sort_merge(input.clone(), |_| true, fold).unwrap();
+        assert_eq!(forced(4, 3).sort_merge(input, |_| true, fold).unwrap(), seq);
     }
 
     #[test]
     fn keep_filters_before_merge() {
         let input = vec![(1u64, 0u64), (1, 2), (2, 0), (3, 1)];
-        let out = Executor::new(4)
-            .with_partitioner(Partitioner {
-                min_morsel: 1,
-                morsels_per_worker: 2,
-                min_rows_per_worker: 0,
-            })
-            .hash_merge_sorted(input, |k| *k > 0, |acc, k| *acc += k)
-            .unwrap();
+        let out = forced(4, 2).sort_merge(input, |k| *k > 0, |acc, k| *acc += k).unwrap();
         assert_eq!(out, vec![(1, 2), (3, 1)]);
     }
 
@@ -403,27 +432,17 @@ mod tests {
     #[test]
     fn keyed_sort_identical_to_plain() {
         let seq = merged(&Executor::sequential(), 5_000);
-        let forced = Executor::new(4).with_partitioner(Partitioner {
-            min_morsel: 1,
-            morsels_per_worker: 3,
-            min_rows_per_worker: 0,
-        });
-        for exec in [Executor::sequential(), forced] {
+        for exec in [Executor::sequential(), forced(4, 3)] {
             let out = exec
-                .hash_merge_sorted_by_key(
-                    rows(5_000),
-                    |k| *k > 0,
-                    |acc, k| *acc += k,
-                    8,
-                    |t, buf| buf.copy_from_slice(&t.to_be_bytes()),
-                )
+                .sort_merge_by_key(rows(5_000), |k| *k > 0, |acc, k| *acc += k, be_keys)
                 .unwrap();
             assert_eq!(out, seq);
         }
     }
 
     /// The driver against a `BTreeMap` fold (occurrences combined in
-    /// input order, by a fold that is not commutative): heavy
+    /// input order, by a fold that is associative but not commutative:
+    /// composing affine maps `x ↦ a·x + b`): heavy
     /// duplication and all-distinct inputs, keys sharing a prefix longer
     /// than their packed key, with and without the packed key, at every
     /// worker count.
@@ -437,74 +456,133 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let forced = |w| {
-            Executor::new(w).with_partitioner(Partitioner {
-                min_morsel: 1,
-                morsels_per_worker: 3,
-                min_rows_per_worker: 0,
-            })
+        let keep = |k: &(u64, u64)| !k.1.is_multiple_of(5);
+        let fold = |acc: &mut (u64, u64), k: &(u64, u64)| {
+            *acc = (acc.0.wrapping_mul(k.0), acc.1.wrapping_mul(k.0).wrapping_add(k.1));
         };
-        let keep = |k: &u64| !k.is_multiple_of(5);
-        let fold = |acc: &mut u64, k: u64| *acc = acc.wrapping_mul(31).wrapping_add(k);
-        // the first 8 bytes, zero-padded: monotone, equal on the shared prefix
-        let prefix = |t: &String, buf: &mut [u8]| {
-            buf.fill(0);
-            let n = t.len().min(8);
-            buf[..n].copy_from_slice(&t.as_bytes()[..n]);
+        // the first 8 bytes, zero-padded, then the length up to 8:
+        // monotone, equal on the shared prefix, exact up to 8 bytes
+        let prefix = |rows: &[(String, (u64, u64))], keys: &mut Vec<u8>, exact: &mut [bool]| {
+            for ((t, _), exact) in rows.iter().zip(exact) {
+                let mut key = [0u8; 9];
+                let n = t.len().min(8);
+                key[..n].copy_from_slice(&t.as_bytes()[..n]);
+                key[8] = n as u8;
+                keys.extend(key);
+                *exact = t.len() <= 8;
+            }
+            9
         };
         for (n, distinct) in [(0, 1), (1, 1), (40, 3), (3000, 7), (3000, 100), (2000, 2000)] {
-            let rows: Vec<(String, u64)> = (0..n)
+            let rows: Vec<(String, (u64, u64))> = (0..n)
                 .map(|_| {
                     let id = next() % distinct;
                     let key =
                         if id % 2 == 0 { format!("shared-prefix-{id}") } else { format!("{id}") };
-                    (key, next() % 97)
+                    let b = next() % 97;
+                    (key, (b | 1, b))
                 })
                 .collect();
-            let mut reference: BTreeMap<String, u64> = BTreeMap::new();
+            let mut reference: BTreeMap<String, (u64, u64)> = BTreeMap::new();
             for (t, k) in rows.iter().filter(|(_, k)| keep(k)) {
                 match reference.get_mut(t) {
-                    Some(acc) => fold(acc, *k),
+                    Some(acc) => fold(acc, k),
                     None => drop(reference.insert(t.clone(), *k)),
                 }
             }
-            let reference: Vec<(String, u64)> = reference.into_iter().collect();
-            for exec in [Executor::sequential(), forced(2), forced(4), forced(7)] {
-                let plain = exec.hash_merge_sorted(rows.clone(), keep, fold).unwrap();
+            let reference: Vec<(String, (u64, u64))> = reference.into_iter().collect();
+            for exec in [Executor::sequential(), forced(2, 3), forced(4, 3), forced(7, 3)] {
+                let plain = exec.sort_merge(rows.clone(), keep, fold).unwrap();
                 assert_eq!(plain, reference, "n = {n}, distinct = {distinct}");
-                let keyed =
-                    exec.hash_merge_sorted_by_key(rows.clone(), keep, fold, 8, prefix).unwrap();
+                let keyed = exec.sort_merge_by_key(rows.clone(), keep, fold, prefix).unwrap();
                 assert_eq!(keyed, reference, "keyed: n = {n}, distinct = {distinct}");
             }
         }
     }
 
-    /// Two normalizations in one process hash under different seeds: a
-    /// key set crafted to collide under one call's hash does not collide
-    /// under the next.
+    /// A row whose order and equality see only `key`: `pos` says which
+    /// occurrence survived.
+    #[derive(Debug, Clone, Copy)]
+    struct Occurrence {
+        key: u64,
+        pos: usize,
+    }
+
+    impl PartialEq for Occurrence {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl Eq for Occurrence {}
+    impl PartialOrd for Occurrence {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Occurrence {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    /// An associative fold that is not commutative — appending the
+    /// occurrences' positions — over duplicates that straddle every
+    /// morsel seam: at every worker count the output, each row's fold
+    /// order and the surviving occurrence are the sequential fold's
+    /// (the first occurrence kept, later ones appended in input order).
+    /// Also a 50× duplicated input, and `keep` dropping rows, the first
+    /// occurrence of some keys among them. A driver that folds a run's
+    /// rows, or the morsels' equal heads, in reverse order fails here.
     #[test]
-    fn calls_do_not_share_a_hash_seed() {
-        let (a, b) = (call_seed(), call_seed());
-        assert_ne!(a, b);
-        let key = ("some tuple", 7u64);
-        assert_ne!(keyed_hash(a, &key), keyed_hash(b, &key));
-        assert_eq!(keyed_hash(a, &key), keyed_hash(a, &key));
+    fn non_commutative_fold_across_morsel_seams() {
+        type Row = (Occurrence, Vec<usize>);
+        let keep = |k: &Vec<usize>| !k[0].is_multiple_of(11);
+        let append = |acc: &mut Vec<usize>, v: &Vec<usize>| acc.extend_from_slice(v);
+        let keys = |rows: &[Row], keys: &mut Vec<u8>, exact: &mut [bool]| {
+            keys.extend(rows.iter().flat_map(|(t, _)| t.key.to_be_bytes()));
+            exact.fill(true);
+            8
+        };
+        // (distinct keys, rows): neighbours in a morsel, keys spread over
+        // every seam, and 50 occurrences of each key
+        for (distinct, n) in [(3u64, 40usize), (13, 500), (40, 2_000)] {
+            let input: Vec<Row> = (0..n)
+                .map(|pos| {
+                    let key = (pos as u64).wrapping_mul(0x9E37_79B9) % distinct;
+                    (Occurrence { key, pos }, vec![pos])
+                })
+                .collect();
+            // the sequential fold, by hand: first kept occurrence, then
+            // every later kept one appended
+            let mut reference: Vec<Row> = Vec::new();
+            for (t, k) in input.iter().filter(|(_, k)| keep(k)) {
+                match reference.iter_mut().find(|(r, _)| r.key == t.key) {
+                    Some((_, acc)) => append(acc, k),
+                    None => reference.push((*t, k.clone())),
+                }
+            }
+            reference.sort_by_key(|(t, _)| t.key);
+            let survivors = |rows: &[Row]| -> Vec<(u64, usize, Vec<usize>)> {
+                rows.iter().map(|(t, k)| (t.key, t.pos, k.clone())).collect()
+            };
+            for w in [1usize, 2, 4, 7] {
+                for exec in [forced(w, 1), forced(w, 5)] {
+                    let plain = exec.sort_merge(input.clone(), keep, append).unwrap();
+                    assert_eq!(survivors(&plain), survivors(&reference), "w = {w}, n = {n}");
+                    let keyed = exec.sort_merge_by_key(input.clone(), keep, append, keys).unwrap();
+                    assert_eq!(survivors(&keyed), survivors(&reference), "keyed w = {w}, n = {n}");
+                }
+            }
+        }
     }
 
     /// A panic in `combine` is contained as a structured error and the
     /// executor keeps working — on both the inline and parallel paths.
     #[test]
     fn combine_panic_is_contained() {
-        let bomb = |_acc: &mut u64, _k: u64| panic!("combine bomb");
-        for exec in [
-            Executor::sequential(),
-            Executor::new(4).with_partitioner(Partitioner {
-                min_morsel: 1,
-                morsels_per_worker: 3,
-                min_rows_per_worker: 0,
-            }),
-        ] {
-            let err = exec.hash_merge_sorted(rows(500), |_| true, bomb).unwrap_err();
+        let bomb = |_acc: &mut u64, _k: &u64| panic!("combine bomb");
+        for exec in [Executor::sequential(), forced(4, 3)] {
+            let err = exec.sort_merge(rows(500), |_| true, bomb).unwrap_err();
             assert!(matches!(err, ExecError::WorkerPanic { .. }), "got: {err:?}");
             // reusable afterwards
             assert_eq!(merged(&exec, 500), merged(&Executor::sequential(), 500));
@@ -512,12 +590,12 @@ mod tests {
     }
 
     /// The whole input is charged up front: a budget smaller than the
-    /// row list trips before any scatter work happens.
+    /// row list trips before any key is written.
     #[test]
     fn input_charge_trips_budget() {
         use audb_core::{Budget, BudgetSpec};
         let exec = Executor::new(4).with_budget(Budget::new(BudgetSpec::rows(100)));
-        let err = exec.hash_merge_sorted(rows(500), |_| true, |acc, k| *acc += k).unwrap_err();
+        let err = exec.sort_merge(rows(500), |_| true, |acc, k| *acc += k).unwrap_err();
         assert!(
             matches!(err, ExecError::BudgetExceeded { operator: "sharded-reduce", .. }),
             "got: {err:?}"

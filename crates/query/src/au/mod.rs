@@ -62,14 +62,17 @@ pub struct AuConfig {
     pub timeout: Option<Duration>,
     /// Resource budget for the query: a per-query [`Budget`] charged by
     /// the expanding operators (join probe output, pipeline-breaker
-    /// buffers, the normalization scatter). Exceeding it surfaces as
+    /// buffers, normalization's input). Exceeding it surfaces as
     /// [`audb_core::ExecError::BudgetExceeded`] naming the tripping
     /// operator. `None` (the default) is unlimited.
     pub budget: Option<BudgetSpec>,
 }
 
 impl AuConfig {
-    /// Fully precise evaluation (the formal semantics, no compaction).
+    /// Fully precise evaluation (the formal semantics, no compaction):
+    /// the same configuration as [`AuConfig::default`], so a check over
+    /// `{precise, compressed(ct), default}` runs the precise one twice —
+    /// a forced compressed configuration needs `adaptive: false`.
     pub fn precise() -> Self {
         AuConfig::default()
     }
@@ -377,7 +380,7 @@ pub(crate) fn effective_join_compress(
 /// row survives, so annotations stay
 /// nonzero — a normalized input therefore yields a normalized output
 /// (sorted, distinct, zero-free) and the pipeline's final
-/// normalization is free instead of a full hash-merge + re-sort.
+/// normalization is free instead of a full sort-merge.
 pub fn select_au_exec(
     rel: &AuRelation,
     predicate: &Expr,
@@ -406,7 +409,7 @@ pub fn select_au_exec(
 
 /// Partition-parallel generalized projection: evaluate each projection
 /// expression with the range-annotated semantics; identical range tuples
-/// merge on the sharded-reduce driver.
+/// merge on the sort-merge driver.
 pub fn project_au_exec(
     rel: &AuRelation,
     exprs: &[(Expr, String)],
@@ -491,7 +494,7 @@ pub fn nested_loop_join_au_exec(
 }
 
 /// Bag union: annotation addition in `N_AU`. The two sides' lanes are
-/// appended and the merge runs on the sharded-reduce driver over them;
+/// appended and the merge runs on the sort-merge driver over them;
 /// the result is born columnar, under the left schema.
 pub fn union_au_exec(
     l: &AuRelation,

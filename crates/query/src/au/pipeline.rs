@@ -6,7 +6,7 @@
 //! oracle ([`AuPlan::oracle`]: the paper's definitions one operator at a
 //! time over interpreted `Expr` trees — the differential reference)
 //! materializes a full intermediate relation between every pair of
-//! operators, and most operator tails pay a hash-merge + sort over that
+//! operators, and most operator tails pay a merge + sort over that
 //! whole intermediate.
 //! But `RA+`'s row-local operators — selection, generalized projection,
 //! and the probe side of a planned join against a shared build-side
@@ -128,9 +128,9 @@
 //! At the end the deliveries differ only in an **order of row ids** over
 //! one [`GatherView`] of that output: as enumerated, unranked-then-by-rank
 //! ([`in_planner_order`]), or the normal form
-//! ([`AuRelation::normalized_view_rows`]: the sharded-reduce driver over
-//! 16-byte row handles that compare, hash and key lane cells exactly as
-//! the tuples would). Then the delivered rows are built, once, in final
+//! ([`AuRelation::normalized_view_rows`]: the sort-merge driver over
+//! 16-byte row handles that compare and key lane cells exactly as the
+//! tuples would). Then the delivered rows are built, once, in final
 //! order — only survivors, only kept columns — as what the consumer
 //! reads.
 //!
@@ -1589,7 +1589,7 @@ impl Chain<Box<Node>> {
         let view = plan.view(&all);
         let listed = |i: u32| (i, all.annots[i as usize]);
         let order: Box<dyn Iterator<Item = (u32, AuAnnot)> + '_> = if normalizes {
-            // the one pipeline-breaker normalization (sharded-reduce)
+            // the one pipeline-breaker normalization (sort-merge)
             tr.attr(h, "keyed", || {
                 let (typed, arity) = view.typed_cols();
                 format!("{typed}/{arity}")

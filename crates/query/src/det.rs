@@ -52,7 +52,7 @@ pub fn eval_det_exec(db: &Database, q: &Query, exec: &Executor) -> Result<Relati
 }
 
 /// Bag difference (monus): the left side needs normal form (one row per
-/// distinct tuple) and gets it from the sharded-reduce driver; the
+/// distinct tuple) and gets it from the sort-merge driver; the
 /// right side only feeds a commutative multiplicity sum.
 fn difference_det(
     l: Cow<'_, Relation>,
@@ -313,7 +313,7 @@ fn run_chain<'a>(
 /// other node runs its operator. Base tables are borrowed from the
 /// database, only operator outputs are owned, and normal form is
 /// produced only where an operator requires it (difference's and
-/// distinct's left-side merges, on the sharded-reduce driver).
+/// distinct's left-side merges, on the sort-merge driver).
 fn eval_walk<'a>(
     db: &'a Database,
     q: &Query,

@@ -20,21 +20,21 @@
 //! materialized, normalized row relations — the differential oracle.
 //! [`optimized_join_exec`] is the kernel, and never builds a tuple: both
 //! splits are derived lanes of the inputs' column sets
-//! (`split_sg_lanes`, [`compress_lanes`] — the one `Cpr` aggregation's
-//! possible side compresses with, too), the two joins are two ordinary
+//! (`split_sg_lanes`, [`compress_bag`] over an un-normalized input,
+//! [`compress_lanes`] — the one `Cpr` aggregation's possible side
+//! compresses with, too), the two joins are two ordinary
 //! fused probe chains (`au::pipeline::probe_join_pairs`) whose pairs are
 //! concatenated as row ids, and the one normalization — of the union —
 //! runs on row handles over those lanes. Neither split is normalized on the
 //! way: `⊗` distributes over `⊕` in `N_AU`, so merging duplicates before
-//! or after the SG join sums to the same annotation, and `Cpr` orders
-//! `split↑`'s rows and merges its duplicates in the one sort that forms
-//! the buckets.
+//! or after the SG join sums to the same annotation, and `Cpr` merges
+//! `split↑`'s duplicates in the normalization sort, then orders the
+//! survivors into buckets.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use audb_core::obs::{Counter, TraceBuilder};
-use audb_core::{AuAnnot, EvalError, Expr, RangeValue, Semiring};
+use audb_core::{AuAnnot, EvalError, ExecError, Expr, RangeValue, Semiring};
 use audb_exec::Executor;
 use audb_storage::{AnnotColumn, AuRelation, ColumnSet, GatherView, RangeTuple};
 
@@ -139,20 +139,15 @@ fn bucket_rows(rel: &AuRelation, attr: usize, n: usize) -> AuRelation {
     out
 }
 
-/// `Cpr_{attr,n}` on lanes — the one `Cpr` of ⋈ and γ: rows `ids`
-/// (ascending) of `cs`, projected onto `cols`, as at most `n` bucket rows
-/// annotated `(0, 0, Σ ub)`. The members are ordered by the selected
-/// guess of `attr`, chunked equi-depth, and every bucket's box is taken
-/// per column ([`LaneSlice::group_boxes`]: `extend_keep_sg`'s rule, in
-/// member order) — cell for cell the buckets of [`compress_rows`].
-///
-/// `as_bag` says what `ids` name. `false`: a *list* — ties on the bucket
-/// attribute keep its order, a list of at most `n` rows is left as it is
-/// (aggregation folds in member order; a normalized relation's rows).
-/// `true`: a *bag* in no order, which `Cpr(split↑(R))` normalizes first
-/// — here ties order by the row itself and equal rows merge into one
-/// member (their `ub`s add), all in the one sort: exactly the stable sort
-/// by `attr` of the tuple-sorted, duplicate-merged list.
+/// `Cpr_{attr,n}` on lanes — the one `Cpr` of ⋈ and γ: rows `ids` of
+/// `cs`, a *list* in that order, projected onto `cols`, as at most `n`
+/// bucket rows annotated `(0, 0, Σ ub)`. The members are ordered by the
+/// selected guess of `attr` — ties keep the list's order, a list of at
+/// most `n` rows is left as it is (aggregation folds in member order; a
+/// normalized relation's rows) — chunked equi-depth, and every bucket's
+/// box is taken per column ([`LaneSlice::group_boxes`]:
+/// `extend_keep_sg`'s rule, in member order) — cell for cell the
+/// buckets of [`compress_rows`].
 ///
 /// [`LaneSlice::group_boxes`]: audb_core::LaneSlice::group_boxes
 pub fn compress_lanes(
@@ -161,29 +156,45 @@ pub fn compress_lanes(
     cols: &[usize],
     attr: usize,
     n: usize,
-    as_bag: bool,
 ) -> ColumnSet {
-    let (n, key, ub) = (n.max(1), cs.lane(attr).as_slice(), &cs.annots().ub);
-    let by_key = |a: &(u32, u64), b: &(u32, u64)| key.sg_cmp(a.0 as usize, b.0 as usize);
+    let ub = &cs.annots().ub;
     let mut srcs: Vec<(u32, u64)> = ids.iter().map(|&i| (i, ub[i as usize])).collect();
-    if as_bag {
-        let cells = cs.lane_slices();
-        let by_row = |a: u32, b: u32| {
-            let by_cell = cells.iter().map(|l| l.cells_cmp(a as usize, b as usize));
-            by_cell.into_iter().find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
-        };
-        srcs.sort_unstable_by(|a, b| by_key(a, b).then_with(|| by_row(a.0, b.0)));
-        srcs.dedup_by(|dup, first| {
-            let same = by_row(dup.0, first.0).is_eq();
-            if same {
-                first.1 = first.1.plus(&dup.1);
-            }
-            same
-        });
-    } else if srcs.len() > n {
-        srcs.sort_by(by_key);
+    if srcs.len() > n.max(1) {
+        sort_by_sg(cs, attr, &mut srcs);
     }
-    let depth = srcs.len().div_ceil(n).max(1);
+    buckets(cs, &srcs, cols, n)
+}
+
+/// `Cpr_{attr,n}(split↑(R))` on `R`'s lanes `cs`, a *bag* in no order:
+/// its rows annotated `(0, 0, ub)`, normalized on `exec` (equal rows
+/// merge into one member, their `ub`s add), then stably sorted by the
+/// selected guess of `attr` — the stable sort by `attr` of the
+/// tuple-sorted, duplicate-merged list — and bucketed as
+/// [`compress_lanes`] does, over every column.
+pub fn compress_bag(
+    cs: &ColumnSet,
+    attr: usize,
+    n: usize,
+    exec: &Executor,
+) -> Result<ColumnSet, ExecError> {
+    let view = GatherView::new(cs.lane_slices().into_iter().map(|l| (l, None)).collect());
+    let up: Vec<AuAnnot> = cs.annots().ub.iter().map(|&ub| AuAnnot::triple(0, 0, ub)).collect();
+    let merged = AuRelation::normalized_view_rows(&view, &up, exec)?;
+    let mut srcs: Vec<(u32, u64)> = merged.into_iter().map(|(i, k)| (i, k.ub)).collect();
+    sort_by_sg(cs, attr, &mut srcs);
+    Ok(buckets(cs, &srcs, &(0..cs.arity()).collect::<Vec<_>>(), n))
+}
+
+/// Stable sort of bucket members by the selected guess of `attr`.
+fn sort_by_sg(cs: &ColumnSet, attr: usize, srcs: &mut [(u32, u64)]) {
+    let key = cs.lane(attr).as_slice();
+    srcs.sort_by(|a, b| key.sg_cmp(a.0 as usize, b.0 as usize));
+}
+
+/// The members `srcs` (row, `ub`), in order, chunked equi-depth into at
+/// most `n` buckets over `cols`.
+fn buckets(cs: &ColumnSet, srcs: &[(u32, u64)], cols: &[usize], n: usize) -> ColumnSet {
+    let depth = srcs.len().div_ceil(n.max(1)).max(1);
     let firsts: Vec<u32> = srcs.iter().step_by(depth).map(|s| s.0).collect();
     let members = srcs.iter().enumerate().map(|(m, s)| (s.0 as usize, (m / depth) as u32));
     let boxes = cols.iter().map(|&c| cs.lane(c).as_slice().group_boxes(&firsts, members.clone()));
@@ -291,13 +302,18 @@ pub(crate) fn optimized_join_stats(
     // a probe chain runs over).
     let split = |rel: &AuRelation, attr: usize| {
         let cs = lanes_of(rel, exec);
-        let all: (Vec<u32>, Vec<usize>) =
-            ((0..cs.nrows() as u32).collect(), (0..cs.arity()).collect());
-        let up = compress_lanes(&cs, &all.0, &all.1, attr, ct, !rel.is_normalized());
-        [split_sg_lanes(&cs), up]
-            .map(|cs| AuRelation::from_columns(rel.schema.clone(), Arc::new(cs), false))
+        let up = if rel.is_normalized() {
+            let all: Vec<u32> = (0..cs.nrows() as u32).collect();
+            compress_lanes(&cs, &all, &(0..cs.arity()).collect::<Vec<_>>(), attr, ct)
+        } else {
+            compress_bag(&cs, attr, ct, exec)?
+        };
+        Ok::<_, ExecError>(
+            [split_sg_lanes(&cs), up]
+                .map(|cs| AuRelation::from_columns(rel.schema.clone(), Arc::new(cs), false)),
+        )
     };
-    let ([sgl, lup], [sgr, rup]) = (split(l, la), split(r, ra));
+    let ([sgl, lup], [sgr, rup]) = (split(l, la)?, split(r, ra)?);
 
     // ---- SG part: certain tuples; possible part: compressed overlap join ---
     let (mut pairs, keys_typed) = probe_join_pairs(&sgl, &sgr, recheck, exec)?;
@@ -456,6 +472,59 @@ mod tests {
         assert_eq!(t.0[0].lb, Value::Int(1));
         assert_eq!(t.0[0].ub, Value::Int(2));
         assert_eq!(*k, AuAnnot::triple(0, 0, 5));
+    }
+
+    /// `Cpr(split↑(R))` over an un-normalized bag is `compress_rows` over
+    /// `split↑(R)`'s normal form — here a `BTreeMap` fold, which shares no
+    /// sort key with the driver — bucket for bucket: rows repeated and
+    /// equal rows from different sources, ties on the bucket attribute,
+    /// and a boxed column whose long strings cut the packed keys short,
+    /// at every worker count. A merge that trusts equal inexact keys
+    /// without checking the rows fails here.
+    #[test]
+    fn compress_bag_is_compress_rows_over_split_up() {
+        use audb_exec::Partitioner;
+        use std::collections::BTreeMap;
+        let long = |tail: usize| Value::str(format!("a prefix longer than any key, {tail}"));
+        let rows: Vec<(RangeTuple, AuAnnot)> = (0..90usize)
+            .map(|i| {
+                let j = i % 30;
+                let b = if j % 7 == 0 { Value::Int(j as i64) } else { long(j % 4) };
+                let a = (j % 3) as i64;
+                let t = RangeTuple::new(vec![
+                    r2(a, a, 5),
+                    RangeValue::certain(b),
+                    r2(0, (j % 2) as i64, 1),
+                ]);
+                (t, AuAnnot::triple(0, 1, 1 + (i % 4) as u64))
+            })
+            .collect();
+        let mut bag = AuRelation::empty(Schema::named(&["A", "B", "C"]));
+        bag.append_rows(rows.clone());
+        assert!(!bag.is_normalized());
+        let mut fold: BTreeMap<RangeTuple, AuAnnot> = BTreeMap::new();
+        for (t, k) in &rows {
+            let acc = fold.entry(t.clone()).or_insert_with(AuAnnot::zero);
+            *acc = acc.plus(&AuAnnot::triple(0, 0, k.ub));
+        }
+        let up: Vec<(RangeTuple, AuAnnot)> = fold.into_iter().collect();
+        assert_eq!(split_up(&bag).rows(), &up[..]);
+        let ids: Vec<u32> = (0..up.len() as u32).collect();
+        let cs = bag.columns();
+        for attr in [0, 2] {
+            for n in [1, 4, 7] {
+                let want = compress_rows(&up, &ids, &[0, 1, 2], attr, n);
+                for w in [1, 2, 4] {
+                    let exec = Executor::new(w).with_partitioner(Partitioner {
+                        min_morsel: 1,
+                        morsels_per_worker: 2,
+                        min_rows_per_worker: 0,
+                    });
+                    let got = compress_bag(&cs, attr, n, &exec).unwrap();
+                    assert_eq!(got.rows(), want, "attr {attr}, n = {n}, workers = {w}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -313,10 +313,11 @@ impl Engine {
     ) -> Result<Response, ServeError> {
         let inner = &self.inner;
         let stats = &inner.stats[class as usize];
-        stats.submit();
+        // a query refused at shutdown was never submitted
         if inner.closed.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
+        stats.submit();
 
         let started = Instant::now();
         let ticket = match inner.admission.admit(class) {
@@ -350,9 +351,14 @@ impl Engine {
         // Pin the epoch after admission: queued queries evaluate
         // against the freshest world at the moment they start running.
         let snap = self.snapshot();
-        let prepared = self.prepare(key, plan, &snap, reuse).map_err(ServeError::Query)?;
-        let prepared_hit = prepared.1;
-        let plan = prepared.0;
+        let (plan, prepared_hit) = match self.prepare(key, plan, &snap, reuse) {
+            Ok(prepared) => prepared,
+            Err(e) => {
+                // a query error, as one raised while evaluating is
+                stats.fail();
+                return Err(ServeError::Query(e));
+            }
+        };
 
         let policy = inner.admission.policy(class);
         let result = self.evaluate(&plan, &snap, policy);

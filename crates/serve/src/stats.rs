@@ -75,7 +75,7 @@ impl ClassStats {
 /// Counts plus the sorted latency samples of one class.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassStatsSnapshot {
-    /// Queries submitted (every outcome).
+    /// Queries submitted (every outcome; not those refused at shutdown).
     pub submitted: u64,
     /// Queries granted an execution slot.
     pub admitted: u64,
@@ -87,8 +87,8 @@ pub struct ClassStatsSnapshot {
     /// field stays because the benchmark's serving report reads it.
     pub retried: u64,
     /// Queries that ended in `ServeError::Failed` (the lane run faulted
-    /// and the oracle plan faulted too) or in a query error raised while
-    /// evaluating.
+    /// and the oracle plan faulted too) or in a query error, raised while
+    /// preparing (parse, unknown table) or while evaluating.
     pub failed: u64,
     /// Queries ended by a final governance verdict.
     pub rejected: u64,

@@ -4,13 +4,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 use audb_core::{AuAnnot, EvalError, ExecError, RangeValue, Semiring, Value};
 use audb_exec::Executor;
 
-use crate::column::{packed_range_key, packed_row_key, ColumnSet, GatherView, VALUE_KEY_BYTES};
+use crate::column::{packed_tuple_keys, ColumnSet, GatherView, RowRef};
 use crate::relation::{Database, Relation};
 use crate::schema::Schema;
 use crate::tuple::RangeTuple;
@@ -67,7 +66,7 @@ impl AuRelation {
     /// Build from rows already in normal form — canonically sorted,
     /// duplicate-free, with no zero annotations (debug-asserted). Lets
     /// operators that provably preserve normal form (e.g. selection
-    /// over a normalized input) skip the hash-merge + re-sort.
+    /// over a normalized input) skip the sort-merge.
     pub fn from_normalized_rows(schema: Schema, rows: Vec<(RangeTuple, AuAnnot)>) -> Self {
         debug_assert!(
             rows.windows(2).all(|w| w[0].0 < w[1].0),
@@ -224,10 +223,10 @@ impl AuRelation {
             .expect("ungoverned sequential normalize cannot fault");
     }
 
-    /// [`Self::normalize`] on the sharded-reduce driver: the hash-merge
-    /// is partitioned by tuple hash across the executor's workers and
-    /// the sorted shards are k-way-merged back into the canonical
-    /// order — the result is byte-identical for any worker count.
+    /// [`Self::normalize`] on the sort-merge driver: every morsel of rows
+    /// is keyed, sorted and merged on the executor's workers and the
+    /// sorted runs are k-way-merged into the canonical order — the result
+    /// is byte-identical for any worker count.
     /// Fallible through the runtime's governance: the input rows are
     /// charged to the executor's budget, and cancellation/deadlines are
     /// observed at morsel boundaries. On error the row list is left
@@ -237,11 +236,16 @@ impl AuRelation {
             return Ok(());
         }
         let rows = std::mem::take(self.rows_mut());
-        // Sorting is keyed on packed column bytes (a memcmp fast path
-        // that refines the tuple order; see `crate::column`) — the
-        // output is byte-identical to sorting on the tuples alone.
-        let width = self.schema.arity() * 3 * VALUE_KEY_BYTES;
-        *self.rows_mut() = merge_sorted(exec, rows, width, packed_range_key)?;
+        // Sorting is keyed on packed bytes, typed per value position (a
+        // memcmp fast path that refines the tuple order; see
+        // `crate::column`) — the output is byte-identical to sorting on
+        // the tuples alone.
+        let arity = self.schema.arity();
+        let write_keys =
+            |rows: &[(RangeTuple, AuAnnot)], keys: &mut Vec<u8>, exact: &mut [bool]| {
+                packed_tuple_keys(rows.iter().map(|(t, _)| t), arity, keys, exact)
+            };
+        *self.rows_mut() = merge_sorted(exec, rows, write_keys)?;
         self.normalized = true;
         Ok(())
     }
@@ -250,8 +254,9 @@ impl AuRelation {
     /// [`GatherView`] (row `i` annotated `annots[i]`), before any tuple
     /// is built: the view rows that survive the merge, in canonical
     /// order, with their summed annotations — same driver, same
-    /// governance, over 16-byte row handles that compare, hash and key
-    /// the lane cells as the tuples would; [`GatherView::tuples`] over
+    /// governance, over 16-byte row handles that compare the lane cells
+    /// as the tuples would, keyed a column at a time
+    /// ([`GatherView::write_keys`]); [`GatherView::tuples`] over
     /// the result is what normalizing the materialized list returns.
     /// Zero annotations never enter a relation ([`Self::append_rows`])
     /// and an empty list is in normal form, so neither reaches the
@@ -264,7 +269,11 @@ impl AuRelation {
         let nonzero = annots.iter().enumerate().filter(|(_, k)| !k.is_zero());
         let mut rows: Vec<_> = nonzero.map(|(i, k)| (view.row(i as u32), *k)).collect();
         if !rows.is_empty() {
-            rows = merge_sorted(exec, rows, view.key_width(), packed_row_key)?;
+            let write_keys =
+                |rows: &[(RowRef<'_>, AuAnnot)], keys: &mut Vec<u8>, exact: &mut [bool]| {
+                    view.write_keys(rows.iter().map(|(row, _)| row.row), keys, exact)
+                };
+            rows = merge_sorted(exec, rows, write_keys)?;
         }
         Ok(rows.into_iter().map(|(row, k)| (row.row, k)).collect())
     }
@@ -349,20 +358,18 @@ impl fmt::Display for AuRelation {
     }
 }
 
-/// Normalization on the sharded-reduce driver: merge equal rows with
+/// Normalization on the sort-merge driver: merge equal rows with
 /// `+_{N_AU}`, drop zeros, sort — by `(packed key, row)`.
-fn merge_sorted<T: Hash + Eq + Ord + Send>(
+fn merge_sorted<T: Ord + Send>(
     exec: &Executor,
     rows: Vec<(T, AuAnnot)>,
-    width: usize,
-    write_key: impl Fn(&T, &mut [u8]) + Sync,
+    write_keys: impl Fn(&[(T, AuAnnot)], &mut Vec<u8>, &mut [bool]) -> usize + Sync,
 ) -> Result<Vec<(T, AuAnnot)>, ExecError> {
-    exec.hash_merge_sorted_by_key(
+    exec.sort_merge_by_key(
         rows,
         |k: &AuAnnot| !k.is_zero(),
-        |acc: &mut AuAnnot, k| *acc = acc.plus(&k),
-        width,
-        write_key,
+        |acc: &mut AuAnnot, k| *acc = acc.plus(k),
+        write_keys,
     )
 }
 
@@ -665,12 +672,41 @@ mod tests {
 
     /// Normalizing a row list while it is still a gather view over
     /// lanes, then building the survivors, is normalizing the
-    /// materialized list: mixed lane tags, an index on some columns,
-    /// > 90 % duplicates, zero annotations, every worker count.
+    /// materialized list — against a `BTreeMap` fold over the tuples,
+    /// which shares no key with the driver: mixed lane tags, an index on
+    /// some columns, > 90 % duplicates, zero annotations, an
+    /// all-duplicates view, boxed keys that are exact next to keys a long
+    /// string cuts short (rows equal on every key byte, different past
+    /// it), at every worker count; and a `Float` lane's `-0.0` next to
+    /// `0.0` stays two rows (distinct bits, as the lane compares them).
+    /// A driver that merges equal keys without checking the rows where a
+    /// key is inexact fails the cut-short case.
     #[test]
     fn normalized_view_rows_match_normalizing_the_materialized_list() {
         use audb_core::ValueLane;
         use audb_exec::Partitioner;
+        let execs = [1usize, 2, 4, 7].map(|w| {
+            Executor::new(w).with_partitioner(Partitioner {
+                min_morsel: 1,
+                morsels_per_worker: 3,
+                min_rows_per_worker: 0,
+            })
+        });
+        let check = |view: &GatherView<'_>, annots: &[AuAnnot], ctx: &str| {
+            let mut fold: BTreeMap<RangeTuple, AuAnnot> = BTreeMap::new();
+            let listed = view.tuples((0..annots.len() as u32).map(|i| (i, annots[i as usize])));
+            for (t, k) in listed.into_iter().filter(|(_, k)| !k.is_zero()) {
+                let acc = fold.entry(t).or_insert_with(AuAnnot::zero);
+                *acc = acc.plus(&k);
+            }
+            let want: Vec<(RangeTuple, AuAnnot)> = fold.into_iter().collect();
+            for exec in &execs {
+                let rows = AuRelation::normalized_view_rows(view, annots, exec).unwrap();
+                let w = exec.workers();
+                assert_eq!(view.tuples(rows.into_iter()), want, "{ctx}, workers = {w}");
+            }
+            want.len()
+        };
         let long = |tail: &str| Value::str(format!("a shared prefix of 25 bytes{tail}"));
         // row i repeats row g(i): at most 53 distinct tuples of 900
         let (n, g) = (900usize, |i: usize| i * 7 % 53);
@@ -698,29 +734,47 @@ mod tests {
         assert_eq!(view.typed_cols(), (3, 4));
         let annots: Vec<AuAnnot> =
             (0..n as u64).map(|i| AuAnnot::triple(0, i % 4 / 2, i % 4)).collect();
-        let listed = view.tuples((0..n as u32).map(|i| (i, annots[i as usize])));
-        let schema = Schema::named(&["i", "f", "b", "t"]);
-        let want = AuRelation::from_rows(schema.clone(), listed);
-        assert!(want.len() * 10 < n, "{} distinct of {n}", want.len());
-        for w in [1usize, 2, 4, 7] {
-            let exec = Executor::new(w).with_partitioner(Partitioner {
-                min_morsel: 1,
-                morsels_per_worker: 3,
-                min_rows_per_worker: 0,
-            });
-            let rows = AuRelation::normalized_view_rows(&view, &annots, &exec).unwrap();
-            let built = view.tuples(rows.into_iter());
-            assert_eq!(
-                AuRelation::from_normalized_rows(schema.clone(), built),
-                want,
-                "workers = {w}"
-            );
-        }
+        let distinct = check(&view, &annots, "mixed");
+        assert!(distinct * 10 < n, "{distinct} distinct of {n}");
         // all zeros (or nothing) never reaches the driver
         let zeros = vec![AuAnnot::zero(); n];
         assert!(AuRelation::normalized_view_rows(&view, &zeros, &Executor::sequential())
             .unwrap()
             .is_empty());
+
+        // every row one row: one survivor, every annotation summed
+        let first = vec![3u32; n];
+        let same =
+            GatherView::new(lanes.iter().map(|l| (l.as_slice(), Some(&first[..]))).collect());
+        assert_eq!(check(&same, &annots, "all duplicates"), 1);
+
+        // exact boxed keys (a short string, an `Int`) next to keys cut
+        // short by a long string, the column after telling rows apart
+        let mixed: Vec<RangeValue> = [long("!"), long("?"), Value::str("a"), Value::Int(2)]
+            .into_iter()
+            .map(RangeValue::certain)
+            .collect();
+        let after: Vec<RangeValue> = (0..3i64).map(|i| RangeValue::range(i, i, 2)).collect();
+        let (mixed, after) =
+            (ValueLane::from_cells(mixed.iter()), ValueLane::from_cells(after.iter()));
+        let midx: Vec<u32> = (0..n as u32).map(|i| i / 2 % 4).collect();
+        let aidx: Vec<u32> = (0..n as u32).map(|i| i / 8 % 3).collect();
+        let cut = GatherView::new(vec![
+            (mixed.as_slice(), Some(&midx[..])),
+            (after.as_slice(), Some(&aidx[..])),
+        ]);
+        assert_eq!(check(&cut, &annots, "exact next to cut-short keys"), 12);
+
+        // -0.0 and 0.0: one value of the domain, two cells of a lane
+        let zero = [-0.0, 0.0, -0.0, 0.0, 0.0];
+        let signed = ValueLane::Float { lb: zero.to_vec(), sg: zero.to_vec(), ub: vec![1.0; 5] };
+        let view = GatherView::new(vec![(signed.as_slice(), None)]);
+        let ones = vec![AuAnnot::triple(1, 1, 1); zero.len()];
+        for exec in &execs {
+            let rows = AuRelation::normalized_view_rows(&view, &ones, exec).unwrap();
+            let want = [(0, AuAnnot::triple(2, 2, 2)), (1, AuAnnot::triple(3, 3, 3))];
+            assert_eq!(rows, want, "workers = {}", exec.workers());
+        }
     }
 
     /// The column cache is invalidated by mutation and shared by clone.

@@ -25,12 +25,14 @@
 //! `key(a) < key(b)` then `a < b`, and key equality only happens on
 //! one deliberate coarsening (long strings sharing a prefix — the key
 //! says nothing past the first such value) that a full-comparison
-//! tie-break resolves. Sharded-reduce normalization writes the keys of the
-//! *distinct* tuples into one contiguous arena (fixed width per arity,
-//! no allocation per row) and sorts a permutation on
-//! `(arena bytes, tuple)` — a memcmp fast path in front of the exact
-//! comparator — and stays byte-identical to sorting on the tuples
-//! alone.
+//! tie-break resolves. A key that says nothing past such a value is
+//! *inexact*; an exact key pins its tuple down — equal exact keys are
+//! equal tuples. Normalization (`audb_exec::reduce`) writes the keys of
+//! every row into one contiguous arena (fixed width per arity, no
+//! allocation per row) and sorts a permutation on `(arena bytes,
+//! tuple)` — a memcmp fast path in front of the exact comparator, which
+//! only a tie between keys not both exact reaches — and stays
+//! byte-identical to sorting on the tuples alone.
 //!
 //! Per [`Value`], the key is 18 bytes: a leading
 //! [`Value::order_rank`] byte, then a 17-byte body —
@@ -49,7 +51,6 @@
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 
 use audb_core::{AuAnnot, LaneSlice, RangeValue, Value, ValueLane};
 
@@ -288,9 +289,74 @@ pub fn packed_value_key(v: &Value, out: &mut [u8; VALUE_KEY_BYTES]) -> bool {
 /// there on) after the first value it does not pin down; a tuple
 /// narrower than `out` is zero-padded and a wider one truncated — all
 /// of which only coarsen the key, which the full-comparison tie-break
-/// resolves.
-pub fn packed_range_key(t: &RangeTuple, out: &mut [u8]) {
-    packed_value_keys(t.0.iter().flat_map(|rv| [&rv.lb, &rv.sg, &rv.ub]), out);
+/// resolves. `true` when the key is exact: every value pinned down and
+/// the tuple exactly `out`'s width.
+pub fn packed_range_key(t: &RangeTuple, out: &mut [u8]) -> bool {
+    let vals = t.0.iter().flat_map(|rv| [&rv.lb, &rv.sg, &rv.ub]);
+    packed_value_keys(vals, out) && t.0.len() * 3 * VALUE_KEY_BYTES == out.len()
+}
+
+/// The packed sort keys of a morsel of tuples of `arity` attributes,
+/// written into the empty `keys` in the layout their values admit; the
+/// width returned. A value position — an attribute's `lb`, `sg` or `ub`
+/// — that holds an `Int` in every tuple keys as the 8-byte sign-flipped
+/// `i64`, one that holds a `Float` in every tuple as its 8
+/// order-preserving bytes (the typed lanes' keys), any other as its
+/// [`VALUE_KEY_BYTES`] unit ([`packed_value_key`]), whose
+/// truncated-string rule ends the key (zeros from there on) and leaves
+/// it inexact. One morsel's keys share one layout, so their byte order
+/// refines the tuple order; `exact[i]` is set where tuple `i`'s key
+/// pins it down. A tuple of another arity keys the morsel in
+/// [`packed_range_key`]'s layout.
+pub(crate) fn packed_tuple_keys<'t>(
+    tuples: impl Iterator<Item = &'t RangeTuple> + Clone,
+    arity: usize,
+    keys: &mut Vec<u8>,
+    exact: &mut [bool],
+) -> usize {
+    let values = |t: &'t RangeTuple| t.0.iter().flat_map(|rv| [&rv.lb, &rv.sg, &rv.ub]);
+    const INT: u8 = 1;
+    const FLOAT: u8 = 2;
+    let mut kinds = vec![INT | FLOAT; 3 * arity];
+    for t in tuples.clone() {
+        if t.0.len() != arity {
+            let width = 3 * arity * VALUE_KEY_BYTES;
+            keys.resize(exact.len() * width, 0);
+            for ((t, key), exact) in tuples.zip(keys.chunks_exact_mut(width.max(1))).zip(exact) {
+                *exact = packed_range_key(t, key);
+            }
+            return width;
+        }
+        for (kind, v) in kinds.iter_mut().zip(values(t)) {
+            *kind &= match v {
+                Value::Int(_) => INT,
+                Value::Float(_) => FLOAT,
+                _ => 0,
+            };
+        }
+    }
+    let size = |kind: u8| if kind == 0 { VALUE_KEY_BYTES } else { 8 };
+    let width: usize = kinds.iter().map(|&k| size(k)).sum();
+    keys.resize(exact.len() * width, 0);
+    for ((t, key), exact) in tuples.zip(keys.chunks_exact_mut(width.max(1))).zip(exact) {
+        *exact = true;
+        let mut at = 0;
+        for (&kind, v) in kinds.iter().zip(values(t)) {
+            let unit = &mut key[at..at + size(kind)];
+            at += unit.len();
+            match v {
+                Value::Int(i) if kind != 0 => unit.copy_from_slice(&i64_key(*i)),
+                Value::Float(f) if kind != 0 => unit.copy_from_slice(&f64_key(f.get())),
+                v if !packed_value_keys([v].into_iter(), unit) => {
+                    // the rest of the key stays zero
+                    *exact = false;
+                    break;
+                }
+                _ => {}
+            }
+        }
+    }
+    width
 }
 
 /// Fill `out`'s [`VALUE_KEY_BYTES`] units with the keys of `vals`, in
@@ -334,7 +400,7 @@ impl<'a> GatherView<'a> {
         (self.cols.iter().filter(typed).count(), self.cols.len())
     }
 
-    /// A handle on row `row`: its `Hash`/`Eq`/`Ord` are the materialized
+    /// A handle on row `row`: its `Eq`/`Ord` are the materialized
     /// [`RangeTuple`]'s, read off the lane cells.
     pub(crate) fn row(&self, row: u32) -> RowRef<'_> {
         RowRef { view: self, row }
@@ -373,9 +439,101 @@ impl<'a> GatherView<'a> {
         ColumnSet { lanes: lanes.collect(), annots }
     }
 
-    /// Bytes of a row's packed sort key ([`packed_row_key`]).
+    /// Bytes of a row's packed sort key ([`GatherView::write_keys`]).
     pub(crate) fn key_width(&self) -> usize {
         self.cols.iter().map(|(l, _)| cell_key_bytes(l)).sum()
+    }
+
+    /// Write the packed sort keys of `rows` into the empty `keys`, one
+    /// [`GatherView::key_width`]-byte row each (the width returned), a
+    /// column at a time (per block of rows): one typed loop per lane.
+    /// Within one lane every cell has one type, so a typed component
+    /// needs no rank byte, tie byte or cast — its order-preserving
+    /// transform alone orders it exactly. A `Str`
+    /// component is its big-endian code: a view column is one lane, of
+    /// one dictionary, whose code order is string order — exact, however
+    /// long the strings. Boxed cells keep [`packed_value_key`] and its
+    /// truncated-string rule: a row's key ends (zeros) after the first
+    /// value it does not pin down, and `exact[i]` turns `false` for it;
+    /// every other row's key is exact. The byte order refines the
+    /// [`RangeTuple`] order (`packed_range_key`'s, per lane tag).
+    pub(crate) fn write_keys(
+        &self,
+        rows: impl Iterator<Item = u32>,
+        keys: &mut Vec<u8>,
+        exact: &mut [bool],
+    ) -> usize {
+        exact.fill(true);
+        let width = self.key_width();
+        if width == 0 {
+            return 0;
+        }
+        /// `key(cell)` at byte `at` of every row's key.
+        fn put<const W: usize>(
+            keys: &mut [u8],
+            (width, at): (usize, usize),
+            cells: &[u32],
+            key: impl Fn(usize) -> [[u8; W]; 3],
+        ) {
+            for (row, &i) in keys.chunks_exact_mut(width).zip(cells) {
+                row[at..at + 3 * W].copy_from_slice(key(i as usize).as_flattened());
+            }
+        }
+        let rows: Vec<u32> = rows.collect();
+        keys.resize(rows.len() * width, 0);
+        let mut gathered = Vec::with_capacity(KEY_BLOCK);
+        // rows whose key a boxed value cut short, and the byte it ends at
+        let mut cuts: Vec<(usize, usize)> = Vec::new();
+        // a block of rows at a time: its keys stay cached across columns
+        for (b, block) in rows.chunks(KEY_BLOCK).enumerate() {
+            let first = b * KEY_BLOCK;
+            let keys = &mut keys[first * width..(first + block.len()) * width];
+            let exact = &mut exact[first..first + block.len()];
+            let mut at = 0;
+            for (lane, index) in &self.cols {
+                let cells = match index {
+                    None => block,
+                    Some(ix) => {
+                        gathered.clear();
+                        gathered.extend(block.iter().map(|&r| ix[r as usize]));
+                        &gathered[..]
+                    }
+                };
+                let end = at + cell_key_bytes(lane);
+                match *lane {
+                    LaneSlice::Int { lb, sg, ub } => {
+                        put(keys, (width, at), cells, |i| [lb[i], sg[i], ub[i]].map(i64_key));
+                    }
+                    LaneSlice::Float { lb, sg, ub } => {
+                        put(keys, (width, at), cells, |i| [lb[i], sg[i], ub[i]].map(f64_key));
+                    }
+                    LaneSlice::Bool { lb, sg, ub } => {
+                        let key = |i: usize| [lb[i], sg[i], ub[i]].map(|b| [u8::from(b)]);
+                        put(keys, (width, at), cells, key);
+                    }
+                    LaneSlice::Str { lb, sg, ub, .. } => {
+                        let key = |i: usize| [lb[i], sg[i], ub[i]].map(u32::to_be_bytes);
+                        put(keys, (width, at), cells, key);
+                    }
+                    LaneSlice::Boxed(boxed) => {
+                        let rows = keys.chunks_exact_mut(width).zip(cells).zip(exact.iter_mut());
+                        for (j, ((row, &i), exact)) in rows.enumerate().filter(|(_, (_, e))| **e) {
+                            let cell = &boxed[i as usize];
+                            let vals = [&cell.lb, &cell.sg, &cell.ub].into_iter();
+                            if !packed_value_keys(vals, &mut row[at..end]) {
+                                *exact = false;
+                                cuts.push((first + j, end));
+                            }
+                        }
+                    }
+                }
+                at = end;
+            }
+        }
+        for (j, end) in cuts {
+            keys[j * width + end..(j + 1) * width].fill(0);
+        }
+        width
     }
 }
 
@@ -402,12 +560,6 @@ impl PartialEq for RowRef<'_> {
 
 impl Eq for RowRef<'_> {}
 
-impl Hash for RowRef<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.view.cells(self.row).for_each(|(l, cell)| l.hash_cell(cell, state));
-    }
-}
-
 impl PartialOrd for RowRef<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
@@ -421,6 +573,10 @@ impl Ord for RowRef<'_> {
     }
 }
 
+/// Rows [`GatherView::write_keys`] keys a column at a time before the
+/// next block: a block's keys (a few KB) stay cached across its columns.
+const KEY_BLOCK: usize = 256;
+
 /// Key bytes of one cell of a lane: 8 per `Int`/`Float` component, 4 per
 /// `Str` code, 1 per `Bool` component, [`VALUE_KEY_BYTES`] per boxed
 /// component.
@@ -430,44 +586,6 @@ fn cell_key_bytes(lane: &LaneSlice<'_>) -> usize {
         LaneSlice::Str { .. } => 4,
         LaneSlice::Bool { .. } => 1,
         LaneSlice::Boxed(_) => VALUE_KEY_BYTES,
-    }
-}
-
-/// [`packed_range_key`] of a view row, written per lane tag: within one
-/// lane every cell has one type, so a typed component needs no rank
-/// byte, tie byte or cast — its order-preserving transform alone orders
-/// it exactly. A `Str` component is its big-endian code: a view column is
-/// one lane, of one dictionary, whose code order is string order — exact,
-/// however long the strings. Boxed cells keep [`packed_value_key`] and
-/// its truncated-string rule: the key ends (zeros) after the first value
-/// it does not pin down. `out` is [`GatherView::key_width`] bytes.
-pub(crate) fn packed_row_key(row: &RowRef<'_>, out: &mut [u8]) {
-    let (mut at, mut exact) = (0, true);
-    for (lane, i) in row.view.cells(row.row) {
-        let key = &mut out[at..at + cell_key_bytes(lane)];
-        at += key.len();
-        if !exact {
-            key.fill(0);
-            continue;
-        }
-        match lane {
-            LaneSlice::Int { lb, sg, ub } => {
-                key.copy_from_slice([lb[i], sg[i], ub[i]].map(i64_key).as_flattened());
-            }
-            LaneSlice::Float { lb, sg, ub } => {
-                key.copy_from_slice([lb[i], sg[i], ub[i]].map(f64_key).as_flattened());
-            }
-            LaneSlice::Bool { lb, sg, ub } => {
-                key.copy_from_slice(&[lb[i], sg[i], ub[i]].map(u8::from));
-            }
-            LaneSlice::Str { lb, sg, ub, .. } => {
-                key.copy_from_slice([lb[i], sg[i], ub[i]].map(u32::to_be_bytes).as_flattened());
-            }
-            LaneSlice::Boxed(cells) => {
-                let cell = &cells[i];
-                exact = packed_value_keys([&cell.lb, &cell.sg, &cell.ub].into_iter(), key);
-            }
-        }
     }
 }
 
@@ -602,8 +720,8 @@ mod tests {
     }
 
     fn row_key(view: &GatherView<'_>, i: u32) -> Vec<u8> {
-        let mut k = vec![0xAAu8; view.key_width()];
-        packed_row_key(&view.row(i), &mut k);
+        let mut k = Vec::new();
+        assert_eq!(view.write_keys(std::iter::once(i), &mut k, &mut [false]), view.key_width());
         k
     }
 
@@ -671,12 +789,12 @@ mod tests {
         }
     }
 
-    /// A view row is its tuple: `Eq`, `Ord` and a consistent `Hash` read
-    /// off the lanes, the key of a row after a truncated string zeroed,
-    /// and sorting rows by `(lane-written key, row)` is the tuple order.
+    /// A view row is its tuple: `Eq` and `Ord` read off the lanes, the
+    /// key of a row after a truncated string zeroed and inexact — every
+    /// other row's exact — and sorting rows by `(lane-written key, row)`
+    /// is the tuple order.
     #[test]
     fn view_rows_compare_key_and_build_like_their_tuples() {
-        use std::hash::DefaultHasher;
         let long = "one prefix, 17+ bytes, tail ";
         let rows: Vec<Vec<RangeValue>> = vec![
             vec![iv(3, 3, 3), RangeValue::certain(Value::str("zz")), iv(0, 0, 0)],
@@ -707,17 +825,11 @@ mod tests {
                 vec![rows[i][0].clone(), rows[n as usize - 1 - i][1].clone(), rows[i][2].clone()];
             assert_eq!(t.0, want);
         }
-        let hash_of = |i: u32| {
-            let mut h = DefaultHasher::new();
-            view.row(i).hash(&mut h);
-            h.finish()
-        };
         for a in 0..n {
             for b in 0..n {
                 let (ta, tb) = (&tuples[a as usize], &tuples[b as usize]);
                 assert_eq!(view.row(a) == view.row(b), ta == tb);
                 assert_eq!(view.row(a).cmp(&view.row(b)), ta.cmp(tb));
-                assert!(ta != tb || hash_of(a) == hash_of(b));
             }
         }
         // past the truncated string the key says nothing
@@ -725,6 +837,15 @@ mod tests {
             (0..n).find(|&i| tuples[i as usize].0[1].sg == Value::str(format!("{long}a")));
         let key = row_key(&view, truncated.unwrap());
         assert!(key[24 + VALUE_KEY_BYTES..].iter().all(|&b| b == 0), "{key:?}");
+        // written a column at a time, all rows at once: the same keys,
+        // exact but for the two truncated strings
+        let (mut keys, mut exact) = (Vec::new(), vec![false; n as usize]);
+        view.write_keys(0..n, &mut keys, &mut exact);
+        for (i, key) in keys.chunks_exact(view.key_width()).enumerate() {
+            assert_eq!(key, row_key(&view, i as u32), "row {i}");
+            let long_str = matches!(&tuples[i].0[1].sg, Value::Str(s) if s.starts_with(long));
+            assert_eq!(exact[i], !long_str, "row {i}");
+        }
 
         let mut by_key: Vec<u32> = (0..n).collect();
         by_key.sort_by(|&a, &b| {
@@ -735,10 +856,15 @@ mod tests {
         assert_eq!(by_key.iter().map(|&i| tuples[i as usize].clone()).collect::<Vec<_>>(), sorted);
     }
 
-    /// Sorting tuples by `(packed key, tuple)` is the tuple order.
+    /// Sorting tuples by `(packed key, tuple)` is the tuple order — per
+    /// tuple (`packed_range_key`) and per morsel in the layout its
+    /// values admit (`packed_tuple_keys`: typed `Int`/`Float` positions,
+    /// the rest in value units), where two equal exact keys are two
+    /// equal tuples and only a truncated string leaves a key inexact; a
+    /// tuple of another arity keys the morsel per tuple.
     #[test]
     fn packed_tuple_sort_matches_tuple_sort() {
-        let mut tuples = vec![
+        let mixed = vec![
             rt(vec![iv(3, 3, 3), RangeValue::certain(Value::str("zz"))]),
             rt(vec![iv(1, 2, 3), RangeValue::certain(Value::str("a"))]),
             rt(vec![iv(1, 2, 3), RangeValue::certain(Value::str("ab"))]),
@@ -754,16 +880,61 @@ mod tests {
             rt(vec![RangeValue::certain(Value::str("one prefix, 17+ bytes, tail a")), iv(9, 9, 9)]),
             rt(vec![RangeValue::certain(Value::str("nul\0")), iv(0, 0, 0)]),
             rt(vec![RangeValue::certain(Value::str("nul")), iv(9, 9, 9)]),
+            rt(vec![RangeValue::certain(Value::str("nul")), iv(9, 9, 9)]),
         ];
-        let key = |t: &RangeTuple| {
-            let mut k = vec![0xAAu8; 2 * 3 * VALUE_KEY_BYTES];
+        let fl = |v: f64| RangeValue::certain(Value::float(v));
+        // every `lb`/`sg`/`ub` position typed but the last column's `ub`
+        let typed = vec![
+            rt(vec![iv(i64::MIN, 0, 1 << 60), fl(-0.5), iv(0, 0, 0)]),
+            rt(vec![iv(-1, 0, (1 << 53) + 1), fl(-0.5), iv(0, 0, 0)]),
+            rt(vec![iv(-1, 0, 1 << 53), fl(2.5), iv(0, 0, 0)]),
+            rt(vec![iv(-1, 0, 1 << 53), fl(2.5), iv(0, 0, 0)]),
+            rt(vec![iv(7, 7, 7), fl(f64::NEG_INFINITY), iv(0, 0, 0)]),
+            rt(vec![iv(7, 7, 7), fl(f64::INFINITY), iv(0, 0, 0)]),
+            rt(vec![
+                iv(7, 7, 7),
+                fl(0.0),
+                RangeValue::new(Value::Int(0), Value::Int(0), Value::str("a")).unwrap(),
+            ]),
+        ];
+        let per_tuple = |t: &RangeTuple| {
+            let mut k = vec![0xAAu8; t.0.len() * 3 * VALUE_KEY_BYTES];
             packed_range_key(t, &mut k);
             k
         };
-        let mut by_key: Vec<(Vec<u8>, RangeTuple)> =
-            tuples.iter().map(|t| (key(t), t.clone())).collect();
-        by_key.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        tuples.sort();
-        assert_eq!(by_key.into_iter().map(|(_, t)| t).collect::<Vec<_>>(), tuples);
+        let sorted_by = |tuples: &[RangeTuple], keys: &[Vec<u8>]| {
+            let mut by_key: Vec<(&Vec<u8>, &RangeTuple)> = keys.iter().zip(tuples).collect();
+            by_key.sort_by(|a, b| a.0.cmp(b.0).then_with(|| a.1.cmp(b.1)));
+            by_key.into_iter().map(|(_, t)| t.clone()).collect::<Vec<_>>()
+        };
+        for (tuples, arity, width) in [(mixed, 2, 6 * VALUE_KEY_BYTES), (typed, 3, 8 * 8 + 18)] {
+            let mut want = tuples.clone();
+            want.sort();
+            let keys: Vec<Vec<u8>> = tuples.iter().map(per_tuple).collect();
+            assert_eq!(sorted_by(&tuples, &keys), want);
+
+            let (mut arena, mut exact) = (Vec::new(), vec![false; tuples.len()]);
+            assert_eq!(packed_tuple_keys(tuples.iter(), arity, &mut arena, &mut exact), width);
+            let keys: Vec<Vec<u8>> = arena.chunks_exact(width).map(<[u8]>::to_vec).collect();
+            assert_eq!(sorted_by(&tuples, &keys), want);
+            for (i, t) in tuples.iter().enumerate() {
+                let long = |v: &Value| matches!(v, Value::Str(s) if s.len() > 16);
+                assert_eq!(exact[i], !t.0.iter().any(|c| long(&c.lb)), "{t}");
+                for (j, u) in tuples.iter().enumerate() {
+                    if exact[i] && exact[j] {
+                        assert_eq!(keys[i] == keys[j], t == u, "{t} vs {u}");
+                    }
+                }
+            }
+        }
+        // a tuple of another arity: the morsel keys per tuple
+        let ragged = [rt(vec![iv(1, 1, 1)]), rt(vec![iv(1, 1, 1), iv(2, 2, 2)])];
+        let (mut arena, mut exact) = (Vec::new(), vec![false; 2]);
+        assert_eq!(
+            packed_tuple_keys(ragged.iter(), 2, &mut arena, &mut exact),
+            6 * VALUE_KEY_BYTES
+        );
+        assert_eq!(exact, [false, true]);
+        assert_eq!(arena[6 * VALUE_KEY_BYTES..], per_tuple(&ragged[1])[..]);
     }
 }

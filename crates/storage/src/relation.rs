@@ -48,7 +48,7 @@ impl Relation {
     /// Build from rows already in normal form — canonically sorted,
     /// duplicate-free, with no zero multiplicities (debug-asserted).
     /// Lets operators that provably preserve normal form (e.g.
-    /// selection over a normalized input) skip the hash-merge + re-sort.
+    /// selection over a normalized input) skip the sort-merge.
     pub fn from_normalized_rows(schema: Schema, rows: Vec<(Tuple, u64)>) -> Self {
         debug_assert!(
             rows.windows(2).all(|w| w[0].0 < w[1].0),
@@ -103,8 +103,8 @@ impl Relation {
             .expect("ungoverned sequential normalize cannot fault");
     }
 
-    /// [`Self::normalize`] on the sharded-reduce driver — the hash-merge
-    /// partitioned by tuple hash, byte-identical for any worker count.
+    /// [`Self::normalize`] on the sort-merge driver, byte-identical for
+    /// any worker count.
     /// Fallible through the runtime's governance: the input rows are
     /// charged to the executor's budget, and cancellation/deadlines are
     /// observed at morsel boundaries. On error the row list is left
@@ -115,7 +115,7 @@ impl Relation {
         }
         let rows = std::mem::take(&mut self.rows);
         self.rows =
-            exec.hash_merge_sorted(rows, |k: &u64| *k > 0, |acc: &mut u64, k| *acc = acc.plus(&k))?;
+            exec.sort_merge(rows, |k: &u64| *k > 0, |acc: &mut u64, k| *acc = acc.plus(k))?;
         self.normalized = true;
         Ok(())
     }

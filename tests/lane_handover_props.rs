@@ -9,7 +9,8 @@ use std::sync::Arc;
 use audb::core::ValueLane;
 use audb::prelude::*;
 use audb::query::opt::{
-    compress, compress_lanes, compress_rows, optimized_join_exec, optimized_join_literal, split_up,
+    compress, compress_bag, compress_lanes, compress_rows, optimized_join_exec,
+    optimized_join_literal, split_up,
 };
 use audb::storage::{ColumnSet, GatherView};
 use common::{check_bounds, weighted_xtuple};
@@ -186,19 +187,18 @@ fn lane_cpr_is_the_row_cpr() {
     for (which, key) in keys.into_iter().enumerate() {
         let rel = unordered_rows(40, key);
         let (cs, len) = (rel.columns(), rel.len());
-        let all: Vec<u32> = (0..len as u32).collect();
         let every_third: Vec<u32> = (0..len as u32).step_by(3).collect();
         for attr in [0usize, 1] {
             for n in [1usize, 5, 64, len + 1] {
                 let ctx = format!("key type {which}, attr {attr}, n = {n}");
-                let bag = compress_lanes(&cs, &all, &[0, 1, 2], attr, n, true);
+                let bag = compress_bag(&cs, attr, n, &Executor::sequential()).unwrap();
                 assert!(bag.nrows() <= n, "{ctx}");
                 let want = compress(&split_up(&rel), attr, n);
                 assert_eq!(born_of(&rel.schema, bag).into_normalized(), want, "{ctx}");
 
                 // a list: a subset of the rows, projected, in list order
                 let cols = [2usize, 0];
-                let list = compress_lanes(&cs, &every_third, &cols, attr, n, false);
+                let list = compress_lanes(&cs, &every_third, &cols, attr, n);
                 let want = compress_rows(rel.rows(), &every_third, &cols, attr, n);
                 assert_eq!(born_of(&rel.schema.select(&cols), list).rows(), &want[..], "{ctx}");
             }

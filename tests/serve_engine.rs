@@ -182,6 +182,31 @@ fn parse_errors_are_final_query_verdicts() {
     engine.execute(&join_query(), Class::Interactive).unwrap();
 }
 
+/// Every submission ticks exactly one outcome: a query error raised
+/// while preparing (an unknown table) is `failed`, as one raised while
+/// evaluating is, and a query refused at shutdown is not submitted.
+#[test]
+fn every_submission_has_one_outcome() {
+    let engine = Engine::new(micro(10, 1), small_config());
+    let balanced = |engine: &Engine| {
+        for c in engine.stats().classes {
+            assert_eq!(c.submitted, c.completed + c.shed + c.failed + c.rejected, "{c:?}");
+        }
+    };
+    let err = engine.execute_sql("SELECT a FROM nosuch", Class::Interactive).unwrap_err();
+    assert!(matches!(err, ServeError::Query(_)), "{err}");
+    let interactive = &engine.stats().classes[Class::Interactive as usize];
+    assert_eq!((interactive.submitted, interactive.failed), (1, 1), "{interactive:?}");
+    balanced(&engine);
+    engine.execute(&agg_query(), Class::Interactive).unwrap();
+    balanced(&engine);
+    engine.close();
+    let refused = engine.execute(&agg_query(), Class::Interactive);
+    assert!(matches!(refused, Err(ServeError::ShuttingDown)), "{refused:?}");
+    assert_eq!(engine.stats().classes[Class::Interactive as usize].submitted, 2);
+    balanced(&engine);
+}
+
 #[test]
 fn saturated_class_sheds_structurally() {
     let mut config = small_config();
