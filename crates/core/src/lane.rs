@@ -565,6 +565,53 @@ impl<'a> LaneSlice<'a> {
         }
     }
 
+    /// And `range_eq` of cell `is[k]` and cell `js[k]` of `other` into
+    /// `acc[k]`, for every `k`, by the lane kernel's own row function
+    /// ([`eq`]) — the triple a compiled `=` gives each pair — reading the
+    /// cells in place, with no gather. `false`, and `acc` untouched,
+    /// unless the two lanes are [`typed_alike`].
+    ///
+    /// [`typed_alike`]: LaneSlice::typed_alike
+    pub fn and_eq_cells(
+        &self,
+        other: &LaneSlice<'_>,
+        is: &[u32],
+        js: &[u32],
+        acc: &mut [[bool; 3]],
+    ) -> bool {
+        fn fold<S: Copy, T: Elem>(
+            a: [&[S]; 3],
+            b: [&[S]; 3],
+            (is, js): (&[u32], &[u32]),
+            acc: &mut [[bool; 3]],
+            cast: impl Fn(S) -> T + Copy,
+        ) {
+            let at = |c: [&[S]; 3], k: u32| c.map(|c| cast(c[k as usize]));
+            for ((t, &i), &j) in acc.iter_mut().zip(is).zip(js) {
+                let ([x, y, z], _) = eq(at(a, i), at(b, j));
+                *t = [t[0] & x, t[1] & y, t[2] & z];
+            }
+        }
+        use LaneSlice::{Float, Int, Str};
+        let rows = (is, js);
+        match (self, other) {
+            (Int { lb, sg, ub }, Int { lb: bl, sg: bs, ub: bu }) => {
+                fold([lb, sg, ub], [bl, bs, bu], rows, acc, |v: i64| v)
+            }
+            (Float { lb, sg, ub }, Float { lb: bl, sg: bs, ub: bu }) => {
+                fold([lb, sg, ub], [bl, bs, bu], rows, acc, |v: f64| v)
+            }
+            // codes of one dictionary, compared as the kernel compares them
+            (Str { lb, sg, ub, .. }, Str { lb: bl, sg: bs, ub: bu, .. })
+                if self.typed_alike(other) =>
+            {
+                fold([lb, sg, ub], [bl, bs, bu], rows, acc, |c: u32| i64::from(c))
+            }
+            _ => return false,
+        }
+        true
+    }
+
     /// Are cells `a` and `b` equal — as [`RangeValue`]'s derived `Eq`
     /// has it for the materialized cells (floats by bits)?
     pub fn cells_eq(&self, a: usize, b: usize) -> bool {
@@ -1626,6 +1673,43 @@ mod tests {
     /// `cells_eq` / `cells_cmp` are the materialized cells' derived
     /// `Eq` / `Ord`, on every lane tag: ties on `lb`, float ties by bits,
     /// boxed mixes.
+    /// `and_eq_cells` and-s exactly `range_eq`'s triple into every pair
+    /// of cells of two typed-alike lanes (`Int`, `Float`, `Str` of one
+    /// dictionary), and declines any other pair of lanes untouched.
+    #[test]
+    fn and_eq_cells_ands_range_eq_of_typed_alike_cells() {
+        let word = |w: &str| Value::str(w);
+        let strs = vec![
+            RangeValue::range(word("ant"), word("bee"), word("cat")),
+            RangeValue::certain(word("bee")),
+            RangeValue::certain(word("cat")),
+            RangeValue::range(word("cat"), word("dog"), word("eel")),
+        ];
+        let (ints, floats) = (int_cells(), float_cells());
+        for cells in [&ints, &floats, &strs] {
+            let lane = lane_of(cells);
+            let s = lane.as_slice();
+            let n = cells.len() as u32;
+            let (is, js): (Vec<u32>, Vec<u32>) =
+                (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).unzip();
+            for start in [[true; 3], [true, false, true]] {
+                let mut acc = vec![start; is.len()];
+                assert!(s.and_eq_cells(&s, &is, &js, &mut acc));
+                for ((&i, &j), got) in is.iter().zip(&js).zip(&acc) {
+                    let (a, b) = (&cells[i as usize], &cells[j as usize]);
+                    let (lb, sg, ub) = range_eq(a, b).as_bool3().unwrap();
+                    assert_eq!(*got, [start[0] & lb, start[1] & sg, start[2] & ub], "{a} = {b}");
+                }
+            }
+        }
+        let mut acc = vec![[true; 3]];
+        let (ints, floats) = (lane_of(&ints), lane_of(&floats));
+        assert!(!ints.as_slice().and_eq_cells(&floats.as_slice(), &[0], &[0], &mut acc));
+        let (mine, theirs) = (lane_of(&strs), lane_of(&strs));
+        assert!(!mine.as_slice().and_eq_cells(&theirs.as_slice(), &[0], &[0], &mut acc));
+        assert_eq!(acc, [[true; 3]]);
+    }
+
     #[test]
     fn cell_equality_and_order_are_the_range_values() {
         let bools = vec![

@@ -408,7 +408,8 @@ enum ProbePlan {
 /// certainty, builds its hash index and runs its interval sweeps. The
 /// fused chain's probe and [`planner::join_au_planned_exec`] both read
 /// it, each re-checking every pair in its own form (the compiled
-/// [`Stage`], the interpreted `Expr`).
+/// [`Stage`], the interpreted `Expr`) — but a chain whose probe
+/// [`ProbeOp::decides_keys`] reads the key triples off the key lanes.
 pub(crate) struct ProbeOp {
     right: Arc<ColumnSet>,
     plan: ProbePlan,
@@ -513,6 +514,14 @@ impl ProbeOp {
         (!matches!(self.plan, ProbePlan::NestedLoop)).then_some(pairs)
     }
 
+    /// Does the probe decide its pairs' key equality itself — a hash
+    /// plan whose key pairs are all [`LaneSlice::typed_alike`]
+    /// (`keys=typed`)? Then no compiled re-check runs over its pairs
+    /// ([`Buckets::key_eq`]).
+    pub(crate) fn decides_keys(&self) -> bool {
+        matches!(self.plan, ProbePlan::HashEqui { .. }) && self.keys_typed == Some(true)
+    }
+
     /// A hash plan's buckets, keyed off the left lanes `lcs` and the
     /// right side's; `None` without a hash index.
     #[inline]
@@ -551,6 +560,20 @@ impl Buckets<'_> {
         let certain = self.left.iter().all(|l| l.is_certain(li as usize));
         certain.then(|| self.index.matches(key(&self.left, li), move |ri| key(&self.right, ri)))
     }
+
+    /// The join predicate's triple for each pair `(lids[p], rids[p])`,
+    /// into `acc`, on a plan that [`ProbeOp::decides_keys`]: each key
+    /// pair's `range_eq` read off the two key lanes by row id
+    /// ([`LaneSlice::and_eq_cells`]), and-ed componentwise — the
+    /// expression the compiled re-check evaluates, in its order.
+    fn key_eq(&self, lids: &[u32], rids: &[u32], acc: &mut Vec<[bool; 3]>) {
+        acc.clear();
+        acc.resize(lids.len(), [true; 3]);
+        for (l, r) in self.left.iter().zip(&self.right) {
+            let typed = l.and_eq_cells(r, lids, rids, acc);
+            assert!(typed, "a probe decides typed-alike keys only");
+        }
+    }
 }
 
 /// The lanes of the key columns `cols`, in key order.
@@ -572,12 +595,13 @@ enum Lanes<'a> {
     /// [`ColumnSet`], until the first op that rewrites or compacts them.
     Borrowed(Vec<LaneSlice<'a>>),
     /// A pair batch before its first projection: row ids into the two
-    /// sides' column sets. A stage gathers the columns it reads; a
-    /// selection compacts the ids, not lanes.
+    /// sides' column sets — borrowed from the enumeration's buffers
+    /// ([`PairBuf`]) until a selection compacts them. A stage gathers the
+    /// columns it reads; a selection compacts the ids, not lanes.
     Pairs {
         right: &'a ColumnSet,
-        lids: Vec<u32>,
-        rids: Vec<u32>,
+        lids: Cow<'a, [u32]>,
+        rids: Cow<'a, [u32]>,
     },
     Owned(Vec<ValueLane>),
 }
@@ -599,6 +623,15 @@ struct InFlight<'a> {
     annots: Vec<AuAnnot>,
     picked: Option<Vec<u32>>,
     poison: Option<(u32, EvalError)>,
+}
+
+/// Keep `v`'s entries at the ascending positions `keep`, in place: a
+/// batch's buffers keep their capacity through its selections.
+fn compact_in_place<T: Copy>(v: &mut Vec<T>, keep: &[u32]) {
+    for (to, &from) in keep.iter().enumerate() {
+        v[to] = v[from as usize];
+    }
+    v.truncate(keep.len());
 }
 
 /// The row at position `pos` failed with `error()`: keep it if it is
@@ -655,8 +688,8 @@ struct ChainStats {
 /// A chain laid out for lane execution: the stages
 /// before the probe run over borrowed source lanes, the probe
 /// enumerates matches as row ids, and the stages after it — the join's
-/// re-check predicate first — run over pair batches. A probe-less chain
-/// is all `pre`.
+/// re-check predicate first, unless the probe decides its typed keys —
+/// run over pair batches. A probe-less chain is all `pre`.
 struct LanePlan<'p> {
     left: Arc<ColumnSet>,
     pre: Vec<&'p Stage>,
@@ -678,7 +711,10 @@ impl<'p> LanePlan<'p> {
     /// `pre`, then a probe of `right` with its compiled re-check, then
     /// `post` over `source`. The column sets are built (or fetched from
     /// the relations' caches) once and shared by every morsel; the
-    /// probe's build is the chain's `chain_build` site.
+    /// probe's build is the chain's `chain_build` site. A probe that
+    /// [`ProbeOp::decides_keys`] leaves the re-check out of `post`: the
+    /// strategy is the data's verdict, so the stage is compiled and
+    /// vetted with the plan all the same.
     fn new(
         source: &AuRelation,
         pre: &'p [Stage],
@@ -699,6 +735,7 @@ impl<'p> LanePlan<'p> {
                 exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
             }
         }
+        let recheck = recheck.filter(|_| !probe.as_ref().is_some_and(ProbeOp::decides_keys));
         LanePlan {
             left,
             pre: pre.iter().collect(),
@@ -801,7 +838,8 @@ impl<'p> LanePlan<'p> {
                     }
                 }
                 let all = keep.len() == nrows;
-                let pick = |ids: &[u32]| keep.iter().map(|&j| ids[j as usize]).collect();
+                let pick =
+                    |ids: &[u32]| Cow::Owned(keep.iter().map(|&j| ids[j as usize]).collect());
                 let next = if st.project {
                     let outs =
                         (0..st.prog.arity()).map(|o| batch.output_lane(&st.prog, o, &slices));
@@ -826,8 +864,8 @@ impl<'p> LanePlan<'p> {
                 fl.lanes = lanes;
             }
             if let Some(keep) = keep {
-                fl.live = keep.iter().map(|&j| fl.live[j as usize]).collect();
-                fl.annots = keep.iter().map(|&j| fl.annots[j as usize]).collect();
+                compact_in_place(&mut fl.live, &keep);
+                compact_in_place(&mut fl.annots, &keep);
                 fl.picked = (!compact).then_some(keep);
             }
         }
@@ -838,7 +876,7 @@ impl<'p> LanePlan<'p> {
     /// survivors already are (see [`ChainOut`]) — no tuple is built here.
     /// `base` is the source row of chunk position 0; `ranks` are a pair
     /// batch's, by batch position.
-    fn deliver(&self, fl: InFlight<'_>, base: usize, ranks: &[u32], out: &mut ChainOut) {
+    fn deliver(&self, fl: &InFlight<'_>, base: usize, ranks: &[u32], out: &mut ChainOut) {
         if fl.annots.is_empty() {
             return;
         }
@@ -859,7 +897,7 @@ impl<'p> LanePlan<'p> {
             // a select-only run: chunk positions are source rows
             _ => out.lids.extend(fl.live.iter().map(|&pos| (base + pos as usize) as u32)),
         }
-        out.annots.extend(fl.annots);
+        out.annots.extend_from_slice(&fl.annots);
     }
 
     /// The chain's whole output as one row list over lanes: the
@@ -916,13 +954,15 @@ impl<'p> LanePlan<'p> {
         exec: &Executor,
         operator: &'static str,
     ) -> Result<(), EvalError> {
-        // one scratch batch per morsel: its poison slots for a full pair
-        // batch are a large allocation, not to be repeated per chunk
+        // one scratch batch and one set of pair buffers per morsel: its
+        // poison slots for a full pair batch are a large allocation, not
+        // to be repeated per chunk
         let (mut batch, mut watermark) = (LaneBatch::default(), out.annots.len());
+        let mut pairs = PairBuf::default();
         for start in range.clone().step_by(GOVERN_ROWS) {
             checkpoint::<AuRow>(exec, operator, out.annots.len(), &mut watermark, 0)?;
             let end = range.end.min(start + GOVERN_ROWS);
-            self.run_chunk(start..end, &mut batch, out, &mut watermark, exec)?;
+            self.run_chunk(start..end, &mut batch, &mut pairs, out, &mut watermark, exec)?;
         }
         Ok(checkpoint::<AuRow>(exec, operator, out.annots.len(), &mut watermark, 0)?)
     }
@@ -932,7 +972,9 @@ impl<'p> LanePlan<'p> {
     /// surviving rows' matches, enumerated as `(left id, right id,
     /// k_l ⊗ k_r)` row by row (hash bucket, then sweep candidates with
     /// their ranks) into [`PAIR_BATCH`]-sized batches that run the
-    /// remaining stages.
+    /// remaining stages. A probe that [`ProbeOp::decides_keys`] settles
+    /// each batch's key triples before those stages run
+    /// ([`PairSink::decide_keys`]).
     ///
     /// Errors surface in row-at-a-time order, as if each source row ran
     /// the whole chain before the next was touched: the earliest
@@ -943,6 +985,7 @@ impl<'p> LanePlan<'p> {
         &self,
         range: std::ops::Range<usize>,
         batch: &mut LaneBatch,
+        pairs: &mut PairBuf,
         out: &mut ChainOut,
         watermark: &mut usize,
         exec: &Executor,
@@ -962,44 +1005,58 @@ impl<'p> LanePlan<'p> {
             return match poison {
                 Some((_, e)) => Err(e),
                 None => {
-                    self.deliver(fl, range.start, &[], out);
+                    self.deliver(&fl, range.start, &[], out);
                     Ok(())
                 }
             };
         };
         let right = &*probe.right;
         let limit = poison.as_ref().map_or(u32::MAX, |(p, _)| *p);
-        let (lids, rids, ranks, annots) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let mut sink =
-            PairSink { plan: self, right, lids, rids, ranks, annots, batch, out, watermark, exec };
-        let unranked = |ri: u32| (ri, NO_RANK);
         let buckets = probe.buckets(&self.left);
+        let decide = buckets.as_ref().filter(|_| probe.decides_keys());
+        let mut sink =
+            PairSink { plan: self, right, decide, buf: pairs, batch, out, watermark, exec };
         for (&pos, &k) in fl.live.iter().zip(&fl.annots).take_while(|(&p, _)| p < limit) {
             let src = range.start + pos as usize;
             if let ProbePlan::NestedLoop = probe.plan {
-                sink.feed(src, k, (0..right.nrows() as u32).map(unranked))?;
+                sink.hits(src as u32, k, 0..right.nrows() as u32)?;
                 continue;
             }
             if let Some(hits) = buckets.as_ref().and_then(|b| b.of(src as u32)) {
-                sink.feed(src, k, hits.map(unranked))?;
+                sink.hits(src as u32, k, hits)?;
             }
             let cand = &probe.cand[probe.cand_offsets[src]..probe.cand_offsets[src + 1]];
-            sink.feed(src, k, cand.iter().copied())?;
+            sink.candidates(src as u32, k, cand)?;
         }
         sink.flush()?;
         poison.map_or(Ok(()), |(_, e)| Err(e))
     }
 }
 
+/// The pending pair batch of a morsel's probe: per pair its ids, its
+/// rank (only on a [`LanePlan::ranked`] chain) and its annotation. The
+/// buffers keep their [`PAIR_BATCH`] capacity from batch to batch.
+#[derive(Default)]
+struct PairBuf {
+    lids: Vec<u32>,
+    rids: Vec<u32>,
+    ranks: Vec<u32>,
+    annots: Vec<AuAnnot>,
+    /// The batch's positions in flight ([`InFlight::live`]).
+    live: Vec<u32>,
+    /// Per pair its key triple, where the probe decides the keys
+    /// ([`Buckets::key_eq`]).
+    keys: Vec<[bool; 3]>,
+}
+
 /// The pair batch a probe chain's enumeration fills and flushes.
 struct PairSink<'r, 'p> {
     plan: &'r LanePlan<'p>,
     right: &'r ColumnSet,
-    lids: Vec<u32>,
-    rids: Vec<u32>,
-    /// Per pending pair its rank — only on a [`LanePlan::ranked`] chain.
-    ranks: Vec<u32>,
-    annots: Vec<AuAnnot>,
+    /// The key lanes, when the probe decides the key equality
+    /// ([`ProbeOp::decides_keys`]).
+    decide: Option<&'r Buckets<'r>>,
+    buf: &'r mut PairBuf,
     batch: &'r mut LaneBatch,
     out: &'r mut ChainOut,
     watermark: &'r mut usize,
@@ -1007,43 +1064,104 @@ struct PairSink<'r, 'p> {
 }
 
 impl<'r, 'p> PairSink<'r, 'p> {
-    /// Append source row `src`'s matches — `(right row, rank)` —
-    /// flushing full batches.
-    fn feed(
+    /// Append source row `src`'s unranked matches — its bucket hits, or
+    /// every right row of a nested loop — flushing full batches.
+    fn hits(
         &mut self,
-        src: usize,
+        src: u32,
         k: AuAnnot,
-        matches: impl Iterator<Item = (u32, u32)>,
+        rids: impl Iterator<Item = u32>,
     ) -> Result<(), EvalError> {
-        for (ri, rank) in matches {
-            self.lids.push(src as u32);
-            self.rids.push(ri);
+        for ri in rids {
+            let b = &mut *self.buf;
+            b.lids.push(src);
+            b.rids.push(ri);
             if self.plan.ranked {
-                self.ranks.push(rank);
+                b.ranks.push(NO_RANK);
             }
-            self.annots.push(k.times(&self.right.annots().get(ri as usize)));
-            if self.lids.len() == PAIR_BATCH {
+            b.annots.push(k.times(&self.right.annots().get(ri as usize)));
+            if b.rids.len() == PAIR_BATCH {
                 self.flush()?;
             }
         }
         Ok(())
     }
 
+    /// Append source row `src`'s sweep candidates `(right row, rank)` a
+    /// batch-room at a time, flushing full batches.
+    fn candidates(
+        &mut self,
+        src: u32,
+        k: AuAnnot,
+        mut cand: &[(u32, u32)],
+    ) -> Result<(), EvalError> {
+        while !cand.is_empty() {
+            let (b, ra) = (&mut *self.buf, self.right.annots());
+            let now;
+            (now, cand) = cand.split_at(cand.len().min(PAIR_BATCH - b.rids.len()));
+            b.rids.extend(now.iter().map(|&(ri, _)| ri));
+            b.lids.resize(b.rids.len(), src);
+            if self.plan.ranked {
+                b.ranks.extend(now.iter().map(|&(_, rank)| rank));
+            }
+            b.annots.extend(now.iter().map(|&(ri, _)| k.times(&ra.get(ri as usize))));
+            if b.rids.len() == PAIR_BATCH {
+                self.flush()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Where the probe decides the keys, multiply each pending pair's
+    /// key triple ([`Buckets::key_eq`]) into its annotation and drop the
+    /// pairs whose keys cannot be equal — what the compiled re-check
+    /// would make of them. A bucket hit's keys are certain and equal, so
+    /// its triple is `(T,T,T)` and its annotation stays `k_l ⊗ k_r`.
+    fn decide_keys(&mut self) {
+        let (Some(keys), b) = (self.decide, &mut *self.buf) else {
+            return;
+        };
+        keys.key_eq(&b.lids, &b.rids, &mut b.keys);
+        let mut all = true;
+        for (a, &[lb, sg, ub]) in b.annots.iter_mut().zip(&b.keys) {
+            *a = a.times(&AuAnnot::from_bool3(lb, sg, ub));
+            all &= ub;
+        }
+        if !all {
+            // `ub` false: false in all worlds
+            b.live.clear();
+            b.live.extend((0..b.keys.len() as u32).filter(|&p| b.keys[p as usize][2]));
+            compact_in_place(&mut b.lids, &b.live);
+            compact_in_place(&mut b.rids, &b.live);
+            compact_in_place(&mut b.annots, &b.live);
+            if self.plan.ranked {
+                compact_in_place(&mut b.ranks, &b.live);
+            }
+        }
+    }
+
     /// Run the post-probe stages over the pending pairs and deliver the
     /// survivors; charge them (`"join-probe"`) and observe cancellation
     /// before the next batch is enumerated.
     fn flush(&mut self) -> Result<(), EvalError> {
-        let n = self.lids.len();
+        let n = self.buf.lids.len();
         if n == 0 {
             return Ok(());
         }
         let (plan, metrics) = (self.plan, self.exec.metrics());
         let started = metrics.is_enabled().then(Instant::now);
-        let (lids, rids) = (std::mem::take(&mut self.lids), std::mem::take(&mut self.rids));
+        self.decide_keys();
+        let buf = &mut *self.buf;
+        buf.live.clear();
+        buf.live.extend(0..buf.lids.len() as u32);
         let mut fl = InFlight {
-            lanes: Lanes::Pairs { right: self.right, lids, rids },
-            live: (0..n as u32).collect(),
-            annots: std::mem::take(&mut self.annots),
+            lanes: Lanes::Pairs {
+                right: self.right,
+                lids: Cow::Borrowed(&buf.lids),
+                rids: Cow::Borrowed(&buf.rids),
+            },
+            live: std::mem::take(&mut buf.live),
+            annots: std::mem::take(&mut buf.annots),
             picked: None,
             poison: None,
         };
@@ -1051,8 +1169,12 @@ impl<'r, 'p> PairSink<'r, 'p> {
         if let Some((_, e)) = fl.poison.take() {
             return Err(e);
         }
-        plan.deliver(fl, 0, &self.ranks, self.out);
-        self.ranks.clear();
+        plan.deliver(&fl, 0, &buf.ranks, self.out);
+        (buf.live, buf.annots) = (fl.live, fl.annots);
+        for ids in [&mut buf.lids, &mut buf.rids, &mut buf.ranks] {
+            ids.clear();
+        }
+        buf.annots.clear();
         if let Some(t) = started {
             metrics.record_ns(Site::ChainProbe, t.elapsed().as_nanos() as u64);
         }
@@ -1079,8 +1201,8 @@ fn in_planner_order(ranks: &[u32]) -> Vec<u32> {
 /// `l ⋈_θ r` as one ordinary probe chain with nothing around it — each
 /// half of a split/compress join ([`crate::opt`]): the probe is built on
 /// `r`'s lanes, `l` splits into morsels over the executor's workers, and the pairs
-/// that pass the re-check come back as enumerated (`lids`, `rids`,
-/// `annots`), with the probe's `keys_typed`.
+/// that pass the re-check (or the probe's own key decision) come back as
+/// enumerated (`lids`, `rids`, `annots`), with the probe's `keys_typed`.
 pub(crate) fn probe_join_pairs(
     l: &AuRelation,
     r: &AuRelation,
@@ -1636,6 +1758,7 @@ fn is_chain(q: &Query) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -1654,5 +1777,39 @@ mod tests {
         assert_eq!(*chain_exec(&lowered).partitioner(), finest);
         let raised = Executor::new(2).with_min_rows_per_worker(1 << 20);
         assert_eq!(*chain_exec(&raised).partitioner(), chain);
+    }
+
+    /// A hash-equi probe over typed-alike keys decides the key equality
+    /// itself: its plan runs no re-check stage over the pair batches. A
+    /// boxed key, a comparison and a nested loop keep the compiled
+    /// re-check as their first post-probe stage; a cross product has none.
+    #[test]
+    fn only_typed_hash_equi_probes_leave_out_the_recheck() {
+        use audb_core::{col, lit, RangeValue, Value};
+        let rel = |cells: Vec<Value>| {
+            let rows = cells.into_iter().map(|v| {
+                let tuple = vec![RangeValue::certain(v.clone()), RangeValue::range(0, 1, 2)];
+                (RangeTuple::new(tuple), AuAnnot::certain_one())
+            });
+            AuRelation::from_rows(Schema::named(&["k", "v"]), rows.collect())
+        };
+        let ints = rel((0..4).map(Value::Int).collect());
+        let mixed = rel(vec![Value::Int(1), Value::str("a"), Value::Int(2)]);
+        let (metrics, tr, exec) = (Metrics::disabled(), TraceBuilder::disabled(), Executor::new(1));
+        let vet = Vet::new(&metrics, &tr);
+        let stages = |pred: Option<Expr>, right: &AuRelation| {
+            let stage = pred.map(|p| Stage::filter(&p, vet).expect("vetted"));
+            let plan =
+                LanePlan::new(&ints, &[], Some((right, stage.as_ref())), &[], None, false, &exec);
+            let decides = plan.probe.as_ref().is_some_and(ProbeOp::decides_keys);
+            (plan.post.len(), decides)
+        };
+        let eq = || Some(col(0).eq(col(2)).and(col(1).eq(col(3))));
+        assert_eq!(stages(eq(), &ints), (0, true), "typed hash-equi");
+        assert_eq!(stages(Some(col(0).eq(col(2))), &mixed), (1, false), "boxed key");
+        assert_eq!(stages(Some(col(0).leq(col(3))), &ints), (1, false), "comparison");
+        let loop_pred = Some(col(0).add(col(1)).leq(lit(3i64)));
+        assert_eq!(stages(loop_pred, &ints), (1, false), "nested loop");
+        assert_eq!(stages(None, &ints), (0, false), "cross product");
     }
 }

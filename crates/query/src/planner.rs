@@ -30,7 +30,8 @@
 //! join's is `det::DetProbe`; [`join_au_planned_exec`] and
 //! [`join_det_planned_exec`] walk what it built and re-check each pair
 //! with the interpreted predicate where the fused chain runs the
-//! compiled one.
+//! compiled one (or, on typed-alike hash keys, reads the key triples
+//! off the key lanes in its probe).
 //!
 //! ### Parallel execution
 //!

@@ -303,3 +303,147 @@ fn int_keys_beyond_f64_precision_join_exactly() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// the fused chain's probe decides typed keys
+// ---------------------------------------------------------------------------
+
+/// `σ_post(l ⋈_pred right)` as one fused chain on the lanes — planned
+/// and run the way `eval_au` runs it, but never degrading to the oracle
+/// ([`common::eval_lanes`]) — at one worker on the production split and
+/// at two on the finest, against the nested loop over `pred ∧ post`: a
+/// selection multiplies its triple into the join's, so both keep the
+/// same pairs with the same annotations. `right` names `l` itself (one
+/// dictionary per key lane pair) or `r`. A γ over the join reads its
+/// pairs un-normalized, in the operator's order (the chain delivers
+/// them by rank): it equals the oracle plan's exactly.
+fn fused_join_matches_nested_loop(
+    l: &AuRelation,
+    r: &AuRelation,
+    right: &str,
+    pred: &Expr,
+    post: &Expr,
+) -> Result<(), TestCaseError> {
+    let mut db = AuDatabase::new();
+    db.insert("l", l.clone());
+    db.insert("r", r.clone());
+    let q = table("l").join_on(table(right), pred.clone()).select(post.clone());
+    let rel = if right == "l" { l } else { r };
+    let reference = nested_loop_join_au(l, rel, Some(&pred.clone().and(post.clone())))
+        .expect("nested loop")
+        .normalized();
+    let mut aggs = vec![AggSpec::count("n")];
+    if l.columns().lane(1).tag() != LaneTag::Str {
+        aggs.push(AggSpec::new(AggFunc::Sum, col(3), "s"));
+    }
+    let grouped = table("l").join_on(table(right), pred.clone()).aggregate(vec![0], aggs);
+    let base = AuConfig::default();
+    let oracle = common::eval_oracle(&db, &grouped, &base).expect("oracle γ");
+    for (workers, split) in [(1, Partitioner::default()), (2, common::FINEST)] {
+        let exec = common::lanes_exec(&base, workers, split);
+        let fused = common::eval_lanes(&db, &q, &base, &exec).expect("fused chain");
+        prop_assert_eq!(
+            fused.normalized(),
+            reference.clone(),
+            "l ⋈ {} on {} then σ {}, {} workers",
+            right,
+            pred,
+            post,
+            workers
+        );
+        let lanes = common::eval_lanes(&db, &grouped, &base, &exec).expect("fused γ input");
+        prop_assert_eq!(&lanes, &oracle, "γ over l ⋈ {} on {}, {} workers", right, pred, workers);
+    }
+    Ok(())
+}
+
+/// Two-column relations of one `kind` whose first column is certain and
+/// whose second is certain or a proper range: over both keys, every
+/// sweep candidate differs from its partner in one key only.
+fn second_key_uncertain(kind: Kind, names: [&'static str; 2]) -> impl Strategy<Value = AuRelation> {
+    let cell = move || prop_oneof![typed_cell(kind, true), typed_cell(kind, false)];
+    let row = move || (typed_cell(kind, true), cell(), (0u64..2, 1u64..3));
+    proptest::collection::vec(row(), 1..8).prop_map(move |rows| {
+        let rows = rows.into_iter().map(|(a, b, (lb, ub))| {
+            (RangeTuple::new(vec![a, b]), AuAnnot::triple(lb, lb.max(1), lb.max(1) + ub))
+        });
+        AuRelation::from_rows(Schema::named(&names), rows.collect())
+    })
+}
+
+/// Two relations of one kind, only their second columns uncertain.
+fn second_key_pair_strategy() -> impl Strategy<Value = (AuRelation, AuRelation)> {
+    let pair = |kind| {
+        (second_key_uncertain(kind, ["a", "b"]), second_key_uncertain(kind, ["c", "d"])).boxed()
+    };
+    prop_oneof![pair(Kind::Int), pair(Kind::Float), pair(Kind::Str)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The predicates of the property above, each as one fused chain
+    /// whose pair batches carry a post-probe σ: on typed-alike keys the
+    /// probe decides the key equality, on two dictionaries (`Str` across
+    /// tables) and on comparisons the compiled re-check runs.
+    #[test]
+    fn fused_join_chain_equals_nested_loop_on_typed_and_string_keys(
+        inputs in typed_pair_strategy(),
+        pred in keyed_predicate_strategy()
+    ) {
+        let (_, l, r) = inputs;
+        for right in ["r", "l"] {
+            fused_join_matches_nested_loop(&l, &r, right, &pred, &col(1).leq(col(3)))?;
+        }
+    }
+
+    /// Two keys, only the second ever uncertain: keyed on the certain
+    /// one first, a candidate is decided by the uncertain second key;
+    /// keyed the other way round, the sweep runs on the uncertain key and
+    /// the certain one drops every candidate it does not equal.
+    #[test]
+    fn fused_join_decides_each_key_of_two(inputs in second_key_pair_strategy()) {
+        let (l, r) = inputs;
+        let (first, second) = (col(0).eq(col(2)), col(1).eq(col(3)));
+        for pred in [first.clone().and(second.clone()), second.and(first)] {
+            for right in ["r", "l"] {
+                fused_join_matches_nested_loop(&l, &r, right, &pred, &col(0).leq(col(3)))?;
+            }
+        }
+    }
+}
+
+/// One left row whose uncertain key overlaps 3 000 certain right keys:
+/// its candidates fill a whole pair batch and split in the middle of the
+/// row. Over two keys the second drops two in three of them, and the
+/// span still counts every enumerated pair.
+#[test]
+fn one_left_row_splits_a_pair_batch() {
+    let row = |k: RangeValue, v: i64| {
+        (RangeTuple::new(vec![k, RangeValue::certain(Value::Int(v))]), AuAnnot::certain_one())
+    };
+    let mut lrows = vec![row(RangeValue::range(0i64, 10, 5000), 1)];
+    lrows.extend((1..5).map(|i| row(RangeValue::certain(Value::Int(i * 7)), i % 3)));
+    let l = AuRelation::from_rows(Schema::named(&["a", "b"]), lrows);
+    let rrows = (0..3000).map(|i| row(RangeValue::certain(Value::Int(i)), i % 3));
+    let r = AuRelation::from_rows(Schema::named(&["c", "d"]), rrows.collect());
+    let mut db = AuDatabase::new();
+    db.insert("l", l.clone());
+    db.insert("r", r.clone());
+    let post = col(1).leq(col(3));
+    for pred in [col(0).eq(col(2)), col(0).eq(col(2)).and(col(1).eq(col(3)))] {
+        let q = table("l").join_on(table("r"), pred.clone()).select(post.clone());
+        let base = AuConfig::default();
+        let exec = common::lanes_exec(&base, 1, Partitioner::default());
+        let (fused, trace) = common::eval_lanes_traced(&db, &q, &base, &exec);
+        let reference = nested_loop_join_au(&l, &r, Some(&pred.clone().and(post.clone())));
+        let reference = reference.unwrap();
+        assert_eq!(fused.unwrap().normalized(), reference.normalized(), "{pred}");
+        let span = trace.find("fused-chain").expect("fused chain span");
+        // every pair is a distinct row: no pair that cannot join is kept
+        assert_eq!(span.rows_out, Some(reference.len() as u64), "{pred}");
+        assert_eq!(span.attr("keys"), Some("typed"), "{pred}");
+        assert_eq!(span.attr("pairs"), Some("3004"), "{pred}: 3 000 candidates, 4 bucket hits");
+        assert_eq!(span.attr("pair_batches"), Some("2"), "{pred}");
+    }
+}

@@ -304,3 +304,69 @@ fn typed_lane_results_bound_sampled_worlds() {
         }
     }
 }
+
+/// `u1`: 40 rows `(ki, kf, v) = (i % 30, (i % 30) / 2, i)`; `u2`: 30 rows
+/// `(ci, cf, w) = (7i % 30, (7i % 30) / 2, i)`. Every key cell on both
+/// sides is a proper range (`lb < ub`) around its value, so every pair of
+/// a join on them is a sweep candidate whose key equality the probe
+/// decides; one row in four has a multiplicity range too.
+fn uncertain_keys_db() -> AuDatabase {
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut table = |names: &[&str], n: i64, key: fn(i64) -> i64| {
+        let rows = (0..n).map(|i| {
+            let (k, lo, hi) = (key(i), rng.gen_range(0..3i64), rng.gen_range(1..3i64));
+            let (f, flo, fhi) = (k as f64 / 2.0, rng.gen_range(0..3) as f64 / 4.0, hi as f64 / 4.0);
+            let cells = vec![
+                RangeValue::range(k - lo, k, k + hi),
+                RangeValue::range(f - flo, f, f + fhi),
+                RangeValue::certain(Value::Int(i)),
+            ];
+            let (lb, ub) = if i % 4 == 0 { (0, 2) } else { (1, 1) };
+            au_row(cells, lb, 1, ub)
+        });
+        AuRelation::from_rows(Schema::named(names), rows.collect())
+    };
+    let mut db = AuDatabase::new();
+    db.insert("u1", table(&["ki", "kf", "v"], 40, |i| i % 30));
+    db.insert("u2", table(&["ci", "cf", "w"], 30, |i| 7 * i % 30));
+    db
+}
+
+/// Joins whose every key is uncertain on both sides — on the `Int` key,
+/// the `Float` key and both — bound sampled worlds under `precise`,
+/// `compressed(8)` and forced `compressed(8)`. Under `precise` each runs
+/// as a fused chain whose probe decides its typed keys (`keys=typed`).
+#[test]
+fn uncertain_join_keys_bound_sampled_worlds() {
+    let db = uncertain_keys_db();
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(8) };
+    let configs = [
+        ("precise", AuConfig::precise()),
+        ("compressed(8)", AuConfig::compressed(8)),
+        ("forced compressed(8)", forced),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x4b45);
+    let worlds: Vec<Database> = (0..WORLDS).map(|_| sample_bounded_world(&db, &mut rng)).collect();
+    let (int_key, float_key) = (col(0).eq(col(3)), col(1).eq(col(4)));
+    let cases = [
+        ("Int keys", int_key.clone()),
+        ("Float keys", float_key.clone()),
+        ("both keys", int_key.and(float_key)),
+    ];
+    for (name, pred) in cases {
+        let q = table("u1").join_on(table("u2"), pred).project(vec![(col(2), "v"), (col(5), "w")]);
+        let (_, trace) = eval_au_traced(&db, &q, &AuConfig::precise()).unwrap();
+        let fused = trace.root.find("fused-chain").expect("fused chain span");
+        assert_eq!(fused.attr("keys"), Some("typed"), "{name}");
+        let wants: Vec<Relation> = worlds.iter().map(|w| eval_det(w, &q).unwrap()).collect();
+        for (c, cfg) in &configs {
+            let au = eval_au(&db, &q, cfg).unwrap_or_else(|e| panic!("{name} under {c}: {e}"));
+            for (w, want) in wants.iter().enumerate() {
+                assert!(
+                    relation_bounds_world(&au, want),
+                    "{name} under {c}: world {w} not bounded\nQ(W) = {want}\nQ(D) = {au}"
+                );
+            }
+        }
+    }
+}
