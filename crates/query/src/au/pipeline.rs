@@ -283,7 +283,7 @@ pub(crate) fn run_governed<R: Send, S>(
 /// What the consumer of an evaluation result depends on — see the
 /// module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Delivery {
+enum Delivery {
     /// Multiset-determined consumer: fused chains deliver normalized.
     Canonical,
     /// List-determined consumer: fused chains deliver the operator
@@ -321,9 +321,8 @@ struct Contract {
 // ---------------------------------------------------------------------------
 
 /// Is the subtree a select-only chain over its anchor (so a probe can
-/// fuse onto it with source row ids intact)? The deterministic engine's
-/// chains ([`crate::det`]) ask the same.
-pub(crate) fn select_only(q: &Query) -> bool {
+/// fuse onto it with source row ids intact)?
+fn select_only(q: &Query) -> bool {
     match q {
         Query::Table(_) => true,
         Query::Select { input, .. } => select_only(input),

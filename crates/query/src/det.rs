@@ -11,30 +11,25 @@
 //! the same relation, byte for byte, for any worker count.
 //!
 //! Every select/project tower runs as one streaming chain
-//! ([`run_chain`]) over its anchor's output: each source row passes
-//! through the stages' [`Expr`]s (`eval_bool` / `eval`, so `And`, `Or`
-//! and `If` short-circuit) and only survivors of the whole tower are
-//! materialized. Under a multiset-determined consumer a join at the
-//! anchor fuses as the chain's probe; otherwise it runs as its operator
-//! ([`planner::join_det_planned_exec`]) and the tower runs over its
-//! output. Breakers (∪, −, δ, γ) run operator-at-a-time on the pool.
-//!
-//! A join has one build side, `DetProbe`: the chain's probe and the join
-//! operator read the same hash index or sweep pairs, and both run on
-//! `run_governed`, which charges the rows a probe emits to the budget as
-//! `join-probe` every `GOVERN_ROWS` — inside one left row's matches too
-//! — and observes cancellation inside a morsel.
+//! ([`run_chain`]) over its anchor's output — a base table, a join or a
+//! breaker: each source row passes through the stages' [`Expr`]s
+//! (`eval_bool` / `eval`, so `And`, `Or` and `If` short-circuit) and
+//! only survivors of the whole tower are materialized. Every other node
+//! runs operator-at-a-time on the pool: a join as its operator
+//! ([`planner::join_det_planned_exec`], one hash index, one comparison
+//! sweep or one nested loop, governed per emitted row as `join-probe`),
+//! and the breakers ∪, −, δ and γ.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
 use audb_core::{EvalError, Expr, Semiring, Value};
 use audb_exec::Executor;
-use audb_storage::{det_key, Database, HashKeyIndex, IntervalIndex, Relation, Schema, Tuple};
+use audb_storage::{Database, Relation, Schema, Tuple};
 
 use crate::algebra::{check_group_by, AggFunc, AggSpec, Query};
-use crate::au::pipeline::{chain_exec, run_governed, select_only, Delivery, Governed};
-use crate::planner::{self, JoinStrategy};
+use crate::au::pipeline::{chain_exec, run_governed, Governed};
+use crate::planner;
 
 /// Evaluate a query over a deterministic database on the default
 /// executor (all available hardware threads).
@@ -47,7 +42,7 @@ pub fn eval_det(db: &Database, q: &Query) -> Result<Relation, EvalError> {
 /// reproduces the serial behavior exactly; any worker count produces a
 /// byte-identical result.
 pub fn eval_det_exec(db: &Database, q: &Query, exec: &Executor) -> Result<Relation, EvalError> {
-    let rel = eval_walk(db, q, exec, Delivery::Canonical)?;
+    let rel = eval_walk(db, q, exec)?;
     Ok(rel.into_owned().into_normalized_with(exec)?)
 }
 
@@ -86,117 +81,25 @@ fn distinct_det(rel: Cow<'_, Relation>, exec: &Executor) -> Result<Relation, Eva
 }
 
 // ---------------------------------------------------------------------------
-// Shard-at-a-time pipelining (the deterministic counterpart of
-// `crate::au::pipeline`; see that module for the delivery contracts)
+// Streaming select/project chains
 // ---------------------------------------------------------------------------
 
 /// The row a det join or chain appends.
 pub(crate) type DetRow = (Tuple, u64);
 
-/// How a det join finds a left row's partners, one arm per
-/// [`JoinStrategy`].
-enum DetMatch {
-    /// Conjunctive equality on canonical keys: the key match *is* the
-    /// predicate, so no pair is re-checked.
-    Hash { lcols: Vec<usize>, rcols: Vec<usize>, index: HashKeyIndex },
-    /// Order comparison: the sweep's candidate `(left, right)` pairs in
-    /// emission order, and the same pairs by left row
-    /// ([`planner::csr_by_left`]); each pair is re-checked.
-    Comparison { pairs: Vec<(u32, u32)>, offsets: Vec<usize>, entries: Vec<(u32, u32)> },
-    /// Cross products and unindexable predicates: every right row,
-    /// re-checked.
-    NestedLoop,
-}
-
-/// A det join's build side, and the one place a det join classifies its
-/// predicate, builds its hash index or runs its sweep. The chain's probe
-/// and [`planner::join_det_planned_exec`] both read it and re-check
-/// [`DetProbe::recheck`] on every candidate pair. It borrows its right
-/// relation.
-pub(crate) struct DetProbe<'r> {
-    right: &'r Relation,
-    on: Option<&'r Expr>,
-    plan: DetMatch,
-}
-
-impl<'r> DetProbe<'r> {
-    pub(crate) fn build(left: &Relation, right: &'r Relation, on: Option<&'r Expr>) -> Self {
-        let plan = match planner::classify_within(on, left.schema.arity(), right.schema.arity()) {
-            JoinStrategy::HashEqui(pairs) => {
-                let (lcols, rcols): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
-                let rkey = |ri: u32| det_key(right.rows()[ri as usize].0.values(), &rcols);
-                let index = HashKeyIndex::build(0..right.len() as u32, rkey);
-                DetMatch::Hash { lcols, rcols, index }
-            }
-            JoinStrategy::IntervalComparison { lo, hi } => {
-                let pairs = planner::comparison_candidates(
-                    lo,
-                    hi,
-                    |c| IntervalIndex::from_det(left.rows(), c),
-                    |c| IntervalIndex::from_det(right.rows(), c),
-                );
-                let (offsets, entries) = planner::csr_by_left(left.len(), &pairs);
-                DetMatch::Comparison { pairs, offsets, entries }
-            }
-            JoinStrategy::NestedLoop => DetMatch::NestedLoop,
-        };
-        DetProbe { right, on, plan }
-    }
-
-    /// The predicate a candidate pair must still pass: none where the
-    /// key match is the predicate.
-    pub(crate) fn recheck(&self) -> Option<&'r Expr> {
-        self.on.filter(|_| !matches!(self.plan, DetMatch::Hash { .. }))
-    }
-
-    /// A comparison plan's candidate pairs, in the planner's emission
-    /// order.
-    pub(crate) fn pairs(&self) -> Option<&[(u32, u32)]> {
-        match &self.plan {
-            DetMatch::Comparison { pairs, .. } => Some(pairs),
-            _ => None,
-        }
-    }
-
-    /// Call `f` on the candidate right rows of left row `li` (values
-    /// `vals`), in order: its hash bucket, its sweep candidates, or every
-    /// right row.
-    pub(crate) fn for_each(
-        &self,
-        li: usize,
-        vals: &[Value],
-        mut f: impl FnMut(&'r DetRow) -> Result<(), EvalError>,
-    ) -> Result<(), EvalError> {
-        let rows = self.right.rows();
-        match &self.plan {
-            DetMatch::Hash { lcols, rcols, index } => {
-                let rkey = |ri: u32| det_key(rows[ri as usize].0.values(), rcols);
-                index.matches(det_key(vals, lcols), rkey).try_for_each(|ri| f(&rows[ri as usize]))
-            }
-            DetMatch::Comparison { offsets, entries, .. } => entries[offsets[li]..offsets[li + 1]]
-                .iter()
-                .try_for_each(|&(ri, _)| f(&rows[ri as usize])),
-            DetMatch::NestedLoop => rows.iter().try_for_each(f),
-        }
-    }
-}
-
-/// A chain stage, borrowed from the query: a predicate, a projection
-/// list, or a join's probe.
+/// A chain stage, borrowed from the query: a predicate or a projection
+/// list.
 enum DetPipeOp<'q> {
     Select(&'q Expr),
     Project(&'q [(Expr, String)]),
-    Probe(DetProbe<'q>),
 }
 
-/// Run one source row (`vals`, multiplicity `k`, at source position
-/// `src`) through `ops`, appending the tower's survivors to `out`. Each
-/// stage that builds a row (a projection, a probe's concatenation) owns
-/// one buffer of `bufs`, reused across the morsel's rows.
+/// Run one source row (`vals`, multiplicity `k`) through `ops`,
+/// appending the tower's survivors to `out`. Each projection owns one
+/// buffer of `bufs`, reused across the morsel's rows.
 fn apply_det(
     ops: &[DetPipeOp<'_>],
     bufs: &mut [Vec<Value>],
-    src: usize,
     vals: &[Value],
     k: u64,
     out: &mut Governed<'_, DetRow>,
@@ -211,148 +114,102 @@ fn apply_det(
             if !p.eval_bool(vals)? {
                 return Ok(());
             }
-            apply_det(rest, rest_bufs, src, vals, k, out)
+            apply_det(rest, rest_bufs, vals, k, out)
         }
         DetPipeOp::Project(exprs) => {
             buf.clear();
             for (e, _) in exprs.iter() {
                 buf.push(e.eval(vals)?);
             }
-            apply_det(rest, rest_bufs, usize::MAX, buf, k, out)
+            apply_det(rest, rest_bufs, buf, k, out)
         }
-        DetPipeOp::Probe(probe) => probe.for_each(src, vals, |(tr, kr)| {
-            buf.clear();
-            buf.extend_from_slice(vals);
-            buf.extend_from_slice(&tr.0);
-            if let Some(p) = probe.recheck() {
-                if !p.eval_bool(buf)? {
-                    return Ok(());
-                }
-            }
-            apply_det(rest, rest_bufs, usize::MAX, buf, k.times(kr), out)
-        }),
     }
 }
 
 /// Run the select/project tower rooted at `q` as one chain over its
 /// anchor, the first node below it that is neither a selection nor a
-/// projection. Under a `Canonical` consumer a join at the anchor fuses
-/// as the chain's probe (a bare join is a probe-only chain): the stages
-/// below it are the select-only chain over its left side, and the probe
-/// borrows the right side the walk returns. Any other anchor — a join
-/// under a `Faithful` consumer included — is evaluated by the walk, and
-/// the tower runs over its output.
-///
-/// The chain runs morsel by morsel: a probe chain pays the single
-/// breaker normalization; a select/project chain reproduces the row
-/// list of its operators exactly (selection preserving normal form), so
-/// its anchor is asked for the chain's own delivery. Row order is the
-/// sequential chain-emission order for any worker count.
+/// projection — a base table, a join or a breaker, which the walk
+/// evaluates. The chain runs morsel by morsel and reproduces the row
+/// list of its operators exactly (selection preserving normal form);
+/// row order is the sequential chain-emission order for any worker
+/// count.
 fn run_chain<'a>(
     db: &'a Database,
     q: &Query,
     exec: &Executor,
-    delivery: Delivery,
 ) -> Result<Cow<'a, Relation>, EvalError> {
-    // collected top-down: the stages above the join, then those below it
-    let (mut above, mut below, mut join, mut names) = (Vec::new(), Vec::new(), None, None);
+    // collected top-down
+    let (mut ops, mut names) = (Vec::new(), None);
     let mut node = q;
     let anchor = loop {
-        let stages = if join.is_some() { &mut below } else { &mut above };
         node = match node {
             Query::Select { input, predicate } => {
-                stages.push(DetPipeOp::Select(predicate));
+                ops.push(DetPipeOp::Select(predicate));
                 input
             }
             Query::Project { input, exprs } => {
                 names.get_or_insert_with(|| exprs.iter().map(|(_, n)| n.clone()).collect());
-                stages.push(DetPipeOp::Project(exprs));
+                ops.push(DetPipeOp::Project(exprs));
                 input
-            }
-            Query::Join { left, right, predicate }
-                if join.is_none() && delivery == Delivery::Canonical =>
-            {
-                join = Some((right, predicate.as_ref()));
-                if !select_only(left) {
-                    break &**left;
-                }
-                left
             }
             _ => break node,
         };
     };
-    let source = eval_walk(db, anchor, exec, delivery)?;
-    let right = match &join {
-        Some((r, _)) => Some(eval_walk(db, r, exec, delivery)?),
-        None => None,
-    };
-    let mut schema = source.schema.clone();
-    let mut ops: Vec<DetPipeOp<'_>> = below.into_iter().rev().collect();
-    if let (Some((_, on)), Some(r)) = (join, &right) {
-        schema = schema.concat(&r.schema);
-        ops.push(DetPipeOp::Probe(DetProbe::build(&source, r, on)));
-    }
-    ops.extend(above.into_iter().rev());
-    let schema = names.map_or(schema, Schema::new);
-    let operator = if right.is_some() { "join-probe" } else { "pipeline-chain" };
+    ops.reverse();
+    let source = eval_walk(db, anchor, exec)?;
+    let schema = names.map_or_else(|| source.schema.clone(), Schema::new);
     let scratch = || vec![Vec::new(); ops.len()];
-    let rows = run_governed(&chain_exec(exec), operator, source.len(), scratch, |bufs, i, out| {
-        let (t, k) = &source.rows()[i];
-        apply_det(&ops, bufs, i, t.values(), *k, out)
-    })?;
+    let rows = run_governed(
+        &chain_exec(exec),
+        "pipeline-chain",
+        source.len(),
+        scratch,
+        |bufs, i, out| {
+            let (t, k) = &source.rows()[i];
+            apply_det(&ops, bufs, t.values(), *k, out)
+        },
+    )?;
     if source.is_normalized() && ops.iter().all(|op| matches!(op, DetPipeOp::Select(_))) {
         return Ok(Cow::Owned(Relation::from_normalized_rows(schema, rows)));
     }
     let mut out = Relation::empty(schema);
     out.append_rows(rows);
-    Ok(Cow::Owned(if right.is_some() { out.into_normalized_with(exec)? } else { out }))
+    Ok(Cow::Owned(out))
 }
 
-/// The one tree walk: a select/project tower, or a join under a
-/// multiset-determined consumer, runs as a chain ([`run_chain`]); every
-/// other node runs its operator. Base tables are borrowed from the
-/// database, only operator outputs are owned, and normal form is
-/// produced only where an operator requires it (difference's and
-/// distinct's left-side merges, on the sort-merge driver).
+/// The one tree walk: a select/project tower runs as a chain
+/// ([`run_chain`]); every other node runs its operator. Base tables are
+/// borrowed from the database, only operator outputs are owned, and
+/// normal form is produced only where an operator requires it
+/// (difference's and distinct's left-side merges, on the sort-merge
+/// driver).
 fn eval_walk<'a>(
     db: &'a Database,
     q: &Query,
     exec: &Executor,
-    delivery: Delivery,
 ) -> Result<Cow<'a, Relation>, EvalError> {
-    let input = |q: &Query, delivery| eval_walk(db, q, exec, delivery);
+    let input = |q: &Query| eval_walk(db, q, exec);
     Ok(Cow::Owned(match q {
         Query::Table(name) => return Ok(Cow::Borrowed(db.get(name)?)),
-        Query::Select { .. } | Query::Project { .. } => return run_chain(db, q, exec, delivery),
-        Query::Join { .. } if delivery == Delivery::Canonical => {
-            return run_chain(db, q, exec, delivery)
-        }
+        Query::Select { .. } | Query::Project { .. } => return run_chain(db, q, exec),
         Query::Join { left, right, predicate } => {
-            // multiset-determined: the strictness of the context carries
-            let (l, r) = (input(left, delivery)?, input(right, delivery)?);
+            let (l, r) = (input(left)?, input(right)?);
             planner::join_det_planned_exec(&l, &r, predicate.as_ref(), exec)?
         }
         Query::Union { left, right } => {
-            // the union list is left ++ right: the context's strictness
-            // carries to both sides
-            let (l, r) = (input(left, delivery)?, input(right, delivery)?);
+            let (l, r) = (input(left)?, input(right)?);
             l.schema.check_union_compatible(&r.schema)?;
             let mut out = l.into_owned();
             out.extend_from(&r);
             out
         }
         Query::Difference { left, right } => {
-            // left is normalized internally, the right feeds commutative
-            // sums: multiset-determined on both sides
-            let l = input(left, Delivery::Canonical)?;
-            let r = input(right, Delivery::Canonical)?;
+            let (l, r) = (input(left)?, input(right)?);
             difference_det(l, &r, exec)?
         }
-        Query::Distinct { input: of } => distinct_det(input(of, Delivery::Canonical)?, exec)?,
+        Query::Distinct { input: of } => distinct_det(input(of)?, exec)?,
         Query::Aggregate { input: of, group_by, aggs } => {
-            // group first-appearance order and float folds depend on the
-            // exact input list
-            let rel = input(of, Delivery::Faithful)?;
+            let rel = input(of)?;
             aggregate_det(&rel, group_by, aggs)?
         }
     }))

@@ -24,14 +24,14 @@
 //!
 //! ### One build side per engine
 //!
-//! The join operators build nothing of their own. An AU join's build
-//! side is the fused chain's `ProbeOp` (classification, key-certainty
-//! partition, hash index and sweeps, all read off column lanes), a det
-//! join's is `det::DetProbe`; [`join_au_planned_exec`] and
-//! [`join_det_planned_exec`] walk what it built and re-check each pair
-//! with the interpreted predicate where the fused chain runs the
-//! compiled one (or, on typed-alike hash keys, reads the key triples
-//! off the key lanes in its probe).
+//! An AU join's build side is the fused chain's `ProbeOp`
+//! (classification, key-certainty partition, hash index and sweeps, all
+//! read off column lanes); [`join_au_planned_exec`] walks what it built
+//! and re-checks each pair with the interpreted predicate where the
+//! fused chain runs the compiled one (or, on typed-alike hash keys, reads
+//! the key triples off the key lanes in its probe). The det engine runs
+//! every join as [`join_det_planned_exec`], which builds its own hash
+//! index or sweep.
 //!
 //! ### Parallel execution
 //!
@@ -48,11 +48,11 @@
 
 use audb_core::{AuAnnot, EvalError, Expr, Semiring};
 use audb_exec::Executor;
-use audb_storage::{AuRelation, IntervalIndex, Relation};
+use audb_storage::{det_key, AuRelation, HashKeyIndex, IntervalIndex, Relation};
 
 use crate::au::pipeline::{run_governed, AuRow, Governed, ProbeOp};
 use crate::au::{lanes_of, nested_loop_join_au_exec};
-use crate::det::{DetProbe, DetRow};
+use crate::det::DetRow;
 
 /// Which input relation a predicate column belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +201,9 @@ pub fn join_au_planned_exec(
 /// `entries[offsets[l]..offsets[l + 1]]` are row `l`'s candidates as
 /// `(right_row, rank)` in the order the pairs list them, `rank` being the
 /// pair's position in `pairs` (one stable counting pass) — what a
-/// `Vec<Vec<_>>` of per-row pushes would hold, without the vectors.
+/// `Vec<Vec<_>>` of per-row pushes would hold, without the vectors. The
+/// fused AU chain's probe (`ProbeOp`) reads it; the det comparison join
+/// walks the pairs themselves.
 pub(crate) fn csr_by_left(nleft: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<(u32, u32)>) {
     let mut offsets = vec![0usize; nleft + 1];
     pairs.iter().for_each(|&(l, _)| offsets[l as usize + 1] += 1);
@@ -245,41 +247,68 @@ pub(crate) fn comparison_candidates(
 }
 
 /// Theta-join over deterministic relations through the planner on an
-/// explicit executor: every join the det engine does not fuse into a
-/// chain as its probe. Its build side is the chain's (`det::DetProbe`),
-/// its re-check the interpreted predicate. A hash or
-/// nested-loop join runs over the left rows, a comparison join over the
-/// sweep's pairs in emission order (γ's float folds read that order).
+/// explicit executor: every join of the det engine. It classifies the
+/// predicate and runs one governed loop: a hash join builds one
+/// `HashKeyIndex` over `det_key` and walks the left rows through it (the
+/// key match *is* the predicate, so no pair is re-checked); a comparison
+/// join walks the sweep's candidate pairs in emission order (γ's float
+/// folds read that order); anything else walks every right row per left
+/// row. Candidate pairs are re-checked with the interpreted predicate.
+/// Any worker count produces a byte-identical result.
 pub fn join_det_planned_exec(
     l: &Relation,
     r: &Relation,
     predicate: Option<&Expr>,
     exec: &Executor,
 ) -> Result<Relation, EvalError> {
-    let probe = DetProbe::build(l, r, predicate);
-    let (recheck, pairs) = (probe.recheck(), probe.pairs());
-    let emit = |rows: &mut Governed<'_, DetRow>, (tl, kl): &DetRow, (tr, kr): &DetRow| {
+    let (lrows, rrows) = (l.rows(), r.rows());
+    let emit = |out: &mut Governed<'_, DetRow>, li: usize, ri: usize, recheck: Option<&Expr>| {
+        let ((tl, kl), (tr, kr)) = (&lrows[li], &rrows[ri]);
         let t = tl.concat(tr);
         if recheck.map_or(Ok(true), |p| p.eval_bool(t.values()))? {
-            rows.push((t, kl.times(kr)))?;
+            out.push((t, kl.times(kr)))?;
         }
         Ok::<(), EvalError>(())
     };
-    let n = pairs.map_or(l.len(), <[_]>::len);
-    let rows = run_governed(
-        exec,
-        "join-probe",
-        n,
-        || (),
-        |_, i, rows| match pairs {
-            Some(pairs) => {
-                emit(rows, &l.rows()[pairs[i].0 as usize], &r.rows()[pairs[i].1 as usize])
-            }
-            None => {
-                probe.for_each(i, l.rows()[i].0.values(), |row_r| emit(rows, &l.rows()[i], row_r))
-            }
-        },
-    )?;
+    let rows = match classify_within(predicate, l.schema.arity(), r.schema.arity()) {
+        JoinStrategy::HashEqui(pairs) => {
+            let (lcols, rcols): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+            let rkey = |ri: u32| det_key(rrows[ri as usize].0.values(), &rcols);
+            let index = HashKeyIndex::build(0..r.len() as u32, rkey);
+            run_governed(
+                exec,
+                "join-probe",
+                l.len(),
+                || (),
+                |_, li, out| {
+                    let key = det_key(lrows[li].0.values(), &lcols);
+                    index.matches(key, rkey).try_for_each(|ri| emit(out, li, ri as usize, None))
+                },
+            )?
+        }
+        JoinStrategy::IntervalComparison { lo, hi } => {
+            let pairs = comparison_candidates(
+                lo,
+                hi,
+                |c| IntervalIndex::from_det(lrows, c),
+                |c| IntervalIndex::from_det(rrows, c),
+            );
+            run_governed(
+                exec,
+                "join-probe",
+                pairs.len(),
+                || (),
+                |_, i, out| emit(out, pairs[i].0 as usize, pairs[i].1 as usize, predicate),
+            )?
+        }
+        JoinStrategy::NestedLoop => run_governed(
+            exec,
+            "join-probe",
+            l.len(),
+            || (),
+            |_, li, out| (0..r.len()).try_for_each(|ri| emit(out, li, ri, predicate)),
+        )?,
+    };
     let mut out = Relation::empty(l.schema.concat(&r.schema));
     out.append_rows(rows);
     Ok(out)

@@ -406,6 +406,42 @@ fn pipeline_queries() -> Vec<Query> {
     ]
 }
 
+/// Every det join strategy — hash, comparison sweep, nested loop — with
+/// a σ/π tower below it on both sides and one above it, under each
+/// multiset-determined consumer (the root, ∪, −, δ) and under γ, which
+/// reads the join's exact row list.
+fn det_join_queries() -> Vec<Query> {
+    let below_l = || {
+        table("t1")
+            .select(col(1).geq(lit(-3i64)))
+            .project(vec![(col(0), "a"), (col(1).add(lit(1i64)), "b")])
+    };
+    let below_r = || table("t2").select(col(0).neq(lit(2i64)));
+    let above = |j: Query| {
+        j.select(col(1).leq(col(3).add(lit(4i64))))
+            .project(vec![(col(0).add(col(3)), "A"), (col(1), "B")])
+    };
+    let strategies =
+        [col(0).eq(col(2)), col(1).lt(col(3)), col(0).leq(col(2)).and(col(1).geq(col(3)))];
+    strategies
+        .into_iter()
+        .flat_map(|on| {
+            let q = above(below_l().join_on(below_r(), on));
+            [
+                q.clone(),
+                q.clone().union(table("t1").select(col(0).gt(lit(0i64)))),
+                table("t1").difference(q.clone()),
+                q.clone().difference(table("t2")),
+                q.clone().distinct(),
+                q.aggregate(
+                    vec![1],
+                    vec![AggSpec::new(AggFunc::Sum, col(0), "s"), AggSpec::count("c")],
+                ),
+            ]
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -470,10 +506,10 @@ proptest! {
         }
     }
 
-    /// The deterministic engine's chains (streaming, interpreted) are
-    /// worker-invariant: on any worker count they equal the same
-    /// engine's sequential run, on the same query shapes. The det engine
-    /// has no second path to compare with.
+    /// The deterministic engine's chains (streaming, interpreted) and
+    /// joins are worker-invariant: on any worker count they equal the
+    /// same engine's sequential run, on the same query shapes and on
+    /// every join strategy under every consumer.
     #[test]
     fn det_chains_are_worker_invariant(
         t1 in au_relation_strategy("A", "B", 14),
@@ -482,7 +518,7 @@ proptest! {
         let mut db = Database::new();
         db.insert("t1", t1.sg_world());
         db.insert("t2", t2.sg_world());
-        for q in pipeline_queries() {
+        for q in pipeline_queries().into_iter().chain(det_join_queries()) {
             let reference = eval_det_exec(&db, &q, &exec(1)).unwrap();
             for w in WORKERS {
                 let got = eval_det_exec(&db, &q, &exec(w)).unwrap();
@@ -491,7 +527,31 @@ proptest! {
         }
     }
 
-    /// Theorem 8 on a fused spine: `Dec(rewr(Q)(Enc(D)))` on the plain
+    /// The det engine against an independent engine: on certain data
+    /// every det result — each join strategy under the root, ∪, −, δ
+    /// and γ, and the pipeline shapes — equals the selected-guess world
+    /// of the AU engine's lanes plan over the same data, at one and
+    /// three det workers.
+    #[test]
+    fn det_results_equal_the_au_engines_sg_world(
+        t1 in au_relation_strategy("A", "B", 14),
+        t2 in au_relation_strategy("C", "D", 14),
+    ) {
+        let mut db = Database::new();
+        db.insert("t1", t1.sg_world());
+        db.insert("t2", t2.sg_world());
+        let au = AuDatabase::from_certain(&db);
+        let cfg = AuConfig::default();
+        for q in det_join_queries().into_iter().chain(pipeline_queries()) {
+            let sg = eval_lanes(&au, &q, &cfg, &cfg.executor()).unwrap().sg_world();
+            for w in [1, 3] {
+                let got = eval_det_exec(&db, &q, &exec(w)).unwrap();
+                prop_assert_eq!(&got, &sg, "workers = {}, q = {}", w, &q);
+            }
+        }
+    }
+
+    /// Theorem 8 on a select-join-project spine: `Dec(rewr(Q)(Enc(D)))` on the plain
     /// deterministic engine equals native AU evaluation.
     #[test]
     fn rewrite_spine_equals_native_au(
@@ -571,17 +631,23 @@ proptest! {
     }
 }
 
-/// The spines of the two real-size tests below, over `t1(A, B)` of
-/// 3 584 rows — 3 328 of which survive the selection: three chain
-/// morsels on the default split at any worker count — and a 40-row
-/// `t2(C, D)`: every probe plan, over a select-only left side continued
-/// in place (sweep candidates keyed by source row id across morsel
-/// seams) and over a projected one (a chain of its own under the probe
-/// chain). Each with the number of staged chains it runs as.
-fn seam_spines() -> Vec<(Query, u64)> {
+/// The left sides of [`seam_spines`], over `t1(A, B)` of 3 584 rows —
+/// 3 328 of which survive the selection: three chain morsels on the
+/// default split at any worker count — a select-only one and a projected
+/// one, each with the number of staged AU chains a spine over it runs
+/// as.
+fn seam_lefts() -> [(Query, u64); 2] {
     let kept = table("t1").select(col(1).geq(lit(256i64)));
-    let lefts =
-        [(kept.clone(), 1), (kept.project(vec![(col(0).add(lit(1i64)), "A"), (col(1), "B")]), 2)];
+    [(kept.clone(), 1), (kept.project(vec![(col(0).add(lit(1i64)), "A"), (col(1), "B")]), 2)]
+}
+
+/// The spines of the two real-size tests below, over [`seam_lefts`] and
+/// a 40-row `t2(C, D)`: every probe plan, over a select-only left side
+/// continued in place (sweep candidates keyed by source row id across
+/// morsel seams) and over a projected one (a chain of its own under the
+/// probe chain). Each with the number of staged chains it runs as.
+fn seam_spines() -> Vec<(Query, u64)> {
+    let lefts = seam_lefts();
     let probes = [
         col(0).eq(col(2)),                  // hash (+ sweeps over uncertain keys)
         col(1).lt(col(3)),                  // interval comparison
@@ -596,7 +662,9 @@ fn seam_spines() -> Vec<(Query, u64)> {
 
 /// The deterministic engine's chains across the default split's seams
 /// are worker-invariant: at one, two and four workers they equal the
-/// same engine's sequential run, three morsels a chain.
+/// same engine's sequential run. Each left side is one chain of three
+/// morsels (exactly three at one worker), under the join operator and
+/// the chain above it.
 #[test]
 fn det_seam_chains_are_worker_invariant() {
     let it = |vs: &[i64]| -> Tuple { vs.iter().copied().collect() };
@@ -605,19 +673,28 @@ fn det_seam_chains_are_worker_invariant() {
     let mut db = Database::new();
     db.insert("t1", Relation::from_rows(Schema::named(&["A", "B"]), t1.collect()));
     db.insert("t2", Relation::from_rows(Schema::named(&["C", "D"]), t2.collect()));
-    for (q, chains) in seam_spines() {
+    let counts = |q: &Query, w: usize| {
+        let exec = Executor::new(w).with_metrics(Metrics::enabled());
+        let out = eval_det_exec(&db, q, &exec).unwrap();
+        let m = exec.metrics().snapshot();
+        let count = |c| m.counter(c).unwrap();
+        (out, count("drivers_entered"), count("morsels_dispatched"))
+    };
+    for (left, _) in seam_lefts() {
+        // three morsels, and one for the root's normalization of the
+        // projected side
+        let (_, drivers, morsels) = counts(&left, 1);
+        assert_eq!(morsels, drivers + 2, "q = {left}: {morsels}/{drivers}");
+    }
+    for (q, _) in seam_spines() {
         let reference = eval_det_exec(&db, &q, &Executor::sequential()).unwrap();
         assert!(!reference.is_empty(), "q = {q}");
         for w in [1, 2, 4] {
-            let exec = Executor::new(w).with_metrics(Metrics::enabled());
-            assert_eq!(eval_det_exec(&db, &q, &exec).unwrap(), reference, "w = {w}, q = {q}");
-            let m = exec.metrics().snapshot();
-            let count = |c| m.counter(c).unwrap();
-            // three morsels a chain, where any other driver is at least
-            // one — at one worker exactly one: the breaker's normalization
-            let (drivers, morsels) = (count("drivers_entered"), count("morsels_dispatched"));
-            assert!(morsels >= drivers + 2 * chains, "w = {w}, q = {q}: {morsels}/{drivers}");
-            assert!(w > 1 || morsels == 3 * chains + 1, "q = {q}: {morsels} morsels");
+            let (out, drivers, morsels) = counts(&q, w);
+            assert_eq!(out, reference, "w = {w}, q = {q}");
+            // the left chain's three morsels, where any other driver is
+            // at least one
+            assert!(morsels >= drivers + 2, "w = {w}, q = {q}: {morsels}/{drivers}");
         }
     }
 }
@@ -1443,12 +1520,12 @@ fn byte_budget_trips() {
     }
 }
 
-/// The det engine's two paths govern a join alike: the chain's probe
-/// (a join under a multiset-determined consumer) and the join operator
-/// (under γ, which reads the exact row list) both charge the rows a
-/// probe emits to `join-probe` as it emits them, so the budget trips
-/// long before the 9 216-row expansion is built, and both observe the
-/// deadline and cancellation.
+/// A det join is governed alike under every consumer: at the root (a
+/// multiset-determined consumer) and under γ (which reads the exact row
+/// list), the join operator charges
+/// the rows it emits to `join-probe` as it emits them, so the budget
+/// trips long before the 9 216-row expansion is built, and it observes
+/// the deadline and cancellation.
 #[test]
 fn det_join_governance_matches_across_paths() {
     let db = expanding_db(96).sg_world();
@@ -1485,9 +1562,10 @@ fn det_join_governance_matches_across_paths() {
 
 /// One left row's expansion is governed too. `t1`'s one row meets all
 /// 10 000 rows of `t2` — as one hash bucket, or as one row's sweep
-/// candidates — and every entry point of both engines (fused chain,
-/// oracle plan, join operator) trips a 64-row budget at `join-probe`
-/// within one pair batch, not after the row's whole expansion.
+/// candidates — and every entry point of both engines (the AU fused
+/// chain and oracle plan, the det walk, each engine's join operator)
+/// trips a 64-row budget at `join-probe` within one pair batch, not
+/// after the row's whole expansion.
 #[test]
 fn one_left_rows_expansion_is_governed_on_every_path() {
     let mut au = AuDatabase::new();

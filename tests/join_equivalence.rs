@@ -269,8 +269,8 @@ fn det_planned_paths_match_obfuscated_fallback() {
 
 /// `Int` join keys compare as integers, never as their `f64` casts:
 /// `2^53` and `2^53 + 1` share a cast (and a hash bucket) but no value,
-/// so their equi-join is empty on the deterministic engine (as the
-/// chain's probe and as the join operator under γ) and in the AU
+/// so their equi-join is empty on the deterministic engine (at the root
+/// and under γ) and in the AU
 /// engine's SG world — what the `≤ ∧ ≥` form of the same join, which no
 /// hash index serves, returns. `Int 2` still meets `Float 2.0`.
 #[test]

@@ -13,7 +13,9 @@
 //! worlds. The serving engine is checked the same way: a few cases served
 //! cold, warm and after a mid-run `publish`. A third suite runs over a
 //! `Float` / `Str` / `Int` relation, so that chains, probes, breakers and
-//! γ read typed `Float`, dictionary-coded `Str` and `Bool` lanes.
+//! γ read typed `Float`, dictionary-coded `Str` and `Bool` lanes. A
+//! fourth runs TPC-H Q1/Q3/Q5/Q7/Q10 over an uncertain x-DB, against
+//! worlds of the x-DB itself.
 //!
 //! Float `sum`s are left out: the AU engine and the det engine add a
 //! float column up in different orders, and a bound can miss the world's
@@ -293,6 +295,64 @@ fn typed_lane_results_bound_sampled_worlds() {
         (0..TYPED_WORLDS).map(|_| sample_bounded_world(&db, &mut rng)).collect();
     for (name, q) in typed_cases() {
         let wants: Vec<Relation> = worlds.iter().map(|w| eval_det(w, &q).unwrap()).collect();
+        for (c, cfg) in &configs {
+            let au = eval_au(&db, &q, cfg).unwrap_or_else(|e| panic!("{name} under {c}: {e}"));
+            for (w, want) in wants.iter().enumerate() {
+                assert!(
+                    relation_bounds_world(&au, want),
+                    "{name} under {c}: world {w} not bounded\nQ(W) = {want}\nQ(D) = {au}"
+                );
+            }
+        }
+    }
+}
+
+/// TPC-H Q1/Q3/Q5/Q7/Q10, each under a projection that keeps every
+/// output column but the `sum`s and `avg`s over a `Float` input
+/// (`l_extendedprice`, `l_discount`): those miss sampled worlds by an
+/// ULP until float sums are rounded once (ROADMAP item 21), which adds
+/// them back. Q1 keeps its `Int` `sum` / `avg` and its count.
+fn tpch_exact_columns() -> Vec<(&'static str, Query)> {
+    use audb::workloads::tpch::{q1, q10, q3, q5, q7};
+    let keep = |q: Query, cols: &[(usize, &str)]| {
+        q.project(cols.iter().map(|&(c, name)| (col(c), name)).collect())
+    };
+    vec![
+        (
+            "Q1",
+            keep(q1(), &[(0, "rf"), (1, "ls"), (2, "sum_qty"), (5, "avg_qty"), (7, "count_order")]),
+        ),
+        ("Q3", keep(q3(), &[(0, "o_key"), (1, "o_orderdate"), (2, "o_shippriority")])),
+        ("Q5", keep(q5(), &[(0, "n_name")])),
+        ("Q7", keep(q7(), &[(0, "supp_nation"), (1, "cust_nation")])),
+        ("Q10", keep(q10(), &[(0, "c_key")])),
+    ]
+}
+
+/// The TPC-H queries bound worlds of the x-DB they run over: `gen_tpch`
+/// at test scale with 2 % of the fact tables' cells uncertain
+/// (`inject_uncertainty`), its AU-DB (`XDb::to_au`) evaluated under
+/// `precise`, `compressed(8)` and forced `compressed(8)`, and worlds
+/// drawn from the x-DB itself (`XDb::sample_world`), so the translation
+/// into an AU-DB is checked too. Each world's `Q(W)` is the det engine's,
+/// whose joins (up to six per query) run as its join operator.
+#[test]
+fn tpch_results_bound_sampled_worlds() {
+    use audb::workloads::{gen_tpch, inject_uncertainty, TpchConfig};
+    const TPCH_WORLDS: usize = 12;
+    let xdb = inject_uncertainty(&gen_tpch(TpchConfig::new(0.5, 7)), 0.02, 3, 8);
+    let db = xdb.to_au();
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(8) };
+    let configs = [
+        ("precise", AuConfig::precise()),
+        ("compressed(8)", AuConfig::compressed(8)),
+        ("forced compressed(8)", forced),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x7c4);
+    let worlds: Vec<Database> = (0..TPCH_WORLDS).map(|_| xdb.sample_world(&mut rng)).collect();
+    for (name, q) in tpch_exact_columns() {
+        let wants: Vec<Relation> = worlds.iter().map(|w| eval_det(w, &q).unwrap()).collect();
+        assert!(wants.iter().any(|w| !w.is_empty()), "{name} is empty in every world");
         for (c, cfg) in &configs {
             let au = eval_au(&db, &q, cfg).unwrap_or_else(|e| panic!("{name} under {c}: {e}"));
             for (w, want) in wants.iter().enumerate() {

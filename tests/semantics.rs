@@ -294,7 +294,7 @@ fn assert_sgw_preserved(db: &AuDatabase, q: &Query, expect: &[u64]) {
 #[test]
 fn sgqp_saturates_multiplicities_like_the_au_engine() {
     let db = big_db(&[("l", 1 << 40), ("r", 1 << 40), ("h", 1 << 63), ("s", 5)]);
-    // products: the chain probe and the join operator, per plan
+    // products: the join operator on each plan, alone and at the root
     let hash = col(0).eq(col(1));
     let comparison = col(0).leq(col(1));
     let nested_loop = col(0).add(col(1)).eq(lit(2i64));
