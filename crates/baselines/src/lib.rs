@@ -25,5 +25,5 @@ pub use det::run_sgqp;
 pub use libkin::{eval_libkin, xrelation_to_vtable, VDatabase};
 pub use maybms::{alternative_expansion, run_maybms};
 pub use mcdb::{run_mcdb, McdbResult};
-pub use symb::{for_each_world, run_symb, SymbBounds};
+pub use symb::{run_symb, SymbBounds};
 pub use trio::{eval_trio, trio_aggregate, trio_aggregate_chain, TrioRelation};

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use audb_core::{EvalError, Value};
 use audb_incomplete::XDb;
 use audb_query::{eval_det, Query};
-use audb_storage::{Database, Relation, Tuple};
+use audb_storage::Tuple;
 
 /// Exact per-key bounds of a query result across all worlds of an
 /// x-database: rows keyed by `key_cols`, bounds over `val_col`.
@@ -34,9 +34,9 @@ pub fn run_symb(
 ) -> Result<Option<SymbBounds>, EvalError> {
     let mut per_key: BTreeMap<Tuple, (Value, Value, u64)> = BTreeMap::new();
     let mut world_count = 0u64;
-    let complete = for_each_world(xdb, max_worlds, |world| {
+    let complete = xdb.for_each_world(max_worlds, |world| {
         world_count += 1;
-        let res = eval_det(world, q)?;
+        let res = eval_det(&world, q)?;
         for (t, _) in res.rows() {
             let key = t.project(key_cols);
             let v = t.0[val_col].clone();
@@ -55,84 +55,6 @@ pub fn run_symb(
         return Ok(None);
     }
     Ok(Some(SymbBounds { per_key, world_count }))
-}
-
-/// Enumerate the worlds of an x-database one at a time (odometer over
-/// the per-x-tuple choices), without materializing the set. Returns
-/// `false` if the enumeration was cut off by `max_worlds`.
-pub fn for_each_world(
-    xdb: &XDb,
-    max_worlds: u64,
-    mut f: impl FnMut(&Database) -> Result<(), EvalError>,
-) -> Result<bool, EvalError> {
-    // flatten choices: (relation index, xtuple index) → #options
-    struct Slot {
-        rel: usize,
-        xt: usize,
-        options: usize, // alternatives (+1 when optional, encoded as last)
-        optional: bool,
-    }
-    let mut slots = Vec::new();
-    let mut total: u64 = 1;
-    for (ri, (_, rel)) in xdb.relations.iter().enumerate() {
-        for (xi, xt) in rel.xtuples.iter().enumerate() {
-            let opts = xt.alternatives.len() + xt.is_optional() as usize;
-            if opts > 1 {
-                total = total.saturating_mul(opts as u64);
-                if total > max_worlds {
-                    return Ok(false);
-                }
-                slots.push(Slot { rel: ri, xt: xi, options: opts, optional: xt.is_optional() });
-            }
-        }
-    }
-
-    let mut idx = vec![0usize; slots.len()];
-    loop {
-        // build the world for the current odometer state
-        let mut db = Database::new();
-        for (ri, (name, rel)) in xdb.relations.iter().enumerate() {
-            let mut rows = Vec::new();
-            for (xi, xt) in rel.xtuples.iter().enumerate() {
-                let choice = match slots.iter().position(|s| s.rel == ri && s.xt == xi) {
-                    Some(si) => {
-                        let c = idx[si];
-                        if slots[si].optional && c == slots[si].options - 1 {
-                            None // absent
-                        } else {
-                            Some(c)
-                        }
-                    }
-                    None => {
-                        if xt.is_optional() {
-                            None
-                        } else {
-                            Some(0)
-                        }
-                    }
-                };
-                if let Some(c) = choice {
-                    rows.push((xt.alternatives[c].0.clone(), 1u64));
-                }
-            }
-            db.insert(name.clone(), Relation::from_rows(rel.schema.clone(), rows));
-        }
-        f(&db)?;
-
-        // advance the odometer
-        let mut i = 0;
-        loop {
-            if i == slots.len() {
-                return Ok(true);
-            }
-            idx[i] += 1;
-            if idx[i] < slots[i].options {
-                break;
-            }
-            idx[i] = 0;
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,11 +89,12 @@ mod tests {
     fn world_enumeration_count() {
         let db = xdb();
         let mut count = 0;
-        let done = for_each_world(&db, 100, |_| {
-            count += 1;
-            Ok(())
-        })
-        .unwrap();
+        let done = db
+            .for_each_world(100, |_| {
+                count += 1;
+                Ok(())
+            })
+            .unwrap();
         assert!(done);
         assert_eq!(count, 2 * 2); // 2 alternatives × (present/absent)
     }

@@ -87,6 +87,7 @@ pub fn make_uncertain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::xdb::XDb;
     use audb_core::Value;
     use audb_storage::Schema;
 
@@ -139,9 +140,10 @@ mod tests {
 
     #[test]
     fn repairs_enumerate_worlds() {
-        let x = key_repair_lens(&dirty(), &[0]);
-        let worlds = x.worlds(100).unwrap();
-        assert_eq!(worlds.len(), 2 * 3);
+        let mut db = XDb::default();
+        db.insert("r", key_repair_lens(&dirty(), &[0]));
+        let inc = db.to_incomplete(100).unwrap();
+        assert_eq!(inc.worlds.len(), 2 * 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `trans_X` (Theorem 10) translates them into AU-DBs with one range
 //! tuple per x-tuple. PDBench-style uncertainty injection produces x-DBs.
 
-use audb_core::{AuAnnot, RangeValue};
+use audb_core::{AuAnnot, EvalError, RangeValue};
 use audb_storage::{AuDatabase, AuRelation, Database, RangeTuple, Relation, Schema, Tuple};
 
 use crate::worlds::IncompleteDb;
@@ -92,36 +92,6 @@ impl XRelation {
         )
     }
 
-    /// Enumerate possible worlds (choices per x-tuple, + absent when
-    /// optional). `None` when more than `max_worlds`.
-    pub fn worlds(&self, max_worlds: usize) -> Option<Vec<Relation>> {
-        let mut worlds: Vec<Vec<(Tuple, u64)>> = vec![Vec::new()];
-        for x in &self.xtuples {
-            let mut options: Vec<Option<&Tuple>> =
-                x.alternatives.iter().map(|(t, _)| Some(t)).collect();
-            if x.is_optional() {
-                options.push(None);
-            }
-            let mut next = Vec::with_capacity(worlds.len() * options.len());
-            for w in &worlds {
-                for opt in &options {
-                    let mut w2 = w.clone();
-                    if let Some(t) = opt {
-                        w2.push(((*t).clone(), 1));
-                    }
-                    next.push(w2);
-                }
-            }
-            if next.len() > max_worlds {
-                return None;
-            }
-            worlds = next;
-        }
-        Some(
-            worlds.into_iter().map(|rows| Relation::from_rows(self.schema.clone(), rows)).collect(),
-        )
-    }
-
     /// `trans_X` (Section 11.2): one AU tuple per x-tuple; attribute
     /// ranges cover all alternatives; SG values from `pickMax`.
     pub fn to_au(&self) -> AuRelation {
@@ -177,24 +147,52 @@ impl XDb {
         db
     }
 
-    /// Explicit possible worlds (test-sized only).
-    pub fn to_incomplete(&self, max_worlds: usize) -> Option<IncompleteDb> {
-        let mut worlds: Vec<Database> = vec![Database::new()];
-        for (name, rel) in &self.relations {
-            let rel_worlds = rel.worlds(max_worlds)?;
-            let mut next = Vec::with_capacity(worlds.len() * rel_worlds.len());
-            for w in &worlds {
-                for rw in &rel_worlds {
-                    let mut db = w.clone();
-                    db.insert(name.clone(), rw.clone());
-                    next.push(db);
-                }
-            }
-            if next.len() > max_worlds {
-                return None;
-            }
-            worlds = next;
+    /// Enumerate the possible worlds one at a time, without
+    /// materializing the set: an odometer with one digit per x-tuple
+    /// (its alternatives in order, then "absent" when it is optional),
+    /// the last x-tuple of the last relation turning fastest. Returns
+    /// `Ok(false)` without calling `f` when there are more than
+    /// `max_worlds` worlds.
+    pub fn for_each_world(
+        &self,
+        max_worlds: u64,
+        mut f: impl FnMut(Database) -> Result<(), EvalError>,
+    ) -> Result<bool, EvalError> {
+        let radix: Vec<usize> = (self.relations.iter().flat_map(|(_, rel)| &rel.xtuples))
+            .map(|x| x.alternatives.len() + x.is_optional() as usize)
+            .collect();
+        let total = radix.iter().try_fold(1u64, |n, &r| n.checked_mul(r as u64));
+        if total.is_none_or(|n| n > max_worlds) {
+            return Ok(false);
         }
+        let mut digit = vec![0usize; radix.len()];
+        loop {
+            let mut digits = digit.iter();
+            let mut db = Database::new();
+            for (name, rel) in &self.relations {
+                let rows = (rel.xtuples.iter().zip(&mut digits))
+                    .filter_map(|(x, &c)| x.alternatives.get(c).map(|(t, _)| (t.clone(), 1)))
+                    .collect();
+                db.insert(name.clone(), Relation::from_rows(rel.schema.clone(), rows));
+            }
+            f(db)?;
+            let Some(i) = (0..radix.len()).rev().find(|&i| digit[i] + 1 < radix[i]) else {
+                return Ok(true);
+            };
+            digit[i] += 1;
+            digit[i + 1..].fill(0);
+        }
+    }
+
+    /// Explicit possible worlds (test-sized only), in
+    /// [`Self::for_each_world`]'s order.
+    pub fn to_incomplete(&self, max_worlds: usize) -> Option<IncompleteDb> {
+        let mut worlds = Vec::new();
+        let complete = self.for_each_world(max_worlds as u64, |w| {
+            worlds.push(w);
+            Ok(())
+        });
+        let Ok(true) = complete else { return None };
         let sg = self.sg_world().normalized();
         let sg_index = worlds.iter().position(|w| w.normalized() == sg)?;
         Some(IncompleteDb::new(worlds, sg_index))

@@ -6,7 +6,7 @@
 use std::fmt;
 
 use audb_core::{EvalError, Expr};
-use audb_storage::{AuDatabase, Database, Schema, UaDatabase};
+use audb_storage::{AuDatabase, Database, Schema};
 
 /// Aggregation functions. `Avg` is derived from `Sum`/`Count` exactly as
 /// in Section 10.2; `Count` is `count(*)` (multiplicity-weighted).
@@ -240,12 +240,6 @@ impl Catalog for Database {
 }
 
 impl Catalog for AuDatabase {
-    fn table_schema(&self, name: &str) -> Result<Schema, EvalError> {
-        Ok(self.get(name)?.schema.clone())
-    }
-}
-
-impl Catalog for UaDatabase {
     fn table_schema(&self, name: &str) -> Result<Schema, EvalError> {
         Ok(self.get(name)?.schema.clone())
     }

@@ -1,153 +1,111 @@
-//! Query evaluation over UA-DBs (Section 3.3, [Feng et al. 2019]) —
-//! the baseline model AU-DBs extend. `RA+` preserves UA bounds; set
-//! difference is *not* supported (no upper bound on possible answers);
-//! aggregation degrades to SGW results with no certain annotations, as
-//! discussed in the paper's Section 12.3.
+//! Query evaluation over UA-DBs (Section 3.3, [Feng et al. 2019]) — the
+//! baseline model AU-DBs extend — as two runs of the det reference.
+//!
+//! `N_UA` is `N × N` with pointwise `+` and `·`, so both projections
+//! `N_UA → N` (to the certain and to the SG multiplicity) are semiring
+//! homomorphisms, and `RA+` over K-relations commutes with semiring
+//! homomorphisms (Green, Karvounarakis, Tannen, PODS 2007). A UA query
+//! is therefore [`eval_det`] over the certain world (every tuple at its
+//! certain multiplicity) zipped with [`eval_det`] over the SG world.
+//! `δ` maps each component's non-zero multiplicities to 1, so it
+//! commutes too.
+//!
+//! `γ`: aggregation has no certain answers over UA-DBs (the paper's
+//! Section 12.3). It runs on the SG world only; on the certain side it
+//! is the empty relation (`σ_false(γ)`), which `σ`, `π`, `δ` and `⋈`
+//! keep empty and `∪` drops, so a certain-side plan never evaluates one.
+//!
+//! `−` is refused (`Unsupported`) before anything runs: a non-monotone
+//! query needs an upper bound on possible answers, which a UA-DB does
+//! not have.
 
-use std::collections::HashMap;
-
-use audb_core::{EvalError, Semiring, UaAnnot, Value};
-use audb_storage::{Schema, Tuple, UaDatabase, UaRelation};
+use audb_core::{EvalError, UaAnnot};
+use audb_storage::{Database, Relation, UaDatabase, UaRelation};
 
 use crate::algebra::Query;
-use crate::det;
+use crate::det::eval_det;
 
 /// Evaluate a query over a UA-database.
 pub fn eval_ua(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
-    Ok(eval_walk(db, q)?.normalized_rel())
-}
-
-trait NormalizedExt {
-    fn normalized_rel(self) -> UaRelation;
-}
-impl NormalizedExt for UaRelation {
-    fn normalized_rel(mut self) -> UaRelation {
-        self.normalize();
-        self
+    let certain_q = certain_side(q)?;
+    let sg = eval_world(db, q, |k| k.sg)?;
+    let certain = certain_q.map(|cq| eval_world(db, &cq, |k| k.certain)).transpose()?;
+    // both results are in normal form: one merge by tuple zips them
+    let mut out = UaRelation::empty(sg.schema.clone());
+    let mut c = certain.iter().flat_map(Relation::rows).peekable();
+    for (t, ks) in sg.rows() {
+        while let Some((tc, kc)) = c.next_if(|(tc, _)| tc < t) {
+            out.push(tc.clone(), UaAnnot::new(*kc, 0));
+        }
+        let kc = c.next_if(|(tc, _)| tc == t).map_or(0, |(_, k)| *k);
+        out.push(t.clone(), UaAnnot::new(kc, *ks));
     }
-}
-
-fn eval_walk(db: &UaDatabase, q: &Query) -> Result<UaRelation, EvalError> {
-    match q {
-        Query::Table(name) => Ok(db.get(name)?.clone()),
-        Query::Select { input, predicate } => {
-            let rel = eval_walk(db, input)?;
-            let mut out = UaRelation::empty(rel.schema.clone());
-            for (t, k) in rel.rows() {
-                if predicate.eval_bool(t.values())? {
-                    out.push(t.clone(), *k);
-                }
-            }
-            Ok(out)
-        }
-        Query::Project { input, exprs } => {
-            let rel = eval_walk(db, input)?;
-            let schema = Schema::new(exprs.iter().map(|(_, n)| n.clone()).collect());
-            let mut out = UaRelation::empty(schema);
-            for (t, k) in rel.rows() {
-                let vals: Result<Vec<Value>, _> =
-                    exprs.iter().map(|(e, _)| e.eval(t.values())).collect();
-                out.push(Tuple::new(vals?), *k);
-            }
-            Ok(out)
-        }
-        Query::Join { left, right, predicate } => {
-            let l = eval_walk(db, left)?;
-            let r = eval_walk(db, right)?;
-            join_ua(&l, &r, predicate.as_ref())
-        }
-        Query::Union { left, right } => {
-            let l = eval_walk(db, left)?;
-            let r = eval_walk(db, right)?;
-            l.schema.check_union_compatible(&r.schema)?;
-            let mut out = l;
-            for (t, k) in r.rows() {
-                out.push(t.clone(), *k);
-            }
-            Ok(out)
-        }
-        Query::Difference { .. } => Err(EvalError::Unsupported(
-            "set difference over UA-DBs (non-monotone queries need an upper bound on possible \
-             answers; use AU-DBs)"
-                .into(),
-        )),
-        Query::Distinct { input } => {
-            let rel = eval_walk(db, input)?.normalized_rel();
-            let mut out = UaRelation::empty(rel.schema.clone());
-            for (t, k) in rel.rows() {
-                out.push(
-                    t.clone(),
-                    UaAnnot::new(if k.certain > 0 { 1 } else { 0 }, if k.sg > 0 { 1 } else { 0 }),
-                );
-            }
-            Ok(out)
-        }
-        Query::Aggregate { input, group_by, aggs } => {
-            // Aggregates over UA-DBs return no certain answers (paper
-            // §12.3): compute the SGW result deterministically and mark
-            // every output tuple with certain multiplicity 0.
-            let rel = eval_walk(db, input)?;
-            let sgw = rel.sg_world();
-            let agg = det::aggregate_det(&sgw, group_by, aggs)?;
-            let mut out = UaRelation::empty(agg.schema.clone());
-            for (t, k) in agg.rows() {
-                out.push(t.clone(), UaAnnot::new(0, *k));
-            }
-            Ok(out)
-        }
-    }
-}
-
-fn join_ua(
-    l: &UaRelation,
-    r: &UaRelation,
-    predicate: Option<&Expr>,
-) -> Result<UaRelation, EvalError> {
-    let schema = l.schema.concat(&r.schema);
-    let split = l.schema.arity();
-    let mut out = UaRelation::empty(schema);
-
-    if let Some(pairs) = predicate.and_then(|p| p.equi_join_columns(split)) {
-        let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (i, (t, _)) in r.rows().iter().enumerate() {
-            let key: Vec<Value> = pairs.iter().map(|(_, rc)| t.0[*rc].clone()).collect();
-            index.entry(key).or_default().push(i);
-        }
-        for (tl, kl) in l.rows() {
-            let key: Vec<Value> = pairs.iter().map(|(lc, _)| tl.0[*lc].clone()).collect();
-            if let Some(matches) = index.get(&key) {
-                for &i in matches {
-                    let (tr, kr) = &r.rows()[i];
-                    out.push(tl.concat(tr), kl.times(kr));
-                }
-            }
-        }
-        return Ok(out);
-    }
-
-    for (tl, kl) in l.rows() {
-        for (tr, kr) in r.rows() {
-            let t = tl.concat(tr);
-            let keep = match predicate {
-                Some(p) => p.eval_bool(t.values())?,
-                None => true,
-            };
-            if keep {
-                out.push(t, kl.times(kr));
-            }
-        }
+    for (t, k) in c {
+        out.push(t.clone(), UaAnnot::new(*k, 0));
     }
     Ok(out)
 }
 
-use audb_core::Expr;
+/// `q` over the world of `db` that holds every tuple at multiplicity
+/// `pick` of its annotation.
+fn eval_world(
+    db: &UaDatabase,
+    q: &Query,
+    pick: fn(&UaAnnot) -> u64,
+) -> Result<Relation, EvalError> {
+    let mut world = Database::new();
+    for name in q.table_refs() {
+        let rel = db.get(name)?;
+        let rows = rel.rows().iter().filter(|(_, k)| pick(k) > 0);
+        let rows = rows.map(|(t, k)| (t.clone(), pick(k))).collect();
+        world.insert(name, Relation::from_rows(rel.schema.clone(), rows));
+    }
+    eval_det(&world, q)
+}
+
+/// `q` as the certain world runs it. A `γ` has no certain answers; the
+/// empty relation it leaves (`None`) stays empty under `σ`, `π`, `δ`
+/// and `⋈`, and `∪` keeps its other side. `Unsupported` if `q` contains
+/// a difference.
+fn certain_side(q: &Query) -> Result<Option<Query>, EvalError> {
+    let sub = |q: &Query| -> Result<_, EvalError> { Ok(certain_side(q)?.map(Box::new)) };
+    Ok(match q {
+        Query::Table(_) => Some(q.clone()),
+        Query::Select { input, predicate } => {
+            sub(input)?.map(|input| Query::Select { input, predicate: predicate.clone() })
+        }
+        Query::Project { input, exprs } => {
+            sub(input)?.map(|input| Query::Project { input, exprs: exprs.clone() })
+        }
+        Query::Distinct { input } => sub(input)?.map(|input| Query::Distinct { input }),
+        Query::Join { left, right, predicate } => match (sub(left)?, sub(right)?) {
+            (Some(left), Some(right)) => {
+                Some(Query::Join { left, right, predicate: predicate.clone() })
+            }
+            _ => None,
+        },
+        Query::Union { left, right } => match (sub(left)?, sub(right)?) {
+            (Some(left), Some(right)) => Some(Query::Union { left, right }),
+            (side, None) | (None, side) => side.map(|q| *q),
+        },
+        Query::Aggregate { input, .. } => sub(input)?.and(None),
+        Query::Difference { .. } => {
+            return Err(EvalError::Unsupported(
+                "set difference over UA-DBs (non-monotone queries need an upper bound on \
+                 possible answers; use AU-DBs)"
+                    .into(),
+            ))
+        }
+    })
+}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::algebra::{table, AggFunc, AggSpec};
-    use audb_core::{col, lit};
+    use audb_core::{col, lit, Semiring, Value};
+    use audb_storage::{Schema, Tuple};
 
     fn it(vs: &[i64]) -> Tuple {
         vs.iter().copied().collect()
@@ -209,5 +167,38 @@ mod tests {
         }
         // SGW values match deterministic aggregation
         assert_eq!(out.annotation(&it(&[20, 11,])), UaAnnot::new(0, 1));
+    }
+
+    /// An `Int` key meets the `Float` key of the same number, as in the
+    /// det and AU joins, and each component of the result is `eval_det`
+    /// over that component's world.
+    #[test]
+    fn mixed_numeric_join_keys_meet() {
+        let float_row = |k: f64| Tuple::new(vec![Value::float(k), Value::Int(7)]);
+        let s = vec![(float_row(2.0), UaAnnot::new(1, 2)), (float_row(3.0), UaAnnot::new(1, 1))];
+        let mut db = db();
+        db.insert("s", UaRelation::from_rows(Schema::named(&["k", "c"]), s));
+        let q = table("r").join_on(table("s"), col(0).eq(col(2)));
+        let out = eval_ua(&db, &q).unwrap();
+        let joined = |a: i64, b: i64, k: f64| it(&[a, b]).concat(&float_row(k));
+        assert_eq!(out.annotation(&joined(2, 20, 2.0)), UaAnnot::new(0, 2));
+        assert_eq!(out.annotation(&joined(3, 20, 3.0)), UaAnnot::new(2, 3));
+        assert_eq!(out.len(), 2);
+
+        let world = |pick: fn(&UaAnnot) -> u64| {
+            let mut w = Database::new();
+            for (name, rel) in db.iter() {
+                let rows = rel.rows().iter().map(|(t, k)| (t.clone(), pick(k))).collect();
+                w.insert(name.clone(), Relation::from_rows(rel.schema.clone(), rows));
+            }
+            eval_det(&w, &q).unwrap()
+        };
+        let component = |pick: fn(&UaAnnot) -> u64| {
+            let rows = out.rows().iter().map(|(t, k)| (t.clone(), pick(k))).collect();
+            Relation::from_rows(out.schema.clone(), rows)
+        };
+        for pick in [|k: &UaAnnot| k.certain, |k: &UaAnnot| k.sg] {
+            assert_eq!(component(pick), world(pick));
+        }
     }
 }

@@ -15,7 +15,9 @@
 //! `Float` / `Str` / `Int` relation, so that chains, probes, breakers and
 //! γ read typed `Float`, dictionary-coded `Str` and `Bool` lanes. A
 //! fourth runs TPC-H Q1/Q3/Q5/Q7/Q10 over an uncertain x-DB, against
-//! worlds of the x-DB itself.
+//! worlds of the x-DB itself. A fifth mixes `Int` and `Float` cells in
+//! one column, so the AU engine reads boxed lanes and its join meets
+//! `Int` keys with `Float` keys.
 //!
 //! Float `sum`s are left out: the AU engine and the det engine add a
 //! float column up in different orders, and a bound can miss the world's
@@ -418,6 +420,123 @@ fn uncertain_join_keys_bound_sampled_worlds() {
         let (_, trace) = eval_au_traced(&db, &q, &AuConfig::precise()).unwrap();
         let fused = trace.root.find("fused-chain").expect("fused chain span");
         assert_eq!(fused.attr("keys"), Some("typed"), "{name}");
+        let wants: Vec<Relation> = worlds.iter().map(|w| eval_det(w, &q).unwrap()).collect();
+        for (c, cfg) in &configs {
+            let au = eval_au(&db, &q, cfg).unwrap_or_else(|e| panic!("{name} under {c}: {e}"));
+            for (w, want) in wants.iter().enumerate() {
+                assert!(
+                    relation_bounds_world(&au, want),
+                    "{name} under {c}: world {w} not bounded\nQ(W) = {want}\nQ(D) = {au}"
+                );
+            }
+        }
+    }
+}
+
+/// A number cell that is an `Int` or, when `float`, the `Float` of the
+/// same value; uncertain cells widen by up to 2 either side in that type.
+fn number(v: i64, float: bool, wide: Option<(i64, i64)>) -> RangeValue {
+    match (wide, float) {
+        (None, false) => RangeValue::certain(Value::Int(v)),
+        (None, true) => RangeValue::certain(Value::float(v as f64)),
+        (Some((lo, hi)), false) => RangeValue::range(v - lo, v, v + hi),
+        (Some((lo, hi)), true) => RangeValue::range((v - lo) as f64, v as f64, (v + hi) as f64),
+    }
+}
+
+/// `m1`: 1 200 rows `(k, x, n) = (i % 40, i, i % 17)`; `m2`: 80 rows
+/// `(c, w) = (i % 40, i)`. `k` and `c` are `Int` in one block of 40 rows
+/// and `Float` in the next, so every key value occurs as both kinds on
+/// both sides; `x` is `Float` in two rows of three; `n` is `Int`. Rows
+/// 1 020..1 030 of `m1`, and every other row of either with probability
+/// 1/20, are uncertain as in [`au_table`].
+fn mixed_db() -> AuDatabase {
+    let mut rng = StdRng::seed_from_u64(51);
+    let mut table = |names: &[&str], n: i64, seam: bool, cols: fn(i64) -> Vec<(i64, bool)>| {
+        let rows = (0..n).map(|i| {
+            let uncertain = (seam && (1020..1030).contains(&i)) || rng.gen_range(0..20) == 0;
+            let cells = (cols(i).into_iter())
+                .map(|(v, float)| {
+                    let wide = uncertain && rng.gen_bool(0.5);
+                    number(v, float, wide.then(|| (rng.gen_range(0..3), rng.gen_range(0..3))))
+                })
+                .collect();
+            let (lb, ub) =
+                if uncertain { (rng.gen_range(0..2), rng.gen_range(1..3)) } else { (1, 1) };
+            au_row(cells, lb, 1, ub)
+        });
+        AuRelation::from_rows(Schema::named(names), rows.collect())
+    };
+    let mut db = AuDatabase::new();
+    db.insert(
+        "m1",
+        table(&["k", "x", "n"], 1200, true, |i| {
+            vec![(i % 40, i / 40 % 2 == 1), (i, i % 3 != 0), (i % 17, false)]
+        }),
+    );
+    db.insert("m2", table(&["c", "w"], 80, false, |i| vec![(i % 40, i / 40 % 2 == 0), (i, false)]));
+    db
+}
+
+/// `σ(m1) ⋈ m2` on the mixed key: 213 rows of `m1`, each meeting the two
+/// rows of `m2` with its key's value — an `Int` and a `Float` one.
+fn mixed_spine() -> Query {
+    table("m1").select(col(2).lt(lit(3i64))).join_on(table("m2"), col(0).eq(col(3)))
+}
+
+/// σ, ⋈ and γ over columns whose cells mix `Int` and `Float`, so the AU
+/// engine reads them as boxed lanes — the join on `Int` keys meeting
+/// `Float` keys included (`keys=boxed`) — bound sampled worlds under
+/// `precise`, `compressed(8)` and forced `compressed(8)`. γ runs
+/// `count`, `min`, `max` and an `Int` `sum`: a `Float` `sum` or `avg`
+/// misses sampled worlds by an ULP until float sums are rounded once
+/// (ROADMAP item 21), as in [`tpch_results_bound_sampled_worlds`].
+#[test]
+fn mixed_number_lanes_bound_sampled_worlds() {
+    let db = mixed_db();
+    let pairs = eval_det(&db.sg_world(), &mixed_spine()).unwrap();
+    let kinds = |t: &Tuple| (matches!(t.0[0], Value::Int(_)), matches!(t.0[3], Value::Int(_)));
+    let mixed = pairs.rows().iter().filter(|(t, _)| kinds(t).0 != kinds(t).1).count();
+    assert!(mixed * 3 >= pairs.len(), "{mixed} of {} pairs meet an Int and a Float", pairs.len());
+    let aggs = || {
+        vec![
+            AggSpec::count("cnt"),
+            AggSpec::new(AggFunc::Min, col(1), "lo"),
+            AggSpec::new(AggFunc::Max, col(1), "hi"),
+            AggSpec::new(AggFunc::Sum, col(2), "s"),
+        ]
+    };
+    let cases = [
+        (
+            "σ on mixed numbers",
+            table("m1").select(col(1).geq(lit(960.5)).and(col(1).lt(lit(1100i64)))),
+        ),
+        (
+            "mixed-key join",
+            mixed_spine().project(vec![(col(0), "k"), (col(1), "x"), (col(4), "w")]),
+        ),
+        ("γ by a mixed key", table("m1").aggregate(vec![0], aggs())),
+        ("ungrouped γ", table("m1").aggregate(vec![], aggs())),
+        (
+            "mixed-key join + γ",
+            mixed_spine().aggregate(
+                vec![3],
+                vec![AggSpec::count("cnt"), AggSpec::new(AggFunc::Sum, col(2), "s")],
+            ),
+        ),
+    ];
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(8) };
+    let configs = [
+        ("precise", AuConfig::precise()),
+        ("compressed(8)", AuConfig::compressed(8)),
+        ("forced compressed(8)", forced),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x313d);
+    let worlds: Vec<Database> = (0..WORLDS).map(|_| sample_bounded_world(&db, &mut rng)).collect();
+    let (_, trace) = eval_au_traced(&db, &cases[1].1, &AuConfig::precise()).unwrap();
+    let fused = trace.root.find("fused-chain").expect("fused chain span");
+    assert_eq!(fused.attr("keys"), Some("boxed"));
+    for (name, q) in cases {
         let wants: Vec<Relation> = worlds.iter().map(|w| eval_det(w, &q).unwrap()).collect();
         for (c, cfg) in &configs {
             let au = eval_au(&db, &q, cfg).unwrap_or_else(|e| panic!("{name} under {c}: {e}"));
