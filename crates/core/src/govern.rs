@@ -46,7 +46,7 @@ pub enum ExecError {
     /// A resource budget was exhausted.
     BudgetExceeded {
         /// The charging site that tripped (e.g. `"join-probe"`,
-        /// `"pipeline-chain"`, `"sharded-reduce"`).
+        /// `"pipeline-chain"`, `"sharded-reduce"`, `"compress"`).
         operator: &'static str,
         /// Which meter tripped: `"rows"` or `"bytes"`.
         resource: &'static str,

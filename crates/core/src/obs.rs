@@ -33,7 +33,7 @@ use crate::govern::ExecError;
 
 /// Version stamped into every serialized trace; bump when the JSON
 /// shape changes incompatibly.
-pub const TRACE_SCHEMA_VERSION: u32 = 8;
+pub const TRACE_SCHEMA_VERSION: u32 = 9;
 
 // ---------------------------------------------------------------------------
 // Counters and timed sites
@@ -205,11 +205,17 @@ pub enum Site {
     /// An operator building a relation's column lanes from its tuples
     /// (one entry per [`Counter::LaneBuilds`] tick).
     LaneBuild,
+    /// Split/compress join: `split_sg` of one side's lanes (one entry
+    /// per side).
+    Split,
+    /// One `Cpr` (Section 10.4): a split/compress join side's possible
+    /// part, or γ's possible sources (inside `AggIndex`).
+    Compress,
 }
 
 impl Site {
     /// Every site, in serialization order.
-    pub const ALL: [Site; 10] = [
+    pub const ALL: [Site; 12] = [
         Site::Driver,
         Site::ReduceMergeSort,
         Site::ReduceKway,
@@ -220,6 +226,8 @@ impl Site {
         Site::ChainProbe,
         Site::ChainMaterialize,
         Site::LaneBuild,
+        Site::Split,
+        Site::Compress,
     ];
 
     /// Stable serialized name.
@@ -235,6 +243,8 @@ impl Site {
             Site::ChainProbe => "chain_probe",
             Site::ChainMaterialize => "chain_materialize",
             Site::LaneBuild => "lane_build",
+            Site::Split => "split",
+            Site::Compress => "compress",
         }
     }
 }
@@ -1147,7 +1157,7 @@ mod tests {
             total_ns: 12345,
         };
         let json = trace.to_json();
-        assert!(json.starts_with("{\"version\":8,"), "{json}");
+        assert!(json.starts_with("{\"version\":9,"), "{json}");
         assert!(json.contains("\"engine\":{\"workers\":\"4\"}"), "{json}");
         assert!(json.contains("\"op\":\"select\""), "{json}");
         assert!(json.contains("\"compiled\":\"true\""), "{json}");

@@ -299,8 +299,10 @@ fn sort_run<T: Ord, K>(
 /// first over the words' offsets from the least of them, one counting
 /// pass per byte their range spans (two for integer columns of up to
 /// 65 536 distinct values); a comparison sort where that would take more
-/// than three passes, or for a few hundred records.
-fn sort_by_word(perm: &mut Vec<(u64, u32)>) {
+/// than three passes, or for a few hundred records. Normalization sorts
+/// its keys' first words with it, `Cpr` its members' bucket-attribute
+/// selected guesses.
+pub fn sort_by_word(perm: &mut Vec<(u64, u32)>) {
     let (least, most) = perm.iter().fold((u64::MAX, 0), |(l, m), &(w, _)| (l.min(w), m.max(w)));
     let passes = (64 - most.saturating_sub(least).leading_zeros()).div_ceil(8);
     if perm.len() <= 256 || passes > 3 {

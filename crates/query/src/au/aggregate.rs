@@ -491,7 +491,7 @@ pub fn aggregate_au_stats(
     let uncertain: &[u32] = if plan.terms.is_empty() || ungrouped { &[] } else { &gx.uncertain };
     let buckets = compress
         .filter(|_| !uncertain.is_empty())
-        .map(|ct| opt::compress_lanes(&cset, uncertain, &read, group_by[0], ct));
+        .map(|ct| opt::compress_lanes(&cset, uncertain, &read, group_by[0], ct, metrics));
     let nbuckets = buckets.as_ref().map_or(0, ColumnSet::nrows);
     // Compressed sources follow the rows in every lane read, so a source
     // is a lane row either way. Unread columns alias a read one (right

@@ -27,14 +27,21 @@
 //! concatenated as row ids, and the one normalization — of the union —
 //! runs on row handles over those lanes. Neither split is normalized on the
 //! way: `⊗` distributes over `⊕` in `N_AU`, so merging duplicates before
-//! or after the SG join sums to the same annotation, and `Cpr` merges
-//! `split↑`'s duplicates in the normalization sort, then orders the
-//! survivors into buckets.
+//! or after the SG join sums to the same annotation. Every `Cpr` orders
+//! its members with a stable typed sort on the bucket attribute's
+//! selected-guess lane; over `split↑` it then puts each run of equal
+//! selected guess in tuple order and merges equal neighbours (duplicates
+//! share the selected guess) — the normal form stably sorted by selected
+//! guess, with no full-width key. `split_sg_lanes` and each `Cpr` are
+//! timed at the `split` and `compress` sites.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
-use audb_core::obs::{Counter, TraceBuilder};
-use audb_core::{AuAnnot, EvalError, ExecError, Expr, RangeValue, Semiring};
+use audb_core::obs::{Counter, Metrics, Site, TraceBuilder};
+use audb_core::{AuAnnot, EvalError, ExecError, Expr, LaneSlice, RangeValue, Semiring};
+use audb_exec::reduce::sort_by_word;
 use audb_exec::Executor;
 use audb_storage::{AnnotColumn, AuRelation, ColumnSet, GatherView, RangeTuple};
 
@@ -142,53 +149,131 @@ fn bucket_rows(rel: &AuRelation, attr: usize, n: usize) -> AuRelation {
 /// `Cpr_{attr,n}` on lanes — the one `Cpr` of ⋈ and γ: rows `ids` of
 /// `cs`, a *list* in that order, projected onto `cols`, as at most `n`
 /// bucket rows annotated `(0, 0, Σ ub)`. The members are ordered by the
-/// selected guess of `attr` — ties keep the list's order, a list of at
-/// most `n` rows is left as it is (aggregation folds in member order; a
-/// normalized relation's rows) — chunked equi-depth, and every bucket's
-/// box is taken per column ([`LaneSlice::group_boxes`]:
-/// `extend_keep_sg`'s rule, in member order) — cell for cell the
-/// buckets of [`compress_rows`].
-///
-/// [`LaneSlice::group_boxes`]: audb_core::LaneSlice::group_boxes
+/// selected guess of `attr` (a typed lane's by a radix sort of its
+/// order-preserving words, `sort_by_sg`) — ties keep the list's order, a
+/// list of at most `n` rows is left as it is (aggregation folds in
+/// member order; a normalized relation's rows) — chunked equi-depth,
+/// and every bucket's box is taken per column
+/// ([`LaneSlice::group_boxes`]: `extend_keep_sg`'s rule, in member
+/// order) — cell for cell the buckets of [`compress_rows`]. One entry of
+/// `metrics`' `compress` site. Never inlined: γ's operator
+/// (`aggregate_au_stats`) calls it, and timing code inlined there cost
+/// an uncompressed γ, which never runs it, 2–3 % (`docs/perf-pr43.md`).
+#[inline(never)]
 pub fn compress_lanes(
     cs: &ColumnSet,
     ids: &[u32],
     cols: &[usize],
     attr: usize,
     n: usize,
+    metrics: &Metrics,
 ) -> ColumnSet {
+    let started = metrics.is_enabled().then(Instant::now);
     let ub = &cs.annots().ub;
     let mut srcs: Vec<(u32, u64)> = ids.iter().map(|&i| (i, ub[i as usize])).collect();
     if srcs.len() > n.max(1) {
-        sort_by_sg(cs, attr, &mut srcs);
+        sort_by_sg(cs.lane(attr).as_slice(), &mut srcs);
     }
-    buckets(cs, &srcs, cols, n)
+    let out = buckets(cs, &srcs, cols, n);
+    if let Some(t) = started {
+        metrics.record_ns(Site::Compress, t.elapsed().as_nanos() as u64);
+    }
+    out
 }
 
 /// `Cpr_{attr,n}(split↑(R))` on `R`'s lanes `cs`, a *bag* in no order:
-/// its rows annotated `(0, 0, ub)`, normalized on `exec` (equal rows
-/// merge into one member, their `ub`s add), then stably sorted by the
-/// selected guess of `attr` — the stable sort by `attr` of the
-/// tuple-sorted, duplicate-merged list — and bucketed as
-/// [`compress_lanes`] does, over every column.
+/// the buckets of [`compress_lanes`] over every column of `split↑(R)`'s
+/// normal form stably sorted by the selected guess of `attr` — without
+/// normalizing at full width. Equal rows share that selected guess, so
+/// the rows with `ub > 0` are sorted by it alone, each run of one
+/// selected guess is put in tuple order, and equal neighbours merge (the
+/// `ub`s add). The input is charged to `exec`'s budget up front
+/// (`"compress"`, what the members' buffers hold at their peak), and the
+/// members are ordered as one job on `exec` (cancellation, panic
+/// containment); the result does not depend on the worker count. One
+/// entry of the `compress` site.
 pub fn compress_bag(
     cs: &ColumnSet,
     attr: usize,
     n: usize,
     exec: &Executor,
 ) -> Result<ColumnSet, ExecError> {
-    let view = GatherView::new(cs.lane_slices().into_iter().map(|l| (l, None)).collect());
-    let up: Vec<AuAnnot> = cs.annots().ub.iter().map(|&ub| AuAnnot::triple(0, 0, ub)).collect();
-    let merged = AuRelation::normalized_view_rows(&view, &up, exec)?;
-    let mut srcs: Vec<(u32, u64)> = merged.into_iter().map(|(i, k)| (i, k.ub)).collect();
-    sort_by_sg(cs, attr, &mut srcs);
-    Ok(buckets(cs, &srcs, &(0..cs.arity()).collect::<Vec<_>>(), n))
+    let metrics = exec.metrics();
+    let started = metrics.is_enabled().then(Instant::now);
+    let live = cs.annots().ub.iter().filter(|&&ub| ub > 0).count();
+    exec.charge("compress", live as u64, (live * BAG_BYTES_PER_ROW) as u64)?;
+    let srcs = exec.run(1, |_, out| {
+        out.extend(bag_members(cs, attr));
+        Ok::<(), ExecError>(())
+    })?;
+    let out = buckets(cs, &srcs, &(0..cs.arity()).collect::<Vec<_>>(), n);
+    if let Some(t) = started {
+        metrics.record_ns(Site::Compress, t.elapsed().as_nanos() as u64);
+    }
+    Ok(out)
 }
 
-/// Stable sort of bucket members by the selected guess of `attr`.
-fn sort_by_sg(cs: &ColumnSet, attr: usize, srcs: &mut [(u32, u64)]) {
+/// What [`compress_bag`] is charged per live row: at its peak it holds
+/// three 16-byte buffers at once (the members, `sort_by_sg`'s
+/// permutation, and its radix sort's scratch or the sorted copy), plus
+/// a run's sort scratch and the buckets' member ids after it.
+const BAG_BYTES_PER_ROW: usize = 4 * std::mem::size_of::<(u32, u64)>();
+
+/// The members (row, `ub`) of [`compress_bag`]'s buckets, in bucket
+/// order: `split↑(R)`'s normal form stably sorted by the selected guess
+/// of `attr`.
+fn bag_members(cs: &ColumnSet, attr: usize) -> Vec<(u32, u64)> {
+    let ub = &cs.annots().ub;
+    let mut srcs: Vec<(u32, u64)> =
+        (0..cs.nrows() as u32).map(|i| (i, ub[i as usize])).filter(|s| s.1 > 0).collect();
     let key = cs.lane(attr).as_slice();
-    srcs.sort_by(|a, b| key.sg_cmp(a.0 as usize, b.0 as usize));
+    sort_by_sg(key, &mut srcs);
+    let lanes = cs.lane_slices();
+    let same_sg = |a: &(u32, u64), b: &(u32, u64)| key.sg_cmp(a.0 as usize, b.0 as usize).is_eq();
+    for run in srcs.chunk_by_mut(same_sg).filter(|run| run.len() > 1) {
+        run.sort_by(|a, b| {
+            let mut by_cell = lanes.iter().map(|l| l.cells_cmp(a.0 as usize, b.0 as usize));
+            by_cell.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        });
+    }
+    srcs.dedup_by(|s, kept| {
+        let twin = lanes.iter().all(|l| l.cells_eq(s.0 as usize, kept.0 as usize));
+        if twin {
+            kept.1 = kept.1.plus(&s.1);
+        }
+        twin
+    });
+    srcs
+}
+
+/// Stable sort of bucket members (row, `ub`) by the selected guess of
+/// the row's cell of `key`: on a typed lane, of the selected guesses'
+/// order-preserving words ([`sort_by_word`]: a counting or radix sort
+/// where their range is narrow), on a `Boxed` one by comparison.
+fn sort_by_sg(key: LaneSlice<'_>, srcs: &mut Vec<(u32, u64)>) {
+    fn words(srcs: &[(u32, u64)], word: impl Fn(usize) -> u64) -> Vec<(u64, u32)> {
+        srcs.iter().zip(0..).map(|(s, at)| (word(s.0 as usize), at)).collect()
+    }
+    let mut perm = match key {
+        LaneSlice::Int { sg, .. } => words(srcs, |i| sg[i] as u64 ^ 1 << 63),
+        // `f64::total_cmp`'s order: negative floats flip entirely
+        LaneSlice::Float { sg, .. } => words(srcs, |i| {
+            let b = sg[i].to_bits();
+            if (b as i64) < 0 {
+                !b
+            } else {
+                b ^ 1 << 63
+            }
+        }),
+        LaneSlice::Bool { sg, .. } => words(srcs, |i| u64::from(sg[i])),
+        LaneSlice::Str { sg, .. } => words(srcs, |i| u64::from(sg[i])),
+        LaneSlice::Boxed(_) => {
+            srcs.sort_by(|a, b| key.sg_cmp(a.0 as usize, b.0 as usize));
+            return;
+        }
+    };
+    sort_by_word(&mut perm);
+    *srcs = perm.into_iter().map(|(_, at)| srcs[at as usize]).collect();
 }
 
 /// The members `srcs` (row, `ub`), in order, chunked equi-depth into at
@@ -196,8 +281,10 @@ fn sort_by_sg(cs: &ColumnSet, attr: usize, srcs: &mut [(u32, u64)]) {
 fn buckets(cs: &ColumnSet, srcs: &[(u32, u64)], cols: &[usize], n: usize) -> ColumnSet {
     let depth = srcs.len().div_ceil(n.max(1)).max(1);
     let firsts: Vec<u32> = srcs.iter().step_by(depth).map(|s| s.0).collect();
-    let members = srcs.iter().enumerate().map(|(m, s)| (s.0 as usize, (m / depth) as u32));
-    let boxes = cols.iter().map(|&c| cs.lane(c).as_slice().group_boxes(&firsts, members.clone()));
+    let members: Vec<(usize, u32)> =
+        srcs.iter().enumerate().map(|(m, s)| (s.0 as usize, (m / depth) as u32)).collect();
+    let boxes =
+        cols.iter().map(|&c| cs.lane(c).as_slice().group_boxes(&firsts, members.iter().copied()));
     let mut annots = AnnotColumn::default();
     for bucket in srcs.chunks(depth) {
         annots.push(AuAnnot::triple(0, 0, bucket.iter().fold(0, |ub, s| ub.plus(&s.1))));
@@ -300,17 +387,22 @@ pub(crate) fn optimized_join_stats(
     let (la, ra) = bucket_attrs(recheck.map(Stage::predicate), l, r);
     // Per side: its two splits, each a relation born of its lanes (what
     // a probe chain runs over).
+    let metrics = exec.metrics();
     let split = |rel: &AuRelation, attr: usize| {
         let cs = lanes_of(rel, exec);
         let up = if rel.is_normalized() {
             let all: Vec<u32> = (0..cs.nrows() as u32).collect();
-            compress_lanes(&cs, &all, &(0..cs.arity()).collect::<Vec<_>>(), attr, ct)
+            compress_lanes(&cs, &all, &(0..cs.arity()).collect::<Vec<_>>(), attr, ct, metrics)
         } else {
             compress_bag(&cs, attr, ct, exec)?
         };
+        let started = metrics.is_enabled().then(Instant::now);
+        let sg = split_sg_lanes(&cs);
+        if let Some(t) = started {
+            metrics.record_ns(Site::Split, t.elapsed().as_nanos() as u64);
+        }
         Ok::<_, ExecError>(
-            [split_sg_lanes(&cs), up]
-                .map(|cs| AuRelation::from_columns(rel.schema.clone(), Arc::new(cs), false)),
+            [sg, up].map(|cs| AuRelation::from_columns(rel.schema.clone(), Arc::new(cs), false)),
         )
     };
     let ([sgl, lup], [sgr, rup]) = (split(l, la)?, split(r, ra)?);
@@ -326,7 +418,7 @@ pub(crate) fn optimized_join_stats(
         keys_typed,
     };
     if keys_typed == Some(false) {
-        exec.metrics().add(Counter::ProbeKeysBoxed, 1);
+        metrics.add(Counter::ProbeKeysBoxed, 1);
     }
 
     // ---- the union, normalized once on row handles -------------------------
@@ -411,7 +503,7 @@ fn uncertain_rows(rel: &AuRelation, cols: &[usize], cap: usize) -> usize {
 mod tests {
     use super::*;
     use crate::au::join_au;
-    use audb_core::{col, RangeValue, Value};
+    use audb_core::{col, LaneTag, RangeValue, Value};
     use audb_storage::{au_row, Schema, Tuple};
 
     fn r2(lb: i64, sg: i64, ub: i64) -> RangeValue {
@@ -474,55 +566,143 @@ mod tests {
         assert_eq!(*k, AuAnnot::triple(0, 0, 5));
     }
 
+    /// Row `i` of [`compress_bag_is_compress_rows_over_split_up`]'s bag,
+    /// one cell per lane type: `Int`, `Float` (`-0.0` and `0.0`
+    /// selected guesses), one-dictionary `Str`, `Bool`, and a `Boxed`
+    /// column of `Int`s and strings longer than a packed key, then an
+    /// `Int` payload that tells the tuples apart. Every
+    /// tuple comes twice (`i % 150`); three selected guesses are shared
+    /// by ~25 tuples each (runs longer than 8), the other forty by ~2,
+    /// and every fifth cell is a range around its selected guess.
+    fn typed_bag_row(i: usize) -> (RangeTuple, AuAnnot) {
+        let j = (i % 150) as i64;
+        let v = if j % 2 == 0 { j % 3 } else { 3 + j % 40 };
+        let u = if j % 5 == 0 { 1 + j % 2 } else { 0 };
+        let f = match v as f64 * 0.5 - 1.0 {
+            0.0 if j % 4 == 0 => -0.0,
+            f => f,
+        };
+        let s = |k: i64| Value::str(format!("key {k:02}"));
+        let long = Value::str(format!("a prefix longer than any key, {}", v % 4));
+        let cells = vec![
+            r2(v - u, v, v + u),
+            RangeValue::range(f - 0.25 * u as f64, f, f + 0.5 * u as f64),
+            RangeValue::new(s(v - u), s(v), s(v + u)).unwrap(),
+            RangeValue::range(u == 0 && v % 2 == 0, v % 2 == 0, u != 0 || v % 2 == 0),
+            RangeValue::certain(if j % 7 == 0 { Value::Int(v) } else { long }),
+            r2(j / 2, j / 2, j / 2 + j % 2),
+        ];
+        (RangeTuple::new(cells), AuAnnot::triple(0, 1, 1 + (i % 4) as u64))
+    }
+
     /// `Cpr(split↑(R))` over an un-normalized bag is `compress_rows` over
     /// `split↑(R)`'s normal form — here a `BTreeMap` fold, which shares no
-    /// sort key with the driver — bucket for bucket: rows repeated and
-    /// equal rows from different sources, ties on the bucket attribute,
-    /// and a boxed column whose long strings cut the packed keys short,
-    /// at every worker count. A merge that trusts equal inexact keys
-    /// without checking the rows fails here.
+    /// sort key with the driver — bucket for bucket, on every lane type
+    /// as the bucket attribute, typed columns only and with a `Boxed`
+    /// one: rows repeated, runs of one selected guess longer than 8 with
+    /// duplicates inside them, `n` such that buckets start at a run's
+    /// first row, inside a run, and some runs hold no start, at every
+    /// worker count. A merge that trusts equal inexact keys without
+    /// checking the rows, or a run left out of tuple order (short runs
+    /// or all), fails here. The list form (`compress_lanes`, γ's
+    /// `Cpr`) keeps the list's order on ties, as `compress_rows` does.
     #[test]
     fn compress_bag_is_compress_rows_over_split_up() {
         use audb_exec::Partitioner;
         use std::collections::BTreeMap;
-        let long = |tail: usize| Value::str(format!("a prefix longer than any key, {tail}"));
-        let rows: Vec<(RangeTuple, AuAnnot)> = (0..90usize)
-            .map(|i| {
-                let j = i % 30;
-                let b = if j % 7 == 0 { Value::Int(j as i64) } else { long(j % 4) };
-                let a = (j % 3) as i64;
-                let t = RangeTuple::new(vec![
-                    r2(a, a, 5),
-                    RangeValue::certain(b),
-                    r2(0, (j % 2) as i64, 1),
-                ]);
-                (t, AuAnnot::triple(0, 1, 1 + (i % 4) as u64))
-            })
-            .collect();
-        let mut bag = AuRelation::empty(Schema::named(&["A", "B", "C"]));
-        bag.append_rows(rows.clone());
-        assert!(!bag.is_normalized());
-        let mut fold: BTreeMap<RangeTuple, AuAnnot> = BTreeMap::new();
-        for (t, k) in &rows {
-            let acc = fold.entry(t.clone()).or_insert_with(AuAnnot::zero);
-            *acc = acc.plus(&AuAnnot::triple(0, 0, k.ub));
-        }
-        let up: Vec<(RangeTuple, AuAnnot)> = fold.into_iter().collect();
-        assert_eq!(split_up(&bag).rows(), &up[..]);
-        let ids: Vec<u32> = (0..up.len() as u32).collect();
-        let cs = bag.columns();
-        for attr in [0, 2] {
-            for n in [1, 4, 7] {
-                let want = compress_rows(&up, &ids, &[0, 1, 2], attr, n);
-                for w in [1, 2, 4] {
-                    let exec = Executor::new(w).with_partitioner(Partitioner {
-                        min_morsel: 1,
-                        morsels_per_worker: 2,
-                        min_rows_per_worker: 0,
-                    });
-                    let got = compress_bag(&cs, attr, n, &exec).unwrap();
-                    assert_eq!(got.rows(), want, "attr {attr}, n = {n}, workers = {w}");
+        let all: Vec<(RangeTuple, AuAnnot)> = (0..300).map(typed_bag_row).collect();
+        let (mut starts_a_run, mut starts_inside, mut holds_no_start) = (false, false, false);
+        let mut short_runs = false;
+        for cols in [vec![0, 1, 2, 3, 5], vec![0, 1, 2, 3, 4, 5]] {
+            let rows: Vec<(RangeTuple, AuAnnot)> =
+                all.iter().map(|(t, k)| (t.project(&cols), *k)).collect();
+            let names: Vec<String> = cols.iter().map(|c| format!("c{c}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let mut bag = AuRelation::empty(Schema::named(&names));
+            bag.append_rows(rows.clone());
+            assert!(!bag.is_normalized());
+            let mut fold: BTreeMap<RangeTuple, AuAnnot> = BTreeMap::new();
+            for (t, k) in &rows {
+                let acc = fold.entry(t.clone()).or_insert_with(AuAnnot::zero);
+                *acc = acc.plus(&AuAnnot::triple(0, 0, k.ub));
+            }
+            let up: Vec<(RangeTuple, AuAnnot)> = fold.into_iter().collect();
+            assert_eq!(split_up(&bag).rows(), &up[..]);
+            assert!(up.len() < rows.len(), "duplicates");
+            let cs = bag.columns();
+            let typed = cs.lanes().iter().filter(|l| l.tag() != LaneTag::Boxed).count();
+            assert_eq!(typed, 5, "Int, Float, Str, Bool and Int lanes");
+            let every: Vec<usize> = (0..cols.len()).collect();
+            // the γ list: un-normalized rows, in an order of their own
+            let list: Vec<u32> = (0..rows.len() as u32).rev().filter(|i| i % 3 != 1).collect();
+            // every column but the payload is a bucket attribute
+            for attr in 0..cols.len() - 1 {
+                // `split↑`'s normal form stably sorted by selected guess,
+                // and its runs
+                let sg = |i: &u32| &up[*i as usize].0 .0[attr].sg;
+                let mut ids: Vec<u32> = (0..up.len() as u32).collect();
+                ids.sort_by(|a, b| sg(a).cmp(sg(b)));
+                let runs: Vec<usize> =
+                    ids.chunk_by(|a, b| sg(a) == sg(b)).map(<[_]>::len).collect();
+                assert!(runs.iter().any(|&r| r > 8), "a long run");
+                short_runs |= runs.iter().any(|&r| r <= 8);
+                for n in [1, 2, 3, 5, 7, 16, 64, up.len(), up.len() + 1] {
+                    let depth = up.len().div_ceil(n);
+                    let mut first = 0;
+                    for run in &runs {
+                        let starts = (first..first + run).filter(|m| m % depth == 0);
+                        match starts.map(|m| m == first).max() {
+                            Some(true) => starts_a_run = true,
+                            Some(false) => starts_inside = true,
+                            None => holds_no_start = true,
+                        }
+                        first += run;
+                    }
+                    let want = compress_rows(&up, &ids, &every, attr, n);
+                    for w in [1, 2, 4] {
+                        let exec = Executor::new(w).with_partitioner(Partitioner {
+                            min_morsel: 1,
+                            morsels_per_worker: 2,
+                            min_rows_per_worker: 0,
+                        });
+                        let got = compress_bag(&cs, attr, n, &exec).unwrap();
+                        assert_eq!(
+                            got.rows(),
+                            want,
+                            "cols {cols:?}, attr {attr}, n = {n}, w = {w}"
+                        );
+                    }
+                    let want = compress_rows(&rows, &list, &every, attr, n);
+                    let got = compress_lanes(&cs, &list, &every, attr, n, &Metrics::disabled());
+                    assert_eq!(got.rows(), want, "list: cols {cols:?}, attr {attr}, n = {n}");
                 }
+            }
+        }
+        assert!(short_runs && starts_a_run && starts_inside && holds_no_start);
+    }
+
+    /// `compress_bag` charges its live rows up front, at what its
+    /// buffers hold at their peak: a budget one row or one byte short
+    /// trips on `"compress"`, one that fits does not.
+    #[test]
+    fn compress_bag_charges_its_peak() {
+        use audb_core::{Budget, BudgetSpec};
+        let mut bag = AuRelation::empty(Schema::named(&["a", "b", "c", "d", "e", "f"]));
+        bag.append_rows((0..300).map(typed_bag_row).collect());
+        let (cs, peak) = (bag.columns(), 300 * BAG_BYTES_PER_ROW as u64);
+        let specs = [
+            (BudgetSpec::rows(299), Some("rows")),
+            (BudgetSpec::bytes(peak - 1), Some("bytes")),
+            (BudgetSpec { max_rows: 300, max_bytes: peak }, None),
+        ];
+        for (spec, trips) in specs {
+            let exec = Executor::new(2).with_budget(Budget::new(spec));
+            match (compress_bag(&cs, 0, 8, &exec), trips) {
+                (Err(ExecError::BudgetExceeded { operator, resource, .. }), Some(r)) => {
+                    assert_eq!((operator, resource), ("compress", r));
+                }
+                (Ok(got), None) => assert_eq!(got.nrows(), 8),
+                (got, _) => panic!("{spec:?}: {:?}", got.map(|cs| cs.nrows())),
             }
         }
     }
@@ -559,13 +739,16 @@ mod tests {
     /// The copy-free form equals the literal Section 10.4 formula over
     /// the materialized, normalized splits — on un-normalized inputs with
     /// duplicate tuples, more rows than `ct` (real buckets) and fewer,
-    /// for equality, comparison and cross joins.
+    /// for equality, comparison and cross joins, on a key of many values
+    /// and on one of three (runs of a dozen rows and more, duplicates
+    /// inside them).
     #[test]
     fn optimized_join_equals_the_literal_formula() {
-        let rel = |n: i64, name: &str| {
+        let rel = |n: i64, name: &str, keys: i64| {
             let mut out = AuRelation::empty(Schema::named(&[name, "p"]));
             for i in (0..n).rev().chain(0..n / 3) {
-                let key = if i % 4 == 0 { r2(i - 1, i, i + 2) } else { r2(i % 7, i % 7, i % 7) };
+                let k = i % keys;
+                let key = if i % 4 == 0 { r2(k - 1, k, k + 2) } else { r2(k % 7, k % 7, k % 7) };
                 let row =
                     au_row(vec![key, r2(i % 3, i % 3, i % 3 + i % 2)], 0, 1 + i as u64 % 2, 2);
                 out.push(row.0, row.1);
@@ -573,21 +756,24 @@ mod tests {
             assert!(!out.is_normalized());
             out
         };
-        let (l, r) = (rel(40, "A"), rel(23, "B"));
         let preds = [Some(col(0).eq(col(2))), Some(col(0).leq(col(2))), None];
-        for pred in &preds {
-            for ct in [1usize, 5, 64] {
-                let split = l.schema.arity();
-                let (la, ra) = pred
-                    .as_ref()
-                    .and_then(|p| p.equi_join_columns(split))
-                    .map_or((0, 0), |pairs| pairs[0]);
-                let mut want = join_au(&split_sg(&l), &split_sg(&r), pred.as_ref()).unwrap();
-                let lup = compress(&split_up(&l), la, ct);
-                let rup = compress(&split_up(&r), ra, ct);
-                want.append_rows(join_au(&lup, &rup, pred.as_ref()).unwrap().into_rows());
-                let got = optimized_join(&l, &r, pred.as_ref(), ct).unwrap();
-                assert_eq!(got, want.into_normalized(), "pred = {pred:?}, ct = {ct}");
+        for keys in [i64::MAX, 3] {
+            let (l, r) = (rel(40, "A", keys), rel(23, "B", keys));
+            for pred in &preds {
+                for ct in [1usize, 5, 64] {
+                    let split = l.schema.arity();
+                    let (la, ra) = pred
+                        .as_ref()
+                        .and_then(|p| p.equi_join_columns(split))
+                        .map_or((0, 0), |pairs| pairs[0]);
+                    let mut want = join_au(&split_sg(&l), &split_sg(&r), pred.as_ref()).unwrap();
+                    let lup = compress(&split_up(&l), la, ct);
+                    let rup = compress(&split_up(&r), ra, ct);
+                    want.append_rows(join_au(&lup, &rup, pred.as_ref()).unwrap().into_rows());
+                    let got = optimized_join(&l, &r, pred.as_ref(), ct).unwrap();
+                    let ctx = format!("{keys} keys, pred = {pred:?}, ct = {ct}");
+                    assert_eq!(got, want.into_normalized(), "{ctx}");
+                }
             }
         }
     }

@@ -6,7 +6,7 @@ mod common;
 
 use std::sync::Arc;
 
-use audb::core::ValueLane;
+use audb::core::{LaneTag, ValueLane};
 use audb::prelude::*;
 use audb::query::opt::{
     compress, compress_bag, compress_lanes, compress_rows, optimized_join_exec,
@@ -131,12 +131,16 @@ fn columnar_born_relation_round_trips() {
 
 /// `n` un-normalized rows over `(key, payload, tag)` with duplicate
 /// tuples, ties on the key's selected guess (certain and uncertain cells
-/// sharing one), in no order. `key` maps a small integer to the key cell.
+/// sharing one), in no order. `key` maps a small integer to the key cell:
+/// every other row's is one of three (runs of many rows), the rest one
+/// of 97 (runs of a few).
 fn unordered_rows(n: i64, key: impl Fn(i64, bool) -> RangeValue) -> AuRelation {
     let mut out = AuRelation::empty(Schema::named(&["k", "p", "t"]));
-    for i in (0..n).rev().chain(0..n / 3).chain((0..n).step_by(4)) {
+    let repeats = (0..n / 3).chain((0..n).step_by(4)).chain((1..n).step_by(6));
+    for i in (0..n).rev().chain(repeats) {
+        let k = if i % 2 == 0 { i % 3 } else { 3 + i % 97 };
         let cells = vec![
-            key(i % 9, i % 4 == 0),
+            key(k, i % 4 == 1),
             RangeValue::range(i % 3, i % 3, i % 3 + i % 2),
             RangeValue::certain(Value::str(format!("t{}", i % 5))),
         ];
@@ -166,6 +170,19 @@ fn float_key(k: i64, uncertain: bool) -> RangeValue {
     }
 }
 
+fn bool_key(k: i64, uncertain: bool) -> RangeValue {
+    RangeValue::range(!uncertain && k % 2 == 0, k % 2 == 0, uncertain || k % 2 == 0)
+}
+
+/// An `Int` or the `Float` of a half, by parity: a `Boxed` lane.
+fn mixed_key(k: i64, uncertain: bool) -> RangeValue {
+    let sg = if k % 2 == 0 { Value::Int(k) } else { Value::float(k as f64 + 0.5) };
+    match uncertain {
+        true => RangeValue::new(Value::Int(k - 1), sg, Value::float(k as f64 + 2.5)).unwrap(),
+        false => RangeValue::certain(sg),
+    }
+}
+
 fn str_key(k: i64, uncertain: bool) -> RangeValue {
     let s = |k: i64| Value::str(format!("key {k}"));
     if uncertain {
@@ -180,27 +197,42 @@ fn born_of(schema: &Schema, lanes: ColumnSet) -> AuRelation {
 }
 
 /// The bag form is `Cpr(split↑(R))` over the materialized normal form;
-/// the list form is `compress_rows` over the same ids, bucket for bucket.
+/// the list form is `compress_rows` over the same ids, bucket for bucket
+/// and in list order on ties — with an `Int`, `Float`, one-dictionary
+/// `Str`, `Bool` or `Boxed` bucket attribute, runs of one selected guess
+/// of one to dozens of rows with duplicates inside them, a few hundred
+/// rows (the radix path of the typed sort), `n` from one bucket to one
+/// per row, at 1, 2 and 4 workers.
 #[test]
 fn lane_cpr_is_the_row_cpr() {
-    let keys: [KeyFn<'_>; 3] = [&int_key, &float_key, &str_key];
-    for (which, key) in keys.into_iter().enumerate() {
-        let rel = unordered_rows(40, key);
+    let keys: [(LaneTag, KeyFn<'_>); 5] = [
+        (LaneTag::Int, &int_key),
+        (LaneTag::Float, &float_key),
+        (LaneTag::Str, &str_key),
+        (LaneTag::Bool, &bool_key),
+        (LaneTag::Boxed, &mixed_key),
+    ];
+    for (tag, key) in keys {
+        let rel = unordered_rows(300, key);
         let (cs, len) = (rel.columns(), rel.len());
-        let every_third: Vec<u32> = (0..len as u32).step_by(3).collect();
+        assert_eq!(cs.lane(0).tag(), tag);
+        let list: Vec<u32> = (0..len as u32).rev().filter(|i| i % 3 != 1).collect();
         for attr in [0usize, 1] {
-            for n in [1usize, 5, 64, len + 1] {
-                let ctx = format!("key type {which}, attr {attr}, n = {n}");
-                let bag = compress_bag(&cs, attr, n, &Executor::sequential()).unwrap();
-                assert!(bag.nrows() <= n, "{ctx}");
+            for n in [1usize, 5, 7, 64, len + 1] {
+                let ctx = format!("key {tag:?}, attr {attr}, n = {n}");
                 let want = compress(&split_up(&rel), attr, n);
-                assert_eq!(born_of(&rel.schema, bag).into_normalized(), want, "{ctx}");
+                for workers in [1, 2, 4] {
+                    let bag = compress_bag(&cs, attr, n, &executor(workers)).unwrap();
+                    assert!(bag.nrows() <= n, "{ctx}");
+                    let got = born_of(&rel.schema, bag).into_normalized();
+                    assert_eq!(got, want, "{ctx}, workers = {workers}");
+                }
 
                 // a list: a subset of the rows, projected, in list order
                 let cols = [2usize, 0];
-                let list = compress_lanes(&cs, &every_third, &cols, attr, n);
-                let want = compress_rows(rel.rows(), &every_third, &cols, attr, n);
-                assert_eq!(born_of(&rel.schema.select(&cols), list).rows(), &want[..], "{ctx}");
+                let got = compress_lanes(&cs, &list, &cols, attr, n, &Metrics::disabled());
+                let want = compress_rows(rel.rows(), &list, &cols, attr, n);
+                assert_eq!(born_of(&rel.schema.select(&cols), got).rows(), &want[..], "{ctx}");
             }
         }
     }

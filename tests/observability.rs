@@ -625,7 +625,7 @@ fn trace_json_is_versioned_and_failure_preserves_trace() {
     let (_, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
     let json = trace.to_json();
     for key in [
-        "\"version\":8",
+        "\"version\":9",
         "\"engine\":",
         "\"root\":",
         "\"events\":",
@@ -828,7 +828,8 @@ mod fault_trace {
 /// `compressed(64)` builds no lane from tuples and no tuple from lanes
 /// between its base tables and its root: every chain hands lanes to its
 /// consumer (`form = lanes`), the split/compress join reads and returns
-/// them and says how its probes keyed. A table nobody warmed is
+/// them and says how its probes keyed, and its split and every `Cpr`
+/// are entries of the `split` / `compress` sites. A table nobody warmed is
 /// columnarized by its first reader — once, timed — and a root chain is
 /// the one that builds tuples.
 #[test]
@@ -865,6 +866,9 @@ fn lane_hand_over_is_counted_and_timed() {
         }
     });
     assert!(chains >= 4 && compressing >= 1, "{chains} chains, {compressing} compressing joins");
+    // each side's split and `Cpr` are one entry each; γ compresses too
+    assert_eq!(site(&trace, "split"), 2 * compressing);
+    assert!(site(&trace, "compress") > 2 * compressing);
 
     // nobody warmed `lineitem`: Q1's chain builds its lanes
     let (_, trace) = eval_au_traced(&cold(), &q1(), &cfg).unwrap();

@@ -549,3 +549,89 @@ fn mixed_number_lanes_bound_sampled_worlds() {
         }
     }
 }
+
+/// `l1`: 2 400 rows `(k, a, v) = (i % 5, i % 800, i)`; `l2`: 1 600 rows
+/// `(c, b, w) = (i % 5, i % 800, i % 97)`. One row in four is uncertain:
+/// its `k` / `c` cell is a range around its selected guess, each other
+/// cell is widened with probability 1/2, and the multiplicity becomes a
+/// range. The bucket attribute of every `Cpr` below — `k`, `c` — has 5
+/// selected guesses, so each run of one holds hundreds of rows.
+fn low_cardinality_db() -> AuDatabase {
+    let mut rng = StdRng::seed_from_u64(61);
+    let mut table = |names: &[&str], n: i64, cols: fn(i64) -> [i64; 3]| {
+        let rows = (0..n).map(|i| {
+            let uncertain = rng.gen_range(0..4) == 0;
+            let cells = (cols(i).into_iter().enumerate())
+                .map(|(c, v)| match uncertain && (c == 0 || rng.gen_bool(0.5)) {
+                    true => {
+                        RangeValue::range(v - rng.gen_range(1..3i64), v, v + rng.gen_range(1..3i64))
+                    }
+                    false => RangeValue::certain(Value::Int(v)),
+                })
+                .collect();
+            let (lb, ub) = if uncertain { (rng.gen_range(0..2), 2) } else { (1, 1) };
+            au_row(cells, lb, 1, ub)
+        });
+        AuRelation::from_rows(Schema::named(names), rows.collect())
+    };
+    let mut db = AuDatabase::new();
+    db.insert("l1", table(&["k", "a", "v"], 2400, |i| [i % 5, i % 800, i]));
+    db.insert("l2", table(&["c", "b", "w"], 1600, |i| [i % 5, i % 800, i % 97]));
+    db
+}
+
+/// `Cpr` over a bucket attribute of 5 selected guesses — every run of
+/// equal selected guess far longer than a bucket, so buckets start
+/// inside runs — bounds sampled worlds: a split/compress join bucketed
+/// on `k = c` (the second key, `a = b`, keeps its result small) under γ,
+/// and a compressing γ grouped by `k`, under `compressed(8)` (the trace
+/// shows both compress) and forced `compressed(8)`.
+#[test]
+fn low_cardinality_buckets_bound_sampled_worlds() {
+    let db = low_cardinality_db();
+    let sgs: std::collections::BTreeSet<Value> =
+        db.get("l1").unwrap().rows().iter().map(|(t, _)| t.0[0].sg.clone()).collect();
+    assert!(sgs.len() <= 5, "{sgs:?}");
+    let aggs = |v: usize, w: usize| {
+        vec![
+            AggSpec::count("n"),
+            AggSpec::new(AggFunc::Sum, col(v), "s"),
+            AggSpec::new(AggFunc::Min, col(v), "lo"),
+            AggSpec::new(AggFunc::Max, col(w), "hi"),
+        ]
+    };
+    let join = table("l1").join_on(table("l2"), col(0).eq(col(3)).and(col(1).eq(col(4))));
+    let cases = [
+        ("split/compress join + γ", join.aggregate(vec![0], aggs(2, 5))),
+        ("compressing γ", table("l1").aggregate(vec![0], aggs(2, 1))),
+    ];
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(8) };
+    let configs = [("compressed(8)", AuConfig::compressed(8)), ("forced compressed(8)", forced)];
+    let mut rng = StdRng::seed_from_u64(0x10ca);
+    let worlds: Vec<Database> = (0..WORLDS).map(|_| sample_bounded_world(&db, &mut rng)).collect();
+    for (name, q) in cases {
+        let wants: Vec<Relation> = worlds.iter().map(|w| eval_det(w, &q).unwrap()).collect();
+        for (c, cfg) in &configs {
+            let (au, trace) =
+                eval_au_traced(&db, &q, cfg).unwrap_or_else(|e| panic!("{name} under {c}: {e}"));
+            let (mut joins, mut compressing) = (0, 0);
+            trace.root.walk(&mut |s| match s.op.as_str() {
+                "join" => {
+                    assert_eq!(s.attr("strategy"), Some("split-compress"), "{name} under {c}");
+                    joins += 1;
+                }
+                "aggregate" => compressing += usize::from(s.attr("compress") == Some("8")),
+                _ => {}
+            });
+            let want_joins = usize::from(name.contains("join"));
+            assert_eq!(joins, want_joins, "{name} under {c}");
+            assert!(compressing >= usize::from(want_joins == 0), "{name} under {c}");
+            for (w, want) in wants.iter().enumerate() {
+                assert!(
+                    relation_bounds_world(&au, want),
+                    "{name} under {c}: world {w} not bounded\nQ(W) = {want}\nQ(D) = {au}"
+                );
+            }
+        }
+    }
+}
