@@ -520,6 +520,28 @@ impl<'a> LaneSlice<'a> {
         }
     }
 
+    /// And [`LaneSlice::is_certain`] of cell `is[k]` into `acc[k]`, for
+    /// every `k`: one typed loop over the lane, no match per cell.
+    pub fn and_certain_cells(&self, is: &[u32], acc: &mut [bool]) {
+        fn fold<T: Copy>(c: [&[T]; 3], is: &[u32], acc: &mut [bool], eq: impl Fn(T, T) -> bool) {
+            for (a, &i) in acc.iter_mut().zip(is) {
+                let i = i as usize;
+                *a &= eq(c[0][i], c[1][i]) & eq(c[1][i], c[2][i]);
+            }
+        }
+        match self {
+            LaneSlice::Int { lb, sg, ub } => fold([lb, sg, ub], is, acc, |x, y| x == y),
+            LaneSlice::Float { lb, sg, ub } => {
+                fold([lb, sg, ub], is, acc, |x: f64, y: f64| x.to_bits() == y.to_bits())
+            }
+            LaneSlice::Bool { lb, sg, ub } => fold([lb, sg, ub], is, acc, |x, y| x == y),
+            LaneSlice::Str { lb, sg, ub, .. } => fold([lb, sg, ub], is, acc, |x, y| x == y),
+            LaneSlice::Boxed(v) => {
+                acc.iter_mut().zip(is).for_each(|(a, &i)| *a &= v[i as usize].is_certain());
+            }
+        }
+    }
+
     /// Do cells `a` and `b` hold the same selected guess — `Value`'s
     /// structural `==` on the materialized cells (floats by bits)?
     pub fn sg_eq(&self, a: usize, b: usize) -> bool {

@@ -33,7 +33,7 @@ use crate::govern::ExecError;
 
 /// Version stamped into every serialized trace; bump when the JSON
 /// shape changes incompatibly.
-pub const TRACE_SCHEMA_VERSION: u32 = 9;
+pub const TRACE_SCHEMA_VERSION: u32 = 10;
 
 // ---------------------------------------------------------------------------
 // Counters and timed sites
@@ -102,6 +102,10 @@ pub enum Counter {
     LaneBuilds,
     /// Operators that asked a columnar-born relation for its tuples.
     RowsBuilt,
+    /// Fused probes over two stored relations that reused the build an
+    /// earlier run kept beside the left relation's lanes: no
+    /// [`Site::ChainBuild`] entry.
+    ProbeBuildsKept,
     /// Serving-layer executions that found their plan in the prepared
     /// table (same text, same epoch): nothing parsed, planned or compiled.
     PreparedHits,
@@ -115,7 +119,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 26] = [
         Counter::DriversEntered,
         Counter::MorselsDispatched,
         Counter::CancelChecks,
@@ -138,6 +142,7 @@ impl Counter {
         Counter::AggKeysBoxed,
         Counter::LaneBuilds,
         Counter::RowsBuilt,
+        Counter::ProbeBuildsKept,
         Counter::PreparedHits,
         Counter::PreparedMisses,
         Counter::PreparedEvictions,
@@ -168,6 +173,7 @@ impl Counter {
             Counter::AggKeysBoxed => "agg_keys_boxed",
             Counter::LaneBuilds => "lane_builds",
             Counter::RowsBuilt => "rows_built",
+            Counter::ProbeBuildsKept => "probe_builds_kept",
             Counter::PreparedHits => "prepared_hits",
             Counter::PreparedMisses => "prepared_misses",
             Counter::PreparedEvictions => "prepared_evictions",
@@ -193,7 +199,8 @@ pub enum Site {
     /// Aggregation phase 2: the per-group bound folds (driver time).
     AggFold,
     /// Fused-chain probe build: key-certainty partition, hash buckets,
-    /// interval sweeps, candidate CSR.
+    /// interval sweeps, candidate CSR. Only real builds: a probe that
+    /// reuses a kept build ticks [`Counter::ProbeBuildsKept`] instead.
     ChainBuild,
     /// Fused-chain pair batches: one entry per flush — gather, lane
     /// stages, and the delivery of the surviving pairs' row ids or lanes.
@@ -1157,7 +1164,7 @@ mod tests {
             total_ns: 12345,
         };
         let json = trace.to_json();
-        assert!(json.starts_with("{\"version\":9,"), "{json}");
+        assert!(json.starts_with("{\"version\":10,"), "{json}");
         assert!(json.contains("\"engine\":{\"workers\":\"4\"}"), "{json}");
         assert!(json.contains("\"op\":\"select\""), "{json}");
         assert!(json.contains("\"compiled\":\"true\""), "{json}");

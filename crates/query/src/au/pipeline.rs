@@ -60,8 +60,10 @@
 //!   side is evaluated and indexed up front (hash buckets for certain
 //!   equi-keys, interval sweeps for the uncertain bands — one
 //!   [`ProbeOp`], the same build side the operator-at-a-time planner's
-//!   join walks), and left rows enumerate their matches through the
-//!   probe. Only selections may
+//!   join walks; between two stored tables the index is kept beside the
+//!   left table's lanes and reused by later runs, see
+//!   [`ProbeOp::for_chain`]), and left rows enumerate their matches
+//!   through the probe. Only selections may
 //!   sit between the source and the probe (they do not change tuples,
 //!   so the sweep candidates precomputed on source row ids stay valid);
 //!   a left subtree that already contains a probe or a projection is
@@ -402,15 +404,26 @@ enum ProbePlan {
     NestedLoop,
 }
 
-/// An AU join's build side over the right relation's lanes, and the one
-/// place an AU join classifies its predicate, partitions its keys by
-/// certainty, builds its hash index and runs its interval sweeps. The
+/// An AU join's build side at run time: the right relation's lanes and
+/// the index built over them and the left lanes ([`ProbeIndex`]). The
 /// fused chain's probe and [`planner::join_au_planned_exec`] both read
 /// it, each re-checking every pair in its own form (the compiled
 /// [`Stage`], the interpreted `Expr`) — but a chain whose probe
 /// [`ProbeOp::decides_keys`] reads the key triples off the key lanes.
 pub(crate) struct ProbeOp {
     right: Arc<ColumnSet>,
+    index: Arc<ProbeIndex>,
+    /// The index was kept beside the left input's lanes by an earlier
+    /// run ([`ProbeOp::for_chain`]), not built for this one.
+    kept: bool,
+}
+
+/// What a join's build derives from its two inputs' lanes under its
+/// classified predicate: the one place an AU join partitions its keys by
+/// certainty, builds its hash index and runs its interval sweeps. It names
+/// neither column set, so a stored left relation's lanes can keep it
+/// ([`ColumnSet::keep_derived`]) without a cycle, even for `t ⋈ t`.
+pub(crate) struct ProbeIndex {
     plan: ProbePlan,
     /// Did the indexes run on typed cells — every key column pair read
     /// off two `Int`, two `Float` or two `Str` lanes of one dictionary —
@@ -431,21 +444,23 @@ pub(crate) struct ProbeOp {
 /// any candidate.
 const NO_RANK: u32 = u32::MAX;
 
-impl ProbeOp {
-    /// Build the probe of `left ⋈_on right` from the two sides' lanes.
-    /// Pairs are computed over *all* left rows — selections between a
-    /// chain's source and its probe only drop rows, never change them, so
-    /// candidates of dropped rows are simply never probed. The interval
-    /// indexes sort by `(lb, row id)` and the sweeps prune their active
-    /// lists order-preservingly, so the emission order restricted to the
-    /// surviving rows — what the ranks preserve — is the emission order
-    /// over the filtered relation.
+impl ProbeIndex {
+    /// Build the index of `left ⋈ right` under `strategy` from the two
+    /// sides' lanes. Pairs are computed over *all* left rows — selections
+    /// between a chain's source and its probe only drop rows, never
+    /// change them, so candidates of dropped rows are simply never
+    /// probed. The interval indexes sort by `(lb, row id)` and the sweeps
+    /// prune their active lists order-preservingly, so the emission order
+    /// restricted to the surviving rows — what the ranks preserve — is
+    /// the emission order over the filtered relation. Nothing here reads
+    /// the predicate beyond its classification, so the index of one pair
+    /// of stored relations serves every σ around their join.
     ///
     /// Key certainty, the hash index and the interval indexes are all
     /// read straight off the column lanes ([`lane_key`],
     /// [`IntervalIndex::from_lane`]) — no row-tuple walk, and on typed
     /// key lanes no boxed value.
-    pub(crate) fn build(lcs: &ColumnSet, rcs: Arc<ColumnSet>, on: Option<&Expr>) -> ProbeOp {
+    fn build(lcs: &ColumnSet, rcs: &ColumnSet, strategy: &planner::JoinStrategy) -> ProbeIndex {
         let full_index = |cs: &ColumnSet, c: usize| IntervalIndex::from_lane(cs.lane(c).as_slice());
         let typed =
             |&(l, r): &(usize, usize)| lcs.lane(l).as_slice().typed_alike(&rcs.lane(r).as_slice());
@@ -454,11 +469,11 @@ impl ProbeOp {
         };
         let mut keys_typed = None;
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let plan = match planner::classify_within(on, lcs.arity(), rcs.arity()) {
+        let plan = match strategy {
             planner::JoinStrategy::HashEqui(keys) => {
                 keys_typed = Some(keys.iter().all(typed));
-                let (lcols, rcols): (Vec<usize>, Vec<usize>) = keys.into_iter().unzip();
-                let (lkeys, rkeys) = (key_lanes(lcs, &lcols), key_lanes(&rcs, &rcols));
+                let (lcols, rcols): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+                let (lkeys, rkeys) = (key_lanes(lcs, &lcols), key_lanes(rcs, &rcols));
                 let (lc, lu) = certain(&lkeys, lcs.nrows());
                 let (rc, ru) = certain(&rkeys, rcs.nrows());
                 // no certain left key, no bucket to probe: index nothing
@@ -481,7 +496,7 @@ impl ProbeOp {
                 }
                 ProbePlan::HashEqui { lcols, rcols, index, codes }
             }
-            planner::JoinStrategy::IntervalComparison { lo, hi } => {
+            &planner::JoinStrategy::IntervalComparison { lo, hi } => {
                 keys_typed = Some(typed(&match lo.0 {
                     planner::Side::Left => (lo.1, hi.1),
                     planner::Side::Right => (hi.1, lo.1),
@@ -490,27 +505,67 @@ impl ProbeOp {
                     lo,
                     hi,
                     |c| full_index(lcs, c),
-                    |c| full_index(&rcs, c),
+                    |c| full_index(rcs, c),
                 );
                 ProbePlan::Comparison
             }
             planner::JoinStrategy::NestedLoop => ProbePlan::NestedLoop,
         };
         let (cand_offsets, cand) = planner::csr_by_left(lcs.nrows(), &pairs);
-        ProbeOp { right: rcs, plan, keys_typed, cand_offsets, cand }
+        ProbeIndex { plan, keys_typed, cand_offsets, cand }
+    }
+}
+
+impl ProbeOp {
+    /// The probe of `left ⋈_on right`, built now ([`ProbeIndex::build`]).
+    pub(crate) fn build(lcs: &ColumnSet, rcs: Arc<ColumnSet>, on: Option<&Expr>) -> ProbeOp {
+        let strategy = planner::classify_within(on, lcs.arity(), rcs.arity());
+        let index = Arc::new(ProbeIndex::build(lcs, &rcs, &strategy));
+        ProbeOp { right: rcs, index, kept: false }
+    }
+
+    /// A fused chain's probe of `left ⋈_on right`. Over two `stored`
+    /// relations (a database's tables: their lanes outlive the query) the
+    /// index is kept beside the left lanes, keyed by the right lanes and
+    /// the classified predicate, and an earlier run's is reused (counter
+    /// `probe_builds_kept`); anything else is built now (site
+    /// `chain_build`).
+    fn for_chain(
+        lcs: &ColumnSet,
+        rcs: Arc<ColumnSet>,
+        on: Option<&Expr>,
+        stored: bool,
+        metrics: &Metrics,
+    ) -> ProbeOp {
+        let strategy = planner::classify_within(on, lcs.arity(), rcs.arity());
+        let kept = stored.then(|| lcs.derived(&rcs, &strategy)).flatten();
+        if let Some(index) = kept {
+            metrics.add(Counter::ProbeBuildsKept, 1);
+            return ProbeOp { right: rcs, index, kept: true };
+        }
+        let started = metrics.is_enabled().then(Instant::now);
+        let index = Arc::new(ProbeIndex::build(lcs, &rcs, &strategy));
+        if let Some(t) = started {
+            metrics.record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
+        }
+        if stored {
+            lcs.keep_derived(&rcs, strategy, Arc::clone(&index));
+        }
+        ProbeOp { right: rcs, index, kept: false }
     }
 
     /// The sweep pairs `(left row, right row)` in emission order, put
     /// back from the CSR by rank; `None` on a nested-loop plan, where
     /// every pair is one.
     pub(crate) fn pairs(&self) -> Option<Vec<(u32, u32)>> {
-        let mut pairs = vec![(0, 0); self.cand.len()];
-        for (l, w) in self.cand_offsets.windows(2).enumerate() {
-            for &(r, rank) in &self.cand[w[0]..w[1]] {
+        let ix = &*self.index;
+        let mut pairs = vec![(0, 0); ix.cand.len()];
+        for (l, w) in ix.cand_offsets.windows(2).enumerate() {
+            for &(r, rank) in &ix.cand[w[0]..w[1]] {
                 pairs[rank as usize] = (l as u32, r);
             }
         }
-        (!matches!(self.plan, ProbePlan::NestedLoop)).then_some(pairs)
+        (!matches!(ix.plan, ProbePlan::NestedLoop)).then_some(pairs)
     }
 
     /// Does the probe decide its pairs' key equality itself — a hash
@@ -518,14 +573,14 @@ impl ProbeOp {
     /// (`keys=typed`)? Then no compiled re-check runs over its pairs
     /// ([`Buckets::key_eq`]).
     pub(crate) fn decides_keys(&self) -> bool {
-        matches!(self.plan, ProbePlan::HashEqui { .. }) && self.keys_typed == Some(true)
+        matches!(self.index.plan, ProbePlan::HashEqui { .. }) && self.index.keys_typed == Some(true)
     }
 
     /// A hash plan's buckets, keyed off the left lanes `lcs` and the
     /// right side's; `None` without a hash index.
     #[inline]
     pub(crate) fn buckets<'c>(&'c self, lcs: &'c ColumnSet) -> Option<Buckets<'c>> {
-        match &self.plan {
+        match &self.index.plan {
             ProbePlan::HashEqui { lcols, rcols, index, codes } => Some(Buckets {
                 index,
                 codes: *codes,
@@ -707,33 +762,21 @@ struct LanePlan<'p> {
 }
 
 impl<'p> LanePlan<'p> {
-    /// `pre`, then a probe of `right` with its compiled re-check, then
-    /// `post` over `source`. The column sets are built (or fetched from
-    /// the relations' caches) once and shared by every morsel; the
-    /// probe's build is the chain's `chain_build` site. A probe that
-    /// [`ProbeOp::decides_keys`] leaves the re-check out of `post`: the
-    /// strategy is the data's verdict, so the stage is compiled and
-    /// vetted with the plan all the same.
+    /// `pre`, then `probe` with its compiled re-check, then `post` over
+    /// the source's lanes `left`. The column sets are built (or fetched
+    /// from the relations' caches) once and shared by every morsel. A
+    /// probe that [`ProbeOp::decides_keys`] leaves the re-check out of
+    /// `post`: the strategy is the data's verdict, so the stage is
+    /// compiled and vetted with the plan all the same.
     fn new(
-        source: &AuRelation,
+        left: Arc<ColumnSet>,
         pre: &'p [Stage],
-        right: Option<(&AuRelation, Option<&'p Stage>)>,
+        probe: Option<(ProbeOp, Option<&'p Stage>)>,
         post: &'p [Stage],
         keep: Option<&'p [usize]>,
         ranked: bool,
-        exec: &Executor,
     ) -> LanePlan<'p> {
-        let left = lanes_of(source, exec);
-        let (mut probe, mut recheck) = (None, None);
-        if let Some((r, stage)) = right {
-            let rcs = lanes_of(r, exec);
-            let started = exec.metrics().is_enabled().then(Instant::now);
-            (probe, recheck) =
-                (Some(ProbeOp::build(&left, rcs, stage.map(Stage::predicate))), stage);
-            if let Some(t) = started {
-                exec.metrics().record_ns(Site::ChainBuild, t.elapsed().as_nanos() as u64);
-            }
-        }
+        let (probe, recheck) = probe.map_or((None, None), |(p, recheck)| (Some(p), recheck));
         let recheck = recheck.filter(|_| !probe.as_ref().is_some_and(ProbeOp::decides_keys));
         LanePlan {
             left,
@@ -1009,7 +1052,7 @@ impl<'p> LanePlan<'p> {
                 }
             };
         };
-        let right = &*probe.right;
+        let (right, index) = (&*probe.right, &*probe.index);
         let limit = poison.as_ref().map_or(u32::MAX, |(p, _)| *p);
         let buckets = probe.buckets(&self.left);
         let decide = buckets.as_ref().filter(|_| probe.decides_keys());
@@ -1017,14 +1060,14 @@ impl<'p> LanePlan<'p> {
             PairSink { plan: self, right, decide, buf: pairs, batch, out, watermark, exec };
         for (&pos, &k) in fl.live.iter().zip(&fl.annots).take_while(|(&p, _)| p < limit) {
             let src = range.start + pos as usize;
-            if let ProbePlan::NestedLoop = probe.plan {
+            if let ProbePlan::NestedLoop = index.plan {
                 sink.hits(src as u32, k, 0..right.nrows() as u32)?;
                 continue;
             }
             if let Some(hits) = buckets.as_ref().and_then(|b| b.of(src as u32)) {
                 sink.hits(src as u32, k, hits)?;
             }
-            let cand = &probe.cand[probe.cand_offsets[src]..probe.cand_offsets[src + 1]];
+            let cand = &index.cand[index.cand_offsets[src]..index.cand_offsets[src + 1]];
             sink.candidates(src as u32, k, cand)?;
         }
         sink.flush()?;
@@ -1208,8 +1251,11 @@ pub(crate) fn probe_join_pairs(
     recheck: Option<&Stage>,
     exec: &Executor,
 ) -> Result<(ChainOut, Option<bool>), EvalError> {
-    let plan = LanePlan::new(l, &[], Some((r, recheck)), &[], None, false, exec);
-    let keys_typed = plan.probe.as_ref().and_then(|p| p.keys_typed);
+    let left = lanes_of(l, exec);
+    let on = recheck.map(Stage::predicate);
+    let probe = ProbeOp::for_chain(&left, lanes_of(r, exec), on, false, exec.metrics());
+    let keys_typed = probe.index.keys_typed;
+    let plan = LanePlan::new(left, &[], Some((probe, recheck)), &[], None, false);
     Ok((plan.run_all(l.len(), exec, "join-probe")?, keys_typed))
 }
 
@@ -1661,12 +1707,20 @@ impl Chain<Box<Node>> {
         // Probe chains can expand (join output): their production is
         // charged as "join-probe", plain chains' as "pipeline-chain".
         let operator = if probe.is_some() { "join-probe" } else { "pipeline-chain" };
-        let right = probe.as_deref().map(|r| (r, recheck));
-        let plan = LanePlan::new(&source, pre, right, post, keep, ranked, exec);
-        drop(probe);
+        let left = lanes_of(&source, exec);
+        // two stored relations keep their join's build with their lanes
+        let stored = matches!((&source, &probe), (Cow::Borrowed(_), Some(Cow::Borrowed(_))));
+        let probe = probe.map(|r| {
+            let (rcs, on) = (lanes_of(&r, exec), recheck.map(Stage::predicate));
+            (ProbeOp::for_chain(&left, rcs, on, stored, exec.metrics()), recheck)
+        });
+        let plan = LanePlan::new(left, pre, probe, post, keep, ranked);
+        if let Some(p) = &plan.probe {
+            tr.attr(h, "build", || (if p.kept { "kept" } else { "built" }).to_string());
+        }
         tr.attr(h, "ops", || {
             let stage = |st: &Stage| if st.project { "π" } else { "σ" };
-            let probe = plan.probe.iter().map(|p| match p.plan {
+            let probe = plan.probe.iter().map(|p| match p.index.plan {
                 ProbePlan::HashEqui { .. } => "⋈(hash-equi)",
                 ProbePlan::Comparison => "⋈(interval-comparison)",
                 ProbePlan::NestedLoop => "⋈(nested-loop)",
@@ -1678,7 +1732,7 @@ impl Chain<Box<Node>> {
             let cexec = chain_exec(exec);
             cexec.partitioner().morsels(n, cexec.workers()).len().to_string()
         });
-        if let Some(typed) = plan.probe.as_ref().and_then(|p| p.keys_typed) {
+        if let Some(typed) = plan.probe.as_ref().and_then(|p| p.index.keys_typed) {
             tr.attr(h, "keys", || (if typed { "typed" } else { "boxed" }).to_string());
             if !typed {
                 exec.metrics().add(Counter::ProbeKeysBoxed, 1);
@@ -1798,8 +1852,9 @@ mod tests {
         let vet = Vet::new(&metrics, &tr);
         let stages = |pred: Option<Expr>, right: &AuRelation| {
             let stage = pred.map(|p| Stage::filter(&p, vet).expect("vetted"));
-            let plan =
-                LanePlan::new(&ints, &[], Some((right, stage.as_ref())), &[], None, false, &exec);
+            let (left, on) = (lanes_of(&ints, &exec), stage.as_ref().map(Stage::predicate));
+            let probe = ProbeOp::build(&left, lanes_of(right, &exec), on);
+            let plan = LanePlan::new(left, &[], Some((probe, stage.as_ref())), &[], None, false);
             let decides = plan.probe.as_ref().is_some_and(ProbeOp::decides_keys);
             (plan.post.len(), decides)
         };

@@ -72,14 +72,18 @@ fn sg_rows(rel: &AuRelation) -> AuRelation {
 /// The rows of [`split_sg`] before any merge, on lanes: the rows with
 /// `sg > 0`, every lane collapsed to its selected guess (a typed lane
 /// stays typed), annotated `(lb if the row is certain else 0, sg, sg)`.
+/// A row's certainty is and-ed together lane by lane, each in one typed
+/// loop.
 fn split_sg_lanes(cs: &ColumnSet) -> ColumnSet {
     let (cells, k) = (cs.lane_slices(), cs.annots());
     let keep: Vec<u32> = (0..cs.nrows() as u32).filter(|&i| k.sg[i as usize] > 0).collect();
     let collapsed = cells.iter().map(|lane| lane.gather_sg(&keep));
-    let mut annots = AnnotColumn::default();
-    for i in keep.iter().map(|&i| i as usize) {
-        let lb = if cells.iter().all(|lane| lane.is_certain(i)) { k.lb[i] } else { 0 };
-        annots.push(AuAnnot::triple(lb.min(k.sg[i]), k.sg[i], k.sg[i]));
+    let mut certain = vec![true; keep.len()];
+    cells.iter().for_each(|lane| lane.and_certain_cells(&keep, &mut certain));
+    let mut annots = AnnotColumn::with_capacity(keep.len());
+    for (&i, certain) in keep.iter().zip(certain) {
+        let (lb, sg) = (k.lb[i as usize], k.sg[i as usize]);
+        annots.push(AuAnnot::triple(if certain { lb.min(sg) } else { 0 }, sg, sg));
     }
     ColumnSet::new(collapsed.collect(), annots)
 }
@@ -593,6 +597,43 @@ mod tests {
             r2(j / 2, j / 2, j / 2 + j % 2),
         ];
         (RangeTuple::new(cells), AuAnnot::triple(0, 1, 1 + (i % 4) as u64))
+    }
+
+    /// `split_sg_lanes` is `sg_rows` row for row over an un-normalized
+    /// list: `Int`, `Float`, `Str`, `Bool` and `Boxed` lanes, each with
+    /// certain and uncertain cells (the `Boxed` one's in rows where every
+    /// typed cell is certain), rows with `sg = 0` dropped, and the lower
+    /// bound kept exactly where the whole row is certain.
+    #[test]
+    fn split_sg_lanes_is_sg_rows_row_for_row() {
+        let rows: Vec<(RangeTuple, AuAnnot)> = (0..300)
+            .map(|i| {
+                let (mut t, _) = typed_bag_row(i);
+                if i % 7 == 3 {
+                    t.0[4] = r2(0, 1, 2);
+                }
+                let sg = (i % 3) as u64;
+                let lb = if i % 2 == 0 { sg } else { 0 };
+                (t, AuAnnot::triple(lb, sg, sg + 1 + (i % 2) as u64))
+            })
+            .collect();
+        let mut rel = AuRelation::empty(Schema::named(&["i", "f", "s", "b", "x", "p"]));
+        rel.append_rows(rows.clone());
+        let cs = rel.columns();
+        let tags: Vec<LaneTag> = cs.lanes().iter().map(|l| l.tag()).collect();
+        use LaneTag::{Bool, Boxed, Float, Int, Str};
+        assert_eq!(tags, [Int, Float, Str, Bool, Boxed, Int]);
+        for c in 0..cs.arity() {
+            let lane = cs.lane(c).as_slice();
+            let certain = (0..cs.nrows()).filter(|&i| lane.is_certain(i)).count();
+            assert!(0 < certain && certain < cs.nrows(), "lane {c}: certain and uncertain cells");
+        }
+        let (sg, lanes) = (sg_rows(&rel), split_sg_lanes(&cs));
+        assert_eq!(lanes.rows(), sg.rows());
+        assert!(sg.len() < rows.len(), "rows with sg = 0 are dropped");
+        let kept_lb = sg.rows().iter().filter(|(_, k)| k.lb > 0).count();
+        let lost_lb = rows.iter().filter(|(t, k)| k.sg > 0 && k.lb > 0 && !t.is_certain()).count();
+        assert!(kept_lb > 0 && lost_lb > 0, "{kept_lb} certain rows keep lb, {lost_lb} lose it");
     }
 
     /// `Cpr(split↑(R))` over an un-normalized bag is `compress_rows` over

@@ -16,7 +16,9 @@
 //! relation caches one per row list (invalidated on mutation), the
 //! serving layer's snapshots publish the same `Arc`s to every reader,
 //! and pipeline chunks borrow lane slices straight out of them without
-//! copying.
+//! copying. A set may also keep values derived from its lanes and another
+//! set's — a join's probe index between two stored relations
+//! ([`ColumnSet::derived`]) — which live as long as both sets do.
 //!
 //! # Packed sort keys
 //!
@@ -49,8 +51,11 @@
 //!   the full comparison instead of being ordered by a later column;
 //! * `Bool`: one `0`/`1` byte; `MinVal`/`Null`/`MaxVal`: rank only.
 
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use audb_core::{AuAnnot, LaneSlice, RangeValue, Value, ValueLane};
 
@@ -66,6 +71,15 @@ pub struct AnnotColumn {
 }
 
 impl AnnotColumn {
+    /// An empty column with room for `n` annotations.
+    pub fn with_capacity(n: usize) -> AnnotColumn {
+        AnnotColumn {
+            lb: Vec::with_capacity(n),
+            sg: Vec::with_capacity(n),
+            ub: Vec::with_capacity(n),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.lb.len()
     }
@@ -93,11 +107,74 @@ impl AnnotColumn {
 }
 
 /// The column-major layout of an AU row list: one [`ValueLane`] per
-/// attribute plus the annotation column. Built from rows, immutable.
-#[derive(Debug, Clone, PartialEq)]
+/// attribute plus the annotation column. Built from rows, immutable —
+/// [`ColumnSet::append`] aside, which only a sole owner can call.
+#[derive(Clone, PartialEq)]
 pub struct ColumnSet {
     lanes: Vec<ValueLane>,
     annots: AnnotColumn,
+    /// What was derived from these lanes and another set's
+    /// ([`ColumnSet::derived`]).
+    derived: Derived,
+}
+
+impl fmt::Debug for ColumnSet {
+    /// The rows' data only: what was derived from them is not part of it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ColumnSet")
+            .field("lanes", &self.lanes)
+            .field("annots", &self.annots)
+            .finish()
+    }
+}
+
+/// One value derived from two column sets under a key: kept by the
+/// first set, naming the second by a [`Weak`] (a self-derived entry
+/// forms no cycle).
+struct DerivedEntry {
+    other: Weak<ColumnSet>,
+    key: Box<dyn Any + Send + Sync>,
+    value: Arc<dyn Any + Send + Sync>,
+}
+
+/// The values kept beside a column set's lanes — a stored relation's
+/// join indexes — each derived from its lanes and another set's. Not
+/// part of the data: a clone starts empty, equality ignores it, and an
+/// entry whose other set is gone is pruned on the next access.
+#[derive(Default)]
+struct Derived(Mutex<Vec<DerivedEntry>>);
+
+impl Derived {
+    /// The live entries, the dead ones pruned.
+    fn entries(&self) -> MutexGuard<'_, Vec<DerivedEntry>> {
+        let mut entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        entries.retain(|e| e.other.strong_count() > 0);
+        entries
+    }
+
+    fn find<K: PartialEq + 'static, V: Send + Sync + 'static>(
+        entries: &[DerivedEntry],
+        other: &Arc<ColumnSet>,
+        key: &K,
+    ) -> Option<Arc<V>> {
+        let same = |e: &&DerivedEntry| {
+            e.other.upgrade().is_some_and(|o| Arc::ptr_eq(&o, other))
+                && e.key.downcast_ref::<K>() == Some(key)
+        };
+        entries.iter().find(same).and_then(|e| Arc::clone(&e.value).downcast::<V>().ok())
+    }
+}
+
+impl Clone for Derived {
+    fn clone(&self) -> Derived {
+        Derived::default()
+    }
+}
+
+impl PartialEq for Derived {
+    fn eq(&self, _: &Derived) -> bool {
+        true
+    }
 }
 
 impl ColumnSet {
@@ -106,30 +183,56 @@ impl ColumnSet {
     pub fn from_rows(arity: usize, rows: &[(RangeTuple, AuAnnot)]) -> ColumnSet {
         let lanes =
             (0..arity).map(|c| ValueLane::from_cells(rows.iter().map(|(t, _)| &t.0[c]))).collect();
-        let mut annots = AnnotColumn::default();
-        annots.lb.reserve(rows.len());
-        annots.sg.reserve(rows.len());
-        annots.ub.reserve(rows.len());
+        let mut annots = AnnotColumn::with_capacity(rows.len());
         for (_, a) in rows {
             annots.push(*a);
         }
-        ColumnSet { lanes, annots }
+        ColumnSet { lanes, annots, derived: Derived::default() }
     }
 
     /// A column set of lanes an operator built: `lanes[c]` is attribute
     /// `c` of every row, `annots[i]` row `i`'s annotation.
     pub fn new(lanes: Vec<ValueLane>, annots: AnnotColumn) -> ColumnSet {
         assert!(lanes.iter().all(|l| l.len() == annots.len()), "one cell per row in every lane");
-        ColumnSet { lanes, annots }
+        ColumnSet { lanes, annots, derived: Derived::default() }
     }
 
-    /// Append `more`'s rows (same arity) behind this set's.
+    /// Append `more`'s rows (same arity) behind this set's. Whatever was
+    /// derived from the old rows goes.
     pub fn append(&mut self, more: &ColumnSet) {
         assert_eq!(self.arity(), more.arity(), "one lane per attribute");
+        self.derived.0.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
         self.lanes.iter_mut().zip(&more.lanes).for_each(|(l, m)| l.append(&m.as_slice(), None));
         self.annots.lb.extend_from_slice(&more.annots.lb);
         self.annots.sg.extend_from_slice(&more.annots.sg);
         self.annots.ub.extend_from_slice(&more.annots.ub);
+    }
+
+    /// The value derived from this set's lanes and `other`'s under `key`
+    /// that [`ColumnSet::keep_derived`] kept, if any. `other` is matched
+    /// by identity ([`Arc::ptr_eq`]), `key` by `==`.
+    pub fn derived<K, V>(&self, other: &Arc<ColumnSet>, key: &K) -> Option<Arc<V>>
+    where
+        K: PartialEq + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        Derived::find(&self.derived.entries(), other, key)
+    }
+
+    /// Keep `value`, derived from this set's lanes and `other`'s under
+    /// `key`, for as long as both sets live — unless an entry for them
+    /// was kept meanwhile. The entry holds `other` weakly, so a set may
+    /// derive from itself.
+    pub fn keep_derived<K, V>(&self, other: &Arc<ColumnSet>, key: K, value: Arc<V>)
+    where
+        K: PartialEq + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        let mut entries = self.derived.entries();
+        if Derived::find::<K, V>(&entries, other, &key).is_none() {
+            let other = Arc::downgrade(other);
+            entries.push(DerivedEntry { other, key: Box::new(key), value });
+        }
     }
 
     /// The row list this column set is the twin of, built cell by cell.
@@ -436,7 +539,7 @@ impl<'a> GatherView<'a> {
             None => lane.gather(&rows),
             Some(ix) => lane.gather(&rows.iter().map(|&i| ix[i as usize]).collect::<Vec<_>>()),
         });
-        ColumnSet { lanes: lanes.collect(), annots }
+        ColumnSet { lanes: lanes.collect(), annots, derived: Derived::default() }
     }
 
     /// Bytes of a row's packed sort key ([`GatherView::write_keys`]).
@@ -618,6 +721,41 @@ mod tests {
             assert_eq!(cs.row(i), *t);
             assert_eq!(cs.annots().get(i), *a);
         }
+    }
+
+    /// A derived value is found under its other set (by identity) and
+    /// its key (by `==`) only; it goes with its other set, and neither a
+    /// clone nor an appended set carries it. Equality and `Debug` do not
+    /// see it.
+    #[test]
+    fn derived_values_live_with_both_sets() {
+        let rows = vec![(rt(vec![iv(1, 2, 3)]), AuAnnot::triple(1, 1, 1))];
+        let set = || Arc::new(ColumnSet::from_rows(1, &rows));
+        let (left, right, twin) = (set(), set(), set());
+        let debug = format!("{left:?}");
+        left.keep_derived(&right, 7u32, Arc::new("index"));
+        left.keep_derived(&right, 7u32, Arc::new("a second build"));
+        left.keep_derived(&left, 7u32, Arc::new("self"));
+        assert_eq!(left.derived::<u32, &str>(&right, &7).as_deref(), Some(&"index"));
+        assert_eq!(left.derived::<u32, &str>(&left, &7).as_deref(), Some(&"self"));
+        assert!(left.derived::<u32, &str>(&twin, &7).is_none(), "an equal set is another set");
+        assert!(left.derived::<u32, &str>(&right, &8).is_none(), "another key");
+        assert!(left.derived::<u64, &str>(&right, &7).is_none(), "another key type");
+        assert_eq!(format!("{left:?}"), debug);
+        assert_eq!(*left, *twin);
+
+        let (clone, weak) = ((*left).clone(), Arc::downgrade(&right));
+        assert!(clone.derived::<u32, &str>(&right, &7).is_none(), "a clone starts empty");
+        drop(right);
+        assert!(weak.upgrade().is_none(), "the entry holds its other set weakly");
+        assert_eq!(left.derived.entries().len(), 1, "the dead entry is pruned");
+
+        let mut grown = Arc::unwrap_or_clone(left);
+        assert!(grown.derived::<u32, &str>(&twin, &7).is_none());
+        let grown_arc = Arc::new(grown.clone());
+        grown.keep_derived(&grown_arc, 7u32, Arc::new("before"));
+        grown.append(&twin);
+        assert!(grown.derived::<u32, &str>(&grown_arc, &7).is_none(), "append clears");
     }
 
     #[test]

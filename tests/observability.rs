@@ -625,7 +625,7 @@ fn trace_json_is_versioned_and_failure_preserves_trace() {
     let (_, trace) = eval_au_traced(&db, &q, &AuConfig::default()).unwrap();
     let json = trace.to_json();
     for key in [
-        "\"version\":9",
+        "\"version\":10",
         "\"engine\":",
         "\"root\":",
         "\"events\":",

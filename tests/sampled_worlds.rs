@@ -17,7 +17,8 @@
 //! fourth runs TPC-H Q1/Q3/Q5/Q7/Q10 over an uncertain x-DB, against
 //! worlds of the x-DB itself. A fifth mixes `Int` and `Float` cells in
 //! one column, so the AU engine reads boxed lanes and its join meets
-//! `Int` keys with `Float` keys.
+//! `Int` keys with `Float` keys. One case runs a join spine over stored
+//! tables twice, so the second run probes the build the first one kept.
 //!
 //! Float `sum`s are left out: the AU engine and the det engine add a
 //! float column up in different orders, and a bound can miss the world's
@@ -194,6 +195,36 @@ fn served_results_bound_sampled_worlds() {
             assert_eq!(engine.publish(dbs[1].clone()), 1);
             serve("after publish", 1, false);
         }
+    }
+}
+
+/// A stored join spine run twice bounds sampled worlds: the second run
+/// reuses the probe build the first kept beside `t1`'s lanes
+/// (`build=kept` under `precise`), agrees with the first, and has no
+/// violation under any config.
+#[test]
+fn stored_spine_run_twice_bounds_sampled_worlds() {
+    let db = db();
+    let (name, q) = cases().into_iter().next().expect("the join spine");
+    let forced = AuConfig { adaptive: false, ..AuConfig::compressed(8) };
+    let configs = [
+        ("precise", AuConfig::precise()),
+        ("compressed(8)", AuConfig::compressed(8)),
+        ("forced compressed(8)", forced),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x6b65);
+    let wants: Vec<Relation> =
+        (0..WORLDS).map(|_| eval_det(&sample_bounded_world(&db, &mut rng), &q).unwrap()).collect();
+    for (c, cfg) in &configs {
+        let first = eval_au(&db, &q, cfg).unwrap_or_else(|e| panic!("{name} under {c}: {e}"));
+        let (second, trace) = eval_au_traced(&db, &q, cfg).unwrap();
+        assert_eq!(second, first, "{name} under {c}: the second run");
+        if *c == "precise" {
+            let fused = trace.root.find("fused-chain").expect("fused chain span");
+            assert_eq!(fused.attr("build"), Some("kept"), "{name} under {c}");
+        }
+        let violations = wants.iter().filter(|want| !relation_bounds_world(&second, want)).count();
+        assert_eq!(violations, 0, "{name} under {c}: worlds not bounded");
     }
 }
 
