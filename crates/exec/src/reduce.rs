@@ -9,9 +9,9 @@
 //! 1. **sort** (one pool job per morsel; one morsel at one worker): drop
 //!    the rows `keep` rejects, have the caller write a packed sort key
 //!    for every row left into one arena (a lane view writes it a column
-//!    at a time), sort a `(first key word, index)` permutation by
-//!    `(word, key bytes, row, index)`, and fold each run of equal rows
-//!    into its first occurrence;
+//!    at a time), sort a `(key word, index)` permutation by `(word, key
+//!    bytes, row, index)` one key word at a time, and fold each run of
+//!    equal rows into its first occurrence;
 //! 2. **merge** (sequential, `O(n · runs)` with `runs ≤ workers`):
 //!    k-way-merge the morsels' sorted runs, folding equal heads together.
 //!
@@ -110,9 +110,9 @@ impl Executor {
     /// (`key(a) < key(b)` ⇒ `a < b`; equal rows have equal keys), and
     /// sets `exact[i]` (it arrives `false`) where row `i`'s key pins the
     /// row down: two rows with equal exact keys are equal. The sort
-    /// compares `(key, row)` — a memcmp in front of the exact
-    /// comparator, which only ties between keys not both exact reach —
-    /// so the order is `T`'s.
+    /// orders by `(key, row)` — the key a big-endian word at a time, the
+    /// rows only where equal keys are not all exact — so the order is
+    /// `T`'s.
     pub fn sort_merge_by_key<T, K>(
         &self,
         rows: Vec<(T, K)>,
@@ -189,14 +189,15 @@ impl Executor {
 /// Without a key (width 0) the rows themselves are sorted, stably.
 ///
 /// Every row's key fills one arena, all keys of one width. A `(first key
-/// word, index)` permutation is sorted by `(word, index)` — no
-/// comparison touches the arena — and each stretch of equal words,
-/// stably, by the rest of the key and, on a tie between keys not both
-/// exact, the rows: together the order `(word, key bytes, row, index)`.
-/// A stretch of duplicates is checked against its first row and left as
-/// it is. Runs of equal rows are folded, the first row of each kept in
-/// input order, and those put in sorted order in place — nothing is
-/// copied out.
+/// word, index)` permutation is sorted by `(word, index)`, and each
+/// stretch of equal words by the next 8-byte key word, loaded into its
+/// records, and so on: a word the whole stretch shares costs one pass
+/// and no sort. Where the key runs out the keys are equal: if all are
+/// exact the rows are duplicates, otherwise the stretch is sorted,
+/// stably, by the rows. Together that is the order `(word, key bytes,
+/// row, index)`, and no comparison touches the arena. Runs of equal rows
+/// are folded, the first row of each kept in input order, and those put
+/// in sorted order in place — nothing is copied out.
 fn sort_run<T: Ord, K>(
     mut rows: Vec<(T, K)>,
     combine: &impl Fn(&mut K, &K),
@@ -220,41 +221,55 @@ fn sort_run<T: Ord, K>(
         return rows;
     }
     let key = |i: u32| &keys[i as usize * width..][..width];
-    let head = width.min(8);
-    let word = |i: u32| {
-        let mut w = [0u8; 8];
-        w[..head].copy_from_slice(&key(i)[..head]);
-        u64::from_be_bytes(w)
-    };
-    // past the first word: the key, then the rows unless both are exact
-    let rest = |a: u32, b: u32| {
-        key(a)[head..].cmp(&key(b)[head..]).then_with(|| {
-            match exact[a as usize] && exact[b as usize] {
-                true => Ordering::Equal,
-                false => rows[a as usize].0.cmp(&rows[b as usize].0),
+    // row `i`'s key bytes `at..at + 8`, big-endian; a key narrower than a
+    // multiple of 8 ends in a zero-padded word, alike in every key
+    let word = |i: u32, at: usize| {
+        let tail = &key(i)[at..];
+        match tail.first_chunk() {
+            Some(w) => u64::from_be_bytes(*w),
+            None => {
+                let mut w = [0u8; 8];
+                w[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(w)
             }
-        })
+        }
     };
-    let mut perm: Vec<(u64, u32)> = (0..n as u32).map(|i| (word(i), i)).collect();
+    let mut perm: Vec<(u64, u32)> = (0..n as u32).map(|i| (word(i, 0), i)).collect();
     sort_by_word(&mut perm);
     // sorted position `j` continues the run of equal rows before it
     let mut joins = vec![false; n];
-    let mut at = 0;
-    for same_word in perm.chunk_by_mut(|a, b| a.0 == b.0) {
-        let (len, joins) = (same_word.len(), &mut joins[at..at + same_word.len()]);
-        at += len;
-        if len == 1 {
+    // parts of records equal on every key word before byte `at`, each in
+    // index order: `(start, end, at)`
+    let mut ties = Vec::new();
+    tied_parts(&perm, 0, 8, &mut ties);
+    while let Some((start, end, at)) = ties.pop() {
+        let part = &mut perm[start..end];
+        if at < width {
+            let first = word(part[0].1, at);
+            let mut shared = true;
+            for r in part.iter_mut() {
+                r.0 = word(r.1, at);
+                shared &= r.0 == first;
+            }
+            if shared {
+                ties.push((start, end, at + 8));
+            } else {
+                // indices are unique: this is the stable order by word
+                part.sort_unstable();
+                tied_parts(part, start, at + 8, &mut ties);
+            }
             continue;
         }
-        // duplicates: every row equal to the first, which stays cached
-        let first = same_word[0].1;
-        if same_word[1..].iter().all(|&(_, i)| rest(first, i).is_eq()) {
-            joins[1..].fill(true);
-            continue;
-        }
-        same_word.sort_by(|&(_, a), &(_, b)| rest(a, b));
-        for (joined, w) in joins[1..].iter_mut().zip(same_word.windows(2)) {
-            *joined = rest(w[0].1, w[1].1).is_eq();
+        // equal keys: exact ones are equal rows, the rest need the rows
+        let joins = &mut joins[start + 1..end];
+        if part.iter().all(|&(_, i)| exact[i as usize]) {
+            joins.fill(true);
+        } else {
+            let row = |i: u32| &rows[i as usize].0;
+            part.sort_by(|&(_, a), &(_, b)| row(a).cmp(row(b)));
+            for (joined, w) in joins.iter_mut().zip(part.windows(2)) {
+                *joined = row(w[0].1) == row(w[1].1);
+            }
         }
     }
     drop(keys);
@@ -294,15 +309,31 @@ fn sort_run<T: Ord, K>(
     rows
 }
 
+/// Push each stretch of more than one equal word of the sorted `part`,
+/// which starts at position `start`, as `(start, end, at)`.
+fn tied_parts(part: &[(u64, u32)], start: usize, at: usize, ties: &mut Vec<(usize, usize, usize)>) {
+    let mut end = start;
+    for same in part.chunk_by(|a, b| a.0 == b.0) {
+        end += same.len();
+        if same.len() > 1 {
+            ties.push((end - same.len(), end, at));
+        }
+    }
+}
+
 /// Stable sort of `(word, index)` records by word — records that arrive
-/// in index order leave in `(word, index)` order. Least significant byte
-/// first over the words' offsets from the least of them, one counting
-/// pass per byte their range spans (two for integer columns of up to
-/// 65 536 distinct values); a comparison sort where that would take more
-/// than three passes, or for a few hundred records. Normalization sorts
-/// its keys' first words with it, `Cpr` its members' bucket-attribute
-/// selected guesses.
+/// in index order leave in `(word, index)` order. Records already in
+/// that order (a chain over a sorted source) cost one pass. Otherwise
+/// least significant byte first over the words' offsets from the least
+/// of them, one counting pass per byte their range spans (two for
+/// integer columns of up to 65 536 distinct values); a comparison sort
+/// where that would take more than three passes, or for a few hundred
+/// records. Normalization sorts its keys' first words with it, `Cpr` its
+/// members' bucket-attribute selected guesses.
 pub fn sort_by_word(perm: &mut Vec<(u64, u32)>) {
+    if perm.is_sorted() {
+        return;
+    }
     let (least, most) = perm.iter().fold((u64::MAX, 0), |(l, m), &(w, _)| (l.min(w), m.max(w)));
     let passes = (64 - most.saturating_sub(least).leading_zeros()).div_ceil(8);
     if perm.len() <= 256 || passes > 3 {
@@ -442,6 +473,59 @@ mod tests {
         }
     }
 
+    /// A xorshift stream.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    fn keep_affine(k: &(u64, u64)) -> bool {
+        !k.1.is_multiple_of(5)
+    }
+
+    /// Compose affine maps `x ↦ a·x + b`: associative, not commutative.
+    fn affine(acc: &mut (u64, u64), k: &(u64, u64)) {
+        *acc = (acc.0.wrapping_mul(k.0), acc.1.wrapping_mul(k.0).wrapping_add(k.1));
+    }
+
+    /// The sequential fold through a `BTreeMap`: the rows `keep_affine`
+    /// keeps, each row's occurrences folded by `affine` in input order.
+    fn fold_reference<T: Ord + Clone>(rows: &[(T, (u64, u64))]) -> Vec<(T, (u64, u64))> {
+        use std::collections::BTreeMap;
+        let mut reference: BTreeMap<T, (u64, u64)> = BTreeMap::new();
+        for (t, k) in rows.iter().filter(|(_, k)| keep_affine(k)) {
+            match reference.get_mut(t) {
+                Some(acc) => affine(acc, k),
+                None => drop(reference.insert(t.clone(), *k)),
+            }
+        }
+        reference.into_iter().collect()
+    }
+
+    /// A `width`-byte key of a byte row: its first `width - 1` bytes,
+    /// zero-padded, then its length up to `width - 1`. Monotone, equal on
+    /// a shared prefix, exact up to `width - 1` bytes.
+    fn prefix_keys<T: AsRef<[u8]>>(
+        width: usize,
+        rows: &[(T, (u64, u64))],
+        keys: &mut Vec<u8>,
+        exact: &mut [bool],
+    ) -> usize {
+        for ((t, _), exact) in rows.iter().zip(exact) {
+            let (t, at) = (t.as_ref(), keys.len());
+            let n = t.len().min(width - 1);
+            keys.resize(at + width, 0);
+            keys[at..at + n].copy_from_slice(&t[..n]);
+            keys[at + width - 1] = n as u8;
+            *exact = t.len() < width;
+        }
+        width
+    }
+
     /// The driver against a `BTreeMap` fold (occurrences combined in
     /// input order, by a fold that is associative but not commutative:
     /// composing affine maps `x ↦ a·x + b`): heavy
@@ -450,54 +534,102 @@ mod tests {
     /// worker count.
     #[test]
     fn matches_btreemap_fold_reference() {
-        use std::collections::BTreeMap;
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let keep = |k: &(u64, u64)| !k.1.is_multiple_of(5);
-        let fold = |acc: &mut (u64, u64), k: &(u64, u64)| {
-            *acc = (acc.0.wrapping_mul(k.0), acc.1.wrapping_mul(k.0).wrapping_add(k.1));
-        };
-        // the first 8 bytes, zero-padded, then the length up to 8:
-        // monotone, equal on the shared prefix, exact up to 8 bytes
-        let prefix = |rows: &[(String, (u64, u64))], keys: &mut Vec<u8>, exact: &mut [bool]| {
-            for ((t, _), exact) in rows.iter().zip(exact) {
-                let mut key = [0u8; 9];
-                let n = t.len().min(8);
-                key[..n].copy_from_slice(&t.as_bytes()[..n]);
-                key[8] = n as u8;
-                keys.extend(key);
-                *exact = t.len() <= 8;
-            }
-            9
-        };
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
         for (n, distinct) in [(0, 1), (1, 1), (40, 3), (3000, 7), (3000, 100), (2000, 2000)] {
             let rows: Vec<(String, (u64, u64))> = (0..n)
                 .map(|_| {
                     let id = next() % distinct;
-                    let key =
-                        if id % 2 == 0 { format!("shared-prefix-{id}") } else { format!("{id}") };
+                    let key = if id.is_multiple_of(2) {
+                        format!("shared-prefix-{id}")
+                    } else {
+                        format!("{id}")
+                    };
                     let b = next() % 97;
                     (key, (b | 1, b))
                 })
                 .collect();
-            let mut reference: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-            for (t, k) in rows.iter().filter(|(_, k)| keep(k)) {
-                match reference.get_mut(t) {
-                    Some(acc) => fold(acc, k),
-                    None => drop(reference.insert(t.clone(), *k)),
+            let reference = fold_reference(&rows);
+            for exec in [Executor::sequential(), forced(2, 3), forced(4, 3), forced(7, 3)] {
+                let plain = exec.sort_merge(rows.clone(), keep_affine, affine).unwrap();
+                assert_eq!(plain, reference, "n = {n}, distinct = {distinct}");
+                let keys = |r: &[_], k: &mut _, e: &mut _| prefix_keys(9, r, k, e);
+                let keyed = exec.sort_merge_by_key(rows.clone(), keep_affine, affine, keys);
+                assert_eq!(keyed.unwrap(), reference, "keyed: n = {n}, distinct = {distinct}");
+            }
+        }
+    }
+
+    /// Keys of 9, 17, 20 and 41 bytes, so a stretch is ordered past its
+    /// second word: every row opens with one of five 8-byte group words,
+    /// a group shares its next 0–3 words, then one of twelve tails. In
+    /// odd groups a tail is one byte, so where the key is wide enough a
+    /// whole stretch is exact and told apart by its zero-padded last
+    /// word (the 20-byte key's bytes 16–19); in even groups it is 1–23
+    /// bytes and ends inside the key (exact) or past it (inexact), at
+    /// random positions. Stretches of 40 and 600 rows, as drawn,
+    /// presorted, reverse-sorted and all duplicates, against the
+    /// `BTreeMap` fold at 1, 2, 4 and 7 workers.
+    #[test]
+    fn multi_word_keys_match_btreemap_fold_reference() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        for n in [200, 3000] {
+            let drawn: Vec<(Vec<u8>, (u64, u64))> = (0..n)
+                .map(|_| {
+                    let (g, tail) = (next() % 5, next() % 12);
+                    let mut t = format!("group-{g:02}").into_bytes();
+                    t.resize(t.len() + 8 * (g as usize % 4), b'a' + g as u8);
+                    let repeat = if g % 2 == 1 { 1 } else { 1 + 2 * tail as usize };
+                    t.extend(format!("{tail:x}").repeat(repeat).bytes());
+                    let b = next() % 97;
+                    (t, (b | 1, b))
+                })
+                .collect();
+            let mut sorted = drawn.clone();
+            sorted.sort_by(|a, b| a.0.cmp(&b.0));
+            let reversed: Vec<_> = sorted.iter().rev().cloned().collect();
+            let same: Vec<_> = drawn.iter().map(|(_, k)| (drawn[0].0.clone(), *k)).collect();
+            for (rows, order) in
+                [(drawn, "drawn"), (sorted, "sorted"), (reversed, "reversed"), (same, "same")]
+            {
+                let reference = fold_reference(&rows);
+                for width in [9, 17, 20, 41] {
+                    for w in [1, 2, 4, 7] {
+                        let keys = |r: &[_], k: &mut _, e: &mut _| prefix_keys(width, r, k, e);
+                        let keyed =
+                            forced(w, 3).sort_merge_by_key(rows.clone(), keep_affine, affine, keys);
+                        assert_eq!(
+                            keyed.unwrap(),
+                            reference,
+                            "{order}, n = {n}, {width} B, w = {w}"
+                        );
+                    }
                 }
             }
-            let reference: Vec<(String, (u64, u64))> = reference.into_iter().collect();
-            for exec in [Executor::sequential(), forced(2, 3), forced(4, 3), forced(7, 3)] {
-                let plain = exec.sort_merge(rows.clone(), keep, fold).unwrap();
-                assert_eq!(plain, reference, "n = {n}, distinct = {distinct}");
-                let keyed = exec.sort_merge_by_key(rows.clone(), keep, fold, prefix).unwrap();
-                assert_eq!(keyed, reference, "keyed: n = {n}, distinct = {distinct}");
+        }
+    }
+
+    /// `sort_by_word` against `sort_unstable` on records in index order
+    /// whose words arrive sorted, all equal, sorted but for one adjacent
+    /// swap and reversed, at 256 records or fewer and past that, over
+    /// word ranges the radix passes cover and ones they do not: the
+    /// presorted return must take no unsorted input for sorted.
+    #[test]
+    fn sort_by_word_matches_sort_unstable() {
+        for n in [2usize, 200, 256, 257, 3000] {
+            for step in [1u64, 1 << 20, 1 << 50] {
+                let ascending: Vec<u64> = (0..n as u64).map(|i| i / 3 * step).collect();
+                let mut swapped = ascending.clone();
+                if let Some(j) = (n / 2..n).find(|&j| ascending[j - 1] < ascending[j]) {
+                    swapped.swap(j - 1, j);
+                }
+                let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+                for words in [ascending, vec![7; n], swapped, descending] {
+                    let mut got: Vec<(u64, u32)> = words.into_iter().zip(0..).collect();
+                    let mut want = got.clone();
+                    want.sort_unstable();
+                    sort_by_word(&mut got);
+                    assert_eq!(got, want, "n = {n}, step = {step}");
+                }
             }
         }
     }

@@ -237,9 +237,8 @@ impl AuRelation {
         }
         let rows = std::mem::take(self.rows_mut());
         // Sorting is keyed on packed bytes, typed per value position (a
-        // memcmp fast path that refines the tuple order; see
-        // `crate::column`) — the output is byte-identical to sorting on
-        // the tuples alone.
+        // byte order that refines the tuple order; see `crate::column`)
+        // — the output is byte-identical to sorting on the tuples alone.
         let arity = self.schema.arity();
         let write_keys =
             |rows: &[(RangeTuple, AuAnnot)], keys: &mut Vec<u8>, exact: &mut [bool]| {
@@ -684,29 +683,7 @@ mod tests {
     #[test]
     fn normalized_view_rows_match_normalizing_the_materialized_list() {
         use audb_core::ValueLane;
-        use audb_exec::Partitioner;
-        let execs = [1usize, 2, 4, 7].map(|w| {
-            Executor::new(w).with_partitioner(Partitioner {
-                min_morsel: 1,
-                morsels_per_worker: 3,
-                min_rows_per_worker: 0,
-            })
-        });
-        let check = |view: &GatherView<'_>, annots: &[AuAnnot], ctx: &str| {
-            let mut fold: BTreeMap<RangeTuple, AuAnnot> = BTreeMap::new();
-            let listed = view.tuples((0..annots.len() as u32).map(|i| (i, annots[i as usize])));
-            for (t, k) in listed.into_iter().filter(|(_, k)| !k.is_zero()) {
-                let acc = fold.entry(t).or_insert_with(AuAnnot::zero);
-                *acc = acc.plus(&k);
-            }
-            let want: Vec<(RangeTuple, AuAnnot)> = fold.into_iter().collect();
-            for exec in &execs {
-                let rows = AuRelation::normalized_view_rows(view, annots, exec).unwrap();
-                let w = exec.workers();
-                assert_eq!(view.tuples(rows.into_iter()), want, "{ctx}, workers = {w}");
-            }
-            want.len()
-        };
+        let execs = view_execs();
         let long = |tail: &str| Value::str(format!("a shared prefix of 25 bytes{tail}"));
         // row i repeats row g(i): at most 53 distinct tuples of 900
         let (n, g) = (900usize, |i: usize| i * 7 % 53);
@@ -734,7 +711,7 @@ mod tests {
         assert_eq!(view.typed_cols(), (3, 4));
         let annots: Vec<AuAnnot> =
             (0..n as u64).map(|i| AuAnnot::triple(0, i % 4 / 2, i % 4)).collect();
-        let distinct = check(&view, &annots, "mixed");
+        let distinct = check_view_rows(&view, &annots, "mixed");
         assert!(distinct * 10 < n, "{distinct} distinct of {n}");
         // all zeros (or nothing) never reaches the driver
         let zeros = vec![AuAnnot::zero(); n];
@@ -746,7 +723,7 @@ mod tests {
         let first = vec![3u32; n];
         let same =
             GatherView::new(lanes.iter().map(|l| (l.as_slice(), Some(&first[..]))).collect());
-        assert_eq!(check(&same, &annots, "all duplicates"), 1);
+        assert_eq!(check_view_rows(&same, &annots, "all duplicates"), 1);
 
         // exact boxed keys (a short string, an `Int`) next to keys cut
         // short by a long string, the column after telling rows apart
@@ -763,7 +740,7 @@ mod tests {
             (mixed.as_slice(), Some(&midx[..])),
             (after.as_slice(), Some(&aidx[..])),
         ]);
-        assert_eq!(check(&cut, &annots, "exact next to cut-short keys"), 12);
+        assert_eq!(check_view_rows(&cut, &annots, "exact next to cut-short keys"), 12);
 
         // -0.0 and 0.0: one value of the domain, two cells of a lane
         let zero = [-0.0, 0.0, -0.0, 0.0, 0.0];
@@ -775,6 +752,88 @@ mod tests {
             let want = [(0, AuAnnot::triple(2, 2, 2)), (1, AuAnnot::triple(3, 3, 3))];
             assert_eq!(rows, want, "workers = {}", exec.workers());
         }
+    }
+
+    /// Executors at 1, 2, 4 and 7 workers, every row a possible seam.
+    fn view_execs() -> [Executor; 4] {
+        use audb_exec::Partitioner;
+        [1usize, 2, 4, 7].map(|w| {
+            Executor::new(w).with_partitioner(Partitioner {
+                min_morsel: 1,
+                morsels_per_worker: 3,
+                min_rows_per_worker: 0,
+            })
+        })
+    }
+
+    /// `normalized_view_rows` at every worker count against a `BTreeMap`
+    /// fold over the materialized tuples; the number of survivors.
+    fn check_view_rows(view: &GatherView<'_>, annots: &[AuAnnot], ctx: &str) -> usize {
+        let mut fold: BTreeMap<RangeTuple, AuAnnot> = BTreeMap::new();
+        let listed = view.tuples((0..annots.len() as u32).map(|i| (i, annots[i as usize])));
+        for (t, k) in listed.into_iter().filter(|(_, k)| !k.is_zero()) {
+            let acc = fold.entry(t).or_insert_with(AuAnnot::zero);
+            *acc = acc.plus(&k);
+        }
+        let want: Vec<(RangeTuple, AuAnnot)> = fold.into_iter().collect();
+        for exec in &view_execs() {
+            let rows = AuRelation::normalized_view_rows(view, annots, exec).unwrap();
+            let w = exec.workers();
+            assert_eq!(view.tuples(rows.into_iter()), want, "{ctx}, workers = {w}");
+        }
+        want.len()
+    }
+
+    /// Normalizing a join's output while it is a view: each left row's
+    /// pairs (1 to 300 of them, neighbours as a chain delivers them)
+    /// share the three words of the left key `k`, left rows share `k.lb`
+    /// in threes, and the right side's `Float`, `Str` and `Bool` lanes
+    /// make a key 117 bytes wide, not a multiple of 8: the `Bool` lane
+    /// ends it in a zero-padded word. A `Boxed` column of long strings
+    /// before them cuts some keys short (inexact), so pairs equal on
+    /// every key byte are told apart only by their rows. Against the
+    /// materialized-list fold at every worker count.
+    #[test]
+    fn join_shaped_view_rows_match_the_materialized_list() {
+        use audb_core::ValueLane;
+        let long = |tail: &str| Value::str(format!("a shared prefix of 25 bytes{tail}"));
+        let (left, right) = (24i64, 50usize);
+        let k: Vec<RangeValue> =
+            (0..left).map(|l| RangeValue::range(10 * (l / 3), 10 * (l / 3) + l % 3, 99)).collect();
+        let v: Vec<RangeValue> =
+            (0..right).map(|r| RangeValue::range(-0.5 * (r % 7) as f64, 0.0, 1.5)).collect();
+        let b = [false, true].map(|sg| RangeValue::range(false, sg, true));
+        let s: Vec<RangeValue> =
+            (0..right).map(|r| RangeValue::certain(Value::str(format!("s{:02}", r % 9)))).collect();
+        let x: Vec<RangeValue> = [Value::Int(3), long("!"), long("?"), long("")]
+            .into_iter()
+            .map(RangeValue::certain)
+            .collect();
+        let lanes = [&k[..], &v, &x, &s, &b].map(|c| ValueLane::from_cells(c.iter()));
+        let (mut kidx, mut ridx, mut xidx, mut bidx) = (vec![], vec![], vec![], vec![]);
+        for l in 0..left as usize {
+            for j in 0..[1, 3, 40, 300][l % 4] {
+                kidx.push(l as u32);
+                ridx.push(((l * 7 + j * 13) % right) as u32);
+                // mostly exact; every seventh pair a long string
+                xidx.push(if j % 7 == 6 { 1 + (j / 7 % 3) as u32 } else { 0 });
+                bidx.push((j / 3 % 2) as u32);
+            }
+        }
+        let view = GatherView::new(vec![
+            (lanes[0].as_slice(), Some(&kidx[..])),
+            (lanes[1].as_slice(), Some(&ridx[..])),
+            (lanes[2].as_slice(), Some(&xidx[..])),
+            (lanes[3].as_slice(), Some(&ridx[..])),
+            (lanes[4].as_slice(), Some(&bidx[..])),
+        ]);
+        assert_eq!(view.typed_cols(), (4, 5));
+        assert_eq!(view.key_width(), 117);
+        let n = kidx.len();
+        let annots: Vec<AuAnnot> =
+            (0..n as u64).map(|i| AuAnnot::triple(0, i % 4 / 2, i % 4)).collect();
+        let distinct = check_view_rows(&view, &annots, "join-shaped");
+        assert!(distinct * 2 < n && distinct > 100, "{distinct} distinct of {n}");
     }
 
     /// The column cache is invalidated by mutation and shared by clone.

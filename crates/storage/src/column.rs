@@ -32,9 +32,9 @@
 //! equal tuples. Normalization (`audb_exec::reduce`) writes the keys of
 //! every row into one contiguous arena (fixed width per arity, no
 //! allocation per row) and sorts a permutation on `(arena bytes,
-//! tuple)` — a memcmp fast path in front of the exact comparator, which
-//! only a tie between keys not both exact reaches — and stays
-//! byte-identical to sorting on the tuples alone.
+//! tuple)` — the bytes a big-endian `u64` word at a time, the tuples
+//! only where equal keys are not all exact — and stays byte-identical
+//! to sorting on the tuples alone.
 //!
 //! Per [`Value`], the key is 18 bytes: a leading
 //! [`Value::order_rank`] byte, then a 17-byte body —
