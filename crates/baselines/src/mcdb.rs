@@ -1,13 +1,12 @@
 //! `MCDB` — Monte-Carlo database sampling in the spirit of Jampani et
 //! al.: evaluate the query over `n` sampled worlds ("tuple bundles"
 //! approximated by independent samples, as in the paper's Section 12)
-//! and derive statistics from the samples. Supports arbitrary queries
-//! but returns estimates, not guarantees: possible tuples can be missed
-//! and the derived bounds need not cover all worlds.
+//! and count how often each tuple is seen. Supports arbitrary queries
+//! but returns estimates, not guarantees: possible tuples can be missed.
 
 use std::collections::BTreeMap;
 
-use audb_core::{EvalError, Value};
+use audb_core::EvalError;
 use audb_incomplete::XDb;
 use audb_query::{eval_det, Query};
 use audb_storage::{Relation, Tuple};
@@ -45,48 +44,13 @@ impl McdbResult {
         }
         out
     }
-
-    /// Tuples present in *every* sample (the estimate of the certain
-    /// answers — MCDB itself cannot distinguish certain from likely).
-    pub fn always_seen(&self) -> Vec<Tuple> {
-        self.seen_tuples()
-            .into_iter()
-            .filter(|(_, c)| *c == self.samples.len())
-            .map(|(t, _)| t)
-            .collect()
-    }
-
-    /// Per-key min/max of a value column across samples: the sampled
-    /// estimate of attribute bounds (grouping result rows by the given
-    /// key columns). These bounds may *under-cover* the true range.
-    pub fn estimated_bounds(
-        &self,
-        key_cols: &[usize],
-        value_col: usize,
-    ) -> BTreeMap<Tuple, (Value, Value)> {
-        let mut out: BTreeMap<Tuple, (Value, Value)> = BTreeMap::new();
-        for s in &self.samples {
-            for (t, _) in s.rows() {
-                let key = t.project(key_cols);
-                let v = t.0[value_col].clone();
-                out.entry(key)
-                    .and_modify(|(lo, hi)| {
-                        *lo = Value::min_of(lo.clone(), v.clone());
-                        *hi = Value::max_of(hi.clone(), v.clone());
-                    })
-                    .or_insert_with(|| (v.clone(), v));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_core::col;
     use audb_incomplete::{XRelation, XTuple};
-    use audb_query::{table, AggFunc, AggSpec};
+    use audb_query::table;
     use audb_storage::Schema;
     use rand::SeedableRng;
 
@@ -119,24 +83,5 @@ mod tests {
         // with 20 samples both alternatives almost surely appear
         assert!(seen.contains_key(&it(&[1, 20])));
         assert!(seen.contains_key(&it(&[1, 30])));
-    }
-
-    #[test]
-    fn certain_tuple_always_seen() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let res = run_mcdb(&xdb(), &table("r"), 10, &mut rng).unwrap();
-        assert!(res.always_seen().contains(&it(&[1, 10])));
-    }
-
-    #[test]
-    fn aggregate_bounds_estimated_from_samples() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let q = table("r").aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(1), "s")]);
-        let res = run_mcdb(&xdb(), &q, 30, &mut rng).unwrap();
-        let bounds = res.estimated_bounds(&[0], 1);
-        let (lo, hi) = &bounds[&it(&[1])];
-        // true sums are 30 or 40
-        assert_eq!(lo, &Value::Int(30));
-        assert_eq!(hi, &Value::Int(40));
     }
 }

@@ -15,7 +15,7 @@ use audb_baselines::{
     eval_libkin, eval_trio, run_maybms, run_mcdb, run_symb, trio_aggregate, trio_aggregate_chain,
     xrelation_to_vtable, VDatabase,
 };
-use audb_bench::{fmt_ratio, fmt_s, header, print_row, time, time_median, xdb_to_ua};
+use audb_bench::{fmt_ms, fmt_ratio, header, print_row, time, time_median, xdb_to_ua};
 use audb_core::{col, Value};
 use audb_incomplete::XDb;
 use audb_query::{eval_au, eval_ua, opt, table, AggFunc, AggSpec, AuConfig, Query};
@@ -149,7 +149,7 @@ fn fig10a(opts: Opts) {
     let base = gen_tpch(TpchConfig::new(scale, opts.seed));
     let widths = [8, 10, 8, 8, 8, 8, 8];
     print_row(
-        &["uncert", "Det(s)", "UA-DB", "AU-DB", "Libkin", "MayBMS", "MCDB"].map(str::to_string),
+        &["uncert", "Det(ms)", "UA-DB", "AU-DB", "Libkin", "MayBMS", "MCDB"].map(str::to_string),
         &widths,
     );
     for pct in [0.02, 0.05, 0.10, 0.30] {
@@ -158,7 +158,7 @@ fn fig10a(opts: Opts) {
         print_row(
             &[
                 format!("{:.0}%", pct * 100.0),
-                fmt_s(r[0]),
+                fmt_ms(r[0]),
                 fmt_ratio(r[1]),
                 fmt_ratio(r[2]),
                 fmt_ratio(r[3]),
@@ -176,7 +176,7 @@ fn fig10b(opts: Opts) {
     let base_scale = opts.pick(0.15, 0.3, 1.0);
     let widths = [8, 10, 8, 8, 8, 8, 8];
     print_row(
-        &["size", "Det(s)", "UA-DB", "AU-DB", "Libkin", "MayBMS", "MCDB"].map(str::to_string),
+        &["size", "Det(ms)", "UA-DB", "AU-DB", "Libkin", "MayBMS", "MCDB"].map(str::to_string),
         &widths,
     );
     for (label, mult) in [("0.1x", 0.1), ("1x", 1.0), ("10x", 10.0)] {
@@ -186,7 +186,7 @@ fn fig10b(opts: Opts) {
         print_row(
             &[
                 label.to_string(),
-                fmt_s(r[0]),
+                fmt_ms(r[0]),
                 fmt_ratio(r[1]),
                 fmt_ratio(r[2]),
                 fmt_ratio(r[3]),
@@ -244,7 +244,7 @@ fn chain_query(levels: usize, hier: usize) -> Query {
 
 /// Figure 11: simple (chained) aggregation, absolute runtimes.
 fn fig11(opts: Opts) {
-    header("Figure 11 — chained aggregation, absolute runtime (s)");
+    header("Figure 11 — chained aggregation, absolute runtime (ms)");
     let rows = opts.pick(300, 1000, 3000);
     let uncertain = opts.pick(8, 10, 12);
     let hier = 10;
@@ -272,7 +272,7 @@ fn fig11(opts: Opts) {
         let mut rng = StdRng::seed_from_u64(opts.seed + k as u64);
         let (_, mcdb) = time(|| run_mcdb(&xdb, &q, 10, &mut rng).unwrap());
         print_row(
-            &[k.to_string(), fmt_s(det), fmt_s(au), fmt_s(trio), fmt_s(symb), fmt_s(mcdb)],
+            &[k.to_string(), fmt_ms(det), fmt_ms(au), fmt_ms(trio), fmt_ms(symb), fmt_ms(mcdb)],
             &widths,
         );
     }
@@ -280,7 +280,7 @@ fn fig11(opts: Opts) {
 
 /// Figure 12 (table): TPC-H queries across uncertainty/scale configs.
 fn fig12(opts: Opts) {
-    header("Figure 12 — TPC-H query performance (runtime in s)");
+    header("Figure 12 — TPC-H query performance (runtime in ms)");
     let mult = opts.pick(0.3, 1.0, 1.0);
     let configs = [
         ("2%/SF0.1", 0.1 * mult, 0.02),
@@ -321,7 +321,7 @@ fn fig12(opts: Opts) {
                     1 => *det,
                     _ => *mcdb,
                 };
-                rowv.push(fmt_s(v));
+                rowv.push(fmt_ms(v));
             }
             print_row(&rowv, &widths);
         }
@@ -330,7 +330,7 @@ fn fig12(opts: Opts) {
 
 /// Figure 13a: varying the number of group-by attributes.
 fn fig13a(opts: Opts) {
-    header("Figure 13a — aggregation, varying #group-by attributes (s)");
+    header("Figure 13a — aggregation, varying #group-by attributes (ms)");
     let rows = opts.pick(3_000, 20_000, 35_000);
     let cfg = MicroConfig::new(rows, 100).uncertainty(0.05).range_frac(0.05).seed(opts.seed);
     let (audb, db) = micro_au_db(&cfg);
@@ -343,13 +343,13 @@ fn fig13a(opts: Opts) {
             table("t").aggregate((0..g).collect(), vec![AggSpec::new(AggFunc::Sum, col(99), "s")]);
         let (_, au) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
         let (_, det) = time(|| eval_au(&sg, &q, &aucfg).unwrap());
-        print_row(&[g.to_string(), fmt_s(au), fmt_s(det), fmt_ratio(au / det)], &widths);
+        print_row(&[g.to_string(), fmt_ms(au), fmt_ms(det), fmt_ratio(au / det)], &widths);
     }
 }
 
 /// Figure 13b: varying the number of aggregation functions.
 fn fig13b(opts: Opts) {
-    header("Figure 13b — aggregation, varying #aggregation functions (s)");
+    header("Figure 13b — aggregation, varying #aggregation functions (ms)");
     let rows = opts.pick(3_000, 20_000, 35_000);
     let cfg = MicroConfig::new(rows, 100).uncertainty(0.05).range_frac(0.05).seed(opts.seed);
     let (audb, db) = micro_au_db(&cfg);
@@ -364,14 +364,14 @@ fn fig13b(opts: Opts) {
         let q = table("t").aggregate(vec![0], aggs);
         let (_, au) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
         let (_, det) = time(|| eval_au(&sg, &q, &aucfg).unwrap());
-        print_row(&[n.to_string(), fmt_s(au), fmt_s(det), fmt_ratio(au / det)], &widths);
+        print_row(&[n.to_string(), fmt_ms(au), fmt_ms(det), fmt_ratio(au / det)], &widths);
     }
 }
 
 /// Figure 13c: varying attribute-range width under several compression
 /// budgets (CT).
 fn fig13c(opts: Opts) {
-    header("Figure 13c — aggregation runtime vs attribute range (s)");
+    header("Figure 13c — aggregation runtime vs attribute range (ms)");
     let rows = opts.pick(3_000, 20_000, 35_000);
     let widths = [8, 10, 10, 10, 10];
     print_row(&["range", "CT=4", "CT=32", "CT=256", "CT=512"].map(str::to_string), &widths);
@@ -388,7 +388,7 @@ fn fig13c(opts: Opts) {
             let aucfg =
                 AuConfig { join_compress: Some(ct), agg_compress: Some(ct), ..AuConfig::default() };
             let (_, au) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
-            cells.push(fmt_s(au));
+            cells.push(fmt_ms(au));
         }
         print_row(&cells, &widths);
     }
@@ -407,7 +407,7 @@ fn fig13d(opts: Opts) {
     let (audb, _) = micro_au_db(&cfg);
     let q = table("t").aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(1), "s")]);
     let widths = [8, 10, 16];
-    print_row(&["CT", "time(s)", "mean range"].map(str::to_string), &widths);
+    print_row(&["CT", "time(ms)", "mean range"].map(str::to_string), &widths);
     for ct in [4usize, 32, 256, 4096, 65536] {
         let aucfg =
             AuConfig { join_compress: Some(ct), agg_compress: Some(ct), ..AuConfig::default() };
@@ -420,14 +420,14 @@ fn fig13d(opts: Opts) {
             n += 1;
         }
         let mean = if n == 0 { 0.0 } else { total / n as f64 };
-        print_row(&[ct.to_string(), fmt_s(secs), format!("{mean:.0}")], &widths);
+        print_row(&[ct.to_string(), fmt_ms(secs), format!("{mean:.0}")], &widths);
     }
 }
 
 /// Figures 14a/14b: join optimization — runtime and possible-tuple
 /// count vs input size, unoptimized vs compressed.
 fn fig14(opts: Opts) {
-    header("Figure 14a/14b — join optimization: runtime (s) / possible size");
+    header("Figure 14a/14b — join optimization: runtime (ms) / possible size");
     let sizes: &[usize] = match opts.size {
         0 => &[250, 500, 1000],
         2 => &[1000, 2000, 4000, 8000],
@@ -445,12 +445,12 @@ fn fig14(opts: Opts) {
         let q = table("t1").join_on(table("t2"), col(0).eq(col(3)));
         let mut cells = vec![n.to_string()];
         let (naive, tn) = time(|| eval_au(&audb, &q, &AuConfig::precise()).unwrap());
-        cells.push(format!("{}/{}", fmt_s(tn), naive.possible_size()));
+        cells.push(format!("{}/{}", fmt_ms(tn), naive.possible_size()));
         for ct in [4usize, 32, 256, 1024] {
             let aucfg =
                 AuConfig { join_compress: Some(ct), agg_compress: Some(ct), ..AuConfig::default() };
             let (out, secs) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
-            cells.push(format!("{}/{}", fmt_s(secs), out.possible_size()));
+            cells.push(format!("{}/{}", fmt_ms(secs), out.possible_size()));
         }
         print_row(&cells, &widths);
     }
@@ -494,7 +494,7 @@ fn fig15(opts: Opts) {
 
 /// Figure 16 (table): chained joins under different compression sizes.
 fn fig16(opts: Opts) {
-    header("Figure 16 — multi-join performance (runtime in s)");
+    header("Figure 16 — multi-join performance (runtime in ms)");
     let rows = opts.pick(200, 1000, 4000);
     let widths = [10, 6, 10, 10, 10, 10];
     print_row(
@@ -537,7 +537,7 @@ fn fig16(opts: Opts) {
                 let aucfg =
                     AuConfig { join_compress: *comp, agg_compress: *comp, ..AuConfig::default() };
                 let (_, secs) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
-                cells.push(fmt_s(secs));
+                cells.push(fmt_ms(secs));
             }
             print_row(&cells, &widths);
         }
@@ -551,7 +551,7 @@ fn fig17(opts: Opts) {
     let rows = opts.pick(500, 2000, 4000);
     let widths = [12, 7, 8, 9, 9, 9, 9, 9];
     print_row(
-        &["dataset", "query", "system", "time(s)", "cert.tup", "tight", "pos.id", "pos.val"]
+        &["dataset", "query", "system", "time(ms)", "cert.tup", "tight", "pos.id", "pos.val"]
             .map(str::to_string),
         &widths,
     );
@@ -570,7 +570,7 @@ fn fig17(opts: Opts) {
                 case.name.to_string(),
                 qname.to_string(),
                 "AU-DB".into(),
-                fmt_s(au_t),
+                fmt_ms(au_t),
                 format!("{:.0}%", acc.certain_recall * 100.0),
                 format!("{:.2}", acc.tightness_max),
                 format!("{:.1}%", acc.possible_recall_by_id * 100.0),
@@ -584,7 +584,7 @@ fn fig17(opts: Opts) {
                 "".into(),
                 "".into(),
                 "Trio".into(),
-                fmt_s(trio_t),
+                fmt_ms(trio_t),
                 "100%".into(),
                 "1.00".into(),
                 "100%".into(),
@@ -606,7 +606,7 @@ fn fig17(opts: Opts) {
                 "".into(),
                 "".into(),
                 "MCDB".into(),
-                fmt_s(mcdb_t),
+                fmt_ms(mcdb_t),
                 "N.A.".into(),
                 "<1".into(),
                 "-".into(),
@@ -628,7 +628,7 @@ fn fig17(opts: Opts) {
                 "".into(),
                 "".into(),
                 "UA-DB".into(),
-                fmt_s(ua_t),
+                fmt_ms(ua_t),
                 "100%".into(),
                 "N.A.".into(),
                 "-".into(),
@@ -671,7 +671,7 @@ fn fig17(opts: Opts) {
                 case.name.to_string(),
                 qname.to_string(),
                 "AU-DB".into(),
-                fmt_s(au_t),
+                fmt_ms(au_t),
                 format!("{:.0}%", crecall * 100.0),
                 format!("{factor:.2}"),
                 "-".into(),
@@ -691,7 +691,7 @@ fn fig17(opts: Opts) {
                 "".into(),
                 "".into(),
                 "Trio".into(),
-                fmt_s(trio_t),
+                fmt_ms(trio_t),
                 "100%".into(),
                 "1.00".into(),
                 "-".into(),
@@ -713,7 +713,7 @@ fn fig17(opts: Opts) {
                 "".into(),
                 "".into(),
                 "MCDB".into(),
-                fmt_s(mcdb_t),
+                fmt_ms(mcdb_t),
                 "N.A.".into(),
                 "<1".into(),
                 "-".into(),
@@ -731,7 +731,7 @@ fn fig17(opts: Opts) {
                 "".into(),
                 "".into(),
                 "UA-DB".into(),
-                fmt_s(ua_t),
+                fmt_ms(ua_t),
                 "0%".into(),
                 "N.A.".into(),
                 "-".into(),
@@ -755,22 +755,22 @@ fn ablation(opts: Opts) {
     let (audb, _) = micro_join_db(&cfg);
     let q = table("t1").join_on(table("t2"), col(0).eq(col(3)));
     let widths = [22, 10, 14];
-    print_row(&["variant", "time(s)", "possible size"].map(str::to_string), &widths);
+    print_row(&["variant", "time(ms)", "possible size"].map(str::to_string), &widths);
     let (out, secs) = time(|| eval_au(&audb, &q, &AuConfig::precise()).unwrap());
-    print_row(&["naive".into(), fmt_s(secs), out.possible_size().to_string()], &widths);
+    print_row(&["naive".into(), fmt_ms(secs), out.possible_size().to_string()], &widths);
     // split-only: compression budget so large that no buckets merge
     let (out, secs) = time(|| {
         let l = audb.get("t1").unwrap();
         let r = audb.get("t2").unwrap();
         opt::optimized_join(l, r, Some(&col(0).eq(col(3))), usize::MAX / 2).unwrap()
     });
-    print_row(&["split only".into(), fmt_s(secs), out.possible_size().to_string()], &widths);
+    print_row(&["split only".into(), fmt_ms(secs), out.possible_size().to_string()], &widths);
     for ct in [16usize, 128] {
         let aucfg =
             AuConfig { join_compress: Some(ct), agg_compress: Some(ct), ..AuConfig::default() };
         let (out, secs) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
         print_row(
-            &[format!("split+compress CT={ct}"), fmt_s(secs), out.possible_size().to_string()],
+            &[format!("split+compress CT={ct}"), fmt_ms(secs), out.possible_size().to_string()],
             &widths,
         );
     }
@@ -778,7 +778,7 @@ fn ablation(opts: Opts) {
     // aggregation tightness ablation
     let q = table("t1").aggregate(vec![0], vec![AggSpec::new(AggFunc::Sum, col(1), "s")]);
     println!();
-    print_row(&["agg variant", "time(s)", "mean range"].map(str::to_string), &widths);
+    print_row(&["agg variant", "time(ms)", "mean range"].map(str::to_string), &widths);
     for (label, c) in [("precise", None), ("CT=16", Some(16usize)), ("CT=256", Some(256))] {
         let aucfg = AuConfig { join_compress: c, agg_compress: c, ..AuConfig::default() };
         let (out, secs) = time(|| eval_au(&audb, &q, &aucfg).unwrap());
@@ -791,7 +791,7 @@ fn ablation(opts: Opts) {
         print_row(
             &[
                 label.to_string(),
-                fmt_s(secs),
+                fmt_ms(secs),
                 format!("{:.1}", if n == 0 { 0.0 } else { total / n as f64 }),
             ],
             &widths,

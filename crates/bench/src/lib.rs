@@ -136,14 +136,26 @@ pub fn header(title: &str) {
     println!("=== {title} ===");
 }
 
-/// Format seconds with 3 significant decimals (matching the paper's
-/// second-granularity tables).
-pub fn fmt_s(secs: f64) -> String {
-    if secs < 0.0005 {
-        format!("{:.1}ms", secs * 1000.0)
-    } else {
-        format!("{secs:.3}")
+/// Format a duration given in seconds as milliseconds to three
+/// significant digits (`0.0456`, `7.89`, `456`, `1230`), so that a
+/// sub-millisecond cell still tells two timings apart.
+pub fn fmt_ms(secs: f64) -> String {
+    let ms = secs * 1000.0;
+    if ms <= 0.0 || !ms.is_finite() {
+        return format!("{ms}");
     }
+    // `exp` is the power of ten of the third significant digit; fix it
+    // up when `log10` or the rounding lands one decade off.
+    let mut exp = ms.log10().floor() as i32 - 2;
+    let mut digits = (ms / 10f64.powi(exp)).round();
+    if digits >= 1000.0 {
+        exp += 1;
+        digits = (ms / 10f64.powi(exp)).round();
+    } else if digits < 100.0 {
+        exp -= 1;
+        digits = (ms / 10f64.powi(exp)).round();
+    }
+    format!("{:.*}", (-exp).max(0) as usize, digits * 10f64.powi(exp))
 }
 
 /// Format a ratio like the paper's "runtime / Det-runtime" plots.
@@ -156,6 +168,13 @@ mod tests {
     use super::*;
     use audb_incomplete::{XRelation, XTuple};
     use audb_storage::{Schema, Tuple};
+
+    #[test]
+    fn fmt_ms_keeps_three_significant_digits() {
+        let cells = [4.56e-5, 7.89e-4, 7.89e-3, 1.23e-2, 0.456, 1.23].map(fmt_ms);
+        assert_eq!(cells, ["0.0456", "0.789", "7.89", "12.3", "456", "1230"]);
+        assert_eq!([9.9996e-3, 0.99996].map(fmt_ms), ["10.0", "1000"]);
+    }
 
     #[test]
     fn ua_conversion_marks_uncertain() {

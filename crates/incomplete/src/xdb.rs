@@ -2,6 +2,7 @@
 //! is a set of mutually exclusive alternatives with probabilities;
 //! `trans_X` (Theorem 10) translates them into AU-DBs with one range
 //! tuple per x-tuple. PDBench-style uncertainty injection produces x-DBs.
+//! An x-tuple whose total probability is within `1e-9` of 1 is certain.
 
 use audb_core::{AuAnnot, EvalError, RangeValue};
 use audb_storage::{AuDatabase, AuRelation, Database, RangeTuple, Relation, Schema, Tuple};
@@ -296,6 +297,20 @@ mod tests {
         assert!(alt_row.0.bounds(&it(&[2, 20])));
         assert!(alt_row.0.bounds(&it(&[3, 30])));
         assert!(!alt_row.0.bounds(&it(&[1, 10])));
+    }
+
+    /// A TI-DB is an x-DB of one-alternative x-tuples: `trans_X` gives a
+    /// tuple `trans_TI`'s annotation `(⟦p = 1⟧, ⟦p ≥ 0.5⟧, ⟦p > 0⟧)`.
+    #[test]
+    fn annotations_follow_probability() {
+        let mut db = XDb::default();
+        let ti = [(1, 1.0), (2, 0.7), (3, 0.2)].map(|(a, p)| XTuple::new(vec![(it(&[a]), p)]));
+        db.insert("r", XRelation::new(Schema::named(&["a"]), ti.to_vec()));
+        let au = db.to_au();
+        let rel = au.get("r").unwrap();
+        assert_eq!(rel.annotation(&RangeTuple::certain(&it(&[1]))), AuAnnot::triple(1, 1, 1));
+        assert_eq!(rel.annotation(&RangeTuple::certain(&it(&[2]))), AuAnnot::triple(0, 1, 1));
+        assert_eq!(rel.annotation(&RangeTuple::certain(&it(&[3]))), AuAnnot::triple(0, 0, 1));
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use audb_exec::{Executor, Partitioner};
     pub use audb_incomplete::{
-        database_bounds_incomplete, key_repair_lens, relation_bounds_world, CTable, IncompleteDb,
-        TiDb, TiRelation, VTable, XDb, XRelation, XTuple,
+        database_bounds_incomplete, key_repair_lens, relation_bounds_world, IncompleteDb, VTable,
+        XDb, XRelation, XTuple,
     };
     pub use audb_query::{
         eval_au, eval_au_attempt, eval_au_traced, eval_au_traced_full, eval_det, eval_ua, explain,

@@ -18,11 +18,14 @@ use common::{check_bounds, check_bounds_under, weighted_xtuple};
 // ---------------------------------------------------------------------------
 
 /// A small x-tuple over (group, value) pairs with tiny domains so worlds
-/// stay enumerable and collisions are common.
+/// stay enumerable and collisions are common. A total below 0.5 leaves
+/// the x-tuple out of the SG world: with one alternative it is a TI-DB
+/// tuple of `p < 0.5` (Theorem 9).
 fn xtuple_strategy() -> impl Strategy<Value = XTuple> {
     let alt = (0i64..4, -3i64..6)
         .prop_map(|(g, v)| [Value::Int(g), Value::Int(v)].into_iter().collect::<Tuple>());
-    (proptest::collection::vec(alt, 1..3), prop_oneof![Just(1.0f64), Just(0.5f64)])
+    let total = prop_oneof![Just(1.0f64), Just(0.5f64), Just(0.3f64)];
+    (proptest::collection::vec(alt, 1..3), total)
         .prop_map(|(alts, total)| weighted_xtuple(alts, total))
 }
 
